@@ -4,7 +4,7 @@
 //! symmetric positive definite (and complex symmetric) systems `A·x = b`
 //! by supernodal `L·D·Lᵀ` factorization without pivoting, parallelized by
 //! a **static schedule of block computations over a mixed 1D/2D block
-//! distribution**. This crate is the facade over the full pipeline:
+//! distribution**. This crate re-exports the crates of the full pipeline:
 //!
 //! 1. ordering — nested dissection tightly coupled with halo minimum
 //!    degree (`pastix-ordering`);
@@ -49,370 +49,3 @@ pub use pastix_serve as serve;
 pub use pastix_solver as solver;
 pub use pastix_symbolic as symbolic;
 pub use pastix_trace as trace;
-
-use pastix_graph::{Permutation, SymCsc};
-use pastix_kernels::factor::FactorError;
-use pastix_kernels::Scalar;
-use pastix_machine::MachineModel;
-use pastix_sched::SchedOptions;
-use pastix_solver::{
-    factorize_sequential, run_from_storage, solve_in_place, AnalyzeOptions, FactorRun,
-    FactorStorage, Plan, SolverConfig,
-};
-use pastix_symbolic::AnalysisOptions;
-
-/// Errors surfaced by the facade.
-#[derive(Debug)]
-pub enum PastixError {
-    /// Numeric factorization failed (zero or non-finite pivot at the given
-    /// column of the permuted matrix).
-    Factor(FactorError),
-    /// The matrix handed to `factorize` does not match the analyzed one.
-    ShapeMismatch {
-        /// Order expected from the analysis.
-        expected: usize,
-        /// Order of the offending matrix.
-        got: usize,
-    },
-}
-
-impl std::fmt::Display for PastixError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            PastixError::Factor(e) => write!(f, "factorization failed: {e}"),
-            PastixError::ShapeMismatch { expected, got } => {
-                write!(f, "matrix order {got} does not match analysis ({expected})")
-            }
-        }
-    }
-}
-
-impl std::error::Error for PastixError {}
-
-impl From<FactorError> for PastixError {
-    fn from(e: FactorError) -> Self {
-        PastixError::Factor(e)
-    }
-}
-
-/// Options of the whole pipeline.
-///
-/// Superseded by [`solver::AnalyzeOptions`] inside a
-/// [`solver::SolverConfig`]; [`PastixOptions::to_analyze_options`] is the
-/// exact translation this shim hands to [`Plan::analyze`].
-#[deprecated(
-    since = "0.2.0",
-    note = "use solver::AnalyzeOptions inside a SolverConfig; this shim forwards to Plan::analyze and will be removed next release"
-)]
-#[derive(Debug, Clone)]
-pub struct PastixOptions {
-    /// Ordering phase knobs (nested dissection + halo minimum degree).
-    pub ordering: pastix_ordering::OrderingOptions,
-    /// Symbolic phase knobs (amalgamation).
-    pub analysis: AnalysisOptions,
-    /// Repartitioning/scheduling knobs (blocking size, 1D/2D switch).
-    pub sched: SchedOptions,
-    /// The machine to schedule for. `n_procs` doubles as the number of
-    /// logical processors (threads) of the parallel numeric phase.
-    pub machine: MachineModel,
-    /// Run the numeric factorization with the threaded fan-in solver; when
-    /// false (or `n_procs == 1`) the sequential reference is used.
-    pub parallel_numeric: bool,
-}
-
-#[allow(deprecated)]
-impl Default for PastixOptions {
-    fn default() -> Self {
-        Self {
-            ordering: pastix_ordering::OrderingOptions::scotch_like(),
-            analysis: AnalysisOptions::default(),
-            sched: SchedOptions::default(),
-            machine: MachineModel::sp2(4),
-            parallel_numeric: true,
-        }
-    }
-}
-
-#[allow(deprecated)]
-impl PastixOptions {
-    /// A convenient preset for `p` logical processors.
-    pub fn with_procs(p: usize) -> Self {
-        Self {
-            machine: MachineModel::sp2(p),
-            ..Self::default()
-        }
-    }
-
-    /// The equivalent [`AnalyzeOptions`] — what [`Pastix::analyze`]
-    /// actually hands to [`Plan::analyze`].
-    pub fn to_analyze_options(&self) -> AnalyzeOptions {
-        AnalyzeOptions {
-            procs: self.machine.n_procs,
-            machine: Some(self.machine.clone()),
-            parallelism: self.ordering.parallelism,
-            ordering: self.ordering.clone(),
-            analysis: self.analysis.clone(),
-            sched: self.sched.clone(),
-            static_schedule: true,
-        }
-    }
-}
-
-/// The analyzed (pre-numeric) state: a thin wrapper over [`Plan`].
-///
-/// Superseded by [`solver::Plan`]: `Pastix::analyze` now *is*
-/// [`Plan::analyze`] plus this compatibility surface, and the wrapped plan
-/// is reachable through [`Pastix::plan`].
-#[deprecated(
-    since = "0.2.0",
-    note = "use solver::Plan::analyze / Plan::factorize; this shim will be removed next release"
-)]
-pub struct Pastix {
-    #[allow(deprecated)]
-    options: PastixOptions,
-    plan: Plan,
-    cfg: SolverConfig,
-}
-
-#[allow(deprecated)]
-impl Pastix {
-    /// Runs the three pre-processing phases on the pattern of `a` by
-    /// delegating to [`Plan::analyze`].
-    pub fn analyze<T: Scalar>(a: &SymCsc<T>, options: &PastixOptions) -> Result<Self, PastixError> {
-        let cfg = SolverConfig::default().with_analyze(options.to_analyze_options());
-        let plan = Plan::analyze(a, &cfg);
-        Ok(Self {
-            options: options.clone(),
-            plan,
-            cfg,
-        })
-    }
-
-    /// The bundled [`Plan`] over the same artifacts (cheaply clonable).
-    pub fn plan(&self) -> &Plan {
-        &self.plan
-    }
-
-    /// The final fill-reducing permutation.
-    pub fn permutation(&self) -> &Permutation {
-        self.plan.permutation().expect("analyzed plans own a permutation")
-    }
-
-    /// Predicted parallel factorization time of the static schedule, i.e.
-    /// the discrete-event "Table 2" number for this machine model.
-    pub fn predicted_time(&self) -> f64 {
-        self.plan.schedule().expect("analyzed plans own a schedule").makespan
-    }
-
-    /// Factor nonzeros (off-diagonal, scalar convention of the paper).
-    pub fn nnz_l(&self) -> u64 {
-        self.plan.analyze_stats().expect("analyzed plans carry stats").scalar_nnz_offdiag
-    }
-
-    /// Operation count (`(c_j + 1)²` convention of the paper's `OPC`).
-    pub fn opc(&self) -> f64 {
-        self.plan.analyze_stats().expect("analyzed plans carry stats").scalar_opc
-    }
-
-    /// Runs the numeric factorization of `a` (same pattern as analyzed).
-    pub fn factorize<T: Scalar>(&self, a: &SymCsc<T>) -> Result<Factorized<'_, T>, PastixError> {
-        if a.n() != self.plan.n() {
-            return Err(PastixError::ShapeMismatch {
-                expected: self.plan.n(),
-                got: a.n(),
-            });
-        }
-        let run = if self.options.parallel_numeric && self.options.machine.n_procs > 1 {
-            self.plan.factorize(a, &self.cfg)?
-        } else {
-            let ap = a.permuted(self.permutation());
-            let sym = self.plan.symbol();
-            let mut st = FactorStorage::zeros(sym);
-            st.scatter(sym, &ap);
-            factorize_sequential(sym, &mut st)?;
-            run_from_storage(st, &self.plan, &self.cfg)
-        };
-        Ok(Factorized { parent: self, run })
-    }
-}
-
-/// A numeric factorization ready to solve systems.
-///
-/// Superseded by [`solver::FactorRun`] (from [`Plan::factorize`]), whose
-/// `solve_request`-based methods cover every solve variant here.
-#[deprecated(
-    since = "0.2.0",
-    note = "use the FactorRun returned by Plan::factorize; this shim will be removed next release"
-)]
-pub struct Factorized<'a, T> {
-    #[allow(deprecated)]
-    parent: &'a Pastix,
-    run: FactorRun<T>,
-}
-
-#[allow(deprecated)]
-impl<T: Scalar> Factorized<'_, T> {
-    /// Solves `A·x = b` (in the original ordering).
-    pub fn solve(&self, b: &[T]) -> Vec<T> {
-        let perm = self.parent.permutation();
-        let mut x = perm.apply_vec(b);
-        solve_in_place(self.parent.plan.symbol(), &self.run.storage, &mut x);
-        perm.unapply_vec(&x)
-    }
-
-    /// Solves several right-hand sides.
-    pub fn solve_many(&self, bs: &[Vec<T>]) -> Vec<Vec<T>> {
-        bs.iter().map(|b| self.solve(b)).collect()
-    }
-
-    /// Solves `nrhs` right-hand sides at once with the blocked sweeps
-    /// (`b` is `n × nrhs` column-major); one factor traversal total
-    /// instead of one per column.
-    pub fn solve_block(&self, b: &[T], nrhs: usize) -> Vec<T> {
-        let n = self.parent.plan.n();
-        assert_eq!(b.len(), n * nrhs);
-        let perm = self.parent.permutation();
-        let mut x = vec![T::zero(); n * nrhs];
-        for r in 0..nrhs {
-            let xp = perm.apply_vec(&b[r * n..(r + 1) * n]);
-            x[r * n..(r + 1) * n].copy_from_slice(&xp);
-        }
-        pastix_solver::solve_block_in_place(
-            self.parent.plan.symbol(),
-            &self.run.storage,
-            &mut x,
-            nrhs,
-        );
-        let mut out = vec![T::zero(); n * nrhs];
-        for r in 0..nrhs {
-            let xo = perm.unapply_vec(&x[r * n..(r + 1) * n]);
-            out[r * n..(r + 1) * n].copy_from_slice(&xo);
-        }
-        out
-    }
-
-    /// Solves `A·x = b` with the **distributed** triangular sweeps: the
-    /// solve phase runs on the same logical processors and ownership as
-    /// the factorization, with fan-in aggregation of the update segments.
-    /// Delegates to the run's plan-driven solve path.
-    pub fn solve_distributed(&self, b: &[T]) -> Vec<T> {
-        self.run.solve(b)
-    }
-
-    /// The underlying factor storage (split-symbol panels).
-    pub fn storage(&self) -> &FactorStorage<T> {
-        &self.run.storage
-    }
-
-    /// The full factorization run (factor + trace + metrics + plan).
-    pub fn run(&self) -> &FactorRun<T> {
-        &self.run
-    }
-
-    /// Solves with iterative refinement: after the direct solve, residual
-    /// correction steps `x ← x + A⁻¹(b − A·x)` run until the scaled
-    /// residual stops improving or `max_steps` is reached. Returns the
-    /// solution and the final scaled residual. Refinement recovers the
-    /// digits a pivoting-free `L·D·Lᵀ` can lose on ill-conditioned systems.
-    pub fn solve_refined(&self, a: &SymCsc<T>, b: &[T], max_steps: usize) -> (Vec<T>, f64) {
-        let mut x = self.solve(b);
-        let mut best = a.residual_norm(&x, b);
-        for _ in 0..max_steps {
-            let ax = a.matvec(&x);
-            let r: Vec<T> = b.iter().zip(&ax).map(|(&bi, &axi)| bi - axi).collect();
-            let dx = self.solve(&r);
-            let candidate: Vec<T> = x.iter().zip(&dx).map(|(&xi, &di)| xi + di).collect();
-            let res = a.residual_norm(&candidate, b);
-            if res >= best {
-                break;
-            }
-            x = candidate;
-            best = res;
-        }
-        (x, best)
-    }
-}
-
-#[cfg(test)]
-#[allow(deprecated)]
-mod tests {
-    use super::*;
-    use pastix_graph::gen::{grid_spd, Stencil, ValueKind};
-    use pastix_graph::{canonical_solution, rhs_for_solution};
-
-    fn sample() -> SymCsc<f64> {
-        grid_spd::<f64>(7, 6, 2, Stencil::Star, false, ValueKind::RandomSpd(2))
-    }
-
-    #[test]
-    fn end_to_end_sequential() {
-        let a = sample();
-        let mut opts = PastixOptions::with_procs(1);
-        opts.sched.block_size = 16;
-        let solver = Pastix::analyze(&a, &opts).unwrap();
-        let f = solver.factorize(&a).unwrap();
-        let x_exact = canonical_solution::<f64>(a.n());
-        let b = rhs_for_solution(&a, &x_exact);
-        let x = f.solve(&b);
-        assert!(a.residual_norm(&x, &b) < 1e-12);
-    }
-
-    #[test]
-    fn end_to_end_parallel() {
-        let a = sample();
-        let mut opts = PastixOptions::with_procs(4);
-        opts.sched.block_size = 8;
-        opts.sched.mapping.width_2d_min = 8;
-        opts.sched.mapping.procs_2d_min = 2.0;
-        let solver = Pastix::analyze(&a, &opts).unwrap();
-        let f = solver.factorize(&a).unwrap();
-        let x_exact = canonical_solution::<f64>(a.n());
-        let b = rhs_for_solution(&a, &x_exact);
-        let x = f.solve(&b);
-        assert!(a.residual_norm(&x, &b) < 1e-12);
-        assert!(solver.predicted_time() > 0.0);
-        assert!(solver.nnz_l() > 0);
-        assert!(solver.opc() > 0.0);
-    }
-
-    #[test]
-    fn shape_mismatch_detected() {
-        let a = sample();
-        let solver = Pastix::analyze(&a, &PastixOptions::default()).unwrap();
-        let small = grid_spd::<f64>(3, 3, 1, Stencil::Star, false, ValueKind::Laplacian);
-        assert!(matches!(
-            solver.factorize(&small),
-            Err(PastixError::ShapeMismatch { .. })
-        ));
-    }
-
-    #[test]
-    fn error_messages_are_informative() {
-        let e = PastixError::ShapeMismatch { expected: 10, got: 7 };
-        let s = format!("{e}");
-        assert!(s.contains("10") && s.contains('7'));
-        let f: PastixError = pastix_kernels::FactorError::ZeroPivot(3).into();
-        assert!(format!("{f}").contains("pivot"));
-    }
-
-    #[test]
-    fn with_procs_preset() {
-        let o = PastixOptions::with_procs(32);
-        assert_eq!(o.machine.n_procs, 32);
-        assert!(o.parallel_numeric);
-        assert_eq!(o.sched.block_size, 64);
-        assert_eq!(o.to_analyze_options().procs, 32);
-    }
-
-    #[test]
-    fn solve_many_matches_individual() {
-        let a = sample();
-        let solver = Pastix::analyze(&a, &PastixOptions::with_procs(2)).unwrap();
-        let f = solver.factorize(&a).unwrap();
-        let b1 = rhs_for_solution(&a, &canonical_solution::<f64>(a.n()));
-        let b2: Vec<f64> = (0..a.n()).map(|i| (i % 5) as f64 - 2.0).collect();
-        let many = f.solve_many(&[b1.clone(), b2.clone()]);
-        assert_eq!(many[0], f.solve(&b1));
-        assert_eq!(many[1], f.solve(&b2));
-    }
-}

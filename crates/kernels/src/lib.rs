@@ -34,8 +34,8 @@ pub use dense::DenseMat;
 pub use factor::{ldlt_factor_blocked, ldlt_factor_inplace, llt_factor_blocked, llt_factor_inplace, FactorError, NB_FACTOR};
 pub use gemm::{gemm_flops, gemm_nn_acc, gemm_nt_acc, gemm_nt_acc_lower, gemm_tn_acc};
 pub use lowrank::{
-    compress_block, lr_gemm_nn_acc, lr_gemm_nt_acc, lr_gemm_nt_acc_recompress, lr_gemm_tn_acc,
-    lr_trsm_ldlt, LowRankBlock, LrOp, LrRef,
+    compress_block, lr_gemm_nn_acc, lr_gemm_nt_acc, lr_gemm_tn_acc, lr_trsm_ldlt, LowRankBlock,
+    LrOp, LrRef,
 };
 pub use pack::{blocking_for, configure_blocking, kernel_mode, BlockSizes, KernelMode, KernelModeGuard};
 pub use model::{calibrate_blas_model, fit_poly, BlasModel, KernelClass, PolyCost};

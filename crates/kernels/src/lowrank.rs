@@ -14,8 +14,6 @@
 //! - [`lr_gemm_nt_acc`] — the contribution kernel `C += α·A·Bᵀ` with each
 //!   operand dense or compressed ([`LrOp`]), used by the comp1d/BMOD
 //!   update paths of every solver backend;
-//! - [`lr_gemm_nt_acc_recompress`] — the same update into an accumulator
-//!   that is *itself* low-rank, recompressing the sum;
 //! - [`lr_trsm_ldlt`] — the low-rank form of the panel TRSM of the
 //!   `L·D·Lᵀ` supernodal step (solves on the `w×r` coefficient matrix
 //!   instead of the full `m×w` block);
@@ -297,40 +295,6 @@ pub fn lr_gemm_nt_acc<T: Scalar>(
     }
 }
 
-/// `C ← recompress(C + α·A·Bᵀ)` where the accumulator `C` is itself
-/// stored low-rank: the update lands in a dense scratch of `C`, then the
-/// rank-revealing compressor re-runs on the sum. The accumulated rank can
-/// only grow up to `min(m, n)` (never a dense fallback — the accumulator
-/// stays in LR form), and shrinks again whenever updates cancel.
-pub fn lr_gemm_nt_acc_recompress<T: Scalar>(
-    c: &mut LowRankBlock<T>,
-    k: usize,
-    alpha: T,
-    a: LrOp<'_, T>,
-    b: LrOp<'_, T>,
-    abs_tol: f64,
-    rel_tol: f64,
-) {
-    let (m, n) = (c.m, c.n);
-    if m == 0 || n == 0 {
-        return;
-    }
-    let mut dense = c.decompress();
-    lr_gemm_nt_acc(m, n, k, alpha, a, b, &mut dense, m);
-    match aca(m, n, &mut dense.clone(), abs_tol, rel_tol, m.min(n)) {
-        Some(r) => *c = r,
-        None => {
-            // Non-finite data: keep the exact dense sum as the full-rank
-            // pair `U = sum, V = I` so no update is ever dropped.
-            let mut v = vec![T::zero(); n * n];
-            for j in 0..n {
-                v[j + j * n] = T::one();
-            }
-            *c = LowRankBlock { m, n, rank: n, u: dense, v };
-        }
-    }
-}
-
 /// Low-rank panel TRSM of the supernodal `L·D·Lᵀ` step.
 ///
 /// The dense step maps the assembled block `A` to `L_blok = A·L⁻ᵀ·D⁻¹`
@@ -505,49 +469,6 @@ mod tests {
                 max_abs_diff(&want, &c)
             );
         }
-    }
-
-    #[test]
-    fn recompressing_accumulator_tracks_dense_sum() {
-        let (m, n, k) = (12, 9, 8);
-        let mut acc = LowRankBlock::<f64>::zero(m, n);
-        let mut dense_acc = vec![0.0f64; m * n];
-        for step in 0..4u64 {
-            let a = rank_r_block(m, k, 2, 0.0, 20 + step);
-            let b = rank_r_block(n, k, 2, 0.0, 40 + step);
-            let la = compress_block(m, k, &a, m, 0.0, 1e-13).unwrap();
-            lr_gemm_nt_acc_recompress(
-                &mut acc,
-                k,
-                -1.0,
-                LrOp::Lr(la.as_ref()),
-                LrOp::Dense { a: &b, ld: n },
-                0.0,
-                1e-12,
-            );
-            gemm_nt_acc(m, n, k, -1.0, &a, m, &b, n, &mut dense_acc, m);
-        }
-        let norm = dense_acc.iter().map(|x| x * x).sum::<f64>().sqrt();
-        assert!(max_abs_diff(&acc.decompress(), &dense_acc) <= 1e-9 * norm.max(1.0));
-        assert!(acc.rank <= m.min(n));
-        // Cancelling the whole sum recompresses back toward rank 0.
-        let dneg: Vec<f64> = dense_acc.iter().map(|x| -x).collect();
-        let mut eye = vec![0.0f64; n * n];
-        for j in 0..n {
-            eye[j + j * n] = 1.0;
-        }
-        // The sum is now ≈ 0; an absolute tolerance at the round-off scale
-        // of the original data recompresses it back to (near) rank 0.
-        lr_gemm_nt_acc_recompress(
-            &mut acc,
-            n,
-            1.0,
-            LrOp::Dense { a: &dneg, ld: m },
-            LrOp::Dense { a: &eye, ld: n },
-            1e-8 * norm.max(1.0),
-            0.0,
-        );
-        assert!(acc.rank <= 2, "cancelled accumulator kept rank {}", acc.rank);
     }
 
     /// Dense form of a borrowed factor pair.

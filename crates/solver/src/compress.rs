@@ -1,6 +1,7 @@
-//! Solver-side block low-rank (BLR) compression: configuration, the
-//! compressed comp1d pipeline shared by every backend, and the
-//! finalization pass that installs the overlay into [`FactorStorage`].
+//! Solver-side block low-rank (BLR) compression: configuration and the
+//! finalization pass that installs the overlay into [`FactorStorage`]
+//! (the compressed COMP1D body itself lives with the other task bodies
+//! in `tasks.rs`).
 //!
 //! Compression is *just-in-time* in the PaStiX sense: a 1D column block's
 //! off-diagonal bloks are compressed inside its comp1d task, right after
@@ -12,11 +13,8 @@
 //! [`CompressionStrategy::MinimalMemory`] a post-factorization sweep
 //! compresses their final bloks too, for the memory win alone.
 
-use crate::storage::{BlockStore, FactorStorage, PanelLayout};
-use pastix_kernels::{
-    compress_block, lr_trsm_ldlt, scale_cols_by_diag_into, trsm_ldlt_panel, LowRankBlock, LrOp,
-    LrRef, Scalar,
-};
+use crate::storage::{BlockStore, FactorStorage};
+use pastix_kernels::{compress_block, LowRankBlock, Scalar};
 use pastix_symbolic::SymbolMatrix;
 use pastix_trace::MetricsRegistry;
 
@@ -96,112 +94,24 @@ impl CompressionConfig {
     }
 }
 
-/// Per-pair update callback of [`comp1d_tail_compressed`]: receives the
-/// target's global blok ids `(br, bc)` and the two operand views for the
-/// `C −= A·Bᵀ` contribution.
-pub(crate) type LrApply<'a, T> = dyn FnMut(usize, usize, LrOp<'_, T>, LrOp<'_, T>) + 'a;
-
-/// Post-diagonal steps of a compressed `comp1d(k)`: per-blok TRSM
-/// (low-rank where the compressor and the strategy accept), formation of
-/// the scaled panel `F = L·D` for the still-dense bloks, and the pair
-/// contributions dispatched on representation via `apply`.
-///
-/// `panel` is the full column-block panel (leading dimension `lda`) whose
-/// diagonal block is already factored; `dtmp` is the compact `w × w`
-/// factored diagonal. `apply(br, bc, a, b)` receives each contribution's
-/// global blok ids (`br ≥ bc`, both off-diagonal bloks of `k`) and the
-/// operand views: `A` the rows blok and `B` the `F` form of the pivot
-/// blok, for `C −= A·Bᵀ` at the target.
-///
-/// Returns the compressed factor bloks of `k` keyed by global blok id
-/// (their `v` already carries the `D⁻¹·L⁻¹` substitution). The per-blok
-/// dense TRSM is bitwise-identical to the whole-panel call of the
-/// uncompressed engines (row-independent substitution), so a run where no
-/// blok wins compression still matches the dense path exactly.
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn comp1d_tail_compressed<T: Scalar>(
-    sym: &SymbolMatrix,
-    layout: &PanelLayout,
-    k: usize,
-    panel: &mut [T],
-    lda: usize,
-    dtmp: &[T],
-    cc: &CompressionConfig,
-    apply: &mut LrApply<'_, T>,
-) -> Vec<(usize, LowRankBlock<T>)> {
-    let cb = &sym.cblks[k];
-    let w = cb.width();
-    let mbelow = lda - w;
-    let d: Vec<T> = (0..w).map(|t| dtmp[t + t * w]).collect();
-    let nob = cb.blok_end - cb.blok_start - 1;
-    let mut l: Vec<Option<LowRankBlock<T>>> = Vec::with_capacity(nob);
-    let mut vf: Vec<Vec<T>> = Vec::with_capacity(nob);
-    let mut fbuf = vec![T::zero(); mbelow * w];
-    for b in cb.blok_start + 1..cb.blok_end {
-        let h = sym.bloks[b].nrows();
-        let row = layout.panel_row[b] as usize;
-        let mut stored = None;
-        if sym.blok_compressible(b, cc.min_block) {
-            if let Some(mut lr) = compress_block(h, w, &panel[row..], lda, 0.0, cc.tolerance) {
-                if cc.accepts(&lr) {
-                    let f = lr_trsm_ldlt(w, dtmp, w, &d, &mut lr);
-                    stored = Some((lr, f));
-                }
-            }
-        }
-        match stored {
-            Some((lr, f)) => {
-                l.push(Some(lr));
-                vf.push(f);
-            }
-            None => {
-                trsm_ldlt_panel(h, w, dtmp, w, &mut panel[row..], lda);
-                scale_cols_by_diag_into(h, w, &panel[row..], lda, &d, &mut fbuf[row - w..], mbelow);
-                l.push(None);
-                vf.push(Vec::new());
-            }
-        }
-    }
-    // Pair contributions: pivot blok `bc` supplies B = F(bc), rows blok
-    // `br ≥ bc` supplies A = L(br); the target gets C −= A·Bᵀ.
-    for (c, bc) in (cb.blok_start + 1..cb.blok_end).enumerate() {
-        let hc = sym.bloks[bc].nrows();
-        let b_op = match &l[c] {
-            Some(lr) => {
-                LrOp::Lr(LrRef { m: hc, n: w, rank: lr.rank, u: &lr.u, v: &vf[c] })
-            }
-            None => LrOp::Dense {
-                a: &fbuf[layout.panel_row[bc] as usize - w..],
-                ld: mbelow,
-            },
-        };
-        for (r, br) in (cb.blok_start + 1..cb.blok_end).enumerate().skip(c) {
-            let a_op = match &l[r] {
-                Some(lr) => LrOp::Lr(lr.as_ref()),
-                None => LrOp::Dense { a: &panel[layout.panel_row[br] as usize..], ld: lda },
-            };
-            apply(br, bc, a_op, b_op);
-        }
-    }
-    (cb.blok_start + 1..cb.blok_end)
-        .zip(l)
-        .filter_map(|(b, lr)| lr.map(|lr| (b, lr)))
-        .collect()
-}
-
-/// Installs the collected just-in-time compressions into `storage`, after
-/// the [`CompressionStrategy::MinimalMemory`] post-pass over the bloks the
+/// Installs the just-in-time compressions the COMP1D tasks collected
+/// (`lrs`, keyed by global blok id) into `storage`, after the
+/// [`CompressionStrategy::MinimalMemory`] post-pass over the bloks the
 /// factorization left dense (2D column blocks, rejected candidates), and
 /// publishes the `lowrank.*` metrics.
 pub(crate) fn finalize_compression<T: Scalar>(
     sym: &SymbolMatrix,
     storage: &mut FactorStorage<T>,
     cc: &CompressionConfig,
-    mut per_blok: Vec<Option<LowRankBlock<T>>>,
+    lrs: Vec<(usize, LowRankBlock<T>)>,
     metrics: &MetricsRegistry,
 ) {
     if !cc.enabled() {
         return;
+    }
+    let mut per_blok: Vec<Option<LowRankBlock<T>>> = (0..sym.bloks.len()).map(|_| None).collect();
+    for (b, lr) in lrs {
+        per_blok[b] = Some(lr);
     }
     if cc.strategy == CompressionStrategy::MinimalMemory {
         for k in 0..sym.n_cblks() {

@@ -143,7 +143,7 @@ pub struct FactorRun<T> {
     /// handle in the driving [`SolverConfig`]).
     pub metrics: MetricsRegistry,
     /// The plan + config that produced this run (present when it came
-    /// through the `Plan` API; the deprecated shims leave it `None`).
+    /// through the `Plan` API or was bound with [`FactorRun::bind_plan`]).
     pub(crate) ctx: Option<PlanCtx>,
 }
 

@@ -19,17 +19,18 @@
 //! decrements plus the panel mutexes give each consumer a happens-before
 //! edge from every producer's writes.
 
-use crate::compress::{comp1d_tail_compressed, finalize_compression, CompressionConfig};
+use crate::compress::{finalize_compression, CompressionConfig};
 use crate::config::{FactorRun, SolverConfig};
-use crate::storage::{panel_row_of, BlokView, FactorStorage, PanelLayout};
+use crate::psolve::{gather_solution, segment_of};
+use crate::storage::{pair_target, BlokView, FactorStorage, PanelLayout};
+use crate::tasks::{self, ContribSink, Scratch};
 use pastix_graph::SymCsc;
-use pastix_kernels::factor::{ldlt_factor_blocked, FactorError, NB_FACTOR};
+use pastix_kernels::factor::FactorError;
 use pastix_kernels::{
-    gemm_nn_acc, gemm_tn_acc, lr_gemm_nn_acc, lr_gemm_nt_acc, lr_gemm_tn_acc,
-    scale_cols_by_diag_into, solve_unit_lower_panel, solve_unit_lower_trans_panel,
-    trsm_ldlt_panel, LowRankBlock, LrOp, Scalar,
+    gemm_nn_acc, gemm_tn_acc, lr_gemm_nn_acc, lr_gemm_tn_acc, solve_unit_lower_panel,
+    solve_unit_lower_trans_panel, LowRankBlock, LrOp, Scalar,
 };
-use pastix_runtime::steal::{run_dag, DagSpec, StealStats, TaskCtx};
+use pastix_runtime::steal::{run_dag, DagSpec, TaskCtx};
 use pastix_runtime::DynamicOptions;
 use pastix_sched::{Schedule, TaskGraph, TaskKind};
 use pastix_symbolic::SymbolMatrix;
@@ -37,7 +38,7 @@ use pastix_trace::{
     begin_rank, heartbeat, sample_gauge, task_span, GaugeId, RankTrace, TaskClass, TraceLog,
 };
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Mutex;
+use std::sync::{Mutex, MutexGuard};
 use std::time::Instant;
 
 /// Worker count resolution: explicit > schedule procs > 4.
@@ -96,128 +97,79 @@ struct DynFactor<'a, T> {
     lr_out: Mutex<Vec<(usize, LowRankBlock<T>)>>,
 }
 
-impl<T: Scalar> DynFactor<'_, T> {
-    /// Applies the contribution of off-block pair `(br, bc)` (an
-    /// `h_r × h_c` update, operands dispatched on representation) straight
-    /// into the target column block's panel. The target block is strictly
-    /// later than the producer, so locking it while holding the producer's
-    /// locks ascends the index order.
-    fn contribution(&self, br: usize, bc: usize, w: usize, a: LrOp<'_, T>, b: LrOp<'_, T>) {
-        let rb = &self.sym.bloks[br];
-        let cb = &self.sym.bloks[bc];
-        let tk = cb.fcblk as usize;
-        let tcb = &self.sym.cblks[tk];
-        let hr = rb.nrows();
-        let hc = cb.nrows();
-        let row_off = panel_row_of(self.sym, self.layout, tk, rb.frow);
-        let col_off = (cb.frow - tcb.fcol) as usize;
-        let ldt = self.layout.panel_rows(tk);
-        let mut tgt = self.panels[tk].lock().unwrap();
-        let off = row_off + col_off * ldt;
-        lr_gemm_nt_acc(hr, hc, w, -T::one(), a, b, &mut tgt[off..], ldt);
+/// The dynamic driver's contribution sink: targets are shared panels,
+/// updated under their lock. The lock is kept across consecutive pairs
+/// with the same target — every row block of a strip, usually several
+/// strips — and released before the next target's is taken. Targets are
+/// strictly later than the producer, whose own lock the task holds, so
+/// every acquisition ascends the column-block order.
+struct LockedPanels<'s, 'a, T> {
+    shared: &'s DynFactor<'a, T>,
+    held: Option<(usize, MutexGuard<'a, Vec<T>>)>,
+}
+
+impl<T: Scalar> ContribSink<T> for LockedPanels<'_, '_, T> {
+    fn with_target(&mut self, br: usize, bc: usize, apply: impl FnOnce(&mut [T], usize)) {
+        let t = pair_target(self.shared.sym, self.shared.layout, br, bc);
+        if self.held.as_ref().is_none_or(|(cblk, _)| *cblk != t.cblk) {
+            self.held = None; // release before locking: one target at a time
+            self.held = Some((t.cblk, self.shared.panels[t.cblk].lock().unwrap()));
+        }
+        let (_, panel) = self.held.as_mut().expect("target lock just taken");
+        apply(&mut panel[t.panel_row + t.col * t.lda..], t.lda);
+    }
+}
+
+impl<'a, T: Scalar> DynFactor<'a, T> {
+    fn sink(&self) -> LockedPanels<'_, 'a, T> {
+        LockedPanels { shared: self, held: None }
     }
 
-    /// COMP1D: factor the whole 1D panel, then apply every `(r ≥ c)` pair
-    /// contribution (same steps as the sequential/SPMD COMP1D, minus the
-    /// message routing).
-    fn comp1d(&self, k: usize, chaos_zero_pivot: bool) -> Result<(), FactorError> {
-        let cb = &self.sym.cblks[k];
-        let w = cb.width();
-        let lda = self.layout.panel_rows(k);
-        let h = lda - w;
+    /// COMP1D on the locked panel of `k`.
+    fn comp1d(&self, k: usize, zero_pivot: bool, scratch: &mut Scratch<T>) -> Result<(), FactorError> {
         let mut panel = self.panels[k].lock().unwrap();
-        if chaos_zero_pivot {
+        if zero_pivot {
             panel[0] = T::zero();
         }
-        let mut fwork = Vec::new();
-        if let Err(FactorError::ZeroPivot(i)) =
-            ldlt_factor_blocked(w, &mut panel, lda, NB_FACTOR, &mut fwork)
-        {
-            return Err(FactorError::ZeroPivot(cb.fcol as usize + i));
-        }
-        if h > 0 && self.compression.enabled() {
-            // Compressed comp1d: qualifying bloks compress just-in-time and
-            // outgoing contributions dispatch on representation. Targets
-            // are strictly later column blocks, so the lock order matches
-            // the dense path exactly.
-            let mut dtmp = vec![T::zero(); w * w];
-            pastix_kernels::dense::copy_panel(w, w, &panel, lda, &mut dtmp, w);
-            let cc = self.compression;
-            let lrs = comp1d_tail_compressed(
-                self.sym,
-                self.layout,
-                k,
-                &mut panel[..],
-                lda,
-                &dtmp,
-                &cc,
-                &mut |br, bc, a_op, b_op| self.contribution(br, bc, w, a_op, b_op),
-            );
-            if !lrs.is_empty() {
-                self.lr_out.lock().unwrap().extend(lrs);
-            }
-        } else if h > 0 {
-            let mut dtmp = vec![T::zero(); w * w];
-            pastix_kernels::dense::copy_panel(w, w, &panel, lda, &mut dtmp, w);
-            trsm_ldlt_panel(h, w, &dtmp, w, &mut panel[w..], lda);
-            // F = L · D.
-            let mut wbuf = vec![T::zero(); h * w];
-            let d: Vec<T> = (0..w).map(|i| dtmp[i + i * w]).collect();
-            scale_cols_by_diag_into(h, w, &panel[w..], lda, &d, &mut wbuf, h);
-            let m = cb.blok_end - cb.blok_start - 1;
-            for c in 0..m {
-                let bc = cb.blok_start + 1 + c;
-                for r in c..m {
-                    let br = cb.blok_start + 1 + r;
-                    let a_off = self.layout.panel_row[br] as usize;
-                    let b_off = self.layout.panel_row[bc] as usize - w;
-                    self.contribution(
-                        br,
-                        bc,
-                        w,
-                        LrOp::Dense { a: &panel[a_off..], ld: lda },
-                        LrOp::Dense { a: &wbuf[b_off..], ld: h },
-                    );
-                }
-            }
+        let lrs = tasks::comp1d(
+            self.sym,
+            self.layout,
+            k,
+            &mut panel,
+            &self.compression,
+            scratch,
+            &mut self.sink(),
+        )?;
+        if !lrs.is_empty() {
+            self.lr_out.lock().unwrap().extend(lrs);
         }
         Ok(())
     }
 
-    /// FACTOR: LDLᵀ of the diagonal block, in place inside the panel
-    /// (stride `lda`, unlike the SPMD path's dense `w × w` region).
-    fn factor(&self, k: usize, chaos_zero_pivot: bool) -> Result<(), FactorError> {
+    /// FACTOR: the diagonal block in place inside the panel (stride
+    /// `lda`, unlike the SPMD path's compact `w × w` region).
+    fn factor(&self, k: usize, zero_pivot: bool, scratch: &mut Scratch<T>) -> Result<(), FactorError> {
         let cb = &self.sym.cblks[k];
-        let w = cb.width();
         let lda = self.layout.panel_rows(k);
         let mut panel = self.panels[k].lock().unwrap();
-        if chaos_zero_pivot {
+        if zero_pivot {
             panel[0] = T::zero();
         }
-        let mut fwork = Vec::new();
-        if let Err(FactorError::ZeroPivot(i)) =
-            ldlt_factor_blocked(w, &mut panel, lda, NB_FACTOR, &mut fwork)
-        {
-            return Err(FactorError::ZeroPivot(cb.fcol as usize + i));
-        }
-        Ok(())
+        tasks::factor_diag(cb.width(), &mut panel, lda, cb.fcol as usize, scratch)
     }
 
-    /// BDIV: solve the blok's rows against the factored diagonal in place
-    /// and stash `F = L·D` in the blok's buffer for the BMOD updates.
-    fn bdiv(&self, k: usize, blok: usize) {
+    /// BDIV: the blok's rows in place inside the panel, `F = L·D` stashed
+    /// in the blok's buffer for the BMOD updates.
+    fn bdiv(&self, k: usize, blok: usize, scratch: &mut Scratch<T>) {
         let w = self.sym.cblks[k].width();
         let lda = self.layout.panel_rows(k);
         let hb = self.sym.bloks[blok].nrows();
         let prow = self.layout.panel_row[blok] as usize;
         let mut panel = self.panels[k].lock().unwrap();
-        let mut dtmp = vec![T::zero(); w * w];
-        pastix_kernels::dense::copy_panel(w, w, &panel, lda, &mut dtmp, w);
-        trsm_ldlt_panel(hb, w, &dtmp, w, &mut panel[prow..], lda);
-        let d: Vec<T> = (0..w).map(|i| dtmp[i + i * w]).collect();
+        scratch.load_diag(w, &panel, lda);
         let mut fbuf = self.fbufs[blok].lock().unwrap();
         fbuf.resize(hb * w, T::zero());
-        scale_cols_by_diag_into(hb, w, &panel[prow..], lda, &d, &mut fbuf, hb);
+        tasks::bdiv(hb, w, scratch, &mut panel[prow..], lda, &mut fbuf);
     }
 
     /// BMOD: one `(blok_row, blok_col)` pair contribution of a 2D column
@@ -226,14 +178,17 @@ impl<T: Scalar> DynFactor<'_, T> {
     fn bmod(&self, k: usize, blok_row: usize, blok_col: usize) {
         let w = self.sym.cblks[k].width();
         let lda = self.layout.panel_rows(k);
+        let hr = self.sym.bloks[blok_row].nrows();
         let hc = self.sym.bloks[blok_col].nrows();
         let prow = self.layout.panel_row[blok_row] as usize;
         let panel = self.panels[k].lock().unwrap();
         let fbuf = self.fbufs[blok_col].lock().unwrap();
         debug_assert_eq!(fbuf.len(), hc * w);
-        self.contribution(
+        self.sink().pair(
             blok_row,
             blok_col,
+            hr,
+            hc,
             w,
             LrOp::Dense { a: &panel[prow..], ld: lda },
             LrOp::Dense { a: &fbuf, ld: hc },
@@ -272,12 +227,9 @@ pub(crate) fn factorize_dynamic<T: Scalar>(
     };
     let n_workers = resolve_workers(dopts, sched);
 
-    let mut topts = cfg.trace;
-    if topts.enabled && topts.epoch.is_none() {
-        topts.epoch = Some(Instant::now());
-    }
-    let progress = AtomicU64::new(0);
     let error: Mutex<Option<FactorError>> = Mutex::new(None);
+    // One scratch per worker; only its own worker ever locks it.
+    let scratch: Vec<Mutex<Scratch<T>>> = (0..n_workers).map(|_| Mutex::default()).collect();
     let shared = DynFactor {
         sym,
         layout: &layout,
@@ -295,18 +247,19 @@ pub(crate) fn factorize_dynamic<T: Scalar>(
             );
         }
         let zp = cfg.chaos.zero_pivot_task == Some(t);
+        let scratch = &mut *scratch[tctx.worker].lock().unwrap();
         let result = match graph.kinds[t as usize] {
             TaskKind::Comp1d { cblk } => {
                 let _span = task_span(t, TaskClass::Comp1d);
-                shared.comp1d(cblk as usize, zp)
+                shared.comp1d(cblk as usize, zp, scratch)
             }
             TaskKind::Factor { cblk } => {
                 let _span = task_span(t, TaskClass::Factor);
-                shared.factor(cblk as usize, zp)
+                shared.factor(cblk as usize, zp, scratch)
             }
             TaskKind::Bdiv { cblk, blok } => {
                 let _span = task_span(t, TaskClass::Bdiv);
-                shared.bdiv(cblk as usize, blok as usize);
+                shared.bdiv(cblk as usize, blok as usize, scratch);
                 Ok(())
             }
             TaskKind::Bmod { cblk, blok_row, blok_col } => {
@@ -315,14 +268,6 @@ pub(crate) fn factorize_dynamic<T: Scalar>(
                 Ok(())
             }
         };
-        if topts.enabled {
-            let seq = progress.fetch_add(1, Ordering::Relaxed) + 1;
-            heartbeat(seq);
-            let every = topts.sample_every as usize;
-            if every > 0 && (tctx.local_index + 1).is_multiple_of(every) {
-                sample_gauge(GaugeId::ReadyQueueDepth, tctx.ready_depth as u64);
-            }
-        }
         match result {
             Ok(()) => true,
             Err(e) => {
@@ -331,12 +276,6 @@ pub(crate) fn factorize_dynamic<T: Scalar>(
             }
         }
     };
-    let worker_scope = |w: usize, run: &mut dyn FnMut()| -> Option<RankTrace> {
-        let session = begin_rank(w, &topts);
-        run();
-        session.finish()
-    };
-
     let spec = DagSpec {
         deps: &deps,
         out_ptr: &graph.out_ptr,
@@ -344,43 +283,70 @@ pub(crate) fn factorize_dynamic<T: Scalar>(
         priority: &priority,
         placement: &placement,
     };
-    let t0 = Instant::now();
-    let (rank_traces, stats) = run_dag(&spec, n_workers, dopts.sim.as_ref(), &body, &worker_scope);
-    let wall_ns = t0.elapsed().as_nanos() as u64;
-
+    let trace = run_traced_dag(&spec, n_workers, dopts, sched, cfg, &body);
     if let Some(e) = error.into_inner().unwrap() {
         return Err(e);
     }
-    let trace = TraceLog {
-        ranks: rank_traces.into_iter().flatten().collect(),
-        wall_ns,
-        digest: sched.map(|s| s.digest()).unwrap_or(0),
-    };
-    crate::parallel::merge_trace_metrics(&cfg.metrics, &trace);
-    record_steal_metrics(cfg, &stats);
     let lrs = shared.lr_out.into_inner().unwrap();
     let mut storage = FactorStorage {
         layout,
         panels: panels.into_iter().map(|p| p.into_inner().unwrap()).collect(),
         compression: Vec::new(),
     };
-    let mut per_blok: Vec<Option<LowRankBlock<T>>> =
-        (0..sym.bloks.len()).map(|_| None).collect();
-    for (b, lr) in lrs {
-        per_blok[b] = Some(lr);
-    }
-    finalize_compression(sym, &mut storage, &cfg.compression, per_blok, &cfg.metrics);
+    finalize_compression(sym, &mut storage, &cfg.compression, lrs, &cfg.metrics);
     Ok(FactorRun::new(storage, trace, cfg.metrics.clone()))
 }
 
-/// Executor counters → the run's metrics registry.
-fn record_steal_metrics(cfg: &SolverConfig, stats: &StealStats) {
+/// Runs `body` over `spec` on the work-stealing executor with the run's
+/// observability wrapped around it — what the factorization and the
+/// panel solve share: one trace session per worker, a run-global progress
+/// heartbeat and the ready-queue gauge after every task, and the trace
+/// and executor counters folded into `cfg.metrics`.
+fn run_traced_dag(
+    spec: &DagSpec<'_>,
+    n_workers: usize,
+    dopts: &DynamicOptions,
+    sched: Option<&Schedule>,
+    cfg: &SolverConfig,
+    body: &(impl Fn(u32, &TaskCtx) -> bool + Sync),
+) -> TraceLog {
+    let mut topts = cfg.trace;
+    if topts.enabled && topts.epoch.is_none() {
+        topts.epoch = Some(Instant::now());
+    }
+    let progress = AtomicU64::new(0);
+    let traced = |t: u32, tctx: &TaskCtx| -> bool {
+        let go_on = body(t, tctx);
+        if topts.enabled {
+            let seq = progress.fetch_add(1, Ordering::Relaxed) + 1;
+            heartbeat(seq);
+            let every = topts.sample_every as usize;
+            if every > 0 && (tctx.local_index + 1).is_multiple_of(every) {
+                sample_gauge(GaugeId::ReadyQueueDepth, tctx.ready_depth as u64);
+            }
+        }
+        go_on
+    };
+    let worker_scope = |w: usize, run: &mut dyn FnMut()| -> Option<RankTrace> {
+        let session = begin_rank(w, &topts);
+        run();
+        session.finish()
+    };
+    let t0 = Instant::now();
+    let (rank_traces, stats) = run_dag(spec, n_workers, dopts.sim.as_ref(), &traced, &worker_scope);
+    let trace = TraceLog {
+        ranks: rank_traces.into_iter().flatten().collect(),
+        wall_ns: t0.elapsed().as_nanos() as u64,
+        digest: sched.map(|s| s.digest()).unwrap_or(0),
+    };
+    crate::parallel::merge_trace_metrics(&cfg.metrics, &trace);
     for (w, &n) in stats.executed.iter().enumerate() {
         if n > 0 {
             cfg.metrics.add_counter_rank("dynamic.tasks", Some(w as u32), n);
         }
     }
     cfg.metrics.add_counter("dynamic.steals", stats.steals);
+    trace
 }
 
 /// Dynamic multi-RHS panel solve (`b_panel` is `n × nrhs` column-major in
@@ -457,28 +423,11 @@ pub(crate) fn solve_panel_dynamic<T: Scalar>(
     // Owned segments (b on entry, x on exit) and buffered backward
     // partials, one mutex per column block. Segment locks are only ever
     // taken in ascending order; partial buffers are leaf locks.
-    let segs: Vec<Mutex<Vec<T>>> = (0..ns)
-        .map(|k| {
-            let cb = &sym.cblks[k];
-            let w = cb.width();
-            let mut seg = vec![T::zero(); w * nrhs];
-            for r in 0..nrhs {
-                seg[r * w..(r + 1) * w].copy_from_slice(
-                    &b_panel[r * sym.n + cb.fcol as usize..=r * sym.n + cb.lcol as usize],
-                );
-            }
-            Mutex::new(seg)
-        })
-        .collect();
+    let segs: Vec<Mutex<Vec<T>>> =
+        (0..ns).map(|k| Mutex::new(segment_of(sym, k, b_panel, nrhs))).collect();
     let pbufs: Vec<Mutex<Vec<T>>> = (0..ns).map(|_| Mutex::new(Vec::new())).collect();
 
-    let mut topts = cfg.trace;
-    if topts.enabled && topts.epoch.is_none() {
-        topts.epoch = Some(Instant::now());
-    }
-    let progress = AtomicU64::new(0);
-
-    let body = |t: u32, tctx: &TaskCtx| -> bool {
+    let body = |t: u32, _: &TaskCtx| -> bool {
         let t = t as usize;
         if t < ns {
             let k = t;
@@ -577,22 +526,8 @@ pub(crate) fn solve_panel_dynamic<T: Scalar>(
                 }
             }
         }
-        if topts.enabled {
-            let seq = progress.fetch_add(1, Ordering::Relaxed) + 1;
-            heartbeat(seq);
-            let every = topts.sample_every as usize;
-            if every > 0 && (tctx.local_index + 1).is_multiple_of(every) {
-                sample_gauge(GaugeId::ReadyQueueDepth, tctx.ready_depth as u64);
-            }
-        }
         true
     };
-    let worker_scope = |w: usize, run: &mut dyn FnMut()| -> Option<RankTrace> {
-        let session = begin_rank(w, &topts);
-        run();
-        session.finish()
-    };
-
     let spec = DagSpec {
         deps: &deps,
         out_ptr: &out_ptr,
@@ -600,64 +535,20 @@ pub(crate) fn solve_panel_dynamic<T: Scalar>(
         priority: &priority,
         placement: &placement,
     };
-    let t0 = Instant::now();
-    let (rank_traces, stats) = run_dag(&spec, n_workers, dopts.sim.as_ref(), &body, &worker_scope);
-    let wall_ns = t0.elapsed().as_nanos() as u64;
-    let trace = TraceLog {
-        ranks: rank_traces.into_iter().flatten().collect(),
-        wall_ns,
-        digest: sched.map(|s| s.digest()).unwrap_or(0),
-    };
-    crate::parallel::merge_trace_metrics(&cfg.metrics, &trace);
-    record_steal_metrics(cfg, &stats);
+    let trace = run_traced_dag(&spec, n_workers, dopts, sched, cfg, &body);
 
-    // Gather segments into the n × nrhs solution panel.
-    let mut x = vec![T::zero(); sym.n * nrhs];
-    for (k, seg) in segs.into_iter().enumerate() {
-        let seg = seg.into_inner().unwrap();
-        let cb = &sym.cblks[k];
-        let w = cb.width();
-        for r in 0..nrhs {
-            x[r * sym.n + cb.fcol as usize..=r * sym.n + cb.lcol as usize]
-                .copy_from_slice(&seg[r * w..(r + 1) * w]);
-        }
-    }
-    (x, trace)
+    let segs = segs.into_iter().enumerate().map(|(k, s)| (k as u32, s.into_inner().unwrap()));
+    (gather_solution(sym, vec![segs.collect()], nrhs), trace)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::config::SolverConfig;
+    use crate::parallel::tests::full_setup;
     use crate::seq::{factorize_sequential, solve_in_place};
-    use pastix_graph::gen::{grid_spd, Stencil, ValueKind};
     use pastix_graph::{canonical_solution, rhs_for_solution};
-    use pastix_machine::MachineModel;
-    use pastix_ordering::{nested_dissection, OrderingOptions};
-    use pastix_sched::{map_and_schedule, DistStrategy, MappingOptions, SchedOptions};
-    use pastix_symbolic::{analyze, AnalysisOptions};
-
-    fn full_setup(
-        nx: usize,
-        ny: usize,
-        nz: usize,
-        procs: usize,
-        strategy: DistStrategy,
-        block: usize,
-    ) -> (pastix_graph::SymCsc<f64>, pastix_sched::Mapping) {
-        let a = grid_spd::<f64>(nx, ny, nz, Stencil::Star, false, ValueKind::RandomSpd(21));
-        let g = a.to_graph();
-        let ord = nested_dissection(&g, &OrderingOptions { leaf_size: 8, ..Default::default() });
-        let an = analyze(&g, &ord, &AnalysisOptions::default());
-        let machine = MachineModel::sp2(procs);
-        let opts = SchedOptions {
-            block_size: block,
-            mapping: MappingOptions { procs_2d_min: 2.0, width_2d_min: 4, strategy },
-            ..Default::default()
-        };
-        let mapping = map_and_schedule(&an.symbol, &machine, &opts);
-        (a.permuted(&an.perm), mapping)
-    }
+    use pastix_sched::DistStrategy;
 
     fn seq_factor(
         sym: &SymbolMatrix,

@@ -9,23 +9,30 @@
 //!   [`SolveRequest`]-driven solve method covers single- and multi-RHS;
 //! * [`storage`] — the dense-panel factor storage (the real PaStiX layout:
 //!   one contiguous column-major panel per column block);
-//! * [`seq`] — the sequential supernodal `L·D·Lᵀ` reference (one `COMP1D`
-//!   per column block with direct local aggregation) and the forward /
-//!   diagonal / backward solve sweeps;
-//! * [`parallel`] — the parallel supernodal **fan-in** engine of the
-//!   paper's Fig. 1, fully driven by the static schedule from
-//!   `pastix-sched` and running on the in-process message-passing runtime;
-//! * [`dynamic`] — the `Backend::Dynamic` engine: the same task graph
-//!   executed by the work-stealing DAG executor, with the static mapping
-//!   reduced to placement/priority hints.
+//! * `tasks` (crate-private) — the **one** implementation of the paper's
+//!   four task bodies (COMP1D, FACTOR, BDIV, the BMOD pair contribution),
+//!   generic over a contribution sink; the three modules below are its
+//!   drivers and own only what differs — program order, where a panel or
+//!   region lives, and where contributions go;
+//! * [`seq`] — the sequential reference driver (one `COMP1D` per column
+//!   block in elimination order, contributions applied to later panels in
+//!   place) and the forward / diagonal / backward solve sweeps;
+//! * [`parallel`] — the static driver: the supernodal **fan-in** engine of
+//!   the paper's Fig. 1, each rank walking its `K_p` from `pastix-sched`
+//!   on the in-process message-passing runtime (regions, AUBs, factor
+//!   payloads);
+//! * [`dynamic`] — the `Backend::Dynamic` driver: the same task graph
+//!   executed by the work-stealing DAG executor over shared panels under
+//!   per-panel locks, with the static mapping reduced to
+//!   placement/priority hints.
 //!
 //! The parallel factor is validated against the sequential one entry by
 //! entry; both support `f64` (SPD) and `Complex64` (complex symmetric)
 //! systems through the shared [`pastix_kernels::Scalar`] abstraction.
 //!
 //! Off-diagonal factor blocks can be stored in block low-rank (BLR) form:
-//! [`compress`] holds the [`CompressionConfig`] knobs and the shared
-//! compressed-comp1d pipeline, [`storage`] the per-panel overlay, and
+//! [`compress`] holds the [`CompressionConfig`] knobs and the pass that
+//! installs the overlay, [`storage`] the per-panel overlay, and
 //! [`refine`] the iterative-refinement wrapper that recovers full
 //! accuracy from a truncated factor.
 
@@ -40,8 +47,8 @@ pub mod plan;
 pub mod psolve;
 pub mod refine;
 pub mod seq;
-pub mod seq_left;
 pub mod storage;
+mod tasks;
 
 pub use compress::{CompressionConfig, CompressionStrategy};
 pub use config::{FactorRun, SolverConfig};
@@ -52,8 +59,7 @@ pub use pastix_trace::{MetricsRegistry, TraceLog, TraceOptions};
 pub use plan::{run_from_storage, AnalyzeOptions, AnalyzeStats, Plan, SolveOutput, SolveRequest};
 pub use refine::{RefineOptions, RefineOutput};
 pub use seq::{
-    factor_and_solve, factorize_sequential, factorize_sequential_compressed,
-    reconstruction_error, solve_block_in_place, solve_in_place,
+    factor_and_solve, factorize_sequential, reconstruction_error, solve_block_in_place,
+    solve_in_place,
 };
-pub use seq_left::factorize_sequential_left;
 pub use storage::{BlockStore, BlokView, FactorStorage, PanelCompression, PanelLayout};

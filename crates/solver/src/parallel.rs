@@ -15,14 +15,14 @@
 //! applying any AUB immediately (updates commute) and caching factor
 //! blocks — until the wanted block appears.
 
-use crate::compress::{comp1d_tail_compressed, finalize_compression, CompressionConfig};
+use crate::compress::{finalize_compression, CompressionConfig};
 use crate::config::{FactorRun, SolverConfig};
-use crate::storage::{FactorStorage, PanelLayout};
+use crate::storage::{pair_target, FactorStorage, PanelLayout};
+use crate::tasks::{self, ContribSink, Scratch};
 use pastix_graph::SymCsc;
-use pastix_kernels::factor::{ldlt_factor_blocked, FactorError, NB_FACTOR};
-use pastix_kernels::{
-    lr_gemm_nt_acc, scale_cols_by_diag_into, trsm_ldlt_panel, LowRankBlock, LrOp, Scalar,
-};
+use pastix_kernels::dense::copy_panel;
+use pastix_kernels::factor::FactorError;
+use pastix_kernels::{LowRankBlock, LrOp, Scalar};
 use pastix_runtime::{run_spmd_with, Comm, CommHook, Instrumented};
 use pastix_sched::{Schedule, TaskGraph, TaskKind};
 use pastix_symbolic::SymbolMatrix;
@@ -40,8 +40,9 @@ use std::time::Instant;
 /// payload it is a refcount bump.)
 #[derive(Clone)]
 enum PMsg<T> {
-    /// Aggregated update block for the region of task `dst`, carrying
-    /// `pairs` block contributions (fewer than the full count when the
+    /// Aggregated update block for the region of task `dst`: the sum of
+    /// `pairs` block contributions `−L_r·F_cᵀ`, added to the region on
+    /// receipt (fewer than the full count when the
     /// Fan-Both memory fallback flushed a partial aggregate early).
     /// `seq` is a per-sender sequence number: together with the envelope's
     /// sender it identifies the AUB so receivers can discard the
@@ -77,26 +78,27 @@ fn pmsg_meta<T>(m: &PMsg<T>) -> (u8, u64) {
     }
 }
 
-/// Run-wide live gauges, shared by every rank and sampled onto the trace
-/// timeline at the `TraceOptions::sample_every` cadence. Only allocated
+/// Run-wide live gauges of a traced factorization or panel solve, shared
+/// by every rank and sampled onto the trace timeline at the
+/// `TraceOptions::sample_every` cadence. Only allocated
 /// (and only touched) when tracing is enabled, so the untraced hot path
 /// never sees an atomic. Under the simulator the serialized execution
 /// makes every reading a pure function of `(seed, policy)`.
-struct SharedGauges {
+pub(crate) struct SharedGauges {
     /// Payload bytes accepted by the transport but not yet received.
     /// Signed because the simulator's duplicate-delivery fault can make
     /// recvs overtake sends; samples clamp at zero.
-    inflight_bytes: AtomicI64,
+    pub(crate) inflight_bytes: AtomicI64,
     /// Per-rank mailbox depth: messages sent to that rank, not yet
     /// received by it.
-    mailbox_depth: Vec<AtomicI64>,
+    pub(crate) mailbox_depth: Vec<AtomicI64>,
     /// Run-global completed-task counter; each completion stamps the
     /// finishing rank's heartbeat with the post-increment value.
-    progress: AtomicU64,
+    pub(crate) progress: AtomicU64,
 }
 
 impl SharedGauges {
-    fn new(n_procs: usize) -> Self {
+    pub(crate) fn new(n_procs: usize) -> Self {
         Self {
             inflight_bytes: AtomicI64::new(0),
             mailbox_depth: (0..n_procs).map(|_| AtomicI64::new(0)).collect(),
@@ -108,9 +110,9 @@ impl SharedGauges {
 /// The [`CommHook`] feeding [`SharedGauges`] from one rank's traffic;
 /// composed with [`SessionHook`] through the runtime's tuple hook so one
 /// [`Instrumented`] wrapper serves both.
-struct GaugeHook<'g> {
-    rank: usize,
-    gauges: &'g SharedGauges,
+pub(crate) struct GaugeHook<'g> {
+    pub(crate) rank: usize,
+    pub(crate) gauges: &'g SharedGauges,
 }
 
 impl CommHook for GaugeHook<'_> {
@@ -205,53 +207,31 @@ struct Routing {
     region_len: Vec<usize>,
 }
 
-/// One contribution pair's routing: destination task plus the placement of
-/// the `hr × hc` product inside the destination region.
+/// One contribution pair's routing: the destination task and the window
+/// of the `hr × hc` product inside that task's region.
 struct PairRoute {
     dst: u32,
-    row_off: usize,
-    col_off: usize,
+    /// Offset of the window's first entry in the region.
+    off: usize,
+    /// Leading dimension of the region.
     ldr: usize,
 }
 
-/// Computes where the contribution of off-block pair `(br, bc)` of column
-/// block `k` lands.
+/// Computes where the contribution of off-block pair `(br, bc)` lands: a
+/// 1D target's region is its whole panel; a 2D target's is the compact
+/// diagonal block (FACTOR) or the covering blok's own rows (BDIV).
 fn route_pair(sym: &SymbolMatrix, layout: &PanelLayout, graph: &TaskGraph, br: usize, bc: usize) -> PairRoute {
-    let rb = &sym.bloks[br];
-    let cb_ = &sym.bloks[bc];
-    let tk = cb_.fcblk as usize;
-    let tcb = &sym.cblks[tk];
-    let col_off = (cb_.frow - tcb.fcol) as usize;
-    let covering = sym.covering_blok(tk, rb.frow, rb.lrow);
-    let head = graph.head_task_of_cblk[tk];
+    let t = pair_target(sym, layout, br, bc);
+    let head = graph.head_task_of_cblk[t.cblk];
     match graph.kinds[head as usize] {
-        TaskKind::Comp1d { .. } => {
-            let row_off = layout.panel_row[covering] as usize + (rb.frow - sym.bloks[covering].frow) as usize;
-            PairRoute {
-                dst: head,
-                row_off,
-                col_off,
-                ldr: layout.panel_rows(tk),
-            }
-        }
+        TaskKind::Comp1d { .. } => PairRoute { dst: head, off: t.panel_row + t.col * t.lda, ldr: t.lda },
         TaskKind::Factor { .. } => {
-            if covering == tcb.blok_start {
-                // Lands on the diagonal block region (w × w).
-                PairRoute {
-                    dst: head,
-                    row_off: (rb.frow - tcb.fcol) as usize,
-                    col_off,
-                    ldr: tcb.width(),
-                }
+            let (dst, ldr) = if t.blok == sym.cblks[t.cblk].blok_start {
+                (head, sym.cblks[t.cblk].width())
             } else {
-                let dst = graph.bdiv_task_of_blok[covering];
-                PairRoute {
-                    dst,
-                    row_off: (rb.frow - sym.bloks[covering].frow) as usize,
-                    col_off,
-                    ldr: sym.bloks[covering].nrows(),
-                }
-            }
+                (graph.bdiv_task_of_blok[t.blok], sym.bloks[t.blok].nrows())
+            };
+            PairRoute { dst, off: t.row_in_blok + t.col * ldr, ldr }
         }
         _ => unreachable!("head task of a cblk is Comp1d or Factor"),
     }
@@ -362,6 +342,8 @@ struct Worker<'a, T> {
     /// keyed by global blok id; installed into the assembled storage
     /// after the run.
     lr_out: Vec<(usize, LowRankBlock<T>)>,
+    /// Work buffers of the task bodies, reused across this rank's tasks.
+    scratch: Scratch<T>,
     /// Message-path counters, merged into the registry at run end.
     counters: RankCounters,
     /// Run-wide live gauges; `None` when tracing is off, so the untraced
@@ -420,7 +402,7 @@ impl<'a, T: Scalar> Worker<'a, T> {
                 // Updates commute: apply immediately into the region.
                 let region = self.regions.get_mut(&dst).expect("AUB for unowned task");
                 for (r, v) in region.iter_mut().zip(&data) {
-                    *r -= *v;
+                    *r += *v;
                 }
                 let left = self.aubs_pending.get_mut(&dst).expect("unexpected AUB");
                 *left -= pairs;
@@ -556,70 +538,6 @@ impl<'a, T: Scalar> Worker<'a, T> {
         );
     }
 
-    /// Routes one computed contribution (`hr × hc`, operands dispatched on
-    /// their dense/low-rank representation): local regions are updated
-    /// directly; remote ones accumulate into the AUB buffer, which is sent
-    /// when its pair count reaches zero. For two dense operands the update
-    /// kernel is byte-for-byte the classic `gemm_nt_acc`, so runs without
-    /// compression are unchanged.
-    #[allow(clippy::too_many_arguments)]
-    fn apply_contribution<C: Comm<PMsg<T>> + ?Sized>(
-        &mut self,
-        ctx: &C,
-        route: &PairRoute,
-        hr: usize,
-        hc: usize,
-        w: usize,
-        a: LrOp<'_, T>,
-        b: LrOp<'_, T>,
-    ) {
-        let q = self.sched.task_proc[route.dst as usize];
-        if q == self.rank {
-            let region = self.regions.get_mut(&route.dst).expect("local target region missing");
-            let off = route.row_off + route.col_off * route.ldr;
-            lr_gemm_nt_acc(hr, hc, w, -T::one(), a, b, &mut region[off..], route.ldr);
-        } else {
-            let len = self.routing.region_len[route.dst as usize];
-            let total = *self
-                .routing
-                .pair_count
-                .get(&(self.rank, route.dst))
-                .expect("pair count missing");
-            if self
-                .aub_out
-                .get(&route.dst)
-                .is_none_or(|(buf, _, _)| buf.is_empty())
-            {
-                // (Re-)acquire lazily: a Fan-Both flush leaves an empty
-                // placeholder holding the remaining pair budget. Buffers
-                // come from the recycling pool when it has one.
-                let buf = self.take_aub_buffer(len);
-                let entry = self
-                    .aub_out
-                    .entry(route.dst)
-                    .or_insert_with(|| (Vec::new(), total, 0u32));
-                entry.0 = buf;
-            }
-            let entry = self.aub_out.get_mut(&route.dst).expect("AUB entry just ensured");
-            let off = route.row_off + route.col_off * route.ldr;
-            lr_gemm_nt_acc(hr, hc, w, T::one(), a, b, &mut entry.0[off..], route.ldr);
-            entry.1 -= 1;
-            entry.2 += 1;
-            if entry.1 == 0 {
-                // Total local aggregation complete: ship the AUB.
-                let (data, _, pairs) = self.aub_out.remove(&route.dst).unwrap();
-                self.send_aub(ctx, q as usize, route.dst, pairs, data);
-            } else if let Some(limit) = self.aub_memory_limit {
-                // Fan-Both fallback: "an aggregated update block can be
-                // sent with partial aggregation to free memory space".
-                let held: usize = self.aub_out.values().map(|(v, _, _)| v.len()).sum();
-                if held > limit {
-                    self.flush_largest_aub(ctx);
-                }
-            }
-        }
-    }
-
     /// Sends the largest outgoing AUB buffer with whatever it has
     /// aggregated so far (its pair budget stays open; the buffer is
     /// re-created on the next contribution).
@@ -748,87 +666,35 @@ impl<'a, T: Scalar> Worker<'a, T> {
         );
     }
 
+    /// Reports a task body's zero pivot to every peer before unwinding.
+    fn abort_on_error<C: Comm<PMsg<T>> + ?Sized, R>(
+        &mut self,
+        ctx: &C,
+        res: Result<R, FactorError>,
+    ) -> Result<R, FactorError> {
+        if let Err(FactorError::ZeroPivot(col)) = res {
+            self.abort(ctx, col);
+        }
+        res
+    }
+
     fn run_comp1d<C: Comm<PMsg<T>> + ?Sized>(&mut self, ctx: &C, t: u32, k: usize) -> Result<(), FactorError> {
         self.wait_aubs(ctx, t)?;
-        let cb = &self.sym.cblks[k];
-        let w = cb.width();
-        let lda = self.layout.panel_rows(k);
-        let h = lda - w;
+        // The panel and the scratch leave the worker for the task, so the
+        // sink can mutate the worker freely — including other regions of
+        // this very rank — without aliasing either.
         let mut panel = self.regions.remove(&t).expect("comp1d panel missing");
         if self.chaos.zero_pivot_task == Some(t) {
             panel[0] = T::zero();
         }
-        // Factor + panel solve (same steps as the sequential COMP1D).
-        let mut fwork = Vec::new();
-        if let Err(FactorError::ZeroPivot(i)) = ldlt_factor_blocked(w, &mut panel, lda, NB_FACTOR, &mut fwork) {
-            let col = cb.fcol as usize + i;
-            self.abort(ctx, col);
-            self.regions.insert(t, panel);
-            return Err(FactorError::ZeroPivot(col));
-        }
-        if h > 0 && self.compression.enabled() {
-            // Compressed comp1d: the panel is final here (right-looking
-            // order), so qualifying bloks compress just-in-time and every
-            // outgoing contribution dispatches on its representation. The
-            // un-TRSM'd rows a compressed blok leaves behind in `panel` are
-            // discarded when the overlay is installed after assembly.
-            let mut dtmp = vec![T::zero(); w * w];
-            pastix_kernels::dense::copy_panel(w, w, &panel, lda, &mut dtmp, w);
-            let sym = self.sym;
-            let layout = self.layout;
-            let graph = self.graph;
-            let cc = self.compression;
-            let lrs = comp1d_tail_compressed(
-                sym,
-                layout,
-                k,
-                &mut panel,
-                lda,
-                &dtmp,
-                &cc,
-                &mut |br, bc, a_op, b_op| {
-                    let route = route_pair(sym, layout, graph, br, bc);
-                    let hr = sym.bloks[br].nrows();
-                    let hc = sym.bloks[bc].nrows();
-                    self.apply_contribution(ctx, &route, hr, hc, w, a_op, b_op);
-                },
-            );
-            self.lr_out.extend(lrs);
-        } else if h > 0 {
-            let mut dtmp = vec![T::zero(); w * w];
-            pastix_kernels::dense::copy_panel(w, w, &panel, lda, &mut dtmp, w);
-            trsm_ldlt_panel(h, w, &dtmp, w, &mut panel[w..], lda);
-            // F = L · D.
-            let mut wbuf = vec![T::zero(); h * w];
-            let d: Vec<T> = (0..w).map(|i| dtmp[i + i * w]).collect();
-            scale_cols_by_diag_into(h, w, &panel[w..], lda, &d, &mut wbuf, h);
-            // Contributions for every pair (r ≥ c).
-            let m = cb.blok_end - cb.blok_start - 1;
-            for c in 0..m {
-                let bc = cb.blok_start + 1 + c;
-                let hc = self.sym.bloks[bc].nrows();
-                for r in c..m {
-                    let br = cb.blok_start + 1 + r;
-                    let hr = self.sym.bloks[br].nrows();
-                    let route = route_pair(self.sym, self.layout, self.graph, br, bc);
-                    let a_off = self.layout.panel_row[br] as usize;
-                    let b_off = self.layout.panel_row[bc] as usize - w;
-                    // The target may be another region of this very worker,
-                    // so `panel` has already been removed from the region
-                    // store and no aliasing is possible.
-                    self.apply_contribution(
-                        ctx,
-                        &route,
-                        hr,
-                        hc,
-                        w,
-                        LrOp::Dense { a: &panel[a_off..], ld: lda },
-                        LrOp::Dense { a: &wbuf[b_off..], ld: h },
-                    );
-                }
-            }
-        }
+        let mut scratch = std::mem::take(&mut self.scratch);
+        let (sym, layout, cc) = (self.sym, self.layout, self.compression);
+        let mut sink = FanIn { worker: self, ctx };
+        let res = tasks::comp1d(sym, layout, k, &mut panel, &cc, &mut scratch, &mut sink);
+        self.scratch = scratch;
         self.regions.insert(t, panel);
+        let lrs = self.abort_on_error(ctx, res)?;
+        self.lr_out.extend(lrs);
         Ok(())
     }
 
@@ -836,18 +702,12 @@ impl<'a, T: Scalar> Worker<'a, T> {
         self.wait_aubs(ctx, t)?;
         let cb = &self.sym.cblks[k];
         let w = cb.width();
-        let mut region = self.regions.remove(&t).expect("factor region missing");
+        let region = self.regions.get_mut(&t).expect("factor region missing");
         if self.chaos.zero_pivot_task == Some(t) {
             region[0] = T::zero();
         }
-        let mut fwork = Vec::new();
-        if let Err(FactorError::ZeroPivot(i)) = ldlt_factor_blocked(w, &mut region, w, NB_FACTOR, &mut fwork) {
-            let col = cb.fcol as usize + i;
-            self.abort(ctx, col);
-            self.regions.insert(t, region);
-            return Err(FactorError::ZeroPivot(col));
-        }
-        self.regions.insert(t, region);
+        let res = tasks::factor_diag(w, region, w, cb.fcol as usize, &mut self.scratch);
+        self.abort_on_error(ctx, res)?;
         self.send_fac(ctx, t);
         Ok(())
     }
@@ -858,17 +718,12 @@ impl<'a, T: Scalar> Worker<'a, T> {
         let hb = self.sym.bloks[blok].nrows();
         let factor_task = self.graph.head_task_of_cblk[k];
         let fac = self.take_fac(ctx, factor_task)?; // w×w, D on diag, L lower
-        let mut region = self.regions.remove(&t).expect("bdiv region missing");
-        debug_assert_eq!(region.len(), 2 * hb * w);
-        {
-            let fac = fac.as_slice();
-            let (l_part, f_part) = region.split_at_mut(hb * w);
-            trsm_ldlt_panel(hb, w, fac, w, l_part, hb);
-            let d: Vec<T> = (0..w).map(|i| fac[i + i * w]).collect();
-            scale_cols_by_diag_into(hb, w, l_part, hb, &d, f_part, hb);
-        }
+        self.scratch.load_diag(w, fac.as_slice(), w);
         self.put_fac(factor_task, fac);
-        self.regions.insert(t, region);
+        let region = self.regions.get_mut(&t).expect("bdiv region missing");
+        debug_assert_eq!(region.len(), 2 * hb * w);
+        let (l_part, f_part) = region.split_at_mut(hb * w);
+        tasks::bdiv(hb, w, &self.scratch, l_part, hb, f_part);
         self.send_fac(ctx, t);
         Ok(())
     }
@@ -886,39 +741,72 @@ impl<'a, T: Scalar> Worker<'a, T> {
         let hc = self.sym.bloks[blok_col].nrows();
         let bdiv_r = self.graph.bdiv_task_of_blok[blok_row];
         let bdiv_c = self.graph.bdiv_task_of_blok[blok_col];
-        let route = route_pair(self.sym, self.layout, self.graph, blok_row, blok_col);
         // L from the row block's BDIV, F from the column block's BDIV.
         // Both payloads are moved out of the worker (borrowed local region
         // or shared cache entry), so the contribution — which targets a
         // strictly later column block — can mutate the worker freely.
         let lr_data = self.take_fac(ctx, bdiv_r)?;
-        if bdiv_c == bdiv_r {
-            let (l_r, f_c) = lr_data.as_slice().split_at(hr * w);
-            self.apply_contribution(
-                ctx,
-                &route,
-                hr,
-                hc,
-                w,
-                LrOp::Dense { a: l_r, ld: hr },
-                LrOp::Dense { a: f_c, ld: hc },
-            );
-        } else {
-            let fc_data = self.take_fac(ctx, bdiv_c)?;
-            debug_assert_eq!(fc_data.as_slice().len(), 2 * hc * w);
-            self.apply_contribution(
-                ctx,
-                &route,
-                hr,
-                hc,
-                w,
-                LrOp::Dense { a: &lr_data.as_slice()[..hr * w], ld: hr },
-                LrOp::Dense { a: &fc_data.as_slice()[hc * w..], ld: hc },
-            );
+        let fc_data = if bdiv_c == bdiv_r { None } else { Some(self.take_fac(ctx, bdiv_c)?) };
+        let f_c = &fc_data.as_ref().unwrap_or(&lr_data).as_slice()[hc * w..];
+        FanIn { worker: self, ctx }.pair(
+            blok_row,
+            blok_col,
+            hr,
+            hc,
+            w,
+            LrOp::Dense { a: &lr_data.as_slice()[..hr * w], ld: hr },
+            LrOp::Dense { a: f_c, ld: hc },
+        );
+        if let Some(fc_data) = fc_data {
             self.put_fac(bdiv_c, fc_data);
         }
         self.put_fac(bdiv_r, lr_data);
         Ok(())
+    }
+}
+
+/// The static driver's contribution sink, the fan-in scheme itself: a
+/// target region this rank owns is updated in place; a remote one
+/// accumulates in its outgoing AUB, which is sent when its last local
+/// pair lands ("total local aggregation").
+struct FanIn<'w, 'a, T, C: ?Sized> {
+    worker: &'w mut Worker<'a, T>,
+    ctx: &'w C,
+}
+
+impl<T: Scalar, C: Comm<PMsg<T>> + ?Sized> ContribSink<T> for FanIn<'_, '_, T, C> {
+    fn with_target(&mut self, br: usize, bc: usize, apply: impl FnOnce(&mut [T], usize)) {
+        let wk = &mut *self.worker;
+        let route = route_pair(wk.sym, wk.layout, wk.graph, br, bc);
+        let q = wk.sched.task_proc[route.dst as usize];
+        if q == wk.rank {
+            let region = wk.regions.get_mut(&route.dst).expect("local target region missing");
+            return apply(&mut region[route.off..], route.ldr);
+        }
+        if wk.aub_out.get(&route.dst).is_none_or(|(buf, _, _)| buf.is_empty()) {
+            // (Re-)acquire lazily: a Fan-Both flush leaves an empty
+            // placeholder holding the remaining pair budget. Buffers
+            // come from the recycling pool when it has one.
+            let buf = wk.take_aub_buffer(wk.routing.region_len[route.dst as usize]);
+            let total = wk.routing.pair_count[&(wk.rank, route.dst)];
+            wk.aub_out.entry(route.dst).or_insert_with(|| (Vec::new(), total, 0u32)).0 = buf;
+        }
+        let entry = wk.aub_out.get_mut(&route.dst).expect("AUB entry just ensured");
+        apply(&mut entry.0[route.off..], route.ldr);
+        entry.1 -= 1;
+        entry.2 += 1;
+        if entry.1 == 0 {
+            // Total local aggregation complete: ship the AUB.
+            let (data, _, pairs) = wk.aub_out.remove(&route.dst).unwrap();
+            wk.send_aub(self.ctx, q as usize, route.dst, pairs, data);
+        } else if let Some(limit) = wk.aub_memory_limit {
+            // Fan-Both fallback: "an aggregated update block can be
+            // sent with partial aggregation to free memory space".
+            let held: usize = wk.aub_out.values().map(|(v, _, _)| v.len()).sum();
+            if held > limit {
+                wk.flush_largest_aub(self.ctx);
+            }
+        }
     }
 }
 
@@ -973,16 +861,13 @@ pub(crate) fn factorize_static<T: Scalar>(
     let wall_ns = t0.elapsed().as_nanos() as u64;
     let mut results = Vec::with_capacity(outputs.len());
     let mut ranks = Vec::new();
-    let mut per_blok: Vec<Option<LowRankBlock<T>>> =
-        (0..sym.bloks.len()).map(|_| None).collect();
+    let mut lrs = Vec::new();
     for (rank, out) in outputs.into_iter().enumerate() {
         merge_rank_counters(&cfg.metrics, rank as u32, &out.counters);
         if let Some(rt) = out.trace {
             ranks.push(rt);
         }
-        for (b, lr) in out.lr {
-            per_blok[b] = Some(lr);
-        }
+        lrs.extend(out.lr);
         results.push(out.result);
     }
     let trace = TraceLog {
@@ -992,7 +877,7 @@ pub(crate) fn factorize_static<T: Scalar>(
     };
     merge_trace_metrics(&cfg.metrics, &trace);
     let mut storage = assemble(sym, &layout, graph, results)?;
-    finalize_compression(sym, &mut storage, &cfg.compression, per_blok, &cfg.metrics);
+    finalize_compression(sym, &mut storage, &cfg.compression, lrs, &cfg.metrics);
     Ok(FactorRun::new(storage, trace, cfg.metrics.clone()))
 }
 
@@ -1064,6 +949,7 @@ fn worker_run<T: Scalar, C: Comm<PMsg<T>> + ?Sized>(
         chaos: cfg.chaos,
         compression: cfg.compression,
         lr_out: Vec::new(),
+        scratch: Scratch::default(),
         counters: RankCounters::default(),
         gauges: topts.enabled.then_some(gauges),
         sample_every: topts.sample_every,
@@ -1172,31 +1058,21 @@ fn merge_region<T: Scalar>(
         TaskKind::Factor { cblk } => {
             let k = cblk as usize;
             let w = sym.cblks[k].width();
-            let lda = layout.panel_rows(k);
-            for col in 0..w {
-                for row in 0..w {
-                    storage.panels[k][row + col * lda] = data[row + col * w];
-                }
-            }
+            copy_panel(w, w, data, w, &mut storage.panels[k], layout.panel_rows(k));
         }
         TaskKind::Bdiv { cblk, blok } => {
             let k = cblk as usize;
-            let w = sym.cblks[k].width();
             let hb = sym.bloks[blok as usize].nrows();
-            let lda = layout.panel_rows(k);
             let prow = layout.panel_row[blok as usize] as usize;
-            for col in 0..w {
-                for row in 0..hb {
-                    storage.panels[k][prow + row + col * lda] = data[row + col * hb];
-                }
-            }
+            let panel = &mut storage.panels[k][prow..];
+            copy_panel(hb, sym.cblks[k].width(), data, hb, panel, layout.panel_rows(k));
         }
         TaskKind::Bmod { .. } => {}
     }
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use crate::seq::{factorize_sequential, solve_in_place};
     use pastix_graph::gen::{grid_spd, Stencil, ValueKind};
@@ -1206,7 +1082,9 @@ mod tests {
     use pastix_sched::{map_and_schedule, DistStrategy, MappingOptions, SchedOptions};
     use pastix_symbolic::{analyze, AnalysisOptions};
 
-    fn full_setup(
+    /// Grid problem → permuted matrix + mapping; shared by the unit tests
+    /// of every factorization driver and of the task bodies.
+    pub(crate) fn full_setup(
         nx: usize,
         ny: usize,
         nz: usize,

@@ -16,12 +16,13 @@
 //! aggregation, and the demand-driven reception the static order allows.
 
 use crate::config::SolverConfig;
+use crate::parallel::{GaugeHook, SharedGauges};
 use crate::storage::{BlokView, FactorStorage};
 use pastix_kernels::{
     gemm_nn_acc, gemm_tn_acc, lr_gemm_nn_acc, lr_gemm_tn_acc, solve_unit_lower_panel,
     solve_unit_lower_trans_panel, Scalar,
 };
-use pastix_runtime::{run_spmd_with, Comm, CommHook, Instrumented};
+use pastix_runtime::{run_spmd_with, Comm, Instrumented};
 use pastix_sched::{Schedule, TaskGraph};
 use pastix_symbolic::SymbolMatrix;
 use pastix_trace::{
@@ -29,7 +30,7 @@ use pastix_trace::{
     TraceOptions,
 };
 use std::collections::{HashMap, HashSet};
-use std::sync::atomic::{AtomicI64, AtomicU64, Ordering};
+use std::sync::atomic::Ordering;
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -64,52 +65,6 @@ fn smsg_meta<T>(m: &SMsg<T>) -> (u8, u64) {
         SMsg::XBwd { data, .. } => (1, data.len() as u64 * scalar),
         SMsg::FwdAub { data, .. } => (2, data.len() as u64 * scalar),
         SMsg::BwdAub { data, .. } => (3, data.len() as u64 * scalar),
-    }
-}
-
-/// Run-global gauges of a traced solve: the progress counter stamped into
-/// every rank's heartbeats and the per-rank mailbox depths the watchdog's
-/// backlog signal reads — the solve-phase mirror of the factorization's
-/// gauge aggregator.
-struct SolveGauges {
-    /// Run-global completed-solve-task counter; each completed forward or
-    /// backward cblk solve stamps the finishing rank's heartbeat with the
-    /// post-increment value.
-    progress: AtomicU64,
-    /// Messages sent to each rank and not yet received by it. Signed
-    /// because the simulator's duplicate-delivery fault can make recvs
-    /// overtake sends; samples clamp at zero.
-    mailbox_depth: Vec<AtomicI64>,
-}
-
-impl SolveGauges {
-    fn new(n_procs: usize) -> Self {
-        Self {
-            progress: AtomicU64::new(0),
-            mailbox_depth: (0..n_procs).map(|_| AtomicI64::new(0)).collect(),
-        }
-    }
-}
-
-/// The [`CommHook`] feeding [`SolveGauges`] from one rank's traffic;
-/// composed with [`SessionHook`] through the runtime's tuple hook.
-struct SolveGaugeHook<'g> {
-    rank: usize,
-    gauges: &'g SolveGauges,
-}
-
-impl CommHook for SolveGaugeHook<'_> {
-    #[inline]
-    fn on_send(&self, to: usize, _bytes: u64, _kind: u8) {
-        self.gauges.mailbox_depth[to].fetch_add(1, Ordering::Relaxed);
-    }
-
-    #[inline]
-    fn on_send_dropped(&self, _to: usize, _bytes: u64, _kind: u8) {}
-
-    #[inline]
-    fn on_recv(&self, _from: usize, _bytes: u64, _kind: u8, _wait_ns: u64) {
-        self.gauges.mailbox_depth[self.rank].fetch_sub(1, Ordering::Relaxed);
     }
 }
 
@@ -232,7 +187,7 @@ pub(crate) fn solve_panel_static<T: Scalar>(
     if topts.enabled && topts.epoch.is_none() {
         topts.epoch = Some(Instant::now());
     }
-    let gauges = topts.enabled.then(|| SolveGauges::new(sched.n_procs));
+    let gauges = topts.enabled.then(|| SharedGauges::new(sched.n_procs));
     let t0 = Instant::now();
     let results = run_spmd_with::<SMsg<T>, (Vec<(u32, Vec<T>)>, Option<RankTrace>), _>(
         &cfg.backend,
@@ -266,10 +221,9 @@ fn solve_worker_run<T: Scalar, C: Comm<SMsg<T>> + ?Sized>(
     b_panel: &[T],
     nrhs: usize,
     topts: &TraceOptions,
-    gauges: Option<&SolveGauges>,
+    gauges: Option<&SharedGauges>,
 ) -> (Vec<(u32, Vec<T>)>, Option<RankTrace>) {
     let ns = sym.n_cblks();
-    let n = sym.n;
     let me = ctx.rank() as u32;
     let session = pastix_trace::begin_rank(ctx.rank(), topts);
     let mut w = SolveWorker {
@@ -300,14 +254,7 @@ fn solve_worker_run<T: Scalar, C: Comm<SMsg<T>> + ?Sized>(
         if routing.cblk_owner[k] != me {
             continue;
         }
-        let cb = &sym.cblks[k];
-        let width = cb.width();
-        let mut seg = vec![T::zero(); width * nrhs];
-        for r in 0..nrhs {
-            seg[r * width..(r + 1) * width]
-                .copy_from_slice(&b_panel[r * n + cb.fcol as usize..=r * n + cb.lcol as usize]);
-        }
-        w.x.insert(k as u32, seg);
+        w.x.insert(k as u32, segment_of(sym, k, b_panel, nrhs));
         w.fwd_pending
             .insert(k as u32, routing.fwd_remote[k] + routing.fwd_local[k]);
         w.bwd_pending
@@ -316,7 +263,7 @@ fn solve_worker_run<T: Scalar, C: Comm<SMsg<T>> + ?Sized>(
     // Only the traced path pays for the instrumented wrapper.
     if topts.enabled {
         let g = gauges.expect("a traced solve always carries gauges");
-        let hook = (SessionHook, SolveGaugeHook { rank: ctx.rank(), gauges: g });
+        let hook = (SessionHook, GaugeHook { rank: ctx.rank(), gauges: g });
         let ictx = Instrumented::new(ctx, hook, smsg_meta::<T>);
         w.forward(&ictx);
         w.backward(&ictx);
@@ -327,9 +274,20 @@ fn solve_worker_run<T: Scalar, C: Comm<SMsg<T>> + ?Sized>(
     (w.x.into_iter().collect(), session.finish())
 }
 
+/// Column block `k`'s rows of the `n × nrhs` panel `b_panel`, as a compact
+/// `width × nrhs` segment panel.
+pub(crate) fn segment_of<T: Scalar>(sym: &SymbolMatrix, k: usize, b_panel: &[T], nrhs: usize) -> Vec<T> {
+    let cb = &sym.cblks[k];
+    let mut seg = Vec::with_capacity(cb.width() * nrhs);
+    for r in 0..nrhs {
+        seg.extend_from_slice(&b_panel[r * sym.n + cb.fcol as usize..=r * sym.n + cb.lcol as usize]);
+    }
+    seg
+}
+
 /// Stitches the per-processor owned segment panels into the full `n × nrhs`
 /// solution panel.
-fn gather_solution<T: Scalar>(
+pub(crate) fn gather_solution<T: Scalar>(
     sym: &SymbolMatrix,
     results: Vec<Vec<(u32, Vec<T>)>>,
     nrhs: usize,
@@ -388,7 +346,7 @@ struct SolveWorker<'a, T> {
     scratch: Vec<T>,
     /// Present iff the run is traced: the shared progress counter and
     /// mailbox depths behind the heartbeat/gauge events.
-    gauges: Option<&'a SolveGauges>,
+    gauges: Option<&'a SharedGauges>,
     /// Gauge sampling cadence (tasks between samples; 0 disables).
     sample_every: usize,
     /// Tasks this rank has completed (heartbeat pacing).
@@ -761,13 +719,10 @@ impl<T: Scalar> SolveWorker<'_, T> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::parallel::tests::full_setup;
     use crate::seq::{factorize_sequential, solve_in_place};
-    use pastix_graph::gen::{grid_spd, Stencil, ValueKind};
     use pastix_graph::{canonical_solution, rhs_for_solution};
-    use pastix_machine::MachineModel;
-    use pastix_ordering::{nested_dissection, OrderingOptions};
-    use pastix_sched::{map_and_schedule, DistStrategy, MappingOptions, SchedOptions};
-    use pastix_symbolic::{analyze, AnalysisOptions};
+    use pastix_sched::DistStrategy;
 
     fn setup(
         nx: usize,
@@ -776,26 +731,11 @@ mod tests {
         procs: usize,
         strategy: DistStrategy,
     ) -> (pastix_graph::SymCsc<f64>, pastix_sched::Mapping, FactorStorage<f64>) {
-        let a = grid_spd::<f64>(nx, ny, nz, Stencil::Star, false, ValueKind::RandomSpd(5));
-        let g = a.to_graph();
-        let ord = nested_dissection(&g, &OrderingOptions { leaf_size: 8, ..Default::default() });
-        let an = analyze(&g, &ord, &AnalysisOptions::default());
-        let machine = MachineModel::sp2(procs);
-        let opts = SchedOptions {
-            block_size: 6,
-            mapping: MappingOptions {
-                procs_2d_min: 2.0,
-                width_2d_min: 6,
-                strategy,
-            },
-            ..Default::default()
-        };
-        let mapping = map_and_schedule(&an.symbol, &machine, &opts);
-        let ap = a.permuted(&an.perm);
-        let sym = mapping.graph.split.symbol.clone();
-        let mut st = FactorStorage::zeros(&sym);
-        st.scatter(&sym, &ap);
-        factorize_sequential(&sym, &mut st).unwrap();
+        let (ap, mapping) = full_setup(nx, ny, nz, procs, strategy, 6);
+        let sym = &mapping.graph.split.symbol;
+        let mut st = FactorStorage::zeros(sym);
+        st.scatter(sym, &ap);
+        factorize_sequential(sym, &mut st).unwrap();
         (ap, mapping, st)
     }
 

@@ -6,228 +6,48 @@
 //! degenerate case of the fan-in scheme, where every aggregation is local).
 //! The parallel solver must produce the same factor; tests enforce it.
 
-use crate::compress::{comp1d_tail_compressed, finalize_compression, CompressionConfig};
-use crate::storage::{BlokView, FactorStorage, PanelLayout};
-use pastix_kernels::factor::{ldlt_factor_blocked, ldlt_factor_inplace, FactorError, NB_FACTOR};
-use pastix_kernels::{kernel_mode, KernelMode};
+use crate::compress::CompressionConfig;
+use crate::storage::{pair_target, BlokView, FactorStorage, PanelLayout};
+use crate::tasks::{self, ContribSink, Scratch};
+use pastix_kernels::factor::FactorError;
 use pastix_kernels::{
-    gemm_nn_acc, gemm_nt_acc, lr_gemm_nn_acc, lr_gemm_nt_acc, lr_gemm_tn_acc,
-    scale_cols_by_diag_into, solve_unit_lower, solve_unit_lower_trans, trsm_ldlt_panel,
-    LowRankBlock, Scalar,
+    gemm_nn_acc, lr_gemm_nn_acc, lr_gemm_tn_acc, solve_unit_lower, solve_unit_lower_trans, Scalar,
 };
 use pastix_symbolic::SymbolMatrix;
-use pastix_trace::MetricsRegistry;
 
-/// Factorizes the scattered matrix in place, column block by column block.
+/// The sequential driver's contribution sink: every target is a later
+/// panel of the same storage, updated in place.
+struct LaterPanels<'a, T> {
+    sym: &'a SymbolMatrix,
+    layout: &'a PanelLayout,
+    /// Panels `first..`, split off the one being eliminated.
+    later: &'a mut [Vec<T>],
+    first: usize,
+}
+
+impl<T: Scalar> ContribSink<T> for LaterPanels<'_, T> {
+    fn with_target(&mut self, br: usize, bc: usize, apply: impl FnOnce(&mut [T], usize)) {
+        let t = pair_target(self.sym, self.layout, br, bc);
+        apply(&mut self.later[t.cblk - self.first][t.panel_row + t.col * t.lda..], t.lda);
+    }
+}
+
+/// Factorizes the scattered matrix in place, column block by column block:
+/// program order is elimination order, one COMP1D each.
 pub fn factorize_sequential<T: Scalar>(
     sym: &SymbolMatrix,
     storage: &mut FactorStorage<T>,
 ) -> Result<(), FactorError> {
-    let layout = storage.layout.clone();
-    let mut wbuf: Vec<T> = Vec::new();
-    let mut dtmp: Vec<T> = Vec::new();
-    let mut ubuf: Vec<T> = Vec::new();
+    let FactorStorage { layout, panels, .. } = storage;
+    let mut scratch = Scratch::default();
+    let off = CompressionConfig::off();
     for k in 0..sym.n_cblks() {
         // Traced as its own class so sequential baselines and the
         // parallel run stay distinguishable in a merged report.
         let _span = pastix_trace::task_span(k as u32, pastix_trace::TaskClass::Seq);
-        comp1d_step(sym, &layout, &mut storage.panels, k, &mut wbuf, &mut dtmp, &mut ubuf)?;
-    }
-    Ok(())
-}
-
-/// Sequential factorization with block low-rank compression: comp1d
-/// compresses qualifying off-diagonal bloks just-in-time (right after the
-/// diagonal factor, when the panel is final) and routes contributions
-/// through the low-rank update kernels; the finished factor carries the
-/// compression overlay and the `lowrank.*` metrics land in `metrics`.
-/// A disabled config (`tolerance: 0.0`) delegates to
-/// [`factorize_sequential`] — bitwise-identical to the dense path.
-pub fn factorize_sequential_compressed<T: Scalar>(
-    sym: &SymbolMatrix,
-    storage: &mut FactorStorage<T>,
-    cc: &CompressionConfig,
-    metrics: &MetricsRegistry,
-) -> Result<(), FactorError> {
-    if !cc.enabled() {
-        return factorize_sequential(sym, storage);
-    }
-    let layout = storage.layout.clone();
-    let mut wbuf: Vec<T> = Vec::new();
-    let mut dtmp: Vec<T> = Vec::new();
-    let mut per_blok: Vec<Option<LowRankBlock<T>>> =
-        (0..sym.bloks.len()).map(|_| None).collect();
-    for k in 0..sym.n_cblks() {
-        let _span = pastix_trace::task_span(k as u32, pastix_trace::TaskClass::Seq);
-        let cb = &sym.cblks[k];
-        let w = cb.width();
-        let lda = layout.panel_rows(k);
-        let h = lda - w;
-        let (left, right) = storage.panels.split_at_mut(k + 1);
-        let panel = &mut left[k][..];
-        ldlt_factor_blocked(w, panel, lda, NB_FACTOR, &mut wbuf)
-            .map_err(|FactorError::ZeroPivot(i)| FactorError::ZeroPivot(cb.fcol as usize + i))?;
-        if h == 0 {
-            continue;
-        }
-        dtmp.clear();
-        dtmp.resize(w * w, T::zero());
-        pastix_kernels::dense::copy_panel(w, w, panel, lda, &mut dtmp, w);
-        let lrs = comp1d_tail_compressed(
-            sym,
-            &layout,
-            k,
-            panel,
-            lda,
-            &dtmp,
-            cc,
-            &mut |br, bc, a_op, b_op| {
-                let blok_c = &sym.bloks[bc];
-                let blok_r = &sym.bloks[br];
-                let (hr, hc) = (blok_r.nrows(), blok_c.nrows());
-                let tk = blok_c.fcblk as usize;
-                let tcb = &sym.cblks[tk];
-                let tlda = layout.panel_rows(tk);
-                let tcol = (blok_c.frow - tcb.fcol) as usize;
-                let tb = sym.covering_blok(tk, blok_r.frow, blok_r.lrow);
-                let trow =
-                    layout.panel_row[tb] as usize + (blok_r.frow - sym.bloks[tb].frow) as usize;
-                let target = &mut right[tk - (k + 1)][trow + tcol * tlda..];
-                lr_gemm_nt_acc(hr, hc, w, -T::one(), a_op, b_op, target, tlda);
-            },
-        );
-        for (b, lr) in lrs {
-            per_blok[b] = Some(lr);
-        }
-    }
-    finalize_compression(sym, storage, cc, per_blok, metrics);
-    Ok(())
-}
-
-/// One `COMP1D(k)` with direct (local) application of every contribution.
-fn comp1d_step<T: Scalar>(
-    sym: &SymbolMatrix,
-    layout: &PanelLayout,
-    panels: &mut [Vec<T>],
-    k: usize,
-    wbuf: &mut Vec<T>,
-    dtmp: &mut Vec<T>,
-    ubuf: &mut Vec<T>,
-) -> Result<(), FactorError> {
-    let cb = &sym.cblks[k];
-    let w = cb.width();
-    let lda = layout.panel_rows(k);
-    let h = lda - w;
-    let (left, right) = panels.split_at_mut(k + 1);
-    let panel = &mut left[k][..];
-
-    // Factor the diagonal block (wbuf is dead here; it doubles as the
-    // blocked kernel's panel scratch before being rebuilt as F below).
-    // [`KernelMode::Reference`] freezes the seed hot path — unblocked
-    // factor, per-pair contributions — as the bench harness's "before"
-    // side; every other mode takes the blocked/fused formulation.
-    let seed_path = kernel_mode() == KernelMode::Reference;
-    if seed_path {
-        ldlt_factor_inplace(w, panel, lda)
-    } else {
-        ldlt_factor_blocked(w, panel, lda, NB_FACTOR, wbuf)
-    }
-    .map_err(|FactorError::ZeroPivot(i)| FactorError::ZeroPivot(cb.fcol as usize + i))?;
-    if h == 0 {
-        return Ok(());
-    }
-    // Panel solve against a compact copy of the factored diagonal block.
-    dtmp.clear();
-    dtmp.resize(w * w, T::zero());
-    pastix_kernels::dense::copy_panel(w, w, panel, lda, dtmp, w);
-    {
-        let off = &mut panel[w..];
-        trsm_ldlt_panel(h, w, dtmp, w, off, lda);
-    }
-    // F = L_off · D.
-    wbuf.clear();
-    wbuf.resize(h * w, T::zero());
-    {
-        let mut d = Vec::with_capacity(w);
-        for t in 0..w {
-            d.push(dtmp[t + t * w]);
-        }
-        scale_cols_by_diag_into(h, w, &panel[w..], lda, &d, wbuf, h);
-    }
-    // Contributions: for every source block c, ONE product over *all* the
-    // panel rows at and below it (they are contiguous in the panel) into a
-    // scratch strip, scattered row-block by row-block into the target
-    // panel. Fusing the per-pair GEMMs of the seed this way turns ~B²/2
-    // tiny products per column block into B medium ones — the per-call
-    // overhead disappears and the tall strips are exactly the shapes the
-    // packed path is fastest on.
-    let offs = sym.off_bloks_of(k);
-    for c in 0..offs.len() {
-        let bc = &offs[c];
-        let hc = bc.nrows();
-        let tk = bc.fcblk as usize;
-        let tcb = &sym.cblks[tk];
-        let tlda = layout.panel_rows(tk);
-        let tcol = (bc.frow - tcb.fcol) as usize;
-        let a_off = layout.panel_row[cb.blok_start + 1 + c] as usize;
-        let b_off = a_off - w;
-        let mbelow = lda - a_off;
-        if seed_path {
-            // Seed formulation: one small GEMM per block pair, applied
-            // straight to the target region.
-            for (r, br) in offs.iter().enumerate().skip(c) {
-                let hr = br.nrows();
-                let tb = sym.covering_blok(tk, br.frow, br.lrow);
-                let trow = layout.panel_row[tb] as usize + (br.frow - sym.bloks[tb].frow) as usize;
-                let ra_off = layout.panel_row[cb.blok_start + 1 + r] as usize;
-                let target = &mut right[tk - (k + 1)][trow + tcol * tlda..];
-                gemm_nt_acc(
-                    hr,
-                    hc,
-                    w,
-                    -T::one(),
-                    &panel[ra_off..],
-                    lda,
-                    &wbuf[b_off..],
-                    h,
-                    target,
-                    tlda,
-                );
-            }
-            continue;
-        }
-        // U = −L_{c..} · F_cᵀ, an mbelow × hc strip.
-        ubuf.clear();
-        ubuf.resize(mbelow * hc, T::zero());
-        gemm_nt_acc(
-            mbelow,
-            hc,
-            w,
-            -T::one(),
-            &panel[a_off..],
-            lda,
-            &wbuf[b_off..],
-            h,
-            ubuf,
-            mbelow,
-        );
-        // Scatter: row block r of the strip lands at its covering block's
-        // row offset in the target panel.
-        let target = &mut right[tk - (k + 1)][..];
-        let mut urow = 0;
-        for br in offs.iter().skip(c) {
-            let hr = br.nrows();
-            let tb = sym.covering_blok(tk, br.frow, br.lrow);
-            let trow = layout.panel_row[tb] as usize + (br.frow - sym.bloks[tb].frow) as usize;
-            for j in 0..hc {
-                let src = &ubuf[urow + j * mbelow..urow + j * mbelow + hr];
-                let dst = &mut target[trow + (tcol + j) * tlda..trow + (tcol + j) * tlda + hr];
-                for (d, &s) in dst.iter_mut().zip(src) {
-                    *d += s;
-                }
-            }
-            urow += hr;
-        }
+        let (done, later) = panels.split_at_mut(k + 1);
+        let mut sink = LaterPanels { sym, layout, later, first: k + 1 };
+        tasks::comp1d(sym, layout, k, &mut done[k], &off, &mut scratch, &mut sink)?;
     }
     Ok(())
 }
@@ -236,80 +56,7 @@ fn comp1d_step<T: Scalar>(
 /// leaves): forward sweep `L·y = b`, diagonal `D·z = y`, backward sweep
 /// `Lᵀ·x = z`.
 pub fn solve_in_place<T: Scalar>(sym: &SymbolMatrix, storage: &FactorStorage<T>, x: &mut [T]) {
-    assert_eq!(x.len(), sym.n);
-    let mut xk: Vec<T> = Vec::new();
-    let mut tmp: Vec<T> = Vec::new();
-    // Forward: L y = b.
-    for k in 0..sym.n_cblks() {
-        let cb = &sym.cblks[k];
-        let w = cb.width();
-        let lda = storage.panel_lda(k);
-        let panel = &storage.panels[k];
-        let fcol = cb.fcol as usize;
-        solve_unit_lower(w, panel, lda, &mut x[fcol..fcol + w], 1, w);
-        if cb.blok_start + 1 == cb.blok_end {
-            continue;
-        }
-        xk.clear();
-        xk.extend_from_slice(&x[fcol..fcol + w]);
-        for b in cb.blok_start + 1..cb.blok_end {
-            let blok = &sym.bloks[b];
-            let hb = blok.nrows();
-            let fr = blok.frow as usize;
-            match storage.blok_view(k, b - cb.blok_start, b) {
-                BlokView::Dense { data, ld } => {
-                    gemm_nn_acc(hb, 1, w, -T::one(), data, ld, &xk, w, &mut x[fr..fr + hb], hb);
-                }
-                BlokView::LowRank(lr) => {
-                    lr_gemm_nn_acc(-T::one(), lr.as_ref(), &xk, 1, w, &mut x[fr..fr + hb], hb);
-                }
-            }
-        }
-    }
-    // Diagonal: D z = y.
-    for k in 0..sym.n_cblks() {
-        let cb = &sym.cblks[k];
-        let lda = storage.panel_lda(k);
-        let panel = &storage.panels[k];
-        for t in 0..cb.width() {
-            let d = panel[t + t * lda];
-            x[cb.fcol as usize + t] *= d.recip();
-        }
-    }
-    // Backward: Lᵀ x = z.
-    for k in (0..sym.n_cblks()).rev() {
-        let cb = &sym.cblks[k];
-        let w = cb.width();
-        let lda = storage.panel_lda(k);
-        let panel = &storage.panels[k];
-        let fcol = cb.fcol as usize;
-        for b in cb.blok_start + 1..cb.blok_end {
-            let blok = &sym.bloks[b];
-            let hb = blok.nrows();
-            let fr = blok.frow as usize;
-            match storage.blok_view(k, b - cb.blok_start, b) {
-                BlokView::Dense { data, ld } => {
-                    for t in 0..w {
-                        let mut acc = T::zero();
-                        let col = &data[t * ld..t * ld + hb];
-                        for (rr, &l) in col.iter().enumerate() {
-                            acc += l * x[fr + rr];
-                        }
-                        x[fcol + t] -= acc;
-                    }
-                }
-                BlokView::LowRank(lr) => {
-                    tmp.clear();
-                    tmp.resize(w, T::zero());
-                    lr_gemm_tn_acc(T::one(), lr.as_ref(), &x[fr..fr + hb], 1, hb, &mut tmp, w);
-                    for t in 0..w {
-                        x[fcol + t] -= tmp[t];
-                    }
-                }
-            }
-        }
-        solve_unit_lower_trans(w, panel, lda, &mut x[fcol..fcol + w], 1, w);
-    }
+    solve_block_in_place(sym, storage, x, 1);
 }
 
 /// Blocked multi-right-hand-side solve: `X`/`B` is `n × nrhs` column-major
@@ -621,63 +368,38 @@ mod tests {
     }
 
     #[test]
-    fn compressed_factorization_solves_and_delegates() {
-        use crate::compress::{CompressionConfig, CompressionStrategy};
+    fn sweeps_dispatch_on_compressed_storage() {
+        use crate::compress::{finalize_compression, CompressionConfig, CompressionStrategy};
         let (ap, sym) = pipeline(8, 8, 2);
         let n = ap.n();
-        let metrics = MetricsRegistry::default();
-
-        // Dense reference factor.
-        let mut dense = FactorStorage::zeros(&sym);
-        dense.scatter(&sym, &ap);
-        factorize_sequential(&sym, &mut dense).unwrap();
-
-        // Tight tolerance: the compressed factor must still solve well.
-        let cc = CompressionConfig::with_tolerance(1e-9)
-            .min_block(4)
-            .strategy(CompressionStrategy::MinimalMemory);
         let mut st = FactorStorage::zeros(&sym);
         st.scatter(&sym, &ap);
-        factorize_sequential_compressed(&sym, &mut st, &cc, &metrics).unwrap();
-        let x_exact = canonical_solution::<f64>(n);
-        let b = rhs_for_solution(&ap, &x_exact);
-        let mut x = b.clone();
+        factorize_sequential(&sym, &mut st).unwrap();
+        // Compress the finished factor (the MinimalMemory post-pass), loosely
+        // enough that compression engages; the decompressed copy is the
+        // same truncated factor in dense form, so the two sweeps must
+        // agree to round-off whatever the truncation error.
+        let cc = CompressionConfig::with_tolerance(0.5)
+            .min_block(2)
+            .strategy(CompressionStrategy::MinimalMemory);
+        finalize_compression(&sym, &mut st, &cc, Vec::new(), &Default::default());
+        assert!(st.is_compressed(), "nothing compressed");
+        let mut dense = st.clone();
+        dense.decompress(&sym);
+        let b = rhs_for_solution(&ap, &canonical_solution::<f64>(n));
+        let (mut x, mut want) = (b.clone(), b.clone());
         solve_in_place(&sym, &st, &mut x);
-        let res = ap.residual_norm(&x, &b);
-        assert!(res < 1e-7, "compressed residual {res}");
-        // Blocked multi-rhs agrees with the single-rhs sweep on the same
-        // (possibly compressed) storage.
-        let nrhs = 3;
-        let mut big = vec![0.0f64; n * nrhs];
-        for r in 0..nrhs {
-            big[r * n..(r + 1) * n].copy_from_slice(&b);
+        solve_in_place(&sym, &dense, &mut want);
+        for (u, v) in x.iter().zip(&want) {
+            assert!((u - v).abs() <= 1e-10 * v.abs().max(1.0), "compressed {u} vs dense {v}");
         }
+        let nrhs = 3;
+        let mut big: Vec<f64> = (0..nrhs).flat_map(|_| b.iter().copied()).collect();
         solve_block_in_place(&sym, &st, &mut big, nrhs);
         for r in 0..nrhs {
             for i in 0..n {
                 assert!((big[i + r * n] - x[i]).abs() < 1e-12);
             }
-        }
-
-        // Loose tolerance: compression must actually engage and shrink the
-        // resident footprint.
-        let loose = CompressionConfig::with_tolerance(0.5)
-            .min_block(2)
-            .strategy(CompressionStrategy::MinimalMemory);
-        let mut stl = FactorStorage::zeros(&sym);
-        stl.scatter(&sym, &ap);
-        factorize_sequential_compressed(&sym, &mut stl, &loose, &metrics).unwrap();
-        assert!(stl.is_compressed(), "loose tolerance must compress something");
-        assert!(stl.factor_bytes() < stl.dense_factor_bytes());
-
-        // Tolerance 0 delegates to the dense path, bitwise.
-        let mut st0 = FactorStorage::zeros(&sym);
-        st0.scatter(&sym, &ap);
-        factorize_sequential_compressed(&sym, &mut st0, &CompressionConfig::off(), &metrics)
-            .unwrap();
-        assert!(!st0.is_compressed());
-        for (p0, pd) in st0.panels.iter().zip(&dense.panels) {
-            assert_eq!(p0, pd, "tolerance 0 must be bitwise-identical to dense");
         }
     }
 

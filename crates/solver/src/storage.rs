@@ -324,6 +324,50 @@ impl<T: Scalar> FactorStorage<T> {
     }
 }
 
+/// Where the contribution `L_br · F_bcᵀ` of one column block's
+/// off-diagonal blok pair `(br, bc)`, `br ≥ bc`, lands: the one address
+/// computation every factorization driver shares. A panel-addressed
+/// driver updates `panels[cblk][panel_row + col * lda..]` with leading
+/// dimension `lda`; the static driver's per-task regions use `blok` and
+/// `row_in_blok` to pick the FACTOR or BDIV region of a 2D target.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) struct PairTarget {
+    /// Target column block: the one `bc` faces.
+    pub cblk: usize,
+    /// Global blok of `cblk` whose rows cover `br` (the diagonal blok when
+    /// `br` faces `cblk` too).
+    pub blok: usize,
+    /// First row of `br` inside the covering blok.
+    pub row_in_blok: usize,
+    /// First row of `br` inside `cblk`'s panel.
+    pub panel_row: usize,
+    /// First column of the update inside `cblk` (`bc`'s rows are its columns).
+    pub col: usize,
+    /// Leading dimension of `cblk`'s panel.
+    pub lda: usize,
+}
+
+/// Computes the [`PairTarget`] of off-diagonal blok pair `(br, bc)`.
+pub(crate) fn pair_target(
+    sym: &SymbolMatrix,
+    layout: &PanelLayout,
+    br: usize,
+    bc: usize,
+) -> PairTarget {
+    let (rows, cols) = (&sym.bloks[br], &sym.bloks[bc]);
+    let cblk = cols.fcblk as usize;
+    let blok = sym.covering_blok(cblk, rows.frow, rows.lrow);
+    let row_in_blok = (rows.frow - sym.bloks[blok].frow) as usize;
+    PairTarget {
+        cblk,
+        blok,
+        row_in_blok,
+        panel_row: layout.panel_row[blok] as usize + row_in_blok,
+        col: (cols.frow - sym.cblks[cblk].fcol) as usize,
+        lda: layout.panel_rows(cblk),
+    }
+}
+
 /// Panel row of global row `i` within column block `k`; panics when `i` is
 /// outside the structure.
 pub fn panel_row_of(sym: &SymbolMatrix, layout: &PanelLayout, k: usize, i: u32) -> usize {

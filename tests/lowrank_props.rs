@@ -1,12 +1,12 @@
 //! Property tests for the low-rank kernel family: the compressor's error
 //! contract, the four-way `lr_gemm_nt_acc` dispatch against the dense
-//! reference, the solve-side products, and recompression. Inputs are
+//! reference, and the solve-side products. Inputs are
 //! synthesized from a per-case seed so every run replays identically.
 
 use pastix_kernels::lowrank::{LowRankBlock, LrOp};
 use pastix_kernels::{
     compress_block, gemm_nn_acc, gemm_nt_acc, gemm_tn_acc, lr_gemm_nn_acc, lr_gemm_nt_acc,
-    lr_gemm_nt_acc_recompress, lr_gemm_tn_acc,
+    lr_gemm_tn_acc,
 };
 use proptest::prelude::*;
 
@@ -155,47 +155,5 @@ proptest! {
         lr_gemm_tn_acc(-1.0, lr.as_ref(), &b, nrhs, m, &mut c, n);
         let dc: Vec<f64> = c.iter().zip(&c_want).map(|(a, b)| a - b).collect();
         prop_assert!(frob(&dc) <= 1e-9 * scale, "transpose product error {}", frob(&dc));
-    }
-
-    /// Recompressing accumulation tracks the dense sum: after a low-rank
-    /// accumulator absorbs an update, decompressing it reproduces the
-    /// dense result within the recompression tolerance, and an update that
-    /// cancels the accumulator drives the rank back to zero.
-    #[test]
-    fn recompress_tracks_dense_sum((m, n, k, seed) in (5usize..14, 5usize..14, 5usize..14, 0u64..1 << 48)) {
-        let mut vals = Vals::new(seed);
-        let mut acc = compress(&mut vals, m, n, 2, 1e-12);
-        let la = compress(&mut vals, m, k, 2, 1e-12);
-        let lb = compress(&mut vals, n, k, 2, 1e-12);
-
-        let mut want = acc.decompress();
-        lr_gemm_nt_acc(m, n, k, 1.0, LrOp::Lr(la.as_ref()), LrOp::Lr(lb.as_ref()), &mut want, m);
-        let tol = 1e-10 * frob(&want).max(1.0);
-        lr_gemm_nt_acc_recompress(&mut acc, k, 1.0, LrOp::Lr(la.as_ref()), LrOp::Lr(lb.as_ref()), tol, 0.0);
-        let got = acc.decompress();
-        let diff: Vec<f64> = got.iter().zip(&want).map(|(a, b)| a - b).collect();
-        prop_assert!(frob(&diff) <= tol, "accumulated error {}", frob(&diff));
-        prop_assert!(acc.rank <= m.min(n));
-
-        // Cancel the accumulator with its own dense negation (A = −sum,
-        // B = I): the recompressor collapses the rank back down instead
-        // of letting it keep growing.
-        let neg: Vec<f64> = got.iter().map(|v| -v).collect();
-        let mut eye = vec![0.0; n * n];
-        for j in 0..n {
-            eye[j + j * n] = 1.0;
-        }
-        let before = acc.rank;
-        lr_gemm_nt_acc_recompress(
-            &mut acc,
-            n,
-            1.0,
-            LrOp::Dense { a: &neg, ld: m },
-            LrOp::Dense { a: &eye, ld: n },
-            2.0 * tol,
-            0.0,
-        );
-        prop_assert!(acc.rank <= before, "cancellation grew the rank");
-        prop_assert!(frob(&acc.decompress()) <= 4.0 * tol, "cancelled accumulator norm {}", frob(&acc.decompress()));
     }
 }

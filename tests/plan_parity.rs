@@ -199,42 +199,3 @@ fn compressed_sim_runs_replay_bitwise_and_solve() {
         }
     }
 }
-
-/// The deprecated `Pastix` facade is a pure forwarder over `Plan::analyze`:
-/// permutation, split symbol, and schedule digest must be bitwise
-/// identical between the shim and a direct `Plan` run with the translated
-/// options, and the scalar statistics must agree exactly.
-#[test]
-#[allow(deprecated)]
-fn deprecated_facade_matches_plan_path_bitwise() {
-    use pastix::{Pastix, PastixOptions};
-    let a = grid_spd::<f64>(9, 8, 3, Stencil::Star, false, ValueKind::RandomSpd(21));
-    for procs in [1usize, 4] {
-        let opts = PastixOptions::with_procs(procs);
-        let shim = Pastix::analyze(&a, &opts).unwrap();
-        let cfg = SolverConfig::default().with_analyze(opts.to_analyze_options());
-        let plan = Plan::analyze(&a, &cfg);
-
-        assert_eq!(
-            shim.permutation().perm(),
-            plan.permutation().unwrap().perm(),
-            "procs {procs}: permutations differ"
-        );
-        let (s1, s2) = (shim.plan().symbol(), plan.symbol());
-        assert_eq!(s1.n, s2.n);
-        assert_eq!(s1.cblks, s2.cblks, "procs {procs}: column blocks differ");
-        assert_eq!(s1.bloks, s2.bloks, "procs {procs}: off-diagonal blocks differ");
-        assert_eq!(
-            shim.plan().schedule().unwrap().digest(),
-            plan.schedule().unwrap().digest(),
-            "procs {procs}: schedule digests differ"
-        );
-        let stats = plan.analyze_stats().unwrap();
-        assert_eq!(shim.nnz_l(), stats.scalar_nnz_offdiag);
-        assert_eq!(shim.opc().to_bits(), stats.scalar_opc.to_bits());
-        assert_eq!(
-            shim.predicted_time().to_bits(),
-            plan.schedule().unwrap().makespan.to_bits()
-        );
-    }
-}
