@@ -1,28 +1,35 @@
 //! Factorization-as-a-service benchmark: the serving layer under an
 //! open-loop arrival process, with its observability surface gated.
 //!
-//! Six segments, all on the Shipsec5 analog:
+//! Seven segments, all but the second on the Shipsec5 analog:
 //!
 //! 1. **Agreement + batching throughput** (threads backend): a k=8
 //!    multi-RHS panel solve must agree entrywise with 8 independent
 //!    single-RHS solves (gated, ≤ 1e-7 relative) and complete at least
 //!    2× faster than serving the same 8 requests one at a time (gated).
-//! 2. **Open-loop serving**: deterministic arrivals against a virtual
+//! 2. **Solve engines** (four problems at fixed sizes): absolute
+//!    milliseconds of the static panel solve and of the one-thread
+//!    sequential sweep at k=1 and k=8, and of the matrix fingerprint;
+//!    the parallel engine must not lose to one thread (gated: one
+//!    paired best-of measurement per problem, its repetitions dealt over
+//!    three passes through the problems, nothing re-measured; `skipped`
+//!    on a one-CPU box).
+//! 3. **Open-loop serving**: deterministic arrivals against a virtual
 //!    clock through `RequestQueue::serve_batch`; reports solves/sec and
 //!    p50/p99 latency for each stage (end-to-end, queue wait, solve) out
 //!    of the session's metrics histograms.
-//! 3. **Cache behavior**: three distinct matrices through a
+//! 4. **Cache behavior**: three distinct matrices through a
 //!    capacity-2 session; reports the hit rate and eviction count.
-//! 4. **Observability overhead** (gated): the same batch workload with
+//! 5. **Observability overhead** (gated): the same batch workload with
 //!    the flight recorder disabled + an untraced queue vs. both on must
 //!    cost < 2% extra (paired best-of timing).
-//! 5. **Scheduled-solve reconciliation** (sim backend, logical clocks):
+//! 6. **Scheduled-solve reconciliation** (sim backend, logical clocks):
 //!    the traced panel solve must reconcile ≥ 95% against the level-set
 //!    solve schedule (gated); a chaos `StarveRank` run served through a
 //!    traced queue trips the in-queue watchdog
 //!    (`PASTIX_WATCHDOG_BACKLOG=8,0.2`) and must leave a black-box dump
 //!    naming the batch's tickets as in flight (gated).
-//! 6. **Trace determinism** (gated): two identical traced serving runs
+//! 7. **Trace determinism** (gated): two identical traced serving runs
 //!    on the sim backend must export byte-identical Chrome traces.
 //!
 //! Outputs `BENCH_serve.json` at the repo root and the serve trace
@@ -30,13 +37,13 @@
 //! `--quick` shrinks the problem for CI.
 
 use pastix_bench::{prepare, scale, scotch_ordering};
-use pastix_graph::{ProblemId, SymCsc};
+use pastix_graph::{build_problem, Parallelism, ProblemId, SymCsc};
 use pastix_json::{obj, Json};
 use pastix_runtime::sim::{FaultPlan, SchedPolicy};
 use pastix_runtime::Backend;
 use pastix_sched::SchedOptions;
-use pastix_serve::{RequestQueue, SessionOptions, SolverSession};
-use pastix_solver::SolverConfig;
+use pastix_serve::{MatrixFingerprint, RequestQueue, SessionOptions, SolverSession};
+use pastix_solver::{solve_block_in_place, AnalyzeOptions, Plan, SolverConfig};
 use pastix_trace::export::chrome_trace;
 use pastix_trace::flight;
 use pastix_trace::report::build_solve_report;
@@ -59,6 +66,102 @@ const RECONCILE_MIN: f64 = 0.95;
 const OVERHEAD_MAX: f64 = 0.02;
 /// Panel width of the gated throughput comparison.
 const K: usize = 8;
+/// The solve-engine segment's problems, at sizes where a solve is
+/// milliseconds (independent of `PASTIX_SCALE`): a plate, two shells, a
+/// solid.
+const ENGINE_PROBLEMS: [(ProblemId, f64); 4] = [
+    (ProblemId::Quer, 1.0),
+    (ProblemId::Ship001, 0.5),
+    (ProblemId::Oilpan, 0.2),
+    (ProblemId::Bmwcra1, 0.1),
+];
+
+/// Rounds the solve-engine segment's repetitions are dealt over.
+const ENGINE_ROUNDS: usize = 3;
+
+/// One problem of the solve-engine segment: its factor, and best-of
+/// milliseconds (`[k=1, k=8]`) so far.
+struct EngineCase {
+    name: String,
+    a: SymCsc<f64>,
+    plan: Plan,
+    run: pastix_solver::FactorRun<f64>,
+    rhs: Vec<f64>,
+    solve_ms: [f64; 2],
+    seq_sweep_ms: [f64; 2],
+    fingerprint_ms: f64,
+    /// Per round, this round's own `solve / sweep` best-of ratio at
+    /// `[k=1, k=8]` — recorded, not gated: it shows when a round ran
+    /// with a core taken away.
+    round_ratio: Vec<[f64; 2]>,
+}
+
+impl EngineCase {
+    fn new(id: ProblemId, scale: f64, procs: usize) -> Self {
+        let a = build_problem::<f64>(id, scale);
+        let cfg = SolverConfig::new().with_analyze(AnalyzeOptions {
+            procs,
+            parallelism: Parallelism::Threads(procs),
+            ..AnalyzeOptions::default()
+        });
+        let plan = Plan::analyze(&a, &cfg);
+        let run = plan.factorize(&a, &cfg).expect("engine segment factorization");
+        let rhs: Vec<f64> = (0..K).flat_map(|r| request_rhs(&a, r)).collect();
+        Self {
+            name: id.name().to_lowercase(),
+            a,
+            plan,
+            run,
+            rhs,
+            solve_ms: [f64::MAX; 2],
+            seq_sweep_ms: [f64::MAX; 2],
+            fingerprint_ms: f64::MAX,
+            round_ratio: Vec::new(),
+        }
+    }
+
+    /// One round: `reps` repetitions of the static panel solve against the
+    /// sequential sweep over the same factor at k=1 and k=8, and of the
+    /// fingerprint. Paired best-of: every repetition times both sides back
+    /// to back (alternating which goes first), so a noisy neighbour slows
+    /// both, and the minimum over all repetitions of all rounds is what
+    /// the gate compares — the derivation `bench_serve`'s overhead gate
+    /// uses.
+    fn measure(&mut self, reps: usize) {
+        let n = self.a.n();
+        let ms = |t0: Instant| t0.elapsed().as_secs_f64() * 1e3;
+        let mut ratio = [0.0; 2];
+        for (slot, k) in [1usize, K].into_iter().enumerate() {
+            let b = &self.rhs[..n * k];
+            let (mut solve, mut sweep) = (f64::MAX, f64::MAX);
+            for rep in 0..reps {
+                for parallel in [rep % 2 == 0, rep % 2 == 1] {
+                    if parallel {
+                        let t0 = Instant::now();
+                        std::hint::black_box(self.run.solve_panel(b, k));
+                        solve = solve.min(ms(t0));
+                    } else {
+                        // The sweep works in elimination order; same flops either way.
+                        let mut x = b.to_vec();
+                        let t0 = Instant::now();
+                        solve_block_in_place(self.plan.symbol(), &self.run.storage, &mut x, k);
+                        std::hint::black_box(&x);
+                        sweep = sweep.min(ms(t0));
+                    }
+                }
+            }
+            self.solve_ms[slot] = self.solve_ms[slot].min(solve);
+            self.seq_sweep_ms[slot] = self.seq_sweep_ms[slot].min(sweep);
+            ratio[slot] = solve / sweep;
+        }
+        self.round_ratio.push(ratio);
+        for _ in 0..reps {
+            let t0 = Instant::now();
+            std::hint::black_box(MatrixFingerprint::of(&self.a));
+            self.fingerprint_ms = self.fingerprint_ms.min(ms(t0));
+        }
+    }
+}
 
 fn session_opts(procs: usize, block: usize, solver: SolverConfig) -> SessionOptions {
     SessionOptions {
@@ -167,7 +270,50 @@ fn main() {
         if speedup_ok { "MET" } else { "NOT MET" }
     );
 
-    // ---- segment 2: open-loop serving against a virtual clock ----
+    // ---- segment 2: the solve engines, absolute and against one thread ----
+    let cpus = std::thread::available_parallelism().map_or(1, usize::from);
+    let engine_procs = cpus.clamp(2, 4);
+    // One measurement per problem, nothing measured again after a look at
+    // the outcome. The gate compares the two minima of a paired best-of,
+    // so what makes it repeatable is how many repetitions there are and
+    // how far apart: at 31 back-to-back repetitions SHIP001 k=1 (a 2.5 ms
+    // solve, the thinnest margin) read 0.87–1.20× the sweep over five
+    // runs on this two-core sandbox, at 201 both minima settle to ±3 %;
+    // and because the sandbox loses a core to a neighbour for seconds at
+    // a time (a whole problem then reads 1.3–1.4×, both threads sharing
+    // one core), the repetitions are dealt over `ENGINE_ROUNDS` passes
+    // through the problems, so each problem samples the whole segment.
+    // A neighbour that stays for the whole segment fails the gate, and
+    // the per-round ratios in the JSON show that it was there.
+    let engine_reps = if quick { 34 } else { 67 };
+    let mut engines: Vec<EngineCase> =
+        ENGINE_PROBLEMS.iter().map(|&(id, sc)| EngineCase::new(id, sc, engine_procs)).collect();
+    for _ in 0..ENGINE_ROUNDS {
+        engines.iter_mut().for_each(|e| e.measure(engine_reps));
+    }
+    let engine_wins = |e: &EngineCase| e.solve_ms[0] <= e.seq_sweep_ms[0] && e.solve_ms[1] <= e.seq_sweep_ms[1];
+    let mut engines_ok = true;
+    for e in &engines {
+        let wins = engine_wins(e);
+        engines_ok &= wins || cpus < 2;
+        println!(
+            "engines {:<8} ({engine_procs} procs): k=1 solve {:.2} ms vs sweep {:.2} ms | k={K} solve {:.2} ms vs sweep {:.2} ms | fingerprint {:.2} ms | per-round solve/sweep {:.2?} — {}",
+            e.name,
+            e.solve_ms[0],
+            e.seq_sweep_ms[0],
+            e.solve_ms[1],
+            e.seq_sweep_ms[1],
+            e.fingerprint_ms,
+            e.round_ratio,
+            match (cpus < 2, wins) {
+                (true, _) => "skipped (one CPU)",
+                (false, true) => "MET",
+                (false, false) => "NOT MET",
+            }
+        );
+    }
+
+    // ---- segment 3: open-loop serving against a virtual clock ----
     let n_requests = if quick { 48 } else { 256 };
     // Deterministic arrivals: mean spacing well below the batched solve
     // time, so the queue actually coalesces.
@@ -233,7 +379,7 @@ fn main() {
         ol_hit_rate * 100.0,
     );
 
-    // ---- segment 3: cache behavior across matrices ----
+    // ---- segment 4: cache behavior across matrices ----
     let mut cache_session =
         SolverSession::<f64>::new(SessionOptions { capacity: 2, ..session_opts(procs, block, SolverConfig::default()) });
     // Three distinct fingerprints: the serving matrix plus two numeric
@@ -261,18 +407,19 @@ fn main() {
         cache_session.resident_bytes() as f64 / (1024.0 * 1024.0),
     );
 
-    // ---- segment 4: observability overhead gate ----
+    // ---- segment 5: observability overhead gate ----
     // The same warm-cache batch workload, paired: flight recorder off +
     // untraced queue vs. both on. Every rep times both variants back to
-    // back; best-of filters scheduler noise. The gate carries a small
-    // absolute floor so quick-mode runs (sub-ms solves) don't flake on
-    // timer granularity.
-    let reps = if quick { 5 } else { 7 };
+    // back, alternating which goes first; best-of filters scheduler noise
+    // (the batches are a few ms now, so 2% is ~0.1 ms: enough repetitions
+    // for both minima to settle). The gate carries a small absolute floor
+    // so quick-mode runs (sub-ms solves) don't flake on timer granularity.
+    let reps = if quick { 15 } else { 31 };
     let obs_requests = 2 * K;
     let mut base_ns = u64::MAX;
     let mut inst_ns = u64::MAX;
-    for _ in 0..reps {
-        for traced in [false, true] {
+    for rep in 0..reps {
+        for traced in [rep % 2 == 1, rep % 2 == 0] {
             flight::set_enabled(traced);
             let mut oq = if traced { RequestQueue::traced() } else { RequestQueue::new() };
             let t0 = Instant::now();
@@ -305,7 +452,7 @@ fn main() {
         if overhead_ok { "MET" } else { "NOT MET" }
     );
 
-    // ---- segment 5: scheduled solve reconciliation + watchdog (sim) ----
+    // ---- segment 6: scheduled solve reconciliation + watchdog (sim) ----
     let mut topts = TraceOptions::deterministic();
     topts.sample_every = 1;
     let sim_cfg = SolverConfig::new()
@@ -372,7 +519,7 @@ fn main() {
         if blackbox_ok { "MET" } else { "NOT MET" }
     );
 
-    // ---- segment 6: trace determinism on the sim backend ----
+    // ---- segment 7: trace determinism on the sim backend ----
     // Two identical traced serving runs (same seed, policy, request
     // stream, virtual timestamps) must export byte-identical Chrome
     // traces — the request spans ride the virtual clock and the solve
@@ -402,6 +549,24 @@ fn main() {
     );
 
     // ---- artifacts ----
+    let engine_keys: Vec<(String, Json)> = engines
+        .iter()
+        .flat_map(|e| {
+            [
+                ("solve_k1_ms", e.solve_ms[0]),
+                ("solve_k8_ms", e.solve_ms[1]),
+                ("seq_sweep_k1_ms", e.seq_sweep_ms[0]),
+                ("seq_sweep_k8_ms", e.seq_sweep_ms[1]),
+                ("fingerprint_ms", e.fingerprint_ms),
+            ]
+            .map(|(key, v)| (format!("{}_{key}", e.name), Json::Num(v)))
+            .into_iter()
+            .chain([0, 1].map(|slot| {
+                let rounds = e.round_ratio.iter().map(|r| Json::Num(r[slot])).collect();
+                (format!("{}_round_solve_over_sweep_k{}", e.name, [1, K][slot]), Json::Arr(rounds))
+            }))
+        })
+        .collect();
     let j = obj([
         ("problem", Json::Str(prep.id.name().to_string())),
         ("n", Json::Num(n as f64)),
@@ -437,14 +602,20 @@ fn main() {
             Json::Arr(stalled.iter().map(|&r| Json::Num(r as f64)).collect()),
         ),
     ]);
+    let Json::Obj(mut fields) = j else { unreachable!("obj builds an object") };
+    fields.push(("cpus".to_string(), Json::Num(cpus as f64)));
+    fields.push(("engine_procs".to_string(), Json::Num(engine_procs as f64)));
+    fields.push(("engine_reps".to_string(), Json::Num((engine_reps * ENGINE_ROUNDS) as f64)));
+    fields.extend(engine_keys);
+    let j = Json::Obj(fields);
     std::fs::write(OUT_PATH, j.pretty()).expect("write BENCH_serve.json");
     println!("wrote {OUT_PATH}");
     std::fs::write(TRACE_PATH, report.to_json().pretty()).expect("write serve_trace.json");
     println!("wrote {TRACE_PATH}");
 
-    if !(agree_ok && speedup_ok && reconcile_ok && overhead_ok && blackbox_ok && identical_ok) {
+    if !(agree_ok && speedup_ok && engines_ok && reconcile_ok && overhead_ok && blackbox_ok && identical_ok) {
         eprintln!(
-            "FAIL: serving gates not met (agreement {agree_ok}, speedup {speedup_ok}, reconciliation {reconcile_ok}, overhead {overhead_ok}, blackbox {blackbox_ok}, trace determinism {identical_ok})"
+            "FAIL: serving gates not met (agreement {agree_ok}, speedup {speedup_ok}, engines {engines_ok}, reconciliation {reconcile_ok}, overhead {overhead_ok}, blackbox {blackbox_ok}, trace determinism {identical_ok})"
         );
         std::process::exit(1);
     }

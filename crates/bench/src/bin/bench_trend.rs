@@ -46,6 +46,15 @@ const TRACKED: &[(&str, &[(&str, &str)])] = &[
             ("solve_p99_ns", "solve-p99"),
             ("cache_hit_rate", "hit-rate"),
             ("observability_overhead_frac", "obs-ovh"),
+            // Absolute solve times (ms): the static engine against the
+            // one-thread sweep, and the cache key.
+            ("ship001_solve_k1_ms", "ship-solve-k1"),
+            ("ship001_seq_sweep_k1_ms", "ship-sweep-k1"),
+            ("ship001_solve_k8_ms", "ship-solve-k8"),
+            ("ship001_seq_sweep_k8_ms", "ship-sweep-k8"),
+            ("quer_solve_k1_ms", "quer-solve-k1"),
+            ("quer_solve_k8_ms", "quer-solve-k8"),
+            ("ship001_fingerprint_ms", "ship-fprint"),
         ],
     ),
 ];

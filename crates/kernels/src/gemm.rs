@@ -16,6 +16,13 @@
 //!   which the dispatcher selects for products large enough to amortize the
 //!   packing (see [`crate::pack::KernelMode`] to force either side).
 //!
+//! The two solve-sweep products (`A·B` and `Aᵀ·B` against a handful of
+//! right-hand sides) have a third form, [`gemm_nn_acc_rows`] and
+//! [`gemm_tn_acc_rows`]: the right-hand sides are *interleaved* (stored row
+//! by row), so they are the vector dimension — always full, however small
+//! and irregular the supernode is — and the factor panel streams past once
+//! per eight of them.
+//!
 //! No `unsafe` is needed anywhere.
 
 use crate::pack;
@@ -278,6 +285,215 @@ pub fn gemm_tn_acc<T: Scalar>(
     }
 }
 
+/// `C ← C + α · A · B` with the right-hand sides **interleaved**: `A` is
+/// `m×k` column-major (lda ≥ m) as everywhere; `B` (`k × nrhs`) and `C`
+/// (`m × nrhs`) are stored row by row, the `nrhs` scalars of a row
+/// contiguous.
+///
+/// The forward solve sweep in the layout that makes it fast on small
+/// supernodes: the vector dimension is the right-hand sides — always
+/// full, whatever the (tiny, irregular) `m` and `k` are — every scalar of
+/// `A` is read once, walking down up to four columns at a time
+/// (prefetcher-friendly streams), and a row block of the result is one
+/// contiguous run. A single right-hand side runs the same arithmetic
+/// vectorized down the rows instead, so every column of a panel solve is
+/// bit-for-bit the single-RHS solve of that column.
+pub fn gemm_nn_acc_rows<T: Scalar>(
+    m: usize,
+    nrhs: usize,
+    k: usize,
+    alpha: T,
+    a: &[T],
+    lda: usize,
+    b: &[T],
+    c: &mut [T],
+) {
+    if m == 0 || nrhs == 0 || k == 0 {
+        return;
+    }
+    assert!(lda >= m, "A leading dimension too small");
+    assert!(a.len() >= lda * (k - 1) + m, "A buffer too small");
+    assert!(b.len() >= k * nrhs, "B buffer too small");
+    assert!(c.len() >= m * nrhs, "C buffer too small");
+    let mut r = 0;
+    while r < nrhs {
+        r += match nrhs - r {
+            8.. => nn_rows::<T, 8>(m, nrhs, k, alpha, a, lda, b, c, r),
+            4..=7 => nn_rows::<T, 4>(m, nrhs, k, alpha, a, lda, b, c, r),
+            2..=3 => nn_rows::<T, 2>(m, nrhs, k, alpha, a, lda, b, c, r),
+            _ => nn_rows::<T, 1>(m, nrhs, k, alpha, a, lda, b, c, r),
+        };
+    }
+}
+
+/// Right-hand sides `r0..r0 + NR` of [`gemm_nn_acc_rows`], the depth in
+/// groups of four, two, one; returns `NR`.
+#[allow(clippy::too_many_arguments)]
+fn nn_rows<T: Scalar, const NR: usize>(
+    m: usize,
+    nrhs: usize,
+    k: usize,
+    alpha: T,
+    a: &[T],
+    lda: usize,
+    b: &[T],
+    c: &mut [T],
+    r0: usize,
+) -> usize {
+    let mut kk = 0;
+    while kk < k {
+        kk += match k - kk {
+            4.. => nn_rows_depth::<T, NR, 4>(m, nrhs, alpha, a, lda, b, c, r0, kk),
+            2..=3 => nn_rows_depth::<T, NR, 2>(m, nrhs, alpha, a, lda, b, c, r0, kk),
+            _ => nn_rows_depth::<T, NR, 1>(m, nrhs, alpha, a, lda, b, c, r0, kk),
+        };
+    }
+    NR
+}
+
+/// Depth steps `kk..kk + KB` of [`nn_rows`]: the `KB` rows of `α·B` stay in
+/// registers while the `KB` columns of `A` stream past; returns `KB`.
+#[allow(clippy::too_many_arguments)]
+#[inline(always)]
+fn nn_rows_depth<T: Scalar, const NR: usize, const KB: usize>(
+    m: usize,
+    nrhs: usize,
+    alpha: T,
+    a: &[T],
+    lda: usize,
+    b: &[T],
+    c: &mut [T],
+    r0: usize,
+    kk: usize,
+) -> usize {
+    let bv: [[T; NR]; KB] = std::array::from_fn(|q| {
+        let row: &[T; NR] = b[(kk + q) * nrhs + r0..(kk + q) * nrhs + r0 + NR].try_into().unwrap();
+        std::array::from_fn(|l| alpha * row[l])
+    });
+    let acol: [&[T]; KB] = std::array::from_fn(|q| &a[(kk + q) * lda..(kk + q) * lda + m]);
+    if nrhs == 1 {
+        // One right-hand side: rows of `C` are adjacent scalars, so the
+        // same per-entry arithmetic vectorizes down the rows.
+        for (p, cv) in c[..m].iter_mut().enumerate() {
+            let mut v = *cv;
+            for q in 0..KB {
+                v = acol[q][p].mul_add(bv[q][0], v);
+            }
+            *cv = v;
+        }
+        return KB;
+    }
+    for (p, crow) in c.chunks_mut(nrhs).take(m).enumerate() {
+        let cv: &mut [T; NR] = (&mut crow[r0..r0 + NR]).try_into().unwrap();
+        let mut v = *cv;
+        for q in 0..KB {
+            let s = acol[q][p];
+            for l in 0..NR {
+                v[l] = s.mul_add(bv[q][l], v[l]);
+            }
+        }
+        *cv = v;
+    }
+    KB
+}
+
+/// `C ← C + α · Aᵀ · B` with the right-hand sides interleaved: `A` is
+/// `k×m` column-major (lda ≥ k); `B` (`k × nrhs`) and `C` (`m × nrhs`) are
+/// stored row by row. The backward twin of [`gemm_nn_acc_rows`]: several
+/// columns of `A` stream down together against the rows of `B`, their
+/// `nrhs`-wide sums held in registers — no horizontal reduction, no
+/// remainder in the (short) depth. Every entry is one in-order sum over
+/// the depth whatever `nrhs` is (a single right-hand side runs eight
+/// columns of `A` as eight independent chains), so every column of a
+/// panel solve is bit-for-bit the single-RHS solve of that column.
+pub fn gemm_tn_acc_rows<T: Scalar>(
+    m: usize,
+    nrhs: usize,
+    k: usize,
+    alpha: T,
+    a: &[T],
+    lda: usize,
+    b: &[T],
+    c: &mut [T],
+) {
+    if m == 0 || nrhs == 0 || k == 0 {
+        return;
+    }
+    assert!(lda >= k, "A leading dimension too small");
+    assert!(a.len() >= lda * (m - 1) + k, "A buffer too small");
+    assert!(b.len() >= k * nrhs, "B buffer too small");
+    assert!(c.len() >= m * nrhs, "C buffer too small");
+    let mut r = 0;
+    while r < nrhs {
+        r += match nrhs - r {
+            8.. => tn_rows::<T, 8>(m, nrhs, k, alpha, a, lda, b, c, r),
+            4..=7 => tn_rows::<T, 4>(m, nrhs, k, alpha, a, lda, b, c, r),
+            2..=3 => tn_rows::<T, 2>(m, nrhs, k, alpha, a, lda, b, c, r),
+            _ => tn_rows::<T, 1>(m, nrhs, k, alpha, a, lda, b, c, r),
+        };
+    }
+}
+
+/// Right-hand sides `r0..r0 + NR` of [`gemm_tn_acc_rows`], the columns of
+/// `A` in groups sized to keep the group's sums in registers; returns `NR`.
+#[allow(clippy::too_many_arguments)]
+fn tn_rows<T: Scalar, const NR: usize>(
+    m: usize,
+    nrhs: usize,
+    k: usize,
+    alpha: T,
+    a: &[T],
+    lda: usize,
+    b: &[T],
+    c: &mut [T],
+    r0: usize,
+) -> usize {
+    let mut i = 0;
+    while i < m {
+        i += match m - i {
+            8.. if NR == 1 => tn_rows_cols::<T, NR, 8>(nrhs, k, alpha, a, lda, b, c, r0, i),
+            4.. => tn_rows_cols::<T, NR, 4>(nrhs, k, alpha, a, lda, b, c, r0, i),
+            2..=3 => tn_rows_cols::<T, NR, 2>(nrhs, k, alpha, a, lda, b, c, r0, i),
+            _ => tn_rows_cols::<T, NR, 1>(nrhs, k, alpha, a, lda, b, c, r0, i),
+        };
+    }
+    NR
+}
+
+/// Rows `i..i + IB` of `C` in [`tn_rows`]; returns `IB`.
+#[allow(clippy::too_many_arguments)]
+#[inline(always)]
+fn tn_rows_cols<T: Scalar, const NR: usize, const IB: usize>(
+    nrhs: usize,
+    k: usize,
+    alpha: T,
+    a: &[T],
+    lda: usize,
+    b: &[T],
+    c: &mut [T],
+    r0: usize,
+    i: usize,
+) -> usize {
+    let acol: [&[T]; IB] = std::array::from_fn(|q| &a[(i + q) * lda..(i + q) * lda + k]);
+    let mut acc = [[T::zero(); NR]; IB];
+    for (p, brow) in b.chunks(nrhs).take(k).enumerate() {
+        let bv: &[T; NR] = brow[r0..r0 + NR].try_into().unwrap();
+        for q in 0..IB {
+            let s = acol[q][p];
+            for l in 0..NR {
+                acc[q][l] = s.mul_add(bv[l], acc[q][l]);
+            }
+        }
+    }
+    for q in 0..IB {
+        let cv = &mut c[(i + q) * nrhs + r0..(i + q) * nrhs + r0 + NR];
+        for l in 0..NR {
+            cv[l] += alpha * acc[q][l];
+        }
+    }
+    IB
+}
+
 /// Flop count of a `gemm_nt`/`gemm_nn` call (`2·m·n·k`), used by the cost
 /// model and the Gflop/s reporting.
 #[inline]
@@ -357,6 +573,66 @@ mod tests {
             gemm_tn_acc(m, n, k, -2.0, a.as_slice(), k, b.as_slice(), k, c.as_mut_slice(), m);
             assert!(c.max_diff(&expect) < 1e-12, "mismatch at ({m},{n},{k})");
         }
+    }
+
+    /// The interleaved kernels against the column-major references over
+    /// every remainder shape: rows and depth around the group sizes, 1–9
+    /// right-hand sides, a gapped leading dimension on `A`. A column of a
+    /// multi-RHS product must also be bit-for-bit the single-RHS product.
+    fn rows_kernels_match_ref<T: Scalar>(val: impl Fn(usize) -> T) {
+        let dims = [1usize, 3, 4, 7, 17];
+        for &m in &dims {
+            for &k in &dims {
+                for nrhs in [1usize, 2, 3, 4, 5, 8, 9] {
+                    let alpha = val(5);
+                    // Column-major `h × nrhs` (ld `h`) ↔ interleaved rows.
+                    let rows = |x: &[T], h: usize| -> Vec<T> { (0..h * nrhs).map(|i| x[i / nrhs + (i % nrhs) * h]).collect() };
+                    let b: Vec<T> = (0..k * nrhs).map(|i| val(i * 3 + 2)).collect();
+                    let c0: Vec<T> = (0..m * nrhs).map(|i| val(i + 11)).collect();
+                    for trans in [false, true] {
+                        let what = format!("trans={trans} m={m} k={k} nrhs={nrhs}");
+                        // `A` is m × k, or k × m when transposed.
+                        let (ar, ac) = if trans { (k, m) } else { (m, k) };
+                        let lda = ar + 2;
+                        let a: Vec<T> = (0..lda * ac).map(|i| val(i * 7 + 1)).collect();
+                        let run = |nrhs: usize, b: &[T], c: &mut [T]| match trans {
+                            false => gemm_nn_acc_rows(m, nrhs, k, alpha, &a, lda, b, c),
+                            true => gemm_tn_acc_rows(m, nrhs, k, alpha, &a, lda, b, c),
+                        };
+                        let mut want = c0.clone();
+                        match trans {
+                            false => gemm_nn_acc_ref(m, nrhs, k, alpha, &a, lda, &b, k, &mut want, m),
+                            true => gemm_tn_acc(m, nrhs, k, alpha, &a, lda, &b, k, &mut want, m),
+                        }
+                        let mut got = rows(&c0, m);
+                        run(nrhs, &rows(&b, k), &mut got);
+                        for (i, (&g, &w)) in got.iter().zip(&rows(&want, m)).enumerate() {
+                            let err = (g - w).magnitude();
+                            assert!(err <= 1e-12 * w.magnitude().max(1.0), "{what} at {i}: {g} vs {w}");
+                        }
+                        for r in 0..nrhs {
+                            let mut single = c0[r * m..(r + 1) * m].to_vec();
+                            run(1, &b[r * k..(r + 1) * k], &mut single);
+                            let column: Vec<T> = (0..m).map(|i| got[i * nrhs + r]).collect();
+                            assert_eq!(column, single, "{what}: column {r} is not the single-RHS product");
+                        }
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn rows_kernels_match_ref_f64() {
+        rows_kernels_match_ref(|i| ((i * 37 % 101) as f64) * 0.03125 - 1.5);
+    }
+
+    #[test]
+    fn rows_kernels_match_ref_complex() {
+        use crate::complex::Complex64;
+        rows_kernels_match_ref(|i| {
+            Complex64::new(((i * 37 % 101) as f64) * 0.03125 - 1.5, ((i * 13 % 29) as f64) * 0.125 - 2.0)
+        });
     }
 
     #[test]

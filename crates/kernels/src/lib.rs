@@ -32,7 +32,10 @@ pub mod trsm;
 pub use complex::Complex64;
 pub use dense::DenseMat;
 pub use factor::{ldlt_factor_blocked, ldlt_factor_inplace, llt_factor_blocked, llt_factor_inplace, FactorError, NB_FACTOR};
-pub use gemm::{gemm_flops, gemm_nn_acc, gemm_nt_acc, gemm_nt_acc_lower, gemm_tn_acc};
+pub use gemm::{
+    gemm_flops, gemm_nn_acc, gemm_nn_acc_rows, gemm_nt_acc, gemm_nt_acc_lower, gemm_tn_acc,
+    gemm_tn_acc_rows,
+};
 pub use lowrank::{
     compress_block, lr_gemm_nn_acc, lr_gemm_nt_acc, lr_gemm_tn_acc, lr_trsm_ldlt, LowRankBlock,
     LrOp, LrRef,
@@ -42,6 +45,6 @@ pub use model::{calibrate_blas_model, fit_poly, BlasModel, KernelClass, PolyCost
 pub use scalar::Scalar;
 pub use trsm::{
     scale_cols_by_diag_into, scale_rows_by_diag_inv, solve_lower, solve_lower_trans,
-    solve_unit_lower, solve_unit_lower_panel, solve_unit_lower_trans,
-    solve_unit_lower_trans_panel, trsm_ldlt_panel, trsm_llt_panel,
+    solve_unit_lower, solve_unit_lower_rows, solve_unit_lower_trans,
+    solve_unit_lower_trans_rows, trsm_ldlt_panel, trsm_llt_panel,
 };

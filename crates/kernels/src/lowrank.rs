@@ -22,10 +22,12 @@
 //! - [`LowRankBlock::decompress`] — the decompress path back to dense.
 //!
 //! All kernels are pure Rust over the [`Scalar`] trait and allocate their
-//! own `O((m+n)·r)` scratch; operands follow the column-major convention
-//! of the rest of the crate.
+//! own `O((m+n)·r)` scratch (the solve products take the caller's);
+//! operands follow the column-major convention of the rest of the crate,
+//! except the right-hand sides of the solve products, which are
+//! interleaved like those of [`gemm_nn_acc_rows`].
 
-use crate::gemm::{gemm_nn_acc, gemm_nt_acc, gemm_tn_acc};
+use crate::gemm::{gemm_nn_acc, gemm_nn_acc_rows, gemm_nt_acc, gemm_tn_acc, gemm_tn_acc_rows};
 use crate::scalar::Scalar;
 use crate::trsm::{scale_rows_by_diag_inv, solve_unit_lower};
 
@@ -327,41 +329,31 @@ pub fn lr_trsm_ldlt<T: Scalar>(
 
 /// `Y(m×nrhs) += α · (U·Vᵀ)·X` with `X: n×nrhs` — the forward-solve
 /// product against a compressed block, associated through the rank:
-/// `Y += α·U·(Vᵀ·X)`.
-pub fn lr_gemm_nn_acc<T: Scalar>(
-    alpha: T,
-    a: LrRef<'_, T>,
-    x: &[T],
-    nrhs: usize,
-    ldx: usize,
-    y: &mut [T],
-    ldy: usize,
-) {
+/// `Y += α·U·(Vᵀ·X)`. `X` and `Y` hold their right-hand sides interleaved
+/// (row by row, `nrhs` contiguous scalars per row), like the dense solve
+/// kernels [`gemm_nn_acc_rows`] / [`gemm_tn_acc_rows`] it is built from;
+/// `t` is the caller's reusable scratch for the `rank × nrhs` coefficient.
+pub fn lr_gemm_nn_acc<T: Scalar>(alpha: T, a: LrRef<'_, T>, x: &[T], nrhs: usize, y: &mut [T], t: &mut Vec<T>) {
     if a.rank == 0 || a.m == 0 || nrhs == 0 {
         return;
     }
-    let mut t = vec![T::zero(); a.rank * nrhs];
-    gemm_tn_acc(a.rank, nrhs, a.n, T::one(), a.v, a.n, x, ldx, &mut t, a.rank);
-    gemm_nn_acc(a.m, nrhs, a.rank, alpha, a.u, a.m, &t, a.rank, y, ldy);
+    t.clear();
+    t.resize(a.rank * nrhs, T::zero());
+    gemm_tn_acc_rows(a.rank, nrhs, a.n, T::one(), a.v, a.n, x, t);
+    gemm_nn_acc_rows(a.m, nrhs, a.rank, alpha, a.u, a.m, t, y);
 }
 
 /// `C(n×nrhs) += α · (U·Vᵀ)ᵀ·B` with `B: m×nrhs` — the backward-solve
-/// product against a compressed block: `C += α·V·(Uᵀ·B)`.
-pub fn lr_gemm_tn_acc<T: Scalar>(
-    alpha: T,
-    a: LrRef<'_, T>,
-    b: &[T],
-    nrhs: usize,
-    ldb: usize,
-    c: &mut [T],
-    ldc: usize,
-) {
+/// product against a compressed block: `C += α·V·(Uᵀ·B)`. Same layout and
+/// scratch convention as [`lr_gemm_nn_acc`].
+pub fn lr_gemm_tn_acc<T: Scalar>(alpha: T, a: LrRef<'_, T>, b: &[T], nrhs: usize, c: &mut [T], t: &mut Vec<T>) {
     if a.rank == 0 || a.n == 0 || nrhs == 0 {
         return;
     }
-    let mut t = vec![T::zero(); a.rank * nrhs];
-    gemm_tn_acc(a.rank, nrhs, a.m, T::one(), a.u, a.m, b, ldb, &mut t, a.rank);
-    gemm_nn_acc(a.n, nrhs, a.rank, alpha, a.v, a.n, &t, a.rank, c, ldc);
+    t.clear();
+    t.resize(a.rank * nrhs, T::zero());
+    gemm_tn_acc_rows(a.rank, nrhs, a.m, T::one(), a.u, a.m, b, t);
+    gemm_nn_acc_rows(a.n, nrhs, a.rank, alpha, a.v, a.n, t, c);
 }
 
 #[cfg(test)]
@@ -513,17 +505,21 @@ mod tests {
         let x = rank_r_block(n, nrhs, nrhs.min(n), 0.0, 6);
         let bm = rank_r_block(m, nrhs, nrhs.min(m), 0.0, 8);
 
+        // Column-major `h × nrhs` panel → interleaved rows, and back.
+        let rows = |p: &[f64], h: usize| -> Vec<f64> { (0..h * nrhs).map(|i| p[i / nrhs + (i % nrhs) * h]).collect() };
+        let mut t = Vec::new();
+
         let mut want = vec![1.0f64; m * nrhs];
         gemm_nn_acc(m, nrhs, n, -1.0, &a, m, &x, n, &mut want, m);
         let mut got = vec![1.0f64; m * nrhs];
-        lr_gemm_nn_acc(-1.0, la.as_ref(), &x, nrhs, n, &mut got, m);
-        assert!(max_abs_diff(&want, &got) <= 1e-9);
+        lr_gemm_nn_acc(-1.0, la.as_ref(), &rows(&x, n), nrhs, &mut got, &mut t);
+        assert!(max_abs_diff(&rows(&want, m), &got) <= 1e-9);
 
         let mut want_t = vec![1.0f64; n * nrhs];
         gemm_tn_acc(n, nrhs, m, 1.0, &a, m, &bm, m, &mut want_t, n);
         let mut got_t = vec![1.0f64; n * nrhs];
-        lr_gemm_tn_acc(1.0, la.as_ref(), &bm, nrhs, m, &mut got_t, n);
-        assert!(max_abs_diff(&want_t, &got_t) <= 1e-9);
+        lr_gemm_tn_acc(1.0, la.as_ref(), &rows(&bm, m), nrhs, &mut got_t, &mut t);
+        assert!(max_abs_diff(&rows(&want_t, n), &got_t) <= 1e-9);
     }
 
     #[test]

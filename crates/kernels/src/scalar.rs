@@ -51,6 +51,13 @@ pub trait Scalar:
     fn recip(self) -> Self;
     /// True when all components are finite.
     fn is_finite(self) -> bool;
+    /// The IEEE-754 bit patterns of the scalar's components, in storage
+    /// order (`Complex64`: real part, then imaginary part). Two scalars
+    /// yield the same words exactly when they are the same bits — so
+    /// `0.0` and `-0.0`, or two NaNs with different payloads, differ here
+    /// although `==` cannot tell them apart (or, for NaN, says they differ
+    /// from themselves). What value-identity hashing is built on.
+    fn bit_words(self) -> impl Iterator<Item = u64>;
     /// `self * a + b`, fused when the target has a fast hardware FMA.
     ///
     /// The packed microkernel issues one of these per accumulator lane per
@@ -91,6 +98,10 @@ impl Scalar for f64 {
     #[inline]
     fn is_finite(self) -> bool {
         f64::is_finite(self)
+    }
+    #[inline]
+    fn bit_words(self) -> impl Iterator<Item = u64> {
+        std::iter::once(self.to_bits())
     }
     #[inline]
     fn mul_add(self, a: Self, b: Self) -> Self {
@@ -134,6 +145,10 @@ impl Scalar for Complex64 {
     fn is_finite(self) -> bool {
         Complex64::is_finite(self)
     }
+    #[inline]
+    fn bit_words(self) -> impl Iterator<Item = u64> {
+        [self.re.to_bits(), self.im.to_bits()].into_iter()
+    }
 }
 
 #[cfg(test)]
@@ -159,6 +174,14 @@ mod tests {
     fn complex_axioms() {
         field_axioms(Complex64::new(1.0, -2.0), Complex64::new(0.5, 3.0));
         assert_eq!(Complex64::from_f64(2.5), Complex64::new(2.5, 0.0));
+    }
+
+    #[test]
+    fn bit_words_expose_storage_bits() {
+        assert_eq!(1.5f64.bit_words().collect::<Vec<_>>(), [1.5f64.to_bits()]);
+        assert_ne!(0.0f64.bit_words().next(), (-0.0f64).bit_words().next());
+        let z = Complex64::new(2.0, -0.0);
+        assert_eq!(z.bit_words().collect::<Vec<_>>(), [2.0f64.to_bits(), (-0.0f64).to_bits()]);
     }
 
     #[test]

@@ -9,7 +9,7 @@
 //! factors are read from the *lower* triangle only; the strictly upper part
 //! of a factored block is never referenced.
 
-use crate::gemm::{gemm_nn_acc, gemm_nt_acc, gemm_tn_acc};
+use crate::gemm::{gemm_nn_acc_rows, gemm_nt_acc, gemm_tn_acc_rows};
 use crate::scalar::Scalar;
 
 /// Column-tile width of the blocked panel solves: cross-tile updates become
@@ -210,134 +210,63 @@ pub fn solve_unit_lower_trans<T: Scalar>(
     }
 }
 
-/// Blocked multi-RHS forward substitution `L · X = B` in place, `L` unit
-/// lower triangular (order `n`), `X`/`B` of shape `n × nrhs` (ldx ≥ n).
+/// Row-block height of the interleaved solves: the depth one pass of the
+/// `gemm_*_acc_rows` kernels keeps in registers.
+const NB_ROWS: usize = 4;
+
+/// Multi-RHS forward substitution `L · X = B` in place with the
+/// right-hand sides **interleaved**: `L` unit lower triangular (order `n`),
+/// `X`/`B` of shape `n × nrhs` stored row by row (`nrhs` contiguous scalars
+/// per row) — the serving-path variant of [`solve_unit_lower`].
 ///
-/// The serving-path variant of [`solve_unit_lower`]: columns of `L` are
-/// tiled by [`NB_TRSM`]; the in-tile dependence chain runs the scalar sweep
-/// per right-hand side, while the cross-tile trailing update over all
-/// `nrhs` columns at once is one `(n−j1) × nrhs × w` [`gemm_nn_acc`]
-/// routed through the packed kernels. `nrhs == 1` delegates to the scalar
-/// sweep unchanged (bitwise-identical to the single-RHS solve).
-pub fn solve_unit_lower_panel<T: Scalar>(
-    n: usize,
-    diag: &[T],
-    ldd: usize,
-    x: &mut [T],
-    nrhs: usize,
-    ldx: usize,
-) {
+/// Rows are solved [`NB_ROWS`] at a time; a solved block's contribution to
+/// everything below it is one [`gemm_nn_acc_rows`] pass, vectorized over
+/// the right-hand sides. The arithmetic per right-hand side does not
+/// depend on `nrhs`: a column of a panel solve is bit-for-bit the
+/// single-RHS solve of that column.
+pub fn solve_unit_lower_rows<T: Scalar>(n: usize, diag: &[T], ldd: usize, x: &mut [T], nrhs: usize) {
     if n == 0 || nrhs == 0 {
         return;
     }
-    if nrhs == 1 || n <= NB_TRSM {
-        return solve_unit_lower(n, diag, ldd, x, nrhs, ldx);
-    }
-    assert!(ldd >= n && ldx >= n);
-    let mut tile = vec![T::zero(); NB_TRSM * nrhs];
+    assert!(ldd >= n && x.len() >= n * nrhs);
     let mut j0 = 0;
     while j0 < n {
-        let w = NB_TRSM.min(n - j0);
-        let j1 = j0 + w;
-        // In-tile scalar sweep, bounded to rows of the tile.
-        for r in 0..nrhs {
-            let xr = &mut x[r * ldx..r * ldx + n];
-            for j in j0..j1 {
-                let v = xr[j];
-                if v == T::zero() {
-                    continue;
-                }
-                for i in (j + 1)..j1 {
-                    xr[i] -= diag[i + j * ldd] * v;
-                }
+        let j1 = (j0 + NB_ROWS).min(n);
+        let (head, below) = x.split_at_mut(j1 * nrhs);
+        for j in j0..j1 {
+            let (xj, rest) = head[j * nrhs..].split_at_mut(nrhs);
+            for (i, xi) in (j + 1..j1).zip(rest.chunks_mut(nrhs)) {
+                let l = diag[i + j * ldd];
+                xi.iter_mut().zip(xj.iter()).for_each(|(u, &v)| *u -= l * v);
             }
         }
-        // Trailing rows of every column at once:
         // X[j1.., :] −= L[j1.., j0..j1] · X[j0..j1, :].
-        let m = n - j1;
-        if m > 0 {
-            for r in 0..nrhs {
-                tile[r * w..r * w + w].copy_from_slice(&x[r * ldx + j0..r * ldx + j1]);
-            }
-            gemm_nn_acc(
-                m,
-                nrhs,
-                w,
-                -T::one(),
-                &diag[j1 + j0 * ldd..],
-                ldd,
-                &tile,
-                w,
-                &mut x[j1..],
-                ldx,
-            );
-        }
+        let solved = &head[j0 * nrhs..];
+        gemm_nn_acc_rows(n - j1, nrhs, j1 - j0, -T::one(), &diag[j1 + j0 * ldd..], ldd, solved, below);
         j0 = j1;
     }
 }
 
-/// Blocked multi-RHS backward substitution `Lᵀ · X = B` in place, `L` unit
-/// lower triangular — the mirror of [`solve_unit_lower_panel`].
-///
-/// Column tiles are processed descending; the contribution of the already
-/// solved rows below tile `[j0, j1)` is `L[j1.., j0..j1]ᵀ · X[j1.., :]`, a
-/// single [`gemm_tn_acc`] per tile. `nrhs == 1` delegates to the scalar
-/// sweep unchanged.
-pub fn solve_unit_lower_trans_panel<T: Scalar>(
-    n: usize,
-    diag: &[T],
-    ldd: usize,
-    x: &mut [T],
-    nrhs: usize,
-    ldx: usize,
-) {
+/// Multi-RHS backward substitution `Lᵀ · X = B` in place with the
+/// right-hand sides interleaved — the mirror of [`solve_unit_lower_rows`]:
+/// row blocks descending, each first receiving
+/// `L[j1.., j0..j1]ᵀ · X[j1.., :]` from the rows already solved below it
+/// as one [`gemm_tn_acc_rows`] pass.
+pub fn solve_unit_lower_trans_rows<T: Scalar>(n: usize, diag: &[T], ldd: usize, x: &mut [T], nrhs: usize) {
     if n == 0 || nrhs == 0 {
         return;
     }
-    if nrhs == 1 || n <= NB_TRSM {
-        return solve_unit_lower_trans(n, diag, ldd, x, nrhs, ldx);
-    }
-    assert!(ldd >= n && ldx >= n);
-    let mut tile = vec![T::zero(); NB_TRSM * nrhs];
-    let n_tiles = n.div_ceil(NB_TRSM);
-    for ti in (0..n_tiles).rev() {
-        let j0 = ti * NB_TRSM;
-        let j1 = (j0 + NB_TRSM).min(n);
-        let w = j1 - j0;
-        let m_below = n - j1;
-        if m_below > 0 {
-            // tile ← L[j1.., j0..j1]ᵀ · X[j1.., :], then subtract: the
-            // gemm lands in scratch so the final rows of `x` stay borrowed
-            // immutably as the B operand.
-            tile[..w * nrhs].fill(T::zero());
-            gemm_tn_acc(
-                w,
-                nrhs,
-                m_below,
-                T::one(),
-                &diag[j1 + j0 * ldd..],
-                ldd,
-                &x[j1..],
-                ldx,
-                &mut tile[..w * nrhs],
-                w,
-            );
-            for r in 0..nrhs {
-                let xr = &mut x[r * ldx + j0..r * ldx + j1];
-                for (xv, &tv) in xr.iter_mut().zip(&tile[r * w..r * w + w]) {
-                    *xv -= tv;
-                }
-            }
-        }
-        // In-tile scalar backward sweep.
-        for r in 0..nrhs {
-            let xr = &mut x[r * ldx..r * ldx + n];
-            for j in (j0..j1).rev() {
-                let mut v = xr[j];
-                for i in (j + 1)..j1 {
-                    v -= diag[i + j * ldd] * xr[i];
-                }
-                xr[j] = v;
+    assert!(ldd >= n && x.len() >= n * nrhs);
+    for j0 in (0..n).step_by(NB_ROWS).rev() {
+        let j1 = (j0 + NB_ROWS).min(n);
+        let (head, below) = x.split_at_mut(j1 * nrhs);
+        let block = &mut head[j0 * nrhs..];
+        gemm_tn_acc_rows(j1 - j0, nrhs, n - j1, -T::one(), &diag[j1 + j0 * ldd..], ldd, below, block);
+        for j in (j0..j1).rev() {
+            let (xj, rest) = block[(j - j0) * nrhs..].split_at_mut(nrhs);
+            for (i, xi) in (j + 1..j1).zip(rest.chunks(nrhs)) {
+                let l = diag[i + j * ldd];
+                xj.iter_mut().zip(xi).for_each(|(u, &v)| *u -= l * v);
             }
         }
     }
@@ -544,59 +473,57 @@ mod tests {
     }
 
     #[test]
-    fn panel_solves_match_scalar_sweeps() {
-        // A factor big enough to cross several NB_TRSM tiles, with a
-        // leading-dimension gap on X, solved both ways: the blocked panel
-        // path must agree with the per-RHS scalar sweeps to round-off.
-        let n = 3 * NB_TRSM + 7;
-        let nrhs = 5;
-        let ldx = n + 3;
-        let mut diag = deterministic_spd(n, 41);
-        ldlt_factor_inplace(n, diag.as_mut_slice(), n).unwrap();
-        let b: Vec<f64> =
-            (0..ldx * nrhs).map(|i| ((i % 97) as f64) * 0.03 - 1.1).collect();
-        for trans in [false, true] {
-            let mut x_ref = b.clone();
-            let mut x_panel = b.clone();
-            if trans {
-                solve_unit_lower_trans(n, diag.as_slice(), n, &mut x_ref, nrhs, ldx);
-                solve_unit_lower_trans_panel(n, diag.as_slice(), n, &mut x_panel, nrhs, ldx);
-            } else {
-                solve_unit_lower(n, diag.as_slice(), n, &mut x_ref, nrhs, ldx);
-                solve_unit_lower_panel(n, diag.as_slice(), n, &mut x_panel, nrhs, ldx);
-            }
-            for r in 0..nrhs {
-                for i in 0..n {
-                    let (u, v) = (x_ref[r * ldx + i], x_panel[r * ldx + i]);
-                    assert!(
-                        (u - v).abs() < 1e-9 * u.abs().max(1.0),
-                        "trans={trans} rhs {r} row {i}: {u} vs {v}"
-                    );
-                }
-            }
-            // The gap rows between columns must stay untouched.
-            for r in 0..nrhs {
-                for i in n..ldx {
-                    assert_eq!(x_panel[r * ldx + i], b[r * ldx + i]);
+    fn interleaved_solves_match_scalar_sweeps() {
+        // Orders around the row-block height and well past it, solved both
+        // ways: the interleaved path must agree with the per-RHS scalar
+        // sweeps to round-off.
+        for n in [1usize, 3, 4, 5, 9, 3 * NB_TRSM + 7] {
+            let mut diag = deterministic_spd(n, 41);
+            ldlt_factor_inplace(n, diag.as_mut_slice(), n).unwrap();
+            for nrhs in [1usize, 2, 3, 5, 8, 9] {
+                let b: Vec<f64> = (0..n * nrhs).map(|i| ((i % 97) as f64) * 0.03 - 1.1).collect();
+                let rows: Vec<f64> = (0..n * nrhs).map(|i| b[i / nrhs + (i % nrhs) * n]).collect();
+                for trans in [false, true] {
+                    let (mut x_ref, mut x_rows) = (b.clone(), rows.clone());
+                    if trans {
+                        solve_unit_lower_trans(n, diag.as_slice(), n, &mut x_ref, nrhs, n);
+                        solve_unit_lower_trans_rows(n, diag.as_slice(), n, &mut x_rows, nrhs);
+                    } else {
+                        solve_unit_lower(n, diag.as_slice(), n, &mut x_ref, nrhs, n);
+                        solve_unit_lower_rows(n, diag.as_slice(), n, &mut x_rows, nrhs);
+                    }
+                    for (i, &v) in x_rows.iter().enumerate() {
+                        let u = x_ref[i / nrhs + (i % nrhs) * n];
+                        assert!(
+                            (u - v).abs() < 1e-9 * u.abs().max(1.0),
+                            "n={n} nrhs={nrhs} trans={trans} entry {i}: {u} vs {v}"
+                        );
+                    }
                 }
             }
         }
     }
 
     #[test]
-    fn panel_solve_single_rhs_is_bitwise_scalar() {
-        let n = 2 * NB_TRSM + 5;
+    fn interleaved_solve_columns_are_bitwise_single_rhs() {
+        let (n, nrhs) = (2 * NB_TRSM + 5, 3);
         let mut diag = deterministic_spd(n, 53);
         ldlt_factor_inplace(n, diag.as_mut_slice(), n).unwrap();
-        let b: Vec<f64> = (0..n).map(|i| (i as f64) * 0.17 - 4.0).collect();
-        let mut x_ref = b.clone();
-        let mut x_panel = b;
-        solve_unit_lower(n, diag.as_slice(), n, &mut x_ref, 1, n);
-        solve_unit_lower_panel(n, diag.as_slice(), n, &mut x_panel, 1, n);
-        assert_eq!(x_ref, x_panel);
-        solve_unit_lower_trans(n, diag.as_slice(), n, &mut x_ref, 1, n);
-        solve_unit_lower_trans_panel(n, diag.as_slice(), n, &mut x_panel, 1, n);
-        assert_eq!(x_ref, x_panel);
+        let b: Vec<f64> = (0..n * nrhs).map(|i| (i as f64) * 0.17 - 4.0).collect();
+        for trans in [false, true] {
+            let solve = |x: &mut [f64], nrhs: usize| match trans {
+                false => solve_unit_lower_rows(n, diag.as_slice(), n, x, nrhs),
+                true => solve_unit_lower_trans_rows(n, diag.as_slice(), n, x, nrhs),
+            };
+            let mut panel = b.clone();
+            solve(&mut panel, nrhs);
+            for r in 0..nrhs {
+                let mut single: Vec<f64> = (0..n).map(|i| b[i * nrhs + r]).collect();
+                solve(&mut single, 1);
+                let column: Vec<f64> = (0..n).map(|i| panel[i * nrhs + r]).collect();
+                assert_eq!(column, single, "trans={trans} column {r}");
+            }
+        }
     }
 
     #[test]

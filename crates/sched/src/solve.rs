@@ -7,14 +7,16 @@
 //! (the fan-in update `x_t -= L_b·x_k`), the mirrored edge
 //! `bwd(t) → bwd(k)`, and `fwd(k) → bwd(k)` tying the sweeps together.
 //! Following Böhnlein et al. (arXiv:2503.05408) the DAG is layered into
-//! level sets and list-scheduled against the per-processor execution order
-//! the distributed solver actually uses — forward tasks in ascending cblk
-//! order, then backward tasks in descending order — so the predicted
-//! per-rank timelines are directly reconcilable against a solve trace with
-//! `trace::report`, exactly like the factorization schedule.
+//! level sets, and each processor's execution order — its forward tasks
+//! level by level, then its backward tasks level by level — is what the
+//! distributed solver replays; that fixed order is list-scheduled under
+//! the operation-count cost model, so the predicted per-rank timelines are
+//! directly reconcilable against a solve trace with `trace::report`,
+//! exactly like the factorization schedule.
 
 use crate::greedy::Schedule;
 use crate::tasks::TaskGraph;
+use pastix_symbolic::SymbolMatrix;
 
 /// The static solve schedule: owner, level, order and predicted timeline
 /// of every forward/backward solve task.
@@ -103,9 +105,76 @@ impl SolveSchedule {
     }
 }
 
+/// The dependency structure of the solve tasks, as a successor CSR: task
+/// `k` is the forward step of column block `k`, task `n_cblks + k` its
+/// backward step, with `fwd(k) → fwd(t)` and `bwd(t) → bwd(k)` for every
+/// distinct column block `t` that `k` faces (several bloks of `k` facing
+/// one `t` carry one edge) and `fwd(k) → bwd(k)` tying the sweeps
+/// together. What both the static solve schedule and the dynamic
+/// backend's solve run on.
+#[derive(Debug, Clone)]
+pub struct SolveDag {
+    /// Predecessor count per task.
+    pub deps: Vec<u32>,
+    /// Row pointers into `out_dst` (`2 · n_cblks + 1` entries).
+    pub out_ptr: Vec<u32>,
+    /// Successor task ids.
+    pub out_dst: Vec<u32>,
+}
+
+impl SolveDag {
+    /// Builds the DAG of a block structure.
+    pub fn new(sym: &SymbolMatrix) -> Self {
+        let ns = sym.cblks.len();
+        let mut edges: Vec<(u32, u32)> = Vec::new();
+        for k in 0..ns {
+            let cb = &sym.cblks[k];
+            // `fcblk` is nondecreasing along a column block's bloks.
+            let mut last_t = u32::MAX;
+            for blok in &sym.bloks[cb.blok_start + 1..cb.blok_end] {
+                if blok.fcblk != last_t {
+                    last_t = blok.fcblk;
+                    edges.push((k as u32, last_t));
+                    edges.push((ns as u32 + last_t, (ns + k) as u32));
+                }
+            }
+            edges.push((k as u32, (ns + k) as u32));
+        }
+        // Counting sort by source; successors keep their insertion order.
+        let mut deps = vec![0u32; 2 * ns];
+        let mut out_ptr = vec![0u32; 2 * ns + 1];
+        for &(src, dst) in &edges {
+            out_ptr[src as usize + 1] += 1;
+            deps[dst as usize] += 1;
+        }
+        for t in 0..2 * ns {
+            out_ptr[t + 1] += out_ptr[t];
+        }
+        let mut next = out_ptr.clone();
+        let mut out_dst = vec![0u32; edges.len()];
+        for &(src, dst) in &edges {
+            out_dst[next[src as usize] as usize] = dst;
+            next[src as usize] += 1;
+        }
+        Self { deps, out_ptr, out_dst }
+    }
+
+    /// Successors of task `t`.
+    #[inline]
+    pub fn successors(&self, t: usize) -> &[u32] {
+        &self.out_dst[self.out_ptr[t] as usize..self.out_ptr[t + 1] as usize]
+    }
+}
+
 /// Builds the level-set solve schedule for the split symbol of `graph`,
 /// inheriting cblk ownership from the factorization schedule `sched`.
 pub fn solve_schedule(graph: &TaskGraph, sched: &Schedule) -> SolveSchedule {
+    solve_schedule_on(&SolveDag::new(&graph.split.symbol), graph, sched)
+}
+
+/// [`solve_schedule`] for a caller that already holds the solve DAG of
+/// `graph`'s symbol.
+pub fn solve_schedule_on(dag: &SolveDag, graph: &TaskGraph, sched: &Schedule) -> SolveSchedule {
     let sym = &graph.split.symbol;
     let ns = sym.cblks.len();
     let total = 2 * ns;
@@ -118,33 +187,12 @@ pub fn solve_schedule(graph: &TaskGraph, sched: &Schedule) -> SolveSchedule {
         task_proc[ns + k] = p;
     }
 
-    // Dependency edges, deduplicated per (source cblk, target cblk) pair —
-    // several bloks of `k` can face the same `t` but carry one edge.
-    // fwd(k) → fwd(t), bwd(t) → bwd(k), fwd(k) → bwd(k).
-    let mut out = vec![Vec::new(); total];
-    let mut n_deps = vec![0u32; total];
+    // Model cost: the triangular sweep of the w×w unit diagonal plus the
+    // D step, plus the strip product over the off-diagonal rows.
     let mut cost = vec![0.0f64; total];
     for k in 0..ns {
-        let cb = &sym.cblks[k];
-        let w = cb.width() as f64;
-        // Triangular sweep of the w×w unit diagonal plus the D step.
-        let mut madds = w * (w + 1.0) * 0.5;
-        let mut last_t = usize::MAX;
-        for b in cb.blok_start + 1..cb.blok_end {
-            let blok = &sym.bloks[b];
-            madds += blok.nrows() as f64 * w;
-            let t = blok.fcblk as usize;
-            if t == last_t {
-                continue;
-            }
-            last_t = t;
-            out[k].push(t as u32); // fwd(k) → fwd(t)
-            n_deps[t] += 1;
-            out[ns + t].push((ns + k) as u32); // bwd(t) → bwd(k)
-            n_deps[ns + k] += 1;
-        }
-        out[k].push((ns + k) as u32); // fwd(k) → bwd(k)
-        n_deps[ns + k] += 1;
+        let w = sym.cblks[k].width() as f64;
+        let madds = w * (w + 1.0) * 0.5 + sym.offrows(k) as f64 * w;
         cost[k] = madds;
         cost[ns + k] = madds;
     }
@@ -154,30 +202,42 @@ pub fn solve_schedule(graph: &TaskGraph, sched: &Schedule) -> SolveSchedule {
     // topological order (fan-in edges always point to higher cblks).
     let mut level = vec![0u32; total];
     for t in (0..ns).chain((0..ns).rev().map(|k| ns + k)) {
-        for &c in &out[t] {
+        for &c in dag.successors(t) {
             level[c as usize] = level[c as usize].max(level[t] + 1);
         }
     }
     let n_levels = level.iter().copied().max().unwrap_or(0) as usize + 1;
 
-    // Per-processor execution order: exactly what the distributed solve
-    // workers do — owned forward tasks ascending, then owned backward
-    // tasks descending.
+    // Per-processor execution order: the owned forward tasks level set by
+    // level set (ascending cblk within a level), then the owned backward
+    // tasks the same way (descending cblk within a level). Every edge
+    // raises the level, so "all forward tasks by level, then all backward
+    // tasks by level" is one topological order of the whole DAG and each
+    // processor's list is a projection of it: the distributed solve
+    // workers can follow their lists blindly. Plain index order is also
+    // topological but makes a rank sit on a deep block while shallower
+    // ones it owns are ready — measured (paired best-of, 2 threads, QUER /
+    // SHIP001 / OILPAN / BMWCRA1 / SHIPSEC5 at k=1 and k=8, one process
+    // per reading) the static solve in index order took 1.03–1.57× the
+    // one-thread sweep in 50 readings of 50, in level order 0.76–0.94× in
+    // 29 of 30 (one at 1.03×).
     let mut proc_tasks = vec![Vec::new(); sched.n_procs];
-    for k in 0..ns {
-        proc_tasks[task_proc[k] as usize].push(k as u32);
-    }
-    for k in (0..ns).rev() {
-        proc_tasks[task_proc[ns + k] as usize].push((ns + k) as u32);
+    let mut by_level: Vec<u32> = (0..total as u32).collect();
+    by_level.sort_by_key(|&t| {
+        let t = t as usize;
+        (t >= ns, level[t], if t < ns { t } else { total - t })
+    });
+    for &t in &by_level {
+        proc_tasks[task_proc[t as usize] as usize].push(t);
     }
 
     // List-schedule the fixed per-processor orders against the DAG for the
     // predicted timeline. Each pass completes at least one task because
-    // the per-proc orders are subsequences of the topological order above.
+    // the per-proc orders are projections of one topological order.
     let mut start = vec![0.0f64; total];
     let mut end = vec![0.0f64; total];
     let mut ready = vec![0.0f64; total];
-    let mut deps_left = n_deps;
+    let mut deps_left = dag.deps.clone();
     let mut proc_ptr = vec![0usize; sched.n_procs];
     let mut proc_free = vec![0.0f64; sched.n_procs];
     let mut completed = 0usize;
@@ -192,7 +252,7 @@ pub fn solve_schedule(graph: &TaskGraph, sched: &Schedule) -> SolveSchedule {
                 start[t] = proc_free[p].max(ready[t]);
                 end[t] = start[t] + cost[t];
                 proc_free[p] = end[t];
-                for &c in &out[t] {
+                for &c in dag.successors(t) {
                     let c = c as usize;
                     deps_left[c] -= 1;
                     ready[c] = ready[c].max(end[t]);

@@ -41,6 +41,6 @@ pub mod rtrace;
 pub mod session;
 
 pub use fingerprint::MatrixFingerprint;
-pub use queue::{pack_panel, unpack_completions, Completed, Request, RequestQueue};
+pub use queue::{pack_panel, unpack_completions, Completed, RejectReason, Request, RequestQueue};
 pub use rtrace::RequestTrace;
 pub use session::{CachedFactor, PanelSolve, SessionOptions, SolverSession};

@@ -41,6 +41,43 @@ pub struct Completed<T> {
     pub batch: usize,
 }
 
+/// Why [`RequestQueue::serve_batch`] refused a ticket. A refused ticket
+/// never reaches the solver and takes no other ticket of its batch down
+/// with it.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum RejectReason {
+    /// The right-hand side does not have the matrix's order.
+    WrongLength {
+        /// The matrix order.
+        expected: usize,
+        /// The right-hand side's length.
+        got: usize,
+    },
+    /// The right-hand side holds a NaN or an infinity at `index`.
+    NonFinite {
+        /// First offending entry.
+        index: usize,
+    },
+}
+
+impl RejectReason {
+    /// Screens one right-hand side against a matrix of order `n`.
+    fn screen<T: Scalar>(rhs: &[T], n: usize) -> Option<Self> {
+        if rhs.len() != n {
+            return Some(Self::WrongLength { expected: n, got: rhs.len() });
+        }
+        rhs.iter().position(|v| !v.is_finite()).map(|index| Self::NonFinite { index })
+    }
+
+    /// Stable small code (the flight ring's payload).
+    fn code(self) -> u64 {
+        match self {
+            Self::WrongLength { .. } => 1,
+            Self::NonFinite { .. } => 2,
+        }
+    }
+}
+
 /// FIFO queue of pending solve requests.
 #[derive(Debug, Default)]
 pub struct RequestQueue<T> {
@@ -48,6 +85,8 @@ pub struct RequestQueue<T> {
     next_id: u64,
     batches: u64,
     tracer: Option<RequestTrace>,
+    /// Refused tickets not yet collected by [`RequestQueue::take_rejected`].
+    rejected: Vec<(u64, RejectReason)>,
 }
 
 impl<T: Scalar> RequestQueue<T> {
@@ -104,9 +143,19 @@ impl<T: Scalar> RequestQueue<T> {
         self.pending.drain(..k).collect()
     }
 
+    /// The tickets refused since the last call, with the reason each was
+    /// refused, oldest first.
+    pub fn take_rejected(&mut self) -> Vec<(u64, RejectReason)> {
+        std::mem::take(&mut self.rejected)
+    }
+
     /// Coalesces the oldest pending requests (at most the session's
     /// `max_panel`) into one panel, solves it through `session`, and
-    /// returns the completions stamped with `finish_ns`. `dispatch_ns` is
+    /// returns the completions stamped with `finish_ns`. A ticket whose
+    /// right-hand side has the wrong length or a non-finite entry is
+    /// dropped from the panel first — counted in `serve.rejected`, noted
+    /// in the flight ring, reported by [`RequestQueue::take_rejected`] —
+    /// and the healthy tickets of the batch complete normally. `dispatch_ns` is
     /// the caller's clock at the moment the batch leaves the queue — it
     /// splits each request's latency into queue wait
     /// (`dispatch − arrival`) and solve (`finish − dispatch`), recorded
@@ -120,11 +169,23 @@ impl<T: Scalar> RequestQueue<T> {
         dispatch_ns: u64,
         finish_ns: u64,
     ) -> Result<Vec<Completed<T>>, FactorError> {
-        let batch = self.take_batch(session.options().max_panel);
+        let n = a.n();
+        let mut batch = self.take_batch(session.options().max_panel);
+        batch.retain(|req| match RejectReason::screen(&req.rhs, n) {
+            None => true,
+            Some(reason) => {
+                session.metrics().add_counter("serve.rejected", 1);
+                flight::record(FlightKind::RequestRejected, req.id, reason.code());
+                if let Some(t) = &mut self.tracer {
+                    t.reject_request(req.id, dispatch_ns);
+                }
+                self.rejected.push((req.id, reason));
+                false
+            }
+        });
         if batch.is_empty() {
             return Ok(Vec::new());
         }
-        let n = a.n();
         let nrhs = batch.len();
         let seq = self.batches;
         self.batches += 1;

@@ -50,6 +50,13 @@ impl RequestTrace {
         self.push(arrival_ns, EventKind::AsyncBegin { id, stage: ServeStage::QueueWait as u8 });
     }
 
+    /// Closes the spans of a request refused at dispatch: it waited in the
+    /// queue and went no further.
+    pub fn reject_request(&mut self, id: u64, dispatch_ns: u64) {
+        self.push(dispatch_ns, EventKind::AsyncEnd { id, stage: ServeStage::QueueWait as u8 });
+        self.push(dispatch_ns, EventKind::AsyncEnd { id, stage: ServeStage::Request as u8 });
+    }
+
     /// Records one served batch: closes each request's `queue_wait` at
     /// dispatch, marks the `coalesce` (and, on a cache miss, `analyze` +
     /// `factorize`) stages, brackets the `solve` stage between dispatch

@@ -14,7 +14,7 @@ use crate::fingerprint::MatrixFingerprint;
 use pastix_graph::{Parallelism, SymCsc};
 use pastix_kernels::{FactorError, Scalar};
 use pastix_ordering::OrderingOptions;
-use pastix_sched::{solve_schedule, SchedOptions, SolveSchedule};
+use pastix_sched::{SchedOptions, SolveSchedule};
 use pastix_solver::{
     AnalyzeOptions, FactorRun, Plan, SolveRequest, SolverConfig,
 };
@@ -238,10 +238,9 @@ impl<T: Scalar> SolverSession<T> {
         let t0 = std::time::Instant::now();
         let run = plan.factorize(a, &cfg)?;
         self.metrics.observe("serve.factorize_ns", t0.elapsed().as_nanos() as u64);
-        let ssched = solve_schedule(
-            plan.graph(),
-            plan.schedule().expect("session plans always carry a static schedule"),
-        );
+        // The plan's own solve schedule — the one its solves replay —
+        // not a second computation of it.
+        let ssched = run.solve_schedule().expect("session plans always carry a static schedule").clone();
         let bytes = run.storage.factor_bytes();
         let entry = Arc::new(CachedFactor {
             fingerprint: fp,

@@ -8,8 +8,9 @@
 //! protocol counts), contributions are applied straight into the shared
 //! factor panels under per-panel locks, and the static schedule — when
 //! one exists — supplies only initial placement and task priority. The
-//! solve builds its twin DAG from the same block structure the level-set
-//! [`pastix_sched::SolveSchedule`] walks.
+//! solve runs its twin DAG, kept precomputed in the plan's
+//! [`crate::solve_plan::SolvePlan`], over the same block structure the
+//! level-set [`pastix_sched::SolveSchedule`] walks.
 //!
 //! Locking is deadlock-free by index ordering: every multi-lock
 //! acquisition ascends the column-block order (a contribution's target
@@ -21,15 +22,13 @@
 
 use crate::compress::{finalize_compression, CompressionConfig};
 use crate::config::{FactorRun, SolverConfig};
-use crate::psolve::{gather_solution, segment_of};
-use crate::storage::{pair_target, BlokView, FactorStorage, PanelLayout};
+use crate::solve_plan::SolveDag;
+use crate::storage::{pair_target, FactorStorage, PanelLayout};
+use crate::sweeps::{self, RowSink};
 use crate::tasks::{self, ContribSink, Scratch};
 use pastix_graph::SymCsc;
 use pastix_kernels::factor::FactorError;
-use pastix_kernels::{
-    gemm_nn_acc, gemm_tn_acc, lr_gemm_nn_acc, lr_gemm_tn_acc, solve_unit_lower_panel,
-    solve_unit_lower_trans_panel, LowRankBlock, LrOp, Scalar,
-};
+use pastix_kernels::{LowRankBlock, LrOp, Scalar};
 use pastix_runtime::steal::{run_dag, DagSpec, TaskCtx};
 use pastix_runtime::DynamicOptions;
 use pastix_sched::{Schedule, TaskGraph, TaskKind};
@@ -349,196 +348,101 @@ fn run_traced_dag(
     trace
 }
 
-/// Dynamic multi-RHS panel solve (`b_panel` is `n × nrhs` column-major in
-/// elimination order, like the SPMD panel solve). The solve DAG has two
-/// tasks per column block — forward `k` and backward `ns + k` — with the
-/// same dependency structure the level-set [`pastix_sched::SolveSchedule`]
-/// is built from: `fwd(k) → fwd(t)` and `bwd(t) → bwd(k)` for every
-/// distinct facing block `t` of `k`, plus `fwd(k) → bwd(k)`. Backward
-/// `Lᵀ·x` partials are buffered per target block so the D division always
-/// precedes their subtraction — the exact sequential order.
+/// The dynamic driver's view of the shared workspace: one lock per
+/// segment, kept across consecutive bloks facing the same column block
+/// and released before the next one's is taken. The stepped segment's own
+/// lock is held by the task and every blok faces a strictly later block,
+/// so every acquisition ascends the column-block order.
+struct LockedSegments<'s, 'w, T> {
+    sym: &'s SymbolMatrix,
+    nrhs: usize,
+    segs: &'s [Mutex<&'w mut [T]>],
+    held: Option<(usize, MutexGuard<'s, &'w mut [T]>)>,
+}
+
+impl<T: Scalar> LockedSegments<'_, '_, T> {
+    /// The rows blok `b` covers, inside the locked segment it faces.
+    fn rows(&mut self, b: usize) -> &mut [T] {
+        let t = self.sym.bloks[b].fcblk as usize;
+        if self.held.as_ref().is_none_or(|(cblk, _)| *cblk != t) {
+            self.held = None; // release before locking: one target at a time
+            self.held = Some((t, self.segs[t].lock().unwrap()));
+        }
+        let (rows, seg) = (sweeps::blok_rows(self.sym, b, self.nrhs), sweeps::segment(self.sym, t, self.nrhs));
+        let locked = &mut self.held.as_mut().expect("segment lock just taken").1;
+        &mut locked[rows.start - seg.start..rows.end - seg.start]
+    }
+}
+
+impl<T: Scalar> RowSink<T> for LockedSegments<'_, '_, T> {
+    fn add_rows(&mut self, b: usize, rows: &[T]) {
+        sweeps::add_into(self.rows(b), rows);
+    }
+}
+
+/// Dynamic multi-RHS panel solve (`rhs` is `n × nrhs` column-major, in
+/// the row order `perm` maps to elimination order, like the SPMD panel
+/// solve): the plan's [`SolveDag`] on the work-stealing executor, every
+/// task one [`crate::sweeps`] step on the segment of its column block in
+/// one shared workspace. A backward task depends on the backward tasks of
+/// every block it faces, so the rows it gathers are final.
 pub(crate) fn solve_panel_dynamic<T: Scalar>(
     sym: &SymbolMatrix,
     storage: &FactorStorage<T>,
-    graph: &TaskGraph,
+    dag: &SolveDag,
     sched: Option<&Schedule>,
-    b_panel: &[T],
+    rhs: &[T],
     nrhs: usize,
+    perm: Option<&[u32]>,
     dopts: &DynamicOptions,
     cfg: &SolverConfig,
 ) -> (Vec<T>, TraceLog) {
     assert!(nrhs >= 1, "panel solve needs at least one right-hand side");
-    assert_eq!(b_panel.len(), sym.n * nrhs, "b_panel must be n × nrhs");
+    assert_eq!(rhs.len(), sym.n * nrhs, "rhs must be n × nrhs");
     let ns = sym.n_cblks();
-    let n_tasks = 2 * ns;
-
-    // Dependency edges + the facing lists (blok, source cblk) per target.
-    let mut deps = vec![0u32; n_tasks];
-    let mut out: Vec<Vec<u32>> = vec![Vec::new(); n_tasks];
-    let mut facing: Vec<Vec<(u32, u32)>> = vec![Vec::new(); ns];
-    for k in 0..ns {
-        let cb = &sym.cblks[k];
-        out[k].push((ns + k) as u32);
-        deps[ns + k] += 1;
-        let mut last_t = u32::MAX;
-        for b in cb.blok_start + 1..cb.blok_end {
-            let t = sym.bloks[b].fcblk;
-            facing[t as usize].push((b as u32, k as u32));
-            if t == last_t {
-                continue; // fcblk is nondecreasing along a cblk's bloks
-            }
-            last_t = t;
-            out[k].push(t);
-            deps[t as usize] += 1;
-            out[ns + t as usize].push((ns + k) as u32);
-            deps[ns + k] += 1;
-        }
-    }
-    let mut out_ptr = vec![0u32; n_tasks + 1];
-    let mut out_dst = Vec::new();
-    for (t, succs) in out.iter().enumerate() {
-        out_dst.extend_from_slice(succs);
-        out_ptr[t + 1] = out_dst.len() as u32;
-    }
-    // Forward tasks outrank backward ones; within a sweep, earlier
-    // elimination order first (forward) / later first (backward).
-    let priority: Vec<u64> = if dopts.priorities {
-        (0..n_tasks)
-            .map(|t| if t < ns { (2 * ns - t) as u64 } else { (t - ns) as u64 })
-            .collect()
-    } else {
-        vec![0u64; n_tasks]
-    };
-    let placement: Vec<u32> = (0..n_tasks)
-        .map(|t| {
-            let k = if t < ns { t } else { t - ns };
-            match sched {
-                Some(s) => s.task_proc[graph.head_task_of_cblk[k] as usize],
-                None => k as u32,
-            }
-        })
-        .collect();
     let n_workers = resolve_workers(dopts, sched);
+    let mut ws = vec![T::zero(); rhs.len()];
+    let mut segs = Vec::with_capacity(ns);
+    let mut rest = ws.as_mut_slice();
+    for k in 0..ns {
+        let (seg, tail) = std::mem::take(&mut rest).split_at_mut(sym.cblks[k].width() * nrhs);
+        sweeps::load_segment(sym, k, perm, rhs, nrhs, seg);
+        segs.push(Mutex::new(seg));
+        rest = tail;
+    }
+    // One scratch per worker; only its own worker ever locks it.
+    let scratch: Vec<Mutex<sweeps::Scratch<T>>> = (0..n_workers).map(|_| Mutex::default()).collect();
 
-    // Owned segments (b on entry, x on exit) and buffered backward
-    // partials, one mutex per column block. Segment locks are only ever
-    // taken in ascending order; partial buffers are leaf locks.
-    let segs: Vec<Mutex<Vec<T>>> =
-        (0..ns).map(|k| Mutex::new(segment_of(sym, k, b_panel, nrhs))).collect();
-    let pbufs: Vec<Mutex<Vec<T>>> = (0..ns).map(|_| Mutex::new(Vec::new())).collect();
-
-    let body = |t: u32, _: &TaskCtx| -> bool {
-        let t = t as usize;
-        if t < ns {
-            let k = t;
-            let _span = task_span(k as u32, TaskClass::FwdSolve);
-            let cb = &sym.cblks[k];
-            let w = cb.width();
-            let lda = storage.panel_lda(k);
-            let mut seg = segs[k].lock().unwrap();
-            solve_unit_lower_panel(w, &storage.panels[k], lda, &mut seg, nrhs, w);
-            let mut last_t = u32::MAX;
-            let mut tgt_guard = None;
-            for b in cb.blok_start + 1..cb.blok_end {
-                let blok = &sym.bloks[b];
-                let hb = blok.nrows();
-                let tk = blok.fcblk as usize;
-                if blok.fcblk != last_t {
-                    last_t = blok.fcblk;
-                    tgt_guard = Some(segs[tk].lock().unwrap());
-                }
-                let tcb = &sym.cblks[tk];
-                let width_t = tcb.width();
-                let off = (blok.frow - tcb.fcol) as usize;
-                let tgt = tgt_guard.as_mut().expect("target guard just set");
-                match storage.blok_view(k, b - cb.blok_start, b) {
-                    BlokView::Dense { data, ld } => {
-                        gemm_nn_acc(
-                            hb,
-                            nrhs,
-                            w,
-                            -T::one(),
-                            data,
-                            ld,
-                            &seg,
-                            w,
-                            &mut tgt[off..],
-                            width_t,
-                        );
-                    }
-                    BlokView::LowRank(lr) => {
-                        lr_gemm_nn_acc(
-                            -T::one(),
-                            lr.as_ref(),
-                            &seg,
-                            nrhs,
-                            w,
-                            &mut tgt[off..],
-                            width_t,
-                        );
-                    }
-                }
-            }
+    let body = |t: u32, tctx: &TaskCtx| -> bool {
+        let (k, forward) = (t as usize % ns, (t as usize) < ns);
+        let class = if forward { TaskClass::FwdSolve } else { TaskClass::BwdSolve };
+        let _span = task_span(k as u32, class);
+        let scratch = &mut *scratch[tctx.worker].lock().unwrap();
+        let mut seg = segs[k].lock().unwrap();
+        let mut later = LockedSegments { sym, nrhs, segs: &segs, held: None };
+        if forward {
+            sweeps::fwd_step(sym, storage, k, &mut seg, nrhs, scratch, &mut later);
         } else {
-            let k = t - ns;
-            let _span = task_span(k as u32, TaskClass::BwdSolve);
-            let cb = &sym.cblks[k];
-            let w = cb.width();
-            let lda = storage.panel_lda(k);
-            let panel = &storage.panels[k];
-            let mut seg = segs[k].lock().unwrap();
-            // Sequential order: D-divide, subtract buffered partials,
-            // transposed diagonal solve.
-            for j in 0..w {
-                let dinv = panel[j + j * lda].recip();
-                for r in 0..nrhs {
-                    seg[r * w + j] *= dinv;
-                }
-            }
-            {
-                let pb = pbufs[k].lock().unwrap();
-                if !pb.is_empty() {
-                    for (s, v) in seg.iter_mut().zip(pb.iter()) {
-                        *s -= *v;
-                    }
-                }
-            }
-            solve_unit_lower_trans_panel(w, panel, lda, &mut seg, nrhs, w);
-            // Push `L_bᵀ · x_k` partials toward every facing blok's source.
-            for &(b, src) in &facing[k] {
-                let b = b as usize;
-                let src = src as usize;
-                let blok = &sym.bloks[b];
-                let hb = blok.nrows();
-                let w_s = sym.cblks[src].width();
-                let off = (blok.frow - cb.fcol) as usize;
-                let mut pb = pbufs[src].lock().unwrap();
-                if pb.is_empty() {
-                    pb.resize(w_s * nrhs, T::zero());
-                }
-                match storage.blok_view(src, b - sym.cblks[src].blok_start, b) {
-                    BlokView::Dense { data, ld } => {
-                        gemm_tn_acc(w_s, nrhs, hb, T::one(), data, ld, &seg[off..], w, &mut pb, w_s);
-                    }
-                    BlokView::LowRank(lr) => {
-                        lr_gemm_tn_acc(T::one(), lr.as_ref(), &seg[off..], nrhs, w, &mut pb, w_s);
-                    }
-                }
-            }
+            sweeps::bwd_step(sym, storage, k, &mut seg, nrhs, scratch, |b, dst| dst.copy_from_slice(later.rows(b)));
         }
         true
     };
+    // All-zero priorities are FIFO queues, for runs with hints off.
+    let fifo = if dopts.priorities { Vec::new() } else { vec![0u64; 2 * ns] };
     let spec = DagSpec {
-        deps: &deps,
-        out_ptr: &out_ptr,
-        out_dst: &out_dst,
-        priority: &priority,
-        placement: &placement,
+        deps: &dag.graph.deps,
+        out_ptr: &dag.graph.out_ptr,
+        out_dst: &dag.graph.out_dst,
+        priority: if dopts.priorities { &dag.priority } else { &fifo },
+        placement: &dag.placement,
     };
     let trace = run_traced_dag(&spec, n_workers, dopts, sched, cfg, &body);
 
-    let segs = segs.into_iter().enumerate().map(|(k, s)| (k as u32, s.into_inner().unwrap()));
-    (gather_solution(sym, vec![segs.collect()], nrhs), trace)
+    let mut x = vec![T::zero(); rhs.len()];
+    for (k, seg) in segs.into_iter().enumerate() {
+        sweeps::store_segment(sym, k, perm, seg.into_inner().unwrap(), nrhs, &mut x);
+    }
+    (x, trace)
 }
 
 #[cfg(test)]
@@ -585,8 +489,8 @@ mod tests {
         // Dynamic panel solve against the sequential sweep.
         let x_exact = canonical_solution::<f64>(n);
         let b = rhs_for_solution(ap, &x_exact);
-        let (x_dyn, _) =
-            solve_panel_dynamic(sym, &run.storage, &mapping.graph, sched, &b, 1, dopts, &cfg);
+        let dag = crate::solve_plan::SolvePlan::build(&mapping.graph, sched).dag;
+        let (x_dyn, _) = solve_panel_dynamic(sym, &run.storage, &dag, sched, &b, 1, None, dopts, &cfg);
         let mut x_seq = b.clone();
         solve_in_place(sym, &run.storage, &mut x_seq);
         for (i, (xs, xd)) in x_seq.iter().zip(&x_dyn).enumerate() {

@@ -14,13 +14,20 @@
 //!   generic over a contribution sink; the three modules below are its
 //!   drivers and own only what differs — program order, where a panel or
 //!   region lives, and where contributions go;
+//! * `sweeps` (crate-private) — the solve mirror of `tasks`: the **one**
+//!   forward and backward block step of the triangular solves, on a flat
+//!   RHS-interleaved workspace, generic over a one-method row sink; and
+//!   `solve_plan`, the structure of the solves (owners, step orders,
+//!   counters, routes, the solve DAG) computed once per [`Plan`] and
+//!   replayed by every solve. The same three modules below drive them;
 //! * [`seq`] — the sequential reference driver (one `COMP1D` per column
 //!   block in elimination order, contributions applied to later panels in
-//!   place) and the forward / diagonal / backward solve sweeps;
+//!   place; the solve sweeps as a plain loop up and down the blocks);
 //! * [`parallel`] — the static driver: the supernodal **fan-in** engine of
 //!   the paper's Fig. 1, each rank walking its `K_p` from `pastix-sched`
 //!   on the in-process message-passing runtime (regions, AUBs, factor
-//!   payloads);
+//!   payloads); [`psolve`] is its solve twin (segment broadcasts,
+//!   aggregated updates, exactly-once under duplicate delivery);
 //! * [`dynamic`] — the `Backend::Dynamic` driver: the same task graph
 //!   executed by the work-stealing DAG executor over shared panels under
 //!   per-panel locks, with the static mapping reduced to
@@ -47,7 +54,9 @@ pub mod plan;
 pub mod psolve;
 pub mod refine;
 pub mod seq;
+mod solve_plan;
 pub mod storage;
+mod sweeps;
 mod tasks;
 
 pub use compress::{CompressionConfig, CompressionStrategy};

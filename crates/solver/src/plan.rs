@@ -21,6 +21,7 @@
 
 use crate::config::{FactorRun, SolverConfig};
 use crate::dynamic;
+use crate::solve_plan::SolvePlan;
 use crate::storage::FactorStorage;
 use pastix_graph::{Parallelism, Permutation, SymCsc};
 use pastix_kernels::factor::FactorError;
@@ -28,10 +29,10 @@ use pastix_kernels::Scalar;
 use pastix_machine::MachineModel;
 use pastix_ordering::OrderingOptions;
 use pastix_runtime::Backend;
-use pastix_sched::{map_and_schedule, Mapping, SchedOptions, Schedule, TaskGraph};
+use pastix_sched::{map_and_schedule, Mapping, SchedOptions, Schedule, SolveSchedule, TaskGraph};
 use pastix_symbolic::{AnalysisOptions, SymbolMatrix};
-use pastix_trace::{TraceLog, TraceOptions};
-use std::sync::Arc;
+use pastix_trace::{MetricsRegistry, TraceLog, TraceOptions};
+use std::sync::{Arc, OnceLock};
 
 /// Pre-processing knobs of [`Plan::analyze`]. Lives inside
 /// [`SolverConfig`] (`cfg.analyze`) so one config value drives the whole
@@ -107,6 +108,9 @@ struct PlanInner {
     n: usize,
     stats: Option<AnalyzeStats>,
     analyze_trace: Option<TraceLog>,
+    /// Structure of the triangular solves, built by the first solve of
+    /// any run of this plan and replayed by every later one.
+    solve_plan: OnceLock<SolvePlan>,
 }
 
 /// The analyzed (pre-numeric) state of one matrix pattern: permutation,
@@ -199,6 +203,7 @@ impl Plan {
                 n,
                 stats: None,
                 analyze_trace: None,
+                solve_plan: OnceLock::new(),
             }),
         }
     }
@@ -238,6 +243,16 @@ impl Plan {
     /// Matrix order.
     pub fn n(&self) -> usize {
         self.inner.n
+    }
+
+    /// The solve-phase structure of this plan, built on first use. Each
+    /// build counts in `solver.solve_plan_builds` of `metrics` — one per
+    /// plan, however many runs and solves share it.
+    pub(crate) fn solve_plan(&self, metrics: &MetricsRegistry) -> &SolvePlan {
+        self.inner.solve_plan.get_or_init(|| {
+            metrics.add_counter("solver.solve_plan_builds", 1);
+            SolvePlan::build(&self.inner.graph, self.inner.schedule.as_ref())
+        })
     }
 
     /// Numeric factorization of `a` (same pattern as analyzed) on the
@@ -427,59 +442,52 @@ impl<T: Scalar> FactorRun<T> {
         } else if !cfg.trace.enabled {
             cfg.trace = TraceOptions::wall();
         }
-        // Into elimination order, one column at a time.
-        let permuted;
-        let b: &[T] = match plan.permutation() {
-            Some(p) => {
-                let mut bp = Vec::with_capacity(n * req.k);
-                for j in 0..req.k {
-                    bp.extend(p.apply_vec(&req.rhs[j * n..(j + 1) * n]));
-                }
-                permuted = bp;
-                &permuted
-            }
-            None => req.rhs,
-        };
+        // The engines fuse the permutation into elimination order with
+        // their workspace fill, and its inverse with the solution gather.
+        let perm = plan.permutation().map(|p| p.perm());
         let sym = plan.symbol();
-        let (xp, trace) = match cfg.backend {
+        let sp = plan.solve_plan(&cfg.metrics);
+        let (x, trace) = match cfg.backend {
             Backend::Dynamic(dopts) => dynamic::solve_panel_dynamic(
                 sym,
                 &self.storage,
-                plan.graph(),
+                &sp.dag,
                 plan.schedule(),
-                b,
+                req.rhs,
                 req.k,
+                perm,
                 &dopts,
                 &cfg,
             ),
             Backend::Threads | Backend::Sim(_) => {
                 let sched = plan.require_schedule();
+                let routing = sp.routing.as_ref().expect("a scheduled plan carries solve routing");
                 crate::psolve::solve_panel_static(
                     sym,
                     &self.storage,
-                    plan.graph(),
-                    sched,
-                    b,
+                    routing,
+                    sched.digest(),
+                    req.rhs,
                     req.k,
+                    perm,
                     &cfg,
                 )
             }
-        };
-        let x = match plan.permutation() {
-            Some(p) => {
-                let mut out = Vec::with_capacity(n * req.k);
-                for j in 0..req.k {
-                    out.extend(p.unapply_vec(&xp[j * n..(j + 1) * n]));
-                }
-                out
-            }
-            None => xp,
         };
         let mut trace = trace;
         if let Some(id) = req.tag {
             tag_solve_trace(&mut trace, id);
         }
         SolveOutput { x, trace }
+    }
+
+    /// The static solve schedule this run's solves replay (and solve
+    /// traces reconcile against): part of the plan's solve structure, so
+    /// built with it on first use and shared by every run of the plan.
+    /// `None` without an attached plan or without a static schedule.
+    pub fn solve_schedule(&self) -> Option<&SolveSchedule> {
+        let ctx = self.ctx.as_ref()?;
+        ctx.plan.solve_plan(&ctx.cfg.metrics).routing.as_ref().map(|r| &r.schedule)
     }
 
     /// Solves for a single right-hand side (untraced).

@@ -2,12 +2,19 @@
 //!
 //! The paper's solver performs the factorization in parallel; the solve
 //! phase follows the same data distribution, and this module implements it
-//! with the same fan-in discipline: during the forward sweep `L·y = b`,
-//! each off-diagonal block owner computes its contribution `L_b·x_k` as
-//! soon as the solved segment `x_k` reaches it, and contributions bound for
-//! the same column block from the same processor travel as one aggregated
-//! update; the backward sweep `Lᵀ·x = D⁻¹y` runs the mirror-image protocol
-//! down the elimination order.
+//! with the same fan-in discipline. During the forward sweep each owner of
+//! a run of off-diagonal bloks computes its strip `L_run·x_k` as soon as
+//! the solved segment `x_k` reaches it, and contributions bound for the
+//! same column block from the same processor travel as one aggregated
+//! update; during the backward sweep a run owner waits for the solved
+//! segments its bloks face, gathers them, and its partials `L_runᵀ·x`
+//! travel aggregated the same way.
+//!
+//! This is the static **driver** of [`crate::sweeps`]: the numeric steps
+//! are there, the ownership, counters and routes come precomputed from the
+//! plan's [`StaticRouting`], and what remains here is the message protocol
+//! — who sends what when, in which order a rank steps its own column
+//! blocks, and exactly-once application under duplicate delivery.
 //!
 //! The factor panels are shared read-only between the logical processors
 //! (they were just computed; re-distributing them would only model memory
@@ -17,19 +24,16 @@
 
 use crate::config::SolverConfig;
 use crate::parallel::{GaugeHook, SharedGauges};
-use crate::storage::{BlokView, FactorStorage};
-use pastix_kernels::{
-    gemm_nn_acc, gemm_tn_acc, lr_gemm_nn_acc, lr_gemm_tn_acc, solve_unit_lower_panel,
-    solve_unit_lower_trans_panel, Scalar,
-};
+use crate::solve_plan::{Run, StaticRouting};
+use crate::storage::FactorStorage;
+use crate::sweeps::{self, LaterSegments, RowSink};
+use pastix_kernels::Scalar;
 use pastix_runtime::{run_spmd_with, Comm, Instrumented};
-use pastix_sched::{Schedule, TaskGraph};
 use pastix_symbolic::SymbolMatrix;
 use pastix_trace::{
     heartbeat, sample_gauge, task_span, GaugeId, RankTrace, SessionHook, TaskClass, TraceLog,
     TraceOptions,
 };
-use std::collections::{HashMap, HashSet};
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
 use std::time::Instant;
@@ -38,12 +42,13 @@ use std::time::Instant;
 /// simulator's duplicate-delivery fault.) Every variant is naturally
 /// keyed — `XFwd`/`XBwd` by the column block, the AUBs by (sender, column
 /// block) since each sender aggregates at most one AUB per target — so
-/// receivers deduplicate injected duplicate deliveries with seen-sets
+/// receivers deduplicate injected duplicate deliveries with seen-bitsets
 /// instead of sequence numbers.
 ///
-/// Solved segments are broadcast to every blok owner, so they travel as
+/// Solved segments are broadcast to every run owner, so they travel as
 /// `Arc<[T]>` (one materialization, refcount bumps per send); the AUBs have
-/// exactly one destination each and stay owned `Vec`s.
+/// exactly one destination each and stay owned `Vec`s. Both AUBs carry the
+/// *negated* sums (`−Σ L_b·x`, `−Σ L_bᵀ·x`): the receiver adds.
 #[derive(Clone)]
 enum SMsg<T> {
     /// Solved segment of a column block (forward sweep).
@@ -52,7 +57,7 @@ enum SMsg<T> {
     XBwd { cblk: u32, data: Arc<[T]> },
     /// Aggregated forward updates targeting a column block's segment.
     FwdAub { cblk: u32, data: Vec<T> },
-    /// Aggregated backward partial dot-products targeting a column block.
+    /// Aggregated backward partials targeting a column block's segment.
     BwdAub { cblk: u32, data: Vec<T> },
 }
 
@@ -68,103 +73,19 @@ fn smsg_meta<T>(m: &SMsg<T>) -> (u8, u64) {
     }
 }
 
-/// Static ownership and routing tables of the solve phase.
-struct SolveRouting {
-    /// Owner of each column block's diagonal solve (head-task owner).
-    cblk_owner: Vec<u32>,
-    /// Owner of each global blok's data.
-    blok_owner: Vec<u32>,
-    /// Bloks facing each column block (global blok id, source cblk).
-    facing: Vec<Vec<(u32, u32)>>,
-    /// Forward: remote AUB senders per cblk.
-    fwd_remote: Vec<u32>,
-    /// Forward: local contribution events per cblk.
-    fwd_local: Vec<u32>,
-    /// Backward: remote AUB senders per cblk.
-    bwd_remote: Vec<u32>,
-    /// Backward: local partial events per cblk.
-    bwd_local: Vec<u32>,
-}
-
-fn build_solve_routing(sym: &SymbolMatrix, graph: &TaskGraph, sched: &Schedule) -> SolveRouting {
-    let ns = sym.n_cblks();
-    let mut cblk_owner = vec![0u32; ns];
-    for k in 0..ns {
-        cblk_owner[k] = sched.task_proc[graph.head_task_of_cblk[k] as usize];
-    }
-    let mut blok_owner = vec![0u32; sym.bloks.len()];
-    let mut facing: Vec<Vec<(u32, u32)>> = vec![Vec::new(); ns];
-    for k in 0..ns {
-        let cb = &sym.cblks[k];
-        blok_owner[cb.blok_start] = cblk_owner[k];
-        for b in cb.blok_start + 1..cb.blok_end {
-            let bd = graph.bdiv_task_of_blok[b];
-            blok_owner[b] = if bd == u32::MAX {
-                cblk_owner[k]
-            } else {
-                sched.task_proc[bd as usize]
-            };
-            facing[sym.bloks[b].fcblk as usize].push((b as u32, k as u32));
-        }
-    }
-    // Forward: contributions into cblk t come from every blok facing t.
-    let mut fwd_remote_sets: Vec<Vec<u32>> = vec![Vec::new(); ns];
-    let mut fwd_local = vec![0u32; ns];
-    // Backward: partials into cblk k come from every blok *of* k.
-    let mut bwd_remote_sets: Vec<Vec<u32>> = vec![Vec::new(); ns];
-    let mut bwd_local = vec![0u32; ns];
-    for t in 0..ns {
-        for &(b, _src) in &facing[t] {
-            let owner = blok_owner[b as usize];
-            if owner == cblk_owner[t] {
-                fwd_local[t] += 1;
-            } else {
-                fwd_remote_sets[t].push(owner);
-            }
-        }
-    }
-    for k in 0..ns {
-        let cb = &sym.cblks[k];
-        for b in cb.blok_start + 1..cb.blok_end {
-            let owner = blok_owner[b];
-            if owner == cblk_owner[k] {
-                bwd_local[k] += 1;
-            } else {
-                bwd_remote_sets[k].push(owner);
-            }
-        }
-    }
-    let dedup_count = |mut v: Vec<u32>| -> u32 {
-        v.sort_unstable();
-        v.dedup();
-        v.len() as u32
-    };
-    SolveRouting {
-        cblk_owner,
-        blok_owner,
-        facing,
-        fwd_remote: fwd_remote_sets.into_iter().map(dedup_count).collect(),
-        fwd_local,
-        bwd_remote: bwd_remote_sets.into_iter().map(dedup_count).collect(),
-        bwd_local,
-    }
-}
-
 /// The SPMD **multi-RHS panel** solve engine (threads or simulator),
 /// called by [`crate::SolveRequest`]-driven solves on [`crate::FactorRun`]:
-/// `b_panel` is `n × nrhs` column-major in elimination order; returns the
-/// `n × nrhs` solution panel (also elimination order) and the run's
+/// `rhs` is `n × nrhs` column-major, in the row order `perm` maps to
+/// elimination order (`None`: already elimination order); returns the
+/// `n × nrhs` solution panel in the same row order and the run's
 /// [`TraceLog`] (empty when `cfg.trace` is disabled).
 ///
-/// Every per-cblk segment travels and solves as a `width × nrhs` panel:
-/// the diagonal substitutions run the blocked
-/// [`solve_unit_lower_panel`]/[`solve_unit_lower_trans_panel`] kernels and
-/// the per-blok trailing updates are GEMM-shaped (`h_b × nrhs × width`)
-/// through the packed paths instead of one GEMV per right-hand side, so a
-/// batch of coalesced requests pays the solve's message protocol once.
-/// Per-blok products dispatch on the stored representation — a compressed
-/// blok's contribution runs through the rank
-/// ([`lr_gemm_nn_acc`]/[`lr_gemm_tn_acc`]) instead of the dense GEMM.
+/// Every rank works in one flat `n × nrhs` workspace ([`crate::sweeps`]):
+/// the segments it owns hold its share of the right-hand sides, every
+/// other segment is where it aggregates an outgoing AUB and, later, keeps
+/// the solved segment it received — so a batch of coalesced requests pays
+/// the solve's message protocol once and allocates per message, not per
+/// column block.
 ///
 /// When tracing is enabled, every completed forward/backward cblk solve
 /// additionally stamps a run-global progress heartbeat and the rank's
@@ -174,96 +95,78 @@ fn build_solve_routing(sym: &SymbolMatrix, graph: &TaskGraph, sched: &Schedule) 
 pub(crate) fn solve_panel_static<T: Scalar>(
     sym: &SymbolMatrix,
     storage: &FactorStorage<T>,
-    graph: &TaskGraph,
-    sched: &Schedule,
-    b_panel: &[T],
+    routing: &StaticRouting,
+    digest: u64,
+    rhs: &[T],
     nrhs: usize,
+    perm: Option<&[u32]>,
     cfg: &SolverConfig,
 ) -> (Vec<T>, TraceLog) {
     assert!(nrhs >= 1, "panel solve needs at least one right-hand side");
-    assert_eq!(b_panel.len(), sym.n * nrhs, "b_panel must be n × nrhs");
-    let routing = build_solve_routing(sym, graph, sched);
+    assert_eq!(rhs.len(), sym.n * nrhs, "rhs must be n × nrhs");
     let mut topts = cfg.trace;
     if topts.enabled && topts.epoch.is_none() {
         topts.epoch = Some(Instant::now());
     }
-    let gauges = topts.enabled.then(|| SharedGauges::new(sched.n_procs));
+    let gauges = topts.enabled.then(|| SharedGauges::new(routing.n_procs));
     let t0 = Instant::now();
-    let results = run_spmd_with::<SMsg<T>, (Vec<(u32, Vec<T>)>, Option<RankTrace>), _>(
+    let results = run_spmd_with::<SMsg<T>, (Vec<T>, Option<RankTrace>), _>(
         &cfg.backend,
-        sched.n_procs,
-        |ctx| solve_worker_run(ctx, sym, storage, &routing, b_panel, nrhs, &topts, gauges.as_ref()),
+        routing.n_procs,
+        |ctx| solve_worker_run(ctx, sym, storage, routing, rhs, nrhs, perm, &topts, gauges.as_ref()),
     );
     let wall_ns = t0.elapsed().as_nanos() as u64;
-    let mut segs = Vec::with_capacity(results.len());
-    let mut ranks = Vec::new();
-    for (seg, rt) in results {
-        segs.push(seg);
-        if let Some(rt) = rt {
-            ranks.push(rt);
-        }
+    // Every owner's workspace holds the solution of its own segments.
+    let mut x = vec![T::zero(); rhs.len()];
+    for k in 0..sym.n_cblks() {
+        let ws = &results[routing.cblk_owner[k] as usize].0;
+        sweeps::store_segment(sym, k, perm, &ws[sweeps::segment(sym, k, nrhs)], nrhs, &mut x);
     }
-    let trace = TraceLog {
-        ranks,
-        wall_ns,
-        digest: sched.digest(),
-    };
-    (gather_solution(sym, segs, nrhs), trace)
+    let ranks = results.into_iter().filter_map(|(_, rt)| rt).collect();
+    (x, TraceLog { ranks, wall_ns, digest })
 }
 
 /// The SPMD body of one logical processor of the solve, on either backend.
-#[allow(clippy::too_many_arguments)]
 fn solve_worker_run<T: Scalar, C: Comm<SMsg<T>> + ?Sized>(
     ctx: &C,
     sym: &SymbolMatrix,
     storage: &FactorStorage<T>,
-    routing: &SolveRouting,
-    b_panel: &[T],
+    routing: &StaticRouting,
+    rhs: &[T],
     nrhs: usize,
+    perm: Option<&[u32]>,
     topts: &TraceOptions,
     gauges: Option<&SharedGauges>,
-) -> (Vec<(u32, Vec<T>)>, Option<RankTrace>) {
+) -> (Vec<T>, Option<RankTrace>) {
     let ns = sym.n_cblks();
-    let me = ctx.rank() as u32;
-    let session = pastix_trace::begin_rank(ctx.rank(), topts);
+    let me = ctx.rank();
+    let session = pastix_trace::begin_rank(me, topts);
+    let mut ws = vec![T::zero(); rhs.len()];
+    for &k in routing.fwd_order.row(me) {
+        let k = k as usize;
+        sweeps::load_segment(sym, k, perm, rhs, nrhs, &mut ws[sweeps::segment(sym, k, nrhs)]);
+    }
     let mut w = SolveWorker {
         sym,
         storage,
         routing,
-        me,
+        me: me as u32,
         nrhs,
-        x: HashMap::new(),
-        fwd_pending: HashMap::new(),
-        bwd_pending: HashMap::new(),
-        fwd_aub_out: HashMap::new(),
-        bwd_aub_out: HashMap::new(),
-        bwd_partial_in: HashMap::new(),
-        fwd_x_seen: HashSet::new(),
-        bwd_x_seen: HashSet::new(),
-        fwd_aub_seen: HashSet::new(),
-        bwd_aub_seen: HashSet::new(),
+        ws,
+        fwd_count: routing.fwd_count[me * ns..(me + 1) * ns].to_vec(),
+        bwd_count: routing.bwd_count[me * ns..(me + 1) * ns].to_vec(),
+        run_wait: routing.run_wait.clone(),
+        seen: vec![0; (2 * ns * (1 + routing.n_procs)).div_ceil(64)],
         bwd_early: Vec::new(),
-        scratch: Vec::new(),
+        scratch: sweeps::Scratch::default(),
         gauges,
         sample_every: topts.sample_every as usize,
         tasks_done: 0,
     };
-    // Initialize owned segments with b (width × nrhs panels), and pending
-    // counters.
-    for k in 0..ns {
-        if routing.cblk_owner[k] != me {
-            continue;
-        }
-        w.x.insert(k as u32, segment_of(sym, k, b_panel, nrhs));
-        w.fwd_pending
-            .insert(k as u32, routing.fwd_remote[k] + routing.fwd_local[k]);
-        w.bwd_pending
-            .insert(k as u32, routing.bwd_remote[k] + routing.bwd_local[k]);
-    }
     // Only the traced path pays for the instrumented wrapper.
     if topts.enabled {
         let g = gauges.expect("a traced solve always carries gauges");
-        let hook = (SessionHook, GaugeHook { rank: ctx.rank(), gauges: g });
+        let hook = (SessionHook, GaugeHook { rank: me, gauges: g });
         let ictx = Instrumented::new(ctx, hook, smsg_meta::<T>);
         w.forward(&ictx);
         w.backward(&ictx);
@@ -271,79 +174,36 @@ fn solve_worker_run<T: Scalar, C: Comm<SMsg<T>> + ?Sized>(
         w.forward(ctx);
         w.backward(ctx);
     }
-    (w.x.into_iter().collect(), session.finish())
-}
-
-/// Column block `k`'s rows of the `n × nrhs` panel `b_panel`, as a compact
-/// `width × nrhs` segment panel.
-pub(crate) fn segment_of<T: Scalar>(sym: &SymbolMatrix, k: usize, b_panel: &[T], nrhs: usize) -> Vec<T> {
-    let cb = &sym.cblks[k];
-    let mut seg = Vec::with_capacity(cb.width() * nrhs);
-    for r in 0..nrhs {
-        seg.extend_from_slice(&b_panel[r * sym.n + cb.fcol as usize..=r * sym.n + cb.lcol as usize]);
-    }
-    seg
-}
-
-/// Stitches the per-processor owned segment panels into the full `n × nrhs`
-/// solution panel.
-pub(crate) fn gather_solution<T: Scalar>(
-    sym: &SymbolMatrix,
-    results: Vec<Vec<(u32, Vec<T>)>>,
-    nrhs: usize,
-) -> Vec<T> {
-    let n = sym.n;
-    let mut x = vec![T::zero(); n * nrhs];
-    for segs in results {
-        for (k, seg) in segs {
-            let cb = &sym.cblks[k as usize];
-            let width = cb.width();
-            for r in 0..nrhs {
-                x[r * n + cb.fcol as usize..=r * n + cb.lcol as usize]
-                    .copy_from_slice(&seg[r * width..(r + 1) * width]);
-            }
-        }
-    }
-    x
+    (w.ws, session.finish())
 }
 
 struct SolveWorker<'a, T> {
     sym: &'a SymbolMatrix,
     storage: &'a FactorStorage<T>,
-    routing: &'a SolveRouting,
+    routing: &'a StaticRouting,
     me: u32,
     /// Panel width: every segment, AUB and partial is `width × nrhs`.
     nrhs: usize,
-    /// Owned segment panels (b on entry, x on exit), column-major with
-    /// leading dimension the cblk width.
-    x: HashMap<u32, Vec<T>>,
-    /// Remaining contribution events before a cblk's forward solve.
-    fwd_pending: HashMap<u32, u32>,
-    /// Remaining partial events before a cblk's backward solve.
-    bwd_pending: HashMap<u32, u32>,
-    /// Outgoing forward AUB accumulators: (target cblk) → (buffer, left).
-    fwd_aub_out: HashMap<u32, (Vec<T>, u32)>,
-    /// Outgoing backward AUB accumulators.
-    bwd_aub_out: HashMap<u32, (Vec<T>, u32)>,
-    /// Incoming backward partials per owned cblk, buffered until after the
-    /// D division (the sequential order is D-divide, then subtract the
-    /// `Lᵀ·x` partials, then the transposed diagonal solve).
-    bwd_partial_in: HashMap<u32, Vec<T>>,
-    /// Segments already processed, for exactly-once application under the
-    /// simulator's duplicate-delivery fault.
-    fwd_x_seen: HashSet<u32>,
-    bwd_x_seen: HashSet<u32>,
-    /// AUBs already applied, keyed (sender, target cblk).
-    fwd_aub_seen: HashSet<(usize, u32)>,
-    bwd_aub_seen: HashSet<(usize, u32)>,
+    /// The flat workspace. Owned segments: `b` on entry, `x` on exit.
+    /// Other segments: the outgoing forward AUB (zeroed again once sent),
+    /// then the outgoing backward AUB, then the received solved segment.
+    ws: Vec<T>,
+    /// Forward events left per column block (see [`StaticRouting`]).
+    fwd_count: Vec<u32>,
+    /// Backward events left per column block.
+    bwd_count: Vec<u32>,
+    /// Solved segments each run still waits for.
+    run_wait: Vec<u32>,
+    /// Messages already applied, for exactly-once application under the
+    /// simulator's duplicate-delivery fault: one bit per forward segment,
+    /// backward segment, then per (sweep, sender, column block) AUB.
+    seen: Vec<u64>,
     /// Backward-sweep traffic that arrived while this processor was still
     /// in its forward sweep (a faster peer may legitimately race ahead);
     /// drained at the start of the backward sweep.
     bwd_early: Vec<(usize, SMsg<T>)>,
-    /// Reused per-blok scratch of both sweeps (`L_b·x_k` contributions,
-    /// `L_bᵀ·x` partials): one allocation per worker instead of one per
-    /// owned blok per supernode.
-    scratch: Vec<T>,
+    /// Reused buffers of the block steps.
+    scratch: sweeps::Scratch<T>,
     /// Present iff the run is traced: the shared progress counter and
     /// mailbox depths behind the heartbeat/gauge events.
     gauges: Option<&'a SharedGauges>,
@@ -353,17 +213,76 @@ struct SolveWorker<'a, T> {
     tasks_done: u64,
 }
 
+/// The static driver's forward sink: rows land in a later segment of the
+/// rank's workspace — its own, or the aggregate for a remote owner, which
+/// is sent (and zeroed for reuse) with the rank's last contribution.
+struct FanIn<'a, T, C: ?Sized> {
+    later: LaterSegments<'a, T>,
+    sym: &'a SymbolMatrix,
+    nrhs: usize,
+    count: &'a mut [u32],
+    owner: &'a [u32],
+    me: u32,
+    ctx: &'a C,
+}
+
+impl<T: Scalar, C: Comm<SMsg<T>> + ?Sized> RowSink<T> for FanIn<'_, T, C> {
+    fn add_rows(&mut self, b: usize, rows: &[T]) {
+        self.later.add_rows(b, rows);
+        let t = self.sym.bloks[b].fcblk as usize;
+        self.count[t] -= 1;
+        if self.count[t] == 0 && self.owner[t] != self.me {
+            let seg = self.later.range_mut(sweeps::segment(self.sym, t, self.nrhs));
+            let data = seg.to_vec();
+            seg.fill(T::zero());
+            // Drops are retried; a closed peer is already unwinding.
+            let _ = self.ctx.send_resilient(self.owner[t] as usize, SMsg::FwdAub { cblk: t as u32, data });
+        }
+    }
+}
+
 impl<T: Scalar> SolveWorker<'_, T> {
-    /// Owners of the off-diagonal bloks of `k`, deduplicated, minus self.
-    fn blok_owner_procs(&self, k: usize) -> Vec<u32> {
-        let cb = &self.sym.cblks[k];
-        let mut v: Vec<u32> = (cb.blok_start + 1..cb.blok_end)
-            .map(|b| self.routing.blok_owner[b])
-            .filter(|&q| q != self.me)
-            .collect();
-        v.sort_unstable();
-        v.dedup();
-        v
+    /// Marks message `bit` seen; `false` when it already was (a duplicate).
+    fn first_sight(&mut self, bit: usize) -> bool {
+        let (word, mask) = (bit / 64, 1u64 << (bit % 64));
+        let fresh = self.seen[word] & mask == 0;
+        self.seen[word] |= mask;
+        fresh
+    }
+
+    /// Seen-bit of a solved segment.
+    fn x_bit(&self, backward: bool, cblk: u32) -> usize {
+        usize::from(backward) * self.sym.n_cblks() + cblk as usize
+    }
+
+    /// Seen-bit of an AUB.
+    fn aub_bit(&self, backward: bool, from: usize, cblk: u32) -> usize {
+        let slot = 2 + usize::from(backward) * self.routing.n_procs + from;
+        slot * self.sym.n_cblks() + cblk as usize
+    }
+
+    /// `ws[segment(cblk)] += data` — an incoming AUB.
+    fn add_aub(&mut self, cblk: u32, data: &[T]) {
+        sweeps::add_into(&mut self.ws[sweeps::segment(self.sym, cblk as usize, self.nrhs)], data);
+    }
+
+    /// Materializes segment `k` once and sends it to every remote consumer
+    /// in `dsts`; no copy at all when every consumer is local.
+    fn broadcast<C: Comm<SMsg<T>> + ?Sized>(
+        &self,
+        ctx: &C,
+        k: usize,
+        dsts: &[u32],
+        wrap: fn(u32, Arc<[T]>) -> SMsg<T>,
+    ) {
+        if dsts.is_empty() {
+            return;
+        }
+        let data: Arc<[T]> = Arc::from(&self.ws[sweeps::segment(self.sym, k, self.nrhs)]);
+        for &q in dsts {
+            // Drops are retried; a closed peer is already unwinding.
+            let _ = ctx.send_resilient(q as usize, wrap(k as u32, data.clone()));
+        }
     }
 
     /// Heartbeat + gauge bookkeeping after one completed cblk solve task
@@ -380,68 +299,35 @@ impl<T: Scalar> SolveWorker<'_, T> {
         }
     }
 
-    /// Owners of the bloks *facing* `k`, deduplicated, minus self.
-    fn facing_owner_procs(&self, k: usize) -> Vec<u32> {
-        let mut v: Vec<u32> = self.routing.facing[k]
-            .iter()
-            .map(|&(b, _)| self.routing.blok_owner[b as usize])
-            .filter(|&q| q != self.me)
-            .collect();
-        v.sort_unstable();
-        v.dedup();
-        v
-    }
-
     // ------------------------------------------------------------------
-    // Forward sweep: L·y = b, ascending column blocks.
+    // Forward sweep: L·D·z = b, owned column blocks in schedule order.
     // ------------------------------------------------------------------
 
     fn forward<C: Comm<SMsg<T>> + ?Sized>(&mut self, ctx: &C) {
-        let ns = self.sym.n_cblks();
-        // Expected remote x segments whose bloks I own.
-        let mut expected_x: Vec<u32> = Vec::new();
-        for k in 0..ns {
-            if self.routing.cblk_owner[k] == self.me {
-                continue;
-            }
-            let cb = &self.sym.cblks[k];
-            if (cb.blok_start + 1..cb.blok_end).any(|b| self.routing.blok_owner[b] == self.me) {
-                expected_x.push(k as u32);
-            }
-        }
-        let mut expected_left = expected_x.len();
-        let own: Vec<u32> = (0..ns as u32)
-            .filter(|&k| self.routing.cblk_owner[k as usize] == self.me)
-            .collect();
+        let rt = self.routing;
+        let own = rt.fwd_order.row(self.me as usize);
+        let mut expected_left = rt.fwd_expect[self.me as usize];
         let mut next = 0usize;
         while next < own.len() || expected_left > 0 {
-            if next < own.len() {
-                let k = own[next];
-                if self.fwd_pending.get(&k).copied().unwrap_or(0) == 0 {
-                    self.fwd_solve_cblk(ctx, k as usize);
-                    self.note_task_done();
-                    next += 1;
-                    continue;
-                }
+            if next < own.len() && self.fwd_count[own[next] as usize] == 0 {
+                self.fwd_solve_cblk(ctx, own[next] as usize);
+                self.note_task_done();
+                next += 1;
+                continue;
             }
             let env = ctx.recv();
             match env.msg {
                 SMsg::XFwd { cblk, data } => {
-                    if !self.fwd_x_seen.insert(cblk) {
-                        continue; // duplicate delivery
+                    if self.first_sight(self.x_bit(false, cblk)) {
+                        self.fwd_runs(ctx, cblk as usize, Some(&data));
+                        expected_left -= 1;
                     }
-                    self.fwd_blok_contributions(ctx, cblk as usize, &data);
-                    expected_left -= 1;
                 }
                 SMsg::FwdAub { cblk, data } => {
-                    if !self.fwd_aub_seen.insert((env.from, cblk)) {
-                        continue; // duplicate delivery
+                    if self.first_sight(self.aub_bit(false, env.from, cblk)) {
+                        self.add_aub(cblk, &data);
+                        self.fwd_count[cblk as usize] -= 1;
                     }
-                    let seg = self.x.get_mut(&cblk).expect("AUB for unowned segment");
-                    for (s, v) in seg.iter_mut().zip(&data) {
-                        *s -= *v;
-                    }
-                    *self.fwd_pending.get_mut(&cblk).unwrap() -= 1;
                 }
                 msg @ (SMsg::XBwd { .. } | SMsg::BwdAub { .. }) => {
                     // A peer that finished its forward sweep may already be
@@ -452,128 +338,52 @@ impl<T: Scalar> SolveWorker<'_, T> {
         }
     }
 
-    /// Diagonal forward solve of an owned cblk, then fan the segment out.
+    /// Forward step of an owned cblk: diagonal solve, fan the segment out,
+    /// the strips of this rank's own runs, then the division by `D`.
     fn fwd_solve_cblk<C: Comm<SMsg<T>> + ?Sized>(&mut self, ctx: &C, k: usize) {
         let _span = task_span(k as u32, TaskClass::FwdSolve);
-        let cb = &self.sym.cblks[k];
-        let w = cb.width();
-        let lda = self.storage.panel_lda(k);
-        let seg = self.x.get_mut(&(k as u32)).unwrap();
-        solve_unit_lower_panel(w, &self.storage.panels[k], lda, seg, self.nrhs, w);
-        // One shared materialization; every consumer send bumps a refcount.
-        let seg: Arc<[T]> = Arc::from(seg.as_slice());
-        // Ship to the owners of this cblk's off-diagonal bloks. Drops are
-        // retried; a closed peer is already unwinding (panic teardown).
-        for q in self.blok_owner_procs(k) {
-            let _ = ctx.send_resilient(q as usize, SMsg::XFwd { cblk: k as u32, data: seg.clone() });
-        }
-        // Process my own bloks of k immediately.
-        self.fwd_blok_contributions(ctx, k, &seg);
+        let seg = sweeps::segment(self.sym, k, self.nrhs);
+        sweeps::fwd_diag(self.sym, self.storage, k, &mut self.ws[seg.clone()], self.nrhs);
+        self.broadcast(ctx, k, self.routing.fwd_dst.row(k), |cblk, data| SMsg::XFwd { cblk, data });
+        self.fwd_runs(ctx, k, None);
+        sweeps::d_divide(self.storage, k, &mut self.ws[seg], self.nrhs);
     }
 
-    /// Computes `L_b · X_k` (an `h_b × nrhs` panel) for every blok of `k`
-    /// this processor owns and routes the contributions.
-    fn fwd_blok_contributions<C: Comm<SMsg<T>> + ?Sized>(&mut self, ctx: &C, k: usize, xk: &[T]) {
-        let cb = &self.sym.cblks[k];
-        let w = cb.width();
-        let nrhs = self.nrhs;
-        // Reused scratch: swapped out of the worker for the borrow's sake.
-        let mut contrib = std::mem::take(&mut self.scratch);
-        for b in cb.blok_start + 1..cb.blok_end {
-            if self.routing.blok_owner[b] != self.me {
-                continue;
-            }
-            let blok = &self.sym.bloks[b];
-            let hb = blok.nrows();
-            contrib.clear();
-            contrib.resize(hb * nrhs, T::zero());
-            match self.storage.blok_view(k, b - cb.blok_start, b) {
-                BlokView::Dense { data, ld } => {
-                    gemm_nn_acc(hb, nrhs, w, T::one(), data, ld, xk, w, &mut contrib, hb);
-                }
-                BlokView::LowRank(lr) => {
-                    lr_gemm_nn_acc(T::one(), lr.as_ref(), xk, nrhs, w, &mut contrib, hb);
-                }
-            }
-            let t = blok.fcblk as usize;
-            let tcb = &self.sym.cblks[t];
-            let width_t = tcb.width();
-            let off = (blok.frow - tcb.fcol) as usize;
-            let owner = self.routing.cblk_owner[t];
+    /// The strips `−L_run · X_k` of every run of `k` this rank owns, `X_k`
+    /// being the received segment or, for an owned `k`, the workspace's.
+    fn fwd_runs<C: Comm<SMsg<T>> + ?Sized>(&mut self, ctx: &C, k: usize, received: Option<&[T]>) {
+        let (sym, rt) = (self.sym, self.routing);
+        let (seg, later) = LaterSegments::split(sym, &mut self.ws, k, self.nrhs);
+        let xk = received.unwrap_or(seg);
+        let (count, owner) = (&mut self.fwd_count[..], &rt.cblk_owner[..]);
+        let mut sink = FanIn { later, sym, nrhs: self.nrhs, count, owner, me: self.me, ctx };
+        for &Run { owner, first, end, .. } in rt.runs_of(k) {
             if owner == self.me {
-                let seg = self.x.get_mut(&(t as u32)).expect("local target segment");
-                for r in 0..nrhs {
-                    let rows = &mut seg[r * width_t + off..r * width_t + off + hb];
-                    for (s, v) in rows.iter_mut().zip(&contrib[r * hb..(r + 1) * hb]) {
-                        *s -= *v;
-                    }
-                }
-                *self.fwd_pending.get_mut(&(t as u32)).unwrap() -= 1;
-            } else {
-                // One aggregated buffer per (me, target cblk); count my
-                // bloks facing t to know when it is complete.
-                let mine: u32 = self.routing.facing[t]
-                    .iter()
-                    .filter(|&&(bb, _)| self.routing.blok_owner[bb as usize] == self.me)
-                    .count() as u32;
-                let entry = self
-                    .fwd_aub_out
-                    .entry(t as u32)
-                    .or_insert_with(|| (vec![T::zero(); width_t * nrhs], mine));
-                for r in 0..nrhs {
-                    let rows = &mut entry.0[r * width_t + off..r * width_t + off + hb];
-                    for (s, v) in rows.iter_mut().zip(&contrib[r * hb..(r + 1) * hb]) {
-                        *s += *v;
-                    }
-                }
-                entry.1 -= 1;
-                if entry.1 == 0 {
-                    let (data, _) = self.fwd_aub_out.remove(&(t as u32)).unwrap();
-                    let _ = ctx.send_resilient(owner as usize, SMsg::FwdAub { cblk: t as u32, data });
-                }
+                let bloks = first as usize..end as usize;
+                sweeps::fwd_update(sym, self.storage, k, bloks, xk, self.nrhs, &mut self.scratch, &mut sink);
             }
         }
-        self.scratch = contrib;
     }
 
     // ------------------------------------------------------------------
-    // Backward sweep: D·z = y then Lᵀ·x = z, descending column blocks.
+    // Backward sweep: Lᵀ·x = z, owned column blocks in schedule order.
     // ------------------------------------------------------------------
 
     fn backward<C: Comm<SMsg<T>> + ?Sized>(&mut self, ctx: &C) {
-        let ns = self.sym.n_cblks();
-        // Expected final segments of cblks whose *facing* bloks I own.
-        let mut expected_left = 0usize;
-        for t in 0..ns {
-            if self.routing.cblk_owner[t] == self.me {
-                continue;
-            }
-            if self.routing.facing[t]
-                .iter()
-                .any(|&(b, _)| self.routing.blok_owner[b as usize] == self.me)
-            {
-                expected_left += 1;
-            }
-        }
+        let rt = self.routing;
+        let own = rt.bwd_order.row(self.me as usize);
+        let mut expected_left = rt.bwd_expect[self.me as usize];
         // First replay any backward traffic that overtook our forward sweep.
-        let early = std::mem::take(&mut self.bwd_early);
-        for (from, msg) in early {
+        for (from, msg) in std::mem::take(&mut self.bwd_early) {
             self.handle_bwd(ctx, from, msg, &mut expected_left);
         }
-        let own: Vec<u32> = (0..ns as u32)
-            .rev()
-            .filter(|&k| self.routing.cblk_owner[k as usize] == self.me)
-            .collect();
         let mut next = 0usize;
         while next < own.len() || expected_left > 0 {
-            if next < own.len() {
-                let k = own[next];
-                if self.bwd_pending.get(&k).copied().unwrap_or(0) == 0 {
-                    self.bwd_solve_cblk(ctx, k as usize);
-                    self.note_task_done();
-                    next += 1;
-                    continue;
-                }
+            if next < own.len() && self.bwd_count[own[next] as usize] == 0 {
+                self.bwd_solve_cblk(ctx, own[next] as usize);
+                self.note_task_done();
+                next += 1;
+                continue;
             }
             let env = ctx.recv();
             self.handle_bwd(ctx, env.from, env.msg, &mut expected_left);
@@ -589,130 +399,63 @@ impl<T: Scalar> SolveWorker<'_, T> {
         ctx: &C,
         from: usize,
         msg: SMsg<T>,
-        expected_left: &mut usize,
+        expected_left: &mut u32,
     ) {
         match msg {
             SMsg::XBwd { cblk, data } => {
-                if !self.bwd_x_seen.insert(cblk) {
-                    return; // duplicate delivery
+                if self.first_sight(self.x_bit(true, cblk)) {
+                    self.ws[sweeps::segment(self.sym, cblk as usize, self.nrhs)].copy_from_slice(&data);
+                    self.segment_solved(ctx, cblk as usize);
+                    *expected_left -= 1;
                 }
-                self.bwd_blok_partials(ctx, cblk as usize, &data);
-                *expected_left -= 1;
             }
             SMsg::BwdAub { cblk, data } => {
-                if !self.bwd_aub_seen.insert((from, cblk)) {
-                    return; // duplicate delivery
+                if self.first_sight(self.aub_bit(true, from, cblk)) {
+                    self.add_aub(cblk, &data);
+                    self.bwd_count[cblk as usize] -= 1;
                 }
-                let buf = self
-                    .bwd_partial_in
-                    .entry(cblk)
-                    .or_insert_with(|| vec![T::zero(); data.len()]);
-                for (s, v) in buf.iter_mut().zip(&data) {
-                    *s += *v;
-                }
-                *self.bwd_pending.get_mut(&cblk).unwrap() -= 1;
             }
             SMsg::XFwd { .. } | SMsg::FwdAub { .. } => {}
         }
     }
 
-    /// Backward step of an owned cblk: divide by D, subtract the (already
-    /// received) partials, solve the transposed unit diagonal, broadcast.
+    /// Backward step of an owned cblk — every partial, local or remote,
+    /// was already subtracted in place: the transposed diagonal solve,
+    /// then fan the solved segment out.
     fn bwd_solve_cblk<C: Comm<SMsg<T>> + ?Sized>(&mut self, ctx: &C, k: usize) {
         let _span = task_span(k as u32, TaskClass::BwdSolve);
-        let cb = &self.sym.cblks[k];
-        let w = cb.width();
-        let lda = self.storage.panel_lda(k);
-        let panel = &self.storage.panels[k];
-        let seg = self.x.get_mut(&(k as u32)).unwrap();
-        // Order matters: D-divide the forward values first, then subtract
-        // the buffered `Lᵀ·x` partials, then the transposed diagonal solve
-        // — exactly the sequential sweep. All partials (local and remote)
-        // were buffered in `bwd_partial_in`, never applied early.
-        for t in 0..w {
-            let dinv = panel[t + t * lda].recip();
-            for r in 0..self.nrhs {
-                seg[r * w + t] *= dinv;
-            }
-        }
-        if let Some(pbuf) = self.bwd_partial_in.remove(&(k as u32)) {
-            for (s, v) in seg.iter_mut().zip(&pbuf) {
-                *s -= *v;
-            }
-        }
-        solve_unit_lower_trans_panel(w, panel, lda, seg, self.nrhs, w);
-        // One shared materialization; every consumer send bumps a refcount.
-        let seg: Arc<[T]> = Arc::from(seg.as_slice());
-        for q in self.facing_owner_procs(k) {
-            let _ = ctx.send_resilient(q as usize, SMsg::XBwd { cblk: k as u32, data: seg.clone() });
-        }
-        self.bwd_blok_partials(ctx, k, &seg);
+        let seg = sweeps::segment(self.sym, k, self.nrhs);
+        sweeps::bwd_diag(self.sym, self.storage, k, &mut self.ws[seg], self.nrhs);
+        self.broadcast(ctx, k, self.routing.bwd_dst.row(k), |cblk, data| SMsg::XBwd { cblk, data });
+        self.segment_solved(ctx, k);
     }
 
-    /// Computes `L_bᵀ · X_rows` (a `w × nrhs` panel) for every blok facing
-    /// `t` this processor owns and routes the partials toward the blok's
-    /// source cblk.
-    fn bwd_blok_partials<C: Comm<SMsg<T>> + ?Sized>(&mut self, ctx: &C, t: usize, xt: &[T]) {
-        let tcb = &self.sym.cblks[t];
-        let w_t = tcb.width();
-        let nrhs = self.nrhs;
-        // Iterate bloks facing t that I own; each belongs to a source cblk
-        // k < t and contributes to x_k.
-        let facing: Vec<(u32, u32)> = self.routing.facing[t]
-            .iter()
-            .copied()
-            .filter(|&(b, _)| self.routing.blok_owner[b as usize] == self.me)
-            .collect();
-        // Reused scratch: swapped out of the worker for the borrow's sake.
-        let mut partial = std::mem::take(&mut self.scratch);
-        for (b, k) in facing {
-            let b = b as usize;
-            let k = k as usize;
-            let blok = &self.sym.bloks[b];
-            let hb = blok.nrows();
-            let w = self.sym.cblks[k].width();
-            let off = (blok.frow - tcb.fcol) as usize;
-            partial.clear();
-            partial.resize(w * nrhs, T::zero());
-            match self.storage.blok_view(k, b - self.sym.cblks[k].blok_start, b) {
-                BlokView::Dense { data, ld } => {
-                    gemm_tn_acc(w, nrhs, hb, T::one(), data, ld, &xt[off..], w_t, &mut partial, w);
-                }
-                BlokView::LowRank(lr) => {
-                    lr_gemm_tn_acc(T::one(), lr.as_ref(), &xt[off..], nrhs, w_t, &mut partial, w);
-                }
+    /// The solved segment of `t` is in the workspace: every run of this
+    /// rank that was waiting only for it gathers its rows and computes
+    /// `−L_runᵀ · G` into its column block's segment — in place for an
+    /// owned one, as the outgoing aggregate otherwise.
+    fn segment_solved<C: Comm<SMsg<T>> + ?Sized>(&mut self, ctx: &C, t: usize) {
+        let (sym, rt, nrhs) = (self.sym, self.routing, self.nrhs);
+        for &r in rt.wakes.row(t) {
+            let Run { owner, cblk, first, end } = rt.runs[r as usize];
+            if owner != self.me {
+                continue;
             }
-            let owner = self.routing.cblk_owner[k];
-            if owner == self.me {
-                // Buffer locally; folded in at the cblk's backward step so
-                // the D division always precedes the subtraction.
-                let buf = self
-                    .bwd_partial_in
-                    .entry(k as u32)
-                    .or_insert_with(|| vec![T::zero(); w * nrhs]);
-                for (s, v) in buf.iter_mut().zip(&partial) {
-                    *s += *v;
-                }
-                *self.bwd_pending.get_mut(&(k as u32)).unwrap() -= 1;
-            } else {
-                let mine: u32 = (self.sym.cblks[k].blok_start + 1..self.sym.cblks[k].blok_end)
-                    .filter(|&bb| self.routing.blok_owner[bb] == self.me)
-                    .count() as u32;
-                let entry = self
-                    .bwd_aub_out
-                    .entry(k as u32)
-                    .or_insert_with(|| (vec![T::zero(); w * nrhs], mine));
-                for (s, v) in entry.0.iter_mut().zip(&partial) {
-                    *s += *v;
-                }
-                entry.1 -= 1;
-                if entry.1 == 0 {
-                    let (data, _) = self.bwd_aub_out.remove(&(k as u32)).unwrap();
-                    let _ = ctx.send_resilient(owner as usize, SMsg::BwdAub { cblk: k as u32, data });
-                }
+            self.run_wait[r as usize] -= 1;
+            if self.run_wait[r as usize] > 0 {
+                continue;
+            }
+            let k = cblk as usize;
+            let (seg, later) = LaterSegments::split(sym, &mut self.ws, k, nrhs);
+            let gather = |b: usize, dst: &mut [T]| later.copy_rows(b, dst);
+            let bloks = first as usize..end as usize;
+            sweeps::bwd_update(sym, self.storage, k, bloks, nrhs, &mut self.scratch, gather, seg);
+            self.bwd_count[k] -= 1;
+            if self.bwd_count[k] == 0 && rt.cblk_owner[k] != self.me {
+                let data = seg.to_vec();
+                let _ = ctx.send_resilient(rt.cblk_owner[k] as usize, SMsg::BwdAub { cblk, data });
             }
         }
-        self.scratch = partial;
     }
 }
 
@@ -739,12 +482,25 @@ mod tests {
         (ap, mapping, st)
     }
 
+    /// Panel solve under `sched`, routing built the way a plan builds it.
+    fn solve(
+        mapping: &pastix_sched::Mapping,
+        sched: &pastix_sched::Schedule,
+        st: &FactorStorage<f64>,
+        b: &[f64],
+        nrhs: usize,
+        cfg: &SolverConfig,
+    ) -> Vec<f64> {
+        let plan = crate::solve_plan::SolvePlan::build(&mapping.graph, Some(sched));
+        let routing = plan.routing.as_ref().expect("built from a schedule");
+        solve_panel_static(&mapping.graph.split.symbol, st, routing, sched.digest(), b, nrhs, None, cfg).0
+    }
+
     fn check(ap: &pastix_graph::SymCsc<f64>, mapping: &pastix_sched::Mapping, st: &FactorStorage<f64>) {
         let sym = &mapping.graph.split.symbol;
         let x_exact = canonical_solution::<f64>(ap.n());
         let b = rhs_for_solution(ap, &x_exact);
-        let x_par =
-            solve_panel_static(sym, st, &mapping.graph, &mapping.schedule, &b, 1, &SolverConfig::default()).0;
+        let x_par = solve(mapping, &mapping.schedule, st, &b, 1, &SolverConfig::default());
         let mut x_seq = b.clone();
         solve_in_place(sym, st, &mut x_seq);
         for (u, v) in x_par.iter().zip(&x_seq) {
@@ -776,10 +532,9 @@ mod tests {
         let (ap, mapping, st) = setup(8, 8, 1, 3, DistStrategy::Mixed1d2d);
         let machine = pastix_machine::MachineModel::sp2(3);
         let cyc = pastix_sched::cyclic_schedule(&mapping.graph, &machine);
-        let sym = &mapping.graph.split.symbol;
         let x_exact = canonical_solution::<f64>(ap.n());
         let b = rhs_for_solution(&ap, &x_exact);
-        let x = solve_panel_static(sym, &st, &mapping.graph, &cyc, &b, 1, &SolverConfig::default()).0;
+        let x = solve(&mapping, &cyc, &st, &b, 1, &SolverConfig::default());
         assert!(ap.residual_norm(&x, &b) < 1e-12);
     }
 
@@ -805,16 +560,7 @@ mod tests {
                     let b = rhs_for_solution(&ap, &x_exact);
                     panel[r * n..(r + 1) * n].copy_from_slice(&b);
                 }
-                let x_panel = solve_panel_static(
-                    sym,
-                    &st,
-                    &mapping.graph,
-                    &mapping.schedule,
-                    &panel,
-                    nrhs,
-                    &SolverConfig::default(),
-                )
-                .0;
+                let x_panel = solve(&mapping, &mapping.schedule, &st, &panel, nrhs, &SolverConfig::default());
                 for r in 0..nrhs {
                     let mut x_seq = panel[r * n..(r + 1) * n].to_vec();
                     solve_in_place(sym, &st, &mut x_seq);
@@ -834,14 +580,13 @@ mod tests {
         // On the deterministic sim backend the nrhs = 1 panel path must be
         // bit-for-bit the classic single-RHS solve.
         let (ap, mapping, st) = setup(8, 8, 1, 4, DistStrategy::Mixed1d2d);
-        let sym = &mapping.graph.split.symbol;
         let x_exact = canonical_solution::<f64>(ap.n());
         let b = rhs_for_solution(&ap, &x_exact);
         let cfg = SolverConfig::default().with_backend(pastix_runtime::Backend::Sim(
             pastix_runtime::sim::FaultPlan::interleave_only(11),
         ));
-        let x1 = solve_panel_static(sym, &st, &mapping.graph, &mapping.schedule, &b, 1, &cfg).0;
-        let xp = solve_panel_static(sym, &st, &mapping.graph, &mapping.schedule, &b, 1, &cfg).0;
+        let x1 = solve(&mapping, &mapping.schedule, &st, &b, 1, &cfg);
+        let xp = solve(&mapping, &mapping.schedule, &st, &b, 1, &cfg);
         assert_eq!(x1, xp);
     }
 }

@@ -7,12 +7,11 @@
 //! The parallel solver must produce the same factor; tests enforce it.
 
 use crate::compress::CompressionConfig;
-use crate::storage::{pair_target, BlokView, FactorStorage, PanelLayout};
+use crate::storage::{pair_target, FactorStorage, PanelLayout};
+use crate::sweeps::{self, LaterSegments};
 use crate::tasks::{self, ContribSink, Scratch};
 use pastix_kernels::factor::FactorError;
-use pastix_kernels::{
-    gemm_nn_acc, lr_gemm_nn_acc, lr_gemm_tn_acc, solve_unit_lower, solve_unit_lower_trans, Scalar,
-};
+use pastix_kernels::Scalar;
 use pastix_symbolic::SymbolMatrix;
 
 /// The sequential driver's contribution sink: every target is a later
@@ -62,120 +61,34 @@ pub fn solve_in_place<T: Scalar>(sym: &SymbolMatrix, storage: &FactorStorage<T>,
 /// Blocked multi-right-hand-side solve: `X`/`B` is `n × nrhs` column-major
 /// (leading dimension `n`). The sweeps run all columns together, turning
 /// the per-block updates into GEMMs — the standard way to amortize the
-/// factor traffic over many right-hand sides.
+/// factor traffic over many right-hand sides. The sequential driver of
+/// [`crate::sweeps`]: a plain loop up the column blocks, then down.
 pub fn solve_block_in_place<T: Scalar>(
     sym: &SymbolMatrix,
     storage: &FactorStorage<T>,
     x: &mut [T],
     nrhs: usize,
 ) {
-    let n = sym.n;
-    assert_eq!(x.len(), n * nrhs);
+    assert_eq!(x.len(), sym.n * nrhs);
     if nrhs == 0 {
         return;
     }
-    let mut xk: Vec<T> = Vec::new();
-    let mut tmp: Vec<T> = Vec::new();
-    // Forward: L Y = B for all columns at once.
-    for k in 0..sym.n_cblks() {
-        let cb = &sym.cblks[k];
-        let w = cb.width();
-        let lda = storage.panel_lda(k);
-        let panel = &storage.panels[k];
-        let fcol = cb.fcol as usize;
-        // Gather the segment rows (strided by n across rhs columns).
-        xk.clear();
-        xk.resize(w * nrhs, T::zero());
-        for r in 0..nrhs {
-            for t in 0..w {
-                xk[t + r * w] = x[fcol + t + r * n];
-            }
-        }
-        solve_unit_lower(w, panel, lda, &mut xk, nrhs, w);
-        for r in 0..nrhs {
-            for t in 0..w {
-                x[fcol + t + r * n] = xk[t + r * w];
-            }
-        }
-        for b in cb.blok_start + 1..cb.blok_end {
-            let blok = &sym.bloks[b];
-            let hb = blok.nrows();
-            let fr = blok.frow as usize;
-            // C (hb × nrhs, strided ldc = n inside x) -= L_b · X_k.
-            match storage.blok_view(k, b - cb.blok_start, b) {
-                BlokView::Dense { data, ld } => {
-                    gemm_nn_acc(hb, nrhs, w, -T::one(), data, ld, &xk, w, &mut x[fr..], n);
-                }
-                BlokView::LowRank(lr) => {
-                    lr_gemm_nn_acc(-T::one(), lr.as_ref(), &xk, nrhs, w, &mut x[fr..], n);
-                }
-            }
-        }
+    let ns = sym.n_cblks();
+    let mut ws = vec![T::zero(); x.len()];
+    for k in 0..ns {
+        sweeps::load_segment(sym, k, None, x, nrhs, &mut ws[sweeps::segment(sym, k, nrhs)]);
     }
-    // Diagonal.
-    for k in 0..sym.n_cblks() {
-        let cb = &sym.cblks[k];
-        let lda = storage.panel_lda(k);
-        let panel = &storage.panels[k];
-        for t in 0..cb.width() {
-            let dinv = panel[t + t * lda].recip();
-            for r in 0..nrhs {
-                x[cb.fcol as usize + t + r * n] *= dinv;
-            }
-        }
+    let mut scratch = sweeps::Scratch::default();
+    for k in 0..ns {
+        let (seg, mut later) = LaterSegments::split(sym, &mut ws, k, nrhs);
+        sweeps::fwd_step(sym, storage, k, seg, nrhs, &mut scratch, &mut later);
     }
-    // Backward: Lᵀ X = Z.
-    for k in (0..sym.n_cblks()).rev() {
-        let cb = &sym.cblks[k];
-        let w = cb.width();
-        let lda = storage.panel_lda(k);
-        let panel = &storage.panels[k];
-        let fcol = cb.fcol as usize;
-        for b in cb.blok_start + 1..cb.blok_end {
-            let blok = &sym.bloks[b];
-            let hb = blok.nrows();
-            let fr = blok.frow as usize;
-            match storage.blok_view(k, b - cb.blok_start, b) {
-                BlokView::Dense { data, ld } => {
-                    for r in 0..nrhs {
-                        for t in 0..w {
-                            let mut acc = T::zero();
-                            let col = &data[t * ld..t * ld + hb];
-                            for (rr, &l) in col.iter().enumerate() {
-                                acc += l * x[fr + rr + r * n];
-                            }
-                            x[fcol + t + r * n] -= acc;
-                        }
-                    }
-                }
-                BlokView::LowRank(lr) => {
-                    // Accumulate Vᵀ-side partials in a compact buffer first
-                    // (the strided source and destination columns of `x`
-                    // interleave, so the product cannot run in place).
-                    tmp.clear();
-                    tmp.resize(w * nrhs, T::zero());
-                    lr_gemm_tn_acc(T::one(), lr.as_ref(), &x[fr..], nrhs, n, &mut tmp, w);
-                    for r in 0..nrhs {
-                        for t in 0..w {
-                            x[fcol + t + r * n] -= tmp[t + r * w];
-                        }
-                    }
-                }
-            }
-        }
-        xk.clear();
-        xk.resize(w * nrhs, T::zero());
-        for r in 0..nrhs {
-            for t in 0..w {
-                xk[t + r * w] = x[fcol + t + r * n];
-            }
-        }
-        solve_unit_lower_trans(w, panel, lda, &mut xk, nrhs, w);
-        for r in 0..nrhs {
-            for t in 0..w {
-                x[fcol + t + r * n] = xk[t + r * w];
-            }
-        }
+    for k in (0..ns).rev() {
+        let (seg, later) = LaterSegments::split(sym, &mut ws, k, nrhs);
+        sweeps::bwd_step(sym, storage, k, seg, nrhs, &mut scratch, |b, dst| later.copy_rows(b, dst));
+    }
+    for k in 0..ns {
+        sweeps::store_segment(sym, k, None, &ws[sweeps::segment(sym, k, nrhs)], nrhs, x);
     }
 }
 

@@ -63,6 +63,9 @@ pub enum FlightKind {
     PhaseFence = 8,
     /// Free-form marker (`a`, `b` caller-defined).
     Mark = 9,
+    /// A request was refused before it reached the solver (`a` = request
+    /// id, `b` = reason code); it is no longer in flight.
+    RequestRejected = 10,
 }
 
 impl FlightKind {
@@ -79,6 +82,7 @@ impl FlightKind {
             FlightKind::RankPanic => "rank_panic",
             FlightKind::PhaseFence => "phase_fence",
             FlightKind::Mark => "mark",
+            FlightKind::RequestRejected => "request_rejected",
         }
     }
 
@@ -94,6 +98,7 @@ impl FlightKind {
             7 => "rank_panic",
             8 => "phase_fence",
             9 => "mark",
+            10 => "request_rejected",
             _ => "unknown",
         }
     }
@@ -211,7 +216,7 @@ pub fn snapshot() -> Vec<FlightEvent> {
 }
 
 /// Request ids admitted but not completed, per the retained ring: a
-/// `RequestStart` with no later `RequestEnd`. (A start whose end was
+/// `RequestStart` with no later `RequestEnd` or `RequestRejected`. (A start whose end was
 /// overwritten can be misreported as in flight — the black box keeps the
 /// *recent* truth, which is the one incidents need.)
 pub fn requests_in_flight() -> Vec<u64> {
@@ -220,7 +225,7 @@ pub fn requests_in_flight() -> Vec<u64> {
     for ev in &evs {
         if ev.kind == FlightKind::RequestStart as u8 {
             open.push(ev.a);
-        } else if ev.kind == FlightKind::RequestEnd as u8 {
+        } else if ev.kind == FlightKind::RequestEnd as u8 || ev.kind == FlightKind::RequestRejected as u8 {
             if let Some(i) = open.iter().position(|&id| id == ev.a) {
                 open.remove(i);
             }

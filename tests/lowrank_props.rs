@@ -138,22 +138,29 @@ proptest! {
         let dense = lr.decompress();
         let scale = frob(&dense).max(1.0);
 
+        // The low-rank solve products keep their right-hand sides
+        // interleaved (row by row); the dense oracles are column-major.
+        let rows = |p: &[f64], h: usize| -> Vec<f64> {
+            (0..h * nrhs).map(|i| p[i / nrhs + (i % nrhs) * h]).collect()
+        };
+        let mut scratch = Vec::new();
+
         let x = vals.fill(n * nrhs);
         let y0 = vals.fill(m * nrhs);
         let mut y_want = y0.clone();
         gemm_nn_acc(m, nrhs, n, 1.5, &dense, m, &x, n, &mut y_want, m);
-        let mut y = y0;
-        lr_gemm_nn_acc(1.5, lr.as_ref(), &x, nrhs, n, &mut y, m);
-        let dy: Vec<f64> = y.iter().zip(&y_want).map(|(a, b)| a - b).collect();
+        let mut y = rows(&y0, m);
+        lr_gemm_nn_acc(1.5, lr.as_ref(), &rows(&x, n), nrhs, &mut y, &mut scratch);
+        let dy: Vec<f64> = y.iter().zip(&rows(&y_want, m)).map(|(a, b)| a - b).collect();
         prop_assert!(frob(&dy) <= 1e-9 * scale, "forward product error {}", frob(&dy));
 
         let b = vals.fill(m * nrhs);
         let c0 = vals.fill(n * nrhs);
         let mut c_want = c0.clone();
         gemm_tn_acc(n, nrhs, m, -1.0, &dense, m, &b, m, &mut c_want, n);
-        let mut c = c0;
-        lr_gemm_tn_acc(-1.0, lr.as_ref(), &b, nrhs, m, &mut c, n);
-        let dc: Vec<f64> = c.iter().zip(&c_want).map(|(a, b)| a - b).collect();
+        let mut c = rows(&c0, n);
+        lr_gemm_tn_acc(-1.0, lr.as_ref(), &rows(&b, m), nrhs, &mut c, &mut scratch);
+        let dc: Vec<f64> = c.iter().zip(&rows(&c_want, n)).map(|(a, b)| a - b).collect();
         prop_assert!(frob(&dc) <= 1e-9 * scale, "transpose product error {}", frob(&dc));
     }
 }

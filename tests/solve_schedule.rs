@@ -147,3 +147,28 @@ fn solve_traces_are_byte_identical_for_fixed_seed_and_policy() {
         }
     }
 }
+
+/// The solve follows a plan computed once: ten solves of mixed width on
+/// one factor run, then solves on a second run of the same `Plan` (both
+/// backends that have a solve engine), leave `solver.solve_plan_builds`
+/// at one.
+#[test]
+fn solve_plan_is_built_once_per_plan() {
+    let (ap, mapping) = setup(3);
+    let plan = Plan::from_parts(None, mapping.graph.clone(), Some(mapping.schedule.clone()));
+    let cfg = SolverConfig::new();
+    let run = plan.factorize(&ap, &cfg).expect("factorization");
+    assert_eq!(cfg.metrics.counter("solver.solve_plan_builds"), 0, "built by the first solve, not before");
+    let n = ap.n();
+    let b: Vec<f64> = (0..9 * n).map(|i| 1.0 + (i % 11) as f64).collect();
+    for k in [1usize, 8, 3, 1, 9, 2, 8, 1, 4, 8] {
+        let x = run.solve_panel(&b[..k * n], k);
+        assert_eq!(x.len(), k * n);
+    }
+    assert_eq!(cfg.metrics.counter("solver.solve_plan_builds"), 1);
+    let dynamic = cfg.clone().with_backend(Backend::Dynamic(Default::default()));
+    let second = plan.factorize(&ap, &dynamic).expect("second factorization");
+    second.solve(&b[..n]);
+    run.solve(&b[..n]);
+    assert_eq!(cfg.metrics.counter("solver.solve_plan_builds"), 1, "two runs of one plan share it");
+}
