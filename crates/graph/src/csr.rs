@@ -21,6 +21,55 @@ pub struct CsrGraph {
     adjncy: Vec<u32>,
 }
 
+/// The empty graph (no vertices): the starting state of a reusable
+/// [`CsrGraph::induced_subgraph_into`] output buffer.
+impl Default for CsrGraph {
+    fn default() -> Self {
+        Self { xadj: vec![0], adjncy: Vec::new() }
+    }
+}
+
+/// A reusable global→local vertex map: entries are stamped with the epoch
+/// of the [`VertexMap::begin`] that wrote them, so starting a new map
+/// costs nothing — the array is sized (and zeroed) once, at the first
+/// `begin`, not per subgraph.
+#[derive(Debug, Default)]
+pub struct VertexMap {
+    /// `epoch << 32 | local id`; live only while the epoch is current.
+    slot: Vec<u64>,
+    epoch: u32,
+}
+
+impl VertexMap {
+    /// Forgets every entry and makes room for global ids below `n`.
+    pub fn begin(&mut self, n: usize) {
+        if self.slot.len() < n {
+            self.slot.resize(n, 0);
+        }
+        self.epoch = self.epoch.wrapping_add(1);
+        if self.epoch == 0 {
+            // Wrapped after 2³² maps: stamps of the first epochs could
+            // read as current again.
+            self.slot.fill(0);
+            self.epoch = 1;
+        }
+    }
+
+    /// Maps global vertex `g` to `local`.
+    #[inline]
+    pub fn set(&mut self, g: u32, local: u32) {
+        self.slot[g as usize] = (self.epoch as u64) << 32 | local as u64;
+    }
+
+    /// Local id of global vertex `g`, if it was [`VertexMap::set`] since
+    /// the last [`VertexMap::begin`].
+    #[inline]
+    pub fn get(&self, g: u32) -> Option<u32> {
+        let s = self.slot[g as usize];
+        ((s >> 32) as u32 == self.epoch).then_some(s as u32)
+    }
+}
+
 impl CsrGraph {
     /// Builds from raw CSR arrays. Panics if the structure is malformed
     /// (unsorted neighbor lists, self-loops, asymmetry are *not* checked
@@ -171,22 +220,27 @@ impl CsrGraph {
     /// unique). Returns the subgraph together with the local→global map
     /// (`verts` itself serves as that map).
     pub fn induced_subgraph(&self, verts: &[u32]) -> CsrGraph {
-        let mut local = vec![u32::MAX; self.n()];
+        let mut out = CsrGraph::default();
+        self.induced_subgraph_into(verts, &mut VertexMap::default(), &mut out);
+        out
+    }
+
+    /// [`CsrGraph::induced_subgraph`] for callers that extract many
+    /// subgraphs of one graph (nested dissection): `map` and the arrays of
+    /// `out` are reused, so a call costs the rows it reads and nothing
+    /// proportional to `self.n()` once `map` has been sized.
+    pub fn induced_subgraph_into(&self, verts: &[u32], map: &mut VertexMap, out: &mut CsrGraph) {
+        map.begin(self.n());
         for (loc, &g) in verts.iter().enumerate() {
-            local[g as usize] = loc as u32;
+            map.set(g, loc as u32);
         }
-        let mut xadj = vec![0usize; verts.len() + 1];
-        let mut adjncy = Vec::new();
-        for (loc, &g) in verts.iter().enumerate() {
-            for &v in self.neighbors(g as usize) {
-                let lv = local[v as usize];
-                if lv != u32::MAX {
-                    adjncy.push(lv);
-                }
-            }
-            xadj[loc + 1] = adjncy.len();
+        out.xadj.clear();
+        out.xadj.push(0);
+        out.adjncy.clear();
+        for &g in verts {
+            out.adjncy.extend(self.neighbors(g as usize).iter().filter_map(|&v| map.get(v)));
+            out.xadj.push(out.adjncy.len());
         }
-        CsrGraph { xadj, adjncy }
     }
 
     /// Connected components; returns `(component id per vertex, count)`.

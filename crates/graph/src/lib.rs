@@ -21,7 +21,7 @@ pub mod par;
 pub mod perm;
 pub mod problems;
 
-pub use csr::CsrGraph;
+pub use csr::{CsrGraph, VertexMap};
 pub use par::Parallelism;
 pub use matrix::{canonical_solution, rhs_for_solution, SymCsc};
 pub use perm::Permutation;

@@ -5,6 +5,15 @@
 //! FM refinement on the way back up — followed by vertex-separator
 //! extraction from the edge cut via a König vertex cover (maximum bipartite
 //! matching on the cut edges). Used by the nested dissection driver.
+//!
+//! All of it runs on a [`BisectWorkspace`]: the stack of coarse graphs,
+//! the matching / visit / accumulator arrays, the partition and the König
+//! scratch are buffers that grow to the largest graph they have seen and
+//! are then only refilled, so the nested dissection driver (one workspace
+//! per worker) pays for memory once, not once per bisection. The public
+//! functions run on a workspace of their own. Nothing here depends on what
+//! a buffer held before: every array is rewritten for the prefix a call
+//! reads.
 
 use pastix_graph::CsrGraph;
 use rand::rngs::SmallRng;
@@ -44,86 +53,171 @@ pub struct SeparatorResult {
     pub counts: [usize; 3],
 }
 
-/// Weighted graph used internally during coarsening.
-#[derive(Clone)]
-struct WGraph {
-    xadj: Vec<usize>,
-    adjncy: Vec<u32>,
+/// One level of the multilevel scheme: a weighted graph borrowed either
+/// from the caller (level 0, unit weights) or from a [`Level`].
+#[derive(Clone, Copy)]
+struct WGraph<'a> {
+    xadj: &'a [usize],
+    adjncy: &'a [u32],
     /// Edge weights parallel to `adjncy`.
-    ewgt: Vec<u32>,
+    ewgt: &'a [u32],
     /// Vertex weights.
-    vwgt: Vec<u32>,
+    vwgt: &'a [u32],
 }
 
-impl WGraph {
-    fn from_csr(g: &CsrGraph) -> Self {
-        WGraph {
-            xadj: g.xadj().to_vec(),
-            adjncy: g.adjncy().to_vec(),
-            ewgt: vec![1; g.n_adj()],
-            vwgt: vec![1; g.n()],
-        }
-    }
-
+impl<'a> WGraph<'a> {
     fn n(&self) -> usize {
         self.vwgt.len()
     }
 
-    fn total_vwgt(&self) -> u64 {
-        self.vwgt.iter().map(|&w| w as u64).sum()
+    fn neighbors(&self, u: usize) -> impl Iterator<Item = (u32, u32)> + 'a {
+        let row = self.xadj[u]..self.xadj[u + 1];
+        self.adjncy[row.clone()].iter().copied().zip(self.ewgt[row].iter().copied())
     }
+}
 
-    fn neighbors(&self, u: usize) -> impl Iterator<Item = (u32, u32)> + '_ {
-        self.adjncy[self.xadj[u]..self.xadj[u + 1]]
-            .iter()
-            .copied()
-            .zip(self.ewgt[self.xadj[u]..self.xadj[u + 1]].iter().copied())
+/// Buffers of one coarse graph and the map that produced it.
+#[derive(Default)]
+struct Level {
+    xadj: Vec<usize>,
+    adjncy: Vec<u32>,
+    ewgt: Vec<u32>,
+    vwgt: Vec<u32>,
+    /// Vertex of the next finer level → vertex of this one.
+    cmap: Vec<u32>,
+}
+
+impl Level {
+    fn graph(&self) -> WGraph<'_> {
+        WGraph { xadj: &self.xadj, adjncy: &self.adjncy, ewgt: &self.ewgt, vwgt: &self.vwgt }
     }
+}
+
+/// Every buffer a bisection and a separator extraction need, reusable
+/// across calls on graphs of any size (see the module docs).
+#[derive(Default)]
+pub(crate) struct BisectWorkspace {
+    /// The unit weights of level 0: all ones, only ever extended.
+    ones: Vec<u32>,
+    /// Coarse graphs, finest first; entries past the current depth are
+    /// spare buffers from earlier calls.
+    levels: Vec<Level>,
+    /// Matching partner per fine vertex (coarsening).
+    match_of: Vec<u32>,
+    /// Random visit order (coarsening), then the BFS queue (growing).
+    queue: Vec<u32>,
+    /// First-visited member of each coarse vertex.
+    rep: Vec<u32>,
+    /// Coarse neighbour → its slot in the row being accumulated.
+    accum: Vec<u32>,
+    seen: Vec<bool>,
+    /// The result: 0 / 1 per vertex after [`bisect`], 2 on the separator
+    /// after [`separator`].
+    pub(crate) part: Vec<u8>,
+    part_fine: Vec<u8>,
+    /// Boundary vertices of side 0 and side 1.
+    b0: Vec<u32>,
+    b1: Vec<u32>,
+    /// Vertex → its index in `b1`.
+    idx1: Vec<u32>,
+    /// Cut edges as a CSR from `b0` indices to `b1` indices.
+    cut_ptr: Vec<usize>,
+    cut: Vec<u32>,
+    match0: Vec<u32>,
+    match1: Vec<u32>,
+    /// Augmenting-path round that last visited each `b1` index.
+    round: Vec<u32>,
+    reached0: Vec<bool>,
+    reached1: Vec<bool>,
+    stack: Vec<u32>,
+}
+
+/// Clears `v` and refills it with `n` copies of `x`, keeping its capacity.
+fn refill<T: Clone>(v: &mut Vec<T>, n: usize, x: T) {
+    v.clear();
+    v.resize(n, x);
 }
 
 /// Computes an edge bisection of `g`: returns `part[v] ∈ {0, 1}`.
 pub fn edge_bisection(g: &CsrGraph, opts: &BisectOptions) -> Vec<u8> {
-    let wg = WGraph::from_csr(g);
-    let mut rng = SmallRng::seed_from_u64(opts.seed);
-    multilevel(&wg, opts, &mut rng, 0)
+    let mut ws = BisectWorkspace::default();
+    bisect(&mut ws, g, opts, opts.seed);
+    ws.part
 }
 
-fn multilevel(wg: &WGraph, opts: &BisectOptions, rng: &mut SmallRng, depth: usize) -> Vec<u8> {
-    let n = wg.n();
-    if n <= opts.coarse_target || depth > 64 {
-        let mut part = initial_bisection(wg, rng);
-        refine(wg, &mut part, opts);
-        return part;
+/// Multilevel edge bisection of `g` into `ws.part`; `seed` replaces
+/// `opts.seed` (the nested dissection driver reseeds every node).
+fn bisect(ws: &mut BisectWorkspace, g: &CsrGraph, opts: &BisectOptions, seed: u64) {
+    let (n, nnz) = (g.n(), g.n_adj());
+    if ws.ones.len() < n.max(nnz) {
+        ws.ones.resize(n.max(nnz), 1);
     }
-    // Heavy-edge matching.
-    let (coarse, map) = coarsen(wg, rng);
-    if coarse.n() as f64 > n as f64 * 0.95 {
-        // Coarsening stalled (e.g. star graphs) — bisect directly.
-        let mut part = initial_bisection(wg, rng);
-        refine(wg, &mut part, opts);
-        return part;
+    let g0 = WGraph { xadj: g.xadj(), adjncy: g.adjncy(), ewgt: &ws.ones[..nnz], vwgt: &ws.ones[..n] };
+    let mut rng = SmallRng::seed_from_u64(seed);
+
+    // Down: heavy-edge matching until the graph is small or stops shrinking.
+    let mut depth = 0;
+    loop {
+        if ws.levels.len() == depth {
+            ws.levels.push(Level::default());
+        }
+        let (above, below) = ws.levels.split_at_mut(depth);
+        let fine = above.last().map_or(g0, Level::graph);
+        if fine.n() <= opts.coarse_target || depth > 64 {
+            break;
+        }
+        let coarse = &mut below[0];
+        coarsen(fine, coarse, &mut ws.match_of, &mut ws.queue, &mut ws.rep, &mut ws.accum, &mut rng);
+        if coarse.vwgt.len() as f64 > fine.n() as f64 * 0.95 {
+            // Coarsening stalled (e.g. star graphs) — bisect this level.
+            break;
+        }
+        depth += 1;
     }
-    let coarse_part = multilevel(&coarse, opts, rng, depth + 1);
-    // Project and refine.
-    let mut part: Vec<u8> = (0..n).map(|v| coarse_part[map[v] as usize]).collect();
-    refine(wg, &mut part, opts);
-    part
+
+    // Bottom: grow an initial bisection of the coarsest graph. Coarsening
+    // preserves the total and the side weights, so both are computed once.
+    let total = n as u64;
+    let max_side = ((total as f64 / 2.0) * opts.imbalance).ceil() as u64;
+    let coarsest = ws.levels[..depth].last().map_or(g0, Level::graph);
+    let grown = initial_bisection(coarsest, total, &mut rng, &mut ws.part, &mut ws.seen, &mut ws.queue);
+    let mut side_w = [grown, total - grown];
+    refine(coarsest, &mut ws.part, &mut side_w, max_side, opts.refine_passes);
+
+    // Up: project and refine.
+    for k in (0..depth).rev() {
+        let fine = ws.levels[..k].last().map_or(g0, Level::graph);
+        ws.part_fine.clear();
+        ws.part_fine.extend(ws.levels[k].cmap.iter().map(|&c| ws.part[c as usize]));
+        std::mem::swap(&mut ws.part, &mut ws.part_fine);
+        refine(fine, &mut ws.part, &mut side_w, max_side, opts.refine_passes);
+    }
 }
 
-/// Heavy-edge matching coarsening; returns the coarse graph and the
-/// fine→coarse vertex map.
-fn coarsen(wg: &WGraph, rng: &mut SmallRng) -> (WGraph, Vec<u32>) {
-    let n = wg.n();
-    let mut match_of = vec![u32::MAX; n];
-    let mut visit: Vec<u32> = (0..n as u32).collect();
+/// Heavy-edge matching coarsening of `fine` into the buffers of `coarse`
+/// (graph and fine→coarse map).
+fn coarsen(
+    fine: WGraph,
+    coarse: &mut Level,
+    match_of: &mut Vec<u32>,
+    visit: &mut Vec<u32>,
+    rep: &mut Vec<u32>,
+    accum: &mut Vec<u32>,
+    rng: &mut SmallRng,
+) {
+    let n = fine.n();
+    refill(match_of, n, u32::MAX);
+    visit.clear();
+    visit.extend(0..n as u32);
     // Random visiting order decorrelates the matching from the numbering.
     for i in (1..n).rev() {
         let j = rng.gen_range(0..=i);
         visit.swap(i, j);
     }
-    let mut n_coarse = 0u32;
-    let mut coarse_id = vec![u32::MAX; n];
-    for &u in &visit {
+    let cmap = &mut coarse.cmap;
+    refill(cmap, n, u32::MAX);
+    rep.clear();
+    for &u in visit.iter() {
         let u = u as usize;
         if match_of[u] != u32::MAX {
             continue;
@@ -131,146 +225,141 @@ fn coarsen(wg: &WGraph, rng: &mut SmallRng) -> (WGraph, Vec<u32>) {
         // Heaviest unmatched neighbor.
         let mut best = u32::MAX;
         let mut best_w = 0u32;
-        for (v, w) in wg.neighbors(u) {
+        for (v, w) in fine.neighbors(u) {
             if match_of[v as usize] == u32::MAX && v as usize != u && w > best_w {
                 best = v;
                 best_w = w;
             }
         }
+        let c = rep.len() as u32;
         if best != u32::MAX {
             match_of[u] = best;
             match_of[best as usize] = u as u32;
-            coarse_id[u] = n_coarse;
-            coarse_id[best as usize] = n_coarse;
+            cmap[best as usize] = c;
         } else {
             match_of[u] = u as u32;
-            coarse_id[u] = n_coarse;
         }
-        n_coarse += 1;
+        cmap[u] = c;
+        rep.push(u as u32);
     }
-    // Build the coarse graph by accumulating edge weights.
-    let nc = n_coarse as usize;
-    let mut vwgt = vec![0u32; nc];
-    for v in 0..n {
-        vwgt[coarse_id[v] as usize] += wg.vwgt[v];
-    }
-    let mut xadj = vec![0usize; nc + 1];
-    let mut adjncy: Vec<u32> = Vec::new();
-    let mut ewgt: Vec<u32> = Vec::new();
-    let mut accum: Vec<u32> = vec![u32::MAX; nc]; // coarse nbr -> slot
-    // Group fine vertices by coarse id.
-    let mut members: Vec<Vec<u32>> = vec![Vec::new(); nc];
-    for v in 0..n {
-        members[coarse_id[v] as usize].push(v as u32);
-    }
-    for c in 0..nc {
+    // Build the coarse graph by accumulating edge weights: the members of
+    // coarse vertex `c` are its first-visited vertex and that vertex's
+    // partner, rows merged in ascending member order.
+    let nc = rep.len();
+    refill(accum, nc, u32::MAX);
+    let Level { xadj, adjncy, ewgt, vwgt, .. } = coarse;
+    xadj.clear();
+    xadj.push(0);
+    adjncy.clear();
+    adjncy.reserve(fine.adjncy.len());
+    ewgt.clear();
+    ewgt.reserve(fine.adjncy.len());
+    vwgt.clear();
+    for (c, &u) in rep.iter().enumerate() {
+        let m = match_of[u as usize];
+        let (a, b) = (u.min(m) as usize, u.max(m) as usize);
         let start = adjncy.len();
-        for &v in &members[c] {
-            for (u, w) in wg.neighbors(v as usize) {
-                let cu = coarse_id[u as usize] as usize;
-                if cu == c {
+        let second = (b != a).then_some(b);
+        for v in std::iter::once(a).chain(second) {
+            for (x, w) in fine.neighbors(v) {
+                let cx = cmap[x as usize] as usize;
+                if cx == c {
                     continue;
                 }
-                if accum[cu] == u32::MAX || (accum[cu] as usize) < start {
-                    accum[cu] = adjncy.len() as u32;
-                    adjncy.push(cu as u32);
+                if accum[cx] == u32::MAX || (accum[cx] as usize) < start {
+                    accum[cx] = adjncy.len() as u32;
+                    adjncy.push(cx as u32);
                     ewgt.push(w);
                 } else {
-                    ewgt[accum[cu] as usize] += w;
+                    ewgt[accum[cx] as usize] += w;
                 }
             }
         }
-        xadj[c + 1] = adjncy.len();
+        xadj.push(adjncy.len());
+        vwgt.push(fine.vwgt[a] + second.map_or(0, |b| fine.vwgt[b]));
     }
-    (
-        WGraph {
-            xadj,
-            adjncy,
-            ewgt,
-            vwgt,
-        },
-        coarse_id,
-    )
 }
 
 /// Greedy graph growing from a pseudo-peripheral seed: grow region 0 until
-/// it holds half the vertex weight.
-fn initial_bisection(wg: &WGraph, rng: &mut SmallRng) -> Vec<u8> {
+/// it holds half the vertex weight. Writes `part` and returns the weight
+/// of region 0.
+fn initial_bisection(
+    wg: WGraph,
+    total: u64,
+    rng: &mut SmallRng,
+    part: &mut Vec<u8>,
+    seen: &mut Vec<bool>,
+    queue: &mut Vec<u32>,
+) -> u64 {
     let n = wg.n();
-    if n == 0 {
-        return Vec::new();
+    if n <= 1 {
+        refill(part, n, 0);
+        return total;
     }
-    if n == 1 {
-        return vec![0];
-    }
-    let total = wg.total_vwgt();
     let target = total / 2;
-    // BFS from a random seed twice to approximate a peripheral vertex.
+    // BFS from a random seed to approximate a peripheral vertex.
     let seed0 = rng.gen_range(0..n);
-    let far = bfs_far(wg, seed0);
-    let mut part = vec![1u8; n];
-    let mut grown: u64 = 0;
-    let mut queue = std::collections::VecDeque::new();
-    let mut seen = vec![false; n];
-    queue.push_back(far as u32);
+    let far = bfs_far(wg, seed0, seen, queue);
+    refill(part, n, 1);
+    refill(seen, n, false);
+    queue.clear();
+    queue.push(far as u32);
     seen[far] = true;
+    let mut grown: u64 = 0;
+    let mut head = 0;
+    // Disconnected graphs restart from the lowest unseen vertex.
+    let mut unseen = 0;
     while grown < target {
-        let u = match queue.pop_front() {
-            Some(u) => u as usize,
-            None => {
-                // Disconnected: restart from any unassigned vertex.
-                match (0..n).find(|&v| !seen[v]) {
-                    Some(v) => {
-                        seen[v] = true;
-                        queue.push_back(v as u32);
-                        continue;
-                    }
-                    None => break,
-                }
+        if head == queue.len() {
+            while unseen < n && seen[unseen] {
+                unseen += 1;
             }
-        };
+            if unseen == n {
+                break;
+            }
+            seen[unseen] = true;
+            queue.push(unseen as u32);
+        }
+        let u = queue[head] as usize;
+        head += 1;
         part[u] = 0;
         grown += wg.vwgt[u] as u64;
         for (v, _) in wg.neighbors(u) {
             if !seen[v as usize] {
                 seen[v as usize] = true;
-                queue.push_back(v);
+                queue.push(v);
             }
         }
     }
-    part
+    grown
 }
 
-fn bfs_far(wg: &WGraph, seed: usize) -> usize {
-    let n = wg.n();
-    let mut level = vec![u32::MAX; n];
-    let mut q = std::collections::VecDeque::new();
-    level[seed] = 0;
-    q.push_back(seed as u32);
-    let mut last = seed;
-    while let Some(u) = q.pop_front() {
-        last = u as usize;
-        for (v, _) in wg.neighbors(u as usize) {
-            if level[v as usize] == u32::MAX {
-                level[v as usize] = level[u as usize] + 1;
-                q.push_back(v);
+/// Last vertex a breadth-first search from `seed` reaches.
+fn bfs_far(wg: WGraph, seed: usize, seen: &mut Vec<bool>, queue: &mut Vec<u32>) -> usize {
+    refill(seen, wg.n(), false);
+    queue.clear();
+    queue.push(seed as u32);
+    seen[seed] = true;
+    let mut head = 0;
+    while head < queue.len() {
+        let u = queue[head] as usize;
+        head += 1;
+        for (v, _) in wg.neighbors(u) {
+            if !seen[v as usize] {
+                seen[v as usize] = true;
+                queue.push(v);
             }
         }
     }
-    last
+    queue[head - 1] as usize
 }
 
 /// Boundary FM refinement: repeated single passes moving the best-gain
-/// movable boundary vertex, with weight-balance guardrails.
-fn refine(wg: &WGraph, part: &mut [u8], opts: &BisectOptions) {
+/// movable boundary vertex, with weight-balance guardrails. `side_w` is
+/// the weight of each side of `part`, kept current.
+fn refine(wg: WGraph, part: &mut [u8], side_w: &mut [u64; 2], max_side: u64, passes: usize) {
     let n = wg.n();
-    let total = wg.total_vwgt();
-    let max_side = ((total as f64 / 2.0) * opts.imbalance).ceil() as u64;
-    let mut side_w = [0u64; 2];
-    for v in 0..n {
-        side_w[part[v] as usize] += wg.vwgt[v] as u64;
-    }
-    for _ in 0..opts.refine_passes {
+    for _ in 0..passes {
         let mut moved_any = false;
         // Gain of moving v to the other side: cut decrease.
         for v in 0..n {
@@ -305,6 +394,8 @@ fn refine(wg: &WGraph, part: &mut [u8], opts: &BisectOptions) {
         let empty = if side_w[0] == 0 { 0 } else { 1 };
         if let Some(v) = (0..n).min_by_key(|&v| wg.vwgt[v]) {
             part[v] = empty as u8;
+            side_w[empty] += wg.vwgt[v] as u64;
+            side_w[1 - empty] -= wg.vwgt[v] as u64;
         }
     }
 }
@@ -314,21 +405,34 @@ fn refine(wg: &WGraph, part: &mut [u8], opts: &BisectOptions) {
 /// (König, via maximum matching) is a vertex separator no larger than the
 /// boundary of either side.
 pub fn vertex_separator(g: &CsrGraph, opts: &BisectOptions) -> SeparatorResult {
+    let mut ws = BisectWorkspace::default();
+    let counts = separator(&mut ws, g, opts, opts.seed);
+    SeparatorResult { side: ws.part, counts }
+}
+
+/// [`vertex_separator`] on a reusable workspace: the sides are left in
+/// `ws.part`, the counts `[|P0|, |P1|, |S|]` returned. `seed` replaces
+/// `opts.seed`.
+pub(crate) fn separator(
+    ws: &mut BisectWorkspace,
+    g: &CsrGraph,
+    opts: &BisectOptions,
+    seed: u64,
+) -> [usize; 3] {
     let n = g.n();
-    let part = edge_bisection(g, opts);
-    let mut side: Vec<u8> = part.clone();
+    bisect(ws, g, opts, seed);
+    let BisectWorkspace {
+        part, b0, b1, idx1, cut_ptr, cut, match0, match1, round, reached0, reached1, stack, ..
+    } = ws;
 
     // Boundary vertices on each side.
-    let mut b0: Vec<u32> = Vec::new();
-    let mut b1: Vec<u32> = Vec::new();
-    let mut idx0 = vec![u32::MAX; n];
-    let mut idx1 = vec![u32::MAX; n];
+    b0.clear();
+    b1.clear();
+    refill(idx1, n, u32::MAX);
     for v in 0..n {
         let pv = part[v];
-        let crosses = g.neighbors(v).iter().any(|&u| part[u as usize] != pv);
-        if crosses {
+        if g.neighbors(v).iter().any(|&u| part[u as usize] != pv) {
             if pv == 0 {
-                idx0[v] = b0.len() as u32;
                 b0.push(v as u32);
             } else {
                 idx1[v] = b1.len() as u32;
@@ -336,84 +440,89 @@ pub fn vertex_separator(g: &CsrGraph, opts: &BisectOptions) -> SeparatorResult {
             }
         }
     }
-
-    // Maximum bipartite matching (Hungarian augmenting paths) between b0
-    // and b1 over the cut edges.
-    let adj0: Vec<Vec<u32>> = b0
-        .iter()
-        .map(|&v| {
-            g.neighbors(v as usize)
-                .iter()
-                .copied()
-                .filter(|&u| part[u as usize] == 1 && idx1[u as usize] != u32::MAX)
-                .map(|u| idx1[u as usize])
-                .collect()
-        })
-        .collect();
-    let (match0, match1) = max_bipartite_matching(&adj0, b1.len());
+    // The cut edges, from `b0` indices to `b1` indices (a side-1 neighbour
+    // of a side-0 vertex is on the boundary by definition).
+    cut_ptr.clear();
+    cut_ptr.push(0);
+    cut.clear();
+    for &v in b0.iter() {
+        cut.extend(g.neighbors(v as usize).iter().map(|&u| idx1[u as usize]).filter(|&j| j != u32::MAX));
+        cut_ptr.push(cut.len());
+    }
+    max_bipartite_matching(cut_ptr, cut, b1.len(), match0, match1, round);
 
     // König: alternate BFS from unmatched b0 vertices; cover = (b0 not
     // reached) ∪ (b1 reached).
-    let mut visited0 = vec![false; b0.len()];
-    let mut visited1 = vec![false; b1.len()];
-    let mut stack: Vec<u32> = (0..b0.len() as u32).filter(|&i| match0[i as usize] == u32::MAX).collect();
-    for &s in &stack {
-        visited0[s as usize] = true;
+    refill(reached0, b0.len(), false);
+    refill(reached1, b1.len(), false);
+    stack.clear();
+    stack.extend((0..b0.len() as u32).filter(|&i| match0[i as usize] == u32::MAX));
+    for &s in stack.iter() {
+        reached0[s as usize] = true;
     }
     while let Some(i) = stack.pop() {
-        for &j in &adj0[i as usize] {
-            if !visited1[j as usize] {
-                visited1[j as usize] = true;
+        for &j in &cut[cut_ptr[i as usize]..cut_ptr[i as usize + 1]] {
+            if !reached1[j as usize] {
+                reached1[j as usize] = true;
                 let m = match1[j as usize];
-                if m != u32::MAX && !visited0[m as usize] {
-                    visited0[m as usize] = true;
+                if m != u32::MAX && !reached0[m as usize] {
+                    reached0[m as usize] = true;
                     stack.push(m);
                 }
             }
         }
     }
     for (i, &v) in b0.iter().enumerate() {
-        if !visited0[i] {
-            side[v as usize] = 2;
+        if !reached0[i] {
+            part[v as usize] = 2;
         }
     }
     for (j, &v) in b1.iter().enumerate() {
-        if visited1[j] {
-            side[v as usize] = 2;
+        if reached1[j] {
+            part[v as usize] = 2;
         }
     }
 
     let mut counts = [0usize; 3];
-    for &s in &side {
+    for &s in part.iter() {
         counts[s as usize] += 1;
     }
-    SeparatorResult { side, counts }
+    counts
 }
 
-/// Hungarian-augmenting-path maximum matching. `adj0[i]` lists right-side
-/// indices adjacent to left vertex `i`. Returns (match of left, match of
-/// right), `u32::MAX` for unmatched.
-fn max_bipartite_matching(adj0: &[Vec<u32>], n1: usize) -> (Vec<u32>, Vec<u32>) {
-    let n0 = adj0.len();
-    let mut match0 = vec![u32::MAX; n0];
-    let mut match1 = vec![u32::MAX; n1];
-    let mut visited = vec![u64::MAX; n1];
+/// Hungarian-augmenting-path maximum matching on a bipartite graph in CSR
+/// form: left vertex `i` is adjacent to the right-side indices
+/// `adj[ptr[i]..ptr[i + 1]]`. Fills (match of left, match of right),
+/// `u32::MAX` for unmatched.
+fn max_bipartite_matching(
+    ptr: &[usize],
+    adj: &[u32],
+    n1: usize,
+    match0: &mut Vec<u32>,
+    match1: &mut Vec<u32>,
+    round: &mut Vec<u32>,
+) {
+    let n0 = ptr.len() - 1;
+    refill(match0, n0, u32::MAX);
+    refill(match1, n1, u32::MAX);
+    refill(round, n1, u32::MAX);
     fn augment(
         i: usize,
-        adj0: &[Vec<u32>],
+        ptr: &[usize],
+        adj: &[u32],
         match0: &mut [u32],
         match1: &mut [u32],
-        visited: &mut [u64],
-        round: u64,
+        round: &mut [u32],
+        now: u32,
     ) -> bool {
-        for &j in &adj0[i] {
+        for &j in &adj[ptr[i]..ptr[i + 1]] {
             let j = j as usize;
-            if visited[j] == round {
+            if round[j] == now {
                 continue;
             }
-            visited[j] = round;
+            round[j] = now;
             if match1[j] == u32::MAX
-                || augment(match1[j] as usize, adj0, match0, match1, visited, round)
+                || augment(match1[j] as usize, ptr, adj, match0, match1, round, now)
             {
                 match1[j] = i as u32;
                 match0[i] = j as u32;
@@ -423,9 +532,8 @@ fn max_bipartite_matching(adj0: &[Vec<u32>], n1: usize) -> (Vec<u32>, Vec<u32>) 
         false
     }
     for i in 0..n0 {
-        augment(i, adj0, &mut match0, &mut match1, &mut visited, i as u64);
+        augment(i, ptr, adj, match0, match1, round, i as u32);
     }
-    (match0, match1)
 }
 
 /// Verifies that removing the separator disconnects the two sides (test
@@ -515,8 +623,8 @@ mod tests {
     #[test]
     fn matching_simple() {
         // 2x2 complete bipartite: perfect matching of size 2.
-        let adj = vec![vec![0, 1], vec![0, 1]];
-        let (m0, m1) = max_bipartite_matching(&adj, 2);
+        let (mut m0, mut m1, mut round) = (Vec::new(), Vec::new(), Vec::new());
+        max_bipartite_matching(&[0, 2, 4], &[0, 1, 0, 1], 2, &mut m0, &mut m1, &mut round);
         assert!(m0.iter().all(|&m| m != u32::MAX));
         assert!(m1.iter().all(|&m| m != u32::MAX));
         assert_ne!(m0[0], m0[1]);
@@ -559,6 +667,23 @@ mod tests {
         let g = CsrGraph::from_edges(6, &e);
         let r = vertex_separator(&g, &BisectOptions::default());
         assert!(separator_is_valid(&g, &r.side));
+    }
+
+    #[test]
+    fn reused_workspace_carries_no_state() {
+        // Big, tiny, big again through one workspace: every buffer holds
+        // stale data longer than the next call's graph.
+        let path = CsrGraph::from_edges(7, &(0..6u32).map(|i| (i, i + 1)).collect::<Vec<_>>());
+        let big = grid(40, 40);
+        let opts = BisectOptions::default();
+        let mut ws = BisectWorkspace::default();
+        for g in [&big, &path, &big] {
+            let counts = separator(&mut ws, g, &opts, opts.seed);
+            let fresh = vertex_separator(g, &opts);
+            assert_eq!(ws.part, fresh.side);
+            assert_eq!(counts, fresh.counts);
+            assert!(separator_is_valid(g, &ws.part));
+        }
     }
 
     #[test]

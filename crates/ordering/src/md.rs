@@ -13,10 +13,21 @@
 //! the AMD upper bound — an accuracy/simplicity trade-off that is
 //! immaterial at the subgraph sizes nested dissection leaves behind, and
 //! documented as such in DESIGN.md.
+//!
+//! The data layout is AMD's too: every list lives in one integer arena
+//! ([`Quotient::iw`]). A variable keeps the row the input gave it for good
+//! — its element list grows from the front of the row, its variable list
+//! shrinks towards the back, and the two never meet because a variable
+//! gains the new element only when it loses the pivot or an absorbed
+//! element. Element lists are appended behind the rows and compacted when
+//! the arena fills. Indistinguishable variables are found with an
+//! order-independent hash into intrusive buckets and compared with stamps.
+//! Nothing is allocated per pivot, and a [`Quotient`] is reusable: the
+//! nested dissection driver orders every leaf of a worker on one.
 
 use pastix_graph::CsrGraph;
-use std::collections::BinaryHeap;
 use std::cmp::Reverse;
+use std::collections::BinaryHeap;
 
 /// Ordering produced by [`min_degree`]: ranks for the eliminable vertices.
 #[derive(Debug, Clone)]
@@ -33,37 +44,13 @@ pub struct MdOrder {
 pub fn min_degree(g: &CsrGraph, is_halo: &[bool]) -> MdOrder {
     let n = g.n();
     assert_eq!(is_halo.len(), n);
-    let mut q = Quotient::new(g, is_halo);
-    let n_elim: usize = is_halo.iter().filter(|&&h| !h).count();
-    let mut order = Vec::with_capacity(n_elim);
-
-    // Lazy min-heap of (degree, vertex). Stale entries are skipped on pop.
-    let mut heap: BinaryHeap<Reverse<(u32, u32)>> = BinaryHeap::new();
+    let mut q = Quotient::default();
+    q.begin();
     for v in 0..n {
-        if !is_halo[v] {
-            heap.push(Reverse((q.degree[v], v as u32)));
-        }
+        q.push_row(g.neighbors(v).iter().copied(), is_halo[v]);
     }
-
-    while order.len() < n_elim {
-        let (deg, p) = loop {
-            let Reverse((d, v)) = heap.pop().expect("heap exhausted before ordering finished");
-            let v = v as usize;
-            if q.state[v] == State::Variable && !q.is_halo[v] && q.degree[v] == d {
-                break (d, v);
-            }
-        };
-        let _ = deg;
-        // Eliminate the supervariable p: p and everything absorbed into it
-        // get consecutive ranks.
-        q.emit_supervariable(p, &mut order);
-        let touched = q.eliminate(p);
-        for &v in &touched {
-            if q.state[v as usize] == State::Variable && !q.is_halo[v as usize] {
-                heap.push(Reverse((q.degree[v as usize], v)));
-            }
-        }
-    }
+    let mut order = Vec::with_capacity(is_halo.iter().filter(|&&h| !h).count());
+    q.order(|v| order.push(v));
     MdOrder { order }
 }
 
@@ -77,51 +64,147 @@ enum State {
     Dead,
 }
 
-/// The quotient graph: variables hold plain adjacency (to variables) and a
-/// list of adjacent elements; an element holds its variable list.
-struct Quotient<'a> {
-    g: &'a CsrGraph,
-    is_halo: Vec<bool>,
-    state: Vec<State>,
+const NONE: u32 = u32::MAX;
+
+/// One vertex of the quotient graph. `iw[start..end]` is the row of a
+/// variable — `elen` adjacent elements at the front, `vlen` adjacent
+/// variables at the back — or the whole variable list of an element.
+struct Node {
+    state: State,
+    is_halo: bool,
     /// Supervariable weight (number of original vertices represented).
-    weight: Vec<u32>,
-    /// Next vertex absorbed into this supervariable (intrusive list).
-    sv_next: Vec<u32>,
-    /// Variable→variable adjacency (kept pruned of dead/eliminated ids).
-    var_adj: Vec<Vec<u32>>,
-    /// Variable→element adjacency.
-    var_elems: Vec<Vec<u32>>,
-    /// Element→variable lists.
-    elem_vars: Vec<Vec<u32>>,
-    /// External degree of each variable (sum of weights of distinct
-    /// adjacent variables, through both plain edges and elements).
-    degree: Vec<u32>,
-    /// Visit stamps for set unions.
-    stamp: Vec<u64>,
-    cur_stamp: u64,
+    weight: u32,
+    /// Next vertex absorbed into this supervariable (intrusive list), and
+    /// the last one of the chain.
+    sv_next: u32,
+    sv_tail: u32,
+    /// External degree (sum of weights of distinct adjacent variables,
+    /// through both plain edges and elements). Not kept for halo vertices.
+    degree: u32,
+    start: usize,
+    end: usize,
+    elen: usize,
+    vlen: usize,
+    /// Visit stamp for set unions and comparisons.
+    stamp: u64,
+    /// Adjacency hash and bucket chain of the current pivot's candidates.
+    hash: u64,
+    bucket_next: u32,
 }
 
-impl<'a> Quotient<'a> {
-    fn new(g: &'a CsrGraph, is_halo: &[bool]) -> Self {
-        let n = g.n();
-        let var_adj: Vec<Vec<u32>> = (0..n).map(|v| g.neighbors(v).to_vec()).collect();
-        let mut q = Quotient {
-            g,
-            is_halo: is_halo.to_vec(),
-            state: vec![State::Variable; n],
-            weight: vec![1; n],
-            sv_next: vec![u32::MAX; n],
-            var_adj,
-            var_elems: vec![Vec::new(); n],
-            elem_vars: vec![Vec::new(); n],
-            degree: vec![0; n],
-            stamp: vec![0; n],
-            cur_stamp: 0,
-        };
-        for v in 0..n {
-            q.degree[v] = q.g.degree(v) as u32;
+impl Node {
+    /// Arena positions of a variable's adjacent elements, then variables.
+    fn row(&self) -> impl Iterator<Item = usize> {
+        (self.start..self.start + self.elen).chain(self.end - self.vlen..self.end)
+    }
+}
+
+/// The quotient graph and every scratch array of the elimination: load
+/// rows with [`Quotient::begin`] / [`Quotient::push_row`], then
+/// [`Quotient::order`]. Reusable; buffers keep their capacity.
+#[derive(Default)]
+pub(crate) struct Quotient {
+    nodes: Vec<Node>,
+    /// The arena: input rows first, element lists appended behind them.
+    iw: Vec<u32>,
+    /// Where the rows end and the element lists begin.
+    rows_end: usize,
+    /// Elements with a list behind the rows, in arena order.
+    elems: Vec<u32>,
+    /// The variables of the element being formed.
+    lp: Vec<u32>,
+    bucket_head: Vec<u32>,
+    /// Lazy min-heap of (degree, vertex). Stale entries are skipped on pop.
+    heap: BinaryHeap<Reverse<(u32, u32)>>,
+    cur_stamp: u64,
+    #[cfg(test)]
+    compactions: usize,
+}
+
+impl Quotient {
+    /// Starts a new graph (vertices are numbered in `push_row` order).
+    pub(crate) fn begin(&mut self) {
+        self.nodes.clear();
+        self.iw.clear();
+        self.elems.clear();
+        self.cur_stamp = 0;
+    }
+
+    /// Appends the next vertex with its neighbours (no duplicates, no self
+    /// loop; symmetric over the whole graph).
+    pub(crate) fn push_row(&mut self, neighbors: impl Iterator<Item = u32>, is_halo: bool) {
+        let start = self.iw.len();
+        self.iw.extend(neighbors);
+        let end = self.iw.len();
+        let v = self.nodes.len() as u32;
+        self.nodes.push(Node {
+            state: State::Variable,
+            is_halo,
+            weight: 1,
+            sv_next: NONE,
+            sv_tail: v,
+            degree: (end - start) as u32,
+            start,
+            end,
+            elen: 0,
+            vlen: end - start,
+            stamp: 0,
+            hash: 0,
+            bucket_next: NONE,
+        });
+    }
+
+    /// Eliminates every non-halo vertex, calling `emit` with each in
+    /// elimination order.
+    pub(crate) fn order(&mut self, emit: impl FnMut(u32)) {
+        // As much room for element lists as the rows take: live element
+        // lists never outgrow the rows they replace, so this compacts
+        // rarely and never has to grow.
+        self.order_in(self.iw.len(), emit);
+    }
+
+    /// [`Quotient::order`] with `room` arena entries for element lists
+    /// before the arena is compacted.
+    fn order_in(&mut self, room: usize, mut emit: impl FnMut(u32)) {
+        let n = self.nodes.len();
+        self.rows_end = self.iw.len();
+        let mut limit = self.rows_end + room;
+        self.bucket_head.clear();
+        self.bucket_head.resize(n, NONE);
+        self.heap.clear();
+        let mut left = 0;
+        for (v, node) in self.nodes.iter().enumerate() {
+            if !node.is_halo {
+                self.heap.push(Reverse((node.degree, v as u32)));
+                left += 1;
+            }
         }
-        q
+        while left > 0 {
+            let p = loop {
+                let Reverse((d, v)) = self.heap.pop().expect("heap exhausted before ordering finished");
+                let node = &self.nodes[v as usize];
+                if node.state == State::Variable && !node.is_halo && node.degree == d {
+                    break v;
+                }
+            };
+            // The supervariable p: p and everything absorbed into it get
+            // consecutive ranks.
+            let mut v = p;
+            while v != NONE {
+                emit(v);
+                left -= 1;
+                v = self.nodes[v as usize].sv_next;
+            }
+            self.eliminate(p as usize, &mut limit);
+            // The new element lists the variables whose degrees changed.
+            let p = &self.nodes[p as usize];
+            for &v in &self.iw[p.start..p.end] {
+                let node = &self.nodes[v as usize];
+                if node.state == State::Variable && !node.is_halo {
+                    self.heap.push(Reverse((node.degree, v)));
+                }
+            }
+        }
     }
 
     fn bump_stamp(&mut self) -> u64 {
@@ -129,207 +212,211 @@ impl<'a> Quotient<'a> {
         self.cur_stamp
     }
 
-    /// Pushes `p` and its absorbed chain into the order vector.
-    fn emit_supervariable(&self, p: usize, order: &mut Vec<u32>) {
-        let mut v = p as u32;
-        while v != u32::MAX {
-            order.push(v);
-            v = self.sv_next[v as usize];
-        }
-    }
-
-    /// Eliminates variable `p`, forming a new element; returns the set of
-    /// variables whose degrees changed.
-    fn eliminate(&mut self, p: usize) -> Vec<u32> {
-        debug_assert_eq!(self.state[p], State::Variable);
+    /// Eliminates variable `p`, forming a new element whose list is the
+    /// set of variables whose degrees changed.
+    fn eliminate(&mut self, p: usize, limit: &mut usize) {
+        debug_assert_eq!(self.nodes[p].state, State::Variable);
         // Gather L_p = (A_p ∪ ⋃_{e ∋ p} L_e) \ {p}: the variables of the
         // new element.
         let s = self.bump_stamp();
-        self.stamp[p] = s;
-        let mut lp: Vec<u32> = Vec::new();
-        for &v in &self.var_adj[p] {
-            let v = v as usize;
-            if self.state[v] == State::Variable && self.stamp[v] != s {
-                self.stamp[v] = s;
-                lp.push(v as u32);
-            }
+        self.nodes[p].stamp = s;
+        self.lp.clear();
+        let Node { start, end, elen, vlen, .. } = self.nodes[p];
+        for i in end - vlen..end {
+            self.gather(self.iw[i], s);
         }
-        let elems = std::mem::take(&mut self.var_elems[p]);
-        for &e in &elems {
-            for &v in &self.elem_vars[e as usize] {
-                let v = v as usize;
-                if self.state[v] == State::Variable && v != p && self.stamp[v] != s {
-                    self.stamp[v] = s;
-                    lp.push(v as u32);
-                }
+        for i in start..start + elen {
+            let e = self.iw[i] as usize;
+            for k in self.nodes[e].start..self.nodes[e].end {
+                self.gather(self.iw[k], s);
             }
             // Element absorption: e disappears into the new element p.
-            self.elem_vars[e as usize].clear();
-            self.state[e as usize] = State::Dead;
+            self.nodes[e].end = self.nodes[e].start;
+            self.nodes[e].state = State::Dead;
         }
-        self.state[p] = State::Element;
-        self.elem_vars[p] = lp.clone();
+        if self.iw.len() + self.lp.len() > *limit {
+            self.compact();
+            *limit = (*limit).max(self.iw.len() + self.lp.len());
+        }
+        let node = &mut self.nodes[p];
+        node.state = State::Element;
+        node.start = self.iw.len();
+        node.end = node.start + self.lp.len();
+        self.iw.extend_from_slice(&self.lp);
+        self.elems.push(p as u32);
 
         // Update each variable in L_p: remove absorbed elements and p from
-        // its lists, attach the new element, recompute exact degree.
-        for &v in &lp {
-            let v = v as usize;
-            // Prune var_adj of p and of fellow L_p members (those edges are
-            // now covered by the element) — keeping lists short is what
-            // makes the quotient graph efficient.
-            let stamp_now = s;
-            let mut adj = std::mem::take(&mut self.var_adj[v]);
-            adj.retain(|&u| {
-                let u = u as usize;
-                self.state[u] == State::Variable && self.stamp[u] != stamp_now
-            });
-            self.var_adj[v] = adj;
-            let mut els = std::mem::take(&mut self.var_elems[v]);
-            els.retain(|&e| self.state[e as usize] == State::Element);
-            els.push(p as u32);
-            self.var_elems[v] = els;
+        // its lists, attach the new element.
+        for i in 0..self.lp.len() {
+            let v = self.lp[i] as usize;
+            let Node { start, end, elen, vlen, .. } = self.nodes[v];
+            // Prune the variable list of p and of fellow L_p members (those
+            // edges are now covered by the element) — keeping lists short
+            // is what makes the quotient graph efficient. Survivors slide
+            // to the back of the row, in order.
+            let mut w = end;
+            for r in (end - vlen..end).rev() {
+                let u = self.iw[r];
+                if self.nodes[u as usize].state == State::Variable && self.nodes[u as usize].stamp != s {
+                    w -= 1;
+                    self.iw[w] = u;
+                }
+            }
+            let vars_from = w;
+            let mut w = start;
+            for r in start..start + elen {
+                let e = self.iw[r];
+                if self.nodes[e as usize].state == State::Element {
+                    self.iw[w] = e;
+                    w += 1;
+                }
+            }
+            // v lost p or an absorbed element, unless the input was not
+            // symmetric.
+            assert!(w < vars_from, "min_degree: adjacency of {v} is not symmetric");
+            self.iw[w] = p as u32;
+            self.nodes[v].elen = w + 1 - start;
+            self.nodes[v].vlen = end - vars_from;
         }
 
-        // Supervariable detection: hash variables of L_p by their adjacency
-        // signature and merge indistinguishable ones.
-        self.merge_supervariables(&lp);
+        self.merge_supervariables();
 
-        // Exact external degrees for (surviving) members of L_p.
-        let survivors: Vec<u32> = lp
-            .iter()
-            .copied()
-            .filter(|&v| self.state[v as usize] == State::Variable)
-            .collect();
-        for &v in &survivors {
-            self.degree[v as usize] = self.exact_degree(v as usize);
+        // Exact external degrees for the surviving members of L_p (a halo
+        // vertex is never a pivot and its degree is never read).
+        for i in 0..self.lp.len() {
+            let v = self.lp[i] as usize;
+            if self.nodes[v].state == State::Variable && !self.nodes[v].is_halo {
+                self.nodes[v].degree = self.exact_degree(v);
+            }
         }
-        survivors
+    }
+
+    /// Adds `v` to L_p unless it is there, or not a variable.
+    fn gather(&mut self, v: u32, s: u64) {
+        let node = &mut self.nodes[v as usize];
+        if node.state == State::Variable && node.stamp != s {
+            node.stamp = s;
+            self.lp.push(v);
+        }
+    }
+
+    /// Slides the live element lists down over the dead ones.
+    fn compact(&mut self) {
+        #[cfg(test)]
+        {
+            self.compactions += 1;
+        }
+        let mut w = self.rows_end;
+        let nodes = &mut self.nodes;
+        let iw = &mut self.iw;
+        self.elems.retain(|&e| {
+            let node = &mut nodes[e as usize];
+            let len = node.end - node.start;
+            if len == 0 {
+                return false;
+            }
+            iw.copy_within(node.start..node.end, w);
+            node.start = w;
+            node.end = w + len;
+            w += len;
+            true
+        });
+        self.iw.truncate(w);
     }
 
     /// Exact external degree of `v`: total weight of distinct variables
     /// reachable through plain edges or shared elements.
     fn exact_degree(&mut self, v: usize) -> u32 {
         let s = self.bump_stamp();
-        self.stamp[v] = s;
+        self.nodes[v].stamp = s;
+        let Node { start, end, elen, vlen, .. } = self.nodes[v];
         let mut d = 0u32;
-        for &u in &self.var_adj[v] {
-            let u = u as usize;
-            if self.state[u] == State::Variable && self.stamp[u] != s {
-                self.stamp[u] = s;
-                d += self.weight[u];
+        let mut visit = |nodes: &mut [Node], u: u32| {
+            let u = &mut nodes[u as usize];
+            if u.state == State::Variable && u.stamp != s {
+                u.stamp = s;
+                d += u.weight;
             }
+        };
+        for i in end - vlen..end {
+            visit(&mut self.nodes, self.iw[i]);
         }
-        for &e in &self.var_elems[v] {
-            for &u in &self.elem_vars[e as usize] {
-                let u = u as usize;
-                if self.state[u] == State::Variable && u != v && self.stamp[u] != s {
-                    self.stamp[u] = s;
-                    d += self.weight[u];
-                }
+        for i in start..start + elen {
+            let e = &self.nodes[self.iw[i] as usize];
+            for k in e.start..e.end {
+                visit(&mut self.nodes, self.iw[k]);
             }
         }
         d
     }
 
-    /// Merges indistinguishable variables among `cands` (same element list
-    /// and same pruned variable adjacency ⇒ identical future fill). Halo
-    /// and non-halo variables are never merged together.
-    fn merge_supervariables(&mut self, cands: &[u32]) {
-        use std::collections::HashMap;
-        let mut buckets: HashMap<u64, Vec<u32>> = HashMap::new();
-        for &v in cands {
-            if self.state[v as usize] != State::Variable {
-                continue;
+    /// Merges indistinguishable variables of L_p (same element list and
+    /// same variable adjacency ⇒ identical future fill) into the first of
+    /// them in L_p order. Halo and non-halo variables are never merged
+    /// together. The lists were pruned a moment ago, so they hold live
+    /// elements and variables outside L_p only, each once.
+    fn merge_supervariables(&mut self) {
+        let nb = self.bucket_head.len() as u64;
+        for i in 0..self.lp.len() {
+            let v = self.lp[i];
+            let is_halo = self.nodes[v as usize].is_halo;
+            // Order-independent: a sum of scrambled ids.
+            let mut h = 0u64;
+            for i in self.nodes[v as usize].row() {
+                h = h.wrapping_add((self.iw[i] as u64 + 1).wrapping_mul(0x9E37_79B9_7F4A_7C15));
             }
-            let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-            let mut mix = |x: u64| {
-                h ^= x;
-                h = h.wrapping_mul(0x1000_0000_01b3);
-            };
-            let mut es: Vec<u32> = self.var_elems[v as usize].clone();
-            es.sort_unstable();
-            for e in es {
-                mix(e as u64 + 1);
+            self.nodes[v as usize].hash = h;
+            let bucket = ((h ^ h >> 32) % nb) as usize;
+            // Hash collisions must not corrupt the ordering: equal hashes
+            // only nominate, the stamped comparison decides.
+            let mut r = self.bucket_head[bucket];
+            while r != NONE {
+                let rep = &self.nodes[r as usize];
+                if rep.hash == h && rep.is_halo == is_halo && self.same_lists(r as usize, v as usize) {
+                    break;
+                }
+                r = self.nodes[r as usize].bucket_next;
             }
-            mix(0xFFFF_FFFF);
-            let mut vs: Vec<u32> = self.var_adj[v as usize]
-                .iter()
-                .copied()
-                .filter(|&u| self.state[u as usize] == State::Variable)
-                .collect();
-            vs.sort_unstable();
-            vs.dedup();
-            for u in vs {
-                mix(u as u64 + 1);
+            if r != NONE {
+                self.absorb(r as usize, v as usize);
+            } else {
+                self.nodes[v as usize].bucket_next = self.bucket_head[bucket];
+                self.bucket_head[bucket] = v;
             }
-            buckets.entry(h).or_default().push(v);
         }
-        for (_, group) in buckets {
-            if group.len() < 2 {
-                continue;
-            }
-            // Verify true indistinguishability pairwise within the bucket
-            // (hash collisions must not corrupt the ordering).
-            let mut reps: Vec<u32> = Vec::new();
-            'outer: for &v in &group {
-                if self.state[v as usize] != State::Variable {
-                    continue;
-                }
-                for &r in &reps {
-                    if self.is_halo[v as usize] == self.is_halo[r as usize]
-                        && self.indistinguishable(r as usize, v as usize)
-                    {
-                        self.absorb(r as usize, v as usize);
-                        continue 'outer;
-                    }
-                }
-                reps.push(v);
-            }
+        for &v in &self.lp {
+            let h = self.nodes[v as usize].hash;
+            self.bucket_head[((h ^ h >> 32) % nb) as usize] = NONE;
         }
     }
 
     /// True when `a` and `b` have identical element lists and identical
-    /// live variable adjacency (modulo each other).
-    fn indistinguishable(&mut self, a: usize, b: usize) -> bool {
-        let ea: Vec<u32> = {
-            let mut e = self.var_elems[a].clone();
-            e.sort_unstable();
-            e
-        };
-        let eb: Vec<u32> = {
-            let mut e = self.var_elems[b].clone();
-            e.sort_unstable();
-            e
-        };
-        if ea != eb {
+    /// variable lists (as sets).
+    fn same_lists(&mut self, a: usize, b: usize) -> bool {
+        let (na, nb) = (&self.nodes[a], &self.nodes[b]);
+        if na.elen != nb.elen || na.vlen != nb.vlen {
             return false;
         }
-        let clean = |q: &Quotient, v: usize, other: usize| -> Vec<u32> {
-            let mut vs: Vec<u32> = q.var_adj[v]
-                .iter()
-                .copied()
-                .filter(|&u| q.state[u as usize] == State::Variable && u as usize != other)
-                .collect();
-            vs.sort_unstable();
-            vs.dedup();
-            vs
-        };
-        clean(self, a, b) == clean(self, b, a)
+        let (row_a, mut row_b) = (na.row(), nb.row());
+        let s = self.bump_stamp();
+        for i in row_a {
+            self.nodes[self.iw[i] as usize].stamp = s;
+        }
+        row_b.all(|i| self.nodes[self.iw[i] as usize].stamp == s)
     }
 
     /// Absorbs supervariable `b` into `a`.
     fn absorb(&mut self, a: usize, b: usize) {
-        debug_assert_eq!(self.state[b], State::Variable);
-        self.weight[a] += self.weight[b];
-        self.state[b] = State::Dead;
+        debug_assert_eq!(self.nodes[b].state, State::Variable);
+        self.nodes[a].weight += self.nodes[b].weight;
         // Append b's chain to a's chain.
-        let mut tail = a;
-        while self.sv_next[tail] != u32::MAX {
-            tail = self.sv_next[tail] as usize;
-        }
-        self.sv_next[tail] = b as u32;
-        self.var_adj[b].clear();
-        self.var_elems[b].clear();
+        let tail = self.nodes[a].sv_tail as usize;
+        self.nodes[tail].sv_next = b as u32;
+        self.nodes[a].sv_tail = self.nodes[b].sv_tail;
+        let b = &mut self.nodes[b];
+        b.state = State::Dead;
+        b.elen = 0;
+        b.vlen = 0;
     }
 }
 

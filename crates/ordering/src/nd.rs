@@ -16,11 +16,20 @@
 //! the symbolic phase (fundamental supernodes + amalgamation), which merges
 //! the separator supernodes and the leaf supernodes exactly as the paper
 //! describes.
+//!
+//! The permutation array is the recursion's only vertex storage: a node
+//! owns the slice that will hold its subtree's ranks, finds its vertices
+//! there in ascending order, and partitions them in place into
+//! `[side 0 | side 1 | separator]` — the separator is then already where
+//! it belongs and the sides are the children's slices. Everything else a
+//! node or a leaf needs lives in a [`Workspace`], one per worker (the
+//! caller, each spawned `join` branch, each leaf chunk), whose buffers
+//! grow to the largest subgraph the worker meets and are then reused.
 
-use crate::bisect::{vertex_separator, BisectOptions};
-use crate::md::min_degree;
+use crate::bisect::{separator, BisectOptions, BisectWorkspace};
+use crate::md::{min_degree, Quotient};
 use pastix_graph::par::par_chunks_mut;
-use pastix_graph::{CsrGraph, Parallelism, Permutation};
+use pastix_graph::{CsrGraph, Parallelism, Permutation, VertexMap};
 
 /// How leaf subgraphs (below the dissection threshold) are ordered.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -93,21 +102,20 @@ impl OrderingOptions {
 /// assert!(perm.validate());
 /// ```
 pub fn nested_dissection(g: &CsrGraph, opts: &OrderingOptions) -> Permutation {
-    let n = g.n();
     let threads = opts.parallelism.effective_threads();
-    let verts: Vec<u32> = (0..n as u32).collect();
-    let mut perm = vec![0u32; n];
+    let mut perm: Vec<u32> = (0..g.n() as u32).collect();
     // Phase 1: dissect. The recursion numbers separators and collects the
-    // leaf frontier (each leaf owning a disjoint slice of `perm`) instead
-    // of ordering leaves inline.
+    // leaf frontier (each leaf a disjoint slice of `perm` holding its own
+    // vertices) instead of ordering leaves inline.
     let mut jobs = Vec::new();
-    recurse(g, verts, &mut perm, opts, 0, opts.bisect.seed, threads, &mut jobs);
+    recurse(g, &mut perm, opts, 0, opts.bisect.seed, threads, &mut Workspace::default(), &mut jobs);
     // Phase 2: order the whole leaf frontier. Leaves are independent and
     // write disjoint slices, so chunking the job list across threads
     // reproduces the sequential result bitwise.
     par_chunks_mut(threads, &mut jobs, |chunk, _| {
-        for job in chunk {
-            order_leaf(g, &job.verts, job.out, opts.leaf_mode);
+        let mut ws = Workspace::default();
+        for leaf in chunk {
+            order_leaf(g, leaf, opts.leaf_mode, &mut ws);
         }
     });
     drop(jobs);
@@ -122,139 +130,133 @@ pub fn pure_min_degree(g: &CsrGraph) -> Permutation {
     Permutation::from_perm(o.order)
 }
 
-/// A leaf of the dissection tree, deferred to phase 2: the vertices to
-/// order and the (disjoint) slice of the permutation they fill.
-struct LeafJob<'a> {
+/// What one worker reuses from node to node and from leaf to leaf.
+#[derive(Default)]
+struct Workspace {
+    /// Global → local ids of the subgraph being extracted.
+    map: VertexMap,
+    /// The subgraph a node bisects.
+    sub: CsrGraph,
+    bisect: BisectWorkspace,
+    md: Quotient,
+    /// Local → global ids: a copy of the slice being rewritten, plus the
+    /// halo of a leaf.
     verts: Vec<u32>,
-    out: &'a mut [u32],
 }
 
-#[allow(clippy::too_many_arguments)]
 fn recurse<'a>(
     g0: &CsrGraph,
-    verts: Vec<u32>,
-    out: &'a mut [u32],
+    verts: &'a mut [u32],
     opts: &OrderingOptions,
     depth: usize,
     seed: u64,
     threads: usize,
-    jobs: &mut Vec<LeafJob<'a>>,
+    ws: &mut Workspace,
+    jobs: &mut Vec<&'a mut [u32]>,
 ) {
-    debug_assert_eq!(verts.len(), out.len());
     let nv = verts.len();
     if nv == 0 {
         return;
     }
     if nv <= opts.leaf_size || depth >= 60 {
-        jobs.push(LeafJob { verts, out });
+        jobs.push(verts);
         return;
     }
-    let sub = g0.induced_subgraph(&verts);
-    let mut bopts = opts.bisect.clone();
+    // The root's subgraph is the graph itself.
+    let sub = if nv == g0.n() {
+        g0
+    } else {
+        g0.induced_subgraph_into(verts, &mut ws.map, &mut ws.sub);
+        &ws.sub
+    };
     // Decorrelate sibling seeds deterministically.
-    bopts.seed = seed
+    let bisect_seed = seed
         .wrapping_mul(0x9E37_79B9_7F4A_7C15)
         .wrapping_add(depth as u64)
         .wrapping_add(verts[0] as u64);
-    let sep = vertex_separator(&sub, &bopts);
-    if sep.counts[0] == 0 || sep.counts[1] == 0 {
+    let counts = separator(&mut ws.bisect, sub, &opts.bisect, bisect_seed);
+    let (n0, n1) = (counts[0], counts[1]);
+    if n0 == 0 || n1 == 0 {
         // Degenerate split (tiny or pathological graph): stop dissecting.
-        jobs.push(LeafJob { verts, out });
+        jobs.push(verts);
         return;
     }
-    let mut v0 = Vec::with_capacity(sep.counts[0]);
-    let mut v1 = Vec::with_capacity(sep.counts[1]);
-    let mut vs = Vec::with_capacity(sep.counts[2]);
-    for (loc, &gid) in verts.iter().enumerate() {
-        match sep.side[loc] {
-            0 => v0.push(gid),
-            1 => v1.push(gid),
-            _ => vs.push(gid),
-        }
+    // Stable partition: both sides stay ascending, and the separator is
+    // numbered last, in natural order.
+    ws.verts.clear();
+    ws.verts.extend_from_slice(verts);
+    let mut at = [0, n0, n0 + n1];
+    for (&gid, &side) in ws.verts.iter().zip(&ws.bisect.part) {
+        verts[at[side as usize]] = gid;
+        at[side as usize] += 1;
     }
-    let (n0, n1) = (v0.len(), v1.len());
-    let (halves, out_sep) = out.split_at_mut(n0 + n1);
-    let (out0, out1) = halves.split_at_mut(n0);
-    // Separator vertices are numbered last, in natural order.
-    out_sep.copy_from_slice(&vs);
+    let (v0, rest) = verts.split_at_mut(n0);
+    let (v1, _separator) = rest.split_at_mut(n1);
 
     let seed0 = seed.wrapping_add(1);
     let seed1 = seed.wrapping_add(2);
-    // A parallel cutoff keeps join overhead away from small subtrees. Each
-    // branch collects its own job list; concatenating side-0 then side-1
-    // keeps the frontier order identical to the sequential recursion.
+    // A parallel cutoff keeps join overhead away from small subtrees. The
+    // spawned branch is a new worker with its share of the threads, its own
+    // workspace and its own job list; appending side 1 after side 0 keeps
+    // the frontier order identical to the sequential recursion.
     if threads > 1 && n0.min(n1) > 2048 {
-        let (j0, j1) = rayon::join(
-            || {
-                let mut j = Vec::new();
-                recurse(g0, v0, out0, opts, depth + 1, seed0, threads, &mut j);
-                j
-            },
-            || {
-                let mut j = Vec::new();
-                recurse(g0, v1, out1, opts, depth + 1, seed1, threads, &mut j);
-                j
-            },
+        let t1 = threads / 2;
+        let mut jobs1 = Vec::new();
+        rayon::join(
+            || recurse(g0, v0, opts, depth + 1, seed0, threads - t1, ws, jobs),
+            || recurse(g0, v1, opts, depth + 1, seed1, t1, &mut Workspace::default(), &mut jobs1),
         );
-        jobs.extend(j0);
-        jobs.extend(j1);
+        jobs.extend(jobs1);
     } else {
-        recurse(g0, v0, out0, opts, depth + 1, seed0, threads, jobs);
-        recurse(g0, v1, out1, opts, depth + 1, seed1, threads, jobs);
+        recurse(g0, v0, opts, depth + 1, seed0, threads, ws, jobs);
+        recurse(g0, v1, opts, depth + 1, seed1, threads, ws, jobs);
     }
 }
 
-/// Orders a leaf subgraph, writing global ids in elimination order.
-fn order_leaf(g0: &CsrGraph, verts: &[u32], out: &mut [u32], mode: LeafMode) {
-    match mode {
-        LeafMode::Natural => out.copy_from_slice(verts),
-        LeafMode::MinDegree => {
-            let sub = g0.induced_subgraph(verts);
-            let halo = vec![false; verts.len()];
-            let o = min_degree(&sub, &halo);
-            for (r, &loc) in o.order.iter().enumerate() {
-                out[r] = verts[loc as usize];
-            }
+/// Orders a leaf: `leaf` lists its vertices in ascending order and
+/// receives them in elimination order.
+fn order_leaf(g0: &CsrGraph, leaf: &mut [u32], mode: LeafMode, ws: &mut Workspace) {
+    if mode == LeafMode::Natural {
+        return;
+    }
+    let Workspace { map, md, verts, .. } = ws;
+    let nv = leaf.len();
+    verts.clear();
+    verts.extend_from_slice(leaf);
+    map.begin(g0.n());
+    for (loc, &v) in leaf.iter().enumerate() {
+        map.set(v, loc as u32);
+    }
+    md.begin();
+    if mode == LeafMode::MinDegree {
+        for &v in leaf.iter() {
+            md.push_row(g0.neighbors(v as usize).iter().filter_map(|&u| map.get(u)), false);
         }
-        LeafMode::HaloMinDegree => {
-            // Halo = outside neighbors of the leaf (separator vertices of
-            // some ancestor, eliminated after every leaf vertex).
-            let mut in_leaf = std::collections::HashSet::with_capacity(verts.len());
-            for &v in verts {
-                in_leaf.insert(v);
-            }
-            let mut halo_ids: Vec<u32> = Vec::new();
-            for &v in verts {
-                for &u in g0.neighbors(v as usize) {
-                    if !in_leaf.contains(&u) {
-                        halo_ids.push(u);
-                    }
-                }
-            }
-            halo_ids.sort_unstable();
-            halo_ids.dedup();
-            // Combined, sorted vertex list for the induced subgraph.
-            let mut combined: Vec<u32> = Vec::with_capacity(verts.len() + halo_ids.len());
-            let mut is_halo: Vec<bool> = Vec::with_capacity(combined.capacity());
-            let (mut i, mut j) = (0, 0);
-            while i < verts.len() || j < halo_ids.len() {
-                if j >= halo_ids.len() || (i < verts.len() && verts[i] < halo_ids[j]) {
-                    combined.push(verts[i]);
-                    is_halo.push(false);
-                    i += 1;
-                } else {
-                    combined.push(halo_ids[j]);
-                    is_halo.push(true);
-                    j += 1;
-                }
-            }
-            let sub = g0.induced_subgraph(&combined);
-            let o = min_degree(&sub, &is_halo);
-            for (r, &loc) in o.order.iter().enumerate() {
-                out[r] = combined[loc as usize];
-            }
+    } else {
+        // Halo = outside neighbors of the leaf (separator vertices of some
+        // ancestor, eliminated after every leaf vertex), numbered behind
+        // the leaf as its rows discover them. Minimum degree never ranks
+        // a halo vertex, so only the order among leaf vertices counts.
+        for &v in leaf.iter() {
+            let row = g0.neighbors(v as usize).iter().map(|&u| {
+                map.get(u).unwrap_or_else(|| {
+                    let loc = verts.len() as u32;
+                    map.set(u, loc);
+                    verts.push(u);
+                    loc
+                })
+            });
+            md.push_row(row, false);
+        }
+        for h in nv..verts.len() {
+            md.push_row(g0.neighbors(verts[h] as usize).iter().filter_map(|&u| map.get(u)), true);
         }
     }
+    let mut rank = 0;
+    md.order(|loc| {
+        leaf[rank] = verts[loc as usize];
+        rank += 1;
+    });
 }
 
 #[cfg(test)]
