@@ -1,35 +1,56 @@
-//! Analyze-phase benchmark and acceptance gate: parallel vs sequential
-//! pre-processing (ordering → block symbolic factorization → mapping +
-//! static scheduling) through `Plan::analyze`.
+//! Analyze-phase benchmark and acceptance gate: where the pre-processing
+//! (graph → nested dissection → block symbolic factorization → mapping +
+//! static scheduling) spends its time, on one thread and on every CPU of
+//! the box, for the six matrices `bench_e2e` runs at the scales it runs
+//! them (`--quick`: QUER and BMWCRA1).
 //!
-//! Two gates run per problem:
+//! Three gates:
 //!
 //! * **determinism (unconditional)** — every `Parallelism` setting must
 //!   produce a bitwise-identical `Permutation`, block symbol, and
 //!   `Schedule::digest()`, and identical scalar `NNZ_L`/`OPC`. A parallel
 //!   analyze that changes any output bit is a bug, whatever the speedup.
-//! * **speedup (hardware-gated)** — on machines with ≥ 4 CPUs, the
-//!   threaded analyze of the largest problem (Shipsec5 analog) must reach
-//!   ≥ 1.5× the sequential wall time. On smaller machines (CI smoke runs
-//!   on 1–2 cores) the measurement is still taken and reported, but the
-//!   ratio gate is skipped — there is no parallel speedup to measure
-//!   without parallel hardware.
+//! * **the ordering is the recorded one (unconditional)** — the FNV-1a-64
+//!   hash of `nested_dissection(..).perm()` must equal the value pinned in
+//!   `tests/analyze_determinism.rs`: the ordering layer may be made
+//!   faster, not different, without saying so there.
+//! * **the threads earn their keep (hardware-gated)** — with ≥ 2 CPUs the
+//!   threaded `Plan::analyze` of QUER must not be slower than the
+//!   sequential one (best of alternating repetitions). With one CPU there
+//!   is nothing to measure and the gate prints `skipped`, never a pass.
 //!
-//! Writes `BENCH_analyze.json` at the repository root; exits non-zero if
-//! any active gate fails. `--quick` shrinks scale and reps for CI.
+//! Per problem the report carries `<problem>_{to_graph,nd,symbolic,sched,
+//! analyze}_{seq,par}_ms` — the four stages timed through the per-crate
+//! entry points under the options `Plan::analyze` derives, and the whole
+//! `Plan::analyze` call — and `<problem>_perm_fnv`. Writes
+//! `BENCH_analyze.json` at the repository root; exits non-zero if any
+//! armed gate fails.
 
-use pastix_bench::scale;
-use pastix_graph::{build_problem, Parallelism, ProblemId};
+use pastix_graph::{build_problem, Parallelism, ProblemId, SymCsc};
 use pastix_json::{obj, Json};
+use pastix_machine::MachineModel;
+use pastix_ordering::{nested_dissection, OrderingOptions};
+use pastix_sched::{map_and_schedule, SchedOptions};
 use pastix_solver::{Plan, SolverConfig};
+use pastix_symbolic::AnalysisOptions;
 use std::time::Instant;
 
 const PATH: &str = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_analyze.json");
 
-/// Speedup the threaded analyze must reach on the headline problem when
-/// the hardware can parallelize at all (≥ `MIN_CPUS_FOR_GATE` CPUs).
-const TARGET_SPEEDUP: f64 = 1.5;
-const MIN_CPUS_FOR_GATE: usize = 4;
+/// The `bench_e2e` matrices at the `bench_e2e` scales, with the hash of
+/// the permutation `nested_dissection` must produce for each.
+const PROBLEMS: [(ProblemId, f64, u64); 6] = [
+    (ProblemId::Quer, 1.0, 0x6e5e_f0d0_fc78_d5cf),
+    (ProblemId::Bmwcra1, 0.1, 0xe685_9aee_c5a6_fb7d),
+    (ProblemId::Shipsec5, 0.2, 0x75b1_c87f_3948_5a4f),
+    (ProblemId::Ship001, 0.5, 0xa9e6_fd05_0c3f_15e9),
+    (ProblemId::Oilpan, 0.2, 0x7645_ac18_90d4_c4e1),
+    (ProblemId::X104, 0.05, 0x3c5b_5f41_e3dc_28f3),
+];
+
+/// Logical processors of the schedule, as in `bench_e2e`.
+const PROCS: usize = 2;
+const STAGES: [&str; 5] = ["to_graph", "nd", "symbolic", "sched", "analyze"];
 
 struct Artifacts {
     perm: Vec<u32>,
@@ -40,14 +61,15 @@ struct Artifacts {
     opc: f64,
 }
 
-fn analyze_once(
-    a: &pastix_graph::SymCsc<f64>,
-    par: Parallelism,
-    procs: usize,
-) -> (Artifacts, f64) {
+fn config(par: Parallelism) -> SolverConfig {
     let mut cfg = SolverConfig::default();
-    cfg.analyze.procs = procs;
+    cfg.analyze.procs = PROCS;
     cfg.analyze.parallelism = par;
+    cfg
+}
+
+fn analyze_once(a: &SymCsc<f64>, par: Parallelism) -> (Artifacts, f64) {
+    let cfg = config(par);
     let t0 = Instant::now();
     let plan = Plan::analyze(a, &cfg);
     let wall = t0.elapsed().as_secs_f64();
@@ -75,47 +97,73 @@ fn same_bits(a: &Artifacts, b: &Artifacts) -> bool {
         && a.opc.to_bits() == b.opc.to_bits()
 }
 
+/// One analyze, stage by stage, under the options `Plan::analyze` derives
+/// from its config: seconds of `STAGES[..4]` and the permutation hash.
+fn staged_once(a: &SymCsc<f64>, par: Parallelism) -> ([f64; 4], u64) {
+    let mut t = [0.0; 4];
+    let mut lap = |slot: usize, t0: Instant| t[slot] = t0.elapsed().as_secs_f64();
+    let t0 = Instant::now();
+    let g = a.to_graph();
+    lap(0, t0);
+    let t0 = Instant::now();
+    let ordering = nested_dissection(&g, &OrderingOptions { parallelism: par, ..Default::default() });
+    lap(1, t0);
+    let t0 = Instant::now();
+    let analysis =
+        pastix_symbolic::analyze(&g, &ordering, &AnalysisOptions { parallelism: par, ..Default::default() });
+    lap(2, t0);
+    let t0 = Instant::now();
+    let mapping = map_and_schedule(
+        &analysis.symbol,
+        &MachineModel::sp2(PROCS),
+        &SchedOptions { parallelism: par, ..Default::default() },
+    );
+    lap(3, t0);
+    std::hint::black_box(&mapping);
+    // FNV-1a-64, one word per entry.
+    let fnv = ordering.perm().iter().fold(0xcbf2_9ce4_8422_2325u64, |h, &v| {
+        (h ^ v as u64).wrapping_mul(0x0000_0100_0000_01b3)
+    });
+    (t, fnv)
+}
+
+fn git(args: &[&str]) -> Option<String> {
+    let out = std::process::Command::new("git").args(args).output().ok()?;
+    out.status.success().then(|| String::from_utf8_lossy(&out.stdout).trim().to_string())
+}
+
 fn main() {
     let quick = std::env::args().any(|a| a == "--quick");
     let mode = if quick { "quick" } else { "full" };
     let cpus = std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1);
-    let par_threads = cpus.max(4);
+    let par_threads = cpus;
+    let par = Parallelism::Threads(par_threads);
     println!(
-        "bench_analyze ({mode}) — parallel vs sequential analyze, {cpus} CPUs, \
-         Threads({par_threads}) for the timed parallel run"
+        "bench_analyze ({mode}) — analyze stage by stage, one thread vs Threads({par_threads}) \
+         on {cpus} CPU(s)"
     );
+    let problems = if quick { &PROBLEMS[..2] } else { &PROBLEMS[..] };
+    let reps = if quick { 3 } else { 5 };
 
-    let sc = if quick { 0.02 } else { scale() };
-    let reps = if quick { 2 } else { 3 };
-    let procs = 4;
-    let ids: &[ProblemId] = if quick {
-        &[ProblemId::Shipsec5]
-    } else {
-        &[ProblemId::Ship001, ProblemId::Shipsec5]
-    };
-
+    let mut fields: Vec<(String, Json)> = Vec::new();
     let mut rows = Vec::new();
     let mut determinism_ok = true;
-    let mut headline_speedup = f64::NAN;
+    let mut perms_ok = true;
+    let mut quer = None;
 
-    for &id in ids {
+    for &(id, sc, want_fnv) in problems {
         let a = build_problem::<f64>(id, sc);
-        println!("\nproblem {} n={} nnz={}", id.name(), a.n(), a.nnz_stored());
-
-        // Reference: one sequential run pins the artifacts.
-        let (seq_ref, _) = analyze_once(&a, Parallelism::Sequential, procs);
+        let name = id.name().to_lowercase();
+        println!("\nproblem {} @ {sc} n={} nnz={}", id.name(), a.n(), a.nnz_stored());
 
         // Determinism gate, unconditional: several thread counts plus
         // Auto must reproduce the sequential artifacts bitwise.
+        let (seq_ref, _) = analyze_once(&a, Parallelism::Sequential);
         let mut bitwise_ok = true;
-        for par in [
-            Parallelism::Threads(2),
-            Parallelism::Threads(par_threads),
-            Parallelism::Auto,
-        ] {
-            let (art, _) = analyze_once(&a, par, procs);
+        for p in [Parallelism::Threads(2), Parallelism::Threads(par_threads.max(4)), Parallelism::Auto] {
+            let (art, _) = analyze_once(&a, p);
             if !same_bits(&seq_ref, &art) {
-                eprintln!("  [{par:?}] DIFFERS from sequential analyze");
+                eprintln!("  [{p:?}] DIFFERS from sequential analyze");
                 bitwise_ok = false;
             }
         }
@@ -125,68 +173,97 @@ fn main() {
         );
         determinism_ok &= bitwise_ok;
 
-        // Timing: best-of-reps for each setting (first gate runs above
-        // doubled as warm-up).
-        let mut t_seq = f64::INFINITY;
-        let mut t_par = f64::INFINITY;
+        // Timing: best of `reps`, the two settings alternating so that a
+        // drift of the machine falls on both (the gate runs above doubled
+        // as warm-up).
+        let mut best = [[f64::INFINITY; 5]; 2];
+        let mut fnv = [0u64; 2];
         for _ in 0..reps {
-            t_seq = t_seq.min(analyze_once(&a, Parallelism::Sequential, procs).1);
-            t_par = t_par.min(analyze_once(&a, Parallelism::Threads(par_threads), procs).1);
+            for (k, p) in [Parallelism::Sequential, par].into_iter().enumerate() {
+                let (stages, h) = staged_once(&a, p);
+                fnv[k] = h;
+                let whole = analyze_once(&a, p).1;
+                for (b, t) in best[k].iter_mut().zip(stages.into_iter().chain([whole])) {
+                    *b = b.min(t);
+                }
+            }
         }
-        let speedup = t_seq / t_par;
-        println!(
-            "  sequential {t_seq:.4} s, Threads({par_threads}) {t_par:.4} s — {speedup:.2}x"
-        );
-        if id == ProblemId::Shipsec5 {
-            headline_speedup = speedup;
+        let perm_ok = fnv == [want_fnv; 2];
+        if !perm_ok {
+            eprintln!("  permutation hash {:016x} / {:016x}, recorded {want_fnv:016x}", fnv[0], fnv[1]);
         }
-
+        perms_ok &= perm_ok;
+        fields.push((format!("{name}_perm_fnv"), Json::Str(format!("{:016x}", fnv[0]))));
+        for (k, setting) in ["seq", "par"].into_iter().enumerate() {
+            print!("  {setting}:");
+            for (stage, t) in STAGES.iter().zip(best[k]) {
+                print!(" {stage} {:.1} ms", t * 1e3);
+                fields.push((format!("{name}_{stage}_{setting}_ms"), Json::Num(t * 1e3)));
+            }
+            println!();
+        }
+        let ratio = best[0][4] / best[1][4];
+        fields.push((format!("{name}_analyze_seq_over_par"), Json::Num(ratio)));
+        println!("  analyze seq / par: {ratio:.2}x; permutation {:016x}", fnv[0]);
+        if id == ProblemId::Quer {
+            quer = Some((best[0][4], best[1][4]));
+        }
         rows.push(obj([
             ("problem", Json::Str(id.name().to_string())),
+            ("scale", Json::Num(sc)),
             ("n", Json::Num(a.n() as f64)),
             ("nnz_l", Json::Num(seq_ref.nnz_l as f64)),
             ("opc", Json::Num(seq_ref.opc)),
-            ("t_seq_s", Json::Num(t_seq)),
-            ("t_par_s", Json::Num(t_par)),
-            ("speedup", Json::Num(speedup)),
             ("bitwise_identical", Json::Bool(bitwise_ok)),
+            ("perm_matches_recorded", Json::Bool(perm_ok)),
         ]));
     }
 
-    let gate_active = cpus >= MIN_CPUS_FOR_GATE;
-    let j = obj([
-        ("bench", Json::Str("analyze".to_string())),
-        ("mode", Json::Str(mode.to_string())),
-        ("scale", Json::Num(sc)),
-        ("reps", Json::Num(reps as f64)),
-        ("cpus", Json::Num(cpus as f64)),
-        ("par_threads", Json::Num(par_threads as f64)),
-        ("target_speedup", Json::Num(TARGET_SPEEDUP)),
-        ("speedup_gate_active", Json::Bool(gate_active)),
-        ("headline_speedup", Json::Num(headline_speedup)),
-        ("determinism_ok", Json::Bool(determinism_ok)),
-        ("problems", Json::Arr(rows)),
-    ]);
-    std::fs::write(PATH, j.pretty()).expect("write BENCH_analyze.json");
+    let (quer_seq, quer_par) = quer.expect("QUER is in every mode");
+    let gate_armed = cpus >= 2;
+    let par_ok = quer_par <= quer_seq;
+    let dirty = git(&["status", "--porcelain"]).is_some_and(|s| !s.is_empty());
+    let mut all = vec![
+        ("bench".to_string(), Json::Str("analyze".to_string())),
+        ("mode".to_string(), Json::Str(mode.to_string())),
+        ("git_rev".to_string(), Json::Str(git(&["rev-parse", "HEAD"]).unwrap_or_else(|| "unknown".into()))),
+        ("git_dirty".to_string(), Json::Bool(dirty)),
+        ("cpus".to_string(), Json::Num(cpus as f64)),
+        ("par_threads".to_string(), Json::Num(par_threads as f64)),
+        ("procs".to_string(), Json::Num(PROCS as f64)),
+        ("reps".to_string(), Json::Num(reps as f64)),
+        ("determinism_ok".to_string(), Json::Bool(determinism_ok)),
+        ("perms_match_recorded".to_string(), Json::Bool(perms_ok)),
+        ("par_gate_armed".to_string(), Json::Bool(gate_armed)),
+        ("par_gate_ok".to_string(), if gate_armed { Json::Bool(par_ok) } else { Json::Null }),
+    ];
+    all.extend(fields);
+    all.push(("problems".to_string(), Json::Arr(rows)));
+    std::fs::write(PATH, Json::Obj(all).pretty()).expect("write BENCH_analyze.json");
     println!("\nwrote {PATH}");
 
     println!(
         "acceptance (analyze artifacts bitwise identical at every thread count): {}",
         if determinism_ok { "MET" } else { "NOT MET" }
     );
-    let mut failed = !determinism_ok;
-    if gate_active {
-        let perf_ok = headline_speedup >= TARGET_SPEEDUP;
+    println!(
+        "acceptance (nested dissection produces the recorded permutations): {}",
+        if perms_ok { "MET" } else { "NOT MET" }
+    );
+    let mut failed = !determinism_ok || !perms_ok;
+    if gate_armed {
         println!(
-            "acceptance (parallel analyze ≥ {TARGET_SPEEDUP}x sequential on Shipsec5, \
-             {cpus} CPUs): {headline_speedup:.2}x — {}",
-            if perf_ok { "MET" } else { "NOT MET" }
+            "acceptance (Threads({par_threads}) analyze of QUER no slower than one thread): \
+             {:.1} ms vs {:.1} ms — {}",
+            quer_par * 1e3,
+            quer_seq * 1e3,
+            if par_ok { "MET" } else { "NOT MET" }
         );
-        failed |= !perf_ok;
+        failed |= !par_ok;
     } else {
         println!(
-            "acceptance (speedup): SKIPPED — {cpus} CPU(s) < {MIN_CPUS_FOR_GATE}, no parallel \
-             hardware to measure against (measured {headline_speedup:.2}x, reported only)"
+            "acceptance (parallel analyze no slower than one thread): skipped — one CPU, \
+             nothing parallel to measure"
         );
     }
     if failed {

@@ -44,7 +44,8 @@ impl VertexMap {
     /// Forgets every entry and makes room for global ids below `n`.
     pub fn begin(&mut self, n: usize) {
         if self.slot.len() < n {
-            self.slot.resize(n, 0);
+            // Epoch 0 is never current, so fresh zeros are empty slots.
+            self.slot = vec![0; n];
         }
         self.epoch = self.epoch.wrapping_add(1);
         if self.epoch == 0 {
@@ -349,6 +350,44 @@ mod tests {
         assert_eq!(sub.n(), 3);
         assert_eq!(sub.neighbors(0), &[1]); // 1-2 edge survives
         assert_eq!(sub.neighbors(2), &[] as &[u32]); // 4 is isolated
+    }
+
+    #[test]
+    fn reused_map_and_buffer_carry_no_state() {
+        // One map, one output buffer: overlapping, disjoint and nested
+        // sets, a smaller graph after a larger one and back.
+        let edges: Vec<(u32, u32)> =
+            (0..40u32).flat_map(|i| [(i, (i + 1) % 40), (i, (i + 7) % 40), (i, (i * 3 + 1) % 40)]).collect();
+        let g = CsrGraph::from_edges(40, &edges);
+        let sets: [Vec<u32>; 6] = [
+            (0..30).collect(),
+            (20..40).collect(),         // overlaps the first
+            (0..10).collect(),          // disjoint from the second
+            vec![2, 3, 5, 7],           // nested in the third, smaller
+            (0..40).collect(),          // everything, larger than any before
+            vec![39],
+        ];
+        let mut map = VertexMap::default();
+        let mut sub = CsrGraph::default();
+        for verts in &sets {
+            g.induced_subgraph_into(verts, &mut map, &mut sub);
+            assert_eq!(sub, g.induced_subgraph(verts));
+            sub.validate().unwrap();
+        }
+        assert_eq!(g.induced_subgraph(&sets[4]), g);
+    }
+
+    #[test]
+    fn vertex_map_survives_epoch_wrap() {
+        let mut map = VertexMap::default();
+        map.begin(4);
+        map.set(1, 9);
+        map.epoch = u32::MAX;
+        map.set(2, 7);
+        map.begin(4);
+        assert_eq!((map.get(1), map.get(2)), (None, None));
+        map.set(3, 5);
+        assert_eq!(map.get(3), Some(5));
     }
 
     #[test]

@@ -89,7 +89,8 @@ struct Level {
 
 impl Level {
     fn graph(&self) -> WGraph<'_> {
-        WGraph { xadj: &self.xadj, adjncy: &self.adjncy, ewgt: &self.ewgt, vwgt: &self.vwgt }
+        let nnz = self.xadj.last().copied().unwrap_or(0);
+        WGraph { xadj: &self.xadj, adjncy: &self.adjncy[..nnz], ewgt: &self.ewgt[..nnz], vwgt: &self.vwgt }
     }
 }
 
@@ -246,19 +247,24 @@ fn coarsen(
     // coarse vertex `c` are its first-visited vertex and that vertex's
     // partner, rows merged in ascending member order.
     let nc = rep.len();
-    refill(accum, nc, u32::MAX);
     let Level { xadj, adjncy, ewgt, vwgt, .. } = coarse;
+    // The rows are written by index into arrays kept at their high-water
+    // length (`xadj` says how much of them is the graph).
+    if adjncy.len() < fine.adjncy.len() {
+        adjncy.resize(fine.adjncy.len(), 0);
+        ewgt.resize(fine.adjncy.len(), 0);
+    }
+    // 1 + the slot of a coarse neighbour in the row being built; anything
+    // up to the row's start is left over from an earlier row.
+    refill(accum, nc, 0);
     xadj.clear();
     xadj.push(0);
-    adjncy.clear();
-    adjncy.reserve(fine.adjncy.len());
-    ewgt.clear();
-    ewgt.reserve(fine.adjncy.len());
     vwgt.clear();
+    let mut len = 0;
     for (c, &u) in rep.iter().enumerate() {
         let m = match_of[u as usize];
         let (a, b) = (u.min(m) as usize, u.max(m) as usize);
-        let start = adjncy.len();
+        let start = len;
         let second = (b != a).then_some(b);
         for v in std::iter::once(a).chain(second) {
             for (x, w) in fine.neighbors(v) {
@@ -266,16 +272,18 @@ fn coarsen(
                 if cx == c {
                     continue;
                 }
-                if accum[cx] == u32::MAX || (accum[cx] as usize) < start {
-                    accum[cx] = adjncy.len() as u32;
-                    adjncy.push(cx as u32);
-                    ewgt.push(w);
+                let slot = accum[cx] as usize;
+                if slot <= start {
+                    adjncy[len] = cx as u32;
+                    ewgt[len] = w;
+                    len += 1;
+                    accum[cx] = len as u32;
                 } else {
-                    ewgt[accum[cx] as usize] += w;
+                    ewgt[slot - 1] += w;
                 }
             }
         }
-        xadj.push(adjncy.len());
+        xadj.push(len);
         vwgt.push(fine.vwgt[a] + second.map_or(0, |b| fine.vwgt[b]));
     }
 }
@@ -687,6 +695,17 @@ mod tests {
     }
 
     #[test]
+    fn warm_workspace_allocates_nothing() {
+        let g = grid(40, 40);
+        let opts = BisectOptions::default();
+        let mut ws = BisectWorkspace::default();
+        let first = separator(&mut ws, &g, &opts, 7);
+        let before = crate::alloc_count::allocations();
+        assert_eq!(separator(&mut ws, &g, &opts, 7), first);
+        assert_eq!(crate::alloc_count::allocations(), before);
+    }
+
+    #[test]
     fn deterministic_given_seed() {
         let g = grid(10, 10);
         let a = vertex_separator(&g, &BisectOptions::default());
@@ -694,3 +713,4 @@ mod tests {
         assert_eq!(a.side, b.side);
     }
 }
+

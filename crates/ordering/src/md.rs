@@ -562,6 +562,68 @@ mod tests {
         assert_eq!(o.order.len(), 9);
     }
 
+    /// Loads `g` into `q` (no halo) and returns the order `run` produces.
+    fn order_with(q: &mut Quotient, g: &CsrGraph, halo: &[bool], room: Option<usize>) -> Vec<u32> {
+        q.begin();
+        for v in 0..g.n() {
+            q.push_row(g.neighbors(v).iter().copied(), halo[v]);
+        }
+        let mut order = Vec::new();
+        match room {
+            Some(room) => q.order_in(room, |v| order.push(v)),
+            None => q.order(|v| order.push(v)),
+        }
+        order
+    }
+
+    #[test]
+    fn small_arena_compacts_and_orders_the_same() {
+        let g = grid(12, 11);
+        let halo: Vec<bool> = (0..g.n()).map(|v| v % 9 == 4).collect();
+        let want = min_degree(&g, &halo).order;
+        let mut q = Quotient::default();
+        assert_eq!(order_with(&mut q, &g, &halo, None), want);
+        let roomy = q.compactions;
+        // Room for almost nothing: compaction runs again and again, and
+        // the arena grows when even the live lists do not fit.
+        assert_eq!(order_with(&mut q, &g, &halo, Some(8)), want);
+        assert!(q.compactions > roomy + 10, "compactions: {roomy} then {}", q.compactions);
+    }
+
+    #[test]
+    fn reused_quotient_carries_no_state() {
+        // Big, tiny, big again, with different halos, through one arena.
+        let (big, tiny) = (grid(10, 10), path(5));
+        let halo_big: Vec<bool> = (0..100).map(|v| v % 10 == 0).collect();
+        let halo_tiny = vec![true, false, false, false, false];
+        let mut q = Quotient::default();
+        for (g, halo) in [(&big, &halo_big), (&tiny, &halo_tiny), (&big, &halo_big)] {
+            let order = order_with(&mut q, g, halo, None);
+            assert_eq!(order, min_degree(g, halo).order);
+            assert_is_permutation(&order, g.n(), halo);
+        }
+    }
+
+    #[test]
+    fn warm_quotient_allocates_nothing() {
+        let g = grid(15, 15);
+        let halo: Vec<bool> = (0..g.n()).map(|v| v % 15 == 14).collect();
+        let mut q = Quotient::default();
+        let mut order = Vec::with_capacity(g.n());
+        let run = |q: &mut Quotient, order: &mut Vec<u32>| {
+            order.clear();
+            q.begin();
+            for v in 0..g.n() {
+                q.push_row(g.neighbors(v).iter().copied(), halo[v]);
+            }
+            q.order(|v| order.push(v));
+        };
+        run(&mut q, &mut order);
+        let before = crate::alloc_count::allocations();
+        run(&mut q, &mut order);
+        assert_eq!(crate::alloc_count::allocations(), before);
+    }
+
     #[test]
     fn deterministic() {
         let g = grid(9, 9);

@@ -327,6 +327,29 @@ mod tests {
     }
 
     #[test]
+    fn warm_workspace_orders_leaves_without_allocating() {
+        let g = grid(30, 30);
+        // Two leaves with halos on every side, through one workspace.
+        let leaves: [Vec<u32>; 2] = [(310..420).collect(), (600..640).collect()];
+        let mut ws = Workspace::default();
+        let mut out = leaves.clone();
+        for mode in [LeafMode::HaloMinDegree, LeafMode::MinDegree] {
+            for (leaf, out) in leaves.iter().zip(&mut out) {
+                out.copy_from_slice(leaf);
+                order_leaf(&g, out, mode, &mut ws);
+            }
+            let want = out.clone();
+            let before = crate::alloc_count::allocations();
+            for (leaf, out) in leaves.iter().zip(&mut out) {
+                out.copy_from_slice(leaf);
+                order_leaf(&g, out, mode, &mut ws);
+            }
+            assert_eq!(crate::alloc_count::allocations(), before, "{mode:?}");
+            assert_eq!(out, want, "{mode:?}");
+        }
+    }
+
+    #[test]
     fn pure_md_is_valid() {
         let g = grid(12, 12);
         let p = pure_min_degree(&g);

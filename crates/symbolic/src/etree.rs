@@ -18,13 +18,23 @@ pub const NO_PARENT: u32 = u32::MAX;
 /// adjacency graph in elimination order. `parent[j]` is the etree parent of
 /// column `j`, or [`NO_PARENT`] for roots.
 pub fn etree(g: &CsrGraph) -> Vec<u32> {
-    let n = g.n();
+    etree_of_rows(g.n(), |j| g.neighbors(j).iter().map(|&i| i as usize))
+}
+
+/// [`etree`] of `g.permuted(p)` without building that graph (the tree does
+/// not depend on the order within a row, so the rows need no sorting).
+pub(crate) fn etree_permuted(g: &CsrGraph, p: &Permutation) -> Vec<u32> {
+    etree_of_rows(g.n(), |j| g.neighbors(p.old_of(j)).iter().map(|&i| p.new_of(i as usize)))
+}
+
+/// Liu's algorithm over `row(j)`, the neighbours of column `j` (those at
+/// or after `j` are ignored).
+fn etree_of_rows<R: Iterator<Item = usize>>(n: usize, row: impl Fn(usize) -> R) -> Vec<u32> {
     let mut parent = vec![NO_PARENT; n];
     // Virtual ancestors with path compression.
     let mut ancestor = vec![NO_PARENT; n];
     for j in 0..n {
-        for &i in g.neighbors(j) {
-            let mut i = i as usize;
+        for mut i in row(j) {
             if i >= j {
                 continue;
             }
@@ -46,6 +56,18 @@ pub fn etree(g: &CsrGraph) -> Vec<u32> {
     parent
 }
 
+/// The elimination tree after the vertices are renumbered by `post`
+/// (`new = post.new_of(old)`): a relabelling, no second [`etree`].
+pub(crate) fn relabel_tree(parent: &[u32], post: &Permutation) -> Vec<u32> {
+    let mut out = vec![NO_PARENT; parent.len()];
+    for (v, &p) in parent.iter().enumerate() {
+        if p != NO_PARENT {
+            out[post.new_of(v)] = post.new_of(p as usize) as u32;
+        }
+    }
+    out
+}
+
 /// Depth-first postorder of the elimination forest; returns a permutation
 /// `post` such that `post.new_of(v)` is the postorder rank of vertex `v`.
 /// Children are visited in ascending order, so an already-postordered tree
@@ -55,40 +77,29 @@ pub fn postorder(parent: &[u32]) -> Permutation {
     // Build child lists (ascending by construction).
     let mut first_child = vec![u32::MAX; n];
     let mut next_sibling = vec![u32::MAX; n];
-    let mut roots: Vec<u32> = Vec::new();
     for v in (0..n).rev() {
-        match parent[v] {
-            NO_PARENT => roots.push(v as u32),
-            p => {
-                next_sibling[v] = first_child[p as usize];
-                first_child[p as usize] = v as u32;
-            }
+        if parent[v] != NO_PARENT {
+            next_sibling[v] = first_child[parent[v] as usize];
+            first_child[parent[v] as usize] = v as u32;
         }
     }
-    roots.reverse();
     let mut post = vec![0u32; n];
     let mut rank = 0u32;
-    let mut stack: Vec<(u32, bool)> = Vec::new();
-    for &r in roots.iter().rev() {
-        stack.push((r, false));
-    }
-    // Iterative DFS emitting on exit.
-    while let Some((v, expanded)) = stack.pop() {
-        if expanded {
-            post[v as usize] = rank;
-            rank += 1;
-            continue;
-        }
-        stack.push((v, true));
-        // Push children so the smallest is processed first.
-        let mut kids = Vec::new();
-        let mut c = first_child[v as usize];
-        while c != u32::MAX {
-            kids.push(c);
-            c = next_sibling[c as usize];
-        }
-        for &k in kids.iter().rev() {
-            stack.push((k, false));
+    let mut stack: Vec<u32> = Vec::new();
+    // Iterative DFS from each root in ascending order, emitting on exit;
+    // `first_child[v]` is consumed as the cursor over v's children.
+    for r in (0..n).filter(|&v| parent[v] == NO_PARENT) {
+        stack.push(r as u32);
+        while let Some(&v) = stack.last() {
+            let child = first_child[v as usize];
+            if child == u32::MAX {
+                stack.pop();
+                post[v as usize] = rank;
+                rank += 1;
+            } else {
+                first_child[v as usize] = next_sibling[child as usize];
+                stack.push(child);
+            }
         }
     }
     debug_assert_eq!(rank as usize, n);
@@ -286,6 +297,22 @@ mod tests {
                 );
             }
         }
+    }
+
+    #[test]
+    fn shortcut_trees_equal_recomputed_ones() {
+        // What `analyze` relies on: the tree under an ordering needs no
+        // permuted graph, and the tree after postordering is a relabelling.
+        let g = grid(9, 7);
+        let shuffled: Vec<u32> = (0..63u32).map(|i| (i * 17 + 5) % 63).collect();
+        let ordering = Permutation::from_perm(shuffled);
+        let parent0 = etree_permuted(&g, &ordering);
+        assert_eq!(parent0, etree(&g.permuted(&ordering)));
+        let post = postorder(&parent0);
+        let relabelled = relabel_tree(&parent0, &post);
+        assert_eq!(relabelled, etree(&g.permuted(&ordering.then(&post))));
+        // A postordered tree postorders to the identity.
+        assert_eq!(postorder(&relabelled), Permutation::identity(63));
     }
 
     #[test]

@@ -68,14 +68,14 @@ pub struct Analysis {
 /// ```
 pub fn analyze(g: &CsrGraph, ordering: &Permutation, opts: &AnalysisOptions) -> Analysis {
     assert_eq!(g.n(), ordering.len());
-    // Permute, compute etree, postorder, and re-permute so supernodes are
-    // contiguous column ranges.
-    let gp0 = g.permuted(ordering);
-    let parent0 = etree(&gp0);
+    // Compute the etree under the input ordering, postorder it, and permute
+    // once so supernodes are contiguous column ranges; the tree of the
+    // postordered graph is the first one relabelled.
+    let parent0 = etree::etree_permuted(g, ordering);
     let post = postorder(&parent0);
     let perm = ordering.then(&post);
     let gp = g.permuted(&perm);
-    let parent = etree(&gp);
+    let parent = etree::relabel_tree(&parent0, &post);
     let threads = opts.parallelism.effective_threads();
     let counts = col_counts_par(&gp, &parent, threads);
     // The scalar Table-1 statistics and the supernode chain both depend
