@@ -215,8 +215,9 @@ fn coarsen(
         let j = rng.gen_range(0..=i);
         visit.swap(i, j);
     }
+    // Every vertex is given its coarse vertex below: no need to clear.
     let cmap = &mut coarse.cmap;
-    refill(cmap, n, u32::MAX);
+    cmap.resize(n, 0);
     rep.clear();
     for &u in visit.iter() {
         let u = u as usize;

@@ -107,8 +107,10 @@ pub(crate) struct Quotient {
     nodes: Vec<Node>,
     /// The arena: input rows first, element lists appended behind them.
     iw: Vec<u32>,
-    /// Where the rows end and the element lists begin.
+    /// Where the rows end and the element lists begin, and the arena
+    /// length at which the lists are compacted before another is added.
     rows_end: usize,
+    limit: usize,
     /// Elements with a list behind the rows, in arena order.
     elems: Vec<u32>,
     /// The variables of the element being formed.
@@ -157,9 +159,9 @@ impl Quotient {
     /// Eliminates every non-halo vertex, calling `emit` with each in
     /// elimination order.
     pub(crate) fn order(&mut self, emit: impl FnMut(u32)) {
-        // As much room for element lists as the rows take: live element
-        // lists never outgrow the rows they replace, so this compacts
-        // rarely and never has to grow.
+        // As much room for element lists as the rows take: the live ones
+        // never outgrow the rows they replace, so the arena compacts now
+        // and then and does not have to grow.
         self.order_in(self.iw.len(), emit);
     }
 
@@ -168,7 +170,7 @@ impl Quotient {
     fn order_in(&mut self, room: usize, mut emit: impl FnMut(u32)) {
         let n = self.nodes.len();
         self.rows_end = self.iw.len();
-        let mut limit = self.rows_end + room;
+        self.limit = self.rows_end + room;
         self.bucket_head.clear();
         self.bucket_head.resize(n, NONE);
         self.heap.clear();
@@ -195,7 +197,7 @@ impl Quotient {
                 left -= 1;
                 v = self.nodes[v as usize].sv_next;
             }
-            self.eliminate(p as usize, &mut limit);
+            self.eliminate(p as usize);
             // The new element lists the variables whose degrees changed.
             let p = &self.nodes[p as usize];
             for &v in &self.iw[p.start..p.end] {
@@ -214,7 +216,7 @@ impl Quotient {
 
     /// Eliminates variable `p`, forming a new element whose list is the
     /// set of variables whose degrees changed.
-    fn eliminate(&mut self, p: usize, limit: &mut usize) {
+    fn eliminate(&mut self, p: usize) {
         debug_assert_eq!(self.nodes[p].state, State::Variable);
         // Gather L_p = (A_p ∪ ⋃_{e ∋ p} L_e) \ {p}: the variables of the
         // new element.
@@ -234,9 +236,9 @@ impl Quotient {
             self.nodes[e].end = self.nodes[e].start;
             self.nodes[e].state = State::Dead;
         }
-        if self.iw.len() + self.lp.len() > *limit {
+        if self.iw.len() + self.lp.len() > self.limit {
             self.compact();
-            *limit = (*limit).max(self.iw.len() + self.lp.len());
+            self.limit = self.limit.max(self.iw.len() + self.lp.len());
         }
         let node = &mut self.nodes[p];
         node.state = State::Element;
