@@ -12,8 +12,9 @@
 //!   `C` is written once per four `k` steps; simple, exact, and fastest for
 //!   small tiles;
 //! * the **cache-blocked packed path** of [`crate::pack`]: `MC×KC×NC`
-//!   tiling with packed operand panels and an `MR×NR` register microkernel,
-//!   which the dispatcher selects for products large enough to amortize the
+//!   tiling with packed operand panels and a register microkernel sized
+//!   for the scalar and the instruction set ([`crate::pack::Tile`]), which
+//!   the dispatcher selects for products large enough to amortize the
 //!   packing (see [`crate::pack::KernelMode`] to force either side).
 //!
 //! The two solve-sweep products (`A·B` and `Aᵀ·B` against a handful of
@@ -23,7 +24,8 @@
 //! and irregular the supernode is — and the factor panel streams past once
 //! per eight of them.
 //!
-//! No `unsafe` is needed anywhere.
+//! This file is safe Rust; the crate's one `unsafe` block is the
+//! load/store frame of the AVX-512 `f64` microkernel in [`crate::pack`].
 
 use crate::pack;
 use crate::scalar::Scalar;

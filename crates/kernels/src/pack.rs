@@ -2,20 +2,33 @@
 //!
 //! The BLIS-style formulation of the contribution products: the iteration
 //! space is tiled `NC × KC × MC` (columns, depth, rows); within a tile the
-//! `B` operand is packed into `NR`-wide column slabs and the `A` operand
-//! into `MR`-tall row slabs, so the innermost register microkernel streams
-//! both packs contiguously and keeps an `MR × NR` accumulator block entirely
+//! `B` operand is packed into `nr`-wide column slabs and the `A` operand
+//! into `mr`-tall row slabs, so the innermost register microkernel streams
+//! both packs contiguously and keeps an `mr × nr` accumulator block entirely
 //! in registers for the whole `KC` depth. Compared with the seed's axpy
 //! formulation (which re-reads the `C` column every fourth `k` step and the
 //! whole `A` panel once per `C` column), the packed loop touches each `C`
 //! element once per `KC` slice and each packed element once per tile —
-//! `(MR + NR) / (MR · NR)` memory operations per multiply-add instead of
+//! `(mr + nr) / (mr · nr)` memory operations per multiply-add instead of
 //! `~6/4`.
 //!
-//! Everything is safe Rust: packing pads partial slabs with zeros (a zero
-//! contribution is exact), and the write-back only stores the valid
-//! `mr × nr` corner, so padding rows of `C` buffers and the strictly upper
-//! triangle of diagonal blocks are never touched.
+//! Packing pads partial slabs with zeros (a zero contribution is exact),
+//! and the write-back only stores the valid `mr × nr` corner, so padding
+//! rows of `C` buffers and the strictly upper triangle of diagonal blocks
+//! are never touched.
+//!
+//! The register block is per scalar type and per instruction set: a
+//! [`Tile`], reached through [`Scalar::TILE`]. Every scalar gets the safe
+//! generic kernel (8 × 6, which fills the sixteen vector registers of
+//! AVX2-class hardware); `f64` built for AVX-512 gets a 16 × 8 tile of
+//! `_mm512_fmadd_pd`, because the compiler keeps such targets at 256-bit
+//! vectors on its own. That kernel holds the crate's only `unsafe` block.
+//! The tile shape is a compile-time constant of the driver (one
+//! instantiation per kernel), which is what makes the slab copies and the
+//! write-back of a whole tile fixed-size vector moves.
+//! Whatever the tile, an entry of the product is one chain of fused
+//! multiply-adds over the depth of a `KC` slice, in depth order, so the
+//! tiles agree bit for bit.
 //!
 //! The blocking constants are per-`Scalar` (chosen by element size so an
 //! `MC × KC` A-pack sits in L2 and a `KC × NC` B-pack in outer cache) and
@@ -27,14 +40,61 @@ use crate::scalar::Scalar;
 use std::sync::atomic::{AtomicU8, Ordering};
 use std::sync::OnceLock;
 
-/// Rows of the register microkernel's accumulator block.
-pub const MR: usize = 8;
-/// Columns of the register microkernel's accumulator block.
-pub const NR: usize = 4;
+/// The register microkernel of the packed path for one scalar type: the
+/// shape of its accumulator block and the tiled driver compiled for it.
+#[derive(Debug, Clone, Copy)]
+pub struct Tile<T> {
+    /// Rows of the accumulator block: the height of an A-pack slab.
+    pub mr: usize,
+    /// Columns of the accumulator block: the width of a B-pack slab.
+    pub nr: usize,
+    /// What the kernel is written in (`"generic"`, `"avx512f"`), for bench
+    /// headers.
+    pub isa: &'static str,
+    /// [`gemm_packed_driver`] instantiated for the kernel, so the tile
+    /// shape is a compile-time constant all the way down.
+    driver: fn(BlockSizes, BLayout, usize, usize, usize, T, &[T], usize, &[T], usize, &mut [T], usize),
+}
+
+/// A register microkernel. `run(kcb, pa, pb, out)` overwrites `out`
+/// (column-major `MR × NR`) with `Σ_kk pa[kk][·] · pb[kk][·]` over one
+/// slab of each pack: per entry, one `mul_add` chain from zero in depth
+/// order.
+trait MicroKernel<T> {
+    const MR: usize;
+    const NR: usize;
+    fn run(kcb: usize, pa: &[T], pb: &[T], out: &mut [T]);
+}
+
+/// Scalars of the largest accumulator block any [`MicroKernel`] has.
+const MAX_TILE: usize = 16 * 8;
+
+impl<T: Scalar> Tile<T> {
+    const fn of<K: MicroKernel<T>>(isa: &'static str) -> Self {
+        assert!(K::MR * K::NR <= MAX_TILE);
+        Tile { mr: K::MR, nr: K::NR, isa, driver: gemm_packed_driver::<T, K> }
+    }
+
+    /// The safe kernel every scalar falls back to: 8 × 6, twelve 256-bit
+    /// accumulators for `f64`.
+    pub const fn generic() -> Self {
+        Self::of::<Generic<8, 6>>("generic")
+    }
+}
+
+impl Tile<f64> {
+    /// The `f64` tile of the instruction set this crate is compiled for.
+    #[cfg(all(target_arch = "x86_64", target_feature = "avx512f"))]
+    pub const F64: Self = Self::of::<Avx512>("avx512f");
+    /// The `f64` tile of the instruction set this crate is compiled for.
+    #[cfg(not(all(target_arch = "x86_64", target_feature = "avx512f")))]
+    pub const F64: Self = Self::generic();
+}
 
 /// Cache-blocking constants of the packed GEMM path: row tile `mc`
 /// (A-pack height), depth tile `kc` (pack depth), column tile `nc`
-/// (B-pack width). `mc` is kept a multiple of [`MR`] and `nc` of [`NR`].
+/// (B-pack width). The driver rounds `mc` and `nc` up to whole slabs of
+/// the scalar's [`Tile`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct BlockSizes {
     /// Row-tile height: one A-pack is `mc × kc` scalars (targets L2).
@@ -46,15 +106,9 @@ pub struct BlockSizes {
 }
 
 impl BlockSizes {
-    /// Rounds the tile sizes to legal values (multiples of the register
-    /// block, nothing zero).
+    /// Legal tile sizes: nothing zero.
     pub fn sanitized(self) -> Self {
-        let up = |x: usize, q: usize| x.max(q).div_ceil(q) * q;
-        Self {
-            mc: up(self.mc, MR),
-            kc: self.kc.max(1),
-            nc: up(self.nc, NR),
-        }
+        Self { mc: self.mc.max(1), kc: self.kc.max(1), nc: self.nc.max(1) }
     }
 
     /// Default blocking for a scalar of `elem_bytes` bytes: A-pack ≈ 224 KB
@@ -192,10 +246,14 @@ enum BLayout {
 }
 
 /// Packs the `mcb × kcb` block of `A` starting at `(ic, pc)` into
-/// `MR`-tall row slabs: slab `ir` holds columns `kk` back-to-back, each as
-/// `MR` consecutive row entries, zero-padded past `mcb`.
+/// `mr`-tall row slabs: slab `ir` holds columns `kk` back-to-back, each as
+/// `mr` consecutive row entries, zero-padded past `mcb`. Inlined into the
+/// driver, where `mr` is a constant: the copies of whole slabs are
+/// fixed-size moves.
+#[inline]
 fn pack_a<T: Scalar>(
     pa: &mut Vec<T>,
+    mr: usize,
     a: &[T],
     lda: usize,
     ic: usize,
@@ -203,26 +261,32 @@ fn pack_a<T: Scalar>(
     mcb: usize,
     kcb: usize,
 ) {
-    let slabs = mcb.div_ceil(MR);
-    pa.clear();
-    pa.resize(slabs * kcb * MR, T::zero());
-    for ir in 0..slabs {
-        let row0 = ic + ir * MR;
-        let rows = MR.min(mcb - ir * MR);
-        let dst_base = ir * kcb * MR;
-        for kk in 0..kcb {
-            let src = &a[row0 + (pc + kk) * lda..row0 + (pc + kk) * lda + rows];
-            let dst = &mut pa[dst_base + kk * MR..dst_base + kk * MR + rows];
-            dst.copy_from_slice(src);
-            // rows..MR stay zero from the resize.
+    let slabs = mcb.div_ceil(mr);
+    // Every entry is written below: the buffer only ever grows.
+    if pa.len() < slabs * kcb * mr {
+        pa.resize(slabs * kcb * mr, T::zero());
+    }
+    for (ir, slab) in pa.chunks_exact_mut(kcb * mr).take(slabs).enumerate() {
+        let row0 = ic + ir * mr;
+        let rows = mr.min(mcb - ir * mr);
+        for (kk, dst) in slab.chunks_exact_mut(mr).enumerate() {
+            let col = &a[row0 + (pc + kk) * lda..];
+            if rows == mr {
+                dst.copy_from_slice(&col[..mr]);
+            } else {
+                dst[..rows].copy_from_slice(&col[..rows]);
+                dst[rows..].fill(T::zero());
+            }
         }
     }
 }
 
 /// Packs the `kcb × ncb` block of `Bᵀ` (resp. `B`) starting at
-/// `(pc, jc)` into `NR`-wide column slabs, zero-padded past `ncb`.
+/// `(pc, jc)` into `nr`-wide column slabs, zero-padded past `ncb`.
+#[inline]
 fn pack_b<T: Scalar>(
     pb: &mut Vec<T>,
+    nr: usize,
     b: &[T],
     ldb: usize,
     layout: BLayout,
@@ -231,28 +295,33 @@ fn pack_b<T: Scalar>(
     ncb: usize,
     kcb: usize,
 ) {
-    let slabs = ncb.div_ceil(NR);
-    pb.clear();
-    pb.resize(slabs * kcb * NR, T::zero());
-    for jr in 0..slabs {
-        let col0 = jc + jr * NR;
-        let cols = NR.min(ncb - jr * NR);
-        let dst_base = jr * kcb * NR;
+    let slabs = ncb.div_ceil(nr);
+    if pb.len() < slabs * kcb * nr {
+        pb.resize(slabs * kcb * nr, T::zero());
+    }
+    for (jr, slab) in pb.chunks_exact_mut(kcb * nr).take(slabs).enumerate() {
+        let col0 = jc + jr * nr;
+        let cols = nr.min(ncb - jr * nr);
         match layout {
             BLayout::Nt => {
                 // B is n × k: element (column j of the product, depth kk)
                 // lives at b[j + kk*ldb].
-                for kk in 0..kcb {
-                    let src = &b[col0 + (pc + kk) * ldb..col0 + (pc + kk) * ldb + cols];
-                    pb[dst_base + kk * NR..dst_base + kk * NR + cols].copy_from_slice(src);
+                for (kk, dst) in slab.chunks_exact_mut(nr).enumerate() {
+                    let row = &b[col0 + (pc + kk) * ldb..];
+                    if cols == nr {
+                        dst.copy_from_slice(&row[..nr]);
+                    } else {
+                        dst[..cols].copy_from_slice(&row[..cols]);
+                        dst[cols..].fill(T::zero());
+                    }
                 }
             }
             BLayout::Nn => {
                 // B is k × n: element (j, kk) lives at b[kk + j*ldb].
-                for jj in 0..cols {
-                    let src = &b[pc + (col0 + jj) * ldb..pc + (col0 + jj) * ldb + kcb];
-                    for (kk, &v) in src.iter().enumerate() {
-                        pb[dst_base + kk * NR + jj] = v;
+                for jj in 0..nr {
+                    let src = (jj < cols).then(|| &b[pc + (col0 + jj) * ldb..][..kcb]);
+                    for (kk, dst) in slab.chunks_exact_mut(nr).enumerate() {
+                        dst[jj] = src.map_or(T::zero(), |src| src[kk]);
                     }
                 }
             }
@@ -260,30 +329,80 @@ fn pack_b<T: Scalar>(
     }
 }
 
-/// The register microkernel: `acc[j][i] += Σ_kk pa[kk][i] · pb[kk][j]`
-/// over one `MR`-slab of the A-pack and one `NR`-slab of the B-pack. The
-/// fixed-size accumulator block stays in registers for the whole depth.
-#[inline(always)]
-fn microkernel<T: Scalar>(kcb: usize, pa: &[T], pb: &[T], acc: &mut [[T; MR]; NR]) {
-    let pa = &pa[..kcb * MR];
-    let pb = &pb[..kcb * NR];
-    for kk in 0..kcb {
-        let av: &[T; MR] = pa[kk * MR..kk * MR + MR].try_into().unwrap();
-        let bv: &[T; NR] = pb[kk * NR..kk * NR + NR].try_into().unwrap();
-        for jj in 0..NR {
-            let s = bv[jj];
-            let col = &mut acc[jj];
-            for ii in 0..MR {
-                col[ii] = av[ii].mul_add(s, col[ii]);
+/// The safe microkernel: the fixed-size accumulator block is a local, so
+/// it stays in registers for the whole depth.
+struct Generic<const MR: usize, const NR: usize>;
+
+impl<T: Scalar, const MR: usize, const NR: usize> MicroKernel<T> for Generic<MR, NR> {
+    const MR: usize = MR;
+    const NR: usize = NR;
+
+    #[inline]
+    fn run(kcb: usize, pa: &[T], pb: &[T], out: &mut [T]) {
+        let mut acc = [[T::zero(); MR]; NR];
+        for (av, bv) in pa[..kcb * MR].chunks_exact(MR).zip(pb[..kcb * NR].chunks_exact(NR)) {
+            let av: &[T; MR] = av.try_into().expect("chunk of MR");
+            for (col, &s) in acc.iter_mut().zip(bv) {
+                for ii in 0..MR {
+                    col[ii] = av[ii].mul_add(s, col[ii]);
+                }
+            }
+        }
+        for (dst, col) in out[..MR * NR].chunks_exact_mut(MR).zip(&acc) {
+            dst.copy_from_slice(col);
+        }
+    }
+}
+
+/// The 16 × 8 `f64` microkernel of AVX-512 targets: sixteen `zmm`
+/// accumulators, two loads of `A` and eight broadcasts of `B` per depth
+/// step — the same `mul_add` chain per entry as [`Generic`].
+#[cfg(all(target_arch = "x86_64", target_feature = "avx512f"))]
+struct Avx512;
+
+#[cfg(all(target_arch = "x86_64", target_feature = "avx512f"))]
+impl MicroKernel<f64> for Avx512 {
+    const MR: usize = 16;
+    const NR: usize = 8;
+
+    #[inline]
+    fn run(kcb: usize, pa: &[f64], pb: &[f64], out: &mut [f64]) {
+        use std::arch::x86_64::{
+            _mm512_fmadd_pd, _mm512_loadu_pd, _mm512_set1_pd, _mm512_setzero_pd, _mm512_storeu_pd,
+        };
+        // The bounds of every access below, checked once per slab.
+        let (pa, pb, out) = (&pa[..kcb * 16], &pb[..kcb * 8], &mut out[..16 * 8]);
+        // SAFETY: this impl only exists when the crate is compiled with
+        // `avx512f` enabled, so the intrinsics' instructions are available
+        // wherever this code may run. Depth step `kk < kcb` reads
+        // `pa[16 kk..16 kk + 16]` and `pb[8 kk..8 kk + 8]`, column `j < 8`
+        // writes `out[16 j..16 j + 16]`, all inside the slices re-sliced
+        // above; the unaligned load/store forms need no alignment.
+        unsafe {
+            let mut acc = [[_mm512_setzero_pd(); 2]; 8];
+            for kk in 0..kcb {
+                let ap = pa.as_ptr().add(16 * kk);
+                let bp = pb.as_ptr().add(8 * kk);
+                let (a0, a1) = (_mm512_loadu_pd(ap), _mm512_loadu_pd(ap.add(8)));
+                for (j, col) in acc.iter_mut().enumerate() {
+                    let s = _mm512_set1_pd(*bp.add(j));
+                    col[0] = _mm512_fmadd_pd(a0, s, col[0]);
+                    col[1] = _mm512_fmadd_pd(a1, s, col[1]);
+                }
+            }
+            for (j, col) in acc.iter().enumerate() {
+                let op = out.as_mut_ptr().add(16 * j);
+                _mm512_storeu_pd(op, col[0]);
+                _mm512_storeu_pd(op.add(8), col[1]);
             }
         }
     }
 }
 
 /// Shared tiled driver of the packed kernels. `C(m×n) += α · A(m×k) · op(B)`
-/// with `op` selected by `layout`.
+/// with `op` selected by `layout`, on register microkernel `K`.
 #[allow(clippy::too_many_arguments)]
-fn gemm_packed_driver<T: Scalar>(
+fn gemm_packed_driver<T: Scalar, K: MicroKernel<T>>(
     bs: BlockSizes,
     layout: BLayout,
     m: usize,
@@ -297,41 +416,45 @@ fn gemm_packed_driver<T: Scalar>(
     c: &mut [T],
     ldc: usize,
 ) {
+    let (mr, nr) = (K::MR, K::NR);
     let bs = bs.sanitized();
+    let (mc, nc) = (bs.mc.next_multiple_of(mr), bs.nc.next_multiple_of(nr));
     let mut pa: Vec<T> = Vec::new();
     let mut pb: Vec<T> = Vec::new();
+    let mut acc = [T::zero(); MAX_TILE];
+    let acc = &mut acc[..mr * nr];
     let mut jc = 0;
     while jc < n {
-        let ncb = bs.nc.min(n - jc);
+        let ncb = nc.min(n - jc);
         let mut pc = 0;
         while pc < k {
             let kcb = bs.kc.min(k - pc);
-            pack_b(&mut pb, b, ldb, layout, jc, pc, ncb, kcb);
+            pack_b(&mut pb, nr, b, ldb, layout, jc, pc, ncb, kcb);
             let mut ic = 0;
             while ic < m {
-                let mcb = bs.mc.min(m - ic);
-                pack_a(&mut pa, a, lda, ic, pc, mcb, kcb);
+                let mcb = mc.min(m - ic);
+                pack_a(&mut pa, mr, a, lda, ic, pc, mcb, kcb);
                 // Macro kernel over the packed tile.
-                let jslabs = ncb.div_ceil(NR);
-                let islabs = mcb.div_ceil(MR);
-                for jr in 0..jslabs {
-                    let nr_cur = NR.min(ncb - jr * NR);
-                    let pb_slab = &pb[jr * kcb * NR..(jr + 1) * kcb * NR];
-                    for ir in 0..islabs {
-                        let mr_cur = MR.min(mcb - ir * MR);
-                        let pa_slab = &pa[ir * kcb * MR..(ir + 1) * kcb * MR];
-                        let mut acc = [[T::zero(); MR]; NR];
-                        microkernel(kcb, pa_slab, pb_slab, &mut acc);
+                for (jr, pb_slab) in pb.chunks_exact(kcb * nr).take(ncb.div_ceil(nr)).enumerate() {
+                    let nr_cur = nr.min(ncb - jr * nr);
+                    for (ir, pa_slab) in pa.chunks_exact(kcb * mr).take(mcb.div_ceil(mr)).enumerate() {
+                        let mr_cur = mr.min(mcb - ir * mr);
+                        K::run(kcb, pa_slab, pb_slab, acc);
                         // Write back the valid corner only: padding rows of
-                        // C and columns past n are never touched.
-                        let row0 = ic + ir * MR;
-                        let col0 = jc + jr * NR;
-                        for jj in 0..nr_cur {
-                            let cj = &mut c[row0 + (col0 + jj) * ldc
-                                ..row0 + (col0 + jj) * ldc + mr_cur];
-                            let accj = &acc[jj];
-                            for (ii, cv) in cj.iter_mut().enumerate() {
-                                *cv += alpha * accj[ii];
+                        // C and columns past n are never touched. A whole
+                        // tile goes column by column at constant length.
+                        let c0 = ic + ir * mr + (jc + jr * nr) * ldc;
+                        if mr_cur == mr {
+                            for (jj, accj) in acc.chunks_exact(mr).take(nr_cur).enumerate() {
+                                for (cv, &av) in c[c0 + jj * ldc..][..mr].iter_mut().zip(accj) {
+                                    *cv += alpha * av;
+                                }
+                            }
+                        } else {
+                            for (jj, accj) in acc.chunks_exact(mr).take(nr_cur).enumerate() {
+                                for (cv, &av) in c[c0 + jj * ldc..][..mr_cur].iter_mut().zip(accj) {
+                                    *cv += alpha * av;
+                                }
                             }
                         }
                     }
@@ -368,7 +491,7 @@ pub fn gemm_nt_acc_packed_with<T: Scalar>(
     assert!(a.len() >= lda * (k - 1) + m, "A buffer too small");
     assert!(b.len() >= ldb * (k - 1) + n, "B buffer too small");
     assert!(c.len() >= ldc * (n - 1) + m, "C buffer too small");
-    gemm_packed_driver(bs, BLayout::Nt, m, n, k, alpha, a, lda, b, ldb, c, ldc);
+    (T::TILE.driver)(bs, BLayout::Nt, m, n, k, alpha, a, lda, b, ldb, c, ldc);
 }
 
 /// Packed `C ← C + α · A · Bᵀ` under the per-scalar blocking constants.
@@ -412,7 +535,7 @@ pub fn gemm_nn_acc_packed<T: Scalar>(
     assert!(a.len() >= lda * (k - 1) + m, "A buffer too small");
     assert!(b.len() >= ldb * (n - 1) + k, "B buffer too small");
     assert!(c.len() >= ldc * (n - 1) + m, "C buffer too small");
-    gemm_packed_driver(
+    (T::TILE.driver)(
         blocking_for::<T>(),
         BLayout::Nn,
         m,
@@ -493,16 +616,9 @@ mod tests {
     use super::*;
 
     #[test]
-    fn sanitize_rounds_to_register_block() {
-        let bs = BlockSizes {
-            mc: 1,
-            kc: 0,
-            nc: 5,
-        }
-        .sanitized();
-        assert_eq!(bs.mc % MR, 0);
-        assert_eq!(bs.nc % NR, 0);
-        assert!(bs.kc >= 1);
+    fn sanitize_leaves_nothing_zero() {
+        let bs = BlockSizes { mc: 0, kc: 0, nc: 5 }.sanitized();
+        assert_eq!(bs, BlockSizes { mc: 1, kc: 1, nc: 5 });
     }
 
     // The mode tests mutate one process-global; serialize them.
@@ -550,6 +666,65 @@ mod tests {
             crate::gemm::gemm_nt_acc_ref(m, n, k, -1.5, &a, m, &b, n, &mut c2, m);
             for (x, y) in c1.iter().zip(&c2) {
                 assert!((x - y).abs() < 1e-12, "({m},{n},{k}): {x} vs {y}");
+            }
+        }
+    }
+
+    /// Odd shapes around every tile this crate can be built with: `m`
+    /// below and off the tile heights (8, 16), `n` below and off the tile
+    /// widths (4, 6, 8), depth 1 and depths that split into several `kc`
+    /// slices, a gapped `ldc`.
+    fn odd_shapes() -> Vec<(usize, usize, usize)> {
+        let mut shapes = vec![(1, 1, 1), (547, 48, 50)];
+        for m in [3, 7, 8, 15, 17, 33] {
+            for n in [1, 3, 5, 7, 9, 13] {
+                shapes.extend([(m, n, 1), (m, n, 11), (m, n, 29)]);
+            }
+        }
+        shapes
+    }
+
+    fn product<T: Scalar>(tile: Tile<T>, (m, n, k): (usize, usize, usize), val: impl Fn(usize) -> T) -> Vec<T> {
+        let bs = BlockSizes { mc: 24, kc: 10, nc: 12 };
+        let (lda, ldb, ldc) = (m + 1, n + 2, m + 3);
+        let a: Vec<T> = (0..lda * k).map(|i| val(i * 7 + 1)).collect();
+        let b: Vec<T> = (0..ldb * k).map(|i| val(i * 3 + 2)).collect();
+        let mut c: Vec<T> = (0..ldc * n).map(|i| val(i + 11)).collect();
+        (tile.driver)(bs, BLayout::Nt, m, n, k, val(5), &a, lda, &b, ldb, &mut c, ldc);
+        c
+    }
+
+    /// The tile this build selects for `f64` against the 8 × 4 generic
+    /// instantiation (the kernel before tiles were per scalar): the same
+    /// bits, padding rows of `C` included.
+    #[test]
+    fn f64_tile_is_bitwise_the_8x4_generic_kernel() {
+        let old = Tile::of::<Generic<8, 4>>("generic");
+        let val = |i: usize| ((i * 37 % 101) as f64) * 0.03125 - 1.5;
+        for shape in odd_shapes() {
+            let (got, want) = (product(f64::TILE, shape, val), product(old, shape, val));
+            let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+            assert_eq!(bits(&got), bits(&want), "{} at {shape:?}", f64::TILE.isa);
+        }
+    }
+
+    /// Complex scalars run the generic tile; against the axpy reference
+    /// within the tolerance of the other packed tests.
+    #[test]
+    fn complex_through_the_generic_tile_matches_reference() {
+        use crate::complex::Complex64;
+        let val = |i: usize| {
+            Complex64::new(((i * 37 % 101) as f64) * 0.03125 - 1.5, ((i * 13 % 29) as f64) * 0.125 - 2.0)
+        };
+        for (m, n, k) in odd_shapes() {
+            let (lda, ldb, ldc) = (m + 1, n + 2, m + 3);
+            let a: Vec<Complex64> = (0..lda * k).map(|i| val(i * 7 + 1)).collect();
+            let b: Vec<Complex64> = (0..ldb * k).map(|i| val(i * 3 + 2)).collect();
+            let mut want: Vec<Complex64> = (0..ldc * n).map(|i| val(i + 11)).collect();
+            crate::gemm::gemm_nt_acc_ref(m, n, k, val(5), &a, lda, &b, ldb, &mut want, ldc);
+            let got = product(Complex64::TILE, (m, n, k), val);
+            for (x, y) in got.iter().zip(&want) {
+                assert!((*x - *y).magnitude() <= 1e-10 * y.magnitude().max(1.0), "({m},{n},{k}): {x} vs {y}");
             }
         }
     }

@@ -7,6 +7,7 @@
 //! code paths.
 
 use crate::complex::Complex64;
+use crate::pack::Tile;
 use std::fmt::{Debug, Display};
 use std::iter::Sum;
 use std::ops::{Add, AddAssign, Div, DivAssign, Mul, MulAssign, Neg, Sub, SubAssign};
@@ -68,6 +69,9 @@ pub trait Scalar:
     fn mul_add(self, a: Self, b: Self) -> Self {
         self * a + b
     }
+    /// The register microkernel the packed GEMM path runs for this scalar
+    /// (see [`crate::pack`]); the safe generic one unless overridden.
+    const TILE: Tile<Self> = Tile::generic();
 }
 
 impl Scalar for f64 {
@@ -114,6 +118,7 @@ impl Scalar for f64 {
             self * a + b
         }
     }
+    const TILE: Tile<Self> = Tile::F64;
 }
 
 impl Scalar for Complex64 {

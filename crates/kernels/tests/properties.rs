@@ -260,7 +260,7 @@ proptest! {
         (m, n, k) in (0usize..40, 0usize..40, 0usize..40),
         (pa, pb, pc) in (0usize..5, 0usize..5, 0usize..5),
         // Tiny randomized blocking so a 40-element extent spans several
-        // cache tiles and register slabs (sanitization rounds it legal).
+        // cache tiles and register slabs (the driver rounds it to whole slabs).
         (bmc, bkc, bnc) in (1usize..25, 1usize..10, 1usize..13),
         alpha in -2.0f64..2.0,
         seed in 0u64..1_000_000,
