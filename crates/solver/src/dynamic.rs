@@ -23,7 +23,7 @@
 use crate::compress::{finalize_compression, CompressionConfig};
 use crate::config::{FactorRun, SolverConfig};
 use crate::solve_plan::SolveDag;
-use crate::storage::{pair_target, FactorStorage, PanelLayout};
+use crate::storage::{pair_target, strip_targets, FactorStorage, PanelLayout};
 use crate::sweeps::{self, RowSink};
 use crate::tasks::{self, ContribSink, Scratch};
 use pastix_graph::SymCsc;
@@ -107,15 +107,29 @@ struct LockedPanels<'s, 'a, T> {
     held: Option<(usize, MutexGuard<'a, Vec<T>>)>,
 }
 
+impl<'a, T> LockedPanels<'_, 'a, T> {
+    /// The panel of column block `cblk`, locked.
+    fn lock(&mut self, cblk: usize) -> &mut Vec<T> {
+        if self.held.as_ref().is_none_or(|(held, _)| *held != cblk) {
+            self.held = None; // release before locking: one target at a time
+            self.held = Some((cblk, self.shared.panels[cblk].lock().unwrap()));
+        }
+        &mut self.held.as_mut().expect("target lock just taken").1
+    }
+}
+
 impl<T: Scalar> ContribSink<T> for LockedPanels<'_, '_, T> {
     fn with_target(&mut self, br: usize, bc: usize, apply: impl FnOnce(&mut [T], usize)) {
         let t = pair_target(self.shared.sym, self.shared.layout, br, bc);
-        if self.held.as_ref().is_none_or(|(cblk, _)| *cblk != t.cblk) {
-            self.held = None; // release before locking: one target at a time
-            self.held = Some((t.cblk, self.shared.panels[t.cblk].lock().unwrap()));
+        apply(&mut self.lock(t.cblk)[t.panel_row + t.col * t.lda..], t.lda);
+    }
+
+    fn with_strip(&mut self, bc: usize, end: usize, mut apply: impl FnMut(usize, &mut [T], usize)) {
+        let (sym, layout) = (self.shared.sym, self.shared.layout);
+        let panel = self.lock(sym.bloks[bc].fcblk as usize);
+        for (br, t) in (bc..end).zip(strip_targets(sym, layout, bc, end)) {
+            apply(br, &mut panel[t.panel_row + t.col * t.lda..], t.lda);
         }
-        let (_, panel) = self.held.as_mut().expect("target lock just taken");
-        apply(&mut panel[t.panel_row + t.col * t.lda..], t.lda);
     }
 }
 
@@ -228,7 +242,8 @@ pub(crate) fn factorize_dynamic<T: Scalar>(
 
     let error: Mutex<Option<FactorError>> = Mutex::new(None);
     // One scratch per worker; only its own worker ever locks it.
-    let scratch: Vec<Mutex<Scratch<T>>> = (0..n_workers).map(|_| Mutex::default()).collect();
+    let scratch: Vec<Mutex<Scratch<T>>> =
+        (0..n_workers).map(|_| Mutex::new(Scratch::for_run(&cfg.trace))).collect();
     let shared = DynFactor {
         sym,
         layout: &layout,
@@ -285,6 +300,11 @@ pub(crate) fn factorize_dynamic<T: Scalar>(
     let trace = run_traced_dag(&spec, n_workers, dopts, sched, cfg, &body);
     if let Some(e) = error.into_inner().unwrap() {
         return Err(e);
+    }
+    for (w, scratch) in scratch.into_iter().enumerate() {
+        if let Some(clock) = scratch.into_inner().unwrap().stages {
+            crate::parallel::merge_comp1d_ns(&cfg.metrics, w as u32, &clock.ns);
+        }
     }
     let lrs = shared.lr_out.into_inner().unwrap();
     let mut storage = FactorStorage {

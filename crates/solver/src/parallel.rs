@@ -17,8 +17,8 @@
 
 use crate::compress::{finalize_compression, CompressionConfig};
 use crate::config::{FactorRun, SolverConfig};
-use crate::storage::{pair_target, FactorStorage, PanelLayout};
-use crate::tasks::{self, ContribSink, Scratch};
+use crate::storage::{pair_target, strip_targets, BlokCursor, FactorStorage, PairTarget, PanelLayout};
+use crate::tasks::{self, Comp1dNs, ContribSink, Scratch};
 use pastix_graph::SymCsc;
 use pastix_kernels::dense::copy_panel;
 use pastix_kernels::factor::FactorError;
@@ -142,11 +142,29 @@ struct RankCounters {
     aub_sends: u64,
     aub_fresh_allocs: u64,
     aub_pool_reuses: u64,
+    /// Stage timers of the COMP1D bodies (zero unless traced on the wall
+    /// clock).
+    comp1d: Comp1dNs,
+}
+
+/// Merges one worker's COMP1D stage timers into `reg` (zero when the run
+/// took none, and then skipped).
+pub(crate) fn merge_comp1d_ns(reg: &MetricsRegistry, rank: u32, ns: &Comp1dNs) {
+    for (name, v) in [
+        ("solver.comp1d.trsm_ns", ns.trsm),
+        ("solver.comp1d.gemm_ns", ns.gemm),
+        ("solver.comp1d.deliver_ns", ns.deliver),
+    ] {
+        if v > 0 {
+            reg.add_counter_rank(name, Some(rank), v);
+        }
+    }
 }
 
 /// Merges one rank's counters into `reg` under the `solver.*` names
 /// (zero counters are skipped; absent names read as 0 anyway).
 fn merge_rank_counters(reg: &MetricsRegistry, rank: u32, c: &RankCounters) {
+    merge_comp1d_ns(reg, rank, &c.comp1d);
     for (name, v) in [
         ("solver.fac_deep_copies", c.fac_deep_copies),
         ("solver.fac_sends", c.fac_sends),
@@ -194,8 +212,12 @@ pub(crate) fn merge_trace_metrics(reg: &MetricsRegistry, log: &TraceLog) {
     }
 }
 
-/// Static routing info shared read-only by all workers.
-struct Routing {
+/// Static routing of one `(task graph, schedule)`: structure only, so it is
+/// built once per [`crate::Plan`] and shared read-only by all workers of
+/// every factorization of it.
+#[derive(Debug)]
+pub(crate) struct Routing {
+    layout: PanelLayout,
     /// Per task: total remote contribution *pairs* expected (AUB messages
     /// decrement this by the pair count they carry, so partial-aggregation
     /// flushes stay protocol-safe).
@@ -207,8 +229,8 @@ struct Routing {
     region_len: Vec<usize>,
 }
 
-/// One contribution pair's routing: the destination task and the window
-/// of the `hr × hc` product inside that task's region.
+/// The task whose region receives the contributions landing in blok
+/// `t.blok` of column block `t.cblk`, and the window of one of them.
 struct PairRoute {
     dst: u32,
     /// Offset of the window's first entry in the region.
@@ -217,11 +239,10 @@ struct PairRoute {
     ldr: usize,
 }
 
-/// Computes where the contribution of off-block pair `(br, bc)` lands: a
-/// 1D target's region is its whole panel; a 2D target's is the compact
-/// diagonal block (FACTOR) or the covering blok's own rows (BDIV).
-fn route_pair(sym: &SymbolMatrix, layout: &PanelLayout, graph: &TaskGraph, br: usize, bc: usize) -> PairRoute {
-    let t = pair_target(sym, layout, br, bc);
+/// Where in the task regions target `t` lies: a 1D target's region is its
+/// whole panel; a 2D target's is the compact diagonal block (FACTOR) or
+/// the covering blok's own rows (BDIV).
+fn route_of(sym: &SymbolMatrix, graph: &TaskGraph, t: &PairTarget) -> PairRoute {
     let head = graph.head_task_of_cblk[t.cblk];
     match graph.kinds[head as usize] {
         TaskKind::Comp1d { .. } => PairRoute { dst: head, off: t.panel_row + t.col * t.lda, ldr: t.lda },
@@ -237,69 +258,67 @@ fn route_pair(sym: &SymbolMatrix, layout: &PanelLayout, graph: &TaskGraph, br: u
     }
 }
 
-/// Enumerates the contribution pairs of a column block together with their
-/// producer task ids.
-fn pairs_of_cblk<'a>(
-    sym: &'a SymbolMatrix,
-    graph: &'a TaskGraph,
-    k: usize,
-) -> impl Iterator<Item = (u32 /*producer*/, usize /*br*/, usize /*bc*/)> + 'a {
-    let cb = &sym.cblks[k];
-    let m = cb.blok_end - cb.blok_start - 1;
-    let head = graph.head_task_of_cblk[k];
-    let is2d = matches!(graph.kinds[head as usize], TaskKind::Factor { .. });
-    let base = graph.bmod_base[k];
-    (0..m).flat_map(move |r| {
-        (0..=r).map(move |c| {
-            let producer = if is2d {
-                base + (r * (r + 1) / 2 + c) as u32
-            } else {
-                head
-            };
-            (producer, cb.blok_start + 1 + r, cb.blok_start + 1 + c)
-        })
-    })
-}
-
-/// Builds the static routing tables.
-fn build_routing(sym: &SymbolMatrix, layout: &PanelLayout, graph: &TaskGraph, sched: &Schedule) -> Routing {
-    let n_tasks = graph.n_tasks();
-    let mut pair_count: HashMap<(u32, u32), u32> = HashMap::new();
-    let mut sender_sets: HashMap<u32, Vec<u32>> = HashMap::new();
-    for k in 0..sym.n_cblks() {
-        for (producer, br, bc) in pairs_of_cblk(sym, graph, k) {
-            let route = route_pair(sym, layout, graph, br, bc);
-            let p = sched.task_proc[producer as usize];
-            let q = sched.task_proc[route.dst as usize];
-            if p != q {
-                *pair_count.entry((p, route.dst)).or_insert(0) += 1;
-                sender_sets.entry(route.dst).or_default().push(p);
+impl Routing {
+    /// Builds the routing tables: one [`strip_targets`] walk per pivot
+    /// blok, the pair counts added up run by run of equal `(sender, dst)`.
+    pub(crate) fn build(graph: &TaskGraph, sched: &Schedule) -> Self {
+        let sym = &graph.split.symbol;
+        let layout = PanelLayout::new(sym);
+        let n_tasks = graph.n_tasks();
+        let mut pair_count: HashMap<(u32, u32), u32> = HashMap::new();
+        let mut remote_pairs = vec![0u32; n_tasks];
+        // Consecutive remote pairs of one `(sender, dst)`, not yet counted.
+        let mut run = ((0u32, 0u32), 0u32);
+        let mut count = |run: &mut ((u32, u32), u32)| {
+            if run.1 > 0 {
+                *pair_count.entry(run.0).or_insert(0) += run.1;
+                remote_pairs[run.0 .1 as usize] += run.1;
+                run.1 = 0;
+            }
+        };
+        for (k, cb) in sym.cblks.iter().enumerate() {
+            let head = graph.head_task_of_cblk[k];
+            let is2d = matches!(graph.kinds[head as usize], TaskKind::Factor { .. });
+            let first = cb.blok_start + 1;
+            for bc in first..cb.blok_end {
+                for (br, t) in (bc..cb.blok_end).zip(strip_targets(sym, &layout, bc, cb.blok_end)) {
+                    // A 2D block's pairs are BMOD tasks of their own,
+                    // numbered row by row of the lower triangle.
+                    let producer = if is2d {
+                        let (r, c) = (br - first, bc - first);
+                        graph.bmod_base[k] + (r * (r + 1) / 2 + c) as u32
+                    } else {
+                        head
+                    };
+                    let dst = route_of(sym, graph, &t).dst;
+                    let (p, q) = (sched.task_proc[producer as usize], sched.task_proc[dst as usize]);
+                    if p != q {
+                        if run.0 != (p, dst) {
+                            count(&mut run);
+                            run.0 = (p, dst);
+                        }
+                        run.1 += 1;
+                    }
+                }
+                count(&mut run);
             }
         }
-    }
-    let mut remote_pairs = vec![0u32; n_tasks];
-    for (dst, procs) in sender_sets {
-        remote_pairs[dst as usize] = procs.len() as u32;
-    }
-    let region_len: Vec<usize> = (0..n_tasks)
-        .map(|t| match graph.kinds[t] {
-            TaskKind::Comp1d { cblk } => {
-                layout.panel_rows(cblk as usize) * sym.cblks[cblk as usize].width()
-            }
-            TaskKind::Factor { cblk } => {
-                let w = sym.cblks[cblk as usize].width();
-                w * w
-            }
-            TaskKind::Bdiv { cblk, blok } => {
-                sym.bloks[blok as usize].nrows() * sym.cblks[cblk as usize].width()
-            }
-            TaskKind::Bmod { .. } => 0,
-        })
-        .collect();
-    Routing {
-        remote_pairs,
-        pair_count,
-        region_len,
+        let region_len: Vec<usize> = (0..n_tasks)
+            .map(|t| match graph.kinds[t] {
+                TaskKind::Comp1d { cblk } => {
+                    layout.panel_rows(cblk as usize) * sym.cblks[cblk as usize].width()
+                }
+                TaskKind::Factor { cblk } => {
+                    let w = sym.cblks[cblk as usize].width();
+                    w * w
+                }
+                TaskKind::Bdiv { cblk, blok } => {
+                    sym.bloks[blok as usize].nrows() * sym.cblks[cblk as usize].width()
+                }
+                TaskKind::Bmod { .. } => 0,
+            })
+            .collect();
+        Routing { layout, remote_pairs, pair_count, region_len }
     }
 }
 
@@ -307,7 +326,6 @@ fn build_routing(sym: &SymbolMatrix, layout: &PanelLayout, graph: &TaskGraph, sc
 struct Worker<'a, T> {
     rank: u32,
     sym: &'a SymbolMatrix,
-    layout: &'a PanelLayout,
     graph: &'a TaskGraph,
     sched: &'a Schedule,
     routing: &'a Routing,
@@ -688,7 +706,7 @@ impl<'a, T: Scalar> Worker<'a, T> {
             panel[0] = T::zero();
         }
         let mut scratch = std::mem::take(&mut self.scratch);
-        let (sym, layout, cc) = (self.sym, self.layout, self.compression);
+        let (sym, layout, cc) = (self.sym, &self.routing.layout, self.compression);
         let mut sink = FanIn { worker: self, ctx };
         let res = tasks::comp1d(sym, layout, k, &mut panel, &cc, &mut scratch, &mut sink);
         self.scratch = scratch;
@@ -774,31 +792,33 @@ struct FanIn<'w, 'a, T, C: ?Sized> {
     ctx: &'w C,
 }
 
-impl<T: Scalar, C: Comm<PMsg<T>> + ?Sized> ContribSink<T> for FanIn<'_, '_, T, C> {
-    fn with_target(&mut self, br: usize, bc: usize, apply: impl FnOnce(&mut [T], usize)) {
+impl<T: Scalar, C: Comm<PMsg<T>> + ?Sized> FanIn<'_, '_, T, C> {
+    /// Runs `fill` on the region of task `dst`: in place when this rank
+    /// owns it, otherwise on this rank's outgoing AUB for it, which then
+    /// counts the pairs `fill` says it added and is sent once complete.
+    fn contribute(&mut self, dst: u32, fill: impl FnOnce(&mut [T]) -> u32) {
         let wk = &mut *self.worker;
-        let route = route_pair(wk.sym, wk.layout, wk.graph, br, bc);
-        let q = wk.sched.task_proc[route.dst as usize];
+        let q = wk.sched.task_proc[dst as usize];
         if q == wk.rank {
-            let region = wk.regions.get_mut(&route.dst).expect("local target region missing");
-            return apply(&mut region[route.off..], route.ldr);
+            fill(wk.regions.get_mut(&dst).expect("local target region missing"));
+            return;
         }
-        if wk.aub_out.get(&route.dst).is_none_or(|(buf, _, _)| buf.is_empty()) {
+        if wk.aub_out.get(&dst).is_none_or(|(buf, _, _)| buf.is_empty()) {
             // (Re-)acquire lazily: a Fan-Both flush leaves an empty
             // placeholder holding the remaining pair budget. Buffers
             // come from the recycling pool when it has one.
-            let buf = wk.take_aub_buffer(wk.routing.region_len[route.dst as usize]);
-            let total = wk.routing.pair_count[&(wk.rank, route.dst)];
-            wk.aub_out.entry(route.dst).or_insert_with(|| (Vec::new(), total, 0u32)).0 = buf;
+            let buf = wk.take_aub_buffer(wk.routing.region_len[dst as usize]);
+            let total = wk.routing.pair_count[&(wk.rank, dst)];
+            wk.aub_out.entry(dst).or_insert_with(|| (Vec::new(), total, 0u32)).0 = buf;
         }
-        let entry = wk.aub_out.get_mut(&route.dst).expect("AUB entry just ensured");
-        apply(&mut entry.0[route.off..], route.ldr);
-        entry.1 -= 1;
-        entry.2 += 1;
+        let entry = wk.aub_out.get_mut(&dst).expect("AUB entry just ensured");
+        let pairs = fill(&mut entry.0);
+        entry.1 -= pairs;
+        entry.2 += pairs;
         if entry.1 == 0 {
             // Total local aggregation complete: ship the AUB.
-            let (data, _, pairs) = wk.aub_out.remove(&route.dst).unwrap();
-            wk.send_aub(self.ctx, q as usize, route.dst, pairs, data);
+            let (data, _, pairs) = wk.aub_out.remove(&dst).unwrap();
+            wk.send_aub(self.ctx, q as usize, dst, pairs, data);
         } else if let Some(limit) = wk.aub_memory_limit {
             // Fan-Both fallback: "an aggregated update block can be
             // sent with partial aggregation to free memory space".
@@ -806,6 +826,39 @@ impl<T: Scalar, C: Comm<PMsg<T>> + ?Sized> ContribSink<T> for FanIn<'_, '_, T, C
             if held > limit {
                 wk.flush_largest_aub(self.ctx);
             }
+        }
+    }
+}
+
+impl<T: Scalar, C: Comm<PMsg<T>> + ?Sized> ContribSink<T> for FanIn<'_, '_, T, C> {
+    fn with_target(&mut self, br: usize, bc: usize, apply: impl FnOnce(&mut [T], usize)) {
+        let wk = &*self.worker;
+        let route = route_of(wk.sym, wk.graph, &pair_target(wk.sym, &wk.routing.layout, br, bc));
+        self.contribute(route.dst, |region| {
+            apply(&mut region[route.off..], route.ldr);
+            1
+        });
+    }
+
+    fn with_strip(&mut self, bc: usize, end: usize, mut apply: impl FnMut(usize, &mut [T], usize)) {
+        let (sym, graph, routing) = (self.worker.sym, self.worker.graph, self.worker.routing);
+        let head = graph.head_task_of_cblk[sym.bloks[bc].fcblk as usize];
+        let one_region = matches!(graph.kinds[head as usize], TaskKind::Comp1d { .. });
+        let mut targets = (bc..end).zip(strip_targets(sym, &routing.layout, bc, end)).peekable();
+        // One region per stretch of row blocks that land in the same task:
+        // the whole strip for a 1D target, a covering blok of a 2D one.
+        while let Some(&(_, first)) = targets.peek() {
+            let route = route_of(sym, graph, &first);
+            self.contribute(route.dst, |region| {
+                let mut pairs = 0;
+                while let Some((br, t)) = targets.next_if(|(_, t)| one_region || t.blok == first.blok) {
+                    // Rows of one region are as far apart as in the panel.
+                    let off = route.off + (t.panel_row - first.panel_row);
+                    apply(br, &mut region[off..], route.ldr);
+                    pairs += 1;
+                }
+                pairs
+            });
         }
     }
 }
@@ -838,13 +891,12 @@ pub(crate) fn factorize_static<T: Scalar>(
     a: &SymCsc<T>,
     graph: &TaskGraph,
     sched: &Schedule,
+    routing: &Routing,
     cfg: &SolverConfig,
 ) -> Result<FactorRun<T>, FactorError> {
     assert!(std::ptr::eq(sym, &graph.split.symbol) || sym == &graph.split.symbol,
         "schedule must be built on the same split symbol");
     let _mode = cfg.kernel_mode.scoped();
-    let layout = PanelLayout::new(sym);
-    let routing = build_routing(sym, &layout, graph, sched);
     // All ranks must share one epoch so the report can compare their wall
     // timestamps; resolve it once, right before the SPMD launch.
     let mut topts = cfg.trace;
@@ -856,7 +908,7 @@ pub(crate) fn factorize_static<T: Scalar>(
     let outputs = run_spmd_with::<PMsg<T>, WorkerOutput<T>, _>(
         &cfg.backend,
         sched.n_procs,
-        |ctx| worker_run(ctx, sym, &layout, graph, sched, &routing, a, cfg, &topts, &gauges),
+        |ctx| worker_run(ctx, sym, graph, sched, routing, a, cfg, &topts, &gauges),
     );
     let wall_ns = t0.elapsed().as_nanos() as u64;
     let mut results = Vec::with_capacity(outputs.len());
@@ -876,7 +928,7 @@ pub(crate) fn factorize_static<T: Scalar>(
         digest: sched.digest(),
     };
     merge_trace_metrics(&cfg.metrics, &trace);
-    let mut storage = assemble(sym, &layout, graph, results)?;
+    let mut storage = assemble(sym, routing.layout.clone(), graph, results)?;
     finalize_compression(sym, &mut storage, &cfg.compression, lrs, &cfg.metrics);
     Ok(FactorRun::new(storage, trace, cfg.metrics.clone()))
 }
@@ -896,7 +948,6 @@ struct WorkerOutput<T> {
 fn worker_run<T: Scalar, C: Comm<PMsg<T>> + ?Sized>(
     ctx: &C,
     sym: &SymbolMatrix,
-    layout: &PanelLayout,
     graph: &TaskGraph,
     sched: &Schedule,
     routing: &Routing,
@@ -927,13 +978,12 @@ fn worker_run<T: Scalar, C: Comm<PMsg<T>> + ?Sized>(
                 aubs_pending.insert(t, pairs);
             }
         }
-        scatter_owned(sym, layout, graph, a, &mut regions);
+        scatter_owned(sym, &routing.layout, graph, a, &mut regions);
     }
     let region_scalars: usize = regions.values().map(|v| v.len()).sum();
     let mut worker = Worker {
         rank,
         sym,
-        layout,
         graph,
         sched,
         routing,
@@ -949,7 +999,7 @@ fn worker_run<T: Scalar, C: Comm<PMsg<T>> + ?Sized>(
         chaos: cfg.chaos,
         compression: cfg.compression,
         lr_out: Vec::new(),
-        scratch: Scratch::default(),
+        scratch: Scratch::for_run(topts),
         counters: RankCounters::default(),
         gauges: topts.enabled.then_some(gauges),
         sample_every: topts.sample_every,
@@ -967,6 +1017,16 @@ fn worker_run<T: Scalar, C: Comm<PMsg<T>> + ?Sized>(
     } else {
         worker.run(ctx)
     };
+    // The fan-in protocol's books balance: every outgoing AUB spent its
+    // pair budget to exactly zero (and left), every awaited pair arrived.
+    debug_assert!(
+        run_result.is_err()
+            || (worker.aub_out.is_empty() && worker.aubs_pending.values().all(|&left| left == 0)),
+        "rank {rank}: AUB pair counters did not reach zero"
+    );
+    if let Some(clock) = &worker.scratch.stages {
+        worker.counters.comp1d = clock.ns;
+    }
     WorkerOutput {
         result: run_result.map(|()| worker.regions),
         lr: worker.lr_out,
@@ -975,32 +1035,49 @@ fn worker_run<T: Scalar, C: Comm<PMsg<T>> + ?Sized>(
     }
 }
 
-/// Merges the per-processor region maps into one factor store.
+/// Builds the factor store out of the per-processor region maps. A COMP1D
+/// region *is* its panel and moves in; only the FACTOR and BDIV regions of
+/// 2D column blocks are copied, into panels allocated here.
 fn assemble<T: Scalar>(
     sym: &SymbolMatrix,
-    layout: &PanelLayout,
+    layout: PanelLayout,
     graph: &TaskGraph,
     results: Vec<Result<HashMap<u32, Vec<T>>, FactorError>>,
 ) -> Result<FactorStorage<T>, FactorError> {
-    let mut storage = FactorStorage::zeros(sym);
-    let mut err: Option<FactorError> = None;
+    let mut panels: Vec<Vec<T>> = vec![Vec::new(); sym.n_cblks()];
+    let panel_2d = |panels: &mut Vec<Vec<T>>, k: usize| {
+        if panels[k].is_empty() {
+            panels[k] = vec![T::zero(); layout.panel_rows(k) * sym.cblks[k].width()];
+        }
+    };
     for res in results {
-        match res {
-            Err(e) => err = Some(e),
-            Ok(regions) => {
-                for (t, data) in regions {
-                    merge_region(sym, layout, graph, &mut storage, t, &data);
+        for (t, data) in res? {
+            match graph.kinds[t as usize] {
+                TaskKind::Comp1d { cblk } => panels[cblk as usize] = data,
+                TaskKind::Factor { cblk } => {
+                    let k = cblk as usize;
+                    let w = sym.cblks[k].width();
+                    panel_2d(&mut panels, k);
+                    copy_panel(w, w, &data, w, &mut panels[k], layout.panel_rows(k));
                 }
+                TaskKind::Bdiv { cblk, blok } => {
+                    let k = cblk as usize;
+                    let hb = sym.bloks[blok as usize].nrows();
+                    let prow = layout.panel_row[blok as usize] as usize;
+                    panel_2d(&mut panels, k);
+                    // The region is `[L | F]`; the factor keeps `L`.
+                    copy_panel(hb, sym.cblks[k].width(), &data, hb, &mut panels[k][prow..], layout.panel_rows(k));
+                }
+                TaskKind::Bmod { .. } => {}
             }
         }
     }
-    match err {
-        Some(e) => Err(e),
-        None => Ok(storage),
-    }
+    Ok(FactorStorage { layout, panels, compression: Vec::new() })
 }
 
-/// Scatters the owned part of `a` into each owned region.
+/// Scatters the owned part of `a` into each owned region: per column
+/// block the regions are looked up once (per blok for a 2D one), and the
+/// sorted rows of a column walk the bloks with a cursor.
 fn scatter_owned<T: Scalar>(
     sym: &SymbolMatrix,
     layout: &PanelLayout,
@@ -1008,66 +1085,38 @@ fn scatter_owned<T: Scalar>(
     a: &SymCsc<T>,
     regions: &mut HashMap<u32, Vec<T>>,
 ) {
-    // Iterate columns; for each entry decide which task's region holds it.
-    for k in 0..sym.n_cblks() {
-        let cb = &sym.cblks[k];
+    for (k, cb) in sym.cblks.iter().enumerate() {
         let head = graph.head_task_of_cblk[k];
         let is2d = matches!(graph.kinds[head as usize], TaskKind::Factor { .. });
-        let w = cb.width();
-        for j in cb.fcol..=cb.lcol {
-            let local_col = (j - cb.fcol) as usize;
-            for (&i, &v) in a.rows_of(j as usize).iter().zip(a.vals_of(j as usize)) {
+        for j in cb.fcol as usize..=cb.lcol as usize {
+            let local_col = j - cb.fcol as usize;
+            let mut cursor = BlokCursor::new(sym, k);
+            // The blok of the previous entry and its region, if owned.
+            let mut held: (usize, Option<&mut Vec<T>>) = (usize::MAX, None);
+            for (&i, &v) in a.rows_of(j).iter().zip(a.vals_of(j)) {
+                let (b, row_in_blok) = cursor.seek(i);
                 if !is2d {
-                    if let Some(region) = regions.get_mut(&head) {
-                        let lda = layout.panel_rows(k);
-                        let row = crate::storage::panel_row_of(sym, layout, k, i);
-                        region[row + local_col * lda] = v;
+                    // The whole panel is the COMP1D region.
+                    if held.0 == usize::MAX {
+                        held = (b, regions.get_mut(&head));
                     }
-                } else if i <= cb.lcol {
-                    // Diagonal block entry → FACTOR region.
-                    if let Some(region) = regions.get_mut(&head) {
-                        region[(i - cb.fcol) as usize + local_col * w] = v;
+                    if let Some(region) = &mut held.1 {
+                        region[layout.panel_row[b] as usize + row_in_blok + local_col * layout.panel_rows(k)] = v;
                     }
-                } else {
-                    // Off-diagonal entry → BDIV region (L part).
-                    let b = sym.covering_blok(k, i, i);
-                    let bd = graph.bdiv_task_of_blok[b];
-                    if let Some(region) = regions.get_mut(&bd) {
-                        let hb = sym.bloks[b].nrows();
-                        region[(i - sym.bloks[b].frow) as usize + local_col * hb] = v;
-                    }
+                    continue;
+                }
+                if held.0 != b {
+                    // Diagonal blok → FACTOR region, else the blok's BDIV
+                    // region (its `L` part comes first).
+                    let t = if b == cb.blok_start { head } else { graph.bdiv_task_of_blok[b] };
+                    held = (b, regions.get_mut(&t));
+                }
+                if let Some(region) = &mut held.1 {
+                    let ld = if b == cb.blok_start { cb.width() } else { sym.bloks[b].nrows() };
+                    region[row_in_blok + local_col * ld] = v;
                 }
             }
         }
-    }
-}
-
-/// Merges one task region into the assembled factor storage.
-fn merge_region<T: Scalar>(
-    sym: &SymbolMatrix,
-    layout: &PanelLayout,
-    graph: &TaskGraph,
-    storage: &mut FactorStorage<T>,
-    t: u32,
-    data: &[T],
-) {
-    match graph.kinds[t as usize] {
-        TaskKind::Comp1d { cblk } => {
-            storage.panels[cblk as usize].copy_from_slice(data);
-        }
-        TaskKind::Factor { cblk } => {
-            let k = cblk as usize;
-            let w = sym.cblks[k].width();
-            copy_panel(w, w, data, w, &mut storage.panels[k], layout.panel_rows(k));
-        }
-        TaskKind::Bdiv { cblk, blok } => {
-            let k = cblk as usize;
-            let hb = sym.bloks[blok as usize].nrows();
-            let prow = layout.panel_row[blok as usize] as usize;
-            let panel = &mut storage.panels[k][prow..];
-            copy_panel(hb, sym.cblks[k].width(), data, hb, panel, layout.panel_rows(k));
-        }
-        TaskKind::Bmod { .. } => {}
     }
 }
 
@@ -1110,11 +1159,18 @@ pub(crate) mod tests {
         (a.permuted(&an.perm), mapping)
     }
 
+    fn factorize(
+        ap: &pastix_graph::SymCsc<f64>,
+        mapping: &pastix_sched::Mapping,
+        cfg: &SolverConfig,
+    ) -> Result<FactorRun<f64>, FactorError> {
+        let (graph, sched) = (&mapping.graph, &mapping.schedule);
+        factorize_static(&graph.split.symbol, ap, graph, sched, &Routing::build(graph, sched), cfg)
+    }
+
     fn check_against_sequential(ap: &pastix_graph::SymCsc<f64>, mapping: &pastix_sched::Mapping) {
         let sym = &mapping.graph.split.symbol;
-        let par = factorize_static(sym, ap, &mapping.graph, &mapping.schedule, &SolverConfig::default())
-            .unwrap()
-            .into_storage();
+        let par = factorize(ap, mapping, &SolverConfig::default()).unwrap().into_storage();
         let mut seq = FactorStorage::zeros(sym);
         seq.scatter(sym, ap);
         factorize_sequential(sym, &mut seq).unwrap();
@@ -1165,19 +1221,9 @@ pub(crate) mod tests {
         // A punishing cap forces partially aggregated sends on every
         // processor; the factor must not change, only the message count.
         let (ap, mapping) = full_setup(10, 10, 1, 4, DistStrategy::Mixed1d2d, 4);
-        let sym = &mapping.graph.split.symbol;
-        let fanin =
-            factorize_static(sym, &ap, &mapping.graph, &mapping.schedule, &SolverConfig::default())
-                .unwrap()
-                .into_storage();
-        let fanboth = factorize_static(
-            sym,
-            &ap,
-            &mapping.graph,
-            &mapping.schedule,
-            &SolverConfig::new().with_aub_memory_limit(Some(16)),
-        )
-        .unwrap();
+        let fanin = factorize(&ap, &mapping, &SolverConfig::default()).unwrap().into_storage();
+        let fanboth =
+            factorize(&ap, &mapping, &SolverConfig::new().with_aub_memory_limit(Some(16))).unwrap();
         for (pa, pb) in fanin.panels.iter().zip(&fanboth.panels) {
             for (x, y) in pa.iter().zip(pb) {
                 assert!((x - y).abs() < 1e-9, "fan-both deviates: {x} vs {y}");
@@ -1197,9 +1243,6 @@ pub(crate) mod tests {
             }
         }
         let zero = pastix_graph::SymCsc::from_triplets(n, &triplets);
-        let sym = &mapping.graph.split.symbol;
-        let res =
-            factorize_static(sym, &zero, &mapping.graph, &mapping.schedule, &SolverConfig::default());
-        assert!(res.is_err());
+        assert!(factorize(&zero, &mapping, &SolverConfig::default()).is_err());
     }
 }

@@ -21,6 +21,7 @@
 
 use crate::config::{FactorRun, SolverConfig};
 use crate::dynamic;
+use crate::parallel::Routing;
 use crate::solve_plan::SolvePlan;
 use crate::storage::FactorStorage;
 use pastix_graph::{Parallelism, Permutation, SymCsc};
@@ -111,6 +112,9 @@ struct PlanInner {
     /// Structure of the triangular solves, built by the first solve of
     /// any run of this plan and replayed by every later one.
     solve_plan: OnceLock<SolvePlan>,
+    /// Fan-in routing of the static factorization, built by the first one
+    /// of this plan and replayed by every later one.
+    routing: OnceLock<Routing>,
 }
 
 /// The analyzed (pre-numeric) state of one matrix pattern: permutation,
@@ -204,6 +208,7 @@ impl Plan {
                 stats: None,
                 analyze_trace: None,
                 solve_plan: OnceLock::new(),
+                routing: OnceLock::new(),
             }),
         }
     }
@@ -255,6 +260,16 @@ impl Plan {
         })
     }
 
+    /// The fan-in routing of this plan's static factorizations, built on
+    /// first use. Each build counts in `solver.routing_builds` of
+    /// `metrics` — one per plan, however many factorizations share it.
+    fn routing(&self, metrics: &MetricsRegistry) -> &Routing {
+        self.inner.routing.get_or_init(|| {
+            metrics.add_counter("solver.routing_builds", 1);
+            Routing::build(&self.inner.graph, self.require_schedule())
+        })
+    }
+
     /// Numeric factorization of `a` (same pattern as analyzed) on the
     /// backend named by `cfg.backend`. The returned run carries this plan,
     /// so [`FactorRun::solve_request`] works without further arguments.
@@ -293,8 +308,8 @@ impl Plan {
                 cfg,
             )?,
             Backend::Threads | Backend::Sim(_) => {
-                let sched = self.require_schedule();
-                crate::parallel::factorize_static(sym, ap, &self.inner.graph, sched, cfg)?
+                let (sched, routing) = (self.require_schedule(), self.routing(&cfg.metrics));
+                crate::parallel::factorize_static(sym, ap, &self.inner.graph, sched, routing, cfg)?
             }
         };
         pastix_trace::flight::record(

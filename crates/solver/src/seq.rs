@@ -7,7 +7,7 @@
 //! The parallel solver must produce the same factor; tests enforce it.
 
 use crate::compress::CompressionConfig;
-use crate::storage::{pair_target, FactorStorage, PanelLayout};
+use crate::storage::{pair_target, strip_targets, FactorStorage, PanelLayout};
 use crate::sweeps::{self, LaterSegments};
 use crate::tasks::{self, ContribSink, Scratch};
 use pastix_kernels::factor::FactorError;
@@ -28,6 +28,13 @@ impl<T: Scalar> ContribSink<T> for LaterPanels<'_, T> {
     fn with_target(&mut self, br: usize, bc: usize, apply: impl FnOnce(&mut [T], usize)) {
         let t = pair_target(self.sym, self.layout, br, bc);
         apply(&mut self.later[t.cblk - self.first][t.panel_row + t.col * t.lda..], t.lda);
+    }
+
+    fn with_strip(&mut self, bc: usize, end: usize, mut apply: impl FnMut(usize, &mut [T], usize)) {
+        let panel = &mut self.later[self.sym.bloks[bc].fcblk as usize - self.first];
+        for (br, t) in (bc..end).zip(strip_targets(self.sym, self.layout, bc, end)) {
+            apply(br, &mut panel[t.panel_row + t.col * t.lda..], t.lda);
+        }
     }
 }
 

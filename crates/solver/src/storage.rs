@@ -9,7 +9,7 @@
 use pastix_graph::SymCsc;
 use pastix_kernels::scalar::Scalar;
 use pastix_kernels::LowRankBlock;
-use pastix_symbolic::SymbolMatrix;
+use pastix_symbolic::{Blok, SymbolMatrix};
 
 /// Precomputed addressing of panels.
 #[derive(Debug, Clone)]
@@ -275,17 +275,17 @@ impl<T: Scalar> FactorStorage<T> {
     /// the panels. Entries must all fall inside the symbolic structure.
     pub fn scatter(&mut self, sym: &SymbolMatrix, a: &SymCsc<T>) {
         assert_eq!(a.n(), sym.n);
-        for j in 0..a.n() {
-            let k = sym.cblk_of_col(j);
-            let cb = &sym.cblks[k];
+        for (k, cb) in sym.cblks.iter().enumerate() {
             let lda = self.layout.panel_rows(k);
-            let local_col = j - cb.fcol as usize;
             let panel = &mut self.panels[k];
-            for (&i, &v) in a.rows_of(j).iter().zip(a.vals_of(j)) {
-                let i = i as usize;
-                debug_assert!(i >= j, "input must be lower triangular");
-                let row = panel_row_of(sym, &self.layout, k, i as u32);
-                panel[row + local_col * lda] = v;
+            for j in cb.fcol as usize..=cb.lcol as usize {
+                let col = (j - cb.fcol as usize) * lda;
+                let mut cursor = BlokCursor::new(sym, k);
+                for (&i, &v) in a.rows_of(j).iter().zip(a.vals_of(j)) {
+                    debug_assert!(i as usize >= j, "input must be lower triangular");
+                    let (b, row_in_blok) = cursor.seek(i);
+                    panel[self.layout.panel_row[b] as usize + row_in_blok + col] = v;
+                }
             }
         }
     }
@@ -368,11 +368,59 @@ pub(crate) fn pair_target(
     }
 }
 
-/// Panel row of global row `i` within column block `k`; panics when `i` is
-/// outside the structure.
-pub fn panel_row_of(sym: &SymbolMatrix, layout: &PanelLayout, k: usize, i: u32) -> usize {
-    try_panel_row_of(sym, layout, k, i)
-        .unwrap_or_else(|| panic!("row {i} not in structure of cblk {k}"))
+/// A cursor over the bloks of one column block (the diagonal one first)
+/// for rows that are asked for in ascending order — the rows of a matrix
+/// column, the row blocks of a contribution strip: both lists are sorted,
+/// so one merge walk replaces a binary search per row.
+pub(crate) struct BlokCursor<'a> {
+    bloks: &'a [Blok],
+    /// Global id of `bloks[0]`.
+    first: usize,
+    at: usize,
+}
+
+impl<'a> BlokCursor<'a> {
+    pub(crate) fn new(sym: &'a SymbolMatrix, k: usize) -> Self {
+        let cb = &sym.cblks[k];
+        Self { bloks: &sym.bloks[cb.blok_start..cb.blok_end], first: cb.blok_start, at: 0 }
+    }
+
+    /// Global blok containing row `i` and the row's offset inside it. `i`
+    /// must not be below the row of an earlier call; panics when the row
+    /// is outside the block structure.
+    pub(crate) fn seek(&mut self, i: u32) -> (usize, usize) {
+        while self.bloks.get(self.at).is_some_and(|b| b.lrow < i) {
+            self.at += 1;
+        }
+        match self.bloks.get(self.at) {
+            Some(b) if b.frow <= i => (self.first + self.at, (i - b.frow) as usize),
+            _ => panic!("row {i} not in the structure of the column block of blok {}", self.first),
+        }
+    }
+}
+
+/// The [`PairTarget`]s of a whole contribution strip — pivot blok `bc`
+/// against the row blocks `bc..end` of its column block (`end` is that
+/// block's `blok_end`), in order. Equal to [`pair_target`] pair by pair;
+/// every row block of the strip faces the same column block, so one
+/// [`BlokCursor`] finds the covering bloks.
+pub(crate) fn strip_targets<'a>(
+    sym: &'a SymbolMatrix,
+    layout: &'a PanelLayout,
+    bc: usize,
+    end: usize,
+) -> impl Iterator<Item = PairTarget> + 'a {
+    let cols = &sym.bloks[bc];
+    let cblk = cols.fcblk as usize;
+    let col = (cols.frow - sym.cblks[cblk].fcol) as usize;
+    let lda = layout.panel_rows(cblk);
+    let mut cursor = BlokCursor::new(sym, cblk);
+    sym.bloks[bc..end].iter().map(move |rows| {
+        let (blok, row_in_blok) = cursor.seek(rows.frow);
+        debug_assert!(rows.lrow <= sym.bloks[blok].lrow, "factor structures are nested");
+        let panel_row = layout.panel_row[blok] as usize + row_in_blok;
+        PairTarget { cblk, blok, row_in_blok, panel_row, col, lda }
+    })
 }
 
 /// Panel row of global row `i` within column block `k`, or `None` when the

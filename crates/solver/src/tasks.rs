@@ -18,10 +18,12 @@ use pastix_kernels::{
     scale_cols_by_diag_into, trsm_ldlt_panel, KernelMode, LowRankBlock, LrOp, LrRef, Scalar,
 };
 use pastix_symbolic::SymbolMatrix;
+use pastix_trace::{ClockMode, TraceOptions};
+use std::time::Instant;
 
 /// Where the contributions of a column block go. A driver implements
-/// [`ContribSink::with_target`] only; the numeric work on the window it
-/// exposes is the provided methods'.
+/// the two `with_*` methods, which only expose destination windows; the
+/// numeric work on them is the provided methods'.
 pub(crate) trait ContribSink<T: Scalar> {
     /// Calls `apply(c, ldc)` once, `c` starting at the first entry of the
     /// `h_br × h_bc` window (leading dimension `ldc`) that receives the
@@ -29,6 +31,15 @@ pub(crate) trait ContribSink<T: Scalar> {
     /// the column block being eliminated — see
     /// [`pair_target`](crate::storage::pair_target).
     fn with_target(&mut self, br: usize, bc: usize, apply: impl FnOnce(&mut [T], usize));
+
+    /// The windows of a whole strip: calls `apply(br, c, ldc)` for the row
+    /// blocks `br` in `bc..end` (`end` the column block's `blok_end`) in
+    /// order, `c` and `ldc` as [`Self::with_target`] gives them for pair
+    /// `(br, bc)`. Every pair of a strip faces the same column block, so
+    /// the sink finds out where that block lives once, not once per pair,
+    /// and [`strip_targets`](crate::storage::strip_targets) supplies the
+    /// offsets.
+    fn with_strip(&mut self, bc: usize, end: usize, apply: impl FnMut(usize, &mut [T], usize));
 
     /// `C −= A·Bᵀ` for pair `(br, bc)`: `A` the `hr × w` rows blok, `B`
     /// the `hc × w` pivot blok in its `F = L·D` form, each dense or
@@ -47,18 +58,55 @@ pub(crate) trait ContribSink<T: Scalar> {
         self.with_target(br, bc, |c, ldc| lr_gemm_nt_acc(hr, hc, w, -T::one(), a, b, c, ldc));
     }
 
-    /// `C += U_r` for pair `(br, bc)`, where `rows` (leading dimension
-    /// `ld`) is row block `br` of an already-computed strip
-    /// `U = −L_{c..}·F_cᵀ`.
-    fn add_rows(&mut self, br: usize, bc: usize, hr: usize, hc: usize, rows: &[T], ld: usize) {
-        self.with_target(br, bc, |c, ldc| {
+    /// `C += U` for the pairs `(bc..end, bc)`, where `strip` (leading
+    /// dimension `ld`) is the already-computed `U = −L_{c..}·F_cᵀ`, its
+    /// row blocks stacked in blok order.
+    fn add_strip(&mut self, sym: &SymbolMatrix, bc: usize, end: usize, strip: &[T], ld: usize) {
+        let hc = sym.bloks[bc].nrows();
+        let mut urow = 0;
+        self.with_strip(bc, end, |br, c, ldc| {
+            let hr = sym.bloks[br].nrows();
             for j in 0..hc {
-                let src = &rows[j * ld..j * ld + hr];
-                for (d, &s) in c[j * ldc..j * ldc + hr].iter_mut().zip(src) {
+                let src = &strip[urow + j * ld..][..hr];
+                for (d, &s) in c[j * ldc..][..hr].iter_mut().zip(src) {
                     *d += s;
                 }
             }
+            urow += hr;
         });
+    }
+}
+
+/// Nanoseconds one worker spent inside the stages of its [`comp1d`]
+/// bodies; the rest of a task's span is the diagonal factor, `F = L·D`
+/// and zeroing the strips.
+#[derive(Debug, Clone, Copy, Default)]
+pub(crate) struct Comp1dNs {
+    /// Panel solves against the diagonal block.
+    pub(crate) trsm: u64,
+    /// Strip products `U = −L_{c..}·F_cᵀ`.
+    pub(crate) gemm: u64,
+    /// Delivery of the strips into their targets.
+    pub(crate) deliver: u64,
+}
+
+/// A lap timer over [`Comp1dNs`].
+pub(crate) struct StageClock {
+    last: Instant,
+    pub(crate) ns: Comp1dNs,
+}
+
+impl StageClock {
+    fn new() -> Self {
+        Self { last: Instant::now(), ns: Comp1dNs::default() }
+    }
+
+    /// Nanoseconds since the previous lap.
+    fn lap(&mut self) -> u64 {
+        let now = Instant::now();
+        let ns = (now - self.last).as_nanos() as u64;
+        self.last = now;
+        ns
     }
 }
 
@@ -73,15 +121,26 @@ pub(crate) struct Scratch<T> {
     diag: Vec<T>,
     /// One contribution strip `−L_{c..}·F_cᵀ`.
     ubuf: Vec<T>,
+    /// Stage timers of [`comp1d`], read back by the driver at the end of
+    /// the run; `None` takes no time.
+    pub(crate) stages: Option<StageClock>,
 }
 
 impl<T> Default for Scratch<T> {
     fn default() -> Self {
-        Self { wbuf: Vec::new(), dtmp: Vec::new(), diag: Vec::new(), ubuf: Vec::new() }
+        Self { wbuf: Vec::new(), dtmp: Vec::new(), diag: Vec::new(), ubuf: Vec::new(), stages: None }
     }
 }
 
 impl<T: Scalar> Scratch<T> {
+    /// Scratch for a run under `trace`. The stage timers ride with
+    /// wall-clock traces only: a run on the logical clock is a pure
+    /// function of `(seed, policy)`, its metrics included.
+    pub(crate) fn for_run(trace: &TraceOptions) -> Self {
+        let timed = trace.enabled && trace.clock == ClockMode::Wall;
+        Self { stages: timed.then(StageClock::new), ..Self::default() }
+    }
+
     /// Loads the factored `w × w` diagonal block at `a` (leading dimension
     /// `lda`) for the panel solves that follow ([`bdiv`], the tail of
     /// [`comp1d`]): the block usually shares a panel with the rows about
@@ -135,7 +194,7 @@ pub(crate) fn bdiv<T: Scalar>(
 ///
 /// With compression off, each pivot blok `c` costs ONE product over *all*
 /// the panel rows at and below it (they are contiguous in the panel) into
-/// a scratch strip, delivered row block by row block. Fusing the per-pair
+/// a scratch strip, handed to the sink whole. Fusing the per-pair
 /// GEMMs this way turns ~B²/2 tiny products per column block into B
 /// medium ones — the per-call overhead disappears and the tall strips are
 /// exactly the shapes the packed path is fastest on.
@@ -168,8 +227,19 @@ pub(crate) fn comp1d<T: Scalar, S: ContribSink<T>>(
     if cc.enabled() {
         return Ok(comp1d_tail_compressed(sym, layout, k, panel, cc, scratch, sink));
     }
-    let Scratch { wbuf, dtmp, diag, ubuf } = scratch;
+    let Scratch { wbuf, dtmp, diag, ubuf, stages } = scratch;
+    // Stage `slot` ends here; `None` ends an unreported one.
+    let mut lap = |slot: Option<fn(&mut Comp1dNs) -> &mut u64>| {
+        if let Some(clock) = stages {
+            let ns = clock.lap();
+            if let Some(slot) = slot {
+                *slot(&mut clock.ns) += ns;
+            }
+        }
+    };
+    lap(None);
     trsm_ldlt_panel(h, w, dtmp, w, &mut panel[w..], lda);
+    lap(Some(|ns| &mut ns.trsm));
     // F = L_off · D.
     wbuf.clear();
     wbuf.resize(h * w, T::zero());
@@ -191,13 +261,11 @@ pub(crate) fn comp1d<T: Scalar, S: ContribSink<T>>(
         let mbelow = lda - a_off;
         ubuf.clear();
         ubuf.resize(mbelow * hc, T::zero());
+        lap(None);
         gemm_nt_acc(mbelow, hc, w, -T::one(), &panel[a_off..], lda, f_c, h, ubuf, mbelow);
-        let mut urow = 0;
-        for br in bc..cb.blok_end {
-            let hr = sym.bloks[br].nrows();
-            sink.add_rows(br, bc, hr, hc, &ubuf[urow..], mbelow);
-            urow += hr;
-        }
+        lap(Some(|ns| &mut ns.gemm));
+        sink.add_strip(sym, bc, cb.blok_end, ubuf, mbelow);
+        lap(Some(|ns| &mut ns.deliver));
     }
     Ok(Vec::new())
 }
@@ -275,11 +343,12 @@ fn comp1d_tail_compressed<T: Scalar, S: ContribSink<T>>(
 mod tests {
     use super::*;
     use crate::parallel::tests::full_setup;
-    use crate::storage::{pair_target, FactorStorage};
+    use crate::storage::{pair_target, strip_targets, FactorStorage};
     use pastix_sched::{DistStrategy, TaskKind};
 
     /// Applies every contribution to zeroed stand-ins of the target panels
-    /// at the address `pair_target` reports, and logs the pair.
+    /// at the address `pair_target` reports (a strip's merge walk must
+    /// report the same one), and logs the pair.
     struct Recorder<'a> {
         sym: &'a SymbolMatrix,
         layout: &'a PanelLayout,
@@ -293,6 +362,14 @@ mod tests {
             self.seen.push((br, bc));
             apply(&mut self.panels[t.cblk][t.panel_row + t.col * t.lda..], t.lda);
         }
+
+        fn with_strip(&mut self, bc: usize, end: usize, mut apply: impl FnMut(usize, &mut [f64], usize)) {
+            for (br, t) in (bc..end).zip(strip_targets(self.sym, self.layout, bc, end)) {
+                assert_eq!(t, pair_target(self.sym, self.layout, br, bc), "strip walk at ({br},{bc})");
+                self.seen.push((br, bc));
+                apply(br, &mut self.panels[t.cblk][t.panel_row + t.col * t.lda..], t.lda);
+            }
+        }
     }
 
     #[test]
@@ -302,6 +379,15 @@ mod tests {
         let mut st = FactorStorage::<f64>::zeros(sym);
         st.scatter(sym, &ap);
         let layout = st.layout.clone();
+        // The merge walk of a strip is `pair_target`, pair by pair, on
+        // every column block — 1D and 2D sources, 1D and 2D targets.
+        for cb in &sym.cblks {
+            for bc in cb.blok_start + 1..cb.blok_end {
+                let walked: Vec<_> = strip_targets(sym, &layout, bc, cb.blok_end).collect();
+                let searched: Vec<_> = (bc..cb.blok_end).map(|br| pair_target(sym, &layout, br, bc)).collect();
+                assert_eq!(walked, searched, "strip of pivot blok {bc}");
+            }
+        }
         let is_2d = |k: usize| {
             matches!(graph.kinds[graph.head_task_of_cblk[k] as usize], TaskKind::Factor { .. })
         };
