@@ -32,7 +32,7 @@ use pastix_trace::{
 };
 use std::collections::{HashMap, HashSet};
 use std::sync::atomic::{AtomicI64, AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
 /// Message shipped between logical processors. (`Clone` is only exercised
@@ -904,12 +904,26 @@ pub(crate) fn factorize_static<T: Scalar>(
         topts.epoch = Some(Instant::now());
     }
     let gauges = SharedGauges::new(sched.n_procs);
+    // The task regions are allocated here, by the thread that will own the
+    // factor, and lent to the ranks: a COMP1D region ends up a panel of
+    // the factor, and memory that outlives the run should not sit in the
+    // allocator arenas of rank threads that exit with it.
+    let mut regions: Vec<HashMap<u32, Vec<T>>> = vec![HashMap::new(); sched.n_procs];
+    for (t, kind) in graph.kinds.iter().enumerate() {
+        let len = match kind {
+            TaskKind::Bdiv { .. } => 2 * routing.region_len[t], // [L | F]
+            _ => routing.region_len[t],
+        };
+        if len > 0 {
+            regions[sched.task_proc[t] as usize].insert(t as u32, vec![T::zero(); len]);
+        }
+    }
+    let regions: Vec<Mutex<HashMap<u32, Vec<T>>>> = regions.into_iter().map(Mutex::new).collect();
     let t0 = Instant::now();
-    let outputs = run_spmd_with::<PMsg<T>, WorkerOutput<T>, _>(
-        &cfg.backend,
-        sched.n_procs,
-        |ctx| worker_run(ctx, sym, graph, sched, routing, a, cfg, &topts, &gauges),
-    );
+    let outputs = run_spmd_with::<PMsg<T>, WorkerOutput<T>, _>(&cfg.backend, sched.n_procs, |ctx| {
+        let regions = std::mem::take(&mut *regions[ctx.rank()].lock().expect("regions taken once per rank"));
+        worker_run(ctx, sym, graph, sched, routing, regions, a, cfg, &topts, &gauges)
+    });
     let wall_ns = t0.elapsed().as_nanos() as u64;
     let mut results = Vec::with_capacity(outputs.len());
     let mut ranks = Vec::new();
@@ -951,6 +965,7 @@ fn worker_run<T: Scalar, C: Comm<PMsg<T>> + ?Sized>(
     graph: &TaskGraph,
     sched: &Schedule,
     routing: &Routing,
+    mut regions: HashMap<u32, Vec<T>>,
     a: &SymCsc<T>,
     cfg: &SolverConfig,
     topts: &TraceOptions,
@@ -960,24 +975,14 @@ fn worker_run<T: Scalar, C: Comm<PMsg<T>> + ?Sized>(
     // Both backends run each logical processor on its own OS thread, so a
     // thread-local session captures exactly this rank's activity.
     let session = pastix_trace::begin_rank(ctx.rank(), topts);
-    // Allocate and scatter the owned regions.
-    let mut regions: HashMap<u32, Vec<T>> = HashMap::new();
-    let mut aubs_pending: HashMap<u32, u32> = HashMap::new();
+    // Scatter into the owned regions (zeroed by the caller).
+    let aubs_pending: HashMap<u32, u32> = sched.proc_tasks[rank as usize]
+        .iter()
+        .map(|&t| (t, routing.remote_pairs[t as usize]))
+        .filter(|&(_, pairs)| pairs > 0)
+        .collect();
     {
         let _span = task_span(rank, TaskClass::Scatter);
-        for &t in &sched.proc_tasks[rank as usize] {
-            let len = match graph.kinds[t as usize] {
-                TaskKind::Bdiv { .. } => 2 * routing.region_len[t as usize],
-                _ => routing.region_len[t as usize],
-            };
-            if len > 0 {
-                regions.insert(t, vec![T::zero(); len]);
-            }
-            let pairs = routing.remote_pairs[t as usize];
-            if pairs > 0 {
-                aubs_pending.insert(t, pairs);
-            }
-        }
         scatter_owned(sym, &routing.layout, graph, a, &mut regions);
     }
     let region_scalars: usize = regions.values().map(|v| v.len()).sum();
