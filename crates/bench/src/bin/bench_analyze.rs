@@ -26,6 +26,7 @@
 //! `BENCH_analyze.json` at the repository root; exits non-zero if any
 //! armed gate fails.
 
+use pastix_bench::git;
 use pastix_graph::{build_problem, Parallelism, ProblemId, SymCsc};
 use pastix_json::{obj, Json};
 use pastix_machine::MachineModel;
@@ -125,11 +126,6 @@ fn staged_once(a: &SymCsc<f64>, par: Parallelism) -> ([f64; 4], u64) {
         (h ^ v as u64).wrapping_mul(0x0000_0100_0000_01b3)
     });
     (t, fnv)
-}
-
-fn git(args: &[&str]) -> Option<String> {
-    let out = std::process::Command::new("git").args(args).output().ok()?;
-    out.status.success().then(|| String::from_utf8_lossy(&out.stdout).trim().to_string())
 }
 
 fn main() {

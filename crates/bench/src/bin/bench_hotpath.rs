@@ -6,7 +6,9 @@
 //! ride with the code:
 //!
 //! * `BENCH_kernels.json` — `gemm_nt_acc` reference vs packed over a grid
-//!   of panel-shaped `(m, n, k)` cases;
+//!   of panel-shaped `(m, n, k)` cases, and the packing break-even
+//!   re-derived for the register tile in use (next to the dispatch
+//!   constant `PACKED_MIN_MADDS`);
 //! * `BENCH_factorize.json` — sequential LDLᵀ wall time and Gflop/s per
 //!   problem under [`KernelMode::Reference`] vs [`KernelMode::Auto`] (the
 //!   packed path above the dispatch threshold), with a factor checksum per
@@ -14,15 +16,19 @@
 //!
 //! The process exits non-zero if the two modes' factor checksums diverge
 //! beyond round-off — the packed path must be a pure reassociation of the
-//! reference arithmetic, never a different answer. `--quick` shrinks reps
-//! and problem scale for CI; `PASTIX_SCALE` / `PASTIX_PROBLEMS` apply to
-//! the full run as in the other binaries.
+//! reference arithmetic, never a different answer — or, in full mode, if
+//! the packed kernel is not at least 2.5 × the reference at 384³ (in
+//! `--quick` that gate prints `skipped`: the case is not run). `--quick`
+//! shrinks reps and problem scale for CI; `PASTIX_SCALE` /
+//! `PASTIX_PROBLEMS` apply to the full run as in the other binaries. Both
+//! files open with `pastix_bench::env_header`.
 
-use pastix_bench::{gflops, prepare, scale, scotch_ordering};
+use pastix_bench::{env_header, gflops, prepare, scale, scotch_ordering};
 use pastix_graph::ProblemId;
-use pastix_json::{num_arr, obj, Json};
+use pastix_json::{obj, Json};
 use pastix_kernels::gemm::{gemm_nt_acc, gemm_nt_acc_ref};
-use pastix_kernels::{blocking_for, KernelMode};
+use pastix_kernels::pack::PACKED_MIN_MADDS;
+use pastix_kernels::{KernelMode, Tile};
 use pastix_machine::probe_blocking;
 use pastix_solver::{factorize_sequential, FactorStorage};
 use pastix_trace::TraceOptions;
@@ -40,6 +46,9 @@ const CHECKSUM_RTOL: f64 = 1e-7;
 /// throughput on the largest problem vs the seed axpy path.
 const TARGET_SPEEDUP: f64 = 1.3;
 
+/// Gate of the register tile (full mode): packed over reference at 384³.
+const TILE_GATE: f64 = 2.5;
+
 fn main() {
     let quick = std::env::args().any(|a| a == "--quick");
     let mode = if quick { "quick" } else { "full" };
@@ -49,7 +58,7 @@ fn main() {
     let bs = probe_blocking();
     println!("probed f64 blocking: mc={} kc={} nc={}", bs.mc, bs.kc, bs.nc);
 
-    let kernels = bench_kernels(quick);
+    let (kernels, tile_ok) = bench_kernels(quick);
     std::fs::write(KERNELS_PATH, kernels.pretty()).expect("write BENCH_kernels.json");
     println!("wrote {KERNELS_PATH}");
 
@@ -59,6 +68,10 @@ fn main() {
 
     if !checksums_ok {
         eprintln!("FAIL: packed/reference factor checksums diverged (see BENCH_factorize.json)");
+        std::process::exit(1);
+    }
+    if tile_ok == Some(false) {
+        eprintln!("FAIL: packed kernel below {TILE_GATE}x the reference at 384^3 (see BENCH_kernels.json)");
         std::process::exit(1);
     }
 }
@@ -87,7 +100,38 @@ fn time_gemm(
     dt
 }
 
-fn bench_kernels(quick: bool) -> Json {
+/// The packing break-even of one family of shapes: `n` columns, depth 16,
+/// `m` growing so the product doubles from 1 Ki to 64 Ki multiply-adds.
+/// Returns the ladder's rows and the smallest product from which packed
+/// is at least as fast as the reference on every larger rung (`None`:
+/// not within the ladder).
+fn break_even(n: usize, quick: bool) -> (Vec<Json>, Option<usize>) {
+    const K: usize = 16;
+    let target_madds: f64 = if quick { 2e6 } else { 3e7 };
+    let mut rows = Vec::new();
+    let mut from = None;
+    for madds in (10..=16).map(|e| 1usize << e) {
+        let m = madds / (n * K);
+        let reps = (target_madds / madds as f64).ceil() as usize;
+        let flops = 2.0 * (m * n * K * reps) as f64;
+        let t_ref = time_gemm(gemm_nt_acc_ref::<f64>, m, n, K, reps);
+        let t_pack = {
+            let _mode = KernelMode::Packed.scoped();
+            time_gemm(gemm_nt_acc::<f64>, m, n, K, reps)
+        };
+        from = if t_pack <= t_ref { from.or(Some(m * n * K)) } else { None };
+        rows.push(obj([
+            ("m", Json::Num(m as f64)),
+            ("madds", Json::Num((m * n * K) as f64)),
+            ("ref_gflops", Json::Num(gflops(flops, t_ref))),
+            ("packed_gflops", Json::Num(gflops(flops, t_pack))),
+        ]));
+    }
+    (rows, from)
+}
+
+/// Kernel tier; the second value is the 384³ tile gate (`None`: skipped).
+fn bench_kernels(quick: bool) -> (Json, Option<bool>) {
     // Panel-shaped cases: tall update panels, wide rank-k blocks, and one
     // large square as the asymptotic point.
     let cases: &[(usize, usize, usize)] = &[
@@ -101,6 +145,7 @@ fn bench_kernels(quick: bool) -> Json {
     let target_madds: f64 = if quick { 4e7 } else { 6e8 };
 
     let mut rows = Vec::new();
+    let mut at_384 = None;
     println!("{:>5} {:>5} {:>5} {:>6}  {:>10} {:>10} {:>8}", "m", "n", "k", "reps", "ref GF/s", "pack GF/s", "speedup");
     for &(m, n, k) in cases {
         let madds = (m * n * k) as f64;
@@ -113,6 +158,9 @@ fn bench_kernels(quick: bool) -> Json {
         };
         let (gf_ref, gf_pack) = (gflops(flops, t_ref), gflops(flops, t_pack));
         let speedup = t_ref / t_pack;
+        if (m, n, k) == (384, 384, 384) {
+            at_384 = Some(speedup);
+        }
         println!("{m:>5} {n:>5} {k:>5} {reps:>6}  {gf_ref:>10.2} {gf_pack:>10.2} {speedup:>7.2}x");
         rows.push(obj([
             ("m", Json::Num(m as f64)),
@@ -126,14 +174,46 @@ fn bench_kernels(quick: bool) -> Json {
             ("speedup", Json::Num(speedup)),
         ]));
     }
-    let bs = blocking_for::<f64>();
-    obj([
-        ("bench", Json::Str("gemm_nt_acc packed vs reference".into())),
-        ("mode", Json::Str(if quick { "quick" } else { "full" }.into())),
-        ("elem", Json::Str("f64".into())),
-        ("blocking", num_arr([bs.mc as f64, bs.kc as f64, bs.nc as f64])),
-        ("cases", Json::Arr(rows)),
-    ])
+    // The dispatch constant against what this tile measures: a family
+    // that fills the tile's width twice over, and one that half-fills it.
+    let tile = Tile::F64;
+    let (full_rows, full_from) = break_even(2 * tile.nr, quick);
+    let (narrow_rows, narrow_from) = break_even(tile.nr / 2, quick);
+    let show = |from: Option<usize>| from.map_or("not below 64 Ki".to_string(), |v| format!("{v}"));
+    println!(
+        "packing break-even in multiply-adds (dispatch constant {PACKED_MIN_MADDS}): \
+         n = {} from {}, n = {} from {}",
+        2 * tile.nr,
+        show(full_from),
+        tile.nr / 2,
+        show(narrow_from)
+    );
+    let tile_ok = at_384.map(|s| s >= TILE_GATE);
+    match at_384 {
+        Some(s) => println!(
+            "acceptance (packed >= {TILE_GATE}x reference at 384^3): {s:.2}x — {}",
+            if s >= TILE_GATE { "MET" } else { "NOT MET" }
+        ),
+        None => println!("acceptance (packed >= {TILE_GATE}x reference at 384^3): skipped — quick mode does not run the case"),
+    }
+    let as_json = |from: Option<usize>| from.map_or(Json::Null, |v| Json::Num(v as f64));
+    let mut all = vec![("bench".to_string(), Json::Str("gemm_nt_acc packed vs reference".into()))];
+    all.extend(env_header(if quick { "quick" } else { "full" }));
+    all.extend(
+        [
+            ("elem", Json::Str("f64".into())),
+            ("cases", Json::Arr(rows)),
+            ("packed_min_madds", Json::Num(PACKED_MIN_MADDS as f64)),
+            ("break_even_madds_full_tile", as_json(full_from)),
+            ("break_even_madds_half_tile", as_json(narrow_from)),
+            ("break_even_full_tile", Json::Arr(full_rows)),
+            ("break_even_half_tile", Json::Arr(narrow_rows)),
+            ("tile_gate", Json::Num(TILE_GATE)),
+            ("tile_gate_ok", tile_ok.map_or(Json::Null, Json::Bool)),
+        ]
+        .map(|(k, v)| (k.to_string(), v)),
+    );
+    (Json::Obj(all), tile_ok)
 }
 
 /// Sum of entry magnitudes over every factor panel: a single scalar that
@@ -273,19 +353,24 @@ fn bench_factorize(quick: bool) -> (Json, bool) {
         trace_overhead * 100.0,
         if trace_ok { "MET" } else { "NOT MET" }
     );
-    let report = obj([
-        ("bench", Json::Str("sequential LDLt, packed vs reference kernels".into())),
-        ("mode", Json::Str(if quick { "quick" } else { "full" }.into())),
-        ("scale", Json::Num(sc)),
-        ("reps", Json::Num(reps as f64)),
-        ("problems", Json::Arr(rows)),
-        ("shipsec5_speedup", Json::Num(largest_speedup)),
-        ("target_speedup", Json::Num(TARGET_SPEEDUP)),
-        ("tracing_overhead_shipsec5", Json::Num(trace_overhead)),
-        ("tracing_overhead_limit", Json::Num(TRACE_OVERHEAD_LIMIT)),
-        ("tracing_events_shipsec5", Json::Num(trace_events as f64)),
-        ("tracing_overhead_ok", Json::Bool(trace_ok)),
-        ("checksums_ok", Json::Bool(ok)),
-    ]);
+    let mut all =
+        vec![("bench".to_string(), Json::Str("sequential LDLt, packed vs reference kernels".into()))];
+    all.extend(env_header(if quick { "quick" } else { "full" }));
+    all.extend(
+        [
+            ("scale", Json::Num(sc)),
+            ("reps", Json::Num(reps as f64)),
+            ("problems", Json::Arr(rows)),
+            ("shipsec5_speedup", Json::Num(largest_speedup)),
+            ("target_speedup", Json::Num(TARGET_SPEEDUP)),
+            ("tracing_overhead_shipsec5", Json::Num(trace_overhead)),
+            ("tracing_overhead_limit", Json::Num(TRACE_OVERHEAD_LIMIT)),
+            ("tracing_events_shipsec5", Json::Num(trace_events as f64)),
+            ("tracing_overhead_ok", Json::Bool(trace_ok)),
+            ("checksums_ok", Json::Bool(ok)),
+        ]
+        .map(|(k, v)| (k.to_string(), v)),
+    );
+    let report = Json::Obj(all);
     (report, ok)
 }

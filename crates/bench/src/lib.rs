@@ -88,6 +88,36 @@ pub fn sci(x: f64) -> String {
     format!("{x:.2e}")
 }
 
+/// Output of `git <args>` in the current directory, `None` when git or
+/// the repository is missing.
+pub fn git(args: &[&str]) -> Option<String> {
+    let out = std::process::Command::new("git").args(args).output().ok()?;
+    out.status.success().then(|| String::from_utf8_lossy(&out.stdout).trim().to_string())
+}
+
+/// The fields every `BENCH_*.json` needs to be comparable with another:
+/// the box (CPU count), the tree (git revision, dirty or not), the run
+/// mode, and the kernel configuration in force (`f64` register tile,
+/// cache blocking, dispatch mode).
+pub fn env_header(mode: &str) -> Vec<(String, pastix_json::Json)> {
+    use pastix_json::{num_arr, Json};
+    let cpus = std::thread::available_parallelism().map_or(1, |n| n.get());
+    let tile = pastix_kernels::Tile::F64;
+    let bs = pastix_kernels::blocking_for::<f64>();
+    [
+        ("mode", Json::Str(mode.into())),
+        ("cpus", Json::Num(cpus as f64)),
+        ("git_rev", Json::Str(git(&["rev-parse", "HEAD"]).unwrap_or_else(|| "unknown".into()))),
+        ("git_dirty", Json::Bool(git(&["status", "--porcelain"]).is_some_and(|s| !s.is_empty()))),
+        ("tile", Json::Str(format!("{} {}x{}", tile.isa, tile.mr, tile.nr))),
+        ("blocking", num_arr([bs.mc as f64, bs.kc as f64, bs.nc as f64])),
+        ("kernel_mode", Json::Str(format!("{:?}", pastix_kernels::kernel_mode()))),
+    ]
+    .into_iter()
+    .map(|(k, v)| (k.to_string(), v))
+    .collect()
+}
+
 /// Gigaflop rate from an operation count and a time.
 pub fn gflops(opc: f64, time: f64) -> f64 {
     if time <= 0.0 {

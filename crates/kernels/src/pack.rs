@@ -222,9 +222,16 @@ pub fn kernel_mode() -> KernelMode {
     }
 }
 
-/// Packing + tile bookkeeping only pays off once the product is a few
-/// thousand multiply-adds; below this the axpy reference wins.
-const PACKED_MIN_MADDS: usize = 16 * 1024;
+/// Products below this many multiply-adds take the axpy reference under
+/// [`KernelMode::Auto`]. One number cannot say where packing pays: with
+/// the register tiles of this crate a product whose `n` fills the tile's
+/// width breaks even near a thousand multiply-adds, one whose `n` is half
+/// the width not below 64 Ki (`bench_hotpath` re-measures both and writes
+/// them next to this constant in `BENCH_kernels.json`). It stays where
+/// the 8 × 4 kernel put it: the products it could move carry a few percent
+/// of a factorization's flops, and moving them changes the arithmetic —
+/// and so every pinned factor — of all small problems.
+pub const PACKED_MIN_MADDS: usize = 16 * 1024;
 
 /// `true` when the dispatcher should take the packed path for an
 /// `m × n × k` product under the current [`KernelMode`].
