@@ -12,7 +12,9 @@
 //! * `BENCH_factorize.json` — sequential LDLᵀ wall time and Gflop/s per
 //!   problem under [`KernelMode::Reference`] vs [`KernelMode::Auto`] (the
 //!   packed path above the dispatch threshold), with a factor checksum per
-//!   mode.
+//!   mode, and the *where factorization time goes* stage table of the
+//!   static driver on one and two ranks, read off the `solver.comp1d.*`
+//!   counters of a wall-clock traced run.
 //!
 //! The process exits non-zero if the two modes' factor checksums diverge
 //! beyond round-off — the packed path must be a pure reassociation of the
@@ -30,7 +32,10 @@ use pastix_kernels::gemm::{gemm_nt_acc, gemm_nt_acc_ref};
 use pastix_kernels::pack::PACKED_MIN_MADDS;
 use pastix_kernels::{KernelMode, Tile};
 use pastix_machine::probe_blocking;
-use pastix_solver::{factorize_sequential, FactorStorage};
+use pastix_graph::Parallelism;
+use pastix_solver::{
+    factorize_sequential, AnalyzeOptions, FactorStorage, MetricsRegistry, Plan, SolverConfig,
+};
 use pastix_trace::TraceOptions;
 use std::time::Instant;
 
@@ -276,6 +281,74 @@ fn measure_trace_overhead(
     (best_traced / best_plain - 1.0, events)
 }
 
+/// Where the static factorization's time goes: BMWCRA1 @ 0.1 (`bench_e2e`'s
+/// `solid3d` matrix; SHIPSEC5 @ 0.02 in quick mode) on one and two ranks of
+/// the thread backend, the fastest of `reps` wall-clock traced runs each.
+/// The stage columns are the `solver.comp1d.*` counters summed over the
+/// ranks; `rest_ms` is what the stages leave of the ranks' summed wall time
+/// (diagonal factors, `F = L·D`, strip zeroing, scatter, waiting, and the
+/// serial permute and assembly around the ranks).
+fn bench_stages(quick: bool) -> Json {
+    let (id, sc, reps) = if quick { (ProblemId::Shipsec5, 0.02, 2) } else { (ProblemId::Bmwcra1, 0.1, 7) };
+    let a = pastix_graph::build_problem::<f64>(id, sc);
+    println!();
+    println!("static factorization stage by stage, {} @ {sc}, best of {reps} (ms; stages summed over ranks)", id.name());
+    println!("{:>5} {:>9} {:>9} {:>9} {:>9} {:>9} {:>10}", "ranks", "wall", "trsm", "gemm", "deliver", "rest", "gemm GF/s");
+    let mut rows = Vec::new();
+    for procs in [1usize, 2] {
+        let base = SolverConfig::new().with_trace(TraceOptions::wall()).with_analyze(AnalyzeOptions {
+            procs,
+            parallelism: Parallelism::Auto,
+            ..AnalyzeOptions::default()
+        });
+        let plan = Plan::analyze(&a, &base);
+        // Flops of the strip products U = −L·Fᵀ, the `gemm` stage's work.
+        let sym = plan.symbol();
+        let strip_flops: f64 = sym
+            .cblks
+            .iter()
+            .map(|cb| {
+                let off = &sym.bloks[cb.blok_start + 1..cb.blok_end];
+                let mut below: usize = off.iter().map(|b| b.nrows()).sum();
+                let mut madds = 0usize;
+                for b in off {
+                    madds += below * b.nrows() * cb.width();
+                    below -= b.nrows();
+                }
+                2.0 * madds as f64
+            })
+            .sum();
+        let mut best: Option<[f64; 4]> = None;
+        for _ in 0..reps {
+            let cfg = base.clone().with_metrics(MetricsRegistry::new());
+            let t0 = Instant::now();
+            plan.factorize(&a, &cfg).expect("factorization failed");
+            let wall = t0.elapsed().as_secs_f64() * 1e3;
+            let ms = |name: &str| cfg.metrics.counter(name) as f64 / 1e6;
+            let row = [wall, ms("solver.comp1d.trsm_ns"), ms("solver.comp1d.gemm_ns"), ms("solver.comp1d.deliver_ns")];
+            if best.is_none_or(|b| wall < b[0]) {
+                best = Some(row);
+            }
+        }
+        let [wall, trsm, gemm, deliver] = best.expect("reps >= 1");
+        let rest = procs as f64 * wall - trsm - gemm - deliver;
+        // Summed flops over summed seconds: the mean rate of one rank.
+        let gemm_gf = gflops(strip_flops, gemm / 1e3);
+        println!("{procs:>5} {wall:>9.1} {trsm:>9.1} {gemm:>9.1} {deliver:>9.1} {rest:>9.1} {gemm_gf:>10.2}");
+        rows.push(obj([
+            ("ranks", Json::Num(procs as f64)),
+            ("wall_ms", Json::Num(wall)),
+            ("trsm_ms", Json::Num(trsm)),
+            ("gemm_ms", Json::Num(gemm)),
+            ("deliver_ms", Json::Num(deliver)),
+            ("rest_ms", Json::Num(rest)),
+            ("strip_gflop", Json::Num(strip_flops / 1e9)),
+            ("gemm_stage_gflops_per_rank", Json::Num(gemm_gf)),
+        ]));
+    }
+    obj([("problem", Json::Str(id.name().into())), ("scale", Json::Num(sc)), ("reps", Json::Num(reps as f64)), ("rows", Json::Arr(rows))])
+}
+
 /// Acceptance target from the issue: with tracing enabled the hot path may
 /// regress by at most this fraction vs tracing disabled.
 const TRACE_OVERHEAD_LIMIT: f64 = 0.02;
@@ -368,6 +441,7 @@ fn bench_factorize(quick: bool) -> (Json, bool) {
             ("tracing_events_shipsec5", Json::Num(trace_events as f64)),
             ("tracing_overhead_ok", Json::Bool(trace_ok)),
             ("checksums_ok", Json::Bool(ok)),
+            ("static_stages", bench_stages(quick)),
         ]
         .map(|(k, v)| (k.to_string(), v)),
     );

@@ -53,8 +53,12 @@ pub struct Tile<T> {
     pub isa: &'static str,
     /// [`gemm_packed_driver`] instantiated for the kernel, so the tile
     /// shape is a compile-time constant all the way down.
-    driver: fn(BlockSizes, BLayout, usize, usize, usize, T, &[T], usize, &[T], usize, &mut [T], usize),
+    driver: Driver<T>,
 }
+
+/// The signature of [`gemm_packed_driver`]: blocking, layout of `B`, then
+/// `m, n, k, α, a, lda, b, ldb, c, ldc`.
+type Driver<T> = fn(BlockSizes, BLayout, usize, usize, usize, T, &[T], usize, &[T], usize, &mut [T], usize);
 
 /// A register microkernel. `run(kcb, pa, pb, out)` overwrites `out`
 /// (column-major `MR × NR`) with `Σ_kk pa[kk][·] · pb[kk][·]` over one

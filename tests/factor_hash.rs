@@ -109,7 +109,7 @@ fn factor_panels_match_parent_hashes() {
                 factorize_sequential(sym, &mut st).unwrap();
                 st
             };
-            let cfg = SolverConfig::new().with_backend(Backend::Sim(fp.clone())).with_kernel_mode(mode);
+            let cfg = SolverConfig::new().with_backend(Backend::Sim(fp)).with_kernel_mode(mode);
             let sim = plan.factorize(&ap, &cfg).unwrap().into_storage();
             got.extend([panel_hash(&seq), panel_hash(&sim)]);
         }
