@@ -452,21 +452,20 @@ fn gemm_packed_driver<T: Scalar, K: MicroKernel<T>>(
                         let mr_cur = mr.min(mcb - ir * mr);
                         K::run(kcb, pa_slab, pb_slab, acc);
                         // Write back the valid corner only: padding rows of
-                        // C and columns past n are never touched. A whole
-                        // tile goes column by column at constant length.
+                        // C and columns past n are never touched. Whole
+                        // columns of the tile go at constant length.
                         let c0 = ic + ir * mr + (jc + jr * nr) * ldc;
+                        let mut add = |rows: usize| {
+                            for (jj, accj) in acc.chunks_exact(mr).take(nr_cur).enumerate() {
+                                for (cv, &av) in c[c0 + jj * ldc..][..rows].iter_mut().zip(accj) {
+                                    *cv += alpha * av;
+                                }
+                            }
+                        };
                         if mr_cur == mr {
-                            for (jj, accj) in acc.chunks_exact(mr).take(nr_cur).enumerate() {
-                                for (cv, &av) in c[c0 + jj * ldc..][..mr].iter_mut().zip(accj) {
-                                    *cv += alpha * av;
-                                }
-                            }
+                            add(mr)
                         } else {
-                            for (jj, accj) in acc.chunks_exact(mr).take(nr_cur).enumerate() {
-                                for (cv, &av) in c[c0 + jj * ldc..][..mr_cur].iter_mut().zip(accj) {
-                                    *cv += alpha * av;
-                                }
-                            }
+                            add(mr_cur)
                         }
                     }
                 }
