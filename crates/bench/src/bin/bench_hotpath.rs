@@ -30,7 +30,7 @@ use pastix_graph::ProblemId;
 use pastix_json::{obj, Json};
 use pastix_kernels::gemm::{gemm_nt_acc, gemm_nt_acc_ref};
 use pastix_kernels::pack::PACKED_MIN_MADDS;
-use pastix_kernels::{KernelMode, Tile};
+use pastix_kernels::{KernelMode, Scalar};
 use pastix_machine::probe_blocking;
 use pastix_graph::Parallelism;
 use pastix_solver::{
@@ -181,7 +181,7 @@ fn bench_kernels(quick: bool) -> (Json, Option<bool>) {
     }
     // The dispatch constant against what this tile measures: a family
     // that fills the tile's width twice over, and one that half-fills it.
-    let tile = Tile::F64;
+    let tile = <f64 as Scalar>::TILE;
     let (full_rows, full_from) = break_even(2 * tile.nr, quick);
     let (narrow_rows, narrow_from) = break_even(tile.nr / 2, quick);
     let show = |from: Option<usize>| from.map_or("not below 64 Ki".to_string(), |v| format!("{v}"));

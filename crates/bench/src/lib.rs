@@ -102,7 +102,7 @@ pub fn git(args: &[&str]) -> Option<String> {
 pub fn env_header(mode: &str) -> Vec<(String, pastix_json::Json)> {
     use pastix_json::{num_arr, Json};
     let cpus = std::thread::available_parallelism().map_or(1, |n| n.get());
-    let tile = pastix_kernels::Tile::F64;
+    let tile = <f64 as pastix_kernels::Scalar>::TILE;
     let bs = pastix_kernels::blocking_for::<f64>();
     [
         ("mode", Json::Str(mode.into())),

@@ -89,10 +89,10 @@ impl<T: Scalar> Tile<T> {
 impl Tile<f64> {
     /// The `f64` tile of the instruction set this crate is compiled for.
     #[cfg(all(target_arch = "x86_64", target_feature = "avx512f"))]
-    pub const F64: Self = Self::of::<Avx512>("avx512f");
+    pub(crate) const F64: Self = Self::of::<Avx512>("avx512f");
     /// The `f64` tile of the instruction set this crate is compiled for.
     #[cfg(not(all(target_arch = "x86_64", target_feature = "avx512f")))]
-    pub const F64: Self = Self::generic();
+    pub(crate) const F64: Self = Self::generic();
 }
 
 /// Cache-blocking constants of the packed GEMM path: row tile `mc`

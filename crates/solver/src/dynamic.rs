@@ -302,9 +302,8 @@ pub(crate) fn factorize_dynamic<T: Scalar>(
         return Err(e);
     }
     for (w, scratch) in scratch.into_iter().enumerate() {
-        if let Some(clock) = scratch.into_inner().unwrap().stages {
-            crate::parallel::merge_comp1d_ns(&cfg.metrics, w as u32, &clock.ns);
-        }
+        let ns = scratch.into_inner().unwrap().stages.ns;
+        crate::parallel::merge_comp1d_ns(&cfg.metrics, w as u32, &ns);
     }
     let lrs = shared.lr_out.into_inner().unwrap();
     let mut storage = FactorStorage {

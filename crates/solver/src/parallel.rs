@@ -17,7 +17,9 @@
 
 use crate::compress::{finalize_compression, CompressionConfig};
 use crate::config::{FactorRun, SolverConfig};
-use crate::storage::{pair_target, strip_targets, BlokCursor, FactorStorage, PairTarget, PanelLayout};
+use crate::storage::{
+    pair_target, scatter_cblk, strip_targets, BlokCursor, FactorStorage, PairTarget, PanelLayout,
+};
 use crate::tasks::{self, Comp1dNs, ContribSink, Scratch};
 use pastix_graph::SymCsc;
 use pastix_kernels::dense::copy_panel;
@@ -1029,9 +1031,7 @@ fn worker_run<T: Scalar, C: Comm<PMsg<T>> + ?Sized>(
             || (worker.aub_out.is_empty() && worker.aubs_pending.values().all(|&left| left == 0)),
         "rank {rank}: AUB pair counters did not reach zero"
     );
-    if let Some(clock) = &worker.scratch.stages {
-        worker.counters.comp1d = clock.ns;
-    }
+    worker.counters.comp1d = worker.scratch.stages.ns;
     WorkerOutput {
         result: run_result.map(|()| worker.regions),
         lr: worker.lr_out,
@@ -1080,9 +1080,9 @@ fn assemble<T: Scalar>(
     Ok(FactorStorage { layout, panels, compression: Vec::new() })
 }
 
-/// Scatters the owned part of `a` into each owned region: per column
-/// block the regions are looked up once (per blok for a 2D one), and the
-/// sorted rows of a column walk the bloks with a cursor.
+/// Scatters the owned part of `a` into each owned region. A COMP1D region
+/// is the block's panel; in a 2D block the sorted rows of a column walk the
+/// bloks with a cursor and the region is looked up when the blok changes.
 fn scatter_owned<T: Scalar>(
     sym: &SymbolMatrix,
     layout: &PanelLayout,
@@ -1092,7 +1092,12 @@ fn scatter_owned<T: Scalar>(
 ) {
     for (k, cb) in sym.cblks.iter().enumerate() {
         let head = graph.head_task_of_cblk[k];
-        let is2d = matches!(graph.kinds[head as usize], TaskKind::Factor { .. });
+        if let TaskKind::Comp1d { .. } = graph.kinds[head as usize] {
+            if let Some(panel) = regions.get_mut(&head) {
+                scatter_cblk(sym, layout, k, a, panel);
+            }
+            continue;
+        }
         for j in cb.fcol as usize..=cb.lcol as usize {
             let local_col = j - cb.fcol as usize;
             let mut cursor = BlokCursor::new(sym, k);
@@ -1100,24 +1105,15 @@ fn scatter_owned<T: Scalar>(
             let mut held: (usize, Option<&mut Vec<T>>) = (usize::MAX, None);
             for (&i, &v) in a.rows_of(j).iter().zip(a.vals_of(j)) {
                 let (b, row_in_blok) = cursor.seek(i);
-                if !is2d {
-                    // The whole panel is the COMP1D region.
-                    if held.0 == usize::MAX {
-                        held = (b, regions.get_mut(&head));
-                    }
-                    if let Some(region) = &mut held.1 {
-                        region[layout.panel_row[b] as usize + row_in_blok + local_col * layout.panel_rows(k)] = v;
-                    }
-                    continue;
-                }
+                // Diagonal blok → FACTOR region, else the blok's BDIV
+                // region (its `L` part comes first).
+                let diagonal = b == cb.blok_start;
                 if held.0 != b {
-                    // Diagonal blok → FACTOR region, else the blok's BDIV
-                    // region (its `L` part comes first).
-                    let t = if b == cb.blok_start { head } else { graph.bdiv_task_of_blok[b] };
+                    let t = if diagonal { head } else { graph.bdiv_task_of_blok[b] };
                     held = (b, regions.get_mut(&t));
                 }
                 if let Some(region) = &mut held.1 {
-                    let ld = if b == cb.blok_start { cb.width() } else { sym.bloks[b].nrows() };
+                    let ld = if diagonal { cb.width() } else { sym.bloks[b].nrows() };
                     region[row_in_blok + local_col * ld] = v;
                 }
             }

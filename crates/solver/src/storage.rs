@@ -275,18 +275,8 @@ impl<T: Scalar> FactorStorage<T> {
     /// the panels. Entries must all fall inside the symbolic structure.
     pub fn scatter(&mut self, sym: &SymbolMatrix, a: &SymCsc<T>) {
         assert_eq!(a.n(), sym.n);
-        for (k, cb) in sym.cblks.iter().enumerate() {
-            let lda = self.layout.panel_rows(k);
-            let panel = &mut self.panels[k];
-            for j in cb.fcol as usize..=cb.lcol as usize {
-                let col = (j - cb.fcol as usize) * lda;
-                let mut cursor = BlokCursor::new(sym, k);
-                for (&i, &v) in a.rows_of(j).iter().zip(a.vals_of(j)) {
-                    debug_assert!(i as usize >= j, "input must be lower triangular");
-                    let (b, row_in_blok) = cursor.seek(i);
-                    panel[self.layout.panel_row[b] as usize + row_in_blok + col] = v;
-                }
-            }
+        for (k, panel) in self.panels.iter_mut().enumerate() {
+            scatter_cblk(sym, &self.layout, k, a, panel);
         }
     }
 
@@ -365,6 +355,28 @@ pub(crate) fn pair_target(
         panel_row: layout.panel_row[blok] as usize + row_in_blok,
         col: (cols.frow - sym.cblks[cblk].fcol) as usize,
         lda: layout.panel_rows(cblk),
+    }
+}
+
+/// Scatters the columns of `a` that column block `k` holds into its panel:
+/// the sorted rows of a column walk the bloks with a [`BlokCursor`].
+pub(crate) fn scatter_cblk<T: Scalar>(
+    sym: &SymbolMatrix,
+    layout: &PanelLayout,
+    k: usize,
+    a: &SymCsc<T>,
+    panel: &mut [T],
+) {
+    let cb = &sym.cblks[k];
+    let lda = layout.panel_rows(k);
+    for j in cb.fcol as usize..=cb.lcol as usize {
+        let col = (j - cb.fcol as usize) * lda;
+        let mut cursor = BlokCursor::new(sym, k);
+        for (&i, &v) in a.rows_of(j).iter().zip(a.vals_of(j)) {
+            debug_assert!(i as usize >= j, "input must be lower triangular");
+            let (b, row_in_blok) = cursor.seek(i);
+            panel[layout.panel_row[b] as usize + row_in_blok + col] = v;
+        }
     }
 }
 

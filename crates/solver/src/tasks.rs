@@ -90,22 +90,21 @@ pub(crate) struct Comp1dNs {
     pub(crate) deliver: u64,
 }
 
-/// A lap timer over [`Comp1dNs`].
+/// A lap timer over [`Comp1dNs`]; stopped (the default) it takes no time
+/// and every lap is zero.
+#[derive(Default)]
 pub(crate) struct StageClock {
-    last: Instant,
+    last: Option<Instant>,
     pub(crate) ns: Comp1dNs,
 }
 
 impl StageClock {
-    fn new() -> Self {
-        Self { last: Instant::now(), ns: Comp1dNs::default() }
-    }
-
     /// Nanoseconds since the previous lap.
     fn lap(&mut self) -> u64 {
+        let Some(last) = &mut self.last else { return 0 };
         let now = Instant::now();
-        let ns = (now - self.last).as_nanos() as u64;
-        self.last = now;
+        let ns = (now - *last).as_nanos() as u64;
+        *last = now;
         ns
     }
 }
@@ -122,13 +121,13 @@ pub(crate) struct Scratch<T> {
     /// One contribution strip `−L_{c..}·F_cᵀ`.
     ubuf: Vec<T>,
     /// Stage timers of [`comp1d`], read back by the driver at the end of
-    /// the run; `None` takes no time.
-    pub(crate) stages: Option<StageClock>,
+    /// the run.
+    pub(crate) stages: StageClock,
 }
 
 impl<T> Default for Scratch<T> {
     fn default() -> Self {
-        Self { wbuf: Vec::new(), dtmp: Vec::new(), diag: Vec::new(), ubuf: Vec::new(), stages: None }
+        Self { wbuf: Vec::new(), dtmp: Vec::new(), diag: Vec::new(), ubuf: Vec::new(), stages: StageClock::default() }
     }
 }
 
@@ -138,7 +137,7 @@ impl<T: Scalar> Scratch<T> {
     /// function of `(seed, policy)`, its metrics included.
     pub(crate) fn for_run(trace: &TraceOptions) -> Self {
         let timed = trace.enabled && trace.clock == ClockMode::Wall;
-        Self { stages: timed.then(StageClock::new), ..Self::default() }
+        Self { stages: StageClock { last: timed.then(Instant::now), ..Default::default() }, ..Self::default() }
     }
 
     /// Loads the factored `w × w` diagonal block at `a` (leading dimension
@@ -228,18 +227,9 @@ pub(crate) fn comp1d<T: Scalar, S: ContribSink<T>>(
         return Ok(comp1d_tail_compressed(sym, layout, k, panel, cc, scratch, sink));
     }
     let Scratch { wbuf, dtmp, diag, ubuf, stages } = scratch;
-    // Stage `slot` ends here; `None` ends an unreported one.
-    let mut lap = |slot: Option<fn(&mut Comp1dNs) -> &mut u64>| {
-        if let Some(clock) = stages {
-            let ns = clock.lap();
-            if let Some(slot) = slot {
-                *slot(&mut clock.ns) += ns;
-            }
-        }
-    };
-    lap(None);
+    stages.lap(); // the diagonal factor is not a reported stage
     trsm_ldlt_panel(h, w, dtmp, w, &mut panel[w..], lda);
-    lap(Some(|ns| &mut ns.trsm));
+    stages.ns.trsm += stages.lap();
     // F = L_off · D.
     wbuf.clear();
     wbuf.resize(h * w, T::zero());
@@ -261,11 +251,11 @@ pub(crate) fn comp1d<T: Scalar, S: ContribSink<T>>(
         let mbelow = lda - a_off;
         ubuf.clear();
         ubuf.resize(mbelow * hc, T::zero());
-        lap(None);
+        stages.lap(); // nor is zeroing the strip
         gemm_nt_acc(mbelow, hc, w, -T::one(), &panel[a_off..], lda, f_c, h, ubuf, mbelow);
-        lap(Some(|ns| &mut ns.gemm));
+        stages.ns.gemm += stages.lap();
         sink.add_strip(sym, bc, cb.blok_end, ubuf, mbelow);
-        lap(Some(|ns| &mut ns.deliver));
+        stages.ns.deliver += stages.lap();
     }
     Ok(Vec::new())
 }
