@@ -63,11 +63,13 @@ fn main() {
     let bs = probe_blocking();
     println!("probed f64 blocking: mc={} kc={} nc={}", bs.mc, bs.kc, bs.nc);
 
-    let (kernels, tile_ok) = bench_kernels(quick);
+    // Once, before this run rewrites tracked files and dirties the tree.
+    let header = env_header(mode);
+    let (kernels, tile_ok) = bench_kernels(quick, &header);
     std::fs::write(KERNELS_PATH, kernels.pretty()).expect("write BENCH_kernels.json");
     println!("wrote {KERNELS_PATH}");
 
-    let (factorize, checksums_ok) = bench_factorize(quick);
+    let (factorize, checksums_ok) = bench_factorize(quick, &header);
     std::fs::write(FACTORIZE_PATH, factorize.pretty()).expect("write BENCH_factorize.json");
     println!("wrote {FACTORIZE_PATH}");
 
@@ -136,7 +138,7 @@ fn break_even(n: usize, quick: bool) -> (Vec<Json>, Option<usize>) {
 }
 
 /// Kernel tier; the second value is the 384³ tile gate (`None`: skipped).
-fn bench_kernels(quick: bool) -> (Json, Option<bool>) {
+fn bench_kernels(quick: bool, header: &[(String, Json)]) -> (Json, Option<bool>) {
     // Panel-shaped cases: tall update panels, wide rank-k blocks, and one
     // large square as the asymptotic point.
     let cases: &[(usize, usize, usize)] = &[
@@ -203,7 +205,7 @@ fn bench_kernels(quick: bool) -> (Json, Option<bool>) {
     }
     let as_json = |from: Option<usize>| from.map_or(Json::Null, |v| Json::Num(v as f64));
     let mut all = vec![("bench".to_string(), Json::Str("gemm_nt_acc packed vs reference".into()))];
-    all.extend(env_header(if quick { "quick" } else { "full" }));
+    all.extend(header.iter().cloned());
     all.extend(
         [
             ("elem", Json::Str("f64".into())),
@@ -353,7 +355,7 @@ fn bench_stages(quick: bool) -> Json {
 /// regress by at most this fraction vs tracing disabled.
 const TRACE_OVERHEAD_LIMIT: f64 = 0.02;
 
-fn bench_factorize(quick: bool) -> (Json, bool) {
+fn bench_factorize(quick: bool, header: &[(String, Json)]) -> (Json, bool) {
     let sc = if quick { 0.02 } else { scale() };
     let reps = if quick { 1 } else { 3 };
     let ids: Vec<ProblemId> = if quick {
@@ -428,7 +430,7 @@ fn bench_factorize(quick: bool) -> (Json, bool) {
     );
     let mut all =
         vec![("bench".to_string(), Json::Str("sequential LDLt, packed vs reference kernels".into()))];
-    all.extend(env_header(if quick { "quick" } else { "full" }));
+    all.extend(header.iter().cloned());
     all.extend(
         [
             ("scale", Json::Num(sc)),

@@ -230,7 +230,7 @@ pub fn kernel_mode() -> KernelMode {
 /// [`KernelMode::Auto`]. One number cannot say where packing pays: with
 /// the register tiles of this crate a product whose `n` fills the tile's
 /// width breaks even near a thousand multiply-adds, one whose `n` is half
-/// the width not below 64 Ki (`bench_hotpath` re-measures both and writes
+/// the width not before 32–64 Ki (`bench_hotpath` re-measures both and writes
 /// them next to this constant in `BENCH_kernels.json`). It stays where
 /// the 8 × 4 kernel put it: the products it could move carry a few percent
 /// of a factorization's flops, and moving them changes the arithmetic —
