@@ -65,15 +65,11 @@ fn main() {
 
     // Once, before this run rewrites tracked files and dirties the tree.
     let header = env_header(mode);
-    // First, in a process that has done nothing else yet, like `bench_e2e`'s:
-    // the two-rank rows read half as long again after the tiers below
-    // have run in the same process (ROADMAP, *Measured debts*).
-    let stages = bench_stages(quick);
     let (kernels, tile_ok) = bench_kernels(quick, &header);
     std::fs::write(KERNELS_PATH, kernels.pretty()).expect("write BENCH_kernels.json");
     println!("wrote {KERNELS_PATH}");
 
-    let (factorize, checksums_ok) = bench_factorize(quick, &header, stages);
+    let (factorize, checksums_ok) = bench_factorize(quick, &header);
     std::fs::write(FACTORIZE_PATH, factorize.pretty()).expect("write BENCH_factorize.json");
     println!("wrote {FACTORIZE_PATH}");
 
@@ -359,7 +355,7 @@ fn bench_stages(quick: bool) -> Json {
 /// regress by at most this fraction vs tracing disabled.
 const TRACE_OVERHEAD_LIMIT: f64 = 0.02;
 
-fn bench_factorize(quick: bool, header: &[(String, Json)], stages: Json) -> (Json, bool) {
+fn bench_factorize(quick: bool, header: &[(String, Json)]) -> (Json, bool) {
     let sc = if quick { 0.02 } else { scale() };
     let reps = if quick { 1 } else { 3 };
     let ids: Vec<ProblemId> = if quick {
@@ -447,7 +443,7 @@ fn bench_factorize(quick: bool, header: &[(String, Json)], stages: Json) -> (Jso
             ("tracing_events_shipsec5", Json::Num(trace_events as f64)),
             ("tracing_overhead_ok", Json::Bool(trace_ok)),
             ("checksums_ok", Json::Bool(ok)),
-            ("static_stages", stages),
+            ("static_stages", bench_stages(quick)),
         ]
         .map(|(k, v)| (k.to_string(), v)),
     );
