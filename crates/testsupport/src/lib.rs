@@ -17,7 +17,7 @@ use pastix_graph::gen::{grid_spd, Stencil, ValueKind};
 use pastix_graph::{CsrGraph, SymCsc};
 use pastix_machine::MachineModel;
 use pastix_ordering::{nested_dissection, OrderingOptions};
-use pastix_sched::{map_and_schedule, Mapping, SchedOptions};
+use pastix_sched::{map_and_schedule, Mapping, SchedOptions, TaskGraph, TaskKind};
 use pastix_symbolic::{analyze, Analysis, AnalysisOptions, SymbolMatrix};
 
 /// The adjacency graph of an `nx × ny` 5-point grid (the canonical test
@@ -81,6 +81,49 @@ pub fn grid_mapping(
 ) -> Mapping {
     let an = graph_analysis(&grid_graph(nx, ny), leaf_size);
     map_and_schedule(&an.symbol, &MachineModel::sp2(procs), opts)
+}
+
+/// FNV-1a-64 over `words`, one `u64` per step.
+fn fnv(words: impl IntoIterator<Item = u64>) -> u64 {
+    words.into_iter().fold(0xcbf2_9ce4_8422_2325, |h, w| (h ^ w).wrapping_mul(0x0000_0100_0000_01b3))
+}
+
+/// FNV-1a-64 of a permutation's `perm()` array: the recorded-ordering
+/// oracle of `tests/analyze_determinism.rs` and `bench_analyze`.
+pub fn perm_fnv(perm: &[u32]) -> u64 {
+    fnv(perm.iter().map(|&v| v as u64))
+}
+
+/// FNV-1a-64 of a block symbol: every `cblk.lcol`, then `(frow, lrow,
+/// fcblk)` of every blok.
+pub fn symbol_fnv(sym: &SymbolMatrix) -> u64 {
+    let lcols = sym.cblks.iter().map(|c| c.lcol as u64);
+    let bloks = sym.bloks.iter().flat_map(|b| [b.frow, b.lrow, b.fcblk].map(u64::from));
+    fnv(lcols.chain(bloks))
+}
+
+/// FNV-1a-64 of a task graph: kinds, cost bits, candidate ranges,
+/// priorities and the incoming-edge CSR (pointers, sources, scalars).
+pub fn task_graph_fnv(tg: &TaskGraph) -> u64 {
+    let kinds = tg.kinds.iter().flat_map(|k| {
+        match *k {
+            TaskKind::Comp1d { cblk } => [0, cblk, 0, 0],
+            TaskKind::Factor { cblk } => [1, cblk, 0, 0],
+            TaskKind::Bdiv { cblk, blok } => [2, cblk, blok, 0],
+            TaskKind::Bmod { cblk, blok_row, blok_col } => [3, cblk, blok_row, blok_col],
+        }
+        .map(u64::from)
+    });
+    fn words(v: &[u32]) -> impl Iterator<Item = u64> + '_ {
+        v.iter().map(|&x| x as u64)
+    }
+    fnv(kinds
+        .chain(tg.cost.iter().map(|c| c.to_bits()))
+        .chain(tg.cand.iter().flat_map(|&(f, l)| [f as u64, l as u64]))
+        .chain(words(&tg.priority))
+        .chain(words(&tg.in_ptr))
+        .chain(words(&tg.in_src))
+        .chain(words(&tg.in_scalars)))
 }
 
 #[cfg(test)]

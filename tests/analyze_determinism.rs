@@ -17,7 +17,7 @@ use pastix::ordering::{
 use pastix::sched::{map_and_schedule, SchedOptions};
 use pastix::solver::{Plan, SolverConfig};
 use pastix::symbolic::{analyze, AnalysisOptions};
-use pastix_testsupport::grid_graph;
+use pastix_testsupport::{grid_graph, symbol_fnv, task_graph_fnv};
 use proptest::prelude::*;
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
@@ -157,6 +157,33 @@ fn nested_dissection_matches_parent_permutation() {
         let mut h = FNV_OFFSET;
         fnv_fold(&mut h, p.perm().iter().map(|&v| v as u64));
         assert_eq!(h, want, "{} @ {scale}: permutation hash {h:016x}", id.name());
+    }
+}
+
+/// The symbolic and scheduling layers are oracles the same way: the
+/// block symbol `analyze` builds on each suite ordering and the task graph
+/// `map_and_schedule` builds on it for two processors (as in `bench_e2e`),
+/// as measured at PR 21, the parent of the one-workspace block symbolic.
+/// `(symbol, task graph)` hashes per matrix.
+#[test]
+fn symbol_and_task_graph_match_parent() {
+    let golden: [(ProblemId, f64, u64, u64); 6] = [
+        (ProblemId::Quer, 1.0, 0xbdd0_ef6f_a47f_4848, 0x6432_fe3a_44d4_da38),
+        (ProblemId::Bmwcra1, 0.1, 0x238d_f640_4a63_94c0, 0xdcac_100a_f59d_eae1),
+        (ProblemId::Shipsec5, 0.2, 0x0537_f077_a62d_974f, 0xfd5d_bbee_3707_ae78),
+        (ProblemId::Ship001, 0.5, 0x59bd_f8dc_5ac3_0c56, 0xca5c_5c52_884e_4f2c),
+        (ProblemId::Oilpan, 0.2, 0x2d5b_75c5_309c_782b, 0xc673_1cc5_618e_9ef5),
+        (ProblemId::X104, 0.05, 0x7242_7765_2943_4934, 0x6341_7773_00ae_507b),
+    ];
+    let oopts = OrderingOptions { parallelism: Parallelism::Threads(2), ..Default::default() };
+    let machine = pastix::machine::MachineModel::sp2(2);
+    for (id, scale, want_sym, want_tg) in golden {
+        let g = build_problem::<f64>(id, scale).to_graph();
+        let an = analyze(&g, &nested_dissection(&g, &oopts), &AnalysisOptions::default());
+        let m = map_and_schedule(&an.symbol, &machine, &SchedOptions::default());
+        let (sym, tg) = (symbol_fnv(&an.symbol), task_graph_fnv(&m.graph));
+        assert_eq!(sym, want_sym, "{} @ {scale}: symbol hash {sym:016x}", id.name());
+        assert_eq!(tg, want_tg, "{} @ {scale}: task graph hash {tg:016x}", id.name());
     }
 }
 
