@@ -205,22 +205,18 @@ pub fn build_task_graph(
         let is2d = cand_info.is_2d[orig];
         let w = sym.cblks[t].width();
         let blok_start = sym.cblks[t].blok_start;
-        let offs: Vec<(u32, u32, u32)> = sym
-            .off_bloks_of(t)
-            .iter()
-            .map(|b| (b.frow, b.lrow, b.fcblk))
-            .collect();
+        let offs = sym.off_bloks_of(t);
         // Intra-2D edges.
         if is2d {
             let factor_id = head_task_of_cblk[t];
-            for (o, _) in offs.iter().enumerate() {
+            for o in 0..offs.len() {
                 let bdiv_id = bdiv_task_of_blok[blok_start + 1 + o];
                 edges.push((factor_id, bdiv_id, (w * w) as u32));
             }
             for r in 0..offs.len() {
-                let hr = (offs[r].1 - offs[r].0 + 1) as usize;
+                let hr = offs[r].nrows();
                 for c in 0..=r {
-                    let hc = (offs[c].1 - offs[c].0 + 1) as usize;
+                    let hc = offs[c].nrows();
                     let bm = bmod_task(t, r, c);
                     let bdiv_r = bdiv_task_of_blok[blok_start + 1 + r];
                     let bdiv_c = bdiv_task_of_blok[blok_start + 1 + c];
@@ -231,34 +227,43 @@ pub fn build_task_graph(
                 }
             }
         }
-        // Contribution edges (fan-in updates to ancestor column blocks).
+        // Contribution edges (fan-in updates to ancestor column blocks):
+        // pair (r, c), r ≥ c, updates the target cblk that blok c faces.
+        let mut rows_from_c: u64 = offs.iter().map(|b| b.nrows() as u64).sum();
         for c in 0..offs.len() {
-            let (fc, lc, kc) = offs[c];
-            let hc = (lc - fc + 1) as usize;
-            let target_cblk = kc as usize;
+            let hc = offs[c].nrows();
+            let target_cblk = offs[c].fcblk as usize;
             let target_orig = split.orig_cblk[target_cblk] as usize;
             let target_2d = cand_info.is_2d[target_orig];
-            for r in c..offs.len() {
-                let (fr, lr, _) = offs[r];
-                let hr = (lr - fr + 1) as usize;
-                let producer: u32 = if is2d {
-                    bmod_task(t, r, c)
-                } else {
-                    head_task_of_cblk[t]
-                };
-                let consumer: u32 = if !target_2d {
-                    head_task_of_cblk[target_cblk]
-                } else {
-                    let tb = find_covering_blok(sym, target_cblk, fr, lr);
-                    if tb == sym.cblks[target_cblk].blok_start {
-                        // Diagonal block of the target → FACTOR.
+            if !is2d && !target_2d {
+                // 1D to 1D: every pair of block column c goes from one
+                // COMP1D to one COMP1D — a single edge, clamped as the
+                // saturating merge below clamps.
+                let scalars = (hc as u64 * rows_from_c).min(u32::MAX as u64) as u32;
+                edges.push((head_task_of_cblk[t], head_task_of_cblk[target_cblk], scalars));
+            } else {
+                for r in c..offs.len() {
+                    let (fr, lr) = (offs[r].frow, offs[r].lrow);
+                    let producer: u32 = if is2d {
+                        bmod_task(t, r, c)
+                    } else {
+                        head_task_of_cblk[t]
+                    };
+                    let consumer: u32 = if !target_2d {
                         head_task_of_cblk[target_cblk]
                     } else {
-                        bdiv_task_of_blok[tb]
-                    }
-                };
-                edges.push((producer, consumer, (hr * hc) as u32));
+                        let tb = find_covering_blok(sym, target_cblk, fr, lr);
+                        if tb == sym.cblks[target_cblk].blok_start {
+                            // Diagonal block of the target → FACTOR.
+                            head_task_of_cblk[target_cblk]
+                        } else {
+                            bdiv_task_of_blok[tb]
+                        }
+                    };
+                    edges.push((producer, consumer, (offs[r].nrows() * hc) as u32));
+                }
             }
+            rows_from_c -= hc as u64;
         }
     }
 
@@ -499,6 +504,34 @@ mod tests {
             for (_, scalars) in tg.in_edges(t) {
                 assert!(scalars > 0, "zero-size edge into {t}");
             }
+        }
+    }
+
+    #[test]
+    fn comp1d_edges_carry_every_pair_of_their_columns() {
+        // The builder emits one edge per 1D→1D block column; it must carry
+        // what one edge per pair (r ≥ c) summed to.
+        let is_1d = |tg: &TaskGraph, t: u32| matches!(tg.kinds[t as usize], TaskKind::Comp1d { .. });
+        for (nx, procs, block, width2d) in [(16, 8, 4, 4), (12, 4, 8, 6), (12, 4, 1000, 100_000)] {
+            let (tg, _) = setup(nx, procs, block, width2d);
+            let sym = &tg.split.symbol;
+            let mut want = std::collections::BTreeMap::new();
+            for t in 0..sym.n_cblks() {
+                let src = tg.head_task_of_cblk[t];
+                let offs = sym.off_bloks_of(t);
+                for c in 0..offs.len() {
+                    let dst = tg.head_task_of_cblk[offs[c].fcblk as usize];
+                    if is_1d(&tg, src) && is_1d(&tg, dst) {
+                        let pairs: usize = offs[c..].iter().map(|r| r.nrows() * offs[c].nrows()).sum();
+                        *want.entry((src, dst)).or_insert(0) += pairs as u32;
+                    }
+                }
+            }
+            let got: std::collections::BTreeMap<(u32, u32), u32> = (0..tg.n_tasks() as u32)
+                .filter(|&d| is_1d(&tg, d))
+                .flat_map(|d| tg.in_edges(d as usize).filter(|&(s, _)| is_1d(&tg, s)).map(move |(s, sc)| ((s, d), sc)))
+                .collect();
+            assert_eq!(got, want, "grid {nx}, {procs} procs");
         }
     }
 

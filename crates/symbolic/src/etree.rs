@@ -3,11 +3,14 @@
 //! These are the classical building blocks under the block symbolic
 //! factorization: Liu's elimination-tree algorithm with path compression,
 //! a depth-first postorder (which makes supernodes occupy consecutive
-//! columns without changing fill), and the row-subtree column-count
-//! algorithm that yields `|L(:,j)|` in `O(|L|)` time.
+//! columns without changing fill), and the Gilbert–Ng–Peyton column counts
+//! that yield `|L(:,j)|` in `O(|A|·α)` time, without visiting `L`.
 //!
 //! The graph handed to these functions must already be permuted into
-//! elimination order (vertex `j` is eliminated at step `j`).
+//! elimination order (vertex `j` is eliminated at step `j`). None of them
+//! depends on the order of a row's entries, so [`crate::analyze`] reads
+//! the rows of the permuted graph through the permutation instead of
+//! building it.
 
 use pastix_graph::{CsrGraph, Permutation};
 
@@ -21,8 +24,7 @@ pub fn etree(g: &CsrGraph) -> Vec<u32> {
     etree_of_rows(g.n(), |j| g.neighbors(j).iter().map(|&i| i as usize))
 }
 
-/// [`etree`] of `g.permuted(p)` without building that graph (the tree does
-/// not depend on the order within a row, so the rows need no sorting).
+/// [`etree`] of `g.permuted(p)` without building that graph.
 pub(crate) fn etree_permuted(g: &CsrGraph, p: &Permutation) -> Vec<u32> {
     etree_of_rows(g.n(), |j| g.neighbors(p.old_of(j)).iter().map(|&i| p.new_of(i as usize)))
 }
@@ -85,21 +87,24 @@ pub fn postorder(parent: &[u32]) -> Permutation {
     }
     let mut post = vec![0u32; n];
     let mut rank = 0u32;
-    let mut stack: Vec<u32> = Vec::new();
-    // Iterative DFS from each root in ascending order, emitting on exit;
-    // `first_child[v]` is consumed as the cursor over v's children.
+    // Iterative DFS from each root in ascending order, emitting on exit and
+    // climbing back through `parent` (no stack); `first_child[v]` is
+    // consumed as the cursor over v's children.
     for r in (0..n).filter(|&v| parent[v] == NO_PARENT) {
-        stack.push(r as u32);
-        while let Some(&v) = stack.last() {
-            let child = first_child[v as usize];
-            if child == u32::MAX {
-                stack.pop();
-                post[v as usize] = rank;
-                rank += 1;
-            } else {
-                first_child[v as usize] = next_sibling[child as usize];
-                stack.push(child);
+        let mut v = r;
+        loop {
+            let child = first_child[v];
+            if child != u32::MAX {
+                first_child[v] = next_sibling[child as usize];
+                v = child as usize;
+                continue;
             }
+            post[v] = rank;
+            rank += 1;
+            if v == r {
+                break;
+            }
+            v = parent[v] as usize;
         }
     }
     debug_assert_eq!(rank as usize, n);
@@ -107,71 +112,84 @@ pub fn postorder(parent: &[u32]) -> Permutation {
 }
 
 /// Column counts of the Cholesky factor: `count[j] = |L(:,j)|` including
-/// the diagonal. Uses row-subtree traversal with marking: for each row `i`,
-/// the nonzero columns of row `i` of `L` are exactly the vertices on the
-/// etree paths from the neighbors `j < i` up toward `i`.
+/// the diagonal, for the elimination tree `parent` of `g` (postordered or
+/// not).
 pub fn col_counts(g: &CsrGraph, parent: &[u32]) -> Vec<u64> {
-    let n = g.n();
-    let mut count = vec![1u64; n]; // diagonal
-    let mut mark = vec![u32::MAX; n];
-    for i in 0..n {
-        mark[i] = i as u32;
-        for &jj in g.neighbors(i) {
-            let mut j = jj as usize;
-            if j >= i {
-                continue;
-            }
-            while mark[j] != i as u32 {
-                mark[j] = i as u32;
-                count[j] += 1; // L(i, j) ≠ 0
-                match parent[j] {
-                    NO_PARENT => break,
-                    p => j = p as usize,
-                }
-            }
-        }
-    }
-    count
+    let post = postorder(parent);
+    counts_of_rows(parent, |k| post.old_of(k), |j| g.neighbors(j).iter().map(|&i| i as usize))
 }
 
-/// Parallel [`col_counts`]: rows are split into contiguous chunks, each
-/// chunk counted with its own mark array, and the per-chunk counts summed
-/// in chunk order. Every row contributes an independent `+1` per column,
-/// so the integer sums are bitwise-identical to the sequential pass at
-/// any thread count.
-pub fn col_counts_par(g: &CsrGraph, parent: &[u32], threads: usize) -> Vec<u64> {
-    let n = g.n();
-    if threads <= 1 || n < 2048 {
-        return col_counts(g, parent);
-    }
-    let bounds = pastix_graph::par::chunk_bounds(n, threads);
-    let partials = pastix_graph::par::par_map_indexed(threads, bounds.len() - 1, |c| {
-        let (lo, hi) = (bounds[c], bounds[c + 1]);
-        let mut count = vec![0u64; n];
-        let mut mark = vec![u32::MAX; n];
-        for i in lo..hi {
-            mark[i] = i as u32;
-            for &jj in g.neighbors(i) {
-                let mut j = jj as usize;
-                if j >= i {
-                    continue;
-                }
-                while mark[j] != i as u32 {
-                    mark[j] = i as u32;
-                    count[j] += 1;
-                    match parent[j] {
-                        NO_PARENT => break,
-                        p => j = p as usize,
-                    }
-                }
+/// Gilbert–Ng–Peyton column counts over `row(j)`, the neighbours of
+/// column `j`; `order(k)` is the `k`-th vertex of a postorder of `parent`.
+///
+/// `L(i, j) ≠ 0` for `j < i` exactly when `j` lies in the row subtree of
+/// `i`: the union of the tree paths from the leaves `{j < i : A(i,j) ≠ 0}`
+/// up to `i`. Each column starts at 1 when it is a tree leaf; every
+/// neighbour `j` that is a leaf of some row subtree `i` (its first
+/// descendant lies beyond the last one seen for `i`) adds 1 at `j` and
+/// takes 1 back at the least common ancestor of `j` and the previous leaf
+/// of `i`, where the two paths meet; every non-root takes 1 back at its
+/// parent. A count is the sum of these corrections over its subtree.
+pub(crate) fn counts_of_rows<R: Iterator<Item = usize>>(
+    parent: &[u32],
+    order: impl Fn(usize) -> usize,
+    row: impl Fn(usize) -> R,
+) -> Vec<u64> {
+    let n = parent.len();
+    // Corrections sum in wrapping arithmetic: a column can go below zero
+    // until its subtree is added in, and every final count is exact.
+    let mut count = vec![0u64; n];
+    // `first[j]`: 1 + postorder rank of the first descendant of `j`
+    // (0 = not reached yet); `max_first[i]`: the largest `first` of a leaf
+    // of row subtree `i` so far.
+    let mut first = vec![0u32; n];
+    for k in 0..n {
+        let mut j = order(k);
+        count[j] = u64::from(first[j] == 0);
+        while first[j] == 0 {
+            first[j] = k as u32 + 1;
+            match parent[j] {
+                NO_PARENT => break,
+                p => j = p as usize,
             }
         }
-        count
-    });
-    let mut count = vec![1u64; n]; // diagonal
-    for part in &partials {
-        for (c, p) in count.iter_mut().zip(part) {
-            *c += *p;
+    }
+    let mut max_first = vec![0u32; n];
+    let mut prev_leaf = vec![NO_PARENT; n];
+    // Disjoint-set forest over the processed vertices, path-compressed.
+    let mut ancestor: Vec<u32> = (0..n as u32).collect();
+    for k in 0..n {
+        let j = order(k);
+        if parent[j] != NO_PARENT {
+            count[parent[j] as usize] = count[parent[j] as usize].wrapping_sub(1);
+        }
+        for i in row(j) {
+            if i <= j || first[j] <= max_first[i] {
+                continue; // not a leaf of row subtree `i`
+            }
+            max_first[i] = first[j];
+            count[j] = count[j].wrapping_add(1);
+            let prev = std::mem::replace(&mut prev_leaf[i], j as u32);
+            if prev != NO_PARENT {
+                let mut q = prev as usize;
+                while ancestor[q] as usize != q {
+                    q = ancestor[q] as usize;
+                }
+                let mut s = prev as usize;
+                while s != q {
+                    s = std::mem::replace(&mut ancestor[s], q as u32) as usize;
+                }
+                count[q] = count[q].wrapping_sub(1);
+            }
+        }
+        if parent[j] != NO_PARENT {
+            ancestor[j] = parent[j];
+        }
+    }
+    for k in 0..n {
+        let j = order(k);
+        if parent[j] != NO_PARENT {
+            count[parent[j] as usize] = count[parent[j] as usize].wrapping_add(count[j]);
         }
     }
     count
@@ -199,49 +217,7 @@ pub fn opc(counts: &[u64]) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    /// Dense lower-triangular reference symbolic factorization: returns the
-    /// column patterns of L for a graph in elimination order.
-    fn reference_patterns(g: &CsrGraph) -> Vec<Vec<u32>> {
-        let n = g.n();
-        // Start from A's lower pattern, then fill: processing columns left
-        // to right, for column j, for each i in pattern(j) with i > j, add
-        // pattern(j) \ {<= i} to pattern(i)... classic quadratic approach.
-        let mut pat: Vec<std::collections::BTreeSet<u32>> = (0..n)
-            .map(|j| {
-                g.neighbors(j)
-                    .iter()
-                    .copied()
-                    .filter(|&i| i as usize > j)
-                    .collect()
-            })
-            .collect();
-        for j in 0..n {
-            if let Some(&p) = pat[j].iter().next() {
-                let fill: Vec<u32> = pat[j].iter().copied().filter(|&i| i != p).collect();
-                for f in fill {
-                    pat[p as usize].insert(f);
-                }
-            }
-        }
-        pat.into_iter().map(|s| s.into_iter().collect()).collect()
-    }
-
-    fn grid(nx: usize, ny: usize) -> CsrGraph {
-        let mut e = Vec::new();
-        let id = |x: usize, y: usize| (x + nx * y) as u32;
-        for y in 0..ny {
-            for x in 0..nx {
-                if x + 1 < nx {
-                    e.push((id(x, y), id(x + 1, y)));
-                }
-                if y + 1 < ny {
-                    e.push((id(x, y), id(x, y + 1)));
-                }
-            }
-        }
-        CsrGraph::from_edges(nx * ny, &e)
-    }
+    use pastix_testsupport::{grid_graph as grid, reference_patterns};
 
     #[test]
     fn etree_of_path_is_chain() {
@@ -306,9 +282,14 @@ mod tests {
         let g = grid(9, 7);
         let shuffled: Vec<u32> = (0..63u32).map(|i| (i * 17 + 5) % 63).collect();
         let ordering = Permutation::from_perm(shuffled);
+        let gp = g.permuted(&ordering);
         let parent0 = etree_permuted(&g, &ordering);
-        assert_eq!(parent0, etree(&g.permuted(&ordering)));
+        assert_eq!(parent0, etree(&gp));
+        // The tree is not postordered, which the counts must not care about.
         let post = postorder(&parent0);
+        assert_ne!(post, Permutation::identity(63));
+        let want: Vec<u64> = reference_patterns(&gp).iter().map(|p| p.len() as u64 + 1).collect();
+        assert_eq!(col_counts(&gp, &parent0), want);
         let relabelled = relabel_tree(&parent0, &post);
         assert_eq!(relabelled, etree(&g.permuted(&ordering.then(&post))));
         // A postordered tree postorders to the identity.

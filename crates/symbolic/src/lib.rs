@@ -18,10 +18,10 @@ pub mod split;
 pub mod supernodes;
 pub mod symbol;
 
-pub use etree::{col_counts, col_counts_par, etree, nnz_l, opc, postorder, NO_PARENT};
+pub use etree::{col_counts, etree, nnz_l, opc, postorder, NO_PARENT};
 pub use split::{split_symbol, SplitSymbol};
 pub use supernodes::{amalgamate, fundamental_supernodes, AmalgamationOptions, SupernodePartition};
-pub use symbol::{block_symbolic, block_symbolic_par, Blok, CBlk, SymbolMatrix, SymbolNnz, SymbolShape};
+pub use symbol::{block_symbolic, Blok, CBlk, SymbolMatrix, SymbolNnz, SymbolShape};
 
 use pastix_graph::{CsrGraph, Parallelism, Permutation};
 
@@ -30,8 +30,9 @@ use pastix_graph::{CsrGraph, Parallelism, Permutation};
 pub struct AnalysisOptions {
     /// Relaxed amalgamation knobs.
     pub amalgamation: AmalgamationOptions,
-    /// Parallelism of the column-count and block-symbolic passes. Never
-    /// changes the symbol — only wall-clock time.
+    /// Accepted for symmetry with the ordering and scheduling options and
+    /// ignored: after the ordering, the symbolic phase costs `O(|A|)` and
+    /// runs on the calling thread.
     pub parallelism: Parallelism,
 }
 
@@ -68,32 +69,23 @@ pub struct Analysis {
 /// ```
 pub fn analyze(g: &CsrGraph, ordering: &Permutation, opts: &AnalysisOptions) -> Analysis {
     assert_eq!(g.n(), ordering.len());
-    // Compute the etree under the input ordering, postorder it, and permute
-    // once so supernodes are contiguous column ranges; the tree of the
-    // postordered graph is the first one relabelled.
+    // Compute the etree under the input ordering and postorder it, so
+    // supernodes are contiguous column ranges; the tree of the postordered
+    // pattern is the first one relabelled, and identity is its postorder.
+    // Counts and bloks need only the strictly lower half of the permuted
+    // pattern, in any row order: one unsorted pass builds it.
     let parent0 = etree::etree_permuted(g, ordering);
     let post = postorder(&parent0);
     let perm = ordering.then(&post);
-    let gp = g.permuted(&perm);
     let parent = etree::relabel_tree(&parent0, &post);
-    let threads = opts.parallelism.effective_threads();
-    let counts = col_counts_par(&gp, &parent, threads);
-    // The scalar Table-1 statistics and the supernode chain both depend
-    // only on `counts` — overlap them when threads are available.
-    let compute_stats = || {
-        let (_, off) = nnz_l(&counts);
-        (off, opc(&counts))
-    };
-    let compute_partition = || {
-        let fund = fundamental_supernodes(&parent, &counts);
-        amalgamate(&fund, &opts.amalgamation)
-    };
-    let ((scalar_nnz_offdiag, scalar_opc), partition) = if threads > 1 {
-        rayon::join(compute_stats, compute_partition)
-    } else {
-        (compute_stats(), compute_partition())
-    };
-    let symbol = block_symbolic_par(&gp, &partition, threads);
+    let (ptr, idx) = lower_rows(g, &perm);
+    let rows = |j: usize| idx[ptr[j]..ptr[j + 1]].iter().map(|&i| i as usize);
+    let counts = etree::counts_of_rows(&parent, |k| k, rows);
+    let (_, scalar_nnz_offdiag) = nnz_l(&counts);
+    let scalar_opc = opc(&counts);
+    let fund = fundamental_supernodes(&parent, &counts);
+    let partition = amalgamate(&fund, &opts.amalgamation);
+    let symbol = symbol::symbol_of_rows(g.n(), &partition, rows);
     Analysis {
         perm,
         partition,
@@ -103,26 +95,24 @@ pub fn analyze(g: &CsrGraph, ordering: &Permutation, opts: &AnalysisOptions) -> 
     }
 }
 
+/// The strictly lower structure of `g` renumbered by `perm`: column `j`'s
+/// rows `i > j` are `idx[ptr[j]..ptr[j + 1]]`, unsorted.
+fn lower_rows(g: &CsrGraph, perm: &Permutation) -> (Vec<usize>, Vec<u32>) {
+    let mut ptr = Vec::with_capacity(g.n() + 1);
+    ptr.push(0);
+    let mut idx = Vec::with_capacity(g.adjncy().len() / 2);
+    for j in 0..g.n() {
+        let row = g.neighbors(perm.old_of(j)).iter().map(|&i| perm.new_of(i as usize) as u32);
+        idx.extend(row.filter(|&i| i as usize > j));
+        ptr.push(idx.len());
+    }
+    (ptr, idx)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
-    use pastix_graph::CsrGraph;
-
-    fn grid(nx: usize, ny: usize) -> CsrGraph {
-        let mut e = Vec::new();
-        let id = |x: usize, y: usize| (x + nx * y) as u32;
-        for y in 0..ny {
-            for x in 0..nx {
-                if x + 1 < nx {
-                    e.push((id(x, y), id(x + 1, y)));
-                }
-                if y + 1 < ny {
-                    e.push((id(x, y), id(x, y + 1)));
-                }
-            }
-        }
-        CsrGraph::from_edges(nx * ny, &e)
-    }
+    use pastix_testsupport::grid_graph as grid;
 
     #[test]
     fn analyze_identity_ordering() {

@@ -130,22 +130,7 @@ mod tests {
     use crate::supernodes::{amalgamate, fundamental_supernodes, AmalgamationOptions};
     use crate::symbol::block_symbolic;
     use pastix_graph::CsrGraph;
-
-    fn grid(nx: usize, ny: usize) -> CsrGraph {
-        let mut e = Vec::new();
-        let id = |x: usize, y: usize| (x + nx * y) as u32;
-        for y in 0..ny {
-            for x in 0..nx {
-                if x + 1 < nx {
-                    e.push((id(x, y), id(x + 1, y)));
-                }
-                if y + 1 < ny {
-                    e.push((id(x, y), id(x, y + 1)));
-                }
-            }
-        }
-        CsrGraph::from_edges(nx * ny, &e)
-    }
+    use pastix_testsupport::grid_graph as grid;
 
     fn make_symbol(g: &CsrGraph) -> SymbolMatrix {
         let parent = etree(g);
@@ -211,13 +196,7 @@ mod tests {
     fn intra_supernode_blocks_are_dense_chain() {
         // A dense clique splits into chunks where chunk t has blocks facing
         // every later chunk, full height.
-        let mut e = Vec::new();
-        for i in 0..9u32 {
-            for j in 0..i {
-                e.push((i, j));
-            }
-        }
-        let g = CsrGraph::from_edges(9, &e);
+        let g = pastix_testsupport::clique_graph(9);
         let sym = make_symbol(&g);
         assert_eq!(sym.n_cblks(), 1);
         let split = split_symbol(&sym, 3);

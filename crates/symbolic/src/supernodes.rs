@@ -107,7 +107,8 @@ pub fn fundamental_supernodes(parent: &[u32], counts: &[u64]) -> SupernodePartit
             n_children[p as usize] += 1;
         }
     }
-    let mut ptr = vec![0u32];
+    let mut ptr = Vec::with_capacity(n + 1);
+    ptr.push(0u32);
     for j in 1..n {
         let extends = parent[j - 1] == j as u32
             && counts[j] == counts[j - 1] - 1
@@ -244,8 +245,10 @@ pub fn amalgamate(part: &SupernodePartition, opts: &AmalgamationOptions) -> Supe
     for s in 0..ns {
         group[s] = find(&absorbed_into, s) as u32;
     }
-    let mut ptr: Vec<u32> = vec![0];
-    let mut roots: Vec<u32> = vec![group[0]];
+    let mut ptr: Vec<u32> = Vec::with_capacity(ns + 1);
+    ptr.push(0);
+    let mut roots: Vec<u32> = Vec::with_capacity(ns);
+    roots.push(group[0]);
     for s in 1..ns {
         if group[s] != group[s - 1] {
             ptr.push(part.ptr[s]);
@@ -285,16 +288,7 @@ mod tests {
     use super::*;
     use crate::etree::{col_counts, etree};
     use pastix_graph::CsrGraph;
-
-    fn dense_clique(n: usize) -> CsrGraph {
-        let mut e = Vec::new();
-        for i in 0..n as u32 {
-            for j in 0..i {
-                e.push((i, j));
-            }
-        }
-        CsrGraph::from_edges(n, &e)
-    }
+    use pastix_testsupport::clique_graph as dense_clique;
 
     #[test]
     fn clique_is_one_supernode() {

@@ -94,17 +94,7 @@ impl SymbolMatrix {
 
     /// Column block containing scalar column `j`.
     pub fn cblk_of_col(&self, j: usize) -> usize {
-        let mut lo = 0usize;
-        let mut hi = self.cblks.len();
-        while lo + 1 < hi {
-            let mid = (lo + hi) / 2;
-            if self.cblks[mid].fcol as usize <= j {
-                lo = mid;
-            } else {
-                hi = mid;
-            }
-        }
-        lo
+        self.cblks.partition_point(|c| c.fcol as usize <= j).saturating_sub(1)
     }
 
     /// Finds the blok of column block `k` whose row interval contains
@@ -113,16 +103,7 @@ impl SymbolMatrix {
     pub fn covering_blok(&self, k: usize, frow: u32, lrow: u32) -> usize {
         let cb = &self.cblks[k];
         let bloks = &self.bloks[cb.blok_start..cb.blok_end];
-        let mut lo = 0usize;
-        let mut hi = bloks.len();
-        while lo + 1 < hi {
-            let mid = (lo + hi) / 2;
-            if bloks[mid].frow <= frow {
-                lo = mid;
-            } else {
-                hi = mid;
-            }
-        }
+        let lo = bloks.partition_point(|b| b.frow <= frow).saturating_sub(1);
         let b = &bloks[lo];
         assert!(
             b.frow <= frow && lrow <= b.lrow,
@@ -138,17 +119,7 @@ impl SymbolMatrix {
     /// ranges).
     pub fn owner_of_blok(&self, b: usize) -> usize {
         debug_assert!(b < self.bloks.len());
-        let mut lo = 0usize;
-        let mut hi = self.cblks.len();
-        while lo + 1 < hi {
-            let mid = (lo + hi) / 2;
-            if self.cblks[mid].blok_start <= b {
-                lo = mid;
-            } else {
-                hi = mid;
-            }
-        }
-        lo
+        self.cblks.partition_point(|c| c.blok_start <= b).saturating_sub(1)
     }
 
     /// Whether global blok `b` is a candidate for low-rank compression
@@ -320,172 +291,118 @@ impl SymbolMatrix {
 /// Computes the block symbolic factorization of the permuted pattern `g`
 /// (adjacency in elimination order) over the supernode partition.
 pub fn block_symbolic(g: &CsrGraph, part: &SupernodePartition) -> SymbolMatrix {
-    block_symbolic_par(g, part, 1)
+    symbol_of_rows(g.n(), part, |j| g.neighbors(j).iter().map(|&i| i as usize))
 }
 
-/// [`block_symbolic`] with an explicit thread count. The per-supernode
-/// `A`-structure gathering (phase A) is independent across supernodes and
-/// runs chunked over `threads`; the bottom-up child merge stays
-/// sequential. Results are bitwise-identical at any thread count.
-pub fn block_symbolic_par(g: &CsrGraph, part: &SupernodePartition, threads: usize) -> SymbolMatrix {
-    let n = g.n();
+/// [`block_symbolic`] over `row(j)`, the neighbours of column `j` in any
+/// order. One pass over the column blocks, bottom-up: the structure of
+/// `k` (its rows below `lcol(k)` as sorted disjoint maximal intervals) is
+/// the union of its `A` rows and of its children's off-diagonal bloks
+/// clipped to rows below `lcol(k)`, and is split into bloks as soon as it
+/// is known. Children sit in an intrusive list (a union does not depend
+/// on the merge order); the merge runs through one row buffer and two
+/// interval buffers sized once, so only the blok array grows.
+pub(crate) fn symbol_of_rows<R: ExactSizeIterator<Item = usize>>(
+    n: usize,
+    part: &SupernodePartition,
+    row: impl Fn(usize) -> R,
+) -> SymbolMatrix {
+    const NONE: u32 = u32::MAX;
     let ns = part.len();
-    if ns == 0 {
-        return SymbolMatrix {
-            n,
-            cblks: Vec::new(),
-            bloks: Vec::new(),
-        };
-    }
-    // Supernode of each column.
+    // Supernode of each column, and the most `A` entries one gathers.
     let mut sn_of = vec![0u32; n];
+    let mut max_gather = 0;
     for s in 0..ns {
-        for j in part.first_col(s)..part.end_col(s) {
-            sn_of[j] = s as u32;
-        }
+        sn_of[part.first_col(s)..part.end_col(s)].fill(s as u32);
+        max_gather = max_gather.max((part.first_col(s)..part.end_col(s)).map(|j| row(j).len()).sum());
     }
-    // Phase A: gather each supernode's scalar rows from A below its
-    // diagonal and compress them to intervals — independent per
-    // supernode, so chunked across threads (deterministic by index).
-    let eff = if ns >= 128 { threads } else { 1 };
-    let mut a_intervals = pastix_graph::par::par_map_indexed(eff, ns, |k| {
-        let fcol = part.first_col(k);
-        let lcol = part.end_col(k) - 1;
-        let mut rows: Vec<u32> = Vec::new();
-        for j in fcol..=lcol {
-            for &i in g.neighbors(j) {
-                if i as usize > lcol {
-                    rows.push(i);
-                }
-            }
-        }
-        rows.sort_unstable();
-        rows.dedup();
-        rows_to_intervals(&rows)
-    });
-    // Phase B (sequential): bottom-up merge of children contributions.
-    // Row structures as sorted disjoint interval lists (rows > lcol(k)).
-    // children[k]: cblks whose first off-diagonal interval faces k.
-    let mut struct_of: Vec<Vec<(u32, u32)>> = Vec::with_capacity(ns);
-    let mut children: Vec<Vec<u32>> = vec![Vec::new(); ns];
-    for k in 0..ns {
-        let lcol = part.end_col(k) - 1;
-        let mut intervals = std::mem::take(&mut a_intervals[k]);
-        // Merge children contributions (their intervals above lcol are
-        // dropped; each interval list is already sorted & disjoint).
-        let kids = std::mem::take(&mut children[k]);
-        for &c in &kids {
-            let contrib: Vec<(u32, u32)> = struct_of[c as usize]
-                .iter()
-                .filter_map(|&(f, l)| {
-                    if (l as usize) <= lcol {
-                        None
-                    } else {
-                        Some((f.max(lcol as u32 + 1), l))
-                    }
-                })
-                .collect();
-            intervals = merge_interval_lists(&intervals, &contrib);
-        }
-        // Register k as a child of the cblk its first interval faces.
-        if let Some(&(f, _)) = intervals.first() {
-            let p = sn_of[f as usize] as usize;
-            children[p].push(k as u32);
-        }
-        struct_of.push(intervals);
-    }
-
-    // Emit cblks and bloks, splitting intervals at supernode boundaries so
-    // each block faces exactly one column block.
-    let mut cblks = Vec::with_capacity(ns);
-    let mut bloks = Vec::new();
+    // Children of `k`: the cblks whose first off-diagonal blok faces it,
+    // linked through `next_kid`.
+    let mut first_kid = vec![NONE; ns];
+    let mut next_kid = vec![NONE; ns];
+    let mut rows: Vec<u32> = Vec::with_capacity(max_gather);
+    // A structure has at most one maximal interval per two rows.
+    let mut cur: Vec<(u32, u32)> = Vec::with_capacity(n.div_ceil(2));
+    let mut merged: Vec<(u32, u32)> = Vec::with_capacity(n.div_ceil(2));
+    let mut cblks: Vec<CBlk> = Vec::with_capacity(ns);
+    let mut bloks: Vec<Blok> = Vec::new();
     for k in 0..ns {
         let fcol = part.first_col(k) as u32;
         let lcol = (part.end_col(k) - 1) as u32;
+        rows.clear();
+        for j in fcol as usize..=lcol as usize {
+            rows.extend(row(j).filter(|&i| i > lcol as usize).map(|i| i as u32));
+        }
+        rows.sort_unstable();
+        cur.clear();
+        for &r in &rows {
+            push_interval(&mut cur, (r, r));
+        }
+        let mut c = first_kid[k];
+        while c != NONE {
+            let kid = &cblks[c as usize];
+            let kid = &bloks[kid.blok_start + 1..kid.blok_end];
+            let below = &kid[kid.partition_point(|b| b.lrow <= lcol)..];
+            union_clipped(&cur, below, lcol + 1, &mut merged);
+            std::mem::swap(&mut cur, &mut merged);
+            c = next_kid[c as usize];
+        }
+        if let Some(&(f, _)) = cur.first() {
+            let p = sn_of[f as usize] as usize;
+            next_kid[k] = first_kid[p];
+            first_kid[p] = k as u32;
+        }
+        // Bloks: the diagonal block, then the structure split at supernode
+        // boundaries so each block faces exactly one column block.
         let blok_start = bloks.len();
-        bloks.push(Blok {
-            frow: fcol,
-            lrow: lcol,
-            fcblk: k as u32,
-        });
-        for &(f, l) in &struct_of[k] {
+        bloks.push(Blok { frow: fcol, lrow: lcol, fcblk: k as u32 });
+        for &(f, l) in &cur {
             let mut r = f;
             while r <= l {
                 let s = sn_of[r as usize] as usize;
-                let send = (part.end_col(s) - 1) as u32;
-                let stop = l.min(send);
-                bloks.push(Blok {
-                    frow: r,
-                    lrow: stop,
-                    fcblk: s as u32,
-                });
+                let stop = l.min((part.end_col(s) - 1) as u32);
+                bloks.push(Blok { frow: r, lrow: stop, fcblk: s as u32 });
                 r = stop + 1;
             }
         }
-        cblks.push(CBlk {
-            fcol,
-            lcol,
-            blok_start,
-            blok_end: bloks.len(),
-        });
+        cblks.push(CBlk { fcol, lcol, blok_start, blok_end: bloks.len() });
     }
     SymbolMatrix { n, cblks, bloks }
 }
 
-/// Converts a sorted list of distinct rows into maximal intervals.
-fn rows_to_intervals(rows: &[u32]) -> Vec<(u32, u32)> {
-    let mut out: Vec<(u32, u32)> = Vec::new();
-    for &r in rows {
-        match out.last_mut() {
-            Some((_, l)) if *l + 1 == r => *l = r,
-            _ => out.push((r, r)),
-        }
-    }
-    out
-}
-
-/// Unions two sorted disjoint interval lists into one.
-fn merge_interval_lists(a: &[(u32, u32)], b: &[(u32, u32)]) -> Vec<(u32, u32)> {
-    let mut out: Vec<(u32, u32)> = Vec::with_capacity(a.len() + b.len());
-    let (mut i, mut j) = (0, 0);
-    let push = |iv: (u32, u32), out: &mut Vec<(u32, u32)>| match out.last_mut() {
+/// Appends `iv` to a sorted interval list, coalescing it with the last
+/// interval when they overlap or touch.
+fn push_interval(out: &mut Vec<(u32, u32)>, iv: (u32, u32)) {
+    match out.last_mut() {
         Some((_, l)) if *l as u64 + 1 >= iv.0 as u64 => *l = (*l).max(iv.1),
         _ => out.push(iv),
-    };
+    }
+}
+
+/// `out = a ∪ b` for a sorted interval list `a` and sorted bloks `b`, the
+/// rows of `b` below `lo` dropped (every blok of `b` must end at or after
+/// `lo`).
+fn union_clipped(a: &[(u32, u32)], b: &[Blok], lo: u32, out: &mut Vec<(u32, u32)>) {
+    out.clear();
+    let (mut i, mut j) = (0, 0);
     while i < a.len() || j < b.len() {
-        let take_a = j >= b.len() || (i < a.len() && a[i].0 <= b[j].0);
+        let take_a = j >= b.len() || (i < a.len() && a[i].0 <= b[j].frow.max(lo));
         if take_a {
-            push(a[i], &mut out);
+            push_interval(out, a[i]);
             i += 1;
         } else {
-            push(b[j], &mut out);
+            push_interval(out, (b[j].frow.max(lo), b[j].lrow));
             j += 1;
         }
     }
-    out
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use pastix_testsupport::grid_graph as grid;
     use crate::etree::{col_counts, etree};
     use crate::supernodes::fundamental_supernodes;
-
-    fn grid(nx: usize, ny: usize) -> CsrGraph {
-        let mut e = Vec::new();
-        let id = |x: usize, y: usize| (x + nx * y) as u32;
-        for y in 0..ny {
-            for x in 0..nx {
-                if x + 1 < nx {
-                    e.push((id(x, y), id(x + 1, y)));
-                }
-                if y + 1 < ny {
-                    e.push((id(x, y), id(x, y + 1)));
-                }
-            }
-        }
-        CsrGraph::from_edges(nx * ny, &e)
-    }
 
     fn symbol_for(g: &CsrGraph) -> (SymbolMatrix, Vec<u64>) {
         let parent = etree(g);
@@ -496,12 +413,21 @@ mod tests {
 
     #[test]
     fn interval_helpers() {
-        assert_eq!(rows_to_intervals(&[1, 2, 3, 7, 9, 10]), vec![(1, 3), (7, 7), (9, 10)]);
-        assert_eq!(
-            merge_interval_lists(&[(1, 3), (8, 9)], &[(2, 5), (7, 7), (11, 12)]),
-            vec![(1, 5), (7, 9), (11, 12)]
-        );
-        assert_eq!(merge_interval_lists(&[], &[(0, 0)]), vec![(0, 0)]);
+        let mut out = Vec::new();
+        for r in [1, 2, 2, 3, 7, 9, 10] {
+            push_interval(&mut out, (r, r));
+        }
+        assert_eq!(out, vec![(1, 3), (7, 7), (9, 10)]);
+        let bloks = |ivs: &[(u32, u32)]| -> Vec<Blok> {
+            ivs.iter().map(|&(frow, lrow)| Blok { frow, lrow, fcblk: 0 }).collect()
+        };
+        union_clipped(&[(1, 3), (8, 9)], &bloks(&[(2, 5), (7, 7), (11, 12)]), 0, &mut out);
+        assert_eq!(out, vec![(1, 5), (7, 9), (11, 12)]);
+        union_clipped(&[], &bloks(&[(0, 0)]), 0, &mut out);
+        assert_eq!(out, vec![(0, 0)]);
+        // Rows of the bloks below `lo` are dropped; touching bloks coalesce.
+        union_clipped(&[(9, 9)], &bloks(&[(2, 5), (6, 7)]), 4, &mut out);
+        assert_eq!(out, vec![(4, 7), (9, 9)]);
     }
 
     #[test]
@@ -603,14 +529,7 @@ mod tests {
 
     #[test]
     fn dense_clique_single_cblk() {
-        let mut e = Vec::new();
-        for i in 0..5u32 {
-            for j in 0..i {
-                e.push((i, j));
-            }
-        }
-        let g = CsrGraph::from_edges(5, &e);
-        let (sym, _) = symbol_for(&g);
+        let (sym, _) = symbol_for(&pastix_testsupport::clique_graph(5));
         assert_eq!(sym.n_cblks(), 1);
         assert_eq!(sym.bloks.len(), 1);
         sym.validate().unwrap();

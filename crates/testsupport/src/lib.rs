@@ -19,6 +19,7 @@ use pastix_machine::MachineModel;
 use pastix_ordering::{nested_dissection, OrderingOptions};
 use pastix_sched::{map_and_schedule, Mapping, SchedOptions, TaskGraph, TaskKind};
 use pastix_symbolic::{analyze, Analysis, AnalysisOptions, SymbolMatrix};
+use std::collections::BTreeSet;
 
 /// The adjacency graph of an `nx × ny` 5-point grid (the canonical test
 /// pattern: planar, regular, with real separator structure under nested
@@ -37,6 +38,12 @@ pub fn grid_graph(nx: usize, ny: usize) -> CsrGraph {
         }
     }
     CsrGraph::from_edges(nx * ny, &e)
+}
+
+/// The adjacency graph of a dense `n`-clique: one fundamental supernode.
+pub fn clique_graph(n: usize) -> CsrGraph {
+    let e: Vec<(u32, u32)> = (0..n as u32).flat_map(|i| (0..i).map(move |j| (i, j))).collect();
+    CsrGraph::from_edges(n, &e)
 }
 
 /// Nested dissection (with the given leaf size) plus default symbolic
@@ -81,6 +88,22 @@ pub fn grid_mapping(
 ) -> Mapping {
     let an = graph_analysis(&grid_graph(nx, ny), leaf_size);
     map_and_schedule(&an.symbol, &MachineModel::sp2(procs), opts)
+}
+
+/// Dense reference symbolic factorization of a graph in elimination
+/// order: the rows below the diagonal of every column of `L`.
+pub fn reference_patterns(g: &CsrGraph) -> Vec<BTreeSet<u32>> {
+    let n = g.n();
+    let mut pat: Vec<BTreeSet<u32>> =
+        (0..n).map(|j| g.neighbors(j).iter().copied().filter(|&i| i as usize > j).collect()).collect();
+    // Column j's rows below its first one fill the column of that row.
+    for j in 0..n {
+        if let Some(&p) = pat[j].first() {
+            let fill: Vec<u32> = pat[j].iter().copied().skip(1).collect();
+            pat[p as usize].extend(fill);
+        }
+    }
+    pat
 }
 
 /// FNV-1a-64 over `words`, one `u64` per step.
