@@ -4,7 +4,7 @@
 //! the box, for the six matrices `bench_e2e` runs at the scales it runs
 //! them (`--quick`: QUER and BMWCRA1).
 //!
-//! Three gates:
+//! Four gates:
 //!
 //! * **determinism (unconditional)** — every `Parallelism` setting must
 //!   produce a bitwise-identical `Permutation`, block symbol, and
@@ -14,6 +14,10 @@
 //!   hash of `nested_dissection(..).perm()` must equal the value pinned in
 //!   `tests/analyze_determinism.rs`: the ordering layer may be made
 //!   faster, not different, without saying so there.
+//! * **the symbol and task graph are the recorded ones (unconditional)** —
+//!   likewise for the hashes of the block symbol `pastix_symbolic::analyze`
+//!   builds and of the task graph `map_and_schedule` builds on it
+//!   (`pastix_testsupport::{symbol_fnv, task_graph_fnv}`).
 //! * **the threads earn their keep (hardware-gated)** — with ≥ 2 CPUs the
 //!   threaded `Plan::analyze` of QUER must not be slower than the
 //!   sequential one (best of alternating repetitions). With one CPU there
@@ -22,11 +26,11 @@
 //! Per problem the report carries `<problem>_{to_graph,nd,symbolic,sched,
 //! analyze}_{seq,par}_ms` — the four stages timed through the per-crate
 //! entry points under the options `Plan::analyze` derives, and the whole
-//! `Plan::analyze` call — and `<problem>_perm_fnv`. Writes
-//! `BENCH_analyze.json` at the repository root; exits non-zero if any
-//! armed gate fails.
+//! `Plan::analyze` call — and `<problem>_{perm,symbol,task_graph}_fnv`.
+//! Writes `BENCH_analyze.json` at the repository root, opening with
+//! `pastix_bench::env_header`; exits non-zero if any armed gate fails.
 
-use pastix_bench::git;
+use pastix_bench::env_header;
 use pastix_graph::{build_problem, Parallelism, ProblemId, SymCsc};
 use pastix_json::{obj, Json};
 use pastix_machine::MachineModel;
@@ -34,20 +38,25 @@ use pastix_ordering::{nested_dissection, OrderingOptions};
 use pastix_sched::{map_and_schedule, SchedOptions};
 use pastix_solver::{Plan, SolverConfig};
 use pastix_symbolic::AnalysisOptions;
+use pastix_testsupport::{perm_fnv, symbol_fnv, task_graph_fnv};
 use std::time::Instant;
 
 const PATH: &str = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_analyze.json");
 
-/// The `bench_e2e` matrices at the `bench_e2e` scales, with the hash of
-/// the permutation `nested_dissection` must produce for each.
-const PROBLEMS: [(ProblemId, f64, u64); 6] = [
-    (ProblemId::Quer, 1.0, 0x6e5e_f0d0_fc78_d5cf),
-    (ProblemId::Bmwcra1, 0.1, 0xe685_9aee_c5a6_fb7d),
-    (ProblemId::Shipsec5, 0.2, 0x75b1_c87f_3948_5a4f),
-    (ProblemId::Ship001, 0.5, 0xa9e6_fd05_0c3f_15e9),
-    (ProblemId::Oilpan, 0.2, 0x7645_ac18_90d4_c4e1),
-    (ProblemId::X104, 0.05, 0x3c5b_5f41_e3dc_28f3),
+/// The `bench_e2e` matrices at the `bench_e2e` scales, with the hashes of
+/// the permutation, block symbol and task graph analyze must produce for
+/// each (as pinned in `tests/analyze_determinism.rs`).
+const PROBLEMS: [(ProblemId, f64, Hashes); 6] = [
+    (ProblemId::Quer, 1.0, [0x6e5e_f0d0_fc78_d5cf, 0xbdd0_ef6f_a47f_4848, 0x6432_fe3a_44d4_da38]),
+    (ProblemId::Bmwcra1, 0.1, [0xe685_9aee_c5a6_fb7d, 0x238d_f640_4a63_94c0, 0xdcac_100a_f59d_eae1]),
+    (ProblemId::Shipsec5, 0.2, [0x75b1_c87f_3948_5a4f, 0x0537_f077_a62d_974f, 0xfd5d_bbee_3707_ae78]),
+    (ProblemId::Ship001, 0.5, [0xa9e6_fd05_0c3f_15e9, 0x59bd_f8dc_5ac3_0c56, 0xca5c_5c52_884e_4f2c]),
+    (ProblemId::Oilpan, 0.2, [0x7645_ac18_90d4_c4e1, 0x2d5b_75c5_309c_782b, 0xc673_1cc5_618e_9ef5]),
+    (ProblemId::X104, 0.05, [0x3c5b_5f41_e3dc_28f3, 0x7242_7765_2943_4934, 0x6341_7773_00ae_507b]),
 ];
+
+/// FNV-1a-64 of `[permutation, block symbol, task graph]`.
+type Hashes = [u64; 3];
 
 /// Logical processors of the schedule, as in `bench_e2e`.
 const PROCS: usize = 2;
@@ -99,8 +108,8 @@ fn same_bits(a: &Artifacts, b: &Artifacts) -> bool {
 }
 
 /// One analyze, stage by stage, under the options `Plan::analyze` derives
-/// from its config: seconds of `STAGES[..4]` and the permutation hash.
-fn staged_once(a: &SymCsc<f64>, par: Parallelism) -> ([f64; 4], u64) {
+/// from its config: seconds of `STAGES[..4]` and the artifact hashes.
+fn staged_once(a: &SymCsc<f64>, par: Parallelism) -> ([f64; 4], Hashes) {
     let mut t = [0.0; 4];
     let mut lap = |slot: usize, t0: Instant| t[slot] = t0.elapsed().as_secs_f64();
     let t0 = Instant::now();
@@ -120,12 +129,7 @@ fn staged_once(a: &SymCsc<f64>, par: Parallelism) -> ([f64; 4], u64) {
         &SchedOptions { parallelism: par, ..Default::default() },
     );
     lap(3, t0);
-    std::hint::black_box(&mapping);
-    // FNV-1a-64, one word per entry.
-    let fnv = ordering.perm().iter().fold(0xcbf2_9ce4_8422_2325u64, |h, &v| {
-        (h ^ v as u64).wrapping_mul(0x0000_0100_0000_01b3)
-    });
-    (t, fnv)
+    (t, [perm_fnv(ordering.perm()), symbol_fnv(&analysis.symbol), task_graph_fnv(&mapping.graph)])
 }
 
 fn main() {
@@ -145,9 +149,10 @@ fn main() {
     let mut rows = Vec::new();
     let mut determinism_ok = true;
     let mut perms_ok = true;
+    let mut symbols_ok = true;
     let mut quer = None;
 
-    for &(id, sc, want_fnv) in problems {
+    for &(id, sc, want) in problems {
         let a = build_problem::<f64>(id, sc);
         let name = id.name().to_lowercase();
         println!("\nproblem {} @ {sc} n={} nnz={}", id.name(), a.n(), a.nnz_stored());
@@ -173,7 +178,7 @@ fn main() {
         // drift of the machine falls on both (the gate runs above doubled
         // as warm-up).
         let mut best = [[f64::INFINITY; 5]; 2];
-        let mut fnv = [0u64; 2];
+        let mut fnv = [[0u64; 3]; 2];
         for _ in 0..reps {
             for (k, p) in [Parallelism::Sequential, par].into_iter().enumerate() {
                 let (stages, h) = staged_once(&a, p);
@@ -184,12 +189,16 @@ fn main() {
                 }
             }
         }
-        let perm_ok = fnv == [want_fnv; 2];
-        if !perm_ok {
-            eprintln!("  permutation hash {:016x} / {:016x}, recorded {want_fnv:016x}", fnv[0], fnv[1]);
+        let matches = |i: usize| fnv.iter().all(|h| h[i] == want[i]);
+        let (perm_ok, symbol_ok) = (matches(0), matches(1) && matches(2));
+        for (i, what) in ["perm", "symbol", "task_graph"].into_iter().enumerate() {
+            if !matches(i) {
+                eprintln!("  {what} hash {:016x} / {:016x}, recorded {:016x}", fnv[0][i], fnv[1][i], want[i]);
+            }
+            fields.push((format!("{name}_{what}_fnv"), Json::Str(format!("{:016x}", fnv[0][i]))));
         }
         perms_ok &= perm_ok;
-        fields.push((format!("{name}_perm_fnv"), Json::Str(format!("{:016x}", fnv[0]))));
+        symbols_ok &= symbol_ok;
         for (k, setting) in ["seq", "par"].into_iter().enumerate() {
             print!("  {setting}:");
             for (stage, t) in STAGES.iter().zip(best[k]) {
@@ -200,7 +209,10 @@ fn main() {
         }
         let ratio = best[0][4] / best[1][4];
         fields.push((format!("{name}_analyze_seq_over_par"), Json::Num(ratio)));
-        println!("  analyze seq / par: {ratio:.2}x; permutation {:016x}", fnv[0]);
+        println!(
+            "  analyze seq / par: {ratio:.2}x; permutation {:016x}, symbol {:016x}, task graph {:016x}",
+            fnv[0][0], fnv[0][1], fnv[0][2]
+        );
         if id == ProblemId::Quer {
             quer = Some((best[0][4], best[1][4]));
         }
@@ -212,27 +224,25 @@ fn main() {
             ("opc", Json::Num(seq_ref.opc)),
             ("bitwise_identical", Json::Bool(bitwise_ok)),
             ("perm_matches_recorded", Json::Bool(perm_ok)),
+            ("symbol_matches_recorded", Json::Bool(symbol_ok)),
         ]));
     }
 
     let (quer_seq, quer_par) = quer.expect("QUER is in every mode");
     let gate_armed = cpus >= 2;
     let par_ok = quer_par <= quer_seq;
-    let dirty = git(&["status", "--porcelain"]).is_some_and(|s| !s.is_empty());
-    let mut all = vec![
-        ("bench".to_string(), Json::Str("analyze".to_string())),
-        ("mode".to_string(), Json::Str(mode.to_string())),
-        ("git_rev".to_string(), Json::Str(git(&["rev-parse", "HEAD"]).unwrap_or_else(|| "unknown".into()))),
-        ("git_dirty".to_string(), Json::Bool(dirty)),
-        ("cpus".to_string(), Json::Num(cpus as f64)),
+    let mut all = vec![("bench".to_string(), Json::Str("analyze".to_string()))];
+    all.extend(env_header(mode));
+    all.extend([
         ("par_threads".to_string(), Json::Num(par_threads as f64)),
         ("procs".to_string(), Json::Num(PROCS as f64)),
         ("reps".to_string(), Json::Num(reps as f64)),
         ("determinism_ok".to_string(), Json::Bool(determinism_ok)),
         ("perms_match_recorded".to_string(), Json::Bool(perms_ok)),
+        ("symbols_match_recorded".to_string(), Json::Bool(symbols_ok)),
         ("par_gate_armed".to_string(), Json::Bool(gate_armed)),
         ("par_gate_ok".to_string(), if gate_armed { Json::Bool(par_ok) } else { Json::Null }),
-    ];
+    ]);
     all.extend(fields);
     all.push(("problems".to_string(), Json::Arr(rows)));
     std::fs::write(PATH, Json::Obj(all).pretty()).expect("write BENCH_analyze.json");
@@ -246,7 +256,11 @@ fn main() {
         "acceptance (nested dissection produces the recorded permutations): {}",
         if perms_ok { "MET" } else { "NOT MET" }
     );
-    let mut failed = !determinism_ok || !perms_ok;
+    println!(
+        "acceptance (analyze produces the recorded block symbols and task graphs): {}",
+        if symbols_ok { "MET" } else { "NOT MET" }
+    );
+    let mut failed = !determinism_ok || !perms_ok || !symbols_ok;
     if gate_armed {
         println!(
             "acceptance (Threads({par_threads}) analyze of QUER no slower than one thread): \

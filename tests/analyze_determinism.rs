@@ -4,10 +4,11 @@
 //! of any analyze artifact. Sequential and threaded runs must produce
 //! identical permutations, identical block symbols, and identical
 //! schedule digests, at every thread count. The grid test below is large
-//! enough (6400 vertices) to take the parallel recursion, parallel
-//! column-count, parallel block-symbolic, and parallel leaf-ordering
-//! paths for real; the property test sweeps random graphs whose shapes
-//! hit the sequential-fallback boundaries from every side.
+//! enough (6400 vertices) to take the parallel recursion and parallel
+//! leaf-ordering paths for real (the symbolic phase runs on one thread);
+//! the property test sweeps random graphs whose shapes hit the
+//! sequential-fallback boundaries from every side. The recorded hashes
+//! below pin the permutation, block symbol and task graph of the suite.
 
 use pastix::graph::{build_problem, CsrGraph, Parallelism, ProblemId};
 use pastix::ordering::{
@@ -44,7 +45,7 @@ fn analyze_with(g: &CsrGraph, par: Parallelism) -> (Vec<u32>, usize, usize, u64,
 #[test]
 fn grid_analyze_is_bitwise_identical_at_every_thread_count() {
     // 80×80: both nested-dissection halves exceed the parallel-recursion
-    // cutoff and the supernode count exceeds the block-symbolic one.
+    // cutoff.
     let g = grid_graph(80, 80);
     let seq = analyze_with(&g, Parallelism::Sequential);
     for par in [
