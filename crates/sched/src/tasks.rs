@@ -511,7 +511,8 @@ mod tests {
     fn comp1d_edges_carry_every_pair_of_their_columns() {
         // The builder emits one edge per 1D→1D block column; it must carry
         // what one edge per pair (r ≥ c) summed to.
-        let is_1d = |tg: &TaskGraph, t: u32| matches!(tg.kinds[t as usize], TaskKind::Comp1d { .. });
+        let is_1d =
+            |tg: &TaskGraph, t: u32| matches!(tg.kinds[t as usize], TaskKind::Comp1d { .. });
         for (nx, procs, block, width2d) in [(16, 8, 4, 4), (12, 4, 8, 6), (12, 4, 1000, 100_000)] {
             let (tg, _) = setup(nx, procs, block, width2d);
             let sym = &tg.split.symbol;
@@ -522,15 +523,17 @@ mod tests {
                 for c in 0..offs.len() {
                     let dst = tg.head_task_of_cblk[offs[c].fcblk as usize];
                     if is_1d(&tg, src) && is_1d(&tg, dst) {
-                        let pairs: usize = offs[c..].iter().map(|r| r.nrows() * offs[c].nrows()).sum();
-                        *want.entry((src, dst)).or_insert(0) += pairs as u32;
+                        let pairs: usize = offs[c..].iter().map(|r| r.nrows()).sum();
+                        *want.entry((src, dst)).or_insert(0) += (pairs * offs[c].nrows()) as u32;
                     }
                 }
             }
-            let got: std::collections::BTreeMap<(u32, u32), u32> = (0..tg.n_tasks() as u32)
-                .filter(|&d| is_1d(&tg, d))
-                .flat_map(|d| tg.in_edges(d as usize).filter(|&(s, _)| is_1d(&tg, s)).map(move |(s, sc)| ((s, d), sc)))
-                .collect();
+            let mut got = std::collections::BTreeMap::new();
+            for d in (0..tg.n_tasks() as u32).filter(|&d| is_1d(&tg, d)) {
+                for (s, scalars) in tg.in_edges(d as usize).filter(|&(s, _)| is_1d(&tg, s)) {
+                    got.insert((s, d), scalars);
+                }
+            }
             assert_eq!(got, want, "grid {nx}, {procs} procs");
         }
     }
