@@ -8,9 +8,8 @@
 //!
 //! The graph handed to these functions must already be permuted into
 //! elimination order (vertex `j` is eliminated at step `j`). None of them
-//! depends on the order of a row's entries, so [`crate::analyze`] reads
-//! the rows of the permuted graph through the permutation instead of
-//! building it.
+//! depends on the order of a row's entries, so [`crate::analyze`] never
+//! sorts a permuted copy of the graph.
 
 use pastix_graph::{CsrGraph, Permutation};
 

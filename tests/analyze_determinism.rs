@@ -18,7 +18,7 @@ use pastix::ordering::{
 use pastix::sched::{map_and_schedule, SchedOptions};
 use pastix::solver::{Plan, SolverConfig};
 use pastix::symbolic::{analyze, AnalysisOptions};
-use pastix_testsupport::{grid_graph, symbol_fnv, task_graph_fnv};
+use pastix_testsupport::{grid_graph, perm_fnv, symbol_fnv, task_graph_fnv};
 use proptest::prelude::*;
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
@@ -155,8 +155,7 @@ fn nested_dissection_matches_parent_permutation() {
     for (id, scale, want) in golden {
         let g = build_problem::<f64>(id, scale).to_graph();
         let p = nested_dissection(&g, &opts);
-        let mut h = FNV_OFFSET;
-        fnv_fold(&mut h, p.perm().iter().map(|&v| v as u64));
+        let h = perm_fnv(p.perm());
         assert_eq!(h, want, "{} @ {scale}: permutation hash {h:016x}", id.name());
     }
 }
