@@ -51,7 +51,7 @@ pub fn gemm_nt_acc<T: Scalar>(
     if m == 0 || n == 0 || k == 0 {
         return;
     }
-    if pack::use_packed(m, n, k) {
+    if pack::kernel_mode().packs(m, n, k) {
         pack::gemm_nt_acc_packed(m, n, k, alpha, a, lda, b, ldb, c, ldc);
     } else {
         gemm_nt_acc_ref(m, n, k, alpha, a, lda, b, ldb, c, ldc);
@@ -129,7 +129,7 @@ pub fn gemm_nn_acc<T: Scalar>(
     if m == 0 || n == 0 || k == 0 {
         return;
     }
-    if pack::use_packed(m, n, k) {
+    if pack::kernel_mode().packs(m, n, k) {
         pack::gemm_nn_acc_packed(m, n, k, alpha, a, lda, b, ldb, c, ldc);
     } else {
         gemm_nn_acc_ref(m, n, k, alpha, a, lda, b, ldb, c, ldc);
@@ -208,7 +208,7 @@ pub fn gemm_nt_acc_lower<T: Scalar>(
     }
     // Roughly half the full product's multiply-adds land in the lower
     // triangle.
-    if pack::use_packed(n, n.div_ceil(2), k) {
+    if pack::kernel_mode().packs(n, n.div_ceil(2), k) {
         pack::gemm_nt_acc_lower_packed(n, k, alpha, a, lda, b, ldb, c, ldc);
     } else {
         gemm_nt_acc_lower_ref(n, k, alpha, a, lda, b, ldb, c, ldc);

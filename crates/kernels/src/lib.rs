@@ -41,6 +41,7 @@ pub use lowrank::{
     LrOp, LrRef,
 };
 pub use pack::{blocking_for, configure_blocking, kernel_mode, BlockSizes, KernelMode, KernelModeGuard, Tile};
+pub use pack::{gemm_nt_scatter, pack_a_slabs};
 pub use model::{calibrate_blas_model, fit_poly, BlasModel, KernelClass, PolyCost};
 pub use scalar::Scalar;
 pub use trsm::{

@@ -30,6 +30,10 @@
 //! multiply-adds over the depth of a `KC` slice, in depth order, so the
 //! tiles agree bit for bit.
 //!
+//! [`gemm_nt_scatter`] is the same product with `A` packed once by the
+//! caller and the write-back going through a row map, straight into the
+//! scattered rows of a sparse target.
+//!
 //! The blocking constants are per-`Scalar` (chosen by element size so an
 //! `MC × KC` A-pack sits in L2 and a `KC × NC` B-pack in outer cache) and
 //! can be overridden **once** per process by a runtime probe
@@ -54,11 +58,17 @@ pub struct Tile<T> {
     /// [`gemm_packed_driver`] instantiated for the kernel, so the tile
     /// shape is a compile-time constant all the way down.
     driver: Driver<T>,
+    /// [`gemm_scatter_driver`] instantiated for the kernel.
+    scatter: Scatter<T>,
 }
 
 /// The signature of [`gemm_packed_driver`]: blocking, layout of `B`, then
 /// `m, n, k, α, a, lda, b, ldb, c, ldc`.
 type Driver<T> = fn(BlockSizes, BLayout, usize, usize, usize, T, &[T], usize, &[T], usize, &mut [T], usize);
+
+/// The signature of [`gemm_scatter_driver`]: blocking, `k, α`, packed `A`,
+/// `skip`, row map, `n, b, ldb`, `B`-pack buffer, `c, ldc`.
+type Scatter<T> = fn(BlockSizes, usize, T, &[T], usize, &[usize], usize, &[T], usize, &mut Vec<T>, &mut [T], usize);
 
 /// A register microkernel. `run(kcb, pa, pb, out)` overwrites `out`
 /// (column-major `MR × NR`) with `Σ_kk pa[kk][·] · pb[kk][·]` over one
@@ -76,7 +86,7 @@ const MAX_TILE: usize = 16 * 8;
 impl<T: Scalar> Tile<T> {
     const fn of<K: MicroKernel<T>>(isa: &'static str) -> Self {
         assert!(K::MR * K::NR <= MAX_TILE);
-        Tile { mr: K::MR, nr: K::NR, isa, driver: gemm_packed_driver::<T, K> }
+        Tile { mr: K::MR, nr: K::NR, isa, driver: gemm_packed_driver::<T, K>, scatter: gemm_scatter_driver::<T, K> }
     }
 
     /// The safe kernel every scalar falls back to: 8 × 6, twelve 256-bit
@@ -191,6 +201,17 @@ pub enum KernelMode {
 static KERNEL_MODE: AtomicU8 = AtomicU8::new(KernelMode::Auto as u8);
 
 impl KernelMode {
+    /// `true` when the dispatcher takes the packed path for an `m × n × k`
+    /// product under this mode.
+    #[inline]
+    pub fn packs(self, m: usize, n: usize, k: usize) -> bool {
+        match self {
+            KernelMode::Reference => false,
+            KernelMode::Packed => true,
+            KernelMode::Auto => m * n * k >= PACKED_MIN_MADDS,
+        }
+    }
+
     /// Installs this mode process-wide and returns a guard that restores
     /// the previous mode when dropped. The scoped form is the supported
     /// replacement for the deprecated bare setters: it composes (nested
@@ -236,17 +257,6 @@ pub fn kernel_mode() -> KernelMode {
 /// of a factorization's flops, and moving them changes the arithmetic —
 /// and so every pinned factor — of all small problems.
 pub const PACKED_MIN_MADDS: usize = 16 * 1024;
-
-/// `true` when the dispatcher should take the packed path for an
-/// `m × n × k` product under the current [`KernelMode`].
-#[inline]
-pub(crate) fn use_packed(m: usize, n: usize, k: usize) -> bool {
-    match kernel_mode() {
-        KernelMode::Reference => false,
-        KernelMode::Packed => true,
-        KernelMode::Auto => m * n * k >= PACKED_MIN_MADDS,
-    }
-}
 
 /// How `B` is read while packing: `Nt` takes `B` as `n × k` (the `A·Bᵀ`
 /// kernels), `Nn` as `k × n` (the `A·B` kernel).
@@ -410,6 +420,20 @@ impl MicroKernel<f64> for Avx512 {
     }
 }
 
+/// `C += α ·` rows `r0..r0 + rows` of the first `ncols` columns of the
+/// column-major `mr`-tall accumulator block `acc`, into `c` from `c0` on
+/// (leading dimension `ldc`). Inlined where `mr` and, on full tiles, `rows`
+/// are constants, so each column is a fixed-size vector move.
+#[inline(always)]
+#[allow(clippy::too_many_arguments)]
+fn add_tile<T: Scalar>(acc: &[T], mr: usize, r0: usize, rows: usize, ncols: usize, alpha: T, c: &mut [T], c0: usize, ldc: usize) {
+    for (jj, accj) in acc.chunks_exact(mr).take(ncols).enumerate() {
+        for (cv, &av) in c[c0 + jj * ldc..][..rows].iter_mut().zip(&accj[r0..]) {
+            *cv += alpha * av;
+        }
+    }
+}
+
 /// Shared tiled driver of the packed kernels. `C(m×n) += α · A(m×k) · op(B)`
 /// with `op` selected by `layout`, on register microkernel `K`.
 #[allow(clippy::too_many_arguments)]
@@ -455,17 +479,10 @@ fn gemm_packed_driver<T: Scalar, K: MicroKernel<T>>(
                         // C and columns past n are never touched. Whole
                         // columns of the tile go at constant length.
                         let c0 = ic + ir * mr + (jc + jr * nr) * ldc;
-                        let mut add = |rows: usize| {
-                            for (jj, accj) in acc.chunks_exact(mr).take(nr_cur).enumerate() {
-                                for (cv, &av) in c[c0 + jj * ldc..][..rows].iter_mut().zip(accj) {
-                                    *cv += alpha * av;
-                                }
-                            }
-                        };
                         if mr_cur == mr {
-                            add(mr)
+                            add_tile(acc, mr, 0, mr, nr_cur, alpha, c, c0, ldc)
                         } else {
-                            add(mr_cur)
+                            add_tile(acc, mr, 0, mr_cur, nr_cur, alpha, c, c0, ldc)
                         }
                     }
                 }
@@ -474,6 +491,45 @@ fn gemm_packed_driver<T: Scalar, K: MicroKernel<T>>(
             pc += kcb;
         }
         jc += ncb;
+    }
+}
+
+/// The driver of [`gemm_nt_scatter`] on register microkernel `K`: the row
+/// tiles walk the pre-packed slabs of `pa`, `B` is packed whole (`k ≤ kc`,
+/// so one depth slice), and each tile is added into `c` through `rows`.
+#[allow(clippy::too_many_arguments)]
+fn gemm_scatter_driver<T: Scalar, K: MicroKernel<T>>(
+    bs: BlockSizes, k: usize, alpha: T, pa: &[T], skip: usize, rows: &[usize],
+    n: usize, b: &[T], ldb: usize, pb: &mut Vec<T>, c: &mut [T], ldc: usize,
+) {
+    let (mr, nr) = (K::MR, K::NR);
+    pack_b(pb, nr, b, ldb, BLayout::Nt, 0, 0, n, k);
+    let mut acc = [T::zero(); MAX_TILE];
+    let acc = &mut acc[..mr * nr];
+    // Product row `i` is row `skip + i` of the slabs.
+    let (end, slabs) = (skip + rows.len(), (skip + rows.len()).div_ceil(mr));
+    let mc = bs.sanitized().mc.div_ceil(mr);
+    for ic in (0..slabs).step_by(mc) {
+        for (jr, pb_slab) in pb.chunks_exact(k * nr).take(n.div_ceil(nr)).enumerate() {
+            let (nr_cur, cj) = (nr.min(n - jr * nr), jr * nr * ldc);
+            for (ir, pa_slab) in pa.chunks_exact(k * mr).enumerate().take(slabs.min(ic + mc)).skip(ic) {
+                K::run(k, pa_slab, pb_slab, acc);
+                // Valid rows `lo..hi` of the tile and where they land.
+                let (lo, hi) = (skip.saturating_sub(ir * mr), mr.min(end - ir * mr));
+                let to = &rows[ir * mr + lo - skip..ir * mr + hi - skip];
+                if to.windows(2).all(|p| p[1] == p[0] + 1) {
+                    if hi - lo == mr {
+                        add_tile(acc, mr, 0, mr, nr_cur, alpha, c, to[0] + cj, ldc)
+                    } else {
+                        add_tile(acc, mr, lo, hi - lo, nr_cur, alpha, c, to[0] + cj, ldc)
+                    }
+                } else {
+                    for (r, &row) in (lo..hi).zip(to) {
+                        add_tile(acc, mr, r, 1, nr_cur, alpha, c, row + cj, ldc)
+                    }
+                }
+            }
+        }
     }
 }
 
@@ -520,6 +576,36 @@ pub fn gemm_nt_acc_packed<T: Scalar>(
     ldc: usize,
 ) {
     gemm_nt_acc_packed_with(blocking_for::<T>(), m, n, k, alpha, a, lda, b, ldb, c, ldc);
+}
+
+/// Packs the `m × k` operand `a` (leading dimension `lda`) once into the
+/// `T::TILE.mr`-row slabs [`gemm_nt_scatter`] reads: row `i` is row
+/// `i % mr` of slab `i / mr`, a slab is `k · mr` scalars, the last one
+/// zero-padded. `pa` only grows.
+pub fn pack_a_slabs<T: Scalar>(m: usize, k: usize, a: &[T], lda: usize, pa: &mut Vec<T>) {
+    pack_a(pa, T::TILE.mr, a, lda, 0, 0, m, k);
+}
+
+/// `C[rows[i] + j·ldc] += α · (A·Bᵀ)[i, j]`, every `rows[i] < ldc`. `A` is
+/// `rows.len() × k`, the rows `skip..` (`skip < mr`) of the slabs `pa`
+/// starts with ([`pack_a_slabs`]); `B` is `n × k`, packed into `pb` per
+/// call. A tile whose rows are contiguous in `C` is added column by column,
+/// any other row by row. `k ≤ kc`: each entry added is, bit for bit, the
+/// one [`gemm_nt_acc_packed`] computes.
+#[allow(clippy::too_many_arguments)]
+pub fn gemm_nt_scatter<T: Scalar>(
+    k: usize, alpha: T, pa: &[T], skip: usize, rows: &[usize],
+    n: usize, b: &[T], ldb: usize, pb: &mut Vec<T>, c: &mut [T], ldc: usize,
+) {
+    if rows.is_empty() || n == 0 || k == 0 {
+        return;
+    }
+    let bs = blocking_for::<T>();
+    assert!(k <= bs.kc, "depth {k} exceeds the depth tile {}", bs.kc);
+    assert!(skip < T::TILE.mr, "skip past the first slab");
+    assert!(ldb >= n, "B leading dimension too small");
+    assert!(rows.iter().all(|&r| r < ldc), "row map reaches past ldc");
+    (T::TILE.scatter)(bs, k, alpha, pa, skip, rows, n, b, ldb, pb, c, ldc);
 }
 
 /// Packed `C ← C + α · A · B` under the per-scalar blocking constants.
@@ -715,6 +801,46 @@ mod tests {
             let (got, want) = (product(f64::TILE, shape, val), product(old, shape, val));
             let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
             assert_eq!(bits(&got), bits(&want), "{} at {shape:?}", f64::TILE.isa);
+        }
+    }
+
+    /// The scattered product against the plain packed product into a zeroed
+    /// buffer that is then scatter-added, on the selected `f64` tile and the
+    /// generic 8 × 6: the same bits, `C`'s rows outside the map untouched.
+    /// Row maps contiguous, with gaps inside every tile, and with gaps
+    /// between runs that straddle tiles; a row tile small enough that the
+    /// slabs are walked in several.
+    #[test]
+    fn scatter_product_is_the_packed_product_scatter_added() {
+        let bs = BlockSizes { mc: 20, ..blocking_for::<f64>() };
+        let val = |i: usize| ((i * 37 % 101) as f64) * 0.03125 - 1.5;
+        let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        let maps: [fn(usize) -> usize; 3] = [|i| i + 2, |i| i + i / 3, |i| i + 4 * (i / 19)];
+        for tile in [f64::TILE, Tile::of::<Generic<8, 6>>("generic")] {
+            let (mr, nr, m) = (tile.mr, tile.nr, 3 * tile.mr + 5);
+            for (skip, n, k, map) in [0, 1, mr - 1].into_iter().flat_map(|skip| {
+                [1, nr - 1, nr + 1, 2 * nr + 3].into_iter().flat_map(move |n| {
+                    [1, 7, 64, bs.kc].into_iter().flat_map(move |k| maps.map(|map| (skip, n, k, map)))
+                })
+            }) {
+                let rows: Vec<usize> = (0..m).map(map).collect();
+                let (lda, ldb, ldc) = (skip + m + 1, n + 2, rows[m - 1] + 3);
+                let a: Vec<f64> = (0..lda * k).map(|i| val(i * 7 + 1)).collect();
+                let b: Vec<f64> = (0..ldb * k).map(|i| val(i * 3 + 2)).collect();
+                let c: Vec<f64> = (0..ldc * n).map(|i| val(i + 11)).collect();
+                let mut u = vec![0.0; m * n];
+                (tile.driver)(bs, BLayout::Nt, m, n, k, -1.0, &a[skip..], lda, &b, ldb, &mut u, m);
+                let mut want = c.clone();
+                for (j, uj) in u.chunks_exact(m).enumerate() {
+                    for (&r, &x) in rows.iter().zip(uj) {
+                        want[r + j * ldc] += x;
+                    }
+                }
+                let (mut pa, mut got) = (Vec::new(), c);
+                pack_a(&mut pa, mr, &a, lda, 0, 0, skip + m, k);
+                (tile.scatter)(bs, k, -1.0, &pa, skip, &rows, n, &b, ldb, &mut Vec::new(), &mut got, ldc);
+                assert_eq!(bits(&got), bits(&want), "{} skip {skip} n {n} k {k} rows {rows:?}", tile.isa);
+            }
         }
     }
 

@@ -23,9 +23,9 @@
 use crate::compress::{finalize_compression, CompressionConfig};
 use crate::config::{FactorRun, SolverConfig};
 use crate::solve_plan::SolveDag;
-use crate::storage::{pair_target, strip_targets, FactorStorage, PanelLayout};
+use crate::storage::{pair_target, strip_stretches, FactorStorage, PanelLayout};
 use crate::sweeps::{self, RowSink};
-use crate::tasks::{self, ContribSink, Scratch};
+use crate::tasks::{self, ContribSink, Scratch, StretchFn};
 use pastix_graph::SymCsc;
 use pastix_kernels::factor::FactorError;
 use pastix_kernels::{LowRankBlock, LrOp, Scalar};
@@ -124,12 +124,12 @@ impl<T: Scalar> ContribSink<T> for LockedPanels<'_, '_, T> {
         apply(&mut self.lock(t.cblk)[t.panel_row + t.col * t.lda..], t.lda);
     }
 
-    fn with_strip(&mut self, bc: usize, end: usize, mut apply: impl FnMut(usize, &mut [T], usize)) {
+    fn with_strip(&mut self, bc: usize, end: usize, offs: &mut Vec<usize>, mut apply: impl StretchFn<T>) {
         let (sym, layout) = (self.shared.sym, self.shared.layout);
         let panel = self.lock(sym.bloks[bc].fcblk as usize);
-        for (br, t) in (bc..end).zip(strip_targets(sym, layout, bc, end)) {
-            apply(br, &mut panel[t.panel_row + t.col * t.lda..], t.lda);
-        }
+        strip_stretches(sym, layout, bc, end, false, offs, |br0, offs, t| {
+            apply(br0, offs, &mut panel[t.panel_row + t.col * t.lda..], t.lda)
+        });
     }
 }
 

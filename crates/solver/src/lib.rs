@@ -72,3 +72,52 @@ pub use seq::{
     solve_in_place,
 };
 pub use storage::{BlockStore, BlokView, FactorStorage, PanelCompression, PanelLayout};
+
+#[cfg(test)]
+/// A counting allocator for this crate's unit tests: the task bodies claim
+/// to allocate nothing once their scratch has reached its high-water mark,
+/// and the tests hold them to it by counting their own thread's
+/// allocations (the style of `pastix-ordering`'s).
+pub(crate) mod alloc_count {
+    use std::alloc::{GlobalAlloc, Layout, System};
+    use std::cell::Cell;
+
+    thread_local! {
+        // Const-initialised and without a destructor, so it is usable from
+        // inside the allocator at any point of a thread's life.
+        static ALLOCATIONS: Cell<usize> = const { Cell::new(0) };
+    }
+
+    struct Counting;
+
+    // SAFETY: every method forwards its arguments unchanged to `System`,
+    // which upholds the `GlobalAlloc` contract; the counter touches no
+    // memory the allocator manages and does not allocate.
+    unsafe impl GlobalAlloc for Counting {
+        unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+            let _ = ALLOCATIONS.try_with(|c| c.set(c.get() + 1));
+            // SAFETY: the caller's obligations are those of `System.alloc`.
+            unsafe { System.alloc(layout) }
+        }
+
+        unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+            // SAFETY: `ptr` came from `System` through this allocator with
+            // this `layout`.
+            unsafe { System.dealloc(ptr, layout) }
+        }
+
+        unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+            let _ = ALLOCATIONS.try_with(|c| c.set(c.get() + 1));
+            // SAFETY: as for `dealloc`; `new_size` is the caller's to get right.
+            unsafe { System.realloc(ptr, layout, new_size) }
+        }
+    }
+
+    #[global_allocator]
+    static ALLOCATOR: Counting = Counting;
+
+    /// Allocations and reallocations the calling thread has made so far.
+    pub(crate) fn allocations() -> usize {
+        ALLOCATIONS.with(Cell::get)
+    }
+}

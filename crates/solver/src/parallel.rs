@@ -18,9 +18,9 @@
 use crate::compress::{finalize_compression, CompressionConfig};
 use crate::config::{FactorRun, SolverConfig};
 use crate::storage::{
-    pair_target, scatter_cblk, strip_targets, BlokCursor, FactorStorage, PairTarget, PanelLayout,
+    pair_target, scatter_cblk, strip_stretches, strip_targets, BlokCursor, FactorStorage, PairTarget, PanelLayout,
 };
-use crate::tasks::{self, Comp1dNs, ContribSink, Scratch};
+use crate::tasks::{self, Comp1dNs, ContribSink, Scratch, StretchFn};
 use pastix_graph::SymCsc;
 use pastix_kernels::dense::copy_panel;
 use pastix_kernels::factor::FactorError;
@@ -842,26 +842,20 @@ impl<T: Scalar, C: Comm<PMsg<T>> + ?Sized> ContribSink<T> for FanIn<'_, '_, T, C
         });
     }
 
-    fn with_strip(&mut self, bc: usize, end: usize, mut apply: impl FnMut(usize, &mut [T], usize)) {
+    fn with_strip(&mut self, bc: usize, end: usize, offs: &mut Vec<usize>, mut apply: impl StretchFn<T>) {
         let (sym, graph, routing) = (self.worker.sym, self.worker.graph, self.worker.routing);
         let head = graph.head_task_of_cblk[sym.bloks[bc].fcblk as usize];
-        let one_region = matches!(graph.kinds[head as usize], TaskKind::Comp1d { .. });
-        let mut targets = (bc..end).zip(strip_targets(sym, &routing.layout, bc, end)).peekable();
+        let per_blok = matches!(graph.kinds[head as usize], TaskKind::Factor { .. });
         // One region per stretch of row blocks that land in the same task:
         // the whole strip for a 1D target, a covering blok of a 2D one.
-        while let Some(&(_, first)) = targets.peek() {
-            let route = route_of(sym, graph, &first);
+        // Rows of one region are as far apart as in the panel.
+        strip_stretches(sym, &routing.layout, bc, end, per_blok, offs, |br0, offs, first| {
+            let route = route_of(sym, graph, first);
             self.contribute(route.dst, |region| {
-                let mut pairs = 0;
-                while let Some((br, t)) = targets.next_if(|(_, t)| one_region || t.blok == first.blok) {
-                    // Rows of one region are as far apart as in the panel.
-                    let off = route.off + (t.panel_row - first.panel_row);
-                    apply(br, &mut region[off..], route.ldr);
-                    pairs += 1;
-                }
-                pairs
+                apply(br0, offs, &mut region[route.off..], route.ldr);
+                offs.len() as u32
             });
-        }
+        });
     }
 }
 

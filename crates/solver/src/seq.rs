@@ -7,9 +7,9 @@
 //! The parallel solver must produce the same factor; tests enforce it.
 
 use crate::compress::CompressionConfig;
-use crate::storage::{pair_target, strip_targets, FactorStorage, PanelLayout};
+use crate::storage::{pair_target, strip_stretches, FactorStorage, PanelLayout};
 use crate::sweeps::{self, LaterSegments};
-use crate::tasks::{self, ContribSink, Scratch};
+use crate::tasks::{self, ContribSink, Scratch, StretchFn};
 use pastix_kernels::factor::FactorError;
 use pastix_kernels::Scalar;
 use pastix_symbolic::SymbolMatrix;
@@ -30,11 +30,11 @@ impl<T: Scalar> ContribSink<T> for LaterPanels<'_, T> {
         apply(&mut self.later[t.cblk - self.first][t.panel_row + t.col * t.lda..], t.lda);
     }
 
-    fn with_strip(&mut self, bc: usize, end: usize, mut apply: impl FnMut(usize, &mut [T], usize)) {
+    fn with_strip(&mut self, bc: usize, end: usize, offs: &mut Vec<usize>, mut apply: impl StretchFn<T>) {
         let panel = &mut self.later[self.sym.bloks[bc].fcblk as usize - self.first];
-        for (br, t) in (bc..end).zip(strip_targets(self.sym, self.layout, bc, end)) {
-            apply(br, &mut panel[t.panel_row + t.col * t.lda..], t.lda);
-        }
+        strip_stretches(self.sym, self.layout, bc, end, false, offs, |br0, offs, t| {
+            apply(br0, offs, &mut panel[t.panel_row + t.col * t.lda..], t.lda)
+        });
     }
 }
 
@@ -200,6 +200,36 @@ mod tests {
             assert!(res < 1e-12, "residual {res} on {nx}x{ny}x{nz}");
             for (xi, ei) in x.iter().zip(&x_exact) {
                 assert!((xi - ei).abs() < 1e-8, "{xi} vs {ei}");
+            }
+        }
+    }
+
+    /// The second sequential pass on a warm scratch allocates nothing, with
+    /// every strip fused and with the small ones through the strip buffer.
+    /// Column blocks of at most 32 keep the diagonal factor and the panel
+    /// solve unblocked: the general packed driver allocates its packs anew.
+    #[test]
+    fn comp1d_on_a_warm_scratch_allocates_nothing() {
+        use crate::alloc_count::allocations;
+        use pastix_kernels::KernelMode;
+        let (ap, sym) = pipeline(10, 10, 10);
+        let sym = split_symbol(&sym, 32).symbol;
+        let mut st = FactorStorage::zeros(&sym);
+        st.scatter(&sym, &ap);
+        let off = CompressionConfig::off();
+        for mode in [KernelMode::Packed, KernelMode::Auto] {
+            let mut scratch = Scratch::default();
+            scratch.mode = mode;
+            for pass in 0..2 {
+                let mut panels = st.panels.clone();
+                let before = allocations();
+                for k in 0..sym.n_cblks() {
+                    let (done, later) = panels.split_at_mut(k + 1);
+                    let mut sink = LaterPanels { sym: &sym, layout: &st.layout, later, first: k + 1 };
+                    tasks::comp1d(&sym, &st.layout, k, &mut done[k], &off, &mut scratch, &mut sink).unwrap();
+                }
+                let allocs = allocations() - before;
+                assert!(pass == 0 || allocs == 0, "{mode:?}: {allocs} allocations on a warm scratch");
             }
         }
     }

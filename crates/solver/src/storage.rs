@@ -435,6 +435,26 @@ pub(crate) fn strip_targets<'a>(
     })
 }
 
+/// The [`strip_targets`] of a strip in stretches of row blocks that share
+/// a region: the whole strip, or with `per_blok` one covering blok each.
+/// Calls `f(br0, offs, first)` per stretch, `first` the target of its
+/// first row block `br0`; row block `br0 + i` lands `offs[i]` rows below
+/// `first.panel_row`. `offs` is reused from stretch to stretch.
+pub(crate) fn strip_stretches(
+    sym: &SymbolMatrix, layout: &PanelLayout, bc: usize, end: usize,
+    per_blok: bool, offs: &mut Vec<usize>, mut f: impl FnMut(usize, &[usize], &PairTarget),
+) {
+    let mut targets = (bc..end).zip(strip_targets(sym, layout, bc, end)).peekable();
+    while let Some((br0, first)) = targets.next() {
+        offs.clear();
+        offs.push(0);
+        while let Some((_, t)) = targets.next_if(|(_, t)| !per_blok || t.blok == first.blok) {
+            offs.push(t.panel_row - first.panel_row);
+        }
+        f(br0, offs, &first);
+    }
+}
+
 /// Panel row of global row `i` within column block `k`, or `None` when the
 /// row is not in the block structure.
 pub fn try_panel_row_of(sym: &SymbolMatrix, layout: &PanelLayout, k: usize, i: u32) -> Option<usize> {

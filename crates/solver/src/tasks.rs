@@ -14,8 +14,8 @@ use crate::storage::PanelLayout;
 use pastix_kernels::dense::copy_panel;
 use pastix_kernels::factor::{ldlt_factor_blocked, ldlt_factor_inplace, FactorError, NB_FACTOR};
 use pastix_kernels::{
-    compress_block, gemm_nt_acc, kernel_mode, lr_gemm_nt_acc, lr_trsm_ldlt,
-    scale_cols_by_diag_into, trsm_ldlt_panel, KernelMode, LowRankBlock, LrOp, LrRef, Scalar,
+    blocking_for, compress_block, gemm_nt_acc, gemm_nt_scatter, kernel_mode, lr_gemm_nt_acc, lr_trsm_ldlt,
+    pack_a_slabs, scale_cols_by_diag_into, trsm_ldlt_panel, KernelMode, LowRankBlock, LrOp, LrRef, Scalar,
 };
 use pastix_symbolic::SymbolMatrix;
 use pastix_trace::{ClockMode, TraceOptions};
@@ -32,14 +32,16 @@ pub(crate) trait ContribSink<T: Scalar> {
     /// [`pair_target`](crate::storage::pair_target).
     fn with_target(&mut self, br: usize, bc: usize, apply: impl FnOnce(&mut [T], usize));
 
-    /// The windows of a whole strip: calls `apply(br, c, ldc)` for the row
-    /// blocks `br` in `bc..end` (`end` the column block's `blok_end`) in
-    /// order, `c` and `ldc` as [`Self::with_target`] gives them for pair
-    /// `(br, bc)`. Every pair of a strip faces the same column block, so
-    /// the sink finds out where that block lives once, not once per pair,
-    /// and [`strip_targets`](crate::storage::strip_targets) supplies the
-    /// offsets.
-    fn with_strip(&mut self, bc: usize, end: usize, apply: impl FnMut(usize, &mut [T], usize));
+    /// The windows of the strip of pivot blok `bc` against the row blocks
+    /// `bc..end` (`end` the column block's `blok_end`): calls
+    /// `apply(br0, offs, c, ldc)` once per stretch of row blocks
+    /// `br0..br0 + offs.len()` that share a region, in order — the whole
+    /// strip for a panel or a 1D task's region, one covering blok of a 2D
+    /// target's regions. `c`, `ldc` are [`Self::with_target`]'s for pair
+    /// `(br0, bc)`; row block `br0 + i` starts `offs[i]` rows below `c`.
+    /// [`strip_stretches`](crate::storage::strip_stretches) fills `offs`,
+    /// the caller's buffer, finding the target column block once a strip.
+    fn with_strip(&mut self, bc: usize, end: usize, offs: &mut Vec<usize>, apply: impl StretchFn<T>);
 
     /// `C −= A·Bᵀ` for pair `(br, bc)`: `A` the `hr × w` rows blok, `B`
     /// the `hc × w` pivot blok in its `F = L·D` form, each dense or
@@ -61,32 +63,39 @@ pub(crate) trait ContribSink<T: Scalar> {
     /// `C += U` for the pairs `(bc..end, bc)`, where `strip` (leading
     /// dimension `ld`) is the already-computed `U = −L_{c..}·F_cᵀ`, its
     /// row blocks stacked in blok order.
-    fn add_strip(&mut self, sym: &SymbolMatrix, bc: usize, end: usize, strip: &[T], ld: usize) {
+    fn add_strip(&mut self, sym: &SymbolMatrix, bc: usize, end: usize, strip: &[T], ld: usize, offs: &mut Vec<usize>) {
         let hc = sym.bloks[bc].nrows();
         let mut urow = 0;
-        self.with_strip(bc, end, |br, c, ldc| {
-            let hr = sym.bloks[br].nrows();
-            for j in 0..hc {
-                let src = &strip[urow + j * ld..][..hr];
-                for (d, &s) in c[j * ldc..][..hr].iter_mut().zip(src) {
-                    *d += s;
+        self.with_strip(bc, end, offs, |br0, offs, c, ldc| {
+            for (br, &off) in (br0..).zip(offs) {
+                let hr = sym.bloks[br].nrows();
+                for j in 0..hc {
+                    let src = &strip[urow + j * ld..][..hr];
+                    for (d, &s) in c[off + j * ldc..][..hr].iter_mut().zip(src) {
+                        *d += s;
+                    }
                 }
+                urow += hr;
             }
-            urow += hr;
         });
     }
 }
 
+/// The callback of [`ContribSink::with_strip`]: `(br0, offs, c, ldc)`.
+pub(crate) trait StretchFn<T>: FnMut(usize, &[usize], &mut [T], usize) {}
+impl<T, F: FnMut(usize, &[usize], &mut [T], usize)> StretchFn<T> for F {}
+
 /// Nanoseconds one worker spent inside the stages of its [`comp1d`]
 /// bodies; the rest of a task's span is the diagonal factor, `F = L·D`
-/// and zeroing the strips.
+/// and zeroing the small strips.
 #[derive(Debug, Clone, Copy, Default)]
 pub(crate) struct Comp1dNs {
     /// Panel solves against the diagonal block.
     pub(crate) trsm: u64,
-    /// Strip products `U = −L_{c..}·F_cᵀ`.
+    /// Strip products `U = −L_{c..}·F_cᵀ`, on the packed path with the
+    /// panel's pack and the write-back into the targets.
     pub(crate) gemm: u64,
-    /// Delivery of the strips into their targets.
+    /// Delivery of the strips below the packing threshold.
     pub(crate) deliver: u64,
 }
 
@@ -112,14 +121,24 @@ impl StageClock {
 /// Work buffers of the task bodies, owned by one worker and reused across
 /// its tasks.
 pub(crate) struct Scratch<T> {
+    /// The kernel mode of the run, read when the scratch is made.
+    pub(crate) mode: KernelMode,
     /// Panel scratch of the blocked diagonal factor, then `F = L·D`.
     wbuf: Vec<T>,
     /// Compact copy of the factored diagonal block (`w × w`).
     dtmp: Vec<T>,
     /// Its diagonal `D`.
     diag: Vec<T>,
-    /// One contribution strip `−L_{c..}·F_cᵀ`.
+    /// One small contribution strip `−L_{c..}·F_cᵀ`.
     ubuf: Vec<T>,
+    /// The off-diagonal rows of the panel, packed once per column block.
+    apack: Vec<T>,
+    /// The `F_c` operand of one packed-path product.
+    bpack: Vec<T>,
+    /// Row map of one stretch of a strip into its target.
+    rows: Vec<usize>,
+    /// Row-block offsets of one stretch ([`ContribSink::with_strip`]).
+    offs: Vec<usize>,
     /// Stage timers of [`comp1d`], read back by the driver at the end of
     /// the run.
     pub(crate) stages: StageClock,
@@ -127,7 +146,9 @@ pub(crate) struct Scratch<T> {
 
 impl<T> Default for Scratch<T> {
     fn default() -> Self {
-        Self { wbuf: Vec::new(), dtmp: Vec::new(), diag: Vec::new(), ubuf: Vec::new(), stages: StageClock::default() }
+        let (wbuf, dtmp, diag, ubuf, apack, bpack) = Default::default();
+        let (rows, offs, stages) = Default::default();
+        Self { mode: kernel_mode(), wbuf, dtmp, diag, ubuf, apack, bpack, rows, offs, stages }
     }
 }
 
@@ -164,7 +185,7 @@ pub(crate) fn factor_diag<T: Scalar>(
     fcol: usize,
     scratch: &mut Scratch<T>,
 ) -> Result<(), FactorError> {
-    if kernel_mode() == KernelMode::Reference {
+    if scratch.mode == KernelMode::Reference {
         ldlt_factor_inplace(w, a, lda)
     } else {
         ldlt_factor_blocked(w, a, lda, NB_FACTOR, &mut scratch.wbuf)
@@ -192,11 +213,14 @@ pub(crate) fn bdiv<T: Scalar>(
 /// pair contribution `(r ≥ c)` to `sink`.
 ///
 /// With compression off, each pivot blok `c` costs ONE product over *all*
-/// the panel rows at and below it (they are contiguous in the panel) into
-/// a scratch strip, handed to the sink whole. Fusing the per-pair
-/// GEMMs this way turns ~B²/2 tiny products per column block into B
-/// medium ones — the per-call overhead disappears and the tall strips are
-/// exactly the shapes the packed path is fastest on.
+/// the panel rows at and below it (they are contiguous in the panel).
+/// Fusing the per-pair GEMMs this way turns ~B²/2 tiny products per
+/// column block into B medium ones — the per-call overhead disappears and
+/// the tall strips are exactly the shapes the packed path is fastest on.
+/// A strip the packed path takes is written straight into its target
+/// windows ([`gemm_nt_scatter`]), from the off-diagonal rows packed once
+/// per column block; a smaller one goes into a zeroed scratch strip that
+/// [`ContribSink::add_strip`] delivers.
 /// [`KernelMode::Reference`] keeps the seed's one-GEMM-per-pair
 /// formulation as the measured "before". With compression on, the panel
 /// is final after the diagonal factor (right-looking order), so qualifying
@@ -226,7 +250,7 @@ pub(crate) fn comp1d<T: Scalar, S: ContribSink<T>>(
     if cc.enabled() {
         return Ok(comp1d_tail_compressed(sym, layout, k, panel, cc, scratch, sink));
     }
-    let Scratch { wbuf, dtmp, diag, ubuf, stages } = scratch;
+    let Scratch { mode, wbuf, dtmp, diag, ubuf, apack, bpack, rows, offs, stages } = scratch;
     stages.lap(); // the diagonal factor is not a reported stage
     trsm_ldlt_panel(h, w, dtmp, w, &mut panel[w..], lda);
     stages.ns.trsm += stages.lap();
@@ -234,7 +258,11 @@ pub(crate) fn comp1d<T: Scalar, S: ContribSink<T>>(
     wbuf.clear();
     wbuf.resize(h * w, T::zero());
     scale_cols_by_diag_into(h, w, &panel[w..], lda, diag, wbuf, h);
-    let seed_path = kernel_mode() == KernelMode::Reference;
+    let seed_path = *mode == KernelMode::Reference;
+    // One depth slice: each entry is one `mul_add` chain, the same bits
+    // whether it is added to a zeroed strip or straight to the target.
+    let one_slice = w <= blocking_for::<T>().kc;
+    let mut packed = false;
     let first = cb.blok_start + 1;
     for bc in first..cb.blok_end {
         let hc = sym.bloks[bc].nrows();
@@ -249,12 +277,32 @@ pub(crate) fn comp1d<T: Scalar, S: ContribSink<T>>(
         }
         // U = −L_{c..} · F_cᵀ, an mbelow × hc strip.
         let mbelow = lda - a_off;
+        if one_slice && mode.packs(mbelow, hc, w) {
+            // Straight into the targets, from the panel packed once.
+            stages.lap();
+            if !packed {
+                pack_a_slabs(h, w, &panel[w..], lda, apack);
+                packed = true;
+            }
+            let (mr, mut row) = (T::TILE.mr, a_off - w);
+            sink.with_strip(bc, cb.blok_end, offs, |br0, offs, c, ldc| {
+                rows.clear();
+                for (br, &off) in (br0..).zip(offs) {
+                    rows.extend(off..off + sym.bloks[br].nrows());
+                }
+                let pa = &apack[row / mr * mr * w..];
+                gemm_nt_scatter(w, -T::one(), pa, row % mr, rows, hc, f_c, h, bpack, c, ldc);
+                row += rows.len();
+            });
+            stages.ns.gemm += stages.lap();
+            continue;
+        }
         ubuf.clear();
         ubuf.resize(mbelow * hc, T::zero());
         stages.lap(); // nor is zeroing the strip
         gemm_nt_acc(mbelow, hc, w, -T::one(), &panel[a_off..], lda, f_c, h, ubuf, mbelow);
         stages.ns.gemm += stages.lap();
-        sink.add_strip(sym, bc, cb.blok_end, ubuf, mbelow);
+        sink.add_strip(sym, bc, cb.blok_end, ubuf, mbelow, offs);
         stages.ns.deliver += stages.lap();
     }
     Ok(Vec::new())
@@ -333,17 +381,21 @@ fn comp1d_tail_compressed<T: Scalar, S: ContribSink<T>>(
 mod tests {
     use super::*;
     use crate::parallel::tests::full_setup;
-    use crate::storage::{pair_target, strip_targets, FactorStorage};
+    use crate::storage::{pair_target, strip_stretches, strip_targets, FactorStorage};
     use pastix_sched::{DistStrategy, TaskKind};
 
     /// Applies every contribution to zeroed stand-ins of the target panels
-    /// at the address `pair_target` reports (a strip's merge walk must
-    /// report the same one), and logs the pair.
+    /// at the address `pair_target` reports, and logs the pair. Strips come
+    /// in the static driver's stretches — one per covering blok of a 2D
+    /// target, the whole strip otherwise — and every row block of a
+    /// stretch must sit where `pair_target` puts it.
     struct Recorder<'a> {
         sym: &'a SymbolMatrix,
         layout: &'a PanelLayout,
+        is_2d: &'a [bool],
         panels: Vec<Vec<f64>>,
         seen: Vec<(usize, usize)>,
+        stretches_2d: usize,
     }
 
     impl ContribSink<f64> for Recorder<'_> {
@@ -353,18 +405,26 @@ mod tests {
             apply(&mut self.panels[t.cblk][t.panel_row + t.col * t.lda..], t.lda);
         }
 
-        fn with_strip(&mut self, bc: usize, end: usize, mut apply: impl FnMut(usize, &mut [f64], usize)) {
-            for (br, t) in (bc..end).zip(strip_targets(self.sym, self.layout, bc, end)) {
-                assert_eq!(t, pair_target(self.sym, self.layout, br, bc), "strip walk at ({br},{bc})");
-                self.seen.push((br, bc));
-                apply(br, &mut self.panels[t.cblk][t.panel_row + t.col * t.lda..], t.lda);
-            }
+        fn with_strip(&mut self, bc: usize, end: usize, offs: &mut Vec<usize>, mut apply: impl StretchFn<f64>) {
+            let (sym, layout) = (self.sym, self.layout);
+            let per_blok = self.is_2d[sym.bloks[bc].fcblk as usize];
+            strip_stretches(sym, layout, bc, end, per_blok, offs, |br0, offs, first| {
+                for (br, &off) in (br0..).zip(offs) {
+                    let t = pair_target(sym, layout, br, bc);
+                    let at = (first.cblk, first.panel_row + off, first.col);
+                    assert_eq!((t.cblk, t.panel_row, t.col), at, "stretch row block ({br},{bc})");
+                    assert!(!per_blok || t.blok == first.blok, "2D stretch crosses a blok at ({br},{bc})");
+                    self.seen.push((br, bc));
+                }
+                self.stretches_2d += usize::from(per_blok);
+                apply(br0, offs, &mut self.panels[first.cblk][first.panel_row + first.col * first.lda..], first.lda);
+            });
         }
     }
 
     #[test]
     fn comp1d_delivers_every_pair_once_at_its_pair_target() {
-        let (ap, mapping) = full_setup(10, 10, 1, 4, DistStrategy::Mixed1d2d, 4);
+        let (ap, mapping) = full_setup(10, 10, 10, 4, DistStrategy::Mixed1d2d, 16);
         let (graph, sym) = (&mapping.graph, &mapping.graph.split.symbol);
         let mut st = FactorStorage::<f64>::zeros(sym);
         st.scatter(sym, &ap);
@@ -378,54 +438,74 @@ mod tests {
                 assert_eq!(walked, searched, "strip of pivot blok {bc}");
             }
         }
-        let is_2d = |k: usize| {
-            matches!(graph.kinds[graph.head_task_of_cblk[k] as usize], TaskKind::Factor { .. })
-        };
-        // A 1D column block whose off-diagonal bloks face both kinds of target.
-        let k = (0..sym.n_cblks())
-            .find(|&k| {
-                let faces = |want: bool| sym.off_bloks_of(k).iter().any(|b| is_2d(b.fcblk as usize) == want);
-                !is_2d(k) && faces(false) && faces(true)
-            })
-            .expect("mixed mapping has a 1D block facing 1D and 2D targets");
-        let cb = &sym.cblks[k];
-        let (w, lda) = (cb.width(), layout.panel_rows(k));
-        let pairs: Vec<(usize, usize)> = (cb.blok_start + 1..cb.blok_end)
-            .flat_map(|bc| (bc..cb.blok_end).map(move |br| (br, bc)))
+        let is_2d: Vec<bool> = (0..sym.n_cblks())
+            .map(|k| matches!(graph.kinds[graph.head_task_of_cblk[k] as usize], TaskKind::Factor { .. }))
             .collect();
-        let run = |cc: &CompressionConfig| {
+        let pairs = |k: usize| -> Vec<(usize, usize)> {
+            let cb = &sym.cblks[k];
+            (cb.blok_start + 1..cb.blok_end).flat_map(|bc| (bc..cb.blok_end).map(move |br| (br, bc))).collect()
+        };
+        let run = |k: usize, mode: KernelMode, cc: &CompressionConfig| {
             let mut panel = st.panels[k].clone();
             let zeroed = st.panels.iter().map(|p| vec![0.0; p.len()]).collect();
-            let mut rec = Recorder { sym, layout: &layout, panels: zeroed, seen: Vec::new() };
-            comp1d(sym, &layout, k, &mut panel, cc, &mut Scratch::default(), &mut rec).unwrap();
+            let mut rec =
+                Recorder { sym, layout: &layout, is_2d: &is_2d, panels: zeroed, seen: Vec::new(), stretches_2d: 0 };
+            let mut scratch = Scratch::default();
+            scratch.mode = mode;
+            comp1d(sym, &layout, k, &mut panel, cc, &mut scratch, &mut rec).unwrap();
             rec.seen.sort_unstable_by_key(|&(br, bc)| (bc, br));
-            assert_eq!(rec.seen, pairs, "every (r ≥ c) pair exactly once");
-            (panel, rec.panels)
+            assert_eq!(rec.seen, pairs(k), "every (r ≥ c) pair exactly once");
+            (panel, rec.panels, rec.stretches_2d)
         };
 
-        // Strip formulation: each pair's window holds −L_r·D·L_cᵀ, and
-        // nothing outside the windows was touched.
-        let (panel, mut strip) = run(&CompressionConfig::off());
-        let kept = strip.clone();
-        for &(br, bc) in &pairs {
-            let t = pair_target(sym, &layout, br, bc);
-            let (r0, c0) = (layout.panel_row[br] as usize, layout.panel_row[bc] as usize);
-            for j in 0..sym.bloks[bc].nrows() {
-                for i in 0..sym.bloks[br].nrows() {
-                    let want: f64 = (0..w)
-                        .map(|p| panel[r0 + i + p * lda] * panel[p + p * lda] * panel[c0 + j + p * lda])
-                        .sum();
-                    let got = &mut strip[t.cblk][t.panel_row + i + (t.col + j) * t.lda];
-                    assert!((*got + want).abs() <= 1e-12 * want.abs().max(1.0), "pair ({br},{bc})");
-                    *got = 0.0;
+        // Every 1D column block, all strips fused (`Packed`) and the small
+        // ones through the strip buffer (`Auto`): each pair's window holds
+        // −L_r·D·L_cᵀ, and nothing outside the windows was touched.
+        let (mut fused, mut buffered, mut stretches_2d) = (0, 0, 0);
+        for k in (0..sym.n_cblks()).filter(|&k| !is_2d[k]) {
+            let cb = &sym.cblks[k];
+            let (w, lda) = (cb.width(), layout.panel_rows(k));
+            for mode in [KernelMode::Packed, KernelMode::Auto] {
+                let (panel, mut got, s2d) = run(k, mode, &CompressionConfig::off());
+                stretches_2d += s2d;
+                for (br, bc) in pairs(k) {
+                    let t = pair_target(sym, &layout, br, bc);
+                    let (r0, c0) = (layout.panel_row[br] as usize, layout.panel_row[bc] as usize);
+                    for j in 0..sym.bloks[bc].nrows() {
+                        for i in 0..sym.bloks[br].nrows() {
+                            let want: f64 = (0..w)
+                                .map(|p| panel[r0 + i + p * lda] * panel[p + p * lda] * panel[c0 + j + p * lda])
+                                .sum();
+                            let got = &mut got[t.cblk][t.panel_row + i + (t.col + j) * t.lda];
+                            assert!((*got + want).abs() <= 1e-12 * want.abs().max(1.0), "{mode:?} pair ({br},{bc})");
+                            *got = 0.0;
+                        }
+                    }
+                }
+                assert!(got.iter().flatten().all(|&v| v == 0.0), "{mode:?}: write outside a pair window of {k}");
+            }
+            for bc in cb.blok_start + 1..cb.blok_end {
+                let mbelow = lda - layout.panel_row[bc] as usize;
+                if KernelMode::Auto.packs(mbelow, sym.bloks[bc].nrows(), w) {
+                    fused += 1;
+                } else {
+                    buffered += 1;
                 }
             }
         }
-        assert!(strip.iter().flatten().all(|&v| v == 0.0), "write outside a pair window");
+        assert!(fused > 0 && buffered > 0 && stretches_2d > 0, "{fused} fused, {buffered} buffered, {stretches_2d}");
 
-        // Compressed tail (tight tolerance): same pairs, same addresses.
-        let (_, tail) = run(&CompressionConfig::with_tolerance(1e-13).min_block(1));
-        for (x, y) in tail.iter().flatten().zip(kept.iter().flatten()) {
+        // Compressed tail (tight tolerance) on a 1D column block facing both
+        // kinds of target: same pairs, same addresses.
+        let k = (0..sym.n_cblks())
+            .find(|&k| {
+                let faces = |want: bool| sym.off_bloks_of(k).iter().any(|b| is_2d[b.fcblk as usize] == want);
+                !is_2d[k] && faces(false) && faces(true)
+            })
+            .expect("mixed mapping has a 1D block facing 1D and 2D targets");
+        let (_, strip, _) = run(k, KernelMode::Auto, &CompressionConfig::off());
+        let (_, tail, _) = run(k, KernelMode::Auto, &CompressionConfig::with_tolerance(1e-13).min_block(1));
+        for (x, y) in tail.iter().flatten().zip(strip.iter().flatten()) {
             assert!((x - y).abs() <= 1e-9 * y.abs().max(1.0), "tail {x} vs strip {y}");
         }
     }
