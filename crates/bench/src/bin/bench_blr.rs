@@ -25,10 +25,11 @@
 //!   the dynamic work-stealing backends: each run replays bitwise and
 //!   refines to ≤ 1e-8.
 //!
-//! Writes `BENCH_blr.json` at the repository root; exits non-zero when
+//! Writes `BENCH_blr.json` at the repository root (opening with
+//! `pastix_bench::env_header`); exits non-zero when
 //! any gate fails. `--quick` shrinks scale and reps for CI.
 
-use pastix_bench::{prepare, scale, schedule_for, scotch_ordering};
+use pastix_bench::{env_header, prepare, scale, schedule_for, scotch_ordering};
 use pastix_graph::{canonical_solution, rhs_for_solution, ProblemId};
 use pastix_json::{obj, Json};
 use pastix_runtime::sim::{FaultPlan, SchedPolicy};
@@ -62,6 +63,8 @@ fn main() {
     let quick = std::env::args().any(|a| a == "--quick");
     let mode = if quick { "quick" } else { "full" };
     println!("bench_blr ({mode}) — block-low-rank compression vs dense factorization");
+    // Once, before this run rewrites BENCH_blr.json and dirties the tree.
+    let header = env_header(mode);
 
     let sc = if quick { 0.03 } else { scale() };
     let reps = if quick { 1 } else { 3 };
@@ -229,17 +232,20 @@ fn main() {
         ]));
     }
 
-    let j = obj([
-        ("bench", Json::Str("blr".to_string())),
-        ("mode", Json::Str(mode.to_string())),
-        ("scale", Json::Num(sc)),
-        ("reps", Json::Num(reps as f64)),
-        ("mem_ratio_max", Json::Num(MEM_RATIO_MAX)),
-        ("residual_max", Json::Num(RESIDUAL_MAX)),
-        ("headline_mem_ratio", Json::Num(headline_ratio)),
-        ("problems", Json::Arr(rows)),
-    ]);
-    std::fs::write(PATH, j.pretty()).expect("write BENCH_blr.json");
+    let mut fields = vec![("bench".to_string(), Json::Str("blr".to_string()))];
+    fields.extend(header);
+    fields.extend(
+        [
+            ("scale", Json::Num(sc)),
+            ("reps", Json::Num(reps as f64)),
+            ("mem_ratio_max", Json::Num(MEM_RATIO_MAX)),
+            ("residual_max", Json::Num(RESIDUAL_MAX)),
+            ("headline_mem_ratio", Json::Num(headline_ratio)),
+            ("problems", Json::Arr(rows)),
+        ]
+        .map(|(k, v)| (k.to_string(), v)),
+    );
+    std::fs::write(PATH, Json::Obj(fields).pretty()).expect("write BENCH_blr.json");
     println!("\nwrote {PATH}");
 
     let mem_ok = headline_ratio <= MEM_RATIO_MAX;

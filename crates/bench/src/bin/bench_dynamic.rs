@@ -14,12 +14,13 @@
 //! to a ≤ 1e-12 residual, and the dynamic engine must pass a seeded sim
 //! sweep under all four chaos scheduling policies.
 //!
-//! Writes `BENCH_dynamic.json` at the repository root. Exits non-zero if
+//! Writes `BENCH_dynamic.json` at the repository root (with
+//! `pastix_bench::env_header`). Exits non-zero if
 //! any agreement gate fails or if dynamic+prio falls below 0.9× the
 //! static engine's throughput on the largest problem (Shipsec5 analog).
 //! `--quick` shrinks scale and reps for CI.
 
-use pastix_bench::{prepare, scale, schedule_for, scotch_ordering};
+use pastix_bench::{env_header, prepare, scale, schedule_for, scotch_ordering};
 use pastix_graph::{canonical_solution, rhs_for_solution, ProblemId};
 use pastix_json::{obj, Json};
 use pastix_runtime::sim::{FaultPlan, SchedPolicy};
@@ -59,6 +60,8 @@ fn main() {
     let quick = std::env::args().any(|a| a == "--quick");
     let mode = if quick { "quick" } else { "full" };
     println!("bench_dynamic ({mode}) — static schedule vs work-stealing executor");
+    // Once, before this run rewrites BENCH_dynamic.json and dirties the tree.
+    let header = env_header(mode);
 
     let sc = if quick { 0.02 } else { scale() };
     let reps = if quick { 1 } else { 3 };
@@ -206,16 +209,19 @@ fn main() {
         ]));
     }
 
-    let j = obj([
-        ("bench", Json::Str("dynamic".to_string())),
-        ("mode", Json::Str(mode.to_string())),
-        ("scale", Json::Num(sc)),
-        ("reps", Json::Num(reps as f64)),
-        ("target_ratio", Json::Num(TARGET_RATIO)),
-        ("headline_ratio", Json::Num(headline_ratio)),
-        ("problems", Json::Arr(rows)),
-    ]);
-    std::fs::write(PATH, j.pretty()).expect("write BENCH_dynamic.json");
+    let mut fields = vec![("bench".to_string(), Json::Str("dynamic".to_string()))];
+    fields.extend(header);
+    fields.extend(
+        [
+            ("scale", Json::Num(sc)),
+            ("reps", Json::Num(reps as f64)),
+            ("target_ratio", Json::Num(TARGET_RATIO)),
+            ("headline_ratio", Json::Num(headline_ratio)),
+            ("problems", Json::Arr(rows)),
+        ]
+        .map(|(k, v)| (k.to_string(), v)),
+    );
+    std::fs::write(PATH, Json::Obj(fields).pretty()).expect("write BENCH_dynamic.json");
     println!("\nwrote {PATH}");
 
     let perf_ok = headline_ratio >= TARGET_RATIO;

@@ -11,7 +11,8 @@
 //!   compute/wait/idle split, critical-path pricing, top tasks, the
 //!   headline `reconciliation` and `model_scale_ns_per_cost` keys the
 //!   trend walker reads) plus the uncalibrated baseline report and both
-//!   `prediction_fit` numbers side by side;
+//!   `prediction_fit` numbers side by side, and the
+//!   `pastix_bench::env_header` fields;
 //! * `target/trace.json` — the uncalibrated run's timeline as Chrome
 //!   trace-event JSON (open in Perfetto or `chrome://tracing`; uploaded
 //!   as a CI artifact);
@@ -26,7 +27,7 @@
 //! discipline as the blocking probe. `--quick` shrinks the problem for
 //! CI.
 
-use pastix_bench::{prepare, scale, scotch_ordering};
+use pastix_bench::{env_header, prepare, scale, scotch_ordering};
 use pastix_graph::ProblemId;
 use pastix_machine::{
     cache_dir, load_calibration_in, store_calibration_in, task_kind, MachineModel,
@@ -62,6 +63,8 @@ fn main() {
     let quick = std::env::args().any(|a| a == "--quick");
     let mode = if quick { "quick" } else { "full" };
     println!("bench_trace ({mode}) — task trace vs static schedule, sim backend");
+    // Once, before this run rewrites BENCH_trace.json and dirties the tree.
+    let header = env_header(mode);
 
     let sc = if quick { 0.02 } else { scale() };
     let procs = 4;
@@ -162,6 +165,7 @@ fn main() {
             ),
         ));
         pairs.push(("uncalibrated".to_string(), uncal.report.to_json(25)));
+        pairs.extend(header);
     }
     std::fs::write(TRACE_PATH, j.pretty()).expect("write BENCH_trace.json");
     println!("wrote {TRACE_PATH}");

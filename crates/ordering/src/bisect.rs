@@ -94,6 +94,15 @@ impl Level {
     }
 }
 
+/// Edge weight of a vertex to the other side of the partition (`ext`)
+/// and in total (`deg`). CsrGraph has no self-loops and coarse graphs drop
+/// them, so every edge counts on exactly one of the two sides.
+#[derive(Clone, Copy, Default)]
+struct Cut {
+    ext: u64,
+    deg: u64,
+}
+
 /// Every buffer a bisection and a separator extraction need, reusable
 /// across calls on graphs of any size (see the module docs).
 #[derive(Default)]
@@ -116,6 +125,8 @@ pub(crate) struct BisectWorkspace {
     /// after [`separator`].
     pub(crate) part: Vec<u8>,
     part_fine: Vec<u8>,
+    /// Cut weights of `part` on the level being refined (level 0 last).
+    cut_w: Vec<Cut>,
     /// Boundary vertices of side 0 and side 1.
     b0: Vec<u32>,
     b1: Vec<u32>,
@@ -168,7 +179,8 @@ fn bisect(ws: &mut BisectWorkspace, g: &CsrGraph, opts: &BisectOptions, seed: u6
             break;
         }
         let coarse = &mut below[0];
-        coarsen(fine, coarse, &mut ws.match_of, &mut ws.queue, &mut ws.rep, &mut ws.accum, &mut rng);
+        let unit = depth == 0;
+        coarsen(fine, unit, coarse, &mut ws.match_of, &mut ws.queue, &mut ws.rep, &mut ws.accum, &mut rng);
         if coarse.vwgt.len() as f64 > fine.n() as f64 * 0.95 {
             // Coarsening stalled (e.g. star graphs) — bisect this level.
             break;
@@ -183,7 +195,7 @@ fn bisect(ws: &mut BisectWorkspace, g: &CsrGraph, opts: &BisectOptions, seed: u6
     let coarsest = ws.levels[..depth].last().map_or(g0, Level::graph);
     let grown = initial_bisection(coarsest, total, &mut rng, &mut ws.part, &mut ws.seen, &mut ws.queue);
     let mut side_w = [grown, total - grown];
-    refine(coarsest, &mut ws.part, &mut side_w, max_side, opts.refine_passes);
+    refine(coarsest, &mut ws.part, &mut side_w, max_side, opts.refine_passes, &mut ws.cut_w);
 
     // Up: project and refine.
     for k in (0..depth).rev() {
@@ -191,14 +203,17 @@ fn bisect(ws: &mut BisectWorkspace, g: &CsrGraph, opts: &BisectOptions, seed: u6
         ws.part_fine.clear();
         ws.part_fine.extend(ws.levels[k].cmap.iter().map(|&c| ws.part[c as usize]));
         std::mem::swap(&mut ws.part, &mut ws.part_fine);
-        refine(fine, &mut ws.part, &mut side_w, max_side, opts.refine_passes);
+        refine(fine, &mut ws.part, &mut side_w, max_side, opts.refine_passes, &mut ws.cut_w);
     }
 }
 
 /// Heavy-edge matching coarsening of `fine` into the buffers of `coarse`
-/// (graph and fine→coarse map).
+/// (graph and fine→coarse map). `unit` says every edge weight of `fine`
+/// is 1 (level 0).
+#[allow(clippy::too_many_arguments)]
 fn coarsen(
     fine: WGraph,
+    unit: bool,
     coarse: &mut Level,
     match_of: &mut Vec<u32>,
     visit: &mut Vec<u32>,
@@ -224,13 +239,20 @@ fn coarsen(
         if match_of[u] != u32::MAX {
             continue;
         }
-        // Heaviest unmatched neighbor.
+        // Heaviest unmatched neighbor. With unit weights the strict `>`
+        // keeps the first one, so the scan stops there.
+        let unmatched = |v: u32| match_of[v as usize] == u32::MAX && v as usize != u;
         let mut best = u32::MAX;
-        let mut best_w = 0u32;
-        for (v, w) in fine.neighbors(u) {
-            if match_of[v as usize] == u32::MAX && v as usize != u && w > best_w {
-                best = v;
-                best_w = w;
+        if unit {
+            let row = &fine.adjncy[fine.xadj[u]..fine.xadj[u + 1]];
+            best = row.iter().copied().find(|&v| unmatched(v)).unwrap_or(u32::MAX);
+        } else {
+            let mut best_w = 0u32;
+            for (v, w) in fine.neighbors(u) {
+                if unmatched(v) && w > best_w {
+                    best = v;
+                    best_w = w;
+                }
             }
         }
         let c = rep.len() as u32;
@@ -363,34 +385,36 @@ fn bfs_far(wg: WGraph, seed: usize, seen: &mut Vec<bool>, queue: &mut Vec<u32>) 
     queue[head - 1] as usize
 }
 
-/// Boundary FM refinement: repeated single passes moving the best-gain
-/// movable boundary vertex, with weight-balance guardrails. `side_w` is
-/// the weight of each side of `part`, kept current.
-fn refine(wg: WGraph, part: &mut [u8], side_w: &mut [u64; 2], max_side: u64, passes: usize) {
+/// Boundary FM refinement: repeated single passes moving every movable
+/// vertex whose move decreases the cut, with weight-balance guardrails.
+/// `side_w` is the weight of each side of `part`, kept current. The cut
+/// weights are counted once and then kept current move by move, so a pass
+/// reads O(1) per vertex; they describe `part` on return.
+fn refine(wg: WGraph, part: &mut [u8], side_w: &mut [u64; 2], max_side: u64, passes: usize, cut_w: &mut Vec<Cut>) {
     let n = wg.n();
+    cut_w.clear();
+    cut_w.extend((0..n).map(|v| {
+        let mut cw = Cut::default();
+        for (u, w) in wg.neighbors(v) {
+            cw.deg += w as u64;
+            if part[u as usize] != part[v] {
+                cw.ext += w as u64;
+            }
+        }
+        cw
+    }));
     for _ in 0..passes {
         let mut moved_any = false;
-        // Gain of moving v to the other side: cut decrease.
         for v in 0..n {
-            let from = part[v] as usize;
-            let to = 1 - from;
+            let to = 1 - part[v] as usize;
             if side_w[to] + wg.vwgt[v] as u64 > max_side {
                 continue;
             }
-            let mut gain: i64 = 0;
-            let mut has_cross = false;
-            for (u, w) in wg.neighbors(v) {
-                if part[u as usize] as usize == from {
-                    gain -= w as i64;
-                } else {
-                    gain += w as i64;
-                    has_cross = true;
-                }
-            }
-            if has_cross && gain > 0 {
-                part[v] = to as u8;
-                side_w[from] -= wg.vwgt[v] as u64;
-                side_w[to] += wg.vwgt[v] as u64;
+            // Gain of the move = ext - (deg - ext) > 0; it implies ext > 0,
+            // a neighbour across.
+            let Cut { ext, deg } = cut_w[v];
+            if 2 * ext > deg {
+                flip(wg, part, side_w, cut_w, v);
                 moved_any = true;
             }
         }
@@ -400,11 +424,28 @@ fn refine(wg: WGraph, part: &mut [u8], side_w: &mut [u64; 2], max_side: u64, pas
     }
     // Keep both sides non-empty when possible.
     if side_w[0] == 0 || side_w[1] == 0 {
-        let empty = if side_w[0] == 0 { 0 } else { 1 };
         if let Some(v) = (0..n).min_by_key(|&v| wg.vwgt[v]) {
-            part[v] = empty as u8;
-            side_w[empty] += wg.vwgt[v] as u64;
-            side_w[1 - empty] -= wg.vwgt[v] as u64;
+            // The side it leaves is the non-empty one: every weight is ≥ 1.
+            flip(wg, part, side_w, cut_w, v);
+        }
+    }
+}
+
+/// Moves `v` to the other side of `part`, keeping `side_w` and the cut
+/// weights of `v` and its neighbours current.
+fn flip(wg: WGraph, part: &mut [u8], side_w: &mut [u64; 2], cut_w: &mut [Cut], v: usize) {
+    let to = 1 - part[v];
+    part[v] = to;
+    let vw = wg.vwgt[v] as u64;
+    side_w[1 - to as usize] -= vw;
+    side_w[to as usize] += vw;
+    cut_w[v].ext = cut_w[v].deg - cut_w[v].ext;
+    for (u, w) in wg.neighbors(v) {
+        let cu = &mut cut_w[u as usize];
+        if part[u as usize] == to {
+            cu.ext -= w as u64;
+        } else {
+            cu.ext += w as u64;
         }
     }
 }
@@ -431,16 +472,17 @@ pub(crate) fn separator(
     let n = g.n();
     bisect(ws, g, opts, seed);
     let BisectWorkspace {
-        part, b0, b1, idx1, cut_ptr, cut, match0, match1, round, reached0, reached1, stack, ..
+        part, cut_w, b0, b1, idx1, cut_ptr, cut, match0, match1, round, reached0, reached1, stack, ..
     } = ws;
 
-    // Boundary vertices on each side.
+    // Boundary vertices on each side: the last refinement ran on `g` and
+    // left its cut weights.
     b0.clear();
     b1.clear();
     refill(idx1, n, u32::MAX);
     for v in 0..n {
         let pv = part[v];
-        if g.neighbors(v).iter().any(|&u| part[u as usize] != pv) {
+        if cut_w[v].ext > 0 {
             if pv == 0 {
                 b0.push(v as u32);
             } else {
@@ -579,6 +621,112 @@ mod tests {
             }
         }
         CsrGraph::from_edges(nx * ny, &e)
+    }
+
+    /// The refinement before the cut weights were kept: every pass
+    /// recounts each vertex's gain from its row. [`refine`] must match it
+    /// bit for bit.
+    fn refine_recount(wg: WGraph, part: &mut [u8], side_w: &mut [u64; 2], max_side: u64, passes: usize) {
+        let n = wg.n();
+        for _ in 0..passes {
+            let mut moved_any = false;
+            for v in 0..n {
+                let from = part[v] as usize;
+                let to = 1 - from;
+                if side_w[to] + wg.vwgt[v] as u64 > max_side {
+                    continue;
+                }
+                let mut gain: i64 = 0;
+                let mut has_cross = false;
+                for (u, w) in wg.neighbors(v) {
+                    if part[u as usize] as usize == from {
+                        gain -= w as i64;
+                    } else {
+                        gain += w as i64;
+                        has_cross = true;
+                    }
+                }
+                if has_cross && gain > 0 {
+                    part[v] = to as u8;
+                    side_w[from] -= wg.vwgt[v] as u64;
+                    side_w[to] += wg.vwgt[v] as u64;
+                    moved_any = true;
+                }
+            }
+            if !moved_any {
+                break;
+            }
+        }
+        if side_w[0] == 0 || side_w[1] == 0 {
+            let empty = if side_w[0] == 0 { 0 } else { 1 };
+            if let Some(v) = (0..n).min_by_key(|&v| wg.vwgt[v]) {
+                part[v] = empty as u8;
+                side_w[empty] += wg.vwgt[v] as u64;
+                side_w[1 - empty] -= wg.vwgt[v] as u64;
+            }
+        }
+    }
+
+    /// A seeded random graph on `n` vertices (up to `4n` edge draws) with
+    /// symmetric edge weights in 1..=9 and vertex weights in 1..=4.
+    fn weighted(rng: &mut SmallRng, n: usize) -> (CsrGraph, Vec<u32>, Vec<u32>) {
+        let m = rng.gen_range(0..=4 * n);
+        let edges: Vec<(u32, u32)> = (0..m).map(|_| (rng.gen_range(0..n) as u32, rng.gen_range(0..n) as u32)).collect();
+        let g = CsrGraph::from_edges(n, &edges);
+        let w = |u: usize, v: u32| ((u.min(v as usize) * 31 + u.max(v as usize) * 17) % 9 + 1) as u32;
+        let ewgt = (0..n).flat_map(|u| g.neighbors(u).iter().map(move |&v| w(u, v))).collect();
+        let vwgt = (0..n).map(|_| rng.gen_range(1..=4)).collect();
+        (g, ewgt, vwgt)
+    }
+
+    #[test]
+    fn incremental_refine_matches_the_full_recount() {
+        let mut rng = SmallRng::seed_from_u64(24);
+        let mut cut_w = Vec::new();
+        for case in 0..400 {
+            let n = rng.gen_range(1..=120);
+            let (g, ewgt, vwgt) = weighted(&mut rng, n);
+            let wg = WGraph { xadj: g.xadj(), adjncy: g.adjncy(), ewgt: &ewgt, vwgt: &vwgt };
+            // Every fifth partition starts with one side empty.
+            let empty = (case % 5 == 0).then(|| rng.gen_range(0..2u8));
+            let part: Vec<u8> = (0..n).map(|_| empty.map_or_else(|| rng.gen_range(0..2u8), |e| 1 - e)).collect();
+            let total: u64 = vwgt.iter().map(|&w| w as u64).sum();
+            let w0: u64 = (0..n).filter(|&v| part[v] == 0).map(|v| vwgt[v] as u64).sum();
+            let imbalance: f64 = rng.gen_range(1.0..=1.5);
+            let max_side = ((total as f64 / 2.0) * imbalance).ceil() as u64;
+            let passes = rng.gen_range(1..=6);
+            let (mut want, mut want_w) = (part.clone(), [w0, total - w0]);
+            refine_recount(wg, &mut want, &mut want_w, max_side, passes);
+            let (mut got, mut got_w) = (part, [w0, total - w0]);
+            refine(wg, &mut got, &mut got_w, max_side, passes, &mut cut_w);
+            assert_eq!((&got, got_w), (&want, want_w), "case {case}");
+            // The kept cut weights describe the final partition (the
+            // separator reads its boundary from them).
+            for v in 0..n {
+                let ext: u64 = wg.neighbors(v).filter(|&(u, _)| got[u as usize] != got[v]).map(|(_, w)| w as u64).sum();
+                assert_eq!(cut_w[v].ext, ext, "case {case} vertex {v}");
+            }
+        }
+    }
+
+    #[test]
+    fn unit_weight_matching_equals_the_weighted_scan() {
+        let mut rng = SmallRng::seed_from_u64(0x1e7e1);
+        for case in 0..60 {
+            let n = rng.gen_range(1..=300);
+            let (g, ..) = weighted(&mut rng, n);
+            let ones = vec![1; g.n_adj().max(n)];
+            let wg = WGraph { xadj: g.xadj(), adjncy: g.adjncy(), ewgt: &ones[..g.n_adj()], vwgt: &ones[..n] };
+            let seed = rng.gen_range(0..u64::MAX);
+            let coarse = |unit: bool| {
+                let (mut level, mut match_of, mut visit, mut rep, mut accum) = Default::default();
+                let mut rng = SmallRng::seed_from_u64(seed);
+                coarsen(wg, unit, &mut level, &mut match_of, &mut visit, &mut rep, &mut accum, &mut rng);
+                let c = level.graph();
+                (c.xadj.to_vec(), c.adjncy.to_vec(), c.ewgt.to_vec(), c.vwgt.to_vec(), level.cmap.clone(), match_of)
+            };
+            assert_eq!(coarse(true), coarse(false), "case {case}");
+        }
     }
 
     #[test]
