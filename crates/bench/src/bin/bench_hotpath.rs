@@ -14,11 +14,15 @@
 //!   packed path above the dispatch threshold), with a factor checksum per
 //!   mode, the tracing-overhead gate, and the *where factorization time
 //!   goes* stage table of the static driver on one and two ranks, read off
-//!   the `solver.comp1d.*` counters of wall-clock traced runs.
+//!   the `solver.comp1d.*` counters of wall-clock traced runs, and the
+//!   `front_end` table: pattern build, scatter on one thread and on the
+//!   workers, and the plan-cached front end, per `bench_e2e` matrix.
 //!
 //! The process exits non-zero if the two modes' factor checksums diverge
 //! beyond round-off — the packed path must be a pure reassociation of the
-//! reference arithmetic, never a different answer — or, in full mode, if
+//! reference arithmetic, never a different answer —, if a storage filled
+//! through the plan's pattern is not bit-identical to the permuted-copy
+//! path's, or, in full mode, if
 //! the packed kernel is not at least 2.5 × the reference at 384³ (in
 //! `--quick` that gate prints `skipped`: the case is not run). `--quick`
 //! shrinks reps and problem scale for CI; `PASTIX_SCALE` /
@@ -34,7 +38,7 @@ use pastix_kernels::{KernelMode, Scalar};
 use pastix_machine::probe_blocking;
 use pastix_graph::Parallelism;
 use pastix_solver::{
-    factorize_sequential, AnalyzeOptions, FactorStorage, MetricsRegistry, Plan, SolverConfig,
+    factorize_sequential, AnalyzeOptions, FactorStorage, MetricsRegistry, Plan, ScatterPattern, SolverConfig,
 };
 use pastix_trace::TraceOptions;
 use std::time::Instant;
@@ -74,7 +78,10 @@ fn main() {
     println!("wrote {FACTORIZE_PATH}");
 
     if !checksums_ok {
-        eprintln!("FAIL: packed/reference factor checksums diverged (see BENCH_factorize.json)");
+        eprintln!(
+            "FAIL: packed/reference factor checksums diverged, or a front end's storage differs \
+             from the copy path's (see BENCH_factorize.json)"
+        );
         std::process::exit(1);
     }
     if tile_ok == Some(false) {
@@ -364,6 +371,94 @@ fn bench_stages(quick: bool) -> Json {
     obj([("problem", Json::Str(id.name().into())), ("scale", Json::Num(sc)), ("reps", Json::Num(reps as f64)), ("rows", Json::Arr(rows))])
 }
 
+/// Workers of the front-end table's parallel scatter: `bench_e2e`'s.
+const FRONT_END_WORKERS: usize = 2;
+
+/// The front end of a factorization, per matrix (`bench_e2e`'s three
+/// direct matrices; smaller scales in quick mode): `SymCsc::permuted`
+/// alone, for scale; building `P·A·Pᵀ`'s pattern, validation included;
+/// zeroing the storage; scattering `A`'s values through the pattern on one
+/// thread and on [`FRONT_END_WORKERS`]; the plan-cached front end a
+/// refactorization pays (`Plan::scattered`: the pattern lookup, zeroing,
+/// the scatter on the workers); and the copy path it replaced (permuted
+/// copy, zeroing, serial scatter). Raw ms, medians of `reps` with the
+/// variants interleaved in every rep. The second value says every storage
+/// filled through the pattern was bit-identical to the copy path's.
+fn bench_front_end(quick: bool) -> (Json, bool) {
+    let (cases, reps) = match quick {
+        true => ([(ProblemId::Bmwcra1, 0.02), (ProblemId::Quer, 0.2), (ProblemId::Shipsec5, 0.04)], 3),
+        false => ([(ProblemId::Bmwcra1, 0.1), (ProblemId::Quer, 1.0), (ProblemId::Shipsec5, 0.2)], 15),
+    };
+    const COLUMNS: [&str; 7] = ["permuted", "build", "zeros", "scatter_1", "scatter_w", "cached", "copy_path"];
+    println!();
+    println!("front end of a factorization, median of {reps} (ms; scatter_w and cached on {FRONT_END_WORKERS} workers)");
+    print!("{:<10} {:>6} {:>9}", "Name", "scale", "nnz(A)");
+    COLUMNS.iter().for_each(|c| print!(" {c:>9}"));
+    println!();
+    let mut rows = Vec::new();
+    let mut identical = true;
+    for (id, sc) in cases {
+        let a = pastix_graph::build_problem::<f64>(id, sc);
+        let plan = Plan::analyze(&a, &SolverConfig::new().with_analyze(AnalyzeOptions::with_procs(FRONT_END_WORKERS)));
+        let (sym, perm) = (plan.symbol(), plan.permutation());
+        let metrics = MetricsRegistry::new();
+        let warm = plan.scattered(&a, FRONT_END_WORKERS, &metrics).expect("the analyzed pattern");
+        let bits = |st: &FactorStorage<f64>| st.panels.iter().flatten().map(|v| v.to_bits()).collect::<Vec<u64>>();
+        let want = bits(&warm);
+        let mut ms: [Vec<f64>; 7] = Default::default();
+        let mut lap = |slot: usize, t0: Instant| ms[slot].push(t0.elapsed().as_secs_f64() * 1e3);
+        for _ in 0..reps {
+            let t0 = Instant::now();
+            std::hint::black_box(a.permuted(perm.expect("analyzed plans own a permutation")));
+            lap(0, t0);
+            let t0 = Instant::now();
+            let pattern = ScatterPattern::build(&a, perm, sym).expect("the analyzed pattern");
+            lap(1, t0);
+            let t0 = Instant::now();
+            let mut serial = FactorStorage::zeros(sym);
+            lap(2, t0);
+            let t0 = Instant::now();
+            serial.scatter_through(sym, &pattern, &a, 1);
+            lap(3, t0);
+            let mut par = FactorStorage::zeros(sym);
+            let t0 = Instant::now();
+            par.scatter_through(sym, &pattern, &a, FRONT_END_WORKERS);
+            lap(4, t0);
+            let t0 = Instant::now();
+            let cached = plan.scattered(&a, FRONT_END_WORKERS, &metrics).expect("the analyzed pattern");
+            lap(5, t0);
+            let t0 = Instant::now();
+            let ap = a.permuted(perm.expect("analyzed plans own a permutation"));
+            let mut copy = FactorStorage::zeros(sym);
+            copy.scatter(sym, &ap);
+            lap(6, t0);
+            identical &= [&serial, &par, &cached, &copy].into_iter().all(|st| bits(st) == want);
+        }
+        let medians = ms.map(|mut v| {
+            v.sort_by(f64::total_cmp);
+            v[v.len() / 2]
+        });
+        print!("{:<10} {sc:>6} {:>9}", id.name(), a.nnz_stored());
+        medians.iter().for_each(|m| print!(" {m:>9.2}"));
+        println!();
+        let mut row = vec![
+            ("name".to_string(), Json::Str(id.name().into())),
+            ("scale".to_string(), Json::Num(sc)),
+            ("nnz_stored".to_string(), Json::Num(a.nnz_stored() as f64)),
+        ];
+        row.extend(COLUMNS.iter().zip(medians).map(|(c, m)| (format!("{c}_ms"), Json::Num(m))));
+        rows.push(Json::Obj(row));
+    }
+    println!("front-end storage bit-identical to the copy path: {}", if identical { "yes" } else { "NO" });
+    let report = obj([
+        ("workers", Json::Num(FRONT_END_WORKERS as f64)),
+        ("reps", Json::Num(reps as f64)),
+        ("rows", Json::Arr(rows)),
+        ("storage_bit_identical", Json::Bool(identical)),
+    ]);
+    (report, identical)
+}
+
 /// Acceptance target from the issue: with tracing enabled the hot path may
 /// regress by at most this fraction vs tracing disabled.
 const TRACE_OVERHEAD_LIMIT: f64 = 0.02;
@@ -438,6 +533,7 @@ fn bench_factorize(quick: bool, header: &[(String, Json)]) -> (Json, bool) {
         trace_overhead * 100.0,
         if trace_ok { "MET" } else { "NOT MET" }
     );
+    let (front_end, front_end_ok) = bench_front_end(quick);
     let mut all =
         vec![("bench".to_string(), Json::Str("sequential LDLt, packed vs reference kernels".into()))];
     all.extend(header.iter().cloned());
@@ -456,9 +552,10 @@ fn bench_factorize(quick: bool, header: &[(String, Json)]) -> (Json, bool) {
             ("tracing_overhead_ok", Json::Bool(trace_ok)),
             ("checksums_ok", Json::Bool(ok)),
             ("static_stages", bench_stages(quick)),
+            ("front_end", front_end),
         ]
         .map(|(k, v)| (k.to_string(), v)),
     );
     let report = Json::Obj(all);
-    (report, ok)
+    (report, ok && front_end_ok)
 }

@@ -18,6 +18,7 @@ pub mod gen;
 pub mod io;
 pub mod matrix;
 pub mod par;
+pub mod pattern;
 pub mod perm;
 pub mod problems;
 

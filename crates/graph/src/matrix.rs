@@ -7,6 +7,7 @@
 //! symmetry.
 
 use crate::csr::CsrGraph;
+use crate::pattern::LowerPattern;
 use crate::perm::Permutation;
 use pastix_kernels::scalar::Scalar;
 
@@ -48,41 +49,10 @@ impl<T: Scalar> SymCsc<T> {
 
     /// Builds from triplets `(row, col, value)`. Entries are mirrored onto
     /// the lower triangle (an upper entry `(i, j)` with `i < j` contributes
-    /// to `(j, i)`) and duplicates are summed.
+    /// to `(j, i)`) and duplicates are summed in input order. `O(nnz + n)`:
+    /// a [`LowerPattern`] counting build, then a gather.
     pub fn from_triplets(n: usize, triplets: &[(u32, u32, T)]) -> Self {
-        let mut cols: Vec<Vec<(u32, T)>> = vec![Vec::new(); n];
-        for &(r, c, v) in triplets {
-            let (i, j) = if r >= c { (r, c) } else { (c, r) };
-            assert!((i as usize) < n, "row {i} out of range");
-            cols[j as usize].push((i, v));
-        }
-        let mut colptr = vec![0usize; n + 1];
-        let mut rowind = Vec::new();
-        let mut values = Vec::new();
-        for (j, col) in cols.iter_mut().enumerate() {
-            col.sort_unstable_by_key(|&(i, _)| i);
-            let mut iter = col.iter().peekable();
-            while let Some(&(i, v)) = iter.next() {
-                let mut sum = v;
-                while let Some(&&(i2, v2)) = iter.peek() {
-                    if i2 == i {
-                        sum += v2;
-                        iter.next();
-                    } else {
-                        break;
-                    }
-                }
-                rowind.push(i);
-                values.push(sum);
-            }
-            colptr[j + 1] = rowind.len();
-        }
-        Self {
-            n,
-            colptr,
-            rowind,
-            values,
-        }
+        LowerPattern::counting(n, triplets).gather(|e| triplets[e].2)
     }
 
     /// Matrix order.
@@ -212,18 +182,11 @@ impl<T: Scalar> SymCsc<T> {
     }
 
     /// Applies a symmetric permutation: entry `(i, j)` of the result equals
-    /// entry `(perm[i], perm[j])` of `self`.
+    /// entry `(perm[i], perm[j])` of `self`. `O(nnz + n)`: the permuted
+    /// [`LowerPattern`], then a gather of the values through it.
     pub fn permuted(&self, p: &Permutation) -> SymCsc<T> {
         assert_eq!(p.len(), self.n);
-        let mut triplets = Vec::with_capacity(self.nnz_stored());
-        for j in 0..self.n {
-            let nj = p.new_of(j) as u32;
-            for (&i, &v) in self.rows_of(j).iter().zip(self.vals_of(j)) {
-                let ni = p.new_of(i as usize) as u32;
-                triplets.push((ni, nj, v));
-            }
-        }
-        SymCsc::from_triplets(self.n, &triplets)
+        LowerPattern::permuted(self.n, &self.colptr, &self.rowind, Some(p)).gather(|e| self.values[e])
     }
 
     /// Replaces the diagonal so the matrix becomes strictly diagonally

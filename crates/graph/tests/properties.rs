@@ -15,8 +15,98 @@ fn random_sym_matrix(n: usize, entries: Vec<(u32, u32, f64)>) -> SymCsc<f64> {
     SymCsc::from_triplets(n, &tr)
 }
 
+/// `from_triplets` as it was before the counting builder: one growing
+/// `Vec` per column, a comparison sort, duplicates summed in sorted order.
+fn oracle_from_triplets(n: usize, triplets: &[(u32, u32, f64)]) -> SymCsc<f64> {
+    let mut cols: Vec<Vec<(u32, f64)>> = vec![Vec::new(); n];
+    for &(r, c, v) in triplets {
+        let (i, j) = if r >= c { (r, c) } else { (c, r) };
+        assert!((i as usize) < n, "row {i} out of range");
+        cols[j as usize].push((i, v));
+    }
+    let mut colptr = vec![0usize; n + 1];
+    let mut rowind = Vec::new();
+    let mut values = Vec::new();
+    for (j, col) in cols.iter_mut().enumerate() {
+        col.sort_unstable_by_key(|&(i, _)| i);
+        let mut iter = col.iter().peekable();
+        while let Some(&(i, v)) = iter.next() {
+            let mut sum = v;
+            while let Some(&&(i2, v2)) = iter.peek() {
+                if i2 == i {
+                    sum += v2;
+                    iter.next();
+                } else {
+                    break;
+                }
+            }
+            rowind.push(i);
+            values.push(sum);
+        }
+        colptr[j + 1] = rowind.len();
+    }
+    SymCsc::from_parts(n, colptr, rowind, values)
+}
+
+/// `permuted` as it was: a triplet per entry through the old `from_triplets`.
+fn oracle_permuted(a: &SymCsc<f64>, p: &Permutation) -> SymCsc<f64> {
+    let mut triplets = Vec::with_capacity(a.nnz_stored());
+    for j in 0..a.n() {
+        let nj = p.new_of(j) as u32;
+        for (&i, &v) in a.rows_of(j).iter().zip(a.vals_of(j)) {
+            triplets.push((p.new_of(i as usize) as u32, nj, v));
+        }
+    }
+    oracle_from_triplets(a.n(), &triplets)
+}
+
+/// Same pattern, and the same value bits at every position.
+fn bit_identical(a: &SymCsc<f64>, b: &SymCsc<f64>) -> bool {
+    a.n() == b.n()
+        && a.colptr() == b.colptr()
+        && a.rowind() == b.rowind()
+        && a.values().iter().map(|v| v.to_bits()).eq(b.values().iter().map(|v| v.to_bits()))
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
+
+    /// The counting builder against the sorting oracle, bit for bit, on
+    /// triplets with duplicates, mirrored upper entries and empty columns,
+    /// `n` down to 0 and 1, under identity, reversed and random
+    /// permutations. Values are multiples of 1/8, so every summation order
+    /// of the duplicates gives the same bits and the oracle's unstable sort
+    /// cannot differ from the builder's input order.
+    #[test]
+    fn counting_builder_matches_the_sorting_oracle(
+        n in 0usize..24,
+        entries in prop::collection::vec((0u32..24, 0u32..24, -64i32..64), 0..90),
+        kind in 0u8..3,
+        perm_seed in 0u64..10_000,
+    ) {
+        let trips: Vec<(u32, u32, f64)> = match n {
+            0 => Vec::new(),
+            _ => entries.iter().map(|&(i, j, v)| (i % n as u32, j % n as u32, v as f64 / 8.0)).collect(),
+        };
+        let a = SymCsc::from_triplets(n, &trips);
+        prop_assert!(bit_identical(&a, &oracle_from_triplets(n, &trips)), "from_triplets");
+        let mut p: Vec<u32> = (0..n as u32).collect();
+        match kind {
+            0 => {}
+            1 => p.reverse(),
+            _ => {
+                let mut rng = perm_seed.wrapping_mul(0x9E37_79B9_7F4A_7C15).max(1);
+                for i in (1..n).rev() {
+                    rng ^= rng << 13;
+                    rng ^= rng >> 7;
+                    rng ^= rng << 17;
+                    p.swap(i, (rng % (i as u64 + 1)) as usize);
+                }
+            }
+        }
+        let perm = Permutation::from_perm(p);
+        prop_assert!(bit_identical(&a.permuted(&perm), &oracle_permuted(&a, &perm)), "permuted");
+    }
 
     #[test]
     fn permuted_matvec_commutes(n in 1usize..30, entries in prop::collection::vec((0u32..30, 0u32..30, -2.0f64..2.0), 0..80), perm_seed in 0u64..10_000) {

@@ -31,6 +31,17 @@ pub enum FactorError {
         /// Its column.
         col: usize,
     },
+    /// A stored entry falls outside the block structure the plan was
+    /// analyzed for, or the matrix has another order than the plan; found
+    /// before any numeric work. For an order mismatch `row = col` is the
+    /// first index one of the two orders lacks.
+    PatternMismatch {
+        /// Row of the first offending stored entry, in the matrix's own
+        /// numbering.
+        row: usize,
+        /// Its column.
+        col: usize,
+    },
 }
 
 impl FactorError {
@@ -49,6 +60,9 @@ impl std::fmt::Display for FactorError {
         match self {
             FactorError::ZeroPivot(i) => write!(f, "zero pivot at local index {i}"),
             FactorError::NonFinite { row, col } => write!(f, "non-finite matrix value at ({row}, {col})"),
+            FactorError::PatternMismatch { row, col } => {
+                write!(f, "entry ({row}, {col}) is outside the analyzed pattern")
+            }
         }
     }
 }

@@ -60,7 +60,8 @@ pub enum RejectReason {
         index: usize,
     },
     /// The matrix could not be factorized (a non-finite stored value, a
-    /// zero pivot); every ticket of the batch carries the error.
+    /// zero pivot, a pattern its plan does not cover); every ticket of the
+    /// batch carries the error.
     Factorization(FactorError),
 }
 

@@ -249,6 +249,21 @@ impl<T: Scalar> SolverSession<T> {
         self.metrics.set_gauge("serve.cache.bytes", self.bytes as f64);
     }
 
+    /// Seeds the plan cache with `plan` for `a`'s pattern — a plan
+    /// analyzed elsewhere (another session, say one over the other scalar
+    /// type, or a warm-up), so the first miss on that pattern skips the
+    /// analysis. The plan is taken on trust: a matrix of that pattern it
+    /// does not cover fails its factorization with
+    /// [`FactorError::PatternMismatch`], and its batch is refused.
+    pub fn adopt_plan(&mut self, a: &SymCsc<T>, plan: Plan) {
+        let pattern = (MatrixFingerprint::of(a).structure, a.n(), a.nnz_stored());
+        self.plans.0.retain(|(key, _)| *key != pattern);
+        self.plans.push(pattern, plan);
+        while self.plans.len() > 2 * self.opts.capacity {
+            self.plans.pop_cold();
+        }
+    }
+
     /// Returns the cached factorization of `a`. On a miss, the stored
     /// values are screened (a NaN or an infinity is a
     /// [`FactorError::NonFinite`] before anything is analyzed, cached or

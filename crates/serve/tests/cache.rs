@@ -156,6 +156,9 @@ proptest! {
             prop_assert_eq!(c("serve.plan.hits"), plan_hits);
             prop_assert_eq!(c("serve.plan.misses"), plan_misses);
             prop_assert_eq!(c("solver.routing_builds"), plan_misses);
+            // A plan hit is a same-pattern matrix: the plan's cached
+            // pattern of `P·A·Pᵀ` serves it without a rebuild.
+            prop_assert_eq!(c("solver.permute_builds"), plan_misses);
             prop_assert_eq!(c("solver.solve_plan_builds"), plan_misses);
         }
     }

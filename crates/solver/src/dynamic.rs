@@ -22,11 +22,11 @@
 
 use crate::compress::{finalize_compression, CompressionConfig};
 use crate::config::{FactorRun, SolverConfig};
+use crate::pattern::Entries;
 use crate::solve_plan::SolveDag;
-use crate::storage::{pair_target, strip_stretches, FactorStorage, PanelLayout};
+use crate::storage::{pair_target, scatter_cblk, strip_stretches, FactorStorage, PanelLayout};
 use crate::sweeps::{self, RowSink};
 use crate::tasks::{self, ContribSink, Scratch, StretchFn};
-use pastix_graph::SymCsc;
 use pastix_kernels::factor::FactorError;
 use pastix_kernels::{LowRankBlock, LrOp, Scalar};
 use pastix_runtime::steal::{run_dag, DagSpec, TaskCtx};
@@ -87,6 +87,9 @@ fn priority_vec(
 struct DynFactor<'a, T> {
     sym: &'a SymbolMatrix,
     layout: &'a PanelLayout,
+    /// `P·A·Pᵀ`'s entries, scattered into a panel by its first locker.
+    a: Entries<'a, T>,
+    /// Allocated by the calling thread, empty until first locked.
     panels: &'a [Mutex<Vec<T>>],
     fbufs: &'a [Mutex<Vec<T>>],
     /// Block low-rank compression knobs (off by default).
@@ -107,12 +110,12 @@ struct LockedPanels<'s, 'a, T> {
     held: Option<(usize, MutexGuard<'a, Vec<T>>)>,
 }
 
-impl<'a, T> LockedPanels<'_, 'a, T> {
+impl<'a, T: Scalar> LockedPanels<'_, 'a, T> {
     /// The panel of column block `cblk`, locked.
     fn lock(&mut self, cblk: usize) -> &mut Vec<T> {
         if self.held.as_ref().is_none_or(|(held, _)| *held != cblk) {
             self.held = None; // release before locking: one target at a time
-            self.held = Some((cblk, self.shared.panels[cblk].lock().unwrap()));
+            self.held = Some((cblk, self.shared.panel(cblk)));
         }
         &mut self.held.as_mut().expect("target lock just taken").1
     }
@@ -138,9 +141,22 @@ impl<'a, T: Scalar> DynFactor<'a, T> {
         LockedPanels { shared: self, held: None }
     }
 
+    /// The panel of column block `k`, locked. Its first locker — its own
+    /// task or the first contribution into it, whichever a worker runs
+    /// first — zero-fills it and scatters `A`'s columns of `k` into it, so
+    /// `A`'s values are in place before anything is added to them.
+    fn panel(&self, k: usize) -> MutexGuard<'a, Vec<T>> {
+        let mut panel = self.panels[k].lock().unwrap();
+        if panel.is_empty() {
+            panel.resize(self.layout.panel_rows(k) * self.sym.cblks[k].width(), T::zero());
+            scatter_cblk(self.sym, self.layout, k, self.a, &mut panel);
+        }
+        panel
+    }
+
     /// COMP1D on the locked panel of `k`.
     fn comp1d(&self, k: usize, zero_pivot: bool, scratch: &mut Scratch<T>) -> Result<(), FactorError> {
-        let mut panel = self.panels[k].lock().unwrap();
+        let mut panel = self.panel(k);
         if zero_pivot {
             panel[0] = T::zero();
         }
@@ -164,7 +180,7 @@ impl<'a, T: Scalar> DynFactor<'a, T> {
     fn factor(&self, k: usize, zero_pivot: bool, scratch: &mut Scratch<T>) -> Result<(), FactorError> {
         let cb = &self.sym.cblks[k];
         let lda = self.layout.panel_rows(k);
-        let mut panel = self.panels[k].lock().unwrap();
+        let mut panel = self.panel(k);
         if zero_pivot {
             panel[0] = T::zero();
         }
@@ -178,7 +194,7 @@ impl<'a, T: Scalar> DynFactor<'a, T> {
         let lda = self.layout.panel_rows(k);
         let hb = self.sym.bloks[blok].nrows();
         let prow = self.layout.panel_row[blok] as usize;
-        let mut panel = self.panels[k].lock().unwrap();
+        let mut panel = self.panel(k);
         scratch.load_diag(w, &panel, lda);
         let mut fbuf = self.fbufs[blok].lock().unwrap();
         fbuf.resize(hb * w, T::zero());
@@ -194,7 +210,7 @@ impl<'a, T: Scalar> DynFactor<'a, T> {
         let hr = self.sym.bloks[blok_row].nrows();
         let hc = self.sym.bloks[blok_col].nrows();
         let prow = self.layout.panel_row[blok_row] as usize;
-        let panel = self.panels[k].lock().unwrap();
+        let panel = self.panel(k);
         let fbuf = self.fbufs[blok_col].lock().unwrap();
         debug_assert_eq!(fbuf.len(), hc * w);
         self.sink().pair(
@@ -214,7 +230,7 @@ impl<'a, T: Scalar> DynFactor<'a, T> {
 /// back assembled (the panels *are* the regions — no merge step).
 pub(crate) fn factorize_dynamic<T: Scalar>(
     sym: &SymbolMatrix,
-    a: &SymCsc<T>,
+    a: Entries<'_, T>,
     graph: &TaskGraph,
     sched: Option<&Schedule>,
     dopts: &DynamicOptions,
@@ -225,9 +241,9 @@ pub(crate) fn factorize_dynamic<T: Scalar>(
         "task graph was built for a different symbol matrix"
     );
     let _mode = cfg.kernel_mode.scoped();
-    let mut storage = FactorStorage::zeros(sym);
-    storage.scatter(sym, a);
-    let FactorStorage { layout, panels, compression: _ } = storage;
+    // Allocated by the calling thread, which owns the factor afterwards
+    // (DESIGN §7); filled on the run's workers (`DynFactor::panel`).
+    let FactorStorage { layout, panels, compression: _ } = FactorStorage::allocated(sym);
     let panels: Vec<Mutex<Vec<T>>> = panels.into_iter().map(Mutex::new).collect();
     let fbufs: Vec<Mutex<Vec<T>>> = (0..sym.bloks.len()).map(|_| Mutex::new(Vec::new())).collect();
 
@@ -247,6 +263,7 @@ pub(crate) fn factorize_dynamic<T: Scalar>(
     let shared = DynFactor {
         sym,
         layout: &layout,
+        a,
         panels: &panels,
         fbufs: &fbufs,
         compression: cfg.compression,
@@ -492,7 +509,7 @@ mod tests {
         let sym = &mapping.graph.split.symbol;
         let sched = use_sched.then_some(&mapping.schedule);
         let cfg = SolverConfig::default();
-        let run = factorize_dynamic(sym, ap, &mapping.graph, sched, dopts, &cfg).unwrap();
+        let run = factorize_dynamic(sym, Entries::of(ap), &mapping.graph, sched, dopts, &cfg).unwrap();
         let seq = seq_factor(sym, ap);
         let n = ap.n();
         for j in 0..n {
@@ -560,9 +577,9 @@ mod tests {
             let d = DynamicOptions::new().with_sim(plan);
             check_dynamic(&ap, &mapping, &d, true);
             // Same (seed, policy) replays to bitwise-identical factors.
-            let r1 = factorize_dynamic(sym, &ap, &mapping.graph, Some(&mapping.schedule), &d, &cfg)
+            let r1 = factorize_dynamic(sym, Entries::of(&ap), &mapping.graph, Some(&mapping.schedule), &d, &cfg)
                 .unwrap();
-            let r2 = factorize_dynamic(sym, &ap, &mapping.graph, Some(&mapping.schedule), &d, &cfg)
+            let r2 = factorize_dynamic(sym, Entries::of(&ap), &mapping.graph, Some(&mapping.schedule), &d, &cfg)
                 .unwrap();
             assert_eq!(r1.storage.panels, r2.storage.panels);
         }
@@ -581,7 +598,7 @@ mod tests {
         };
         let res = factorize_dynamic(
             sym,
-            &ap,
+            Entries::of(&ap),
             &mapping.graph,
             Some(&mapping.schedule),
             &DynamicOptions::new(),

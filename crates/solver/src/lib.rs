@@ -8,7 +8,8 @@
 //!   phase on any backend and hands back a [`FactorRun`] whose
 //!   [`SolveRequest`]-driven solve method covers single- and multi-RHS;
 //! * [`storage`] — the dense-panel factor storage (the real PaStiX layout:
-//!   one contiguous column-major panel per column block);
+//!   one contiguous column-major panel per column block), filled from `A`
+//!   through a [`ScatterPattern`], the plan-cached structure of `P·A·Pᵀ`;
 //! * `tasks` (crate-private) — the **one** implementation of the paper's
 //!   four task bodies (COMP1D, FACTOR, BDIV, the BMOD pair contribution),
 //!   generic over a contribution sink; the three modules below are its
@@ -50,6 +51,7 @@ pub mod config;
 pub mod dynamic;
 pub mod metrics;
 pub mod parallel;
+mod pattern;
 pub mod plan;
 pub mod psolve;
 pub mod refine;
@@ -63,6 +65,7 @@ pub use compress::{CompressionConfig, CompressionStrategy};
 pub use config::{FactorRun, SolverConfig};
 pub use metrics::MessagePathMetrics;
 pub use parallel::ChaosOptions;
+pub use pattern::ScatterPattern;
 pub use pastix_runtime::{Backend, DynamicOptions};
 pub use pastix_trace::{MetricsRegistry, TraceLog, TraceOptions};
 pub use plan::{run_from_storage, AnalyzeOptions, AnalyzeStats, Plan, SolveOutput, SolveRequest};

@@ -17,11 +17,11 @@
 
 use crate::compress::{finalize_compression, CompressionConfig};
 use crate::config::{FactorRun, SolverConfig};
+use crate::pattern::Entries;
 use crate::storage::{
-    pair_target, scatter_cblk, strip_stretches, strip_targets, BlokCursor, FactorStorage, PairTarget, PanelLayout,
+    pair_target, put, scatter_cblk, strip_stretches, strip_targets, BlokCursor, FactorStorage, PairTarget, PanelLayout,
 };
 use crate::tasks::{self, Comp1dNs, ContribSink, Scratch, StretchFn};
-use pastix_graph::SymCsc;
 use pastix_kernels::dense::copy_panel;
 use pastix_kernels::factor::FactorError;
 use pastix_kernels::{LowRankBlock, LrOp, Scalar};
@@ -884,7 +884,7 @@ pub struct ChaosOptions {
 /// is returned.
 pub(crate) fn factorize_static<T: Scalar>(
     sym: &SymbolMatrix,
-    a: &SymCsc<T>,
+    a: Entries<'_, T>,
     graph: &TaskGraph,
     sched: &Schedule,
     routing: &Routing,
@@ -962,7 +962,7 @@ fn worker_run<T: Scalar, C: Comm<PMsg<T>> + ?Sized>(
     sched: &Schedule,
     routing: &Routing,
     mut regions: HashMap<u32, Vec<T>>,
-    a: &SymCsc<T>,
+    a: Entries<'_, T>,
     cfg: &SolverConfig,
     topts: &TraceOptions,
     gauges: &SharedGauges,
@@ -1081,7 +1081,7 @@ fn scatter_owned<T: Scalar>(
     sym: &SymbolMatrix,
     layout: &PanelLayout,
     graph: &TaskGraph,
-    a: &SymCsc<T>,
+    a: Entries<'_, T>,
     regions: &mut HashMap<u32, Vec<T>>,
 ) {
     for (k, cb) in sym.cblks.iter().enumerate() {
@@ -1097,7 +1097,8 @@ fn scatter_owned<T: Scalar>(
             let mut cursor = BlokCursor::new(sym, k);
             // The blok of the previous entry and its region, if owned.
             let mut held: (usize, Option<&mut Vec<T>>) = (usize::MAX, None);
-            for (&i, &v) in a.rows_of(j).iter().zip(a.vals_of(j)) {
+            let mut prev = None;
+            for (i, v) in a.column(j) {
                 let (b, row_in_blok) = cursor.seek(i);
                 // Diagonal blok → FACTOR region, else the blok's BDIV
                 // region (its `L` part comes first).
@@ -1108,8 +1109,9 @@ fn scatter_owned<T: Scalar>(
                 }
                 if let Some(region) = &mut held.1 {
                     let ld = if diagonal { cb.width() } else { sym.bloks[b].nrows() };
-                    region[row_in_blok + local_col * ld] = v;
+                    put(&mut region[row_in_blok + local_col * ld], v, prev == Some(i));
                 }
+                prev = Some(i);
             }
         }
     }
@@ -1160,7 +1162,7 @@ pub(crate) mod tests {
         cfg: &SolverConfig,
     ) -> Result<FactorRun<f64>, FactorError> {
         let (graph, sched) = (&mapping.graph, &mapping.schedule);
-        factorize_static(&graph.split.symbol, ap, graph, sched, &Routing::build(graph, sched), cfg)
+        factorize_static(&graph.split.symbol, Entries::of(ap), graph, sched, &Routing::build(graph, sched), cfg)
     }
 
     fn check_against_sequential(ap: &pastix_graph::SymCsc<f64>, mapping: &pastix_sched::Mapping) {

@@ -22,6 +22,7 @@
 use crate::config::{FactorRun, SolverConfig};
 use crate::dynamic;
 use crate::parallel::Routing;
+use crate::pattern::ScatterPattern;
 use crate::solve_plan::SolvePlan;
 use crate::storage::FactorStorage;
 use pastix_graph::{Parallelism, Permutation, SymCsc};
@@ -33,6 +34,7 @@ use pastix_runtime::Backend;
 use pastix_sched::{map_and_schedule, Mapping, SchedOptions, Schedule, SolveSchedule, TaskGraph};
 use pastix_symbolic::{AnalysisOptions, SymbolMatrix};
 use pastix_trace::{MetricsRegistry, TraceLog, TraceOptions};
+use std::borrow::Cow;
 use std::sync::{Arc, OnceLock};
 
 /// Pre-processing knobs of [`Plan::analyze`]. Lives inside
@@ -115,6 +117,9 @@ struct PlanInner {
     /// Fan-in routing of the static factorization, built by the first one
     /// of this plan and replayed by every later one.
     routing: OnceLock<Routing>,
+    /// `P·A·Pᵀ`'s pattern for the pattern of the first matrix this plan
+    /// factorized, reused by every later one with that exact pattern.
+    pattern: OnceLock<ScatterPattern>,
 }
 
 /// The analyzed (pre-numeric) state of one matrix pattern: permutation,
@@ -209,6 +214,7 @@ impl Plan {
                 analyze_trace: None,
                 solve_plan: OnceLock::new(),
                 routing: OnceLock::new(),
+                pattern: OnceLock::new(),
             }),
         }
     }
@@ -270,15 +276,58 @@ impl Plan {
         })
     }
 
-    /// Numeric factorization of `a` (same pattern as analyzed) on the
-    /// backend named by `cfg.backend`. The returned run carries this plan,
+    /// `P·A·Pᵀ`'s pattern for `a`: the cached one when `a` has exactly the
+    /// pattern it was built from, else a build — kept when the plan has
+    /// none yet, one-off otherwise. Each build counts in
+    /// `solver.permute_builds` of `metrics`; one that finds an entry
+    /// outside the symbol (or another order) is the error, and is not kept.
+    fn scatter_pattern<T: Scalar>(
+        &self,
+        a: &SymCsc<T>,
+        metrics: &MetricsRegistry,
+    ) -> Result<Cow<'_, ScatterPattern>, FactorError> {
+        if let Some(cached) = self.inner.pattern.get().filter(|p| p.matches(a)) {
+            return Ok(Cow::Borrowed(cached));
+        }
+        metrics.add_counter("solver.permute_builds", 1);
+        let built = ScatterPattern::build(a, self.permutation(), self.symbol())?;
+        Ok(match self.inner.pattern.set(built) {
+            Ok(()) => Cow::Borrowed(self.inner.pattern.get().expect("pattern just set")),
+            Err(built) => Cow::Owned(built),
+        })
+    }
+
+    /// The front end of a factorization on its own: `a`'s values in factor
+    /// storage allocated by the calling thread, zero-filled and read
+    /// through this plan's pattern by `workers` threads over disjoint runs
+    /// of column blocks — the input of [`crate::factorize_sequential`].
+    /// Fails like [`Plan::factorize`] on a pattern the plan does not cover.
+    pub fn scattered<T: Scalar>(
+        &self,
+        a: &SymCsc<T>,
+        workers: usize,
+        metrics: &MetricsRegistry,
+    ) -> Result<FactorStorage<T>, FactorError> {
+        let pattern = self.scatter_pattern(a, metrics)?;
+        let mut storage = FactorStorage::allocated(self.symbol());
+        storage.scatter_entries(self.symbol(), pattern.entries(a), workers);
+        Ok(storage)
+    }
+
+    /// Numeric factorization of `a` on the backend named by `cfg.backend`.
+    /// `a`'s pattern must lie inside the analyzed one (the analyzed
+    /// pattern itself, or a subset of it); anything else is a
+    /// [`FactorError::PatternMismatch`] before any numeric work. `a`'s
+    /// values are read through the plan's cached [`ScatterPattern`]: no
+    /// permuted copy of `a` is made. The returned run carries this plan,
     /// so [`FactorRun::solve_request`] works without further arguments.
     pub fn factorize<T: Scalar>(
         &self,
         a: &SymCsc<T>,
         cfg: &SolverConfig,
     ) -> Result<FactorRun<T>, FactorError> {
-        assert_eq!(a.n(), self.inner.n, "matrix order != analyzed order");
+        let pattern = self.scatter_pattern(a, &cfg.metrics)?;
+        let entries = pattern.entries(a);
         // Rank panics inside the runtime land in the flight ring, and the
         // factorization itself leaves coarse start/end marks there.
         pastix_trace::flight::wire_runtime_observer();
@@ -290,18 +339,10 @@ impl Plan {
         pastix_trace::flight::record(pastix_trace::flight::FlightKind::FactorizeStart, fp, 0);
         let t0 = std::time::Instant::now();
         let sym = self.symbol();
-        let permuted;
-        let ap: &SymCsc<T> = match &self.inner.perm {
-            Some(p) => {
-                permuted = a.permuted(p);
-                &permuted
-            }
-            None => a,
-        };
         let mut run = match cfg.backend {
             Backend::Dynamic(dopts) => dynamic::factorize_dynamic(
                 sym,
-                ap,
+                entries,
                 &self.inner.graph,
                 self.inner.schedule.as_ref(),
                 &dopts,
@@ -309,7 +350,7 @@ impl Plan {
             )?,
             Backend::Threads | Backend::Sim(_) => {
                 let (sched, routing) = (self.require_schedule(), self.routing(&cfg.metrics));
-                crate::parallel::factorize_static(sym, ap, &self.inner.graph, sched, routing, cfg)?
+                crate::parallel::factorize_static(sym, entries, &self.inner.graph, sched, routing, cfg)?
             }
         };
         pastix_trace::flight::record(

@@ -6,6 +6,7 @@
 //! PaStiX layout — a sub-panel of any block is a BLAS-ready column-major
 //! slice with the panel's leading dimension.
 
+use crate::pattern::{Entries, ScatterPattern};
 use pastix_graph::SymCsc;
 use pastix_kernels::scalar::Scalar;
 use pastix_kernels::LowRankBlock;
@@ -275,9 +276,71 @@ impl<T: Scalar> FactorStorage<T> {
     /// the panels. Entries must all fall inside the symbolic structure.
     pub fn scatter(&mut self, sym: &SymbolMatrix, a: &SymCsc<T>) {
         assert_eq!(a.n(), sym.n);
-        for (k, panel) in self.panels.iter_mut().enumerate() {
-            scatter_cblk(sym, &self.layout, k, a, panel);
+        self.scatter_entries(sym, Entries::of(a), 1);
+    }
+
+    /// Panels allocated by the calling thread but not yet filled: empty,
+    /// at their capacity. [`FactorStorage::scatter_entries`] zero-fills
+    /// each on the thread that scatters into it.
+    pub(crate) fn allocated(sym: &SymbolMatrix) -> Self {
+        let layout = PanelLayout::new(sym);
+        let panels = (0..sym.n_cblks()).map(|k| Vec::with_capacity(layout.panel_rows(k) * sym.cblks[k].width())).collect();
+        Self { layout, panels, compression: Vec::new() }
+    }
+
+    /// Scatters `a`'s values, read through `pattern` (built for `a`'s
+    /// pattern and `sym`), into the panels on `workers` threads, each over
+    /// a run of whole column blocks of about the same size. No permuted
+    /// copy of `a` is made.
+    pub fn scatter_through(&mut self, sym: &SymbolMatrix, pattern: &ScatterPattern, a: &SymCsc<T>, workers: usize) {
+        assert!(pattern.matches(a), "the pattern was built for another matrix pattern");
+        self.scatter_entries(sym, pattern.entries(a), workers);
+    }
+
+    /// [`FactorStorage::scatter_through`] for any [`Entries`], into zeroed
+    /// or [`FactorStorage::allocated`] panels (zero-filled here first).
+    /// The runs balance panel scalars plus entries; the calling thread
+    /// takes the first, and `workers = 1` spawns nothing.
+    pub(crate) fn scatter_entries(&mut self, sym: &SymbolMatrix, a: Entries<'_, T>, workers: usize) {
+        let Self { layout, panels, .. } = self;
+        let layout = &*layout;
+        let len = |k: usize| layout.panel_rows(k) * sym.cblks[k].width();
+        let ncb = panels.len();
+        let workers = workers.clamp(1, ncb.max(1));
+        // Work up to the end of each column block.
+        let mut upto = Vec::with_capacity(ncb);
+        for (k, cb) in sym.cblks.iter().enumerate() {
+            upto.push(upto.last().copied().unwrap_or(0) + len(k) + a.before(cb.lcol as usize + 1) - a.before(cb.fcol as usize));
         }
+        let total = upto.last().copied().unwrap_or(0);
+        let mut rest = panels.as_mut_slice();
+        let mut runs = Vec::with_capacity(workers);
+        let mut k0 = 0;
+        for w in 1..=workers {
+            let k1 = match w == workers {
+                true => ncb,
+                false => k0 + upto[k0..].partition_point(|&u| u <= total * w / workers),
+            };
+            let (run, tail) = std::mem::take(&mut rest).split_at_mut(k1 - k0);
+            runs.push((k0, run));
+            (rest, k0) = (tail, k1);
+        }
+        let scatter_run = move |(k0, run): (usize, &mut [Vec<T>])| {
+            for (k, panel) in (k0..).zip(run) {
+                panel.resize(len(k), T::zero());
+                scatter_cblk(sym, layout, k, a, panel);
+            }
+        };
+        std::thread::scope(|s| {
+            let mut runs = runs.into_iter().filter(|(_, run)| !run.is_empty());
+            let first = runs.next();
+            for run in runs {
+                s.spawn(move || scatter_run(run));
+            }
+            if let Some(run) = first {
+                scatter_run(run);
+            }
+        });
     }
 
     /// Entry `(i, j)` of the factor (`i ≥ j`), zero when outside the
@@ -364,7 +427,7 @@ pub(crate) fn scatter_cblk<T: Scalar>(
     sym: &SymbolMatrix,
     layout: &PanelLayout,
     k: usize,
-    a: &SymCsc<T>,
+    a: Entries<'_, T>,
     panel: &mut [T],
 ) {
     let cb = &sym.cblks[k];
@@ -372,11 +435,24 @@ pub(crate) fn scatter_cblk<T: Scalar>(
     for j in cb.fcol as usize..=cb.lcol as usize {
         let col = (j - cb.fcol as usize) * lda;
         let mut cursor = BlokCursor::new(sym, k);
-        for (&i, &v) in a.rows_of(j).iter().zip(a.vals_of(j)) {
+        let mut prev = None;
+        for (i, v) in a.column(j) {
             debug_assert!(i as usize >= j, "input must be lower triangular");
             let (b, row_in_blok) = cursor.seek(i);
-            panel[layout.panel_row[b] as usize + row_in_blok + col] = v;
+            put(&mut panel[layout.panel_row[b] as usize + row_in_blok + col], v, prev == Some(i));
+            prev = Some(i);
         }
+    }
+}
+
+/// Stores one entry of `A`: the first on its position overwrites the zero,
+/// a repeat on the same position adds to it.
+#[inline]
+pub(crate) fn put<T: Scalar>(dst: &mut T, v: T, repeat: bool) {
+    if repeat {
+        *dst += v;
+    } else {
+        *dst = v;
     }
 }
 
@@ -397,17 +473,24 @@ impl<'a> BlokCursor<'a> {
         Self { bloks: &sym.bloks[cb.blok_start..cb.blok_end], first: cb.blok_start, at: 0 }
     }
 
-    /// Global blok containing row `i` and the row's offset inside it. `i`
-    /// must not be below the row of an earlier call; panics when the row
-    /// is outside the block structure.
-    pub(crate) fn seek(&mut self, i: u32) -> (usize, usize) {
+    /// Global blok containing row `i` and the row's offset inside it, or
+    /// `None` when the row is outside the block structure. `i` must not be
+    /// below the row of an earlier call.
+    pub(crate) fn try_seek(&mut self, i: u32) -> Option<(usize, usize)> {
         while self.bloks.get(self.at).is_some_and(|b| b.lrow < i) {
             self.at += 1;
         }
         match self.bloks.get(self.at) {
-            Some(b) if b.frow <= i => (self.first + self.at, (i - b.frow) as usize),
-            _ => panic!("row {i} not in the structure of the column block of blok {}", self.first),
+            Some(b) if b.frow <= i => Some((self.first + self.at, (i - b.frow) as usize)),
+            _ => None,
         }
+    }
+
+    /// [`BlokCursor::try_seek`] for rows known to be inside the structure;
+    /// panics otherwise.
+    pub(crate) fn seek(&mut self, i: u32) -> (usize, usize) {
+        self.try_seek(i)
+            .unwrap_or_else(|| panic!("row {i} not in the structure of the column block of blok {}", self.first))
     }
 }
 
