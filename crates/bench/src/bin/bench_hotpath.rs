@@ -15,8 +15,8 @@
 //!   mode, the tracing-overhead gate, and the *where factorization time
 //!   goes* stage table of the static driver on one and two ranks, read off
 //!   the `solver.comp1d.*` counters of wall-clock traced runs, and the
-//!   `front_end` table: pattern build, scatter on one thread and on the
-//!   workers, and the plan-cached front end, per `bench_e2e` matrix.
+//!   `front_end` table: pattern build, scatter, the plan-cached front end
+//!   and a dynamic refactorization, per `bench_e2e` matrix.
 //!
 //! The process exits non-zero if the two modes' factor checksums diverge
 //! beyond round-off — the packed path must be a pure reassociation of the
@@ -38,7 +38,8 @@ use pastix_kernels::{KernelMode, Scalar};
 use pastix_machine::probe_blocking;
 use pastix_graph::Parallelism;
 use pastix_solver::{
-    factorize_sequential, AnalyzeOptions, FactorStorage, MetricsRegistry, Plan, ScatterPattern, SolverConfig,
+    factorize_sequential, AnalyzeOptions, Backend, DynamicOptions, FactorStorage, MetricsRegistry, Plan,
+    ScatterPattern, SolverConfig,
 };
 use pastix_trace::TraceOptions;
 use std::time::Instant;
@@ -371,17 +372,19 @@ fn bench_stages(quick: bool) -> Json {
     obj([("problem", Json::Str(id.name().into())), ("scale", Json::Num(sc)), ("reps", Json::Num(reps as f64)), ("rows", Json::Arr(rows))])
 }
 
-/// Workers of the front-end table's parallel scatter: `bench_e2e`'s.
+/// Workers of the front-end table's dynamic refactorization: `bench_e2e`'s.
 const FRONT_END_WORKERS: usize = 2;
 
 /// The front end of a factorization, per matrix (`bench_e2e`'s three
 /// direct matrices; smaller scales in quick mode): `SymCsc::permuted`
 /// alone, for scale; building `P·A·Pᵀ`'s pattern, validation included;
 /// zeroing the storage; scattering `A`'s values through the pattern on one
-/// thread and on [`FRONT_END_WORKERS`]; the plan-cached front end a
-/// refactorization pays (`Plan::scattered`: the pattern lookup, zeroing,
-/// the scatter on the workers); and the copy path it replaced (permuted
-/// copy, zeroing, serial scatter). Raw ms, medians of `reps` with the
+/// thread; the plan-cached front end a refactorization pays at most (the
+/// pattern lookup, zeroing, the serial scatter — the backends split the
+/// last two over their workers); the copy path it replaced (permuted
+/// copy, zeroing, serial scatter); and, for scale, a whole
+/// `Backend::Dynamic` refactorization on [`FRONT_END_WORKERS`] workers
+/// through the plan's cached pattern. Raw ms, medians of `reps` with the
 /// variants interleaved in every rep. The second value says every storage
 /// filled through the pattern was bit-identical to the copy path's.
 fn bench_front_end(quick: bool) -> (Json, bool) {
@@ -389,57 +392,63 @@ fn bench_front_end(quick: bool) -> (Json, bool) {
         true => ([(ProblemId::Bmwcra1, 0.02), (ProblemId::Quer, 0.2), (ProblemId::Shipsec5, 0.04)], 3),
         false => ([(ProblemId::Bmwcra1, 0.1), (ProblemId::Quer, 1.0), (ProblemId::Shipsec5, 0.2)], 15),
     };
-    const COLUMNS: [&str; 7] = ["permuted", "build", "zeros", "scatter_1", "scatter_w", "cached", "copy_path"];
+    const COLUMNS: [&str; 7] = ["permuted", "build", "zeros", "scatter", "cached", "copy_path", "refactorize_dyn"];
     println!();
-    println!("front end of a factorization, median of {reps} (ms; scatter_w and cached on {FRONT_END_WORKERS} workers)");
+    println!("front end of a factorization, median of {reps} (ms; refactorize_dyn on {FRONT_END_WORKERS} workers)");
     print!("{:<10} {:>6} {:>9}", "Name", "scale", "nnz(A)");
-    COLUMNS.iter().for_each(|c| print!(" {c:>9}"));
+    COLUMNS.iter().for_each(|c| print!(" {c:>15}"));
     println!();
     let mut rows = Vec::new();
     let mut identical = true;
+    let dynamic = DynamicOptions::new().with_workers(FRONT_END_WORKERS).with_priorities(true);
     for (id, sc) in cases {
         let a = pastix_graph::build_problem::<f64>(id, sc);
-        let plan = Plan::analyze(&a, &SolverConfig::new().with_analyze(AnalyzeOptions::with_procs(FRONT_END_WORKERS)));
-        let (sym, perm) = (plan.symbol(), plan.permutation());
-        let metrics = MetricsRegistry::new();
-        let warm = plan.scattered(&a, FRONT_END_WORKERS, &metrics).expect("the analyzed pattern");
+        let cfg = SolverConfig::new()
+            .with_analyze(AnalyzeOptions::with_procs(FRONT_END_WORKERS))
+            .with_backend(Backend::Dynamic(dynamic));
+        let plan = Plan::analyze(&a, &cfg);
+        let (sym, perm) = (plan.symbol(), plan.permutation().expect("analyzed plans own a permutation"));
+        let cached = ScatterPattern::build(&a, Some(perm), sym).expect("the analyzed pattern");
+        // Builds the plan's own pattern before the timed refactorizations.
+        plan.factorize(&a, &cfg).expect("factorization failed");
         let bits = |st: &FactorStorage<f64>| st.panels.iter().flatten().map(|v| v.to_bits()).collect::<Vec<u64>>();
-        let want = bits(&warm);
         let mut ms: [Vec<f64>; 7] = Default::default();
         let mut lap = |slot: usize, t0: Instant| ms[slot].push(t0.elapsed().as_secs_f64() * 1e3);
         for _ in 0..reps {
             let t0 = Instant::now();
-            std::hint::black_box(a.permuted(perm.expect("analyzed plans own a permutation")));
+            std::hint::black_box(a.permuted(perm));
             lap(0, t0);
             let t0 = Instant::now();
-            let pattern = ScatterPattern::build(&a, perm, sym).expect("the analyzed pattern");
+            std::hint::black_box(ScatterPattern::build(&a, Some(perm), sym).expect("the analyzed pattern"));
             lap(1, t0);
             let t0 = Instant::now();
             let mut serial = FactorStorage::zeros(sym);
             lap(2, t0);
             let t0 = Instant::now();
-            serial.scatter_through(sym, &pattern, &a, 1);
+            serial.scatter_through(sym, &cached, &a);
             lap(3, t0);
-            let mut par = FactorStorage::zeros(sym);
             let t0 = Instant::now();
-            par.scatter_through(sym, &pattern, &a, FRONT_END_WORKERS);
+            assert!(cached.matches(&a));
+            let mut through = FactorStorage::zeros(sym);
+            through.scatter_through(sym, &cached, &a);
             lap(4, t0);
             let t0 = Instant::now();
-            let cached = plan.scattered(&a, FRONT_END_WORKERS, &metrics).expect("the analyzed pattern");
-            lap(5, t0);
-            let t0 = Instant::now();
-            let ap = a.permuted(perm.expect("analyzed plans own a permutation"));
+            let ap = a.permuted(perm);
             let mut copy = FactorStorage::zeros(sym);
             copy.scatter(sym, &ap);
+            lap(5, t0);
+            let t0 = Instant::now();
+            std::hint::black_box(plan.factorize(&a, &cfg).expect("factorization failed"));
             lap(6, t0);
-            identical &= [&serial, &par, &cached, &copy].into_iter().all(|st| bits(st) == want);
+            let want = bits(&copy);
+            identical &= bits(&serial) == want && bits(&through) == want;
         }
         let medians = ms.map(|mut v| {
             v.sort_by(f64::total_cmp);
             v[v.len() / 2]
         });
         print!("{:<10} {sc:>6} {:>9}", id.name(), a.nnz_stored());
-        medians.iter().for_each(|m| print!(" {m:>9.2}"));
+        medians.iter().for_each(|m| print!(" {m:>15.2}"));
         println!();
         let mut row = vec![
             ("name".to_string(), Json::Str(id.name().into())),

@@ -97,11 +97,6 @@ impl<'a, T: Scalar> Entries<'a, T> {
         Entries { colptr: ap.colptr(), rowind: ap.rowind(), src: None, values: ap.values() }
     }
 
-    /// Stored entries of columns `0..j`.
-    pub(crate) fn before(&self, j: usize) -> usize {
-        self.colptr[j]
-    }
-
     /// Column `j`'s rows in ascending order, with their values. A row
     /// repeats when `A` stored two entries on one position; the scatter
     /// sums the repeats in order, as [`SymCsc::from_triplets`] does.

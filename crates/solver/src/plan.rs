@@ -117,8 +117,12 @@ struct PlanInner {
     /// Fan-in routing of the static factorization, built by the first one
     /// of this plan and replayed by every later one.
     routing: OnceLock<Routing>,
+    /// Stored entries of the analyzed matrix (`None` for plans assembled
+    /// via [`Plan::from_parts`]): which factorized pattern `pattern` keeps.
+    analyzed_nnz: Option<usize>,
     /// `P·A·Pᵀ`'s pattern for the pattern of the first matrix this plan
-    /// factorized, reused by every later one with that exact pattern.
+    /// factorized with `analyzed_nnz` entries, reused by every later one
+    /// with that exact pattern.
     pattern: OnceLock<ScatterPattern>,
 }
 
@@ -185,6 +189,7 @@ impl Plan {
         let inner = Arc::get_mut(&mut plan.inner).expect("fresh plan is unshared");
         inner.stats = Some(stats);
         inner.analyze_trace = analyze_trace;
+        inner.analyzed_nnz = Some(a.nnz_stored());
         plan
     }
 
@@ -214,6 +219,7 @@ impl Plan {
                 analyze_trace: None,
                 solve_plan: OnceLock::new(),
                 routing: OnceLock::new(),
+                analyzed_nnz: None,
                 pattern: OnceLock::new(),
             }),
         }
@@ -277,10 +283,12 @@ impl Plan {
     }
 
     /// `P·A·Pᵀ`'s pattern for `a`: the cached one when `a` has exactly the
-    /// pattern it was built from, else a build — kept when the plan has
-    /// none yet, one-off otherwise. Each build counts in
-    /// `solver.permute_builds` of `metrics`; one that finds an entry
-    /// outside the symbol (or another order) is the error, and is not kept.
+    /// pattern it was built from, else a build. A build is kept when the
+    /// plan has none yet and `a` stores as many entries as the analyzed
+    /// matrix, so a subset pattern factorized first does not take the
+    /// analyzed pattern's place; every other build is one-off. Each build
+    /// counts in `solver.permute_builds` of `metrics`; one that finds an
+    /// entry outside the symbol (or another order) is the error.
     fn scatter_pattern<T: Scalar>(
         &self,
         a: &SymCsc<T>,
@@ -291,45 +299,35 @@ impl Plan {
         }
         metrics.add_counter("solver.permute_builds", 1);
         let built = ScatterPattern::build(a, self.permutation(), self.symbol())?;
+        if self.inner.analyzed_nnz.is_some_and(|nnz| nnz != a.nnz_stored()) {
+            return Ok(Cow::Owned(built));
+        }
         Ok(match self.inner.pattern.set(built) {
             Ok(()) => Cow::Borrowed(self.inner.pattern.get().expect("pattern just set")),
             Err(built) => Cow::Owned(built),
         })
     }
 
-    /// The front end of a factorization on its own: `a`'s values in factor
-    /// storage allocated by the calling thread, zero-filled and read
-    /// through this plan's pattern by `workers` threads over disjoint runs
-    /// of column blocks — the input of [`crate::factorize_sequential`].
-    /// Fails like [`Plan::factorize`] on a pattern the plan does not cover.
-    pub fn scattered<T: Scalar>(
-        &self,
-        a: &SymCsc<T>,
-        workers: usize,
-        metrics: &MetricsRegistry,
-    ) -> Result<FactorStorage<T>, FactorError> {
-        let pattern = self.scatter_pattern(a, metrics)?;
-        let mut storage = FactorStorage::allocated(self.symbol());
-        storage.scatter_entries(self.symbol(), pattern.entries(a), workers);
-        Ok(storage)
-    }
-
     /// Numeric factorization of `a` on the backend named by `cfg.backend`.
     /// `a`'s pattern must lie inside the analyzed one (the analyzed
     /// pattern itself, or a subset of it); anything else is a
     /// [`FactorError::PatternMismatch`] before any numeric work. `a`'s
-    /// values are read through the plan's cached [`ScatterPattern`]: no
-    /// permuted copy of `a` is made. The returned run carries this plan,
-    /// so [`FactorRun::solve_request`] works without further arguments.
+    /// values are read through a [`ScatterPattern`]: no permuted copy of
+    /// `a` is made. The plan builds and keeps one on the first
+    /// factorization of a matrix that stores as many entries as the
+    /// analyzed one (of any matrix, for a plan from [`Plan::from_parts`])
+    /// and reuses it for every later matrix with exactly that pattern; any
+    /// other pattern — a subset, say — gets a one-off build. The returned
+    /// run carries this plan, so [`FactorRun::solve_request`] works
+    /// without further arguments.
     pub fn factorize<T: Scalar>(
         &self,
         a: &SymCsc<T>,
         cfg: &SolverConfig,
     ) -> Result<FactorRun<T>, FactorError> {
-        let pattern = self.scatter_pattern(a, &cfg.metrics)?;
-        let entries = pattern.entries(a);
         // Rank panics inside the runtime land in the flight ring, and the
-        // factorization itself leaves coarse start/end marks there.
+        // factorization itself leaves coarse start/end marks there; the
+        // front end falls inside them.
         pastix_trace::flight::wire_runtime_observer();
         let fp = self
             .inner
@@ -338,6 +336,8 @@ impl Plan {
             .map_or(self.inner.n as u64, |s| s.digest());
         pastix_trace::flight::record(pastix_trace::flight::FlightKind::FactorizeStart, fp, 0);
         let t0 = std::time::Instant::now();
+        let pattern = self.scatter_pattern(a, &cfg.metrics)?;
+        let entries = pattern.entries(a);
         let sym = self.symbol();
         let mut run = match cfg.backend {
             Backend::Dynamic(dopts) => dynamic::factorize_dynamic(

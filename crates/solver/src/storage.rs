@@ -276,12 +276,12 @@ impl<T: Scalar> FactorStorage<T> {
     /// the panels. Entries must all fall inside the symbolic structure.
     pub fn scatter(&mut self, sym: &SymbolMatrix, a: &SymCsc<T>) {
         assert_eq!(a.n(), sym.n);
-        self.scatter_entries(sym, Entries::of(a), 1);
+        self.scatter_entries(sym, Entries::of(a));
     }
 
     /// Panels allocated by the calling thread but not yet filled: empty,
-    /// at their capacity. [`FactorStorage::scatter_entries`] zero-fills
-    /// each on the thread that scatters into it.
+    /// at their capacity. The dynamic driver zero-fills and scatters each
+    /// on the worker that locks it first.
     pub(crate) fn allocated(sym: &SymbolMatrix) -> Self {
         let layout = PanelLayout::new(sym);
         let panels = (0..sym.n_cblks()).map(|k| Vec::with_capacity(layout.panel_rows(k) * sym.cblks[k].width())).collect();
@@ -289,58 +289,19 @@ impl<T: Scalar> FactorStorage<T> {
     }
 
     /// Scatters `a`'s values, read through `pattern` (built for `a`'s
-    /// pattern and `sym`), into the panels on `workers` threads, each over
-    /// a run of whole column blocks of about the same size. No permuted
-    /// copy of `a` is made.
-    pub fn scatter_through(&mut self, sym: &SymbolMatrix, pattern: &ScatterPattern, a: &SymCsc<T>, workers: usize) {
+    /// pattern and `sym`), into zeroed panels. No permuted copy of `a` is
+    /// made.
+    pub fn scatter_through(&mut self, sym: &SymbolMatrix, pattern: &ScatterPattern, a: &SymCsc<T>) {
         assert!(pattern.matches(a), "the pattern was built for another matrix pattern");
-        self.scatter_entries(sym, pattern.entries(a), workers);
+        self.scatter_entries(sym, pattern.entries(a));
     }
 
-    /// [`FactorStorage::scatter_through`] for any [`Entries`], into zeroed
-    /// or [`FactorStorage::allocated`] panels (zero-filled here first).
-    /// The runs balance panel scalars plus entries; the calling thread
-    /// takes the first, and `workers = 1` spawns nothing.
-    pub(crate) fn scatter_entries(&mut self, sym: &SymbolMatrix, a: Entries<'_, T>, workers: usize) {
-        let Self { layout, panels, .. } = self;
-        let layout = &*layout;
-        let len = |k: usize| layout.panel_rows(k) * sym.cblks[k].width();
-        let ncb = panels.len();
-        let workers = workers.clamp(1, ncb.max(1));
-        // Work up to the end of each column block.
-        let mut upto = Vec::with_capacity(ncb);
-        for (k, cb) in sym.cblks.iter().enumerate() {
-            upto.push(upto.last().copied().unwrap_or(0) + len(k) + a.before(cb.lcol as usize + 1) - a.before(cb.fcol as usize));
+    /// Scatters any [`Entries`] into zeroed panels, column block by column
+    /// block.
+    fn scatter_entries(&mut self, sym: &SymbolMatrix, a: Entries<'_, T>) {
+        for (k, panel) in self.panels.iter_mut().enumerate() {
+            scatter_cblk(sym, &self.layout, k, a, panel);
         }
-        let total = upto.last().copied().unwrap_or(0);
-        let mut rest = panels.as_mut_slice();
-        let mut runs = Vec::with_capacity(workers);
-        let mut k0 = 0;
-        for w in 1..=workers {
-            let k1 = match w == workers {
-                true => ncb,
-                false => k0 + upto[k0..].partition_point(|&u| u <= total * w / workers),
-            };
-            let (run, tail) = std::mem::take(&mut rest).split_at_mut(k1 - k0);
-            runs.push((k0, run));
-            (rest, k0) = (tail, k1);
-        }
-        let scatter_run = move |(k0, run): (usize, &mut [Vec<T>])| {
-            for (k, panel) in (k0..).zip(run) {
-                panel.resize(len(k), T::zero());
-                scatter_cblk(sym, layout, k, a, panel);
-            }
-        };
-        std::thread::scope(|s| {
-            let mut runs = runs.into_iter().filter(|(_, run)| !run.is_empty());
-            let first = runs.next();
-            for run in runs {
-                s.spawn(move || scatter_run(run));
-            }
-            if let Some(run) = first {
-                scatter_run(run);
-            }
-        });
     }
 
     /// Entry `(i, j)` of the factor (`i ≥ j`), zero when outside the

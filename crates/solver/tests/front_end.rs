@@ -11,7 +11,7 @@ use pastix_sched::{DistStrategy, MappingOptions, SchedOptions};
 use pastix_solver::storage::try_blok_of;
 use pastix_solver::{
     factorize_sequential, AnalyzeOptions, Backend, DynamicOptions, FactorStorage, MetricsRegistry, Plan,
-    SolverConfig,
+    ScatterPattern, SolverConfig,
 };
 use pastix_symbolic::SymbolMatrix;
 
@@ -77,7 +77,6 @@ fn factorizations_of_one_plan_build_the_pattern_once() {
     for backend in [sim(), dynamic()] {
         plan.factorize(&revalued, &cfg.clone().with_backend(backend)).unwrap();
     }
-    plan.scattered(&a, 2, &cfg.metrics).unwrap();
     assert_eq!(builds(), 1, "one build per plan");
 }
 
@@ -99,11 +98,15 @@ fn a_subset_pattern_goes_through_without_touching_the_cache() {
     let sub = SymCsc::from_triplets(a.n(), &kept);
     assert!(sub.nnz_stored() < a.nnz_stored());
     let builds = || cfg.metrics.counter("solver.permute_builds");
-    plan.factorize(&a, &cfg).unwrap();
+    // The subset first: its build is one-off, the analyzed pattern still
+    // gets the cache.
     let run = plan.factorize(&sub, &cfg).unwrap();
-    assert_eq!(builds(), 2, "a one-off build for the subset");
+    assert_eq!(builds(), 1);
     plan.factorize(&a, &cfg).unwrap();
-    assert_eq!(builds(), 2, "the cached pattern is still the analyzed one's");
+    plan.factorize(&a, &cfg).unwrap();
+    assert_eq!(builds(), 2, "the cached pattern is the analyzed one's");
+    plan.factorize(&sub, &cfg).unwrap();
+    assert_eq!(builds(), 3, "a one-off build for the subset, every time");
 
     // The factor of the copy path: a permuted copy, factorized by a plan
     // that owns no permutation, on the same backend and seed.
@@ -111,12 +114,13 @@ fn a_subset_pattern_goes_through_without_touching_the_cache() {
     let ap = sub.permuted(perm);
     let copy_plan = Plan::from_parts(None, plan.graph().clone(), plan.schedule().cloned());
     assert_eq!(bits(&run), bits(&copy_plan.factorize(&ap, &cfg).unwrap()));
-    // And the front end alone: the scatter through the pattern, on two
-    // threads, against zeros + scatter of the copy.
+    // And the front end alone: the scatter through the pattern against
+    // zeros + scatter of the copy.
     let sym = plan.symbol();
     let mut copied = FactorStorage::zeros(sym);
     copied.scatter(sym, &ap);
-    let through = plan.scattered(&sub, 2, &cfg.metrics).unwrap();
+    let mut through = FactorStorage::zeros(sym);
+    through.scatter_through(sym, &ScatterPattern::build(&sub, Some(perm), sym).unwrap(), &sub);
     assert_eq!(bits(&through), bits(&copied));
     let (mut f1, mut f2) = (through, copied);
     factorize_sequential(sym, &mut f1).unwrap();

@@ -356,56 +356,3 @@ fn poisoned_matrix_fails_its_own_batch_only() {
     assert_eq!(session.metrics().counter("serve.requests"), 6);
     validate_chrome_trace(&chrome_trace(&q.take_trace())).expect("every request span closed");
 }
-
-/// A matrix whose plan does not cover its pattern — here a plan adopted
-/// for it from another pattern — fails small too: the factorization
-/// returns `PatternMismatch` at the entry outside the analyzed structure
-/// instead of panicking inside a rank, and each of its batch's tickets is
-/// refused with that error.
-#[test]
-fn a_pattern_outside_the_plan_refuses_its_batch() {
-    use pastix::solver::storage::try_blok_of;
-    use pastix::solver::AnalyzeOptions;
-    let a = grid_spd::<f64>(9, 9, 1, Stencil::Star, false, ValueKind::RandomSpd(29));
-    let n = a.n();
-    let sched = SchedOptions { block_size: 8, ..Default::default() };
-    let opts = SessionOptions { procs: 3, max_panel: 4, sched: sched.clone(), ..Default::default() };
-    let cfg = SolverConfig::new().with_analyze(AnalyzeOptions { sched, ..AnalyzeOptions::with_procs(3) });
-    let plan = Plan::analyze(&a, &cfg);
-    let (sym, perm) = (plan.symbol(), plan.permutation().unwrap());
-    let (row, col) = (0..n)
-        .flat_map(|col| (col + 1..n).map(move |row| (row, col)))
-        .find(|&(row, col)| {
-            let (i, j) = (perm.new_of(row), perm.new_of(col));
-            try_blok_of(sym, sym.cblk_of_col(i.min(j)), i.max(j) as u32).is_none()
-        })
-        .expect("a sparse factor leaves positions out");
-    let mut trips = Vec::new();
-    for j in 0..n {
-        for (&i, &v) in a.rows_of(j).iter().zip(a.vals_of(j)) {
-            trips.push((i, j as u32, v));
-        }
-    }
-    trips.push((row as u32, col as u32, -0.25));
-    let wider = pastix::graph::SymCsc::from_triplets(n, &trips);
-
-    let mut session = SolverSession::<f64>::new(opts);
-    session.adopt_plan(&wider, plan);
-    let mut q = RequestQueue::traced();
-    let ids: Vec<u64> = (0..3).map(|r| q.submit(vec![1.0 + r as f64; n], 100)).collect();
-    let err = FactorError::PatternMismatch { row, col };
-    assert_eq!(q.serve_batch(&mut session, &wider, 200, 300).unwrap_err(), err);
-    let refused: Vec<_> = ids.iter().map(|&id| (id, RejectReason::Factorization(err))).collect();
-    assert_eq!(q.take_rejected(), refused);
-    assert_eq!(session.metrics().counter("serve.failed"), 3);
-    assert!(session.is_empty(), "nothing was cached for the refused matrix");
-    // The session keeps serving: the original pattern gets its own plan.
-    let xe: Vec<f64> = (0..n).map(|i| (i % 5) as f64 - 2.0).collect();
-    let id = q.submit(rhs_for_solution(&a, &xe), 1_000);
-    let done = q.serve_batch(&mut session, &a, 1_100, 1_200).unwrap();
-    assert_eq!(done.iter().map(|c| c.id).collect::<Vec<_>>(), vec![id]);
-    for (u, v) in done[0].x.iter().zip(&xe) {
-        assert!((u - v).abs() < 1e-8, "{u} vs exact {v}");
-    }
-    validate_chrome_trace(&chrome_trace(&q.take_trace())).expect("every request span closed");
-}
