@@ -35,7 +35,6 @@ use pastix_json::{obj, Json};
 use pastix_kernels::gemm::{gemm_nt_acc, gemm_nt_acc_ref};
 use pastix_kernels::pack::PACKED_MIN_MADDS;
 use pastix_kernels::{KernelMode, Scalar};
-use pastix_machine::probe_blocking;
 use pastix_graph::Parallelism;
 use pastix_solver::{
     factorize_sequential, AnalyzeOptions, Backend, DynamicOptions, FactorStorage, MetricsRegistry, Plan,
@@ -64,9 +63,8 @@ fn main() {
     let mode = if quick { "quick" } else { "full" };
     println!("bench_hotpath ({mode}) — packed kernels vs seed axpy reference");
 
-    // Install the probed blocking before any packed timing.
-    let bs = probe_blocking();
-    println!("probed f64 blocking: mc={} kc={} nc={}", bs.mc, bs.kc, bs.nc);
+    let bs = pastix_kernels::blocking_for::<f64>();
+    println!("f64 blocking: mc={} kc={} nc={}", bs.mc, bs.kc, bs.nc);
 
     // Once, before this run rewrites tracked files and dirties the tree.
     let header = env_header(mode);

@@ -40,7 +40,7 @@ pub use lowrank::{
     compress_block, lr_gemm_nn_acc, lr_gemm_nt_acc, lr_gemm_tn_acc, lr_trsm_ldlt, LowRankBlock,
     LrOp, LrRef,
 };
-pub use pack::{blocking_for, configure_blocking, kernel_mode, BlockSizes, KernelMode, KernelModeGuard, Tile};
+pub use pack::{blocking_for, kernel_mode, BlockSizes, KernelMode, KernelModeGuard, Tile};
 pub use pack::{gemm_nt_scatter, pack_a_slabs};
 pub use model::{calibrate_blas_model, fit_poly, BlasModel, KernelClass, PolyCost};
 pub use scalar::Scalar;

@@ -34,15 +34,12 @@
 //! caller and the write-back going through a row map, straight into the
 //! scattered rows of a sparse target.
 //!
-//! The blocking constants are per-`Scalar` (chosen by element size so an
-//! `MC × KC` A-pack sits in L2 and a `KC × NC` B-pack in outer cache) and
-//! can be overridden **once** per process by a runtime probe
-//! ([`configure_blocking`], driven by `pastix-machine`'s
-//! `probe_blocking`).
+//! The blocking constants are a fixed function of the scalar width
+//! ([`blocking_for`]), chosen so an `MC × KC` A-pack sits in L2 and a
+//! `KC × NC` B-pack in outer cache.
 
 use crate::scalar::Scalar;
 use std::sync::atomic::{AtomicU8, Ordering};
-use std::sync::OnceLock;
 
 /// The register microkernel of the packed path for one scalar type: the
 /// shape of its accumulator block and the tiled driver compiled for it.
@@ -148,39 +145,10 @@ impl BlockSizes {
     }
 }
 
-// One configurable slot per scalar width (generic statics do not exist in
-// Rust; the kernels are generic but the cache hierarchy only cares about
-// bytes). `OnceLock` makes the runtime calibration one-shot and lock-free
-// after initialization.
-static BLOCK_8: OnceLock<BlockSizes> = OnceLock::new();
-static BLOCK_16: OnceLock<BlockSizes> = OnceLock::new();
-static BLOCK_OTHER: OnceLock<BlockSizes> = OnceLock::new();
-
-fn slot_for(elem_bytes: usize) -> &'static OnceLock<BlockSizes> {
-    match elem_bytes {
-        0..=8 => &BLOCK_8,
-        9..=16 => &BLOCK_16,
-        _ => &BLOCK_OTHER,
-    }
-}
-
-/// Installs calibrated blocking constants for scalars of `elem_bytes`
-/// bytes. One-shot per process and per width: returns `false` (and keeps
-/// the existing value) if a configuration was already installed. Called by
-/// `pastix_machine::probe_blocking`.
-pub fn configure_blocking(elem_bytes: usize, bs: BlockSizes) -> bool {
-    slot_for(elem_bytes).set(bs.sanitized()).is_ok()
-}
-
 /// The blocking constants the packed path uses for scalar `T`: the
-/// calibrated value if [`configure_blocking`] ran, the per-width default
-/// otherwise.
+/// per-width default of [`BlockSizes::default_for_elem_size`].
 pub fn blocking_for<T: Scalar>() -> BlockSizes {
-    let bytes = std::mem::size_of::<T>();
-    slot_for(bytes)
-        .get()
-        .copied()
-        .unwrap_or_else(|| BlockSizes::default_for_elem_size(bytes))
+    BlockSizes::default_for_elem_size(std::mem::size_of::<T>())
 }
 
 /// Which implementation the public GEMM entry points dispatch to.
@@ -533,8 +501,7 @@ fn gemm_scatter_driver<T: Scalar, K: MicroKernel<T>>(
     }
 }
 
-/// Packed `C ← C + α · A · Bᵀ` with explicit blocking constants (the probe
-/// times candidate constants through this entry point).
+/// Packed `C ← C + α · A · Bᵀ` with explicit blocking constants.
 #[allow(clippy::too_many_arguments)]
 pub fn gemm_nt_acc_packed_with<T: Scalar>(
     bs: BlockSizes,
@@ -742,6 +709,8 @@ mod tests {
         let d16 = BlockSizes::default_for_elem_size(16);
         assert!(d16.mc * 16 <= d8.mc * 16, "wider scalars get smaller tiles");
         assert!(d16.kc < d8.kc);
+        assert_eq!(blocking_for::<f64>(), d8);
+        assert_eq!(blocking_for::<crate::Complex64>(), d16);
     }
 
     #[test]

@@ -13,10 +13,8 @@
 #![warn(missing_docs)]
 
 use pastix_json::{obj, Json, JsonError};
-use pastix_kernels::model::{calibrate_blas_model, BlasModel, KernelClass};
-use pastix_kernels::pack::{self, BlockSizes};
+use pastix_kernels::model::{BlasModel, KernelClass};
 use std::io::{Read, Write};
-use std::sync::OnceLock;
 use std::time::Instant;
 
 /// Linear (alpha–beta) communication model: sending `bytes` costs
@@ -78,92 +76,6 @@ impl Default for NetworkModel {
     }
 }
 
-/// Task-kind indices of a [`TaskCalibration`] (the scheduler's four
-/// block-computation kinds, in task-graph order).
-pub mod task_kind {
-    /// `COMP1D` (1D supernode update).
-    pub const COMP1D: usize = 0;
-    /// `FACTOR` (2D diagonal-block factorization).
-    pub const FACTOR: usize = 1;
-    /// `BDIV` (2D panel solve).
-    pub const BDIV: usize = 2;
-    /// `BMOD` (2D contribution product).
-    pub const BMOD: usize = 3;
-    /// Number of calibrated task kinds.
-    pub const COUNT: usize = 4;
-}
-
-/// Measured per-task-kind execution rates, fed back from a traced run
-/// (the `class_stats` of `pastix-trace`'s report) into the cost model —
-/// the closed calibration loop.
-///
-/// The absolute rates are ns per model-second; what the cost functions
-/// apply is the **relative** factor ([`TaskCalibration::relative`]): each
-/// kind's rate normalized by the measured-work-weighted mean, so
-/// calibration reshapes the cost ratios *between* kinds (the part the
-/// static schedule is sensitive to) without changing the overall unit of
-/// model seconds.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct TaskCalibration {
-    /// Measured ns per model-second, indexed by [`task_kind`]; 0 marks a
-    /// kind the calibrating run never measured (its factor stays 1).
-    pub ns_per_cost: [f64; task_kind::COUNT],
-}
-
-impl TaskCalibration {
-    /// Relative cost factors: `rate / weighted-mean-rate` per kind, 1.0
-    /// for unmeasured kinds.
-    pub fn relative(&self) -> [f64; task_kind::COUNT] {
-        let (mut sum, mut cnt) = (0.0f64, 0u32);
-        for &r in &self.ns_per_cost {
-            if r > 0.0 {
-                sum += r;
-                cnt += 1;
-            }
-        }
-        if cnt == 0 {
-            return [1.0; task_kind::COUNT];
-        }
-        let mean = sum / cnt as f64;
-        let mut out = [1.0; task_kind::COUNT];
-        for (o, &r) in out.iter_mut().zip(&self.ns_per_cost) {
-            if r > 0.0 && mean > 0.0 {
-                *o = r / mean;
-            }
-        }
-        out
-    }
-
-    /// Dotfile form: the four rates, space-separated.
-    pub fn render(&self) -> String {
-        let r = &self.ns_per_cost;
-        format!("{:e} {:e} {:e} {:e}\n", r[0], r[1], r[2], r[3])
-    }
-
-    /// Parses [`TaskCalibration::render`]'s form (also accepts commas, the
-    /// `PASTIX_CALIBRATION` environment syntax). Rejects negatives, NaN,
-    /// and wrong arity.
-    pub fn parse(text: &str) -> Option<Self> {
-        let mut rates = [0.0f64; task_kind::COUNT];
-        let mut n = 0usize;
-        for tok in text.split(|c: char| c.is_whitespace() || c == ',').filter(|t| !t.is_empty()) {
-            if n >= task_kind::COUNT {
-                return None;
-            }
-            let v: f64 = tok.parse().ok()?;
-            if !v.is_finite() || v < 0.0 {
-                return None;
-            }
-            rates[n] = v;
-            n += 1;
-        }
-        if n != task_kind::COUNT {
-            return None;
-        }
-        Some(Self { ns_per_cost: rates })
-    }
-}
-
 /// The complete machine model used by the mapper/scheduler.
 ///
 /// ```
@@ -197,10 +109,6 @@ pub struct MachineModel {
     /// Intra-node (shared-memory) transfer model, used when
     /// `procs_per_node > 1` (defaulted on load of pre-SMP JSON).
     pub intra_node: NetworkModel,
-    /// Optional per-task-kind calibration measured by a traced run (see
-    /// [`TaskCalibration`]); `None` (and pre-calibration JSON) means all
-    /// task kinds are priced by the raw BLAS model.
-    pub task_calibration: Option<TaskCalibration>,
 }
 
 impl MachineModel {
@@ -213,7 +121,6 @@ impl MachineModel {
             bytes_per_scalar: 8,
             procs_per_node: 1,
             intra_node: NetworkModel::in_process(),
-            task_calibration: None,
         }
     }
 
@@ -224,39 +131,6 @@ impl MachineModel {
         Self {
             procs_per_node: procs_per_node.max(1),
             ..Self::sp2(n_procs)
-        }
-    }
-
-    /// A model of this very machine: calibrates the BLAS model by timing
-    /// the native kernels and measures an in-process transfer model.
-    pub fn calibrated_local(n_procs: usize) -> Self {
-        let blas = calibrate_blas_model(&[8, 24, 64, 128], 3);
-        let net = measure_in_process_network();
-        Self {
-            n_procs,
-            blas,
-            net,
-            bytes_per_scalar: 8,
-            procs_per_node: 1,
-            intra_node: NetworkModel::in_process(),
-            task_calibration: None,
-        }
-    }
-
-    /// Returns the model with `cal` installed (builder style).
-    pub fn with_task_calibration(mut self, cal: TaskCalibration) -> Self {
-        self.task_calibration = Some(cal);
-        self
-    }
-
-    /// The relative cost factor of task kind `kind` (a [`task_kind`]
-    /// index): 1.0 when uncalibrated. The scheduler's cost functions
-    /// multiply their modeled task time by this.
-    #[inline]
-    pub fn task_scale(&self, kind: usize) -> f64 {
-        match &self.task_calibration {
-            Some(c) if kind < task_kind::COUNT => c.relative()[kind],
-            _ => 1.0,
         }
     }
 
@@ -295,21 +169,13 @@ impl MachineModel {
             ("bytes_per_scalar", Json::Num(self.bytes_per_scalar as f64)),
             ("procs_per_node", Json::Num(self.procs_per_node as f64)),
             ("intra_node", self.intra_node.to_json()),
-            (
-                "task_calibration",
-                match &self.task_calibration {
-                    Some(c) => {
-                        Json::Arr(c.ns_per_cost.iter().map(|&r| Json::Num(r)).collect())
-                    }
-                    None => Json::Null,
-                },
-            ),
         ])
     }
 
     /// Parses the JSON form produced by [`MachineModel::to_json`]. The
     /// SMP fields (`procs_per_node`, `intra_node`) are optional so models
-    /// serialized before the SMP extension still load.
+    /// serialized before the SMP extension still load; fields this model no
+    /// longer has (`task_calibration`) are ignored.
     pub fn from_json(v: &Json) -> Result<Self, JsonError> {
         Ok(Self {
             n_procs: v.field("n_procs")?.as_usize()?,
@@ -323,10 +189,6 @@ impl MachineModel {
             intra_node: match v.get("intra_node") {
                 Some(f) => NetworkModel::from_json(f)?,
                 None => NetworkModel::in_process(),
-            },
-            task_calibration: match v.get("task_calibration") {
-                Some(Json::Null) | None => None,
-                Some(f) => Some(TaskCalibration { ns_per_cost: f.as_f64_array()? }),
             },
         })
     }
@@ -349,187 +211,6 @@ impl Default for MachineModel {
     fn default() -> Self {
         Self::sp2(16)
     }
-}
-
-/// How many times the timed blocking sweep has actually run in this
-/// process. The cache layers in front of it ([`probe_blocking`],
-/// [`resolve_blocking_in`]) exist to keep this at most 1 per machine —
-/// the at-most-once test asserts through this counter.
-pub fn probe_runs() -> u64 {
-    PROBE_RUNS.load(std::sync::atomic::Ordering::Relaxed)
-}
-
-static PROBE_RUNS: std::sync::atomic::AtomicU64 = std::sync::atomic::AtomicU64::new(0);
-
-/// Cache key of the blocking calibration: the result depends on the CPU
-/// architecture and core count, nothing else this crate can observe.
-fn blocking_cache_key() -> String {
-    format!(
-        "{}-{}cpu",
-        std::env::consts::ARCH,
-        std::thread::available_parallelism().map_or(1, |n| n.get())
-    )
-}
-
-fn parse_blocking(text: &str) -> Option<BlockSizes> {
-    let mut it = text.trim().split('x');
-    let mc = it.next()?.trim().parse().ok()?;
-    let kc = it.next()?.trim().parse().ok()?;
-    let nc = it.next()?.trim().parse().ok()?;
-    if it.next().is_some() || mc == 0 || kc == 0 || nc == 0 {
-        return None;
-    }
-    Some(BlockSizes { mc, kc, nc }.sanitized())
-}
-
-/// The timed sweep itself: times a representative `C += A·Bᵀ` under a
-/// handful of candidate `MC×KC×NC` tilings and returns the fastest.
-/// ~10⁸ flops; every call is counted in [`probe_runs`].
-fn timed_blocking_sweep() -> BlockSizes {
-    PROBE_RUNS.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-    let candidates = [
-        BlockSizes { mc: 64, kc: 128, nc: 1024 },
-        BlockSizes { mc: 128, kc: 224, nc: 2048 },
-        BlockSizes { mc: 128, kc: 256, nc: 4096 },
-        BlockSizes { mc: 192, kc: 256, nc: 2048 },
-    ];
-    // A shape of the solver's own flavor: a tall contribution product
-    // with a supernode-width inner dimension.
-    let (m, n, k) = (384usize, 256usize, 192usize);
-    let a: Vec<f64> = (0..m * k).map(|i| (i % 17) as f64 * 0.25 - 2.0).collect();
-    let b: Vec<f64> = (0..n * k).map(|i| (i % 11) as f64 * 0.5 - 2.5).collect();
-    let mut best = candidates[0];
-    let mut best_t = f64::INFINITY;
-    for cand in candidates {
-        let mut c = vec![0.0f64; m * n];
-        // Warm the instruction path and the pack buffers once.
-        pack::gemm_nt_acc_packed_with(cand, m, n, k, 1.0, &a, m, &b, n, &mut c, m);
-        let reps = 3;
-        let t0 = Instant::now();
-        for _ in 0..reps {
-            pack::gemm_nt_acc_packed_with(cand, m, n, k, 1.0, &a, m, &b, n, &mut c, m);
-        }
-        let dt = t0.elapsed().as_secs_f64() / reps as f64;
-        if dt < best_t {
-            best_t = dt;
-            best = cand;
-        }
-    }
-    best
-}
-
-/// Resolves the blocking constants with the persistent cache rooted at
-/// `cache_dir`, without touching the process-wide memo (that layer is
-/// [`probe_blocking`]). Resolution order:
-///
-/// 1. `PASTIX_BLOCKING=MCxKCxNC` in the environment — an explicit operator
-///    override, never persisted;
-/// 2. the dotfile `.pastix-blocking-<arch>-<n>cpu` under `cache_dir`,
-///    written by a previous run on this machine;
-/// 3. the timed sweep, whose winner is persisted to that dotfile
-///    (best-effort: an unwritable directory costs a re-probe next process,
-///    nothing else).
-pub fn resolve_blocking_in(cache_dir: &std::path::Path) -> BlockSizes {
-    if let Some(bs) = std::env::var("PASTIX_BLOCKING")
-        .ok()
-        .as_deref()
-        .and_then(parse_blocking)
-    {
-        return bs;
-    }
-    let dotfile = cache_dir.join(format!(".pastix-blocking-{}", blocking_cache_key()));
-    if let Some(bs) = std::fs::read_to_string(&dotfile)
-        .ok()
-        .as_deref()
-        .and_then(parse_blocking)
-    {
-        return bs;
-    }
-    let best = timed_blocking_sweep();
-    let _ = std::fs::create_dir_all(cache_dir);
-    let _ = std::fs::write(&dotfile, format!("{}x{}x{}\n", best.mc, best.kc, best.nc));
-    best
-}
-
-fn calibration_dotfile(cache_dir: &std::path::Path) -> std::path::PathBuf {
-    cache_dir.join(format!(".pastix-calibration-{}", blocking_cache_key()))
-}
-
-/// Loads the persisted per-task-kind calibration, mirroring the blocking
-/// probe's cache discipline:
-///
-/// 1. `PASTIX_CALIBRATION=c1d,fac,bdiv,bmod` in the environment — an
-///    explicit operator override, never persisted;
-/// 2. the dotfile `.pastix-calibration-<arch>-<n>cpu` under `cache_dir`,
-///    written by [`store_calibration_in`] after a traced run.
-///
-/// `None` (no source, or garbage in either) means "uncalibrated" — the
-/// cost model falls back to factor 1 everywhere, it never panics.
-pub fn load_calibration_in(cache_dir: &std::path::Path) -> Option<TaskCalibration> {
-    if let Some(c) = std::env::var("PASTIX_CALIBRATION")
-        .ok()
-        .as_deref()
-        .and_then(TaskCalibration::parse)
-    {
-        return Some(c);
-    }
-    std::fs::read_to_string(calibration_dotfile(cache_dir))
-        .ok()
-        .as_deref()
-        .and_then(TaskCalibration::parse)
-}
-
-/// Persists `cal` to the calibration dotfile under `cache_dir`
-/// (best-effort, like the blocking cache: an unwritable directory means
-/// the next process runs uncalibrated, nothing else).
-pub fn store_calibration_in(cache_dir: &std::path::Path, cal: &TaskCalibration) {
-    let _ = std::fs::create_dir_all(cache_dir);
-    let _ = std::fs::write(calibration_dotfile(cache_dir), cal.render());
-}
-
-/// Directory of the persistent machine caches (blocking probe and task
-/// calibration dotfiles): `PASTIX_BLOCKING_CACHE_DIR` if set, else the
-/// Cargo target dir (`CARGO_TARGET_DIR`, or `target/` when that exists
-/// beneath the current directory), else the system temp dir.
-pub fn cache_dir() -> std::path::PathBuf {
-    if let Ok(d) = std::env::var("PASTIX_BLOCKING_CACHE_DIR") {
-        return d.into();
-    }
-    if let Ok(d) = std::env::var("CARGO_TARGET_DIR") {
-        return d.into();
-    }
-    let target = std::path::Path::new("target");
-    if target.is_dir() {
-        return target.to_path_buf();
-    }
-    std::env::temp_dir()
-}
-
-/// One-shot runtime calibration of the packed GEMM blocking constants on
-/// *this* machine, and installation of the winner via
-/// [`pastix_kernels::pack::configure_blocking`] (for `f64`, and a
-/// half-sized derivation for 16-byte scalars whose elements take twice the
-/// cache space). The timed sweep runs **at most once per machine**, not
-/// once per process: the winner is memoized in-process (`OnceLock`) and
-/// persisted under a machine cache key (see [`resolve_blocking_in`]), and
-/// `PASTIX_BLOCKING=MCxKCxNC` skips probing entirely. Solvers work fine
-/// without calling this — the per-width defaults are sane — but the bench
-/// harness and long-running services call it once at startup.
-pub fn probe_blocking() -> BlockSizes {
-    static PROBE: OnceLock<BlockSizes> = OnceLock::new();
-    *PROBE.get_or_init(|| {
-        let best = resolve_blocking_in(&cache_dir());
-        pack::configure_blocking(8, best);
-        pack::configure_blocking(
-            16,
-            BlockSizes {
-                mc: best.mc / 2,
-                kc: best.kc / 2,
-                nc: best.nc / 2,
-            },
-        );
-        best
-    })
 }
 
 /// Measures an in-process "network": the cost of handing a buffer between
@@ -636,12 +317,14 @@ mod tests {
     #[test]
     fn json_without_smp_fields_loads_with_defaults() {
         // A model serialized before the SMP extension (no procs_per_node /
-        // intra_node) must still load — from_json defaults fill the gap.
+        // intra_node) must still load — from_json defaults fill the gap —
+        // and so must one carrying the retired per-task-kind calibration.
         let legacy = r#"{
             "n_procs": 4,
             "blas": BLAS,
             "net": {"latency": 4e-5, "bandwidth": 3.5e7},
-            "bytes_per_scalar": 8
+            "bytes_per_scalar": 8,
+            "task_calibration": [1e9, 1e9, 1e9, 1e9]
         }"#;
         let blas = BlasModel::power2sc().to_json().compact();
         let json = legacy.replace("BLAS", &blas);
@@ -655,141 +338,6 @@ mod tests {
         let mut m = MachineModel::sp2(4);
         m.procs_per_node = 0; // defensive: treated as 1
         assert_eq!(m.node_of(3), 3);
-    }
-
-    // Serializes every test that can run the timed sweep or mutate the
-    // probe-related environment, so the `probe_runs()` deltas are exact.
-    static PROBE_LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
-
-    #[test]
-    fn probe_blocking_is_one_shot_and_legal() {
-        let _serial = PROBE_LOCK.lock().unwrap();
-        let first = probe_blocking();
-        assert_eq!(first, probe_blocking(), "probe must cache its winner");
-        let bs = first.sanitized();
-        assert_eq!(bs, first, "installed blocking must already be sanitized");
-        // The f64 slot now serves the probe's winner.
-        assert_eq!(pastix_kernels::blocking_for::<f64>(), first);
-    }
-
-    #[test]
-    fn blocking_sweep_runs_at_most_once_per_cache_key() {
-        let _serial = PROBE_LOCK.lock().unwrap();
-        let dir = std::env::temp_dir().join(format!("pastix-blk-cold-{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
-        let r0 = probe_runs();
-        let a = resolve_blocking_in(&dir);
-        assert_eq!(probe_runs(), r0 + 1, "cold cache must pay the sweep once");
-        let b = resolve_blocking_in(&dir);
-        assert_eq!(probe_runs(), r0 + 1, "dotfile hit must skip the sweep");
-        assert_eq!(a, b, "cached winner must round-trip through the dotfile");
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn blocking_cache_honors_dotfile_and_env_override() {
-        let _serial = PROBE_LOCK.lock().unwrap();
-        // Pre-seeded dotfile: no sweep, exact value back.
-        let dir = std::env::temp_dir().join(format!("pastix-blk-seed-{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
-        std::fs::create_dir_all(&dir).unwrap();
-        let key = format!(
-            "{}-{}cpu",
-            std::env::consts::ARCH,
-            std::thread::available_parallelism().map_or(1, |n| n.get())
-        );
-        std::fs::write(dir.join(format!(".pastix-blocking-{key}")), "64x128x1024").unwrap();
-        let r0 = probe_runs();
-        assert_eq!(
-            resolve_blocking_in(&dir),
-            BlockSizes { mc: 64, kc: 128, nc: 1024 }
-        );
-        assert_eq!(probe_runs(), r0, "seeded dotfile must skip the sweep");
-        // Env override wins over everything and is never persisted.
-        std::env::set_var("PASTIX_BLOCKING", "128x96x512");
-        let got = resolve_blocking_in(&dir);
-        std::env::remove_var("PASTIX_BLOCKING");
-        assert_eq!(got, BlockSizes { mc: 128, kc: 96, nc: 512 });
-        assert_eq!(probe_runs(), r0);
-        // Garbage in the dotfile falls through to the sweep rather than
-        // panicking or installing nonsense.
-        std::fs::write(dir.join(format!(".pastix-blocking-{key}")), "not-a-size").unwrap();
-        let swept = resolve_blocking_in(&dir);
-        assert_eq!(probe_runs(), r0 + 1);
-        assert_eq!(swept, swept.sanitized());
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn calibration_relative_normalizes_and_defaults() {
-        let c = TaskCalibration { ns_per_cost: [2e9, 4e9, 0.0, 6e9] };
-        let rel = c.relative();
-        // Mean over measured kinds is 4e9; unmeasured BDIV stays 1.
-        assert!((rel[0] - 0.5).abs() < 1e-12);
-        assert!((rel[1] - 1.0).abs() < 1e-12);
-        assert!((rel[2] - 1.0).abs() < 1e-12);
-        assert!((rel[3] - 1.5).abs() < 1e-12);
-        // Uncalibrated model scales by 1 everywhere.
-        let m = MachineModel::sp2(4);
-        for k in 0..task_kind::COUNT {
-            assert_eq!(m.task_scale(k), 1.0);
-        }
-        let m = m.with_task_calibration(c);
-        assert!((m.task_scale(task_kind::BMOD) - 1.5).abs() < 1e-12);
-        assert_eq!(m.task_scale(99), 1.0, "out-of-range kind is inert");
-    }
-
-    #[test]
-    fn calibration_parse_render_round_trip() {
-        let c = TaskCalibration { ns_per_cost: [1.5e9, 2.25e9, 3.125e8, 0.0] };
-        let back = TaskCalibration::parse(&c.render()).unwrap();
-        for (a, b) in c.ns_per_cost.iter().zip(back.ns_per_cost) {
-            assert!((a - b).abs() <= 1e-9 * a.abs().max(1.0));
-        }
-        // Env syntax (commas) parses too; garbage does not.
-        assert!(TaskCalibration::parse("1,2,3,4").is_some());
-        assert!(TaskCalibration::parse("1 2 3").is_none());
-        assert!(TaskCalibration::parse("1 2 3 4 5").is_none());
-        assert!(TaskCalibration::parse("1 -2 3 4").is_none());
-        assert!(TaskCalibration::parse("1 nan 3 4").is_none());
-    }
-
-    #[test]
-    fn calibrated_model_json_round_trips() {
-        let m = MachineModel::sp2(8)
-            .with_task_calibration(TaskCalibration { ns_per_cost: [1e9, 2e9, 3e9, 4e9] });
-        let mut buf = Vec::new();
-        m.save(&mut buf).unwrap();
-        let m2 = MachineModel::load(&buf[..]).unwrap();
-        let c2 = m2.task_calibration.expect("calibration survives JSON");
-        for (a, b) in [1e9, 2e9, 3e9, 4e9].iter().zip(c2.ns_per_cost) {
-            assert!((a - b).abs() <= 1e-3);
-        }
-        // Pre-calibration JSON (no field) loads as uncalibrated — covered
-        // by json_without_smp_fields_loads_with_defaults's legacy blob.
-    }
-
-    #[test]
-    fn calibration_dotfile_round_trip_and_env_override() {
-        let _serial = PROBE_LOCK.lock().unwrap();
-        let dir = std::env::temp_dir().join(format!("pastix-calib-{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
-        assert!(load_calibration_in(&dir).is_none(), "cold cache is uncalibrated");
-        let cal = TaskCalibration { ns_per_cost: [1e9, 2e9, 3e9, 4e9] };
-        store_calibration_in(&dir, &cal);
-        let back = load_calibration_in(&dir).expect("dotfile loads");
-        for (a, b) in cal.ns_per_cost.iter().zip(back.ns_per_cost) {
-            assert!((a - b).abs() <= 1e-3);
-        }
-        // Env override wins over the dotfile.
-        std::env::set_var("PASTIX_CALIBRATION", "5e9,5e9,5e9,5e9");
-        let over = load_calibration_in(&dir).unwrap();
-        std::env::remove_var("PASTIX_CALIBRATION");
-        assert_eq!(over.ns_per_cost, [5e9; 4]);
-        // Garbage in the dotfile degrades to uncalibrated.
-        std::fs::write(calibration_dotfile(&dir), "broken").unwrap();
-        assert!(load_calibration_in(&dir).is_none());
-        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]

@@ -7,14 +7,13 @@
 //! operations").
 
 use pastix_kernels::model::KernelClass;
-use pastix_machine::{task_kind, MachineModel};
+use pastix_machine::MachineModel;
 use pastix_symbolic::SymbolMatrix;
 
 /// Predicted seconds of `COMP1D(k)`: factor the diagonal block, solve and
 /// scale the whole off-diagonal panel, and compute every compacted
 /// contribution `C_[j] = L_[j]k · F_jᵀ`.
 pub fn comp1d_cost(sym: &SymbolMatrix, k: usize, m: &MachineModel) -> f64 {
-    let scale = m.task_scale(task_kind::COMP1D);
     let w = sym.cblks[k].width();
     let offs = sym.off_bloks_of(k);
     let h: usize = offs.iter().map(|b| b.nrows()).sum();
@@ -31,13 +30,13 @@ pub fn comp1d_cost(sym: &SymbolMatrix, k: usize, m: &MachineModel) -> f64 {
             rows_below -= hj;
         }
     }
-    t * scale
+    t
 }
 
 /// Predicted seconds of `FACTOR(k)` (diagonal block factorization).
 pub fn factor_cost(sym: &SymbolMatrix, k: usize, m: &MachineModel) -> f64 {
     let w = sym.cblks[k].width();
-    m.kernel_time(KernelClass::FactorLdlt, w, w, w) * m.task_scale(task_kind::FACTOR)
+    m.kernel_time(KernelClass::FactorLdlt, w, w, w)
 }
 
 /// Predicted seconds of `BDIV(j, k)` (panel solve of one off-diagonal
@@ -45,9 +44,7 @@ pub fn factor_cost(sym: &SymbolMatrix, k: usize, m: &MachineModel) -> f64 {
 pub fn bdiv_cost(sym: &SymbolMatrix, k: usize, blok: usize, m: &MachineModel) -> f64 {
     let w = sym.cblks[k].width();
     let hj = sym.bloks[blok].nrows();
-    (m.kernel_time(KernelClass::TrsmPanel, hj, w, w)
-        + m.kernel_time(KernelClass::ScaleCols, hj, w, 1))
-        * m.task_scale(task_kind::BDIV)
+    m.kernel_time(KernelClass::TrsmPanel, hj, w, w) + m.kernel_time(KernelClass::ScaleCols, hj, w, 1)
 }
 
 /// Predicted seconds of `BMOD(i, j, k)` (one block contribution product).
@@ -55,7 +52,7 @@ pub fn bmod_cost(sym: &SymbolMatrix, k: usize, blok_row: usize, blok_col: usize,
     let w = sym.cblks[k].width();
     let hr = sym.bloks[blok_row].nrows();
     let hc = sym.bloks[blok_col].nrows();
-    m.kernel_time(KernelClass::GemmNt, hr, hc, w) * m.task_scale(task_kind::BMOD)
+    m.kernel_time(KernelClass::GemmNt, hr, hc, w)
 }
 
 /// Total predicted sequential factorization time (sum of all `COMP1D`
@@ -91,29 +88,6 @@ mod tests {
         let total = sequential_cost(&sym, &m);
         let manual: f64 = (0..sym.n_cblks()).map(|k| comp1d_cost(&sym, k, &m)).sum();
         assert_eq!(total, manual);
-    }
-
-    #[test]
-    fn calibration_rescales_kinds_relatively() {
-        use pastix_machine::{task_kind, TaskCalibration};
-        let sym = symbol();
-        let base = MachineModel::sp2(4);
-        // BMOD measured 3x slower per model-second than FACTOR/BDIV/COMP1D.
-        let mut rates = [1e9; task_kind::COUNT];
-        rates[task_kind::BMOD] = 3e9;
-        let cal = base.clone().with_task_calibration(TaskCalibration { ns_per_cost: rates });
-        let k = (0..sym.n_cblks())
-            .find(|&k| !sym.off_bloks_of(k).is_empty())
-            .unwrap();
-        let b = sym.cblks[k].blok_start + 1;
-        let rel = cal.task_scale(task_kind::BMOD) / cal.task_scale(task_kind::FACTOR);
-        assert!(rel > 1.0);
-        let ratio_base = bmod_cost(&sym, k, b, b, &base) / factor_cost(&sym, k, &base);
-        let ratio_cal = bmod_cost(&sym, k, b, b, &cal) / factor_cost(&sym, k, &cal);
-        assert!(
-            (ratio_cal / ratio_base - rel).abs() < 1e-9,
-            "bmod/factor cost ratio must move by exactly the relative factor"
-        );
     }
 
     #[test]

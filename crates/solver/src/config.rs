@@ -54,14 +54,6 @@ pub struct SolverConfig {
     /// default (`tolerance: 0.0`) — the factorization is bitwise-identical
     /// to the classic dense path.
     pub compression: CompressionConfig,
-    /// Persist measured per-task-kind `ns_per_cost` rates to the machine
-    /// calibration dotfile after each wall-clock-traced factorization, so
-    /// long-lived deployments self-tune the scheduler's cost model the
-    /// same way `bench_trace` does. Off by default; has no effect unless
-    /// the run is traced with [`pastix_trace::ClockMode::Wall`] and a
-    /// static schedule is present (logical-clock traces carry no rate
-    /// information).
-    pub persist_calibration: bool,
 }
 
 impl SolverConfig {
@@ -116,13 +108,6 @@ impl SolverConfig {
     /// Sets the block low-rank compression knobs.
     pub fn with_compression(mut self, compression: CompressionConfig) -> Self {
         self.compression = compression;
-        self
-    }
-
-    /// Opts wall-clock-traced factorizations into writing the machine
-    /// calibration dotfile (see [`SolverConfig::persist_calibration`]).
-    pub fn with_persist_calibration(mut self, on: bool) -> Self {
-        self.persist_calibration = on;
         self
     }
 }

@@ -359,45 +359,7 @@ impl Plan {
             t0.elapsed().as_nanos() as u64,
         );
         run.ctx = Some(PlanCtx { plan: self.clone(), cfg: cfg.clone() });
-        if cfg.persist_calibration {
-            self.persist_calibration(cfg, &run.trace);
-        }
         Ok(run)
-    }
-
-    /// Closes the calibration loop for a production run: joins the just
-    /// recorded wall-clock trace against the static schedule and persists
-    /// the measured per-task-kind `ns_per_cost` rates to the machine
-    /// dotfile (exactly what `bench_trace` does offline). Quietly skips
-    /// when the run carries no rate information — tracing off, logical
-    /// clock, no static schedule, or degenerate fits.
-    fn persist_calibration(&self, cfg: &SolverConfig, trace: &TraceLog) {
-        use pastix_machine::{cache_dir, store_calibration_in, task_kind, TaskCalibration};
-        if !cfg.trace.enabled
-            || cfg.trace.clock != pastix_trace::ClockMode::Wall
-            || trace.ranks.is_empty()
-        {
-            return;
-        }
-        let Some(sched) = self.inner.schedule.as_ref() else {
-            return;
-        };
-        let report = pastix_trace::report::build_report(&self.inner.graph, sched, trace);
-        let cs = &report.class_stats;
-        let cal = TaskCalibration {
-            ns_per_cost: [
-                cs[task_kind::COMP1D].ns_per_cost(),
-                cs[task_kind::FACTOR].ns_per_cost(),
-                cs[task_kind::BDIV].ns_per_cost(),
-                cs[task_kind::BMOD].ns_per_cost(),
-            ],
-        };
-        // A class that never ran fits to 0; persisting that would poison
-        // the scheduler's cost model for the next process.
-        if cal.ns_per_cost.iter().any(|&r| !r.is_finite() || r <= 0.0) {
-            return;
-        }
-        store_calibration_in(&cache_dir(), &cal);
     }
 
     fn require_schedule(&self) -> &Schedule {

@@ -60,9 +60,8 @@ pub struct RankRow {
     pub send_bytes: u64,
 }
 
-/// Aggregated predicted-vs-measured totals for one task class — the raw
-/// material of the closed calibration loop (`pastix-machine` turns the
-/// per-class `measured_ns / predicted` ratios into a `TaskCalibration`).
+/// Aggregated predicted-vs-measured totals for one task class: how far
+/// the cost model's relative pricing of that class is from what ran.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct ClassStat {
     /// Matched tasks of this class.
@@ -137,8 +136,7 @@ pub struct TraceReport {
     pub class_stats: [ClassStat; 4],
     /// Prediction quality under the fitted global scale:
     /// `1 − Σ|measured − predicted·scale| / Σ measured` over matched
-    /// tasks (1.0 = the model prices every task exactly; this is the
-    /// number calibration must not worsen).
+    /// tasks (1.0 = the model prices every task exactly).
     pub prediction_fit: f64,
     /// Load imbalance: max rank compute time / mean rank compute time
     /// (1.0 = perfectly balanced).

@@ -13,10 +13,7 @@
 //!   names the in-flight request ids;
 //! * the Prometheus text exposition is pinned against a committed golden
 //!   file (regenerate with `PASTIX_UPDATE_GOLDEN=1`), and the session's
-//!   opt-in scrape endpoint serves the same rendering over HTTP;
-//! * a traced wall-clock production run persists the task-calibration
-//!   dotfile when (and only when) `SolverConfig::persist_calibration`
-//!   opts in.
+//!   opt-in scrape endpoint serves the same rendering over HTTP.
 
 use pastix::graph::gen::{grid_spd, Stencil, ValueKind};
 use pastix::graph::rhs_for_solution;
@@ -31,7 +28,7 @@ use pastix_trace::{flight, TraceOptions};
 use std::sync::Mutex;
 
 /// Serializes tests that touch process-global state: the black-box dump
-/// directory, the watchdog/calibration environment knobs. Poisoning is
+/// directory, the watchdog environment knobs. Poisoning is
 /// ignored — a failed test must not cascade into the others.
 static GLOBAL_STATE: Mutex<()> = Mutex::new(());
 
@@ -317,57 +314,4 @@ fn session_scrape_endpoint_serves_metrics() {
     assert!(resp.contains("text/plain; version=0.0.4"), "missing exposition content type");
     assert!(resp.contains("pastix_serve_solves"), "scrape body must carry session counters");
     assert!(resp.contains("pastix_serve_cache_misses"), "scrape body must carry cache counters");
-}
-
-/// A traced wall-clock production run persists the task-calibration
-/// dotfile iff `persist_calibration` opts in; logical-clock (sim) traces
-/// never do — their timestamps carry no rate information.
-#[test]
-fn traced_run_persists_calibration_dotfile_on_opt_in() {
-    let _g = global_lock();
-    // Large enough, with a mixed 1D/2D mapping, that every task class
-    // (COMP1D, FACTOR, BDIV, BMOD) runs — a class that never ran fits a
-    // zero rate and the persist path correctly refuses to write it.
-    let a = grid_spd::<f64>(12, 12, 1, Stencil::Star, false, ValueKind::RandomSpd(31));
-    let run = |persist: bool, wall: bool, tag: &str| -> usize {
-        let dir = fresh_dump_dir(tag);
-        std::env::set_var("PASTIX_BLOCKING_CACHE_DIR", &dir);
-        let topts = if wall {
-            TraceOptions::wall()
-        } else {
-            TraceOptions::deterministic()
-        };
-        let cfg = SolverConfig::new()
-            .with_trace(topts)
-            .with_persist_calibration(persist);
-        let mut sched = SchedOptions { block_size: 8, ..Default::default() };
-        sched.mapping.strategy = pastix::sched::DistStrategy::Mixed1d2d;
-        sched.mapping.procs_2d_min = 2.0;
-        sched.mapping.width_2d_min = 4;
-        let opts = SessionOptions {
-            procs: 4,
-            max_panel: 2,
-            sched,
-            solver: cfg,
-            ..Default::default()
-        };
-        let mut session = SolverSession::<f64>::new(opts);
-        let b = rhs_for_solution(&a, &vec![1.0; a.n()]);
-        session.solve(&a, &b).expect("solve");
-        std::env::remove_var("PASTIX_BLOCKING_CACHE_DIR");
-        let n = std::fs::read_dir(&dir)
-            .unwrap()
-            .filter_map(|e| e.ok())
-            .filter(|e| e.file_name().to_string_lossy().starts_with(".pastix-calibration-"))
-            .count();
-        let loaded = pastix::machine::load_calibration_in(&dir);
-        if n > 0 {
-            assert!(loaded.is_some(), "{tag}: persisted dotfile must parse back");
-        }
-        let _ = std::fs::remove_dir_all(&dir);
-        n
-    };
-    assert_eq!(run(true, true, "cal-on"), 1, "opted-in wall-clock run must write the dotfile");
-    assert_eq!(run(false, true, "cal-off"), 0, "without the opt-in nothing is written");
-    assert_eq!(run(true, false, "cal-logical"), 0, "logical clocks must never calibrate");
 }
