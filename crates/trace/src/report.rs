@@ -60,8 +60,7 @@ pub struct RankRow {
     pub send_bytes: u64,
 }
 
-/// Aggregated predicted-vs-measured totals for one task class: how far
-/// the cost model's relative pricing of that class is from what ran.
+/// Aggregated predicted-vs-measured totals for one task class.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct ClassStat {
     /// Matched tasks of this class.
