@@ -13,8 +13,9 @@
 //!   problem under [`KernelMode::Reference`] vs [`KernelMode::Auto`] (the
 //!   packed path above the dispatch threshold), with a factor checksum per
 //!   mode, the tracing-overhead gate, and the *where factorization time
-//!   goes* stage table of the static driver on one and two ranks, read off
-//!   the `solver.comp1d.*` counters of wall-clock traced runs, and the
+//!   goes* stage table of the static driver on one and two ranks and of
+//!   the dynamic one on two workers, read off the `solver.comp1d.*`
+//!   counters of wall-clock traced runs, and the
 //!   `front_end` table: pattern build, scatter, the plan-cached front end
 //!   and a dynamic refactorization, per `bench_e2e` matrix.
 //!
@@ -293,31 +294,41 @@ fn measure_trace_overhead(reps: usize) -> (f64, f64, u64) {
     (traced / plain - 1.0, plain, events)
 }
 
-/// Where the static factorization's time goes: BMWCRA1 @ 0.1 (`bench_e2e`'s
+/// Where the factorization's time goes: BMWCRA1 @ 0.1 (`bench_e2e`'s
 /// `solid3d` matrix; SHIPSEC5 @ 0.02 in quick mode) on one and two ranks of
-/// the thread backend, the fastest of `reps` wall-clock traced runs each,
-/// and under `median` the run of median wall time (a neighbour on the box
-/// moves the median before the best). The stage columns are the
-/// `solver.comp1d.*` counters summed over the ranks: `gemm` is the strip
-/// products, including, for the strips on the packed path, the panel's
-/// pack and the write-back straight into the targets; `deliver` is the
-/// delivery of the strips below the packing threshold only. `rest_ms` is
-/// what the stages leave of the ranks' summed wall time (diagonal factors,
-/// `F = L·D`, zeroing the small strips, scatter, waiting, and the serial
-/// permute and assembly around the ranks).
+/// the thread backend, and SHIPSEC5 @ 0.2 (`shell_refactor_dynamic`'s
+/// matrix and backend; @ 0.02 in quick mode) on [`FRONT_END_WORKERS`]
+/// workers of `Backend::Dynamic`: the fastest of `reps` wall-clock traced
+/// runs each, and under `median` the run of median wall time (a neighbour
+/// on the box moves the median before the best). The stage columns are the
+/// `solver.comp1d.*` counters summed over the ranks or workers: `gemm` is
+/// the strip products — for the strips on the packed path with the panel's
+/// pack and the write-back straight into the targets, for the others the
+/// products into their groups' scratch strips; `deliver` is the delivery of
+/// those groups. `rest_ms` is what the stages leave of the ranks' summed
+/// wall time (diagonal factors, `F = L·D`, zeroing the scratch strips,
+/// scatter, waiting, and the serial permute and assembly around the ranks).
 fn bench_stages(quick: bool) -> Json {
-    let (id, sc, reps) = if quick { (ProblemId::Shipsec5, 0.02, 2) } else { (ProblemId::Bmwcra1, 0.1, 7) };
-    let a = pastix_graph::build_problem::<f64>(id, sc);
+    let reps = if quick { 2 } else { 7 };
+    let (id, sc) = if quick { (ProblemId::Shipsec5, 0.02) } else { (ProblemId::Bmwcra1, 0.1) };
+    let (dyn_id, dyn_sc) = (ProblemId::Shipsec5, if quick { 0.02 } else { 0.2 });
+    let dynamic = DynamicOptions::new().with_workers(FRONT_END_WORKERS).with_priorities(true);
     println!();
-    println!("static factorization stage by stage, {} @ {sc}, best and median of {reps} (ms; stages summed over ranks)", id.name());
-    println!("{:>5} {:>6} {:>9} {:>9} {:>9} {:>9} {:>9} {:>10}", "ranks", "of", "wall", "trsm", "gemm", "deliver", "rest", "gemm GF/s");
+    println!("factorization stage by stage, best and median of {reps} (ms; stages summed over ranks)");
+    println!("{:<10} {:>6} {:>8} {:>5} {:>6} {:>9} {:>9} {:>9} {:>9} {:>9} {:>10}", "Name", "scale", "backend", "ranks", "of", "wall", "trsm", "gemm", "deliver", "rest", "gemm GF/s");
+    let cases = [(id, sc, 1, None), (id, sc, 2, None), (dyn_id, dyn_sc, FRONT_END_WORKERS, Some(dynamic))];
     let mut rows = Vec::new();
-    for procs in [1usize, 2] {
-        let base = SolverConfig::new().with_trace(TraceOptions::wall()).with_analyze(AnalyzeOptions {
+    for (id, sc, procs, dynamic) in cases {
+        let a = pastix_graph::build_problem::<f64>(id, sc);
+        let mut base = SolverConfig::new().with_trace(TraceOptions::wall()).with_analyze(AnalyzeOptions {
             procs,
             parallelism: Parallelism::Auto,
             ..AnalyzeOptions::default()
         });
+        if let Some(d) = dynamic {
+            base = base.with_backend(Backend::Dynamic(d));
+        }
+        let backend = if dynamic.is_some() { "dynamic" } else { "static" };
         let plan = Plan::analyze(&a, &base);
         // Flops of the strip products U = −L·Fᵀ, the `gemm` stage's work.
         let sym = plan.symbol();
@@ -351,7 +362,10 @@ fn bench_stages(quick: bool) -> Json {
         let stages = |of: &str, [wall, trsm, gemm, deliver]: [f64; 4]| {
             let rest = procs as f64 * wall - trsm - gemm - deliver;
             let gemm_gf = gflops(strip_flops, gemm / 1e3);
-            println!("{procs:>5} {of:>6} {wall:>9.1} {trsm:>9.1} {gemm:>9.1} {deliver:>9.1} {rest:>9.1} {gemm_gf:>10.2}");
+            println!(
+                "{:<10} {sc:>6} {backend:>8} {procs:>5} {of:>6} {wall:>9.1} {trsm:>9.1} {gemm:>9.1} {deliver:>9.1} {rest:>9.1} {gemm_gf:>10.2}",
+                id.name()
+            );
             [
                 ("wall_ms", Json::Num(wall)),
                 ("trsm_ms", Json::Num(trsm)),
@@ -361,13 +375,18 @@ fn bench_stages(quick: bool) -> Json {
                 ("gemm_stage_gflops_per_rank", Json::Num(gemm_gf)),
             ]
         };
-        let mut row = vec![("ranks".to_string(), Json::Num(procs as f64))];
+        let mut row = vec![
+            ("problem".to_string(), Json::Str(id.name().into())),
+            ("scale".to_string(), Json::Num(sc)),
+            ("backend".to_string(), Json::Str(backend.into())),
+            ("ranks".to_string(), Json::Num(procs as f64)),
+        ];
         row.extend(stages("best", runs[0]).map(|(k, v)| (k.to_string(), v)));
         row.push(("strip_gflop".to_string(), Json::Num(strip_flops / 1e9)));
         row.push(("median".to_string(), obj(stages("median", runs[reps / 2]))));
         rows.push(Json::Obj(row));
     }
-    obj([("problem", Json::Str(id.name().into())), ("scale", Json::Num(sc)), ("reps", Json::Num(reps as f64)), ("rows", Json::Arr(rows))])
+    obj([("reps", Json::Num(reps as f64)), ("rows", Json::Arr(rows))])
 }
 
 /// Workers of the front-end table's dynamic refactorization: `bench_e2e`'s.

@@ -30,7 +30,7 @@ pub mod scalar;
 pub mod trsm;
 
 pub use complex::Complex64;
-pub use dense::DenseMat;
+pub use dense::{prefetch_write, DenseMat};
 pub use factor::{ldlt_factor_blocked, ldlt_factor_inplace, llt_factor_blocked, llt_factor_inplace, FactorError, NB_FACTOR};
 pub use gemm::{
     gemm_flops, gemm_nn_acc, gemm_nn_acc_rows, gemm_nt_acc, gemm_nt_acc_lower, gemm_tn_acc,

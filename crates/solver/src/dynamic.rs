@@ -131,7 +131,7 @@ impl<T: Scalar> ContribSink<T> for LockedPanels<'_, '_, T> {
         let (sym, layout) = (self.shared.sym, self.shared.layout);
         let panel = self.lock(sym.bloks[bc].fcblk as usize);
         strip_stretches(sym, layout, bc, end, false, offs, |br0, offs, t| {
-            apply(br0, offs, &mut panel[t.panel_row + t.col * t.lda..], t.lda)
+            apply(br0, offs, &mut panel[t.panel_row + t.col * t.lda..], t.lda);
         });
     }
 }

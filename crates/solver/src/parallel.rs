@@ -851,10 +851,7 @@ impl<T: Scalar, C: Comm<PMsg<T>> + ?Sized> ContribSink<T> for FanIn<'_, '_, T, C
         // Rows of one region are as far apart as in the panel.
         strip_stretches(sym, &routing.layout, bc, end, per_blok, offs, |br0, offs, first| {
             let route = route_of(sym, graph, first);
-            self.contribute(route.dst, |region| {
-                apply(br0, offs, &mut region[route.off..], route.ldr);
-                offs.len() as u32
-            });
+            self.contribute(route.dst, |region| apply(br0, offs, &mut region[route.off..], route.ldr));
         });
     }
 }

@@ -33,7 +33,7 @@ impl<T: Scalar> ContribSink<T> for LaterPanels<'_, T> {
     fn with_strip(&mut self, bc: usize, end: usize, offs: &mut Vec<usize>, mut apply: impl StretchFn<T>) {
         let panel = &mut self.later[self.sym.bloks[bc].fcblk as usize - self.first];
         strip_stretches(self.sym, self.layout, bc, end, false, offs, |br0, offs, t| {
-            apply(br0, offs, &mut panel[t.panel_row + t.col * t.lda..], t.lda)
+            apply(br0, offs, &mut panel[t.panel_row + t.col * t.lda..], t.lda);
         });
     }
 }

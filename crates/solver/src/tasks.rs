@@ -15,10 +15,11 @@ use pastix_kernels::dense::copy_panel;
 use pastix_kernels::factor::{ldlt_factor_blocked, ldlt_factor_inplace, FactorError, NB_FACTOR};
 use pastix_kernels::{
     blocking_for, compress_block, gemm_nt_acc, gemm_nt_scatter, kernel_mode, lr_gemm_nt_acc, lr_trsm_ldlt,
-    pack_a_slabs, scale_cols_by_diag_into, trsm_ldlt_panel, KernelMode, LowRankBlock, LrOp, LrRef, Scalar,
+    pack_a_slabs, prefetch_write, scale_cols_by_diag_into, trsm_ldlt_panel, KernelMode, LowRankBlock, LrOp, LrRef, Scalar,
 };
 use pastix_symbolic::SymbolMatrix;
 use pastix_trace::{ClockMode, TraceOptions};
+use std::ops::Range;
 use std::time::Instant;
 
 /// Where the contributions of a column block go. A driver implements
@@ -39,6 +40,7 @@ pub(crate) trait ContribSink<T: Scalar> {
     /// strip for a panel or a 1D task's region, one covering blok of a 2D
     /// target's regions. `c`, `ldc` are [`Self::with_target`]'s for pair
     /// `(br0, bc)`; row block `br0 + i` starts `offs[i]` rows below `c`.
+    /// `apply` returns the number of pairs it delivered into the stretch.
     /// [`strip_stretches`](crate::storage::strip_stretches) fills `offs`,
     /// the caller's buffer, finding the target column block once a strip.
     fn with_strip(&mut self, bc: usize, end: usize, offs: &mut Vec<usize>, apply: impl StretchFn<T>);
@@ -60,30 +62,57 @@ pub(crate) trait ContribSink<T: Scalar> {
         self.with_target(br, bc, |c, ldc| lr_gemm_nt_acc(hr, hc, w, -T::one(), a, b, c, ldc));
     }
 
-    /// `C += U` for the pairs `(bc..end, bc)`, where `strip` (leading
-    /// dimension `ld`) is the already-computed `U = −L_{c..}·F_cᵀ`, its
-    /// row blocks stacked in blok order.
-    fn add_strip(&mut self, sym: &SymbolMatrix, bc: usize, end: usize, strip: &[T], ld: usize, offs: &mut Vec<usize>) {
-        let hc = sym.bloks[bc].nrows();
-        let mut urow = 0;
-        self.with_strip(bc, end, offs, |br0, offs, c, ldc| {
-            for (br, &off) in (br0..).zip(offs) {
-                let hr = sym.bloks[br].nrows();
-                for j in 0..hc {
-                    let src = &strip[urow + j * ld..][..hr];
-                    for (d, &s) in c[off + j * ldc..][..hr].iter_mut().zip(src) {
-                        *d += s;
+    /// `C += U` for the pairs `(br, bc)`, `bc ∈ g`, `bc ≤ br < end`, of a
+    /// group `g` of consecutive pivot bloks whose strips face one column
+    /// block. `u` holds the strips `U_bc = −L_{bc..}·F_bcᵀ` one after the
+    /// other, each with its rows `bc..end` as leading dimension. One
+    /// [`Self::with_strip`] walk of the group's first blok finds every
+    /// window: a row block lands on the same target rows whichever pivot
+    /// blok of the group it pairs with, and pivot blok `bc`'s columns sit
+    /// `frow(bc) − frow(g.start)` columns to the right. A stretch's target
+    /// lines are prefetched before its adds.
+    fn add_group(&mut self, sym: &SymbolMatrix, g: Range<usize>, end: usize, u: &[T], offs: &mut Vec<usize>) {
+        let bloks = &sym.bloks;
+        let below: usize = bloks[g.start..end].iter().map(|b| b.nrows()).sum();
+        let mut above = 0; // rows of the strip above the stretch
+        self.with_strip(g.start, end, offs, |br0, offs, c, ldc| {
+            let mut pairs = 0;
+            for add in [false, true] {
+                // `U_bc` starts at `u[base]`; `top` rows of the strip lie above `bc`.
+                let (mut base, mut top) = (0, 0);
+                for bc in g.clone() {
+                    let (hc, ldu) = (bloks[bc].nrows(), below - top);
+                    let col = (bloks[bc].frow - bloks[g.start].frow) as usize;
+                    let mut row = above;
+                    for (br, &off) in (br0..).zip(offs) {
+                        let hr = bloks[br].nrows();
+                        if br >= bc {
+                            pairs += u32::from(add);
+                            for j in 0..hc {
+                                let d = &mut c[off + (col + j) * ldc..][..hr];
+                                if add {
+                                    d.iter_mut().zip(&u[base + row - top + j * ldu..]).for_each(|(d, &s)| *d += s);
+                                } else {
+                                    d.iter().step_by(64 / size_of::<T>()).chain(d.last()).for_each(prefetch_write);
+                                }
+                            }
+                        }
+                        row += hr;
                     }
+                    base += ldu * hc;
+                    top += hc;
                 }
-                urow += hr;
             }
+            above += bloks[br0..br0 + offs.len()].iter().map(|b| b.nrows()).sum::<usize>();
+            pairs
         });
     }
 }
 
-/// The callback of [`ContribSink::with_strip`]: `(br0, offs, c, ldc)`.
-pub(crate) trait StretchFn<T>: FnMut(usize, &[usize], &mut [T], usize) {}
-impl<T, F: FnMut(usize, &[usize], &mut [T], usize)> StretchFn<T> for F {}
+/// The callback of [`ContribSink::with_strip`]: `(br0, offs, c, ldc)`,
+/// returning the pairs it delivered.
+pub(crate) trait StretchFn<T>: FnMut(usize, &[usize], &mut [T], usize) -> u32 {}
+impl<T, F: FnMut(usize, &[usize], &mut [T], usize) -> u32> StretchFn<T> for F {}
 
 /// Nanoseconds one worker spent inside the stages of its [`comp1d`]
 /// bodies; the rest of a task's span is the diagonal factor, `F = L·D`
@@ -95,7 +124,7 @@ pub(crate) struct Comp1dNs {
     /// Strip products `U = −L_{c..}·F_cᵀ`, on the packed path with the
     /// panel's pack and the write-back into the targets.
     pub(crate) gemm: u64,
-    /// Delivery of the strips below the packing threshold.
+    /// Delivery of the groups of strips below the packing threshold.
     pub(crate) deliver: u64,
 }
 
@@ -129,7 +158,8 @@ pub(crate) struct Scratch<T> {
     dtmp: Vec<T>,
     /// Its diagonal `D`.
     diag: Vec<T>,
-    /// One small contribution strip `−L_{c..}·F_cᵀ`.
+    /// The strips `−L_{c..}·F_cᵀ` of the open group below the packing
+    /// threshold ([`ContribSink::add_group`]).
     ubuf: Vec<T>,
     /// The off-diagonal rows of the panel, packed once per column block.
     apack: Vec<T>,
@@ -219,8 +249,10 @@ pub(crate) fn bdiv<T: Scalar>(
 /// the tall strips are exactly the shapes the packed path is fastest on.
 /// A strip the packed path takes is written straight into its target
 /// windows ([`gemm_nt_scatter`]), from the off-diagonal rows packed once
-/// per column block; a smaller one goes into a zeroed scratch strip that
-/// [`ContribSink::add_strip`] delivers.
+/// per column block. The others go into zeroed scratch strips, each by the
+/// `gemm_nt_acc` call it would get alone; consecutive ones facing one
+/// column block form a group that [`ContribSink::add_group`] delivers in
+/// one walk, when the next strip leaves it.
 /// [`KernelMode::Reference`] keeps the seed's one-GEMM-per-pair
 /// formulation as the measured "before". With compression on, the panel
 /// is final after the diagonal factor (right-looking order), so qualifying
@@ -262,8 +294,12 @@ pub(crate) fn comp1d<T: Scalar, S: ContribSink<T>>(
     // One depth slice: each entry is one `mul_add` chain, the same bits
     // whether it is added to a zeroed strip or straight to the target.
     let one_slice = w <= blocking_for::<T>().kc;
+    let packs = |b: usize| one_slice && mode.packs(lda - layout.panel_row[b] as usize, sym.bloks[b].nrows(), w);
     let mut packed = false;
     let first = cb.blok_start + 1;
+    // First pivot blok of the open group, whose strips are in `ubuf`;
+    // `bc` when none is open.
+    let mut g0 = first;
     for bc in first..cb.blok_end {
         let hc = sym.bloks[bc].nrows();
         let a_off = layout.panel_row[bc] as usize;
@@ -277,7 +313,7 @@ pub(crate) fn comp1d<T: Scalar, S: ContribSink<T>>(
         }
         // U = −L_{c..} · F_cᵀ, an mbelow × hc strip.
         let mbelow = lda - a_off;
-        if one_slice && mode.packs(mbelow, hc, w) {
+        if packs(bc) {
             // Straight into the targets, from the panel packed once.
             stages.lap();
             if !packed {
@@ -293,17 +329,28 @@ pub(crate) fn comp1d<T: Scalar, S: ContribSink<T>>(
                 let pa = &apack[row / mr * mr * w..];
                 gemm_nt_scatter(w, -T::one(), pa, row % mr, rows, hc, f_c, h, bpack, c, ldc);
                 row += rows.len();
+                offs.len() as u32
             });
             stages.ns.gemm += stages.lap();
+            g0 = bc + 1;
             continue;
         }
-        ubuf.clear();
-        ubuf.resize(mbelow * hc, T::zero());
+        // The strip joins the open group, after its strips in `ubuf`.
+        if g0 == bc {
+            ubuf.clear();
+        }
+        let at = ubuf.len();
+        ubuf.resize(at + mbelow * hc, T::zero());
         stages.lap(); // nor is zeroing the strip
-        gemm_nt_acc(mbelow, hc, w, -T::one(), &panel[a_off..], lda, f_c, h, ubuf, mbelow);
+        gemm_nt_acc(mbelow, hc, w, -T::one(), &panel[a_off..], lda, f_c, h, &mut ubuf[at..], mbelow);
         stages.ns.gemm += stages.lap();
-        sink.add_strip(sym, bc, cb.blok_end, ubuf, mbelow, offs);
-        stages.ns.deliver += stages.lap();
+        // Delivered when the next strip does not join it.
+        let next = bc + 1;
+        if next == cb.blok_end || packs(next) || sym.bloks[next].fcblk != sym.bloks[g0].fcblk {
+            sink.add_group(sym, g0..next, cb.blok_end, ubuf, offs);
+            stages.ns.deliver += stages.lap();
+            g0 = next;
+        }
     }
     Ok(Vec::new())
 }
@@ -382,30 +429,39 @@ mod tests {
     use super::*;
     use crate::parallel::tests::full_setup;
     use crate::storage::{pair_target, strip_stretches, strip_targets, FactorStorage};
+    use pastix_kernels::Complex64;
     use pastix_sched::{DistStrategy, TaskKind};
 
     /// Applies every contribution to zeroed stand-ins of the target panels
-    /// at the address `pair_target` reports, and logs the pair. Strips come
-    /// in the static driver's stretches — one per covering blok of a 2D
-    /// target, the whole strip otherwise — and every row block of a
-    /// stretch must sit where `pair_target` puts it.
-    struct Recorder<'a> {
+    /// at the address `pair_target` reports, and counts the pairs the
+    /// windows say they delivered. Strips come in the static driver's
+    /// stretches — one per covering blok of a 2D target, the whole strip
+    /// otherwise — and every row block of a stretch must sit where
+    /// `pair_target` puts it.
+    struct Recorder<'a, T> {
         sym: &'a SymbolMatrix,
         layout: &'a PanelLayout,
         is_2d: &'a [bool],
-        panels: Vec<Vec<f64>>,
-        seen: Vec<(usize, usize)>,
+        panels: Vec<Vec<T>>,
+        pairs: usize,
         stretches_2d: usize,
     }
 
-    impl ContribSink<f64> for Recorder<'_> {
-        fn with_target(&mut self, br: usize, bc: usize, apply: impl FnOnce(&mut [f64], usize)) {
+    impl<'a, T: Scalar> Recorder<'a, T> {
+        fn new(sym: &'a SymbolMatrix, layout: &'a PanelLayout, is_2d: &'a [bool], like: &[Vec<T>]) -> Self {
+            let panels = like.iter().map(|p| vec![T::zero(); p.len()]).collect();
+            Self { sym, layout, is_2d, panels, pairs: 0, stretches_2d: 0 }
+        }
+    }
+
+    impl<T: Scalar> ContribSink<T> for Recorder<'_, T> {
+        fn with_target(&mut self, br: usize, bc: usize, apply: impl FnOnce(&mut [T], usize)) {
             let t = pair_target(self.sym, self.layout, br, bc);
-            self.seen.push((br, bc));
+            self.pairs += 1;
             apply(&mut self.panels[t.cblk][t.panel_row + t.col * t.lda..], t.lda);
         }
 
-        fn with_strip(&mut self, bc: usize, end: usize, offs: &mut Vec<usize>, mut apply: impl StretchFn<f64>) {
+        fn with_strip(&mut self, bc: usize, end: usize, offs: &mut Vec<usize>, mut apply: impl StretchFn<T>) {
             let (sym, layout) = (self.sym, self.layout);
             let per_blok = self.is_2d[sym.bloks[bc].fcblk as usize];
             strip_stretches(sym, layout, bc, end, per_blok, offs, |br0, offs, first| {
@@ -414,12 +470,36 @@ mod tests {
                     let at = (first.cblk, first.panel_row + off, first.col);
                     assert_eq!((t.cblk, t.panel_row, t.col), at, "stretch row block ({br},{bc})");
                     assert!(!per_blok || t.blok == first.blok, "2D stretch crosses a blok at ({br},{bc})");
-                    self.seen.push((br, bc));
                 }
                 self.stretches_2d += usize::from(per_blok);
-                apply(br0, offs, &mut self.panels[first.cblk][first.panel_row + first.col * first.lda..], first.lda);
+                let panel = &mut self.panels[first.cblk][first.panel_row + first.col * first.lda..];
+                self.pairs += apply(br0, offs, panel, first.lda) as usize;
             });
         }
+    }
+
+    /// Whether each column block is a 2D one (its head task a FACTOR).
+    fn is_2d(graph: &pastix_sched::TaskGraph) -> Vec<bool> {
+        (0..graph.split.symbol.n_cblks())
+            .map(|k| matches!(graph.kinds[graph.head_task_of_cblk[k] as usize], TaskKind::Factor { .. }))
+            .collect()
+    }
+
+    /// The groups [`comp1d`] delivers under `Auto` on column block `k`:
+    /// maximal runs of consecutive strips below the packing threshold that
+    /// face one column block.
+    fn auto_groups(sym: &SymbolMatrix, layout: &PanelLayout, k: usize) -> Vec<Range<usize>> {
+        let cb = &sym.cblks[k];
+        let (w, lda) = (cb.width(), layout.panel_rows(k));
+        let small = |b: usize| !KernelMode::Auto.packs(lda - layout.panel_row[b] as usize, sym.bloks[b].nrows(), w);
+        let mut groups: Vec<Range<usize>> = Vec::new();
+        for bc in (cb.blok_start + 1..cb.blok_end).filter(|&b| small(b)) {
+            match groups.last_mut() {
+                Some(g) if g.end == bc && sym.bloks[bc].fcblk == sym.bloks[g.start].fcblk => g.end += 1,
+                _ => groups.push(bc..bc + 1),
+            }
+        }
+        groups
     }
 
     #[test]
@@ -438,30 +518,28 @@ mod tests {
                 assert_eq!(walked, searched, "strip of pivot blok {bc}");
             }
         }
-        let is_2d: Vec<bool> = (0..sym.n_cblks())
-            .map(|k| matches!(graph.kinds[graph.head_task_of_cblk[k] as usize], TaskKind::Factor { .. }))
-            .collect();
-        let pairs = |k: usize| -> Vec<(usize, usize)> {
+        let is_2d = is_2d(graph);
+        let pairs = |k: usize| {
             let cb = &sym.cblks[k];
-            (cb.blok_start + 1..cb.blok_end).flat_map(|bc| (bc..cb.blok_end).map(move |br| (br, bc))).collect()
+            (cb.blok_start + 1..cb.blok_end).flat_map(|bc| (bc..cb.blok_end).map(move |br| (br, bc)))
         };
         let run = |k: usize, mode: KernelMode, cc: &CompressionConfig| {
             let mut panel = st.panels[k].clone();
-            let zeroed = st.panels.iter().map(|p| vec![0.0; p.len()]).collect();
-            let mut rec =
-                Recorder { sym, layout: &layout, is_2d: &is_2d, panels: zeroed, seen: Vec::new(), stretches_2d: 0 };
+            let mut rec = Recorder::new(sym, &layout, &is_2d, &st.panels);
             let mut scratch = Scratch::default();
             scratch.mode = mode;
             comp1d(sym, &layout, k, &mut panel, cc, &mut scratch, &mut rec).unwrap();
-            rec.seen.sort_unstable_by_key(|&(br, bc)| (bc, br));
-            assert_eq!(rec.seen, pairs(k), "every (r ≥ c) pair exactly once");
+            assert_eq!(rec.pairs, pairs(k).count(), "{mode:?}: the pairs delivered are the pairs of {k}");
             (panel, rec.panels, rec.stretches_2d)
         };
 
         // Every 1D column block, all strips fused (`Packed`) and the small
-        // ones through the strip buffer (`Auto`): each pair's window holds
-        // −L_r·D·L_cᵀ, and nothing outside the windows was touched.
-        let (mut fused, mut buffered, mut stretches_2d) = (0, 0, 0);
+        // ones grouped in the strip buffer (`Auto`): each pair's window
+        // holds −L_r·D·L_cᵀ, once, and nothing outside the windows was
+        // touched.
+        let (mut fused, mut stretches_2d) = (0, 0);
+        // Groups of several strips, by the kind of column block they face.
+        let mut grouped = [0, 0];
         for k in (0..sym.n_cblks()).filter(|&k| !is_2d[k]) {
             let cb = &sym.cblks[k];
             let (w, lda) = (cb.width(), layout.panel_rows(k));
@@ -484,16 +562,14 @@ mod tests {
                 }
                 assert!(got.iter().flatten().all(|&v| v == 0.0), "{mode:?}: write outside a pair window of {k}");
             }
-            for bc in cb.blok_start + 1..cb.blok_end {
-                let mbelow = lda - layout.panel_row[bc] as usize;
-                if KernelMode::Auto.packs(mbelow, sym.bloks[bc].nrows(), w) {
-                    fused += 1;
-                } else {
-                    buffered += 1;
-                }
+            let groups = auto_groups(sym, &layout, k);
+            fused += cb.blok_end - cb.blok_start - 1 - groups.iter().map(|g| g.len()).sum::<usize>();
+            for g in groups.iter().filter(|g| g.len() > 1) {
+                grouped[usize::from(is_2d[sym.bloks[g.start].fcblk as usize])] += 1;
             }
         }
-        assert!(fused > 0 && buffered > 0 && stretches_2d > 0, "{fused} fused, {buffered} buffered, {stretches_2d}");
+        assert!(fused > 0 && stretches_2d > 0, "{fused} fused strips, {stretches_2d} 2D stretches");
+        assert!(grouped.iter().all(|&n| n > 0), "groups facing 1D and 2D targets: {grouped:?}");
 
         // Compressed tail (tight tolerance) on a 1D column block facing both
         // kinds of target: same pairs, same addresses.
@@ -508,5 +584,66 @@ mod tests {
         for (x, y) in tail.iter().flatten().zip(strip.iter().flatten()) {
             assert!((x - y).abs() <= 1e-9 * y.abs().max(1.0), "tail {x} vs strip {y}");
         }
+    }
+
+    /// On a column block whose strips all fall below the packing threshold
+    /// and form at least three groups of two or more, the grouped delivery
+    /// is the per-strip one bit for bit: a zeroed strip, `gemm_nt_acc`,
+    /// and each pair added at its `pair_target`.
+    fn groups_match_the_per_strip_path<T: Scalar>(value: impl Fn(usize, f64) -> T) {
+        let (ap, mapping) = full_setup(10, 10, 10, 4, DistStrategy::Mixed1d2d, 16);
+        let (graph, sym) = (&mapping.graph, &mapping.graph.split.symbol);
+        let mut st = FactorStorage::<f64>::zeros(sym);
+        st.scatter(sym, &ap);
+        let layout = &st.layout;
+        let is_2d = is_2d(graph);
+        let k = (0..sym.n_cblks())
+            .find(|&k| {
+                let groups = auto_groups(sym, layout, k);
+                let strips = sym.cblks[k].blok_end - sym.cblks[k].blok_start - 1;
+                !is_2d[k] && groups.iter().map(|g| g.len()).sum::<usize>() == strips
+                    && groups.iter().filter(|g| g.len() >= 2).count() >= 3
+            })
+            .expect("a column block of small strips in three groups or more");
+        let panels: Vec<Vec<T>> =
+            st.panels.iter().map(|p| p.iter().enumerate().map(|(i, &v)| value(i, v)).collect()).collect();
+
+        let mut panel = panels[k].clone();
+        let mut rec = Recorder::new(sym, layout, &is_2d, &panels);
+        let mut scratch = Scratch::default();
+        scratch.mode = KernelMode::Auto;
+        comp1d(sym, layout, k, &mut panel, &CompressionConfig::off(), &mut scratch, &mut rec).unwrap();
+
+        // The per-strip path on the solved panel.
+        let cb = &sym.cblks[k];
+        let (w, lda) = (cb.width(), layout.panel_rows(k));
+        let h = lda - w;
+        let diag: Vec<T> = (0..w).map(|t| panel[t + t * lda]).collect();
+        let mut f = vec![T::zero(); h * w];
+        scale_cols_by_diag_into(h, w, &panel[w..], lda, &diag, &mut f, h);
+        let mut want: Vec<Vec<T>> = panels.iter().map(|p| vec![T::zero(); p.len()]).collect();
+        for bc in cb.blok_start + 1..cb.blok_end {
+            let (hc, a_off) = (sym.bloks[bc].nrows(), layout.panel_row[bc] as usize);
+            let mbelow = lda - a_off;
+            let mut u = vec![T::zero(); mbelow * hc];
+            gemm_nt_acc(mbelow, hc, w, -T::one(), &panel[a_off..], lda, &f[a_off - w..], h, &mut u, mbelow);
+            for br in bc..cb.blok_end {
+                let t = pair_target(sym, layout, br, bc);
+                let urow = layout.panel_row[br] as usize - a_off;
+                for j in 0..hc {
+                    for i in 0..sym.bloks[br].nrows() {
+                        want[t.cblk][t.panel_row + i + (t.col + j) * t.lda] += u[urow + i + j * mbelow];
+                    }
+                }
+            }
+        }
+        let bits = |p: &[Vec<T>]| p.iter().flatten().flat_map(|v| v.bit_words()).collect::<Vec<_>>();
+        assert!(bits(&rec.panels) == bits(&want), "grouped delivery differs from the per-strip path on {k}");
+    }
+
+    #[test]
+    fn groups_match_the_per_strip_path_bit_for_bit() {
+        groups_match_the_per_strip_path::<f64>(|_, v| v);
+        groups_match_the_per_strip_path::<Complex64>(|i, v| Complex64::new(v, 0.125 * v * ((i % 5) as f64 - 2.0)));
     }
 }
