@@ -69,41 +69,55 @@ pub(crate) trait ContribSink<T: Scalar> {
     /// [`Self::with_strip`] walk of the group's first blok finds every
     /// window: a row block lands on the same target rows whichever pivot
     /// blok of the group it pairs with, and pivot blok `bc`'s columns sit
-    /// `frow(bc) − frow(g.start)` columns to the right. A stretch's target
-    /// lines are prefetched before its adds.
-    fn add_group(&mut self, sym: &SymbolMatrix, g: Range<usize>, end: usize, u: &[T], offs: &mut Vec<usize>) {
+    /// `frow(bc) − frow(g.start)` columns to the right. Per stretch, `rows`
+    /// maps the strip's rows to target rows, so a column of a pivot blok
+    /// is one loop over all its rows, not one per row block; the first
+    /// line of each row block's window is prefetched before the adds.
+    fn add_group(
+        &mut self,
+        sym: &SymbolMatrix,
+        g: Range<usize>,
+        end: usize,
+        u: &[T],
+        offs: &mut Vec<usize>,
+        rows: &mut Vec<usize>,
+    ) {
         let bloks = &sym.bloks;
         let below: usize = bloks[g.start..end].iter().map(|b| b.nrows()).sum();
         let mut above = 0; // rows of the strip above the stretch
         self.with_strip(g.start, end, offs, |br0, offs, c, ldc| {
-            let mut pairs = 0;
-            for add in [false, true] {
-                // `U_bc` starts at `u[base]`; `top` rows of the strip lie above `bc`.
-                let (mut base, mut top) = (0, 0);
-                for bc in g.clone() {
-                    let (hc, ldu) = (bloks[bc].nrows(), below - top);
-                    let col = (bloks[bc].frow - bloks[g.start].frow) as usize;
-                    let mut row = above;
-                    for (br, &off) in (br0..).zip(offs) {
-                        let hr = bloks[br].nrows();
-                        if br >= bc {
-                            pairs += u32::from(add);
-                            for j in 0..hc {
-                                let d = &mut c[off + (col + j) * ldc..][..hr];
-                                if add {
-                                    d.iter_mut().zip(&u[base + row - top + j * ldu..]).for_each(|(d, &s)| *d += s);
-                                } else {
-                                    d.iter().step_by(64 / size_of::<T>()).chain(d.last()).for_each(prefetch_write);
-                                }
-                            }
-                        }
-                        row += hr;
-                    }
-                    base += ldu * hc;
-                    top += hc;
-                }
+            rows.clear();
+            for (br, &off) in (br0..).zip(offs) {
+                rows.extend(off..off + bloks[br].nrows());
             }
-            above += bloks[br0..br0 + offs.len()].iter().map(|b| b.nrows()).sum::<usize>();
+            let stop = br0 + offs.len();
+            let mut pairs = 0;
+            // `U_bc` starts at `u[base]` and `top` rows of the strip lie
+            // above `bc`; its first row block here is `first`, whose rows
+            // start at `rows[skip]`.
+            let (mut base, mut top, mut first, mut skip) = (0, 0, br0, 0);
+            for bc in g.clone().take_while(|&bc| bc < stop) {
+                while first < bc {
+                    skip += bloks[first].nrows();
+                    first += 1;
+                }
+                let (hc, ldu) = (bloks[bc].nrows(), below - top);
+                let col = (bloks[bc].frow - bloks[g.start].frow) as usize;
+                pairs += (stop - first) as u32;
+                for j in col..col + hc {
+                    offs[first - br0..].iter().for_each(|&o| prefetch_write(&c[o + j * ldc]));
+                }
+                let (rows, u0) = (&rows[skip..], base + above + skip - top);
+                for j in 0..hc {
+                    let cj = &mut c[(col + j) * ldc..];
+                    for (&t, &s) in rows.iter().zip(&u[u0 + j * ldu..]) {
+                        cj[t] += s;
+                    }
+                }
+                base += ldu * hc;
+                top += hc;
+            }
+            above += rows.len();
             pairs
         });
     }
@@ -347,7 +361,7 @@ pub(crate) fn comp1d<T: Scalar, S: ContribSink<T>>(
         // Delivered when the next strip does not join it.
         let next = bc + 1;
         if next == cb.blok_end || packs(next) || sym.bloks[next].fcblk != sym.bloks[g0].fcblk {
-            sink.add_group(sym, g0..next, cb.blok_end, ubuf, offs);
+            sink.add_group(sym, g0..next, cb.blok_end, ubuf, offs, rows);
             stages.ns.deliver += stages.lap();
             g0 = next;
         }
