@@ -24,8 +24,9 @@
 //! and irregular the supernode is — and the factor panel streams past once
 //! per eight of them.
 //!
-//! This file is safe Rust; the crate's one `unsafe` block is the
-//! load/store frame of the AVX-512 `f64` microkernel in [`crate::pack`].
+//! This file is safe Rust. The crate's two `unsafe` blocks are the
+//! load/store frame of the AVX-512 `f64` microkernel in [`crate::pack`]
+//! and the one-instruction cache hint of [`crate::dense::prefetch_write`].
 
 use crate::pack;
 use crate::scalar::Scalar;

@@ -22,7 +22,9 @@
 //! generic kernel (8 × 6, which fills the sixteen vector registers of
 //! AVX2-class hardware); `f64` built for AVX-512 gets a 16 × 8 tile of
 //! `_mm512_fmadd_pd`, because the compiler keeps such targets at 256-bit
-//! vectors on its own. That kernel holds the crate's only `unsafe` block.
+//! vectors on its own. That kernel holds the crate's only `unsafe` block
+//! of arithmetic; the other one is the cache hint of
+//! [`crate::dense::prefetch_write`].
 //! The tile shape is a compile-time constant of the driver (one
 //! instantiation per kernel), which is what makes the slab copies and the
 //! write-back of a whole tile fixed-size vector moves.
