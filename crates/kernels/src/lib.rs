@@ -36,10 +36,7 @@ pub use gemm::{
     gemm_flops, gemm_nn_acc, gemm_nn_acc_rows, gemm_nt_acc, gemm_nt_acc_lower, gemm_tn_acc,
     gemm_tn_acc_rows,
 };
-pub use lowrank::{
-    compress_block, lr_gemm_nn_acc, lr_gemm_nt_acc, lr_gemm_tn_acc, lr_trsm_ldlt, LowRankBlock,
-    LrOp, LrRef,
-};
+pub use lowrank::{compress_block, lr_gemm_nn_acc, lr_gemm_tn_acc, LowRankBlock, LrRef};
 pub use pack::{blocking_for, kernel_mode, BlockSizes, KernelMode, KernelModeGuard, Tile};
 pub use pack::{gemm_nt_scatter, pack_a_slabs};
 pub use model::{calibrate_blas_model, fit_poly, BlasModel, KernelClass, PolyCost};

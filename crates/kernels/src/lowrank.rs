@@ -1,35 +1,26 @@
-//! Block low-rank (BLR) compression and low-rank-aware update kernels.
+//! Block low-rank (BLR) compression and the solve products against a
+//! compressed block.
 //!
 //! Modern PaStiX's headline lever beyond static scheduling is compressing
 //! large off-diagonal blocks of the factor as `A ≈ U·Vᵀ` with `rank ≪
-//! min(m, n)`: a GEMM update against a compressed operand costs
-//! `O((m+n)·r·k)` instead of `O(m·n·k)`, and the factor's resident bytes
-//! shrink by the same ratio. This module is the numeric core of that
-//! feature:
+//! min(m, n)`: the factor's resident bytes shrink from `m·n` to
+//! `rank·(m+n)` scalars. This module is the numeric core of that feature:
 //!
 //! - [`compress_block`] — a rank-revealing compressor (full-pivot ACA,
 //!   i.e. greedy rank-1 peeling with the largest remaining entry as
 //!   pivot) with absolute/relative tolerance and a fallback to dense when
-//!   the rank reaches `min(m, n)/2`;
-//! - [`lr_gemm_nt_acc`] — the contribution kernel `C += α·A·Bᵀ` with each
-//!   operand dense or compressed ([`LrOp`]), used by the comp1d/BMOD
-//!   update paths of every solver backend;
-//! - [`lr_trsm_ldlt`] — the low-rank form of the panel TRSM of the
-//!   `L·D·Lᵀ` supernodal step (solves on the `w×r` coefficient matrix
-//!   instead of the full `m×w` block);
+//!   the representation would not pay for itself;
 //! - [`lr_gemm_nn_acc`] / [`lr_gemm_tn_acc`] — the forward/backward solve
 //!   products against a compressed block;
 //! - [`LowRankBlock::decompress`] — the decompress path back to dense.
 //!
-//! All kernels are pure Rust over the [`Scalar`] trait and allocate their
-//! own `O((m+n)·r)` scratch (the solve products take the caller's);
-//! operands follow the column-major convention of the rest of the crate,
-//! except the right-hand sides of the solve products, which are
-//! interleaved like those of [`gemm_nn_acc_rows`].
+//! All kernels are pure Rust over the [`Scalar`] trait; operands follow
+//! the column-major convention of the rest of the crate, except the
+//! right-hand sides of the solve products, which are interleaved like
+//! those of [`gemm_nn_acc_rows`].
 
-use crate::gemm::{gemm_nn_acc, gemm_nn_acc_rows, gemm_nt_acc, gemm_tn_acc, gemm_tn_acc_rows};
+use crate::gemm::{gemm_nn_acc_rows, gemm_nt_acc, gemm_tn_acc_rows};
 use crate::scalar::Scalar;
-use crate::trsm::{scale_rows_by_diag_inv, solve_unit_lower};
 
 /// A block stored in compressed form: `A ≈ U·Vᵀ` with `U` of shape
 /// `m × rank` and `V` of shape `n × rank`, both column-major.
@@ -48,8 +39,7 @@ pub struct LowRankBlock<T> {
 }
 
 /// A borrowed view of a low-rank factor pair — the operand form the
-/// kernels take, so callers can mix a block's `U` with a substituted `V`
-/// (the panel TRSM produces two blocks sharing one `U`).
+/// solve products take.
 #[derive(Debug, Clone, Copy)]
 pub struct LrRef<'a, T> {
     /// Rows of the represented block.
@@ -62,21 +52,6 @@ pub struct LrRef<'a, T> {
     pub u: &'a [T],
     /// Right factor, `n × rank` column-major.
     pub v: &'a [T],
-}
-
-/// One operand of a low-rank-aware GEMM: dense column-major storage or a
-/// compressed `U·Vᵀ` pair.
-#[derive(Debug, Clone, Copy)]
-pub enum LrOp<'a, T> {
-    /// Dense column-major storage with leading dimension `ld`.
-    Dense {
-        /// Backing slice; entry `(i, j)` lives at `a[i + j·ld]`.
-        a: &'a [T],
-        /// Leading dimension (≥ the operand's row count).
-        ld: usize,
-    },
-    /// A compressed operand.
-    Lr(LrRef<'a, T>),
 }
 
 impl<T: Scalar> LowRankBlock<T> {
@@ -121,20 +96,6 @@ impl<T: Scalar> LowRankBlock<T> {
         self.decompress_into(&mut c, self.m.max(1));
         c
     }
-
-    /// Re-runs the rank-revealing compressor on the decompressed block —
-    /// the recompression step after accumulating updates has inflated the
-    /// stored rank. Unlike [`compress_block`] this never falls back to
-    /// dense: the rank is capped at `min(m, n)` and the best
-    /// representation found is kept.
-    pub fn recompress(&mut self, abs_tol: f64, rel_tol: f64) {
-        let mut dense = self.decompress();
-        if let Some(r) = aca(self.m, self.n, &mut dense, abs_tol, rel_tol, self.m.min(self.n)) {
-            if r.rank <= self.rank {
-                *self = r;
-            }
-        }
-    }
 }
 
 /// Frobenius norm of a contiguous buffer, accumulated in `f64`.
@@ -142,20 +103,35 @@ fn frob_norm<T: Scalar>(a: &[T]) -> f64 {
     a.iter().map(|x| x.magnitude() * x.magnitude()).sum::<f64>().sqrt()
 }
 
-/// Full-pivot ACA on the scratch residual `r` (column-major `m × n`,
-/// mutated in place): greedily peels rank-1 terms `u·vᵀ` with the largest
-/// remaining entry as pivot until `‖R‖_F ≤ max(abs_tol, rel_tol·‖A‖_F)`
-/// or `cap` terms have been taken. Returns `None` when the tolerance was
-/// not reached within `cap` terms or a non-finite pivot appeared.
-fn aca<T: Scalar>(
+/// Rank-revealing compression of the dense `m × n` block at `a` (column
+/// major, leading dimension `lda`). Peels rank-1 terms until the residual
+/// satisfies `‖A − U·Vᵀ‖_F ≤ max(abs_tol, rel_tol·‖A‖_F)`; returns `None`
+/// — the caller keeps the block dense — when the representation would not
+/// pay for itself (`rank·(m+n) ≥ m·n`) or the block contains non-finite
+/// entries. Peeling stops as soon as the rank can no longer be
+/// profitable, so an incompressible block costs `O(m·n·mn/(m+n))` at
+/// worst, not a full `O(m·n·min(m,n))` decomposition.
+pub fn compress_block<T: Scalar>(
     m: usize,
     n: usize,
-    r: &mut [T],
+    a: &[T],
+    lda: usize,
     abs_tol: f64,
     rel_tol: f64,
-    cap: usize,
 ) -> Option<LowRankBlock<T>> {
-    let norm_a = frob_norm(r);
+    if m == 0 || n == 0 {
+        return Some(LowRankBlock::zero(m, n));
+    }
+    assert!(lda >= m && a.len() >= (n - 1) * lda + m);
+    let mut r = vec![T::zero(); m * n];
+    for j in 0..n {
+        r[j * m..j * m + m].copy_from_slice(&a[j * lda..j * lda + m]);
+    }
+    // Full-pivot ACA on the residual `r`: peel rank-1 terms `u·vᵀ` with
+    // the largest remaining entry as pivot, giving up once `cap` terms
+    // could no longer be profitable.
+    let cap = (m * n) / (m + n);
+    let norm_a = frob_norm(&r);
     if !norm_a.is_finite() {
         return None;
     }
@@ -163,7 +139,7 @@ fn aca<T: Scalar>(
     let mut u: Vec<T> = Vec::new();
     let mut v: Vec<T> = Vec::new();
     let mut rank = 0usize;
-    while frob_norm(r) > thresh {
+    while frob_norm(&r) > thresh {
         if rank >= cap {
             return None;
         }
@@ -202,129 +178,8 @@ fn aca<T: Scalar>(
         }
         rank += 1;
     }
-    Some(LowRankBlock { m, n, rank, u, v })
-}
-
-/// Rank-revealing compression of the dense `m × n` block at `a` (column
-/// major, leading dimension `lda`). Peels rank-1 terms until the residual
-/// satisfies `‖A − U·Vᵀ‖_F ≤ max(abs_tol, rel_tol·‖A‖_F)`; returns `None`
-/// — the caller keeps the block dense — when the representation would not
-/// pay for itself (`rank·(m+n) ≥ m·n`) or the block contains non-finite
-/// entries. Peeling stops as soon as the rank can no longer be
-/// profitable, so an incompressible block costs `O(m·n·mn/(m+n))` at
-/// worst, not a full `O(m·n·min(m,n))` decomposition.
-pub fn compress_block<T: Scalar>(
-    m: usize,
-    n: usize,
-    a: &[T],
-    lda: usize,
-    abs_tol: f64,
-    rel_tol: f64,
-) -> Option<LowRankBlock<T>> {
-    if m == 0 || n == 0 {
-        return Some(LowRankBlock::zero(m, n));
-    }
-    assert!(lda >= m && a.len() >= (n - 1) * lda + m);
-    let mut r = vec![T::zero(); m * n];
-    for j in 0..n {
-        r[j * m..j * m + m].copy_from_slice(&a[j * lda..j * lda + m]);
-    }
-    let cap = (m * n) / (m + n);
-    let lr = aca(m, n, &mut r, abs_tol, rel_tol, cap)?;
-    if !lr.is_profitable() {
-        return None;
-    }
-    Some(lr)
-}
-
-/// `C(m×n) += α · A·Bᵀ` with `A: m×k` and `B: n×k` each dense or
-/// compressed, into dense column-major `C`. This is the contribution
-/// kernel of the factorization update paths: the four dispatch arms pick
-/// the cheapest association for the representations at hand, and the
-/// dense×dense arm is exactly [`gemm_nt_acc`] (bitwise-identical to the
-/// uncompressed path).
-pub fn lr_gemm_nt_acc<T: Scalar>(
-    m: usize,
-    n: usize,
-    k: usize,
-    alpha: T,
-    a: LrOp<'_, T>,
-    b: LrOp<'_, T>,
-    c: &mut [T],
-    ldc: usize,
-) {
-    if m == 0 || n == 0 {
-        return;
-    }
-    match (a, b) {
-        (LrOp::Dense { a, ld: lda }, LrOp::Dense { a: b, ld: ldb }) => {
-            gemm_nt_acc(m, n, k, alpha, a, lda, b, ldb, c, ldc);
-        }
-        (LrOp::Lr(a), LrOp::Dense { a: b, ld: ldb }) => {
-            debug_assert_eq!((a.m, a.n), (m, k));
-            if a.rank == 0 {
-                return;
-            }
-            // C += α·U_a·(B·V_a)ᵀ — k·n·r + m·n·r flops instead of m·n·k.
-            let mut t = vec![T::zero(); n * a.rank];
-            gemm_nn_acc(n, a.rank, k, T::one(), b, ldb, a.v, k, &mut t, n);
-            gemm_nt_acc(m, n, a.rank, alpha, a.u, m, &t, n, c, ldc);
-        }
-        (LrOp::Dense { a, ld: lda }, LrOp::Lr(b)) => {
-            debug_assert_eq!((b.m, b.n), (n, k));
-            if b.rank == 0 {
-                return;
-            }
-            // C += α·(A·V_b)·U_bᵀ.
-            let mut t = vec![T::zero(); m * b.rank];
-            gemm_nn_acc(m, b.rank, k, T::one(), a, lda, b.v, k, &mut t, m);
-            gemm_nt_acc(m, n, b.rank, alpha, &t, m, b.u, n, c, ldc);
-        }
-        (LrOp::Lr(a), LrOp::Lr(b)) => {
-            debug_assert_eq!((a.m, a.n), (m, k));
-            debug_assert_eq!((b.m, b.n), (n, k));
-            if a.rank == 0 || b.rank == 0 {
-                return;
-            }
-            // C += α·U_a·(V_aᵀ·V_b)·U_bᵀ, associated through the small
-            // r_a × r_b core.
-            let mut mid = vec![T::zero(); a.rank * b.rank];
-            gemm_tn_acc(a.rank, b.rank, k, T::one(), a.v, k, b.v, k, &mut mid, a.rank);
-            let mut t = vec![T::zero(); m * b.rank];
-            gemm_nn_acc(m, b.rank, a.rank, T::one(), a.u, m, &mid, a.rank, &mut t, m);
-            gemm_nt_acc(m, n, b.rank, alpha, &t, m, b.u, n, c, ldc);
-        }
-    }
-}
-
-/// Low-rank panel TRSM of the supernodal `L·D·Lᵀ` step.
-///
-/// The dense step maps the assembled block `A` to `L_blok = A·L⁻ᵀ·D⁻¹`
-/// and its contribution form `F = L_blok·D`. For `A = U·Vᵀ` both results
-/// share `U`:
-///
-/// ```text
-/// L_blok = U·(D⁻¹·L⁻¹·V)ᵀ        F = U·(L⁻¹·V)ᵀ
-/// ```
-///
-/// so the triangular solve runs on the `w × rank` coefficient `V` instead
-/// of the full `m × w` block. On return `lr.v` holds `D⁻¹·L⁻¹·V` (the
-/// factor block) and the returned vector holds `L⁻¹·V` (the `V` of `F`).
-///
-/// `diag` is the factored `w × w` diagonal block (unit lower `L` below
-/// the diagonal, leading dimension `ldd`), `d` its diagonal entries.
-pub fn lr_trsm_ldlt<T: Scalar>(
-    w: usize,
-    diag: &[T],
-    ldd: usize,
-    d: &[T],
-    lr: &mut LowRankBlock<T>,
-) -> Vec<T> {
-    assert_eq!(lr.n, w, "block columns must match the panel width");
-    solve_unit_lower(w, diag, ldd, &mut lr.v, lr.rank, w);
-    let vf = lr.v.clone();
-    scale_rows_by_diag_inv(w, d, &mut lr.v, lr.rank, w);
-    vf
+    let lr = LowRankBlock { m, n, rank, u, v };
+    lr.is_profitable().then_some(lr)
 }
 
 /// `Y(m×nrhs) += α · (U·Vᵀ)·X` with `X: n×nrhs` — the forward-solve
@@ -359,8 +214,7 @@ pub fn lr_gemm_tn_acc<T: Scalar>(alpha: T, a: LrRef<'_, T>, b: &[T], nrhs: usize
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::dense::deterministic_spd;
-    use crate::factor::ldlt_factor_inplace;
+    use crate::gemm::{gemm_nn_acc, gemm_tn_acc};
 
     /// Deterministic dense block of exact rank `r` (plus optional noise).
     fn rank_r_block(m: usize, n: usize, r: usize, noise: f64, seed: u64) -> Vec<T64> {
@@ -438,66 +292,6 @@ mod tests {
     }
 
     #[test]
-    fn lr_gemm_all_arms_match_dense() {
-        let (m, n, k) = (14, 10, 12);
-        let a = rank_r_block(m, k, 2, 0.0, 11);
-        let b = rank_r_block(n, k, 3, 0.0, 12);
-        let la = compress_block(m, k, &a, m, 0.0, 1e-13).unwrap();
-        let lb = compress_block(n, k, &b, n, 0.0, 1e-13).unwrap();
-        let mut want = vec![0.5f64; m * n];
-        gemm_nt_acc(m, n, k, -1.0, &a, m, &b, n, &mut want, m);
-        let arms: [(LrOp<'_, f64>, LrOp<'_, f64>); 4] = [
-            (LrOp::Dense { a: &a, ld: m }, LrOp::Dense { a: &b, ld: n }),
-            (LrOp::Lr(la.as_ref()), LrOp::Dense { a: &b, ld: n }),
-            (LrOp::Dense { a: &a, ld: m }, LrOp::Lr(lb.as_ref())),
-            (LrOp::Lr(la.as_ref()), LrOp::Lr(lb.as_ref())),
-        ];
-        for (i, (oa, ob)) in arms.into_iter().enumerate() {
-            let mut c = vec![0.5f64; m * n];
-            lr_gemm_nt_acc(m, n, k, -1.0, oa, ob, &mut c, m);
-            assert!(
-                max_abs_diff(&want, &c) <= 1e-9,
-                "arm {i}: max dev {}",
-                max_abs_diff(&want, &c)
-            );
-        }
-    }
-
-    /// Dense form of a borrowed factor pair.
-    fn dense_of(r: &LrRef<'_, f64>) -> Vec<f64> {
-        let mut c = vec![0.0f64; r.m * r.n];
-        if r.rank > 0 {
-            gemm_nt_acc(r.m, r.n, r.rank, 1.0, r.u, r.m, r.v, r.n, &mut c, r.m);
-        }
-        c
-    }
-
-    #[test]
-    fn lr_trsm_matches_dense_trsm() {
-        use crate::trsm::{scale_cols_by_diag_into, trsm_ldlt_panel};
-        let w = 8;
-        let m = 15;
-        // SPD diagonal block, LDLᵀ-factored.
-        let spd = deterministic_spd(w, 5);
-        let mut diag = spd.as_slice().to_vec();
-        ldlt_factor_inplace(w, &mut diag, w).unwrap();
-        let d: Vec<f64> = (0..w).map(|t| diag[t + t * w]).collect();
-        let a = rank_r_block(m, w, 2, 0.0, 9);
-        // Dense reference: L_blok = A·L⁻ᵀ·D⁻¹ and F = L_blok·D.
-        let mut dense_l = a.clone();
-        trsm_ldlt_panel(m, w, &diag, w, &mut dense_l, m);
-        let mut dense_f = vec![0.0f64; m * w];
-        scale_cols_by_diag_into(m, w, &dense_l, m, &d, &mut dense_f, m);
-        // Low-rank path.
-        let mut lr = compress_block(m, w, &a, m, 0.0, 1e-13).unwrap();
-        let vf = lr_trsm_ldlt(w, &diag, w, &d, &mut lr);
-        let lr_l = lr.decompress();
-        let lr_f = dense_of(&LrRef { m, n: w, rank: lr.rank, u: &lr.u, v: &vf });
-        assert!(max_abs_diff(&dense_l, &lr_l) <= 1e-9);
-        assert!(max_abs_diff(&dense_f, &lr_f) <= 1e-9);
-    }
-
-    #[test]
     fn solve_products_match_dense() {
         let (m, n, nrhs) = (13, 9, 3);
         let a = rank_r_block(m, n, 3, 0.0, 5);
@@ -520,30 +314,5 @@ mod tests {
         let mut got_t = vec![1.0f64; n * nrhs];
         lr_gemm_tn_acc(1.0, la.as_ref(), &rows(&bm, m), nrhs, &mut got_t, &mut t);
         assert!(max_abs_diff(&rows(&want_t, n), &got_t) <= 1e-9);
-    }
-
-    #[test]
-    fn recompress_shrinks_inflated_rank() {
-        let (m, n) = (16, 12);
-        let a = rank_r_block(m, n, 2, 0.0, 21);
-        // Build an artificially rank-6 representation of the rank-2 block.
-        let mut lr = compress_block(m, n, &a, m, 0.0, 1e-13).unwrap();
-        let extra = rank_r_block(m, n, 4, 0.0, 22);
-        let le = compress_block(m, n, &extra, m, 0.0, 1e-13).unwrap();
-        lr.rank += le.rank;
-        lr.u.extend_from_slice(&le.u);
-        lr.v.extend_from_slice(&le.v);
-        let mut minus = lr.clone();
-        minus.u = le.u.iter().map(|x| -x).collect();
-        minus.v = le.v.clone();
-        minus.rank = le.rank;
-        lr.rank += minus.rank;
-        lr.u.extend_from_slice(&minus.u);
-        lr.v.extend_from_slice(&minus.v);
-        let before = lr.rank;
-        lr.recompress(0.0, 1e-10);
-        assert!(lr.rank < before, "recompress kept rank {before}");
-        let norm = a.iter().map(|x| x * x).sum::<f64>().sqrt();
-        assert!(max_abs_diff(&lr.decompress(), &a) <= 1e-8 * norm.max(1.0));
     }
 }

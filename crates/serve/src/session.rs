@@ -457,15 +457,11 @@ mod tests {
 
     #[test]
     fn resident_bytes_track_compressed_storage() {
-        use pastix_solver::{CompressionConfig, CompressionStrategy};
+        use pastix_solver::CompressionConfig;
         // A grid whose separator blocks compress at the loose tolerance.
         let a = grid_spd::<f64>(20, 20, 1, Stencil::Star, false, ValueKind::RandomSpd(3));
         let mut opts = small_opts();
-        opts.solver = opts.solver.with_compression(
-            CompressionConfig::with_tolerance(1e-2)
-                .min_block(4)
-                .strategy(CompressionStrategy::MinimalMemory),
-        );
+        opts.solver = opts.solver.with_compression(CompressionConfig::with_tolerance(1e-2).min_block(4));
         let mut s = SolverSession::<f64>::new(opts);
         let cached = s.get_or_factorize(&a).unwrap();
         assert!(cached.run.storage.is_compressed(), "factor should compress");

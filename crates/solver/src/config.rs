@@ -50,9 +50,8 @@ pub struct SolverConfig {
     /// ordering, symbolic analysis, mapping/scheduling, and whether a
     /// static schedule is computed at all.
     pub analyze: AnalyzeOptions,
-    /// Block low-rank compression of off-diagonal factor blocks. Off by
-    /// default (`tolerance: 0.0`) — the factorization is bitwise-identical
-    /// to the classic dense path.
+    /// Block low-rank compression of the finished factor's off-diagonal
+    /// blocks. Off by default (`tolerance: 0.0`): the factor stays dense.
     pub compression: CompressionConfig,
 }
 

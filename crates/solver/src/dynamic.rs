@@ -20,7 +20,6 @@
 //! decrements plus the panel mutexes give each consumer a happens-before
 //! edge from every producer's writes.
 
-use crate::compress::{finalize_compression, CompressionConfig};
 use crate::config::{FactorRun, SolverConfig};
 use crate::pattern::Entries;
 use crate::solve_plan::SolveDag;
@@ -28,7 +27,7 @@ use crate::storage::{pair_target, scatter_cblk, strip_stretches, FactorStorage, 
 use crate::sweeps::{self, RowSink};
 use crate::tasks::{self, ContribSink, Scratch, StretchFn};
 use pastix_kernels::factor::FactorError;
-use pastix_kernels::{LowRankBlock, LrOp, Scalar};
+use pastix_kernels::Scalar;
 use pastix_runtime::steal::{run_dag, DagSpec, TaskCtx};
 use pastix_runtime::DynamicOptions;
 use pastix_sched::{Schedule, TaskGraph, TaskKind};
@@ -92,11 +91,6 @@ struct DynFactor<'a, T> {
     /// Allocated by the calling thread, empty until first locked.
     panels: &'a [Mutex<Vec<T>>],
     fbufs: &'a [Mutex<Vec<T>>],
-    /// Block low-rank compression knobs (off by default).
-    compression: CompressionConfig,
-    /// Compressed factor bloks produced by comp1d tasks, keyed by global
-    /// blok id; installed into the storage after the DAG drains.
-    lr_out: Mutex<Vec<(usize, LowRankBlock<T>)>>,
 }
 
 /// The dynamic driver's contribution sink: targets are shared panels,
@@ -160,19 +154,7 @@ impl<'a, T: Scalar> DynFactor<'a, T> {
         if zero_pivot {
             panel[0] = T::zero();
         }
-        let lrs = tasks::comp1d(
-            self.sym,
-            self.layout,
-            k,
-            &mut panel,
-            &self.compression,
-            scratch,
-            &mut self.sink(),
-        )?;
-        if !lrs.is_empty() {
-            self.lr_out.lock().unwrap().extend(lrs);
-        }
-        Ok(())
+        tasks::comp1d(self.sym, self.layout, k, &mut panel, scratch, &mut self.sink())
     }
 
     /// FACTOR: the diagonal block in place inside the panel (stride
@@ -213,15 +195,7 @@ impl<'a, T: Scalar> DynFactor<'a, T> {
         let panel = self.panel(k);
         let fbuf = self.fbufs[blok_col].lock().unwrap();
         debug_assert_eq!(fbuf.len(), hc * w);
-        self.sink().pair(
-            blok_row,
-            blok_col,
-            hr,
-            hc,
-            w,
-            LrOp::Dense { a: &panel[prow..], ld: lda },
-            LrOp::Dense { a: &fbuf, ld: hc },
-        );
+        self.sink().pair(blok_row, blok_col, hr, hc, w, &panel[prow..], lda, &fbuf, hc);
     }
 }
 
@@ -243,7 +217,7 @@ pub(crate) fn factorize_dynamic<T: Scalar>(
     let _mode = cfg.kernel_mode.scoped();
     // Allocated by the calling thread, which owns the factor afterwards
     // (DESIGN §7); filled on the run's workers (`DynFactor::panel`).
-    let FactorStorage { layout, panels, compression: _ } = FactorStorage::allocated(sym);
+    let FactorStorage { layout, panels, .. } = FactorStorage::allocated(sym);
     let panels: Vec<Mutex<Vec<T>>> = panels.into_iter().map(Mutex::new).collect();
     let fbufs: Vec<Mutex<Vec<T>>> = (0..sym.bloks.len()).map(|_| Mutex::new(Vec::new())).collect();
 
@@ -266,8 +240,6 @@ pub(crate) fn factorize_dynamic<T: Scalar>(
         a,
         panels: &panels,
         fbufs: &fbufs,
-        compression: cfg.compression,
-        lr_out: Mutex::new(Vec::new()),
     };
 
     let body = |t: u32, tctx: &TaskCtx| -> bool {
@@ -322,14 +294,8 @@ pub(crate) fn factorize_dynamic<T: Scalar>(
         let ns = scratch.into_inner().unwrap().stages.ns;
         crate::parallel::merge_comp1d_ns(&cfg.metrics, w as u32, &ns);
     }
-    let lrs = shared.lr_out.into_inner().unwrap();
-    let mut storage = FactorStorage {
-        layout,
-        panels: panels.into_iter().map(|p| p.into_inner().unwrap()).collect(),
-        compression: Vec::new(),
-    };
-    finalize_compression(sym, &mut storage, &cfg.compression, lrs, &cfg.metrics);
-    Ok(FactorRun::new(storage, trace, cfg.metrics.clone()))
+    let panels = panels.into_iter().map(|p| p.into_inner().unwrap()).collect();
+    Ok(FactorRun::new(FactorStorage::dense(layout, panels), trace, cfg.metrics.clone()))
 }
 
 /// Runs `body` over `spec` on the work-stealing executor with the run's

@@ -38,11 +38,12 @@
 //! entry; both support `f64` (SPD) and `Complex64` (complex symmetric)
 //! systems through the shared [`pastix_kernels::Scalar`] abstraction.
 //!
-//! Off-diagonal factor blocks can be stored in block low-rank (BLR) form:
-//! [`compress`] holds the [`CompressionConfig`] knobs and the pass that
-//! installs the overlay, [`storage`] the per-panel overlay, and
-//! [`refine`] the iterative-refinement wrapper that recovers full
-//! accuracy from a truncated factor.
+//! Off-diagonal factor blocks can be stored in block low-rank (BLR) form,
+//! after the fact: no driver knows about it. [`compress`] holds the
+//! [`CompressionConfig`] knobs and the one pass over the finished dense
+//! factor that [`Plan::factorize`] runs, [`storage`] the per-panel
+//! overlay that pass installs, and [`refine`] the iterative-refinement
+//! wrapper that recovers full accuracy from a truncated factor.
 
 #![warn(missing_docs)]
 
@@ -61,7 +62,7 @@ pub mod storage;
 mod sweeps;
 mod tasks;
 
-pub use compress::{CompressionConfig, CompressionStrategy};
+pub use compress::CompressionConfig;
 pub use config::{FactorRun, SolverConfig};
 pub use metrics::MessagePathMetrics;
 pub use parallel::ChaosOptions;

@@ -15,7 +15,6 @@
 //! applying any AUB immediately (updates commute) and caching factor
 //! blocks — until the wanted block appears.
 
-use crate::compress::{finalize_compression, CompressionConfig};
 use crate::config::{FactorRun, SolverConfig};
 use crate::pattern::Entries;
 use crate::storage::{
@@ -24,7 +23,7 @@ use crate::storage::{
 use crate::tasks::{self, Comp1dNs, ContribSink, Scratch, StretchFn};
 use pastix_kernels::dense::copy_panel;
 use pastix_kernels::factor::FactorError;
-use pastix_kernels::{LowRankBlock, LrOp, Scalar};
+use pastix_kernels::Scalar;
 use pastix_runtime::{run_spmd_with, Comm, CommHook, Instrumented};
 use pastix_sched::{Schedule, TaskGraph, TaskKind};
 use pastix_symbolic::SymbolMatrix;
@@ -356,12 +355,6 @@ struct Worker<'a, T> {
     aborted: Option<FactorError>,
     /// Deterministic fault injection (chaos suite only; `Default` is off).
     chaos: ChaosOptions,
-    /// Block low-rank compression knobs (off by default).
-    compression: CompressionConfig,
-    /// Compressed factor bloks produced by this rank's comp1d tasks,
-    /// keyed by global blok id; installed into the assembled storage
-    /// after the run.
-    lr_out: Vec<(usize, LowRankBlock<T>)>,
     /// Work buffers of the task bodies, reused across this rank's tasks.
     scratch: Scratch<T>,
     /// Message-path counters, merged into the registry at run end.
@@ -708,14 +701,12 @@ impl<'a, T: Scalar> Worker<'a, T> {
             panel[0] = T::zero();
         }
         let mut scratch = std::mem::take(&mut self.scratch);
-        let (sym, layout, cc) = (self.sym, &self.routing.layout, self.compression);
+        let (sym, layout) = (self.sym, &self.routing.layout);
         let mut sink = FanIn { worker: self, ctx };
-        let res = tasks::comp1d(sym, layout, k, &mut panel, &cc, &mut scratch, &mut sink);
+        let res = tasks::comp1d(sym, layout, k, &mut panel, &mut scratch, &mut sink);
         self.scratch = scratch;
         self.regions.insert(t, panel);
-        let lrs = self.abort_on_error(ctx, res)?;
-        self.lr_out.extend(lrs);
-        Ok(())
+        self.abort_on_error(ctx, res)
     }
 
     fn run_factor<C: Comm<PMsg<T>> + ?Sized>(&mut self, ctx: &C, t: u32, k: usize) -> Result<(), FactorError> {
@@ -768,15 +759,7 @@ impl<'a, T: Scalar> Worker<'a, T> {
         let lr_data = self.take_fac(ctx, bdiv_r)?;
         let fc_data = if bdiv_c == bdiv_r { None } else { Some(self.take_fac(ctx, bdiv_c)?) };
         let f_c = &fc_data.as_ref().unwrap_or(&lr_data).as_slice()[hc * w..];
-        FanIn { worker: self, ctx }.pair(
-            blok_row,
-            blok_col,
-            hr,
-            hc,
-            w,
-            LrOp::Dense { a: &lr_data.as_slice()[..hr * w], ld: hr },
-            LrOp::Dense { a: f_c, ld: hc },
-        );
+        FanIn { worker: self, ctx }.pair(blok_row, blok_col, hr, hc, w, &lr_data.as_slice()[..hr * w], hr, f_c, hc);
         if let Some(fc_data) = fc_data {
             self.put_fac(bdiv_c, fc_data);
         }
@@ -874,11 +857,7 @@ pub struct ChaosOptions {
 /// selects the execution substrate, `cfg.kernel_mode` is applied for the
 /// run through a scoped guard, and the returned [`FactorRun`] carries the
 /// factor together with the run's [`TraceLog`] and the metrics registry
-/// handle. Called by [`crate::Plan::factorize`]. When `cfg.compression`
-/// is enabled, each rank's comp1d tasks compress their off-diagonal bloks
-/// just-in-time and the collected representations are installed into the
-/// assembled storage (with the `MinimalMemory` post-pass) before the run
-/// is returned.
+/// handle. Called by [`crate::Plan::factorize`].
 pub(crate) fn factorize_static<T: Scalar>(
     sym: &SymbolMatrix,
     a: Entries<'_, T>,
@@ -920,13 +899,11 @@ pub(crate) fn factorize_static<T: Scalar>(
     let wall_ns = t0.elapsed().as_nanos() as u64;
     let mut results = Vec::with_capacity(outputs.len());
     let mut ranks = Vec::new();
-    let mut lrs = Vec::new();
     for (rank, out) in outputs.into_iter().enumerate() {
         merge_rank_counters(&cfg.metrics, rank as u32, &out.counters);
         if let Some(rt) = out.trace {
             ranks.push(rt);
         }
-        lrs.extend(out.lr);
         results.push(out.result);
     }
     let trace = TraceLog {
@@ -935,17 +912,14 @@ pub(crate) fn factorize_static<T: Scalar>(
         digest: sched.digest(),
     };
     merge_trace_metrics(&cfg.metrics, &trace);
-    let mut storage = assemble(sym, routing.layout.clone(), graph, results)?;
-    finalize_compression(sym, &mut storage, &cfg.compression, lrs, &cfg.metrics);
+    let storage = assemble(sym, routing.layout.clone(), graph, results)?;
     Ok(FactorRun::new(storage, trace, cfg.metrics.clone()))
 }
 
 /// What one logical processor hands back: its factor regions (or the
-/// error), its compressed bloks, its recorded trace (when tracing was
-/// on), and its counters.
+/// error), its recorded trace (when tracing was on), and its counters.
 struct WorkerOutput<T> {
     result: Result<HashMap<u32, Vec<T>>, FactorError>,
-    lr: Vec<(usize, LowRankBlock<T>)>,
     trace: Option<RankTrace>,
     counters: RankCounters,
 }
@@ -995,8 +969,6 @@ fn worker_run<T: Scalar, C: Comm<PMsg<T>> + ?Sized>(
         aub_seq: 0,
         aborted: None,
         chaos: cfg.chaos,
-        compression: cfg.compression,
-        lr_out: Vec::new(),
         scratch: Scratch::for_run(topts),
         counters: RankCounters::default(),
         gauges: topts.enabled.then_some(gauges),
@@ -1025,7 +997,6 @@ fn worker_run<T: Scalar, C: Comm<PMsg<T>> + ?Sized>(
     worker.counters.comp1d = worker.scratch.stages.ns;
     WorkerOutput {
         result: run_result.map(|()| worker.regions),
-        lr: worker.lr_out,
         trace: session.finish(),
         counters: worker.counters,
     }
@@ -1068,7 +1039,7 @@ fn assemble<T: Scalar>(
             }
         }
     }
-    Ok(FactorStorage { layout, panels, compression: Vec::new() })
+    Ok(FactorStorage::dense(layout, panels))
 }
 
 /// Scatters the owned part of `a` into each owned region. A COMP1D region

@@ -13,12 +13,14 @@
 //! permute, solve, and unpermute without the caller re-threading the
 //! analyze artifacts through every call.
 //!
-//! Block low-rank compression rides the same flow: when
-//! `cfg.compression` is enabled, every backend compresses qualifying
-//! off-diagonal bloks during the factorization and the [`FactorRun`]'s
-//! solves dispatch on the stored representation transparently (see
-//! [`crate::compress`] and [`FactorRun::solve_refined`]).
+//! Block low-rank compression is one pass after the numeric phase: when
+//! `cfg.compression` is enabled, [`Plan::factorize`] compresses the
+//! qualifying off-diagonal bloks of whatever dense factor the backend
+//! returned, and the [`FactorRun`]'s solves dispatch on the stored
+//! representation transparently (see [`crate::compress`] and
+//! [`FactorRun::solve_refined`]).
 
+use crate::compress::finalize_compression;
 use crate::config::{FactorRun, SolverConfig};
 use crate::dynamic;
 use crate::parallel::Routing;
@@ -317,9 +319,10 @@ impl Plan {
     /// factorization of a matrix that stores as many entries as the
     /// analyzed one (of any matrix, for a plan from [`Plan::from_parts`])
     /// and reuses it for every later matrix with exactly that pattern; any
-    /// other pattern — a subset, say — gets a one-off build. The returned
-    /// run carries this plan, so [`FactorRun::solve_request`] works
-    /// without further arguments.
+    /// other pattern — a subset, say — gets a one-off build. With
+    /// `cfg.compression` enabled the finished factor is then compressed
+    /// ([`crate::compress`]). The returned run carries this plan, so
+    /// [`FactorRun::solve_request`] works without further arguments.
     pub fn factorize<T: Scalar>(
         &self,
         a: &SymCsc<T>,
@@ -353,6 +356,7 @@ impl Plan {
                 crate::parallel::factorize_static(sym, entries, &self.inner.graph, sched, routing, cfg)?
             }
         };
+        finalize_compression(sym, &mut run.storage, &cfg.compression, &cfg.metrics);
         pastix_trace::flight::record(
             pastix_trace::flight::FlightKind::FactorizeEnd,
             fp,

@@ -102,7 +102,7 @@ impl<T: Scalar> FactorRun<T> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::compress::{CompressionConfig, CompressionStrategy};
+    use crate::compress::CompressionConfig;
     use crate::config::SolverConfig;
     use crate::plan::Plan;
     use pastix_graph::gen::{grid_spd, Stencil, ValueKind};
@@ -111,11 +111,7 @@ mod tests {
     #[test]
     fn refinement_recovers_accuracy_from_loose_factor() {
         let a = grid_spd::<f64>(10, 10, 1, Stencil::Star, false, ValueKind::RandomSpd(7));
-        let cfg = SolverConfig::new().with_compression(
-            CompressionConfig::with_tolerance(1e-4)
-                .min_block(4)
-                .strategy(CompressionStrategy::MinimalMemory),
-        );
+        let cfg = SolverConfig::new().with_compression(CompressionConfig::with_tolerance(1e-4).min_block(4));
         let plan = Plan::analyze(&a, &cfg);
         let run = plan.factorize(&a, &cfg).unwrap();
         let x_exact = canonical_solution::<f64>(a.n());

@@ -6,7 +6,6 @@
 //! degenerate case of the fan-in scheme, where every aggregation is local).
 //! The parallel solver must produce the same factor; tests enforce it.
 
-use crate::compress::CompressionConfig;
 use crate::storage::{pair_target, strip_stretches, FactorStorage, PanelLayout};
 use crate::sweeps::{self, LaterSegments};
 use crate::tasks::{self, ContribSink, Scratch, StretchFn};
@@ -46,14 +45,13 @@ pub fn factorize_sequential<T: Scalar>(
 ) -> Result<(), FactorError> {
     let FactorStorage { layout, panels, .. } = storage;
     let mut scratch = Scratch::default();
-    let off = CompressionConfig::off();
     for k in 0..sym.n_cblks() {
         // Traced as its own class so sequential baselines and the
         // parallel run stay distinguishable in a merged report.
         let _span = pastix_trace::task_span(k as u32, pastix_trace::TaskClass::Seq);
         let (done, later) = panels.split_at_mut(k + 1);
         let mut sink = LaterPanels { sym, layout, later, first: k + 1 };
-        tasks::comp1d(sym, layout, k, &mut done[k], &off, &mut scratch, &mut sink)?;
+        tasks::comp1d(sym, layout, k, &mut done[k], &mut scratch, &mut sink)?;
     }
     Ok(())
 }
@@ -216,7 +214,6 @@ mod tests {
         let sym = split_symbol(&sym, 32).symbol;
         let mut st = FactorStorage::zeros(&sym);
         st.scatter(&sym, &ap);
-        let off = CompressionConfig::off();
         for mode in [KernelMode::Packed, KernelMode::Auto] {
             let mut scratch = Scratch::default();
             scratch.mode = mode;
@@ -226,7 +223,7 @@ mod tests {
                 for k in 0..sym.n_cblks() {
                     let (done, later) = panels.split_at_mut(k + 1);
                     let mut sink = LaterPanels { sym: &sym, layout: &st.layout, later, first: k + 1 };
-                    tasks::comp1d(&sym, &st.layout, k, &mut done[k], &off, &mut scratch, &mut sink).unwrap();
+                    tasks::comp1d(&sym, &st.layout, k, &mut done[k], &mut scratch, &mut sink).unwrap();
                 }
                 let allocs = allocations() - before;
                 assert!(pass == 0 || allocs == 0, "{mode:?}: {allocs} allocations on a warm scratch");
@@ -319,20 +316,18 @@ mod tests {
 
     #[test]
     fn sweeps_dispatch_on_compressed_storage() {
-        use crate::compress::{finalize_compression, CompressionConfig, CompressionStrategy};
+        use crate::compress::{finalize_compression, CompressionConfig};
         let (ap, sym) = pipeline(8, 8, 2);
         let n = ap.n();
         let mut st = FactorStorage::zeros(&sym);
         st.scatter(&sym, &ap);
         factorize_sequential(&sym, &mut st).unwrap();
-        // Compress the finished factor (the MinimalMemory post-pass), loosely
-        // enough that compression engages; the decompressed copy is the
-        // same truncated factor in dense form, so the two sweeps must
-        // agree to round-off whatever the truncation error.
-        let cc = CompressionConfig::with_tolerance(0.5)
-            .min_block(2)
-            .strategy(CompressionStrategy::MinimalMemory);
-        finalize_compression(&sym, &mut st, &cc, Vec::new(), &Default::default());
+        // Compress the finished factor, loosely enough that compression
+        // engages; the decompressed copy is the same truncated factor in
+        // dense form, so the two sweeps must agree to round-off whatever
+        // the truncation error.
+        let cc = CompressionConfig::with_tolerance(0.5).min_block(2);
+        finalize_compression(&sym, &mut st, &cc, &Default::default());
         assert!(st.is_compressed(), "nothing compressed");
         let mut dense = st.clone();
         dense.decompress(&sym);

@@ -102,13 +102,18 @@ pub struct FactorStorage<T> {
 }
 
 impl<T: Scalar> FactorStorage<T> {
+    /// A dense factor: `panels` in the classic layout, no overlay.
+    pub(crate) fn dense(layout: PanelLayout, panels: Vec<Vec<T>>) -> Self {
+        Self { layout, panels, compression: Vec::new() }
+    }
+
     /// Allocates zeroed panels for a symbol matrix.
     pub fn zeros(sym: &SymbolMatrix) -> Self {
         let layout = PanelLayout::new(sym);
         let panels = (0..sym.n_cblks())
             .map(|k| vec![T::zero(); layout.panel_rows(k) * sym.cblks[k].width()])
             .collect();
-        Self { layout, panels, compression: Vec::new() }
+        Self::dense(layout, panels)
     }
 
     /// `true` when at least one panel carries a compression overlay.
@@ -285,7 +290,7 @@ impl<T: Scalar> FactorStorage<T> {
     pub(crate) fn allocated(sym: &SymbolMatrix) -> Self {
         let layout = PanelLayout::new(sym);
         let panels = (0..sym.n_cblks()).map(|k| Vec::with_capacity(layout.panel_rows(k) * sym.cblks[k].width())).collect();
-        Self { layout, panels, compression: Vec::new() }
+        Self::dense(layout, panels)
     }
 
     /// Scatters `a`'s values, read through `pattern` (built for `a`'s

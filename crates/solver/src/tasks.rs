@@ -9,13 +9,12 @@
 //! so the bodies are generic over a [`ContribSink`], the driver's answer
 //! to exactly that question.
 
-use crate::compress::CompressionConfig;
 use crate::storage::PanelLayout;
 use pastix_kernels::dense::copy_panel;
 use pastix_kernels::factor::{ldlt_factor_blocked, ldlt_factor_inplace, FactorError, NB_FACTOR};
 use pastix_kernels::{
-    blocking_for, compress_block, gemm_nt_acc, gemm_nt_scatter, kernel_mode, lr_gemm_nt_acc, lr_trsm_ldlt,
-    pack_a_slabs, prefetch_write, scale_cols_by_diag_into, trsm_ldlt_panel, KernelMode, LowRankBlock, LrOp, LrRef, Scalar,
+    blocking_for, gemm_nt_acc, gemm_nt_scatter, kernel_mode, pack_a_slabs, prefetch_write, scale_cols_by_diag_into,
+    trsm_ldlt_panel, KernelMode, Scalar,
 };
 use pastix_symbolic::SymbolMatrix;
 use pastix_trace::{ClockMode, TraceOptions};
@@ -45,21 +44,12 @@ pub(crate) trait ContribSink<T: Scalar> {
     /// the caller's buffer, finding the target column block once a strip.
     fn with_strip(&mut self, bc: usize, end: usize, offs: &mut Vec<usize>, apply: impl StretchFn<T>);
 
-    /// `C −= A·Bᵀ` for pair `(br, bc)`: `A` the `hr × w` rows blok, `B`
-    /// the `hc × w` pivot blok in its `F = L·D` form, each dense or
-    /// low-rank. Two dense operands run exactly `gemm_nt_acc`.
+    /// `C −= A·Bᵀ` for pair `(br, bc)`: `A` the `hr × w` rows blok at `a`
+    /// (leading dimension `lda`), `B` the `hc × w` pivot blok in its
+    /// `F = L·D` form at `b` (leading dimension `ldb`).
     #[allow(clippy::too_many_arguments)]
-    fn pair(
-        &mut self,
-        br: usize,
-        bc: usize,
-        hr: usize,
-        hc: usize,
-        w: usize,
-        a: LrOp<'_, T>,
-        b: LrOp<'_, T>,
-    ) {
-        self.with_target(br, bc, |c, ldc| lr_gemm_nt_acc(hr, hc, w, -T::one(), a, b, c, ldc));
+    fn pair(&mut self, br: usize, bc: usize, hr: usize, hc: usize, w: usize, a: &[T], lda: usize, b: &[T], ldb: usize) {
+        self.with_target(br, bc, |c, ldc| gemm_nt_acc(hr, hc, w, -T::one(), a, lda, b, ldb, c, ldc));
     }
 
     /// `C += U` for the pairs `(br, bc)`, `bc ∈ g`, `bc ≤ br < end`, of a
@@ -256,7 +246,7 @@ pub(crate) fn bdiv<T: Scalar>(
 /// diagonal block, solve the off-diagonal rows against it, and hand every
 /// pair contribution `(r ≥ c)` to `sink`.
 ///
-/// With compression off, each pivot blok `c` costs ONE product over *all*
+/// Each pivot blok `c` costs ONE product over *all*
 /// the panel rows at and below it (they are contiguous in the panel).
 /// Fusing the per-pair GEMMs this way turns ~B²/2 tiny products per
 /// column block into B medium ones — the per-call overhead disappears and
@@ -268,34 +258,24 @@ pub(crate) fn bdiv<T: Scalar>(
 /// column block form a group that [`ContribSink::add_group`] delivers in
 /// one walk, when the next strip leaves it.
 /// [`KernelMode::Reference`] keeps the seed's one-GEMM-per-pair
-/// formulation as the measured "before". With compression on, the panel
-/// is final after the diagonal factor (right-looking order), so qualifying
-/// bloks compress just-in-time and each pair dispatches on representation.
-///
-/// Returns the compressed factor bloks of `k` keyed by global blok id
-/// (empty with compression off); the un-solved rows such a blok leaves
-/// behind in `panel` are dropped when the overlay is installed.
+/// formulation as the measured "before".
 pub(crate) fn comp1d<T: Scalar, S: ContribSink<T>>(
     sym: &SymbolMatrix,
     layout: &PanelLayout,
     k: usize,
     panel: &mut [T],
-    cc: &CompressionConfig,
     scratch: &mut Scratch<T>,
     sink: &mut S,
-) -> Result<Vec<(usize, LowRankBlock<T>)>, FactorError> {
+) -> Result<(), FactorError> {
     let cb = &sym.cblks[k];
     let w = cb.width();
     let lda = layout.panel_rows(k);
     let h = lda - w;
     factor_diag(w, panel, lda, cb.fcol as usize, scratch)?;
     if h == 0 {
-        return Ok(Vec::new());
+        return Ok(());
     }
     scratch.load_diag(w, panel, lda);
-    if cc.enabled() {
-        return Ok(comp1d_tail_compressed(sym, layout, k, panel, cc, scratch, sink));
-    }
     let Scratch { mode, wbuf, dtmp, diag, ubuf, apack, bpack, rows, offs, stages } = scratch;
     stages.lap(); // the diagonal factor is not a reported stage
     trsm_ldlt_panel(h, w, dtmp, w, &mut panel[w..], lda);
@@ -320,8 +300,8 @@ pub(crate) fn comp1d<T: Scalar, S: ContribSink<T>>(
         let f_c = &wbuf[a_off - w..];
         if seed_path {
             for br in bc..cb.blok_end {
-                let a = LrOp::Dense { a: &panel[layout.panel_row[br] as usize..], ld: lda };
-                sink.pair(br, bc, sym.bloks[br].nrows(), hc, w, a, LrOp::Dense { a: f_c, ld: h });
+                let a = &panel[layout.panel_row[br] as usize..];
+                sink.pair(br, bc, sym.bloks[br].nrows(), hc, w, a, lda, f_c, h);
             }
             continue;
         }
@@ -366,76 +346,7 @@ pub(crate) fn comp1d<T: Scalar, S: ContribSink<T>>(
             g0 = next;
         }
     }
-    Ok(Vec::new())
-}
-
-/// Post-diagonal steps of a compressed COMP1D: per-blok TRSM (low-rank
-/// where the compressor and the strategy accept), `F = L·D` for the
-/// still-dense bloks, and the pair contributions dispatched on
-/// representation. The per-blok dense TRSM is bitwise-identical to the
-/// whole-panel call of the uncompressed body (row-independent
-/// substitution), so a run where no blok wins compression still matches
-/// the per-pair dense formulation exactly.
-fn comp1d_tail_compressed<T: Scalar, S: ContribSink<T>>(
-    sym: &SymbolMatrix,
-    layout: &PanelLayout,
-    k: usize,
-    panel: &mut [T],
-    cc: &CompressionConfig,
-    scratch: &mut Scratch<T>,
-    sink: &mut S,
-) -> Vec<(usize, LowRankBlock<T>)> {
-    let cb = &sym.cblks[k];
-    let w = cb.width();
-    let lda = layout.panel_rows(k);
-    let mbelow = lda - w;
-    let Scratch { wbuf: fbuf, dtmp, diag, .. } = scratch;
-    let first = cb.blok_start + 1;
-    // Per off-diagonal blok: its compressed factor form (whose `v` carries
-    // the `D⁻¹·L⁻¹` substitution) and the `V` of its `F` form.
-    let mut l: Vec<Option<(LowRankBlock<T>, Vec<T>)>> = Vec::with_capacity(cb.blok_end - first);
-    fbuf.clear();
-    fbuf.resize(mbelow * w, T::zero());
-    for b in first..cb.blok_end {
-        let h = sym.bloks[b].nrows();
-        let row = layout.panel_row[b] as usize;
-        let lr = sym
-            .blok_compressible(b, cc.min_block)
-            .then(|| compress_block(h, w, &panel[row..], lda, 0.0, cc.tolerance))
-            .flatten()
-            .filter(|lr| cc.accepts(lr));
-        l.push(match lr {
-            Some(mut lr) => {
-                let vf = lr_trsm_ldlt(w, dtmp, w, diag, &mut lr);
-                Some((lr, vf))
-            }
-            None => {
-                trsm_ldlt_panel(h, w, dtmp, w, &mut panel[row..], lda);
-                scale_cols_by_diag_into(h, w, &panel[row..], lda, diag, &mut fbuf[row - w..], mbelow);
-                None
-            }
-        });
-    }
-    // Pair contributions: pivot blok `bc` supplies B = F(bc), rows blok
-    // `br ≥ bc` supplies A = L(br); the target gets C −= A·Bᵀ.
-    for (c, bc) in (first..cb.blok_end).enumerate() {
-        let hc = sym.bloks[bc].nrows();
-        let b_op = match &l[c] {
-            Some((lr, vf)) => LrOp::Lr(LrRef { m: hc, n: w, rank: lr.rank, u: &lr.u, v: vf }),
-            None => LrOp::Dense { a: &fbuf[layout.panel_row[bc] as usize - w..], ld: mbelow },
-        };
-        for (r, br) in (first..cb.blok_end).enumerate().skip(c) {
-            let a_op = match &l[r] {
-                Some((lr, _)) => LrOp::Lr(lr.as_ref()),
-                None => LrOp::Dense { a: &panel[layout.panel_row[br] as usize..], ld: lda },
-            };
-            sink.pair(br, bc, sym.bloks[br].nrows(), hc, w, a_op, b_op);
-        }
-    }
-    (first..cb.blok_end)
-        .zip(l)
-        .filter_map(|(b, lr)| lr.map(|(lr, _)| (b, lr)))
-        .collect()
+    Ok(())
 }
 
 #[cfg(test)]
@@ -537,12 +448,12 @@ mod tests {
             let cb = &sym.cblks[k];
             (cb.blok_start + 1..cb.blok_end).flat_map(|bc| (bc..cb.blok_end).map(move |br| (br, bc)))
         };
-        let run = |k: usize, mode: KernelMode, cc: &CompressionConfig| {
+        let run = |k: usize, mode: KernelMode| {
             let mut panel = st.panels[k].clone();
             let mut rec = Recorder::new(sym, &layout, &is_2d, &st.panels);
             let mut scratch = Scratch::default();
             scratch.mode = mode;
-            comp1d(sym, &layout, k, &mut panel, cc, &mut scratch, &mut rec).unwrap();
+            comp1d(sym, &layout, k, &mut panel, &mut scratch, &mut rec).unwrap();
             assert_eq!(rec.pairs, pairs(k).count(), "{mode:?}: the pairs delivered are the pairs of {k}");
             (panel, rec.panels, rec.stretches_2d)
         };
@@ -558,7 +469,7 @@ mod tests {
             let cb = &sym.cblks[k];
             let (w, lda) = (cb.width(), layout.panel_rows(k));
             for mode in [KernelMode::Packed, KernelMode::Auto] {
-                let (panel, mut got, s2d) = run(k, mode, &CompressionConfig::off());
+                let (panel, mut got, s2d) = run(k, mode);
                 stretches_2d += s2d;
                 for (br, bc) in pairs(k) {
                     let t = pair_target(sym, &layout, br, bc);
@@ -584,20 +495,6 @@ mod tests {
         }
         assert!(fused > 0 && stretches_2d > 0, "{fused} fused strips, {stretches_2d} 2D stretches");
         assert!(grouped.iter().all(|&n| n > 0), "groups facing 1D and 2D targets: {grouped:?}");
-
-        // Compressed tail (tight tolerance) on a 1D column block facing both
-        // kinds of target: same pairs, same addresses.
-        let k = (0..sym.n_cblks())
-            .find(|&k| {
-                let faces = |want: bool| sym.off_bloks_of(k).iter().any(|b| is_2d[b.fcblk as usize] == want);
-                !is_2d[k] && faces(false) && faces(true)
-            })
-            .expect("mixed mapping has a 1D block facing 1D and 2D targets");
-        let (_, strip, _) = run(k, KernelMode::Auto, &CompressionConfig::off());
-        let (_, tail, _) = run(k, KernelMode::Auto, &CompressionConfig::with_tolerance(1e-13).min_block(1));
-        for (x, y) in tail.iter().flatten().zip(strip.iter().flatten()) {
-            assert!((x - y).abs() <= 1e-9 * y.abs().max(1.0), "tail {x} vs strip {y}");
-        }
     }
 
     /// On a column block whose strips all fall below the packing threshold
@@ -626,7 +523,7 @@ mod tests {
         let mut rec = Recorder::new(sym, layout, &is_2d, &panels);
         let mut scratch = Scratch::default();
         scratch.mode = KernelMode::Auto;
-        comp1d(sym, layout, k, &mut panel, &CompressionConfig::off(), &mut scratch, &mut rec).unwrap();
+        comp1d(sym, layout, k, &mut panel, &mut scratch, &mut rec).unwrap();
 
         // The per-strip path on the solved panel.
         let cb = &sym.cblks[k];

@@ -1,13 +1,10 @@
 //! Property tests for the low-rank kernel family: the compressor's error
-//! contract, the four-way `lr_gemm_nt_acc` dispatch against the dense
-//! reference, and the solve-side products. Inputs are
-//! synthesized from a per-case seed so every run replays identically.
+//! contract and the solve-side products against the dense reference.
+//! Inputs are synthesized from a per-case seed so every run replays
+//! identically.
 
-use pastix_kernels::lowrank::{LowRankBlock, LrOp};
-use pastix_kernels::{
-    compress_block, gemm_nn_acc, gemm_nt_acc, gemm_tn_acc, lr_gemm_nn_acc, lr_gemm_nt_acc,
-    lr_gemm_tn_acc,
-};
+use pastix_kernels::lowrank::LowRankBlock;
+use pastix_kernels::{compress_block, gemm_nn_acc, gemm_nt_acc, gemm_tn_acc, lr_gemm_nn_acc, lr_gemm_tn_acc};
 use proptest::prelude::*;
 
 /// SplitMix64 stream for matrix entries; dimensions come from the
@@ -90,42 +87,6 @@ proptest! {
             let back = lr.decompress();
             let diff: Vec<f64> = a.iter().zip(&back).map(|(x, y)| x - y).collect();
             prop_assert!(frob(&diff) <= tol, "error {} > {tol}", frob(&diff));
-        }
-    }
-
-    /// All four `lr_gemm_nt_acc` dispatch arms agree with the dense
-    /// reference on decompressed operands; the dense×dense arm is
-    /// bitwise-identical to `gemm_nt_acc`.
-    #[test]
-    fn lr_gemm_nt_matches_dense((m, n, k, seed) in (5usize..16, 5usize..16, 6usize..16, 0u64..1 << 48)) {
-        let mut vals = Vals::new(seed);
-        let la = compress(&mut vals, m, k, 2, 1e-12);
-        let lb = compress(&mut vals, n, k, 2, 1e-12);
-        let (da, db) = (la.decompress(), lb.decompress());
-        let c0 = vals.fill(m * n);
-
-        let mut want = c0.clone();
-        gemm_nt_acc(m, n, k, 0.5, &da, m, &db, n, &mut want, m);
-
-        let arms: [(LrOp<'_, f64>, LrOp<'_, f64>); 4] = [
-            (LrOp::Dense { a: &da, ld: m }, LrOp::Dense { a: &db, ld: n }),
-            (LrOp::Lr(la.as_ref()), LrOp::Dense { a: &db, ld: n }),
-            (LrOp::Dense { a: &da, ld: m }, LrOp::Lr(lb.as_ref())),
-            (LrOp::Lr(la.as_ref()), LrOp::Lr(lb.as_ref())),
-        ];
-        let scale = frob(&want).max(1.0);
-        for (i, (a, b)) in arms.into_iter().enumerate() {
-            let mut c = c0.clone();
-            lr_gemm_nt_acc(m, n, k, 0.5, a, b, &mut c, m);
-            if i == 0 {
-                prop_assert!(
-                    c.iter().zip(&want).all(|(x, y)| x.to_bits() == y.to_bits()),
-                    "dense×dense arm must be bitwise gemm_nt_acc"
-                );
-            } else {
-                let diff: Vec<f64> = c.iter().zip(&want).map(|(x, y)| x - y).collect();
-                prop_assert!(frob(&diff) <= 1e-9 * scale, "arm {i} error {}", frob(&diff));
-            }
         }
     }
 

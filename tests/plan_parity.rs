@@ -20,7 +20,7 @@ use pastix::runtime::sim::{FaultPlan, SchedPolicy};
 use pastix::runtime::Backend;
 use pastix::sched::{map_and_schedule, DistStrategy, Mapping, SchedOptions};
 use pastix::solver::{
-    CompressionConfig, CompressionStrategy, FactorRun, Plan, SolveRequest, SolverConfig,
+    CompressionConfig, FactorRun, Plan, SolveRequest, SolverConfig,
 };
 use pastix::symbolic::{analyze, AnalysisOptions, SymbolMatrix};
 
@@ -120,8 +120,7 @@ fn zero_tolerance_compression_is_bitwise_dense() {
         let cfg = SolverConfig::new().with_backend(Backend::Sim(fp));
         let czero = cfg.clone().with_compression(
             CompressionConfig::with_tolerance(0.0)
-                .min_block(2)
-                .strategy(CompressionStrategy::MinimalMemory),
+                .min_block(2),
         );
         let diag = format!("strategy {strategy:?}");
 
@@ -150,8 +149,7 @@ fn compressed_sim_runs_replay_bitwise_and_solve() {
             let fp = FaultPlan::builder(seed).policy(policy).build();
             let cfg = SolverConfig::new().with_backend(Backend::Sim(fp)).with_compression(
                 CompressionConfig::with_tolerance(1e-2)
-                    .min_block(2)
-                    .strategy(CompressionStrategy::MinimalMemory),
+                    .min_block(2),
             );
             let diag = format!("seed {seed}, policy {policy:?}");
 

@@ -18,7 +18,7 @@ use pastix::runtime::sim::{FaultPlan, SchedPolicy};
 use pastix::runtime::{Backend, DynamicOptions};
 use pastix::sched::{map_and_schedule, DistStrategy, Mapping, SchedOptions};
 use pastix::solver::{
-    run_from_storage, solve_block_in_place, solve_in_place, CompressionConfig, CompressionStrategy, Plan,
+    run_from_storage, solve_block_in_place, solve_in_place, CompressionConfig, Plan,
     SolverConfig,
 };
 use pastix::symbolic::{analyze, AnalysisOptions};
@@ -185,8 +185,7 @@ fn session_serves_coalesced_batches_on_both_backends() {
 #[test]
 fn sequential_static_and_dynamic_solves_agree_on_dense_and_blr_factors() {
     let blr = CompressionConfig::with_tolerance(1e-8)
-        .min_block(2)
-        .strategy(CompressionStrategy::MinimalMemory);
+        .min_block(2);
     for procs in [2usize, 4] {
         for compression in [CompressionConfig::off(), blr] {
             // A grid big enough that separator blocks compress at 1e-8.
