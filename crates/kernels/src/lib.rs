@@ -42,7 +42,7 @@ pub use pack::{gemm_nt_scatter, pack_a_slabs};
 pub use model::{calibrate_blas_model, fit_poly, BlasModel, KernelClass, PolyCost};
 pub use scalar::Scalar;
 pub use trsm::{
-    scale_cols_by_diag_into, scale_rows_by_diag_inv, solve_lower, solve_lower_trans,
+    scale_cols_by_diag_into, solve_lower, solve_lower_trans,
     solve_unit_lower, solve_unit_lower_rows, solve_unit_lower_trans,
     solve_unit_lower_trans_rows, trsm_ldlt_panel, trsm_llt_panel,
 };

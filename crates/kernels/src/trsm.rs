@@ -326,21 +326,6 @@ pub fn solve_lower_trans<T: Scalar>(
     }
 }
 
-/// `x(j) /= d[j]` row-scaling over `nrhs` columns — the diagonal solve
-/// `D·y = x` between the two triangular sweeps of `L·D·Lᵀ`.
-pub fn scale_rows_by_diag_inv<T: Scalar>(n: usize, d: &[T], x: &mut [T], nrhs: usize, ldx: usize) {
-    if n == 0 || nrhs == 0 {
-        return;
-    }
-    assert!(d.len() >= n && ldx >= n);
-    for r in 0..nrhs {
-        let xr = &mut x[r * ldx..r * ldx + n];
-        for (xi, &di) in xr.iter_mut().zip(d) {
-            *xi *= di.recip();
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -466,10 +451,6 @@ mod tests {
         let mut dst = [0.0; 4];
         scale_cols_by_diag_into(2, 2, &src, 2, &d, &mut dst, 2);
         assert_eq!(dst, [2.0, 4.0, 30.0, 40.0]);
-
-        let mut x = [4.0, 20.0];
-        scale_rows_by_diag_inv(2, &d, &mut x, 1, 2);
-        assert_eq!(x, [2.0, 2.0]);
     }
 
     #[test]

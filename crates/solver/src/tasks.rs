@@ -246,11 +246,11 @@ pub(crate) fn bdiv<T: Scalar>(
 /// diagonal block, solve the off-diagonal rows against it, and hand every
 /// pair contribution `(r ≥ c)` to `sink`.
 ///
-/// Each pivot blok `c` costs ONE product over *all*
-/// the panel rows at and below it (they are contiguous in the panel).
-/// Fusing the per-pair GEMMs this way turns ~B²/2 tiny products per
-/// column block into B medium ones — the per-call overhead disappears and
-/// the tall strips are exactly the shapes the packed path is fastest on.
+/// Each pivot blok `c` costs ONE product over *all* the panel rows at and
+/// below it (they are contiguous in the panel). Fusing the per-pair GEMMs
+/// this way turns ~B²/2 tiny products per column block into B medium ones
+/// — the per-call overhead disappears and the tall strips are exactly the
+/// shapes the packed path is fastest on.
 /// A strip the packed path takes is written straight into its target
 /// windows ([`gemm_nt_scatter`]), from the off-diagonal rows packed once
 /// per column block. The others go into zeroed scratch strips, each by the
