@@ -219,7 +219,7 @@ const NB_ROWS: usize = 4;
 /// `X`/`B` of shape `n × nrhs` stored row by row (`nrhs` contiguous scalars
 /// per row) — the serving-path variant of [`solve_unit_lower`].
 ///
-/// Rows are solved [`NB_ROWS`] at a time; a solved block's contribution to
+/// Rows are solved `NB_ROWS` (4) at a time; a solved block's contribution to
 /// everything below it is one [`gemm_nn_acc_rows`] pass, vectorized over
 /// the right-hand sides. The arithmetic per right-hand side does not
 /// depend on `nrhs`: a column of a panel solve is bit-for-bit the

@@ -73,10 +73,7 @@ pub struct PspasesPrediction {
     pub seq_time: f64,
 }
 
-/// Sequential model costs of every front, in column-block order. This is
-/// the embarrassingly parallel part of the model evaluation — see
-/// [`pspases_time_distributed`] for the version that splits it across the
-/// runtime's logical processors.
+/// Sequential model costs of every front, in column-block order.
 pub fn front_costs(sym: &SymbolMatrix, machine: &MachineModel) -> Vec<f64> {
     (0..sym.n_cblks()).map(|k| front_cost(sym, k, machine)).collect()
 }
@@ -187,59 +184,6 @@ pub fn pspases_from_costs(
     }
 }
 
-/// SPMD evaluation of the PSPASES model on the message-passing runtime:
-/// every rank prices a strided subset of the fronts, the per-front cost
-/// vectors are elementwise-summed with `all_reduce`, rank 0 runs the
-/// max/plus recursion, and the prediction is `broadcast` back; a final
-/// `barrier` fences the evaluation off from whatever the caller does next
-/// on the same channel.
-///
-/// Must be invoked from every rank of a [`pastix_runtime`] SPMD region
-/// whose message type is `CollMsg<Vec<f64>>` (see
-/// [`pastix_runtime::run_spmd_with`]); each rank gets the identical
-/// prediction, equal to [`pspases_time`] up to floating-point summation
-/// order. On the simulation backend this is the collectives' heaviest
-/// in-tree consumer, which is exactly why the chaos suite drives it under
-/// fault injection.
-pub fn pspases_time_distributed<C>(
-    ctx: &C,
-    sym: &SymbolMatrix,
-    machine: &MachineModel,
-    opts: &PspasesOptions,
-) -> PspasesPrediction
-where
-    C: pastix_runtime::Comm<pastix_runtime::collective::CollMsg<Vec<f64>>> + ?Sized,
-{
-    use pastix_runtime::collective::Collectives;
-    let ns = sym.n_cblks();
-    let rank = ctx.rank();
-    let p = ctx.n_procs();
-    let mut mine = vec![0.0f64; ns];
-    let mut k = rank;
-    while k < ns {
-        mine[k] = front_cost(sym, k, machine);
-        k += p;
-    }
-    let mut coll = Collectives::new();
-    let costs = coll.all_reduce(ctx, 0, mine, |mut a, b| {
-        for (x, y) in a.iter_mut().zip(&b) {
-            *x += *y;
-        }
-        a
-    });
-    let prediction = if rank == 0 {
-        let pred = pspases_from_costs(sym, machine, opts, &costs);
-        coll.broadcast(ctx, 1, 0, Some(vec![pred.time, pred.seq_time]))
-    } else {
-        coll.broadcast(ctx, 1, 0, None)
-    };
-    coll.barrier(ctx, 2, Vec::new());
-    PspasesPrediction {
-        time: prediction[0],
-        seq_time: prediction[1],
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -292,61 +236,6 @@ mod tests {
         let m = MachineModel::sp2(4);
         for k in 0..sym.n_cblks() {
             assert!(front_cost(&sym, k, &m) > 0.0);
-        }
-    }
-
-    #[test]
-    fn distributed_model_matches_sequential_on_threads() {
-        use pastix_runtime::collective::CollMsg;
-        use pastix_runtime::{run_spmd_with, Backend};
-        let sym = symbol(20);
-        let machine = MachineModel::sp2(8);
-        let opts = PspasesOptions::default();
-        let want = pspases_time(&sym, &machine, &opts);
-        let got = run_spmd_with::<CollMsg<Vec<f64>>, PspasesPrediction, _>(
-            &Backend::Threads,
-            4,
-            |ctx| pspases_time_distributed(ctx, &sym, &machine, &opts),
-        );
-        for pred in got {
-            assert!((pred.time - want.time).abs() < 1e-12 * want.time.max(1.0));
-            assert!((pred.seq_time - want.seq_time).abs() < 1e-9 * want.seq_time.max(1.0));
-        }
-    }
-
-    #[test]
-    fn distributed_model_survives_sim_chaos() {
-        use pastix_runtime::collective::CollMsg;
-        use pastix_runtime::sim::{FaultPlan, SchedPolicy};
-        use pastix_runtime::{run_spmd_with, Backend};
-        let sym = symbol(16);
-        let machine = MachineModel::sp2(8);
-        let opts = PspasesOptions::default();
-        let want = pspases_time(&sym, &machine, &opts);
-        for policy in [
-            SchedPolicy::Uniform,
-            SchedPolicy::StarveRank(0),
-            SchedPolicy::DeliverLast,
-            SchedPolicy::FifoPerPair,
-        ] {
-            for seed in 0..5 {
-                let plan = FaultPlan::builder(seed)
-                    .drop_lossy(0.25)
-                    .duplicate_lossy(0.25)
-                    .policy(policy)
-                    .build();
-                let got = run_spmd_with::<CollMsg<Vec<f64>>, PspasesPrediction, _>(
-                    &Backend::Sim(plan),
-                    3,
-                    |ctx| pspases_time_distributed(ctx, &sym, &machine, &opts),
-                );
-                for pred in got {
-                    assert!(
-                        (pred.time - want.time).abs() < 1e-12 * want.time.max(1.0),
-                        "seed {seed} policy {policy:?}"
-                    );
-                }
-            }
         }
     }
 }

@@ -6,7 +6,7 @@
 //! extraction from the edge cut via a König vertex cover (maximum bipartite
 //! matching on the cut edges). Used by the nested dissection driver.
 //!
-//! All of it runs on a [`BisectWorkspace`]: the stack of coarse graphs,
+//! All of it runs on a `BisectWorkspace`: the stack of coarse graphs,
 //! the matching / visit / accumulator arrays, the partition and the König
 //! scratch are buffers that grow to the largest graph they have seen and
 //! are then only refilled, so the nested dissection driver (one workspace

@@ -15,14 +15,14 @@
 //! documented as such in DESIGN.md.
 //!
 //! The data layout is AMD's too: every list lives in one integer arena
-//! ([`Quotient::iw`]). A variable keeps the row the input gave it for good
+//! (`Quotient::iw`). A variable keeps the row the input gave it for good
 //! — its element list grows from the front of the row, its variable list
 //! shrinks towards the back, and the two never meet because a variable
 //! gains the new element only when it loses the pivot or an absorbed
 //! element. Element lists are appended behind the rows and compacted when
 //! the arena fills. Indistinguishable variables are found with an
 //! order-independent hash into intrusive buckets and compared with stamps.
-//! Nothing is allocated per pivot, and a [`Quotient`] is reusable: the
+//! Nothing is allocated per pivot, and a `Quotient` is reusable: the
 //! nested dissection driver orders every leaf of a worker on one.
 
 use pastix_graph::CsrGraph;

@@ -22,7 +22,7 @@
 //! there in ascending order, and partitions them in place into
 //! `[side 0 | side 1 | separator]` — the separator is then already where
 //! it belongs and the sides are the children's slices. Everything else a
-//! node or a leaf needs lives in a [`Workspace`], one per worker (the
+//! node or a leaf needs lives in a `Workspace`, one per worker (the
 //! caller, each spawned `join` branch, each leaf chunk), whose buffers
 //! grow to the largest subgraph the worker meets and are then reused.
 

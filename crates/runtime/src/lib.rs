@@ -4,8 +4,8 @@
 //! reproduction. Each *logical processor* has a rank, an unbounded
 //! mailbox, and the ability to send typed messages to any peer — exactly
 //! the communication surface the fan-in solver needs (factor-block sends
-//! and aggregated-update-block sends, all asynchronous, received in any
-//! order).
+//! and aggregated-update-block sends, all point to point, asynchronous,
+//! received in any order).
 //!
 //! The surface is the [`Comm`] trait, with two interchangeable backends:
 //!
@@ -17,10 +17,11 @@
 //!   Every interleaving is reproducible from its seed, which is what the
 //!   chaos suite drives.
 //!
-//! Because the static schedule makes every processor's task order fixed,
-//! the solver knows *what* it is waiting for at each step; the
-//! [`TaggedMailbox`] buffers early messages until their turn comes, which
-//! is how PaStiX's asynchronous MPI receives are modeled in-process.
+//! The runtime delivers in arrival order only. Because the static
+//! schedule fixes every processor's task order, the solver knows *what*
+//! it is waiting for at each step and buffers early arrivals itself (the
+//! static driver's worker in `pastix-solver`), which is how PaStiX's
+//! asynchronous MPI receives are modeled in-process.
 
 #![warn(missing_docs)]
 
@@ -29,8 +30,6 @@ pub mod steal;
 
 pub use steal::DynamicOptions;
 
-use std::collections::HashMap;
-use std::hash::Hash;
 use std::sync::mpsc::{channel, Receiver, Sender};
 
 /// A received message with its sender rank.
@@ -66,9 +65,10 @@ pub const SEND_RETRY_LIMIT: usize = 64;
 /// The SPMD communication surface shared by every backend: asynchronous
 /// point-to-point sends plus blocking and non-blocking receives.
 ///
-/// Code written against `Comm` (the fan-in factorization, the distributed
-/// solves, the collectives) runs unchanged on OS threads ([`ProcCtx`]) or
-/// under the deterministic simulator ([`sim::SimCtx`]).
+/// Code written against `Comm` (the fan-in factorization and the
+/// distributed solves) runs unchanged on OS threads ([`ProcCtx`]) or under
+/// the deterministic simulator ([`sim::SimCtx`]). Bring the trait into
+/// scope to call these methods on a context.
 pub trait Comm<M> {
     /// This processor's rank.
     fn rank(&self) -> usize;
@@ -241,57 +241,12 @@ impl<M: Send> Comm<M> for ProcCtx<M> {
     }
 }
 
-impl<M: Send> ProcCtx<M> {
-    /// This processor's rank (inherent mirror of [`Comm::rank`], so
-    /// closures taking `ProcCtx` by value don't need the trait in scope).
-    #[inline]
-    pub fn rank(&self) -> usize {
-        self.rank
-    }
-
-    /// Number of logical processors.
-    #[inline]
-    pub fn n_procs(&self) -> usize {
-        self.n_procs
-    }
-
-    /// See [`Comm::send`].
-    pub fn send(&self, to: usize, msg: M) {
-        Comm::send(self, to, msg)
-    }
-
-    /// See [`Comm::send_lossy`].
-    pub fn send_lossy(&self, to: usize, msg: M) -> bool {
-        Comm::send_lossy(self, to, msg)
-    }
-
-    /// See [`Comm::send_faulty`].
-    pub fn send_faulty(&self, to: usize, msg: M) -> SendOutcome<M> {
-        Comm::send_faulty(self, to, msg)
-    }
-
-    /// See [`Comm::send_resilient`].
-    pub fn send_resilient(&self, to: usize, msg: M) -> bool {
-        Comm::send_resilient(self, to, msg)
-    }
-
-    /// See [`Comm::recv`].
-    pub fn recv(&self) -> Envelope<M> {
-        Comm::recv(self)
-    }
-
-    /// See [`Comm::try_recv`].
-    pub fn try_recv(&self) -> Option<Envelope<M>> {
-        Comm::try_recv(self)
-    }
-}
-
 /// Runs `n_procs` logical processors, each executing `f(ctx)` on its own
 /// OS thread, and returns their results in rank order. Threads are
 /// scoped: a panicking processor propagates after the others are joined.
 ///
 /// ```
-/// use pastix_runtime::run_spmd;
+/// use pastix_runtime::{run_spmd, Comm};
 /// // Every rank sends its rank to rank 0; rank 0 sums.
 /// let out = run_spmd::<usize, usize, _>(3, |ctx| {
 ///     if ctx.rank() == 0 {
@@ -474,295 +429,6 @@ impl<M, C: Comm<M> + ?Sized, H: CommHook> Comm<M> for Instrumented<'_, M, C, H> 
     }
 }
 
-/// Collective operations built on the point-to-point layer. They run as
-/// **binomial trees** — `⌈log₂ p⌉` rounds instead of the linear
-/// rank-0-rooted sweeps of the first version — so the phase boundaries of
-/// a solver whose steady state is fully asynchronous stay cheap as the
-/// processor count grows.
-///
-/// The collectives travel the *faulty* path ([`Comm::send_faulty`]), so
-/// under the simulator their messages can be delayed, dropped, or
-/// duplicated like any other lossy traffic — and the protocol absorbs it:
-/// dropped sends are retried (the transport reports the drop to the
-/// sender) and every message carries a caller-supplied **phase id** in a
-/// [`CollMsg`] envelope. Each rank keeps a [`Collectives`] hold-buffer:
-/// frames from a *future* phase (possible when reordering lets phase
-/// `k+1` traffic overtake phase `k`'s release) are parked until their
-/// phase is demanded; frames from a *past* phase are duplicates and are
-/// dropped at the next phase boundary.
-///
-/// Contract: every rank invokes the same sequence of collectives on one
-/// [`Collectives`] instance, with strictly increasing phase ids (a
-/// monotonic counter does). Collective traffic must not be interleaved
-/// with other in-flight messages of the same `Comm` channel.
-pub mod collective {
-    use super::{Comm, HashMap};
-
-    /// Wire envelope of the resilient collectives: the caller's payload
-    /// plus the phase id that fences one collective invocation from the
-    /// next under duplicate-delivery and reordering faults.
-    #[derive(Debug, Clone, PartialEq)]
-    pub struct CollMsg<M> {
-        /// Caller-chosen phase id; strictly increasing across calls on
-        /// the same channel.
-        pub phase: u64,
-        /// The collective's payload.
-        pub payload: M,
-    }
-
-    /// Sends one collective frame, retrying injected drops; a peer that
-    /// exited mid-collective is a protocol violation, as with the
-    /// reliable channel.
-    fn coll_send<M: Clone, C: Comm<CollMsg<M>> + ?Sized>(ctx: &C, to: usize, msg: CollMsg<M>) {
-        assert!(
-            ctx.send_resilient(to, msg),
-            "rank {} collective send to rank {to}: peer exited mid-collective",
-            ctx.rank()
-        );
-    }
-
-    /// Per-rank collective state: a hold-buffer for frames that arrive
-    /// before their phase is demanded. One instance per rank, shared by
-    /// every collective call on that rank, in phase order.
-    #[derive(Default)]
-    pub struct Collectives<M> {
-        /// Frames parked by (phase, sender) until demanded. Entries older
-        /// than the current phase are dropped on the next phase boundary.
-        held: HashMap<(u64, usize), Vec<M>>,
-    }
-
-    impl<M: Clone> Collectives<M> {
-        /// Creates an empty hold-buffer.
-        pub fn new() -> Self {
-            Self {
-                held: HashMap::new(),
-            }
-        }
-
-        /// Number of parked frames (diagnostics).
-        pub fn held(&self) -> usize {
-            self.held.values().map(|v| v.len()).sum()
-        }
-
-        /// Drops parked frames from phases before `phase`: with strictly
-        /// increasing phases they can only be stale duplicates.
-        fn gc(&mut self, phase: u64) {
-            self.held.retain(|(ph, _), _| *ph >= phase);
-        }
-
-        /// Receives the `(phase, from)` frame, parking everything else
-        /// that arrives in the meantime. Duplicates of frames already
-        /// consumed simply sit parked until [`Self::gc`] clears them.
-        fn recv_from<C: Comm<CollMsg<M>> + ?Sized>(
-            &mut self,
-            ctx: &C,
-            phase: u64,
-            from: usize,
-        ) -> M {
-            if let Some(v) = self.held.get_mut(&(phase, from)) {
-                let m = v.pop().expect("held entries are never empty");
-                if v.is_empty() {
-                    self.held.remove(&(phase, from));
-                }
-                return m;
-            }
-            loop {
-                let env = ctx.recv();
-                if env.msg.phase == phase && env.from == from {
-                    return env.msg.payload;
-                }
-                self.held
-                    .entry((env.msg.phase, env.from))
-                    .or_default()
-                    .push(env.msg.payload);
-            }
-        }
-
-        /// Binomial reduce to rank 0. In round `j` (step `2^j`) a rank
-        /// whose bit `j` is set forwards its accumulator to `rank - 2^j`
-        /// and is done; a rank whose bit `j` is clear absorbs the subtree
-        /// of `rank + 2^j` (when it exists). The accumulator of rank `r`
-        /// after round `j` therefore covers the *contiguous* rank range
-        /// `[r, min(r + 2^{j+1}, p))`, and every combine joins two
-        /// adjacent ranges left-to-right — the association tree is fixed
-        /// by `p` alone, so the result never depends on message
-        /// interleaving. Returns `Some(total)` on rank 0, `None`
-        /// elsewhere.
-        fn reduce_to_zero<C, F>(&mut self, ctx: &C, phase: u64, mine: M, combine: &F) -> Option<M>
-        where
-            C: Comm<CollMsg<M>> + ?Sized,
-            F: Fn(M, M) -> M,
-        {
-            let p = ctx.n_procs();
-            let r = ctx.rank();
-            let mut acc = mine;
-            let mut step = 1usize;
-            while step < p {
-                if r & step != 0 {
-                    coll_send(ctx, r - step, CollMsg { phase, payload: acc });
-                    return None;
-                }
-                if r + step < p {
-                    let theirs = self.recv_from(ctx, phase, r + step);
-                    acc = combine(acc, theirs);
-                }
-                step <<= 1;
-            }
-            Some(acc)
-        }
-
-        /// Binomial broadcast from `root`. Ranks are rotated so the root
-        /// is virtual rank 0; virtual rank `v > 0` receives from its
-        /// parent `v` with the lowest set bit cleared, then fans out to
-        /// children `v + 2^j` for every `2^j` below its lowest set bit
-        /// (every power below `p` for the root), largest subtree first.
-        fn bcast<C: Comm<CollMsg<M>> + ?Sized>(
-            &mut self,
-            ctx: &C,
-            phase: u64,
-            root: usize,
-            value: Option<M>,
-        ) -> M {
-            let p = ctx.n_procs();
-            let vr = (ctx.rank() + p - root) % p;
-            let v = if vr == 0 {
-                value.expect("root must supply the broadcast value")
-            } else {
-                let parent = ((vr & (vr - 1)) + root) % p;
-                self.recv_from(ctx, phase, parent)
-            };
-            let limit = if vr == 0 { p } else { vr & vr.wrapping_neg() };
-            let mut step = 1usize;
-            while step < limit {
-                step <<= 1;
-            }
-            step >>= 1;
-            while step > 0 {
-                let child = vr + step;
-                if child < p {
-                    coll_send(
-                        ctx,
-                        (child + root) % p,
-                        CollMsg {
-                            phase,
-                            payload: v.clone(),
-                        },
-                    );
-                }
-                step >>= 1;
-            }
-            v
-        }
-
-        /// Barrier: binomial gather to rank 0, then a binomial release
-        /// down the mirrored tree — `2⌈log₂ p⌉` rounds. The caller
-        /// provides the signal payload (any value) and the phase id.
-        pub fn barrier<C: Comm<CollMsg<M>> + ?Sized>(&mut self, ctx: &C, phase: u64, signal: M) {
-            self.gc(phase);
-            if ctx.n_procs() == 1 {
-                return;
-            }
-            let done = self.reduce_to_zero(ctx, phase, signal, &|keep, _| keep);
-            let _ = self.bcast(ctx, phase, 0, done);
-        }
-
-        /// Broadcast from `root`: returns the payload on every rank after
-        /// `⌈log₂ p⌉` binomial rounds. Only the root supplies
-        /// `Some(value)`.
-        pub fn broadcast<C: Comm<CollMsg<M>> + ?Sized>(
-            &mut self,
-            ctx: &C,
-            phase: u64,
-            root: usize,
-            value: Option<M>,
-        ) -> M {
-            self.gc(phase);
-            self.bcast(ctx, phase, root, value)
-        }
-
-        /// All-reduce: binomial reduce to rank 0 followed by a binomial
-        /// broadcast of the total. Contributions are combined over
-        /// contiguous rank ranges in the fixed tree of
-        /// [`Self::reduce_to_zero`], so the result is a pure function of
-        /// the inputs and `p` — independent of message interleaving — for
-        /// any associative combiner (a non-associative combiner sees the
-        /// tree's association, not a linear left fold).
-        pub fn all_reduce<C, F>(&mut self, ctx: &C, phase: u64, mine: M, combine: F) -> M
-        where
-            C: Comm<CollMsg<M>> + ?Sized,
-            F: Fn(M, M) -> M,
-        {
-            self.gc(phase);
-            let total = self.reduce_to_zero(ctx, phase, mine, &combine);
-            self.bcast(ctx, phase, 0, total)
-        }
-    }
-}
-
-/// A mailbox that delivers messages *by key*, buffering out-of-order
-/// arrivals: the static schedule tells the solver which factor block or
-/// aggregated update block it needs next; anything else that arrives early
-/// waits in the pool.
-pub struct TaggedMailbox<K, M> {
-    pool: HashMap<K, Vec<Envelope<M>>>,
-}
-
-impl<K: Eq + Hash + Clone, M> Default for TaggedMailbox<K, M> {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-impl<K: Eq + Hash + Clone, M> TaggedMailbox<K, M> {
-    /// Creates an empty mailbox.
-    pub fn new() -> Self {
-        Self {
-            pool: HashMap::new(),
-        }
-    }
-
-    /// Deposits a message under a key.
-    pub fn deposit(&mut self, key: K, env: Envelope<M>) {
-        self.pool.entry(key).or_default().push(env);
-    }
-
-    /// Takes one buffered message for `key`, if any.
-    pub fn take(&mut self, key: &K) -> Option<Envelope<M>> {
-        let v = self.pool.get_mut(key)?;
-        let env = v.pop();
-        if v.is_empty() {
-            self.pool.remove(key);
-        }
-        env
-    }
-
-    /// Blocking receive of a message with the wanted key: drains `ctx`
-    /// until `classify` maps an arrival to `key`, buffering everything
-    /// else. Works on any [`Comm`] backend.
-    pub fn recv_key<C, F>(&mut self, ctx: &C, key: &K, classify: F) -> Envelope<M>
-    where
-        C: Comm<M>,
-        F: Fn(&M) -> K,
-    {
-        if let Some(env) = self.take(key) {
-            return env;
-        }
-        loop {
-            let env = ctx.recv();
-            let k = classify(&env.msg);
-            if &k == key {
-                return env;
-            }
-            self.deposit(k, env);
-        }
-    }
-
-    /// Number of buffered messages (diagnostics).
-    pub fn buffered(&self) -> usize {
-        self.pool.values().map(|v| v.len()).sum()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -797,24 +463,6 @@ mod tests {
     }
 
     #[test]
-    fn tagged_mailbox_buffers_out_of_order() {
-        // Rank 1 sends keys 5 then 3; rank 0 asks for 3 first.
-        let results = run_spmd::<u32, Vec<u32>, _>(2, |ctx| {
-            if ctx.rank() == 1 {
-                ctx.send(0, 5);
-                ctx.send(0, 3);
-                return vec![];
-            }
-            let mut mb = TaggedMailbox::<u32, u32>::new();
-            let a = mb.recv_key(&ctx, &3, |&m| m);
-            let b = mb.recv_key(&ctx, &5, |&m| m);
-            assert_eq!(mb.buffered(), 0);
-            vec![a.msg, b.msg]
-        });
-        assert_eq!(results[0], vec![3, 5]);
-    }
-
-    #[test]
     fn try_recv_nonblocking() {
         let results = run_spmd::<u8, bool, _>(2, |ctx| {
             if ctx.rank() == 0 {
@@ -829,39 +477,6 @@ mod tests {
             }
         });
         assert!(results.iter().all(|&b| b));
-    }
-
-    #[test]
-    fn collective_barrier_and_broadcast() {
-        use collective::{CollMsg, Collectives};
-        let results = run_spmd::<CollMsg<u64>, u64, _>(4, |ctx| {
-            let mut coll = Collectives::new();
-            coll.barrier(&ctx, 0, 0);
-            let v = coll.broadcast(&ctx, 1, 2, if ctx.rank() == 2 { Some(99) } else { None });
-            coll.barrier(&ctx, 2, 0);
-            v
-        });
-        assert_eq!(results, vec![99; 4]);
-    }
-
-    #[test]
-    fn collective_all_reduce_sum() {
-        use collective::{CollMsg, Collectives};
-        let results = run_spmd::<CollMsg<u64>, u64, _>(5, |ctx| {
-            Collectives::new().all_reduce(&ctx, 0, ctx.rank() as u64 + 1, |a, b| a + b)
-        });
-        assert_eq!(results, vec![15; 5]);
-    }
-
-    #[test]
-    fn collective_single_proc_degenerate() {
-        use collective::{CollMsg, Collectives};
-        let results = run_spmd::<CollMsg<u64>, u64, _>(1, |ctx| {
-            let mut coll = Collectives::new();
-            coll.barrier(&ctx, 0, 0);
-            coll.all_reduce(&ctx, 1, 7, |a, b| a + b)
-        });
-        assert_eq!(results, vec![7]);
     }
 
     #[test]
@@ -882,8 +497,9 @@ mod tests {
                     ctx.send(q, (tag, (me as u32 + 1) * 100 + tag));
                 }
             }
-            // Receive from everyone, demanding tags in order.
-            let mut mb = TaggedMailbox::<(usize, u32), (u32, u32)>::new();
+            // Receive from everyone, demanding tags in order; early
+            // arrivals wait in a pool keyed by (sender, tag).
+            let mut pool = std::collections::HashMap::new();
             let mut sum = 0u64;
             for q in 0..p {
                 if q == me {
@@ -892,7 +508,7 @@ mod tests {
                 for tag in 0..count(q, me) {
                     // Key = (sender, tag): drain until it shows up.
                     let env = loop {
-                        if let Some(e) = mb.take(&(q, tag)) {
+                        if let Some(e) = pool.remove(&(q, tag)) {
                             break e;
                         }
                         let e = ctx.recv();
@@ -900,13 +516,13 @@ mod tests {
                         if key == (q, tag) {
                             break e;
                         }
-                        mb.deposit(key, e);
+                        pool.insert(key, e);
                     };
                     assert_eq!(env.msg.1, (q as u32 + 1) * 100 + tag);
                     sum += env.msg.1 as u64;
                 }
             }
-            assert_eq!(mb.buffered(), 0);
+            assert!(pool.is_empty());
             sum
         });
         // Deterministic totals: recompute expected per rank.

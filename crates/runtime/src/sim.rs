@@ -1,6 +1,6 @@
 //! Deterministic simulation backend with fault injection.
 //!
-//! [`run_sim_spmd`] executes the same SPMD closures as [`run_spmd`], but
+//! [`run_sim_spmd`] executes the same SPMD closures as [`crate::run_spmd`], but
 //! every interleaving decision — which processor runs next, when each
 //! in-flight message is delivered, whether a lossy send is dropped or
 //! duplicated — is made by a central scheduler driven by a seeded RNG.
@@ -333,51 +333,6 @@ impl<M: Send> Comm<M> for SimCtx<M> {
     }
 }
 
-impl<M: Send> SimCtx<M> {
-    /// This processor's rank (inherent mirror of [`Comm::rank`], so
-    /// closures taking `SimCtx` by value don't need the trait in scope).
-    #[inline]
-    pub fn rank(&self) -> usize {
-        self.rank
-    }
-
-    /// Number of logical processors.
-    #[inline]
-    pub fn n_procs(&self) -> usize {
-        self.n_procs
-    }
-
-    /// See [`Comm::send`].
-    pub fn send(&self, to: usize, msg: M) {
-        Comm::send(self, to, msg)
-    }
-
-    /// See [`Comm::send_lossy`].
-    pub fn send_lossy(&self, to: usize, msg: M) -> bool {
-        Comm::send_lossy(self, to, msg)
-    }
-
-    /// See [`Comm::send_faulty`].
-    pub fn send_faulty(&self, to: usize, msg: M) -> SendOutcome<M> {
-        Comm::send_faulty(self, to, msg)
-    }
-
-    /// See [`Comm::send_resilient`].
-    pub fn send_resilient(&self, to: usize, msg: M) -> bool {
-        Comm::send_resilient(self, to, msg)
-    }
-
-    /// See [`Comm::recv`].
-    pub fn recv(&self) -> Envelope<M> {
-        Comm::recv(self)
-    }
-
-    /// See [`Comm::try_recv`].
-    pub fn try_recv(&self) -> Option<Envelope<M>> {
-        Comm::try_recv(self)
-    }
-}
-
 /// An in-flight message: sent, not yet delivered to its mailbox.
 struct InFlight<M> {
     to: usize,
@@ -522,7 +477,7 @@ impl<M: Clone> SchedulerState<M> {
 /// Runs `n_procs` logical processors under the deterministic simulator
 /// with the given fault plan; returns results in rank order.
 ///
-/// Semantics match [`run_spmd`] (same `Comm` contract, same panic
+/// Semantics match [`crate::run_spmd`] (same `Comm` contract, same panic
 /// behavior: a worker panic propagates to the caller after every other
 /// worker has unwound), but the interleaving is a pure function of
 /// `plan`. A protocol deadlock — every live worker blocked in `recv`
@@ -534,6 +489,7 @@ impl<M: Clone> SchedulerState<M> {
 ///
 /// ```
 /// use pastix_runtime::sim::{run_sim_spmd, FaultPlan};
+/// use pastix_runtime::Comm;
 /// let plan = FaultPlan::interleave_only(42);
 /// let out = run_sim_spmd::<usize, usize, _>(3, &plan, |ctx| {
 ///     if ctx.rank() == 0 {
@@ -750,7 +706,6 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::TaggedMailbox;
 
     #[test]
     fn rng_is_deterministic() {
@@ -805,48 +760,6 @@ mod tests {
             "expected many distinct arrival orders, got {}",
             distinct.len()
         );
-    }
-
-    #[test]
-    fn collectives_under_chaos() {
-        use crate::collective::{CollMsg, Collectives};
-        for seed in 0..20 {
-            let plan = FaultPlan::interleave_only(seed);
-            let results = run_sim_spmd::<CollMsg<u64>, u64, _>(5, &plan, |ctx| {
-                let mut coll = Collectives::new();
-                coll.barrier(&ctx, 0, 0);
-                let root_val = coll.broadcast(&ctx, 1, 0, (ctx.rank() == 0).then_some(7u64));
-                coll.all_reduce(&ctx, 2, ctx.rank() as u64 + 1, |a, b| a + b) + root_val
-            });
-            assert_eq!(results, vec![22; 5], "seed {seed}");
-        }
-    }
-
-    #[test]
-    fn collectives_survive_lossy_faults_under_every_policy() {
-        use crate::collective::{CollMsg, Collectives};
-        let policies = [
-            SchedPolicy::Uniform,
-            SchedPolicy::StarveRank(1),
-            SchedPolicy::DeliverLast,
-            SchedPolicy::FifoPerPair,
-        ];
-        for policy in policies {
-            for seed in 0..10 {
-                let plan = FaultPlan::builder(seed)
-                    .drop_lossy(0.3)
-                    .duplicate_lossy(0.3)
-                    .policy(policy)
-                    .build();
-                let results = run_sim_spmd::<CollMsg<u64>, u64, _>(4, &plan, |ctx| {
-                    let mut coll = Collectives::new();
-                    coll.barrier(&ctx, 0, 0);
-                    let b = coll.broadcast(&ctx, 1, 2, (ctx.rank() == 2).then_some(100u64));
-                    coll.all_reduce(&ctx, 2, ctx.rank() as u64, |a, b| a + b) + b
-                });
-                assert_eq!(results, vec![106; 4], "seed {seed} policy {policy:?}");
-            }
-        }
     }
 
     #[test]
@@ -984,42 +897,6 @@ mod tests {
             .or_else(|| payload.downcast_ref::<String>().cloned())
             .unwrap_or_default();
         assert!(msg.contains("injected chaos panic"), "got: {msg:?}");
-    }
-
-    #[test]
-    fn tagged_mailbox_under_max_reorder() {
-        // Exactly-once, key-correct delivery through the pool under heavy
-        // reordering across many seeds.
-        for seed in 0..40 {
-            let plan = FaultPlan::interleave_only(seed);
-            let results = run_sim_spmd::<(u32, u32), u64, _>(3, &plan, |ctx| {
-                if ctx.rank() != 0 {
-                    for tag in 0..5u32 {
-                        ctx.send(0, (tag, ctx.rank() as u32 * 1000 + tag));
-                    }
-                    return 0;
-                }
-                let mut mb = TaggedMailbox::<(usize, u32), (u32, u32)>::new();
-                let mut sum = 0u64;
-                // Demand (sender, tag) pairs in a fixed order the senders
-                // do not follow.
-                for tag in (0..5u32).rev() {
-                    for q in 1..3usize {
-                        let env = mb.recv_key(&ctx, &(q, tag), |m| {
-                            // classify() cannot see the envelope sender, so
-                            // the payload carries it.
-                            ((m.1 / 1000) as usize, m.0)
-                        });
-                        assert_eq!(env.from, q);
-                        sum += env.msg.1 as u64;
-                    }
-                }
-                assert_eq!(mb.buffered(), 0, "pool must drain exactly");
-                sum
-            });
-            let expect: u64 = (1..3u64).map(|q| (0..5).map(|t| q * 1000 + t).sum::<u64>()).sum();
-            assert_eq!(results[0], expect, "seed {seed}");
-        }
     }
 
     #[test]

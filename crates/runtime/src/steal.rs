@@ -15,8 +15,8 @@
 //!   worker's own queue runs dry.
 //! - **Simulated** (`sim: Some(plan)`): a single-threaded serialization
 //!   where a seeded RNG picks which worker runs next, filtered through the
-//!   same adversarial [`SchedPolicy`](crate::sim::SchedPolicy) vocabulary
-//!   as the message simulator. Every execution is a pure function of
+//!   same adversarial [`SchedPolicy`] vocabulary as the message
+//!   simulator. Every execution is a pure function of
 //!   `(seed, policy)`, which is what the chaos suite replays.
 
 use crate::sim::{FaultPlan, SchedPolicy, SimRng};

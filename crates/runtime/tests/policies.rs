@@ -2,41 +2,63 @@
 //!
 //! The simulator's contract is that a `SchedPolicy` only reshapes the
 //! *interleaving* — which enabled action fires next — never the *values* a
-//! correct program computes. These tests drive the resilient collectives
-//! (barrier, broadcast, all-reduce) under every policy with lossy faults
-//! enabled and assert the results are byte-identical to the uniform
-//! baseline, across randomly drawn seeds, world sizes, and fault rates.
+//! correct program computes. These tests drive a point-to-point exchange
+//! over the lossy channel: every rank `send_resilient`s one value to every
+//! peer, and each receiver keeps the first copy per sender (drops are
+//! retried by the sender, duplicates discarded by the receiver, the way
+//! the solver's lossy traffic is handled). Under every policy, with lossy
+//! faults enabled, the kept values are identical to the uniform baseline,
+//! across randomly drawn seeds, world sizes, and fault rates.
 
-use pastix_runtime::collective::{CollMsg, Collectives};
 use pastix_runtime::sim::{FaultPlan, SchedPolicy};
 use pastix_runtime::{run_spmd_with, Backend, Comm};
 use proptest::prelude::*;
 
-/// One SPMD program exercising all three collectives; returns the tuple of
-/// results every rank observed so the caller can compare whole executions.
-fn run_collectives(n_procs: usize, plan: FaultPlan) -> Vec<(i64, i64, i64)> {
-    run_spmd_with(
-        &Backend::Sim(plan),
-        n_procs,
-        |ctx: &dyn Comm<CollMsg<i64>>| {
-            let mut coll = Collectives::new();
-            coll.barrier(ctx, 0, 0);
-            let b = coll.broadcast(ctx, 1, 0, (ctx.rank() == 0).then_some(41));
-            let s = coll.all_reduce(ctx, 2, ctx.rank() as i64 + 1, |a, c| a + c);
-            let m = coll.all_reduce(ctx, 3, ctx.rank() as i64 * 3, i64::max);
-            (b, s, m)
-        },
-    )
+/// What one rank observed: the value kept from each sender (its own slot
+/// stays 0), and every arrival's sender in arrival order, duplicates
+/// included.
+#[derive(Debug, Clone, PartialEq)]
+struct Observed {
+    kept: Vec<i64>,
+    arrivals: Vec<usize>,
+}
+
+/// The value rank `from` sends to rank `to`.
+fn value(from: usize, to: usize) -> i64 {
+    (from * 100 + to) as i64 + 1
+}
+
+/// One SPMD exchange: all-to-all over the lossy channel, first copy per
+/// sender kept. Every send is accepted before its receiver can finish, so
+/// `send_resilient` never meets a closed peer.
+fn run_exchange(n_procs: usize, plan: FaultPlan) -> Vec<Observed> {
+    run_spmd_with(&Backend::Sim(plan), n_procs, |ctx: &dyn Comm<i64>| {
+        let me = ctx.rank();
+        for to in (0..n_procs).filter(|&q| q != me) {
+            assert!(ctx.send_resilient(to, value(me, to)), "rank {me} -> {to}: peer closed");
+        }
+        let mut seen = vec![false; n_procs];
+        seen[me] = true;
+        let mut obs = Observed { kept: vec![0; n_procs], arrivals: Vec::new() };
+        while seen.iter().any(|&s| !s) {
+            let env = ctx.recv();
+            obs.arrivals.push(env.from);
+            if !std::mem::replace(&mut seen[env.from], true) {
+                obs.kept[env.from] = env.msg;
+            }
+        }
+        obs
+    })
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
-    /// For every `SchedPolicy`, the collectives return values identical to
-    /// the uniform policy on the same seed — adversarial scheduling may
+    /// For every `SchedPolicy`, the kept values are identical to the
+    /// uniform policy on the same seed — adversarial scheduling may
     /// starve, reorder, or FIFO-restrict delivery but never change results.
     #[test]
-    fn every_policy_matches_uniform_collectives(
+    fn every_policy_matches_uniform_exchange(
         seed in 0u64..100_000,
         n_procs in 2usize..5,
         drop in 0.0f64..0.35,
@@ -47,13 +69,14 @@ proptest! {
             .drop_lossy(drop)
             .duplicate_lossy(dup)
             .build();
-        let baseline = run_collectives(n_procs, base_plan);
+        let kept = |obs: &[Observed]| obs.iter().map(|o| o.kept.clone()).collect::<Vec<_>>();
+        let baseline = kept(&run_exchange(n_procs, base_plan));
         prop_assert_eq!(baseline.len(), n_procs);
-        let expect_sum: i64 = (1..=n_procs as i64).sum();
-        for (rank, &(b, s, m)) in baseline.iter().enumerate() {
-            prop_assert_eq!(b, 41, "rank {} broadcast under Uniform", rank);
-            prop_assert_eq!(s, expect_sum, "rank {} sum under Uniform", rank);
-            prop_assert_eq!(m, (n_procs as i64 - 1) * 3, "rank {} max under Uniform", rank);
+        for (to, row) in baseline.iter().enumerate() {
+            for (from, &v) in row.iter().enumerate() {
+                let want = if from == to { 0 } else { value(from, to) };
+                prop_assert_eq!(v, want, "rank {} from {} under Uniform", to, from);
+            }
         }
         let policies = [
             SchedPolicy::Uniform,
@@ -67,7 +90,7 @@ proptest! {
                 .duplicate_lossy(dup)
                 .policy(policy)
                 .build();
-            let got = run_collectives(n_procs, plan);
+            let got = kept(&run_exchange(n_procs, plan));
             prop_assert_eq!(
                 &got, &baseline,
                 "policy {:?} diverged from Uniform (seed {}, p={}, drop={}, dup={})",
@@ -76,8 +99,9 @@ proptest! {
         }
     }
 
-    /// Same `(seed, policy)` replays the same execution: the whole point of
-    /// the deadlock dump naming the pair is that it is sufficient to replay.
+    /// Same `(seed, policy)` replays the same execution, arrival order and
+    /// duplicates included: the whole point of the deadlock dump naming
+    /// the pair is that it is sufficient to replay.
     #[test]
     fn seed_policy_pair_replays_identically(
         seed in 0u64..100_000,
@@ -95,8 +119,8 @@ proptest! {
             .duplicate_lossy(0.2)
             .policy(policy)
             .build();
-        let a = run_collectives(n_procs, plan);
-        let b = run_collectives(n_procs, plan);
+        let a = run_exchange(n_procs, plan);
+        let b = run_exchange(n_procs, plan);
         prop_assert_eq!(a, b, "replay of (seed {}, policy {:?}) diverged", seed, policy);
     }
 }

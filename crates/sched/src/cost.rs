@@ -3,7 +3,7 @@
 //! The mapper prices every block computation of Fig. 1 with the calibrated
 //! polynomial model — this is what lets the static schedule anticipate the
 //! non-linear BLAS-3 efficiency ("workload encompasses block computations
-//! [whose] efficiencies are far from being linear in terms of number of
+//! \[whose\] efficiencies are far from being linear in terms of number of
 //! operations").
 
 use pastix_kernels::model::KernelClass;

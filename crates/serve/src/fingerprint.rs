@@ -18,7 +18,7 @@
 //! NaNs with different payloads (a matrix holding a NaN can never be
 //! factorized anyway; it only must not alias a healthy one).
 //!
-//! Both digests fold whole words through [`fold`]: the FNV-1a step
+//! Both digests fold whole words through `fold`: the FNV-1a step
 //! `h = (h ^ word) · prime`, then `h ^= h >> 32`. The shift is what makes
 //! the word-wise form safe: a multiply only carries a difference *upward*,
 //! so without it the sign bit of a value (bit 63) could only ever toggle

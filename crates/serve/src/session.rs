@@ -246,7 +246,6 @@ impl<T: Scalar> SolverSession<T> {
 
     fn publish_gauges(&self) {
         self.metrics.set_gauge("serve.cache.entries", self.factors.len() as f64);
-        self.metrics.set_gauge("serve.cache.bytes", self.bytes as f64);
     }
 
     /// Returns the cached factorization of `a`. On a miss, the stored
@@ -374,8 +373,6 @@ impl<T: Scalar> SolverSession<T> {
         req.trace = self.opts.solver.trace.enabled;
         req.tag = tag;
         let out = cached.run.solve_request(req);
-        self.metrics.add_counter("serve.solves", 1);
-        self.metrics.observe("serve.panel_width", nrhs as u64);
         Ok(PanelSolve { x: out.x, trace: out.trace, lookup })
     }
 
@@ -494,7 +491,6 @@ mod tests {
             assert!(a.residual_norm(&x[r * n..(r + 1) * n], b) < 1e-10);
         }
         assert_eq!(s.metrics().counter("serve.cache.misses"), 1);
-        assert_eq!(s.metrics().counter("serve.solves"), 1);
     }
 
     /// A matrix whose cached plan does not cover its pattern — here a plan

@@ -9,7 +9,7 @@
 //! factor panels under per-panel locks, and the static schedule — when
 //! one exists — supplies only initial placement and task priority. The
 //! solve runs its twin DAG, kept precomputed in the plan's
-//! [`crate::solve_plan::SolvePlan`], over the same block structure the
+//! `SolvePlan`, over the same block structure the
 //! level-set [`pastix_sched::SolveSchedule`] walks.
 //!
 //! Locking is deadlock-free by index ordering: every multi-lock

@@ -179,11 +179,9 @@ fn merge_rank_counters(reg: &MetricsRegistry, rank: u32, c: &RankCounters) {
     }
 }
 
-/// Folds a recorded trace into `reg`: per-rank communication counters
-/// under `comm.*` and every closed task span into the
-/// `task.duration_ns` histogram.
+/// Folds a recorded trace's per-rank communication counters into `reg`
+/// under `comm.*`.
 pub(crate) fn merge_trace_metrics(reg: &MetricsRegistry, log: &TraceLog) {
-    use pastix_trace::EventKind;
     for rt in &log.ranks {
         for (name, v) in [
             ("comm.sends", rt.comm.sends),
@@ -194,20 +192,6 @@ pub(crate) fn merge_trace_metrics(reg: &MetricsRegistry, log: &TraceLog) {
         ] {
             if v > 0 {
                 reg.add_counter_rank(name, Some(rt.rank), v);
-            }
-        }
-        let mut open: HashMap<(u32, u8), u64> = HashMap::new();
-        for ev in &rt.events {
-            match ev.kind {
-                EventKind::TaskBegin { task, class } => {
-                    open.insert((task, class as u8), ev.at);
-                }
-                EventKind::TaskEnd { task, class } => {
-                    if let Some(b) = open.remove(&(task, class as u8)) {
-                        reg.observe("task.duration_ns", ev.at.saturating_sub(b));
-                    }
-                }
-                _ => {}
             }
         }
     }

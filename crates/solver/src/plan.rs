@@ -339,6 +339,25 @@ impl Plan {
             .map_or(self.inner.n as u64, |s| s.digest());
         pastix_trace::flight::record(pastix_trace::flight::FlightKind::FactorizeStart, fp, 0);
         let t0 = std::time::Instant::now();
+        // The end mark is recorded on the error path too, so a black box
+        // taken after a failed factorization shows none still in flight.
+        let run = self.factorize_numeric(a, cfg);
+        pastix_trace::flight::record(
+            pastix_trace::flight::FlightKind::FactorizeEnd,
+            fp,
+            t0.elapsed().as_nanos() as u64,
+        );
+        let mut run = run?;
+        run.ctx = Some(PlanCtx { plan: self.clone(), cfg: cfg.clone() });
+        Ok(run)
+    }
+
+    /// The body of [`Plan::factorize`] between its flight marks.
+    fn factorize_numeric<T: Scalar>(
+        &self,
+        a: &SymCsc<T>,
+        cfg: &SolverConfig,
+    ) -> Result<FactorRun<T>, FactorError> {
         let pattern = self.scatter_pattern(a, &cfg.metrics)?;
         let entries = pattern.entries(a);
         let sym = self.symbol();
@@ -357,12 +376,6 @@ impl Plan {
             }
         };
         finalize_compression(sym, &mut run.storage, &cfg.compression, &cfg.metrics);
-        pastix_trace::flight::record(
-            pastix_trace::flight::FlightKind::FactorizeEnd,
-            fp,
-            t0.elapsed().as_nanos() as u64,
-        );
-        run.ctx = Some(PlanCtx { plan: self.clone(), cfg: cfg.clone() });
         Ok(run)
     }
 

@@ -10,9 +10,10 @@
 //! segments its bloks face, gathers them, and its partials `L_runᵀ·x`
 //! travel aggregated the same way.
 //!
-//! This is the static **driver** of [`crate::sweeps`]: the numeric steps
-//! are there, the ownership, counters and routes come precomputed from the
-//! plan's [`StaticRouting`], and what remains here is the message protocol
+//! This is the static **driver** of the crate's `sweeps` module: the
+//! numeric steps are there, the ownership, counters and routes come
+//! precomputed from the plan's `StaticRouting`, and what remains here is
+//! the message protocol
 //! — who sends what when, in which order a rank steps its own column
 //! blocks, and exactly-once application under duplicate delivery.
 //!

@@ -67,7 +67,8 @@ pub fn solve_in_place<T: Scalar>(sym: &SymbolMatrix, storage: &FactorStorage<T>,
 /// (leading dimension `n`). The sweeps run all columns together, turning
 /// the per-block updates into GEMMs — the standard way to amortize the
 /// factor traffic over many right-hand sides. The sequential driver of
-/// [`crate::sweeps`]: a plain loop up the column blocks, then down.
+/// the crate's `sweeps` module: a plain loop up the column blocks, then
+/// down.
 pub fn solve_block_in_place<T: Scalar>(
     sym: &SymbolMatrix,
     storage: &FactorStorage<T>,

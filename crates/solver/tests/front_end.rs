@@ -163,3 +163,24 @@ fn pattern_mismatch_is_a_typed_error_sim() {
 fn pattern_mismatch_is_a_typed_error_dynamic() {
     mismatch_is_a_typed_error(dynamic());
 }
+
+/// A failed factorization still closes its flight mark, so a black box
+/// taken afterwards shows no factorization in flight.
+#[test]
+fn a_failed_factorization_records_its_flight_end() {
+    use pastix_trace::flight::{self, FlightKind};
+    flight::set_enabled(true);
+    let cfg = config(Backend::Threads);
+    // A grid no other test here analyzes, so no other factorization
+    // carries this plan's fingerprint.
+    let a = grid_spd::<f64>(12, 11, 1, Stencil::Star, false, ValueKind::RandomSpd(5));
+    let plan = Plan::analyze(&a, &cfg);
+    let (row, col) = outside(plan.symbol(), plan.permutation().unwrap());
+    let mut t = triplets(&a);
+    t.push((row as u32, col as u32, -0.5));
+    let wider = SymCsc::from_triplets(a.n(), &t);
+    assert_eq!(plan.factorize(&wider, &cfg).unwrap_err(), FactorError::PatternMismatch { row, col });
+    let fp = plan.schedule().unwrap().digest();
+    let marks: Vec<u8> = flight::snapshot().iter().filter(|e| e.a == fp).map(|e| e.kind).collect();
+    assert_eq!(marks, [FlightKind::FactorizeStart as u8, FlightKind::FactorizeEnd as u8]);
+}

@@ -111,7 +111,7 @@ pub struct FlightEvent {
     pub seq: u64,
     /// Nanoseconds since the recorder's first event.
     pub at_ns: u64,
-    /// Event kind (raw; decode with [`FlightKind::name_of`] semantics).
+    /// Event kind (raw [`FlightKind`] discriminant).
     pub kind: u8,
     /// First payload word (see [`FlightKind`]).
     pub a: u64,

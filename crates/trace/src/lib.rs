@@ -212,10 +212,9 @@ pub enum EventKind {
         /// Time spent blocked in `recv()` (0 under the logical clock).
         wait_ns: u64,
     },
-    /// A phase fence (collective boundary, session begin/end).
+    /// A phase fence: session begin or end.
     Fence {
-        /// Caller-chosen phase id; session begin emits 0 and session end
-        /// `u64::MAX`.
+        /// Phase id: session begin emits 0 and session end `u64::MAX`.
         phase: u64,
     },
     /// A sampled resource gauge reading (time-series counter track).
@@ -760,17 +759,6 @@ impl Drop for TaskSpan {
     }
 }
 
-/// Records a phase fence (collective boundary).
-#[inline]
-pub fn fence(phase: u64) {
-    #[cfg(feature = "record")]
-    session::with_active(|s| {
-        let at = s.now();
-        s.ring.push(Event { at, kind: EventKind::Fence { phase } });
-    });
-    let _ = phase;
-}
-
 /// Records one resource-gauge sample on the calling rank's track. A no-op
 /// when no session is active.
 #[inline]
@@ -874,14 +862,15 @@ mod tests {
         let s = begin_rank(3, &TraceOptions::wall());
         {
             let _sp = task_span(42, TaskClass::Comp1d);
-            fence(7);
         }
         let t = s.finish().expect("enabled session yields a trace");
         assert_eq!(t.rank, 3);
-        // begin fence, task begin, fence(7), task end, end fence.
-        assert_eq!(t.events.len(), 5);
+        // begin fence, task begin, task end, end fence.
+        assert_eq!(t.events.len(), 4);
+        assert!(matches!(t.events[0].kind, EventKind::Fence { phase: 0 }));
         assert!(matches!(t.events[1].kind, EventKind::TaskBegin { task: 42, .. }));
-        assert!(matches!(t.events[3].kind, EventKind::TaskEnd { task: 42, .. }));
+        assert!(matches!(t.events[2].kind, EventKind::TaskEnd { task: 42, .. }));
+        assert!(matches!(t.events[3].kind, EventKind::Fence { phase: u64::MAX }));
         // Wall timestamps are monotone.
         for w in t.events.windows(2) {
             assert!(w[0].at <= w[1].at);

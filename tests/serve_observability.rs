@@ -312,6 +312,6 @@ fn session_scrape_endpoint_serves_metrics() {
     stream.read_to_string(&mut resp).unwrap();
     assert!(resp.starts_with("HTTP/1.1 200 OK"), "bad status line: {resp:.60}");
     assert!(resp.contains("text/plain; version=0.0.4"), "missing exposition content type");
-    assert!(resp.contains("pastix_serve_solves"), "scrape body must carry session counters");
+    assert!(resp.contains("pastix_serve_plan_misses"), "scrape body must carry session counters");
     assert!(resp.contains("pastix_serve_cache_misses"), "scrape body must carry cache counters");
 }

@@ -20,7 +20,7 @@ use pastix::graph::{canonical_solution, rhs_for_solution, SymCsc};
 use pastix::machine::MachineModel;
 use pastix::ordering::{nested_dissection, OrderingOptions};
 use pastix::runtime::sim::{run_sim_spmd, FaultPlan, SchedPolicy, SimRng};
-use pastix::runtime::{Backend, TaggedMailbox};
+use pastix::runtime::{Backend, Comm};
 use pastix::sched::{map_and_schedule, DistStrategy, Mapping, SchedOptions, TaskKind};
 use pastix::solver::{
     factorize_sequential, solve_in_place, ChaosOptions, DynamicOptions, FactorStorage, Plan,
@@ -523,67 +523,10 @@ fn chaos_worker_panic_unwinds_whole_machine() {
     }
 }
 
-/// (c) TaggedMailbox exactly-once buffering: under maximal reordering,
-/// every reliable message is delivered exactly once through the pool, in
-/// the key order the receiver demands, and the pool drains to empty.
-#[test]
-fn chaos_tagged_mailbox_exactly_once_under_max_reorder() {
-    const PROCS: usize = 4;
-    const TAGS: u32 = 8;
-    let total = seed_budget(216).div_ceil(3).max(40);
-    for i in 0..total {
-        let seed = 0x7A66_0000 + i as u64;
-        let plan = FaultPlan::builder(seed).build();
-        let results = run_sim_spmd::<(u32, u32), u64, _>(PROCS, &plan, |ctx| {
-            let me = ctx.rank();
-            // Everyone sends TAGS messages to everyone else (reliable
-            // channel: exactly-once is the invariant under test).
-            for q in 0..PROCS {
-                if q != me {
-                    for tag in 0..TAGS {
-                        ctx.send(q, (tag, (me as u32) << 16 | tag));
-                    }
-                }
-            }
-            // Demand (sender, tag) keys in a seed-scrambled order the
-            // senders certainly did not follow.
-            let mut keys: Vec<(usize, u32)> = (0..PROCS)
-                .filter(|&q| q != me)
-                .flat_map(|q| (0..TAGS).map(move |t| (q, t)))
-                .collect();
-            let mut rng = SimRng::new(plan.seed ^ me as u64);
-            for j in (1..keys.len()).rev() {
-                keys.swap(j, rng.below(j + 1));
-            }
-            let mut mb = TaggedMailbox::<(usize, u32), (u32, u32)>::new();
-            let mut seen = std::collections::HashSet::new();
-            let mut sum = 0u64;
-            for key in keys {
-                let env = mb.recv_key(&ctx, &key, |m| ((m.1 >> 16) as usize, m.0));
-                assert_eq!(env.from, key.0, "sender mismatch for {key:?}");
-                assert_eq!(env.msg.0, key.1, "tag mismatch for {key:?}");
-                assert!(seen.insert(key), "duplicate delivery of {key:?}");
-                sum += env.msg.1 as u64;
-            }
-            assert_eq!(mb.buffered(), 0, "pool must drain to empty");
-            assert!(ctx.try_recv().is_none(), "stray message after drain");
-            sum
-        });
-        // Every rank received exactly the same multiset of payloads.
-        let expect: u64 = (0..PROCS as u64)
-            .map(|q| (0..TAGS as u64).map(|t| (q << 16) | t).sum::<u64>())
-            .sum::<u64>();
-        for (me, &got) in results.iter().enumerate() {
-            let mine: u64 = (0..TAGS as u64).map(|t| ((me as u64) << 16) | t).sum();
-            assert_eq!(got, expect - mine, "rank {me}, seed {seed}");
-        }
-    }
-}
-
 /// Duplicate-delivery fault: with `duplicate_lossy = 1.0` every lossy
-/// message arrives exactly twice — the buffering pool must hand back both
-/// copies (it buffers envelopes, it does not deduplicate), and a receiver
-/// that counts arrivals can verify at-least-once semantics exactly.
+/// message arrives exactly twice — the runtime does not deduplicate, so a
+/// receiver that counts arrivals can verify at-least-once semantics
+/// exactly.
 #[test]
 fn chaos_duplicate_lossy_delivers_exactly_twice() {
     const TAGS: u32 = 6;
