@@ -17,5 +17,7 @@
 pub mod model;
 pub mod seq;
 
-pub use model::{front_cost, front_costs, pspases_from_costs, pspases_time, PspasesOptions, PspasesPrediction};
+pub use model::{
+    front_cost, front_costs, pspases_from_costs, pspases_time, PspasesOptions, PspasesPrediction,
+};
 pub use seq::{multifrontal_llt, solve_llt_in_place};

@@ -1,9 +1,10 @@
 //! Deterministic simulation backend with fault injection.
 //!
-//! [`run_sim_spmd`] executes the same SPMD closures as [`crate::run_spmd`], but
-//! every interleaving decision — which processor runs next, when each
-//! in-flight message is delivered, whether a lossy send is dropped or
-//! duplicated — is made by a central scheduler driven by a seeded RNG.
+//! [`run_sim_spmd`] executes the same SPMD closures as
+//! [`crate::run_spmd`], but every interleaving decision — which processor
+//! runs next, when each in-flight message is delivered, whether a lossy
+//! send is dropped or duplicated — is made by a central scheduler driven
+//! by a seeded RNG.
 //! Re-running with the same [`FaultPlan`] replays the exact execution,
 //! which turns "flaky under concurrency" into "reproducible from a seed".
 //!

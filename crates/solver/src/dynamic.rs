@@ -8,9 +8,9 @@
 //! protocol counts), contributions are applied straight into the shared
 //! factor panels under per-panel locks, and the static schedule — when
 //! one exists — supplies only initial placement and task priority. The
-//! solve runs its twin DAG, kept precomputed in the plan's
-//! `SolvePlan`, over the same block structure the
-//! level-set [`pastix_sched::SolveSchedule`] walks.
+//! solve runs its twin DAG, kept precomputed in the plan's `SolvePlan`,
+//! over the same block structure the level-set
+//! [`pastix_sched::SolveSchedule`] walks.
 //!
 //! Locking is deadlock-free by index ordering: every multi-lock
 //! acquisition ascends the column-block order (a contribution's target

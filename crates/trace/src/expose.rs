@@ -5,9 +5,9 @@
 //! process can expose the same registry its `SolverSession` writes into.
 //! The HTTP surface is deliberately tiny — one blocking accept loop on a
 //! `std::net::TcpListener`, answering every request with the current
-//! [`crate::MetricsSnapshot::to_prometheus`] rendering — because a scrape target
-//! needs exactly that and nothing else, and the workspace is offline (no
-//! HTTP crate to lean on).
+//! [`crate::MetricsSnapshot::to_prometheus`] rendering — because a scrape
+//! target needs exactly that and nothing else, and the workspace is
+//! offline (no HTTP crate to lean on).
 
 use crate::metrics::MetricsRegistry;
 use std::io::{Read, Write};
