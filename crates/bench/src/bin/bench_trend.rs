@@ -28,8 +28,14 @@ const TRACKED: &[(&str, &[(&str, &str)])] = &[
         "BENCH_trace.json",
         &[
             ("reconciliation", "reconciliation"),
+            ("prediction_fit", "prediction-fit"),
             ("model_scale_ns_per_cost", "model-scale"),
         ],
+    ),
+    (
+        "BENCH_dynamic.json",
+        // Dynamic over static throughput on the headline problem.
+        &[("headline_ratio", "dyn/static")],
     ),
     (
         "BENCH_blr.json",

@@ -183,11 +183,11 @@ impl KernelMode {
     }
 
     /// Installs this mode process-wide and returns a guard that restores
-    /// the previous mode when dropped. The scoped form is the supported
-    /// replacement for the deprecated bare setters: it composes (nested
-    /// scopes unwind in order) and cannot leak a mode into unrelated code
-    /// the way the fire-and-forget global store did. Solver entry points
-    /// apply `SolverConfig::kernel_mode` through this.
+    /// the previous mode when dropped. It is the only setter: scopes
+    /// compose (nested ones unwind in order) and cannot leak a mode into
+    /// unrelated code. The mode is read when a solver worker's scratch is
+    /// created and at every GEMM dispatch, so a caller holds the guard
+    /// across the whole factorization it wants to run in that mode.
     #[must_use = "the mode reverts when the guard drops"]
     pub fn scoped(self) -> KernelModeGuard {
         let prev = KERNEL_MODE.swap(self as u8, Ordering::Relaxed);

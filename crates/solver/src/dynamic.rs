@@ -214,7 +214,6 @@ pub(crate) fn factorize_dynamic<T: Scalar>(
         std::ptr::eq(sym, &graph.split.symbol) || *sym == graph.split.symbol,
         "task graph was built for a different symbol matrix"
     );
-    let _mode = cfg.kernel_mode.scoped();
     // Allocated by the calling thread, which owns the factor afterwards
     // (DESIGN §7); filled on the run's workers (`DynFactor::panel`).
     let FactorStorage { layout, panels, .. } = FactorStorage::allocated(sym);

@@ -838,9 +838,8 @@ pub struct ChaosOptions {
 }
 
 /// The SPMD factorization engine (threads or simulator): `cfg.backend`
-/// selects the execution substrate, `cfg.kernel_mode` is applied for the
-/// run through a scoped guard, and the returned [`FactorRun`] carries the
-/// factor together with the run's [`TraceLog`] and the metrics registry
+/// selects the execution substrate, and the returned [`FactorRun`] carries
+/// the factor together with the run's [`TraceLog`] and the metrics registry
 /// handle. Called by [`crate::Plan::factorize`].
 pub(crate) fn factorize_static<T: Scalar>(
     sym: &SymbolMatrix,
@@ -852,7 +851,6 @@ pub(crate) fn factorize_static<T: Scalar>(
 ) -> Result<FactorRun<T>, FactorError> {
     assert!(std::ptr::eq(sym, &graph.split.symbol) || sym == &graph.split.symbol,
         "schedule must be built on the same split symbol");
-    let _mode = cfg.kernel_mode.scoped();
     // All ranks must share one epoch so the report can compare their wall
     // timestamps; resolve it once, right before the SPMD launch.
     let mut topts = cfg.trace;

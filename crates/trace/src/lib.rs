@@ -27,10 +27,6 @@
 //! * [`report::build_report`] joins the trace with the schedule:
 //!   per-task predicted-vs-measured time, critical-path breakdown, and
 //!   idle/comm/compute fractions per rank.
-//!
-//! Compiling the crate without the default `record` feature turns every
-//! record call into an empty `#[inline]` function: the fast path is
-//! compile-out-to-nothing.
 
 #![warn(missing_docs)]
 
@@ -358,9 +354,6 @@ pub struct TraceOptions {
     pub enabled: bool,
     /// Timestamp source.
     pub clock: ClockMode,
-    /// Per-rank ring capacity in events; when full the oldest events are
-    /// overwritten and counted in [`RankTrace::dropped_events`].
-    pub capacity: usize,
     /// Shared epoch for [`ClockMode::Wall`] timestamps, so ranks agree on
     /// time zero. The solver sets this right before launching the SPMD
     /// run; `None` makes each rank use its session start.
@@ -377,7 +370,6 @@ impl Default for TraceOptions {
         Self {
             enabled: false,
             clock: ClockMode::Wall,
-            capacity: 1 << 16,
             epoch: None,
             sample_every: 8,
         }
@@ -408,6 +400,11 @@ impl TraceOptions {
         }
     }
 }
+
+/// Per-rank ring capacity in events of a recording session; when full the
+/// oldest events are overwritten and counted in
+/// [`RankTrace::dropped_events`].
+const RING_CAPACITY: usize = 1 << 16;
 
 /// Fixed-capacity event ring: pushes are O(1) and never allocate after
 /// construction; overflow overwrites the oldest events and counts them.
@@ -607,10 +604,9 @@ impl TraceLog {
 }
 
 // ---------------------------------------------------------------------
-// Thread-local rank session (the `record` fast path).
+// Thread-local rank session (the recording fast path).
 // ---------------------------------------------------------------------
 
-#[cfg(feature = "record")]
 mod session {
     use super::*;
     use std::cell::RefCell;
@@ -661,29 +657,24 @@ pub struct RankSession {
 /// Installs a recording session on the *calling thread* for logical
 /// processor `rank`. Both runtime backends run each rank on its own OS
 /// thread, so installing at SPMD-body entry captures exactly that rank's
-/// activity. Returns an inert guard when `opts.enabled` is false (or the
-/// crate was built without the `record` feature).
+/// activity. Returns an inert guard when `opts.enabled` is false.
 pub fn begin_rank(rank: usize, opts: &TraceOptions) -> RankSession {
-    #[cfg(feature = "record")]
-    {
-        if opts.enabled {
-            let epoch = opts.epoch.unwrap_or_else(Instant::now);
-            let mut active = session::Active {
-                rank: rank as u32,
-                clock: opts.clock,
-                epoch,
-                tick: 0,
-                ring: EventRing::new(opts.capacity),
-                comm: CommCounters::default(),
-            };
-            let at = active.now();
-            active.ring.push(Event { at, kind: EventKind::Fence { phase: 0 } });
-            session::ACTIVE.with(|a| *a.borrow_mut() = Some(active));
-            return RankSession { armed: true };
-        }
+    if !opts.enabled {
+        return RankSession { armed: false };
     }
-    let _ = (rank, opts);
-    RankSession { armed: false }
+    let epoch = opts.epoch.unwrap_or_else(Instant::now);
+    let mut active = session::Active {
+        rank: rank as u32,
+        clock: opts.clock,
+        epoch,
+        tick: 0,
+        ring: EventRing::new(RING_CAPACITY),
+        comm: CommCounters::default(),
+    };
+    let at = active.now();
+    active.ring.push(Event { at, kind: EventKind::Fence { phase: 0 } });
+    session::ACTIVE.with(|a| *a.borrow_mut() = Some(active));
+    RankSession { armed: true }
 }
 
 impl RankSession {
@@ -694,30 +685,24 @@ impl RankSession {
             return None;
         }
         self.armed = false;
-        #[cfg(feature = "record")]
-        {
-            return session::ACTIVE.with(|a| {
-                a.borrow_mut().take().map(|mut s| {
-                    let at = s.now();
-                    s.ring.push(Event { at, kind: EventKind::Fence { phase: u64::MAX } });
-                    RankTrace {
-                        rank: s.rank,
-                        dropped_events: s.ring.dropped(),
-                        events: s.ring.into_events(),
-                        comm: s.comm,
-                    }
-                })
-            });
-        }
-        #[allow(unreachable_code)]
-        None
+        session::ACTIVE.with(|a| {
+            a.borrow_mut().take().map(|mut s| {
+                let at = s.now();
+                s.ring.push(Event { at, kind: EventKind::Fence { phase: u64::MAX } });
+                RankTrace {
+                    rank: s.rank,
+                    dropped_events: s.ring.dropped(),
+                    events: s.ring.into_events(),
+                    comm: s.comm,
+                }
+            })
+        })
     }
 }
 
 impl Drop for RankSession {
     fn drop(&mut self) {
         if self.armed {
-            #[cfg(feature = "record")]
             session::ACTIVE.with(|a| *a.borrow_mut() = None);
         }
     }
@@ -736,7 +721,6 @@ pub struct TaskSpan {
 /// Opens a task span. See [`TaskSpan`].
 #[inline]
 pub fn task_span(task: u32, class: TaskClass) -> TaskSpan {
-    #[cfg(feature = "record")]
     session::with_active(|s| {
         let at = s.now();
         s.ring.push(Event { at, kind: EventKind::TaskBegin { task, class } });
@@ -747,7 +731,6 @@ pub fn task_span(task: u32, class: TaskClass) -> TaskSpan {
 impl Drop for TaskSpan {
     #[inline]
     fn drop(&mut self) {
-        #[cfg(feature = "record")]
         session::with_active(|s| {
             let at = s.now();
             s.ring.push(Event {
@@ -755,7 +738,6 @@ impl Drop for TaskSpan {
                 kind: EventKind::TaskEnd { task: self.task, class: self.class },
             });
         });
-        let _ = (self.task, self.class);
     }
 }
 
@@ -763,12 +745,10 @@ impl Drop for TaskSpan {
 /// when no session is active.
 #[inline]
 pub fn sample_gauge(id: GaugeId, value: u64) {
-    #[cfg(feature = "record")]
     session::with_active(|s| {
         let at = s.now();
         s.ring.push(Event { at, kind: EventKind::Gauge { id: id as u8, value } });
     });
-    let _ = (id, value);
 }
 
 /// Records a progress heartbeat carrying the run-global completed-task
@@ -776,12 +756,10 @@ pub fn sample_gauge(id: GaugeId, value: u64) {
 /// active.
 #[inline]
 pub fn heartbeat(seq: u64) {
-    #[cfg(feature = "record")]
     session::with_active(|s| {
         let at = s.now();
         s.ring.push(Event { at, kind: EventKind::Heartbeat { seq } });
     });
-    let _ = seq;
 }
 
 /// The [`pastix_runtime::CommHook`] that routes message events into the
@@ -793,30 +771,25 @@ pub struct SessionHook;
 impl pastix_runtime::CommHook for SessionHook {
     #[inline]
     fn on_send(&self, to: usize, bytes: u64, kind: u8) {
-        #[cfg(feature = "record")]
         session::with_active(|s| {
             s.comm.sends += 1;
             s.comm.send_bytes += bytes;
             let at = s.now();
             s.ring.push(Event { at, kind: EventKind::Send { peer: to as u32, bytes, kind } });
         });
-        let _ = (to, bytes, kind);
     }
 
     #[inline]
     fn on_send_dropped(&self, to: usize, bytes: u64, kind: u8) {
-        #[cfg(feature = "record")]
         session::with_active(|s| {
             s.comm.send_drops += 1;
             let at = s.now();
             s.ring.push(Event { at, kind: EventKind::SendDropped { peer: to as u32, bytes, kind } });
         });
-        let _ = (to, bytes, kind);
     }
 
     #[inline]
     fn on_recv(&self, from: usize, bytes: u64, kind: u8, wait_ns: u64) {
-        #[cfg(feature = "record")]
         session::with_active(|s| {
             s.comm.recvs += 1;
             s.comm.recv_bytes += bytes;
@@ -831,13 +804,7 @@ impl pastix_runtime::CommHook for SessionHook {
                 kind: EventKind::Recv { peer: from as u32, bytes, kind, wait_ns: wait },
             });
         });
-        let _ = (from, bytes, kind, wait_ns);
     }
-}
-
-/// `true` when the crate was built with event recording compiled in.
-pub const fn recording_compiled() -> bool {
-    cfg!(feature = "record")
 }
 
 #[cfg(test)]

@@ -95,17 +95,6 @@ impl Histogram {
         }
         self.max
     }
-
-    /// Folds another histogram in.
-    pub fn merge(&mut self, other: &Histogram) {
-        for (a, b) in self.buckets.iter_mut().zip(&other.buckets) {
-            *a += *b;
-        }
-        self.count += other.count;
-        self.sum += other.sum;
-        self.min = self.min.min(other.min);
-        self.max = self.max.max(other.max);
-    }
 }
 
 /// One registered metric. The registry is *typed*: using one name with two
@@ -117,10 +106,7 @@ enum Metric {
         per_rank: BTreeMap<u32, u64>,
     },
     Gauge(f64),
-    Hist {
-        merged: Box<Histogram>,
-        per_rank: BTreeMap<u32, Histogram>,
-    },
+    Hist(Box<Histogram>),
 }
 
 #[derive(Default)]
@@ -218,49 +204,9 @@ impl MetricsRegistry {
 
     /// Records one sample into histogram `name`.
     pub fn observe(&self, name: &str, v: u64) {
-        self.observe_rank(name, None, v);
-    }
-
-    /// Records one sample into histogram `name`, attributed to `rank`
-    /// (the merged histogram is updated either way, so quantiles over all
-    /// ranks remain one lookup).
-    pub fn observe_rank(&self, name: &str, rank: Option<u32>, v: u64) {
         let mut g = self.inner.lock().unwrap();
-        match g
-            .metrics
-            .entry(name.to_string())
-            .or_insert_with(|| Metric::Hist {
-                merged: Box::default(),
-                per_rank: BTreeMap::new(),
-            }) {
-            Metric::Hist { merged, per_rank } => {
-                merged.observe(v);
-                if let Some(r) = rank {
-                    per_rank.entry(r).or_default().observe(v);
-                }
-            }
-            _ => type_mismatch(name, "histogram"),
-        }
-    }
-
-    /// Folds a whole pre-aggregated histogram into `name`, attributed to
-    /// `rank` — how per-rank shards collected off-registry (e.g. one
-    /// `Histogram` per worker, lock-free) are merged at run end.
-    pub fn merge_histogram(&self, name: &str, rank: Option<u32>, h: &Histogram) {
-        let mut g = self.inner.lock().unwrap();
-        match g
-            .metrics
-            .entry(name.to_string())
-            .or_insert_with(|| Metric::Hist {
-                merged: Box::default(),
-                per_rank: BTreeMap::new(),
-            }) {
-            Metric::Hist { merged, per_rank } => {
-                merged.merge(h);
-                if let Some(r) = rank {
-                    per_rank.entry(r).or_default().merge(h);
-                }
-            }
+        match g.metrics.entry(name.to_string()).or_insert_with(|| Metric::Hist(Box::default())) {
+            Metric::Hist(h) => h.observe(v),
             _ => type_mismatch(name, "histogram"),
         }
     }
@@ -268,21 +214,9 @@ impl MetricsRegistry {
     /// Reads histogram `name` (`None` when absent).
     pub fn histogram(&self, name: &str) -> Option<Histogram> {
         match self.inner.lock().unwrap().metrics.get(name) {
-            Some(Metric::Hist { merged, .. }) => Some((**merged).clone()),
+            Some(Metric::Hist(h)) => Some((**h).clone()),
             Some(_) => type_mismatch(name, "histogram"),
             None => None,
-        }
-    }
-
-    /// Per-rank shards of histogram `name` (empty when absent or never
-    /// attributed).
-    pub fn histogram_per_rank(&self, name: &str) -> Vec<(u32, Histogram)> {
-        match self.inner.lock().unwrap().metrics.get(name) {
-            Some(Metric::Hist { per_rank, .. }) => {
-                per_rank.iter().map(|(&r, h)| (r, h.clone())).collect()
-            }
-            Some(_) => type_mismatch(name, "histogram"),
-            None => Vec::new(),
         }
     }
 
@@ -306,11 +240,8 @@ impl MetricsRegistry {
                 Metric::Gauge(v) => {
                     snap.gauges.insert(name.clone(), *v);
                 }
-                Metric::Hist { merged, per_rank } => {
-                    snap.histograms.insert(name.clone(), (**merged).clone());
-                    if !per_rank.is_empty() {
-                        snap.histograms_per_rank.insert(name.clone(), per_rank.clone());
-                    }
+                Metric::Hist(h) => {
+                    snap.histograms.insert(name.clone(), (**h).clone());
                 }
             }
         }
@@ -367,8 +298,6 @@ pub struct MetricsSnapshot {
     pub gauges: BTreeMap<String, f64>,
     /// Histograms by name.
     pub histograms: BTreeMap<String, Histogram>,
-    /// Per-rank histogram shards by name (only names that were attributed).
-    pub histograms_per_rank: BTreeMap<String, BTreeMap<u32, Histogram>>,
 }
 
 /// Rewrites a registry name (`serve.cache.hits`) as a Prometheus metric
@@ -485,10 +414,6 @@ mod tests {
         assert_eq!(h.max, 1000);
         assert!(h.quantile(0.5) >= 3);
         assert!(h.quantile(1.0) >= 1000);
-        let mut h2 = Histogram::new();
-        h2.observe(7);
-        h.merge(&h2);
-        assert_eq!(h.count, 6);
     }
 
     #[test]
@@ -532,33 +457,14 @@ mod tests {
 
     #[test]
     fn per_rank_histograms_merge() {
+        // Samples from every rank land in the one histogram of the name.
         let m = MetricsRegistry::new();
-        m.observe_rank("lat", Some(0), 100);
-        m.observe_rank("lat", Some(0), 200);
-        m.observe_rank("lat", Some(1), 1000);
-        m.observe("lat", 50); // unattributed still lands in the merge
+        for v in [100, 200, 1000, 50] {
+            m.observe("lat", v);
+        }
         let merged = m.histogram("lat").unwrap();
         assert_eq!(merged.count, 4);
         assert_eq!(merged.sum, 1350);
-        let shards = m.histogram_per_rank("lat");
-        assert_eq!(shards.len(), 2);
-        assert_eq!(shards[0].0, 0);
-        assert_eq!(shards[0].1.count, 2);
-        assert_eq!(shards[1].1.count, 1);
-        assert_eq!(shards[1].1.sum, 1000);
-
-        // Off-registry shard folded in wholesale.
-        let mut local = Histogram::new();
-        local.observe(3000);
-        local.observe(4000);
-        m.merge_histogram("lat", Some(2), &local);
-        assert_eq!(m.histogram("lat").unwrap().count, 6);
-        let shards = m.histogram_per_rank("lat");
-        assert_eq!(shards.len(), 3);
-        assert_eq!(shards[2].1.sum, 7000);
-        // Snapshot carries the shards too.
-        let snap = m.snapshot();
-        assert_eq!(snap.histograms_per_rank["lat"].len(), 3);
     }
 
     #[test]

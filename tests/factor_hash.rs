@@ -102,14 +102,14 @@ fn factor_panels_match_parent_hashes() {
         let modes = [KernelMode::Auto, KernelMode::Packed];
         let modes = &modes[..if cfg!(target_feature = "fma") { 2 } else { 1 }];
         for &mode in modes {
+            let _mode = mode.scoped();
             let seq = {
-                let _mode = mode.scoped();
                 let mut st = FactorStorage::zeros(sym);
                 st.scatter(sym, &ap);
                 factorize_sequential(sym, &mut st).unwrap();
                 st
             };
-            let cfg = SolverConfig::new().with_backend(Backend::Sim(fp)).with_kernel_mode(mode);
+            let cfg = SolverConfig::new().with_backend(Backend::Sim(fp));
             let sim = plan.factorize(&ap, &cfg).unwrap().into_storage();
             got.extend([panel_hash(&seq), panel_hash(&sim)]);
         }

@@ -126,16 +126,16 @@ fn check_kernel_modes<T: Scalar>(a: &SymCsc<T>) {
     let plan = Plan::from_parts(None, mapping.graph.clone(), Some(mapping.schedule.clone()));
     let b = rhs_for_solution(&ap, &canonical_solution::<T>(ap.n()));
     let factor = |backend: Option<Backend>, mode: KernelMode| -> FactorStorage<T> {
+        let _mode = mode.scoped();
         let st = match backend {
             None => {
-                let _mode = mode.scoped();
                 let mut st = FactorStorage::zeros(sym);
                 st.scatter(sym, &ap);
                 factorize_sequential(sym, &mut st).unwrap();
                 st
             }
             Some(backend) => {
-                let cfg = SolverConfig::new().with_backend(backend).with_kernel_mode(mode);
+                let cfg = SolverConfig::new().with_backend(backend);
                 plan.factorize(&ap, &cfg).unwrap().into_storage()
             }
         };

@@ -272,8 +272,8 @@ fn prometheus_exposition_matches_golden_file() {
     for v in [900, 1_100, 1_500, 2_200, 3_700, 6_100, 9_900, 17_000] {
         m.observe("serve.queue_wait_ns", v);
     }
-    for (rank, v) in [(0u32, 12_000u64), (0, 14_000), (1, 13_000), (1, 52_000)] {
-        m.observe_rank("serve.solve_ns", Some(rank), v);
+    for v in [12_000, 14_000, 13_000, 52_000] {
+        m.observe("serve.solve_ns", v);
     }
     let body = m.snapshot().to_prometheus();
 
