@@ -1,7 +1,6 @@
 //! The unified solver configuration and the factorization run result.
 //!
-//! One [`SolverConfig`] value carries everything that used to be
-//! scattered across several places: the execution knobs (backend, memory
+//! One [`SolverConfig`] value carries the execution knobs (backend, memory
 //! cap, chaos) and the tracing/metrics surface. Entry points hand back a
 //! [`FactorRun`] that bundles the factor with the run's [`TraceLog`] and
 //! the [`MetricsRegistry`] handle that collected its counters.

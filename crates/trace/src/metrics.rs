@@ -1,5 +1,5 @@
-//! The typed metrics registry: named counters, gauges, and histograms,
-//! kept per rank and merged, replacing the solver's ad-hoc global atomics.
+//! The typed metrics registry: named counters (kept per rank and merged),
+//! gauges and histograms, replacing the solver's ad-hoc global atomics.
 //!
 //! Design: the *hot path* never touches this registry — workers bump plain
 //! per-rank `u64` fields (lock-free by construction) and merge them here
