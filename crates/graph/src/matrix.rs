@@ -328,6 +328,16 @@ mod tests {
     }
 
     #[test]
+    fn residual_of_a_nan_solution_is_nan() {
+        let a = tiny();
+        let b = rhs_for_solution(&a, &canonical_solution::<f64>(3));
+        assert!(a.residual_norm(&[f64::NAN; 3], &b).is_nan(), "all-NaN x");
+        let mut x = canonical_solution::<f64>(3);
+        x[2] = f64::NAN;
+        assert!(a.residual_norm(&x, &b).is_nan(), "one NaN entry");
+    }
+
+    #[test]
     fn nnz_offdiag_counts_lower_offdiagonal() {
         assert_eq!(tiny().nnz_offdiag(), 2);
     }

@@ -139,4 +139,15 @@ mod tests {
         assert_eq!(out.iterations, 0, "dense factor meets 1e-12 directly");
         assert!(out.residual <= 1e-12);
     }
+
+    #[test]
+    fn a_nan_right_hand_side_reports_a_non_finite_residual() {
+        let a = grid_spd::<f64>(6, 6, 1, Stencil::Star, false, ValueKind::RandomSpd(3));
+        let cfg = SolverConfig::new();
+        let run = Plan::analyze(&a, &cfg).factorize(&a, &cfg).unwrap();
+        let mut b = rhs_for_solution(&a, &canonical_solution::<f64>(a.n()));
+        b[0] = f64::NAN;
+        let out = run.solve_refined(&a, &b, &RefineOptions::default());
+        assert!(!out.residual.is_finite(), "NaN rhs reported residual {}", out.residual);
+    }
 }
