@@ -152,17 +152,19 @@ impl<T: Scalar> SymCsc<T> {
 
     /// Residual `b − A·x` and its infinity norm relative to
     /// `‖A‖∞·‖x‖∞ + ‖b‖∞` (the standard backward-error style bound).
+    /// NaN when an entry of `x`, `b` or the residual is not finite, so a
+    /// `residual < tol` check fails on a NaN or infinite solution.
     pub fn residual_norm(&self, x: &[T], b: &[T]) -> f64 {
         let ax = self.matvec(x);
-        let rinf = b
-            .iter()
-            .zip(&ax)
-            .map(|(&bi, &axi)| (bi - axi).magnitude())
-            .fold(0.0, f64::max);
-        let xinf = x.iter().map(|v| v.magnitude()).fold(0.0, f64::max);
-        let binf = b.iter().map(|v| v.magnitude()).fold(0.0, f64::max);
-        let anorm = self.inf_norm();
-        rinf / (anorm * xinf + binf).max(f64::MIN_POSITIVE)
+        let norms = (
+            finite_max(b.iter().zip(&ax).map(|(&bi, &axi)| (bi - axi).magnitude())),
+            finite_max(x.iter().map(|v| v.magnitude())),
+            finite_max(b.iter().map(|v| v.magnitude())),
+        );
+        let (Some(rinf), Some(xinf), Some(binf)) = norms else {
+            return f64::NAN;
+        };
+        rinf / (self.inf_norm() * xinf + binf).max(f64::MIN_POSITIVE)
     }
 
     /// Infinity norm of the (implied full) matrix.
@@ -218,6 +220,12 @@ impl<T: Scalar> SymCsc<T> {
             assert!(found, "column {j} lacks a diagonal entry");
         }
     }
+}
+
+/// The largest of `v`, or `None` when one of them is not finite
+/// (`f64::max` alone would drop a NaN).
+fn finite_max(mut v: impl Iterator<Item = f64>) -> Option<f64> {
+    v.try_fold(0.0, |m: f64, e| e.is_finite().then(|| m.max(e)))
 
     /// Dense lower-triangular expansion, for small-matrix tests.
     pub fn to_dense_lower(&self) -> pastix_kernels::DenseMat<T> {
