@@ -31,11 +31,11 @@ use std::sync::Mutex;
 #[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct DynamicOptions {
     /// Worker thread count; 0 (default) means "auto": the static
-    /// schedule's processor count when a schedule is present, else 4.
+    /// schedule's processor count.
     pub workers: usize,
     /// When `true`, ready queues order tasks by the priority hints derived
-    /// from the static schedule (or the elimination-tree depth when no
-    /// schedule exists); when `false`, queues degrade to FIFO order.
+    /// from the static schedule; when `false`, queues degrade to FIFO
+    /// order.
     pub priorities: bool,
     /// `Some(plan)` serializes the whole execution under the seeded
     /// deterministic scheduler (single thread, adversarial policies) —

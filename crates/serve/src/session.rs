@@ -51,8 +51,8 @@ pub struct SessionOptions {
     pub sched: SchedOptions,
     /// Execution and observability configuration shared by the
     /// factorization and every solve (backend, tracing, metrics). Of its
-    /// analyze options the session reads `machine` and `static_schedule`;
-    /// the fields above replace the other five.
+    /// analyze options the session reads `machine`; the fields above
+    /// replace the other five.
     pub solver: SolverConfig,
     /// Opt-in Prometheus scrape endpoint: bind address (e.g.
     /// `"127.0.0.1:0"` for an ephemeral port) serving the session
@@ -278,8 +278,8 @@ impl<T: Scalar> SolverSession<T> {
         }
         self.metrics.add_counter("serve.cache.misses", 1);
 
-        // The session owns these five analyze knobs; the machine model and
-        // the static-schedule switch come from `opts.solver.analyze`.
+        // The session owns these five analyze knobs; the machine model
+        // comes from `opts.solver.analyze`.
         let cfg = self.opts.solver.clone().with_analyze(AnalyzeOptions {
             procs: self.opts.procs,
             parallelism: self.opts.parallelism,
@@ -432,15 +432,12 @@ mod tests {
         assert!(s.resident_bytes() > 0);
     }
 
-    /// The session owns five analyze knobs and takes the machine model and
-    /// the static-schedule switch from `opts.solver.analyze`.
+    /// The session owns five analyze knobs and takes the machine model
+    /// from `opts.solver.analyze`.
     #[test]
-    fn session_analyzes_with_the_configured_machine_and_schedule_switch() {
+    fn session_analyzes_with_the_configured_machine_model() {
         use pastix_machine::MachineModel;
-        use pastix_runtime::Backend;
-        use pastix_solver::DynamicOptions;
         let a = grid_spd::<f64>(12, 12, 1, Stencil::Star, false, ValueKind::RandomSpd(7));
-        let b = rhs_for_solution(&a, &canonical_solution::<f64>(a.n()));
         let digest = |opts: &SessionOptions, machine: Option<MachineModel>| {
             let cfg = SolverConfig::new().with_analyze(AnalyzeOptions {
                 procs: opts.procs,
@@ -449,7 +446,6 @@ mod tests {
                 ordering: opts.ordering.clone(),
                 analysis: opts.analysis.clone(),
                 sched: opts.sched.clone(),
-                static_schedule: true,
             });
             Plan::analyze(&a, &cfg).schedule().unwrap().digest()
         };
@@ -462,14 +458,6 @@ mod tests {
         let got = cached.plan.schedule().expect("static schedule").digest();
         assert_eq!(got, digest(&opts, Some(smp)), "session ignored the machine model");
         assert_ne!(got, digest(&opts, None), "sp2_smp(4, 2) must schedule differently from sp2(4)");
-
-        let mut opts = small_opts();
-        opts.solver = opts.solver.with_backend(Backend::Dynamic(DynamicOptions::new()));
-        opts.solver.analyze.static_schedule = false;
-        let mut s = SolverSession::<f64>::new(opts);
-        assert!(s.get_or_factorize(&a).unwrap().plan.schedule().is_none());
-        let x = s.solve(&a, &b).unwrap();
-        assert!(a.residual_norm(&x, &b) < 1e-10);
     }
 
     #[test]

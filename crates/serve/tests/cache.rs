@@ -284,7 +284,6 @@ fn plan_hit_factor_matches_fresh_analysis_bitwise() {
         ordering: opts.ordering.clone(),
         analysis: opts.analysis.clone(),
         sched: opts.sched.clone(),
-        static_schedule: true,
     });
     let mut session = SolverSession::<f64>::new(opts);
     let (a, b) = (mat(600), mat(601));

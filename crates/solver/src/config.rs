@@ -7,7 +7,7 @@
 
 use crate::compress::CompressionConfig;
 use crate::parallel::ChaosOptions;
-use crate::plan::{AnalyzeOptions, PlanCtx};
+use crate::plan::{AnalyzeOptions, Plan, PlanCtx};
 use crate::storage::FactorStorage;
 use pastix_runtime::Backend;
 use pastix_trace::{MetricsRegistry, TraceLog, TraceOptions};
@@ -40,8 +40,7 @@ pub struct SolverConfig {
     /// registry; pass a shared handle to aggregate across runs.
     pub metrics: MetricsRegistry,
     /// Pre-processing knobs consumed by [`crate::Plan::analyze`]:
-    /// ordering, symbolic analysis, mapping/scheduling, and whether a
-    /// static schedule is computed at all.
+    /// ordering, symbolic analysis, mapping and scheduling.
     pub analyze: AnalyzeOptions,
     /// Block low-rank compression of the finished factor's off-diagonal
     /// blocks. Off by default (`tolerance: 0.0`): the factor stays dense.
@@ -101,8 +100,8 @@ impl SolverConfig {
 /// Result of [`crate::Plan::factorize`]: the assembled factor plus the
 /// run's observability artifacts. Derefs to the [`FactorStorage`], so
 /// existing code that only wants the factor keeps reading fields and
-/// calling methods through it unchanged. Runs produced by the `Plan` API
-/// additionally carry their plan, which is what powers
+/// calling methods through it unchanged. Every run carries the plan it
+/// was factorized under, which is what powers
 /// [`FactorRun::solve_request`](crate::SolveRequest).
 #[derive(Debug)]
 pub struct FactorRun<T> {
@@ -113,21 +112,15 @@ pub struct FactorRun<T> {
     /// The registry that collected this run's counters (clone of the
     /// handle in the driving [`SolverConfig`]).
     pub metrics: MetricsRegistry,
-    /// The plan + config that produced this run (present when it came
-    /// through the `Plan` API or was bound with [`FactorRun::bind_plan`]).
-    pub(crate) ctx: Option<PlanCtx>,
+    /// The plan + config that produced this run.
+    pub(crate) ctx: PlanCtx,
 }
 
 impl<T> FactorRun<T> {
-    /// Bundles a factor with its observability artifacts (no plan
-    /// attached; call [`FactorRun::bind_plan`] to enable solves).
-    pub fn new(storage: FactorStorage<T>, trace: TraceLog, metrics: MetricsRegistry) -> Self {
-        Self {
-            storage,
-            trace,
-            metrics,
-            ctx: None,
-        }
+    /// A run of `plan`'s factor `storage`, solved under `cfg`.
+    pub(crate) fn of_plan(storage: FactorStorage<T>, trace: TraceLog, plan: &Plan, cfg: &SolverConfig) -> Self {
+        let ctx = PlanCtx { plan: plan.clone(), cfg: cfg.clone() };
+        Self { storage, trace, metrics: cfg.metrics.clone(), ctx }
     }
 
     /// Extracts just the factor, discarding the observability artifacts.

@@ -6,8 +6,8 @@
 //! dynamic engine executes the [`TaskGraph`] directly: dependency counts
 //! come from the graph's deduplicated in-edges (the same fan-in the AUB
 //! protocol counts), contributions are applied straight into the shared
-//! factor panels under per-panel locks, and the static schedule — when
-//! one exists — supplies only initial placement and task priority. The
+//! factor panels under per-panel locks, and the static schedule supplies
+//! only the worker count, initial placement and task priority. The
 //! solve runs its twin DAG, kept precomputed in the plan's `SolvePlan`,
 //! over the same block structure the level-set
 //! [`pastix_sched::SolveSchedule`] walks.
@@ -20,7 +20,7 @@
 //! decrements plus the panel mutexes give each consumer a happens-before
 //! edge from every producer's writes.
 
-use crate::config::{FactorRun, SolverConfig};
+use crate::config::SolverConfig;
 use crate::pattern::Entries;
 use crate::solve_plan::SolveDag;
 use crate::storage::{pair_target, scatter_cblk, strip_stretches, FactorStorage, PanelLayout};
@@ -39,45 +39,34 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Mutex, MutexGuard};
 use std::time::Instant;
 
-/// Worker count resolution: explicit > schedule procs > 4.
-fn resolve_workers(dopts: &DynamicOptions, sched: Option<&Schedule>) -> usize {
+/// Worker count: the explicit one, else the schedule's processors.
+fn resolve_workers(dopts: &DynamicOptions, sched: &Schedule) -> usize {
     if dopts.workers > 0 {
         dopts.workers
     } else {
-        sched.map(|s| s.n_procs).unwrap_or(4).max(1)
+        sched.n_procs
     }
 }
 
-/// Priority vector: rank-by-predicted-start when a schedule exists (the
-/// task the static scheduler would have started earliest gets the highest
-/// priority), elimination-tree depth otherwise, all-zero (FIFO) when
-/// priority hints are off.
-fn priority_vec(
-    n: usize,
-    priorities: bool,
-    sched: Option<&Schedule>,
-    graph_prio: &[u32],
-) -> Vec<u64> {
+/// Priority vector: rank by predicted start (the task the static
+/// scheduler would have started earliest gets the highest priority), or
+/// all-zero (FIFO) when priority hints are off.
+fn priority_vec(n: usize, priorities: bool, sched: &Schedule) -> Vec<u64> {
     if !priorities {
         return vec![0u64; n];
     }
-    match sched {
-        Some(s) => {
-            let mut idx: Vec<u32> = (0..n as u32).collect();
-            idx.sort_by(|&x, &y| {
-                s.start[x as usize]
-                    .partial_cmp(&s.start[y as usize])
-                    .unwrap_or(std::cmp::Ordering::Equal)
-                    .then(x.cmp(&y))
-            });
-            let mut p = vec![0u64; n];
-            for (rank, &t) in idx.iter().enumerate() {
-                p[t as usize] = (n - rank) as u64;
-            }
-            p
-        }
-        None => graph_prio.iter().map(|&p| p as u64).collect(),
+    let mut idx: Vec<u32> = (0..n as u32).collect();
+    idx.sort_by(|&x, &y| {
+        sched.start[x as usize]
+            .partial_cmp(&sched.start[y as usize])
+            .unwrap_or(std::cmp::Ordering::Equal)
+            .then(x.cmp(&y))
+    });
+    let mut p = vec![0u64; n];
+    for (rank, &t) in idx.iter().enumerate() {
+        p[t as usize] = (n - rank) as u64;
     }
+    p
 }
 
 /// Shared state of the dynamic factorization: the factor panels (one
@@ -201,15 +190,16 @@ impl<'a, T: Scalar> DynFactor<'a, T> {
 
 /// Dynamic factorization: scatter `a` into the factor storage, execute
 /// the task graph on the work-stealing executor, and hand the storage
-/// back assembled (the panels *are* the regions — no merge step).
+/// back assembled (the panels *are* the regions — no merge step) with
+/// the run's trace.
 pub(crate) fn factorize_dynamic<T: Scalar>(
     sym: &SymbolMatrix,
     a: Entries<'_, T>,
     graph: &TaskGraph,
-    sched: Option<&Schedule>,
+    sched: &Schedule,
     dopts: &DynamicOptions,
     cfg: &SolverConfig,
-) -> Result<FactorRun<T>, FactorError> {
+) -> Result<(FactorStorage<T>, TraceLog), FactorError> {
     assert!(
         std::ptr::eq(sym, &graph.split.symbol) || *sym == graph.split.symbol,
         "task graph was built for a different symbol matrix"
@@ -222,11 +212,7 @@ pub(crate) fn factorize_dynamic<T: Scalar>(
 
     let n = graph.n_tasks();
     let deps: Vec<u32> = (0..n).map(|t| graph.in_ptr[t + 1] - graph.in_ptr[t]).collect();
-    let priority = priority_vec(n, dopts.priorities, sched, &graph.priority);
-    let placement: Vec<u32> = match sched {
-        Some(s) => s.task_proc.clone(),
-        None => graph.kinds.iter().map(|k| k.cblk()).collect(),
-    };
+    let priority = priority_vec(n, dopts.priorities, sched);
     let n_workers = resolve_workers(dopts, sched);
 
     let error: Mutex<Option<FactorError>> = Mutex::new(None);
@@ -283,7 +269,7 @@ pub(crate) fn factorize_dynamic<T: Scalar>(
         out_ptr: &graph.out_ptr,
         out_dst: &graph.out_dst,
         priority: &priority,
-        placement: &placement,
+        placement: &sched.task_proc,
     };
     let trace = run_traced_dag(&spec, n_workers, dopts, sched, cfg, &body);
     if let Some(e) = error.into_inner().unwrap() {
@@ -294,7 +280,7 @@ pub(crate) fn factorize_dynamic<T: Scalar>(
         crate::parallel::merge_comp1d_ns(&cfg.metrics, w as u32, &ns);
     }
     let panels = panels.into_iter().map(|p| p.into_inner().unwrap()).collect();
-    Ok(FactorRun::new(FactorStorage::dense(layout, panels), trace, cfg.metrics.clone()))
+    Ok((FactorStorage::dense(layout, panels), trace))
 }
 
 /// Runs `body` over `spec` on the work-stealing executor with the run's
@@ -306,7 +292,7 @@ fn run_traced_dag(
     spec: &DagSpec<'_>,
     n_workers: usize,
     dopts: &DynamicOptions,
-    sched: Option<&Schedule>,
+    sched: &Schedule,
     cfg: &SolverConfig,
     body: &(impl Fn(u32, &TaskCtx) -> bool + Sync),
 ) -> TraceLog {
@@ -337,7 +323,7 @@ fn run_traced_dag(
     let trace = TraceLog {
         ranks: rank_traces.into_iter().flatten().collect(),
         wall_ns: t0.elapsed().as_nanos() as u64,
-        digest: sched.map(|s| s.digest()).unwrap_or(0),
+        digest: sched.digest(),
     };
     crate::parallel::merge_trace_metrics(&cfg.metrics, &trace);
     for (w, &n) in stats.executed.iter().enumerate() {
@@ -391,7 +377,7 @@ pub(crate) fn solve_panel_dynamic<T: Scalar>(
     sym: &SymbolMatrix,
     storage: &FactorStorage<T>,
     dag: &SolveDag,
-    sched: Option<&Schedule>,
+    sched: &Schedule,
     rhs: &[T],
     nrhs: usize,
     perm: Option<&[u32]>,
@@ -465,22 +451,16 @@ mod tests {
         seq
     }
 
-    fn check_dynamic(
-        ap: &pastix_graph::SymCsc<f64>,
-        mapping: &pastix_sched::Mapping,
-        dopts: &DynamicOptions,
-        use_sched: bool,
-    ) {
-        let sym = &mapping.graph.split.symbol;
-        let sched = use_sched.then_some(&mapping.schedule);
+    fn check_dynamic(ap: &pastix_graph::SymCsc<f64>, mapping: &pastix_sched::Mapping, dopts: &DynamicOptions) {
+        let (sym, sched) = (&mapping.graph.split.symbol, &mapping.schedule);
         let cfg = SolverConfig::default();
-        let run = factorize_dynamic(sym, Entries::of(ap), &mapping.graph, sched, dopts, &cfg).unwrap();
+        let (storage, _) = factorize_dynamic(sym, Entries::of(ap), &mapping.graph, sched, dopts, &cfg).unwrap();
         let seq = seq_factor(sym, ap);
         let n = ap.n();
         for j in 0..n {
             for i in j..n {
                 let a = seq.get(sym, i, j);
-                let b = run.storage.get(sym, i, j);
+                let b = storage.get(sym, i, j);
                 assert!(
                     (a - b).abs() <= 1e-8 * a.abs().max(1.0),
                     "factor mismatch at ({i},{j}): seq {a} vs dyn {b}"
@@ -491,9 +471,9 @@ mod tests {
         let x_exact = canonical_solution::<f64>(n);
         let b = rhs_for_solution(ap, &x_exact);
         let dag = crate::solve_plan::SolvePlan::build(&mapping.graph, sched).dag;
-        let (x_dyn, _) = solve_panel_dynamic(sym, &run.storage, &dag, sched, &b, 1, None, dopts, &cfg);
+        let (x_dyn, _) = solve_panel_dynamic(sym, &storage, &dag, sched, &b, 1, None, dopts, &cfg);
         let mut x_seq = b.clone();
-        solve_in_place(sym, &run.storage, &mut x_seq);
+        solve_in_place(sym, &storage, &mut x_seq);
         for (i, (xs, xd)) in x_seq.iter().zip(&x_dyn).enumerate() {
             assert!(
                 (xs - xd).abs() <= 1e-9 * xs.abs().max(1.0),
@@ -507,7 +487,7 @@ mod tests {
     #[test]
     fn dynamic_matches_sequential_1d() {
         let (ap, mapping) = full_setup(8, 8, 1, 4, DistStrategy::Only1d, 4);
-        check_dynamic(&ap, &mapping, &DynamicOptions::new(), true);
+        check_dynamic(&ap, &mapping, &DynamicOptions::new());
     }
 
     #[test]
@@ -515,15 +495,8 @@ mod tests {
         let (ap, mapping) = full_setup(4, 4, 4, 4, DistStrategy::Mixed1d2d, 4);
         for priorities in [false, true] {
             let d = DynamicOptions::new().with_priorities(priorities);
-            check_dynamic(&ap, &mapping, &d, true);
+            check_dynamic(&ap, &mapping, &d);
         }
-    }
-
-    #[test]
-    fn dynamic_runs_without_a_schedule() {
-        let (ap, mapping) = full_setup(6, 6, 2, 3, DistStrategy::Mixed1d2d, 4);
-        let d = DynamicOptions::new().with_workers(3).with_priorities(true);
-        check_dynamic(&ap, &mapping, &d, false);
     }
 
     #[test]
@@ -540,13 +513,10 @@ mod tests {
         ] {
             let plan = FaultPlan::builder(11).policy(policy).build();
             let d = DynamicOptions::new().with_sim(plan);
-            check_dynamic(&ap, &mapping, &d, true);
+            check_dynamic(&ap, &mapping, &d);
             // Same (seed, policy) replays to bitwise-identical factors.
-            let r1 = factorize_dynamic(sym, Entries::of(&ap), &mapping.graph, Some(&mapping.schedule), &d, &cfg)
-                .unwrap();
-            let r2 = factorize_dynamic(sym, Entries::of(&ap), &mapping.graph, Some(&mapping.schedule), &d, &cfg)
-                .unwrap();
-            assert_eq!(r1.storage.panels, r2.storage.panels);
+            let run = || factorize_dynamic(sym, Entries::of(&ap), &mapping.graph, &mapping.schedule, &d, &cfg);
+            assert_eq!(run().unwrap().0.panels, run().unwrap().0.panels);
         }
     }
 
@@ -565,7 +535,7 @@ mod tests {
             sym,
             Entries::of(&ap),
             &mapping.graph,
-            Some(&mapping.schedule),
+            &mapping.schedule,
             &DynamicOptions::new(),
             &cfg,
         );

@@ -4,7 +4,7 @@
 //!
 //! * [`plan`] — **the entry path**: [`Plan::analyze`] bundles the whole
 //!   pre-processing pipeline (ordering, symbolic analysis, mapping,
-//!   optional static schedule); [`Plan::factorize`] runs the numeric
+//!   static schedule); [`Plan::factorize`] runs the numeric
 //!   phase on any backend and hands back a [`FactorRun`] whose
 //!   [`SolveRequest`]-driven solve method covers single- and multi-RHS;
 //! * [`storage`] — the dense-panel factor storage (the real PaStiX layout:

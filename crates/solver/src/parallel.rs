@@ -15,7 +15,7 @@
 //! applying any AUB immediately (updates commute) and caching factor
 //! blocks — until the wanted block appears.
 
-use crate::config::{FactorRun, SolverConfig};
+use crate::config::SolverConfig;
 use crate::pattern::Entries;
 use crate::storage::{
     pair_target, put, scatter_cblk, strip_stretches, strip_targets, BlokCursor, FactorStorage, PairTarget, PanelLayout,
@@ -838,9 +838,8 @@ pub struct ChaosOptions {
 }
 
 /// The SPMD factorization engine (threads or simulator): `cfg.backend`
-/// selects the execution substrate, and the returned [`FactorRun`] carries
-/// the factor together with the run's [`TraceLog`] and the metrics registry
-/// handle. Called by [`crate::Plan::factorize`].
+/// selects the execution substrate; returns the assembled factor with the
+/// run's [`TraceLog`]. Called by [`crate::Plan::factorize`].
 pub(crate) fn factorize_static<T: Scalar>(
     sym: &SymbolMatrix,
     a: Entries<'_, T>,
@@ -848,7 +847,7 @@ pub(crate) fn factorize_static<T: Scalar>(
     sched: &Schedule,
     routing: &Routing,
     cfg: &SolverConfig,
-) -> Result<FactorRun<T>, FactorError> {
+) -> Result<(FactorStorage<T>, TraceLog), FactorError> {
     assert!(std::ptr::eq(sym, &graph.split.symbol) || sym == &graph.split.symbol,
         "schedule must be built on the same split symbol");
     // All ranks must share one epoch so the report can compare their wall
@@ -894,8 +893,7 @@ pub(crate) fn factorize_static<T: Scalar>(
         digest: sched.digest(),
     };
     merge_trace_metrics(&cfg.metrics, &trace);
-    let storage = assemble(sym, routing.layout.clone(), graph, results)?;
-    Ok(FactorRun::new(storage, trace, cfg.metrics.clone()))
+    Ok((assemble(sym, routing.layout.clone(), graph, results)?, trace))
 }
 
 /// What one logical processor hands back: its factor regions (or the
@@ -1110,14 +1108,15 @@ pub(crate) mod tests {
         ap: &pastix_graph::SymCsc<f64>,
         mapping: &pastix_sched::Mapping,
         cfg: &SolverConfig,
-    ) -> Result<FactorRun<f64>, FactorError> {
+    ) -> Result<FactorStorage<f64>, FactorError> {
         let (graph, sched) = (&mapping.graph, &mapping.schedule);
-        factorize_static(&graph.split.symbol, Entries::of(ap), graph, sched, &Routing::build(graph, sched), cfg)
+        let routing = Routing::build(graph, sched);
+        factorize_static(&graph.split.symbol, Entries::of(ap), graph, sched, &routing, cfg).map(|(storage, _)| storage)
     }
 
     fn check_against_sequential(ap: &pastix_graph::SymCsc<f64>, mapping: &pastix_sched::Mapping) {
         let sym = &mapping.graph.split.symbol;
-        let par = factorize(ap, mapping, &SolverConfig::default()).unwrap().into_storage();
+        let par = factorize(ap, mapping, &SolverConfig::default()).unwrap();
         let mut seq = FactorStorage::zeros(sym);
         seq.scatter(sym, ap);
         factorize_sequential(sym, &mut seq).unwrap();
@@ -1168,7 +1167,7 @@ pub(crate) mod tests {
         // A punishing cap forces partially aggregated sends on every
         // processor; the factor must not change, only the message count.
         let (ap, mapping) = full_setup(10, 10, 1, 4, DistStrategy::Mixed1d2d, 4);
-        let fanin = factorize(&ap, &mapping, &SolverConfig::default()).unwrap().into_storage();
+        let fanin = factorize(&ap, &mapping, &SolverConfig::default()).unwrap();
         let fanboth =
             factorize(&ap, &mapping, &SolverConfig::new().with_aub_memory_limit(Some(16))).unwrap();
         for (pa, pb) in fanin.panels.iter().zip(&fanboth.panels) {

@@ -2,16 +2,16 @@
 //! method.
 //!
 //! [`Plan::analyze`] runs the whole pre-processing pipeline (ordering →
-//! symbolic analysis → block repartitioning → optional static
-//! scheduling) and bundles its outputs — fill-reducing permutation, task
-//! graph over the split symbol, and an `Option<Schedule>` — behind one
-//! cheaply clonable handle. [`Plan::factorize`] dispatches the numeric
-//! factorization on whatever backend the [`SolverConfig`] names (the
-//! static schedule is *required* by the SPMD backends and merely a
-//! placement/priority hint for [`Backend::Dynamic`]), and the returned
-//! [`FactorRun`] carries its plan so [`FactorRun::solve_request`] can
-//! permute, solve, and unpermute without the caller re-threading the
-//! analyze artifacts through every call.
+//! symbolic analysis → block repartitioning → static scheduling) and
+//! bundles its outputs — fill-reducing permutation, task graph over the
+//! split symbol, and the static schedule — behind one cheaply clonable
+//! handle. [`Plan::factorize`] dispatches the numeric factorization on
+//! whatever backend the [`SolverConfig`] names (the SPMD backends execute
+//! the schedule; [`Backend::Dynamic`] takes its placement, priorities and
+//! worker count from it), and the returned [`FactorRun`] carries its plan
+//! so [`FactorRun::solve_request`] can permute, solve, and unpermute
+//! without the caller re-threading the analyze artifacts through every
+//! call.
 //!
 //! Block low-rank compression is one pass after the numeric phase: when
 //! `cfg.compression` is enabled, [`Plan::factorize`] compresses the
@@ -65,10 +65,6 @@ pub struct AnalyzeOptions {
     pub analysis: AnalysisOptions,
     /// Block repartitioning + scheduling knobs (1D/2D switch, block size).
     pub sched: SchedOptions,
-    /// Compute the static schedule (default). Turn off for pure-dynamic
-    /// runs that want analyze to skip the greedy scheduler; the plan's
-    /// schedule is then `None` and only `Backend::Dynamic` can run it.
-    pub static_schedule: bool,
 }
 
 impl Default for AnalyzeOptions {
@@ -80,7 +76,6 @@ impl Default for AnalyzeOptions {
             ordering: OrderingOptions::default(),
             analysis: AnalysisOptions::default(),
             sched: SchedOptions::default(),
-            static_schedule: true,
         }
     }
 }
@@ -109,7 +104,7 @@ impl AnalyzeOptions {
 struct PlanInner {
     perm: Option<Permutation>,
     graph: TaskGraph,
-    schedule: Option<Schedule>,
+    schedule: Schedule,
     n: usize,
     stats: Option<AnalyzeStats>,
     analyze_trace: Option<TraceLog>,
@@ -129,7 +124,7 @@ struct PlanInner {
 }
 
 /// The analyzed (pre-numeric) state of one matrix pattern: permutation,
-/// symbol/task graph, and (optionally) the static schedule. `Clone` is an
+/// symbol/task graph, and the static schedule. `Clone` is an
 /// `Arc` bump, so caching a plan next to its factors is free.
 #[derive(Debug, Clone)]
 pub struct Plan {
@@ -183,11 +178,7 @@ impl Plan {
             scalar_opc: analysis.scalar_opc,
             analyze_ns,
         };
-        let mut plan = Plan::from_parts(
-            Some(analysis.perm),
-            graph,
-            opts.static_schedule.then_some(schedule),
-        );
+        let mut plan = Plan::from_parts(Some(analysis.perm), graph, Some(schedule));
         let inner = Arc::get_mut(&mut plan.inner).expect("fresh plan is unshared");
         inner.stats = Some(stats);
         inner.analyze_trace = analyze_trace;
@@ -198,7 +189,8 @@ impl Plan {
     /// Assembles a plan from already-computed artifacts. `perm: None`
     /// means the inputs to [`Plan::factorize`] / the solves are treated as
     /// already permuted (elimination order) — used by callers that manage
-    /// the permutation themselves.
+    /// the permutation themselves. Every plan carries its schedule, so
+    /// `schedule` must be `Some`.
     pub fn from_parts(
         perm: Option<Permutation>,
         graph: TaskGraph,
@@ -207,9 +199,8 @@ impl Plan {
         if let Some(p) = &perm {
             assert_eq!(p.len(), graph.split.symbol.n, "permutation length != matrix order");
         }
-        if let Some(s) = &schedule {
-            assert_eq!(s.task_proc.len(), graph.n_tasks(), "schedule built for another graph");
-        }
+        let schedule = schedule.expect("a plan needs the static schedule of its task graph");
+        assert_eq!(schedule.task_proc.len(), graph.n_tasks(), "schedule built for another graph");
         let n = graph.split.symbol.n;
         Plan {
             inner: Arc::new(PlanInner {
@@ -249,9 +240,9 @@ impl Plan {
         &self.inner.graph
     }
 
-    /// The static schedule (`None` for pure-dynamic plans).
+    /// The static schedule. Always `Some`: every plan carries one.
     pub fn schedule(&self) -> Option<&Schedule> {
-        self.inner.schedule.as_ref()
+        Some(&self.inner.schedule)
     }
 
     /// The (split) block symbolic structure.
@@ -270,7 +261,7 @@ impl Plan {
     pub(crate) fn solve_plan(&self, metrics: &MetricsRegistry) -> &SolvePlan {
         self.inner.solve_plan.get_or_init(|| {
             metrics.add_counter("solver.solve_plan_builds", 1);
-            SolvePlan::build(&self.inner.graph, self.inner.schedule.as_ref())
+            SolvePlan::build(&self.inner.graph, &self.inner.schedule)
         })
     }
 
@@ -280,7 +271,7 @@ impl Plan {
     fn routing(&self, metrics: &MetricsRegistry) -> &Routing {
         self.inner.routing.get_or_init(|| {
             metrics.add_counter("solver.routing_builds", 1);
-            Routing::build(&self.inner.graph, self.require_schedule())
+            Routing::build(&self.inner.graph, &self.inner.schedule)
         })
     }
 
@@ -332,24 +323,19 @@ impl Plan {
         // factorization itself leaves coarse start/end marks there; the
         // front end falls inside them.
         pastix_trace::flight::wire_runtime_observer();
-        let fp = self
-            .inner
-            .schedule
-            .as_ref()
-            .map_or(self.inner.n as u64, |s| s.digest());
+        let fp = self.inner.schedule.digest();
         pastix_trace::flight::record(pastix_trace::flight::FlightKind::FactorizeStart, fp, 0);
         let t0 = std::time::Instant::now();
         // The end mark is recorded on the error path too, so a black box
         // taken after a failed factorization shows none still in flight.
-        let run = self.factorize_numeric(a, cfg);
+        let factor = self.factorize_numeric(a, cfg);
         pastix_trace::flight::record(
             pastix_trace::flight::FlightKind::FactorizeEnd,
             fp,
             t0.elapsed().as_nanos() as u64,
         );
-        let mut run = run?;
-        run.ctx = Some(PlanCtx { plan: self.clone(), cfg: cfg.clone() });
-        Ok(run)
+        let (storage, trace) = factor?;
+        Ok(FactorRun::of_plan(storage, trace, self, cfg))
     }
 
     /// The body of [`Plan::factorize`] between its flight marks.
@@ -357,38 +343,24 @@ impl Plan {
         &self,
         a: &SymCsc<T>,
         cfg: &SolverConfig,
-    ) -> Result<FactorRun<T>, FactorError> {
+    ) -> Result<(FactorStorage<T>, TraceLog), FactorError> {
         let pattern = self.scatter_pattern(a, &cfg.metrics)?;
         let entries = pattern.entries(a);
-        let sym = self.symbol();
-        let mut run = match cfg.backend {
-            Backend::Dynamic(dopts) => dynamic::factorize_dynamic(
-                sym,
-                entries,
-                &self.inner.graph,
-                self.inner.schedule.as_ref(),
-                &dopts,
-                cfg,
-            )?,
+        let (sym, graph, sched) = (self.symbol(), &self.inner.graph, &self.inner.schedule);
+        let (mut storage, trace) = match cfg.backend {
+            Backend::Dynamic(dopts) => dynamic::factorize_dynamic(sym, entries, graph, sched, &dopts, cfg)?,
             Backend::Threads | Backend::Sim(_) => {
-                let (sched, routing) = (self.require_schedule(), self.routing(&cfg.metrics));
-                crate::parallel::factorize_static(sym, entries, &self.inner.graph, sched, routing, cfg)?
+                let routing = self.routing(&cfg.metrics);
+                crate::parallel::factorize_static(sym, entries, graph, sched, routing, cfg)?
             }
         };
-        finalize_compression(sym, &mut run.storage, &cfg.compression, &cfg.metrics);
-        Ok(run)
-    }
-
-    fn require_schedule(&self) -> &Schedule {
-        self.inner.schedule.as_ref().expect(
-            "this plan has no static schedule (analyze.static_schedule = false): \
-             only Backend::Dynamic can run it",
-        )
+        finalize_compression(sym, &mut storage, &cfg.compression, &cfg.metrics);
+        Ok((storage, trace))
     }
 }
 
 /// The plan + config a [`FactorRun`] was produced under (attached by
-/// [`Plan::factorize`] / [`FactorRun::bind_plan`]).
+/// [`Plan::factorize`] / [`run_from_storage`]).
 #[derive(Debug, Clone)]
 pub(crate) struct PlanCtx {
     pub(crate) plan: Plan,
@@ -452,21 +424,11 @@ pub struct SolveOutput<T> {
 }
 
 impl<T: Scalar> FactorRun<T> {
-    /// Attaches a plan (and the config to solve under) to a run that was
-    /// built outside [`Plan::factorize`] — e.g. a sequentially factored
-    /// storage — enabling [`FactorRun::solve_request`] on it.
-    pub fn bind_plan(&mut self, plan: &Plan, cfg: &SolverConfig) {
-        self.ctx = Some(PlanCtx { plan: plan.clone(), cfg: cfg.clone() });
-    }
-
     /// Solves `A·X = B` for the request's right-hand sides using this
     /// run's factor, on the backend of the config the run was produced
     /// under. Single-RHS is `k = 1` of the same panel path.
     pub fn solve_request(&self, req: SolveRequest<'_, T>) -> SolveOutput<T> {
-        let ctx = self.ctx.as_ref().expect(
-            "this FactorRun has no Plan attached; produce it with Plan::factorize \
-             (or call bind_plan) before solving",
-        );
+        let ctx = &self.ctx;
         let plan = &ctx.plan;
         let n = plan.n();
         assert!(req.k >= 1, "solve needs at least one right-hand side");
@@ -482,32 +444,29 @@ impl<T: Scalar> FactorRun<T> {
         let perm = plan.permutation().map(|p| p.perm());
         let sym = plan.symbol();
         let sp = plan.solve_plan(&cfg.metrics);
+        let sched = &plan.inner.schedule;
         let (x, trace) = match cfg.backend {
             Backend::Dynamic(dopts) => dynamic::solve_panel_dynamic(
                 sym,
                 &self.storage,
                 &sp.dag,
-                plan.schedule(),
+                sched,
                 req.rhs,
                 req.k,
                 perm,
                 &dopts,
                 &cfg,
             ),
-            Backend::Threads | Backend::Sim(_) => {
-                let sched = plan.require_schedule();
-                let routing = sp.routing.as_ref().expect("a scheduled plan carries solve routing");
-                crate::psolve::solve_panel_static(
-                    sym,
-                    &self.storage,
-                    routing,
-                    sched.digest(),
-                    req.rhs,
-                    req.k,
-                    perm,
-                    &cfg,
-                )
-            }
+            Backend::Threads | Backend::Sim(_) => crate::psolve::solve_panel_static(
+                sym,
+                &self.storage,
+                &sp.routing,
+                sched.digest(),
+                req.rhs,
+                req.k,
+                perm,
+                &cfg,
+            ),
         };
         let mut trace = trace;
         if let Some(id) = req.tag {
@@ -519,10 +478,8 @@ impl<T: Scalar> FactorRun<T> {
     /// The static solve schedule this run's solves replay (and solve
     /// traces reconcile against): part of the plan's solve structure, so
     /// built with it on first use and shared by every run of the plan.
-    /// `None` without an attached plan or without a static schedule.
-    pub fn solve_schedule(&self) -> Option<&SolveSchedule> {
-        let ctx = self.ctx.as_ref()?;
-        ctx.plan.solve_plan(&ctx.cfg.metrics).routing.as_ref().map(|r| &r.schedule)
+    pub fn solve_schedule(&self) -> &SolveSchedule {
+        &self.ctx.plan.solve_plan(&self.ctx.cfg.metrics).routing.schedule
     }
 
     /// Solves for a single right-hand side (untraced).
@@ -561,15 +518,41 @@ fn tag_solve_trace(trace: &mut TraceLog, id: u64) {
     }
 }
 
-/// Builds a [`FactorRun`] around a sequentially factored storage and
-/// binds `plan`/`cfg` to it, so sequential factors get the same solve
-/// surface as parallel ones.
+/// Builds a [`FactorRun`] of `plan` around a sequentially factored
+/// storage, so sequential factors get the same solve surface as parallel
+/// ones; `cfg` is the config its solves run under.
 pub fn run_from_storage<T: Scalar>(
     storage: FactorStorage<T>,
     plan: &Plan,
     cfg: &SolverConfig,
 ) -> FactorRun<T> {
-    let mut run = FactorRun::new(storage, TraceLog::default(), cfg.metrics.clone());
-    run.bind_plan(plan, cfg);
-    run
+    FactorRun::of_plan(storage, TraceLog::default(), plan, cfg)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::parallel::tests::full_setup;
+    use pastix_runtime::DynamicOptions;
+    use pastix_sched::DistStrategy;
+
+    #[test]
+    #[should_panic(expected = "a plan needs the static schedule")]
+    fn from_parts_rejects_a_plan_without_a_schedule() {
+        let (_, mapping) = full_setup(4, 4, 1, 2, DistStrategy::Only1d, 4);
+        Plan::from_parts(None, mapping.graph, None);
+    }
+
+    #[test]
+    fn auto_dynamic_workers_are_the_schedules_processors() {
+        let (ap, mapping) = full_setup(6, 6, 1, 3, DistStrategy::Mixed1d2d, 4);
+        let plan = Plan::from_parts(None, mapping.graph, Some(mapping.schedule));
+        assert_eq!(plan.schedule().map(|s| s.n_procs), Some(3));
+        for (workers, expect) in [(0, 3), (2, 2)] {
+            let dopts = DynamicOptions::new().with_workers(workers);
+            let cfg = SolverConfig::new().with_backend(Backend::Dynamic(dopts)).with_trace(TraceOptions::wall());
+            let run = plan.factorize(&ap, &cfg).unwrap();
+            assert_eq!(run.trace.ranks.len(), expect, "one trace per worker, workers: {workers}");
+        }
+    }
 }

@@ -492,9 +492,8 @@ mod tests {
         nrhs: usize,
         cfg: &SolverConfig,
     ) -> Vec<f64> {
-        let plan = crate::solve_plan::SolvePlan::build(&mapping.graph, Some(sched));
-        let routing = plan.routing.as_ref().expect("built from a schedule");
-        solve_panel_static(&mapping.graph.split.symbol, st, routing, sched.digest(), b, nrhs, None, cfg).0
+        let routing = crate::solve_plan::SolvePlan::build(&mapping.graph, sched).routing;
+        solve_panel_static(&mapping.graph.split.symbol, st, &routing, sched.digest(), b, nrhs, None, cfg).0
     }
 
     fn check(ap: &pastix_graph::SymCsc<f64>, mapping: &pastix_sched::Mapping, st: &FactorStorage<f64>) {

@@ -214,24 +214,18 @@ pub(crate) struct SolveDag {
     /// Forward tasks outrank backward ones; within a sweep, earlier
     /// elimination order first (forward) / later first (backward).
     pub(crate) priority: Vec<u64>,
-    /// Preferred worker per task: the column block's static owner, or the
-    /// block index without a schedule.
+    /// Preferred worker per task: the column block's static owner.
     pub(crate) placement: Vec<u32>,
 }
 
 impl SolveDag {
-    fn build(graph: &TaskGraph, sched: Option<&Schedule>) -> Self {
+    fn build(graph: &TaskGraph, sched: &Schedule) -> Self {
         let ns = graph.split.symbol.n_cblks();
         let n_tasks = 2 * ns;
         Self {
             graph: pastix_sched::SolveDag::new(&graph.split.symbol),
             priority: (0..n_tasks).map(|t| (if t < ns { 2 * ns - t } else { t - ns }) as u64).collect(),
-            placement: (0..n_tasks)
-                .map(|t| match sched {
-                    Some(s) => s.task_proc[graph.head_task_of_cblk[t % ns] as usize],
-                    None => (t % ns) as u32,
-                })
-                .collect(),
+            placement: (0..n_tasks).map(|t| sched.task_proc[graph.head_task_of_cblk[t % ns] as usize]).collect(),
         }
     }
 }
@@ -241,15 +235,15 @@ impl SolveDag {
 /// `factor_bytes`.
 #[derive(Debug)]
 pub(crate) struct SolvePlan {
-    /// Present when the plan has a static schedule.
-    pub(crate) routing: Option<StaticRouting>,
+    /// The static engine's ownership, counters and routes.
+    pub(crate) routing: StaticRouting,
     /// The dynamic backend's DAG.
     pub(crate) dag: SolveDag,
 }
 
 impl SolvePlan {
-    pub(crate) fn build(graph: &TaskGraph, sched: Option<&Schedule>) -> Self {
+    pub(crate) fn build(graph: &TaskGraph, sched: &Schedule) -> Self {
         let dag = SolveDag::build(graph, sched);
-        Self { routing: sched.map(|s| StaticRouting::build(graph, s, &dag.graph)), dag }
+        Self { routing: StaticRouting::build(graph, sched, &dag.graph), dag }
     }
 }

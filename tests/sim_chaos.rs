@@ -321,28 +321,6 @@ fn dynamic_backend_on_threads_agrees_with_sequential() {
     }
 }
 
-/// A schedule-free plan (`analyze.static_schedule = false` shape): only
-/// `Backend::Dynamic` can run it, and it still agrees with sequential.
-#[test]
-fn dynamic_backend_runs_scheduleless_plans() {
-    let case = build_case("grid8x8-mixed", (8, 8, 1), DistStrategy::Mixed1d2d, 4, 3);
-    let bare = Plan::from_parts(None, case.mapping.graph.clone(), None);
-    let opts = SolverConfig {
-        backend: Backend::Dynamic(DynamicOptions::new().with_workers(3)),
-        ..Default::default()
-    };
-    let run = bare.factorize(&case.ap, &opts).unwrap();
-    let mut max_diff = 0.0f64;
-    for (pa, pb) in run.panels.iter().zip(&case.seq.panels) {
-        for (x, y) in pa.iter().zip(pb) {
-            max_diff = max_diff.max((x - y).abs());
-        }
-    }
-    assert!(max_diff < 1e-8, "scheduleless dynamic factor deviation {max_diff}");
-    let x = run.solve(&case.b);
-    assert!(case.ap.residual_norm(&x, &case.b) < 1e-12);
-}
-
 /// Zero-pivot injection aborts the dynamic executor cleanly under every
 /// sim policy — the error surfaces, nothing deadlocks.
 #[test]
