@@ -226,17 +226,6 @@ impl<T: Scalar> SymCsc<T> {
 /// (`f64::max` alone would drop a NaN).
 fn finite_max(mut v: impl Iterator<Item = f64>) -> Option<f64> {
     v.try_fold(0.0, |m: f64, e| e.is_finite().then(|| m.max(e)))
-
-    /// Dense lower-triangular expansion, for small-matrix tests.
-    pub fn to_dense_lower(&self) -> pastix_kernels::DenseMat<T> {
-        let mut d = pastix_kernels::DenseMat::zeros(self.n, self.n);
-        for j in 0..self.n {
-            for (&i, &v) in self.rows_of(j).iter().zip(self.vals_of(j)) {
-                d[(i as usize, j)] = v;
-            }
-        }
-        d
-    }
 }
 
 /// Builds the right-hand side `b = A·x_exact` for a prescribed exact

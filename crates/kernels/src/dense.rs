@@ -82,12 +82,6 @@ impl<T: Scalar> DenseMat<T> {
         &self.data[j * self.m..(j + 1) * self.m]
     }
 
-    /// Column `j` as a mutable slice.
-    #[inline]
-    pub fn col_mut(&mut self, j: usize) -> &mut [T] {
-        &mut self.data[j * self.m..(j + 1) * self.m]
-    }
-
     /// Transposed copy.
     pub fn transposed(&self) -> Self {
         Self::from_fn(self.n, self.m, |i, j| self[(j, i)])

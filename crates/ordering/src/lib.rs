@@ -14,12 +14,10 @@
 pub mod bisect;
 pub mod md;
 pub mod nd;
-pub mod rcm;
 
 pub use bisect::{edge_bisection, separator_is_valid, vertex_separator, BisectOptions, SeparatorResult};
 pub use md::{min_degree, MdOrder};
 pub use nd::{nested_dissection, pure_min_degree, LeafMode, OrderingOptions};
-pub use rcm::{bandwidth, reverse_cuthill_mckee};
 
 /// A counting allocator for this crate's unit tests: the workspaces claim
 /// to allocate nothing once they have reached their high-water mark, and
