@@ -156,14 +156,19 @@ impl<T: Scalar> SymCsc<T> {
     /// `residual < tol` check fails on a NaN or infinite solution.
     pub fn residual_norm(&self, x: &[T], b: &[T]) -> f64 {
         let ax = self.matvec(x);
-        let norms = (
-            finite_max(b.iter().zip(&ax).map(|(&bi, &axi)| (bi - axi).magnitude())),
-            finite_max(x.iter().map(|v| v.magnitude())),
-            finite_max(b.iter().map(|v| v.magnitude())),
-        );
-        let (Some(rinf), Some(xinf), Some(binf)) = norms else {
+        // One pass. `f64::max` drops NaN, so NaN is tracked apart: the sum
+        // of three magnitudes is NaN exactly when one of them is.
+        let (mut rinf, mut xinf, mut binf, mut nan) = (0.0f64, 0.0f64, 0.0f64, false);
+        for ((&xi, &bi), &axi) in x.iter().zip(b).zip(&ax) {
+            let (r, xm, bm) = ((bi - axi).magnitude(), xi.magnitude(), bi.magnitude());
+            rinf = rinf.max(r);
+            xinf = xinf.max(xm);
+            binf = binf.max(bm);
+            nan |= (r + xm + bm).is_nan();
+        }
+        if nan || !(rinf.is_finite() && xinf.is_finite() && binf.is_finite()) {
             return f64::NAN;
-        };
+        }
         rinf / (self.inf_norm() * xinf + binf).max(f64::MIN_POSITIVE)
     }
 
@@ -220,12 +225,6 @@ impl<T: Scalar> SymCsc<T> {
             assert!(found, "column {j} lacks a diagonal entry");
         }
     }
-}
-
-/// The largest of `v`, or `None` when one of them is not finite
-/// (`f64::max` alone would drop a NaN).
-fn finite_max(mut v: impl Iterator<Item = f64>) -> Option<f64> {
-    v.try_fold(0.0, |m: f64, e| e.is_finite().then(|| m.max(e)))
 }
 
 /// Builds the right-hand side `b = A·x_exact` for a prescribed exact
