@@ -428,12 +428,11 @@ impl<T: Scalar> FactorRun<T> {
     /// run's factor, on the backend of the config the run was produced
     /// under. Single-RHS is `k = 1` of the same panel path.
     pub fn solve_request(&self, req: SolveRequest<'_, T>) -> SolveOutput<T> {
-        let ctx = &self.ctx;
-        let plan = &ctx.plan;
+        let PlanCtx { plan, cfg } = &self.ctx;
         let n = plan.n();
         assert!(req.k >= 1, "solve needs at least one right-hand side");
         assert_eq!(req.rhs.len(), n * req.k, "rhs must be n × k column-major");
-        let mut cfg = ctx.cfg.clone();
+        let mut cfg = cfg.clone();
         if !req.trace {
             cfg.trace = TraceOptions::disabled();
         } else if !cfg.trace.enabled {
