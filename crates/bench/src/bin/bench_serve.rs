@@ -47,7 +47,6 @@ use pastix_graph::{build_problem, Parallelism, ProblemId, SymCsc};
 use pastix_json::{obj, Json};
 use pastix_runtime::sim::{FaultPlan, SchedPolicy};
 use pastix_runtime::Backend;
-use pastix_sched::SchedOptions;
 use pastix_serve::{MatrixFingerprint, RequestQueue, SessionOptions, SolverSession};
 use pastix_solver::{solve_block_in_place, AnalyzeOptions, Plan, SolverConfig};
 use pastix_trace::export::chrome_trace;
@@ -171,14 +170,9 @@ impl EngineCase {
     }
 }
 
-fn session_opts(procs: usize, block: usize, solver: SolverConfig) -> SessionOptions {
-    SessionOptions {
-        procs,
-        max_panel: K,
-        sched: SchedOptions { block_size: block, ..Default::default() },
-        solver,
-        ..Default::default()
-    }
+fn session_opts(procs: usize, block: usize, mut solver: SolverConfig) -> SessionOptions {
+    solver.analyze.sched.block_size = block;
+    SessionOptions { procs, max_panel: K, solver, ..Default::default() }
 }
 
 /// Deterministic request stream: RHS r of order n.

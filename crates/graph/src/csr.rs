@@ -268,49 +268,6 @@ impl CsrGraph {
         }
         (comp, nc as usize)
     }
-
-    /// Breadth-first levels from a seed; returns `(level per vertex
-    /// (u32::MAX if unreachable), eccentricity, last visited vertex)`.
-    pub fn bfs_levels(&self, seed: usize) -> (Vec<u32>, u32, usize) {
-        let n = self.n();
-        let mut level = vec![u32::MAX; n];
-        let mut queue = std::collections::VecDeque::new();
-        level[seed] = 0;
-        queue.push_back(seed as u32);
-        let mut last = seed;
-        let mut ecc = 0;
-        while let Some(u) = queue.pop_front() {
-            let lu = level[u as usize];
-            last = u as usize;
-            ecc = lu;
-            for &v in self.neighbors(u as usize) {
-                if level[v as usize] == u32::MAX {
-                    level[v as usize] = lu + 1;
-                    queue.push_back(v);
-                }
-            }
-        }
-        (level, ecc, last)
-    }
-
-    /// A pseudo-peripheral vertex found by repeated BFS sweeps (the classic
-    /// Gibbs–Poole–Stockmeyer device; used to seed bisection growing).
-    pub fn pseudo_peripheral(&self, seed: usize) -> usize {
-        let mut u = seed;
-        let (_, mut ecc, mut far) = self.bfs_levels(u);
-        for _ in 0..4 {
-            let (_, e2, f2) = self.bfs_levels(far);
-            if e2 > ecc {
-                ecc = e2;
-                u = far;
-                far = f2;
-            } else {
-                return far;
-            }
-        }
-        let _ = u;
-        far
-    }
 }
 
 #[cfg(test)]
@@ -398,22 +355,6 @@ mod tests {
         assert_eq!(comp[0], comp[1]);
         assert_eq!(comp[2], comp[3]);
         assert_ne!(comp[0], comp[4]);
-    }
-
-    #[test]
-    fn bfs_on_path() {
-        let g = path(6);
-        let (level, ecc, last) = g.bfs_levels(0);
-        assert_eq!(ecc, 5);
-        assert_eq!(last, 5);
-        assert_eq!(level[3], 3);
-    }
-
-    #[test]
-    fn pseudo_peripheral_on_path_is_endpoint() {
-        let g = path(9);
-        let v = g.pseudo_peripheral(4);
-        assert!(v == 0 || v == 8, "got {v}");
     }
 
     #[test]

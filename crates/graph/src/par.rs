@@ -1,4 +1,5 @@
-//! Deterministic parallelism policy and helpers for the analyze phase.
+//! Deterministic parallelism policy and fork-join primitives for the
+//! analyze phase.
 //!
 //! Every analyze stage (ordering, symbolic, scheduling) takes the same
 //! [`Parallelism`] knob and must produce **bitwise-identical** results at
@@ -6,12 +7,13 @@
 //! is split into index-contiguous chunks, each chunk writes its own
 //! disjoint output slice, and results are combined in index order — the
 //! reduction order never depends on thread timing.
+//!
+//! There is no thread pool: each spawned branch of [`join`] or
+//! [`par_chunks_mut`] runs on a scoped OS thread, bounded by a global
+//! budget so deep recursions and wide fan-outs degrade to running inline
+//! instead of spawning thousands of threads.
 
-/// Environment variable overriding the analyze-phase thread count for a
-/// whole deployment (like `PASTIX_WATCHDOG_GAP` for the watchdog): `0` or
-/// `auto` selects [`Parallelism::Auto`], `1` forces sequential, any other
-/// number caps the fan-out at that many threads.
-pub const ANALYZE_THREADS_ENV: &str = "PASTIX_ANALYZE_THREADS";
+use std::sync::atomic::{AtomicUsize, Ordering};
 
 /// How much parallelism an analyze stage may use.
 ///
@@ -30,39 +32,73 @@ pub enum Parallelism {
 }
 
 impl Parallelism {
-    /// Resolves the knob to a concrete thread count (≥ 1), honouring the
-    /// `PASTIX_ANALYZE_THREADS` environment override when set.
+    /// Resolves the knob to a concrete thread count (≥ 1).
     pub fn effective_threads(self) -> usize {
-        if let Some(n) = env_override() {
-            return match n {
-                0 => rayon::current_num_threads().max(1),
-                n => n,
-            };
-        }
         match self {
             Parallelism::Sequential => 1,
             Parallelism::Threads(n) => n.max(1),
-            Parallelism::Auto => rayon::current_num_threads().max(1),
+            Parallelism::Auto => std::thread::available_parallelism().map_or(1, |n| n.get()),
         }
     }
 }
 
-fn env_override() -> Option<usize> {
-    let raw = std::env::var(ANALYZE_THREADS_ENV).ok()?;
-    let raw = raw.trim();
-    if raw.is_empty() {
-        return None;
+static ACTIVE_SPAWNS: AtomicUsize = AtomicUsize::new(0);
+
+/// Maximum concurrently outstanding spawned branches before [`join`] and
+/// [`par_chunks_mut`] fall back to running closures inline.
+const SPAWN_BUDGET: usize = 48;
+
+/// One unit of the spawn budget, released on drop so a panicking branch
+/// gives its slot back while unwinding (a leaked slot is permanent: 48
+/// caught panics would turn the whole process sequential).
+struct SpawnSlot;
+
+impl SpawnSlot {
+    /// Takes a slot, or `None` when the budget is spent.
+    fn acquire() -> Option<Self> {
+        if ACTIVE_SPAWNS.load(Ordering::Relaxed) >= SPAWN_BUDGET {
+            return None;
+        }
+        ACTIVE_SPAWNS.fetch_add(1, Ordering::Relaxed);
+        Some(SpawnSlot)
     }
-    if raw.eq_ignore_ascii_case("auto") {
-        return Some(0);
+}
+
+impl Drop for SpawnSlot {
+    fn drop(&mut self) {
+        ACTIVE_SPAWNS.fetch_sub(1, Ordering::Relaxed);
     }
-    raw.parse::<usize>().ok()
+}
+
+/// Runs the two closures, `oper_b` on a new thread while the budget
+/// allows, and returns both results. Panics in either closure propagate.
+pub fn join<A, B, RA, RB>(oper_a: A, oper_b: B) -> (RA, RB)
+where
+    A: FnOnce() -> RA + Send,
+    B: FnOnce() -> RB + Send,
+    RA: Send,
+    RB: Send,
+{
+    let Some(slot) = SpawnSlot::acquire() else {
+        return (oper_a(), oper_b());
+    };
+    std::thread::scope(|s| {
+        let hb = s.spawn(move || {
+            let _slot = slot;
+            oper_b()
+        });
+        let ra = oper_a();
+        match hb.join() {
+            Ok(rb) => (ra, rb),
+            Err(payload) => std::panic::resume_unwind(payload),
+        }
+    })
 }
 
 /// Splits `0..n` into at most `threads` contiguous chunks and returns the
 /// chunk boundaries (ascending, first 0, last `n`). Chunk shape depends
 /// only on `(n, threads)` — never on timing.
-pub fn chunk_bounds(n: usize, threads: usize) -> Vec<usize> {
+fn chunk_bounds(n: usize, threads: usize) -> Vec<usize> {
     let threads = threads.max(1).min(n.max(1));
     let mut bounds = Vec::with_capacity(threads + 1);
     bounds.push(0);
@@ -72,46 +108,9 @@ pub fn chunk_bounds(n: usize, threads: usize) -> Vec<usize> {
     bounds
 }
 
-/// Maps `f` over `0..n`, returning results in index order.
-///
-/// With `threads <= 1` (or trivially small `n`) this is a plain
-/// sequential loop; otherwise `0..n` is split into contiguous chunks,
-/// each chunk runs on its own scoped thread writing a disjoint slice of
-/// the output, and the assembled vector is identical to the sequential
-/// result by construction.
-pub fn par_map_indexed<T, F>(threads: usize, n: usize, f: F) -> Vec<T>
-where
-    T: Send,
-    F: Fn(usize) -> T + Sync,
-{
-    if threads <= 1 || n < 2 {
-        return (0..n).map(f).collect();
-    }
-    let mut out: Vec<Option<T>> = Vec::with_capacity(n);
-    out.resize_with(n, || None);
-    let bounds = chunk_bounds(n, threads);
-    let fref = &f;
-    rayon::scope(|s| {
-        let mut rest: &mut [Option<T>] = &mut out;
-        let mut consumed = 0usize;
-        for w in bounds.windows(2) {
-            let (lo, hi) = (w[0], w[1]);
-            let (chunk, tail) = rest.split_at_mut(hi - consumed);
-            rest = tail;
-            consumed = hi;
-            s.spawn(move |_| {
-                for (slot, i) in chunk.iter_mut().zip(lo..hi) {
-                    *slot = Some(fref(i));
-                }
-            });
-        }
-    });
-    out.into_iter().map(|v| v.expect("par_map_indexed slot")).collect()
-}
-
 /// Runs `f` on disjoint contiguous chunks of `data` in parallel; `f`
 /// receives the chunk and the index of its first element. Sequential when
-/// `threads <= 1`.
+/// `threads <= 1`. Panics in `f` propagate.
 pub fn par_chunks_mut<T, F>(threads: usize, data: &mut [T], f: F)
 where
     T: Send,
@@ -124,7 +123,7 @@ where
     }
     let bounds = chunk_bounds(n, threads);
     let fref = &f;
-    rayon::scope(|s| {
+    std::thread::scope(|s| {
         let mut rest: &mut [T] = data;
         let mut consumed = 0usize;
         for w in bounds.windows(2) {
@@ -132,19 +131,33 @@ where
             let (chunk, tail) = rest.split_at_mut(hi - consumed);
             rest = tail;
             consumed = hi;
-            s.spawn(move |_| fref(chunk, lo));
+            // Over the budget the chunk runs inline; either way it
+            // finishes before the scope closes.
+            match SpawnSlot::acquire() {
+                Some(slot) => {
+                    s.spawn(move || {
+                        let _slot = slot;
+                        fref(chunk, lo)
+                    });
+                }
+                None => fref(chunk, lo),
+            }
         }
     });
 }
 
-/// Serialises tests that mutate the `PASTIX_ANALYZE_THREADS` env var (the
-/// process environment is global state shared across the test harness's
-/// threads).
-pub static ENV_TEST_LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::{Mutex, MutexGuard};
+
+    /// Serializes every test that spawns, so a before/after reading of
+    /// the process-global budget counter belongs to one test alone. The
+    /// `should_panic` tests poison it by design.
+    fn serial() -> MutexGuard<'static, ()> {
+        static SPAWNING_TESTS: Mutex<()> = Mutex::new(());
+        SPAWNING_TESTS.lock().unwrap_or_else(|e| e.into_inner())
+    }
 
     #[test]
     fn chunks_cover_exactly() {
@@ -159,17 +172,9 @@ mod tests {
     }
 
     #[test]
-    fn map_matches_sequential_at_any_thread_count() {
-        let want: Vec<u64> = (0..257).map(|i| (i as u64) * 3 + 1).collect();
-        for t in [1usize, 2, 4, 7, 16] {
-            let got = par_map_indexed(t, 257, |i| (i as u64) * 3 + 1);
-            assert_eq!(got, want, "threads={t}");
-        }
-    }
-
-    #[test]
     fn chunks_mut_writes_every_slot() {
-        for t in [1usize, 2, 4, 9] {
+        let _serial = serial();
+        for t in [1usize, 2, 4, 9, 200] {
             let mut data = vec![0u32; 100];
             par_chunks_mut(t, &mut data, |chunk, base| {
                 for (j, x) in chunk.iter_mut().enumerate() {
@@ -183,8 +188,6 @@ mod tests {
 
     #[test]
     fn effective_threads_resolves() {
-        let _guard = ENV_TEST_LOCK.lock().unwrap();
-        std::env::remove_var(ANALYZE_THREADS_ENV);
         assert_eq!(Parallelism::Sequential.effective_threads(), 1);
         assert_eq!(Parallelism::Threads(0).effective_threads(), 1);
         assert_eq!(Parallelism::Threads(6).effective_threads(), 6);
@@ -192,13 +195,46 @@ mod tests {
     }
 
     #[test]
-    fn env_override_wins() {
-        let _guard = ENV_TEST_LOCK.lock().unwrap();
-        std::env::set_var(ANALYZE_THREADS_ENV, "3");
-        assert_eq!(Parallelism::Sequential.effective_threads(), 3);
-        assert_eq!(Parallelism::Threads(8).effective_threads(), 3);
-        std::env::set_var(ANALYZE_THREADS_ENV, "auto");
-        assert!(Parallelism::Auto.effective_threads() >= 1);
-        std::env::remove_var(ANALYZE_THREADS_ENV);
+    fn join_returns_both() {
+        let _serial = serial();
+        let (a, b) = join(|| 1 + 1, || "x".to_string());
+        assert_eq!(a, 2);
+        assert_eq!(b, "x");
+    }
+
+    #[test]
+    fn nested_joins_respect_budget() {
+        let _serial = serial();
+        let before = ACTIVE_SPAWNS.load(Ordering::Relaxed);
+        fn fib(n: u64) -> u64 {
+            if n < 2 {
+                return n;
+            }
+            let (a, b) = join(|| fib(n - 1), || fib(n - 2));
+            a + b
+        }
+        assert_eq!(fib(16), 987);
+        assert_eq!(ACTIVE_SPAWNS.load(Ordering::Relaxed), before);
+    }
+
+    #[test]
+    fn panicking_branches_release_their_slot() {
+        let _serial = serial();
+        let before = ACTIVE_SPAWNS.load(Ordering::Relaxed);
+        let joined = std::panic::catch_unwind(|| join(|| 1, || panic!("boom")));
+        assert!(joined.is_err());
+        let mut data = [0u8; 4];
+        let chunked = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            par_chunks_mut(2, &mut data, |_, base| assert_eq!(base, 0, "chunk boom"))
+        }));
+        assert!(chunked.is_err());
+        assert_eq!(ACTIVE_SPAWNS.load(Ordering::Relaxed), before);
+    }
+
+    #[test]
+    #[should_panic(expected = "boom")]
+    fn panics_propagate() {
+        let _serial = serial();
+        let _ = join(|| 1, || panic!("boom"));
     }
 }

@@ -135,18 +135,6 @@ impl<T: Scalar> DenseMat<T> {
             .map(|(&a, &b)| (a - b).magnitude())
             .fold(0.0, f64::max)
     }
-
-    /// Symmetrizes in place from the lower triangle: `A(i,j) = A(j,i)` for
-    /// `i < j`. Used to build full test matrices from lower-triangular data.
-    pub fn mirror_lower(&mut self) {
-        assert_eq!(self.m, self.n);
-        for j in 0..self.n {
-            for i in (j + 1)..self.m {
-                let v = self[(i, j)];
-                self[(j, i)] = v;
-            }
-        }
-    }
 }
 
 impl<T: Scalar> std::ops::Index<(usize, usize)> for DenseMat<T> {
@@ -285,17 +273,6 @@ mod tests {
         let mut dst = vec![0.0; 6]; // 2x3, ldd 2
         copy_panel(2, 3, &src, 4, &mut dst, 2);
         assert_eq!(dst, vec![0.0, 1.0, 4.0, 5.0, 8.0, 9.0]);
-    }
-
-    #[test]
-    fn mirror_lower_symmetrizes() {
-        let mut a = DenseMat::<f64>::from_fn(3, 3, |i, j| if i >= j { (i + 1) as f64 } else { 0.0 });
-        a.mirror_lower();
-        for i in 0..3 {
-            for j in 0..3 {
-                assert_eq!(a[(i, j)], a[(j, i)]);
-            }
-        }
     }
 
     #[test]

@@ -11,11 +11,11 @@
 //! ([`crate::bisect`]), numbers the two halves first and the separator
 //! last, and switches to (halo) minimum degree on subgraphs below the leaf
 //! threshold. The two sibling subtrees are independent and ordered in
-//! parallel with `rayon::join` — the natural fork-join shape of nested
-//! dissection. The supernode partition itself is recovered afterwards by
-//! the symbolic phase (fundamental supernodes + amalgamation), which merges
-//! the separator supernodes and the leaf supernodes exactly as the paper
-//! describes.
+//! parallel with [`pastix_graph::par::join`] — the natural fork-join
+//! shape of nested dissection. The supernode partition itself is
+//! recovered afterwards by the symbolic phase (fundamental supernodes +
+//! amalgamation), which merges the separator supernodes and the leaf
+//! supernodes exactly as the paper describes.
 //!
 //! The permutation array is the recursion's only vertex storage: a node
 //! owns the slice that will hold its subtree's ranks, finds its vertices
@@ -28,7 +28,7 @@
 
 use crate::bisect::{separator, BisectOptions, BisectWorkspace};
 use crate::md::{min_degree, Quotient};
-use pastix_graph::par::par_chunks_mut;
+use pastix_graph::par::{join, par_chunks_mut};
 use pastix_graph::{CsrGraph, Parallelism, Permutation, VertexMap};
 
 /// How leaf subgraphs (below the dissection threshold) are ordered.
@@ -202,7 +202,7 @@ fn recurse<'a>(
     if threads > 1 && n0.min(n1) > 2048 {
         let t1 = threads / 2;
         let mut jobs1 = Vec::new();
-        rayon::join(
+        join(
             || recurse(g0, v0, opts, depth + 1, seed0, threads - t1, ws, jobs),
             || recurse(g0, v1, opts, depth + 1, seed1, t1, &mut Workspace::default(), &mut jobs1),
         );

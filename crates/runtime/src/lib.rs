@@ -77,24 +77,10 @@ pub trait Comm<M> {
     fn n_procs(&self) -> usize;
 
     /// Sends a message to `to` (sending to self is allowed and delivered
-    /// through the same mailbox). Panics if the peer already exited. This
-    /// is the *reliable* channel: fault injection never drops or
-    /// duplicates it.
-    fn send(&self, to: usize, msg: M);
-
-    /// Fault-aware send: the message travels the lossy path (subject to
-    /// the simulator's drop/duplicate faults) and the outcome — including
-    /// the message itself on failure — is reported to the sender.
+    /// through the same mailbox) and reports the outcome — including the
+    /// message itself on failure — to the sender. Under the simulator
+    /// every send is subject to the drop/duplicate faults.
     fn send_faulty(&self, to: usize, msg: M) -> SendOutcome<M>;
-
-    /// Sends a message, returning `false` instead of panicking when the
-    /// peer already exited (used by error-propagation paths, where a
-    /// recipient may have unwound before the message was produced). Under
-    /// the simulator this traffic is also subject to the drop fault, which
-    /// likewise reports `false`.
-    fn send_lossy(&self, to: usize, msg: M) -> bool {
-        matches!(self.send_faulty(to, msg), SendOutcome::Delivered)
-    }
 
     /// Fault-tolerant send: retries transport drops (fault injection)
     /// until the message is accepted, returning `false` if the peer
@@ -198,21 +184,6 @@ impl<M: Send> Comm<M> for ProcCtx<M> {
         self.n_procs
     }
 
-    fn send(&self, to: usize, msg: M) {
-        if self.peers[to]
-            .send(Envelope {
-                from: self.rank,
-                msg,
-            })
-            .is_err()
-        {
-            panic!(
-                "rank {} send to rank {}: peer mailbox closed (peer exited before this message)",
-                self.rank, to
-            );
-        }
-    }
-
     fn send_faulty(&self, to: usize, msg: M) -> SendOutcome<M> {
         // The thread backend's channels are reliable: the only failure is
         // a peer that already exited, in which case std's mpsc hands the
@@ -252,7 +223,7 @@ impl<M: Send> Comm<M> for ProcCtx<M> {
 ///     if ctx.rank() == 0 {
 ///         (1..ctx.n_procs()).map(|_| ctx.recv().msg).sum()
 ///     } else {
-///         ctx.send(0, ctx.rank());
+///         assert!(ctx.send_resilient(0, ctx.rank()));
 ///         0
 ///     }
 /// });
@@ -334,9 +305,9 @@ fn notify_failure(rank: usize) {
 /// (payload size and a small message-class tag), so the runtime never
 /// needs to understand message types.
 pub trait CommHook {
-    /// A message was accepted by the transport (reliable or faulty path).
+    /// A message was accepted by the transport.
     fn on_send(&self, to: usize, bytes: u64, kind: u8);
-    /// A lossy-path message was dropped by fault injection.
+    /// A message was dropped by fault injection.
     fn on_send_dropped(&self, to: usize, bytes: u64, kind: u8);
     /// A message was received; `wait_ns` is the time this rank spent
     /// blocked in `recv()` for it (0 for non-blocking receives).
@@ -368,8 +339,8 @@ impl<A: CommHook, B: CommHook> CommHook for (A, B) {
 
 /// A [`Comm`] decorator that reports every send/receive to a [`CommHook`]
 /// with `(kind, bytes)` metadata extracted by a caller-supplied function.
-/// `send_lossy` and `send_resilient` keep their default implementations,
-/// so retries and drops are observed per attempt through `send_faulty`.
+/// `send_resilient` keeps its default implementation, so retries and
+/// drops are observed per attempt through `send_faulty`.
 pub struct Instrumented<'a, M, C: ?Sized, H> {
     inner: &'a C,
     hook: H,
@@ -393,12 +364,6 @@ impl<M, C: Comm<M> + ?Sized, H: CommHook> Comm<M> for Instrumented<'_, M, C, H> 
     #[inline]
     fn n_procs(&self) -> usize {
         self.inner.n_procs()
-    }
-
-    fn send(&self, to: usize, msg: M) {
-        let (kind, bytes) = (self.meta)(&msg);
-        self.inner.send(to, msg);
-        self.hook.on_send(to, bytes, kind);
     }
 
     fn send_faulty(&self, to: usize, msg: M) -> SendOutcome<M> {
@@ -438,7 +403,7 @@ mod tests {
         // Each rank sends its rank to the next; sum arrives intact.
         let results = run_spmd::<usize, usize, _>(4, |ctx| {
             let next = (ctx.rank() + 1) % ctx.n_procs();
-            ctx.send(next, ctx.rank() * 10);
+            assert!(ctx.send_resilient(next, ctx.rank() * 10));
             let env = ctx.recv();
             assert_eq!(env.from, (ctx.rank() + ctx.n_procs() - 1) % ctx.n_procs());
             env.msg
@@ -449,7 +414,7 @@ mod tests {
     #[test]
     fn self_send_works() {
         let results = run_spmd::<&'static str, String, _>(2, |ctx| {
-            ctx.send(ctx.rank(), "hello");
+            assert!(ctx.send_resilient(ctx.rank(), "hello"));
             let env = ctx.recv();
             format!("{}:{}", env.from, env.msg)
         });
@@ -469,7 +434,7 @@ mod tests {
                 // Just exercise the non-blocking path (arrival timing is
                 // nondeterministic here).
                 let _ = ctx.try_recv();
-                ctx.send(1, 7);
+                assert!(ctx.send_resilient(1, 7));
                 true
             } else {
                 let env = ctx.recv();
@@ -494,7 +459,7 @@ mod tests {
                     continue;
                 }
                 for tag in 0..count(me, q) {
-                    ctx.send(q, (tag, (me as u32 + 1) * 100 + tag));
+                    assert!(ctx.send_resilient(q, (tag, (me as u32 + 1) * 100 + tag)));
                 }
             }
             // Receive from everyone, demanding tags in order; early
@@ -546,7 +511,7 @@ mod tests {
         let results = run_spmd::<u32, Vec<u32>, _>(2, |ctx| {
             if ctx.rank() == 0 {
                 for i in 0..100 {
-                    ctx.send(1, i);
+                    assert!(ctx.send_resilient(1, i));
                 }
                 vec![]
             } else {
@@ -558,15 +523,15 @@ mod tests {
 
     #[test]
     fn send_lossy_false_after_peer_exit() {
-        // Rank 1 exits immediately; rank 0 keeps lossy-sending until the
-        // peer's mailbox closes. Must terminate with a `false` rather than
-        // a panic.
+        // Rank 1 exits immediately; rank 0 keeps sending until the peer's
+        // mailbox closes. Must terminate with a `false` rather than a
+        // panic.
         let results = run_spmd::<u32, bool, _>(2, |ctx| {
             if ctx.rank() == 1 {
                 return true;
             }
             loop {
-                if !ctx.send_lossy(1, 42) {
+                if !ctx.send_resilient(1, 42) {
                     return true;
                 }
                 std::thread::yield_now();
@@ -605,8 +570,8 @@ mod tests {
         run_spmd::<u32, (), _>(2, move |ctx| {
             let ctx = Instrumented::new(&ctx, h.clone(), |m: &u32| (1, *m as u64));
             let next = (ctx.rank() + 1) % 2;
-            // One reliable send, one faulty-path send, one try_recv poll.
-            ctx.send(next, 10);
+            // One resilient send, one raw faulty send, one try_recv poll.
+            assert!(ctx.send_resilient(next, 10));
             assert!(matches!(ctx.send_faulty(next, 6), SendOutcome::Delivered));
             let a = ctx.recv();
             let b = loop {
@@ -619,31 +584,5 @@ mod tests {
         assert_eq!(hook.sends.load(Ordering::Relaxed), 4);
         assert_eq!(hook.recvs.load(Ordering::Relaxed), 4);
         assert_eq!(hook.bytes.load(Ordering::Relaxed), 32);
-    }
-
-    #[test]
-    fn send_panic_carries_rank_context() {
-        let caught = std::panic::catch_unwind(|| {
-            run_spmd::<u32, (), _>(2, |ctx| {
-                if ctx.rank() == 1 {
-                    return;
-                }
-                // Keep (non-lossy) sending until the peer exits: the panic
-                // message must name both ranks.
-                loop {
-                    ctx.send(1, 1);
-                    std::thread::yield_now();
-                }
-            });
-        });
-        let payload = caught.expect_err("must panic");
-        let msg = payload
-            .downcast_ref::<String>()
-            .cloned()
-            .unwrap_or_default();
-        assert!(
-            msg.contains("rank 0 send to rank 1"),
-            "panic message missing context: {msg:?}"
-        );
     }
 }

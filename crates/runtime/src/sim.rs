@@ -2,9 +2,9 @@
 //!
 //! [`run_sim_spmd`] executes the same SPMD closures as
 //! [`crate::run_spmd`], but every interleaving decision — which processor
-//! runs next, when each in-flight message is delivered, whether a lossy
-//! send is dropped or duplicated — is made by a central scheduler driven
-//! by a seeded RNG.
+//! runs next, when each in-flight message is delivered, whether a send
+//! is dropped or duplicated — is made by a central scheduler driven by a
+//! seeded RNG.
 //! Re-running with the same [`FaultPlan`] replays the exact execution,
 //! which turns "flaky under concurrency" into "reproducible from a seed".
 //!
@@ -40,13 +40,14 @@
 //! - **Reordering / delay** are inherent: the scheduler picks (per the
 //!   policy) among all enabled actions, so a message can sit in flight
 //!   while an arbitrary amount of other progress happens.
-//! - **Lossy drops**: each [`Comm::send_lossy`] is dropped with
-//!   probability [`FaultPlan::drop_lossy`] (the call returns `false`,
-//!   exactly as if the peer had exited).
-//! - **Duplicated delivery**: each lossy-sent message is delivered twice
-//!   with probability [`FaultPlan::duplicate_lossy`] — modeling an
-//!   at-least-once transport. Only `send_lossy` traffic is duplicated;
-//!   plain `send` models the reliable exactly-once channel.
+//! - **Drops**: each send is dropped with probability
+//!   [`FaultPlan::drop_lossy`] ([`Comm::send_faulty`] reports
+//!   [`SendOutcome::Dropped`] and hands the message back;
+//!   [`Comm::send_resilient`] retries it).
+//! - **Duplicated delivery**: each sent message is delivered twice with
+//!   probability [`FaultPlan::duplicate_lossy`] — modeling an
+//!   at-least-once transport. Every send is fault-eligible: there is no
+//!   exactly-once channel.
 //! - **Crashes**: a worker panic is caught, all other workers are
 //!   unwound, and the original panic is re-raised on the caller with the
 //!   seed in hand (solver-level fault points — injected zero pivots,
@@ -132,10 +133,10 @@ pub enum SchedPolicy {
 pub struct FaultPlan {
     /// Seed for the interleaving RNG; same plan → same execution.
     pub seed: u64,
-    /// Probability that a `send_lossy` is silently dropped (returns
-    /// `false` to the sender).
+    /// Probability that a send is dropped (reported to the sender as
+    /// [`SendOutcome::Dropped`]).
     pub drop_lossy: f64,
-    /// Probability that a lossy-sent message is delivered twice.
+    /// Probability that a sent message is delivered twice.
     pub duplicate_lossy: f64,
     /// How the scheduler picks among enabled actions.
     pub policy: SchedPolicy,
@@ -173,18 +174,6 @@ impl FaultPlan {
     pub fn interleave_only(seed: u64) -> Self {
         Self::builder(seed).build()
     }
-
-    /// Interleaving chaos plus the given lossy-drop probability.
-    /// (Delegates to [`FaultPlan::builder`].)
-    pub fn with_drops(seed: u64, drop_lossy: f64) -> Self {
-        Self::builder(seed).drop_lossy(drop_lossy).build()
-    }
-
-    /// Interleaving chaos plus duplicate delivery of lossy traffic.
-    /// (Delegates to [`FaultPlan::builder`].)
-    pub fn with_duplicates(seed: u64, duplicate_lossy: f64) -> Self {
-        Self::builder(seed).duplicate_lossy(duplicate_lossy).build()
-    }
 }
 
 /// Builder for [`FaultPlan`]; see [`FaultPlan::builder`].
@@ -194,14 +183,14 @@ pub struct FaultPlanBuilder {
 }
 
 impl FaultPlanBuilder {
-    /// Sets the probability that a lossy send is dropped.
+    /// Sets the probability that a send is dropped.
     pub fn drop_lossy(mut self, p: f64) -> Self {
         assert!((0.0..=1.0).contains(&p), "drop probability {p} outside [0, 1]");
         self.plan.drop_lossy = p;
         self
     }
 
-    /// Sets the probability that a lossy-sent message is delivered twice.
+    /// Sets the probability that a sent message is delivered twice.
     pub fn duplicate_lossy(mut self, p: f64) -> Self {
         assert!(
             (0.0..=1.0).contains(&p),
@@ -233,7 +222,7 @@ enum Call<M> {
     /// progress counter stamping heartbeats) would race and break
     /// replayability.
     Start,
-    Send { to: usize, msg: M, lossy: bool },
+    Send { to: usize, msg: M },
     Recv,
     TryRecv,
     /// The worker's closure returned (or panicked); it will make no more
@@ -246,11 +235,10 @@ enum Reply<M> {
     Go,
     /// Send accepted into the network.
     Sent,
-    /// Send dropped by the lossy fault; the message is handed back so the
+    /// Send dropped by the drop fault; the message is handed back so the
     /// sender can retry without cloning.
     Dropped(M),
-    /// The peer exited; the message is handed back. A non-lossy send must
-    /// panic on the sender.
+    /// The peer exited; the message is handed back.
     Closed(M),
     Msg(Envelope<M>),
     NoMsg,
@@ -290,27 +278,8 @@ impl<M: Send> Comm<M> for SimCtx<M> {
         self.n_procs
     }
 
-    fn send(&self, to: usize, msg: M) {
-        match self.rendezvous(Call::Send {
-            to,
-            msg,
-            lossy: false,
-        }) {
-            Reply::Sent => {}
-            Reply::Closed(_) => panic!(
-                "rank {} send to rank {}: peer mailbox closed (peer exited before this message)",
-                self.rank, to
-            ),
-            _ => unreachable!("sim: bad reply to send"),
-        }
-    }
-
     fn send_faulty(&self, to: usize, msg: M) -> SendOutcome<M> {
-        match self.rendezvous(Call::Send {
-            to,
-            msg,
-            lossy: true,
-        }) {
+        match self.rendezvous(Call::Send { to, msg }) {
             Reply::Sent => SendOutcome::Delivered,
             Reply::Dropped(m) => SendOutcome::Dropped(m),
             Reply::Closed(m) => SendOutcome::Closed(m),
@@ -338,7 +307,6 @@ impl<M: Send> Comm<M> for SimCtx<M> {
 struct InFlight<M> {
     to: usize,
     env: Envelope<M>,
-    lossy: bool,
     /// Monotonic send order, so the policies can reason about message age
     /// ("oldest in flight", "head of the (from, to) pair's queue").
     seq: u64,
@@ -384,9 +352,7 @@ impl<M: Clone> SchedulerState<M> {
                 WorkerState::Parked(Call::Recv) => {
                     format!("blocked in recv (mailbox: {})", self.mailboxes[r].len())
                 }
-                WorkerState::Parked(Call::Send { to, lossy, .. }) => {
-                    format!("parked in send(to={to}, lossy={lossy})")
-                }
+                WorkerState::Parked(Call::Send { to, .. }) => format!("parked in send(to={to})"),
                 WorkerState::Parked(Call::TryRecv) => "parked in try_recv".to_string(),
                 WorkerState::Parked(Call::Finished) | WorkerState::Done => "finished".to_string(),
             };
@@ -496,7 +462,7 @@ impl<M: Clone> SchedulerState<M> {
 ///     if ctx.rank() == 0 {
 ///         (1..ctx.n_procs()).map(|_| ctx.recv().msg).sum()
 ///     } else {
-///         ctx.send(0, ctx.rank());
+///         assert!(ctx.send_resilient(0, ctx.rank()));
 ///         0
 ///     }
 /// });
@@ -619,7 +585,7 @@ where
             match actions[pick] {
                 Action::Deliver(i) => {
                     let m = st.net.remove(i);
-                    if m.lossy && st.rng.chance(st.plan.duplicate_lossy) {
+                    if st.rng.chance(st.plan.duplicate_lossy) {
                         st.mailboxes[m.to].push_back(m.env.clone());
                     }
                     st.mailboxes[m.to].push_back(m.env);
@@ -632,16 +598,15 @@ where
                     };
                     let reply = match call {
                         Call::Start => Reply::Go,
-                        Call::Send { to, msg, lossy } => {
+                        Call::Send { to, msg } => {
                             if matches!(st.states[to], WorkerState::Done) {
                                 Reply::Closed(msg)
-                            } else if lossy && st.rng.chance(st.plan.drop_lossy) {
+                            } else if st.rng.chance(st.plan.drop_lossy) {
                                 Reply::Dropped(msg)
                             } else {
                                 st.net.push(InFlight {
                                     to,
                                     env: Envelope { from: rank, msg },
-                                    lossy,
                                     seq: st.next_seq,
                                 });
                                 st.next_seq += 1;
@@ -725,7 +690,7 @@ mod tests {
             let plan = FaultPlan::interleave_only(seed);
             let results = run_sim_spmd::<usize, usize, _>(4, &plan, |ctx| {
                 let next = (ctx.rank() + 1) % ctx.n_procs();
-                ctx.send(next, ctx.rank() * 10);
+                assert!(ctx.send_resilient(next, ctx.rank() * 10));
                 ctx.recv().msg
             });
             assert_eq!(results, vec![30, 0, 10, 20], "seed {seed}");
@@ -742,8 +707,8 @@ mod tests {
                 if ctx.rank() == 0 {
                     (0..6).map(|_| ctx.recv().msg).collect()
                 } else {
-                    ctx.send(0, ctx.rank() as u32 * 100);
-                    ctx.send(0, ctx.rank() as u32 * 100 + 1);
+                    assert!(ctx.send_resilient(0, ctx.rank() as u32 * 100));
+                    assert!(ctx.send_resilient(0, ctx.rank() as u32 * 100 + 1));
                     vec![]
                 }
             })
@@ -765,10 +730,11 @@ mod tests {
 
     #[test]
     fn drop_lossy_always_drops_at_p1() {
-        let plan = FaultPlan::with_drops(3, 1.0);
+        let plan = FaultPlan::builder(3).drop_lossy(1.0).build();
         let results = run_sim_spmd::<u8, bool, _>(2, &plan, |ctx| {
             if ctx.rank() == 0 {
-                !ctx.send_lossy(1, 9) // must report the drop
+                // Must report the drop (or the peer's exit).
+                !matches!(ctx.send_faulty(1, 9), SendOutcome::Delivered)
             } else {
                 ctx.try_recv().is_none() // and nothing may arrive
             }
@@ -778,10 +744,10 @@ mod tests {
 
     #[test]
     fn duplicate_lossy_delivers_twice() {
-        let plan = FaultPlan::with_duplicates(11, 1.0);
+        let plan = FaultPlan::builder(11).duplicate_lossy(1.0).build();
         let results = run_sim_spmd::<u8, usize, _>(2, &plan, |ctx| {
             if ctx.rank() == 0 {
-                assert!(ctx.send_lossy(1, 9));
+                assert!(ctx.send_resilient(1, 9));
                 0
             } else {
                 let a = ctx.recv();
@@ -795,31 +761,6 @@ mod tests {
     }
 
     #[test]
-    fn reliable_send_never_dropped_or_duplicated() {
-        // Non-lossy sends must be exactly-once even at fault probability 1.
-        let plan = FaultPlan::builder(5)
-            .drop_lossy(1.0)
-            .duplicate_lossy(1.0)
-            .build();
-        let results = run_sim_spmd::<u32, usize, _>(2, &plan, |ctx| {
-            if ctx.rank() == 0 {
-                for i in 0..10 {
-                    ctx.send(1, i);
-                }
-                0
-            } else {
-                let got: Vec<u32> = (0..10).map(|_| ctx.recv().msg).collect();
-                let mut sorted = got.clone();
-                sorted.sort_unstable();
-                assert_eq!(sorted, (0..10).collect::<Vec<_>>());
-                assert!(ctx.try_recv().is_none(), "duplicate on reliable channel");
-                got.len()
-            }
-        });
-        assert_eq!(results[1], 10);
-    }
-
-    #[test]
     fn send_lossy_false_after_peer_done() {
         let plan = FaultPlan::interleave_only(1);
         let results = run_sim_spmd::<u8, bool, _>(2, &plan, |ctx| {
@@ -827,9 +768,9 @@ mod tests {
                 return true;
             }
             // Rank 1 performs no comm calls: it finishes as soon as the
-            // scheduler hears from it. Keep lossy-sending until then.
+            // scheduler hears from it. Keep sending until then.
             loop {
-                if !ctx.send_lossy(1, 1) {
+                if !ctx.send_resilient(1, 1) {
                     return true;
                 }
             }
@@ -914,7 +855,7 @@ mod tests {
                     (0..10).map(|_| ctx.recv()).map(|e| (e.from, e.msg)).collect()
                 } else {
                     for i in 0..5u32 {
-                        ctx.send(0, i);
+                        assert!(ctx.send_resilient(0, i));
                     }
                     vec![]
                 }
@@ -943,7 +884,7 @@ mod tests {
                     (0..8).map(|_| ctx.recv().msg).collect()
                 } else {
                     for i in 0..8u32 {
-                        ctx.send(0, i);
+                        assert!(ctx.send_resilient(0, i));
                     }
                     vec![]
                 }
@@ -958,10 +899,10 @@ mod tests {
 
     #[test]
     fn starve_rank_defers_victim_progress() {
-        // Rank 1 (the victim) lossy-sends to rank 0 while rank 2 floods
-        // rank 0 with reliable traffic. Under StarveRank(1) the victim's
-        // message must arrive after all of rank 2's, because rank 1 is
-        // only serviced when nothing else can run.
+        // Rank 1 (the victim) sends to rank 0 while rank 2 floods rank 0
+        // with traffic. Under StarveRank(1) the victim's message must
+        // arrive after all of rank 2's, because rank 1 is only serviced
+        // when nothing else can run.
         for seed in 0..25 {
             let plan = FaultPlan::builder(seed)
                 .policy(SchedPolicy::StarveRank(1))
@@ -970,12 +911,12 @@ mod tests {
                 match ctx.rank() {
                     0 => (0..7).map(|_| ctx.recv().from).collect(),
                     1 => {
-                        ctx.send(0, 999);
+                        assert!(ctx.send_resilient(0, 999));
                         vec![]
                     }
                     _ => {
                         for i in 0..6u32 {
-                            ctx.send(0, i);
+                            assert!(ctx.send_resilient(0, i));
                         }
                         vec![]
                     }
@@ -997,7 +938,7 @@ mod tests {
         let run = |plan: FaultPlan| {
             run_sim_spmd::<u64, u64, _>(4, &plan, |ctx| {
                 let next = (ctx.rank() + 1) % ctx.n_procs();
-                ctx.send(next, ctx.rank() as u64 * 3);
+                assert!(ctx.send_resilient(next, ctx.rank() as u64 * 3));
                 ctx.recv().msg
             })
         };

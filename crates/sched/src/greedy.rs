@@ -129,32 +129,8 @@ impl Schedule {
     }
 }
 
-/// Minimum modeled work (candidate span × dependency count) in one
-/// candidate-evaluation round before [`greedy_schedule_par`] fans the
-/// round out across threads — below it, thread overhead dominates the
-/// arithmetic being split.
-const PAR_CAND_MIN_WORK: usize = 16_384;
-
 /// Runs the greedy list-scheduling simulation.
 pub fn greedy_schedule(g: &TaskGraph, machine: &MachineModel) -> Schedule {
-    greedy_schedule_with(g, machine, 1, PAR_CAND_MIN_WORK)
-}
-
-/// [`greedy_schedule`] with the candidate-cost evaluation fanned out over
-/// `threads` when a round is heavy enough. Per-candidate completion times
-/// are computed independently and reduced by a strict `(completion, q)`
-/// lexicographic minimum — the exact tie-break of the sequential loop —
-/// so the schedule is bitwise-identical at any thread count.
-pub fn greedy_schedule_par(g: &TaskGraph, machine: &MachineModel, threads: usize) -> Schedule {
-    greedy_schedule_with(g, machine, threads, PAR_CAND_MIN_WORK)
-}
-
-fn greedy_schedule_with(
-    g: &TaskGraph,
-    machine: &MachineModel,
-    threads: usize,
-    par_min_work: usize,
-) -> Schedule {
     let n_tasks = g.n_tasks();
     let n_procs = machine.n_procs;
     let mut deps_remaining: Vec<u32> = (0..n_tasks)
@@ -201,16 +177,13 @@ fn greedy_schedule_with(
         let (_, Reverse(t)) = best.expect("ready heaps empty but tasks remain (cycle?)");
         let t = t as usize;
 
-        // Evaluate completion time on every candidate processor. Each
-        // candidate's evaluation reads only frozen per-round state
-        // (task_proc/end/timer), so heavy rounds fan out across threads;
-        // the reduction scans candidates in `q` order with the same
-        // strict `<` as the sequential loop, keeping the pick bitwise
-        // identical.
+        // Evaluate completion time on every candidate processor; the
+        // first strict minimum wins.
         let (cf, cl) = g.cand[t];
-        let span = (cl - cf + 1) as usize;
-        let indeg = (g.in_ptr[t + 1] - g.in_ptr[t]).max(1) as usize;
-        let eval_q = |q: u32| {
+        let mut best_q = cf;
+        let mut best_completion = f64::INFINITY;
+        let mut best_start = 0.0;
+        for q in cf..=cl {
             // Time at which all contributions have arrived on q.
             let mut ready = 0.0f64;
             for (src, scalars) in g.in_edges(t) {
@@ -219,29 +192,11 @@ fn greedy_schedule_with(
                 ready = ready.max(arrive);
             }
             let s = timer[q as usize].max(ready);
-            (s, s + g.cost[t])
-        };
-        let mut best_q = cf;
-        let mut best_completion = f64::INFINITY;
-        let mut best_start = 0.0;
-        if threads > 1 && span > 1 && span * indeg >= par_min_work {
-            let evals =
-                pastix_graph::par::par_map_indexed(threads, span, |i| eval_q(cf + i as u32));
-            for (i, &(s, completion)) in evals.iter().enumerate() {
-                if completion < best_completion {
-                    best_completion = completion;
-                    best_q = cf + i as u32;
-                    best_start = s;
-                }
-            }
-        } else {
-            for q in cf..=cl {
-                let (s, completion) = eval_q(q);
-                if completion < best_completion {
-                    best_completion = completion;
-                    best_q = q;
-                    best_start = s;
-                }
+            let completion = s + g.cost[t];
+            if completion < best_completion {
+                best_completion = completion;
+                best_q = q;
+                best_start = s;
             }
         }
         task_proc[t] = best_q;
@@ -747,19 +702,5 @@ mod tests {
         let s2 = greedy_schedule(&tg, &machine);
         assert_eq!(s1.task_proc, s2.task_proc);
         assert_eq!(s1.proc_tasks, s2.proc_tasks);
-    }
-
-    #[test]
-    fn parallel_candidate_eval_is_bitwise_identical() {
-        // Force the parallel evaluation path on every round (min work 0)
-        // and check the schedule digests agree with the sequential pick.
-        let (tg, machine) = nd_task_graph(20, 8);
-        let seq = greedy_schedule(&tg, &machine);
-        for t in [2usize, 4, 7] {
-            let par = greedy_schedule_with(&tg, &machine, t, 0);
-            assert_eq!(seq.digest(), par.digest(), "threads={t}");
-            assert_eq!(seq.task_proc, par.task_proc, "threads={t}");
-            assert_eq!(seq.proc_tasks, par.proc_tasks, "threads={t}");
-        }
     }
 }

@@ -28,7 +28,7 @@ pub mod tasks;
 
 pub use candidates::{proportional_mapping, CandidateInfo, DistStrategy, MappingOptions};
 pub use cost::{bdiv_cost, bmod_cost, comp1d_cost, factor_cost, sequential_cost};
-pub use greedy::{analyze_schedule, comm_stats, critical_path, critical_path_chain, cyclic_schedule, greedy_schedule, greedy_schedule_par, memory_stats, validate_schedule, CommStats, MemoryStats, PredictedTask, Schedule, ScheduleAnalysis};
+pub use greedy::{analyze_schedule, comm_stats, critical_path, critical_path_chain, cyclic_schedule, greedy_schedule, memory_stats, validate_schedule, CommStats, MemoryStats, PredictedTask, Schedule, ScheduleAnalysis};
 pub use solve::{solve_schedule, solve_schedule_on, SolveDag, SolveSchedule};
 pub use tasks::{build_task_graph, find_covering_blok, TaskGraph, TaskKind};
 
@@ -43,9 +43,9 @@ pub struct SchedOptions {
     pub block_size: usize,
     /// Proportional-mapping knobs (1D/2D switch).
     pub mapping: MappingOptions,
-    /// Parallelism of the mapping/scheduling phase (stage overlap plus
-    /// candidate-cost fan-out). Never changes the schedule — only
-    /// wall-clock time.
+    /// Parallelism of the mapping/scheduling phase: whether proportional
+    /// mapping and supernode splitting overlap. Never changes the
+    /// schedule — only wall-clock time.
     pub parallelism: Parallelism,
 }
 
@@ -91,12 +91,12 @@ pub fn map_and_schedule(sym: &SymbolMatrix, machine: &MachineModel, opts: &Sched
     let run_mapping = || proportional_mapping(sym, machine, &opts.mapping);
     let run_split = || split_symbol(sym, opts.block_size);
     let (candidates, split) = if threads > 1 {
-        rayon::join(run_mapping, run_split)
+        pastix_graph::par::join(run_mapping, run_split)
     } else {
         (run_mapping(), run_split())
     };
     let graph = build_task_graph(split, &candidates, machine);
-    let schedule = greedy_schedule_par(&graph, machine, threads);
+    let schedule = greedy_schedule(&graph, machine);
     Mapping {
         graph,
         schedule,

@@ -286,18 +286,13 @@ mod tests {
     use crate::session::SessionOptions;
     use pastix_graph::gen::{grid_spd, Stencil, ValueKind};
     use pastix_graph::rhs_for_solution;
-    use pastix_sched::SchedOptions;
 
     #[test]
     fn queue_coalesces_and_serves_fifo() {
         let a = grid_spd::<f64>(6, 6, 1, Stencil::Star, false, ValueKind::RandomSpd(9));
         let n = a.n();
-        let opts = SessionOptions {
-            procs: 2,
-            max_panel: 3,
-            sched: SchedOptions { block_size: 8, ..Default::default() },
-            ..Default::default()
-        };
+        let mut opts = SessionOptions { procs: 2, max_panel: 3, ..Default::default() };
+        opts.solver.analyze.sched.block_size = 8;
         let mut session = SolverSession::<f64>::new(opts);
         let mut q = RequestQueue::new();
         let mut exact = Vec::new();
@@ -348,14 +343,9 @@ mod tests {
         use pastix_trace::export::{chrome_trace, validate_chrome_trace};
         let a = grid_spd::<f64>(6, 6, 1, Stencil::Star, false, ValueKind::RandomSpd(9));
         let n = a.n();
-        let opts = SessionOptions {
-            procs: 2,
-            max_panel: 2,
-            sched: SchedOptions { block_size: 8, ..Default::default() },
-            ..Default::default()
-        };
+        let mut opts = SessionOptions { procs: 2, max_panel: 2, ..Default::default() };
+        opts.solver.analyze.sched.block_size = 8;
         // Tracing must be on for solve traces to exist at all.
-        let mut opts = opts;
         opts.solver = opts.solver.with_trace(pastix_trace::TraceOptions::wall());
         let mut session = SolverSession::<f64>::new(opts);
         let mut q = RequestQueue::traced();

@@ -17,12 +17,9 @@
 use crate::fingerprint::MatrixFingerprint;
 use pastix_graph::{Parallelism, SymCsc};
 use pastix_kernels::{FactorError, Scalar};
-use pastix_ordering::OrderingOptions;
-use pastix_sched::SchedOptions;
 use pastix_solver::{
     AnalyzeOptions, FactorRun, Plan, SolveRequest, SolverConfig,
 };
-use pastix_symbolic::AnalysisOptions;
 use pastix_trace::{MetricsRegistry, TraceLog};
 use std::sync::Arc;
 
@@ -40,19 +37,13 @@ pub struct SessionOptions {
     /// Widest multi-RHS panel a request batch coalesces into.
     pub max_panel: usize,
     /// Parallelism of the analyze phase on cache misses (uniform across
-    /// ordering/symbolic/scheduling; overridable per deployment via
-    /// `PASTIX_ANALYZE_THREADS`).
+    /// ordering/symbolic/scheduling).
     pub parallelism: Parallelism,
-    /// Ordering-phase knobs.
-    pub ordering: OrderingOptions,
-    /// Symbolic-phase knobs.
-    pub analysis: AnalysisOptions,
-    /// Repartitioning/scheduling knobs.
-    pub sched: SchedOptions,
-    /// Execution and observability configuration shared by the
-    /// factorization and every solve (backend, tracing, metrics). Of its
-    /// analyze options the session reads `machine`; the fields above
-    /// replace the other five.
+    /// Analyze, execution and observability configuration shared by the
+    /// analysis, the factorization and every solve (ordering, symbolic
+    /// and scheduling knobs, machine model, backend, tracing, metrics).
+    /// `procs` and `parallelism` above replace the fields of the same
+    /// name in its analyze options.
     pub solver: SolverConfig,
     /// Opt-in Prometheus scrape endpoint: bind address (e.g.
     /// `"127.0.0.1:0"` for an ephemeral port) serving the session
@@ -75,9 +66,6 @@ impl Default for SessionOptions {
             byte_budget: None,
             max_panel: 8,
             parallelism: Parallelism::Auto,
-            ordering: OrderingOptions::scotch_like(),
-            analysis: AnalysisOptions::default(),
-            sched: SchedOptions::default(),
             solver: SolverConfig::default(),
             metrics_addr: None,
             snapshot_path: None,
@@ -278,14 +266,9 @@ impl<T: Scalar> SolverSession<T> {
         }
         self.metrics.add_counter("serve.cache.misses", 1);
 
-        // The session owns these five analyze knobs; the machine model
-        // comes from `opts.solver.analyze`.
         let cfg = self.opts.solver.clone().with_analyze(AnalyzeOptions {
             procs: self.opts.procs,
             parallelism: self.opts.parallelism,
-            ordering: self.opts.ordering.clone(),
-            analysis: self.opts.analysis.clone(),
-            sched: self.opts.sched.clone(),
             ..self.opts.solver.analyze.clone()
         });
         let pattern = (fp.structure, a.n(), a.nnz_stored());
@@ -408,12 +391,9 @@ mod tests {
     }
 
     fn small_opts() -> SessionOptions {
-        SessionOptions {
-            procs: 2,
-            capacity: 2,
-            sched: SchedOptions { block_size: 8, ..Default::default() },
-            ..Default::default()
-        }
+        let mut opts = SessionOptions { procs: 2, capacity: 2, ..Default::default() };
+        opts.solver.analyze.sched.block_size = 8;
+        opts
     }
 
     #[test]
@@ -432,8 +412,7 @@ mod tests {
         assert!(s.resident_bytes() > 0);
     }
 
-    /// The session owns five analyze knobs and takes the machine model
-    /// from `opts.solver.analyze`.
+    /// The session takes the machine model from `opts.solver.analyze`.
     #[test]
     fn session_analyzes_with_the_configured_machine_model() {
         use pastix_machine::MachineModel;
@@ -443,9 +422,7 @@ mod tests {
                 procs: opts.procs,
                 machine,
                 parallelism: opts.parallelism,
-                ordering: opts.ordering.clone(),
-                analysis: opts.analysis.clone(),
-                sched: opts.sched.clone(),
+                ..opts.solver.analyze.clone()
             });
             Plan::analyze(&a, &cfg).schedule().unwrap().digest()
         };
@@ -458,6 +435,25 @@ mod tests {
         let got = cached.plan.schedule().expect("static schedule").digest();
         assert_eq!(got, digest(&opts, Some(smp)), "session ignored the machine model");
         assert_ne!(got, digest(&opts, None), "sp2_smp(4, 2) must schedule differently from sp2(4)");
+    }
+
+    /// The scheduling knobs come from `opts.solver.analyze` too: a session
+    /// with a non-default block size caches the plan `Plan::analyze`
+    /// builds under the same configuration.
+    #[test]
+    fn session_analyzes_with_the_configured_block_size() {
+        let a = grid_spd::<f64>(12, 12, 1, Stencil::Star, false, ValueKind::RandomSpd(7));
+        let digest = |analyze: AnalyzeOptions| {
+            let cfg = SolverConfig::new().with_analyze(analyze);
+            Plan::analyze(&a, &cfg).schedule().unwrap().digest()
+        };
+        let mut opts = SessionOptions { procs: 3, ..Default::default() };
+        opts.solver.analyze.sched.block_size = 4;
+        let want = digest(AnalyzeOptions { procs: 3, ..opts.solver.analyze.clone() });
+        assert_ne!(want, digest(AnalyzeOptions::with_procs(3)), "block size 4 must split differently from 64");
+        let mut s = SolverSession::<f64>::new(opts);
+        let cached = s.get_or_factorize(&a).unwrap();
+        assert_eq!(cached.plan.schedule().expect("static schedule").digest(), want);
     }
 
     #[test]
@@ -536,10 +532,7 @@ mod tests {
         let a = grid_spd::<f64>(9, 9, 1, Stencil::Star, false, ValueKind::RandomSpd(29));
         let n = a.n();
         let opts = SessionOptions { procs: 3, max_panel: 4, ..small_opts() };
-        let cfg = SolverConfig::new().with_analyze(AnalyzeOptions {
-            sched: opts.sched.clone(),
-            ..AnalyzeOptions::with_procs(3)
-        });
+        let cfg = SolverConfig::new().with_analyze(AnalyzeOptions { procs: 3, ..opts.solver.analyze.clone() });
         let plan = Plan::analyze(&a, &cfg);
         let (sym, perm) = (plan.symbol(), plan.permutation().unwrap());
         let (row, col) = (0..n)

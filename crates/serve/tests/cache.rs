@@ -16,9 +16,8 @@ use pastix_graph::{rhs_for_solution, SymCsc};
 use pastix_kernels::Scalar;
 use pastix_runtime::sim::FaultPlan;
 use pastix_runtime::Backend;
-use pastix_sched::SchedOptions;
 use pastix_serve::{Lookup, MatrixFingerprint, SessionOptions, SolverSession};
-use pastix_solver::{AnalyzeOptions, FactorStorage, Plan, SolverConfig};
+use pastix_solver::{AnalyzeOptions, FactorStorage, Plan};
 use proptest::prelude::*;
 
 /// Distinct small SPD problems: same structure, seed-dependent values —
@@ -64,16 +63,9 @@ fn touch(model: &mut Vec<u64>, key: u64, cap: usize) -> (bool, bool) {
 }
 
 fn opts(capacity: usize, byte_budget: Option<u64>) -> SessionOptions {
-    SessionOptions {
-        procs: 2,
-        capacity,
-        byte_budget,
-        sched: SchedOptions {
-            block_size: 8,
-            ..Default::default()
-        },
-        ..Default::default()
-    }
+    let mut opts = SessionOptions { procs: 2, capacity, byte_budget, ..Default::default() };
+    opts.solver.analyze.sched.block_size = 8;
+    opts
 }
 
 /// Solves a fresh RHS against `a` and checks the answer, so every cache
@@ -275,15 +267,12 @@ proptest! {
 /// sim backend at a fixed seed.
 #[test]
 fn plan_hit_factor_matches_fresh_analysis_bitwise() {
-    let solver = SolverConfig::new().with_backend(Backend::Sim(FaultPlan::builder(3).build()));
-    let opts = SessionOptions { solver: solver.clone(), ..opts(2, None) };
-    let cfg = solver.with_analyze(AnalyzeOptions {
+    let mut opts = opts(2, None);
+    opts.solver = opts.solver.with_backend(Backend::Sim(FaultPlan::builder(3).build()));
+    let cfg = opts.solver.clone().with_analyze(AnalyzeOptions {
         procs: opts.procs,
-        machine: None,
         parallelism: opts.parallelism,
-        ordering: opts.ordering.clone(),
-        analysis: opts.analysis.clone(),
-        sched: opts.sched.clone(),
+        ..opts.solver.analyze.clone()
     });
     let mut session = SolverSession::<f64>::new(opts);
     let (a, b) = (mat(600), mat(601));

@@ -54,10 +54,9 @@ pub struct AnalyzeOptions {
     pub machine: Option<MachineModel>,
     /// Parallelism of the analyze phase itself. One knob drives all three
     /// stages uniformly (ordering, symbolic, scheduling), overriding the
-    /// per-stage fields in `ordering`/`analysis`/`sched`; the
-    /// `PASTIX_ANALYZE_THREADS` env var overrides it per deployment.
-    /// Analyze results are bitwise-identical at every setting — this
-    /// knob only changes wall-clock time.
+    /// per-stage fields in `ordering`/`analysis`/`sched`. Analyze results
+    /// are bitwise-identical at every setting — this knob only changes
+    /// wall-clock time.
     pub parallelism: Parallelism,
     /// Fill-reducing ordering knobs (nested dissection).
     pub ordering: OrderingOptions,

@@ -220,11 +220,6 @@ impl MetricsRegistry {
         }
     }
 
-    /// Removes every metric.
-    pub fn reset(&self) {
-        self.inner.lock().unwrap().metrics.clear();
-    }
-
     /// Point-in-time copy of everything.
     pub fn snapshot(&self) -> MetricsSnapshot {
         let g = self.inner.lock().unwrap();
@@ -394,13 +389,12 @@ mod tests {
     }
 
     #[test]
-    fn gauges_and_reset() {
+    fn gauges_keep_the_last_value() {
         let m = MetricsRegistry::new();
         m.set_gauge("g", 2.5);
         m.set_gauge("g", 3.5);
         assert_eq!(m.gauge("g"), Some(3.5));
-        m.reset();
-        assert_eq!(m.gauge("g"), None);
+        assert_eq!(m.gauge("absent"), None);
     }
 
     #[test]

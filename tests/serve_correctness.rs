@@ -134,17 +134,9 @@ fn session_serves_coalesced_batches_on_both_backends() {
                 .with_backend(Backend::Sim(FaultPlan::builder(5).build())),
         ),
     ];
-    for (label, cfg) in backends {
-        let opts = SessionOptions {
-            procs: 3,
-            max_panel: 8,
-            sched: SchedOptions {
-                block_size: 8,
-                ..Default::default()
-            },
-            solver: cfg,
-            ..Default::default()
-        };
+    for (label, mut cfg) in backends {
+        cfg.analyze.sched.block_size = 8;
+        let opts = SessionOptions { procs: 3, max_panel: 8, solver: cfg, ..Default::default() };
         let mut session = SolverSession::<f64>::new(opts);
         let mut q = RequestQueue::new();
         let mut exact = Vec::new();
@@ -242,14 +234,9 @@ fn malformed_tickets_are_rejected_without_taking_down_their_batch() {
         ("threads", SolverConfig::default()),
         ("sim", SolverConfig::new().with_backend(Backend::Sim(FaultPlan::builder(5).build()))),
     ];
-    for (label, cfg) in backends {
-        let opts = SessionOptions {
-            procs: 3,
-            max_panel: 8,
-            sched: SchedOptions { block_size: 8, ..Default::default() },
-            solver: cfg,
-            ..Default::default()
-        };
+    for (label, mut cfg) in backends {
+        cfg.analyze.sched.block_size = 8;
+        let opts = SessionOptions { procs: 3, max_panel: 8, solver: cfg, ..Default::default() };
         let mut session = SolverSession::<f64>::new(opts);
         let mut q = RequestQueue::new();
         let mut exact = Vec::new();
@@ -311,12 +298,8 @@ fn poisoned_matrix_fails_its_own_batch_only() {
         }
     }
     let poisoned = pastix::graph::SymCsc::from_triplets(n, &trips);
-    let opts = SessionOptions {
-        procs: 3,
-        max_panel: 4,
-        sched: SchedOptions { block_size: 8, ..Default::default() },
-        ..Default::default()
-    };
+    let mut opts = SessionOptions { procs: 3, max_panel: 4, ..Default::default() };
+    opts.solver.analyze.sched.block_size = 8;
     let mut session = SolverSession::<f64>::new(opts);
     let mut q = RequestQueue::traced();
     let exact: Vec<Vec<f64>> =

@@ -19,7 +19,6 @@ use pastix::graph::gen::{grid_spd, Stencil, ValueKind};
 use pastix::graph::rhs_for_solution;
 use pastix::runtime::sim::{FaultPlan, SchedPolicy};
 use pastix::runtime::Backend;
-use pastix::sched::SchedOptions;
 use pastix::solver::{ChaosOptions, SolverConfig};
 use pastix_serve::{RequestQueue, SessionOptions, SolverSession};
 use pastix_trace::export::{chrome_trace, validate_chrome_trace};
@@ -43,15 +42,11 @@ fn test_matrix() -> pastix::graph::SymCsc<f64> {
 fn sim_opts(seed: u64, policy: SchedPolicy, max_panel: usize) -> SessionOptions {
     let mut topts = TraceOptions::deterministic();
     topts.sample_every = 1;
-    SessionOptions {
-        procs: 3,
-        max_panel,
-        sched: SchedOptions { block_size: 8, ..Default::default() },
-        solver: SolverConfig::new()
-            .with_backend(Backend::Sim(FaultPlan::builder(seed).policy(policy).build()))
-            .with_trace(topts),
-        ..Default::default()
-    }
+    let mut solver = SolverConfig::new()
+        .with_backend(Backend::Sim(FaultPlan::builder(seed).policy(policy).build()))
+        .with_trace(topts);
+    solver.analyze.sched.block_size = 8;
+    SessionOptions { procs: 3, max_panel, solver, ..Default::default() }
 }
 
 fn submit_requests(

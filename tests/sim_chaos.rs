@@ -20,7 +20,7 @@ use pastix::graph::{canonical_solution, rhs_for_solution, SymCsc};
 use pastix::machine::MachineModel;
 use pastix::ordering::{nested_dissection, OrderingOptions};
 use pastix::runtime::sim::{run_sim_spmd, FaultPlan, SchedPolicy, SimRng};
-use pastix::runtime::{Backend, Comm};
+use pastix::runtime::{Backend, Comm, SendOutcome};
 use pastix::sched::{map_and_schedule, DistStrategy, Mapping, SchedOptions, TaskKind};
 use pastix::solver::{
     factorize_sequential, solve_in_place, ChaosOptions, DynamicOptions, FactorStorage, Plan,
@@ -501,7 +501,7 @@ fn chaos_worker_panic_unwinds_whole_machine() {
     }
 }
 
-/// Duplicate-delivery fault: with `duplicate_lossy = 1.0` every lossy
+/// Duplicate-delivery fault: with `duplicate_lossy = 1.0` every sent
 /// message arrives exactly twice — the runtime does not deduplicate, so a
 /// receiver that counts arrivals can verify at-least-once semantics
 /// exactly.
@@ -514,7 +514,7 @@ fn chaos_duplicate_lossy_delivers_exactly_twice() {
         let results = run_sim_spmd::<u32, Vec<u32>, _>(2, &plan, |ctx| {
             if ctx.rank() == 0 {
                 for tag in 0..TAGS {
-                    assert!(ctx.send_lossy(1, tag));
+                    assert!(ctx.send_resilient(1, tag));
                 }
                 return vec![];
             }
@@ -530,9 +530,10 @@ fn chaos_duplicate_lossy_delivers_exactly_twice() {
     }
 }
 
-/// Drop fault: with `drop_lossy = 1.0` every lossy send reports the drop
-/// to the sender (`false`) and nothing ever arrives — the sender-visible
-/// outcome the solver's abort protocol relies on.
+/// Drop fault: with `drop_lossy = 1.0` every send reports to the sender
+/// that it was not delivered (dropped, or the peer already exited) and
+/// nothing ever arrives — the sender-visible outcome the solver's abort
+/// protocol relies on.
 #[test]
 fn chaos_dropped_lossy_reports_to_sender() {
     for i in 0..20u64 {
@@ -540,7 +541,7 @@ fn chaos_dropped_lossy_reports_to_sender() {
         let plan = FaultPlan::builder(seed).drop_lossy(1.0).build();
         let results = run_sim_spmd::<u32, bool, _>(2, &plan, |ctx| {
             if ctx.rank() == 0 {
-                (0..8).all(|t| !ctx.send_lossy(1, t))
+                (0..8).all(|t| !matches!(ctx.send_faulty(1, t), SendOutcome::Delivered))
             } else {
                 ctx.try_recv().is_none()
             }
