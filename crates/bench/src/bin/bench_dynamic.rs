@@ -1,13 +1,14 @@
-//! `Backend::Dynamic` benchmark and acceptance gate: the work-stealing
-//! DAG executor vs the static SPMD schedule on the same task graph.
+//! `Backend::Threads` against `Backend::Dynamic` on the same task graph:
+//! one DAG executor, three orders.
 //!
-//! Three engines run per problem on real threads:
+//! Three engines run per problem on real threads, one worker per
+//! available CPU:
 //!
-//! * **static** — the fan-in SPMD engine driven by the static schedule;
-//! * **dynamic** — the work-stealing executor, placement hints only;
-//! * **dynamic+prio** — same, with the static schedule's start times as
-//!   task priorities (the "static mapping supplies initial placement and
-//!   priority" mode of the Plan API).
+//! * **threads** — `Backend::Threads`: the static mapping pinned, every
+//!   task on its `K_p` processor, ready-first within a processor;
+//! * **dynamic+prio** — `Backend::Dynamic` with the static schedule's
+//!   start times as task priorities and stealing;
+//! * **dynamic** — the same in FIFO order.
 //!
 //! Before any timing, correctness gates run: every engine's factor must
 //! match the sequential reference entrywise (≤ 1e-8 relative) and solve
@@ -17,7 +18,7 @@
 //! Writes `BENCH_dynamic.json` at the repository root (with
 //! `pastix_bench::env_header`). Exits non-zero if
 //! any agreement gate fails or if dynamic+prio falls below 0.9× the
-//! static engine's throughput on the largest problem (Shipsec5 analog).
+//! threads engine's throughput on the largest problem (Shipsec5 analog).
 //! `--quick` shrinks scale and reps for CI.
 
 use pastix_bench::{env_header, prepare, scale, schedule_for, scotch_ordering};
@@ -26,9 +27,7 @@ use pastix_json::{obj, Json};
 use pastix_runtime::sim::{FaultPlan, SchedPolicy};
 use pastix_runtime::Backend;
 use pastix_sched::SchedOptions;
-use pastix_solver::{
-    factorize_sequential, DynamicOptions, FactorStorage, Plan, SolverConfig,
-};
+use pastix_solver::{factorize_sequential, DynamicOptions, FactorStorage, Plan, SolverConfig, TaskOrder};
 use std::time::Instant;
 
 const PATH: &str = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_dynamic.json");
@@ -37,7 +36,7 @@ const PATH: &str = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_dynamic.jso
 const FACTOR_RTOL: f64 = 1e-8;
 /// Residual of the distributed solve.
 const RESIDUAL_MAX: f64 = 1e-12;
-/// Acceptance: dynamic+prio wall time may exceed static by at most 1/0.9.
+/// Acceptance: dynamic+prio wall time may exceed threads by at most 1/0.9.
 const TARGET_RATIO: f64 = 0.9;
 
 struct EngineResult {
@@ -59,13 +58,13 @@ fn max_factor_dev(run: &FactorStorage<f64>, seq: &FactorStorage<f64>) -> f64 {
 fn main() {
     let quick = std::env::args().any(|a| a == "--quick");
     let mode = if quick { "quick" } else { "full" };
-    println!("bench_dynamic ({mode}) — static schedule vs work-stealing executor");
+    println!("bench_dynamic ({mode}) — pinned static mapping vs work stealing, one executor");
     // Once, before this run rewrites BENCH_dynamic.json and dirties the tree.
     let header = env_header(mode);
 
     let sc = if quick { 0.02 } else { scale() };
     let reps = if quick { 1 } else { 3 };
-    let procs = 4;
+    let procs = std::thread::available_parallelism().map_or(1, usize::from);
     let ids: &[ProblemId] = if quick {
         &[ProblemId::Shipsec5]
     } else {
@@ -98,18 +97,11 @@ fn main() {
         factorize_sequential(sym, &mut seq).expect("sequential reference failed");
         let b = rhs_for_solution(&ap, &canonical_solution::<f64>(ap.n()));
 
+        let dynamic = DynamicOptions::new().with_workers(procs);
         let backends: [(&'static str, Backend); 3] = [
-            ("static", Backend::Threads),
-            (
-                "dynamic",
-                Backend::Dynamic(DynamicOptions::new().with_workers(procs)),
-            ),
-            (
-                "dynamic+prio",
-                Backend::Dynamic(
-                    DynamicOptions::new().with_workers(procs).with_priorities(true),
-                ),
-            ),
+            ("threads", Backend::Threads),
+            ("dynamic+prio", Backend::Dynamic(dynamic.with_order(TaskOrder::Hints))),
+            ("dynamic", Backend::Dynamic(dynamic.with_order(TaskOrder::Fifo))),
         ];
 
         let mut results = Vec::new();
@@ -155,7 +147,7 @@ fn main() {
                 let fp = FaultPlan::builder(seed).policy(policy).build();
                 let dopts = DynamicOptions::new()
                     .with_workers(procs)
-                    .with_priorities(s % 2 == 1)
+                    .with_order(if s % 2 == 1 { TaskOrder::Hints } else { TaskOrder::Fifo })
                     .with_sim(fp);
                 let cfg = SolverConfig::new().with_backend(Backend::Dynamic(dopts));
                 let run = plan.factorize(&ap, &cfg).expect("sim dynamic factorization failed");
@@ -176,13 +168,13 @@ fn main() {
         );
         failed |= !sim_ok;
 
-        let t_static = results[0].best_s;
+        let t_threads = results[0].best_s;
         for r in &results {
             println!(
-                "  [{:>12}] best {:.4} s  ({:.2}x static{})",
+                "  [{:>12}] best {:.4} s  ({:.2}x threads{})",
                 r.label,
                 r.best_s,
-                t_static / r.best_s,
+                t_threads / r.best_s,
                 if r.steals > 0 {
                     format!(", {} steals", r.steals)
                 } else {
@@ -190,7 +182,7 @@ fn main() {
                 }
             );
         }
-        let ratio = t_static / results[2].best_s;
+        let ratio = t_threads / results[1].best_s;
         if id == ProblemId::Shipsec5 {
             headline_ratio = ratio;
         }
@@ -199,12 +191,13 @@ fn main() {
             ("n", Json::Num(ap.n() as f64)),
             ("tasks", Json::Num(mapping.graph.n_tasks() as f64)),
             ("procs", Json::Num(procs as f64)),
-            ("t_static_s", Json::Num(results[0].best_s)),
-            ("t_dynamic_s", Json::Num(results[1].best_s)),
-            ("t_dynamic_prio_s", Json::Num(results[2].best_s)),
-            ("dynamic_prio_vs_static", Json::Num(ratio)),
-            ("steals_dynamic", Json::Num(results[1].steals as f64)),
-            ("steals_dynamic_prio", Json::Num(results[2].steals as f64)),
+            ("t_threads_s", Json::Num(results[0].best_s)),
+            ("t_dynamic_prio_s", Json::Num(results[1].best_s)),
+            ("t_dynamic_s", Json::Num(results[2].best_s)),
+            ("dynamic_prio_vs_threads", Json::Num(ratio)),
+            ("steals_threads", Json::Num(results[0].steals as f64)),
+            ("steals_dynamic_prio", Json::Num(results[1].steals as f64)),
+            ("steals_dynamic", Json::Num(results[2].steals as f64)),
             ("sim_sweep_ok", Json::Bool(sim_ok)),
         ]));
     }
@@ -226,7 +219,7 @@ fn main() {
 
     let perf_ok = headline_ratio >= TARGET_RATIO;
     println!(
-        "acceptance (dynamic+prio ≥ {TARGET_RATIO}× static throughput on Shipsec5): \
+        "acceptance (dynamic+prio ≥ {TARGET_RATIO}× threads throughput on Shipsec5): \
          {headline_ratio:.2}x — {}",
         if perf_ok { "MET" } else { "NOT MET" }
     );

@@ -39,7 +39,7 @@ use pastix_kernels::{KernelMode, Scalar};
 use pastix_graph::Parallelism;
 use pastix_solver::{
     factorize_sequential, AnalyzeOptions, Backend, DynamicOptions, FactorStorage, MetricsRegistry, Plan,
-    ScatterPattern, SolverConfig,
+    ScatterPattern, SolverConfig, TaskOrder,
 };
 use pastix_trace::TraceOptions;
 use std::time::Instant;
@@ -312,7 +312,7 @@ fn bench_stages(quick: bool) -> Json {
     let reps = if quick { 2 } else { 7 };
     let (id, sc) = if quick { (ProblemId::Shipsec5, 0.02) } else { (ProblemId::Bmwcra1, 0.1) };
     let (dyn_id, dyn_sc) = (ProblemId::Shipsec5, if quick { 0.02 } else { 0.2 });
-    let dynamic = DynamicOptions::new().with_workers(FRONT_END_WORKERS).with_priorities(true);
+    let dynamic = DynamicOptions::new().with_workers(FRONT_END_WORKERS).with_order(TaskOrder::Hints);
     println!();
     println!("factorization stage by stage, best and median of {reps} (ms; stages summed over ranks)");
     println!("{:<10} {:>6} {:>8} {:>5} {:>6} {:>9} {:>9} {:>9} {:>9} {:>9} {:>10}", "Name", "scale", "backend", "ranks", "of", "wall", "trsm", "gemm", "deliver", "rest", "gemm GF/s");
@@ -417,7 +417,7 @@ fn bench_front_end(quick: bool) -> (Json, bool) {
     println!();
     let mut rows = Vec::new();
     let mut identical = true;
-    let dynamic = DynamicOptions::new().with_workers(FRONT_END_WORKERS).with_priorities(true);
+    let dynamic = DynamicOptions::new().with_workers(FRONT_END_WORKERS).with_order(TaskOrder::Hints);
     for (id, sc) in cases {
         let a = pastix_graph::build_problem::<f64>(id, sc);
         let cfg = SolverConfig::new()

@@ -18,10 +18,11 @@ use crate::trsm::{scale_cols_by_diag_into, trsm_ldlt_panel, trsm_llt_panel};
 /// Error raised by the factorization kernels.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum FactorError {
-    /// A zero (or non-finite) pivot was met at the given local index.
-    /// The algorithm performs no pivoting, as in the paper; the caller is
-    /// expected to hand in matrices for which this cannot happen (SPD or
-    /// complex symmetric with a stable ordering).
+    /// A zero (or non-finite) pivot was met at the given column: an index
+    /// into the block for a kernel, a column of the caller's matrix from
+    /// `Plan::factorize`. The algorithm performs no pivoting, as in the
+    /// paper; the caller is expected to hand in matrices for which this
+    /// cannot happen (SPD or complex symmetric with a stable ordering).
     ZeroPivot(usize),
     /// A stored matrix value is a NaN or an infinity; screened before any
     /// work is done, so nothing was analyzed or factorized.
@@ -58,7 +59,7 @@ impl FactorError {
 impl std::fmt::Display for FactorError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
-            FactorError::ZeroPivot(i) => write!(f, "zero pivot at local index {i}"),
+            FactorError::ZeroPivot(i) => write!(f, "zero pivot at column {i}"),
             FactorError::NonFinite { row, col } => write!(f, "non-finite matrix value at ({row}, {col})"),
             FactorError::PatternMismatch { row, col } => {
                 write!(f, "entry ({row}, {col}) is outside the analyzed pattern")

@@ -28,7 +28,7 @@
 pub mod sim;
 pub mod steal;
 
-pub use steal::DynamicOptions;
+pub use steal::{DynamicOptions, TaskOrder};
 
 use std::sync::mpsc::{channel, Receiver, Sender};
 

@@ -1,12 +1,13 @@
 //! Work-stealing DAG executor: the substrate of `Backend::Dynamic`.
 //!
-//! Where the thread and sim backends execute an SPMD program whose every
-//! step was fixed by the static schedule, this module executes an explicit
-//! task DAG with per-task dependency counters. The static mapping — when
-//! one is available — supplies only *initial placement* (which worker's
-//! queue a root task is seeded on) and *priority* (which ready task a
-//! worker prefers); everything else is decided at run time by per-worker
-//! priority queues with steal-half balancing.
+//! Where the sim backend executes an SPMD program whose every step was
+//! fixed by the static schedule, this module executes an explicit task DAG
+//! with per-task dependency counters. The static mapping supplies
+//! *placement* (which worker's queue a task is enqueued on) and *priority*
+//! (which ready task a worker prefers). Under [`TaskOrder::Fifo`] and
+//! [`TaskOrder::Hints`] placement only seeds the roots and steal-half
+//! balances the queues at run time; under [`TaskOrder::Pinned`] every task
+//! runs on its placement worker and nothing is stolen.
 //!
 //! Two execution modes share the same task-body code:
 //!
@@ -33,10 +34,8 @@ pub struct DynamicOptions {
     /// Worker thread count; 0 (default) means "auto": the static
     /// schedule's processor count.
     pub workers: usize,
-    /// When `true`, ready queues order tasks by the priority hints derived
-    /// from the static schedule; when `false`, queues degrade to FIFO
-    /// order.
-    pub priorities: bool,
+    /// How ready tasks are ordered and where they run.
+    pub order: TaskOrder,
     /// `Some(plan)` serializes the whole execution under the seeded
     /// deterministic scheduler (single thread, adversarial policies) —
     /// the dynamic twin of [`crate::Backend::Sim`].
@@ -55,10 +54,15 @@ impl DynamicOptions {
         self
     }
 
-    /// Enables or disables priority-hint ordering of the ready queues.
-    pub fn with_priorities(mut self, on: bool) -> Self {
-        self.priorities = on;
+    /// Sets the task order.
+    pub fn with_order(mut self, order: TaskOrder) -> Self {
+        self.order = order;
         self
+    }
+
+    /// [`TaskOrder::Hints`] when `on`, else [`TaskOrder::Fifo`].
+    pub fn with_priorities(self, on: bool) -> Self {
+        self.with_order(if on { TaskOrder::Hints } else { TaskOrder::Fifo })
     }
 
     /// Runs the executor under the seeded deterministic serializer.
@@ -66,6 +70,21 @@ impl DynamicOptions {
         self.sim = Some(plan);
         self
     }
+}
+
+/// How the executor orders ready tasks and where it runs them.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+pub enum TaskOrder {
+    /// Arrival order; idle workers steal.
+    #[default]
+    Fifo,
+    /// The static schedule's predicted start times as priorities; idle
+    /// workers steal.
+    Hints,
+    /// The static mapping as is: every task runs on its `K_p` processor,
+    /// nothing is stolen, and a processor runs, among its ready tasks, the
+    /// one earliest in `K_p`.
+    Pinned,
 }
 
 /// Borrowed description of the task DAG: dependency counts, successor CSR,
@@ -81,9 +100,27 @@ pub struct DagSpec<'a> {
     pub out_dst: &'a [u32],
     /// Priority per task; higher runs first (all-zero = FIFO).
     pub priority: &'a [u64],
-    /// Preferred worker per task (used only to seed dependency-free roots;
-    /// taken modulo the worker count).
+    /// Preferred worker per task, taken modulo the worker count: where a
+    /// root is seeded, and where every task runs when `pinned`.
     pub placement: &'a [u32],
+    /// Enqueue every task on its placement worker and never steal.
+    pub pinned: bool,
+}
+
+impl DagSpec<'_> {
+    /// The placement worker of task `t`.
+    fn home(&self, t: usize, n_workers: usize) -> usize {
+        self.placement.get(t).map_or(0, |&p| p as usize % n_workers)
+    }
+
+    /// The queue a successor `d` made ready by worker `w` goes to.
+    fn queue_of(&self, d: usize, w: usize, n_workers: usize) -> usize {
+        if self.pinned {
+            self.home(d, n_workers)
+        } else {
+            w
+        }
+    }
 }
 
 /// Execution context handed to the task body alongside the task id.
@@ -205,12 +242,7 @@ where
     // task-id order (= the FIFO order when priorities are all zero).
     for t in 0..n {
         if spec.deps[t] == 0 {
-            let w = spec
-                .placement
-                .get(t)
-                .map(|&p| p as usize % n_workers)
-                .unwrap_or(0);
-            queues[w].lock().unwrap().push(Entry {
+            queues[spec.home(t, n_workers)].lock().unwrap().push(Entry {
                 prio: spec.priority[t],
                 seq: next_seq.fetch_add(1, Ordering::Relaxed),
                 task: t as u32,
@@ -238,9 +270,9 @@ where
             };
             let Some((entry, depth)) = popped else {
                 // Own queue dry: steal the higher-priority half of the
-                // first non-empty victim queue.
+                // first non-empty victim queue (none when pinned).
                 let mut got = false;
-                for off in 1..n_workers {
+                for off in (1..n_workers).filter(|_| !spec.pinned) {
                     let v = (w + off) % n_workers;
                     let mut batch = Vec::new();
                     {
@@ -298,7 +330,7 @@ where
                 // task's writes, the acquire half (of the last decrement)
                 // pulls in the other producers'.
                 if deps[d as usize].fetch_sub(1, Ordering::AcqRel) == 1 {
-                    queues[w].lock().unwrap().push(Entry {
+                    queues[spec.queue_of(d as usize, w, n_workers)].lock().unwrap().push(Entry {
                         prio: spec.priority[d as usize],
                         seq: next_seq.fetch_add(1, Ordering::Relaxed),
                         task: d,
@@ -351,12 +383,7 @@ where
     let mut next_seq = 0u64;
     for t in 0..n {
         if deps[t] == 0 {
-            let w = spec
-                .placement
-                .get(t)
-                .map(|&p| p as usize % n_workers)
-                .unwrap_or(0);
-            ready[w].push(Entry {
+            ready[spec.home(t, n_workers)].push(Entry {
                 prio: spec.priority[t],
                 seq: next_seq,
                 task: t as u32,
@@ -429,7 +456,7 @@ where
         for &d in &spec.out_dst[lo..hi] {
             deps[d as usize] -= 1;
             if deps[d as usize] == 0 {
-                ready[w].push(Entry {
+                ready[spec.queue_of(d as usize, w, n_workers)].push(Entry {
                     prio: spec.priority[d as usize],
                     seq: next_seq,
                     task: d,
@@ -452,6 +479,11 @@ mod tests {
     use super::*;
     use std::sync::atomic::AtomicU64;
 
+    /// An unpinned spec over the given slices.
+    fn spec<'a>(deps: &'a [u32], out_ptr: &'a [u32], out_dst: &'a [u32], priority: &'a [u64], placement: &'a [u32]) -> DagSpec<'a> {
+        DagSpec { deps, out_ptr, out_dst, priority, placement, pinned: false }
+    }
+
     /// A simple chain DAG 0 -> 1 -> ... -> n-1.
     fn chain(n: usize) -> (Vec<u32>, Vec<u32>, Vec<u32>) {
         let deps: Vec<u32> = (0..n).map(|t| u32::from(t > 0)).collect();
@@ -466,19 +498,30 @@ mod tests {
         (deps, out_ptr, out_dst)
     }
 
+    /// A fork-join DAG 0 -> {1, ..., n-2} -> n-1.
+    fn fork_join(n: usize) -> (Vec<u32>, Vec<u32>, Vec<u32>) {
+        let mut deps = vec![1u32; n];
+        deps[0] = 0;
+        deps[n - 1] = (n - 2) as u32;
+        let mut out_ptr = vec![0u32; n + 1];
+        let mut out_dst: Vec<u32> = (1..n as u32 - 1).collect();
+        for t in 1..n {
+            out_ptr[t] = out_dst.len() as u32;
+            if t < n - 1 {
+                out_dst.push((n - 1) as u32);
+            }
+        }
+        out_ptr[n] = out_dst.len() as u32;
+        (deps, out_ptr, out_dst)
+    }
+
     #[test]
     fn chain_executes_in_order() {
         let n = 64;
         let (deps, out_ptr, out_dst) = chain(n);
         let prio = vec![0u64; n];
         let place = vec![0u32; n];
-        let spec = DagSpec {
-            deps: &deps,
-            out_ptr: &out_ptr,
-            out_dst: &out_dst,
-            priority: &prio,
-            placement: &place,
-        };
+        let spec = spec(&deps, &out_ptr, &out_dst, &prio, &place);
         let order = Mutex::new(Vec::new());
         let (_, stats) = run_dag(
             &spec,
@@ -503,13 +546,7 @@ mod tests {
         let out_dst = vec![1u32, 2, 3, 3];
         let prio = vec![0u64; 4];
         let place = vec![0u32, 1, 2, 3];
-        let spec = DagSpec {
-            deps: &deps,
-            out_ptr: &out_ptr,
-            out_dst: &out_dst,
-            priority: &prio,
-            placement: &place,
-        };
+        let spec = spec(&deps, &out_ptr, &out_dst, &prio, &place);
         let done = AtomicU64::new(0);
         let last = AtomicU64::new(u64::MAX);
         let (_, stats) = run_dag(
@@ -537,13 +574,7 @@ mod tests {
         let (deps, out_ptr, out_dst) = chain(n);
         let prio = vec![0u64; n];
         let place = vec![0u32; n];
-        let spec = DagSpec {
-            deps: &deps,
-            out_ptr: &out_ptr,
-            out_dst: &out_dst,
-            priority: &prio,
-            placement: &place,
-        };
+        let spec = spec(&deps, &out_ptr, &out_dst, &prio, &place);
         let done = AtomicU64::new(0);
         let (_, stats) = run_dag(
             &spec,
@@ -566,13 +597,7 @@ mod tests {
         let prio = vec![0u64; n];
         let place = vec![0u32; n];
         let caught = catch_unwind(AssertUnwindSafe(|| {
-            let spec = DagSpec {
-                deps: &deps,
-                out_ptr: &out_ptr,
-                out_dst: &out_dst,
-                priority: &prio,
-                placement: &place,
-            };
+            let spec = spec(&deps, &out_ptr, &out_dst, &prio, &place);
             run_dag(
                 &spec,
                 2,
@@ -592,30 +617,12 @@ mod tests {
     #[test]
     fn sim_mode_is_deterministic_per_seed_and_policy() {
         let n = 40;
-        // A fork-join DAG wide enough for scheduling freedom: 0 -> all -> last.
-        let mut deps = vec![1u32; n];
-        deps[0] = 0;
-        deps[n - 1] = (n - 2) as u32;
-        let mut out_ptr = vec![0u32; n + 1];
-        let mut out_dst = Vec::new();
-        for t in 0..n {
-            if t == 0 {
-                out_dst.extend((1..n as u32 - 1).collect::<Vec<_>>());
-            } else if t < n - 1 {
-                out_dst.push((n - 1) as u32);
-            }
-            out_ptr[t + 1] = out_dst.len() as u32;
-        }
+        // A fork-join DAG wide enough for scheduling freedom.
+        let (deps, out_ptr, out_dst) = fork_join(n);
         let prio = vec![0u64; n];
         let place: Vec<u32> = (0..n as u32).collect();
         let run_order = |seed: u64, policy: SchedPolicy| {
-            let spec = DagSpec {
-                deps: &deps,
-                out_ptr: &out_ptr,
-                out_dst: &out_dst,
-                priority: &prio,
-                placement: &place,
-            };
+            let spec = spec(&deps, &out_ptr, &out_dst, &prio, &place);
             let plan = FaultPlan::builder(seed).policy(policy).build();
             let order = Mutex::new(Vec::new());
             run_dag(
@@ -656,13 +663,7 @@ mod tests {
         let out_dst: Vec<u32> = Vec::new();
         let prio: Vec<u64> = (0..n as u64).collect();
         let place = vec![0u32; n];
-        let spec = DagSpec {
-            deps: &deps,
-            out_ptr: &out_ptr,
-            out_dst: &out_dst,
-            priority: &prio,
-            placement: &place,
-        };
+        let spec = spec(&deps, &out_ptr, &out_dst, &prio, &place);
         let order = Mutex::new(Vec::new());
         run_dag(
             &spec,
@@ -679,6 +680,42 @@ mod tests {
     }
 
     #[test]
+    fn pinned_runs_every_task_on_its_placement_in_priority_order() {
+        // Every third task on worker 2, the rest on worker 0: worker 1 would
+        // steal under the other orders. Worker 0 prefers high task ids,
+        // worker 2 low ones.
+        let n = 120;
+        let (deps, out_ptr, out_dst) = fork_join(n);
+        let place: Vec<u32> = (0..n as u32).map(|t| u32::from(t % 3 == 0) * 2).collect();
+        let prio: Vec<u64> = (0..n as u64).map(|t| if t % 3 == 0 { n as u64 - t } else { t }).collect();
+        let spec = DagSpec { pinned: true, ..spec(&deps, &out_ptr, &out_dst, &prio, &place) };
+        let ran = Mutex::new(Vec::new());
+        let body = |t: u32, ctx: &TaskCtx| {
+            std::hint::black_box((0..200).sum::<u64>());
+            ran.lock().unwrap().push((t, ctx.worker, ctx.stolen));
+            true
+        };
+        let (_, stats) = run_dag(&spec, 3, None, &body, &|_w, run| run());
+        assert_eq!((stats.steals, stats.executed[1]), (0, 0));
+        let first = std::mem::take(&mut *ran.lock().unwrap());
+        assert_eq!(first.len(), n);
+        assert!(first.iter().all(|&(t, w, stolen)| w == place[t as usize] as usize && !stolen), "{first:?}");
+        // With every task a root, each worker runs its share in priority
+        // order.
+        let (roots, none_ptr) = (vec![0u32; n], vec![0u32; n + 1]);
+        run_dag(&DagSpec { deps: &roots, out_ptr: &none_ptr, out_dst: &[], ..spec }, 3, None, &body, &|_w, run| run());
+        let ran = ran.into_inner().unwrap();
+        for w in [0, 2] {
+            let mine: Vec<u32> = ran.iter().filter(|e| e.1 == w).map(|e| e.0).collect();
+            assert!(mine.windows(2).all(|p| prio[p[0] as usize] > prio[p[1] as usize]), "worker {w}: {mine:?}");
+        }
+        // Abort and panic still end the run on every worker.
+        assert!(run_dag(&spec, 3, None, &|t, _: &TaskCtx| t != 5, &|_w, run| run()).1.aborted);
+        let boom = |t, _: &TaskCtx| if t == 7 { panic!("pinned boom") } else { true };
+        assert!(catch_unwind(AssertUnwindSafe(|| run_dag(&spec, 3, None, &boom, &|_w, run| run()))).is_err());
+    }
+
+    #[test]
     fn stealing_moves_work_to_idle_workers() {
         // Many independent roots all placed on worker 0; worker 1 must
         // steal to participate.
@@ -688,13 +725,7 @@ mod tests {
         let out_dst: Vec<u32> = Vec::new();
         let prio = vec![0u64; n];
         let place = vec![0u32; n];
-        let spec = DagSpec {
-            deps: &deps,
-            out_ptr: &out_ptr,
-            out_dst: &out_dst,
-            priority: &prio,
-            placement: &place,
-        };
+        let spec = spec(&deps, &out_ptr, &out_dst, &prio, &place);
         let (_, stats) = run_dag(
             &spec,
             2,

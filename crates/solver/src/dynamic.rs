@@ -1,16 +1,16 @@
-//! `Backend::Dynamic`: factorization and panel solve on the work-stealing
-//! DAG executor ([`pastix_runtime::steal`]).
+//! Factorization on the shared-memory DAG executor
+//! ([`pastix_runtime::steal`]) — `Backend::Threads` in pinned order,
+//! `Backend::Dynamic` in any — and `Backend::Dynamic`'s panel solve.
 //!
-//! Unlike the SPMD backends, which execute the static schedule's per-rank
-//! task lists and move contributions through messages and AUBs, the
-//! dynamic engine executes the [`TaskGraph`] directly: dependency counts
-//! come from the graph's deduplicated in-edges (the same fan-in the AUB
-//! protocol counts), contributions are applied straight into the shared
-//! factor panels under per-panel locks, and the static schedule supplies
-//! only the worker count, initial placement and task priority. The
-//! solve runs its twin DAG, kept precomputed in the plan's `SolvePlan`,
-//! over the same block structure the level-set
-//! [`pastix_sched::SolveSchedule`] walks.
+//! Unlike the fan-in driver of `Backend::Sim`, which executes the static
+//! schedule's per-rank task lists and moves contributions through messages
+//! and AUBs, this engine executes the [`TaskGraph`] directly: dependency
+//! counts come from the graph's deduplicated in-edges (the same fan-in the
+//! AUB protocol counts), contributions are applied straight into the
+//! shared factor panels under per-panel locks, and the static schedule
+//! supplies the worker count, placement and task priority. The solve runs
+//! its twin DAG, kept precomputed in the plan's `SolvePlan`, over the same
+//! block structure the level-set [`pastix_sched::SolveSchedule`] walks.
 //!
 //! Locking is deadlock-free by index ordering: every multi-lock
 //! acquisition ascends the column-block order (a contribution's target
@@ -29,7 +29,7 @@ use crate::tasks::{self, ContribSink, Scratch, StretchFn};
 use pastix_kernels::factor::FactorError;
 use pastix_kernels::Scalar;
 use pastix_runtime::steal::{run_dag, DagSpec, TaskCtx};
-use pastix_runtime::DynamicOptions;
+use pastix_runtime::{DynamicOptions, TaskOrder};
 use pastix_sched::{Schedule, TaskGraph, TaskKind};
 use pastix_symbolic::SymbolMatrix;
 use pastix_trace::{
@@ -48,12 +48,22 @@ fn resolve_workers(dopts: &DynamicOptions, sched: &Schedule) -> usize {
     }
 }
 
-/// Priority vector: rank by predicted start (the task the static
-/// scheduler would have started earliest gets the highest priority), or
-/// all-zero (FIFO) when priority hints are off.
-fn priority_vec(n: usize, priorities: bool, sched: &Schedule) -> Vec<u64> {
-    if !priorities {
-        return vec![0u64; n];
+/// Priority vector: all-zero (FIFO); rank by predicted start (the task
+/// the static scheduler would have started earliest gets the highest
+/// priority); or, pinned, the task's position in its processor's `K_p`.
+fn priority_vec(n: usize, order: TaskOrder, sched: &Schedule) -> Vec<u64> {
+    let mut p = vec![0u64; n];
+    match order {
+        TaskOrder::Fifo => return p,
+        TaskOrder::Pinned => {
+            for tasks in &sched.proc_tasks {
+                for (i, &t) in tasks.iter().enumerate() {
+                    p[t as usize] = (tasks.len() - i) as u64;
+                }
+            }
+            return p;
+        }
+        TaskOrder::Hints => {}
     }
     let mut idx: Vec<u32> = (0..n as u32).collect();
     idx.sort_by(|&x, &y| {
@@ -62,7 +72,6 @@ fn priority_vec(n: usize, priorities: bool, sched: &Schedule) -> Vec<u64> {
             .unwrap_or(std::cmp::Ordering::Equal)
             .then(x.cmp(&y))
     });
-    let mut p = vec![0u64; n];
     for (rank, &t) in idx.iter().enumerate() {
         p[t as usize] = (n - rank) as u64;
     }
@@ -212,7 +221,7 @@ pub(crate) fn factorize_dynamic<T: Scalar>(
 
     let n = graph.n_tasks();
     let deps: Vec<u32> = (0..n).map(|t| graph.in_ptr[t + 1] - graph.in_ptr[t]).collect();
-    let priority = priority_vec(n, dopts.priorities, sched);
+    let priority = priority_vec(n, dopts.order, sched);
     let n_workers = resolve_workers(dopts, sched);
 
     let error: Mutex<Option<FactorError>> = Mutex::new(None);
@@ -270,6 +279,7 @@ pub(crate) fn factorize_dynamic<T: Scalar>(
         out_dst: &graph.out_dst,
         priority: &priority,
         placement: &sched.task_proc,
+        pinned: dopts.order == TaskOrder::Pinned,
     };
     let trace = run_traced_dag(&spec, n_workers, dopts, sched, cfg, &body);
     if let Some(e) = error.into_inner().unwrap() {
@@ -414,14 +424,15 @@ pub(crate) fn solve_panel_dynamic<T: Scalar>(
         }
         true
     };
-    // All-zero priorities are FIFO queues, for runs with hints off.
-    let fifo = if dopts.priorities { Vec::new() } else { vec![0u64; 2 * ns] };
+    // All-zero priorities are FIFO queues; pinned runs keep the hints.
+    let fifo = if dopts.order == TaskOrder::Fifo { vec![0u64; 2 * ns] } else { Vec::new() };
     let spec = DagSpec {
         deps: &dag.graph.deps,
         out_ptr: &dag.graph.out_ptr,
         out_dst: &dag.graph.out_dst,
-        priority: if dopts.priorities { &dag.priority } else { &fifo },
+        priority: if fifo.is_empty() { &dag.priority } else { &fifo },
         placement: &dag.placement,
+        pinned: dopts.order == TaskOrder::Pinned,
     };
     let trace = run_traced_dag(&spec, n_workers, dopts, sched, cfg, &body);
 
@@ -493,9 +504,8 @@ mod tests {
     #[test]
     fn dynamic_matches_sequential_mixed_2d() {
         let (ap, mapping) = full_setup(4, 4, 4, 4, DistStrategy::Mixed1d2d, 4);
-        for priorities in [false, true] {
-            let d = DynamicOptions::new().with_priorities(priorities);
-            check_dynamic(&ap, &mapping, &d);
+        for order in [TaskOrder::Fifo, TaskOrder::Hints, TaskOrder::Pinned] {
+            check_dynamic(&ap, &mapping, &DynamicOptions::new().with_order(order));
         }
     }
 

@@ -24,15 +24,17 @@
 //! * [`seq`] — the sequential reference driver (one `COMP1D` per column
 //!   block in elimination order, contributions applied to later panels in
 //!   place; the solve sweeps as a plain loop up and down the blocks);
-//! * [`parallel`] — the static driver: the supernodal **fan-in** engine of
-//!   the paper's Fig. 1, each rank walking its `K_p` from `pastix-sched`
-//!   on the in-process message-passing runtime (regions, AUBs, factor
-//!   payloads); [`psolve`] is its solve twin (segment broadcasts,
-//!   aggregated updates, exactly-once under duplicate delivery);
-//! * [`dynamic`] — the `Backend::Dynamic` driver: the same task graph
-//!   executed by the work-stealing DAG executor over shared panels under
-//!   per-panel locks, with the static mapping reduced to
-//!   placement/priority hints.
+//! * [`parallel`] — the `Backend::Sim` driver: the supernodal **fan-in**
+//!   engine of the paper's Fig. 1, each rank walking its `K_p` from
+//!   `pastix-sched` on the in-process message-passing runtime (regions,
+//!   AUBs, factor payloads); [`psolve`] is its solve twin (segment
+//!   broadcasts, aggregated updates, exactly-once under duplicate
+//!   delivery), also the `Backend::Threads` solve;
+//! * [`dynamic`] — the `Backend::Threads` and `Backend::Dynamic`
+//!   factorization: the same task graph executed by the DAG executor over
+//!   shared panels under per-panel locks, with the static mapping either
+//!   pinned (`Threads`: every task on its `K_p` processor, no stealing) or
+//!   reduced to placement/priority hints (`Dynamic`).
 //!
 //! The parallel factor is validated against the sequential one entry by
 //! entry; both support `f64` (SPD) and `Complex64` (complex symmetric)
@@ -67,7 +69,7 @@ pub use config::{FactorRun, SolverConfig};
 pub use metrics::MessagePathMetrics;
 pub use parallel::ChaosOptions;
 pub use pattern::ScatterPattern;
-pub use pastix_runtime::{Backend, DynamicOptions};
+pub use pastix_runtime::{Backend, DynamicOptions, TaskOrder};
 pub use pastix_trace::{MetricsRegistry, TraceLog, TraceOptions};
 pub use plan::{run_from_storage, AnalyzeOptions, AnalyzeStats, Plan, SolveOutput, SolveRequest};
 pub use refine::{RefineOptions, RefineOutput};

@@ -6,9 +6,11 @@
 //! bundles its outputs — fill-reducing permutation, task graph over the
 //! split symbol, and the static schedule — behind one cheaply clonable
 //! handle. [`Plan::factorize`] dispatches the numeric factorization on
-//! whatever backend the [`SolverConfig`] names (the SPMD backends execute
-//! the schedule; [`Backend::Dynamic`] takes its placement, priorities and
-//! worker count from it), and the returned [`FactorRun`] carries its plan
+//! whatever backend the [`SolverConfig`] names (every backend takes its
+//! mapping from the schedule: [`Backend::Sim`] runs the fan-in protocol,
+//! [`Backend::Threads`] the DAG executor pinned to `K_p`, and
+//! [`Backend::Dynamic`] the executor with placement, priorities and
+//! worker count as hints), and the returned [`FactorRun`] carries its plan
 //! so [`FactorRun::solve_request`] can permute, solve, and unpermute
 //! without the caller re-threading the analyze artifacts through every
 //! call.
@@ -32,7 +34,7 @@ use pastix_kernels::factor::FactorError;
 use pastix_kernels::Scalar;
 use pastix_machine::MachineModel;
 use pastix_ordering::OrderingOptions;
-use pastix_runtime::Backend;
+use pastix_runtime::{Backend, DynamicOptions, TaskOrder};
 use pastix_sched::{map_and_schedule, Mapping, SchedOptions, Schedule, SolveSchedule, TaskGraph};
 use pastix_symbolic::{AnalysisOptions, SymbolMatrix};
 use pastix_trace::{MetricsRegistry, TraceLog, TraceOptions};
@@ -264,7 +266,7 @@ impl Plan {
         })
     }
 
-    /// The fan-in routing of this plan's static factorizations, built on
+    /// The fan-in routing of this plan's `Sim` factorizations, built on
     /// first use. Each build counts in `solver.routing_builds` of
     /// `metrics` — one per plan, however many factorizations share it.
     fn routing(&self, metrics: &MetricsRegistry) -> &Routing {
@@ -312,7 +314,9 @@ impl Plan {
     /// other pattern — a subset, say — gets a one-off build. With
     /// `cfg.compression` enabled the finished factor is then compressed
     /// ([`crate::compress`]). The returned run carries this plan, so
-    /// [`FactorRun::solve_request`] works without further arguments.
+    /// [`FactorRun::solve_request`] works without further arguments. A
+    /// [`FactorError::ZeroPivot`] names the column of `a` in the caller's
+    /// numbering, on every backend.
     pub fn factorize<T: Scalar>(
         &self,
         a: &SymCsc<T>,
@@ -327,7 +331,10 @@ impl Plan {
         let t0 = std::time::Instant::now();
         // The end mark is recorded on the error path too, so a black box
         // taken after a failed factorization shows none still in flight.
-        let factor = self.factorize_numeric(a, cfg);
+        let factor = self.factorize_numeric(a, cfg).map_err(|e| match (e, self.permutation()) {
+            (FactorError::ZeroPivot(col), Some(p)) => FactorError::ZeroPivot(p.old_of(col)),
+            _ => e,
+        });
         pastix_trace::flight::record(
             pastix_trace::flight::FlightKind::FactorizeEnd,
             fp,
@@ -346,9 +353,11 @@ impl Plan {
         let pattern = self.scatter_pattern(a, &cfg.metrics)?;
         let entries = pattern.entries(a);
         let (sym, graph, sched) = (self.symbol(), &self.inner.graph, &self.inner.schedule);
+        let pinned = DynamicOptions::new().with_order(TaskOrder::Pinned);
         let (mut storage, trace) = match cfg.backend {
+            Backend::Threads => dynamic::factorize_dynamic(sym, entries, graph, sched, &pinned, cfg)?,
             Backend::Dynamic(dopts) => dynamic::factorize_dynamic(sym, entries, graph, sched, &dopts, cfg)?,
-            Backend::Threads | Backend::Sim(_) => {
+            Backend::Sim(_) => {
                 let routing = self.routing(&cfg.metrics);
                 crate::parallel::factorize_static(sym, entries, graph, sched, routing, cfg)?
             }
@@ -531,7 +540,6 @@ pub fn run_from_storage<T: Scalar>(
 mod tests {
     use super::*;
     use crate::parallel::tests::full_setup;
-    use pastix_runtime::DynamicOptions;
     use pastix_sched::DistStrategy;
 
     #[test]

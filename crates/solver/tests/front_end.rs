@@ -11,7 +11,7 @@ use pastix_sched::{DistStrategy, MappingOptions, SchedOptions};
 use pastix_solver::storage::try_blok_of;
 use pastix_solver::{
     factorize_sequential, AnalyzeOptions, Backend, DynamicOptions, FactorStorage, MetricsRegistry, Plan,
-    ScatterPattern, SolverConfig,
+    ScatterPattern, SolverConfig, TaskOrder,
 };
 use pastix_symbolic::SymbolMatrix;
 
@@ -37,7 +37,7 @@ fn sim() -> Backend {
 }
 
 fn dynamic() -> Backend {
-    Backend::Dynamic(DynamicOptions::new().with_workers(3).with_priorities(true))
+    Backend::Dynamic(DynamicOptions::new().with_workers(3).with_order(TaskOrder::Hints))
 }
 
 fn bits(st: &FactorStorage<f64>) -> Vec<u64> {
@@ -183,4 +183,24 @@ fn a_failed_factorization_records_its_flight_end() {
     let fp = plan.schedule().unwrap().digest();
     let marks: Vec<u8> = flight::snapshot().iter().filter(|e| e.a == fp).map(|e| e.kind).collect();
     assert_eq!(marks, [FlightKind::FactorizeStart as u8, FlightKind::FactorizeEnd as u8]);
+}
+
+/// A zero pivot names its column of `A`, in the caller's numbering, on
+/// every backend: an isolated vertex with a stored zero diagonal, placed
+/// inside an SPD grid, is the only singular pivot.
+#[test]
+fn a_zero_pivot_names_the_column_of_a() {
+    let iso = 37u32;
+    let shift = |i: u32| if i >= iso { i + 1 } else { i };
+    let mut entries: Vec<_> = triplets(&grid(5)).into_iter().map(|(i, j, v)| (shift(i), shift(j), v)).collect();
+    entries.push((iso, iso, 0.0));
+    let a = SymCsc::from_triplets(101, &entries);
+    for backend in [Backend::Threads, dynamic(), sim()] {
+        let cfg = config(backend);
+        let plan = Plan::analyze(&a, &cfg);
+        let eliminated_at = plan.permutation().expect("analyzed plans own one").new_of(iso as usize);
+        assert_ne!(eliminated_at, iso as usize, "the ordering must move the vertex for this test to bite");
+        let err = plan.factorize(&a, &cfg).err();
+        assert_eq!(err, Some(FactorError::ZeroPivot(iso as usize)), "{backend:?}");
+    }
 }

@@ -15,7 +15,7 @@ use pastix::kernels::FactorError;
 use pastix::machine::MachineModel;
 use pastix::ordering::{nested_dissection, OrderingOptions};
 use pastix::runtime::sim::{FaultPlan, SchedPolicy};
-use pastix::runtime::{Backend, DynamicOptions};
+use pastix::runtime::{Backend, DynamicOptions, TaskOrder};
 use pastix::sched::{map_and_schedule, DistStrategy, Mapping, SchedOptions};
 use pastix::solver::{
     run_from_storage, solve_block_in_place, solve_in_place, CompressionConfig, Plan,
@@ -197,7 +197,7 @@ fn sequential_static_and_dynamic_solves_agree_on_dense_and_blr_factors() {
                 ("sim starve", sim(42, SchedPolicy::StarveRank(1))),
                 ("sim deliver-last", sim(43, SchedPolicy::DeliverLast)),
                 ("sim fifo", sim(44, SchedPolicy::FifoPerPair)),
-                ("dynamic", Backend::Dynamic(DynamicOptions::new().with_workers(procs).with_priorities(true))),
+                ("dynamic", Backend::Dynamic(DynamicOptions::new().with_workers(procs).with_order(TaskOrder::Hints))),
                 ("dynamic sim", Backend::Dynamic(DynamicOptions::new().with_sim(FaultPlan::builder(45).build()))),
             ];
             let n = ap.n();

@@ -20,7 +20,7 @@ use pastix::graph::{canonical_solution, rhs_for_solution, SymCsc};
 use pastix::machine::MachineModel;
 use pastix::ordering::{nested_dissection, OrderingOptions};
 use pastix::runtime::sim::{run_sim_spmd, FaultPlan, SchedPolicy, SimRng};
-use pastix::runtime::{Backend, Comm, SendOutcome};
+use pastix::runtime::{Backend, Comm, SendOutcome, TaskOrder};
 use pastix::sched::{map_and_schedule, DistStrategy, Mapping, SchedOptions, TaskKind};
 use pastix::solver::{
     factorize_sequential, solve_in_place, ChaosOptions, DynamicOptions, FactorStorage, Plan,
@@ -292,7 +292,7 @@ fn chaos_dynamic_backend_agrees_with_sequential_under_every_policy() {
             let plan = FaultPlan::builder(seed).policy(policy).build();
             let dopts = DynamicOptions::new()
                 .with_workers(case.procs)
-                .with_priorities(i % 2 == 1)
+                .with_order(if i % 2 == 1 { TaskOrder::Hints } else { TaskOrder::Fifo })
                 .with_sim(plan);
             let opts = SolverConfig {
                 backend: Backend::Dynamic(dopts),
@@ -311,7 +311,7 @@ fn dynamic_backend_on_threads_agrees_with_sequential() {
     for (i, case) in cases.iter().enumerate() {
         let dopts = DynamicOptions::new()
             .with_workers(case.procs)
-            .with_priorities(i % 2 == 0);
+            .with_order(if i % 2 == 0 { TaskOrder::Hints } else { TaskOrder::Fifo });
         let opts = SolverConfig {
             backend: Backend::Dynamic(dopts),
             ..Default::default()
