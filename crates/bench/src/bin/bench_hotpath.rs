@@ -295,8 +295,8 @@ fn measure_trace_overhead(reps: usize) -> (f64, f64, u64) {
 }
 
 /// Where the factorization's time goes: BMWCRA1 @ 0.1 (`bench_e2e`'s
-/// `solid3d` matrix; SHIPSEC5 @ 0.02 in quick mode) on one and two ranks of
-/// the thread backend, and SHIPSEC5 @ 0.2 (`shell_refactor_dynamic`'s
+/// `solid3d` matrix; SHIPSEC5 @ 0.02 in quick mode) on one and two workers
+/// of `Backend::Threads` (the executor, pinned), and SHIPSEC5 @ 0.2 (`shell_refactor_dynamic`'s
 /// matrix and backend; @ 0.02 in quick mode) on [`FRONT_END_WORKERS`]
 /// workers of `Backend::Dynamic`: the fastest of `reps` wall-clock traced
 /// runs each, and under `median` the run of median wall time (a neighbour
@@ -328,7 +328,7 @@ fn bench_stages(quick: bool) -> Json {
         if let Some(d) = dynamic {
             base = base.with_backend(Backend::Dynamic(d));
         }
-        let backend = if dynamic.is_some() { "dynamic" } else { "static" };
+        let backend = if dynamic.is_some() { "dynamic" } else { "threads" };
         let plan = Plan::analyze(&a, &base);
         // Flops of the strip products U = −L·Fᵀ, the `gemm` stage's work.
         let sym = plan.symbol();

@@ -34,8 +34,8 @@ const TRACKED: &[(&str, &[(&str, &str)])] = &[
     ),
     (
         "BENCH_dynamic.json",
-        // Dynamic over static throughput on the headline problem.
-        &[("headline_ratio", "dyn/static")],
+        // Dynamic (hints) over Threads throughput on the headline problem.
+        &[("headline_ratio", "dyn/threads")],
     ),
     (
         "BENCH_blr.json",

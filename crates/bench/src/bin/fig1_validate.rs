@@ -1,5 +1,6 @@
 //! Validates **Figure 1** (the parallel factorization algorithm) as an
-//! executable artifact: runs the threaded fan-in solver for several
+//! executable artifact: runs the fan-in solver (`Backend::Sim`, one
+//! thread per processor under the seeded scheduler) for several
 //! processor counts and checks that the distributed factor matches the
 //! sequential reference and solves the system to machine precision.
 //!
@@ -10,9 +11,8 @@
 use pastix_bench::{prepare, scale, schedule_for};
 use pastix_graph::{canonical_solution, rhs_for_solution, ProblemId};
 use pastix_sched::SchedOptions;
-use pastix_solver::{
-    factorize_sequential, solve_in_place, FactorStorage, Plan, SolverConfig,
-};
+use pastix_runtime::sim::FaultPlan;
+use pastix_solver::{factorize_sequential, solve_in_place, Backend, FactorStorage, Plan, SolverConfig};
 
 fn main() {
     let scale = (scale() * 0.5).min(0.05); // keep the numeric runs snappy
@@ -35,7 +35,7 @@ fn main() {
             let plan =
                 Plan::from_parts(None, mapping.graph.clone(), Some(mapping.schedule.clone()));
             let par = plan
-                .factorize(&ap, &SolverConfig::default())
+                .factorize(&ap, &SolverConfig::new().with_backend(Backend::Sim(FaultPlan::builder(p as u64).build())))
                 .expect("parallel factorization failed");
             let mut seq = FactorStorage::zeros(sym);
             seq.scatter(sym, &ap);

@@ -131,15 +131,18 @@ pub trait Comm<M> {
 /// ```
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub enum Backend {
-    /// One OS thread per logical processor — the production backend.
+    /// One OS thread per logical processor — the production backend. An
+    /// SPMD program runs one rank per thread; `pastix-solver` factorizes
+    /// on the [`steal::run_dag`] executor with the static mapping pinned
+    /// ([`steal::TaskOrder::Pinned`]).
     #[default]
     Threads,
     /// Deterministic serialized simulation driven by the given fault plan;
     /// every execution is a pure function of `(seed, policy)`.
     Sim(sim::FaultPlan),
-    /// Task-graph-driven work-stealing executor ([`steal::run_dag`]): the
-    /// static schedule, when present, supplies only initial placement and
-    /// task priority. Not an SPMD backend — [`run_spmd_with`] rejects it;
+    /// Task-graph-driven executor ([`steal::run_dag`]) in the given
+    /// order: the static schedule supplies placement and task priority,
+    /// as hints unless the order is pinned. Not an SPMD backend — [`run_spmd_with`] rejects it;
     /// it is driven through the `Plan` API in `pastix-solver`.
     Dynamic(steal::DynamicOptions),
 }

@@ -20,15 +20,17 @@ use pastix_trace::{MetricsRegistry, TraceLog, TraceOptions};
 /// ([`pastix_kernels::KernelMode::scoped`]), not part of the config.
 #[derive(Debug, Clone, Default)]
 pub struct SolverConfig {
-    /// Execution backend: real OS threads ([`Backend::Threads`], default)
-    /// or the deterministic fault-injecting simulator ([`Backend::Sim`])
-    /// whose whole execution is a pure function of the embedded fault
-    /// plan's `(seed, policy)`.
+    /// Execution backend: real OS threads running the static mapping
+    /// ([`Backend::Threads`], default), the deterministic fault-injecting
+    /// simulator of the fan-in protocol ([`Backend::Sim`]) whose whole
+    /// execution is a pure function of the embedded fault plan's
+    /// `(seed, policy)`, or work stealing ([`Backend::Dynamic`]).
     pub backend: Backend,
     /// Fan-Both memory cap in scalars per processor: when the outgoing
     /// aggregation buffers exceed it, the largest is sent partially
     /// aggregated (paper §2). `None` (default) keeps total local
-    /// aggregation (pure Fan-In).
+    /// aggregation (pure Fan-In). A knob of the fan-in protocol, read
+    /// only on [`Backend::Sim`]: the other backends send no AUBs.
     pub aub_memory_limit: Option<usize>,
     /// Fault injection for the chaos suite; off by default.
     pub chaos: ChaosOptions,

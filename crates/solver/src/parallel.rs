@@ -1,5 +1,5 @@
 //! The parallel supernodal fan-in `L·D·Lᵀ` solver, fully driven by the
-//! static schedule.
+//! static schedule: the `Backend::Sim` factorization.
 //!
 //! This is the executable form of the paper's Fig. 1: each logical
 //! processor walks its fully ordered task vector `K_p`; non-local block
@@ -829,7 +829,9 @@ impl<T: Scalar, C: Comm<PMsg<T>> + ?Sized> ContribSink<T> for FanIn<'_, '_, T, C
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ChaosOptions {
     /// Panic on `(rank, local task index)` just before executing that
-    /// entry of the rank's schedule — models a crashed processor.
+    /// entry of the rank's schedule — models a crashed processor. On the
+    /// DAG executor (`Threads`, `Dynamic`) it is `(worker, index among
+    /// the tasks that worker ran)`; pinned, the worker is the `K_p` rank.
     pub panic_at: Option<(u32, usize)>,
     /// Zero the leading pivot of this task's region right before its
     /// factorization kernel (the task must be a COMP1D or FACTOR), forcing
@@ -837,9 +839,10 @@ pub struct ChaosOptions {
     pub zero_pivot_task: Option<u32>,
 }
 
-/// The SPMD factorization engine (threads or simulator): `cfg.backend`
-/// selects the execution substrate; returns the assembled factor with the
-/// run's [`TraceLog`]. Called by [`crate::Plan::factorize`].
+/// The SPMD factorization engine: `cfg.backend` selects the execution
+/// substrate (the unit tests also run it on threads); returns the
+/// assembled factor with the run's [`TraceLog`]. Called by
+/// [`crate::Plan::factorize`] for `Backend::Sim`.
 pub(crate) fn factorize_static<T: Scalar>(
     sym: &SymbolMatrix,
     a: Entries<'_, T>,
