@@ -142,8 +142,9 @@ pub enum Backend {
     Sim(sim::FaultPlan),
     /// Task-graph-driven executor ([`steal::run_dag`]) in the given
     /// order: the static schedule supplies placement and task priority,
-    /// as hints unless the order is pinned. Not an SPMD backend — [`run_spmd_with`] rejects it;
-    /// it is driven through the `Plan` API in `pastix-solver`.
+    /// as hints unless the order is pinned. Not an SPMD backend —
+    /// [`run_spmd_with`] rejects it; it is driven through the `Plan` API
+    /// in `pastix-solver`.
     Dynamic(steal::DynamicOptions),
 }
 
