@@ -13,9 +13,11 @@
 //! 3. block repartitioning and static scheduling — candidate processors by
 //!    proportional mapping, 1D/2D switch, splitting by the BLAS blocking
 //!    size, greedy mapping by simulation (`pastix-sched`);
-//! 4. numeric factorization — the supernodal fan-in solver driven by the
-//!    schedule, on threads (`pastix-solver` + `pastix-runtime`), plus the
-//!    sequential reference and the triangular solves.
+//! 4. numeric factorization driven by the schedule (`pastix-solver` +
+//!    `pastix-runtime`): the task-graph executor on threads, pinned to the
+//!    static mapping or stealing work, the paper's supernodal fan-in on the
+//!    deterministic simulator, the sequential reference, and the
+//!    triangular solves.
 //!
 //! The entry path is the [`solver::Plan`] API: one [`solver::SolverConfig`]
 //! value drives analyze, factorize, and solve.

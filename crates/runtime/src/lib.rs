@@ -9,8 +9,10 @@
 //!
 //! The surface is the [`Comm`] trait, with two interchangeable backends:
 //!
-//! - [`run_spmd`] — one OS thread per logical processor ([`ProcCtx`]),
-//!   the production backend;
+//! - [`run_spmd`] — one OS thread per logical processor ([`ProcCtx`]);
+//!   it carries the `Backend::Threads` solves (the `Threads`
+//!   factorization runs on the [`steal::run_dag`] executor and sends no
+//!   message);
 //! - [`sim::run_sim_spmd`] — a deterministic single-execution simulation
 //!   ([`sim::SimCtx`]) where a seeded scheduler decides which processor
 //!   runs and when each message is delivered, with injectable faults.
@@ -109,8 +111,8 @@ pub trait Comm<M> {
     fn try_recv(&self) -> Option<Envelope<M>>;
 }
 
-/// Which runtime executes the solver: the production thread backend, the
-/// deterministic fault-injecting simulator, or the task-graph-driven
+/// Which runtime executes the solver: OS threads, the deterministic
+/// fault-injecting simulator, or the task-graph-driven
 /// work-stealing executor. This is the one switch the backend-generic
 /// solver entry points (`Plan::factorize` / `FactorRun::solve_request` in
 /// `pastix-solver`) dispatch on, so a single numerical codepath runs on
@@ -131,10 +133,10 @@ pub trait Comm<M> {
 /// ```
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub enum Backend {
-    /// One OS thread per logical processor — the production backend. An
-    /// SPMD program runs one rank per thread; `pastix-solver` factorizes
-    /// on the [`steal::run_dag`] executor with the static mapping pinned
-    /// ([`steal::TaskOrder::Pinned`]).
+    /// One OS thread per logical processor. An SPMD program (the
+    /// `pastix-solver` solve) runs one rank per thread; `pastix-solver`
+    /// factorizes on the [`steal::run_dag`] executor with the static
+    /// mapping pinned ([`steal::TaskOrder::Pinned`]).
     #[default]
     Threads,
     /// Deterministic serialized simulation driven by the given fault plan;

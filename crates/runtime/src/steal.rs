@@ -133,8 +133,6 @@ pub struct TaskCtx {
     /// Ready-queue depth of the executing worker right after the pop —
     /// the sampled [`ready-queue gauge`](crate::Backend::Dynamic) signal.
     pub ready_depth: usize,
-    /// `true` when the task was stolen from another worker's queue.
-    pub stolen: bool,
 }
 
 /// Counters of one [`run_dag`] execution.
@@ -144,8 +142,6 @@ pub struct StealStats {
     pub executed: Vec<u64>,
     /// Tasks moved between queues by steal-half (0 under sim).
     pub steals: u64,
-    /// `true` when a task body requested abort (returned `false`).
-    pub aborted: bool,
 }
 
 /// Ready-queue entry. Ordering: highest priority first, then lowest
@@ -155,7 +151,6 @@ struct Entry {
     prio: u64,
     seq: u64,
     task: u32,
-    stolen: bool,
 }
 
 impl PartialEq for Entry {
@@ -246,7 +241,6 @@ where
                 prio: spec.priority[t],
                 seq: next_seq.fetch_add(1, Ordering::Relaxed),
                 task: t as u32,
-                stolen: false,
             });
         }
     }
@@ -279,8 +273,7 @@ where
                         let mut vq = queues[v].lock().unwrap();
                         let take = vq.len().div_ceil(2);
                         for _ in 0..take {
-                            if let Some(mut e) = vq.pop() {
-                                e.stolen = true;
+                            if let Some(e) = vq.pop() {
                                 batch.push(e);
                             }
                         }
@@ -304,7 +297,6 @@ where
                 worker: w,
                 local_index,
                 ready_depth: depth,
-                stolen: entry.stolen,
             };
             local_index += 1;
             executed[w].fetch_add(1, Ordering::Relaxed);
@@ -334,7 +326,6 @@ where
                         prio: spec.priority[d as usize],
                         seq: next_seq.fetch_add(1, Ordering::Relaxed),
                         task: d,
-                        stolen: false,
                     });
                 }
             }
@@ -361,7 +352,6 @@ where
     let stats = StealStats {
         executed: executed.into_iter().map(|c| c.into_inner()).collect(),
         steals: steals.into_inner(),
-        aborted: abort.into_inner(),
     };
     (results, stats)
 }
@@ -387,7 +377,6 @@ where
                 prio: spec.priority[t],
                 seq: next_seq,
                 task: t as u32,
-                stolen: false,
             });
             next_seq += 1;
         }
@@ -396,8 +385,7 @@ where
     let mut executed = vec![0u64; n_workers];
     let mut local_index = vec![0usize; n_workers];
     let mut remaining = n;
-    let mut aborted = false;
-    while remaining > 0 && !aborted {
+    while remaining > 0 {
         // Enabled actions: (worker, index into its ready list).
         let acts: Vec<(usize, usize)> = (0..n_workers)
             .flat_map(|w| (0..ready[w].len()).map(move |i| (w, i)))
@@ -442,12 +430,10 @@ where
             worker: w,
             local_index: local_index[w],
             ready_depth: ready[w].len(),
-            stolen: false,
         };
         local_index[w] += 1;
         executed[w] += 1;
         if !body(entry.task, &ctx) {
-            aborted = true;
             break;
         }
         let t = entry.task as usize;
@@ -460,18 +446,13 @@ where
                     prio: spec.priority[d as usize],
                     seq: next_seq,
                     task: d,
-                    stolen: false,
                 });
                 next_seq += 1;
             }
         }
         remaining -= 1;
     }
-    StealStats {
-        executed,
-        steals: 0,
-        aborted,
-    }
+    StealStats { executed, steals: 0 }
 }
 
 #[cfg(test)]
@@ -535,7 +516,6 @@ mod tests {
         );
         assert_eq!(order.into_inner().unwrap(), (0..n as u32).collect::<Vec<_>>());
         assert_eq!(stats.executed.iter().sum::<u64>(), n as u64);
-        assert!(!stats.aborted);
     }
 
     #[test]
@@ -586,7 +566,7 @@ mod tests {
             },
             &|_w, run| run(),
         );
-        assert!(stats.aborted);
+        assert!(stats.executed.iter().sum::<u64>() < n as u64);
         assert_eq!(done.into_inner(), 6, "execution stops at the aborting task");
     }
 
@@ -692,14 +672,14 @@ mod tests {
         let ran = Mutex::new(Vec::new());
         let body = |t: u32, ctx: &TaskCtx| {
             std::hint::black_box((0..200).sum::<u64>());
-            ran.lock().unwrap().push((t, ctx.worker, ctx.stolen));
+            ran.lock().unwrap().push((t, ctx.worker));
             true
         };
         let (_, stats) = run_dag(&spec, 3, None, &body, &|_w, run| run());
         assert_eq!((stats.steals, stats.executed[1]), (0, 0));
         let first = std::mem::take(&mut *ran.lock().unwrap());
         assert_eq!(first.len(), n);
-        assert!(first.iter().all(|&(t, w, stolen)| w == place[t as usize] as usize && !stolen), "{first:?}");
+        assert!(first.iter().all(|&(t, w)| w == place[t as usize] as usize), "{first:?}");
         // With every task a root, each worker runs its share in priority
         // order.
         let (roots, none_ptr) = (vec![0u32; n], vec![0u32; n + 1]);
@@ -710,7 +690,8 @@ mod tests {
             assert!(mine.windows(2).all(|p| prio[p[0] as usize] > prio[p[1] as usize]), "worker {w}: {mine:?}");
         }
         // Abort and panic still end the run on every worker.
-        assert!(run_dag(&spec, 3, None, &|t, _: &TaskCtx| t != 5, &|_w, run| run()).1.aborted);
+        let aborted = run_dag(&spec, 3, None, &|t, _: &TaskCtx| t != 5, &|_w, run| run()).1;
+        assert!(aborted.executed.iter().sum::<u64>() < n as u64);
         let boom = |t, _: &TaskCtx| if t == 7 { panic!("pinned boom") } else { true };
         assert!(catch_unwind(AssertUnwindSafe(|| run_dag(&spec, 3, None, &boom, &|_w, run| run()))).is_err());
     }

@@ -14,17 +14,18 @@ use pastix_trace::{MetricsRegistry, TraceLog, TraceOptions};
 
 /// Unified configuration of the parallel factorization and solve entry
 /// points: execution backend, solver-level knobs and the observability
-/// surface. `Clone` is cheap (the registry handle is an `Arc` bump) and the
-/// default value reproduces the old defaults exactly: thread backend, pure
-/// fan-in, no chaos, tracing off. The kernel dispatch mode is process-wide
+/// surface. `Clone` is cheap (the registry handle is an `Arc` bump); the
+/// default value is the `Threads` backend, no Fan-Both cap, no chaos,
+/// tracing off and no compression. The kernel dispatch mode is process-wide
 /// ([`pastix_kernels::KernelMode::scoped`]), not part of the config.
 #[derive(Debug, Clone, Default)]
 pub struct SolverConfig {
-    /// Execution backend: real OS threads running the static mapping
-    /// ([`Backend::Threads`], default), the deterministic fault-injecting
-    /// simulator of the fan-in protocol ([`Backend::Sim`]) whose whole
-    /// execution is a pure function of the embedded fault plan's
-    /// `(seed, policy)`, or work stealing ([`Backend::Dynamic`]).
+    /// Execution backend: the task-graph executor on OS threads with every
+    /// task pinned to its `K_p` processor ([`Backend::Threads`], default),
+    /// the deterministic fault-injecting simulator of the fan-in protocol
+    /// ([`Backend::Sim`]) whose whole execution is a pure function of the
+    /// embedded fault plan's `(seed, policy)`, or work stealing
+    /// ([`Backend::Dynamic`]).
     pub backend: Backend,
     /// Fan-Both memory cap in scalars per processor: when the outgoing
     /// aggregation buffers exceed it, the largest is sent partially
@@ -37,8 +38,8 @@ pub struct SolverConfig {
     /// Task-level tracing; disabled by default (a disabled trace adds one
     /// thread-local `Option` check per record site).
     pub trace: TraceOptions,
-    /// The registry that receives this run's counters (message-path and
-    /// communication totals, per rank). Defaults to a fresh private
+    /// The registry that receives this run's counters (communication
+    /// totals, stage timers, executor counts, per rank). Defaults to a fresh private
     /// registry; pass a shared handle to aggregate across runs.
     pub metrics: MetricsRegistry,
     /// Pre-processing knobs consumed by [`crate::Plan::analyze`]:
@@ -50,8 +51,8 @@ pub struct SolverConfig {
 }
 
 impl SolverConfig {
-    /// The default configuration: thread backend, pure fan-in, no chaos,
-    /// tracing off.
+    /// The default configuration: `Threads` backend, no Fan-Both cap, no
+    /// chaos, tracing off, no compression.
     pub fn new() -> Self {
         Self::default()
     }
@@ -143,7 +144,7 @@ mod tests {
     use super::*;
 
     #[test]
-    fn default_matches_old_parallel_options() {
+    fn default_is_threads_uncapped_untraced_dense() {
         let c = SolverConfig::default();
         assert_eq!(c.backend, Backend::Threads);
         assert_eq!(c.aub_memory_limit, None);

@@ -26,7 +26,7 @@
 //!   place; the solve sweeps as a plain loop up and down the blocks);
 //! * [`parallel`] — the `Backend::Sim` driver: the supernodal **fan-in**
 //!   engine of the paper's Fig. 1, each rank walking its `K_p` from
-//!   `pastix-sched` on the in-process message-passing runtime (regions,
+//!   `pastix-sched` on the runtime's deterministic simulator (regions,
 //!   AUBs, factor payloads); [`psolve`] is its solve twin (segment
 //!   broadcasts, aggregated updates, exactly-once under duplicate
 //!   delivery), also the `Backend::Threads` solve;
@@ -52,7 +52,6 @@
 pub mod compress;
 pub mod config;
 pub mod dynamic;
-pub mod metrics;
 pub mod parallel;
 mod pattern;
 pub mod plan;
@@ -66,7 +65,6 @@ mod tasks;
 
 pub use compress::CompressionConfig;
 pub use config::{FactorRun, SolverConfig};
-pub use metrics::MessagePathMetrics;
 pub use parallel::ChaosOptions;
 pub use pattern::ScatterPattern;
 pub use pastix_runtime::{Backend, DynamicOptions, TaskOrder};

@@ -7,8 +7,8 @@
 //! (AUBs) that are sent as soon as the last local contribution lands
 //! ("total local aggregation", the Fan-In scheme of Ashcraft–Eisenstat–
 //! Liu); factor panels (`L_kk D_k` for BDIV, `[L_j | F_j]` for BMOD) are
-//! the only other messages. The runtime is the in-process message-passing
-//! substrate of `pastix-runtime`.
+//! the only other messages. The runtime is `pastix-runtime`'s
+//! deterministic simulator, so every run replays from its fault plan.
 //!
 //! Because the schedule orders every computation, reception is demand
 //! driven: a processor that needs a factor block drains its mailbox —
@@ -24,21 +24,22 @@ use crate::tasks::{self, Comp1dNs, ContribSink, Scratch, StretchFn};
 use pastix_kernels::dense::copy_panel;
 use pastix_kernels::factor::FactorError;
 use pastix_kernels::Scalar;
-use pastix_runtime::{run_spmd_with, Comm, CommHook, Instrumented};
+use pastix_runtime::sim::{run_sim_spmd, FaultPlan, SimCtx};
+use pastix_runtime::{Comm, CommHook, Instrumented};
 use pastix_sched::{Schedule, TaskGraph, TaskKind};
 use pastix_symbolic::SymbolMatrix;
 use pastix_trace::{
     heartbeat, sample_gauge, task_span, GaugeId, MetricsRegistry, RankTrace, SessionHook,
     TaskClass, TraceLog, TraceOptions,
 };
+use std::cmp::Reverse;
 use std::collections::{HashMap, HashSet};
 use std::sync::atomic::{AtomicI64, AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 use std::time::Instant;
 
 /// Message shipped between logical processors. (`Clone` is only exercised
-/// by the simulator's duplicate-delivery fault; for the `Arc` factor
-/// payload it is a refcount bump.)
+/// by the simulator's duplicate-delivery fault.)
 #[derive(Clone)]
 enum PMsg<T> {
     /// Aggregated update block for the region of task `dst`: the sum of
@@ -49,9 +50,6 @@ enum PMsg<T> {
     /// sender it identifies the AUB so receivers can discard the
     /// simulator's duplicate deliveries (an AUB applied twice would
     /// corrupt the region *and* underflow the pending-pair counter).
-    /// The payload stays an owned `Vec` on purpose: an AUB has exactly one
-    /// destination, and the receiver recycles the buffer into its own
-    /// outgoing pool after applying it.
     Aub {
         dst: u32,
         seq: u32,
@@ -60,9 +58,8 @@ enum PMsg<T> {
     },
     /// Factor data produced by task `src` (`L_kk D_k` of a FACTOR, or
     /// `[L_b | F_b]` of a BDIV). Duplicate delivery is harmless: the cache
-    /// insert is idempotent. Shipped as `Arc<[T]>`: the producer
-    /// materializes the payload once and every consumer send is a refcount
-    /// bump instead of a deep clone.
+    /// insert is idempotent. The producer's one cached copy, shared by
+    /// every consumer rank.
     Fac { src: u32, data: Arc<[T]> },
     /// A processor hit a zero pivot; everyone unwinds. Idempotent.
     Abort { col: u32 },
@@ -81,10 +78,11 @@ fn pmsg_meta<T>(m: &PMsg<T>) -> (u8, u64) {
 
 /// Run-wide live gauges of a traced factorization or panel solve, shared
 /// by every rank and sampled onto the trace timeline at the
-/// `TraceOptions::sample_every` cadence. Only allocated
-/// (and only touched) when tracing is enabled, so the untraced hot path
-/// never sees an atomic. Under the simulator the serialized execution
-/// makes every reading a pure function of `(seed, policy)`.
+/// `TraceOptions::sample_every` cadence. The solve allocates them only
+/// when tracing is enabled, so its untraced hot path never sees an atomic;
+/// the `Sim` factorization always counts into them and reads them only
+/// when traced. Under the simulator the serialized execution makes every
+/// reading a pure function of `(seed, policy)`.
 pub(crate) struct SharedGauges {
     /// Payload bytes accepted by the transport but not yet received.
     /// Signed because the simulator's duplicate-delivery fault can make
@@ -133,21 +131,6 @@ impl CommHook for GaugeHook<'_> {
     }
 }
 
-/// Per-rank message-path counters, bumped as plain fields on the worker's
-/// hot path (no atomics, no sharing) and merged into the run's
-/// [`MetricsRegistry`] once at run end.
-#[derive(Debug, Clone, Copy, Default)]
-struct RankCounters {
-    fac_deep_copies: u64,
-    fac_sends: u64,
-    aub_sends: u64,
-    aub_fresh_allocs: u64,
-    aub_pool_reuses: u64,
-    /// Stage timers of the COMP1D bodies (zero unless traced on the wall
-    /// clock).
-    comp1d: Comp1dNs,
-}
-
 /// Merges one worker's COMP1D stage timers into `reg` (zero when the run
 /// took none, and then skipped).
 pub(crate) fn merge_comp1d_ns(reg: &MetricsRegistry, rank: u32, ns: &Comp1dNs) {
@@ -155,23 +138,6 @@ pub(crate) fn merge_comp1d_ns(reg: &MetricsRegistry, rank: u32, ns: &Comp1dNs) {
         ("solver.comp1d.trsm_ns", ns.trsm),
         ("solver.comp1d.gemm_ns", ns.gemm),
         ("solver.comp1d.deliver_ns", ns.deliver),
-    ] {
-        if v > 0 {
-            reg.add_counter_rank(name, Some(rank), v);
-        }
-    }
-}
-
-/// Merges one rank's counters into `reg` under the `solver.*` names
-/// (zero counters are skipped; absent names read as 0 anyway).
-fn merge_rank_counters(reg: &MetricsRegistry, rank: u32, c: &RankCounters) {
-    merge_comp1d_ns(reg, rank, &c.comp1d);
-    for (name, v) in [
-        ("solver.fac_deep_copies", c.fac_deep_copies),
-        ("solver.fac_sends", c.fac_sends),
-        ("solver.aub_sends", c.aub_sends),
-        ("solver.aub_fresh_allocs", c.aub_fresh_allocs),
-        ("solver.aub_pool_reuses", c.aub_pool_reuses),
     ] {
         if v > 0 {
             reg.add_counter_rank(name, Some(rank), v);
@@ -197,11 +163,10 @@ pub(crate) fn merge_trace_metrics(reg: &MetricsRegistry, log: &TraceLog) {
     }
 }
 
-/// Static routing of one `(task graph, schedule)`: structure only, so it is
-/// built once per [`crate::Plan`] and shared read-only by all workers of
-/// every factorization of it.
+/// Static routing of one `(task graph, schedule)`: structure only, built
+/// once per factorization and shared read-only by all its workers.
 #[derive(Debug)]
-pub(crate) struct Routing {
+struct Routing {
     layout: PanelLayout,
     /// Per task: total remote contribution *pairs* expected (AUB messages
     /// decrement this by the pair count they carry, so partial-aggregation
@@ -246,7 +211,7 @@ fn route_of(sym: &SymbolMatrix, graph: &TaskGraph, t: &PairTarget) -> PairRoute 
 impl Routing {
     /// Builds the routing tables: one [`strip_targets`] walk per pivot
     /// blok, the pair counts added up run by run of equal `(sender, dst)`.
-    pub(crate) fn build(graph: &TaskGraph, sched: &Schedule) -> Self {
+    fn build(graph: &TaskGraph, sched: &Schedule) -> Self {
         let sym = &graph.split.symbol;
         let layout = PanelLayout::new(sym);
         let n_tasks = graph.n_tasks();
@@ -324,11 +289,8 @@ struct Worker<'a, T> {
     /// Fan-Both memory cap: when the outgoing AUB buffers hold more than
     /// this many scalars, the largest one is flushed partially aggregated.
     aub_memory_limit: Option<usize>,
-    /// Recycled AUB buffers: applied incoming AUB payloads land here and
-    /// are reused for outgoing accumulation instead of fresh allocations.
-    aub_pool: Vec<Vec<T>>,
-    /// Factor payloads, remote (received) and local (materialized once per
-    /// producing task, then shared by every consumer send).
+    /// Factor payloads, received from remote producers or copied once from
+    /// a finished local region; every consumer reads from here.
     fac_cache: HashMap<u32, Arc<[T]>>,
     /// AUBs already applied, keyed by (sender, sender-sequence): the
     /// duplicate-delivery fault replays a message verbatim, so this set is
@@ -341,10 +303,8 @@ struct Worker<'a, T> {
     chaos: ChaosOptions,
     /// Work buffers of the task bodies, reused across this rank's tasks.
     scratch: Scratch<T>,
-    /// Message-path counters, merged into the registry at run end.
-    counters: RankCounters,
-    /// Run-wide live gauges; `None` when tracing is off, so the untraced
-    /// loop never touches an atomic.
+    /// Run-wide live gauges, sampled and heartbeat-stamped only when
+    /// tracing is on.
     gauges: Option<&'a SharedGauges>,
     /// Gauge sampling cadence in completed tasks (0 disables sampling).
     sample_every: u32,
@@ -352,34 +312,10 @@ struct Worker<'a, T> {
     since_sample: u32,
     /// Scalars resident in the owned regions (fixed after scatter).
     region_scalars: usize,
-    /// Scalars held by the factor-payload cache (received + materialized).
+    /// Scalars held by the factor-payload cache.
     fac_cache_scalars: usize,
     /// Largest live-bytes reading seen so far on this rank.
     peak_live_bytes: u64,
-}
-
-/// A factor payload as seen by one consumer task: a locally produced
-/// region is *borrowed* — taken out of the region store for the duration
-/// of the consumer and put back untouched — while remote (or already
-/// materialized) payloads are refcount bumps of the cached `Arc`. This is
-/// what keeps `fac_deep_copies` at zero for producers whose consumers are
-/// all local: only `send_fac` materializes.
-enum FacPayload<T> {
-    /// Temporarily removed from `regions`; must be returned via
-    /// [`Worker::put_fac`].
-    Borrowed(Vec<T>),
-    /// Shared cache entry (local materialized or remote received).
-    Shared(Arc<[T]>),
-}
-
-impl<T> FacPayload<T> {
-    #[inline]
-    fn as_slice(&self) -> &[T] {
-        match self {
-            FacPayload::Borrowed(v) => v,
-            FacPayload::Shared(a) => a,
-        }
-    }
 }
 
 impl<'a, T: Scalar> Worker<'a, T> {
@@ -393,7 +329,6 @@ impl<'a, T: Scalar> Worker<'a, T> {
                 data,
             } => {
                 if !self.seen_aubs.insert((from, seq)) {
-                    self.recycle_aub(data);
                     return; // duplicate delivery
                 }
                 // Updates commute: apply immediately into the region.
@@ -403,7 +338,6 @@ impl<'a, T: Scalar> Worker<'a, T> {
                 }
                 let left = self.aubs_pending.get_mut(&dst).expect("unexpected AUB");
                 *left -= pairs;
-                self.recycle_aub(data);
             }
             PMsg::Fac { src, data } => {
                 let len = data.len();
@@ -429,83 +363,19 @@ impl<'a, T: Scalar> Worker<'a, T> {
         }
     }
 
-    /// Materializes the finished factor region of locally owned task `t`
-    /// as a shared payload — once; later callers (and every consumer send)
-    /// get refcount bumps of the same allocation. Only remote sends pay
-    /// this copy: purely local consumers borrow through [`Self::take_fac`].
-    fn local_fac_payload(&mut self, t: u32) -> Arc<[T]> {
-        if let Some(data) = self.fac_cache.get(&t) {
-            return data.clone();
-        }
-        let region = self.regions.get(&t).expect("local factor region missing");
-        self.counters.fac_deep_copies += 1;
-        let arc: Arc<[T]> = Arc::from(region.as_slice());
-        self.fac_cache_scalars += arc.len();
-        self.fac_cache.insert(t, arc.clone());
-        arc
-    }
-
-    /// Obtains factor data produced by task `src`. A locally owned region
-    /// that was never materialized is moved out of the region store and
-    /// read in place (zero copy; return it with [`Self::put_fac`]); remote
-    /// payloads — and local ones already materialized for remote
-    /// consumers — are refcount bumps of the cache entry.
-    fn take_fac<C: Comm<PMsg<T>> + ?Sized>(
-        &mut self,
-        ctx: &C,
-        src: u32,
-    ) -> Result<FacPayload<T>, FactorError> {
-        if let Some(data) = self.fac_cache.get(&src) {
-            return Ok(FacPayload::Shared(data.clone()));
-        }
-        if self.sched.task_proc[src as usize] == self.rank {
-            let region = self.regions.remove(&src).expect("local factor region missing");
-            return Ok(FacPayload::Borrowed(region));
-        }
+    /// Obtains factor data produced by task `src` from the cache, draining
+    /// the mailbox until a remote producer's payload arrives (a local
+    /// producer ran earlier in `K_p` and is cached already).
+    fn take_fac<C: Comm<PMsg<T>> + ?Sized>(&mut self, ctx: &C, src: u32) -> Result<Arc<[T]>, FactorError> {
         loop {
+            if let Some(data) = self.fac_cache.get(&src) {
+                return Ok(data.clone());
+            }
             if let Some(e) = self.aborted {
                 return Err(e);
             }
-            if let Some(data) = self.fac_cache.get(&src) {
-                return Ok(FacPayload::Shared(data.clone()));
-            }
             let env = ctx.recv();
             self.handle(env.from, env.msg);
-        }
-    }
-
-    /// Returns a payload obtained from [`Self::take_fac`]: a borrowed
-    /// local region goes back into the region store (shared payloads need
-    /// nothing).
-    fn put_fac(&mut self, src: u32, payload: FacPayload<T>) {
-        if let FacPayload::Borrowed(region) = payload {
-            self.regions.insert(src, region);
-        }
-    }
-
-    /// Returns an applied incoming AUB payload to the pool for reuse as an
-    /// outgoing accumulation buffer (bounded so the pool cannot hoard).
-    fn recycle_aub(&mut self, buf: Vec<T>) {
-        const AUB_POOL_CAP: usize = 16;
-        if buf.capacity() > 0 && self.aub_pool.len() < AUB_POOL_CAP {
-            self.aub_pool.push(buf);
-        }
-    }
-
-    /// Takes a zeroed buffer of `len` scalars, recycling from the pool
-    /// when possible.
-    fn take_aub_buffer(&mut self, len: usize) -> Vec<T> {
-        match self.aub_pool.pop() {
-            Some(mut buf) => {
-                self.counters.aub_pool_reuses += 1;
-                buf.clear();
-                buf.resize(len, T::zero());
-                buf
-            }
-            None => {
-                self.counters.aub_fresh_allocs += 1;
-                vec![T::zero(); len]
-            }
         }
     }
 
@@ -523,7 +393,6 @@ impl<'a, T: Scalar> Worker<'a, T> {
     ) {
         let seq = self.aub_seq;
         self.aub_seq += 1;
-        self.counters.aub_sends += 1;
         let _ = ctx.send_resilient(
             q,
             PMsg::Aub {
@@ -537,13 +406,14 @@ impl<'a, T: Scalar> Worker<'a, T> {
 
     /// Sends the largest outgoing AUB buffer with whatever it has
     /// aggregated so far (its pair budget stays open; the buffer is
-    /// re-created on the next contribution).
+    /// re-created on the next contribution). Ties go to the lowest `dst`,
+    /// so the choice never depends on the map's iteration order.
     fn flush_largest_aub<C: Comm<PMsg<T>> + ?Sized>(&mut self, ctx: &C) {
         let Some((&dst, _)) = self
             .aub_out
             .iter()
             .filter(|(_, (_, _, acc))| *acc > 0)
-            .max_by_key(|(_, (v, _, _))| v.len())
+            .max_by_key(|(&dst, (v, _, _))| (v.len(), Reverse(dst)))
         else {
             return;
         };
@@ -566,27 +436,26 @@ impl<'a, T: Scalar> Worker<'a, T> {
         }
     }
 
-    /// Sends factor data of task `t` to every remote consumer processor
-    /// (deduplicated).
+    /// Publishes the finished factor region of task `t` when it has any
+    /// consumer: one copy into the cache, which local consumers read and
+    /// every remote consumer processor (deduplicated) is sent.
     fn send_fac<C: Comm<PMsg<T>> + ?Sized>(&mut self, ctx: &C, t: u32) {
-        let mut procs: Vec<u32> = self
-            .graph
-            .out_edges(t as usize)
+        let consumers = self.graph.out_edges(t as usize);
+        if consumers.is_empty() {
+            return;
+        }
+        let data: Arc<[T]> = Arc::from(self.regions[&t].as_slice());
+        self.fac_cache_scalars += data.len();
+        self.fac_cache.insert(t, data.clone());
+        let mut procs: Vec<u32> = consumers
             .iter()
             .map(|&d| self.sched.task_proc[d as usize])
             .filter(|&q| q != self.rank)
             .collect();
         procs.sort_unstable();
         procs.dedup();
-        if procs.is_empty() {
-            return;
-        }
-        // One deep copy (shared with later local readers), N refcount
-        // bumps — the seed cloned the whole region once per consumer.
-        let data = self.local_fac_payload(t);
         for q in procs {
             // Retried on drop; a closed peer is already unwinding.
-            self.counters.fac_sends += 1;
             let _ = ctx.send_resilient(q as usize, PMsg::Fac { src: t, data: data.clone() });
         }
     }
@@ -649,10 +518,9 @@ impl<'a, T: Scalar> Worker<'a, T> {
         let aub_out_scalars: usize = self.aub_out.values().map(|(v, _, _)| v.len()).sum();
         let live = (self.region_scalars + self.fac_cache_scalars + aub_out_scalars) as u64 * elem;
         self.peak_live_bytes = self.peak_live_bytes.max(live);
-        sample_gauge(GaugeId::AubPoolBuffers, self.aub_pool.len() as u64);
         sample_gauge(GaugeId::AubOutBytes, aub_out_scalars as u64 * elem);
         sample_gauge(
-            GaugeId::InflightMsgs,
+            GaugeId::InflightBytes,
             gauges.inflight_bytes.load(Ordering::Relaxed).max(0) as u64,
         );
         sample_gauge(GaugeId::LiveRegionBytes, live);
@@ -713,8 +581,7 @@ impl<'a, T: Scalar> Worker<'a, T> {
         let hb = self.sym.bloks[blok].nrows();
         let factor_task = self.graph.head_task_of_cblk[k];
         let fac = self.take_fac(ctx, factor_task)?; // w×w, D on diag, L lower
-        self.scratch.load_diag(w, fac.as_slice(), w);
-        self.put_fac(factor_task, fac);
+        self.scratch.load_diag(w, &fac, w);
         let region = self.regions.get_mut(&t).expect("bdiv region missing");
         debug_assert_eq!(region.len(), 2 * hb * w);
         let (l_part, f_part) = region.split_at_mut(hb * w);
@@ -737,17 +604,11 @@ impl<'a, T: Scalar> Worker<'a, T> {
         let bdiv_r = self.graph.bdiv_task_of_blok[blok_row];
         let bdiv_c = self.graph.bdiv_task_of_blok[blok_col];
         // L from the row block's BDIV, F from the column block's BDIV.
-        // Both payloads are moved out of the worker (borrowed local region
-        // or shared cache entry), so the contribution — which targets a
-        // strictly later column block — can mutate the worker freely.
-        let lr_data = self.take_fac(ctx, bdiv_r)?;
-        let fc_data = if bdiv_c == bdiv_r { None } else { Some(self.take_fac(ctx, bdiv_c)?) };
-        let f_c = &fc_data.as_ref().unwrap_or(&lr_data).as_slice()[hc * w..];
-        FanIn { worker: self, ctx }.pair(blok_row, blok_col, hr, hc, w, &lr_data.as_slice()[..hr * w], hr, f_c, hc);
-        if let Some(fc_data) = fc_data {
-            self.put_fac(bdiv_c, fc_data);
-        }
-        self.put_fac(bdiv_r, lr_data);
+        // Both payloads are shared cache entries held outside the worker,
+        // so the contribution can mutate the worker freely.
+        let l_r = self.take_fac(ctx, bdiv_r)?;
+        let f_c = self.take_fac(ctx, bdiv_c)?;
+        FanIn { worker: self, ctx }.pair(blok_row, blok_col, hr, hc, w, &l_r[..hr * w], hr, &f_c[hc * w..], hc);
         Ok(())
     }
 }
@@ -774,9 +635,8 @@ impl<T: Scalar, C: Comm<PMsg<T>> + ?Sized> FanIn<'_, '_, T, C> {
         }
         if wk.aub_out.get(&dst).is_none_or(|(buf, _, _)| buf.is_empty()) {
             // (Re-)acquire lazily: a Fan-Both flush leaves an empty
-            // placeholder holding the remaining pair budget. Buffers
-            // come from the recycling pool when it has one.
-            let buf = wk.take_aub_buffer(wk.routing.region_len[dst as usize]);
+            // placeholder holding the remaining pair budget.
+            let buf = vec![T::zero(); wk.routing.region_len[dst as usize]];
             let total = wk.routing.pair_count[&(wk.rank, dst)];
             wk.aub_out.entry(dst).or_insert_with(|| (Vec::new(), total, 0u32)).0 = buf;
         }
@@ -839,16 +699,16 @@ pub struct ChaosOptions {
     pub zero_pivot_task: Option<u32>,
 }
 
-/// The SPMD factorization engine: `cfg.backend` selects the execution
-/// substrate (the unit tests also run it on threads); returns the
-/// assembled factor with the run's [`TraceLog`]. Called by
+/// The fan-in factorization on the deterministic simulator, one rank per
+/// logical processor of the schedule, interleaved and faulted by `faults`;
+/// returns the assembled factor with the run's [`TraceLog`]. Called by
 /// [`crate::Plan::factorize`] for `Backend::Sim`.
 pub(crate) fn factorize_static<T: Scalar>(
     sym: &SymbolMatrix,
     a: Entries<'_, T>,
     graph: &TaskGraph,
     sched: &Schedule,
-    routing: &Routing,
+    faults: &FaultPlan,
     cfg: &SolverConfig,
 ) -> Result<(FactorStorage<T>, TraceLog), FactorError> {
     assert!(std::ptr::eq(sym, &graph.split.symbol) || sym == &graph.split.symbol,
@@ -859,32 +719,17 @@ pub(crate) fn factorize_static<T: Scalar>(
     if topts.enabled && topts.epoch.is_none() {
         topts.epoch = Some(Instant::now());
     }
+    let routing = Routing::build(graph, sched);
     let gauges = SharedGauges::new(sched.n_procs);
-    // The task regions are allocated here, by the thread that will own the
-    // factor, and lent to the ranks: a COMP1D region ends up a panel of
-    // the factor, and memory that outlives the run should not sit in the
-    // allocator arenas of rank threads that exit with it.
-    let mut regions: Vec<HashMap<u32, Vec<T>>> = vec![HashMap::new(); sched.n_procs];
-    for (t, kind) in graph.kinds.iter().enumerate() {
-        let len = match kind {
-            TaskKind::Bdiv { .. } => 2 * routing.region_len[t], // [L | F]
-            _ => routing.region_len[t],
-        };
-        if len > 0 {
-            regions[sched.task_proc[t] as usize].insert(t as u32, vec![T::zero(); len]);
-        }
-    }
-    let regions: Vec<Mutex<HashMap<u32, Vec<T>>>> = regions.into_iter().map(Mutex::new).collect();
     let t0 = Instant::now();
-    let outputs = run_spmd_with::<PMsg<T>, WorkerOutput<T>, _>(&cfg.backend, sched.n_procs, |ctx| {
-        let regions = std::mem::take(&mut *regions[ctx.rank()].lock().expect("regions taken once per rank"));
-        worker_run(ctx, sym, graph, sched, routing, regions, a, cfg, &topts, &gauges)
+    let outputs = run_sim_spmd::<PMsg<T>, WorkerOutput<T>, _>(sched.n_procs, faults, |ctx| {
+        worker_run(&ctx, sym, graph, sched, &routing, a, cfg, &topts, &gauges)
     });
     let wall_ns = t0.elapsed().as_nanos() as u64;
     let mut results = Vec::with_capacity(outputs.len());
     let mut ranks = Vec::new();
     for (rank, out) in outputs.into_iter().enumerate() {
-        merge_rank_counters(&cfg.metrics, rank as u32, &out.counters);
+        merge_comp1d_ns(&cfg.metrics, rank as u32, &out.comp1d);
         if let Some(rt) = out.trace {
             ranks.push(rt);
         }
@@ -896,37 +741,48 @@ pub(crate) fn factorize_static<T: Scalar>(
         digest: sched.digest(),
     };
     merge_trace_metrics(&cfg.metrics, &trace);
-    Ok((assemble(sym, routing.layout.clone(), graph, results)?, trace))
+    Ok((assemble(sym, routing.layout, graph, results)?, trace))
 }
 
 /// What one logical processor hands back: its factor regions (or the
-/// error), its recorded trace (when tracing was on), and its counters.
+/// error), its recorded trace (when tracing was on), and its COMP1D stage
+/// timers (zero unless traced on the wall clock).
 struct WorkerOutput<T> {
     result: Result<HashMap<u32, Vec<T>>, FactorError>,
     trace: Option<RankTrace>,
-    counters: RankCounters,
+    comp1d: Comp1dNs,
 }
 
-/// The SPMD body executed by one logical processor, on either backend.
+/// The SPMD body executed by one logical processor.
 #[allow(clippy::too_many_arguments)]
-fn worker_run<T: Scalar, C: Comm<PMsg<T>> + ?Sized>(
-    ctx: &C,
+fn worker_run<T: Scalar>(
+    ctx: &SimCtx<PMsg<T>>,
     sym: &SymbolMatrix,
     graph: &TaskGraph,
     sched: &Schedule,
     routing: &Routing,
-    mut regions: HashMap<u32, Vec<T>>,
     a: Entries<'_, T>,
     cfg: &SolverConfig,
     topts: &TraceOptions,
     gauges: &SharedGauges,
 ) -> WorkerOutput<T> {
     let rank = ctx.rank() as u32;
-    // Both backends run each logical processor on its own OS thread, so a
+    // The simulator runs each logical processor on its own OS thread, so a
     // thread-local session captures exactly this rank's activity.
     let session = pastix_trace::begin_rank(ctx.rank(), topts);
-    // Scatter into the owned regions (zeroed by the caller).
-    let aubs_pending: HashMap<u32, u32> = sched.proc_tasks[rank as usize]
+    let own = &sched.proc_tasks[rank as usize];
+    // The owned regions, zeroed; a BDIV region holds `[L | F]`.
+    let mut regions: HashMap<u32, Vec<T>> = own
+        .iter()
+        .filter_map(|&t| {
+            let len = match graph.kinds[t as usize] {
+                TaskKind::Bdiv { .. } => 2 * routing.region_len[t as usize],
+                _ => routing.region_len[t as usize],
+            };
+            (len > 0).then(|| (t, vec![T::zero(); len]))
+        })
+        .collect();
+    let aubs_pending: HashMap<u32, u32> = own
         .iter()
         .map(|&t| (t, routing.remote_pairs[t as usize]))
         .filter(|&(_, pairs)| pairs > 0)
@@ -946,14 +802,12 @@ fn worker_run<T: Scalar, C: Comm<PMsg<T>> + ?Sized>(
         aubs_pending,
         aub_out: HashMap::new(),
         aub_memory_limit: cfg.aub_memory_limit,
-        aub_pool: Vec::new(),
         fac_cache: HashMap::new(),
         seen_aubs: HashSet::new(),
         aub_seq: 0,
         aborted: None,
         chaos: cfg.chaos,
         scratch: Scratch::for_run(topts),
-        counters: RankCounters::default(),
         gauges: topts.enabled.then_some(gauges),
         sample_every: topts.sample_every,
         since_sample: 0,
@@ -961,15 +815,8 @@ fn worker_run<T: Scalar, C: Comm<PMsg<T>> + ?Sized>(
         fac_cache_scalars: 0,
         peak_live_bytes: 0,
     };
-    // Only the traced path pays for the instrumented wrapper; the untraced
-    // monomorphization is byte-for-byte the old hot loop.
-    let run_result = if topts.enabled {
-        let hook = (SessionHook, GaugeHook { rank: ctx.rank(), gauges });
-        let ictx = Instrumented::new(ctx, hook, pmsg_meta::<T>);
-        worker.run(&ictx)
-    } else {
-        worker.run(ctx)
-    };
+    let hook = (SessionHook, GaugeHook { rank: ctx.rank(), gauges });
+    let run_result = worker.run(&Instrumented::new(ctx, hook, pmsg_meta::<T>));
     // The fan-in protocol's books balance: every outgoing AUB spent its
     // pair budget to exactly zero (and left), every awaited pair arrived.
     debug_assert!(
@@ -977,11 +824,10 @@ fn worker_run<T: Scalar, C: Comm<PMsg<T>> + ?Sized>(
             || (worker.aub_out.is_empty() && worker.aubs_pending.values().all(|&left| left == 0)),
         "rank {rank}: AUB pair counters did not reach zero"
     );
-    worker.counters.comp1d = worker.scratch.stages.ns;
     WorkerOutput {
         result: run_result.map(|()| worker.regions),
         trace: session.finish(),
-        counters: worker.counters,
+        comp1d: worker.scratch.stages.ns,
     }
 }
 
@@ -1107,14 +953,15 @@ pub(crate) mod tests {
         (a.permuted(&an.perm), mapping)
     }
 
+    /// The fan-in on a seeded simulator run (one fixed interleaving).
     fn factorize(
         ap: &pastix_graph::SymCsc<f64>,
         mapping: &pastix_sched::Mapping,
         cfg: &SolverConfig,
     ) -> Result<FactorStorage<f64>, FactorError> {
         let (graph, sched) = (&mapping.graph, &mapping.schedule);
-        let routing = Routing::build(graph, sched);
-        factorize_static(&graph.split.symbol, Entries::of(ap), graph, sched, &routing, cfg).map(|(storage, _)| storage)
+        let faults = FaultPlan::interleave_only(21);
+        factorize_static(&graph.split.symbol, Entries::of(ap), graph, sched, &faults, cfg).map(|(storage, _)| storage)
     }
 
     fn check_against_sequential(ap: &pastix_graph::SymCsc<f64>, mapping: &pastix_sched::Mapping) {

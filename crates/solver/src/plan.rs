@@ -25,7 +25,6 @@
 use crate::compress::finalize_compression;
 use crate::config::{FactorRun, SolverConfig};
 use crate::dynamic;
-use crate::parallel::Routing;
 use crate::pattern::ScatterPattern;
 use crate::solve_plan::SolvePlan;
 use crate::storage::FactorStorage;
@@ -46,8 +45,9 @@ use std::sync::{Arc, OnceLock};
 /// pipeline.
 #[derive(Debug, Clone)]
 pub struct AnalyzeOptions {
-    /// Logical processor count the mapping targets (also the default
-    /// worker count of both the SPMD backends and `Backend::Dynamic`).
+    /// Logical processor count the mapping targets: the rank count of
+    /// `Backend::Sim`, the worker count of `Backend::Threads`, and the
+    /// default worker count of `Backend::Dynamic`.
     pub procs: usize,
     /// Machine model override. `None` (default) schedules for the paper's
     /// SP2 model with `procs` processors; set it to map for another
@@ -112,9 +112,6 @@ struct PlanInner {
     /// Structure of the triangular solves, built by the first solve of
     /// any run of this plan and replayed by every later one.
     solve_plan: OnceLock<SolvePlan>,
-    /// Fan-in routing of the static factorization, built by the first one
-    /// of this plan and replayed by every later one.
-    routing: OnceLock<Routing>,
     /// Stored entries of the analyzed matrix (`None` for plans assembled
     /// via [`Plan::from_parts`]): which factorized pattern `pattern` keeps.
     analyzed_nnz: Option<usize>,
@@ -212,7 +209,6 @@ impl Plan {
                 stats: None,
                 analyze_trace: None,
                 solve_plan: OnceLock::new(),
-                routing: OnceLock::new(),
                 analyzed_nnz: None,
                 pattern: OnceLock::new(),
             }),
@@ -263,16 +259,6 @@ impl Plan {
         self.inner.solve_plan.get_or_init(|| {
             metrics.add_counter("solver.solve_plan_builds", 1);
             SolvePlan::build(&self.inner.graph, &self.inner.schedule)
-        })
-    }
-
-    /// The fan-in routing of this plan's `Sim` factorizations, built on
-    /// first use. Each build counts in `solver.routing_builds` of
-    /// `metrics` — one per plan, however many factorizations share it.
-    fn routing(&self, metrics: &MetricsRegistry) -> &Routing {
-        self.inner.routing.get_or_init(|| {
-            metrics.add_counter("solver.routing_builds", 1);
-            Routing::build(&self.inner.graph, &self.inner.schedule)
         })
     }
 
@@ -357,10 +343,7 @@ impl Plan {
         let (mut storage, trace) = match cfg.backend {
             Backend::Threads => dynamic::factorize_dynamic(sym, entries, graph, sched, &pinned, cfg)?,
             Backend::Dynamic(dopts) => dynamic::factorize_dynamic(sym, entries, graph, sched, &dopts, cfg)?,
-            Backend::Sim(_) => {
-                let routing = self.routing(&cfg.metrics);
-                crate::parallel::factorize_static(sym, entries, graph, sched, routing, cfg)?
-            }
+            Backend::Sim(faults) => crate::parallel::factorize_static(sym, entries, graph, sched, &faults, cfg)?,
         };
         finalize_compression(sym, &mut storage, &cfg.compression, &cfg.metrics);
         Ok((storage, trace))

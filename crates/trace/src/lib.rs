@@ -281,18 +281,18 @@ impl EventKind {
 }
 
 /// The resource-gauge vocabulary: stable ids (and track names) for the
-/// sampled time-series the solver records alongside task spans.
+/// sampled time-series the solver records alongside task spans. Ids are
+/// never reused (0 is free), so a recorded id keeps its meaning.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 #[repr(u8)]
 pub enum GaugeId {
-    /// Buffers parked in the rank's AUB recycling pool.
-    AubPoolBuffers = 0,
-    /// Bytes held in partially aggregated outgoing AUBs (Fan-Both).
+    /// Bytes held in the rank's outgoing AUBs still aggregating.
     AubOutBytes = 1,
-    /// Messages this rank has sent that have not been received yet
-    /// (from the sender's perspective: sends minus recvs observed).
-    InflightMsgs = 2,
-    /// Bytes resident in the rank's owned block regions.
+    /// Payload bytes sent and not yet received, run-wide (every rank's
+    /// traffic, not only the sampling rank's).
+    InflightBytes = 2,
+    /// Bytes the rank holds live: its owned block regions, its cached
+    /// factor payloads and its outgoing AUBs.
     LiveRegionBytes = 3,
     /// Peak of [`GaugeId::LiveRegionBytes`] over the run so far.
     PeakLiveBytes = 4,
@@ -308,9 +308,8 @@ impl GaugeId {
     /// Stable track name (export JSON, report tables).
     pub fn name(self) -> &'static str {
         match self {
-            GaugeId::AubPoolBuffers => "aub_pool_buffers",
             GaugeId::AubOutBytes => "aub_out_bytes",
-            GaugeId::InflightMsgs => "inflight_msgs",
+            GaugeId::InflightBytes => "inflight_bytes",
             GaugeId::LiveRegionBytes => "live_region_bytes",
             GaugeId::PeakLiveBytes => "peak_live_bytes",
             GaugeId::MailboxDepth => "mailbox_depth",
@@ -321,9 +320,8 @@ impl GaugeId {
     /// Recovers the track name from a recorded raw id.
     pub fn name_of(id: u8) -> &'static str {
         match id {
-            0 => GaugeId::AubPoolBuffers.name(),
             1 => GaugeId::AubOutBytes.name(),
-            2 => GaugeId::InflightMsgs.name(),
+            2 => GaugeId::InflightBytes.name(),
             3 => GaugeId::LiveRegionBytes.name(),
             4 => GaugeId::PeakLiveBytes.name(),
             5 => GaugeId::MailboxDepth.name(),
@@ -886,7 +884,7 @@ mod tests {
     #[test]
     fn gauges_and_heartbeats_round_trip() {
         let s = begin_rank(0, &TraceOptions::deterministic());
-        sample_gauge(GaugeId::AubPoolBuffers, 3);
+        sample_gauge(GaugeId::AubOutBytes, 3);
         heartbeat(17);
         sample_gauge(GaugeId::LiveRegionBytes, 4096);
         let t = s.finish().unwrap();
@@ -898,7 +896,7 @@ mod tests {
                 _ => None,
             })
             .collect();
-        assert_eq!(gauges, vec![(0, 3), (3, 4096)]);
+        assert_eq!(gauges, vec![(1, 3), (3, 4096)]);
         assert!(t
             .events
             .iter()

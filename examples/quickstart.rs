@@ -6,7 +6,8 @@
 //!
 //! Builds a 3D Laplacian-like SPD matrix, runs the full PaStiX pipeline
 //! (ordering → block symbolic factorization → static 1D/2D scheduling →
-//! threaded fan-in numeric factorization) and solves `A·x = b`.
+//! numeric factorization on threads under the static mapping) and solves
+//! `A·x = b`.
 
 use pastix::graph::gen::{grid_spd, Stencil, ValueKind};
 use pastix::graph::{canonical_solution, rhs_for_solution};
@@ -35,7 +36,7 @@ fn main() {
         plan.schedule().expect("static schedule").makespan
     );
 
-    // 3. Factorize (threaded fan-in solver) and solve.
+    // 3. Factorize (threads, each task on its scheduled processor) and solve.
     let x_exact = canonical_solution::<f64>(a.n());
     let b = rhs_for_solution(&a, &x_exact);
     let run = plan.factorize(&a, &cfg).expect("factorization failed");

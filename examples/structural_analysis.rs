@@ -7,8 +7,9 @@
 //!
 //! Builds the SHIP001 analog (a cylindrical shell mesh), walks through
 //! every phase explicitly, prints per-phase statistics, runs the threaded
-//! fan-in factorization and compares the real run against the schedule's
-//! prediction under the local in-process machine model.
+//! factorization under the static mapping and compares the real run
+//! against the schedule's prediction under the local in-process machine
+//! model.
 
 use pastix::graph::{build_problem, canonical_solution, rhs_for_solution, ProblemId};
 use pastix::machine::{measure_in_process_network, MachineModel};

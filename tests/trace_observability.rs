@@ -65,32 +65,42 @@ fn all_policies(seed: u64, procs: usize) -> [SchedPolicy; 4] {
 
 /// Deterministic traces: for a fixed `(seed, policy)` the canonical byte
 /// encoding of the factorization trace — events, ordering, byte counts,
-/// logical timestamps — is identical across repeats, and differs across
-/// seeds (the interleaving genuinely changes).
+/// logical timestamps — and the factor bits are identical across repeats,
+/// with and without the Fan-Both cap (which AUB a partial flush picks must
+/// not depend on hash order), and the trace differs across seeds (the
+/// interleaving genuinely changes).
 #[test]
 fn sim_traces_are_byte_identical_for_fixed_seed_and_policy() {
     let procs = 3;
     let (ap, mapping) = setup(procs);
     let pln = plan_of(&mapping);
     let mut fingerprints = Vec::new();
-    for seed in [11u64, 12] {
-        for policy in all_policies(seed, procs) {
-            let plan = FaultPlan::builder(seed).policy(policy).build();
-            let run = || {
-                let cfg = SolverConfig::new()
-                    .with_backend(Backend::Sim(plan))
-                    .with_trace(TraceOptions::deterministic());
-                pln.factorize(&ap, &cfg).unwrap().trace
-            };
-            let t1 = run();
-            let t2 = run();
-            assert!(t1.event_count() > 0, "trace must record events");
-            assert_eq!(
-                t1.canonical_bytes(),
-                t2.canonical_bytes(),
-                "seed {seed}, policy {policy:?}: trace not replayed byte-identically"
-            );
-            fingerprints.push(t1.fingerprint());
+    for cap in [None, Some(16)] {
+        for seed in [11u64, 12] {
+            for policy in all_policies(seed, procs) {
+                let plan = FaultPlan::builder(seed).policy(policy).build();
+                let run = || {
+                    let cfg = SolverConfig::new()
+                        .with_backend(Backend::Sim(plan))
+                        .with_aub_memory_limit(cap)
+                        .with_trace(TraceOptions::deterministic());
+                    let run = pln.factorize(&ap, &cfg).unwrap();
+                    let bits: Vec<Vec<u64>> =
+                        run.storage.panels.iter().map(|p| p.iter().map(|v| v.to_bits()).collect()).collect();
+                    (run.trace, bits)
+                };
+                let (t1, f1) = run();
+                let (t2, f2) = run();
+                assert!(t1.event_count() > 0, "trace must record events");
+                let diag = format!("cap {cap:?}, seed {seed}, policy {policy:?}");
+                assert_eq!(
+                    t1.canonical_bytes(),
+                    t2.canonical_bytes(),
+                    "{diag}: trace not replayed byte-identically"
+                );
+                assert!(f1 == f2, "{diag}: factor not replayed bit for bit");
+                fingerprints.push(t1.fingerprint());
+            }
         }
     }
     // Different seeds under the same policy must not collapse to one
