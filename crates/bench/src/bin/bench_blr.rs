@@ -112,7 +112,7 @@ fn main() {
             let run = plan.factorize(&ap, &cfg).expect("BLR factorization failed");
             let bytes = run.storage.factor_bytes();
             let ratio = bytes as f64 / dense_bytes as f64;
-            let refined = run.solve_refined(&ap, &b, &Default::default());
+            let refined = run.solve_refined(&ap, &b, &Default::default()).expect("finite right-hand side");
             let mut t_blr = f64::INFINITY;
             for _ in 0..reps {
                 let t0 = Instant::now();
@@ -200,7 +200,7 @@ fn main() {
                 let r1 = plan.factorize(&ap, &cfg).expect("chaos factorization failed");
                 let r2 = plan.factorize(&ap, &cfg).expect("chaos factorization failed");
                 let replay = factor_bits(&r1) == factor_bits(&r2);
-                let refined = r1.solve_refined(&ap, &b, &Default::default());
+                let refined = r1.solve_refined(&ap, &b, &Default::default()).expect("finite right-hand side");
                 if !replay || refined.residual > RESIDUAL_MAX {
                     eprintln!(
                         "  [chaos {label} {policy:?}] replay {replay}, residual {:.2e} — FAIL",

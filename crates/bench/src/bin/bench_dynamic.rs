@@ -4,8 +4,9 @@
 //! Three engines run per problem on real threads, one worker per
 //! available CPU:
 //!
-//! * **threads** — `Backend::Threads`: the static mapping pinned, every
-//!   task on its `K_p` processor, ready-first within a processor;
+//! * **threads** — `Backend::Threads`: the static mapping's placement and
+//!   order, every task enqueued on its `K_p` processor, ready-first within
+//!   a processor, idle workers stealing;
 //! * **dynamic+prio** — `Backend::Dynamic` with the static schedule's
 //!   start times as task priorities and stealing;
 //! * **dynamic** — the same in FIFO order.
@@ -58,7 +59,7 @@ fn max_factor_dev(run: &FactorStorage<f64>, seq: &FactorStorage<f64>) -> f64 {
 fn main() {
     let quick = std::env::args().any(|a| a == "--quick");
     let mode = if quick { "quick" } else { "full" };
-    println!("bench_dynamic ({mode}) — pinned static mapping vs work stealing, one executor");
+    println!("bench_dynamic ({mode}) — static mapping vs dynamic orders, one executor");
     // Once, before this run rewrites BENCH_dynamic.json and dirties the tree.
     let header = env_header(mode);
 

@@ -296,7 +296,7 @@ fn measure_trace_overhead(reps: usize) -> (f64, f64, u64) {
 
 /// Where the factorization's time goes: BMWCRA1 @ 0.1 (`bench_e2e`'s
 /// `solid3d` matrix; SHIPSEC5 @ 0.02 in quick mode) on one and two workers
-/// of `Backend::Threads` (the executor, pinned), and SHIPSEC5 @ 0.2 (`shell_refactor_dynamic`'s
+/// of `Backend::Threads` (the executor in the static order), and SHIPSEC5 @ 0.2 (`shell_refactor_dynamic`'s
 /// matrix and backend; @ 0.02 in quick mode) on [`FRONT_END_WORKERS`]
 /// workers of `Backend::Dynamic`: the fastest of `reps` wall-clock traced
 /// runs each, and under `median` the run of median wall time (a neighbour

@@ -14,8 +14,9 @@
 //!    proportional mapping, 1D/2D switch, splitting by the BLAS blocking
 //!    size, greedy mapping by simulation (`pastix-sched`);
 //! 4. numeric factorization driven by the schedule (`pastix-solver` +
-//!    `pastix-runtime`): the task-graph executor on threads, pinned to the
-//!    static mapping or stealing work, the paper's supernodal fan-in on the
+//!    `pastix-runtime`): the task-graph executor on threads, in the static
+//!    mapping's placement and order or with it as hints, idle workers
+//!    stealing either way, the paper's supernodal fan-in on the
 //!    deterministic simulator, the sequential reference, and the
 //!    triangular solves.
 //!

@@ -135,16 +135,19 @@ pub trait Comm<M> {
 pub enum Backend {
     /// One OS thread per logical processor. An SPMD program (the
     /// `pastix-solver` solve) runs one rank per thread; `pastix-solver`
-    /// factorizes on the [`steal::run_dag`] executor with the static
-    /// mapping pinned ([`steal::TaskOrder::Pinned`]).
+    /// factorizes on the [`steal::run_dag`] executor in the static order
+    /// ([`steal::TaskOrder::Static`]): every task enqueued on its `K_p`
+    /// processor, idle workers stealing.
     #[default]
     Threads,
     /// Deterministic serialized simulation driven by the given fault plan;
     /// every execution is a pure function of `(seed, policy)`.
     Sim(sim::FaultPlan),
     /// Task-graph-driven executor ([`steal::run_dag`]) in the given
-    /// order: the static schedule supplies placement and task priority,
-    /// as hints unless the order is pinned. Not an SPMD backend —
+    /// order: the static schedule supplies placement and task priority
+    /// (where roots are seeded and which ready task runs first, or under
+    /// [`steal::TaskOrder::Static`] where every task is enqueued). Not an
+    /// SPMD backend —
     /// [`run_spmd_with`] rejects it; it is driven through the `Plan` API
     /// in `pastix-solver`.
     Dynamic(steal::DynamicOptions),

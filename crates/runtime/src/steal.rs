@@ -5,9 +5,11 @@
 //! with per-task dependency counters. The static mapping supplies
 //! *placement* (which worker's queue a task is enqueued on) and *priority*
 //! (which ready task a worker prefers). Under [`TaskOrder::Fifo`] and
-//! [`TaskOrder::Hints`] placement only seeds the roots and steal-half
-//! balances the queues at run time; under [`TaskOrder::Pinned`] every task
-//! runs on its placement worker and nothing is stolen.
+//! [`TaskOrder::Hints`] placement only seeds the roots and a successor
+//! joins the queue of the worker that made it ready; under
+//! [`TaskOrder::Static`] every task is enqueued on its placement worker.
+//! Under every order a worker whose own queue is empty steals half of
+//! another's.
 //!
 //! Two execution modes share the same task-body code:
 //!
@@ -81,10 +83,10 @@ pub enum TaskOrder {
     /// The static schedule's predicted start times as priorities; idle
     /// workers steal.
     Hints,
-    /// The static mapping as is: every task runs on its `K_p` processor,
-    /// nothing is stolen, and a processor runs, among its ready tasks, the
-    /// one earliest in `K_p`.
-    Pinned,
+    /// The static mapping: every task is enqueued on its `K_p` processor,
+    /// which runs, among its ready tasks, the one earliest in `K_p`; a
+    /// worker whose queue is empty steals, like under the other orders.
+    Static,
 }
 
 /// Borrowed description of the task DAG: dependency counts, successor CSR,
@@ -101,10 +103,10 @@ pub struct DagSpec<'a> {
     /// Priority per task; higher runs first (all-zero = FIFO).
     pub priority: &'a [u64],
     /// Preferred worker per task, taken modulo the worker count: where a
-    /// root is seeded, and where every task runs when `pinned`.
+    /// root is seeded, and where every task is enqueued when `placed`.
     pub placement: &'a [u32],
-    /// Enqueue every task on its placement worker and never steal.
-    pub pinned: bool,
+    /// Enqueue every task on its placement worker.
+    pub placed: bool,
 }
 
 impl DagSpec<'_> {
@@ -115,7 +117,7 @@ impl DagSpec<'_> {
 
     /// The queue a successor `d` made ready by worker `w` goes to.
     fn queue_of(&self, d: usize, w: usize, n_workers: usize) -> usize {
-        if self.pinned {
+        if self.placed {
             self.home(d, n_workers)
         } else {
             w
@@ -264,9 +266,9 @@ where
             };
             let Some((entry, depth)) = popped else {
                 // Own queue dry: steal the higher-priority half of the
-                // first non-empty victim queue (none when pinned).
+                // first non-empty victim queue.
                 let mut got = false;
-                for off in (1..n_workers).filter(|_| !spec.pinned) {
+                for off in 1..n_workers {
                     let v = (w + off) % n_workers;
                     let mut batch = Vec::new();
                     {
@@ -459,10 +461,12 @@ where
 mod tests {
     use super::*;
     use std::sync::atomic::AtomicU64;
+    use std::sync::Barrier;
 
-    /// An unpinned spec over the given slices.
+    /// A spec over the given slices whose successors stay with the worker
+    /// that readied them.
     fn spec<'a>(deps: &'a [u32], out_ptr: &'a [u32], out_dst: &'a [u32], priority: &'a [u64], placement: &'a [u32]) -> DagSpec<'a> {
-        DagSpec { deps, out_ptr, out_dst, priority, placement, pinned: false }
+        DagSpec { deps, out_ptr, out_dst, priority, placement, placed: false }
     }
 
     /// A simple chain DAG 0 -> 1 -> ... -> n-1.
@@ -660,15 +664,15 @@ mod tests {
     }
 
     #[test]
-    fn pinned_runs_every_task_on_its_placement_in_priority_order() {
-        // Every third task on worker 2, the rest on worker 0: worker 1 would
-        // steal under the other orders. Worker 0 prefers high task ids,
-        // worker 2 low ones.
+    fn placed_tasks_run_from_their_own_queue_in_priority_order_and_idle_workers_steal() {
+        // Every third task on worker 2, the rest on worker 0: worker 1 has no
+        // placed task and takes part only by stealing. Worker 0 prefers high
+        // task ids, worker 2 low ones.
         let n = 120;
         let (deps, out_ptr, out_dst) = fork_join(n);
         let place: Vec<u32> = (0..n as u32).map(|t| u32::from(t % 3 == 0) * 2).collect();
         let prio: Vec<u64> = (0..n as u64).map(|t| if t % 3 == 0 { n as u64 - t } else { t }).collect();
-        let spec = DagSpec { pinned: true, ..spec(&deps, &out_ptr, &out_dst, &prio, &place) };
+        let spec = DagSpec { placed: true, ..spec(&deps, &out_ptr, &out_dst, &prio, &place) };
         let ran = Mutex::new(Vec::new());
         let body = |t: u32, ctx: &TaskCtx| {
             std::hint::black_box((0..200).sum::<u64>());
@@ -676,23 +680,50 @@ mod tests {
             true
         };
         let (_, stats) = run_dag(&spec, 3, None, &body, &|_w, run| run());
-        assert_eq!((stats.steals, stats.executed[1]), (0, 0));
         let first = std::mem::take(&mut *ran.lock().unwrap());
         assert_eq!(first.len(), n);
-        assert!(first.iter().all(|&(t, w)| w == place[t as usize] as usize), "{first:?}");
-        // With every task a root, each worker runs its share in priority
-        // order.
+        // Successors are enqueued on their placement, so only steal-half
+        // moves a task off it, and worker 1 runs only what it stole.
+        let away = first.iter().filter(|&&(t, w)| w != place[t as usize] as usize).count() as u64;
+        assert!(away <= stats.steals, "{away} tasks ran away from their placement, {} steals", stats.steals);
+        assert!(stats.steals > 0 || stats.executed[1] == 0, "{stats:?}");
+        assert!(stats.executed[1] <= stats.steals, "{stats:?}");
+
+        // With every task a root, workers 0 and 2 run their first `m` tasks
+        // in lockstep and worker 1 starts only after them, so nothing is
+        // stolen yet: each runs the top of its own queue in priority order.
+        let m = 8;
         let (roots, none_ptr) = (vec![0u32; n], vec![0u32; n + 1]);
-        run_dag(&DagSpec { deps: &roots, out_ptr: &none_ptr, out_dst: &[], ..spec }, 3, None, &body, &|_w, run| run());
+        let lockstep = Barrier::new(2);
+        let open = AtomicBool::new(false);
+        let gated = |t: u32, ctx: &TaskCtx| {
+            ran.lock().unwrap().push((t, ctx.worker));
+            if ctx.worker != 1 && ctx.local_index + 1 == m && lockstep.wait().is_leader() {
+                open.store(true, Ordering::Release);
+            }
+            true
+        };
+        let wait_for_open = |w: usize, run: &mut dyn FnMut()| {
+            while w == 1 && !open.load(Ordering::Acquire) {
+                std::thread::yield_now();
+            }
+            run()
+        };
+        let roots_spec = DagSpec { deps: &roots, out_ptr: &none_ptr, out_dst: &[], ..spec };
+        let (_, stats) = run_dag(&roots_spec, 3, None, &gated, &wait_for_open);
+        assert_eq!(stats.executed.iter().sum::<u64>(), n as u64);
         let ran = ran.into_inner().unwrap();
         for w in [0, 2] {
-            let mine: Vec<u32> = ran.iter().filter(|e| e.1 == w).map(|e| e.0).collect();
-            assert!(mine.windows(2).all(|p| prio[p[0] as usize] > prio[p[1] as usize]), "worker {w}: {mine:?}");
+            let mut top: Vec<u32> = (0..n as u32).filter(|&t| place[t as usize] as usize == w).collect();
+            top.sort_by_key(|&t| std::cmp::Reverse(prio[t as usize]));
+            let head: Vec<u32> = ran.iter().filter(|e| e.1 == w).map(|e| e.0).take(m).collect();
+            assert_eq!(head, top[..m], "worker {w}");
         }
+
         // Abort and panic still end the run on every worker.
         let aborted = run_dag(&spec, 3, None, &|t, _: &TaskCtx| t != 5, &|_w, run| run()).1;
         assert!(aborted.executed.iter().sum::<u64>() < n as u64);
-        let boom = |t, _: &TaskCtx| if t == 7 { panic!("pinned boom") } else { true };
+        let boom = |t, _: &TaskCtx| if t == 7 { panic!("placed boom") } else { true };
         assert!(catch_unwind(AssertUnwindSafe(|| run_dag(&spec, 3, None, &boom, &|_w, run| run()))).is_err());
     }
 

@@ -13,6 +13,7 @@ use crate::rtrace::RequestTrace;
 use crate::session::SolverSession;
 use pastix_graph::SymCsc;
 use pastix_kernels::{FactorError, Scalar};
+use pastix_solver::{screen_rhs, SolveError};
 use pastix_trace::flight::{self, FlightKind};
 use pastix_trace::{MetricsRegistry, TraceLog};
 use std::collections::VecDeque;
@@ -47,18 +48,10 @@ pub struct Completed<T> {
 /// every ticket of its batch, each on its own line.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum RejectReason {
-    /// The right-hand side does not have the matrix's order.
-    WrongLength {
-        /// The matrix order.
-        expected: usize,
-        /// The right-hand side's length.
-        got: usize,
-    },
-    /// The right-hand side holds a NaN or an infinity at `index`.
-    NonFinite {
-        /// First offending entry.
-        index: usize,
-    },
+    /// The right-hand side failed the solver's screen
+    /// ([`pastix_solver::screen_rhs`]): a length other than the matrix's
+    /// order, or a NaN or an infinity.
+    Rhs(SolveError),
     /// The matrix could not be factorized (a non-finite stored value, a
     /// zero pivot, a pattern its plan does not cover); every ticket of the
     /// batch carries the error.
@@ -66,19 +59,12 @@ pub enum RejectReason {
 }
 
 impl RejectReason {
-    /// Screens one right-hand side against a matrix of order `n`.
-    fn screen<T: Scalar>(rhs: &[T], n: usize) -> Option<Self> {
-        if rhs.len() != n {
-            return Some(Self::WrongLength { expected: n, got: rhs.len() });
-        }
-        rhs.iter().position(|v| !v.is_finite()).map(|index| Self::NonFinite { index })
-    }
-
     /// Stable small code (the flight ring's payload).
     fn code(self) -> u64 {
         match self {
-            Self::WrongLength { .. } => 1,
-            Self::NonFinite { .. } => 2,
+            Self::Rhs(SolveError::WrongLength { .. }) => 1,
+            Self::Rhs(SolveError::NonFinite { .. }) => 2,
+            Self::Rhs(SolveError::NoRhs) => 4,
             Self::Factorization(_) => 3,
         }
     }
@@ -194,10 +180,10 @@ impl<T: Scalar> RequestQueue<T> {
     ) -> Result<Vec<Completed<T>>, FactorError> {
         let n = a.n();
         let mut batch = self.take_batch(session.options().max_panel);
-        batch.retain(|req| match RejectReason::screen(&req.rhs, n) {
-            None => true,
-            Some(reason) => {
-                self.refuse(session.metrics(), req.id, reason, dispatch_ns);
+        batch.retain(|req| match screen_rhs(&req.rhs, n, 1) {
+            Ok(()) => true,
+            Err(e) => {
+                self.refuse(session.metrics(), req.id, RejectReason::Rhs(e), dispatch_ns);
                 false
             }
         });

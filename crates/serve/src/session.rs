@@ -330,6 +330,13 @@ impl<T: Scalar> SolverSession<T> {
     /// ordering) against `a` with the distributed panel sweeps, returning
     /// the solution panel and the solve's [`TraceLog`] (empty when
     /// tracing is off). Factorizes on a cache miss.
+    ///
+    /// # Panics
+    ///
+    /// When the panel fails [`pastix_solver::screen_rhs`] (`nrhs = 0`, a
+    /// length other than `n × nrhs`, a non-finite entry);
+    /// [`crate::RequestQueue::serve_batch`] screens each ticket and refuses
+    /// the bad ones instead.
     pub fn solve_panel(
         &mut self,
         a: &SymCsc<T>,
@@ -343,7 +350,7 @@ impl<T: Scalar> SolverSession<T> {
     /// [`solve_panel`](Self::solve_panel) for the request tracer: `tag`
     /// threads a request id into the solve trace's per-rank async spans
     /// (see [`pastix_solver::SolveRequest::tagged`]) and the outcome says
-    /// how the factor was found.
+    /// how the factor was found. Panics like `solve_panel`.
     pub fn solve_panel_tagged(
         &mut self,
         a: &SymCsc<T>,
@@ -357,7 +364,7 @@ impl<T: Scalar> SolverSession<T> {
         let mut req = SolveRequest::panel(b_panel, nrhs);
         req.trace = self.opts.solver.trace.enabled;
         req.tag = tag;
-        let out = cached.run.solve_request(req);
+        let out = cached.run.solve_request(req).unwrap_or_else(|e| panic!("{e}"));
         Ok(PanelSolve { x: out.x, trace: out.trace, lookup })
     }
 

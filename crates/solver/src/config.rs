@@ -21,7 +21,8 @@ use pastix_trace::{MetricsRegistry, TraceLog, TraceOptions};
 #[derive(Debug, Clone, Default)]
 pub struct SolverConfig {
     /// Execution backend: the task-graph executor on OS threads with every
-    /// task pinned to its `K_p` processor ([`Backend::Threads`], default),
+    /// task enqueued on its `K_p` processor and idle workers stealing
+    /// ([`Backend::Threads`], default),
     /// the deterministic fault-injecting simulator of the fan-in protocol
     /// ([`Backend::Sim`]) whose whole execution is a pure function of the
     /// embedded fault plan's `(seed, policy)`, or work stealing

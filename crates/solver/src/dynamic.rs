@@ -1,5 +1,5 @@
 //! Factorization on the shared-memory DAG executor
-//! ([`pastix_runtime::steal`]) — `Backend::Threads` in pinned order,
+//! ([`pastix_runtime::steal`]) — `Backend::Threads` in the static order,
 //! `Backend::Dynamic` in any — and `Backend::Dynamic`'s panel solve.
 //!
 //! Unlike the fan-in driver of `Backend::Sim`, which executes the static
@@ -50,12 +50,13 @@ fn resolve_workers(dopts: &DynamicOptions, sched: &Schedule) -> usize {
 
 /// Priority vector: all-zero (FIFO); rank by predicted start (the task
 /// the static scheduler would have started earliest gets the highest
-/// priority); or, pinned, the task's position in its processor's `K_p`.
+/// priority); or, in the static order, the task's position in its
+/// processor's `K_p`.
 fn priority_vec(n: usize, order: TaskOrder, sched: &Schedule) -> Vec<u64> {
     let mut p = vec![0u64; n];
     match order {
         TaskOrder::Fifo => return p,
-        TaskOrder::Pinned => {
+        TaskOrder::Static => {
             for tasks in &sched.proc_tasks {
                 for (i, &t) in tasks.iter().enumerate() {
                     p[t as usize] = (tasks.len() - i) as u64;
@@ -279,7 +280,7 @@ pub(crate) fn factorize_dynamic<T: Scalar>(
         out_dst: &graph.out_dst,
         priority: &priority,
         placement: &sched.task_proc,
-        pinned: dopts.order == TaskOrder::Pinned,
+        placed: dopts.order == TaskOrder::Static,
     };
     let trace = run_traced_dag(&spec, n_workers, dopts, sched, cfg, &body);
     if let Some(e) = error.into_inner().unwrap() {
@@ -424,7 +425,7 @@ pub(crate) fn solve_panel_dynamic<T: Scalar>(
         }
         true
     };
-    // All-zero priorities are FIFO queues; pinned runs keep the hints.
+    // All-zero priorities are FIFO queues; static runs keep the hints.
     let fifo = if dopts.order == TaskOrder::Fifo { vec![0u64; 2 * ns] } else { Vec::new() };
     let spec = DagSpec {
         deps: &dag.graph.deps,
@@ -432,7 +433,7 @@ pub(crate) fn solve_panel_dynamic<T: Scalar>(
         out_dst: &dag.graph.out_dst,
         priority: if fifo.is_empty() { &dag.priority } else { &fifo },
         placement: &dag.placement,
-        pinned: dopts.order == TaskOrder::Pinned,
+        placed: dopts.order == TaskOrder::Static,
     };
     let trace = run_traced_dag(&spec, n_workers, dopts, sched, cfg, &body);
 
@@ -504,7 +505,7 @@ mod tests {
     #[test]
     fn dynamic_matches_sequential_mixed_2d() {
         let (ap, mapping) = full_setup(4, 4, 4, 4, DistStrategy::Mixed1d2d, 4);
-        for order in [TaskOrder::Fifo, TaskOrder::Hints, TaskOrder::Pinned] {
+        for order in [TaskOrder::Fifo, TaskOrder::Hints, TaskOrder::Static] {
             check_dynamic(&ap, &mapping, &DynamicOptions::new().with_order(order));
         }
     }

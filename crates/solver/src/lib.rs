@@ -33,8 +33,9 @@
 //! * [`dynamic`] — the `Backend::Threads` and `Backend::Dynamic`
 //!   factorization: the same task graph executed by the DAG executor over
 //!   shared panels under per-panel locks, with the static mapping either
-//!   pinned (`Threads`: every task on its `K_p` processor, no stealing) or
-//!   reduced to placement/priority hints (`Dynamic`).
+//!   kept (`Threads`: every task enqueued on its `K_p` processor, which
+//!   runs it in `K_p` order) or reduced to placement/priority hints
+//!   (`Dynamic`); under both a worker whose queue is empty steals.
 //!
 //! The parallel factor is validated against the sequential one entry by
 //! entry; both support `f64` (SPD) and `Complex64` (complex symmetric)
@@ -69,7 +70,9 @@ pub use parallel::ChaosOptions;
 pub use pattern::ScatterPattern;
 pub use pastix_runtime::{Backend, DynamicOptions, TaskOrder};
 pub use pastix_trace::{MetricsRegistry, TraceLog, TraceOptions};
-pub use plan::{run_from_storage, AnalyzeOptions, AnalyzeStats, Plan, SolveOutput, SolveRequest};
+pub use plan::{
+    run_from_storage, screen_rhs, AnalyzeOptions, AnalyzeStats, Plan, SolveError, SolveOutput, SolveRequest,
+};
 pub use refine::{RefineOptions, RefineOutput};
 pub use seq::{
     factor_and_solve, factorize_sequential, reconstruction_error, solve_block_in_place,

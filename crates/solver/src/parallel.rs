@@ -691,7 +691,8 @@ pub struct ChaosOptions {
     /// Panic on `(rank, local task index)` just before executing that
     /// entry of the rank's schedule — models a crashed processor. On the
     /// DAG executor (`Threads`, `Dynamic`) it is `(worker, index among
-    /// the tasks that worker ran)`; pinned, the worker is the `K_p` rank.
+    /// the tasks that worker ran)`; in the static order worker `p` is the
+    /// one whose queue holds `K_p`.
     pub panic_at: Option<(u32, usize)>,
     /// Zero the leading pivot of this task's region right before its
     /// factorization kernel (the task must be a COMP1D or FACTOR), forcing

@@ -8,7 +8,8 @@
 //! handle. [`Plan::factorize`] dispatches the numeric factorization on
 //! whatever backend the [`SolverConfig`] names (every backend takes its
 //! mapping from the schedule: [`Backend::Sim`] runs the fan-in protocol,
-//! [`Backend::Threads`] the DAG executor pinned to `K_p`, and
+//! [`Backend::Threads`] the DAG executor in the static order — each task
+//! enqueued on its `K_p` processor, idle workers stealing — and
 //! [`Backend::Dynamic`] the executor with placement, priorities and
 //! worker count as hints), and the returned [`FactorRun`] carries its plan
 //! so [`FactorRun::solve_request`] can permute, solve, and unpermute
@@ -339,9 +340,11 @@ impl Plan {
         let pattern = self.scatter_pattern(a, &cfg.metrics)?;
         let entries = pattern.entries(a);
         let (sym, graph, sched) = (self.symbol(), &self.inner.graph, &self.inner.schedule);
-        let pinned = DynamicOptions::new().with_order(TaskOrder::Pinned);
+        // Threads: the static mapping's placement and `K_p` order on one
+        // worker per processor; a worker whose queue runs dry steals.
+        let static_order = DynamicOptions::new().with_order(TaskOrder::Static);
         let (mut storage, trace) = match cfg.backend {
-            Backend::Threads => dynamic::factorize_dynamic(sym, entries, graph, sched, &pinned, cfg)?,
+            Backend::Threads => dynamic::factorize_dynamic(sym, entries, graph, sched, &static_order, cfg)?,
             Backend::Dynamic(dopts) => dynamic::factorize_dynamic(sym, entries, graph, sched, &dopts, cfg)?,
             Backend::Sim(faults) => crate::parallel::factorize_static(sym, entries, graph, sched, &faults, cfg)?,
         };
@@ -403,6 +406,57 @@ impl<'a, T> SolveRequest<'a, T> {
     }
 }
 
+/// Why [`FactorRun::solve_request`] refused a request. The right-hand
+/// sides are screened before any solve work, so a refused request leaves
+/// the run as it was.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum SolveError {
+    /// `k = 0`: the request holds no right-hand side.
+    NoRhs,
+    /// The right-hand sides do not hold `n · k` entries.
+    WrongLength {
+        /// `n · k`.
+        expected: usize,
+        /// The length given.
+        got: usize,
+    },
+    /// A right-hand side holds a NaN or an infinity.
+    NonFinite {
+        /// First offending entry, counted through the column-major panel.
+        index: usize,
+    },
+}
+
+impl std::fmt::Display for SolveError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            SolveError::NoRhs => write!(f, "a solve needs at least one right-hand side"),
+            SolveError::WrongLength { expected, got } => {
+                write!(f, "right-hand sides hold {got} entries, expected n × k = {expected}")
+            }
+            SolveError::NonFinite { index } => write!(f, "non-finite right-hand side entry at {index}"),
+        }
+    }
+}
+
+impl std::error::Error for SolveError {}
+
+/// The one screen of right-hand sides for a matrix of order `n`: `k ≥ 1`,
+/// `n · k` entries, every entry finite. [`FactorRun::solve_request`] runs
+/// it on every request, and the serving queue on every ticket.
+pub fn screen_rhs<T: Scalar>(rhs: &[T], n: usize, k: usize) -> Result<(), SolveError> {
+    if k == 0 {
+        return Err(SolveError::NoRhs);
+    }
+    if rhs.len() != n * k {
+        return Err(SolveError::WrongLength { expected: n * k, got: rhs.len() });
+    }
+    match rhs.iter().position(|v| !v.is_finite()) {
+        Some(index) => Err(SolveError::NonFinite { index }),
+        None => Ok(()),
+    }
+}
+
 /// Result of [`FactorRun::solve_request`]: the solution panel and the
 /// solve's trace (empty when untraced).
 #[derive(Debug)]
@@ -417,12 +471,12 @@ pub struct SolveOutput<T> {
 impl<T: Scalar> FactorRun<T> {
     /// Solves `A·X = B` for the request's right-hand sides using this
     /// run's factor, on the backend of the config the run was produced
-    /// under. Single-RHS is `k = 1` of the same panel path.
-    pub fn solve_request(&self, req: SolveRequest<'_, T>) -> SolveOutput<T> {
+    /// under. Single-RHS is `k = 1` of the same panel path. A request
+    /// with `k = 0`, a length other than `n · k` or a non-finite entry is
+    /// refused with its [`SolveError`] ([`screen_rhs`]) before any work.
+    pub fn solve_request(&self, req: SolveRequest<'_, T>) -> Result<SolveOutput<T>, SolveError> {
         let PlanCtx { plan, cfg } = &self.ctx;
-        let n = plan.n();
-        assert!(req.k >= 1, "solve needs at least one right-hand side");
-        assert_eq!(req.rhs.len(), n * req.k, "rhs must be n × k column-major");
+        screen_rhs(req.rhs, plan.n(), req.k)?;
         let mut cfg = cfg.clone();
         if !req.trace {
             cfg.trace = TraceOptions::disabled();
@@ -462,7 +516,7 @@ impl<T: Scalar> FactorRun<T> {
         if let Some(id) = req.tag {
             tag_solve_trace(&mut trace, id);
         }
-        SolveOutput { x, trace }
+        Ok(SolveOutput { x, trace })
     }
 
     /// The static solve schedule this run's solves replay (and solve
@@ -473,14 +527,28 @@ impl<T: Scalar> FactorRun<T> {
     }
 
     /// Solves for a single right-hand side (untraced).
+    ///
+    /// # Panics
+    ///
+    /// When [`FactorRun::solve_request`] refuses `b` (a length other than
+    /// `n`, a non-finite entry); call it for the [`SolveError`] instead.
     pub fn solve(&self, b: &[T]) -> Vec<T> {
-        self.solve_request(SolveRequest::single(b)).x
+        self.solve_panel(b, 1)
     }
 
     /// Solves for an `n × k` column-major panel of right-hand sides
     /// (untraced).
+    ///
+    /// # Panics
+    ///
+    /// When [`FactorRun::solve_request`] refuses the panel (`k = 0`, a
+    /// length other than `n · k`, a non-finite entry); call it for the
+    /// [`SolveError`] instead.
     pub fn solve_panel(&self, b: &[T], k: usize) -> Vec<T> {
-        self.solve_request(SolveRequest::panel(b, k)).x
+        match self.solve_request(SolveRequest::panel(b, k)) {
+            Ok(out) => out.x,
+            Err(e) => panic!("{e}"),
+        }
     }
 }
 
@@ -543,5 +611,49 @@ mod tests {
             let run = plan.factorize(&ap, &cfg).unwrap();
             assert_eq!(run.trace.ranks.len(), expect, "one trace per worker, workers: {workers}");
         }
+    }
+
+    #[test]
+    fn threads_steals_from_a_schedule_with_every_task_on_one_processor() {
+        let (ap, mapping) = full_setup(20, 20, 1, 2, DistStrategy::Mixed1d2d, 4);
+        let sym = mapping.graph.split.symbol.clone();
+        let mut seq = FactorStorage::zeros(&sym);
+        seq.scatter(&sym, &ap);
+        crate::seq::factorize_sequential(&sym, &mut seq).unwrap();
+        // Processor 0 gets every task, in predicted-start order; processor
+        // 1 keeps its worker but no task.
+        let mut sched = mapping.schedule;
+        let mut all: Vec<u32> = (0..sched.task_proc.len() as u32).collect();
+        all.sort_by(|&x, &y| sched.start[x as usize].total_cmp(&sched.start[y as usize]).then(x.cmp(&y)));
+        sched.task_proc.fill(0);
+        sched.proc_tasks = vec![all, Vec::new()];
+        let plan = Plan::from_parts(None, mapping.graph, Some(sched));
+        // Whether worker 1 wakes before worker 0 has run everything is a
+        // matter of timing: factorize until it has taken part (at most
+        // 200 runs), and check the factor of the last run.
+        let mut rank1_ran = false;
+        let mut run = None;
+        for _ in 0..200 {
+            let cfg = SolverConfig::new();
+            run = Some(plan.factorize(&ap, &cfg).unwrap());
+            // Worker 1 has an empty queue of its own: whatever it ran, it stole.
+            let steals = cfg.metrics.counter("dynamic.steals");
+            let rank1 = cfg.metrics.counter_per_rank("dynamic.tasks").iter().find(|r| r.0 == 1).map_or(0, |r| r.1);
+            assert!(steals > 0 || rank1 == 0, "steals {steals}, rank 1 ran {rank1}");
+            assert!(rank1 <= steals, "steals {steals}, rank 1 ran {rank1}");
+            rank1_ran = rank1 > 0;
+            if rank1_ran {
+                break;
+            }
+        }
+        let storage = run.expect("at least one run").storage;
+        for j in 0..ap.n() {
+            for i in j..ap.n() {
+                let (a, b) = (seq.get(&sym, i, j), storage.get(&sym, i, j));
+                assert!((a - b).abs() <= 1e-8 * a.abs().max(1.0), "({i},{j}): seq {a} vs threads {b}");
+            }
+        }
+        let cpus = std::thread::available_parallelism().map_or(1, |c| c.get());
+        assert!(rank1_ran || cpus == 1, "rank 1 ran no task in 200 runs");
     }
 }

@@ -11,7 +11,7 @@
 //! of compression.
 
 use crate::config::FactorRun;
-use crate::plan::SolveRequest;
+use crate::plan::{SolveError, SolveRequest};
 use pastix_graph::SymCsc;
 use pastix_kernels::Scalar;
 
@@ -64,21 +64,25 @@ impl<T: Scalar> FactorRun<T> {
     /// error by roughly the compression tolerance times the condition
     /// number, so a handful of cheap compressed solves recovers the
     /// accuracy of the dense factorization.
+    ///
+    /// `b` is one right-hand side; it is screened like every
+    /// [`FactorRun::solve_request`], and refused with the same
+    /// [`SolveError`].
     pub fn solve_refined(
         &self,
         a: &SymCsc<T>,
         b: &[T],
         opts: &RefineOptions,
-    ) -> RefineOutput<T> {
-        let n = a.n();
-        assert_eq!(b.len(), n, "solve_refined is single-RHS; b must have length n");
-        let mut x = self.solve_request(SolveRequest::single(b)).x;
+    ) -> Result<RefineOutput<T>, SolveError> {
+        let mut x = self.solve_request(SolveRequest::single(b))?.x;
         let mut residual = a.residual_norm(&x, b);
         let mut iterations = 0;
         while residual > opts.target && iterations < opts.max_iter {
             let ax = a.matvec(&x);
             let r: Vec<T> = b.iter().zip(&ax).map(|(&bi, &axi)| bi - axi).collect();
-            let dx = self.solve_request(SolveRequest::single(&r)).x;
+            let Ok(dx) = self.solve_request(SolveRequest::single(&r)).map(|out| out.x) else {
+                break; // a non-finite residual: keep the last iterate
+            };
             for (xi, di) in x.iter_mut().zip(&dx) {
                 *xi += *di;
             }
@@ -94,7 +98,7 @@ impl<T: Scalar> FactorRun<T> {
             }
             residual = next;
         }
-        RefineOutput { x, iterations, residual }
+        Ok(RefineOutput { x, iterations, residual })
     }
 }
 
@@ -117,7 +121,7 @@ mod tests {
         let b = rhs_for_solution(&a, &x_exact);
         let plain = run.solve(&b);
         let plain_res = a.residual_norm(&plain, &b);
-        let out = run.solve_refined(&a, &b, &RefineOptions::with_target(1e-12));
+        let out = run.solve_refined(&a, &b, &RefineOptions::with_target(1e-12)).unwrap();
         assert!(
             out.residual <= 1e-12 || out.residual < plain_res,
             "refinement should reach the target or at least improve: \
@@ -135,19 +139,19 @@ mod tests {
         let run = plan.factorize(&a, &cfg).unwrap();
         let x_exact = canonical_solution::<f64>(a.n());
         let b = rhs_for_solution(&a, &x_exact);
-        let out = run.solve_refined(&a, &b, &RefineOptions::default());
+        let out = run.solve_refined(&a, &b, &RefineOptions::default()).unwrap();
         assert_eq!(out.iterations, 0, "dense factor meets 1e-12 directly");
         assert!(out.residual <= 1e-12);
     }
 
     #[test]
-    fn a_nan_right_hand_side_reports_a_non_finite_residual() {
+    fn a_nan_right_hand_side_is_refused() {
         let a = grid_spd::<f64>(6, 6, 1, Stencil::Star, false, ValueKind::RandomSpd(3));
         let cfg = SolverConfig::new();
         let run = Plan::analyze(&a, &cfg).factorize(&a, &cfg).unwrap();
         let mut b = rhs_for_solution(&a, &canonical_solution::<f64>(a.n()));
-        b[0] = f64::NAN;
-        let out = run.solve_refined(&a, &b, &RefineOptions::default());
-        assert!(!out.residual.is_finite(), "NaN rhs reported residual {}", out.residual);
+        b[3] = f64::NAN;
+        let err = run.solve_refined(&a, &b, &RefineOptions::default()).unwrap_err();
+        assert_eq!(err, SolveError::NonFinite { index: 3 });
     }
 }

@@ -1,7 +1,8 @@
 //! The factorization's front end: `A`'s values reach the factor through a
 //! pattern of `P·A·Pᵀ` the plan builds once (`solver.permute_builds`),
 //! never through a permuted copy; a matrix the plan's structure does not
-//! cover is a typed error on every backend, not a panic inside a rank.
+//! cover is a typed error on every backend, not a panic inside a rank, and
+//! so is a right-hand side the solve cannot take.
 
 use pastix_graph::gen::{grid_spd, Stencil, ValueKind};
 use pastix_graph::{Permutation, SymCsc};
@@ -11,9 +12,10 @@ use pastix_sched::{DistStrategy, MappingOptions, SchedOptions};
 use pastix_solver::storage::try_blok_of;
 use pastix_solver::{
     factorize_sequential, AnalyzeOptions, Backend, DynamicOptions, FactorStorage, MetricsRegistry, Plan,
-    ScatterPattern, SolverConfig, TaskOrder,
+    ScatterPattern, SolveError, SolveRequest, SolverConfig, TaskOrder,
 };
 use pastix_symbolic::SymbolMatrix;
+use std::panic::{catch_unwind, AssertUnwindSafe};
 
 /// A 10 × 10 grid under a mixed 1D/2D mapping on three processors, so the
 /// static ranks scatter into 2D regions too.
@@ -202,5 +204,46 @@ fn a_zero_pivot_names_the_column_of_a() {
         assert_ne!(eliminated_at, iso as usize, "the ordering must move the vertex for this test to bite");
         let err = plan.factorize(&a, &cfg).err();
         assert_eq!(err, Some(FactorError::ZeroPivot(iso as usize)), "{backend:?}");
+    }
+}
+
+/// A right-hand side the solve cannot take — no column, a wrong length, a
+/// NaN or an infinity — is refused with its `SolveError` on every backend,
+/// by `solve_request` and by `solve_refined`, and nothing panics.
+#[test]
+fn bad_right_hand_sides_are_typed_errors_not_panics() {
+    let a = grid(3);
+    let n = a.n();
+    let good = vec![1.0f64; 2 * n];
+    let mut nan = good.clone();
+    nan[n + 5] = f64::NAN;
+    let mut inf = good.clone();
+    inf[4] = f64::NEG_INFINITY;
+    let requests: [(&[f64], usize, SolveError); 5] = [
+        (&good, 0, SolveError::NoRhs),
+        (&good[..n - 1], 1, SolveError::WrongLength { expected: n, got: n - 1 }),
+        (&good, 3, SolveError::WrongLength { expected: 3 * n, got: 2 * n }),
+        (&nan, 2, SolveError::NonFinite { index: n + 5 }),
+        (&inf[..n], 1, SolveError::NonFinite { index: 4 }),
+    ];
+    let refined: [(&[f64], SolveError); 3] = [
+        (&good, SolveError::WrongLength { expected: n, got: 2 * n }),
+        (&nan[n..], SolveError::NonFinite { index: 5 }),
+        (&inf[..n], SolveError::NonFinite { index: 4 }),
+    ];
+    for backend in [Backend::Threads, dynamic(), sim()] {
+        let cfg = config(backend);
+        let run = Plan::analyze(&a, &cfg).factorize(&a, &cfg).unwrap();
+        for (rhs, k, want) in requests {
+            let got = catch_unwind(AssertUnwindSafe(|| run.solve_request(SolveRequest::panel(rhs, k)).err()));
+            assert_eq!(got.ok(), Some(Some(want)), "{backend:?}: {} entries, k = {k}", rhs.len());
+        }
+        for (rhs, want) in refined {
+            let got = catch_unwind(AssertUnwindSafe(|| run.solve_refined(&a, rhs, &Default::default()).err()));
+            assert_eq!(got.ok(), Some(Some(want)), "{backend:?}: refined, {} entries", rhs.len());
+        }
+        // The refusals left the run as it was.
+        let x = run.solve_request(SolveRequest::panel(&good, 2)).expect("a good panel solves").x;
+        assert!(a.residual_norm(&x[..n], &good[..n]) < 1e-12, "{backend:?}");
     }
 }

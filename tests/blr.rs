@@ -84,7 +84,7 @@ fn tolerance_sweep_trades_bytes_for_accuracy() {
             );
             prev_bytes = bytes;
 
-            let refined = run.solve_refined(&ap, &b, &Default::default());
+            let refined = run.solve_refined(&ap, &b, &Default::default()).unwrap();
             assert!(
                 refined.residual < 1e-8,
                 "{diag}: refined residual {}",
@@ -168,7 +168,7 @@ fn compressed_factor_is_the_dense_factor_truncated() {
     }
     assert!(overlays_2d > 0, "no 2D column block carries an overlay");
 
-    let refined = run.solve_refined(&ap, &b, &Default::default());
+    let refined = run.solve_refined(&ap, &b, &Default::default()).unwrap();
     assert!(refined.residual < 1e-8, "refined residual {}", refined.residual);
 }
 

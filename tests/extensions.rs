@@ -149,7 +149,7 @@ fn iterative_refinement_never_degrades() {
     let b = rhs_for_solution(&a, &x_exact);
     let x0 = run.solve(&b);
     let res0 = a.residual_norm(&x0, &b);
-    let out = run.solve_refined(&a, &b, &RefineOptions { max_iter: 3, ..Default::default() });
+    let out = run.solve_refined(&a, &b, &RefineOptions { max_iter: 3, ..Default::default() }).unwrap();
     assert!(
         out.residual <= res0 * (1.0 + 1e-9),
         "refined {} worse than direct {res0}",

@@ -170,7 +170,7 @@ fn compressed_sim_runs_replay_bitwise_and_solve() {
                 x1.iter().zip(&x2).all(|(u, v)| u.to_bits() == v.to_bits()),
                 "{diag}: compressed solve does not replay bitwise"
             );
-            let refined = run_a.solve_refined(&ap, &b, &Default::default());
+            let refined = run_a.solve_refined(&ap, &b, &Default::default()).unwrap();
             assert!(
                 refined.residual < 1e-9,
                 "{diag}: refined residual {}",
@@ -184,7 +184,7 @@ fn compressed_sim_runs_replay_bitwise_and_solve() {
             for r in 0..nrhs {
                 panel[r * n..(r + 1) * n].copy_from_slice(&b);
             }
-            let out = run_a.solve_request(SolveRequest::panel(&panel, nrhs));
+            let out = run_a.solve_request(SolveRequest::panel(&panel, nrhs)).unwrap();
             for r in 0..nrhs {
                 assert!(
                     out.x[r * n..(r + 1) * n]

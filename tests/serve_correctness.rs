@@ -19,7 +19,7 @@ use pastix::runtime::{Backend, DynamicOptions, TaskOrder};
 use pastix::sched::{map_and_schedule, DistStrategy, Mapping, SchedOptions};
 use pastix::solver::{
     run_from_storage, solve_block_in_place, solve_in_place, CompressionConfig, Plan,
-    SolverConfig,
+    SolveError, SolverConfig,
 };
 use pastix::symbolic::{analyze, AnalysisOptions};
 use pastix_serve::{RejectReason, RequestQueue, SessionOptions, SolverSession};
@@ -255,8 +255,8 @@ fn malformed_tickets_are_rejected_without_taking_down_their_batch() {
         assert_eq!(
             q.take_rejected(),
             vec![
-                (2, RejectReason::WrongLength { expected: n, got: n - 1 }),
-                (5, RejectReason::NonFinite { index: 7 }),
+                (2, RejectReason::Rhs(SolveError::WrongLength { expected: n, got: n - 1 })),
+                (5, RejectReason::Rhs(SolveError::NonFinite { index: 7 })),
             ],
             "{label}"
         );

@@ -78,7 +78,7 @@ fn traced_solve(
         let xe: Vec<f64> = (0..n).map(|i| 1.0 + ((i + r * 17) % 11) as f64).collect();
         panel[r * n..(r + 1) * n].copy_from_slice(&rhs_for_solution(ap, &xe));
     }
-    let out = run.solve_request(SolveRequest::panel(&panel, nrhs).traced());
+    let out = run.solve_request(SolveRequest::panel(&panel, nrhs).traced()).unwrap();
     (out.x, out.trace)
 }
 

@@ -125,7 +125,7 @@ fn sim_solve_traces_are_byte_identical() {
     let f = plan_of(&mapping).factorize(&ap, &cfg).unwrap();
     let b = rhs_for_solution(&ap, &canonical_solution::<f64>(ap.n()));
     let solve = || {
-        let out = f.solve_request(SolveRequest::single(&b).traced());
+        let out = f.solve_request(SolveRequest::single(&b).traced()).unwrap();
         (out.x, out.trace)
     };
     let (x1, t1) = solve();
