@@ -178,6 +178,16 @@ impl Ord for Entry {
     }
 }
 
+/// One worker's ready queue and executed count. Aligned to two cache
+/// lines (the adjacent-line prefetcher fetches pairs), so a worker popping
+/// its own queue, or a thief locking a victim's, never invalidates the
+/// line another worker's queue sits on.
+#[repr(align(128))]
+struct Slot {
+    queue: Mutex<BinaryHeap<Entry>>,
+    executed: AtomicU64,
+}
+
 /// Executes the DAG described by `spec` on `n_workers` workers.
 ///
 /// `body(task, ctx)` runs each task exactly once; returning `false`
@@ -232,14 +242,15 @@ where
 {
     let n = spec.deps.len();
     let deps: Vec<AtomicU32> = spec.deps.iter().map(|&d| AtomicU32::new(d)).collect();
-    let queues: Vec<Mutex<BinaryHeap<Entry>>> =
-        (0..n_workers).map(|_| Mutex::new(BinaryHeap::new())).collect();
+    let slots: Vec<Slot> = (0..n_workers)
+        .map(|_| Slot { queue: Mutex::new(BinaryHeap::new()), executed: AtomicU64::new(0) })
+        .collect();
     let next_seq = AtomicU64::new(0);
     // Seed dependency-free roots on their statically preferred worker, in
     // task-id order (= the FIFO order when priorities are all zero).
     for t in 0..n {
         if spec.deps[t] == 0 {
-            queues[spec.home(t, n_workers)].lock().unwrap().push(Entry {
+            slots[spec.home(t, n_workers)].queue.lock().unwrap().push(Entry {
                 prio: spec.priority[t],
                 seq: next_seq.fetch_add(1, Ordering::Relaxed),
                 task: t as u32,
@@ -249,7 +260,6 @@ where
     let remaining = AtomicUsize::new(n);
     let abort = AtomicBool::new(false);
     let steals = AtomicU64::new(0);
-    let executed: Vec<AtomicU64> = (0..n_workers).map(|_| AtomicU64::new(0)).collect();
     let panic_slot: Mutex<Option<Box<dyn Any + Send>>> = Mutex::new(None);
 
     let worker_loop = |w: usize| {
@@ -259,7 +269,7 @@ where
                 return;
             }
             let popped = {
-                let mut q = queues[w].lock().unwrap();
+                let mut q = slots[w].queue.lock().unwrap();
                 let e = q.pop();
                 let depth = q.len();
                 e.map(|e| (e, depth))
@@ -272,7 +282,7 @@ where
                     let v = (w + off) % n_workers;
                     let mut batch = Vec::new();
                     {
-                        let mut vq = queues[v].lock().unwrap();
+                        let mut vq = slots[v].queue.lock().unwrap();
                         let take = vq.len().div_ceil(2);
                         for _ in 0..take {
                             if let Some(e) = vq.pop() {
@@ -282,7 +292,7 @@ where
                     }
                     if !batch.is_empty() {
                         steals.fetch_add(batch.len() as u64, Ordering::Relaxed);
-                        let mut q = queues[w].lock().unwrap();
+                        let mut q = slots[w].queue.lock().unwrap();
                         for e in batch {
                             q.push(e);
                         }
@@ -301,7 +311,7 @@ where
                 ready_depth: depth,
             };
             local_index += 1;
-            executed[w].fetch_add(1, Ordering::Relaxed);
+            slots[w].executed.fetch_add(1, Ordering::Relaxed);
             match catch_unwind(AssertUnwindSafe(|| body(entry.task, &ctx))) {
                 Err(payload) => {
                     let mut slot = panic_slot.lock().unwrap();
@@ -324,7 +334,7 @@ where
                 // task's writes, the acquire half (of the last decrement)
                 // pulls in the other producers'.
                 if deps[d as usize].fetch_sub(1, Ordering::AcqRel) == 1 {
-                    queues[spec.queue_of(d as usize, w, n_workers)].lock().unwrap().push(Entry {
+                    slots[spec.queue_of(d as usize, w, n_workers)].queue.lock().unwrap().push(Entry {
                         prio: spec.priority[d as usize],
                         seq: next_seq.fetch_add(1, Ordering::Relaxed),
                         task: d,
@@ -352,7 +362,7 @@ where
         resume_unwind(payload);
     }
     let stats = StealStats {
-        executed: executed.into_iter().map(|c| c.into_inner()).collect(),
+        executed: slots.into_iter().map(|s| s.executed.into_inner()).collect(),
         steals: steals.into_inner(),
     };
     (results, stats)
