@@ -48,6 +48,14 @@ fn resolve_workers(dopts: &DynamicOptions, sched: &Schedule) -> usize {
     }
 }
 
+/// One worker's scratch, aligned to two cache lines (the adjacent-line
+/// prefetcher fetches pairs): a worker locking its scratch and resizing
+/// its buffers on every task must not invalidate the line another
+/// worker's sits on.
+#[derive(Default)]
+#[repr(align(128))]
+struct OwnLines<S>(Mutex<S>);
+
 /// Priority vector: all-zero (FIFO); rank by predicted start (the task
 /// the static scheduler would have started earliest gets the highest
 /// priority); or, in the static order, the task's position in its
@@ -227,8 +235,8 @@ pub(crate) fn factorize_dynamic<T: Scalar>(
 
     let error: Mutex<Option<FactorError>> = Mutex::new(None);
     // One scratch per worker; only its own worker ever locks it.
-    let scratch: Vec<Mutex<Scratch<T>>> =
-        (0..n_workers).map(|_| Mutex::new(Scratch::for_run(&cfg.trace))).collect();
+    let scratch: Vec<OwnLines<Scratch<T>>> =
+        (0..n_workers).map(|_| OwnLines(Mutex::new(Scratch::for_run(&cfg.trace)))).collect();
     let shared = DynFactor {
         sym,
         layout: &layout,
@@ -245,7 +253,7 @@ pub(crate) fn factorize_dynamic<T: Scalar>(
             );
         }
         let zp = cfg.chaos.zero_pivot_task == Some(t);
-        let scratch = &mut *scratch[tctx.worker].lock().unwrap();
+        let scratch = &mut *scratch[tctx.worker].0.lock().unwrap();
         let result = match graph.kinds[t as usize] {
             TaskKind::Comp1d { cblk } => {
                 let _span = task_span(t, TaskClass::Comp1d);
@@ -287,7 +295,7 @@ pub(crate) fn factorize_dynamic<T: Scalar>(
         return Err(e);
     }
     for (w, scratch) in scratch.into_iter().enumerate() {
-        let ns = scratch.into_inner().unwrap().stages.ns;
+        let ns = scratch.0.into_inner().unwrap().stages.ns;
         crate::parallel::merge_comp1d_ns(&cfg.metrics, w as u32, &ns);
     }
     let panels = panels.into_iter().map(|p| p.into_inner().unwrap()).collect();
@@ -409,13 +417,13 @@ pub(crate) fn solve_panel_dynamic<T: Scalar>(
         rest = tail;
     }
     // One scratch per worker; only its own worker ever locks it.
-    let scratch: Vec<Mutex<sweeps::Scratch<T>>> = (0..n_workers).map(|_| Mutex::default()).collect();
+    let scratch: Vec<OwnLines<sweeps::Scratch<T>>> = (0..n_workers).map(|_| OwnLines::default()).collect();
 
     let body = |t: u32, tctx: &TaskCtx| -> bool {
         let (k, forward) = (t as usize % ns, (t as usize) < ns);
         let class = if forward { TaskClass::FwdSolve } else { TaskClass::BwdSolve };
         let _span = task_span(k as u32, class);
-        let scratch = &mut *scratch[tctx.worker].lock().unwrap();
+        let scratch = &mut *scratch[tctx.worker].0.lock().unwrap();
         let mut seg = segs[k].lock().unwrap();
         let mut later = LockedSegments { sym, nrhs, segs: &segs, held: None };
         if forward {
