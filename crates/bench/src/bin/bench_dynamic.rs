@@ -13,13 +13,16 @@
 //!
 //! Before any timing, correctness gates run: every engine's factor must
 //! match the sequential reference entrywise (≤ 1e-8 relative) and solve
-//! to a ≤ 1e-12 residual, and the dynamic engine must pass a seeded sim
-//! sweep under all four chaos scheduling policies.
+//! to a ≤ 1e-12 residual, the dynamic engine must pass a seeded sim
+//! sweep under all four chaos scheduling policies, and the plan must
+//! coarsen: the executor runs fewer nodes (`dynamic.tasks`) than the task
+//! graph has tasks, its small one-processor subtrees grouped.
 //!
 //! Writes `BENCH_dynamic.json` at the repository root (with
 //! `pastix_bench::env_header`). Exits non-zero if
-//! any agreement gate fails or if dynamic+prio falls below 0.9× the
-//! threads engine's throughput on the largest problem (Shipsec5 analog).
+//! any agreement or coarsening gate fails or if dynamic+prio falls below
+//! 0.9× the threads engine's throughput on the largest problem (Shipsec5
+//! analog).
 //! `--quick` shrinks scale and reps for CI.
 
 use pastix_bench::{env_header, prepare, scale, schedule_for, scotch_ordering};
@@ -106,6 +109,7 @@ fn main() {
         ];
 
         let mut results = Vec::new();
+        let mut nodes = 0;
         for (label, backend) in backends {
             let cfg = SolverConfig::new().with_backend(backend);
             // Correctness gate on the timed configuration.
@@ -119,6 +123,7 @@ fn main() {
                 if agree { "agrees with sequential" } else { "DISAGREES" }
             );
             failed |= !agree;
+            nodes = run.metrics.counter_per_rank("dynamic.tasks").iter().map(|r| r.1).sum::<u64>();
 
             // Timing: warm-up already done (the gate run), then best-of.
             let mut best = f64::INFINITY;
@@ -168,6 +173,13 @@ fn main() {
             if sim_ok { "all agree with sequential" } else { "FAILED" }
         );
         failed |= !sim_ok;
+        let coarsened = nodes < mapping.graph.n_tasks() as u64;
+        println!(
+            "  coarsening: the executor runs {nodes} nodes for {} tasks — {}",
+            mapping.graph.n_tasks(),
+            if coarsened { "grouped" } else { "NOT GROUPED" }
+        );
+        failed |= !coarsened;
 
         let t_threads = results[0].best_s;
         for r in &results {
@@ -191,6 +203,7 @@ fn main() {
             ("problem", Json::Str(id.name().to_string())),
             ("n", Json::Num(ap.n() as f64)),
             ("tasks", Json::Num(mapping.graph.n_tasks() as f64)),
+            ("nodes", Json::Num(nodes as f64)),
             ("procs", Json::Num(procs as f64)),
             ("t_threads_s", Json::Num(results[0].best_s)),
             ("t_dynamic_prio_s", Json::Num(results[1].best_s)),
@@ -225,7 +238,7 @@ fn main() {
         if perf_ok { "MET" } else { "NOT MET" }
     );
     println!(
-        "acceptance (all engines agree with sequential, incl. sim chaos sweep): {}",
+        "acceptance (all engines agree with sequential, incl. sim chaos sweep; plans coarsen): {}",
         if failed { "NOT MET" } else { "MET" }
     );
     if failed || !perf_ok {

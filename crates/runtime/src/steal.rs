@@ -1,15 +1,18 @@
-//! Work-stealing DAG executor: the substrate of `Backend::Dynamic`.
+//! Work-stealing DAG executor: the substrate of `Backend::Threads` and
+//! `Backend::Dynamic`.
 //!
 //! Where the sim backend executes an SPMD program whose every step was
-//! fixed by the static schedule, this module executes an explicit task DAG
-//! with per-task dependency counters. The static mapping supplies
-//! *placement* (which worker's queue a task is enqueued on) and *priority*
-//! (which ready task a worker prefers). Under [`TaskOrder::Fifo`] and
-//! [`TaskOrder::Hints`] placement only seeds the roots and a successor
-//! joins the queue of the worker that made it ready; under
-//! [`TaskOrder::Static`] every task is enqueued on its placement worker.
-//! Under every order a worker whose own queue is empty steals half of
-//! another's.
+//! fixed by the static schedule, this module executes an explicit DAG of
+//! *nodes* with per-node dependency counters. A node is a list of tasks
+//! run back to back by one worker ([`NodeDag::contract`] groups a task DAG
+//! into nodes; a node of one task is a plain task). The static mapping
+//! supplies *placement* (which worker's queue a node is enqueued on) and
+//! *priority* (which ready node a worker prefers). Under
+//! [`TaskOrder::Fifo`] and [`TaskOrder::Hints`] placement only seeds the
+//! roots and a successor joins the queue of the worker that made it ready;
+//! under [`TaskOrder::Static`] every node is enqueued on its placement
+//! worker. Under every order a worker whose own queue is empty steals half
+//! of another's.
 //!
 //! Two execution modes share the same task-body code:
 //!
@@ -83,36 +86,31 @@ pub enum TaskOrder {
     /// The static schedule's predicted start times as priorities; idle
     /// workers steal.
     Hints,
-    /// The static mapping: every task is enqueued on its `K_p` processor,
-    /// which runs, among its ready tasks, the one earliest in `K_p`; a
+    /// The static mapping: every node is enqueued on its `K_p` processor,
+    /// which runs, among its ready nodes, the one earliest in `K_p`; a
     /// worker whose queue is empty steals, like under the other orders.
     Static,
 }
 
-/// Borrowed description of the task DAG: dependency counts, successor CSR,
-/// per-task priority, and initial placement. All slices are indexed by
-/// task id; `out_ptr` has `n_tasks + 1` entries.
+/// What the executor runs: a node DAG and per-node hints. `priority` and
+/// `placement` are indexed by node id.
 #[derive(Debug, Clone, Copy)]
 pub struct DagSpec<'a> {
-    /// Initial dependency count per task (number of distinct producers).
-    pub deps: &'a [u32],
-    /// CSR row pointers into `out_dst`.
-    pub out_ptr: &'a [u32],
-    /// Successor task ids.
-    pub out_dst: &'a [u32],
-    /// Priority per task; higher runs first (all-zero = FIFO).
+    /// The nodes, their dependencies and their tasks.
+    pub dag: &'a NodeDag,
+    /// Priority per node; higher runs first (all-zero = FIFO).
     pub priority: &'a [u64],
-    /// Preferred worker per task, taken modulo the worker count: where a
-    /// root is seeded, and where every task is enqueued when `placed`.
+    /// Preferred worker per node, taken modulo the worker count: where a
+    /// root is seeded, and where every node is enqueued when `placed`.
     pub placement: &'a [u32],
-    /// Enqueue every task on its placement worker.
+    /// Enqueue every node on its placement worker.
     pub placed: bool,
 }
 
 impl DagSpec<'_> {
-    /// The placement worker of task `t`.
-    fn home(&self, t: usize, n_workers: usize) -> usize {
-        self.placement.get(t).map_or(0, |&p| p as usize % n_workers)
+    /// The placement worker of node `v`.
+    fn home(&self, v: usize, n_workers: usize) -> usize {
+        self.placement.get(v).map_or(0, |&p| p as usize % n_workers)
     }
 
     /// The queue a successor `d` made ready by worker `w` goes to.
@@ -122,6 +120,71 @@ impl DagSpec<'_> {
         } else {
             w
         }
+    }
+}
+
+/// A task DAG contracted onto *nodes*, each a list of tasks one worker
+/// runs back to back: per-node dependency counts, successors and members.
+#[derive(Debug, Clone, Default, PartialEq)]
+pub struct NodeDag {
+    /// Distinct producer nodes per node.
+    pub deps: Vec<u32>,
+    /// CSR row pointers into `out_dst`.
+    pub out_ptr: Vec<u32>,
+    /// Successor nodes, each once per producer node.
+    pub out_dst: Vec<u32>,
+    /// CSR row pointers into `tasks`.
+    pub task_ptr: Vec<u32>,
+    /// Member tasks, node by node, ascending within a node.
+    pub tasks: Vec<u32>,
+}
+
+impl NodeDag {
+    /// Contracts the task DAG with successor CSR `(out_ptr, out_dst)` onto
+    /// `n_nodes` nodes, task `t` into node `node_of[t]`, in one pass over
+    /// the edges. A node's successors are its members' successors outside
+    /// it, deduplicated; its members run in ascending task id, which must
+    /// be a topological order of the node, and the contraction must be
+    /// acyclic.
+    pub fn contract(out_ptr: &[u32], out_dst: &[u32], node_of: &[u32], n_nodes: usize) -> Self {
+        let mut task_ptr = vec![0u32; n_nodes + 1];
+        for &v in node_of {
+            task_ptr[v as usize + 1] += 1;
+        }
+        for v in 0..n_nodes {
+            task_ptr[v + 1] += task_ptr[v];
+        }
+        let mut fill = task_ptr.clone();
+        let mut tasks = vec![0u32; node_of.len()];
+        for (t, &v) in node_of.iter().enumerate() {
+            tasks[fill[v as usize] as usize] = t as u32;
+            fill[v as usize] += 1;
+        }
+        // `seen[u] == v`: node `u` is already a successor of node `v`
+        // (or is `v`).
+        let (mut seen, mut deps) = (vec![u32::MAX; n_nodes], vec![0u32; n_nodes]);
+        let (mut node_ptr, mut node_dst) = (Vec::with_capacity(n_nodes + 1), Vec::new());
+        node_ptr.push(0);
+        for v in 0..n_nodes {
+            seen[v] = v as u32;
+            for &t in &tasks[task_ptr[v] as usize..task_ptr[v + 1] as usize] {
+                for &d in &out_dst[out_ptr[t as usize] as usize..out_ptr[t as usize + 1] as usize] {
+                    let u = node_of[d as usize];
+                    if seen[u as usize] != v as u32 {
+                        seen[u as usize] = v as u32;
+                        deps[u as usize] += 1;
+                        node_dst.push(u);
+                    }
+                }
+            }
+            node_ptr.push(node_dst.len() as u32);
+        }
+        Self { deps, out_ptr: node_ptr, out_dst: node_dst, task_ptr, tasks }
+    }
+
+    /// The tasks of node `v`, in run order.
+    pub fn members(&self, v: usize) -> &[u32] {
+        &self.tasks[self.task_ptr[v] as usize..self.task_ptr[v + 1] as usize]
     }
 }
 
@@ -137,22 +200,22 @@ pub struct TaskCtx {
     pub ready_depth: usize,
 }
 
-/// Counters of one [`run_dag`] execution.
+/// Counters of one [`run_dag`] execution. Both count nodes, not tasks.
 #[derive(Debug, Clone, Default)]
 pub struct StealStats {
-    /// Tasks executed per worker.
+    /// Nodes executed per worker.
     pub executed: Vec<u64>,
-    /// Tasks moved between queues by steal-half (0 under sim).
+    /// Nodes moved between queues by steal-half (0 under sim).
     pub steals: u64,
 }
 
 /// Ready-queue entry. Ordering: highest priority first, then lowest
 /// sequence number (so an all-zero priority vector degrades to FIFO), then
-/// lowest task id.
+/// lowest node id.
 struct Entry {
     prio: u64,
     seq: u64,
-    task: u32,
+    node: u32,
 }
 
 impl PartialEq for Entry {
@@ -174,7 +237,7 @@ impl Ord for Entry {
         self.prio
             .cmp(&other.prio)
             .then(other.seq.cmp(&self.seq))
-            .then(other.task.cmp(&self.task))
+            .then(other.node.cmp(&self.node))
     }
 }
 
@@ -190,8 +253,10 @@ struct Slot {
 
 /// Executes the DAG described by `spec` on `n_workers` workers.
 ///
-/// `body(task, ctx)` runs each task exactly once; returning `false`
-/// aborts the execution (remaining tasks are skipped on every worker).
+/// A worker pops a ready node and calls `body(task, ctx)` on each of its
+/// tasks in order, so `body` runs each task exactly once; returning
+/// `false` aborts the execution (the node's later tasks and every
+/// remaining node are skipped on every worker).
 /// A panicking body likewise aborts the run, and the panic is re-raised
 /// on the calling thread after every worker has unwound — the same
 /// contract as [`crate::run_spmd`].
@@ -215,8 +280,8 @@ where
     W: Fn(usize, &mut dyn FnMut()) -> R + Sync,
 {
     assert!(n_workers >= 1, "run_dag needs at least one worker");
-    let n = spec.deps.len();
-    debug_assert_eq!(spec.out_ptr.len(), n + 1);
+    let n = spec.dag.deps.len();
+    debug_assert_eq!(spec.dag.out_ptr.len(), n + 1);
     debug_assert_eq!(spec.priority.len(), n);
     match sim {
         Some(plan) => {
@@ -240,20 +305,20 @@ where
     B: Fn(u32, &TaskCtx) -> bool + Sync,
     W: Fn(usize, &mut dyn FnMut()) -> R + Sync,
 {
-    let n = spec.deps.len();
-    let deps: Vec<AtomicU32> = spec.deps.iter().map(|&d| AtomicU32::new(d)).collect();
+    let n = spec.dag.deps.len();
+    let deps: Vec<AtomicU32> = spec.dag.deps.iter().map(|&d| AtomicU32::new(d)).collect();
     let slots: Vec<Slot> = (0..n_workers)
         .map(|_| Slot { queue: Mutex::new(BinaryHeap::new()), executed: AtomicU64::new(0) })
         .collect();
     let next_seq = AtomicU64::new(0);
     // Seed dependency-free roots on their statically preferred worker, in
-    // task-id order (= the FIFO order when priorities are all zero).
-    for t in 0..n {
-        if spec.deps[t] == 0 {
-            slots[spec.home(t, n_workers)].queue.lock().unwrap().push(Entry {
-                prio: spec.priority[t],
+    // node-id order (= the FIFO order when priorities are all zero).
+    for v in 0..n {
+        if spec.dag.deps[v] == 0 {
+            slots[spec.home(v, n_workers)].queue.lock().unwrap().push(Entry {
+                prio: spec.priority[v],
                 seq: next_seq.fetch_add(1, Ordering::Relaxed),
-                task: t as u32,
+                node: v as u32,
             });
         }
     }
@@ -305,14 +370,16 @@ where
                 }
                 continue;
             };
-            let ctx = TaskCtx {
-                worker: w,
-                local_index,
-                ready_depth: depth,
-            };
-            local_index += 1;
+            let v = entry.node as usize;
             slots[w].executed.fetch_add(1, Ordering::Relaxed);
-            match catch_unwind(AssertUnwindSafe(|| body(entry.task, &ctx))) {
+            let run_node = || {
+                spec.dag.members(v).iter().all(|&t| {
+                    let ctx = TaskCtx { worker: w, local_index, ready_depth: depth };
+                    local_index += 1;
+                    body(t, &ctx)
+                })
+            };
+            match catch_unwind(AssertUnwindSafe(run_node)) {
                 Err(payload) => {
                     let mut slot = panic_slot.lock().unwrap();
                     slot.get_or_insert(payload);
@@ -325,19 +392,18 @@ where
                 }
                 Ok(true) => {}
             }
-            let t = entry.task as usize;
-            let lo = spec.out_ptr[t] as usize;
-            let hi = spec.out_ptr[t + 1] as usize;
-            for &d in &spec.out_dst[lo..hi] {
+            let lo = spec.dag.out_ptr[v] as usize;
+            let hi = spec.dag.out_ptr[v + 1] as usize;
+            for &d in &spec.dag.out_dst[lo..hi] {
                 // AcqRel: the successor's execution must observe every
                 // write of every producer; the release half publishes this
-                // task's writes, the acquire half (of the last decrement)
+                // node's writes, the acquire half (of the last decrement)
                 // pulls in the other producers'.
                 if deps[d as usize].fetch_sub(1, Ordering::AcqRel) == 1 {
                     slots[spec.queue_of(d as usize, w, n_workers)].queue.lock().unwrap().push(Entry {
                         prio: spec.priority[d as usize],
                         seq: next_seq.fetch_add(1, Ordering::Relaxed),
-                        task: d,
+                        node: d,
                     });
                 }
             }
@@ -370,7 +436,7 @@ where
 
 /// The deterministic single-threaded serialization of the executor: the
 /// scheduler state is the per-worker ready list, the enabled actions are
-/// "worker w executes one of its ready tasks", and the plan's policy
+/// "worker w executes one of its ready nodes", and the plan's policy
 /// filters them exactly like the message simulator filters its actions —
 /// with the same liveness fallback (an empty filtered set restores the
 /// full set). Priority hints are deliberately ignored here: the point of
@@ -379,16 +445,16 @@ fn run_serial<B>(spec: &DagSpec<'_>, n_workers: usize, plan: &FaultPlan, body: &
 where
     B: Fn(u32, &TaskCtx) -> bool + Sync,
 {
-    let n = spec.deps.len();
-    let mut deps: Vec<u32> = spec.deps.to_vec();
+    let n = spec.dag.deps.len();
+    let mut deps: Vec<u32> = spec.dag.deps.clone();
     let mut ready: Vec<Vec<Entry>> = (0..n_workers).map(|_| Vec::new()).collect();
     let mut next_seq = 0u64;
-    for t in 0..n {
-        if deps[t] == 0 {
-            ready[spec.home(t, n_workers)].push(Entry {
-                prio: spec.priority[t],
+    for v in 0..n {
+        if deps[v] == 0 {
+            ready[spec.home(v, n_workers)].push(Entry {
+                prio: spec.priority[v],
                 seq: next_seq,
-                task: t as u32,
+                node: v as u32,
             });
             next_seq += 1;
         }
@@ -404,7 +470,7 @@ where
             .collect();
         assert!(
             !acts.is_empty(),
-            "dynamic executor stalled: {remaining} tasks remain but none are ready \
+            "dynamic executor stalled: {remaining} nodes remain but none are ready \
              (cyclic dependencies?) [seed {} policy {:?}]",
             plan.seed,
             plan.policy
@@ -413,7 +479,7 @@ where
             SchedPolicy::Uniform => acts.clone(),
             // Never run the starved worker while anyone else has work.
             SchedPolicy::StarveRank(r) => acts.iter().copied().filter(|&(w, _)| w != r).collect(),
-            // The oldest ready task is always scheduled last.
+            // The oldest ready node is always scheduled last.
             SchedPolicy::DeliverLast => {
                 let oldest = acts
                     .iter()
@@ -437,27 +503,26 @@ where
         // filters; an emptied set is restored whole.
         let pick = if keep.is_empty() { &acts } else { &keep };
         let (w, i) = pick[rng.below(pick.len())];
-        let entry = ready[w].remove(i);
-        let ctx = TaskCtx {
-            worker: w,
-            local_index: local_index[w],
-            ready_depth: ready[w].len(),
-        };
-        local_index[w] += 1;
+        let v = ready[w].remove(i).node as usize;
+        let ready_depth = ready[w].len();
         executed[w] += 1;
-        if !body(entry.task, &ctx) {
+        let go_on = spec.dag.members(v).iter().all(|&t| {
+            let ctx = TaskCtx { worker: w, local_index: local_index[w], ready_depth };
+            local_index[w] += 1;
+            body(t, &ctx)
+        });
+        if !go_on {
             break;
         }
-        let t = entry.task as usize;
-        let lo = spec.out_ptr[t] as usize;
-        let hi = spec.out_ptr[t + 1] as usize;
-        for &d in &spec.out_dst[lo..hi] {
+        let lo = spec.dag.out_ptr[v] as usize;
+        let hi = spec.dag.out_ptr[v + 1] as usize;
+        for &d in &spec.dag.out_dst[lo..hi] {
             deps[d as usize] -= 1;
             if deps[d as usize] == 0 {
                 ready[spec.queue_of(d as usize, w, n_workers)].push(Entry {
                     prio: spec.priority[d as usize],
                     seq: next_seq,
-                    task: d,
+                    node: d,
                 });
                 next_seq += 1;
             }
@@ -473,10 +538,19 @@ mod tests {
     use std::sync::atomic::AtomicU64;
     use std::sync::Barrier;
 
-    /// A spec over the given slices whose successors stay with the worker
-    /// that readied them.
-    fn spec<'a>(deps: &'a [u32], out_ptr: &'a [u32], out_dst: &'a [u32], priority: &'a [u64], placement: &'a [u32]) -> DagSpec<'a> {
-        DagSpec { deps, out_ptr, out_dst, priority, placement, placed: false }
+    /// The task DAG `(out_ptr, out_dst)` with one node per task; its
+    /// dependency counts must be `deps`.
+    fn plain(deps: &[u32], out_ptr: &[u32], out_dst: &[u32]) -> NodeDag {
+        let n = deps.len();
+        let dag = NodeDag::contract(out_ptr, out_dst, &(0..n as u32).collect::<Vec<_>>(), n);
+        assert_eq!(dag.deps, deps);
+        dag
+    }
+
+    /// A spec over `dag` whose successors stay with the worker that readied
+    /// them.
+    fn spec<'a>(dag: &'a NodeDag, priority: &'a [u64], placement: &'a [u32]) -> DagSpec<'a> {
+        DagSpec { dag, priority, placement, placed: false }
     }
 
     /// A simple chain DAG 0 -> 1 -> ... -> n-1.
@@ -516,7 +590,8 @@ mod tests {
         let (deps, out_ptr, out_dst) = chain(n);
         let prio = vec![0u64; n];
         let place = vec![0u32; n];
-        let spec = spec(&deps, &out_ptr, &out_dst, &prio, &place);
+        let dag = plain(&deps, &out_ptr, &out_dst);
+        let spec = spec(&dag, &prio, &place);
         let order = Mutex::new(Vec::new());
         let (_, stats) = run_dag(
             &spec,
@@ -540,7 +615,8 @@ mod tests {
         let out_dst = vec![1u32, 2, 3, 3];
         let prio = vec![0u64; 4];
         let place = vec![0u32, 1, 2, 3];
-        let spec = spec(&deps, &out_ptr, &out_dst, &prio, &place);
+        let dag = plain(&deps, &out_ptr, &out_dst);
+        let spec = spec(&dag, &prio, &place);
         let done = AtomicU64::new(0);
         let last = AtomicU64::new(u64::MAX);
         let (_, stats) = run_dag(
@@ -568,7 +644,8 @@ mod tests {
         let (deps, out_ptr, out_dst) = chain(n);
         let prio = vec![0u64; n];
         let place = vec![0u32; n];
-        let spec = spec(&deps, &out_ptr, &out_dst, &prio, &place);
+        let dag = plain(&deps, &out_ptr, &out_dst);
+        let spec = spec(&dag, &prio, &place);
         let done = AtomicU64::new(0);
         let (_, stats) = run_dag(
             &spec,
@@ -591,7 +668,8 @@ mod tests {
         let prio = vec![0u64; n];
         let place = vec![0u32; n];
         let caught = catch_unwind(AssertUnwindSafe(|| {
-            let spec = spec(&deps, &out_ptr, &out_dst, &prio, &place);
+            let dag = plain(&deps, &out_ptr, &out_dst);
+            let spec = spec(&dag, &prio, &place);
             run_dag(
                 &spec,
                 2,
@@ -616,7 +694,8 @@ mod tests {
         let prio = vec![0u64; n];
         let place: Vec<u32> = (0..n as u32).collect();
         let run_order = |seed: u64, policy: SchedPolicy| {
-            let spec = spec(&deps, &out_ptr, &out_dst, &prio, &place);
+            let dag = plain(&deps, &out_ptr, &out_dst);
+            let spec = spec(&dag, &prio, &place);
             let plan = FaultPlan::builder(seed).policy(policy).build();
             let order = Mutex::new(Vec::new());
             run_dag(
@@ -657,7 +736,8 @@ mod tests {
         let out_dst: Vec<u32> = Vec::new();
         let prio: Vec<u64> = (0..n as u64).collect();
         let place = vec![0u32; n];
-        let spec = spec(&deps, &out_ptr, &out_dst, &prio, &place);
+        let dag = plain(&deps, &out_ptr, &out_dst);
+        let spec = spec(&dag, &prio, &place);
         let order = Mutex::new(Vec::new());
         run_dag(
             &spec,
@@ -682,7 +762,8 @@ mod tests {
         let (deps, out_ptr, out_dst) = fork_join(n);
         let place: Vec<u32> = (0..n as u32).map(|t| u32::from(t % 3 == 0) * 2).collect();
         let prio: Vec<u64> = (0..n as u64).map(|t| if t % 3 == 0 { n as u64 - t } else { t }).collect();
-        let spec = DagSpec { placed: true, ..spec(&deps, &out_ptr, &out_dst, &prio, &place) };
+        let dag = plain(&deps, &out_ptr, &out_dst);
+        let spec = DagSpec { placed: true, ..spec(&dag, &prio, &place) };
         let ran = Mutex::new(Vec::new());
         let body = |t: u32, ctx: &TaskCtx| {
             std::hint::black_box((0..200).sum::<u64>());
@@ -703,7 +784,7 @@ mod tests {
         // in lockstep and worker 1 starts only after them, so nothing is
         // stolen yet: each runs the top of its own queue in priority order.
         let m = 8;
-        let (roots, none_ptr) = (vec![0u32; n], vec![0u32; n + 1]);
+        let roots = plain(&vec![0u32; n], &vec![0u32; n + 1], &[]);
         let lockstep = Barrier::new(2);
         let open = AtomicBool::new(false);
         let gated = |t: u32, ctx: &TaskCtx| {
@@ -719,7 +800,7 @@ mod tests {
             }
             run()
         };
-        let roots_spec = DagSpec { deps: &roots, out_ptr: &none_ptr, out_dst: &[], ..spec };
+        let roots_spec = DagSpec { dag: &roots, ..spec };
         let (_, stats) = run_dag(&roots_spec, 3, None, &gated, &wait_for_open);
         assert_eq!(stats.executed.iter().sum::<u64>(), n as u64);
         let ran = ran.into_inner().unwrap();
@@ -737,6 +818,72 @@ mod tests {
         assert!(catch_unwind(AssertUnwindSafe(|| run_dag(&spec, 3, None, &boom, &|_w, run| run()))).is_err());
     }
 
+    /// Tasks 0..7 with edges 0→2, 1→2, 2→5, 2→6, 3→4, 4→5, 4→6, 5→6,
+    /// grouped as {0, 1, 2}, {3, 4}, {5}, {6}.
+    fn grouped_dag() -> NodeDag {
+        let out_ptr = [0u32, 1, 2, 4, 5, 7, 8, 8];
+        let out_dst = [2u32, 2, 5, 6, 4, 5, 6, 6];
+        NodeDag::contract(&out_ptr, &out_dst, &[0, 0, 0, 1, 1, 2, 3], 4)
+    }
+
+    #[test]
+    fn contraction_merges_members_and_counts_distinct_producer_nodes() {
+        let dag = grouped_dag();
+        assert_eq!(dag.deps.len(), 4);
+        assert_eq!([dag.members(0), dag.members(1), dag.members(2), dag.members(3)], [&[0, 1, 2][..], &[3, 4], &[5], &[6]]);
+        // Internal edges vanish, and 2→5, 2→6 and 4→5, 4→6 collapse to one
+        // edge per producer node.
+        assert_eq!(dag.out_ptr, [0, 2, 4, 5, 5]);
+        assert_eq!(dag.out_dst, [2, 3, 2, 3, 3]);
+        assert_eq!(dag.deps, [0, 0, 2, 3]);
+    }
+
+    #[test]
+    fn a_node_runs_its_members_back_to_back_in_order() {
+        let dag = grouped_dag();
+        let (prio, place) = ([0u64; 4], [0u32, 1, 0, 1]);
+        let check = |sim: Option<&FaultPlan>, placed: bool| {
+            let spec = DagSpec { placed, ..spec(&dag, &prio, &place) };
+            let ran = Mutex::new(Vec::new());
+            let body = |t: u32, ctx: &TaskCtx| {
+                ran.lock().unwrap().push((t, ctx.worker, ctx.local_index));
+                true
+            };
+            let (_, stats) = run_dag(&spec, 2, sim, &body, &|_w, run| run());
+            assert_eq!(stats.executed.iter().sum::<u64>(), 4, "executed counts nodes");
+            let ran = ran.into_inner().unwrap();
+            assert_eq!(ran.len(), 7, "the body runs once per task");
+            // Each node's tasks are consecutive on one worker, ascending.
+            for v in 0..dag.deps.len() {
+                let m = dag.members(v);
+                let at = ran.iter().position(|e| e.0 == m[0]).unwrap();
+                let run: Vec<u32> = ran[at..at + m.len()].iter().map(|e| e.0).collect();
+                assert_eq!(run, m, "{ran:?}");
+                assert!(ran[at..at + m.len()].iter().all(|e| e.1 == ran[at].1), "{ran:?}");
+            }
+            // `local_index` counts tasks per worker.
+            for w in 0..2 {
+                let idx: Vec<usize> = ran.iter().filter(|e| e.1 == w).map(|e| e.2).collect();
+                assert_eq!(idx, (0..idx.len()).collect::<Vec<_>>());
+            }
+        };
+        for placed in [false, true] {
+            check(None, placed);
+            for policy in [SchedPolicy::Uniform, SchedPolicy::StarveRank(1), SchedPolicy::DeliverLast, SchedPolicy::FifoPerPair] {
+                check(Some(&FaultPlan::builder(3).policy(policy).build()), placed);
+            }
+        }
+        // A member that aborts skips the rest of its node.
+        let spec = spec(&dag, &prio, &place);
+        let ran = Mutex::new(Vec::new());
+        let abort_at_1 = |t: u32, _: &TaskCtx| {
+            ran.lock().unwrap().push(t);
+            t != 1
+        };
+        run_dag(&spec, 1, None, &abort_at_1, &|_w, run| run());
+        assert!(!ran.into_inner().unwrap().contains(&2));
+    }
+
     #[test]
     fn stealing_moves_work_to_idle_workers() {
         // Many independent roots all placed on worker 0; worker 1 must
@@ -747,7 +894,8 @@ mod tests {
         let out_dst: Vec<u32> = Vec::new();
         let prio = vec![0u64; n];
         let place = vec![0u32; n];
-        let spec = spec(&deps, &out_ptr, &out_dst, &prio, &place);
+        let dag = plain(&deps, &out_ptr, &out_dst);
+        let spec = spec(&dag, &prio, &place);
         let (_, stats) = run_dag(
             &spec,
             2,

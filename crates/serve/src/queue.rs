@@ -42,10 +42,11 @@ pub struct Completed<T> {
     pub batch: usize,
 }
 
-/// Why [`RequestQueue::serve_batch`] refused a ticket. A ticket refused
-/// for its own right-hand side never reaches the solver and takes no
-/// other ticket of its batch down with it; a failed factorization refuses
-/// every ticket of its batch, each on its own line.
+/// Why [`RequestQueue::serve_batch`] refused a ticket, and the error of
+/// the session's solves. A ticket refused for its own right-hand side
+/// never reaches the solver and takes no other ticket of its batch down
+/// with it; a failed factorization refuses every ticket of its batch, each
+/// on its own line.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum RejectReason {
     /// The right-hand side failed the solver's screen
@@ -67,6 +68,18 @@ impl RejectReason {
             Self::Rhs(SolveError::NoRhs) => 4,
             Self::Factorization(_) => 3,
         }
+    }
+}
+
+impl From<SolveError> for RejectReason {
+    fn from(e: SolveError) -> Self {
+        Self::Rhs(e)
+    }
+}
+
+impl From<FactorError> for RejectReason {
+    fn from(e: FactorError) -> Self {
+        Self::Factorization(e)
     }
 }
 
@@ -200,11 +213,14 @@ impl<T: Scalar> RequestQueue<T> {
         let tag = self.tracer.as_ref().map(|_| batch[0].id);
         let out = match session.solve_panel_tagged(a, &panel, nrhs, tag) {
             Ok(out) => out,
-            Err(e) => {
+            Err(reason) => {
                 for req in &batch {
-                    self.refuse(session.metrics(), req.id, RejectReason::Factorization(e), dispatch_ns);
+                    self.refuse(session.metrics(), req.id, reason, dispatch_ns);
                 }
-                return Err(e);
+                return match reason {
+                    RejectReason::Factorization(e) => Err(e),
+                    RejectReason::Rhs(_) => Ok(Vec::new()),
+                };
             }
         };
         // Health check on the fresh solve trace *before* the requests are

@@ -15,11 +15,10 @@
 //! hit/miss/eviction counters land in the session's [`MetricsRegistry`].
 
 use crate::fingerprint::MatrixFingerprint;
+use crate::queue::RejectReason;
 use pastix_graph::{Parallelism, SymCsc};
 use pastix_kernels::{FactorError, Scalar};
-use pastix_solver::{
-    AnalyzeOptions, FactorRun, Plan, SolveRequest, SolverConfig,
-};
+use pastix_solver::{screen_rhs, AnalyzeOptions, FactorRun, Plan, SolveRequest, SolverConfig};
 use pastix_trace::{MetricsRegistry, TraceLog};
 use std::sync::Arc;
 
@@ -329,20 +328,17 @@ impl<T: Scalar> SolverSession<T> {
     /// Solves an `n × nrhs` right-hand-side panel (column-major, original
     /// ordering) against `a` with the distributed panel sweeps, returning
     /// the solution panel and the solve's [`TraceLog`] (empty when
-    /// tracing is off). Factorizes on a cache miss.
-    ///
-    /// # Panics
-    ///
-    /// When the panel fails [`pastix_solver::screen_rhs`] (`nrhs = 0`, a
-    /// length other than `n × nrhs`, a non-finite entry);
-    /// [`crate::RequestQueue::serve_batch`] screens each ticket and refuses
-    /// the bad ones instead.
+    /// tracing is off). Factorizes on a cache miss. A panel that fails
+    /// [`pastix_solver::screen_rhs`] (`nrhs = 0`, a length other than
+    /// `n × nrhs`, a non-finite entry) is [`RejectReason::Rhs`], a failed
+    /// factorization [`RejectReason::Factorization`]; a panel of the wrong
+    /// shape is refused before anything is factorized.
     pub fn solve_panel(
         &mut self,
         a: &SymCsc<T>,
         b_panel: &[T],
         nrhs: usize,
-    ) -> Result<(Vec<T>, TraceLog), FactorError> {
+    ) -> Result<(Vec<T>, TraceLog), RejectReason> {
         let out = self.solve_panel_tagged(a, b_panel, nrhs, None)?;
         Ok((out.x, out.trace))
     }
@@ -350,26 +346,27 @@ impl<T: Scalar> SolverSession<T> {
     /// [`solve_panel`](Self::solve_panel) for the request tracer: `tag`
     /// threads a request id into the solve trace's per-rank async spans
     /// (see [`pastix_solver::SolveRequest::tagged`]) and the outcome says
-    /// how the factor was found. Panics like `solve_panel`.
+    /// how the factor was found. Errors like `solve_panel`.
     pub fn solve_panel_tagged(
         &mut self,
         a: &SymCsc<T>,
         b_panel: &[T],
         nrhs: usize,
         tag: Option<u64>,
-    ) -> Result<PanelSolve<T>, FactorError> {
-        let n = a.n();
-        assert_eq!(b_panel.len(), n * nrhs, "b_panel must be n × nrhs");
+    ) -> Result<PanelSolve<T>, RejectReason> {
+        if nrhs == 0 || b_panel.len() != a.n() * nrhs {
+            screen_rhs(b_panel, a.n(), nrhs)?;
+        }
         let (cached, lookup) = self.get_or_factorize_info(a)?;
         let mut req = SolveRequest::panel(b_panel, nrhs);
         req.trace = self.opts.solver.trace.enabled;
         req.tag = tag;
-        let out = cached.run.solve_request(req).unwrap_or_else(|e| panic!("{e}"));
+        let out = cached.run.solve_request(req)?;
         Ok(PanelSolve { x: out.x, trace: out.trace, lookup })
     }
 
     /// Single right-hand-side convenience over [`solve_panel`](Self::solve_panel).
-    pub fn solve(&mut self, a: &SymCsc<T>, b: &[T]) -> Result<Vec<T>, FactorError> {
+    pub fn solve(&mut self, a: &SymCsc<T>, b: &[T]) -> Result<Vec<T>, RejectReason> {
         Ok(self.solve_panel(a, b, 1)?.0)
     }
 }
@@ -401,6 +398,32 @@ mod tests {
         let mut opts = SessionOptions { procs: 2, capacity: 2, ..Default::default() };
         opts.solver.analyze.sched.block_size = 8;
         opts
+    }
+
+    #[test]
+    fn a_bad_panel_is_a_typed_error_not_a_panic() {
+        use pastix_solver::SolveError;
+        use std::panic::{catch_unwind, AssertUnwindSafe};
+        let mut s = SolverSession::<f64>::new(small_opts());
+        let a = mat(4);
+        let n = a.n();
+        let b = rhs_for_solution(&a, &canonical_solution::<f64>(n));
+        let mut nan = b.clone();
+        nan[5] = f64::NAN;
+        let cases: [(&[f64], usize, SolveError); 3] = [
+            (&b[..n - 1], 1, SolveError::WrongLength { expected: n, got: n - 1 }),
+            (&[], 0, SolveError::NoRhs),
+            (&nan, 1, SolveError::NonFinite { index: 5 }),
+        ];
+        for (panel, nrhs, want) in cases {
+            let got = catch_unwind(AssertUnwindSafe(|| s.solve_panel(&a, panel, nrhs).map(|_| ())));
+            assert_eq!(got.expect("no panic").unwrap_err(), RejectReason::Rhs(want));
+        }
+        assert_eq!(s.solve(&a, &nan).unwrap_err(), RejectReason::Rhs(SolveError::NonFinite { index: 5 }));
+        // A wrong shape is refused before the miss factorizes; the NaN was
+        // screened after it. The session still serves.
+        assert_eq!(s.metrics().counter("serve.cache.misses"), 1);
+        assert!(a.residual_norm(&s.solve(&a, &b).unwrap(), &b) < 1e-10);
     }
 
     #[test]

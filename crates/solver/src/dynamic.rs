@@ -4,11 +4,12 @@
 //!
 //! Unlike the fan-in driver of `Backend::Sim`, which executes the static
 //! schedule's per-rank task lists and moves contributions through messages
-//! and AUBs, this engine executes the [`TaskGraph`] directly: dependency
-//! counts come from the graph's deduplicated in-edges (the same fan-in the
-//! AUB protocol counts), contributions are applied straight into the
+//! and AUBs, this engine executes the [`TaskGraph`] directly, its small
+//! one-processor subtrees grouped into one executor node each
+//! ([`coarsen`], computed once per plan): dependency counts are the
+//! nodes' distinct producers, contributions are applied straight into the
 //! shared factor panels under per-panel locks, and the static schedule
-//! supplies the worker count, placement and task priority. The solve runs
+//! supplies the worker count, placement and priority. The solve runs
 //! its twin DAG, kept precomputed in the plan's `SolvePlan`, over the same
 //! block structure the level-set [`pastix_sched::SolveSchedule`] walks.
 //!
@@ -28,7 +29,7 @@ use crate::sweeps::{self, RowSink};
 use crate::tasks::{self, ContribSink, Scratch, StretchFn};
 use pastix_kernels::factor::FactorError;
 use pastix_kernels::Scalar;
-use pastix_runtime::steal::{run_dag, DagSpec, TaskCtx};
+use pastix_runtime::steal::{run_dag, DagSpec, NodeDag, TaskCtx};
 use pastix_runtime::{DynamicOptions, TaskOrder};
 use pastix_sched::{Schedule, TaskGraph, TaskKind};
 use pastix_symbolic::SymbolMatrix;
@@ -55,6 +56,67 @@ fn resolve_workers(dopts: &DynamicOptions, sched: &Schedule) -> usize {
 #[derive(Default)]
 #[repr(align(128))]
 struct OwnLines<S>(Mutex<S>);
+
+/// A subtree is one executor node only while its modelled cost is at most
+/// `Σ cost / (GROUPS_PER_PROC · n_procs)`. Every node pays the executor's
+/// fixed cost once (pop, lock, counters: 0.2–0.3 µs per task on the plate
+/// with empty bodies), so a group should be long against it; but a node is
+/// the unit of placement and stealing, so the largest group bounds the tail
+/// in which one worker finishes a group while the others have nothing to
+/// steal: at 64 groups per processor, 1.6 % of its modelled work. On the
+/// plate at 2 processors this is ~1 100× the median task cost (DESIGN §10).
+const GROUPS_PER_PROC: f64 = 64.0;
+
+/// The executor's nodes: each maximal subtree of the block elimination tree
+/// that is all COMP1D on one `K_p` processor, within [`GROUPS_PER_PROC`]'s
+/// bound, is one node; every other task is a node of its own. Contributions
+/// target ancestors, so a subtree holds all its tasks' producers (a group
+/// has no external predecessor), and its members run in ascending task id,
+/// which is topological because every edge ascends.
+pub(crate) fn coarsen(graph: &TaskGraph, sched: &Schedule) -> NodeDag {
+    let sym = &graph.split.symbol;
+    let ns = sym.n_cblks();
+    let head = |k: usize| graph.head_task_of_cblk[k] as usize;
+    // The block elimination tree: a column block's parent is the (later)
+    // one its first off-diagonal blok faces.
+    let parent = |k: usize| {
+        let cb = &sym.cblks[k];
+        (cb.blok_start + 1 < cb.blok_end).then(|| sym.bloks[cb.blok_start + 1].fcblk as usize)
+    };
+    // Children before parents: each subtree's modelled cost, and whether
+    // it is all COMP1D on its root's processor.
+    let mut cost: Vec<f64> = (0..ns).map(|k| graph.cost[head(k)]).collect();
+    let mut one_proc: Vec<bool> = (0..ns).map(|k| matches!(graph.kinds[head(k)], TaskKind::Comp1d { .. })).collect();
+    for k in 0..ns {
+        if let Some(p) = parent(k) {
+            cost[p] += cost[k];
+            one_proc[p] &= one_proc[k] && sched.task_proc[head(k)] == sched.task_proc[head(p)];
+        }
+    }
+    let limit = graph.total_cost() / (GROUPS_PER_PROC * sched.n_procs as f64);
+    let grouped = |k: usize| one_proc[k] && cost[k] <= limit;
+    // Parents before children: a grouped column block under a grouped
+    // parent joins its parent's group, named by the group's root.
+    let mut root: Vec<u32> = (0..ns as u32).collect();
+    for k in (0..ns).rev() {
+        if let Some(p) = parent(k).filter(|&p| grouped(k) && grouped(p)) {
+            root[k] = root[p];
+        }
+    }
+    // Node ids in the order of each node's first task.
+    let (mut node_of_root, mut n_nodes) = (vec![u32::MAX; ns], 0u32);
+    let node_of: Vec<u32> = (graph.kinds.iter())
+        .map(|kind| {
+            let r = root[kind.cblk() as usize] as usize;
+            if !grouped(r) || node_of_root[r] == u32::MAX {
+                node_of_root[r] = n_nodes;
+                n_nodes += 1;
+            }
+            node_of_root[r]
+        })
+        .collect();
+    NodeDag::contract(&graph.out_ptr, &graph.out_dst, &node_of, n_nodes as usize)
+}
 
 /// Priority vector: all-zero (FIFO); rank by predicted start (the task
 /// the static scheduler would have started earliest gets the highest
@@ -207,13 +269,14 @@ impl<'a, T: Scalar> DynFactor<'a, T> {
 }
 
 /// Dynamic factorization: scatter `a` into the factor storage, execute
-/// the task graph on the work-stealing executor, and hand the storage
-/// back assembled (the panels *are* the regions — no merge step) with
-/// the run's trace.
+/// the task graph, grouped into `nodes` ([`coarsen`]), on the
+/// work-stealing executor, and hand the storage back assembled (the
+/// panels *are* the regions — no merge step) with the run's trace.
 pub(crate) fn factorize_dynamic<T: Scalar>(
     sym: &SymbolMatrix,
     a: Entries<'_, T>,
     graph: &TaskGraph,
+    nodes: &NodeDag,
     sched: &Schedule,
     dopts: &DynamicOptions,
     cfg: &SolverConfig,
@@ -228,9 +291,11 @@ pub(crate) fn factorize_dynamic<T: Scalar>(
     let panels: Vec<Mutex<Vec<T>>> = panels.into_iter().map(Mutex::new).collect();
     let fbufs: Vec<Mutex<Vec<T>>> = (0..sym.bloks.len()).map(|_| Mutex::new(Vec::new())).collect();
 
-    let n = graph.n_tasks();
-    let deps: Vec<u32> = (0..n).map(|t| graph.in_ptr[t + 1] - graph.in_ptr[t]).collect();
-    let priority = priority_vec(n, dopts.order, sched);
+    // A node's priority is its tasks' highest; they share one processor.
+    let task_priority = priority_vec(graph.n_tasks(), dopts.order, sched);
+    let members = (0..nodes.deps.len()).map(|v| nodes.members(v));
+    let priority: Vec<u64> = members.clone().map(|m| m.iter().map(|&t| task_priority[t as usize]).max().unwrap_or(0)).collect();
+    let placement: Vec<u32> = members.map(|m| sched.task_proc[m[0] as usize]).collect();
     let n_workers = resolve_workers(dopts, sched);
 
     let error: Mutex<Option<FactorError>> = Mutex::new(None);
@@ -283,11 +348,9 @@ pub(crate) fn factorize_dynamic<T: Scalar>(
         }
     };
     let spec = DagSpec {
-        deps: &deps,
-        out_ptr: &graph.out_ptr,
-        out_dst: &graph.out_dst,
+        dag: nodes,
         priority: &priority,
-        placement: &sched.task_proc,
+        placement: &placement,
         placed: dopts.order == TaskOrder::Static,
     };
     let trace = run_traced_dag(&spec, n_workers, dopts, sched, cfg, &body);
@@ -306,7 +369,10 @@ pub(crate) fn factorize_dynamic<T: Scalar>(
 /// observability wrapped around it — what the factorization and the
 /// panel solve share: one trace session per worker, a run-global progress
 /// heartbeat and the ready-queue gauge after every task, and the trace
-/// and executor counters folded into `cfg.metrics`.
+/// and executor counters folded into `cfg.metrics`. The executor counters
+/// count nodes: `dynamic.tasks` (per worker) the nodes run, and
+/// `dynamic.steals` the nodes stolen; a grouped factorization runs fewer
+/// nodes than it has tasks, and the solve one node per task.
 fn run_traced_dag(
     spec: &DagSpec<'_>,
     n_workers: usize,
@@ -436,9 +502,7 @@ pub(crate) fn solve_panel_dynamic<T: Scalar>(
     // All-zero priorities are FIFO queues; static runs keep the hints.
     let fifo = if dopts.order == TaskOrder::Fifo { vec![0u64; 2 * ns] } else { Vec::new() };
     let spec = DagSpec {
-        deps: &dag.graph.deps,
-        out_ptr: &dag.graph.out_ptr,
-        out_dst: &dag.graph.out_dst,
+        dag: &dag.nodes,
         priority: if fifo.is_empty() { &dag.priority } else { &fifo },
         placement: &dag.placement,
         placed: dopts.order == TaskOrder::Static,
@@ -459,6 +523,7 @@ mod tests {
     use crate::parallel::tests::full_setup;
     use crate::seq::{factorize_sequential, solve_in_place};
     use pastix_graph::{canonical_solution, rhs_for_solution};
+    use pastix_runtime::sim::{FaultPlan, SchedPolicy};
     use pastix_sched::DistStrategy;
 
     fn seq_factor(
@@ -471,10 +536,18 @@ mod tests {
         seq
     }
 
+    /// `mapping`'s grouped DAG: asserts that groups formed.
+    fn grouped(mapping: &pastix_sched::Mapping) -> NodeDag {
+        let nodes = coarsen(&mapping.graph, &mapping.schedule);
+        assert!(nodes.deps.len() < mapping.graph.n_tasks(), "{} nodes for {} tasks", nodes.deps.len(), mapping.graph.n_tasks());
+        nodes
+    }
+
     fn check_dynamic(ap: &pastix_graph::SymCsc<f64>, mapping: &pastix_sched::Mapping, dopts: &DynamicOptions) {
         let (sym, sched) = (&mapping.graph.split.symbol, &mapping.schedule);
         let cfg = SolverConfig::default();
-        let (storage, _) = factorize_dynamic(sym, Entries::of(ap), &mapping.graph, sched, dopts, &cfg).unwrap();
+        let nodes = grouped(mapping);
+        let (storage, _) = factorize_dynamic(sym, Entries::of(ap), &mapping.graph, &nodes, sched, dopts, &cfg).unwrap();
         let seq = seq_factor(sym, ap);
         let n = ap.n();
         for j in 0..n {
@@ -504,25 +577,29 @@ mod tests {
         assert!(res < 1e-12, "residual {res}");
     }
 
+    const ORDERS: [TaskOrder; 3] = [TaskOrder::Fifo, TaskOrder::Hints, TaskOrder::Static];
+
     #[test]
     fn dynamic_matches_sequential_1d() {
-        let (ap, mapping) = full_setup(8, 8, 1, 4, DistStrategy::Only1d, 4);
-        check_dynamic(&ap, &mapping, &DynamicOptions::new());
+        let (ap, mapping) = full_setup(32, 32, 1, 4, DistStrategy::Only1d, 4);
+        for order in ORDERS {
+            check_dynamic(&ap, &mapping, &DynamicOptions::new().with_order(order));
+        }
     }
 
     #[test]
     fn dynamic_matches_sequential_mixed_2d() {
-        let (ap, mapping) = full_setup(4, 4, 4, 4, DistStrategy::Mixed1d2d, 4);
-        for order in [TaskOrder::Fifo, TaskOrder::Hints, TaskOrder::Static] {
+        let (ap, mapping) = full_setup(6, 6, 6, 4, DistStrategy::Mixed1d2d, 4);
+        for order in ORDERS {
             check_dynamic(&ap, &mapping, &DynamicOptions::new().with_order(order));
         }
     }
 
     #[test]
     fn dynamic_sim_is_deterministic_and_correct() {
-        use pastix_runtime::sim::{FaultPlan, SchedPolicy};
-        let (ap, mapping) = full_setup(6, 6, 1, 3, DistStrategy::Mixed1d2d, 4);
+        let (ap, mapping) = full_setup(24, 24, 1, 3, DistStrategy::Mixed1d2d, 4);
         let sym = &mapping.graph.split.symbol;
+        let nodes = grouped(&mapping);
         let cfg = SolverConfig::default();
         for policy in [
             SchedPolicy::Uniform,
@@ -530,13 +607,58 @@ mod tests {
             SchedPolicy::DeliverLast,
             SchedPolicy::FifoPerPair,
         ] {
-            let plan = FaultPlan::builder(11).policy(policy).build();
-            let d = DynamicOptions::new().with_sim(plan);
-            check_dynamic(&ap, &mapping, &d);
-            // Same (seed, policy) replays to bitwise-identical factors.
-            let run = || factorize_dynamic(sym, Entries::of(&ap), &mapping.graph, &mapping.schedule, &d, &cfg);
-            assert_eq!(run().unwrap().0.panels, run().unwrap().0.panels);
+            for order in ORDERS {
+                let plan = FaultPlan::builder(11).policy(policy).build();
+                let d = DynamicOptions::new().with_order(order).with_sim(plan);
+                check_dynamic(&ap, &mapping, &d);
+                // Same (seed, policy) replays to bitwise-identical factors.
+                let run = || factorize_dynamic(sym, Entries::of(&ap), &mapping.graph, &nodes, &mapping.schedule, &d, &cfg);
+                assert_eq!(run().unwrap().0.panels, run().unwrap().0.panels);
+            }
         }
+    }
+
+    #[test]
+    fn coarsening_groups_closed_one_processor_comp1d_subtrees() {
+        let (_, mapping) = full_setup(20, 20, 1, 2, DistStrategy::Mixed1d2d, 4);
+        let (graph, sched) = (&mapping.graph, &mapping.schedule);
+        let nodes = grouped(&mapping);
+        let mut node_of = vec![u32::MAX; graph.n_tasks()];
+        for v in 0..nodes.deps.len() {
+            for &t in nodes.members(v) {
+                assert_eq!(node_of[t as usize], u32::MAX, "task {t} in two nodes");
+                node_of[t as usize] = v as u32;
+            }
+        }
+        assert!(node_of.iter().all(|&v| v != u32::MAX), "a task in no node");
+        let mut groups = 0;
+        for v in 0..nodes.deps.len() {
+            let members = nodes.members(v);
+            let mut producers: Vec<u32> = members
+                .iter()
+                .flat_map(|&t| graph.in_edges(t as usize).map(|(src, _)| node_of[src as usize]))
+                .filter(|&u| u != v as u32)
+                .collect();
+            producers.sort_unstable();
+            producers.dedup();
+            assert_eq!(nodes.deps[v] as usize, producers.len(), "node {v}");
+            if members.len() == 1 {
+                continue;
+            }
+            groups += 1;
+            assert!(producers.is_empty(), "group {v} has producers outside it: {producers:?}");
+            let proc = sched.task_proc[members[0] as usize];
+            for (i, &t) in members.iter().enumerate() {
+                assert!(matches!(graph.kinds[t as usize], TaskKind::Comp1d { .. }), "task {t}");
+                assert_eq!(sched.task_proc[t as usize], proc, "task {t}");
+                // Members run in order: every producer inside the group
+                // runs before them.
+                for (src, _) in graph.in_edges(t as usize) {
+                    assert!(members[..i].contains(&src), "task {t}: producer {src} runs later");
+                }
+            }
+        }
+        assert!(groups > 0);
     }
 
     #[test]
@@ -554,6 +676,7 @@ mod tests {
             sym,
             Entries::of(&ap),
             &mapping.graph,
+            &coarsen(&mapping.graph, &mapping.schedule),
             &mapping.schedule,
             &DynamicOptions::new(),
             &cfg,

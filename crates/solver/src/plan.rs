@@ -34,6 +34,7 @@ use pastix_kernels::factor::FactorError;
 use pastix_kernels::Scalar;
 use pastix_machine::MachineModel;
 use pastix_ordering::OrderingOptions;
+use pastix_runtime::steal::NodeDag;
 use pastix_runtime::{Backend, DynamicOptions, TaskOrder};
 use pastix_sched::{map_and_schedule, Mapping, SchedOptions, Schedule, SolveSchedule, TaskGraph};
 use pastix_symbolic::{AnalysisOptions, SymbolMatrix};
@@ -107,6 +108,9 @@ struct PlanInner {
     perm: Option<Permutation>,
     graph: TaskGraph,
     schedule: Schedule,
+    /// The executor's nodes: `graph` with its small one-processor
+    /// subtrees grouped ([`dynamic::coarsen`]).
+    nodes: NodeDag,
     n: usize,
     stats: Option<AnalyzeStats>,
     analyze_trace: Option<TraceLog>,
@@ -204,6 +208,7 @@ impl Plan {
         Plan {
             inner: Arc::new(PlanInner {
                 perm,
+                nodes: dynamic::coarsen(&graph, &schedule),
                 graph,
                 schedule,
                 n,
@@ -339,13 +344,13 @@ impl Plan {
     ) -> Result<(FactorStorage<T>, TraceLog), FactorError> {
         let pattern = self.scatter_pattern(a, &cfg.metrics)?;
         let entries = pattern.entries(a);
-        let (sym, graph, sched) = (self.symbol(), &self.inner.graph, &self.inner.schedule);
+        let (sym, graph, nodes, sched) = (self.symbol(), &self.inner.graph, &self.inner.nodes, &self.inner.schedule);
         // Threads: the static mapping's placement and `K_p` order on one
         // worker per processor; a worker whose queue runs dry steals.
         let static_order = DynamicOptions::new().with_order(TaskOrder::Static);
         let (mut storage, trace) = match cfg.backend {
-            Backend::Threads => dynamic::factorize_dynamic(sym, entries, graph, sched, &static_order, cfg)?,
-            Backend::Dynamic(dopts) => dynamic::factorize_dynamic(sym, entries, graph, sched, &dopts, cfg)?,
+            Backend::Threads => dynamic::factorize_dynamic(sym, entries, graph, nodes, sched, &static_order, cfg)?,
+            Backend::Dynamic(dopts) => dynamic::factorize_dynamic(sym, entries, graph, nodes, sched, &dopts, cfg)?,
             Backend::Sim(faults) => crate::parallel::factorize_static(sym, entries, graph, sched, &faults, cfg)?,
         };
         finalize_compression(sym, &mut storage, &cfg.compression, &cfg.metrics);
@@ -601,6 +606,26 @@ mod tests {
     fn from_parts_rejects_a_plan_without_a_schedule() {
         let (_, mapping) = full_setup(4, 4, 1, 2, DistStrategy::Only1d, 4);
         Plan::from_parts(None, mapping.graph, None);
+    }
+
+    #[test]
+    fn a_zero_pivot_in_a_grouped_task_names_its_column_of_a() {
+        use pastix_graph::gen::{grid_spd, Stencil, ValueKind};
+        let a = grid_spd::<f64>(24, 24, 1, Stencil::Star, false, ValueKind::RandomSpd(3));
+        let cfg = SolverConfig::new().with_analyze(AnalyzeOptions::with_procs(2));
+        let plan = Plan::analyze(&a, &cfg);
+        let nodes = &plan.inner.nodes;
+        let group = (0..nodes.deps.len()).find(|&v| nodes.members(v).len() > 1).expect("the plan groups tasks");
+        // The group's last task, so the abort comes after its first ones ran.
+        let t = *nodes.members(group).last().unwrap();
+        let fcol = plan.symbol().cblks[plan.graph().kinds[t as usize].cblk() as usize].fcol as usize;
+        let col = plan.permutation().unwrap().old_of(fcol);
+        let sim = DynamicOptions::new().with_sim(pastix_runtime::sim::FaultPlan::interleave_only(5));
+        for backend in [Backend::Threads, Backend::Dynamic(DynamicOptions::new().with_priorities(true)), Backend::Dynamic(sim)] {
+            let chaos = crate::parallel::ChaosOptions { zero_pivot_task: Some(t), ..Default::default() };
+            let cfg = cfg.clone().with_backend(backend).with_chaos(chaos);
+            assert_eq!(plan.factorize(&a, &cfg).err(), Some(FactorError::ZeroPivot(col)), "{backend:?}");
+        }
     }
 
     #[test]

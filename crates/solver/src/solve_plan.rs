@@ -10,6 +10,7 @@
 //!
 //! [`Plan`]: crate::Plan
 
+use pastix_runtime::steal::NodeDag;
 use pastix_sched::{solve_schedule_on, Schedule, SolveSchedule, TaskGraph};
 
 /// A maximal run of consecutive off-diagonal bloks of one column block
@@ -209,8 +210,8 @@ impl StaticRouting {
 /// and the executor's hints for it.
 #[derive(Debug)]
 pub(crate) struct SolveDag {
-    /// Dependency counts and successor lists.
-    pub(crate) graph: pastix_sched::SolveDag,
+    /// The solve DAG, one executor node per task.
+    pub(crate) nodes: NodeDag,
     /// Forward tasks outrank backward ones; within a sweep, earlier
     /// elimination order first (forward) / later first (backward).
     pub(crate) priority: Vec<u64>,
@@ -219,11 +220,14 @@ pub(crate) struct SolveDag {
 }
 
 impl SolveDag {
-    fn build(graph: &TaskGraph, sched: &Schedule) -> Self {
+    fn build(graph: &TaskGraph, sched: &Schedule, dag: &pastix_sched::SolveDag) -> Self {
         let ns = graph.split.symbol.n_cblks();
         let n_tasks = 2 * ns;
+        let plain: Vec<u32> = (0..n_tasks as u32).collect();
+        let nodes = NodeDag::contract(&dag.out_ptr, &dag.out_dst, &plain, n_tasks);
+        debug_assert_eq!(nodes.deps, dag.deps, "the solve DAG has no duplicate edge");
         Self {
-            graph: pastix_sched::SolveDag::new(&graph.split.symbol),
+            nodes,
             priority: (0..n_tasks).map(|t| (if t < ns { 2 * ns - t } else { t - ns }) as u64).collect(),
             placement: (0..n_tasks).map(|t| sched.task_proc[graph.head_task_of_cblk[t % ns] as usize]).collect(),
         }
@@ -243,7 +247,7 @@ pub(crate) struct SolvePlan {
 
 impl SolvePlan {
     pub(crate) fn build(graph: &TaskGraph, sched: &Schedule) -> Self {
-        let dag = SolveDag::build(graph, sched);
-        Self { routing: StaticRouting::build(graph, sched, &dag.graph), dag }
+        let tasks = pastix_sched::SolveDag::new(&graph.split.symbol);
+        Self { routing: StaticRouting::build(graph, sched, &tasks), dag: SolveDag::build(graph, sched, &tasks) }
     }
 }
