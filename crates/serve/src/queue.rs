@@ -71,18 +71,6 @@ impl RejectReason {
     }
 }
 
-impl From<SolveError> for RejectReason {
-    fn from(e: SolveError) -> Self {
-        Self::Rhs(e)
-    }
-}
-
-impl From<FactorError> for RejectReason {
-    fn from(e: FactorError) -> Self {
-        Self::Factorization(e)
-    }
-}
-
 /// FIFO queue of pending solve requests.
 #[derive(Debug, Default)]
 pub struct RequestQueue<T> {

@@ -355,13 +355,13 @@ impl<T: Scalar> SolverSession<T> {
         tag: Option<u64>,
     ) -> Result<PanelSolve<T>, RejectReason> {
         if nrhs == 0 || b_panel.len() != a.n() * nrhs {
-            screen_rhs(b_panel, a.n(), nrhs)?;
+            screen_rhs(b_panel, a.n(), nrhs).map_err(RejectReason::Rhs)?;
         }
-        let (cached, lookup) = self.get_or_factorize_info(a)?;
+        let (cached, lookup) = self.get_or_factorize_info(a).map_err(RejectReason::Factorization)?;
         let mut req = SolveRequest::panel(b_panel, nrhs);
         req.trace = self.opts.solver.trace.enabled;
         req.tag = tag;
-        let out = cached.run.solve_request(req)?;
+        let out = cached.run.solve_request(req).map_err(RejectReason::Rhs)?;
         Ok(PanelSolve { x: out.x, trace: out.trace, lookup })
     }
 
