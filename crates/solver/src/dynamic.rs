@@ -6,7 +6,7 @@
 //! schedule's per-rank task lists and moves contributions through messages
 //! and AUBs, this engine executes the [`TaskGraph`] directly, its small
 //! one-processor subtrees grouped into one executor node each
-//! ([`coarsen`], computed once per plan): dependency counts are the
+//! (`coarsen`, computed once per plan): dependency counts are the
 //! nodes' distinct producers, contributions are applied straight into the
 //! shared factor panels under per-panel locks, and the static schedule
 //! supplies the worker count, placement and priority. The solve runs
