@@ -114,6 +114,8 @@ fn main() {
             let cfg = SolverConfig::new().with_backend(backend);
             // Correctness gate on the timed configuration.
             let run = plan.factorize(&ap, &cfg).expect("factorization failed");
+            // Read before the solve: the dynamic solve's nodes count there too.
+            nodes = run.metrics.counter_per_rank("dynamic.tasks").iter().map(|r| r.1).sum::<u64>();
             let dev = max_factor_dev(&run.storage, &seq);
             let x = run.solve(&b);
             let res = ap.residual_norm(&x, &b);
@@ -123,7 +125,6 @@ fn main() {
                 if agree { "agrees with sequential" } else { "DISAGREES" }
             );
             failed |= !agree;
-            nodes = run.metrics.counter_per_rank("dynamic.tasks").iter().map(|r| r.1).sum::<u64>();
 
             // Timing: warm-up already done (the gate run), then best-of.
             let mut best = f64::INFINITY;
