@@ -16,14 +16,18 @@
 //! to a ≤ 1e-12 residual, the dynamic engine must pass a seeded sim
 //! sweep under all four chaos scheduling policies, and the plan must
 //! coarsen: the executor runs fewer nodes (`dynamic.tasks`) than the task
-//! graph has tasks, its small one-processor subtrees grouped.
+//! graph has tasks, its small one-processor subtrees grouped, and
+//! dynamic+prio's solve fewer than `2 · n_cblks` nodes (`solve_nodes`),
+//! each group one forward and one backward node.
 //!
 //! Writes `BENCH_dynamic.json` at the repository root (with
 //! `pastix_bench::env_header`). Exits non-zero if
 //! any agreement or coarsening gate fails or if dynamic+prio falls below
 //! 0.9× the threads engine's throughput on the largest problem (Shipsec5
 //! analog).
-//! `--quick` shrinks scale and reps for CI.
+//! The engines' timed factorizations interleave rep by rep, so a drift of
+//! the machine hits all three alike. `--quick` shrinks scale and
+//! problems for CI.
 
 use pastix_bench::{env_header, prepare, scale, schedule_for, scotch_ordering};
 use pastix_graph::{canonical_solution, rhs_for_solution, ProblemId};
@@ -67,7 +71,9 @@ fn main() {
     let header = env_header(mode);
 
     let sc = if quick { 0.02 } else { scale() };
-    let reps = if quick { 1 } else { 3 };
+    // Best-of over interleaved reps; quick mode's ~5 ms factorizations
+    // need more of them to see through noise.
+    let reps = if quick { 7 } else { 5 };
     let procs = std::thread::available_parallelism().map_or(1, usize::from);
     let ids: &[ProblemId] = if quick {
         &[ProblemId::Shipsec5]
@@ -108,16 +114,18 @@ fn main() {
             ("dynamic", Backend::Dynamic(dynamic.with_order(TaskOrder::Fifo))),
         ];
 
-        let mut results = Vec::new();
-        let mut nodes = 0;
-        for (label, backend) in backends {
-            let cfg = SolverConfig::new().with_backend(backend);
+        let cfgs = backends.map(|(label, backend)| (label, SolverConfig::new().with_backend(backend)));
+        let (mut nodes, mut solve_nodes) = (0, 0);
+        for (label, cfg) in &cfgs {
             // Correctness gate on the timed configuration.
-            let run = plan.factorize(&ap, &cfg).expect("factorization failed");
+            let run = plan.factorize(&ap, cfg).expect("factorization failed");
             // Read before the solve: the dynamic solve's nodes count there too.
-            nodes = run.metrics.counter_per_rank("dynamic.tasks").iter().map(|r| r.1).sum::<u64>();
+            nodes = run.metrics.counter("dynamic.tasks");
             let dev = max_factor_dev(&run.storage, &seq);
             let x = run.solve(&b);
+            if *label == "dynamic+prio" {
+                solve_nodes = run.metrics.counter("dynamic.tasks") - nodes;
+            }
             let res = ap.residual_norm(&x, &b);
             let agree = dev <= FACTOR_RTOL && res <= RESIDUAL_MAX;
             println!(
@@ -125,17 +133,18 @@ fn main() {
                 if agree { "agrees with sequential" } else { "DISAGREES" }
             );
             failed |= !agree;
+        }
 
-            // Timing: warm-up already done (the gate run), then best-of.
-            let mut best = f64::INFINITY;
-            let mut steals = 0u64;
-            for _ in 0..reps {
+        // Timing: warm-up already done (the gate runs), then best-of over
+        // reps that step the engines in turn.
+        let mut results = cfgs.each_ref().map(|&(label, _)| EngineResult { label, best_s: f64::INFINITY, steals: 0 });
+        for _ in 0..reps {
+            for ((_, cfg), r) in cfgs.iter().zip(&mut results) {
                 let t0 = Instant::now();
-                let timed = plan.factorize(&ap, &cfg).expect("factorization failed");
-                best = best.min(t0.elapsed().as_secs_f64());
-                steals = steals.max(timed.metrics.counter("dynamic.steals"));
+                let timed = plan.factorize(&ap, cfg).expect("factorization failed");
+                r.best_s = r.best_s.min(t0.elapsed().as_secs_f64());
+                r.steals = r.steals.max(timed.metrics.counter("dynamic.steals"));
             }
-            results.push(EngineResult { label, best_s: best, steals });
         }
 
         // Seeded chaos sweep: the dynamic executor's sim serialization
@@ -181,6 +190,14 @@ fn main() {
             if coarsened { "grouped" } else { "NOT GROUPED" }
         );
         failed |= !coarsened;
+        let n_cblks = sym.n_cblks() as u64;
+        let solve_coarsened = solve_nodes < 2 * n_cblks;
+        println!(
+            "  solve coarsening: dynamic+prio's solve runs {solve_nodes} nodes for {} steps — {}",
+            2 * n_cblks,
+            if solve_coarsened { "grouped" } else { "NOT GROUPED" }
+        );
+        failed |= !solve_coarsened;
 
         let t_threads = results[0].best_s;
         for r in &results {
@@ -205,6 +222,7 @@ fn main() {
             ("n", Json::Num(ap.n() as f64)),
             ("tasks", Json::Num(mapping.graph.n_tasks() as f64)),
             ("nodes", Json::Num(nodes as f64)),
+            ("solve_nodes", Json::Num(solve_nodes as f64)),
             ("procs", Json::Num(procs as f64)),
             ("t_threads_s", Json::Num(results[0].best_s)),
             ("t_dynamic_prio_s", Json::Num(results[1].best_s)),
@@ -239,7 +257,7 @@ fn main() {
         if perf_ok { "MET" } else { "NOT MET" }
     );
     println!(
-        "acceptance (all engines agree with sequential, incl. sim chaos sweep; plans coarsen): {}",
+        "acceptance (all engines agree with sequential, incl. sim chaos sweep; factorizations and solves coarsen): {}",
         if failed { "NOT MET" } else { "MET" }
     );
     if failed || !perf_ok {

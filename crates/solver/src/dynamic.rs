@@ -10,8 +10,10 @@
 //! nodes' distinct producers, contributions are applied straight into the
 //! shared factor panels under per-panel locks, and the static schedule
 //! supplies the worker count, placement and priority. The solve runs
-//! its twin DAG, kept precomputed in the plan's `SolvePlan`, over the same
-//! block structure the level-set [`pastix_sched::SolveSchedule`] walks.
+//! its twin DAG over the same block structure the level-set
+//! [`pastix_sched::SolveSchedule`] walks, on the same groups: each grouped
+//! subtree is one forward and one backward node (`SolveDag`, built once per
+//! plan).
 //!
 //! Locking is deadlock-free by index ordering: every multi-lock
 //! acquisition ascends the column-block order (a contribution's target
@@ -372,7 +374,8 @@ pub(crate) fn factorize_dynamic<T: Scalar>(
 /// and executor counters folded into `cfg.metrics`. The executor counters
 /// count nodes: `dynamic.tasks` (per worker) the nodes run, and
 /// `dynamic.steals` the nodes stolen; a grouped factorization runs fewer
-/// nodes than it has tasks, and the solve one node per task.
+/// nodes than it has tasks, and a grouped solve fewer than its `2 · ns`
+/// steps.
 fn run_traced_dag(
     spec: &DagSpec<'_>,
     n_workers: usize,
@@ -456,8 +459,9 @@ impl<T: Scalar> RowSink<T> for LockedSegments<'_, '_, T> {
 /// the row order `perm` maps to elimination order, like the SPMD panel
 /// solve): the plan's [`SolveDag`] on the work-stealing executor, every
 /// task one [`crate::sweeps`] step on the segment of its column block in
-/// one shared workspace. A backward task depends on the backward tasks of
-/// every block it faces, so the rows it gathers are final.
+/// one shared workspace, a grouped subtree's steps back to back in one
+/// node. A backward task depends on the backward tasks of every block it
+/// faces, so the rows it gathers are final.
 pub(crate) fn solve_panel_dynamic<T: Scalar>(
     sym: &SymbolMatrix,
     storage: &FactorStorage<T>,
@@ -486,7 +490,7 @@ pub(crate) fn solve_panel_dynamic<T: Scalar>(
     let scratch: Vec<OwnLines<sweeps::Scratch<T>>> = (0..n_workers).map(|_| OwnLines::default()).collect();
 
     let body = |t: u32, tctx: &TaskCtx| -> bool {
-        let (k, forward) = (t as usize % ns, (t as usize) < ns);
+        let (k, forward) = SolveDag::step(t, ns);
         let class = if forward { TaskClass::FwdSolve } else { TaskClass::BwdSolve };
         let _span = task_span(k as u32, class);
         let scratch = &mut *scratch[tctx.worker].0.lock().unwrap();
@@ -500,7 +504,7 @@ pub(crate) fn solve_panel_dynamic<T: Scalar>(
         true
     };
     // All-zero priorities are FIFO queues; static runs keep the hints.
-    let fifo = if dopts.order == TaskOrder::Fifo { vec![0u64; 2 * ns] } else { Vec::new() };
+    let fifo = if dopts.order == TaskOrder::Fifo { vec![0u64; dag.priority.len()] } else { Vec::new() };
     let spec = DagSpec {
         dag: &dag.nodes,
         priority: if fifo.is_empty() { &dag.priority } else { &fifo },
@@ -563,8 +567,11 @@ mod tests {
         // Dynamic panel solve against the sequential sweep.
         let x_exact = canonical_solution::<f64>(n);
         let b = rhs_for_solution(ap, &x_exact);
-        let dag = crate::solve_plan::SolvePlan::build(&mapping.graph, sched).dag;
+        let dag = SolveDag::build(&mapping.graph, sched, &nodes);
+        let factor_nodes = cfg.metrics.counter("dynamic.tasks");
         let (x_dyn, _) = solve_panel_dynamic(sym, &storage, &dag, sched, &b, 1, None, dopts, &cfg);
+        let solve_nodes = cfg.metrics.counter("dynamic.tasks") - factor_nodes;
+        assert!(solve_nodes < 2 * sym.n_cblks() as u64, "{solve_nodes} solve nodes for {} column blocks", sym.n_cblks());
         let mut x_seq = b.clone();
         solve_in_place(sym, &storage, &mut x_seq);
         for (i, (xs, xd)) in x_seq.iter().zip(&x_dyn).enumerate() {
@@ -600,6 +607,8 @@ mod tests {
         let (ap, mapping) = full_setup(24, 24, 1, 3, DistStrategy::Mixed1d2d, 4);
         let sym = &mapping.graph.split.symbol;
         let nodes = grouped(&mapping);
+        let dag = SolveDag::build(&mapping.graph, &mapping.schedule, &nodes);
+        let b = rhs_for_solution(&ap, &canonical_solution::<f64>(ap.n()));
         let cfg = SolverConfig::default();
         for policy in [
             SchedPolicy::Uniform,
@@ -613,7 +622,12 @@ mod tests {
                 check_dynamic(&ap, &mapping, &d);
                 // Same (seed, policy) replays to bitwise-identical factors.
                 let run = || factorize_dynamic(sym, Entries::of(&ap), &mapping.graph, &nodes, &mapping.schedule, &d, &cfg);
-                assert_eq!(run().unwrap().0.panels, run().unwrap().0.panels);
+                let storage = run().unwrap().0;
+                assert_eq!(storage.panels, run().unwrap().0.panels);
+                // And to bitwise-identical grouped solves.
+                let solve = || solve_panel_dynamic(sym, &storage, &dag, &mapping.schedule, &b, 1, None, &d, &cfg).0;
+                let bits = |x: Vec<f64>| x.into_iter().map(f64::to_bits).collect::<Vec<_>>();
+                assert_eq!(bits(solve()), bits(solve()), "{policy:?} {order:?}");
             }
         }
     }
@@ -659,6 +673,67 @@ mod tests {
             }
         }
         assert!(groups > 0);
+    }
+
+    #[test]
+    fn solve_dag_runs_each_factorization_group_as_one_forward_and_one_backward_node() {
+        let (_, mapping) = full_setup(24, 24, 1, 3, DistStrategy::Mixed1d2d, 4);
+        let graph = &mapping.graph;
+        let ns = graph.split.symbol.n_cblks();
+        let groups = grouped(&mapping);
+        let dag = SolveDag::build(graph, &mapping.schedule, &groups);
+        let nodes = &dag.nodes;
+        // The solve DAG's in-edges, in executor ids.
+        let tasks = pastix_sched::SolveDag::new(&graph.split.symbol);
+        let exec = |t: usize| if t < ns { t } else { 3 * ns - 1 - t };
+        let mut producers_of = vec![Vec::new(); 2 * ns];
+        for t in 0..2 * ns {
+            tasks.successors(t).iter().for_each(|&d| producers_of[exec(d as usize)].push(exec(t) as u32));
+        }
+        let mut node_of = vec![u32::MAX; 2 * ns];
+        for v in 0..nodes.deps.len() {
+            for &u in nodes.members(v) {
+                assert_eq!(node_of[u as usize], u32::MAX, "step {u} in two nodes");
+                node_of[u as usize] = v as u32;
+            }
+        }
+        assert!(node_of.iter().all(|&v| v != u32::MAX), "a step in no node");
+        let cblks = |m: &[u32], of: &dyn Fn(u32) -> usize| {
+            let mut c: Vec<usize> = m.iter().map(|&t| of(t)).collect();
+            c.sort_unstable();
+            c
+        };
+        let factor_groups: Vec<Vec<usize>> = (0..groups.deps.len())
+            .map(|v| groups.members(v))
+            .filter(|m| m.len() > 1)
+            .map(|m| cblks(m, &|t| graph.kinds[t as usize].cblk() as usize))
+            .collect();
+        let mut multi = 0;
+        for v in 0..nodes.deps.len() {
+            let members = nodes.members(v);
+            let mut producers: Vec<u32> = members
+                .iter()
+                .flat_map(|&u| producers_of[u as usize].iter().map(|&p| node_of[p as usize]))
+                .filter(|&p| p != v as u32)
+                .collect();
+            producers.sort_unstable();
+            producers.dedup();
+            assert_eq!(nodes.deps[v] as usize, producers.len(), "node {v}");
+            for (i, &u) in members.iter().enumerate() {
+                for &p in producers_of[u as usize].iter().filter(|&&p| node_of[p as usize] == v as u32) {
+                    assert!(members[..i].contains(&p), "step {u}: producer {p} runs later in node {v}");
+                }
+            }
+            if members.len() == 1 {
+                continue;
+            }
+            multi += 1;
+            let forward = SolveDag::step(members[0], ns).1;
+            assert!(members.iter().all(|&u| SolveDag::step(u, ns).1 == forward), "node {v} mixes sweeps");
+            assert!(factor_groups.contains(&cblks(members, &|u| SolveDag::step(u, ns).0)), "node {v}");
+            assert!(!forward || producers.is_empty(), "forward group {v} has producers: {producers:?}");
+        }
+        assert_eq!(multi, 2 * factor_groups.len(), "one forward and one backward node per group");
     }
 
     #[test]

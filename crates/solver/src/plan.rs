@@ -27,7 +27,7 @@ use crate::compress::finalize_compression;
 use crate::config::{FactorRun, SolverConfig};
 use crate::dynamic;
 use crate::pattern::ScatterPattern;
-use crate::solve_plan::SolvePlan;
+use crate::solve_plan::{SolveDag, StaticRouting};
 use crate::storage::FactorStorage;
 use pastix_graph::{Parallelism, Permutation, SymCsc};
 use pastix_kernels::factor::FactorError;
@@ -114,9 +114,13 @@ struct PlanInner {
     n: usize,
     stats: Option<AnalyzeStats>,
     analyze_trace: Option<TraceLog>,
-    /// Structure of the triangular solves, built by the first solve of
-    /// any run of this plan and replayed by every later one.
-    solve_plan: OnceLock<SolvePlan>,
+    /// Structure of the static engine's triangular solves, built by the
+    /// first `Threads` or `Sim` solve of any run of this plan (or the first
+    /// [`FactorRun::solve_schedule`]) and replayed by every later one.
+    routing: OnceLock<StaticRouting>,
+    /// The dynamic solve's grouped DAG, built likewise by the first
+    /// `Dynamic` solve.
+    solve_dag: OnceLock<SolveDag>,
     /// Stored entries of the analyzed matrix (`None` for plans assembled
     /// via [`Plan::from_parts`]): which factorized pattern `pattern` keeps.
     analyzed_nnz: Option<usize>,
@@ -214,7 +218,8 @@ impl Plan {
                 n,
                 stats: None,
                 analyze_trace: None,
-                solve_plan: OnceLock::new(),
+                routing: OnceLock::new(),
+                solve_dag: OnceLock::new(),
                 analyzed_nnz: None,
                 pattern: OnceLock::new(),
             }),
@@ -258,13 +263,22 @@ impl Plan {
         self.inner.n
     }
 
-    /// The solve-phase structure of this plan, built on first use. Each
-    /// build counts in `solver.solve_plan_builds` of `metrics` — one per
-    /// plan, however many runs and solves share it.
-    pub(crate) fn solve_plan(&self, metrics: &MetricsRegistry) -> &SolvePlan {
-        self.inner.solve_plan.get_or_init(|| {
+    /// The static solve's structure of this plan, built on first use. Each
+    /// build of it or of [`Plan::solve_dag`] counts in
+    /// `solver.solve_plan_builds` of `metrics` — one per plan and engine,
+    /// however many runs and solves share it.
+    pub(crate) fn routing(&self, metrics: &MetricsRegistry) -> &StaticRouting {
+        self.inner.routing.get_or_init(|| {
             metrics.add_counter("solver.solve_plan_builds", 1);
-            SolvePlan::build(&self.inner.graph, &self.inner.schedule)
+            StaticRouting::build(&self.inner.graph, &self.inner.schedule)
+        })
+    }
+
+    /// The dynamic solve's DAG on the plan's `nodes`, built on first use.
+    pub(crate) fn solve_dag(&self, metrics: &MetricsRegistry) -> &SolveDag {
+        self.inner.solve_dag.get_or_init(|| {
+            metrics.add_counter("solver.solve_plan_builds", 1);
+            SolveDag::build(&self.inner.graph, &self.inner.schedule, &self.inner.nodes)
         })
     }
 
@@ -495,13 +509,12 @@ impl<T: Scalar> FactorRun<T> {
         // their workspace fill, and its inverse with the solution gather.
         let perm = plan.permutation().map(|p| p.perm());
         let sym = plan.symbol();
-        let sp = plan.solve_plan(&cfg.metrics);
         let sched = &plan.inner.schedule;
         let (x, trace) = match cfg.backend {
             Backend::Dynamic(dopts) => dynamic::solve_panel_dynamic(
                 sym,
                 &self.storage,
-                &sp.dag,
+                plan.solve_dag(&cfg.metrics),
                 sched,
                 req.rhs,
                 req.k,
@@ -512,7 +525,7 @@ impl<T: Scalar> FactorRun<T> {
             Backend::Threads | Backend::Sim(_) => crate::psolve::solve_panel_static(
                 sym,
                 &self.storage,
-                &sp.routing,
+                plan.routing(&cfg.metrics),
                 sched.digest(),
                 req.rhs,
                 req.k,
@@ -527,11 +540,12 @@ impl<T: Scalar> FactorRun<T> {
         Ok(SolveOutput { x, trace })
     }
 
-    /// The static solve schedule this run's solves replay (and solve
-    /// traces reconcile against): part of the plan's solve structure, so
-    /// built with it on first use and shared by every run of the plan.
+    /// The static solve schedule the static engine's solves replay (and
+    /// solve traces reconcile against): part of the plan's static solve
+    /// structure, so built with it on first use and shared by every run of
+    /// the plan.
     pub fn solve_schedule(&self) -> &SolveSchedule {
-        &self.ctx.plan.solve_plan(&self.ctx.cfg.metrics).routing.schedule
+        &self.ctx.plan.routing(&self.ctx.cfg.metrics).schedule
     }
 
     /// Solves for a single right-hand side (untraced).

@@ -492,7 +492,7 @@ mod tests {
         nrhs: usize,
         cfg: &SolverConfig,
     ) -> Vec<f64> {
-        let routing = crate::solve_plan::SolvePlan::build(&mapping.graph, sched).routing;
+        let routing = crate::solve_plan::StaticRouting::build(&mapping.graph, sched);
         solve_panel_static(&mapping.graph.split.symbol, st, &routing, sched.digest(), b, nrhs, None, cfg).0
     }
 

@@ -1,17 +1,19 @@
-//! The structure of the triangular solves, computed once per [`Plan`].
+//! The structure of the triangular solves, computed once per [`Plan`] and
+//! engine.
 //!
 //! Everything about a solve that depends only on the block structure and
-//! the static schedule — who owns which rows, who waits for how many
-//! events, who sends what to whom, the solve DAG of the dynamic backend —
-//! is decided here, on the first solve of a plan, and replayed by every
-//! later one: the solve phase *follows* its schedule like the
+//! the static schedule is decided here, on the first solve of a plan on
+//! each engine, and replayed by every later one: for the static engine
+//! who owns which rows, who waits for how many events and who sends what
+//! to whom ([`StaticRouting`]); for the dynamic backend the grouped solve
+//! DAG ([`SolveDag`]). The solve phase *follows* its schedule like the
 //! factorization does. Nothing here depends on numeric values, on the
 //! right-hand sides or on their count.
 //!
 //! [`Plan`]: crate::Plan
 
 use pastix_runtime::steal::NodeDag;
-use pastix_sched::{solve_schedule_on, Schedule, SolveSchedule, TaskGraph};
+use pastix_sched::{solve_schedule, Schedule, SolveSchedule, TaskGraph};
 
 /// A maximal run of consecutive off-diagonal bloks of one column block
 /// owned by one processor: the unit of the static solve's strip products
@@ -114,7 +116,7 @@ impl StaticRouting {
         &self.runs[self.run_ptr[k] as usize..self.run_ptr[k + 1] as usize]
     }
 
-    fn build(graph: &TaskGraph, sched: &Schedule, dag: &pastix_sched::SolveDag) -> Self {
+    pub(crate) fn build(graph: &TaskGraph, sched: &Schedule) -> Self {
         let sym = &graph.split.symbol;
         let (ns, n_procs) = (sym.n_cblks(), sched.n_procs);
         let cblk_owner: Vec<u32> =
@@ -179,7 +181,7 @@ impl StaticRouting {
             bwd_count[cblk_owner[k as usize] as usize * ns + k as usize] += 1;
         }
         // Each processor's tasks in schedule order, forward ones first.
-        let schedule = solve_schedule_on(dag, graph, sched);
+        let schedule = solve_schedule(graph, sched);
         let sweep = |backward: bool| -> Vec<(u32, u32)> {
             let order = schedule.proc_tasks.iter().enumerate();
             let tasks = order.flat_map(|(p, tasks)| tasks.iter().map(move |&t| (p as u32, t)));
@@ -206,48 +208,88 @@ impl StaticRouting {
 }
 
 /// What the dynamic backend runs a solve on: the solve DAG
-/// ([`pastix_sched::SolveDag`]: forward task `k`, backward task `ns + k`)
-/// and the executor's hints for it.
+/// ([`pastix_sched::SolveDag`]) on the factorization's groups, and the
+/// executor's hints for it. The executor numbers forward block `k` as `k`
+/// and backward block `k` as `2·ns − 1 − k` ([`SolveDag::step`]), so the
+/// members of a node, which run in ascending id, step a backward group
+/// from its root down.
 #[derive(Debug)]
 pub(crate) struct SolveDag {
-    /// The solve DAG, one executor node per task.
+    /// The solve DAG with each multi-member node of the plan's `nodes` (a
+    /// closed one-processor subtree) as one forward and one backward node,
+    /// and every other step a node of its own.
     pub(crate) nodes: NodeDag,
-    /// Forward tasks outrank backward ones; within a sweep, earlier
-    /// elimination order first (forward) / later first (backward).
+    /// Per node, its members' highest: forward steps outrank backward
+    /// ones; within a sweep, earlier elimination order first (forward) /
+    /// later first (backward).
     pub(crate) priority: Vec<u64>,
-    /// Preferred worker per task: the column block's static owner.
+    /// Preferred worker per node: the static owner of its column blocks.
     pub(crate) placement: Vec<u32>,
 }
 
 impl SolveDag {
-    fn build(graph: &TaskGraph, sched: &Schedule, dag: &pastix_sched::SolveDag) -> Self {
-        let ns = graph.split.symbol.n_cblks();
-        let n_tasks = 2 * ns;
-        let plain: Vec<u32> = (0..n_tasks as u32).collect();
-        let nodes = NodeDag::contract(&dag.out_ptr, &dag.out_dst, &plain, n_tasks);
-        debug_assert_eq!(nodes.deps, dag.deps, "the solve DAG has no duplicate edge");
-        Self {
-            nodes,
-            priority: (0..n_tasks).map(|t| (if t < ns { 2 * ns - t } else { t - ns }) as u64).collect(),
-            placement: (0..n_tasks).map(|t| sched.task_proc[graph.head_task_of_cblk[t % ns] as usize]).collect(),
+    /// Column block of executor task `t`, and whether it steps forward.
+    #[inline]
+    pub(crate) fn step(t: u32, ns: usize) -> (usize, bool) {
+        let t = t as usize;
+        if t < ns {
+            (t, true)
+        } else {
+            (2 * ns - 1 - t, false)
         }
     }
-}
 
-/// What every solve of a plan replays. Built lazily by the plan's first
-/// solve and cached there; not part of the factor, so not counted in
-/// `factor_bytes`.
-#[derive(Debug)]
-pub(crate) struct SolvePlan {
-    /// The static engine's ownership, counters and routes.
-    pub(crate) routing: StaticRouting,
-    /// The dynamic backend's DAG.
-    pub(crate) dag: SolveDag,
-}
-
-impl SolvePlan {
-    pub(crate) fn build(graph: &TaskGraph, sched: &Schedule) -> Self {
+    /// Groups the solve DAG by `groups`, the factorization's nodes. A
+    /// forward group has no producer outside it (contributions go to
+    /// ancestors); a backward group's come from ancestors' backward steps
+    /// and its own forward node, so the contraction is acyclic.
+    pub(crate) fn build(graph: &TaskGraph, sched: &Schedule, groups: &NodeDag) -> Self {
+        let ns = graph.split.symbol.n_cblks();
         let tasks = pastix_sched::SolveDag::new(&graph.split.symbol);
-        Self { routing: StaticRouting::build(graph, sched, &tasks), dag: SolveDag::build(graph, sched, &tasks) }
+        // `tasks` numbers backward block `k` as `ns + k`: this maps either
+        // numbering to the other.
+        let exec = |t: u32| if (t as usize) < ns { t } else { 3 * ns as u32 - 1 - t };
+        let mut out_ptr = Vec::with_capacity(2 * ns + 1);
+        let mut out_dst = Vec::with_capacity(tasks.out_dst.len());
+        out_ptr.push(0);
+        for u in 0..2 * ns as u32 {
+            out_dst.extend(tasks.successors(exec(u) as usize).iter().map(|&d| exec(d)));
+            out_ptr.push(out_dst.len() as u32);
+        }
+        // Multi-member factorization nodes are COMP1D, one per column block.
+        let (mut group, mut n_groups) = (vec![u32::MAX; ns], 0);
+        for members in (0..groups.deps.len()).map(|v| groups.members(v)).filter(|m| m.len() > 1) {
+            members.iter().for_each(|&t| group[graph.kinds[t as usize].cblk() as usize] = n_groups);
+            n_groups += 1;
+        }
+        // Node ids in the order of each node's first task; group `g`'s
+        // forward node is named at slot `2g`, its backward node at `2g + 1`.
+        let (mut node_of_slot, mut n_nodes) = (vec![u32::MAX; 2 * n_groups as usize], 0u32);
+        let node_of: Vec<u32> = (0..2 * ns as u32)
+            .map(|u| {
+                let (k, forward) = Self::step(u, ns);
+                let mut own = u32::MAX;
+                let slot = match group[k] {
+                    u32::MAX => &mut own,
+                    g => &mut node_of_slot[2 * g as usize + usize::from(!forward)],
+                };
+                if *slot == u32::MAX {
+                    *slot = n_nodes;
+                    n_nodes += 1;
+                }
+                *slot
+            })
+            .collect();
+        let nodes = NodeDag::contract(&out_ptr, &out_dst, &node_of, n_nodes as usize);
+        let members = (0..nodes.deps.len()).map(|v| nodes.members(v));
+        let priority = members.clone().map(|m| {
+            let of = |&u: &u32| match Self::step(u, ns) {
+                (k, true) => 2 * ns - k,
+                (k, false) => k,
+            };
+            m.iter().map(of).max().unwrap_or(0) as u64
+        });
+        let owner = |m: &[u32]| sched.task_proc[graph.head_task_of_cblk[Self::step(m[0], ns).0] as usize];
+        Self { priority: priority.collect(), placement: members.map(owner).collect(), nodes }
     }
 }

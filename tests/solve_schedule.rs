@@ -148,10 +148,11 @@ fn solve_traces_are_byte_identical_for_fixed_seed_and_policy() {
     }
 }
 
-/// The solve follows a plan computed once: ten solves of mixed width on
-/// one factor run, then solves on a second run of the same `Plan` (both
-/// backends that have a solve engine), leave `solver.solve_plan_builds`
-/// at one.
+/// The solve follows a plan computed once per engine: ten solves of mixed
+/// width on one `Threads` factor run build the static engine's half, the
+/// first solve of a `Dynamic` run of the same `Plan` the dynamic half, and
+/// further solves on either backend build nothing: `solver.solve_plan_builds`
+/// reads 1, then 2, then still 2.
 #[test]
 fn solve_plan_is_built_once_per_plan() {
     let (ap, mapping) = setup(3);
@@ -165,10 +166,12 @@ fn solve_plan_is_built_once_per_plan() {
         let x = run.solve_panel(&b[..k * n], k);
         assert_eq!(x.len(), k * n);
     }
-    assert_eq!(cfg.metrics.counter("solver.solve_plan_builds"), 1);
+    assert_eq!(cfg.metrics.counter("solver.solve_plan_builds"), 1, "the static half, once");
     let dynamic = cfg.clone().with_backend(Backend::Dynamic(Default::default()));
     let second = plan.factorize(&ap, &dynamic).expect("second factorization");
     second.solve(&b[..n]);
+    assert_eq!(cfg.metrics.counter("solver.solve_plan_builds"), 2, "the dynamic half, once");
+    second.solve_panel(&b[..8 * n], 8);
     run.solve(&b[..n]);
-    assert_eq!(cfg.metrics.counter("solver.solve_plan_builds"), 1, "two runs of one plan share it");
+    assert_eq!(cfg.metrics.counter("solver.solve_plan_builds"), 2, "two runs of one plan share both halves");
 }
