@@ -169,13 +169,8 @@ impl SolveDag {
 /// Builds the level-set solve schedule for the split symbol of `graph`,
 /// inheriting cblk ownership from the factorization schedule `sched`.
 pub fn solve_schedule(graph: &TaskGraph, sched: &Schedule) -> SolveSchedule {
-    solve_schedule_on(&SolveDag::new(&graph.split.symbol), graph, sched)
-}
-
-/// [`solve_schedule`] for a caller that already holds the solve DAG of
-/// `graph`'s symbol.
-pub fn solve_schedule_on(dag: &SolveDag, graph: &TaskGraph, sched: &Schedule) -> SolveSchedule {
     let sym = &graph.split.symbol;
+    let dag = SolveDag::new(sym);
     let ns = sym.cblks.len();
     let total = 2 * ns;
 

@@ -8,7 +8,8 @@
 //! to whom ([`StaticRouting`]); for the dynamic backend the grouped solve
 //! DAG ([`SolveDag`]). The solve phase *follows* its schedule like the
 //! factorization does. Nothing here depends on numeric values, on the
-//! right-hand sides or on their count.
+//! right-hand sides or on their count, and none of it is part of the
+//! factor (`factor_bytes` does not count it).
 //!
 //! [`Plan`]: crate::Plan
 
