@@ -257,15 +257,17 @@ impl SolveDag {
             out_dst.extend(tasks.successors(exec(u) as usize).iter().map(|&d| exec(d)));
             out_ptr.push(out_dst.len() as u32);
         }
-        // Multi-member factorization nodes are COMP1D, one per column block.
-        let (mut group, mut n_groups) = (vec![u32::MAX; ns], 0);
-        for members in (0..groups.deps.len()).map(|v| groups.members(v)).filter(|m| m.len() > 1) {
-            members.iter().for_each(|&t| group[graph.kinds[t as usize].cblk() as usize] = n_groups);
-            n_groups += 1;
+        // The multi-member factorization node of each column block, if any
+        // (such nodes are COMP1D, one task per column block).
+        let mut group = vec![u32::MAX; ns];
+        for (v, members) in (0..groups.deps.len()).map(|v| (v as u32, groups.members(v))) {
+            if members.len() > 1 {
+                members.iter().for_each(|&t| group[graph.kinds[t as usize].cblk() as usize] = v);
+            }
         }
         // Node ids in the order of each node's first task; group `g`'s
         // forward node is named at slot `2g`, its backward node at `2g + 1`.
-        let (mut node_of_slot, mut n_nodes) = (vec![u32::MAX; 2 * n_groups as usize], 0u32);
+        let (mut node_of_slot, mut n_nodes) = (vec![u32::MAX; 2 * groups.deps.len()], 0u32);
         let node_of: Vec<u32> = (0..2 * ns as u32)
             .map(|u| {
                 let (k, forward) = Self::step(u, ns);
