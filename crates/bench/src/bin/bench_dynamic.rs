@@ -6,7 +6,8 @@
 //!
 //! * **threads** — `Backend::Threads`: the static mapping's placement and
 //!   order, every task enqueued on its `K_p` processor, ready-first within
-//!   a processor, idle workers stealing;
+//!   a processor, idle workers stealing; its solve runs on the same
+//!   executor in the same order;
 //! * **dynamic+prio** — `Backend::Dynamic` with the static schedule's
 //!   start times as task priorities and stealing;
 //! * **dynamic** — the same in FIFO order.
@@ -16,9 +17,10 @@
 //! to a ≤ 1e-12 residual, the dynamic engine must pass a seeded sim
 //! sweep under all four chaos scheduling policies, and the plan must
 //! coarsen: the executor runs fewer nodes (`dynamic.tasks`) than the task
-//! graph has tasks, its small one-processor subtrees grouped, and
-//! dynamic+prio's solve fewer than `2 · n_cblks` nodes (`solve_nodes`),
-//! each group one forward and one backward node.
+//! graph has tasks, its small one-processor subtrees grouped, and the
+//! threads and dynamic+prio solves each fewer than `2 · n_cblks` nodes
+//! (`solve_nodes_threads`, `solve_nodes`), each group one forward and one
+//! backward node.
 //!
 //! Writes `BENCH_dynamic.json` at the repository root (with
 //! `pastix_bench::env_header`). Exits non-zero if
@@ -115,17 +117,16 @@ fn main() {
         ];
 
         let cfgs = backends.map(|(label, backend)| (label, SolverConfig::new().with_backend(backend)));
-        let (mut nodes, mut solve_nodes) = (0, 0);
-        for (label, cfg) in &cfgs {
+        // Per engine: executor nodes of the factorization and of the solve.
+        let mut nodes = [(0, 0); 3];
+        for ((label, cfg), nodes) in cfgs.iter().zip(&mut nodes) {
             // Correctness gate on the timed configuration.
             let run = plan.factorize(&ap, cfg).expect("factorization failed");
-            // Read before the solve: the dynamic solve's nodes count there too.
-            nodes = run.metrics.counter("dynamic.tasks");
+            // Read before the solve: the solve's nodes count there too.
+            nodes.0 = run.metrics.counter("dynamic.tasks");
             let dev = max_factor_dev(&run.storage, &seq);
             let x = run.solve(&b);
-            if *label == "dynamic+prio" {
-                solve_nodes = run.metrics.counter("dynamic.tasks") - nodes;
-            }
+            nodes.1 = run.metrics.counter("dynamic.tasks") - nodes.0;
             let res = ap.residual_norm(&x, &b);
             let agree = dev <= FACTOR_RTOL && res <= RESIDUAL_MAX;
             println!(
@@ -183,21 +184,24 @@ fn main() {
             if sim_ok { "all agree with sequential" } else { "FAILED" }
         );
         failed |= !sim_ok;
-        let coarsened = nodes < mapping.graph.n_tasks() as u64;
+        let [(_, solve_nodes_threads), (factor_nodes, solve_nodes), _] = nodes;
+        let coarsened = factor_nodes < mapping.graph.n_tasks() as u64;
         println!(
-            "  coarsening: the executor runs {nodes} nodes for {} tasks — {}",
+            "  coarsening: the executor runs {factor_nodes} nodes for {} tasks — {}",
             mapping.graph.n_tasks(),
             if coarsened { "grouped" } else { "NOT GROUPED" }
         );
         failed |= !coarsened;
         let n_cblks = sym.n_cblks() as u64;
-        let solve_coarsened = solve_nodes < 2 * n_cblks;
-        println!(
-            "  solve coarsening: dynamic+prio's solve runs {solve_nodes} nodes for {} steps — {}",
-            2 * n_cblks,
-            if solve_coarsened { "grouped" } else { "NOT GROUPED" }
-        );
-        failed |= !solve_coarsened;
+        for (label, solve_nodes) in [("threads", solve_nodes_threads), ("dynamic+prio", solve_nodes)] {
+            let solve_coarsened = solve_nodes < 2 * n_cblks;
+            println!(
+                "  solve coarsening: {label}'s solve runs {solve_nodes} nodes for {} steps — {}",
+                2 * n_cblks,
+                if solve_coarsened { "grouped" } else { "NOT GROUPED" }
+            );
+            failed |= !solve_coarsened;
+        }
 
         let t_threads = results[0].best_s;
         for r in &results {
@@ -221,8 +225,9 @@ fn main() {
             ("problem", Json::Str(id.name().to_string())),
             ("n", Json::Num(ap.n() as f64)),
             ("tasks", Json::Num(mapping.graph.n_tasks() as f64)),
-            ("nodes", Json::Num(nodes as f64)),
+            ("nodes", Json::Num(factor_nodes as f64)),
             ("solve_nodes", Json::Num(solve_nodes as f64)),
+            ("solve_nodes_threads", Json::Num(solve_nodes_threads as f64)),
             ("procs", Json::Num(procs as f64)),
             ("t_threads_s", Json::Num(results[0].best_s)),
             ("t_dynamic_prio_s", Json::Num(results[1].best_s)),

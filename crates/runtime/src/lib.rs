@@ -7,17 +7,13 @@
 //! and aggregated-update-block sends, all point to point, asynchronous,
 //! received in any order).
 //!
-//! The surface is the [`Comm`] trait, with two interchangeable backends:
-//!
-//! - [`run_spmd`] — one OS thread per logical processor ([`ProcCtx`]);
-//!   it carries the `Backend::Threads` solves (the `Threads`
-//!   factorization runs on the [`steal::run_dag`] executor and sends no
-//!   message);
-//! - [`sim::run_sim_spmd`] — a deterministic single-execution simulation
-//!   ([`sim::SimCtx`]) where a seeded scheduler decides which processor
-//!   runs and when each message is delivered, with injectable faults.
-//!   Every interleaving is reproducible from its seed, which is what the
-//!   chaos suite drives.
+//! The surface is the [`Comm`] trait, and [`sim::run_sim_spmd`] runs it:
+//! a deterministic single-execution simulation ([`sim::SimCtx`]) where a
+//! seeded scheduler decides which processor runs and when each message is
+//! delivered, with injectable faults. Every interleaving is reproducible
+//! from its seed, which is what the chaos suite drives. On real threads
+//! the solver sends no message: it factorizes and solves on the
+//! [`steal::run_dag`] executor, whose tasks share the factor's panels.
 //!
 //! The runtime delivers in arrival order only. Because the static
 //! schedule fixes every processor's task order, the solver knows *what*
@@ -31,8 +27,6 @@ pub mod sim;
 pub mod steal;
 
 pub use steal::{DynamicOptions, TaskOrder};
-
-use std::sync::mpsc::{channel, Receiver, Sender};
 
 /// A received message with its sender rank.
 #[derive(Debug, Clone, PartialEq)]
@@ -52,7 +46,6 @@ pub enum SendOutcome<M> {
     /// duplicated by the simulator's faults).
     Delivered,
     /// Dropped by fault injection; the message is returned for retry.
-    /// The thread backend never drops.
     Dropped(M),
     /// The peer already exited; the message is returned.
     Closed(M),
@@ -68,9 +61,10 @@ pub const SEND_RETRY_LIMIT: usize = 64;
 /// point-to-point sends plus blocking and non-blocking receives.
 ///
 /// Code written against `Comm` (the fan-in factorization and the
-/// distributed solves) runs unchanged on OS threads ([`ProcCtx`]) or under
-/// the deterministic simulator ([`sim::SimCtx`]). Bring the trait into
-/// scope to call these methods on a context.
+/// distributed solve) runs under the deterministic simulator
+/// ([`sim::SimCtx`]); [`Instrumented`] wraps any `Comm` to observe its
+/// traffic. Bring the trait into scope to call these methods on a
+/// context.
 pub trait Comm<M> {
     /// This processor's rank.
     fn rank(&self) -> usize;
@@ -111,199 +105,40 @@ pub trait Comm<M> {
     fn try_recv(&self) -> Option<Envelope<M>>;
 }
 
-/// Which runtime executes the solver: OS threads, the deterministic
-/// fault-injecting simulator, or the task-graph-driven
-/// work-stealing executor. This is the one switch the backend-generic
-/// solver entry points (`Plan::factorize` / `FactorRun::solve_request` in
-/// `pastix-solver`) dispatch on, so a single numerical codepath runs on
-/// every backend.
+/// Which runtime executes the solver: the task-graph-driven work-stealing
+/// executor in the static order, the deterministic fault-injecting
+/// simulator, or the executor with the static schedule as hints. This is
+/// the one switch the backend-generic solver entry points
+/// (`Plan::factorize` / `FactorRun::solve_request` in `pastix-solver`)
+/// dispatch on.
 ///
 /// ```
-/// use pastix_runtime::{run_spmd_with, Backend, Comm};
+/// use pastix_runtime::Backend;
 /// use pastix_runtime::sim::FaultPlan;
-/// // The same closure runs on threads or under the seeded simulator.
-/// let hello = |ctx: &dyn Comm<usize>| ctx.rank() * 2;
-/// let t = run_spmd_with::<usize, _, _>(&Backend::Threads, 3, hello);
-/// let s = run_spmd_with::<usize, _, _>(
-///     &Backend::Sim(FaultPlan::builder(7).build()),
-///     3,
-///     hello,
-/// );
-/// assert_eq!(t, s);
+/// assert_eq!(Backend::default(), Backend::Threads);
+/// // The simulator replays from its seed: equal plans, equal backends.
+/// let sim = |seed| Backend::Sim(FaultPlan::builder(seed).build());
+/// assert_eq!(sim(7), sim(7));
+/// assert_ne!(sim(7), Backend::Threads);
 /// ```
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub enum Backend {
-    /// One OS thread per logical processor. An SPMD program (the
-    /// `pastix-solver` solve) runs one rank per thread; `pastix-solver`
-    /// factorizes on the [`steal::run_dag`] executor in the static order
-    /// ([`steal::TaskOrder::Static`]): every task enqueued on its `K_p`
-    /// processor, idle workers stealing.
+    /// The [`steal::run_dag`] executor in the static order
+    /// ([`steal::TaskOrder::Static`]), one worker per processor:
+    /// `pastix-solver` factorizes and solves on it, every task enqueued on
+    /// its `K_p` processor, idle workers stealing.
     #[default]
     Threads,
-    /// Deterministic serialized simulation driven by the given fault plan;
-    /// every execution is a pure function of `(seed, policy)`.
+    /// Deterministic serialized simulation ([`sim::run_sim_spmd`]) driven
+    /// by the given fault plan; every execution is a pure function of
+    /// `(seed, policy)`. `pastix-solver` runs the paper's fan-in
+    /// factorization and the static solve on it.
     Sim(sim::FaultPlan),
     /// Task-graph-driven executor ([`steal::run_dag`]) in the given
     /// order: the static schedule supplies placement and task priority
     /// (where roots are seeded and which ready task runs first, or under
-    /// [`steal::TaskOrder::Static`] where every task is enqueued). Not an
-    /// SPMD backend —
-    /// [`run_spmd_with`] rejects it; it is driven through the `Plan` API
-    /// in `pastix-solver`.
+    /// [`steal::TaskOrder::Static`] where every task is enqueued).
     Dynamic(steal::DynamicOptions),
-}
-
-/// Runs `n_procs` logical processors of `f` on the chosen [`Backend`].
-/// The closure receives the backend-erased [`Comm`] surface, so the same
-/// SPMD body serves production and simulation; `M: Clone` is only
-/// exercised by the simulator's duplicate-delivery fault.
-pub fn run_spmd_with<M, R, F>(backend: &Backend, n_procs: usize, f: F) -> Vec<R>
-where
-    M: Send + Clone,
-    R: Send,
-    F: Fn(&dyn Comm<M>) -> R + Sync,
-{
-    match backend {
-        Backend::Threads => run_spmd(n_procs, |ctx| f(&ctx)),
-        Backend::Sim(plan) => sim::run_sim_spmd(n_procs, plan, |ctx| f(&ctx)),
-        Backend::Dynamic(_) => panic!(
-            "Backend::Dynamic is task-graph based, not SPMD; drive it through \
-             the Plan API (Plan::factorize / FactorRun::solve_request) or \
-             steal::run_dag directly"
-        ),
-    }
-}
-
-/// Per-processor communication context of the thread backend.
-pub struct ProcCtx<M> {
-    rank: usize,
-    n_procs: usize,
-    peers: Vec<Sender<Envelope<M>>>,
-    inbox: Receiver<Envelope<M>>,
-}
-
-impl<M: Send> Comm<M> for ProcCtx<M> {
-    #[inline]
-    fn rank(&self) -> usize {
-        self.rank
-    }
-
-    #[inline]
-    fn n_procs(&self) -> usize {
-        self.n_procs
-    }
-
-    fn send_faulty(&self, to: usize, msg: M) -> SendOutcome<M> {
-        // The thread backend's channels are reliable: the only failure is
-        // a peer that already exited, in which case std's mpsc hands the
-        // envelope back through the error.
-        match self.peers[to].send(Envelope {
-            from: self.rank,
-            msg,
-        }) {
-            Ok(()) => SendOutcome::Delivered,
-            Err(e) => SendOutcome::Closed(e.0.msg),
-        }
-    }
-
-    fn recv(&self) -> Envelope<M> {
-        match self.inbox.recv() {
-            Ok(env) => env,
-            Err(_) => panic!(
-                "rank {} recv: all {} peer senders dropped while still waiting for a message",
-                self.rank, self.n_procs
-            ),
-        }
-    }
-
-    fn try_recv(&self) -> Option<Envelope<M>> {
-        self.inbox.try_recv().ok()
-    }
-}
-
-/// Runs `n_procs` logical processors, each executing `f(ctx)` on its own
-/// OS thread, and returns their results in rank order. Threads are
-/// scoped: a panicking processor propagates after the others are joined.
-///
-/// ```
-/// use pastix_runtime::{run_spmd, Comm};
-/// // Every rank sends its rank to rank 0; rank 0 sums.
-/// let out = run_spmd::<usize, usize, _>(3, |ctx| {
-///     if ctx.rank() == 0 {
-///         (1..ctx.n_procs()).map(|_| ctx.recv().msg).sum()
-///     } else {
-///         assert!(ctx.send_resilient(0, ctx.rank()));
-///         0
-///     }
-/// });
-/// assert_eq!(out[0], 3);
-/// ```
-pub fn run_spmd<M, R, F>(n_procs: usize, f: F) -> Vec<R>
-where
-    M: Send,
-    R: Send,
-    F: Fn(ProcCtx<M>) -> R + Sync,
-{
-    assert!(n_procs >= 1);
-    let mut senders: Vec<Sender<Envelope<M>>> = Vec::with_capacity(n_procs);
-    let mut receivers: Vec<Option<Receiver<Envelope<M>>>> = Vec::with_capacity(n_procs);
-    for _ in 0..n_procs {
-        let (tx, rx) = channel();
-        senders.push(tx);
-        receivers.push(Some(rx));
-    }
-    let contexts: Vec<ProcCtx<M>> = receivers
-        .iter_mut()
-        .enumerate()
-        .map(|(rank, rx)| ProcCtx {
-            rank,
-            n_procs,
-            peers: senders.clone(),
-            inbox: rx.take().unwrap(),
-        })
-        .collect();
-    drop(senders);
-    let f = &f;
-    std::thread::scope(|scope| {
-        let handles: Vec<_> = contexts
-            .into_iter()
-            .map(|ctx| scope.spawn(move || f(ctx)))
-            .collect();
-        handles
-            .into_iter()
-            .enumerate()
-            .map(|(rank, h)| match h.join() {
-                Ok(r) => r,
-                Err(payload) => {
-                    notify_failure(rank);
-                    std::panic::resume_unwind(payload)
-                }
-            })
-            .collect()
-    })
-}
-
-/// Process-wide observer of rank failures, set with
-/// [`set_failure_observer`]. Stored as a plain fn pointer so notifying
-/// is a single atomic load on the (cold) failure path.
-static FAILURE_OBSERVER: std::sync::atomic::AtomicUsize = std::sync::atomic::AtomicUsize::new(0);
-
-/// Registers a process-wide callback invoked with the rank index when a
-/// worker thread inside [`run_spmd`] is found panicked at join time.
-/// The runtime stays dependency-free — the tracing layer installs its
-/// flight-recorder hook here. The observer must not panic.
-pub fn set_failure_observer(f: fn(usize)) {
-    FAILURE_OBSERVER.store(f as usize, std::sync::atomic::Ordering::Release);
-}
-
-fn notify_failure(rank: usize) {
-    let p = FAILURE_OBSERVER.load(std::sync::atomic::Ordering::Acquire);
-    if p != 0 {
-        // SAFETY: the only non-zero values ever stored are `fn(usize)`
-        // pointers from `set_failure_observer`.
-        let f: fn(usize) = unsafe { std::mem::transmute::<usize, fn(usize)>(p) };
-        f(rank);
-    }
 }
 
 /// Observer of one rank's communication traffic, attached with
@@ -406,23 +241,12 @@ impl<M, C: Comm<M> + ?Sized, H: CommHook> Comm<M> for Instrumented<'_, M, C, H> 
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn ring_pass() {
-        // Each rank sends its rank to the next; sum arrives intact.
-        let results = run_spmd::<usize, usize, _>(4, |ctx| {
-            let next = (ctx.rank() + 1) % ctx.n_procs();
-            assert!(ctx.send_resilient(next, ctx.rank() * 10));
-            let env = ctx.recv();
-            assert_eq!(env.from, (ctx.rank() + ctx.n_procs() - 1) % ctx.n_procs());
-            env.msg
-        });
-        assert_eq!(results, vec![30, 0, 10, 20]);
-    }
+    use crate::sim::{run_sim_spmd, FaultPlan};
 
     #[test]
     fn self_send_works() {
-        let results = run_spmd::<&'static str, String, _>(2, |ctx| {
+        let plan = FaultPlan::interleave_only(3);
+        let results = run_sim_spmd::<&'static str, String, _>(2, &plan, |ctx| {
             assert!(ctx.send_resilient(ctx.rank(), "hello"));
             let env = ctx.recv();
             format!("{}:{}", env.from, env.msg)
@@ -431,26 +255,24 @@ mod tests {
     }
 
     #[test]
-    fn single_proc_spmd() {
-        let results = run_spmd::<(), usize, _>(1, |ctx| ctx.n_procs());
-        assert_eq!(results, vec![1]);
-    }
-
-    #[test]
     fn try_recv_nonblocking() {
-        let results = run_spmd::<u8, bool, _>(2, |ctx| {
+        let plan = FaultPlan::interleave_only(5);
+        let results = run_sim_spmd::<u8, bool, _>(2, &plan, |ctx| {
             if ctx.rank() == 0 {
-                // Just exercise the non-blocking path (arrival timing is
-                // nondeterministic here).
-                let _ = ctx.try_recv();
+                // Nothing is ever sent to rank 0.
+                let none = ctx.try_recv().is_none();
                 assert!(ctx.send_resilient(1, 7));
-                true
+                none
             } else {
-                let env = ctx.recv();
-                env.msg == 7
+                // Polls until the message is delivered.
+                loop {
+                    if let Some(env) = ctx.try_recv() {
+                        break env.msg == 7;
+                    }
+                }
             }
         });
-        assert!(results.iter().all(|&b| b));
+        assert_eq!(results, vec![true, true]);
     }
 
     #[test]
@@ -459,7 +281,8 @@ mod tests {
         // messages to every other; receivers demand them in ascending tag
         // order, exercising the out-of-order pool hard.
         let p = 4usize;
-        let results = run_spmd::<(u32, u32), u64, _>(p, |ctx| {
+        let plan = FaultPlan::interleave_only(9);
+        let results = run_sim_spmd::<(u32, u32), u64, _>(p, &plan, |ctx| {
             let me = ctx.rank();
             // Deterministic per-pair counts: count(a, b) = (a*7 + b*3) % 5 + 1.
             let count = |a: usize, b: usize| ((a * 7 + b * 3) % 5 + 1) as u32;
@@ -516,40 +339,6 @@ mod tests {
     }
 
     #[test]
-    fn many_messages_fifo_per_pair() {
-        let results = run_spmd::<u32, Vec<u32>, _>(2, |ctx| {
-            if ctx.rank() == 0 {
-                for i in 0..100 {
-                    assert!(ctx.send_resilient(1, i));
-                }
-                vec![]
-            } else {
-                (0..100).map(|_| ctx.recv().msg).collect()
-            }
-        });
-        assert_eq!(results[1], (0..100).collect::<Vec<_>>());
-    }
-
-    #[test]
-    fn send_lossy_false_after_peer_exit() {
-        // Rank 1 exits immediately; rank 0 keeps sending until the peer's
-        // mailbox closes. Must terminate with a `false` rather than a
-        // panic.
-        let results = run_spmd::<u32, bool, _>(2, |ctx| {
-            if ctx.rank() == 1 {
-                return true;
-            }
-            loop {
-                if !ctx.send_resilient(1, 42) {
-                    return true;
-                }
-                std::thread::yield_now();
-            }
-        });
-        assert_eq!(results, vec![true, true]);
-    }
-
-    #[test]
     fn instrumented_reports_sends_and_recvs() {
         use std::sync::atomic::{AtomicU64, Ordering};
         use std::sync::Arc;
@@ -576,7 +365,7 @@ mod tests {
             bytes: Arc::new(AtomicU64::new(0)),
         };
         let h = hook.clone();
-        run_spmd::<u32, (), _>(2, move |ctx| {
+        run_sim_spmd::<u32, (), _>(2, &FaultPlan::interleave_only(1), move |ctx| {
             let ctx = Instrumented::new(&ctx, h.clone(), |m: &u32| (1, *m as u64));
             let next = (ctx.rank() + 1) % 2;
             // One resilient send, one raw faulty send, one try_recv poll.

@@ -1,9 +1,9 @@
 //! Deterministic simulation backend with fault injection.
 //!
-//! [`run_sim_spmd`] executes the same SPMD closures as
-//! [`crate::run_spmd`], but every interleaving decision — which processor
-//! runs next, when each in-flight message is delivered, whether a send
-//! is dropped or duplicated — is made by a central scheduler driven by a
+//! [`run_sim_spmd`] runs one SPMD closure per logical processor, one OS
+//! thread each, but every interleaving decision — which processor runs
+//! next, when each in-flight message is delivered, whether a send is
+//! dropped or duplicated — is made by a central scheduler driven by a
 //! seeded RNG.
 //! Re-running with the same [`FaultPlan`] replays the exact execution,
 //! which turns "flaky under concurrency" into "reproducible from a seed".
@@ -444,10 +444,8 @@ impl<M: Clone> SchedulerState<M> {
 /// Runs `n_procs` logical processors under the deterministic simulator
 /// with the given fault plan; returns results in rank order.
 ///
-/// Semantics match [`crate::run_spmd`] (same `Comm` contract, same panic
-/// behavior: a worker panic propagates to the caller after every other
-/// worker has unwound), but the interleaving is a pure function of
-/// `plan`. A protocol deadlock — every live worker blocked in `recv`
+/// A worker panic propagates to the caller after every other worker has
+/// unwound, and the interleaving is a pure function of `plan`. A protocol deadlock — every live worker blocked in `recv`
 /// with an empty network — panics with a per-rank state dump naming
 /// `plan.seed` and `plan.policy`.
 ///

@@ -10,8 +10,8 @@
 //! faults enabled, the kept values are identical to the uniform baseline,
 //! across randomly drawn seeds, world sizes, and fault rates.
 
-use pastix_runtime::sim::{FaultPlan, SchedPolicy};
-use pastix_runtime::{run_spmd_with, Backend, Comm};
+use pastix_runtime::sim::{run_sim_spmd, FaultPlan, SchedPolicy};
+use pastix_runtime::Comm;
 use proptest::prelude::*;
 
 /// What one rank observed: the value kept from each sender (its own slot
@@ -32,7 +32,7 @@ fn value(from: usize, to: usize) -> i64 {
 /// sender kept. Every send is accepted before its receiver can finish, so
 /// `send_resilient` never meets a closed peer.
 fn run_exchange(n_procs: usize, plan: FaultPlan) -> Vec<Observed> {
-    run_spmd_with(&Backend::Sim(plan), n_procs, |ctx: &dyn Comm<i64>| {
+    run_sim_spmd(n_procs, &plan, |ctx| {
         let me = ctx.rank();
         for to in (0..n_procs).filter(|&q| q != me) {
             assert!(ctx.send_resilient(to, value(me, to)), "rank {me} -> {to}: peer closed");

@@ -13,7 +13,7 @@ use crate::rtrace::RequestTrace;
 use crate::session::SolverSession;
 use pastix_graph::SymCsc;
 use pastix_kernels::{FactorError, Scalar};
-use pastix_solver::{screen_rhs, SolveError};
+use pastix_solver::SolveError;
 use pastix_trace::flight::{self, FlightKind};
 use pastix_trace::{MetricsRegistry, TraceLog};
 use std::collections::VecDeque;
@@ -43,10 +43,10 @@ pub struct Completed<T> {
 }
 
 /// Why [`RequestQueue::serve_batch`] refused a ticket, and the error of
-/// the session's solves. A ticket refused for its own right-hand side
-/// never reaches the solver and takes no other ticket of its batch down
-/// with it; a failed factorization refuses every ticket of its batch, each
-/// on its own line.
+/// the session's solves. A ticket refused for its own right-hand side is
+/// solved for by no one and takes no other ticket of its batch down with
+/// it; a failed factorization refuses every ticket of its batch, each on
+/// its own line.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum RejectReason {
     /// The right-hand side failed the solver's screen
@@ -159,10 +159,13 @@ impl<T: Scalar> RequestQueue<T> {
     /// Coalesces the oldest pending requests (at most the session's
     /// `max_panel`) into one panel, solves it through `session`, and
     /// returns the completions stamped with `finish_ns`. A ticket whose
-    /// right-hand side has the wrong length or a non-finite entry is
-    /// dropped from the panel first — counted in `serve.rejected`, noted
-    /// in the flight ring, reported by [`RequestQueue::take_rejected`] —
-    /// and the healthy tickets of the batch complete normally. When the
+    /// right-hand side has the wrong length is dropped from the panel
+    /// first; one with a non-finite entry is dropped when the solver's
+    /// screen of the packed panel names it, and the rest is solved again.
+    /// Either is counted in `serve.rejected`, noted in the flight ring and
+    /// reported by [`RequestQueue::take_rejected`] with the entry's index
+    /// in its own right-hand side, and the healthy tickets of the batch
+    /// complete normally. When the
     /// factorization fails, every remaining ticket is refused the same way
     /// with [`RejectReason::Factorization`] (counted in `serve.failed`)
     /// and the error is returned; the queue stays usable. `dispatch_ns` is
@@ -181,36 +184,48 @@ impl<T: Scalar> RequestQueue<T> {
     ) -> Result<Vec<Completed<T>>, FactorError> {
         let n = a.n();
         let mut batch = self.take_batch(session.options().max_panel);
-        batch.retain(|req| match screen_rhs(&req.rhs, n, 1) {
-            Ok(()) => true,
-            Err(e) => {
-                self.refuse(session.metrics(), req.id, RejectReason::Rhs(e), dispatch_ns);
-                false
+        batch.retain(|req| {
+            let got = req.rhs.len();
+            let fits = got == n;
+            if !fits {
+                let reason = RejectReason::Rhs(SolveError::WrongLength { expected: n, got });
+                self.refuse(session.metrics(), req.id, reason, dispatch_ns);
             }
+            fits
         });
-        if batch.is_empty() {
-            return Ok(Vec::new());
-        }
-        let nrhs = batch.len();
-        let seq = self.batches;
-        self.batches += 1;
-        flight::record(FlightKind::BatchDispatch, seq, nrhs as u64);
-        let panel = pack_panel(&batch, n);
-        // The batch's lead ticket tags the solve, linking the rank-side
-        // solve spans to the requests riding this panel.
-        let tag = self.tracer.as_ref().map(|_| batch[0].id);
-        let out = match session.solve_panel_tagged(a, &panel, nrhs, tag) {
-            Ok(out) => out,
-            Err(reason) => {
-                for req in &batch {
+        // The solver screens the packed panel for non-finite entries, once;
+        // the first one it names refuses its ticket, and the rest goes again.
+        let out = loop {
+            if batch.is_empty() {
+                return Ok(Vec::new());
+            }
+            let nrhs = batch.len();
+            let seq = self.batches;
+            self.batches += 1;
+            flight::record(FlightKind::BatchDispatch, seq, nrhs as u64);
+            let panel = pack_panel(&batch, n);
+            // The batch's lead ticket tags the solve, linking the rank-side
+            // solve spans to the requests riding this panel.
+            let tag = self.tracer.as_ref().map(|_| batch[0].id);
+            match session.solve_panel_tagged(a, &panel, nrhs, tag) {
+                Ok(out) => break out,
+                Err(RejectReason::Rhs(SolveError::NonFinite { index })) => {
+                    let req = batch.remove(index / n);
+                    let reason = RejectReason::Rhs(SolveError::NonFinite { index: index % n });
                     self.refuse(session.metrics(), req.id, reason, dispatch_ns);
                 }
-                return match reason {
-                    RejectReason::Factorization(e) => Err(e),
-                    RejectReason::Rhs(_) => Ok(Vec::new()),
-                };
+                Err(reason) => {
+                    for req in &batch {
+                        self.refuse(session.metrics(), req.id, reason, dispatch_ns);
+                    }
+                    return match reason {
+                        RejectReason::Factorization(e) => Err(e),
+                        RejectReason::Rhs(_) => Ok(Vec::new()),
+                    };
+                }
             }
         };
+        let nrhs = batch.len();
         // Health check on the fresh solve trace *before* the requests are
         // marked complete in the flight ring: a watchdog trip here dumps a
         // black box that still names this batch's tickets as in flight.
@@ -326,6 +341,45 @@ mod tests {
         assert_eq!(sv.min, 500);
         assert_eq!(sv.max, 500);
         assert_eq!(m.histogram("serve.factorize_ns").unwrap().count, 1);
+    }
+
+    #[test]
+    fn two_non_finite_tickets_in_one_batch_are_refused_and_the_rest_served() {
+        let a = grid_spd::<f64>(6, 6, 1, Stencil::Star, false, ValueKind::RandomSpd(9));
+        let n = a.n();
+        let mut opts = SessionOptions { procs: 2, max_panel: 5, ..Default::default() };
+        opts.solver.analyze.sched.block_size = 8;
+        let mut session = SolverSession::<f64>::new(opts);
+        let mut q = RequestQueue::new();
+        let mut exact = Vec::new();
+        for r in 0..5usize {
+            let xe: Vec<f64> = (0..n).map(|i| ((i * 5 + r) % 7) as f64 - 3.0).collect();
+            let mut rhs = rhs_for_solution(&a, &xe);
+            match r {
+                1 => rhs[n - 1] = f64::INFINITY,
+                3 => rhs[4] = f64::NAN,
+                _ => {}
+            }
+            q.submit(rhs, 0);
+            exact.push(xe);
+        }
+        let done = q.serve_batch(&mut session, &a, 10, 20).unwrap();
+        let refused = vec![
+            (1, RejectReason::Rhs(SolveError::NonFinite { index: n - 1 })),
+            (3, RejectReason::Rhs(SolveError::NonFinite { index: 4 })),
+        ];
+        assert_eq!(q.take_rejected(), refused);
+        assert_eq!(done.iter().map(|c| c.id).collect::<Vec<_>>(), vec![0, 2, 4]);
+        for c in &done {
+            assert_eq!(c.batch, 3);
+            for (u, v) in c.x.iter().zip(&exact[c.id as usize]) {
+                assert!((u - v).abs() < 1e-8, "request {}: {u} vs {v}", c.id);
+            }
+        }
+        let m = session.metrics();
+        assert_eq!(m.counter("serve.rejected"), 2);
+        assert_eq!(m.counter("serve.requests"), 3);
+        assert_eq!(m.counter("serve.cache.misses"), 1, "one factorization serves every try");
     }
 
     #[test]

@@ -115,11 +115,11 @@ struct PlanInner {
     stats: Option<AnalyzeStats>,
     analyze_trace: Option<TraceLog>,
     /// Structure of the static engine's triangular solves, built by the
-    /// first `Threads` or `Sim` solve of any run of this plan (or the first
+    /// first `Sim` solve of any run of this plan (or the first
     /// [`FactorRun::solve_schedule`]) and replayed by every later one.
     routing: OnceLock<StaticRouting>,
-    /// The dynamic solve's grouped DAG, built likewise by the first
-    /// `Dynamic` solve.
+    /// The executor's grouped solve DAG, built likewise by the first
+    /// `Threads` or `Dynamic` solve.
     solve_dag: OnceLock<SolveDag>,
     /// Stored entries of the analyzed matrix (`None` for plans assembled
     /// via [`Plan::from_parts`]): which factorized pattern `pattern` keeps.
@@ -274,7 +274,7 @@ impl Plan {
         })
     }
 
-    /// The dynamic solve's DAG on the plan's `nodes`, built on first use.
+    /// The executor's solve DAG on the plan's `nodes`, built on first use.
     pub(crate) fn solve_dag(&self, metrics: &MetricsRegistry) -> &SolveDag {
         self.inner.solve_dag.get_or_init(|| {
             metrics.add_counter("solver.solve_plan_builds", 1);
@@ -328,10 +328,8 @@ impl Plan {
         a: &SymCsc<T>,
         cfg: &SolverConfig,
     ) -> Result<FactorRun<T>, FactorError> {
-        // Rank panics inside the runtime land in the flight ring, and the
-        // factorization itself leaves coarse start/end marks there; the
-        // front end falls inside them.
-        pastix_trace::flight::wire_runtime_observer();
+        // The factorization leaves coarse start/end marks in the flight
+        // ring; the front end falls inside them.
         let fp = self.inner.schedule.digest();
         pastix_trace::flight::record(pastix_trace::flight::FlightKind::FactorizeStart, fp, 0);
         let t0 = std::time::Instant::now();
@@ -359,16 +357,23 @@ impl Plan {
         let pattern = self.scatter_pattern(a, &cfg.metrics)?;
         let entries = pattern.entries(a);
         let (sym, graph, nodes, sched) = (self.symbol(), &self.inner.graph, &self.inner.nodes, &self.inner.schedule);
-        // Threads: the static mapping's placement and `K_p` order on one
-        // worker per processor; a worker whose queue runs dry steals.
-        let static_order = DynamicOptions::new().with_order(TaskOrder::Static);
         let (mut storage, trace) = match cfg.backend {
-            Backend::Threads => dynamic::factorize_dynamic(sym, entries, graph, nodes, sched, &static_order, cfg)?,
-            Backend::Dynamic(dopts) => dynamic::factorize_dynamic(sym, entries, graph, nodes, sched, &dopts, cfg)?,
             Backend::Sim(faults) => crate::parallel::factorize_static(sym, entries, graph, sched, &faults, cfg)?,
+            backend => dynamic::factorize_dynamic(sym, entries, graph, nodes, sched, &executor_options(backend), cfg)?,
         };
         finalize_compression(sym, &mut storage, &cfg.compression, &cfg.metrics);
         Ok((storage, trace))
+    }
+}
+
+/// The executor options of `Threads` and `Dynamic`, which factorize and
+/// solve on the DAG executor: `Dynamic`'s own, and for `Threads` the
+/// static mapping's placement and `K_p` order on one worker per processor,
+/// a worker whose queue runs dry stealing. (`Sim` runs the static engine.)
+fn executor_options(backend: Backend) -> DynamicOptions {
+    match backend {
+        Backend::Dynamic(dopts) => dopts,
+        _ => DynamicOptions::new().with_order(TaskOrder::Static),
     }
 }
 
@@ -462,7 +467,7 @@ impl std::error::Error for SolveError {}
 
 /// The one screen of right-hand sides for a matrix of order `n`: `k ≥ 1`,
 /// `n · k` entries, every entry finite. [`FactorRun::solve_request`] runs
-/// it on every request, and the serving queue on every ticket.
+/// it on every request.
 pub fn screen_rhs<T: Scalar>(rhs: &[T], n: usize, k: usize) -> Result<(), SolveError> {
     if k == 0 {
         return Err(SolveError::NoRhs);
@@ -511,18 +516,7 @@ impl<T: Scalar> FactorRun<T> {
         let sym = plan.symbol();
         let sched = &plan.inner.schedule;
         let (x, trace) = match cfg.backend {
-            Backend::Dynamic(dopts) => dynamic::solve_panel_dynamic(
-                sym,
-                &self.storage,
-                plan.solve_dag(&cfg.metrics),
-                sched,
-                req.rhs,
-                req.k,
-                perm,
-                &dopts,
-                &cfg,
-            ),
-            Backend::Threads | Backend::Sim(_) => crate::psolve::solve_panel_static(
+            Backend::Sim(faults) => crate::psolve::solve_panel_static(
                 sym,
                 &self.storage,
                 plan.routing(&cfg.metrics),
@@ -530,6 +524,18 @@ impl<T: Scalar> FactorRun<T> {
                 req.rhs,
                 req.k,
                 perm,
+                &faults,
+                &cfg,
+            ),
+            backend => dynamic::solve_panel_dynamic(
+                sym,
+                &self.storage,
+                plan.solve_dag(&cfg.metrics),
+                sched,
+                req.rhs,
+                req.k,
+                perm,
+                &executor_options(backend),
                 &cfg,
             ),
         };
@@ -540,10 +546,11 @@ impl<T: Scalar> FactorRun<T> {
         Ok(SolveOutput { x, trace })
     }
 
-    /// The static solve schedule the static engine's solves replay (and
-    /// solve traces reconcile against): part of the plan's static solve
-    /// structure, so built with it on first use and shared by every run of
-    /// the plan.
+    /// The static solve schedule that `Sim`'s static engine replays (and
+    /// its solve traces reconcile against): part of the plan's static
+    /// solve structure, so built with it on first use and shared by every
+    /// run of the plan. `Threads` and `Dynamic` solve on the executor and
+    /// never build it.
     pub fn solve_schedule(&self) -> &SolveSchedule {
         &self.ctx.plan.routing(&self.ctx.cfg.metrics).schedule
     }
@@ -640,6 +647,30 @@ mod tests {
             let cfg = cfg.clone().with_backend(backend).with_chaos(chaos);
             assert_eq!(plan.factorize(&a, &cfg).err(), Some(FactorError::ZeroPivot(col)), "{backend:?}");
         }
+    }
+
+    #[test]
+    fn threads_solves_on_the_grouped_solve_dag() {
+        let (ap, mapping) = full_setup(32, 32, 1, 2, DistStrategy::Mixed1d2d, 4);
+        let plan = Plan::from_parts(None, mapping.graph, Some(mapping.schedule));
+        let nodes = &plan.inner.nodes;
+        assert!((0..nodes.deps.len()).any(|v| nodes.members(v).len() > 1), "the plan groups tasks");
+        let (sym, n) = (plan.symbol(), ap.n());
+        let cfg = SolverConfig::new();
+        let run = plan.factorize(&ap, &cfg).unwrap();
+        for k in [1usize, 3, 8] {
+            let b: Vec<f64> = (0..n * k).map(|i| 1.0 + (i % 13) as f64 * 0.5).collect();
+            let before = cfg.metrics.counter("dynamic.tasks");
+            let x = run.solve_panel(&b, k);
+            let solve_nodes = cfg.metrics.counter("dynamic.tasks") - before;
+            assert!(solve_nodes < 2 * sym.n_cblks() as u64, "k {k}: {solve_nodes} nodes for {} blocks", sym.n_cblks());
+            let mut x_seq = b.clone();
+            crate::seq::solve_block_in_place(sym, &run.storage, &mut x_seq, k);
+            let scale = x_seq.iter().fold(0.0f64, |m, v| m.max(v.abs()));
+            let dev = x.iter().zip(&x_seq).fold(0.0f64, |m, (u, v)| m.max((u - v).abs()));
+            assert!(dev <= 1e-12 * scale, "k {k}: deviation {dev:.3e} of {scale:.3e}");
+        }
+        assert_eq!(cfg.metrics.counter("solver.solve_plan_builds"), 1, "the solve DAG alone, once");
     }
 
     #[test]

@@ -1,4 +1,6 @@
-//! Distributed triangular solves driven by the static schedule's ownership.
+//! The static engine's distributed triangular solves, driven by the static
+//! schedule's ownership: `Backend::Sim`'s solve. (`Threads` and `Dynamic`
+//! solve on the DAG executor, `crate::dynamic::solve_panel_dynamic`.)
 //!
 //! The paper's solver performs the factorization in parallel; the solve
 //! phase follows the same data distribution, and this module implements it
@@ -15,11 +17,12 @@
 //! precomputed from the plan's `StaticRouting`, and what remains here is
 //! the message protocol
 //! — who sends what when, in which order a rank steps its own column
-//! blocks, and exactly-once application under duplicate delivery.
+//! blocks, and exactly-once application under the simulator's duplicate
+//! delivery.
 //!
 //! The factor panels are shared read-only between the logical processors
 //! (they were just computed; re-distributing them would only model memory
-//! placement, not the solve's data flow). What is exercised for real is the
+//! placement, not the solve's data flow). What is exercised is the
 //! message-passing structure of the solve: segment broadcasts, update
 //! aggregation, and the demand-driven reception the static order allows.
 
@@ -29,7 +32,8 @@ use crate::solve_plan::{Run, StaticRouting};
 use crate::storage::FactorStorage;
 use crate::sweeps::{self, LaterSegments, RowSink};
 use pastix_kernels::Scalar;
-use pastix_runtime::{run_spmd_with, Comm, Instrumented};
+use pastix_runtime::sim::{run_sim_spmd, FaultPlan, SimCtx};
+use pastix_runtime::{Comm, Instrumented};
 use pastix_symbolic::SymbolMatrix;
 use pastix_trace::{
     heartbeat, sample_gauge, task_span, GaugeId, RankTrace, SessionHook, TaskClass, TraceLog,
@@ -74,8 +78,9 @@ fn smsg_meta<T>(m: &SMsg<T>) -> (u8, u64) {
     }
 }
 
-/// The SPMD **multi-RHS panel** solve engine (threads or simulator),
-/// called by [`crate::SolveRequest`]-driven solves on [`crate::FactorRun`]:
+/// The SPMD **multi-RHS panel** solve engine under the simulator's
+/// `faults`, called by [`crate::SolveRequest`]-driven `Sim` solves on
+/// [`crate::FactorRun`]:
 /// `rhs` is `n × nrhs` column-major, in the row order `perm` maps to
 /// elimination order (`None`: already elimination order); returns the
 /// `n × nrhs` solution panel in the same row order and the run's
@@ -101,6 +106,7 @@ pub(crate) fn solve_panel_static<T: Scalar>(
     rhs: &[T],
     nrhs: usize,
     perm: Option<&[u32]>,
+    faults: &FaultPlan,
     cfg: &SolverConfig,
 ) -> (Vec<T>, TraceLog) {
     assert!(nrhs >= 1, "panel solve needs at least one right-hand side");
@@ -111,11 +117,9 @@ pub(crate) fn solve_panel_static<T: Scalar>(
     }
     let gauges = topts.enabled.then(|| SharedGauges::new(routing.n_procs));
     let t0 = Instant::now();
-    let results = run_spmd_with::<SMsg<T>, (Vec<T>, Option<RankTrace>), _>(
-        &cfg.backend,
-        routing.n_procs,
-        |ctx| solve_worker_run(ctx, sym, storage, routing, rhs, nrhs, perm, &topts, gauges.as_ref()),
-    );
+    let results = run_sim_spmd::<SMsg<T>, (Vec<T>, Option<RankTrace>), _>(routing.n_procs, faults, |ctx| {
+        solve_worker_run(&ctx, sym, storage, routing, rhs, nrhs, perm, &topts, gauges.as_ref())
+    });
     let wall_ns = t0.elapsed().as_nanos() as u64;
     // Every owner's workspace holds the solution of its own segments.
     let mut x = vec![T::zero(); rhs.len()];
@@ -127,9 +131,9 @@ pub(crate) fn solve_panel_static<T: Scalar>(
     (x, TraceLog { ranks, wall_ns, digest })
 }
 
-/// The SPMD body of one logical processor of the solve, on either backend.
-fn solve_worker_run<T: Scalar, C: Comm<SMsg<T>> + ?Sized>(
-    ctx: &C,
+/// The SPMD body of one logical processor of the solve.
+fn solve_worker_run<T: Scalar>(
+    ctx: &SimCtx<SMsg<T>>,
     sym: &SymbolMatrix,
     storage: &FactorStorage<T>,
     routing: &StaticRouting,
@@ -483,24 +487,26 @@ mod tests {
         (ap, mapping, st)
     }
 
-    /// Panel solve under `sched`, routing built the way a plan builds it.
+    /// Panel solve under `sched` and `faults`, routing built the way a
+    /// plan builds it.
     fn solve(
         mapping: &pastix_sched::Mapping,
         sched: &pastix_sched::Schedule,
         st: &FactorStorage<f64>,
         b: &[f64],
         nrhs: usize,
-        cfg: &SolverConfig,
+        faults: &FaultPlan,
     ) -> Vec<f64> {
         let routing = crate::solve_plan::StaticRouting::build(&mapping.graph, sched);
-        solve_panel_static(&mapping.graph.split.symbol, st, &routing, sched.digest(), b, nrhs, None, cfg).0
+        let sym = &mapping.graph.split.symbol;
+        solve_panel_static(sym, st, &routing, sched.digest(), b, nrhs, None, faults, &SolverConfig::default()).0
     }
 
     fn check(ap: &pastix_graph::SymCsc<f64>, mapping: &pastix_sched::Mapping, st: &FactorStorage<f64>) {
         let sym = &mapping.graph.split.symbol;
         let x_exact = canonical_solution::<f64>(ap.n());
         let b = rhs_for_solution(ap, &x_exact);
-        let x_par = solve(mapping, &mapping.schedule, st, &b, 1, &SolverConfig::default());
+        let x_par = solve(mapping, &mapping.schedule, st, &b, 1, &FaultPlan::interleave_only(1));
         let mut x_seq = b.clone();
         solve_in_place(sym, st, &mut x_seq);
         for (u, v) in x_par.iter().zip(&x_seq) {
@@ -534,7 +540,7 @@ mod tests {
         let cyc = pastix_sched::cyclic_schedule(&mapping.graph, &machine);
         let x_exact = canonical_solution::<f64>(ap.n());
         let b = rhs_for_solution(&ap, &x_exact);
-        let x = solve(&mapping, &cyc, &st, &b, 1, &SolverConfig::default());
+        let x = solve(&mapping, &cyc, &st, &b, 1, &FaultPlan::interleave_only(2));
         assert!(ap.residual_norm(&x, &b) < 1e-12);
     }
 
@@ -560,7 +566,7 @@ mod tests {
                     let b = rhs_for_solution(&ap, &x_exact);
                     panel[r * n..(r + 1) * n].copy_from_slice(&b);
                 }
-                let x_panel = solve(&mapping, &mapping.schedule, &st, &panel, nrhs, &SolverConfig::default());
+                let x_panel = solve(&mapping, &mapping.schedule, &st, &panel, nrhs, &FaultPlan::interleave_only(3));
                 for r in 0..nrhs {
                     let mut x_seq = panel[r * n..(r + 1) * n].to_vec();
                     solve_in_place(sym, &st, &mut x_seq);
@@ -582,11 +588,9 @@ mod tests {
         let (ap, mapping, st) = setup(8, 8, 1, 4, DistStrategy::Mixed1d2d);
         let x_exact = canonical_solution::<f64>(ap.n());
         let b = rhs_for_solution(&ap, &x_exact);
-        let cfg = SolverConfig::default().with_backend(pastix_runtime::Backend::Sim(
-            pastix_runtime::sim::FaultPlan::interleave_only(11),
-        ));
-        let x1 = solve(&mapping, &mapping.schedule, &st, &b, 1, &cfg);
-        let xp = solve(&mapping, &mapping.schedule, &st, &b, 1, &cfg);
+        let faults = FaultPlan::interleave_only(11);
+        let x1 = solve(&mapping, &mapping.schedule, &st, &b, 1, &faults);
+        let xp = solve(&mapping, &mapping.schedule, &st, &b, 1, &faults);
         assert_eq!(x1, xp);
     }
 }

@@ -317,15 +317,6 @@ pub fn install_panic_hook() {
     });
 }
 
-/// Routes the runtime's rank-failure notifications (a worker thread
-/// panicking inside an SPMD run) into the flight ring. Installed once by
-/// the solver's entry points.
-pub fn wire_runtime_observer() {
-    pastix_runtime::set_failure_observer(|rank| {
-        record(FlightKind::RankPanic, rank as u64, 0);
-    });
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -149,10 +149,10 @@ fn solve_traces_are_byte_identical_for_fixed_seed_and_policy() {
 }
 
 /// The solve follows a plan computed once per engine: ten solves of mixed
-/// width on one `Threads` factor run build the static engine's half, the
-/// first solve of a `Dynamic` run of the same `Plan` the dynamic half, and
-/// further solves on either backend build nothing: `solver.solve_plan_builds`
-/// reads 1, then 2, then still 2.
+/// width on one `Threads` factor run build the executor's solve DAG, a
+/// `Dynamic` run of the same `Plan` shares it and builds nothing, and the
+/// first solve of a `Sim` run builds the static engine's routing:
+/// `solver.solve_plan_builds` reads 1, still 1, then 2.
 #[test]
 fn solve_plan_is_built_once_per_plan() {
     let (ap, mapping) = setup(3);
@@ -166,12 +166,18 @@ fn solve_plan_is_built_once_per_plan() {
         let x = run.solve_panel(&b[..k * n], k);
         assert_eq!(x.len(), k * n);
     }
-    assert_eq!(cfg.metrics.counter("solver.solve_plan_builds"), 1, "the static half, once");
+    assert_eq!(cfg.metrics.counter("solver.solve_plan_builds"), 1, "the solve DAG, once");
     let dynamic = cfg.clone().with_backend(Backend::Dynamic(Default::default()));
     let second = plan.factorize(&ap, &dynamic).expect("second factorization");
     second.solve(&b[..n]);
-    assert_eq!(cfg.metrics.counter("solver.solve_plan_builds"), 2, "the dynamic half, once");
     second.solve_panel(&b[..8 * n], 8);
+    assert_eq!(cfg.metrics.counter("solver.solve_plan_builds"), 1, "Dynamic shares the solve DAG");
+    let sim = cfg.clone().with_backend(Backend::Sim(FaultPlan::interleave_only(5)));
+    let third = plan.factorize(&ap, &sim).expect("sim factorization");
+    third.solve(&b[..n]);
+    assert_eq!(cfg.metrics.counter("solver.solve_plan_builds"), 2, "the static routing, once");
+    third.solve_panel(&b[..8 * n], 8);
     run.solve(&b[..n]);
-    assert_eq!(cfg.metrics.counter("solver.solve_plan_builds"), 2, "two runs of one plan share both halves");
+    second.solve(&b[..n]);
+    assert_eq!(cfg.metrics.counter("solver.solve_plan_builds"), 2, "three runs of one plan share both halves");
 }
