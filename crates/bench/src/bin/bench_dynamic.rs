@@ -194,7 +194,8 @@ fn main() {
         failed |= !coarsened;
         let n_cblks = sym.n_cblks() as u64;
         for (label, solve_nodes) in [("threads", solve_nodes_threads), ("dynamic+prio", solve_nodes)] {
-            let solve_coarsened = solve_nodes < 2 * n_cblks;
+            // Zero nodes would mean the solve did not run on the executor.
+            let solve_coarsened = (1..2 * n_cblks).contains(&solve_nodes);
             println!(
                 "  solve coarsening: {label}'s solve runs {solve_nodes} nodes for {} steps — {}",
                 2 * n_cblks,

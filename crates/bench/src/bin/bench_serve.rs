@@ -9,7 +9,7 @@
 //!    single-RHS solves (gated, ≤ 1e-7 relative) and complete at least
 //!    2× faster than serving the same 8 requests one at a time (gated).
 //! 2. **Solve engines** (four problems at fixed sizes): absolute
-//!    milliseconds of the static panel solve and of the one-thread
+//!    milliseconds of the `Threads` panel solve and of the one-thread
 //!    sequential sweep at k=1 and k=8, and of the matrix fingerprint;
 //!    the parallel engine must not lose to one thread (gated: one
 //!    paired best-of measurement per problem, its repetitions dealt over
@@ -127,7 +127,7 @@ impl EngineCase {
         }
     }
 
-    /// One round: `reps` repetitions of the static panel solve against the
+    /// One round: `reps` repetitions of the `Threads` panel solve against the
     /// sequential sweep over the same factor at k=1 and k=8, and of the
     /// fingerprint. Paired best-of: every repetition times both sides back
     /// to back (alternating which goes first), so a noisy neighbour slows

@@ -12,7 +12,7 @@
 //!   assembly: the cache key;
 //! * [`SolverSession`] — an LRU cache of [`CachedFactor`]s (the analyzed
 //!   `pastix_solver::Plan` — permutation, symbol, static schedule — plus
-//!   factor and solve schedule) with capacity and byte-budget eviction
+//!   factor) with capacity and byte-budget eviction
 //!   and hit/miss counters in the session's `MetricsRegistry`, over a
 //!   second LRU of plans keyed by pattern, so a matrix with new values on
 //!   a known pattern pays only the numeric factorization ([`Lookup`]);
@@ -20,10 +20,14 @@
 //!   multi-RHS panels served through `FactorRun::solve_request`, whose
 //!   per-blok trailing updates are GEMM-shaped instead of one GEMV per
 //!   RHS;
-//! * the level-set solve schedule (`pastix_sched::solve_schedule`) rides
-//!   in every cache entry, so serving traces reconcile predicted-vs-
-//!   measured through `pastix_trace::report::build_solve_report` exactly
-//!   like the factorization;
+//! * the solve structure rides in every cached plan, built by its first
+//!   solve: `Threads` and `Dynamic` sessions solve on the executor's
+//!   grouped solve DAG; a `Sim` session solves with the static engine,
+//!   which replays the level-set solve schedule
+//!   (`pastix_sched::solve_schedule`, `FactorRun::solve_schedule`), so
+//!   its serving traces reconcile predicted-vs-measured through
+//!   `pastix_trace::report::build_solve_report` exactly like the
+//!   factorization;
 //! * [`RequestTrace`] — per-request distributed tracing: every admitted
 //!   request becomes a parent async span on a reserved serve track with
 //!   child stage spans (queue wait, coalesce, analyze, factorize, solve)

@@ -549,8 +549,8 @@ impl<T: Scalar> FactorRun<T> {
     /// The static solve schedule that `Sim`'s static engine replays (and
     /// its solve traces reconcile against): part of the plan's static
     /// solve structure, so built with it on first use and shared by every
-    /// run of the plan. `Threads` and `Dynamic` solve on the executor and
-    /// never build it.
+    /// run of the plan. `Threads` and `Dynamic` solves do not use it
+    /// (called on one of their runs, this builds it all the same).
     pub fn solve_schedule(&self) -> &SolveSchedule {
         &self.ctx.plan.routing(&self.ctx.cfg.metrics).schedule
     }
@@ -663,7 +663,8 @@ mod tests {
             let before = cfg.metrics.counter("dynamic.tasks");
             let x = run.solve_panel(&b, k);
             let solve_nodes = cfg.metrics.counter("dynamic.tasks") - before;
-            assert!(solve_nodes < 2 * sym.n_cblks() as u64, "k {k}: {solve_nodes} nodes for {} blocks", sym.n_cblks());
+            let grouped = (1..2 * sym.n_cblks() as u64).contains(&solve_nodes);
+            assert!(grouped, "k {k}: {solve_nodes} executor nodes for {} blocks", sym.n_cblks());
             let mut x_seq = b.clone();
             crate::seq::solve_block_in_place(sym, &run.storage, &mut x_seq, k);
             let scale = x_seq.iter().fold(0.0f64, |m, v| m.max(v.abs()));
