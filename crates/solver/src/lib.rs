@@ -29,9 +29,9 @@
 //!   `pastix-sched` on the runtime's deterministic simulator (regions,
 //!   AUBs, factor payloads); [`psolve`] is its solve twin (segment
 //!   broadcasts, aggregated updates, exactly-once under duplicate
-//!   delivery), also the `Backend::Threads` solve;
+//!   delivery);
 //! * [`dynamic`] — the `Backend::Threads` and `Backend::Dynamic`
-//!   factorization: the same task graph executed by the DAG executor over
+//!   factorization and solve: the same task graph executed by the DAG executor over
 //!   shared panels under per-panel locks, with the static mapping either
 //!   kept (`Threads`: every task enqueued on its `K_p` processor, which
 //!   runs it in `K_p` order) or reduced to placement/priority hints
