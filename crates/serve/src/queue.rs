@@ -1,10 +1,11 @@
 //! Request coalescing: the queue that turns a stream of single-RHS solve
 //! requests into blocked multi-RHS panels.
 //!
-//! A panel of `k` coalesced right-hand sides pays the solve's message
-//! protocol once and turns every per-blok trailing update into a
-//! GEMM-shaped `h_b × k × w` product instead of `k` GEMVs — the whole
-//! point of the serving layer's batching. The queue itself is clock-free:
+//! A panel of `k` coalesced right-hand sides pays the solve's task
+//! scheduling (on `Sim`, its message protocol) once and turns every
+//! per-blok trailing update into a GEMM-shaped `h_b × k × w` product
+//! instead of `k` GEMVs — the whole point of the serving layer's
+//! batching. The queue itself is clock-free:
 //! arrival and completion timestamps are supplied by the caller (wall
 //! nanoseconds in a live server, a virtual clock in `bench_serve`), so
 //! batching behavior is reproducible.
