@@ -27,7 +27,7 @@ use crate::config::SolverConfig;
 use crate::pattern::Entries;
 use crate::solve_plan::SolveDag;
 use crate::storage::{pair_target, scatter_cblk, strip_stretches, FactorStorage, PanelLayout};
-use crate::sweeps::{self, RowSink};
+use crate::sweeps;
 use crate::tasks::{self, ContribSink, Scratch, StretchFn};
 use pastix_kernels::factor::FactorError;
 use pastix_kernels::Scalar;
@@ -423,9 +423,9 @@ fn run_traced_dag(
     trace
 }
 
-/// The dynamic driver's view of the shared workspace: one lock per
-/// segment, kept across consecutive bloks facing the same column block
-/// and released before the next one's is taken. The stepped segment's own
+/// A backward step's view of the shared workspace: one lock per segment,
+/// kept across consecutive bloks facing the same column block and
+/// released before the next one's is taken. The stepped segment's own
 /// lock is held by the task and every blok faces a strictly later block,
 /// so every acquisition ascends the column-block order.
 struct LockedSegments<'s, 'w, T> {
@@ -449,19 +449,19 @@ impl<T: Scalar> LockedSegments<'_, '_, T> {
     }
 }
 
-impl<T: Scalar> RowSink<T> for LockedSegments<'_, '_, T> {
-    fn add_rows(&mut self, b: usize, rows: &[T]) {
-        sweeps::add_into(self.rows(b), rows);
-    }
-}
-
 /// Dynamic multi-RHS panel solve (`rhs` is `n × nrhs` column-major, in
 /// the row order `perm` maps to elimination order, like the SPMD panel
 /// solve): the plan's [`SolveDag`] on the work-stealing executor, every
 /// task one [`crate::sweeps`] step on the segment of its column block in
 /// one shared workspace, a grouped subtree's steps back to back in one
-/// node. A backward task depends on the backward tasks of every block it
-/// faces, so the rows it gathers are final.
+/// node. A forward task pulls `L_b · Y_k` for every blok facing its block,
+/// in ascending blok order, so a solve gives the same bits on every run;
+/// the division by `D` opens the backward step, so `Y_k` stays readable
+/// until every forward step that pulls from `k` is done. A backward task
+/// depends on the backward tasks of every block it faces, so the rows it
+/// gathers are final. Locks: a forward task holds its own segment and
+/// takes earlier ones, whose forward steps are done and whose backward
+/// steps wait for it; a backward task takes later ones, ascending.
 pub(crate) fn solve_panel_dynamic<T: Scalar>(
     sym: &SymbolMatrix,
     storage: &FactorStorage<T>,
@@ -495,10 +495,21 @@ pub(crate) fn solve_panel_dynamic<T: Scalar>(
         let _span = task_span(k as u32, class);
         let scratch = &mut *scratch[tctx.worker].0.lock().unwrap();
         let mut seg = segs[k].lock().unwrap();
-        let mut later = LockedSegments { sym, nrhs, segs: &segs, held: None };
         if forward {
-            sweeps::fwd_step(sym, storage, k, &mut seg, nrhs, scratch, &mut later);
+            // Pulled in ascending blok order, so every run adds the same
+            // contributions in the same order: a solve replays bitwise.
+            let base = sweeps::segment(sym, k, nrhs).start;
+            for &b in dag.facing.row(k) {
+                let (b, rows) = (b as usize, sweeps::blok_rows(sym, b as usize, nrhs));
+                let src = sym.cblks.partition_point(|c| c.blok_end <= b);
+                let y = segs[src].lock().unwrap();
+                sweeps::fwd_blok(sym, storage, src, b, &y, nrhs, scratch, &mut seg[rows.start - base..rows.end - base]);
+            }
+            sweeps::fwd_diag(sym, storage, k, &mut seg, nrhs);
         } else {
+            // Segments hold `Y` until here: the forward steps above read it.
+            sweeps::d_divide(storage, k, &mut seg, nrhs);
+            let mut later = LockedSegments { sym, nrhs, segs: &segs, held: None };
             sweeps::bwd_step(sym, storage, k, &mut seg, nrhs, scratch, |b, dst| dst.copy_from_slice(later.rows(b)));
         }
         true

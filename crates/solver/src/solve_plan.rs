@@ -226,6 +226,9 @@ pub(crate) struct SolveDag {
     pub(crate) priority: Vec<u64>,
     /// Preferred worker per node: the static owner of its column blocks.
     pub(crate) placement: Vec<u32>,
+    /// Per column block `t`: the off-diagonal bloks facing it, ascending,
+    /// which its forward step pulls from in that order.
+    pub(crate) facing: Csr,
 }
 
 impl SolveDag {
@@ -293,6 +296,9 @@ impl SolveDag {
             m.iter().map(of).max().unwrap_or(0) as u64
         });
         let owner = |m: &[u32]| sched.task_proc[graph.head_task_of_cblk[Self::step(m[0], ns).0] as usize];
-        Self { priority: priority.collect(), placement: members.map(owner).collect(), nodes }
+        let sym = &graph.split.symbol;
+        let off = (0..ns).flat_map(|k| sym.cblks[k].blok_start + 1..sym.cblks[k].blok_end);
+        let facing = Csr::from_pairs(ns, &off.map(|b| (sym.bloks[b].fcblk, b as u32)).collect::<Vec<_>>());
+        Self { priority: priority.collect(), placement: members.map(owner).collect(), nodes, facing }
     }
 }
