@@ -227,8 +227,12 @@ pub(crate) struct SolveDag {
     /// Preferred worker per node: the static owner of its column blocks.
     pub(crate) placement: Vec<u32>,
     /// Per column block `t`: the off-diagonal bloks facing it, ascending,
-    /// which its forward step pulls from in that order.
+    /// the order its forward step adds their contributions in.
     pub(crate) facing: Csr,
+    /// Per blok: its first row in the strips of forward contributions,
+    /// where every column block's off-diagonal bloks follow one another
+    /// (a diagonal blok takes none); one past the last at the end.
+    pub(crate) strip_at: Vec<u32>,
 }
 
 impl SolveDag {
@@ -299,6 +303,15 @@ impl SolveDag {
         let sym = &graph.split.symbol;
         let off = (0..ns).flat_map(|k| sym.cblks[k].blok_start + 1..sym.cblks[k].blok_end);
         let facing = Csr::from_pairs(ns, &off.map(|b| (sym.bloks[b].fcblk, b as u32)).collect::<Vec<_>>());
-        Self { priority: priority.collect(), placement: members.map(owner).collect(), nodes, facing }
+        let (mut strip_at, mut at) = (Vec::with_capacity(sym.bloks.len() + 1), 0u32);
+        for cb in &sym.cblks {
+            strip_at.push(at);
+            for b in cb.blok_start + 1..cb.blok_end {
+                strip_at.push(at);
+                at += sym.bloks[b].nrows() as u32;
+            }
+        }
+        strip_at.push(at);
+        Self { priority: priority.collect(), placement: members.map(owner).collect(), nodes, facing, strip_at }
     }
 }
