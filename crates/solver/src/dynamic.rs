@@ -523,14 +523,21 @@ pub(crate) fn solve_panel_dynamic<T: Scalar>(
             // Contributions in ascending blok order, from the strips their
             // forward steps left: every run adds the same terms in the same
             // order, so a solve gives the same bits every time.
+            // The bloks of one column block are adjacent here: one lock each.
             let base = sweeps::segment(sym, k, nrhs).start;
+            let mut held = None;
             for &b in dag.facing.row(k) {
                 let (b, rows) = (b as usize, sweeps::blok_rows(sym, b as usize, nrhs));
-                let src = sym.cblks.partition_point(|c| c.blok_end <= b);
+                let src = dag.blok_cblk[b] as usize;
+                if held.as_ref().is_none_or(|(s, _)| *s != src) {
+                    drop(held.take()); // one strip at a time
+                    held = Some((src, strips[src].lock().unwrap()));
+                }
+                let strip = &held.as_ref().expect("strip lock just taken").1;
                 let at = (dag.strip_at[b] - dag.strip_at[sym.cblks[src].blok_start]) as usize * nrhs;
-                let strip = strips[src].lock().unwrap();
                 sweeps::add_into(&mut seg[rows.start - base..rows.end - base], &strip[at..at + rows.len()]);
             }
+            drop(held);
             sweeps::fwd_diag(sym, storage, k, &mut seg, nrhs);
             let mut sink = StripSink { strip: &mut strips[k].lock().unwrap(), at: 0 };
             sweeps::fwd_update(sym, storage, k, sweeps::off_bloks(sym, k), &seg, nrhs, scratch, &mut sink);
