@@ -27,7 +27,7 @@ use crate::config::SolverConfig;
 use crate::pattern::Entries;
 use crate::solve_plan::SolveDag;
 use crate::storage::{pair_target, scatter_cblk, strip_stretches, FactorStorage, PanelLayout};
-use crate::sweeps::{self, RowSink};
+use crate::sweeps;
 use crate::tasks::{self, ContribSink, Scratch, StretchFn};
 use pastix_kernels::factor::FactorError;
 use pastix_kernels::Scalar;
@@ -423,20 +423,6 @@ fn run_traced_dag(
     trace
 }
 
-/// Where a forward step leaves its contributions: its own strip, blok
-/// after blok, read later by the forward steps of the blocks they face.
-struct StripSink<'a, T> {
-    strip: &'a mut [T],
-    at: usize,
-}
-
-impl<T: Scalar> RowSink<T> for StripSink<'_, T> {
-    fn add_rows(&mut self, _b: usize, rows: &[T]) {
-        sweeps::add_into(&mut self.strip[self.at..self.at + rows.len()], rows);
-        self.at += rows.len();
-    }
-}
-
 /// A backward step's view of the shared workspace: one lock per segment,
 /// kept across consecutive bloks facing the same column block and
 /// released before the next one's is taken. The stepped segment's own
@@ -468,14 +454,14 @@ impl<T: Scalar> LockedSegments<'_, '_, T> {
 /// solve): the plan's [`SolveDag`] on the work-stealing executor, every
 /// task one [`crate::sweeps`] step on the segment of its column block in
 /// one shared workspace, a grouped subtree's steps back to back in one
-/// node. A forward task leaves `−L_b · Y_k` of its bloks in a strip of
-/// its own (one product, as in the sequential sweep), and adds the strip
-/// rows of every blok facing its block in ascending blok order, so a
-/// solve gives the same bits on every run. A backward task depends on the
-/// backward tasks of every block it faces, so the rows it gathers are
-/// final. Locks: a forward task holds its own segment and takes strips,
-/// written by forward steps that are done; a backward task takes later
-/// segments, ascending.
+/// node. A forward task pulls `L_b · Y_k` for every blok facing its block,
+/// in ascending blok order, so a solve gives the same bits on every run;
+/// the division by `D` opens the backward step, so `Y_k` stays readable
+/// until every forward step that pulls from `k` is done. A backward task
+/// depends on the backward tasks of every block it faces, so the rows it
+/// gathers are final. Locks: a forward task holds its own segment and
+/// takes earlier ones, whose forward steps are done and whose backward
+/// steps wait for it; a backward task takes later ones, ascending.
 pub(crate) fn solve_panel_dynamic<T: Scalar>(
     sym: &SymbolMatrix,
     storage: &FactorStorage<T>,
@@ -500,16 +486,6 @@ pub(crate) fn solve_panel_dynamic<T: Scalar>(
         segs.push(Mutex::new(seg));
         rest = tail;
     }
-    // Column block `k`'s forward contributions `−L_b · Y_k`, blok after blok.
-    let mut strip_ws = vec![T::zero(); *dag.strip_at.last().expect("one entry past the last blok") as usize * nrhs];
-    let mut strips = Vec::with_capacity(ns);
-    let mut rest = strip_ws.as_mut_slice();
-    for cb in &sym.cblks {
-        let len = (dag.strip_at[cb.blok_end] - dag.strip_at[cb.blok_start]) as usize * nrhs;
-        let (strip, tail) = std::mem::take(&mut rest).split_at_mut(len);
-        strips.push(Mutex::new(strip));
-        rest = tail;
-    }
     // One scratch per worker; only its own worker ever locks it.
     let scratch: Vec<OwnLines<sweeps::Scratch<T>>> = (0..n_workers).map(|_| OwnLines::default()).collect();
 
@@ -520,9 +496,8 @@ pub(crate) fn solve_panel_dynamic<T: Scalar>(
         let scratch = &mut *scratch[tctx.worker].0.lock().unwrap();
         let mut seg = segs[k].lock().unwrap();
         if forward {
-            // Contributions in ascending blok order, from the strips their
-            // forward steps left: every run adds the same terms in the same
-            // order, so a solve gives the same bits every time.
+            // Pulled in ascending blok order: every run adds the same terms
+            // in the same order, so a solve gives the same bits every time.
             // The bloks of one column block are adjacent here: one lock each.
             let base = sweeps::segment(sym, k, nrhs).start;
             let mut held = None;
@@ -530,19 +505,17 @@ pub(crate) fn solve_panel_dynamic<T: Scalar>(
                 let (b, rows) = (b as usize, sweeps::blok_rows(sym, b as usize, nrhs));
                 let src = dag.blok_cblk[b] as usize;
                 if held.as_ref().is_none_or(|(s, _)| *s != src) {
-                    drop(held.take()); // one strip at a time
-                    held = Some((src, strips[src].lock().unwrap()));
+                    drop(held.take()); // one source at a time
+                    held = Some((src, segs[src].lock().unwrap()));
                 }
-                let strip = &held.as_ref().expect("strip lock just taken").1;
-                let at = (dag.strip_at[b] - dag.strip_at[sym.cblks[src].blok_start]) as usize * nrhs;
-                sweeps::add_into(&mut seg[rows.start - base..rows.end - base], &strip[at..at + rows.len()]);
+                let y = &held.as_ref().expect("segment lock just taken").1;
+                sweeps::fwd_blok(sym, storage, src, b, y, nrhs, scratch, &mut seg[rows.start - base..rows.end - base]);
             }
             drop(held);
             sweeps::fwd_diag(sym, storage, k, &mut seg, nrhs);
-            let mut sink = StripSink { strip: &mut strips[k].lock().unwrap(), at: 0 };
-            sweeps::fwd_update(sym, storage, k, sweeps::off_bloks(sym, k), &seg, nrhs, scratch, &mut sink);
-            sweeps::d_divide(storage, k, &mut seg, nrhs);
         } else {
+            // Segments hold `Y` until here: the forward steps above read it.
+            sweeps::d_divide(storage, k, &mut seg, nrhs);
             let mut later = LockedSegments { sym, nrhs, segs: &segs, held: None };
             sweeps::bwd_step(sym, storage, k, &mut seg, nrhs, scratch, |b, dst| dst.copy_from_slice(later.rows(b)));
         }
