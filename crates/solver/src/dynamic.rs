@@ -27,7 +27,7 @@ use crate::config::SolverConfig;
 use crate::pattern::Entries;
 use crate::solve_plan::SolveDag;
 use crate::storage::{pair_target, scatter_cblk, strip_stretches, FactorStorage, PanelLayout};
-use crate::sweeps;
+use crate::sweeps::{self, RowSink};
 use crate::tasks::{self, ContribSink, Scratch, StretchFn};
 use pastix_kernels::factor::FactorError;
 use pastix_kernels::Scalar;
@@ -39,7 +39,7 @@ use pastix_trace::{
     begin_rank, heartbeat, sample_gauge, task_span, GaugeId, RankTrace, TaskClass, TraceLog,
 };
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Mutex, MutexGuard};
+use std::sync::{Mutex, MutexGuard, OnceLock};
 use std::time::Instant;
 
 /// Worker count: the explicit one, else the schedule's processors.
@@ -423,6 +423,17 @@ fn run_traced_dag(
     trace
 }
 
+/// Where a forward step leaves its contributions: a strip of its own,
+/// read later by the forward steps of the blocks its bloks face.
+struct StripSink<T>(Vec<T>);
+
+impl<T: Scalar> RowSink<T> for StripSink<T> {
+    fn add_rows(&mut self, _b: usize, rows: &[T]) {
+        // The strip starts empty, and each blok's rows come once, in order.
+        self.0.extend_from_slice(rows);
+    }
+}
+
 /// A backward step's view of the shared workspace: one lock per segment,
 /// kept across consecutive bloks facing the same column block and
 /// released before the next one's is taken. The stepped segment's own
@@ -454,14 +465,14 @@ impl<T: Scalar> LockedSegments<'_, '_, T> {
 /// solve): the plan's [`SolveDag`] on the work-stealing executor, every
 /// task one [`crate::sweeps`] step on the segment of its column block in
 /// one shared workspace, a grouped subtree's steps back to back in one
-/// node. A forward task pulls `L_b · Y_k` for every blok facing its block,
-/// in ascending blok order, so a solve gives the same bits on every run;
-/// the division by `D` opens the backward step, so `Y_k` stays readable
-/// until every forward step that pulls from `k` is done. A backward task
-/// depends on the backward tasks of every block it faces, so the rows it
-/// gathers are final. Locks: a forward task holds its own segment and
-/// takes earlier ones, whose forward steps are done and whose backward
-/// steps wait for it; a backward task takes later ones, ascending.
+/// node. A forward task leaves `−L_b · Y_k` of its bloks in a strip of
+/// its own (one product, as in the sequential sweep), and adds the strip
+/// rows of every blok facing its block in ascending blok order, so a
+/// solve gives the same bits on every run. A backward task depends on the
+/// backward tasks of every block it faces, so the rows it gathers are
+/// final. A forward task reads strips without a lock (each is set once,
+/// by a forward step that is done); a backward task takes the locks of
+/// later segments, ascending.
 pub(crate) fn solve_panel_dynamic<T: Scalar>(
     sym: &SymbolMatrix,
     storage: &FactorStorage<T>,
@@ -486,6 +497,9 @@ pub(crate) fn solve_panel_dynamic<T: Scalar>(
         segs.push(Mutex::new(seg));
         rest = tail;
     }
+    // Column block `k`'s forward contributions `−L_b · Y_k`, blok after
+    // blok, set once by its forward step.
+    let strips: Vec<OnceLock<Vec<T>>> = (0..ns).map(|_| OnceLock::new()).collect();
     // One scratch per worker; only its own worker ever locks it.
     let scratch: Vec<OwnLines<sweeps::Scratch<T>>> = (0..n_workers).map(|_| OwnLines::default()).collect();
 
@@ -496,26 +510,24 @@ pub(crate) fn solve_panel_dynamic<T: Scalar>(
         let scratch = &mut *scratch[tctx.worker].0.lock().unwrap();
         let mut seg = segs[k].lock().unwrap();
         if forward {
-            // Pulled in ascending blok order: every run adds the same terms
-            // in the same order, so a solve gives the same bits every time.
-            // The bloks of one column block are adjacent here: one lock each.
+            // Contributions in ascending blok order, from the strips their
+            // forward steps left: every run adds the same terms in the same
+            // order, so a solve gives the same bits every time.
             let base = sweeps::segment(sym, k, nrhs).start;
-            let mut held = None;
             for &b in dag.facing.row(k) {
                 let (b, rows) = (b as usize, sweeps::blok_rows(sym, b as usize, nrhs));
                 let src = dag.blok_cblk[b] as usize;
-                if held.as_ref().is_none_or(|(s, _)| *s != src) {
-                    drop(held.take()); // one source at a time
-                    held = Some((src, segs[src].lock().unwrap()));
-                }
-                let y = &held.as_ref().expect("segment lock just taken").1;
-                sweeps::fwd_blok(sym, storage, src, b, y, nrhs, scratch, &mut seg[rows.start - base..rows.end - base]);
+                let strip = strips[src].get().expect("a facing blok's forward step is done");
+                let at = (dag.strip_at[b] - dag.strip_at[sym.cblks[src].blok_start]) as usize * nrhs;
+                sweeps::add_into(&mut seg[rows.start - base..rows.end - base], &strip[at..at + rows.len()]);
             }
-            drop(held);
             sweeps::fwd_diag(sym, storage, k, &mut seg, nrhs);
-        } else {
-            // Segments hold `Y` until here: the forward steps above read it.
+            let len = (dag.strip_at[sym.cblks[k].blok_end] - dag.strip_at[sym.cblks[k].blok_start]) as usize * nrhs;
+            let mut sink = StripSink(Vec::with_capacity(len));
+            sweeps::fwd_update(sym, storage, k, sweeps::off_bloks(sym, k), &seg, nrhs, scratch, &mut sink);
+            assert!(strips[k].set(sink.0).is_ok(), "one forward step per column block");
             sweeps::d_divide(storage, k, &mut seg, nrhs);
+        } else {
             let mut later = LockedSegments { sym, nrhs, segs: &segs, held: None };
             sweeps::bwd_step(sym, storage, k, &mut seg, nrhs, scratch, |b, dst| dst.copy_from_slice(later.rows(b)));
         }

@@ -229,6 +229,10 @@ pub(crate) struct SolveDag {
     /// Per column block `t`: the off-diagonal bloks facing it, ascending,
     /// the order its forward step adds their contributions in.
     pub(crate) facing: Csr,
+    /// Per blok: its first row in the strips of forward contributions,
+    /// where every column block's off-diagonal bloks follow one another
+    /// (a diagonal blok takes none); one past the last at the end.
+    pub(crate) strip_at: Vec<u32>,
     /// Per blok: the column block it belongs to.
     pub(crate) blok_cblk: Vec<u32>,
 }
@@ -301,11 +305,17 @@ impl SolveDag {
         let sym = &graph.split.symbol;
         let off = (0..ns).flat_map(|k| sym.cblks[k].blok_start + 1..sym.cblks[k].blok_end);
         let facing = Csr::from_pairs(ns, &off.map(|b| (sym.bloks[b].fcblk, b as u32)).collect::<Vec<_>>());
-        let mut blok_cblk = Vec::with_capacity(sym.bloks.len());
+        let (mut strip_at, mut blok_cblk, mut at) = (Vec::with_capacity(sym.bloks.len() + 1), Vec::new(), 0u32);
         for (k, cb) in sym.cblks.iter().enumerate() {
+            strip_at.push(at);
+            for b in cb.blok_start + 1..cb.blok_end {
+                strip_at.push(at);
+                at += sym.bloks[b].nrows() as u32;
+            }
             blok_cblk.resize(cb.blok_end, k as u32);
         }
+        strip_at.push(at);
         let placement = members.map(owner).collect();
-        Self { priority: priority.collect(), placement, nodes, facing, blok_cblk }
+        Self { priority: priority.collect(), placement, nodes, facing, strip_at, blok_cblk }
     }
 }

@@ -215,26 +215,6 @@ pub(crate) fn fwd_update<T: Scalar, S: RowSink<T>>(
     }
 }
 
-/// `rows −= L_b · Y_k` for off-diagonal blok `b` of `k`, accumulated
-/// straight into the `nrows(b) × nrhs` rows it faces: one contribution of
-/// a forward step that pulls its contributions in a fixed order.
-pub(crate) fn fwd_blok<T: Scalar>(
-    sym: &SymbolMatrix,
-    st: &FactorStorage<T>,
-    k: usize,
-    b: usize,
-    yk: &[T],
-    nrhs: usize,
-    scratch: &mut Scratch<T>,
-    rows: &mut [T],
-) {
-    let (hb, w) = (sym.bloks[b].nrows(), sym.cblks[k].width());
-    match st.blok_view(k, b - sym.cblks[k].blok_start, b) {
-        BlokView::Dense { data, ld } => gemm_nn_acc_rows(hb, nrhs, w, -T::one(), data, ld, yk, rows),
-        BlokView::LowRank(lr) => lr_gemm_nn_acc(-T::one(), lr.as_ref(), yk, nrhs, rows, &mut scratch.coef),
-    }
-}
-
 /// `Z = D⁻¹ · Y` on segment `seg` of `k`: the tail of the forward step,
 /// so that backward partials can be subtracted in place as they arrive.
 pub(crate) fn d_divide<T: Scalar>(st: &FactorStorage<T>, k: usize, seg: &mut [T], nrhs: usize) {
