@@ -423,14 +423,24 @@ fn run_traced_dag(
     trace
 }
 
-/// Where a forward step leaves its contributions: a strip of its own,
-/// read later by the forward steps of the blocks its bloks face.
-struct StripSink<T>(Vec<T>);
+/// Where a forward step delivers its contributions: into the segments of
+/// its own node's blocks, which only this node's earlier members touch, and
+/// for every other block into a strip of its own, which the forward step
+/// of the block it faces adds in a fixed order.
+struct ForwardSink<'d, 's, 'w, T> {
+    dag: &'d SolveDag,
+    strip: Vec<T>,
+    own_node: LockedSegments<'s, 'w, T>,
+}
 
-impl<T: Scalar> RowSink<T> for StripSink<T> {
-    fn add_rows(&mut self, _b: usize, rows: &[T]) {
-        // The strip starts empty, and each blok's rows come once, in order.
-        self.0.extend_from_slice(rows);
+impl<T: Scalar> RowSink<T> for ForwardSink<'_, '_, '_, T> {
+    fn add_rows(&mut self, b: usize, rows: &[T]) {
+        if self.dag.strip_at[b + 1] > self.dag.strip_at[b] {
+            // Cross-node bloks come once each, in order, into an empty strip.
+            self.strip.extend_from_slice(rows);
+        } else {
+            sweeps::add_into(self.own_node.rows(b), rows);
+        }
     }
 }
 
@@ -465,14 +475,16 @@ impl<T: Scalar> LockedSegments<'_, '_, T> {
 /// solve): the plan's [`SolveDag`] on the work-stealing executor, every
 /// task one [`crate::sweeps`] step on the segment of its column block in
 /// one shared workspace, a grouped subtree's steps back to back in one
-/// node. A forward task leaves `−L_b · Y_k` of its bloks in a strip of
-/// its own (one product, as in the sequential sweep), and adds the strip
-/// rows of every blok facing its block in ascending blok order, so a
-/// solve gives the same bits on every run. A backward task depends on the
+/// node. A forward task computes `−L_b · Y_k` for all its bloks in one
+/// product, as the sequential sweep does, and adds the rows facing blocks
+/// of its own node straight into their segments; the rest it leaves in a
+/// strip of its own. Before its diagonal solve it adds the strip rows of
+/// the other nodes' bloks facing its block, in ascending blok order. Each
+/// segment thus gets the same terms in the same order on every run, and a
+/// solve gives the same bits every time. A backward task depends on the
 /// backward tasks of every block it faces, so the rows it gathers are
-/// final. A forward task reads strips without a lock (each is set once,
-/// by a forward step that is done); a backward task takes the locks of
-/// later segments, ascending.
+/// final. Strips are read without a lock (each is set once, by a forward
+/// step that is done); segments are locked in ascending block order.
 pub(crate) fn solve_panel_dynamic<T: Scalar>(
     sym: &SymbolMatrix,
     storage: &FactorStorage<T>,
@@ -510,9 +522,7 @@ pub(crate) fn solve_panel_dynamic<T: Scalar>(
         let scratch = &mut *scratch[tctx.worker].0.lock().unwrap();
         let mut seg = segs[k].lock().unwrap();
         if forward {
-            // Contributions in ascending blok order, from the strips their
-            // forward steps left: every run adds the same terms in the same
-            // order, so a solve gives the same bits every time.
+            // Other nodes' contributions, in ascending blok order.
             let base = sweeps::segment(sym, k, nrhs).start;
             for &b in dag.facing.row(k) {
                 let (b, rows) = (b as usize, sweeps::blok_rows(sym, b as usize, nrhs));
@@ -523,9 +533,10 @@ pub(crate) fn solve_panel_dynamic<T: Scalar>(
             }
             sweeps::fwd_diag(sym, storage, k, &mut seg, nrhs);
             let len = (dag.strip_at[sym.cblks[k].blok_end] - dag.strip_at[sym.cblks[k].blok_start]) as usize * nrhs;
-            let mut sink = StripSink(Vec::with_capacity(len));
+            let own_node = LockedSegments { sym, nrhs, segs: &segs, held: None };
+            let mut sink = ForwardSink { dag, strip: Vec::with_capacity(len), own_node };
             sweeps::fwd_update(sym, storage, k, sweeps::off_bloks(sym, k), &seg, nrhs, scratch, &mut sink);
-            assert!(strips[k].set(sink.0).is_ok(), "one forward step per column block");
+            assert!(strips[k].set(sink.strip).is_ok(), "one forward step per column block");
             sweeps::d_divide(storage, k, &mut seg, nrhs);
         } else {
             let mut later = LockedSegments { sym, nrhs, segs: &segs, held: None };
