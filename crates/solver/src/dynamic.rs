@@ -39,7 +39,7 @@ use pastix_trace::{
     begin_rank, heartbeat, sample_gauge, task_span, GaugeId, RankTrace, TaskClass, TraceLog,
 };
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Mutex, MutexGuard, OnceLock};
+use std::sync::{Mutex, MutexGuard};
 use std::time::Instant;
 
 /// Worker count: the explicit one, else the schedule's processors.
@@ -423,30 +423,9 @@ fn run_traced_dag(
     trace
 }
 
-/// Where a forward step delivers its contributions: into the segments of
-/// its own node's blocks, which only this node's earlier members touch, and
-/// for every other block into a strip of its own, which the forward step
-/// of the block it faces adds in a fixed order.
-struct ForwardSink<'d, 's, 'w, T> {
-    dag: &'d SolveDag,
-    strip: Vec<T>,
-    own_node: LockedSegments<'s, 'w, T>,
-}
-
-impl<T: Scalar> RowSink<T> for ForwardSink<'_, '_, '_, T> {
-    fn add_rows(&mut self, b: usize, rows: &[T]) {
-        if self.dag.strip_at[b + 1] > self.dag.strip_at[b] {
-            // Cross-node bloks come once each, in order, into an empty strip.
-            self.strip.extend_from_slice(rows);
-        } else {
-            sweeps::add_into(self.own_node.rows(b), rows);
-        }
-    }
-}
-
-/// A backward step's view of the shared workspace: one lock per segment,
-/// kept across consecutive bloks facing the same column block and
-/// released before the next one's is taken. The stepped segment's own
+/// The dynamic driver's view of the shared workspace: one lock per
+/// segment, kept across consecutive bloks facing the same column block
+/// and released before the next one's is taken. The stepped segment's own
 /// lock is held by the task and every blok faces a strictly later block,
 /// so every acquisition ascends the column-block order.
 struct LockedSegments<'s, 'w, T> {
@@ -470,21 +449,19 @@ impl<T: Scalar> LockedSegments<'_, '_, T> {
     }
 }
 
+impl<T: Scalar> RowSink<T> for LockedSegments<'_, '_, T> {
+    fn add_rows(&mut self, b: usize, rows: &[T]) {
+        sweeps::add_into(self.rows(b), rows);
+    }
+}
+
 /// Dynamic multi-RHS panel solve (`rhs` is `n × nrhs` column-major, in
 /// the row order `perm` maps to elimination order, like the SPMD panel
 /// solve): the plan's [`SolveDag`] on the work-stealing executor, every
 /// task one [`crate::sweeps`] step on the segment of its column block in
 /// one shared workspace, a grouped subtree's steps back to back in one
-/// node. A forward task computes `−L_b · Y_k` for all its bloks in one
-/// product, as the sequential sweep does, and adds the rows facing blocks
-/// of its own node straight into their segments; the rest it leaves in a
-/// strip of its own. Before its diagonal solve it adds the strip rows of
-/// the other nodes' bloks facing its block, in ascending blok order. Each
-/// segment thus gets the same terms in the same order on every run, and a
-/// solve gives the same bits every time. A backward task depends on the
-/// backward tasks of every block it faces, so the rows it gathers are
-/// final. Strips are read without a lock (each is set once, by a forward
-/// step that is done); segments are locked in ascending block order.
+/// node. A backward task depends on the backward tasks of every block it
+/// faces, so the rows it gathers are final.
 pub(crate) fn solve_panel_dynamic<T: Scalar>(
     sym: &SymbolMatrix,
     storage: &FactorStorage<T>,
@@ -509,9 +486,6 @@ pub(crate) fn solve_panel_dynamic<T: Scalar>(
         segs.push(Mutex::new(seg));
         rest = tail;
     }
-    // Column block `k`'s forward contributions `−L_b · Y_k`, blok after
-    // blok, set once by its forward step.
-    let strips: Vec<OnceLock<Vec<T>>> = (0..ns).map(|_| OnceLock::new()).collect();
     // One scratch per worker; only its own worker ever locks it.
     let scratch: Vec<OwnLines<sweeps::Scratch<T>>> = (0..n_workers).map(|_| OwnLines::default()).collect();
 
@@ -521,25 +495,10 @@ pub(crate) fn solve_panel_dynamic<T: Scalar>(
         let _span = task_span(k as u32, class);
         let scratch = &mut *scratch[tctx.worker].0.lock().unwrap();
         let mut seg = segs[k].lock().unwrap();
+        let mut later = LockedSegments { sym, nrhs, segs: &segs, held: None };
         if forward {
-            // Other nodes' contributions, in ascending blok order.
-            let base = sweeps::segment(sym, k, nrhs).start;
-            for &b in dag.facing.row(k) {
-                let (b, rows) = (b as usize, sweeps::blok_rows(sym, b as usize, nrhs));
-                let src = dag.blok_cblk[b] as usize;
-                let strip = strips[src].get().expect("a facing blok's forward step is done");
-                let at = (dag.strip_at[b] - dag.strip_at[sym.cblks[src].blok_start]) as usize * nrhs;
-                sweeps::add_into(&mut seg[rows.start - base..rows.end - base], &strip[at..at + rows.len()]);
-            }
-            sweeps::fwd_diag(sym, storage, k, &mut seg, nrhs);
-            let len = (dag.strip_at[sym.cblks[k].blok_end] - dag.strip_at[sym.cblks[k].blok_start]) as usize * nrhs;
-            let own_node = LockedSegments { sym, nrhs, segs: &segs, held: None };
-            let mut sink = ForwardSink { dag, strip: Vec::with_capacity(len), own_node };
-            sweeps::fwd_update(sym, storage, k, sweeps::off_bloks(sym, k), &seg, nrhs, scratch, &mut sink);
-            assert!(strips[k].set(sink.strip).is_ok(), "one forward step per column block");
-            sweeps::d_divide(storage, k, &mut seg, nrhs);
+            sweeps::fwd_step(sym, storage, k, &mut seg, nrhs, scratch, &mut later);
         } else {
-            let mut later = LockedSegments { sym, nrhs, segs: &segs, held: None };
             sweeps::bwd_step(sym, storage, k, &mut seg, nrhs, scratch, |b, dst| dst.copy_from_slice(later.rows(b)));
         }
         true

@@ -670,7 +670,6 @@ mod tests {
             let scale = x_seq.iter().fold(0.0f64, |m, v| m.max(v.abs()));
             let dev = x.iter().zip(&x_seq).fold(0.0f64, |m, (u, v)| m.max((u - v).abs()));
             assert!(dev <= 1e-12 * scale, "k {k}: deviation {dev:.3e} of {scale:.3e}");
-            assert_eq!(run.solve_panel(&b, k), x, "k {k}: a solve replays bitwise");
         }
         assert_eq!(cfg.metrics.counter("solver.solve_plan_builds"), 1, "the solve DAG alone, once");
     }

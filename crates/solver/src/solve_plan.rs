@@ -226,18 +226,6 @@ pub(crate) struct SolveDag {
     pub(crate) priority: Vec<u64>,
     /// Preferred worker per node: the static owner of its column blocks.
     pub(crate) placement: Vec<u32>,
-    /// Per column block `t`: the bloks facing it from another forward node,
-    /// ascending, the order its forward step adds their contributions in.
-    /// (A blok facing a block of its own node is added by its own step:
-    /// the node runs its members one after another.)
-    pub(crate) facing: Csr,
-    /// Per blok: its first row in the strips of those cross-node
-    /// contributions, where every column block's cross-node bloks follow
-    /// one another (any other blok takes no row); one past the last at the
-    /// end.
-    pub(crate) strip_at: Vec<u32>,
-    /// Per blok: the column block it belongs to.
-    pub(crate) blok_cblk: Vec<u32>,
 }
 
 impl SolveDag {
@@ -305,24 +293,6 @@ impl SolveDag {
             m.iter().map(of).max().unwrap_or(0) as u64
         });
         let owner = |m: &[u32]| sched.task_proc[graph.head_task_of_cblk[Self::step(m[0], ns).0] as usize];
-        let sym = &graph.split.symbol;
-        // Forward block `k` is executor task `k`.
-        let cross = |k: usize, b: usize| node_of[sym.bloks[b].fcblk as usize] != node_of[k];
-        let (mut strip_at, mut blok_cblk, mut facing, mut at) = (Vec::new(), Vec::new(), Vec::new(), 0u32);
-        for (k, cb) in sym.cblks.iter().enumerate() {
-            strip_at.push(at);
-            for b in (cb.blok_start + 1..cb.blok_end).filter(|&b| cross(k, b)) {
-                strip_at.resize(b, at);
-                strip_at.push(at);
-                at += sym.bloks[b].nrows() as u32;
-                facing.push((sym.bloks[b].fcblk, b as u32));
-            }
-            strip_at.resize(cb.blok_end, at);
-            blok_cblk.resize(cb.blok_end, k as u32);
-        }
-        strip_at.push(at);
-        let facing = Csr::from_pairs(ns, &facing);
-        let placement = members.map(owner).collect();
-        Self { priority: priority.collect(), placement, nodes, facing, strip_at, blok_cblk }
+        Self { priority: priority.collect(), placement: members.map(owner).collect(), nodes }
     }
 }
