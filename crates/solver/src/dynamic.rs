@@ -423,35 +423,56 @@ fn run_traced_dag(
     trace
 }
 
-/// The dynamic driver's view of the shared workspace: one lock per
-/// segment, kept across consecutive bloks facing the same column block
-/// and released before the next one's is taken. The stepped segment's own
-/// lock is held by the task and every blok faces a strictly later block,
-/// so every acquisition ascends the column-block order.
-struct LockedSegments<'s, 'w, T> {
-    sym: &'s SymbolMatrix,
-    nrhs: usize,
-    segs: &'s [Mutex<&'w mut [T]>],
-    held: Option<(usize, MutexGuard<'s, &'w mut [T]>)>,
+/// One column block's share of the solve workspace: its segment, and the
+/// staging rows where forward steps of other nodes sum their rows facing
+/// it.
+struct Block<'w, T> {
+    seg: &'w mut [T],
+    stage: &'w mut [T],
 }
 
-impl<T: Scalar> LockedSegments<'_, '_, T> {
+/// The dynamic driver's view of the shared workspace: one lock per column
+/// block, kept across consecutive bloks facing the same block and released
+/// before the next one's is taken. The stepped block's own lock is held by
+/// the task and every blok faces a strictly later block, so every
+/// acquisition ascends the column-block order.
+struct LockedSegments<'s, 'w, T> {
+    sym: &'s SymbolMatrix,
+    dag: &'s SolveDag,
+    nrhs: usize,
+    blocks: &'s [Mutex<Block<'w, T>>],
+    held: Option<(usize, MutexGuard<'s, Block<'w, T>>)>,
+}
+
+impl<'w, T: Scalar> LockedSegments<'_, 'w, T> {
+    /// Column block `t`'s share, locked.
+    fn lock(&mut self, t: usize) -> &mut Block<'w, T> {
+        if self.held.as_ref().is_none_or(|(cblk, _)| *cblk != t) {
+            self.held = None; // release before locking: one target at a time
+            self.held = Some((t, self.blocks[t].lock().unwrap()));
+        }
+        &mut self.held.as_mut().expect("block lock just taken").1
+    }
+
     /// The rows blok `b` covers, inside the locked segment it faces.
     fn rows(&mut self, b: usize) -> &mut [T] {
         let t = self.sym.bloks[b].fcblk as usize;
-        if self.held.as_ref().is_none_or(|(cblk, _)| *cblk != t) {
-            self.held = None; // release before locking: one target at a time
-            self.held = Some((t, self.segs[t].lock().unwrap()));
-        }
         let (rows, seg) = (sweeps::blok_rows(self.sym, b, self.nrhs), sweeps::segment(self.sym, t, self.nrhs));
-        let locked = &mut self.held.as_mut().expect("segment lock just taken").1;
-        &mut locked[rows.start - seg.start..rows.end - seg.start]
+        &mut self.lock(t).seg[rows.start - seg.start..rows.end - seg.start]
     }
 }
 
 impl<T: Scalar> RowSink<T> for LockedSegments<'_, '_, T> {
+    /// Into the segment the rows face, or into their staging rows there.
     fn add_rows(&mut self, b: usize, rows: &[T]) {
-        sweeps::add_into(self.rows(b), rows);
+        match self.dag.stage_at[b] {
+            u32::MAX => sweeps::add_into(self.rows(b), rows),
+            at => {
+                let t = self.sym.bloks[b].fcblk as usize;
+                let from = (at - self.dag.stage_ptr[t]) as usize * self.nrhs;
+                sweeps::add_into(&mut self.lock(t).stage[from..from + rows.len()], rows);
+            }
+        }
     }
 }
 
@@ -460,8 +481,12 @@ impl<T: Scalar> RowSink<T> for LockedSegments<'_, '_, T> {
 /// solve): the plan's [`SolveDag`] on the work-stealing executor, every
 /// task one [`crate::sweeps`] step on the segment of its column block in
 /// one shared workspace, a grouped subtree's steps back to back in one
-/// node. A backward task depends on the backward tasks of every block it
-/// faces, so the rows it gathers are final.
+/// node. A forward step adds its rows into the segments they face, or
+/// into those blocks' staging rows, which a block's forward step first adds
+/// into its segment in a fixed order: a solve gives the same bits on every
+/// run, whichever worker runs what when (see `solve_plan::Staging`). A
+/// backward task depends on the backward tasks of every block it faces, so
+/// the rows it gathers are final.
 pub(crate) fn solve_panel_dynamic<T: Scalar>(
     sym: &SymbolMatrix,
     storage: &FactorStorage<T>,
@@ -477,14 +502,17 @@ pub(crate) fn solve_panel_dynamic<T: Scalar>(
     assert_eq!(rhs.len(), sym.n * nrhs, "rhs must be n × nrhs");
     let ns = sym.n_cblks();
     let n_workers = resolve_workers(dopts, sched);
-    let mut ws = vec![T::zero(); rhs.len()];
-    let mut segs = Vec::with_capacity(ns);
-    let mut rest = ws.as_mut_slice();
+    // The segments, then the staging rows, in one allocation.
+    let mut ws = vec![T::zero(); rhs.len() + dag.stage_ptr[ns] as usize * nrhs];
+    let (mut rest, mut stage_rest) = ws.split_at_mut(rhs.len());
+    let mut blocks = Vec::with_capacity(ns);
     for k in 0..ns {
         let (seg, tail) = std::mem::take(&mut rest).split_at_mut(sym.cblks[k].width() * nrhs);
+        let staged = (dag.stage_ptr[k + 1] - dag.stage_ptr[k]) as usize * nrhs;
+        let (stage, stage_tail) = std::mem::take(&mut stage_rest).split_at_mut(staged);
         sweeps::load_segment(sym, k, perm, rhs, nrhs, seg);
-        segs.push(Mutex::new(seg));
-        rest = tail;
+        blocks.push(Mutex::new(Block { seg, stage }));
+        (rest, stage_rest) = (tail, stage_tail);
     }
     // One scratch per worker; only its own worker ever locks it.
     let scratch: Vec<OwnLines<sweeps::Scratch<T>>> = (0..n_workers).map(|_| OwnLines::default()).collect();
@@ -494,12 +522,19 @@ pub(crate) fn solve_panel_dynamic<T: Scalar>(
         let class = if forward { TaskClass::FwdSolve } else { TaskClass::BwdSolve };
         let _span = task_span(k as u32, class);
         let scratch = &mut *scratch[tctx.worker].0.lock().unwrap();
-        let mut seg = segs[k].lock().unwrap();
-        let mut later = LockedSegments { sym, nrhs, segs: &segs, held: None };
+        let mut own = blocks[k].lock().unwrap();
+        let Block { seg, stage } = &mut *own;
+        let mut later = LockedSegments { sym, dag, nrhs, blocks: &blocks, held: None };
         if forward {
-            sweeps::fwd_step(sym, storage, k, &mut seg, nrhs, scratch, &mut later);
+            let (fcol, mut at) = (sym.cblks[k].fcol, 0);
+            for &(frow, h) in dag.staged_of(k) {
+                let (from, len) = ((frow - fcol) as usize * nrhs, h as usize * nrhs);
+                sweeps::add_into(&mut seg[from..from + len], &stage[at..at + len]);
+                at += len;
+            }
+            sweeps::fwd_step(sym, storage, k, seg, nrhs, scratch, &mut later);
         } else {
-            sweeps::bwd_step(sym, storage, k, &mut seg, nrhs, scratch, |b, dst| dst.copy_from_slice(later.rows(b)));
+            sweeps::bwd_step(sym, storage, k, seg, nrhs, scratch, |b, dst| dst.copy_from_slice(later.rows(b)));
         }
         true
     };
@@ -512,10 +547,10 @@ pub(crate) fn solve_panel_dynamic<T: Scalar>(
         placed: dopts.order == TaskOrder::Static,
     };
     let trace = run_traced_dag(&spec, n_workers, dopts, sched, cfg, &body);
-
+    drop(blocks);
     let mut x = vec![T::zero(); rhs.len()];
-    for (k, seg) in segs.into_iter().enumerate() {
-        sweeps::store_segment(sym, k, perm, seg.into_inner().unwrap(), nrhs, &mut x);
+    for k in 0..ns {
+        sweeps::store_segment(sym, k, perm, &ws[sweeps::segment(sym, k, nrhs)], nrhs, &mut x);
     }
     (x, trace)
 }
@@ -628,6 +663,27 @@ mod tests {
                 let solve = || solve_panel_dynamic(sym, &storage, &dag, &mapping.schedule, &b, 1, None, &d, &cfg).0;
                 let bits = |x: Vec<f64>| x.into_iter().map(f64::to_bits).collect::<Vec<_>>();
                 assert_eq!(bits(solve()), bits(solve()), "{policy:?} {order:?}");
+            }
+        }
+    }
+
+    #[test]
+    fn threaded_solves_replay_bitwise() {
+        let (ap, mapping) = full_setup(24, 24, 1, 4, DistStrategy::Mixed1d2d, 4);
+        let (sym, sched) = (&mapping.graph.split.symbol, &mapping.schedule);
+        let nodes = grouped(&mapping);
+        let dag = SolveDag::build(&mapping.graph, sched, &nodes);
+        assert!(dag.stage_ptr[sym.n_cblks()] > 0, "some rows are staged");
+        let storage = seq_factor(sym, &ap);
+        let cfg = SolverConfig::default();
+        let b: Vec<f64> = (0..ap.n() * 3).map(|i| 1.0 + (i % 13) as f64 * 0.37).collect();
+        for order in ORDERS {
+            let d = DynamicOptions::new().with_order(order);
+            let solve = || solve_panel_dynamic(sym, &storage, &dag, sched, &b, 3, None, &d, &cfg).0;
+            let bits = |x: Vec<f64>| x.into_iter().map(f64::to_bits).collect::<Vec<_>>();
+            let first = bits(solve());
+            for _ in 0..40 {
+                assert_eq!(bits(solve()), first, "{order:?}");
             }
         }
     }

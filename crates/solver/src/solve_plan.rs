@@ -15,6 +15,7 @@
 
 use pastix_runtime::steal::NodeDag;
 use pastix_sched::{solve_schedule, Schedule, SolveSchedule, TaskGraph};
+use pastix_symbolic::SymbolMatrix;
 
 /// A maximal run of consecutive off-diagonal bloks of one column block
 /// owned by one processor: the unit of the static solve's strip products
@@ -226,6 +227,18 @@ pub(crate) struct SolveDag {
     pub(crate) priority: Vec<u64>,
     /// Preferred worker per node: the static owner of its column blocks.
     pub(crate) placement: Vec<u32>,
+    /// Per blok whose forward rows are staged ([`Staging`]): its first row
+    /// in the staging rows of the block it faces; `u32::MAX` for a blok
+    /// whose rows go straight into that block's segment.
+    pub(crate) stage_at: Vec<u32>,
+    /// Column block `t`'s staging rows are `stage_ptr[t]..stage_ptr[t + 1]`.
+    pub(crate) stage_ptr: Vec<u32>,
+    /// Per column block `t`: its staging intervals `(first row, row count)`
+    /// in elimination rows, which fill its staging rows one after another
+    /// and which its forward step adds into its segment in this order.
+    staged: Vec<(u32, u32)>,
+    /// Column block `t`'s intervals are `staged[staged_ptr[t]..staged_ptr[t + 1]]`.
+    staged_ptr: Vec<u32>,
 }
 
 impl SolveDag {
@@ -293,6 +306,118 @@ impl SolveDag {
             m.iter().map(of).max().unwrap_or(0) as u64
         });
         let owner = |m: &[u32]| sched.task_proc[graph.head_task_of_cblk[Self::step(m[0], ns).0] as usize];
-        Self { priority: priority.collect(), placement: members.map(owner).collect(), nodes }
+        let placement = members.map(owner).collect();
+        // Forward block `k` is executor step `k`.
+        let Staging { stage_at, stage_ptr, staged, staged_ptr } = Staging::build(&graph.split.symbol, &node_of[..ns]);
+        Self { priority: priority.collect(), placement, nodes, stage_at, stage_ptr, staged, staged_ptr }
+    }
+
+    /// The staging intervals of column block `t`.
+    #[inline]
+    pub(crate) fn staged_of(&self, t: usize) -> &[(u32, u32)] {
+        &self.staged[self.staged_ptr[t] as usize..self.staged_ptr[t + 1] as usize]
+    }
+}
+
+/// Which forward rows a dynamic solve stages, and where.
+///
+/// A forward step delivers `−L_b · Y_k` for each blok `b` of its block `k`
+/// to the block `t` that `b` faces. Added straight into `t`'s segment, the
+/// rows of two producers that no dependency orders would be summed in
+/// whatever order they ran, and two solves of one factor could differ in
+/// the last bits. So a producer adds straight into `t` only if it is
+/// ordered with every other one that does: it is in `t`'s node (whose
+/// members run one after another; a forward group's members are all its
+/// producers), or on `t`'s heavy path (the chain of largest children below
+/// `t`, each of which a forward step reaches from the one below). Every
+/// other producer node accumulates its rows for `t` in staging intervals
+/// of its own — the union of the rows its bloks face, so a subtree adds up
+/// its rows before they travel — and `t`'s forward step adds the
+/// intervals into its segment in a fixed order. Every segment then sums the
+/// same terms in the same order on every run.
+struct Staging {
+    stage_at: Vec<u32>,
+    stage_ptr: Vec<u32>,
+    staged: Vec<(u32, u32)>,
+    staged_ptr: Vec<u32>,
+}
+
+impl Staging {
+    /// `node_of[k]`: the executor node of forward block `k`.
+    fn build(sym: &SymbolMatrix, node_of: &[u32]) -> Self {
+        let ns = sym.n_cblks();
+        // Elimination-tree parent: the block a column block's first
+        // off-diagonal blok faces. Children precede their parents.
+        let parent = |k: usize| {
+            let cb = &sym.cblks[k];
+            (cb.blok_end > cb.blok_start + 1).then(|| sym.bloks[cb.blok_start + 1].fcblk as usize)
+        };
+        let (mut size, mut heavy) = (vec![0usize; ns], vec![usize::MAX; ns]);
+        for k in 0..ns {
+            size[k] += sym.cblks[k].width();
+            if let Some(p) = parent(k) {
+                size[p] += size[k];
+                if heavy[p] == usize::MAX || size[heavy[p]] < size[k] {
+                    heavy[p] = k;
+                }
+            }
+        }
+        // The top block of each block's heavy path.
+        let mut path = vec![0usize; ns];
+        for k in (0..ns).rev() {
+            path[k] = match parent(k) {
+                Some(p) if heavy[p] == k => path[p],
+                _ => k,
+            };
+        }
+        let mut blok_cblk = vec![0u32; sym.bloks.len()];
+        let mut pairs = Vec::new();
+        for (k, cb) in sym.cblks.iter().enumerate() {
+            blok_cblk[cb.blok_start..cb.blok_end].fill(k as u32);
+            let t_of = |b: usize| sym.bloks[b].fcblk as usize;
+            let staged = |&b: &usize| node_of[t_of(b)] != node_of[k] && path[t_of(b)] != path[k];
+            pairs.extend((cb.blok_start + 1..cb.blok_end).filter(staged).map(|b| (t_of(b) as u32, b as u32)));
+        }
+        let facing = Csr::from_pairs(ns, &pairs);
+        let mut out = Staging {
+            stage_at: vec![u32::MAX; sym.bloks.len()],
+            stage_ptr: Vec::with_capacity(ns + 1),
+            staged: Vec::new(),
+            staged_ptr: Vec::with_capacity(ns + 1),
+        };
+        let mut at = 0u32;
+        let mut row: Vec<(u32, u32, u32)> = Vec::new();
+        for t in 0..ns {
+            out.stage_ptr.push(at);
+            out.staged_ptr.push(out.staged.len() as u32);
+            // By producer node, then by first row: a node's overlapping
+            // bloks merge into one interval.
+            row.clear();
+            row.extend(facing.row(t).iter().map(|&b| (node_of[blok_cblk[b as usize] as usize], sym.bloks[b as usize].frow, b)));
+            row.sort_unstable();
+            let mut open: Option<(u32, u32, u32)> = None; // (node, first row, end row)
+            for &(m, frow, b) in &row {
+                let end = sym.bloks[b as usize].lrow + 1;
+                match &mut open {
+                    Some((node, _, open_end)) if *node == m && frow <= *open_end => *open_end = end.max(*open_end),
+                    _ => {
+                        if let Some((_, first, end)) = open.take() {
+                            out.staged.push((first, end - first));
+                            at += end - first;
+                        }
+                        open = Some((m, frow, end));
+                    }
+                }
+                let first = open.expect("interval just opened").1;
+                out.stage_at[b as usize] = at + frow - first;
+            }
+            if let Some((_, first, end)) = open {
+                out.staged.push((first, end - first));
+                at += end - first;
+            }
+        }
+        out.stage_ptr.push(at);
+        out.staged_ptr.push(out.staged.len() as u32);
+        out
     }
 }
