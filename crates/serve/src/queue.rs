@@ -194,16 +194,20 @@ impl<T: Scalar> RequestQueue<T> {
             }
             fits
         });
-        // The solver screens the packed panel for non-finite entries, once;
-        // the first one it names refuses its ticket, and the rest goes again.
+        if batch.is_empty() {
+            return Ok(Vec::new());
+        }
+        let seq = self.batches;
+        self.batches += 1;
+        flight::record(FlightKind::BatchDispatch, seq, batch.len() as u64);
+        // The session screens the packed panel for non-finite entries before
+        // it looks the factor up; the first one it names refuses its ticket,
+        // and the rest goes again.
         let out = loop {
             if batch.is_empty() {
                 return Ok(Vec::new());
             }
             let nrhs = batch.len();
-            let seq = self.batches;
-            self.batches += 1;
-            flight::record(FlightKind::BatchDispatch, seq, nrhs as u64);
             let panel = pack_panel(&batch, n);
             // The batch's lead ticket tags the solve, linking the rank-side
             // solve spans to the requests riding this panel.
@@ -352,6 +356,14 @@ mod tests {
         opts.solver.analyze.sched.block_size = 8;
         let mut session = SolverSession::<f64>::new(opts);
         let mut q = RequestQueue::new();
+        // A batch of non-finite tickets only is refused before the factor
+        // is looked up: no miss, no factorization.
+        q.submit(vec![f64::NAN; n], 0);
+        q.submit(vec![f64::INFINITY; n], 0);
+        assert!(q.serve_batch(&mut session, &a, 0, 5).unwrap().is_empty());
+        assert_eq!(q.take_rejected().len(), 2);
+        assert_eq!(session.metrics().counter("serve.cache.misses"), 0);
+        assert!(session.is_empty());
         let mut exact = Vec::new();
         for r in 0..5usize {
             let xe: Vec<f64> = (0..n).map(|i| ((i * 5 + r) % 7) as f64 - 3.0).collect();
@@ -366,21 +378,23 @@ mod tests {
         }
         let done = q.serve_batch(&mut session, &a, 10, 20).unwrap();
         let refused = vec![
-            (1, RejectReason::Rhs(SolveError::NonFinite { index: n - 1 })),
-            (3, RejectReason::Rhs(SolveError::NonFinite { index: 4 })),
+            (3, RejectReason::Rhs(SolveError::NonFinite { index: n - 1 })),
+            (5, RejectReason::Rhs(SolveError::NonFinite { index: 4 })),
         ];
         assert_eq!(q.take_rejected(), refused);
-        assert_eq!(done.iter().map(|c| c.id).collect::<Vec<_>>(), vec![0, 2, 4]);
+        assert_eq!(done.iter().map(|c| c.id).collect::<Vec<_>>(), vec![2, 4, 6]);
         for c in &done {
             assert_eq!(c.batch, 3);
-            for (u, v) in c.x.iter().zip(&exact[c.id as usize]) {
+            for (u, v) in c.x.iter().zip(&exact[c.id as usize - 2]) {
                 assert!((u - v).abs() < 1e-8, "request {}: {u} vs {v}", c.id);
             }
         }
         let m = session.metrics();
-        assert_eq!(m.counter("serve.rejected"), 2);
+        assert_eq!(m.counter("serve.rejected"), 4);
         assert_eq!(m.counter("serve.requests"), 3);
         assert_eq!(m.counter("serve.cache.misses"), 1, "one factorization serves every try");
+        assert_eq!(m.counter("serve.cache.hits"), 0, "one lookup per batch");
+        assert_eq!(q.batches, 2, "one sequence number per batch");
     }
 
     #[test]

@@ -331,8 +331,8 @@ impl<T: Scalar> SolverSession<T> {
     /// tracing is off). Factorizes on a cache miss. A panel that fails
     /// [`pastix_solver::screen_rhs`] (`nrhs = 0`, a length other than
     /// `n × nrhs`, a non-finite entry) is [`RejectReason::Rhs`], a failed
-    /// factorization [`RejectReason::Factorization`]; a panel of the wrong
-    /// shape is refused before anything is factorized.
+    /// factorization [`RejectReason::Factorization`]; a refused panel is
+    /// refused before the factor is looked up.
     pub fn solve_panel(
         &mut self,
         a: &SymCsc<T>,
@@ -354,9 +354,9 @@ impl<T: Scalar> SolverSession<T> {
         nrhs: usize,
         tag: Option<u64>,
     ) -> Result<PanelSolve<T>, RejectReason> {
-        if nrhs == 0 || b_panel.len() != a.n() * nrhs {
-            screen_rhs(b_panel, a.n(), nrhs).map_err(RejectReason::Rhs)?;
-        }
+        // Before the lookup: a panel the solve would refuse costs no
+        // analysis or factorization, evicts no factor and counts no hit.
+        screen_rhs(b_panel, a.n(), nrhs).map_err(RejectReason::Rhs)?;
         let (cached, lookup) = self.get_or_factorize_info(a).map_err(RejectReason::Factorization)?;
         let mut req = SolveRequest::panel(b_panel, nrhs);
         req.trace = self.opts.solver.trace.enabled;
@@ -420,10 +420,11 @@ mod tests {
             assert_eq!(got.expect("no panic").unwrap_err(), RejectReason::Rhs(want));
         }
         assert_eq!(s.solve(&a, &nan).unwrap_err(), RejectReason::Rhs(SolveError::NonFinite { index: 5 }));
-        // A wrong shape is refused before the miss factorizes; the NaN was
-        // screened after it. The session still serves.
-        assert_eq!(s.metrics().counter("serve.cache.misses"), 1);
+        // Every refusal comes before the lookup: nothing was factorized.
+        // The session still serves.
+        assert_eq!(s.metrics().counter("serve.cache.misses"), 0);
         assert!(a.residual_norm(&s.solve(&a, &b).unwrap(), &b) < 1e-10);
+        assert_eq!(s.metrics().counter("serve.cache.misses"), 1);
     }
 
     #[test]
