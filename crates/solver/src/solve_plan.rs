@@ -328,13 +328,15 @@ impl SolveDag {
 /// the last bits. So a producer adds straight into `t` only if it is
 /// ordered with every other one that does: it is in `t`'s node (whose
 /// members run one after another; a forward group's members are all its
-/// producers), or on `t`'s heavy path (the chain of largest children below
-/// `t`, each of which a forward step reaches from the one below). Every
-/// other producer node accumulates its rows for `t` in staging intervals
-/// of its own — the union of the rows its bloks face, so a subtree adds up
-/// its rows before they travel — and `t`'s forward step adds the
-/// intervals into its segment in a fixed order. Every segment then sums the
-/// same terms in the same order on every run.
+/// producers), or on `t`'s path (the chain of last children below `t`,
+/// each of which a forward step reaches from the one below). Every other
+/// producer accumulates its rows for `t` in staging intervals it shares
+/// only with producers ordered with it — its group's members, or, outside
+/// a group, the blocks of its own path — over the union of
+/// the rows their bloks face, so a subtree or a chain adds up its rows
+/// before they travel; `t`'s forward step adds the intervals into its
+/// segment in a fixed order. Every segment then sums the same terms in the
+/// same order on every run.
 struct Staging {
     stage_at: Vec<u32>,
     stage_ptr: Vec<u32>,
@@ -347,77 +349,80 @@ impl Staging {
     fn build(sym: &SymbolMatrix, node_of: &[u32]) -> Self {
         let ns = sym.n_cblks();
         // Elimination-tree parent: the block a column block's first
-        // off-diagonal blok faces. Children precede their parents.
-        let parent = |k: usize| {
+        // off-diagonal blok faces. Blocks are in postorder, so `p − 1` is
+        // the last child of `p`; the chains of last children are the
+        // paths. The top block of each block's path:
+        let mut path = vec![0u32; ns];
+        for k in (0..ns).rev() {
             let cb = &sym.cblks[k];
-            (cb.blok_end > cb.blok_start + 1).then(|| sym.bloks[cb.blok_start + 1].fcblk as usize)
+            let last_child = cb.blok_end > cb.blok_start + 1 && sym.bloks[cb.blok_start + 1].fcblk as usize == k + 1;
+            path[k] = if last_child { path[k + 1] } else { k as u32 };
+        }
+        // Who shares a staging interval: a grouped block's node, else the
+        // blocks of one path, which the DAG orders.
+        let mut size_of_node = vec![0u32; node_of.iter().max().map_or(0, |&v| v as usize + 1)];
+        node_of.iter().for_each(|&v| size_of_node[v as usize] += 1);
+        let key = |k: usize| match size_of_node[node_of[k] as usize] {
+            1 => path[k],
+            _ => ns as u32 + node_of[k],
         };
-        let (mut size, mut heavy) = (vec![0usize; ns], vec![usize::MAX; ns]);
-        for k in 0..ns {
-            size[k] += sym.cblks[k].width();
-            if let Some(p) = parent(k) {
-                size[p] += size[k];
-                if heavy[p] == usize::MAX || size[heavy[p]] < size[k] {
-                    heavy[p] = k;
+        let mut out = Staging {
+            stage_at: vec![u32::MAX; sym.bloks.len()],
+            stage_ptr: vec![0; ns + 1],
+            staged: Vec::new(),
+            staged_ptr: vec![0; ns + 1],
+        };
+        // Every staged blok as (block faced, key and first row, blok),
+        // counted per block faced at `t + 1`.
+        let mut items = Vec::new();
+        for (k, cb) in sym.cblks.iter().enumerate() {
+            for b in cb.blok_start + 1..cb.blok_end {
+                let blok = &sym.bloks[b];
+                let t = blok.fcblk as usize;
+                if node_of[t] != node_of[k] && path[t] != path[k] {
+                    items.push((t as u32, (key(k) as u64) << 32 | blok.frow as u64, b as u32));
+                    out.staged_ptr[t + 1] += 1;
                 }
             }
         }
-        // The top block of each block's heavy path.
-        let mut path = vec![0usize; ns];
-        for k in (0..ns).rev() {
-            path[k] = match parent(k) {
-                Some(p) if heavy[p] == k => path[p],
-                _ => k,
-            };
+        // Bucketed by block faced (a counting sort): block `t`'s bucket
+        // starts at `next[t]`.
+        let mut next = out.staged_ptr.clone();
+        (0..ns).for_each(|t| next[t + 1] += next[t]);
+        let mut bucket = vec![(0u64, 0u32); items.len()];
+        for (t, key_row, b) in items {
+            bucket[next[t as usize] as usize] = (key_row, b);
+            next[t as usize] += 1;
         }
-        let mut blok_cblk = vec![0u32; sym.bloks.len()];
-        let mut pairs = Vec::new();
-        for (k, cb) in sym.cblks.iter().enumerate() {
-            blok_cblk[cb.blok_start..cb.blok_end].fill(k as u32);
-            let t_of = |b: usize| sym.bloks[b].fcblk as usize;
-            let staged = |&b: &usize| node_of[t_of(b)] != node_of[k] && path[t_of(b)] != path[k];
-            pairs.extend((cb.blok_start + 1..cb.blok_end).filter(staged).map(|b| (t_of(b) as u32, b as u32)));
-        }
-        let facing = Csr::from_pairs(ns, &pairs);
-        let mut out = Staging {
-            stage_at: vec![u32::MAX; sym.bloks.len()],
-            stage_ptr: Vec::with_capacity(ns + 1),
-            staged: Vec::new(),
-            staged_ptr: Vec::with_capacity(ns + 1),
-        };
-        let mut at = 0u32;
-        let mut row: Vec<(u32, u32, u32)> = Vec::new();
+        out.staged_ptr.fill(0);
+        // Per block, by key, then by first row: the overlapping bloks of
+        // one key merge into one interval.
+        let (mut at, mut from) = (0u32, 0usize);
         for t in 0..ns {
-            out.stage_ptr.push(at);
-            out.staged_ptr.push(out.staged.len() as u32);
-            // By producer node, then by first row: a node's overlapping
-            // bloks merge into one interval.
-            row.clear();
-            row.extend(facing.row(t).iter().map(|&b| (node_of[blok_cblk[b as usize] as usize], sym.bloks[b as usize].frow, b)));
+            let row = &mut bucket[from..next[t] as usize];
+            from = next[t] as usize;
             row.sort_unstable();
-            let mut open: Option<(u32, u32, u32)> = None; // (node, first row, end row)
-            for &(m, frow, b) in &row {
-                let end = sym.bloks[b as usize].lrow + 1;
+            let mut open: Option<(u64, u32, u32)> = None; // (key and first row, first row, end row)
+            for &(kr, b) in row.iter() {
+                let (frow, end) = (sym.bloks[b as usize].frow, sym.bloks[b as usize].lrow + 1);
                 match &mut open {
-                    Some((node, _, open_end)) if *node == m && frow <= *open_end => *open_end = end.max(*open_end),
+                    Some((okr, _, oend)) if *okr >> 32 == kr >> 32 && frow <= *oend => *oend = end.max(*oend),
                     _ => {
-                        if let Some((_, first, end)) = open.take() {
+                        if let Some((_, first, end)) = open.replace((kr, frow, end)) {
                             out.staged.push((first, end - first));
                             at += end - first;
                         }
-                        open = Some((m, frow, end));
                     }
                 }
-                let first = open.expect("interval just opened").1;
-                out.stage_at[b as usize] = at + frow - first;
+                out.stage_at[b as usize] = at + frow - open.expect("interval just opened").1;
             }
             if let Some((_, first, end)) = open {
                 out.staged.push((first, end - first));
                 at += end - first;
             }
+            out.stage_ptr[t + 1] = at;
+            out.staged_ptr[t + 1] = out.staged.len() as u32;
         }
-        out.stage_ptr.push(at);
-        out.staged_ptr.push(out.staged.len() as u32);
         out
     }
 }
