@@ -5,8 +5,10 @@
 //! the static schedule is decided here, on the first solve of a plan on
 //! each engine, and replayed by every later one: for the static engine
 //! who owns which rows, who waits for how many events and who sends what
-//! to whom ([`StaticRouting`]); for the dynamic backend the grouped solve
-//! DAG ([`SolveDag`]). The solve phase *follows* its schedule like the
+//! to whom ([`StaticRouting`]); for the executor (`Threads` and `Dynamic`)
+//! the grouped solve DAG ([`SolveDag`]) and which forward rows it stages
+//! so that every segment sums them in a fixed order. The solve phase
+//! *follows* its schedule like the
 //! factorization does. Nothing here depends on numeric values, on the
 //! right-hand sides or on their count, and none of it is part of the
 //! factor (`factor_bytes` does not count it).
@@ -227,7 +229,7 @@ pub(crate) struct SolveDag {
     pub(crate) priority: Vec<u64>,
     /// Preferred worker per node: the static owner of its column blocks.
     pub(crate) placement: Vec<u32>,
-    /// Per blok whose forward rows are staged ([`Staging`]): its first row
+    /// Per blok whose forward rows are staged (`Staging`): its first row
     /// in the staging rows of the block it faces; `u32::MAX` for a blok
     /// whose rows go straight into that block's segment.
     pub(crate) stage_at: Vec<u32>,
