@@ -24,12 +24,12 @@
 //! 5. **Observability overhead** (gated): the same batch workload with
 //!    the flight recorder disabled + an untraced queue vs. both on must
 //!    cost < 2% extra (paired best-of timing).
-//! 6. **Scheduled-solve reconciliation** (sim backend, logical clocks):
-//!    the traced panel solve must reconcile ≥ 95% against the level-set
-//!    solve schedule (gated); a chaos `StarveRank` run served through a
-//!    traced queue trips the in-queue watchdog
-//!    (`PASTIX_WATCHDOG_BACKLOG=8,0.2`) and must leave a black-box dump
-//!    naming the batch's tickets as in flight (gated).
+//! 6. **Watchdog and black box** (sim backend, logical clocks): a chaos
+//!    `StarveRank` panel solve is run past the watchdog
+//!    (`PASTIX_WATCHDOG_BACKLOG=8,0.2`), which lists the ranks it flags in
+//!    the solve's per-worker trace; the same solve served through a
+//!    traced queue trips the in-queue watchdog and must leave a black-box
+//!    dump naming the batch's tickets as in flight (gated).
 //! 7. **Trace determinism** (gated): two identical traced serving runs
 //!    on the sim backend must export byte-identical Chrome traces.
 //! 8. **Refactorize, don't re-analyze** (gated, SHIP001): a factor miss on
@@ -38,8 +38,8 @@
 //!    of such misses exactly.
 //!
 //! Outputs `BENCH_serve.json` at the repo root (opening with
-//! `pastix_bench::env_header`) and the serve trace
-//! reconciliation report at `target/serve_trace.json` (CI artifacts).
+//! `pastix_bench::env_header`) and the traced sim panel solve as a Chrome
+//! trace at `target/serve_trace.json` (CI artifacts).
 //! `--quick` shrinks the problem for CI.
 
 use pastix_bench::{env_header, prepare, scale, scotch_ordering};
@@ -51,7 +51,6 @@ use pastix_serve::{MatrixFingerprint, RequestQueue, SessionOptions, SolverSessio
 use pastix_solver::{solve_block_in_place, AnalyzeOptions, Plan, SolverConfig};
 use pastix_trace::export::chrome_trace;
 use pastix_trace::flight;
-use pastix_trace::report::build_solve_report;
 use pastix_trace::watchdog::{analyze as watchdog_analyze, WatchdogOptions};
 use pastix_trace::TraceOptions;
 use std::path::Path;
@@ -65,8 +64,6 @@ const BLACKBOX_DIR: &str = concat!(env!("CARGO_MANIFEST_DIR"), "/../../target");
 const AGREE_TOL: f64 = 1e-7;
 /// Throughput gate: batched k=8 must beat one-at-a-time by this factor.
 const SPEEDUP_MIN: f64 = 2.0;
-/// Reconciliation gate for the scheduled solve trace.
-const RECONCILE_MIN: f64 = 0.95;
 /// Observability gate: flight recorder + request tracing overhead.
 const OVERHEAD_MAX: f64 = 0.02;
 /// Refactorization gate: a same-pattern miss against a cold miss.
@@ -456,32 +453,20 @@ fn main() {
         if overhead_ok { "MET" } else { "NOT MET" }
     );
 
-    // ---- segment 6: scheduled solve reconciliation + watchdog (sim) ----
+    // ---- segment 6: watchdog and black box on the sim solve ----
     let mut topts = TraceOptions::deterministic();
     topts.sample_every = 1;
     let sim_cfg = SolverConfig::new()
         .with_backend(Backend::Sim(FaultPlan::builder(1).build()))
         .with_trace(topts);
     let mut sim_session = SolverSession::<f64>::new(session_opts(procs, block, sim_cfg));
-    let cached = sim_session.get_or_factorize(&a).expect("sim factorization");
     let (_, log) = sim_session.solve_panel(&a, &panel, K).expect("sim panel solve");
-    let ssched = cached.run.solve_schedule();
-    let report = build_solve_report(ssched, &log);
-    println!("{}", report.render());
-    let reconcile_ok = report.reconciliation >= RECONCILE_MIN;
-    println!(
-        "reconciliation gate (≥ {:.0}%): {}",
-        RECONCILE_MIN * 100.0,
-        if reconcile_ok { "MET" } else { "NOT MET" }
-    );
+    println!("sim panel solve: {} trace ranks, {} events", log.ranks.len(), log.event_count());
 
     // Chaos serving run: starve a rank, let the watchdog name it. The
-    // solve DAG's tasks are far finer-grained than factorization panels,
-    // so the library defaults (tuned on factorization chaos runs) are too
-    // coarse here: a starved rank shows up as mailbox backlog, not as a
-    // progress gap — downstream ranks blocked on its output post the
-    // larger gaps. This is exactly the "unusual problem shape" case the
-    // watchdog docs route through the env knobs, so exercise that path.
+    // library defaults are tuned on factorization chaos runs; the
+    // backlog knob is the "unusual problem shape" route the watchdog docs
+    // give, so exercise that path.
     let chaos_cfg = SolverConfig::new()
         .with_backend(Backend::Sim(
             FaultPlan::builder(7).policy(SchedPolicy::StarveRank(1)).build(),
@@ -646,7 +631,6 @@ fn main() {
         ("cache_misses", Json::Num(misses as f64)),
         ("cache_evictions", Json::Num(evictions as f64)),
         ("cache_hit_rate", Json::Num(hit_rate)),
-        ("solve_reconciliation", Json::Num(report.reconciliation)),
         ("solve_trace_fingerprint", Json::Str(format!("{:#018x}", log.fingerprint()))),
         ("watchdog_trips", Json::Num(trips as f64)),
         ("trace_byte_identical", Json::Num(if identical_ok { 1.0 } else { 0.0 })),
@@ -669,13 +653,12 @@ fn main() {
     let j = Json::Obj(fields);
     std::fs::write(OUT_PATH, j.pretty()).expect("write BENCH_serve.json");
     println!("wrote {OUT_PATH}");
-    std::fs::write(TRACE_PATH, report.to_json().pretty()).expect("write serve_trace.json");
+    std::fs::write(TRACE_PATH, chrome_trace(&log).compact()).expect("write serve_trace.json");
     println!("wrote {TRACE_PATH}");
 
-    if !(agree_ok && speedup_ok && engines_ok && reconcile_ok && overhead_ok && blackbox_ok && identical_ok && refac_ok)
-    {
+    if !(agree_ok && speedup_ok && engines_ok && overhead_ok && blackbox_ok && identical_ok && refac_ok) {
         eprintln!(
-            "FAIL: serving gates not met (agreement {agree_ok}, speedup {speedup_ok}, engines {engines_ok}, reconciliation {reconcile_ok}, overhead {overhead_ok}, blackbox {blackbox_ok}, trace determinism {identical_ok}, refactorize {refac_ok})"
+            "FAIL: serving gates not met (agreement {agree_ok}, speedup {speedup_ok}, engines {engines_ok}, overhead {overhead_ok}, blackbox {blackbox_ok}, trace determinism {identical_ok}, refactorize {refac_ok})"
         );
         std::process::exit(1);
     }

@@ -13,7 +13,8 @@
 //! delivered, with injectable faults. Every interleaving is reproducible
 //! from its seed, which is what the chaos suite drives. On real threads
 //! the solver sends no message: it factorizes and solves on the
-//! [`steal::run_dag`] executor, whose tasks share the factor's panels.
+//! [`steal::run_dag`] executor, whose tasks share the factor's panels;
+//! every solve, on every backend, runs there.
 //!
 //! The runtime delivers in arrival order only. Because the static
 //! schedule fixes every processor's task order, the solver knows *what*
@@ -132,7 +133,9 @@ pub enum Backend {
     /// Deterministic serialized simulation ([`sim::run_sim_spmd`]) driven
     /// by the given fault plan; every execution is a pure function of
     /// `(seed, policy)`. `pastix-solver` runs the paper's fan-in
-    /// factorization and the static solve on it.
+    /// factorization on it, and its solve on the [`steal::run_dag`]
+    /// executor in the static order under the same plan's seeded
+    /// serializer.
     Sim(sim::FaultPlan),
     /// Task-graph-driven executor ([`steal::run_dag`]) in the given
     /// order: the static schedule supplies placement and task priority

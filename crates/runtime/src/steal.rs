@@ -19,10 +19,11 @@
 //! - **Threaded** (default): one OS thread per worker, atomic dependency
 //!   counters, mutex-protected per-worker heaps, and steal-half when a
 //!   worker's own queue runs dry.
-//! - **Simulated** (`sim: Some(plan)`): a single-threaded serialization
-//!   where a seeded RNG picks which worker runs next, filtered through the
-//!   same adversarial [`SchedPolicy`] vocabulary as the message
-//!   simulator. Every execution is a pure function of
+//! - **Simulated** (`sim: Some(plan)`): a serialization where a seeded
+//!   RNG picks which worker runs next, filtered through the same
+//!   adversarial [`SchedPolicy`] vocabulary as the message simulator. Each
+//!   worker still runs on a thread of its own, but only the one holding
+//!   the scheduler's baton runs, so every execution is a pure function of
 //!   `(seed, policy)`, which is what the chaos suite replays.
 
 use crate::sim::{FaultPlan, SchedPolicy, SimRng};
@@ -31,6 +32,7 @@ use std::cmp::Ordering as CmpOrdering;
 use std::collections::BinaryHeap;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, AtomicUsize, Ordering};
+use std::sync::mpsc::channel;
 use std::sync::Mutex;
 
 /// Options of the dynamic work-stealing backend.
@@ -42,8 +44,9 @@ pub struct DynamicOptions {
     /// How ready tasks are ordered and where they run.
     pub order: TaskOrder,
     /// `Some(plan)` serializes the whole execution under the seeded
-    /// deterministic scheduler (single thread, adversarial policies) —
-    /// the dynamic twin of [`crate::Backend::Sim`].
+    /// deterministic scheduler (one worker at a time, adversarial
+    /// policies) — the dynamic twin of [`crate::Backend::Sim`], whose
+    /// solves run on it.
     pub sim: Option<FaultPlan>,
 }
 
@@ -264,9 +267,7 @@ struct Slot {
 /// `worker_scope(worker, run)` wraps each worker's whole lifetime: it must
 /// call `run()` exactly once and may install per-thread state around it
 /// (the solver uses it to open a trace session per worker); its return
-/// values come back in worker order. Under `sim` the entire serialized
-/// execution runs inside `worker_scope(0, ..)` on the calling thread and
-/// the result vector has a single element.
+/// values come back in worker order, under `sim` as well.
 pub fn run_dag<R, B, W>(
     spec: &DagSpec<'_>,
     n_workers: usize,
@@ -284,12 +285,7 @@ where
     debug_assert_eq!(spec.dag.out_ptr.len(), n + 1);
     debug_assert_eq!(spec.priority.len(), n);
     match sim {
-        Some(plan) => {
-            let mut stats = None;
-            let mut serial = || stats = Some(run_serial(spec, n_workers, plan, body));
-            let r = worker_scope(0, &mut serial);
-            (vec![r], stats.expect("worker_scope must call run()"))
-        }
+        Some(plan) => run_serial(spec, n_workers, plan, body, worker_scope),
         None => run_threaded(spec, n_workers, body, worker_scope),
     }
 }
@@ -434,16 +430,31 @@ where
     (results, stats)
 }
 
-/// The deterministic single-threaded serialization of the executor: the
-/// scheduler state is the per-worker ready list, the enabled actions are
-/// "worker w executes one of its ready nodes", and the plan's policy
-/// filters them exactly like the message simulator filters its actions —
-/// with the same liveness fallback (an empty filtered set restores the
-/// full set). Priority hints are deliberately ignored here: the point of
-/// the sim mode is to explore *adversarial* orders, not preferred ones.
-fn run_serial<B>(spec: &DagSpec<'_>, n_workers: usize, plan: &FaultPlan, body: &B) -> StealStats
+/// The deterministic serialization of the executor: the scheduler state
+/// is the per-worker ready list, the enabled actions are "worker w
+/// executes one of its ready nodes", and the plan's policy filters them
+/// exactly like the message simulator filters its actions — with the same
+/// liveness fallback (an empty filtered set restores the full set).
+/// Priority hints are deliberately ignored here: the point of the sim mode
+/// is to explore *adversarial* orders, not preferred ones.
+///
+/// Each worker runs inside its own `worker_scope` on a thread of its own,
+/// so per-thread state (a trace session) is per worker, as on the threaded
+/// path. The scheduler, on the calling thread, hands the baton — one node
+/// to run — to one worker at a time and waits for it back, so no two
+/// bodies ever run at once and the run is a pure function of
+/// `(seed, policy)`.
+fn run_serial<R, B, W>(
+    spec: &DagSpec<'_>,
+    n_workers: usize,
+    plan: &FaultPlan,
+    body: &B,
+    worker_scope: &W,
+) -> (Vec<R>, StealStats)
 where
+    R: Send,
     B: Fn(u32, &TaskCtx) -> bool + Sync,
+    W: Fn(usize, &mut dyn FnMut()) -> R + Sync,
 {
     let n = spec.dag.deps.len();
     let mut deps: Vec<u32> = spec.dag.deps.clone();
@@ -461,75 +472,115 @@ where
     }
     let mut rng = SimRng::new(plan.seed);
     let mut executed = vec![0u64; n_workers];
-    let mut local_index = vec![0usize; n_workers];
-    let mut remaining = n;
-    while remaining > 0 {
-        // Enabled actions: (worker, index into its ready list).
-        let acts: Vec<(usize, usize)> = (0..n_workers)
-            .flat_map(|w| (0..ready[w].len()).map(move |i| (w, i)))
+    let mut panic_payload = None;
+    // The baton: `(node, ready depth)` to a worker; whether the node ran to
+    // completion (or its panic) back.
+    let (done_tx, done_rx) = channel::<std::thread::Result<bool>>();
+    let (batons, inboxes): (Vec<_>, Vec<_>) = (0..n_workers).map(|_| channel::<(u32, usize)>()).unzip();
+    let results: Vec<R> = std::thread::scope(|scope| {
+        let handles: Vec<_> = inboxes
+            .into_iter()
+            .enumerate()
+            .map(|(w, inbox)| {
+                let done_tx = done_tx.clone();
+                scope.spawn(move || {
+                    worker_scope(w, &mut || {
+                        let mut local_index = 0usize;
+                        for (v, ready_depth) in inbox.iter() {
+                            let run_node = || {
+                                spec.dag.members(v as usize).iter().all(|&t| {
+                                    let ctx = TaskCtx { worker: w, local_index, ready_depth };
+                                    local_index += 1;
+                                    body(t, &ctx)
+                                })
+                            };
+                            let _ = done_tx.send(catch_unwind(AssertUnwindSafe(run_node)));
+                        }
+                    })
+                })
+            })
             .collect();
-        assert!(
-            !acts.is_empty(),
-            "dynamic executor stalled: {remaining} nodes remain but none are ready \
-             (cyclic dependencies?) [seed {} policy {:?}]",
-            plan.seed,
-            plan.policy
-        );
-        let keep: Vec<(usize, usize)> = match plan.policy {
-            SchedPolicy::Uniform => acts.clone(),
-            // Never run the starved worker while anyone else has work.
-            SchedPolicy::StarveRank(r) => acts.iter().copied().filter(|&(w, _)| w != r).collect(),
-            // The oldest ready node is always scheduled last.
-            SchedPolicy::DeliverLast => {
-                let oldest = acts
-                    .iter()
-                    .copied()
-                    .min_by_key(|&(w, i)| ready[w][i].seq)
-                    .expect("acts is non-empty");
-                acts.iter().copied().filter(|&a| a != oldest).collect()
-            }
-            // Each worker executes its queue strictly in arrival order.
-            SchedPolicy::FifoPerPair => {
-                let mut heads: Vec<(usize, usize)> = Vec::new();
-                for w in 0..n_workers {
-                    if let Some(i) = (0..ready[w].len()).min_by_key(|&i| ready[w][i].seq) {
-                        heads.push((w, i));
-                    }
+        let mut remaining = n;
+        while remaining > 0 {
+            // Enabled actions: (worker, index into its ready list).
+            let acts: Vec<(usize, usize)> = (0..n_workers)
+                .flat_map(|w| (0..ready[w].len()).map(move |i| (w, i)))
+                .collect();
+            assert!(
+                !acts.is_empty(),
+                "dynamic executor stalled: {remaining} nodes remain but none are ready \
+                 (cyclic dependencies?) [seed {} policy {:?}]",
+                plan.seed,
+                plan.policy
+            );
+            let keep: Vec<(usize, usize)> = match plan.policy {
+                SchedPolicy::Uniform => acts.clone(),
+                // Never run the starved worker while anyone else has work.
+                SchedPolicy::StarveRank(r) => acts.iter().copied().filter(|&(w, _)| w != r).collect(),
+                // The oldest ready node is always scheduled last.
+                SchedPolicy::DeliverLast => {
+                    let oldest = acts
+                        .iter()
+                        .copied()
+                        .min_by_key(|&(w, i)| ready[w][i].seq)
+                        .expect("acts is non-empty");
+                    acts.iter().copied().filter(|&a| a != oldest).collect()
                 }
-                heads
+                // Each worker executes its queue strictly in arrival order.
+                SchedPolicy::FifoPerPair => {
+                    let mut heads: Vec<(usize, usize)> = Vec::new();
+                    for w in 0..n_workers {
+                        if let Some(i) = (0..ready[w].len()).min_by_key(|&i| ready[w][i].seq) {
+                            heads.push((w, i));
+                        }
+                    }
+                    heads
+                }
+            };
+            // Liveness fallback, as in the message simulator: a policy only
+            // filters; an emptied set is restored whole.
+            let pick = if keep.is_empty() { &acts } else { &keep };
+            let (w, i) = pick[rng.below(pick.len())];
+            let v = ready[w].remove(i).node;
+            executed[w] += 1;
+            batons[w].send((v, ready[w].len())).expect("worker holds its inbox until the batons drop");
+            match done_rx.recv().expect("worker answers every baton") {
+                Ok(true) => {}
+                Ok(false) => break,
+                Err(payload) => {
+                    panic_payload = Some(payload);
+                    break;
+                }
             }
-        };
-        // Liveness fallback, as in the message simulator: a policy only
-        // filters; an emptied set is restored whole.
-        let pick = if keep.is_empty() { &acts } else { &keep };
-        let (w, i) = pick[rng.below(pick.len())];
-        let v = ready[w].remove(i).node as usize;
-        let ready_depth = ready[w].len();
-        executed[w] += 1;
-        let go_on = spec.dag.members(v).iter().all(|&t| {
-            let ctx = TaskCtx { worker: w, local_index: local_index[w], ready_depth };
-            local_index[w] += 1;
-            body(t, &ctx)
-        });
-        if !go_on {
-            break;
-        }
-        let lo = spec.dag.out_ptr[v] as usize;
-        let hi = spec.dag.out_ptr[v + 1] as usize;
-        for &d in &spec.dag.out_dst[lo..hi] {
-            deps[d as usize] -= 1;
-            if deps[d as usize] == 0 {
-                ready[spec.queue_of(d as usize, w, n_workers)].push(Entry {
-                    prio: spec.priority[d as usize],
-                    seq: next_seq,
-                    node: d,
-                });
-                next_seq += 1;
+            let lo = spec.dag.out_ptr[v as usize] as usize;
+            let hi = spec.dag.out_ptr[v as usize + 1] as usize;
+            for &d in &spec.dag.out_dst[lo..hi] {
+                deps[d as usize] -= 1;
+                if deps[d as usize] == 0 {
+                    ready[spec.queue_of(d as usize, w, n_workers)].push(Entry {
+                        prio: spec.priority[d as usize],
+                        seq: next_seq,
+                        node: d,
+                    });
+                    next_seq += 1;
+                }
             }
+            remaining -= 1;
         }
-        remaining -= 1;
+        // Closing the inboxes ends every worker's loop.
+        drop(batons);
+        handles
+            .into_iter()
+            .map(|h| match h.join() {
+                Ok(r) => r,
+                Err(payload) => resume_unwind(payload),
+            })
+            .collect()
+    });
+    if let Some(payload) = panic_payload {
+        resume_unwind(payload);
     }
-    StealStats { executed, steals: 0 }
+    (results, StealStats { executed, steals: 0 })
 }
 
 #[cfg(test)]

@@ -29,7 +29,7 @@ pub mod tasks;
 pub use candidates::{proportional_mapping, CandidateInfo, DistStrategy, MappingOptions};
 pub use cost::{bdiv_cost, bmod_cost, comp1d_cost, factor_cost, sequential_cost};
 pub use greedy::{analyze_schedule, comm_stats, critical_path, critical_path_chain, cyclic_schedule, greedy_schedule, memory_stats, validate_schedule, CommStats, MemoryStats, PredictedTask, Schedule, ScheduleAnalysis};
-pub use solve::{solve_schedule, SolveDag, SolveSchedule};
+pub use solve::SolveDag;
 pub use tasks::{build_task_graph, find_covering_blok, TaskGraph, TaskKind};
 
 use pastix_graph::Parallelism;

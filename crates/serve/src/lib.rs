@@ -21,13 +21,10 @@
 //!   per-blok trailing updates are GEMM-shaped instead of one GEMV per
 //!   RHS;
 //! * the solve structure rides in every cached plan, built by its first
-//!   solve: `Threads` and `Dynamic` sessions solve on the executor's
-//!   grouped solve DAG; a `Sim` session solves with the static engine,
-//!   which replays the level-set solve schedule
-//!   (`pastix_sched::solve_schedule`, `FactorRun::solve_schedule`), so
-//!   its serving traces reconcile predicted-vs-measured through
-//!   `pastix_trace::report::build_solve_report` exactly like the
-//!   factorization;
+//!   solve: sessions on every backend solve on the executor's grouped
+//!   solve DAG (a `Sim` session under the executor's seeded serializer,
+//!   so its logical-clock serving traces replay byte for byte per
+//!   `(seed, policy)`, one trace rank per worker);
 //! * [`RequestTrace`] — per-request distributed tracing: every admitted
 //!   request becomes a parent async span on a reserved serve track with
 //!   child stage spans (queue wait, coalesce, analyze, factorize, solve)

@@ -1,14 +1,14 @@
 //! The persistent solver session: an LRU cache of factorizations keyed by
 //! matrix fingerprint, over an LRU cache of analyses keyed by pattern,
-//! fronting the distributed panel solve.
+//! fronting the panel solve.
 //!
 //! The production shape of a direct solver is factorize-once,
 //! solve-millions-of-times. [`SolverSession`] keeps the assembled factor
 //! of each distinct matrix behind its [`MatrixFingerprint`], so repeat
 //! requests against a known matrix skip straight to the triangular
 //! sweeps. Under it, the analyzed [`Plan`] of each distinct pattern —
-//! ordering, symbol, static schedule, and the routing and solve structure
-//! it builds on first use — is kept behind the fingerprint's `structure`
+//! ordering, symbol, static schedule, and the solve DAG it builds on
+//! first use — is kept behind the fingerprint's `structure`
 //! half, so a matrix whose values changed but whose pattern did not (a
 //! time step, a Newton iteration) pays only the numeric factorization.
 //! Capacity and byte-budget eviction bound the resident factors;
@@ -82,9 +82,7 @@ pub struct CachedFactor<T> {
     /// shared with every other factor of the same pattern.
     pub plan: Plan,
     /// The assembled factor with its observability artifacts (carries the
-    /// plan, so [`FactorRun::solve_request`] works directly, and its
-    /// [`FactorRun::solve_schedule`] reconciles against solve traces via
-    /// `pastix_trace::report::build_solve_report`).
+    /// plan, so [`FactorRun::solve_request`] works directly).
     pub run: FactorRun<T>,
     /// Resident factor bytes **as stored**: dense panel bytes plus the
     /// `U`/`V` bytes of compressed bloks ([`FactorStorage::factor_bytes`]

@@ -24,7 +24,8 @@ pub struct SolverConfig {
     /// task enqueued on its `K_p` processor and idle workers stealing
     /// ([`Backend::Threads`], default),
     /// the deterministic fault-injecting simulator of the fan-in protocol
-    /// ([`Backend::Sim`]) whose whole execution is a pure function of the
+    /// ([`Backend::Sim`]; its solves run on the executor's seeded
+    /// serializer) whose whole execution is a pure function of the
     /// embedded fault plan's `(seed, policy)`, or work stealing
     /// ([`Backend::Dynamic`]).
     pub backend: Backend,

@@ -1,6 +1,7 @@
 //! Factorization on the shared-memory DAG executor
 //! ([`pastix_runtime::steal`]) — `Backend::Threads` in the static order,
-//! `Backend::Dynamic` in any — and `Backend::Dynamic`'s panel solve.
+//! `Backend::Dynamic` in any — and the panel solve of every backend
+//! (`Backend::Sim`'s under the executor's seeded serializer).
 //!
 //! Unlike the fan-in driver of `Backend::Sim`, which executes the static
 //! schedule's per-rank task lists and moves contributions through messages
@@ -10,10 +11,9 @@
 //! nodes' distinct producers, contributions are applied straight into the
 //! shared factor panels under per-panel locks, and the static schedule
 //! supplies the worker count, placement and priority. The solve runs
-//! its twin DAG over the same block structure the level-set
-//! [`pastix_sched::SolveSchedule`] walks, on the same groups: each grouped
-//! subtree is one forward and one backward node (`SolveDag`, built once per
-//! plan).
+//! its twin DAG ([`pastix_sched::SolveDag`]) on the same groups: each
+//! grouped subtree is one forward and one backward node (`SolveDag`, built
+//! once per plan).
 //!
 //! Locking is deadlock-free by index ordering: every multi-lock
 //! acquisition ascends the column-block order (a contribution's target
@@ -476,9 +476,9 @@ impl<T: Scalar> RowSink<T> for LockedSegments<'_, '_, T> {
     }
 }
 
-/// Dynamic multi-RHS panel solve (`rhs` is `n × nrhs` column-major, in
-/// the row order `perm` maps to elimination order, like the SPMD panel
-/// solve): the plan's [`SolveDag`] on the work-stealing executor, every
+/// The multi-RHS panel solve of every backend (`rhs` is `n × nrhs`
+/// column-major, in the row order `perm` maps to elimination order): the
+/// plan's [`SolveDag`] on the work-stealing executor, every
 /// task one [`crate::sweeps`] step on the segment of its column block in
 /// one shared workspace, a grouped subtree's steps back to back in one
 /// node. A forward step adds its rows into the segments they face, or

@@ -18,24 +18,25 @@
 //! * `sweeps` (crate-private) — the solve mirror of `tasks`: the **one**
 //!   forward and backward block step of the triangular solves, on a flat
 //!   RHS-interleaved workspace, generic over a one-method row sink; and
-//!   `solve_plan`, the structure of the solves (owners, step orders,
-//!   counters, routes, the solve DAG) computed once per [`Plan`] and
-//!   replayed by every solve. The same three modules below drive them;
+//!   `solve_plan`, the structure of the solves (the grouped solve DAG and
+//!   its staging rows) computed once per [`Plan`] and replayed by every
+//!   solve. [`seq`] and [`dynamic`] below drive them;
 //! * [`seq`] — the sequential reference driver (one `COMP1D` per column
 //!   block in elimination order, contributions applied to later panels in
 //!   place; the solve sweeps as a plain loop up and down the blocks);
 //! * [`parallel`] — the `Backend::Sim` driver: the supernodal **fan-in**
 //!   engine of the paper's Fig. 1, each rank walking its `K_p` from
 //!   `pastix-sched` on the runtime's deterministic simulator (regions,
-//!   AUBs, factor payloads); [`psolve`] is its solve twin (segment
-//!   broadcasts, aggregated updates, exactly-once under duplicate
-//!   delivery);
+//!   AUBs, factor payloads);
 //! * [`dynamic`] — the `Backend::Threads` and `Backend::Dynamic`
-//!   factorization and solve: the same task graph executed by the DAG executor over
+//!   factorization, and the one parallel solve of every backend: the same
+//!   task graph executed by the DAG executor over
 //!   shared panels under per-panel locks, with the static mapping either
 //!   kept (`Threads`: every task enqueued on its `K_p` processor, which
 //!   runs it in `K_p` order) or reduced to placement/priority hints
-//!   (`Dynamic`); under both a worker whose queue is empty steals.
+//!   (`Dynamic`); under both a worker whose queue is empty steals. The
+//!   solve runs the plan's grouped solve DAG there, for `Sim` under the
+//!   executor's seeded serializer.
 //!
 //! The parallel factor is validated against the sequential one entry by
 //! entry; both support `f64` (SPD) and `Complex64` (complex symmetric)
@@ -56,7 +57,6 @@ pub mod dynamic;
 pub mod parallel;
 mod pattern;
 pub mod plan;
-pub mod psolve;
 pub mod refine;
 pub mod seq;
 mod solve_plan;

@@ -27,7 +27,7 @@ use crate::compress::finalize_compression;
 use crate::config::{FactorRun, SolverConfig};
 use crate::dynamic;
 use crate::pattern::ScatterPattern;
-use crate::solve_plan::{SolveDag, StaticRouting};
+use crate::solve_plan::SolveDag;
 use crate::storage::FactorStorage;
 use pastix_graph::{Parallelism, Permutation, SymCsc};
 use pastix_kernels::factor::FactorError;
@@ -36,7 +36,7 @@ use pastix_machine::MachineModel;
 use pastix_ordering::OrderingOptions;
 use pastix_runtime::steal::NodeDag;
 use pastix_runtime::{Backend, DynamicOptions, TaskOrder};
-use pastix_sched::{map_and_schedule, Mapping, SchedOptions, Schedule, SolveSchedule, TaskGraph};
+use pastix_sched::{map_and_schedule, Mapping, SchedOptions, Schedule, TaskGraph};
 use pastix_symbolic::{AnalysisOptions, SymbolMatrix};
 use pastix_trace::{MetricsRegistry, TraceLog, TraceOptions};
 use std::borrow::Cow;
@@ -114,12 +114,8 @@ struct PlanInner {
     n: usize,
     stats: Option<AnalyzeStats>,
     analyze_trace: Option<TraceLog>,
-    /// Structure of the static engine's triangular solves, built by the
-    /// first `Sim` solve of any run of this plan (or the first
-    /// [`FactorRun::solve_schedule`]) and replayed by every later one.
-    routing: OnceLock<StaticRouting>,
-    /// The executor's grouped solve DAG, built likewise by the first
-    /// `Threads` or `Dynamic` solve.
+    /// The executor's grouped solve DAG, built by the first solve of any
+    /// run of this plan, on any backend, and replayed by every later one.
     solve_dag: OnceLock<SolveDag>,
     /// Stored entries of the analyzed matrix (`None` for plans assembled
     /// via [`Plan::from_parts`]): which factorized pattern `pattern` keeps.
@@ -218,7 +214,6 @@ impl Plan {
                 n,
                 stats: None,
                 analyze_trace: None,
-                routing: OnceLock::new(),
                 solve_dag: OnceLock::new(),
                 analyzed_nnz: None,
                 pattern: OnceLock::new(),
@@ -263,18 +258,9 @@ impl Plan {
         self.inner.n
     }
 
-    /// The static solve's structure of this plan, built on first use. Each
-    /// build of it or of [`Plan::solve_dag`] counts in
-    /// `solver.solve_plan_builds` of `metrics` — one per plan and engine,
-    /// however many runs and solves share it.
-    pub(crate) fn routing(&self, metrics: &MetricsRegistry) -> &StaticRouting {
-        self.inner.routing.get_or_init(|| {
-            metrics.add_counter("solver.solve_plan_builds", 1);
-            StaticRouting::build(&self.inner.graph, &self.inner.schedule)
-        })
-    }
-
     /// The executor's solve DAG on the plan's `nodes`, built on first use.
+    /// The build counts in `solver.solve_plan_builds` of `metrics` — once
+    /// per plan, however many runs, backends and solves share it.
     pub(crate) fn solve_dag(&self, metrics: &MetricsRegistry) -> &SolveDag {
         self.inner.solve_dag.get_or_init(|| {
             metrics.add_counter("solver.solve_plan_builds", 1);
@@ -366,14 +352,17 @@ impl Plan {
     }
 }
 
-/// The executor options of `Threads` and `Dynamic`, which factorize and
-/// solve on the DAG executor: `Dynamic`'s own, and for `Threads` the
+/// The executor options of a backend: `Dynamic`'s own; for `Threads` the
 /// static mapping's placement and `K_p` order on one worker per processor,
-/// a worker whose queue runs dry stealing. (`Sim` runs the static engine.)
+/// a worker whose queue runs dry stealing; for `Sim`, whose factorization
+/// is the fan-in engine and whose solves run on the executor, the same
+/// order under the seeded serializer of its fault plan.
 fn executor_options(backend: Backend) -> DynamicOptions {
+    let static_order = DynamicOptions::new().with_order(TaskOrder::Static);
     match backend {
         Backend::Dynamic(dopts) => dopts,
-        _ => DynamicOptions::new().with_order(TaskOrder::Static),
+        Backend::Threads => static_order,
+        Backend::Sim(faults) => static_order.with_sim(faults),
     }
 }
 
@@ -497,8 +486,10 @@ pub struct SolveOutput<T> {
 
 impl<T: Scalar> FactorRun<T> {
     /// Solves `A·X = B` for the request's right-hand sides using this
-    /// run's factor, on the backend of the config the run was produced
-    /// under. Single-RHS is `k = 1` of the same panel path. A request
+    /// run's factor: the plan's grouped solve DAG on the executor, with the
+    /// options of the backend the run was produced under (for `Sim`, the
+    /// seeded serializer of its fault plan). Single-RHS is `k = 1` of the
+    /// same panel path. A request
     /// with `k = 0`, a length other than `n · k` or a non-finite entry is
     /// refused with its [`SolveError`] ([`screen_rhs`]) before any work.
     pub fn solve_request(&self, req: SolveRequest<'_, T>) -> Result<SolveOutput<T>, SolveError> {
@@ -510,49 +501,24 @@ impl<T: Scalar> FactorRun<T> {
         } else if !cfg.trace.enabled {
             cfg.trace = TraceOptions::wall();
         }
-        // The engines fuse the permutation into elimination order with
-        // their workspace fill, and its inverse with the solution gather.
+        // The solve fuses the permutation into elimination order with its
+        // workspace fill, and its inverse with the solution gather.
         let perm = plan.permutation().map(|p| p.perm());
-        let sym = plan.symbol();
-        let sched = &plan.inner.schedule;
-        let (x, trace) = match cfg.backend {
-            Backend::Sim(faults) => crate::psolve::solve_panel_static(
-                sym,
-                &self.storage,
-                plan.routing(&cfg.metrics),
-                sched.digest(),
-                req.rhs,
-                req.k,
-                perm,
-                &faults,
-                &cfg,
-            ),
-            backend => dynamic::solve_panel_dynamic(
-                sym,
-                &self.storage,
-                plan.solve_dag(&cfg.metrics),
-                sched,
-                req.rhs,
-                req.k,
-                perm,
-                &executor_options(backend),
-                &cfg,
-            ),
-        };
-        let mut trace = trace;
+        let (x, mut trace) = dynamic::solve_panel_dynamic(
+            plan.symbol(),
+            &self.storage,
+            plan.solve_dag(&cfg.metrics),
+            &plan.inner.schedule,
+            req.rhs,
+            req.k,
+            perm,
+            &executor_options(cfg.backend),
+            &cfg,
+        );
         if let Some(id) = req.tag {
             tag_solve_trace(&mut trace, id);
         }
         Ok(SolveOutput { x, trace })
-    }
-
-    /// The static solve schedule that `Sim`'s static engine replays (and
-    /// its solve traces reconcile against): part of the plan's static
-    /// solve structure, so built with it on first use and shared by every
-    /// run of the plan. `Threads` and `Dynamic` solves do not use it
-    /// (called on one of their runs, this builds it all the same).
-    pub fn solve_schedule(&self) -> &SolveSchedule {
-        &self.ctx.plan.routing(&self.ctx.cfg.metrics).schedule
     }
 
     /// Solves for a single right-hand side (untraced).
@@ -649,29 +615,58 @@ mod tests {
         }
     }
 
+    /// Every solve runs the plan's grouped solve DAG, on `Threads` and on
+    /// `Sim` (the executor's seeded serializer), and a width-`k` panel
+    /// agrees with `k` sequential solves of its columns: on 1D, mixed and
+    /// 3D mappings, under the static schedule and a block-cyclic one.
     #[test]
     fn threads_solves_on_the_grouped_solve_dag() {
-        let (ap, mapping) = full_setup(32, 32, 1, 2, DistStrategy::Mixed1d2d, 4);
-        let plan = Plan::from_parts(None, mapping.graph, Some(mapping.schedule));
-        let nodes = &plan.inner.nodes;
-        assert!((0..nodes.deps.len()).any(|v| nodes.members(v).len() > 1), "the plan groups tasks");
-        let (sym, n) = (plan.symbol(), ap.n());
-        let cfg = SolverConfig::new();
-        let run = plan.factorize(&ap, &cfg).unwrap();
-        for k in [1usize, 3, 8] {
-            let b: Vec<f64> = (0..n * k).map(|i| 1.0 + (i % 13) as f64 * 0.5).collect();
-            let before = cfg.metrics.counter("dynamic.tasks");
-            let x = run.solve_panel(&b, k);
-            let solve_nodes = cfg.metrics.counter("dynamic.tasks") - before;
-            let grouped = (1..2 * sym.n_cblks() as u64).contains(&solve_nodes);
-            assert!(grouped, "k {k}: {solve_nodes} executor nodes for {} blocks", sym.n_cblks());
-            let mut x_seq = b.clone();
-            crate::seq::solve_block_in_place(sym, &run.storage, &mut x_seq, k);
-            let scale = x_seq.iter().fold(0.0f64, |m, v| m.max(v.abs()));
-            let dev = x.iter().zip(&x_seq).fold(0.0f64, |m, (u, v)| m.max((u - v).abs()));
-            assert!(dev <= 1e-12 * scale, "k {k}: deviation {dev:.3e} of {scale:.3e}");
+        use DistStrategy::{Mixed1d2d, Only1d};
+        // (nx, ny, nz, procs, strategy, block-cyclic schedule)
+        let cases = [
+            (32, 32, 1, 2, Mixed1d2d, false),
+            (8, 8, 1, 1, Only1d, false),
+            (8, 8, 1, 4, Only1d, false),
+            (9, 9, 1, 3, Mixed1d2d, false),
+            (9, 9, 1, 8, Mixed1d2d, false),
+            (4, 4, 4, 4, Mixed1d2d, false),
+            (8, 8, 1, 3, Mixed1d2d, true),
+        ];
+        for (i, (nx, ny, nz, procs, strategy, cyclic)) in cases.into_iter().enumerate() {
+            let (ap, mapping) = full_setup(nx, ny, nz, procs, strategy, if i == 0 { 4 } else { 6 });
+            let sched = match cyclic {
+                true => pastix_sched::cyclic_schedule(&mapping.graph, &MachineModel::sp2(procs)),
+                false => mapping.schedule,
+            };
+            let plan = Plan::from_parts(None, mapping.graph, Some(sched));
+            let nodes = &plan.inner.nodes;
+            let groups = (0..nodes.deps.len()).any(|v| nodes.members(v).len() > 1);
+            assert!(groups || i > 0, "the plan groups tasks");
+            let (sym, n) = (plan.symbol(), ap.n());
+            let cfg = SolverConfig::new();
+            let faults = pastix_runtime::sim::FaultPlan::interleave_only(i as u64 + 1);
+            for cfg in [cfg.clone(), cfg.clone().with_backend(Backend::Sim(faults))] {
+                let case = format!("case {i} {:?}", cfg.backend);
+                let run = plan.factorize(&ap, &cfg).unwrap();
+                for k in [1usize, 3, 8] {
+                    let b: Vec<f64> = (0..n * k).map(|i| 1.0 + (i % 13) as f64 * 0.5).collect();
+                    let before = cfg.metrics.counter("dynamic.tasks");
+                    let x = run.solve_panel(&b, k);
+                    let solve_nodes = cfg.metrics.counter("dynamic.tasks") - before;
+                    let grouped = (1..2 * sym.n_cblks() as u64 + u64::from(!groups)).contains(&solve_nodes);
+                    assert!(grouped, "{case} k {k}: {solve_nodes} executor nodes for {} blocks", sym.n_cblks());
+                    for (r, (x, b)) in x.chunks(n).zip(b.chunks(n)).enumerate() {
+                        let mut x_seq = b.to_vec();
+                        crate::seq::solve_in_place(sym, &run.storage, &mut x_seq);
+                        let scale = x_seq.iter().fold(0.0f64, |m, v| m.max(v.abs()));
+                        let dev = x.iter().zip(&x_seq).fold(0.0f64, |m, (u, v)| m.max((u - v).abs()));
+                        assert!(dev <= 1e-12 * scale, "{case} k {k} column {r}: deviation {dev:.3e} of {scale:.3e}");
+                        assert!(ap.residual_norm(x, b) < 1e-12, "{case} k {k} column {r}");
+                    }
+                }
+            }
+            assert_eq!(cfg.metrics.counter("solver.solve_plan_builds"), 1, "case {i}: the solve DAG alone, once");
         }
-        assert_eq!(cfg.metrics.counter("solver.solve_plan_builds"), 1, "the solve DAG alone, once");
     }
 
     #[test]

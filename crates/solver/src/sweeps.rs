@@ -1,15 +1,15 @@
 //! The block steps of the triangular solves — the forward step `L·D·z = b`
 //! and the backward step `Lᵀ·x = z` of one column block — written once.
 //!
-//! The solve mirror of [`crate::tasks`]: the three solve drivers
-//! ([`crate::seq`], [`crate::psolve`], [`crate::dynamic`]) decide *when* a
-//! column block is stepped and *where* the right-hand sides live; what a
-//! step computes is here. Every driver keeps its right-hand sides in a
+//! The solve mirror of [`crate::tasks`]: the two solve drivers
+//! ([`crate::seq`], [`crate::dynamic`]) decide *when* a column block is
+//! stepped and *where* the right-hand sides live; what a step computes is
+//! here. Every driver keeps its right-hand sides in a
 //! flat **workspace**: the `n × nrhs` panel in elimination order, stored
 //! row by row with the `nrhs` scalars of a row contiguous. Column block
 //! `k`'s rows are the contiguous [`segment`] `k`, the rows a blok covers
-//! are one contiguous run ([`blok_rows`]) — so a diagonal solve, a message
-//! payload, a lock and a row-block delivery each cover one slice, and the
+//! are one contiguous run ([`blok_rows`]) — so a diagonal solve, a lock
+//! and a row-block delivery each cover one slice, and the
 //! kernels vectorize over the right-hand sides, which are always a full
 //! vector however small the supernodes are.
 //!

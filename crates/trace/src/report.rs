@@ -13,7 +13,7 @@
 
 use crate::{Event, EventKind, TaskClass, TraceLog};
 use pastix_json::{obj, Json};
-use pastix_sched::{critical_path_chain, Schedule, SolveSchedule, TaskGraph};
+use pastix_sched::{critical_path_chain, Schedule, TaskGraph};
 use std::collections::HashMap;
 
 /// Predicted-vs-measured row for one scheduled task.
@@ -521,204 +521,6 @@ impl TraceReport {
     }
 }
 
-/// Predicted-vs-measured reconciliation of a **solve** trace against its
-/// [`SolveSchedule`]. Built by [`build_solve_report`].
-///
-/// Where the factorization report reconciles on wall-clock coverage, the
-/// solve report reconciles on the schedule's *discrete* decisions — the
-/// numbers that must hold exactly on the deterministic sim backend:
-/// every task observed ([`coverage`](Self::coverage)), on its predicted
-/// rank ([`placement`](Self::placement)), in its predicted per-rank order
-/// ([`order`](Self::order)).
-#[derive(Debug, Clone, Default)]
-pub struct SolveReport {
-    /// Trace digest (replay key component).
-    pub digest: u64,
-    /// Solve-schedule digest.
-    pub schedule_digest: u64,
-    /// Wall time of the solve run (ns, from the log).
-    pub wall_ns: u64,
-    /// Total scheduled solve tasks (`2 · n_cblks`).
-    pub n_tasks: usize,
-    /// Tasks with a matched begin/end span in the trace.
-    pub matched: usize,
-    /// `matched / n_tasks`.
-    pub coverage: f64,
-    /// Fraction of observed tasks that ran on their predicted rank.
-    pub placement: f64,
-    /// Per-rank predicted-order agreement: longest observed subsequence
-    /// in predicted order over all observed tasks.
-    pub order: f64,
-    /// `min(coverage, placement, order)` — the ≥95% gate of
-    /// `bench_serve`.
-    pub reconciliation: f64,
-    /// Σ predicted cost over matched tasks (madds).
-    pub total_predicted: f64,
-    /// Σ measured span time over matched tasks (ns).
-    pub total_measured_ns: u64,
-    /// Fitted ns-per-madd scale (0 when nothing matched).
-    pub model_scale_ns: f64,
-    /// `1 − Σ|measured − predicted·scale| / Σ measured` over matched
-    /// tasks (informational under logical clocks).
-    pub prediction_fit: f64,
-}
-
-/// Length of the longest strictly increasing subsequence (patience
-/// sorting; `O(m log m)`). The order-agreement metric reduces to this
-/// because every task id appears at most once per rank.
-fn lis_len(seq: &[u32]) -> usize {
-    let mut tails: Vec<u32> = Vec::new();
-    for &x in seq {
-        match tails.binary_search(&x) {
-            Ok(i) | Err(i) => {
-                if i == tails.len() {
-                    tails.push(x);
-                } else {
-                    tails[i] = x;
-                }
-            }
-        }
-    }
-    tails.len()
-}
-
-/// Joins a solve trace against the level-set [`SolveSchedule`].
-///
-/// Forward spans ([`TaskClass::FwdSolve`], keyed by cblk) map to solve
-/// task `k`; backward spans ([`TaskClass::BwdSolve`]) to `n_cblks + k`.
-pub fn build_solve_report(ss: &SolveSchedule, log: &TraceLog) -> SolveReport {
-    let n = ss.n_tasks();
-    let ns = ss.n_cblks;
-    let mut measured = vec![0u64; n];
-    let mut run_rank = vec![u32::MAX; n];
-    // Per rank: observed solve task ids in completion order.
-    let mut rank_obs: Vec<(u32, Vec<u32>)> = Vec::new();
-    for rt in &log.ranks {
-        let mut open: HashMap<(u32, u8), u64> = HashMap::new();
-        let mut obs = Vec::new();
-        for ev in &rt.events {
-            match ev.kind {
-                EventKind::TaskBegin { task, class }
-                    if matches!(class, TaskClass::FwdSolve | TaskClass::BwdSolve) =>
-                {
-                    open.insert((task, class as u8), ev.at);
-                }
-                EventKind::TaskEnd { task, class }
-                    if matches!(class, TaskClass::FwdSolve | TaskClass::BwdSolve) =>
-                {
-                    if let Some(b) = open.remove(&(task, class as u8)) {
-                        let id = if matches!(class, TaskClass::FwdSolve) {
-                            task as usize
-                        } else {
-                            ns + task as usize
-                        };
-                        if id < n {
-                            measured[id] += ev.at.saturating_sub(b);
-                            run_rank[id] = rt.rank;
-                            obs.push(id as u32);
-                        }
-                    }
-                }
-                _ => {}
-            }
-        }
-        rank_obs.push((rt.rank, obs));
-    }
-
-    let matched = run_rank.iter().filter(|&&r| r != u32::MAX).count();
-    let coverage = if n > 0 { matched as f64 / n as f64 } else { 1.0 };
-    let placed = (0..n)
-        .filter(|&t| run_rank[t] != u32::MAX && run_rank[t] == ss.task_proc[t])
-        .count();
-    let placement = if matched > 0 { placed as f64 / matched as f64 } else { 1.0 };
-
-    // Order agreement: per rank, map the observed completion sequence to
-    // positions in that rank's predicted order, then score the longest
-    // increasing subsequence. Tasks observed on an unpredicted rank are
-    // scored by `placement`, not here.
-    let mut order_num = 0usize;
-    let mut order_den = 0usize;
-    for (rank, obs) in &rank_obs {
-        let Some(pred) = ss.proc_tasks.get(*rank as usize) else { continue };
-        let pos: HashMap<u32, u32> =
-            pred.iter().enumerate().map(|(i, &t)| (t, i as u32)).collect();
-        let seq: Vec<u32> = obs.iter().filter_map(|t| pos.get(t).copied()).collect();
-        order_num += lis_len(&seq);
-        order_den += seq.len();
-    }
-    let order = if order_den > 0 { order_num as f64 / order_den as f64 } else { 1.0 };
-
-    let mut total_predicted = 0.0f64;
-    let mut total_measured = 0u64;
-    for t in 0..n {
-        if run_rank[t] != u32::MAX {
-            total_predicted += ss.cost[t];
-            total_measured += measured[t];
-        }
-    }
-    let model_scale_ns =
-        if total_predicted > 0.0 { total_measured as f64 / total_predicted } else { 0.0 };
-    let mut abs_err = 0.0f64;
-    for t in 0..n {
-        if run_rank[t] != u32::MAX {
-            abs_err += (measured[t] as f64 - ss.cost[t] * model_scale_ns).abs();
-        }
-    }
-    let prediction_fit =
-        if total_measured > 0 { 1.0 - abs_err / total_measured as f64 } else { 0.0 };
-
-    SolveReport {
-        digest: log.digest,
-        schedule_digest: ss.digest(),
-        wall_ns: log.wall_ns,
-        n_tasks: n,
-        matched,
-        coverage,
-        placement,
-        order,
-        reconciliation: coverage.min(placement).min(order),
-        total_predicted,
-        total_measured_ns: total_measured,
-        model_scale_ns,
-        prediction_fit,
-    }
-}
-
-impl SolveReport {
-    /// Serializes the reconciliation summary.
-    pub fn to_json(&self) -> Json {
-        obj([
-            ("trace_digest", Json::Str(format!("{:#018x}", self.digest))),
-            ("schedule_digest", Json::Str(format!("{:#018x}", self.schedule_digest))),
-            ("wall_ns", Json::Num(self.wall_ns as f64)),
-            ("n_tasks", Json::Num(self.n_tasks as f64)),
-            ("matched", Json::Num(self.matched as f64)),
-            ("coverage", Json::Num(self.coverage)),
-            ("placement", Json::Num(self.placement)),
-            ("order", Json::Num(self.order)),
-            ("reconciliation", Json::Num(self.reconciliation)),
-            ("total_predicted_cost", Json::Num(self.total_predicted)),
-            ("total_measured_ns", Json::Num(self.total_measured_ns as f64)),
-            ("model_scale_ns_per_cost", Json::Num(self.model_scale_ns)),
-            ("prediction_fit", Json::Num(self.prediction_fit)),
-        ])
-    }
-
-    /// One-line human summary (`bench_serve` output).
-    pub fn render(&self) -> String {
-        format!(
-            "solve reconciliation: {:.2}% (coverage {:.2}%, placement {:.2}%, order {:.2}%) over {}/{} tasks, schedule {:#018x}",
-            self.reconciliation * 100.0,
-            self.coverage * 100.0,
-            self.placement * 100.0,
-            self.order * 100.0,
-            self.matched,
-            self.n_tasks,
-            self.schedule_digest,
-        )
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -765,72 +567,5 @@ mod tests {
         let j = rep.to_json(10);
         assert!(j.get("schedule_digest").is_some());
         assert!(rep.render_tables(5).contains("critical path"));
-    }
-
-    fn solve_span(rank_events: &mut Vec<Event>, at: &mut u64, task: u32, class: TaskClass) {
-        rank_events.push(Event { at: *at, kind: EventKind::TaskBegin { task, class } });
-        *at += 1;
-        rank_events.push(Event { at: *at, kind: EventKind::TaskEnd { task, class } });
-        *at += 1;
-    }
-
-    #[test]
-    fn solve_report_reconciles_a_faithful_trace() {
-        use pastix_sched::solve_schedule;
-        let (g, s) = tiny_graph();
-        let ss = solve_schedule(&g, &s);
-        let ns = ss.n_cblks;
-        // Synthesize the exact predicted execution: every rank runs its
-        // own tasks in predicted order under a logical clock.
-        let mut ranks = Vec::new();
-        for p in 0..ss.n_procs {
-            let mut events = Vec::new();
-            let mut at = 1u64;
-            for &t in &ss.proc_tasks[p] {
-                let t = t as usize;
-                let (task, class) = if t < ns {
-                    (t as u32, TaskClass::FwdSolve)
-                } else {
-                    ((t - ns) as u32, TaskClass::BwdSolve)
-                };
-                solve_span(&mut events, &mut at, task, class);
-            }
-            ranks.push(RankTrace {
-                rank: p as u32,
-                events,
-                dropped_events: 0,
-                comm: CommCounters::default(),
-            });
-        }
-        let log = TraceLog { ranks, wall_ns: 100, digest: 3 };
-        let rep = build_solve_report(&ss, &log);
-        assert_eq!(rep.n_tasks, 2 * ns);
-        assert_eq!(rep.matched, 2 * ns);
-        assert!((rep.coverage - 1.0).abs() < 1e-12);
-        assert!((rep.placement - 1.0).abs() < 1e-12);
-        assert!((rep.order - 1.0).abs() < 1e-12);
-        assert!((rep.reconciliation - 1.0).abs() < 1e-12, "{}", rep.render());
-        assert_eq!(rep.schedule_digest, ss.digest());
-        assert!(rep.to_json().get("reconciliation").is_some());
-
-        // Shuffle one rank's completion order: order degrades, the other
-        // components stay perfect, and reconciliation takes the min.
-        let mut bad = log.clone();
-        let ev = &mut bad.ranks[0].events;
-        if ev.len() >= 4 {
-            ev.swap(0, 2);
-            ev.swap(1, 3);
-        }
-        let rep2 = build_solve_report(&ss, &bad);
-        assert!(rep2.order < 1.0);
-        assert!((rep2.coverage - 1.0).abs() < 1e-12);
-        assert!((rep2.reconciliation - rep2.order).abs() < 1e-12);
-
-        // Dropping a rank's spans entirely degrades coverage.
-        let mut sparse = log.clone();
-        sparse.ranks[0].events.clear();
-        let rep3 = build_solve_report(&ss, &sparse);
-        assert!(rep3.coverage < 1.0);
-        assert!(rep3.reconciliation <= rep3.coverage);
     }
 }

@@ -168,10 +168,11 @@ fn session_serves_coalesced_batches_on_both_backends() {
     }
 }
 
-/// The three solve engines are drivers of one block step: over the same
-/// factor — dense, and block-low-rank — the sequential sweep, the static
-/// engine (2 and 4 processors, mixed 1D/2D, threads and every chaos
-/// policy of the simulator) and the dynamic engine agree to round-off at
+/// The two solve engines are drivers of one block step: over the same
+/// factor — dense, and block-low-rank — the sequential sweep and the
+/// executor's solve (2 and 4 processors, mixed 1D/2D, in the static order
+/// on threads and under every chaos policy of the serializer, and in the
+/// dynamic orders) agree to round-off at
 /// every panel width, including the widths that leave remainder groups
 /// in the kernels.
 #[test]

@@ -1,27 +1,23 @@
-//! The scheduled solve DAG: predicted-vs-measured reconciliation and
-//! trace determinism for the serving-path triangular solves.
+//! The plan's solve DAG: trace determinism and one build per plan for the
+//! serving-path triangular solves.
 //!
-//! Mirrors `trace_observability.rs` for the solve side. On the simulation
-//! backend with logical clocks the panel solve executes exactly the
-//! per-rank task orders the level-set [`pastix::sched::SolveSchedule`]
-//! predicts, so `build_solve_report` must reconcile ≥ 95% (coverage,
-//! placement, and order) under every chaos scheduling policy — and the
-//! deterministic trace must be a pure function of the fault plan's
+//! Mirrors `trace_observability.rs` for the solve side. Every backend
+//! solves on the plan's grouped solve DAG; on the simulation backend it
+//! runs under the executor's seeded serializer with logical clocks, so
+//! the deterministic trace must be a pure function of the fault plan's
 //! `(seed, policy)` and the schedule digest: repeated runs compare
-//! byte-identical through `TraceLog::canonical_bytes`.
+//! byte-identical through `TraceLog::canonical_bytes`. The DAG itself is
+//! built once per plan and shared by every run and backend.
 
 use pastix::graph::gen::{grid_spd, Stencil, ValueKind};
 use pastix::graph::rhs_for_solution;
 use pastix::machine::MachineModel;
 use pastix::ordering::{nested_dissection, OrderingOptions};
 use pastix::runtime::sim::{FaultPlan, SchedPolicy};
-use pastix::runtime::Backend;
-use pastix::sched::{map_and_schedule, solve_schedule, DistStrategy, Mapping, SchedOptions};
+use pastix::runtime::{Backend, DynamicOptions};
+use pastix::sched::{map_and_schedule, DistStrategy, Mapping, SchedOptions};
 use pastix::solver::{Plan, SolveRequest, SolverConfig, TraceOptions};
 use pastix::symbolic::{analyze, AnalysisOptions};
-use pastix::trace::report::build_solve_report;
-
-const RECONCILE_MIN: f64 = 0.95;
 
 fn setup(procs: usize) -> (pastix::graph::SymCsc<f64>, Mapping) {
     let a = grid_spd::<f64>(8, 8, 1, Stencil::Star, false, ValueKind::RandomSpd(7));
@@ -82,43 +78,6 @@ fn traced_solve(
     (out.x, out.trace)
 }
 
-/// Sim workers execute exactly the per-rank orders the level-set solve
-/// schedule predicts, so the trace must reconcile ≥ 95% — under every
-/// chaos policy, since chaos perturbs message timing, not task order.
-#[test]
-fn solve_trace_reconciles_against_solve_schedule_under_every_policy() {
-    let procs = 3;
-    let (ap, mapping) = setup(procs);
-    let ssched = solve_schedule(&mapping.graph, &mapping.schedule);
-    for seed in [3u64, 4] {
-        for policy in all_policies(seed, procs) {
-            let plan = FaultPlan::builder(seed).policy(policy).build();
-            let (_, log) = traced_solve(&ap, &mapping, plan, 4);
-            let report = build_solve_report(&ssched, &log);
-            assert_eq!(
-                report.schedule_digest,
-                ssched.digest(),
-                "report must carry the schedule digest"
-            );
-            assert_eq!(
-                report.n_tasks,
-                ssched.n_tasks(),
-                "seed {seed} {policy:?}: every solve task must be predicted"
-            );
-            assert!(
-                report.coverage == 1.0,
-                "seed {seed} {policy:?}: every predicted task must be traced, got {:.4}",
-                report.coverage
-            );
-            assert!(
-                report.reconciliation >= RECONCILE_MIN,
-                "seed {seed} {policy:?}: reconciliation {:.4} < {RECONCILE_MIN}",
-                report.reconciliation
-            );
-        }
-    }
-}
-
 /// Deterministic solve traces: for a fixed `(seed, policy)` and schedule
 /// digest, the canonical byte encoding of the serving trace is identical
 /// across repeated runs — the replay key the chaos harness prints is
@@ -127,7 +86,6 @@ fn solve_trace_reconciles_against_solve_schedule_under_every_policy() {
 fn solve_traces_are_byte_identical_for_fixed_seed_and_policy() {
     let procs = 3;
     let (ap, mapping) = setup(procs);
-    let ssched = solve_schedule(&mapping.graph, &mapping.schedule);
     for seed in [21u64, 22] {
         for policy in all_policies(seed, procs) {
             let run = || {
@@ -140,7 +98,7 @@ fn solve_traces_are_byte_identical_for_fixed_seed_and_policy() {
             assert_eq!(
                 b1, b2,
                 "seed {seed} {policy:?} digest {:#018x}: traces must be byte-identical",
-                ssched.digest()
+                mapping.schedule.digest()
             );
             assert_eq!(f1, f2, "fingerprint is a pure function of the bytes");
             assert_eq!(x1, x2, "sim solves are bitwise deterministic");
@@ -148,11 +106,10 @@ fn solve_traces_are_byte_identical_for_fixed_seed_and_policy() {
     }
 }
 
-/// The solve follows a plan computed once per engine: ten solves of mixed
-/// width on one `Threads` factor run build the executor's solve DAG, a
-/// `Dynamic` run of the same `Plan` shares it and builds nothing, and the
-/// first solve of a `Sim` run builds the static engine's routing:
-/// `solver.solve_plan_builds` reads 1, still 1, then 2.
+/// The solve follows a plan computed once: ten solves of mixed width on
+/// one `Threads` factor run build the grouped solve DAG, and a `Dynamic`
+/// and a `Sim` run of the same `Plan` share it and build nothing:
+/// `solver.solve_plan_builds` reads 1 throughout.
 #[test]
 fn solve_plan_is_built_once_per_plan() {
     let (ap, mapping) = setup(3);
@@ -175,9 +132,38 @@ fn solve_plan_is_built_once_per_plan() {
     let sim = cfg.clone().with_backend(Backend::Sim(FaultPlan::interleave_only(5)));
     let third = plan.factorize(&ap, &sim).expect("sim factorization");
     third.solve(&b[..n]);
-    assert_eq!(cfg.metrics.counter("solver.solve_plan_builds"), 2, "the static routing, once");
+    assert_eq!(cfg.metrics.counter("solver.solve_plan_builds"), 1, "Sim shares the solve DAG");
     third.solve_panel(&b[..8 * n], 8);
     run.solve(&b[..n]);
     second.solve(&b[..n]);
-    assert_eq!(cfg.metrics.counter("solver.solve_plan_builds"), 2, "three runs of one plan share both halves");
+    assert_eq!(cfg.metrics.counter("solver.solve_plan_builds"), 1, "three runs of one plan share one solve DAG");
+}
+
+/// A serialized executor run records one trace rank per worker, and the
+/// trace still replays byte for byte: a `Dynamic` factorization under the
+/// seeded serializer, and a traced `Sim` solve (which runs on it), each at
+/// four workers.
+#[test]
+fn serialized_executor_traces_carry_one_rank_per_worker() {
+    let procs = 4;
+    let (ap, mapping) = setup(procs);
+    for policy in all_policies(5, procs) {
+        let run = || {
+            let plan = FaultPlan::builder(5).policy(policy).build();
+            let pln = Plan::from_parts(None, mapping.graph.clone(), Some(mapping.schedule.clone()));
+            let dynamic = SolverConfig::new()
+                .with_backend(Backend::Dynamic(DynamicOptions::new().with_sim(plan)))
+                .with_trace(trace_all());
+            let factor = pln.factorize(&ap, &dynamic).expect("dynamic sim factorization").trace;
+            let (_, solve) = traced_solve(&ap, &mapping, plan, 3);
+            (factor, solve)
+        };
+        let ((f1, s1), (f2, s2)) = (run(), run());
+        for (what, log) in [("factorization", &f1), ("solve", &s1)] {
+            let ranks: Vec<u32> = log.ranks.iter().map(|r| r.rank).collect();
+            assert_eq!(ranks, (0..procs as u32).collect::<Vec<_>>(), "{policy:?} {what}");
+        }
+        assert_eq!(f1.canonical_bytes(), f2.canonical_bytes(), "{policy:?}: factorization traces replay");
+        assert_eq!(s1.canonical_bytes(), s2.canonical_bytes(), "{policy:?}: solve traces replay");
+    }
 }
