@@ -97,7 +97,7 @@ impl<'a, T: Scalar> LaterSegments<'a, T> {
     }
 
     /// Workspace range `r`, which must lie past the split.
-    pub(crate) fn range_mut(&mut self, r: Range<usize>) -> &mut [T] {
+    fn range_mut(&mut self, r: Range<usize>) -> &mut [T] {
         &mut self.later[r.start - self.base..r.end - self.base]
     }
 
@@ -152,38 +152,35 @@ pub(crate) fn store_segment<T: Scalar>(
 
 /// The off-diagonal bloks of column block `k`.
 #[inline]
-pub(crate) fn off_bloks(sym: &SymbolMatrix, k: usize) -> Range<usize> {
+fn off_bloks(sym: &SymbolMatrix, k: usize) -> Range<usize> {
     sym.cblks[k].blok_start + 1..sym.cblks[k].blok_end
 }
 
-/// Panel rows `[first, end)` of the consecutive bloks `bloks` of `k` in
-/// the classic (uncompressed) layout.
-fn strip_rows<T>(sym: &SymbolMatrix, st: &FactorStorage<T>, k: usize, bloks: &Range<usize>) -> Range<usize> {
-    let end = match bloks.end < sym.cblks[k].blok_end {
-        true => st.layout.panel_row[bloks.end] as usize,
-        false => st.layout.panel_rows(k),
-    };
-    st.layout.panel_row[bloks.start] as usize..end
+/// Panel rows of the off-diagonal bloks of `k` (which must have one) in
+/// the classic (uncompressed) layout: the panel's rows past the diagonal
+/// block.
+fn strip_rows<T>(sym: &SymbolMatrix, st: &FactorStorage<T>, k: usize) -> Range<usize> {
+    st.layout.panel_row[sym.cblks[k].blok_start + 1] as usize..st.layout.panel_rows(k)
 }
 
 /// Diagonal forward solve `L_kk · Y = B` on segment `seg` of `k`.
-pub(crate) fn fwd_diag<T: Scalar>(sym: &SymbolMatrix, st: &FactorStorage<T>, k: usize, seg: &mut [T], nrhs: usize) {
+fn fwd_diag<T: Scalar>(sym: &SymbolMatrix, st: &FactorStorage<T>, k: usize, seg: &mut [T], nrhs: usize) {
     solve_unit_lower_rows(sym.cblks[k].width(), &st.panels[k], st.panel_lda(k), seg, nrhs);
 }
 
-/// `−L_b · X_k` for the consecutive off-diagonal bloks `bloks` of `k`,
-/// delivered blok by blok: one product over the whole strip on a dense
-/// panel, one per blok under a compression overlay.
-pub(crate) fn fwd_update<T: Scalar, S: RowSink<T>>(
+/// `−L_b · X_k` for the off-diagonal bloks `b` of `k`, delivered blok by
+/// blok: one product over the whole strip on a dense panel, one per blok
+/// under a compression overlay.
+fn fwd_update<T: Scalar, S: RowSink<T>>(
     sym: &SymbolMatrix,
     st: &FactorStorage<T>,
     k: usize,
-    bloks: Range<usize>,
     xk: &[T],
     nrhs: usize,
     scratch: &mut Scratch<T>,
     sink: &mut S,
 ) {
+    let bloks = off_bloks(sym, k);
     if bloks.is_empty() {
         return;
     }
@@ -202,7 +199,7 @@ pub(crate) fn fwd_update<T: Scalar, S: RowSink<T>>(
         }
         return;
     }
-    let rows = strip_rows(sym, st, k, &bloks);
+    let rows = strip_rows(sym, st, k);
     let (h, lda) = (rows.len(), st.layout.panel_rows(k));
     strip.clear();
     strip.resize(h * nrhs, T::zero());
@@ -217,7 +214,7 @@ pub(crate) fn fwd_update<T: Scalar, S: RowSink<T>>(
 
 /// `Z = D⁻¹ · Y` on segment `seg` of `k`: the tail of the forward step,
 /// so that backward partials can be subtracted in place as they arrive.
-pub(crate) fn d_divide<T: Scalar>(st: &FactorStorage<T>, k: usize, seg: &mut [T], nrhs: usize) {
+fn d_divide<T: Scalar>(st: &FactorStorage<T>, k: usize, seg: &mut [T], nrhs: usize) {
     let (lda, panel) = (st.panel_lda(k), &st.panels[k]);
     for (j, row) in seg.chunks_mut(nrhs).enumerate() {
         let dinv = panel[j + j * lda].recip();
@@ -236,25 +233,25 @@ pub(crate) fn fwd_step<T: Scalar, S: RowSink<T>>(
     sink: &mut S,
 ) {
     fwd_diag(sym, st, k, seg, nrhs);
-    fwd_update(sym, st, k, off_bloks(sym, k), seg, nrhs, scratch, sink);
+    fwd_update(sym, st, k, seg, nrhs, scratch, sink);
     d_divide(st, k, seg, nrhs);
 }
 
-/// `out −= L_bᵀ · X_rows(b)` summed over the consecutive off-diagonal
-/// bloks `bloks` of `k`; `out` is `width(k) × nrhs`. `gather(b, dst)`
-/// copies the `nrows(b) × nrhs` solved rows blok `b` covers into `dst`.
-/// Gathering first lets the whole strip run as one product whatever
-/// segments the rows live in.
-pub(crate) fn bwd_update<T: Scalar>(
+/// `out −= L_bᵀ · X_rows(b)` summed over the off-diagonal bloks `b` of
+/// `k`; `out` is `width(k) × nrhs`. `gather(b, dst)` copies the
+/// `nrows(b) × nrhs` solved rows blok `b` covers into `dst`. Gathering
+/// first lets the whole strip run as one product whatever segments the
+/// rows live in.
+fn bwd_update<T: Scalar>(
     sym: &SymbolMatrix,
     st: &FactorStorage<T>,
     k: usize,
-    bloks: Range<usize>,
     nrhs: usize,
     scratch: &mut Scratch<T>,
     mut gather: impl FnMut(usize, &mut [T]),
     out: &mut [T],
 ) {
+    let bloks = off_bloks(sym, k);
     if bloks.is_empty() {
         return;
     }
@@ -273,7 +270,7 @@ pub(crate) fn bwd_update<T: Scalar>(
         }
         return;
     }
-    let rows = strip_rows(sym, st, k, &bloks);
+    let rows = strip_rows(sym, st, k);
     let (h, lda) = (rows.len(), st.layout.panel_rows(k));
     strip.clear();
     strip.resize(h * nrhs, T::zero());
@@ -287,7 +284,7 @@ pub(crate) fn bwd_update<T: Scalar>(
 }
 
 /// Transposed diagonal solve `L_kkᵀ · X = Z` on segment `seg` of `k`.
-pub(crate) fn bwd_diag<T: Scalar>(sym: &SymbolMatrix, st: &FactorStorage<T>, k: usize, seg: &mut [T], nrhs: usize) {
+fn bwd_diag<T: Scalar>(sym: &SymbolMatrix, st: &FactorStorage<T>, k: usize, seg: &mut [T], nrhs: usize) {
     solve_unit_lower_trans_rows(sym.cblks[k].width(), &st.panels[k], st.panel_lda(k), seg, nrhs);
 }
 
@@ -301,7 +298,7 @@ pub(crate) fn bwd_step<T: Scalar>(
     scratch: &mut Scratch<T>,
     gather: impl FnMut(usize, &mut [T]),
 ) {
-    bwd_update(sym, st, k, off_bloks(sym, k), nrhs, scratch, gather, seg);
+    bwd_update(sym, st, k, nrhs, scratch, gather, seg);
     bwd_diag(sym, st, k, seg, nrhs);
 }
 
