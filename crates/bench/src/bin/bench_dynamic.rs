@@ -18,9 +18,10 @@
 //! sweep under all four chaos scheduling policies, and the plan must
 //! coarsen: the executor runs fewer nodes (`dynamic.tasks`) than the task
 //! graph has tasks, its small one-processor subtrees grouped, and the
-//! threads and dynamic+prio solves each fewer than `2 · n_cblks` nodes
-//! (`solve_nodes_threads`, `solve_nodes`), each group one forward and one
-//! backward node.
+//! threads and dynamic+prio solves each run exactly `2 · procs + 1` nodes
+//! (`solve_nodes_threads`, `solve_nodes`): the plan's split of the
+//! elimination tree, one forward and one backward node per bin of whole
+//! subtrees and one top node between them.
 //!
 //! Writes `BENCH_dynamic.json` at the repository root (with
 //! `pastix_bench::env_header`). Exits non-zero if
@@ -192,14 +193,13 @@ fn main() {
             if coarsened { "grouped" } else { "NOT GROUPED" }
         );
         failed |= !coarsened;
-        let n_cblks = sym.n_cblks() as u64;
+        let split_nodes = 2 * procs as u64 + 1;
         for (label, solve_nodes) in [("threads", solve_nodes_threads), ("dynamic+prio", solve_nodes)] {
-            // Zero nodes would mean the solve did not run on the executor.
-            let solve_coarsened = (1..2 * n_cblks).contains(&solve_nodes);
+            let solve_coarsened = solve_nodes == split_nodes;
             println!(
                 "  solve coarsening: {label}'s solve runs {solve_nodes} nodes for {} steps — {}",
-                2 * n_cblks,
-                if solve_coarsened { "grouped" } else { "NOT GROUPED" }
+                2 * sym.n_cblks(),
+                if solve_coarsened { "split" } else { "NOT SPLIT" }
             );
             failed |= !solve_coarsened;
         }

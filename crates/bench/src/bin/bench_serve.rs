@@ -279,10 +279,12 @@ fn main() {
     // so what makes it repeatable is how many repetitions there are and
     // how far apart: at 31 back-to-back repetitions SHIP001 k=1 (a 2.5 ms
     // solve, the thinnest margin) read 0.87–1.20× the sweep over five
-    // runs on this two-core sandbox, at 201 both minima settle to ±3 %;
-    // and because the sandbox loses a core to a neighbour for seconds at
-    // a time (a whole problem then reads 1.3–1.4×, both threads sharing
-    // one core), the repetitions are dealt over `ENGINE_ROUNDS` passes
+    // runs of the old grouped solve DAG on a two-core VM, at 201 both
+    // minima settle to ±3 %; the split solve's single rounds of 34 read
+    // 0.51–1.04× there over ten `--quick` runs, the gate's best-of over
+    // three rounds 0.66–0.85×; and because the VM loses a core to a
+    // neighbour for seconds at a time (a whole problem then reads
+    // 1.3–1.4×, both threads sharing one core), the repetitions are dealt over `ENGINE_ROUNDS` passes
     // through the problems, so each problem samples the whole segment.
     // A neighbour that stays for the whole segment fails the gate, and
     // the per-round ratios in the JSON show that it was there.

@@ -17,19 +17,21 @@
 //!    fully ordered per-processor task vectors `K_p` that drive the solver,
 //!    along with the predicted timeline (the discrete-event "Table 2"
 //!    numbers).
+//!
+//! The triangular solve has no task graph here: the solver splits the
+//! block elimination tree into whole subtrees per processor itself, and
+//! takes only the processor count from the [`Schedule`].
 
 #![warn(missing_docs)]
 
 pub mod candidates;
 pub mod cost;
 pub mod greedy;
-pub mod solve;
 pub mod tasks;
 
 pub use candidates::{proportional_mapping, CandidateInfo, DistStrategy, MappingOptions};
 pub use cost::{bdiv_cost, bmod_cost, comp1d_cost, factor_cost, sequential_cost};
 pub use greedy::{analyze_schedule, comm_stats, critical_path, critical_path_chain, cyclic_schedule, greedy_schedule, memory_stats, validate_schedule, CommStats, MemoryStats, PredictedTask, Schedule, ScheduleAnalysis};
-pub use solve::SolveDag;
 pub use tasks::{build_task_graph, find_covering_blok, TaskGraph, TaskKind};
 
 use pastix_graph::Parallelism;

@@ -21,8 +21,8 @@
 //!   per-blok trailing updates are GEMM-shaped instead of one GEMV per
 //!   RHS;
 //! * the solve structure rides in every cached plan, built by its first
-//!   solve: sessions on every backend solve on the executor's grouped
-//!   solve DAG (a `Sim` session under the executor's seeded serializer,
+//!   solve: sessions on every backend solve on the executor over the
+//!   plan's solve split (a `Sim` session under the executor's seeded serializer,
 //!   so its logical-clock serving traces replay byte for byte per
 //!   `(seed, policy)`, one trace rank per worker);
 //! * [`RequestTrace`] — per-request distributed tracing: every admitted

@@ -8,7 +8,7 @@
 //! (`queue_wait`, `coalesce`, `analyze` when the pattern had no cached
 //! plan, `factorize` on any factor-cache miss, `solve`) nested under the
 //! same async id, and a flow arrow from the dispatch point into each
-//! solver rank that executed the batch's solve DAG. The per-rank solve
+//! solver rank that executed the batch's solve. The per-rank solve
 //! traces are merged in with a running per-rank time offset so successive
 //! batches occupy disjoint windows of each rank's track.
 //!

@@ -7,7 +7,7 @@
 //! of each distinct matrix behind its [`MatrixFingerprint`], so repeat
 //! requests against a known matrix skip straight to the triangular
 //! sweeps. Under it, the analyzed [`Plan`] of each distinct pattern —
-//! ordering, symbol, static schedule, and the solve DAG it builds on
+//! ordering, symbol, static schedule, and the solve split it builds on
 //! first use — is kept behind the fingerprint's `structure`
 //! half, so a matrix whose values changed but whose pattern did not (a
 //! time step, a Newton iteration) pays only the numeric factorization.

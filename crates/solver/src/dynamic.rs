@@ -10,10 +10,12 @@
 //! (`coarsen`, computed once per plan): dependency counts are the
 //! nodes' distinct producers, contributions are applied straight into the
 //! shared factor panels under per-panel locks, and the static schedule
-//! supplies the worker count, placement and priority. The solve runs
-//! its twin DAG ([`pastix_sched::SolveDag`]) on the same groups: each
-//! grouped subtree is one forward and one backward node (`SolveDag`, built
-//! once per plan).
+//! supplies the worker count, placement and priority. The solve runs the
+//! plan's split of the elimination tree instead (`solve_plan`, built once
+//! per plan): one forward and one backward node per bin of whole subtrees
+//! and one top node between them, `2·n_procs + 1` nodes, each a sweep over
+//! workspace rows of its own, so it takes no lock per column block and
+//! sums every row in an order the plan fixes.
 //!
 //! Locking is deadlock-free by index ordering: every multi-lock
 //! acquisition ascends the column-block order (a contribution's target
@@ -25,9 +27,9 @@
 
 use crate::config::SolverConfig;
 use crate::pattern::Entries;
-use crate::solve_plan::SolveDag;
+use crate::solve_plan::SolveSplit;
 use crate::storage::{pair_target, scatter_cblk, strip_stretches, FactorStorage, PanelLayout};
-use crate::sweeps::{self, RowSink};
+use crate::sweeps::{self, LaterSegments, RowSink};
 use crate::tasks::{self, ContribSink, Scratch, StretchFn};
 use pastix_kernels::factor::FactorError;
 use pastix_kernels::Scalar;
@@ -39,7 +41,7 @@ use pastix_trace::{
     begin_rank, heartbeat, sample_gauge, task_span, GaugeId, RankTrace, TaskClass, TraceLog,
 };
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Mutex, MutexGuard};
+use std::sync::{Mutex, MutexGuard, OnceLock};
 use std::time::Instant;
 
 /// Worker count: the explicit one, else the schedule's processors.
@@ -374,8 +376,7 @@ pub(crate) fn factorize_dynamic<T: Scalar>(
 /// and executor counters folded into `cfg.metrics`. The executor counters
 /// count nodes: `dynamic.tasks` (per worker) the nodes run, and
 /// `dynamic.steals` the nodes stolen; a grouped factorization runs fewer
-/// nodes than it has tasks, and a grouped solve fewer than its `2 · ns`
-/// steps.
+/// nodes than it has tasks, and a solve `2 · n_procs + 1`.
 fn run_traced_dag(
     spec: &DagSpec<'_>,
     n_workers: usize,
@@ -423,74 +424,20 @@ fn run_traced_dag(
     trace
 }
 
-/// One column block's share of the solve workspace: its segment, and the
-/// staging rows where forward steps of other nodes sum their rows facing
-/// it.
-struct Block<'w, T> {
-    seg: &'w mut [T],
-    stage: &'w mut [T],
-}
-
-/// The dynamic driver's view of the shared workspace: one lock per column
-/// block, kept across consecutive bloks facing the same block and released
-/// before the next one's is taken. The stepped block's own lock is held by
-/// the task and every blok faces a strictly later block, so every
-/// acquisition ascends the column-block order.
-struct LockedSegments<'s, 'w, T> {
-    sym: &'s SymbolMatrix,
-    dag: &'s SolveDag,
-    nrhs: usize,
-    blocks: &'s [Mutex<Block<'w, T>>],
-    held: Option<(usize, MutexGuard<'s, Block<'w, T>>)>,
-}
-
-impl<'w, T: Scalar> LockedSegments<'_, 'w, T> {
-    /// Column block `t`'s share, locked.
-    fn lock(&mut self, t: usize) -> &mut Block<'w, T> {
-        if self.held.as_ref().is_none_or(|(cblk, _)| *cblk != t) {
-            self.held = None; // release before locking: one target at a time
-            self.held = Some((t, self.blocks[t].lock().unwrap()));
-        }
-        &mut self.held.as_mut().expect("block lock just taken").1
-    }
-
-    /// The rows blok `b` covers, inside the locked segment it faces.
-    fn rows(&mut self, b: usize) -> &mut [T] {
-        let t = self.sym.bloks[b].fcblk as usize;
-        let (rows, seg) = (sweeps::blok_rows(self.sym, b, self.nrhs), sweeps::segment(self.sym, t, self.nrhs));
-        &mut self.lock(t).seg[rows.start - seg.start..rows.end - seg.start]
-    }
-}
-
-impl<T: Scalar> RowSink<T> for LockedSegments<'_, '_, T> {
-    /// Into the segment the rows face, or into their staging rows there.
-    fn add_rows(&mut self, b: usize, rows: &[T]) {
-        match self.dag.stage_at[b] {
-            u32::MAX => sweeps::add_into(self.rows(b), rows),
-            at => {
-                let t = self.sym.bloks[b].fcblk as usize;
-                let from = (at - self.dag.stage_ptr[t]) as usize * self.nrhs;
-                sweeps::add_into(&mut self.lock(t).stage[from..from + rows.len()], rows);
-            }
-        }
-    }
-}
-
 /// The multi-RHS panel solve of every backend (`rhs` is `n × nrhs`
 /// column-major, in the row order `perm` maps to elimination order): the
-/// plan's [`SolveDag`] on the work-stealing executor, every
-/// task one [`crate::sweeps`] step on the segment of its column block in
-/// one shared workspace, a grouped subtree's steps back to back in one
-/// node. A forward step adds its rows into the segments they face, or
-/// into those blocks' staging rows, which a block's forward step first adds
-/// into its segment in a fixed order: a solve gives the same bits on every
-/// run, whichever worker runs what when (see `solve_plan::Staging`). A
-/// backward task depends on the backward tasks of every block it faces, so
-/// the rows it gathers are final.
+/// plan's [`SolveSplit`] on the work-stealing executor, every column block
+/// one [`crate::sweeps`] step. Bin `i`'s forward node sweeps each of its
+/// subtrees up on rows of its own and sums what faces the top in top rows
+/// of its own; the top node adds those in bin order and sweeps the top
+/// forward and backward on a compact workspace; bin `i`'s backward node
+/// reads the solved top and sweeps its subtrees down. Every sum has an
+/// order the plan fixes, so a solve's bits depend only on the plan and the
+/// factor — not on the backend, the workers, the order or the timing.
 pub(crate) fn solve_panel_dynamic<T: Scalar>(
     sym: &SymbolMatrix,
     storage: &FactorStorage<T>,
-    dag: &SolveDag,
+    split: &SolveSplit,
     sched: &Schedule,
     rhs: &[T],
     nrhs: usize,
@@ -500,57 +447,105 @@ pub(crate) fn solve_panel_dynamic<T: Scalar>(
 ) -> (Vec<T>, TraceLog) {
     assert!(nrhs >= 1, "panel solve needs at least one right-hand side");
     assert_eq!(rhs.len(), sym.n * nrhs, "rhs must be n × nrhs");
-    let ns = sym.n_cblks();
-    let n_workers = resolve_workers(dopts, sched);
-    // The segments, then the staging rows, in one allocation.
-    let mut ws = vec![T::zero(); rhs.len() + dag.stage_ptr[ns] as usize * nrhs];
-    let (mut rest, mut stage_rest) = ws.split_at_mut(rhs.len());
-    let mut blocks = Vec::with_capacity(ns);
-    for k in 0..ns {
-        let (seg, tail) = std::mem::take(&mut rest).split_at_mut(sym.cblks[k].width() * nrhs);
-        let staged = (dag.stage_ptr[k + 1] - dag.stage_ptr[k]) as usize * nrhs;
-        let (stage, stage_tail) = std::mem::take(&mut stage_rest).split_at_mut(staged);
-        sweeps::load_segment(sym, k, perm, rhs, nrhs, seg);
-        blocks.push(Mutex::new(Block { seg, stage }));
-        (rest, stage_rest) = (tail, stage_tail);
-    }
-    // One scratch per worker; only its own worker ever locks it.
-    let scratch: Vec<OwnLines<sweeps::Scratch<T>>> = (0..n_workers).map(|_| OwnLines::default()).collect();
-
-    let body = |t: u32, tctx: &TaskCtx| -> bool {
-        let (k, forward) = SolveDag::step(t, ns);
-        let class = if forward { TaskClass::FwdSolve } else { TaskClass::BwdSolve };
-        let _span = task_span(k as u32, class);
-        let scratch = &mut *scratch[tctx.worker].0.lock().unwrap();
-        let mut own = blocks[k].lock().unwrap();
-        let Block { seg, stage } = &mut *own;
-        let mut later = LockedSegments { sym, dag, nrhs, blocks: &blocks, held: None };
-        if forward {
-            let (fcol, mut at) = (sym.cblks[k].fcol, 0);
-            for &(frow, h) in dag.staged_of(k) {
-                let (from, len) = ((frow - fcol) as usize * nrhs, h as usize * nrhs);
-                sweeps::add_into(&mut seg[from..from + len], &stage[at..at + len]);
-                at += len;
+    let p = split.bins.len();
+    // Per bin: each subtree's rows (from the workspace offset of its first
+    // block on), and its rows facing the top.
+    let bins: Vec<_> = (0..p).map(|_| Mutex::new((Vec::<Vec<T>>::new(), Vec::<T>::new()))).collect();
+    let origin = |first: u32| sweeps::segment(sym, first as usize, nrhs).start;
+    let solved_top = OnceLock::new();
+    let body = |t: u32, _: &TaskCtx| -> bool {
+        let (t, mut scratch) = (t as usize, sweeps::Scratch::default());
+        // Node `t` (numbered as in `SolveSplit`): bin `t`'s forward sweep,
+        // the top, or bin `t − p − 1`'s backward sweep.
+        if t < p {
+            let (subtrees, to_top) = &mut *bins[t].lock().unwrap();
+            *to_top = vec![T::zero(); split.top_len * nrhs];
+            for &(first, root) in &split.bins[t] {
+                let (at, root) = (origin(first), root as usize);
+                let mut rows = vec![T::zero(); sweeps::segment(sym, root, nrhs).end - at];
+                for k in first as usize..=root {
+                    let seg = sweeps::segment(sym, k, nrhs);
+                    sweeps::load_segment(sym, k, perm, rhs, nrhs, &mut rows[seg.start - at..seg.end - at]);
+                }
+                for k in first as usize..=root {
+                    let _span = task_span(k as u32, TaskClass::FwdSolve);
+                    let (seg, mut later) = LaterSegments::split(sym, &mut rows, at, k, nrhs);
+                    // Rows facing past the subtree's root face the top.
+                    let mut sink = |b: usize, rows: &[T]| match sym.bloks[b].fcblk as usize <= root {
+                        true => later.add_rows(b, rows),
+                        false => sweeps::add_into(&mut to_top[split.top_rows(sym, b, nrhs)], rows),
+                    };
+                    sweeps::fwd_step(sym, storage, k, seg, nrhs, &mut scratch, &mut sink);
+                }
+                subtrees.push(rows);
             }
-            sweeps::fwd_step(sym, storage, k, seg, nrhs, scratch, &mut later);
+        } else if t == p {
+            let mut top = vec![T::zero(); split.top_len * nrhs];
+            for &k in &split.top {
+                sweeps::load_segment(sym, k as usize, perm, rhs, nrhs, &mut top[split.top_segment(sym, k as usize, nrhs)]);
+            }
+            bins.iter().for_each(|bin| sweeps::add_into(&mut top, &bin.lock().unwrap().1));
+            let order = split.top.iter().map(|&k| (k, true)).chain(split.top.iter().rev().map(|&k| (k, false)));
+            for (k, forward) in order {
+                let seg = split.top_segment(sym, k as usize, nrhs);
+                let (head, later) = top.split_at_mut(seg.end);
+                // Blok `b`'s rows in `later`, which starts at the segment's end.
+                let at = |b: usize| {
+                    let r = split.top_rows(sym, b, nrhs);
+                    r.start - seg.end..r.end - seg.end
+                };
+                let seg = &mut head[seg.start..];
+                if forward {
+                    let _span = task_span(k, TaskClass::FwdSolve);
+                    let mut sink = |b: usize, rows: &[T]| sweeps::add_into(&mut later[at(b)], rows);
+                    sweeps::fwd_step(sym, storage, k as usize, seg, nrhs, &mut scratch, &mut sink);
+                } else {
+                    let _span = task_span(k, TaskClass::BwdSolve);
+                    let gather = |b: usize, dst: &mut [T]| dst.copy_from_slice(&later[at(b)]);
+                    sweeps::bwd_step(sym, storage, k as usize, seg, nrhs, &mut scratch, gather);
+                }
+            }
+            assert!(solved_top.set(top).is_ok(), "one top node");
         } else {
-            sweeps::bwd_step(sym, storage, k, seg, nrhs, scratch, |b, dst| dst.copy_from_slice(later.rows(b)));
+            let top: &Vec<T> = solved_top.get().expect("the top node runs before every backward node");
+            let subtrees = &mut bins[t - p - 1].lock().unwrap().0;
+            for (&(first, root), rows) in split.bins[t - p - 1].iter().zip(subtrees).rev() {
+                let (at, root) = (origin(first), root as usize);
+                for k in (first as usize..=root).rev() {
+                    let _span = task_span(k as u32, TaskClass::BwdSolve);
+                    let (seg, later) = LaterSegments::split(sym, rows, at, k, nrhs);
+                    let gather = |b: usize, dst: &mut [T]| match sym.bloks[b].fcblk as usize <= root {
+                        true => later.copy_rows(b, dst),
+                        false => dst.copy_from_slice(&top[split.top_rows(sym, b, nrhs)]),
+                    };
+                    sweeps::bwd_step(sym, storage, k, seg, nrhs, &mut scratch, gather);
+                }
+            }
         }
         true
     };
-    // All-zero priorities are FIFO queues; static runs keep the hints.
-    let fifo = if dopts.order == TaskOrder::Fifo { vec![0u64; dag.priority.len()] } else { Vec::new() };
+    // Bin `i`'s two nodes on worker `i`, the top on worker 0; FIFO.
+    let placement: Vec<u32> = (0..p as u32).chain([0]).chain(0..p as u32).collect();
     let spec = DagSpec {
-        dag: &dag.nodes,
-        priority: if fifo.is_empty() { &dag.priority } else { &fifo },
-        placement: &dag.placement,
+        dag: &split.nodes,
+        priority: &vec![0; 2 * p + 1],
+        placement: &placement,
         placed: dopts.order == TaskOrder::Static,
     };
-    let trace = run_traced_dag(&spec, n_workers, dopts, sched, cfg, &body);
-    drop(blocks);
+    let trace = run_traced_dag(&spec, resolve_workers(dopts, sched), dopts, sched, cfg, &body);
     let mut x = vec![T::zero(); rhs.len()];
-    for k in 0..ns {
-        sweeps::store_segment(sym, k, perm, &ws[sweeps::segment(sym, k, nrhs)], nrhs, &mut x);
+    let top = solved_top.into_inner().expect("the top node ran");
+    for &k in &split.top {
+        sweeps::store_segment(sym, k as usize, perm, &top[split.top_segment(sym, k as usize, nrhs)], nrhs, &mut x);
+    }
+    for (bin, subtrees) in bins.into_iter().zip(&split.bins) {
+        for (rows, &(first, root)) in bin.into_inner().unwrap().0.iter().zip(subtrees) {
+            let at = origin(first);
+            for k in first as usize..=root as usize {
+                let seg = sweeps::segment(sym, k, nrhs);
+                sweeps::store_segment(sym, k, perm, &rows[seg.start - at..seg.end - at], nrhs, &mut x);
+            }
+        }
     }
     (x, trace)
 }
@@ -602,11 +597,11 @@ mod tests {
         // Dynamic panel solve against the sequential sweep.
         let x_exact = canonical_solution::<f64>(n);
         let b = rhs_for_solution(ap, &x_exact);
-        let dag = SolveDag::build(&mapping.graph, sched, &nodes);
+        let split = SolveSplit::build(sym, sched.n_procs);
         let factor_nodes = cfg.metrics.counter("dynamic.tasks");
-        let (x_dyn, _) = solve_panel_dynamic(sym, &storage, &dag, sched, &b, 1, None, dopts, &cfg);
+        let (x_dyn, _) = solve_panel_dynamic(sym, &storage, &split, sched, &b, 1, None, dopts, &cfg);
         let solve_nodes = cfg.metrics.counter("dynamic.tasks") - factor_nodes;
-        assert!(solve_nodes < 2 * sym.n_cblks() as u64, "{solve_nodes} solve nodes for {} column blocks", sym.n_cblks());
+        assert_eq!(solve_nodes, 2 * sched.n_procs as u64 + 1, "solve nodes at {} procs", sched.n_procs);
         let mut x_seq = b.clone();
         solve_in_place(sym, &storage, &mut x_seq);
         for (i, (xs, xd)) in x_seq.iter().zip(&x_dyn).enumerate() {
@@ -642,7 +637,7 @@ mod tests {
         let (ap, mapping) = full_setup(24, 24, 1, 3, DistStrategy::Mixed1d2d, 4);
         let sym = &mapping.graph.split.symbol;
         let nodes = grouped(&mapping);
-        let dag = SolveDag::build(&mapping.graph, &mapping.schedule, &nodes);
+        let split = SolveSplit::build(sym, mapping.schedule.n_procs);
         let b = rhs_for_solution(&ap, &canonical_solution::<f64>(ap.n()));
         let cfg = SolverConfig::default();
         for policy in [
@@ -659,8 +654,8 @@ mod tests {
                 let run = || factorize_dynamic(sym, Entries::of(&ap), &mapping.graph, &nodes, &mapping.schedule, &d, &cfg);
                 let storage = run().unwrap().0;
                 assert_eq!(storage.panels, run().unwrap().0.panels);
-                // And to bitwise-identical grouped solves.
-                let solve = || solve_panel_dynamic(sym, &storage, &dag, &mapping.schedule, &b, 1, None, &d, &cfg).0;
+                // And to bitwise-identical solves.
+                let solve = || solve_panel_dynamic(sym, &storage, &split, &mapping.schedule, &b, 1, None, &d, &cfg).0;
                 let bits = |x: Vec<f64>| x.into_iter().map(f64::to_bits).collect::<Vec<_>>();
                 assert_eq!(bits(solve()), bits(solve()), "{policy:?} {order:?}");
             }
@@ -671,15 +666,18 @@ mod tests {
     fn threaded_solves_replay_bitwise() {
         let (ap, mapping) = full_setup(24, 24, 1, 4, DistStrategy::Mixed1d2d, 4);
         let (sym, sched) = (&mapping.graph.split.symbol, &mapping.schedule);
-        let nodes = grouped(&mapping);
-        let dag = SolveDag::build(&mapping.graph, sched, &nodes);
-        assert!(dag.stage_ptr[sym.n_cblks()] > 0, "some rows are staged");
+        let split = SolveSplit::build(sym, sched.n_procs);
+        // Bins whose forward sweeps deliver rows into the top, which adds
+        // them up: the reduction the replay is about.
+        let faces_top = |&(first, root): &(u32, u32)| (first..=root).any(|k| sym.off_bloks_of(k as usize).iter().any(|b| b.fcblk > root));
+        let delivering = split.bins.iter().filter(|bin| bin.iter().any(faces_top)).count();
+        assert!(delivering >= 2, "{delivering} bins deliver rows into the top");
         let storage = seq_factor(sym, &ap);
         let cfg = SolverConfig::default();
         let b: Vec<f64> = (0..ap.n() * 3).map(|i| 1.0 + (i % 13) as f64 * 0.37).collect();
         for order in ORDERS {
             let d = DynamicOptions::new().with_order(order);
-            let solve = || solve_panel_dynamic(sym, &storage, &dag, sched, &b, 3, None, &d, &cfg).0;
+            let solve = || solve_panel_dynamic(sym, &storage, &split, sched, &b, 3, None, &d, &cfg).0;
             let bits = |x: Vec<f64>| x.into_iter().map(f64::to_bits).collect::<Vec<_>>();
             let first = bits(solve());
             for _ in 0..40 {
@@ -729,67 +727,6 @@ mod tests {
             }
         }
         assert!(groups > 0);
-    }
-
-    #[test]
-    fn solve_dag_runs_each_factorization_group_as_one_forward_and_one_backward_node() {
-        let (_, mapping) = full_setup(24, 24, 1, 3, DistStrategy::Mixed1d2d, 4);
-        let graph = &mapping.graph;
-        let ns = graph.split.symbol.n_cblks();
-        let groups = grouped(&mapping);
-        let dag = SolveDag::build(graph, &mapping.schedule, &groups);
-        let nodes = &dag.nodes;
-        // The solve DAG's in-edges, in executor ids.
-        let tasks = pastix_sched::SolveDag::new(&graph.split.symbol);
-        let exec = |t: usize| if t < ns { t } else { 3 * ns - 1 - t };
-        let mut producers_of = vec![Vec::new(); 2 * ns];
-        for t in 0..2 * ns {
-            tasks.successors(t).iter().for_each(|&d| producers_of[exec(d as usize)].push(exec(t) as u32));
-        }
-        let mut node_of = vec![u32::MAX; 2 * ns];
-        for v in 0..nodes.deps.len() {
-            for &u in nodes.members(v) {
-                assert_eq!(node_of[u as usize], u32::MAX, "step {u} in two nodes");
-                node_of[u as usize] = v as u32;
-            }
-        }
-        assert!(node_of.iter().all(|&v| v != u32::MAX), "a step in no node");
-        let cblks = |m: &[u32], of: &dyn Fn(u32) -> usize| {
-            let mut c: Vec<usize> = m.iter().map(|&t| of(t)).collect();
-            c.sort_unstable();
-            c
-        };
-        let factor_groups: Vec<Vec<usize>> = (0..groups.deps.len())
-            .map(|v| groups.members(v))
-            .filter(|m| m.len() > 1)
-            .map(|m| cblks(m, &|t| graph.kinds[t as usize].cblk() as usize))
-            .collect();
-        let mut multi = 0;
-        for v in 0..nodes.deps.len() {
-            let members = nodes.members(v);
-            let mut producers: Vec<u32> = members
-                .iter()
-                .flat_map(|&u| producers_of[u as usize].iter().map(|&p| node_of[p as usize]))
-                .filter(|&p| p != v as u32)
-                .collect();
-            producers.sort_unstable();
-            producers.dedup();
-            assert_eq!(nodes.deps[v] as usize, producers.len(), "node {v}");
-            for (i, &u) in members.iter().enumerate() {
-                for &p in producers_of[u as usize].iter().filter(|&&p| node_of[p as usize] == v as u32) {
-                    assert!(members[..i].contains(&p), "step {u}: producer {p} runs later in node {v}");
-                }
-            }
-            if members.len() == 1 {
-                continue;
-            }
-            multi += 1;
-            let forward = SolveDag::step(members[0], ns).1;
-            assert!(members.iter().all(|&u| SolveDag::step(u, ns).1 == forward), "node {v} mixes sweeps");
-            assert!(factor_groups.contains(&cblks(members, &|u| SolveDag::step(u, ns).0)), "node {v}");
-            assert!(!forward || producers.is_empty(), "forward group {v} has producers: {producers:?}");
-        }
-        assert_eq!(multi, 2 * factor_groups.len(), "one forward and one backward node per group");
     }
 
     #[test]

@@ -18,9 +18,9 @@
 //! * `sweeps` (crate-private) — the solve mirror of `tasks`: the **one**
 //!   forward and backward block step of the triangular solves, on a flat
 //!   RHS-interleaved workspace, generic over a one-method row sink; and
-//!   `solve_plan`, the structure of the solves (the grouped solve DAG and
-//!   its staging rows) computed once per [`Plan`] and replayed by every
-//!   solve. [`seq`] and [`dynamic`] below drive them;
+//!   `solve_plan`, the structure of the solves (the elimination tree
+//!   split into one bin of whole subtrees per processor and a top)
+//!   computed once per [`Plan`] and replayed by every solve. [`seq`] and [`dynamic`] below drive them;
 //! * [`seq`] — the sequential reference driver (one `COMP1D` per column
 //!   block in elimination order, contributions applied to later panels in
 //!   place; the solve sweeps as a plain loop up and down the blocks);
@@ -35,7 +35,7 @@
 //!   kept (`Threads`: every task enqueued on its `K_p` processor, which
 //!   runs it in `K_p` order) or reduced to placement/priority hints
 //!   (`Dynamic`); under both a worker whose queue is empty steals. The
-//!   solve runs the plan's grouped solve DAG there, for `Sim` under the
+//!   solve runs the plan's solve split there, for `Sim` under the
 //!   executor's seeded serializer.
 //!
 //! The parallel factor is validated against the sequential one entry by

@@ -27,7 +27,7 @@ use crate::compress::finalize_compression;
 use crate::config::{FactorRun, SolverConfig};
 use crate::dynamic;
 use crate::pattern::ScatterPattern;
-use crate::solve_plan::SolveDag;
+use crate::solve_plan::SolveSplit;
 use crate::storage::FactorStorage;
 use pastix_graph::{Parallelism, Permutation, SymCsc};
 use pastix_kernels::factor::FactorError;
@@ -114,9 +114,10 @@ struct PlanInner {
     n: usize,
     stats: Option<AnalyzeStats>,
     analyze_trace: Option<TraceLog>,
-    /// The executor's grouped solve DAG, built by the first solve of any
-    /// run of this plan, on any backend, and replayed by every later one.
-    solve_dag: OnceLock<SolveDag>,
+    /// The solves' split of the elimination tree, built by the first solve
+    /// of any run of this plan, on any backend, and replayed by every
+    /// later one.
+    solve_split: OnceLock<SolveSplit>,
     /// Stored entries of the analyzed matrix (`None` for plans assembled
     /// via [`Plan::from_parts`]): which factorized pattern `pattern` keeps.
     analyzed_nnz: Option<usize>,
@@ -214,7 +215,7 @@ impl Plan {
                 n,
                 stats: None,
                 analyze_trace: None,
-                solve_dag: OnceLock::new(),
+                solve_split: OnceLock::new(),
                 analyzed_nnz: None,
                 pattern: OnceLock::new(),
             }),
@@ -258,13 +259,14 @@ impl Plan {
         self.inner.n
     }
 
-    /// The executor's solve DAG on the plan's `nodes`, built on first use.
-    /// The build counts in `solver.solve_plan_builds` of `metrics` — once
-    /// per plan, however many runs, backends and solves share it.
-    pub(crate) fn solve_dag(&self, metrics: &MetricsRegistry) -> &SolveDag {
-        self.inner.solve_dag.get_or_init(|| {
+    /// The solves' split of the elimination tree over the schedule's
+    /// processors, built on first use. The build counts in
+    /// `solver.solve_plan_builds` of `metrics` — once per plan, however
+    /// many runs, backends and solves share it.
+    pub(crate) fn solve_split(&self, metrics: &MetricsRegistry) -> &SolveSplit {
+        self.inner.solve_split.get_or_init(|| {
             metrics.add_counter("solver.solve_plan_builds", 1);
-            SolveDag::build(&self.inner.graph, &self.inner.schedule, &self.inner.nodes)
+            SolveSplit::build(self.symbol(), self.inner.schedule.n_procs)
         })
     }
 
@@ -486,7 +488,7 @@ pub struct SolveOutput<T> {
 
 impl<T: Scalar> FactorRun<T> {
     /// Solves `A·X = B` for the request's right-hand sides using this
-    /// run's factor: the plan's grouped solve DAG on the executor, with the
+    /// run's factor: the plan's solve split on the executor, with the
     /// options of the backend the run was produced under (for `Sim`, the
     /// seeded serializer of its fault plan). Single-RHS is `k = 1` of the
     /// same panel path. A request
@@ -507,7 +509,7 @@ impl<T: Scalar> FactorRun<T> {
         let (x, mut trace) = dynamic::solve_panel_dynamic(
             plan.symbol(),
             &self.storage,
-            plan.solve_dag(&cfg.metrics),
+            plan.solve_split(&cfg.metrics),
             &plan.inner.schedule,
             req.rhs,
             req.k,
@@ -615,10 +617,11 @@ mod tests {
         }
     }
 
-    /// Every solve runs the plan's grouped solve DAG, on `Threads` and on
-    /// `Sim` (the executor's seeded serializer), and a width-`k` panel
-    /// agrees with `k` sequential solves of its columns: on 1D, mixed and
-    /// 3D mappings, under the static schedule and a block-cyclic one.
+    /// Every solve runs the plan's split as `2·n_procs + 1` executor nodes,
+    /// on `Threads` and on `Sim` (the executor's seeded serializer), and a
+    /// width-`k` panel agrees with `k` sequential solves of its columns: on
+    /// 1D, mixed and 3D mappings, under the static schedule and a
+    /// block-cyclic one.
     #[test]
     fn threads_solves_on_the_grouped_solve_dag() {
         use DistStrategy::{Mixed1d2d, Only1d};
@@ -653,8 +656,7 @@ mod tests {
                     let before = cfg.metrics.counter("dynamic.tasks");
                     let x = run.solve_panel(&b, k);
                     let solve_nodes = cfg.metrics.counter("dynamic.tasks") - before;
-                    let grouped = (1..2 * sym.n_cblks() as u64 + u64::from(!groups)).contains(&solve_nodes);
-                    assert!(grouped, "{case} k {k}: {solve_nodes} executor nodes for {} blocks", sym.n_cblks());
+                    assert_eq!(solve_nodes, 2 * procs as u64 + 1, "{case} k {k}: executor nodes");
                     for (r, (x, b)) in x.chunks(n).zip(b.chunks(n)).enumerate() {
                         let mut x_seq = b.to_vec();
                         crate::seq::solve_in_place(sym, &run.storage, &mut x_seq);
@@ -665,7 +667,46 @@ mod tests {
                     }
                 }
             }
-            assert_eq!(cfg.metrics.counter("solver.solve_plan_builds"), 1, "case {i}: the solve DAG alone, once");
+            assert_eq!(cfg.metrics.counter("solver.solve_plan_builds"), 1, "case {i}: the solve split alone, once");
+        }
+    }
+
+    /// One factor, one answer: the solves of one sequential factor give
+    /// the same bits on `Threads`, on `Dynamic` in every order at 1–3
+    /// workers and on `Sim` under two seeds and policies — and at one
+    /// processor the bits of the sequential sweep.
+    #[test]
+    fn one_factor_solves_to_the_same_bits_on_every_backend() {
+        use pastix_runtime::sim::{FaultPlan, SchedPolicy};
+        use DistStrategy::{Mixed1d2d, Only1d};
+        let sims = [FaultPlan::builder(3).policy(SchedPolicy::Uniform).build(), FaultPlan::builder(8).policy(SchedPolicy::StarveRank(1)).build()];
+        let mut backends = vec![Backend::Threads];
+        for order in [TaskOrder::Fifo, TaskOrder::Hints, TaskOrder::Static] {
+            backends.extend((1..=3).map(|w| Backend::Dynamic(DynamicOptions::new().with_order(order).with_workers(w))));
+        }
+        backends.extend(sims.map(Backend::Sim));
+        for (nx, procs, strategy) in [(20, 3, Mixed1d2d), (16, 4, Only1d), (12, 1, Mixed1d2d)] {
+            let (ap, mapping) = full_setup(nx, nx, 1, procs, strategy, 4);
+            let plan = Plan::from_parts(None, mapping.graph, Some(mapping.schedule));
+            let (sym, n, k) = (plan.symbol(), ap.n(), 3);
+            let mut storage = FactorStorage::zeros(sym);
+            storage.scatter(sym, &ap);
+            crate::seq::factorize_sequential(sym, &mut storage).unwrap();
+            let b: Vec<f64> = (0..n * k).map(|i| 1.0 + (i % 17) as f64 * 0.29).collect();
+            let bits = |x: Vec<f64>| x.into_iter().map(f64::to_bits).collect::<Vec<_>>();
+            let solve = |backend: Backend| {
+                let run = run_from_storage(storage.clone(), &plan, &SolverConfig::new().with_backend(backend));
+                bits(run.solve_panel(&b, k))
+            };
+            let first = solve(Backend::Threads);
+            for &backend in &backends {
+                assert!(solve(backend) == first, "{nx}² at {procs} procs: {backend:?} differs from Threads");
+            }
+            if procs == 1 {
+                let mut x = b.clone();
+                crate::seq::solve_block_in_place(sym, &storage, &mut x, k);
+                assert!(bits(x) == first, "{nx}² at one proc: the sweep differs");
+            }
         }
     }
 

@@ -86,11 +86,11 @@ pub fn solve_block_in_place<T: Scalar>(
     }
     let mut scratch = sweeps::Scratch::default();
     for k in 0..ns {
-        let (seg, mut later) = LaterSegments::split(sym, &mut ws, k, nrhs);
+        let (seg, mut later) = LaterSegments::split(sym, &mut ws, 0, k, nrhs);
         sweeps::fwd_step(sym, storage, k, seg, nrhs, &mut scratch, &mut later);
     }
     for k in (0..ns).rev() {
-        let (seg, later) = LaterSegments::split(sym, &mut ws, k, nrhs);
+        let (seg, later) = LaterSegments::split(sym, &mut ws, 0, k, nrhs);
         sweeps::bwd_step(sym, storage, k, seg, nrhs, &mut scratch, |b, dst| later.copy_rows(b, dst));
     }
     for k in 0..ns {

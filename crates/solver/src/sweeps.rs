@@ -1,17 +1,19 @@
 //! The block steps of the triangular solves — the forward step `L·D·z = b`
 //! and the backward step `Lᵀ·x = z` of one column block — written once.
 //!
-//! The solve mirror of [`crate::tasks`]: the two solve drivers
-//! ([`crate::seq`], [`crate::dynamic`]) decide *when* a column block is
-//! stepped and *where* the right-hand sides live; what a step computes is
-//! here. Every driver keeps its right-hand sides in a
-//! flat **workspace**: the `n × nrhs` panel in elimination order, stored
-//! row by row with the `nrhs` scalars of a row contiguous. Column block
-//! `k`'s rows are the contiguous [`segment`] `k`, the rows a blok covers
-//! are one contiguous run ([`blok_rows`]) — so a diagonal solve, a lock
-//! and a row-block delivery each cover one slice, and the
-//! kernels vectorize over the right-hand sides, which are always a full
-//! vector however small the supernodes are.
+//! The solve mirror of [`crate::tasks`]: the two solve drivers decide
+//! *when* a column block is stepped and *where* the right-hand sides live
+//! — [`crate::seq`] one loop up the blocks and down, [`crate::dynamic`]
+//! one sweep per bin of whole subtrees and one over the top of the plan's
+//! split; what a step computes is here. Every driver keeps its
+//! right-hand sides in a flat **workspace**: the `n × nrhs` panel in
+//! elimination order, stored row by row with the `nrhs` scalars of a row
+//! contiguous (the executor's top sweep on a compact copy of the top's
+//! rows). Column block `k`'s rows are the contiguous [`segment`] `k`, the
+//! rows a blok covers are one contiguous run ([`blok_rows`]) — so a
+//! diagonal solve, a subtree's rows and a row-block delivery each cover
+//! one slice, and the kernels vectorize over the right-hand sides, which
+//! are always a full vector however small the supernodes are.
 //!
 //! A forward step is the diagonal solve, **one** product `L_off · X_k`
 //! over all the off-diagonal panel rows (they are contiguous in the
@@ -31,12 +33,19 @@ use pastix_symbolic::SymbolMatrix;
 use std::ops::Range;
 
 /// Where the rows of a forward strip go. The one thing a step cannot know:
-/// a later segment of the same workspace, a segment under its lock, or an
-/// outgoing aggregate with its bookkeeping.
+/// a later segment of the same workspace, a subtree's own rows, or rows
+/// kept apart for the top of the executor's split.
 pub(crate) trait RowSink<T: Scalar> {
     /// `rows` holds `−L_b · X_k` for global blok `b` (`nrows(b) × nrhs`):
     /// add it to the workspace rows `b` covers ([`blok_rows`]).
     fn add_rows(&mut self, b: usize, rows: &[T]);
+}
+
+/// A closure `(b, rows)` is a sink, as a closure `(b, dst)` is a gather.
+impl<T: Scalar, F: FnMut(usize, &[T])> RowSink<T> for F {
+    fn add_rows(&mut self, b: usize, rows: &[T]) {
+        self(b, rows)
+    }
 }
 
 /// Work buffers of the steps, owned by one worker and reused.
@@ -77,8 +86,9 @@ pub(crate) fn add_into<T: Scalar>(dst: &mut [T], src: &[T]) {
 }
 
 /// The segments past the one being stepped — where every blok of that
-/// column block points — split off the same flat workspace. The sink of
-/// the drivers whose workspace needs no lock.
+/// column block points — split off the same flat workspace (or off a
+/// subtree's slice of it): the sink of the sequential sweep and, inside
+/// a subtree, of the executor's bins.
 pub(crate) struct LaterSegments<'a, T> {
     sym: &'a SymbolMatrix,
     nrhs: usize,
@@ -88,12 +98,13 @@ pub(crate) struct LaterSegments<'a, T> {
 }
 
 impl<'a, T: Scalar> LaterSegments<'a, T> {
-    /// Splits workspace `ws` into segment `k` and everything past it:
-    /// segment `k` ends where the segments it faces begin.
-    pub(crate) fn split(sym: &'a SymbolMatrix, ws: &'a mut [T], k: usize, nrhs: usize) -> (&'a mut [T], Self) {
+    /// Splits `ws`, the workspace from offset `origin` on, into segment `k`
+    /// and everything past it: segment `k` ends where the segments it
+    /// faces begin.
+    pub(crate) fn split(sym: &'a SymbolMatrix, ws: &'a mut [T], origin: usize, k: usize, nrhs: usize) -> (&'a mut [T], Self) {
         let seg = segment(sym, k, nrhs);
-        let (head, later) = ws.split_at_mut(seg.end);
-        (&mut head[seg.start..], LaterSegments { sym, nrhs, base: seg.end, later })
+        let (head, later) = ws.split_at_mut(seg.end - origin);
+        (&mut head[seg.start - origin..], LaterSegments { sym, nrhs, base: seg.end, later })
     }
 
     /// Workspace range `r`, which must lie past the split.

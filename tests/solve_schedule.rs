@@ -1,13 +1,14 @@
-//! The plan's solve DAG: trace determinism and one build per plan for the
-//! serving-path triangular solves.
+//! The plan's solve split: trace determinism and one build per plan for
+//! the serving-path triangular solves.
 //!
 //! Mirrors `trace_observability.rs` for the solve side. Every backend
-//! solves on the plan's grouped solve DAG; on the simulation backend it
-//! runs under the executor's seeded serializer with logical clocks, so
-//! the deterministic trace must be a pure function of the fault plan's
+//! solves on the plan's split of the elimination tree (bins of whole
+//! subtrees and a top) on the executor; on the simulation backend it runs
+//! under the executor's seeded serializer with logical clocks, so the
+//! deterministic trace must be a pure function of the fault plan's
 //! `(seed, policy)` and the schedule digest: repeated runs compare
-//! byte-identical through `TraceLog::canonical_bytes`. The DAG itself is
-//! built once per plan and shared by every run and backend.
+//! byte-identical through `TraceLog::canonical_bytes`. The split itself
+//! is built once per plan and shared by every run and backend.
 
 use pastix::graph::gen::{grid_spd, Stencil, ValueKind};
 use pastix::graph::rhs_for_solution;
@@ -107,8 +108,8 @@ fn solve_traces_are_byte_identical_for_fixed_seed_and_policy() {
 }
 
 /// The solve follows a plan computed once: ten solves of mixed width on
-/// one `Threads` factor run build the grouped solve DAG, and a `Dynamic`
-/// and a `Sim` run of the same `Plan` share it and build nothing:
+/// one `Threads` factor run build the solve split, and a `Dynamic` and a
+/// `Sim` run of the same `Plan` share it and build nothing:
 /// `solver.solve_plan_builds` reads 1 throughout.
 #[test]
 fn solve_plan_is_built_once_per_plan() {
@@ -123,20 +124,20 @@ fn solve_plan_is_built_once_per_plan() {
         let x = run.solve_panel(&b[..k * n], k);
         assert_eq!(x.len(), k * n);
     }
-    assert_eq!(cfg.metrics.counter("solver.solve_plan_builds"), 1, "the solve DAG, once");
+    assert_eq!(cfg.metrics.counter("solver.solve_plan_builds"), 1, "the solve split, once");
     let dynamic = cfg.clone().with_backend(Backend::Dynamic(Default::default()));
     let second = plan.factorize(&ap, &dynamic).expect("second factorization");
     second.solve(&b[..n]);
     second.solve_panel(&b[..8 * n], 8);
-    assert_eq!(cfg.metrics.counter("solver.solve_plan_builds"), 1, "Dynamic shares the solve DAG");
+    assert_eq!(cfg.metrics.counter("solver.solve_plan_builds"), 1, "Dynamic shares the solve split");
     let sim = cfg.clone().with_backend(Backend::Sim(FaultPlan::interleave_only(5)));
     let third = plan.factorize(&ap, &sim).expect("sim factorization");
     third.solve(&b[..n]);
-    assert_eq!(cfg.metrics.counter("solver.solve_plan_builds"), 1, "Sim shares the solve DAG");
+    assert_eq!(cfg.metrics.counter("solver.solve_plan_builds"), 1, "Sim shares the solve split");
     third.solve_panel(&b[..8 * n], 8);
     run.solve(&b[..n]);
     second.solve(&b[..n]);
-    assert_eq!(cfg.metrics.counter("solver.solve_plan_builds"), 1, "three runs of one plan share one solve DAG");
+    assert_eq!(cfg.metrics.counter("solver.solve_plan_builds"), 1, "three runs of one plan share one solve split");
 }
 
 /// A serialized executor run records one trace rank per worker, and the
