@@ -27,10 +27,11 @@
 //! analyze}_{seq,par}_ms` — the four stages timed through the per-crate
 //! entry points under the options `Plan::analyze` derives, and the whole
 //! `Plan::analyze` call — and `<problem>_{perm,symbol,task_graph}_fnv`.
-//! Writes `BENCH_analyze.json` at the repository root, opening with
+//! Writes `BENCH_analyze.json` at the repository root (under
+//! `target/bench-quick/` with `--quick`), opening with
 //! `pastix_bench::env_header`; exits non-zero if any armed gate fails.
 
-use pastix_bench::env_header;
+use pastix_bench::{env_header, write_report};
 use pastix_graph::{build_problem, Parallelism, ProblemId, SymCsc};
 use pastix_json::{obj, Json};
 use pastix_machine::MachineModel;
@@ -41,7 +42,6 @@ use pastix_symbolic::AnalysisOptions;
 use pastix_testsupport::{perm_fnv, symbol_fnv, task_graph_fnv};
 use std::time::Instant;
 
-const PATH: &str = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_analyze.json");
 
 /// The `bench_e2e` matrices at the `bench_e2e` scales, with the hashes of
 /// the permutation, block symbol and task graph analyze must produce for
@@ -245,8 +245,8 @@ fn main() {
     ]);
     all.extend(fields);
     all.push(("problems".to_string(), Json::Arr(rows)));
-    std::fs::write(PATH, Json::Obj(all).pretty()).expect("write BENCH_analyze.json");
-    println!("\nwrote {PATH}");
+    println!();
+    write_report("BENCH_analyze.json", quick, &Json::Obj(all));
 
     println!(
         "acceptance (analyze artifacts bitwise identical at every thread count): {}",

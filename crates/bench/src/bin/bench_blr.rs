@@ -27,10 +27,11 @@
 //!   refines to ≤ 1e-8.
 //!
 //! Writes `BENCH_blr.json` at the repository root (opening with
-//! `pastix_bench::env_header`); exits non-zero when
+//! `pastix_bench::env_header`; under `target/bench-quick/` with
+//! `--quick`); exits non-zero when
 //! any gate fails. `--quick` shrinks scale and reps for CI.
 
-use pastix_bench::{env_header, prepare, scale, schedule_for, scotch_ordering};
+use pastix_bench::{env_header, prepare, scale, schedule_for, scotch_ordering, write_report};
 use pastix_graph::{canonical_solution, rhs_for_solution, ProblemId};
 use pastix_json::{obj, Json};
 use pastix_runtime::sim::{FaultPlan, SchedPolicy};
@@ -39,7 +40,6 @@ use pastix_sched::SchedOptions;
 use pastix_solver::{CompressionConfig, DynamicOptions, FactorRun, Plan, SolverConfig};
 use std::time::Instant;
 
-const PATH: &str = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_blr.json");
 
 /// Tolerance sweep reported per problem (tightest first).
 const TOLERANCES: [f64; 3] = [1e-8, 1e-4, 1e-2];
@@ -60,7 +60,6 @@ fn main() {
     let quick = std::env::args().any(|a| a == "--quick");
     let mode = if quick { "quick" } else { "full" };
     println!("bench_blr ({mode}) — block-low-rank compression vs dense factorization");
-    // Once, before this run rewrites BENCH_blr.json and dirties the tree.
     let header = env_header(mode);
 
     let sc = if quick { 0.03 } else { scale() };
@@ -242,8 +241,8 @@ fn main() {
         ]
         .map(|(k, v)| (k.to_string(), v)),
     );
-    std::fs::write(PATH, Json::Obj(fields).pretty()).expect("write BENCH_blr.json");
-    println!("\nwrote {PATH}");
+    println!();
+    write_report("BENCH_blr.json", quick, &Json::Obj(fields));
 
     let mem_ok = headline_ratio <= MEM_RATIO_MAX;
     println!(

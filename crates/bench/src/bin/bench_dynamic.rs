@@ -24,7 +24,8 @@
 //! subtrees and one top node between them.
 //!
 //! Writes `BENCH_dynamic.json` at the repository root (with
-//! `pastix_bench::env_header`). Exits non-zero if
+//! `pastix_bench::env_header`; under `target/bench-quick/` with
+//! `--quick`). Exits non-zero if
 //! any agreement or coarsening gate fails or if dynamic+prio falls below
 //! 0.9× the threads engine's throughput on the largest problem (Shipsec5
 //! analog).
@@ -32,7 +33,7 @@
 //! the machine hits all three alike. `--quick` shrinks scale and
 //! problems for CI.
 
-use pastix_bench::{env_header, prepare, scale, schedule_for, scotch_ordering};
+use pastix_bench::{env_header, prepare, scale, schedule_for, scotch_ordering, write_report};
 use pastix_graph::{canonical_solution, rhs_for_solution, ProblemId};
 use pastix_json::{obj, Json};
 use pastix_runtime::sim::{FaultPlan, SchedPolicy};
@@ -41,7 +42,6 @@ use pastix_sched::SchedOptions;
 use pastix_solver::{factorize_sequential, DynamicOptions, FactorStorage, Plan, SolverConfig, TaskOrder};
 use std::time::Instant;
 
-const PATH: &str = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_dynamic.json");
 
 /// Entrywise factor agreement vs the sequential reference.
 const FACTOR_RTOL: f64 = 1e-8;
@@ -70,7 +70,6 @@ fn main() {
     let quick = std::env::args().any(|a| a == "--quick");
     let mode = if quick { "quick" } else { "full" };
     println!("bench_dynamic ({mode}) — static mapping vs dynamic orders, one executor");
-    // Once, before this run rewrites BENCH_dynamic.json and dirties the tree.
     let header = env_header(mode);
 
     let sc = if quick { 0.02 } else { scale() };
@@ -253,8 +252,8 @@ fn main() {
         ]
         .map(|(k, v)| (k.to_string(), v)),
     );
-    std::fs::write(PATH, Json::Obj(fields).pretty()).expect("write BENCH_dynamic.json");
-    println!("\nwrote {PATH}");
+    println!();
+    write_report("BENCH_dynamic.json", quick, &Json::Obj(fields));
 
     let perf_ok = headline_ratio >= TARGET_RATIO;
     println!(

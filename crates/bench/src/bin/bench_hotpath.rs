@@ -3,7 +3,7 @@
 //! supernodal factorization level.
 //!
 //! Writes two JSON reports at the repository root so before/after numbers
-//! ride with the code:
+//! ride with the code (under `target/bench-quick/` with `--quick`):
 //!
 //! * `BENCH_kernels.json` — `gemm_nt_acc` reference vs packed over a grid
 //!   of panel-shaped `(m, n, k)` cases, and the packing break-even
@@ -30,7 +30,7 @@
 //! `PASTIX_PROBLEMS` apply to the full run as in the other binaries. Both
 //! files open with `pastix_bench::env_header`.
 
-use pastix_bench::{env_header, gflops, prepare, scale, scotch_ordering};
+use pastix_bench::{env_header, gflops, prepare, scale, scotch_ordering, write_report};
 use pastix_graph::ProblemId;
 use pastix_json::{obj, Json};
 use pastix_kernels::gemm::{gemm_nt_acc, gemm_nt_acc_ref};
@@ -44,8 +44,6 @@ use pastix_solver::{
 use pastix_trace::TraceOptions;
 use std::time::Instant;
 
-const KERNELS_PATH: &str = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_kernels.json");
-const FACTORIZE_PATH: &str = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_factorize.json");
 
 /// Checksum gate: the packed path reassociates sums, so per-entry
 /// round-off differs, but the aggregate must agree to far better than
@@ -67,15 +65,12 @@ fn main() {
     let bs = pastix_kernels::blocking_for::<f64>();
     println!("f64 blocking: mc={} kc={} nc={}", bs.mc, bs.kc, bs.nc);
 
-    // Once, before this run rewrites tracked files and dirties the tree.
     let header = env_header(mode);
     let (kernels, tile_ok) = bench_kernels(quick, &header);
-    std::fs::write(KERNELS_PATH, kernels.pretty()).expect("write BENCH_kernels.json");
-    println!("wrote {KERNELS_PATH}");
+    write_report("BENCH_kernels.json", quick, &kernels);
 
     let (factorize, checksums_ok) = bench_factorize(quick, &header);
-    std::fs::write(FACTORIZE_PATH, factorize.pretty()).expect("write BENCH_factorize.json");
-    println!("wrote {FACTORIZE_PATH}");
+    write_report("BENCH_factorize.json", quick, &factorize);
 
     if !checksums_ok {
         eprintln!(
@@ -399,19 +394,28 @@ const FRONT_END_WORKERS: usize = 2;
 /// thread; the plan-cached front end a refactorization pays at most (the
 /// pattern lookup, zeroing, the serial scatter — the backends split the
 /// last two over their workers); the copy path it replaced (permuted
-/// copy, zeroing, serial scatter); and, for scale, a whole
+/// copy, zeroing, serial scatter); for scale, a whole
 /// `Backend::Dynamic` refactorization on [`FRONT_END_WORKERS`] workers
-/// through the plan's cached pattern. Raw ms, medians of `reps` with the
-/// variants interleaved in every rep. The second value says every storage
+/// through the plan's cached pattern; and the first and the second
+/// `Backend::Threads` factorization of a plan analyzed afresh in every rep
+/// (`cold_factorize`, `warm_factorize`: apart by whatever the first one
+/// still builds). Raw ms, medians of `reps` with the variants interleaved
+/// in every rep. The second value says every storage
 /// filled through the pattern was bit-identical to the copy path's.
 fn bench_front_end(quick: bool) -> (Json, bool) {
     let (cases, reps) = match quick {
         true => ([(ProblemId::Bmwcra1, 0.02), (ProblemId::Quer, 0.2), (ProblemId::Shipsec5, 0.04)], 3),
         false => ([(ProblemId::Bmwcra1, 0.1), (ProblemId::Quer, 1.0), (ProblemId::Shipsec5, 0.2)], 15),
     };
-    const COLUMNS: [&str; 7] = ["permuted", "build", "zeros", "scatter", "cached", "copy_path", "refactorize_dyn"];
+    const COLUMNS: [&str; 9] = [
+        "permuted", "build", "zeros", "scatter", "cached", "copy_path", "refactorize_dyn", "cold_factorize",
+        "warm_factorize",
+    ];
     println!();
-    println!("front end of a factorization, median of {reps} (ms; refactorize_dyn on {FRONT_END_WORKERS} workers)");
+    println!(
+        "front end of a factorization, median of {reps} (ms; refactorize_dyn and the threads factorizations on \
+         {FRONT_END_WORKERS} workers)"
+    );
     print!("{:<10} {:>6} {:>9}", "Name", "scale", "nnz(A)");
     COLUMNS.iter().for_each(|c| print!(" {c:>15}"));
     println!();
@@ -420,16 +424,15 @@ fn bench_front_end(quick: bool) -> (Json, bool) {
     let dynamic = DynamicOptions::new().with_workers(FRONT_END_WORKERS).with_order(TaskOrder::Hints);
     for (id, sc) in cases {
         let a = pastix_graph::build_problem::<f64>(id, sc);
-        let cfg = SolverConfig::new()
-            .with_analyze(AnalyzeOptions::with_procs(FRONT_END_WORKERS))
-            .with_backend(Backend::Dynamic(dynamic));
+        let threads = SolverConfig::new().with_analyze(AnalyzeOptions::with_procs(FRONT_END_WORKERS));
+        let cfg = threads.clone().with_backend(Backend::Dynamic(dynamic));
         let plan = Plan::analyze(&a, &cfg);
         let (sym, perm) = (plan.symbol(), plan.permutation().expect("analyzed plans own a permutation"));
         let cached = ScatterPattern::build(&a, Some(perm), sym).expect("the analyzed pattern");
-        // Builds the plan's own pattern before the timed refactorizations.
+        // Warms the plan before the timed refactorizations.
         plan.factorize(&a, &cfg).expect("factorization failed");
         let bits = |st: &FactorStorage<f64>| st.panels.iter().flatten().map(|v| v.to_bits()).collect::<Vec<u64>>();
-        let mut ms: [Vec<f64>; 7] = Default::default();
+        let mut ms: [Vec<f64>; 9] = Default::default();
         let mut lap = |slot: usize, t0: Instant| ms[slot].push(t0.elapsed().as_secs_f64() * 1e3);
         for _ in 0..reps {
             let t0 = Instant::now();
@@ -457,6 +460,12 @@ fn bench_front_end(quick: bool) -> (Json, bool) {
             let t0 = Instant::now();
             std::hint::black_box(plan.factorize(&a, &cfg).expect("factorization failed"));
             lap(6, t0);
+            let fresh = Plan::analyze(&a, &threads);
+            for slot in [7, 8] {
+                let t0 = Instant::now();
+                std::hint::black_box(fresh.factorize(&a, &threads).expect("factorization failed"));
+                lap(slot, t0);
+            }
             let want = bits(&copy);
             identical &= bits(&serial) == want && bits(&through) == want;
         }

@@ -38,11 +38,12 @@
 //!    of such misses exactly.
 //!
 //! Outputs `BENCH_serve.json` at the repo root (opening with
-//! `pastix_bench::env_header`) and the traced sim panel solve as a Chrome
+//! `pastix_bench::env_header`; under `target/bench-quick/` with
+//! `--quick`) and the traced sim panel solve as a Chrome
 //! trace at `target/serve_trace.json` (CI artifacts).
 //! `--quick` shrinks the problem for CI.
 
-use pastix_bench::{env_header, prepare, scale, scotch_ordering};
+use pastix_bench::{env_header, prepare, scale, scotch_ordering, write_report};
 use pastix_graph::{build_problem, Parallelism, ProblemId, SymCsc};
 use pastix_json::{obj, Json};
 use pastix_runtime::sim::{FaultPlan, SchedPolicy};
@@ -56,7 +57,6 @@ use pastix_trace::TraceOptions;
 use std::path::Path;
 use std::time::Instant;
 
-const OUT_PATH: &str = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_serve.json");
 const TRACE_PATH: &str = concat!(env!("CARGO_MANIFEST_DIR"), "/../../target/serve_trace.json");
 const BLACKBOX_DIR: &str = concat!(env!("CARGO_MANIFEST_DIR"), "/../../target");
 
@@ -653,8 +653,7 @@ fn main() {
     fields.push(("engine_reps".to_string(), Json::Num((engine_reps * ENGINE_ROUNDS) as f64)));
     fields.extend(engine_keys);
     let j = Json::Obj(fields);
-    std::fs::write(OUT_PATH, j.pretty()).expect("write BENCH_serve.json");
-    println!("wrote {OUT_PATH}");
+    write_report("BENCH_serve.json", quick, &j);
     std::fs::write(TRACE_PATH, chrome_trace(&log).compact()).expect("write serve_trace.json");
     println!("wrote {TRACE_PATH}");
 

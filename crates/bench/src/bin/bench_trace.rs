@@ -5,7 +5,8 @@
 //!
 //! Outputs:
 //!
-//! * `BENCH_trace.json` — the run's full report (per-rank
+//! * `BENCH_trace.json` (under `target/bench-quick/` with `--quick`) —
+//!   the run's full report (per-rank
 //!   compute/wait/idle split, critical-path pricing, per-class rates, top
 //!   tasks, the headline `reconciliation` and `model_scale_ns_per_cost`
 //!   keys the trend walker reads) and the `pastix_bench::env_header`
@@ -18,7 +19,7 @@
 //! span must account for ≥ 95% of the wall time — anything less means the
 //! tracer is losing events. `--quick` shrinks the problem for CI.
 
-use pastix_bench::{env_header, prepare, scale, scotch_ordering};
+use pastix_bench::{env_header, prepare, scale, scotch_ordering, write_report};
 use pastix_graph::ProblemId;
 use pastix_machine::MachineModel;
 use pastix_runtime::sim::FaultPlan;
@@ -29,7 +30,6 @@ use pastix_trace::export::{chrome_trace_with, render_gantt};
 use pastix_trace::report::build_report;
 use pastix_trace::TraceOptions;
 
-const TRACE_PATH: &str = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_trace.json");
 const TIMELINE_PATH: &str = concat!(env!("CARGO_MANIFEST_DIR"), "/../../target/trace.json");
 
 /// Acceptance: the trace span must cover at least this fraction of the
@@ -40,7 +40,6 @@ fn main() {
     let quick = std::env::args().any(|a| a == "--quick");
     let mode = if quick { "quick" } else { "full" };
     println!("bench_trace ({mode}) — task trace vs static schedule, sim backend");
-    // Once, before this run rewrites BENCH_trace.json and dirties the tree.
     let header = env_header(mode);
 
     let sc = if quick { 0.02 } else { scale() };
@@ -75,8 +74,7 @@ fn main() {
     if let pastix_json::Json::Obj(pairs) = &mut j {
         pairs.extend(header);
     }
-    std::fs::write(TRACE_PATH, j.pretty()).expect("write BENCH_trace.json");
-    println!("wrote {TRACE_PATH}");
+    write_report("BENCH_trace.json", quick, &j);
 
     let ok = report.reconciliation >= RECONCILE_MIN && report.reconciliation <= 1.0;
     println!(

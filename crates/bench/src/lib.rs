@@ -108,7 +108,7 @@ pub fn env_header(mode: &str) -> Vec<(String, pastix_json::Json)> {
         ("mode", Json::Str(mode.into())),
         ("cpus", Json::Num(cpus as f64)),
         ("git_rev", Json::Str(git(&["rev-parse", "HEAD"]).unwrap_or_else(|| "unknown".into()))),
-        ("git_dirty", Json::Bool(git(&["status", "--porcelain"]).is_some_and(|s| !s.is_empty()))),
+        ("git_dirty", Json::Bool(git_dirty())),
         ("tile", Json::Str(format!("{} {}x{}", tile.isa, tile.mr, tile.nr))),
         ("blocking", num_arr([bs.mc as f64, bs.kc as f64, bs.nc as f64])),
         ("kernel_mode", Json::Str(format!("{:?}", pastix_kernels::kernel_mode()))),
@@ -116,6 +116,32 @@ pub fn env_header(mode: &str) -> Vec<(String, pastix_json::Json)> {
     .into_iter()
     .map(|(k, v)| (k.to_string(), v))
     .collect()
+}
+
+/// `true` when the tree differs from `HEAD` in anything but the
+/// `BENCH_*.json` records at its root, which the full-mode benches rewrite
+/// themselves: two full benches run back to back do not stamp each other
+/// dirty.
+fn git_dirty() -> bool {
+    // Porcelain lines are `XY path`; the first lost its leading blank to
+    // `git`'s trim, so the path is what follows the status, trimmed.
+    let bench_record = |path: &str| path.starts_with("BENCH_") && path.ends_with(".json") && !path.contains('/');
+    git(&["status", "--porcelain"])
+        .is_some_and(|s| s.lines().any(|l| !bench_record(l.get(2..).unwrap_or("").trim_start())))
+}
+
+/// Writes a bench's report `file` (a `BENCH_*.json` name) and returns its
+/// path: at the repository root in full mode, where the committed record
+/// lives, and under `target/bench-quick/` with `--quick`, so a quick run
+/// never overwrites a committed record.
+pub fn write_report(file: &str, quick: bool, report: &pastix_json::Json) -> std::path::PathBuf {
+    let root = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../..");
+    let dir = if quick { root.join("target/bench-quick") } else { root };
+    std::fs::create_dir_all(&dir).unwrap_or_else(|e| panic!("create {}: {e}", dir.display()));
+    let path = dir.join(file);
+    std::fs::write(&path, report.pretty()).unwrap_or_else(|e| panic!("write {}: {e}", path.display()));
+    println!("wrote {}", path.display());
+    path
 }
 
 /// Gigaflop rate from an operation count and a time.

@@ -128,7 +128,7 @@ impl DagSpec<'_> {
 
 /// A task DAG contracted onto *nodes*, each a list of tasks one worker
 /// runs back to back: per-node dependency counts, successors and members.
-#[derive(Debug)]
+#[derive(Debug, PartialEq, Eq)]
 pub struct NodeDag {
     /// Distinct producer nodes per node.
     pub deps: Vec<u32>,

@@ -7,8 +7,8 @@
 //! of each distinct matrix behind its [`MatrixFingerprint`], so repeat
 //! requests against a known matrix skip straight to the triangular
 //! sweeps. Under it, the analyzed [`Plan`] of each distinct pattern —
-//! ordering, symbol, static schedule, and the solve split it builds on
-//! first use — is kept behind the fingerprint's `structure`
+//! ordering, symbol, static schedule, and the pattern of `P·A·Pᵀ` and
+//! solve split analyze hands over with it — is kept behind the fingerprint's `structure`
 //! half, so a matrix whose values changed but whose pattern did not (a
 //! time step, a Newton iteration) pays only the numeric factorization.
 //! Capacity and byte-budget eviction bound the resident factors;
@@ -354,9 +354,10 @@ impl<T: Scalar> SolverSession<T> {
     ) -> Result<PanelSolve<T>, RejectReason> {
         // Before the lookup: a panel the solve would refuse costs no
         // analysis or factorization, evicts no factor and counts no hit.
-        screen_rhs(b_panel, a.n(), nrhs).map_err(RejectReason::Rhs)?;
+        // The solve takes the screen's proof and does not scan again.
+        let screened = screen_rhs(b_panel, a.n(), nrhs).map_err(RejectReason::Rhs)?;
         let (cached, lookup) = self.get_or_factorize_info(a).map_err(RejectReason::Factorization)?;
-        let mut req = SolveRequest::panel(b_panel, nrhs);
+        let mut req = SolveRequest::screened(screened);
         req.trace = self.opts.solver.trace.enabled;
         req.tag = tag;
         let out = cached.run.solve_request(req).map_err(RejectReason::Rhs)?;

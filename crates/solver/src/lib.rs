@@ -71,7 +71,8 @@ pub use pattern::ScatterPattern;
 pub use pastix_runtime::{Backend, DynamicOptions, TaskOrder};
 pub use pastix_trace::{MetricsRegistry, TraceLog, TraceOptions};
 pub use plan::{
-    run_from_storage, screen_rhs, AnalyzeOptions, AnalyzeStats, Plan, SolveError, SolveOutput, SolveRequest,
+    run_from_storage, screen_rhs, AnalyzeOptions, AnalyzeStats, Plan, ScreenedRhs, SolveError, SolveOutput,
+    SolveRequest,
 };
 pub use refine::{RefineOptions, RefineOutput};
 pub use seq::{

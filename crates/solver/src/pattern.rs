@@ -4,10 +4,12 @@
 //! elimination order. [`ScatterPattern`] is its structure: the
 //! [`LowerPattern`] of `A`'s pattern under the plan's permutation — for
 //! every entry, its row and where its value sits in `A.values()` — checked
-//! once against the split symbol. A [`Plan`](crate::Plan) builds it on its
-//! first factorization and keeps it; a later factorization of a matrix
-//! with the same `(colptr, rowind)` reads `A`'s values straight through
-//! it, so no permuted copy of `A` is made on any backend.
+//! once against the block symbol. [`Plan::analyze`](crate::Plan::analyze)
+//! builds the analyzed matrix's pattern beside its own serial stages (a
+//! plan from [`Plan::from_parts`](crate::Plan::from_parts) builds one on
+//! its first factorization) and the plan keeps it; a factorization of a
+//! matrix with the same `(colptr, rowind)` reads `A`'s values straight
+//! through it, so no permuted copy of `A` is made on any backend.
 
 use crate::storage::BlokCursor;
 use pastix_graph::pattern::LowerPattern;
@@ -17,7 +19,7 @@ use pastix_kernels::Scalar;
 use pastix_symbolic::SymbolMatrix;
 
 /// `P·A·Pᵀ`'s lower pattern for one pattern of `A`, inside a split symbol.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ScatterPattern {
     /// The pattern of `A` it was built from, the only one it serves.
     source_colptr: Vec<usize>,
@@ -31,7 +33,15 @@ impl ScatterPattern {
     /// structure. The first entry outside it — or a matrix of another
     /// order — is a [`FactorError::PatternMismatch`] in `A`'s numbering.
     pub fn build<T: Scalar>(a: &SymCsc<T>, perm: Option<&Permutation>, sym: &SymbolMatrix) -> Result<Self, FactorError> {
-        let n = sym.n;
+        let built = Self::permuted(a, perm, sym.n)?;
+        built.check(sym)?;
+        Ok(built)
+    }
+
+    /// The first half of [`build`](Self::build): `P·A·Pᵀ`'s pattern for a
+    /// matrix of order `n`, not yet checked against a symbol. A matrix of
+    /// another order is the error.
+    pub(crate) fn permuted<T: Scalar>(a: &SymCsc<T>, perm: Option<&Permutation>, n: usize) -> Result<Self, FactorError> {
         if a.n() != n {
             let first_missing = a.n().min(n);
             return Err(FactorError::PatternMismatch { row: first_missing, col: first_missing });
@@ -41,10 +51,20 @@ impl ScatterPattern {
             return Err(mismatch_at(colptr, rowind, e));
         }
         let lower = LowerPattern::permuted(n, colptr, rowind, perm);
-        if let Some(k) = first_outside(&lower, sym) {
-            return Err(mismatch_at(colptr, rowind, lower.src()[k] as usize));
-        }
         Ok(Self { source_colptr: colptr.to_vec(), source_rowind: rowind.to_vec(), lower })
+    }
+
+    /// The second half of [`build`](Self::build): the first entry outside
+    /// `sym`'s block structure is the error. `sym` may be the split symbol
+    /// or the unsplit one it was cut from, with one answer: splitting only
+    /// cuts column blocks and keeps every column's rows
+    /// ([`pastix_symbolic::split`]), so a position lies inside one exactly
+    /// when it lies inside the other.
+    pub(crate) fn check(&self, sym: &SymbolMatrix) -> Result<(), FactorError> {
+        match first_outside(&self.lower, sym) {
+            Some(k) => Err(mismatch_at(&self.source_colptr, &self.source_rowind, self.lower.src()[k] as usize)),
+            None => Ok(()),
+        }
     }
 
     /// `true` when `a`'s pattern is exactly the one this was built from.
@@ -108,5 +128,46 @@ impl<'a, T: Scalar> Entries<'a, T> {
             .iter()
             .zip(range)
             .map(move |(&i, k)| (i, values[src.map_or(k, |s| s[k] as usize)]))
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::storage::try_blok_of;
+    use pastix_graph::gen::{grid_spd, Stencil, ValueKind};
+    use pastix_symbolic::{analyze, split_symbol, AnalysisOptions};
+
+    /// The check gives one answer against the unsplit symbol and against
+    /// every split of it: `Ok` for the analyzed matrix, and the same
+    /// `PatternMismatch` for that matrix plus one entry outside the
+    /// structure.
+    #[test]
+    fn unsplit_and_split_checks_agree() {
+        let a = grid_spd::<f64>(12, 10, 1, Stencil::Star, false, ValueKind::RandomSpd(2));
+        let g = a.to_graph();
+        let an = analyze(&g, &pastix_ordering::nested_dissection(&g, &Default::default()), &AnalysisOptions::default());
+        let (sym, perm, n) = (&an.symbol, &an.perm, a.n());
+        // A lower position of `A` whose place in elimination order the
+        // symbol leaves out.
+        let (row, col) = (0..n)
+            .flat_map(|col| (col + 1..n).map(move |row| (row, col)))
+            .find(|&(row, col)| {
+                let (i, j) = (perm.new_of(row), perm.new_of(col));
+                try_blok_of(sym, sym.cblk_of_col(i.min(j)), i.max(j) as u32).is_none()
+            })
+            .expect("a sparse factor leaves positions out");
+        let mut t: Vec<(u32, u32, f64)> = (0..n)
+            .flat_map(|j| a.rows_of(j).iter().zip(a.vals_of(j)).map(move |(&i, &v)| (i, j as u32, v)))
+            .collect();
+        t.push((row as u32, col as u32, -0.5));
+        let wider = SymCsc::from_triplets(n, &t);
+        for (m, want) in [(&a, Ok(())), (&wider, Err(FactorError::PatternMismatch { row, col }))] {
+            let built = ScatterPattern::permuted(m, Some(perm), n).expect("order n");
+            assert_eq!(built.check(sym), want, "unsplit");
+            for width in [1, 2, 3, 5, n] {
+                assert_eq!(built.check(&split_symbol(sym, width).symbol), want, "split at width {width}");
+            }
+        }
     }
 }

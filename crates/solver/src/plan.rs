@@ -109,21 +109,20 @@ struct PlanInner {
     graph: TaskGraph,
     schedule: Schedule,
     /// The executor's nodes: `graph` with its small one-processor
-    /// subtrees grouped ([`dynamic::coarsen`]).
-    nodes: NodeDag,
+    /// subtrees grouped ([`dynamic::coarsen`]): [`Plan::analyze`]'s when
+    /// its backend factorizes on the executor, else built by the first
+    /// factorization there (`Threads`, `Dynamic`).
+    nodes: OnceLock<NodeDag>,
     n: usize,
     stats: Option<AnalyzeStats>,
     analyze_trace: Option<TraceLog>,
-    /// The solves' split of the elimination tree, built by the first solve
-    /// of any run of this plan, on any backend, and replayed by every
-    /// later one.
+    /// The solves' split of the elimination tree: [`Plan::analyze`]'s, or
+    /// built by the first solve of any run of this plan, on any backend;
+    /// replayed by every solve.
     solve_split: OnceLock<SolveSplit>,
-    /// Stored entries of the analyzed matrix (`None` for plans assembled
-    /// via [`Plan::from_parts`]): which factorized pattern `pattern` keeps.
-    analyzed_nnz: Option<usize>,
-    /// `P·A·Pᵀ`'s pattern for the pattern of the first matrix this plan
-    /// factorized with `analyzed_nnz` entries, reused by every later one
-    /// with that exact pattern.
+    /// `P·A·Pᵀ`'s pattern for the analyzed matrix (for a plan from
+    /// [`Plan::from_parts`], the first matrix it factorized), reused by
+    /// every later one with that exact pattern.
     pattern: OnceLock<ScatterPattern>,
 }
 
@@ -142,6 +141,16 @@ impl Plan {
     /// bit; when `cfg.trace` is enabled, per-stage task spans
     /// (ordering/symbolic/sched) are recorded and kept on the plan
     /// ([`Plan::analyze_trace`]).
+    ///
+    /// The plan comes complete: it also holds `a`'s [`ScatterPattern`],
+    /// the solves' split and, when `cfg.backend` factorizes on the
+    /// executor, its grouping, so neither the first factorization nor the
+    /// first solve builds anything. They are built beside the serial
+    /// tail, on a second thread unless the knob is `Sequential`: the
+    /// pattern beside the symbolic stage once the postorder fixes the
+    /// permutation, its check against the unsplit symbol beside mapping
+    /// and scheduling, the split beside the grouping. Both builds count in
+    /// `cfg.metrics` (`solver.permute_builds`, `solver.solve_plan_builds`).
     pub fn analyze<T: Scalar>(a: &SymCsc<T>, cfg: &SolverConfig) -> Plan {
         let opts = &cfg.analyze;
         let g = a.to_graph();
@@ -152,6 +161,7 @@ impl Plan {
         aopts.parallelism = opts.parallelism;
         let mut sopts = opts.sched.clone();
         sopts.parallelism = opts.parallelism;
+        let overlap = opts.parallelism.effective_threads() > 1;
 
         let session = pastix_trace::begin_rank(0, &cfg.trace);
         let t0 = std::time::Instant::now();
@@ -159,18 +169,37 @@ impl Plan {
             let _sp = pastix_trace::task_span(0, pastix_trace::TaskClass::Ordering);
             pastix_ordering::nested_dissection(&g, &oopts)
         };
-        let analysis = {
+        let (analysis, pattern) = {
             let _sp = pastix_trace::task_span(0, pastix_trace::TaskClass::Symbolic);
-            pastix_symbolic::analyze(&g, &ordering, &aopts)
+            let post = pastix_symbolic::postordered(&g, &ordering);
+            beside(
+                overlap,
+                || pastix_symbolic::analyze_postordered(&g, &post, &aopts),
+                || ScatterPattern::permuted(a, Some(&post.perm), a.n()),
+            )
         };
         let machine = opts
             .machine
             .clone()
             .unwrap_or_else(|| MachineModel::sp2(opts.procs));
-        let Mapping { graph, schedule, .. } = {
+        let (Mapping { graph, schedule, .. }, pattern) = {
             let _sp = pastix_trace::task_span(0, pastix_trace::TaskClass::Sched);
-            map_and_schedule(&analysis.symbol, &machine, &sopts)
+            // The unsplit symbol answers as the split one would
+            // ([`ScatterPattern::check`]), so the check need not wait.
+            beside(
+                overlap,
+                || map_and_schedule(&analysis.symbol, &machine, &sopts),
+                || pattern.and_then(|p| p.check(&analysis.symbol).map(|()| p)),
+            )
         };
+        let on_executor = matches!(cfg.backend, Backend::Threads | Backend::Dynamic(_));
+        let (nodes, split) = beside(
+            overlap,
+            || on_executor.then(|| dynamic::coarsen(&graph, &schedule)),
+            || SolveSplit::build(&graph.split.symbol, schedule.n_procs),
+        );
+        cfg.metrics.add_counter("solver.permute_builds", 1);
+        cfg.metrics.add_counter("solver.solve_plan_builds", 1);
         let analyze_ns = t0.elapsed().as_nanos() as u64;
         let analyze_trace = session.finish().map(|rt| TraceLog {
             ranks: vec![rt],
@@ -186,7 +215,10 @@ impl Plan {
         let inner = Arc::get_mut(&mut plan.inner).expect("fresh plan is unshared");
         inner.stats = Some(stats);
         inner.analyze_trace = analyze_trace;
-        inner.analyzed_nnz = Some(a.nnz_stored());
+        inner.solve_split = OnceLock::from(split);
+        // `a`'s own pattern lies inside the symbol analyzed from it.
+        inner.pattern = pattern.map_or_else(|_| OnceLock::new(), OnceLock::from);
+        inner.nodes = nodes.map_or_else(OnceLock::new, OnceLock::from);
         plan
     }
 
@@ -209,14 +241,13 @@ impl Plan {
         Plan {
             inner: Arc::new(PlanInner {
                 perm,
-                nodes: dynamic::coarsen(&graph, &schedule),
+                nodes: OnceLock::new(),
                 graph,
                 schedule,
                 n,
                 stats: None,
                 analyze_trace: None,
                 solve_split: OnceLock::new(),
-                analyzed_nnz: None,
                 pattern: OnceLock::new(),
             }),
         }
@@ -260,9 +291,9 @@ impl Plan {
     }
 
     /// The solves' split of the elimination tree over the schedule's
-    /// processors, built on first use. The build counts in
-    /// `solver.solve_plan_builds` of `metrics` — once per plan, however
-    /// many runs, backends and solves share it.
+    /// processors: [`Plan::analyze`]'s, or built on first use. The build
+    /// counts in `solver.solve_plan_builds` of `metrics` — once per plan,
+    /// however many runs, backends and solves share it.
     pub(crate) fn solve_split(&self, metrics: &MetricsRegistry) -> &SolveSplit {
         self.inner.solve_split.get_or_init(|| {
             metrics.add_counter("solver.solve_plan_builds", 1);
@@ -270,26 +301,28 @@ impl Plan {
         })
     }
 
-    /// `P·A·Pᵀ`'s pattern for `a`: the cached one when `a` has exactly the
-    /// pattern it was built from, else a build. A build is kept when the
-    /// plan has none yet and `a` stores as many entries as the analyzed
-    /// matrix, so a subset pattern factorized first does not take the
-    /// analyzed pattern's place; every other build is one-off. Each build
-    /// counts in `solver.permute_builds` of `metrics`; one that finds an
-    /// entry outside the symbol (or another order) is the error.
+    /// The executor's nodes: [`Plan::analyze`]'s, or built on first use.
+    fn nodes(&self) -> &NodeDag {
+        self.inner.nodes.get_or_init(|| dynamic::coarsen(&self.inner.graph, &self.inner.schedule))
+    }
+
+    /// `P·A·Pᵀ`'s pattern for `a`: the kept one when `a` has exactly the
+    /// pattern it was built from, else a build. A plan from
+    /// [`Plan::analyze`] keeps the analyzed matrix's from the start; a
+    /// plan from [`Plan::from_parts`] keeps its first build. Every other
+    /// build is one-off. Each build counts in `solver.permute_builds` of
+    /// `metrics`; one that finds an entry outside the symbol (or another
+    /// order) is the error.
     fn scatter_pattern<T: Scalar>(
         &self,
         a: &SymCsc<T>,
         metrics: &MetricsRegistry,
     ) -> Result<Cow<'_, ScatterPattern>, FactorError> {
-        if let Some(cached) = self.inner.pattern.get().filter(|p| p.matches(a)) {
-            return Ok(Cow::Borrowed(cached));
+        if let Some(kept) = self.inner.pattern.get().filter(|p| p.matches(a)) {
+            return Ok(Cow::Borrowed(kept));
         }
         metrics.add_counter("solver.permute_builds", 1);
         let built = ScatterPattern::build(a, self.permutation(), self.symbol())?;
-        if self.inner.analyzed_nnz.is_some_and(|nnz| nnz != a.nnz_stored()) {
-            return Ok(Cow::Owned(built));
-        }
         Ok(match self.inner.pattern.set(built) {
             Ok(()) => Cow::Borrowed(self.inner.pattern.get().expect("pattern just set")),
             Err(built) => Cow::Owned(built),
@@ -301,11 +334,10 @@ impl Plan {
     /// pattern itself, or a subset of it); anything else is a
     /// [`FactorError::PatternMismatch`] before any numeric work. `a`'s
     /// values are read through a [`ScatterPattern`]: no permuted copy of
-    /// `a` is made. The plan builds and keeps one on the first
-    /// factorization of a matrix that stores as many entries as the
-    /// analyzed one (of any matrix, for a plan from [`Plan::from_parts`])
-    /// and reuses it for every later matrix with exactly that pattern; any
-    /// other pattern — a subset, say — gets a one-off build. With
+    /// `a` is made. An analyzed plan holds the analyzed matrix's (a plan
+    /// from [`Plan::from_parts`] builds and keeps one on its first
+    /// factorization) and reuses it for every matrix with exactly that
+    /// pattern; any other pattern — a subset, say — gets a one-off build. With
     /// `cfg.compression` enabled the finished factor is then compressed
     /// ([`crate::compress`]). The returned run carries this plan, so
     /// [`FactorRun::solve_request`] works without further arguments. A
@@ -344,13 +376,24 @@ impl Plan {
     ) -> Result<(FactorStorage<T>, TraceLog), FactorError> {
         let pattern = self.scatter_pattern(a, &cfg.metrics)?;
         let entries = pattern.entries(a);
-        let (sym, graph, nodes, sched) = (self.symbol(), &self.inner.graph, &self.inner.nodes, &self.inner.schedule);
+        let (sym, graph, sched) = (self.symbol(), &self.inner.graph, &self.inner.schedule);
         let (mut storage, trace) = match cfg.backend {
             Backend::Sim(faults) => crate::parallel::factorize_static(sym, entries, graph, sched, &faults, cfg)?,
-            backend => dynamic::factorize_dynamic(sym, entries, graph, nodes, sched, &executor_options(backend), cfg)?,
+            backend => {
+                dynamic::factorize_dynamic(sym, entries, graph, self.nodes(), sched, &executor_options(backend), cfg)?
+            }
         };
         finalize_compression(sym, &mut storage, &cfg.compression, &cfg.metrics);
         Ok((storage, trace))
+    }
+}
+
+/// Runs `main` and `side`, `side` on a second scoped thread when
+/// `overlap`, else one after the other.
+fn beside<A: Send, B: Send>(overlap: bool, main: impl FnOnce() -> A + Send, side: impl FnOnce() -> B + Send) -> (A, B) {
+    match overlap {
+        true => pastix_graph::par::join(main, side),
+        false => (main(), side()),
     }
 }
 
@@ -379,7 +422,9 @@ pub(crate) struct PlanCtx {
 /// One solve call: `rhs` is `n × k` column-major (original row order when
 /// the plan owns a permutation, elimination order otherwise); `k = 1` is
 /// the single-RHS case. `trace: true` records the solve's [`TraceLog`]
-/// even when the config's tracing is off.
+/// even when the config's tracing is off. A request built by
+/// [`SolveRequest::screened`] carries the proof of an earlier
+/// [`screen_rhs`], which spares its solve the second scan.
 #[derive(Debug, Clone, Copy)]
 pub struct SolveRequest<'a, T> {
     /// Right-hand sides, `n × k` column-major.
@@ -394,17 +439,27 @@ pub struct SolveRequest<'a, T> {
     /// so the serving layer's per-request parent span links to the DAG
     /// execution in the Chrome/Perfetto export.
     pub tag: Option<u64>,
+    /// The screen these right-hand sides passed, if any.
+    screened: Option<ScreenedRhs<'a, T>>,
 }
 
 impl<'a, T> SolveRequest<'a, T> {
     /// A single untraced right-hand side.
     pub fn single(rhs: &'a [T]) -> Self {
-        Self { rhs, k: 1, trace: false, tag: None }
+        Self::panel(rhs, 1)
     }
 
     /// An untraced `n × k` panel.
     pub fn panel(rhs: &'a [T], k: usize) -> Self {
-        Self { rhs, k, trace: false, tag: None }
+        Self { rhs, k, trace: false, tag: None, screened: None }
+    }
+
+    /// An untraced request on a panel [`screen_rhs`] passed. Its solve
+    /// skips the scan when the run's order is the one screened for and
+    /// `rhs` and `k` are still the screened ones; otherwise it screens
+    /// as any request.
+    pub fn screened(proof: ScreenedRhs<'a, T>) -> Self {
+        Self { rhs: proof.rhs, k: proof.k, trace: false, tag: None, screened: Some(proof) }
     }
 
     /// Requests a trace of this solve.
@@ -456,10 +511,21 @@ impl std::fmt::Display for SolveError {
 
 impl std::error::Error for SolveError {}
 
+/// Right-hand sides that passed [`screen_rhs`] for a matrix of order
+/// `n`: the proof of its scan, which [`SolveRequest::screened`] hands to
+/// the solve.
+#[derive(Debug, Clone, Copy)]
+pub struct ScreenedRhs<'a, T> {
+    rhs: &'a [T],
+    n: usize,
+    k: usize,
+}
+
 /// The one screen of right-hand sides for a matrix of order `n`: `k ≥ 1`,
 /// `n · k` entries, every entry finite. [`FactorRun::solve_request`] runs
-/// it on every request.
-pub fn screen_rhs<T: Scalar>(rhs: &[T], n: usize, k: usize) -> Result<(), SolveError> {
+/// it on every request but one built from its proof
+/// ([`SolveRequest::screened`]).
+pub fn screen_rhs<T: Scalar>(rhs: &[T], n: usize, k: usize) -> Result<ScreenedRhs<'_, T>, SolveError> {
     if k == 0 {
         return Err(SolveError::NoRhs);
     }
@@ -469,7 +535,7 @@ pub fn screen_rhs<T: Scalar>(rhs: &[T], n: usize, k: usize) -> Result<(), SolveE
     // Every solve pays this scan: the fold has no early exit, so it
     // vectorizes; the position is looked for only on failure.
     if rhs.iter().fold(true, |ok, v| ok & v.is_finite()) {
-        return Ok(());
+        return Ok(ScreenedRhs { rhs, n, k });
     }
     let index = rhs.iter().position(|v| !v.is_finite()).expect("a non-finite entry");
     Err(SolveError::NonFinite { index })
@@ -493,10 +559,17 @@ impl<T: Scalar> FactorRun<T> {
     /// seeded serializer of its fault plan). Single-RHS is `k = 1` of the
     /// same panel path. A request
     /// with `k = 0`, a length other than `n · k` or a non-finite entry is
-    /// refused with its [`SolveError`] ([`screen_rhs`]) before any work.
+    /// refused with its [`SolveError`] ([`screen_rhs`]) before any work;
+    /// one built from the proof of that screen for this order is not
+    /// scanned again.
     pub fn solve_request(&self, req: SolveRequest<'_, T>) -> Result<SolveOutput<T>, SolveError> {
         let PlanCtx { plan, cfg } = &self.ctx;
-        screen_rhs(req.rhs, plan.n(), req.k)?;
+        // A shared borrow of the screened slice: its entries cannot have
+        // changed since the scan.
+        let proven = req.screened.is_some_and(|s| s.n == plan.n() && s.k == req.k && std::ptr::eq(s.rhs, req.rhs));
+        if !proven {
+            screen_rhs(req.rhs, plan.n(), req.k)?;
+        }
         let mut cfg = cfg.clone();
         if !req.trace {
             cfg.trace = TraceOptions::disabled();
@@ -603,7 +676,7 @@ mod tests {
         let a = grid_spd::<f64>(24, 24, 1, Stencil::Star, false, ValueKind::RandomSpd(3));
         let cfg = SolverConfig::new().with_analyze(AnalyzeOptions::with_procs(2));
         let plan = Plan::analyze(&a, &cfg);
-        let nodes = &plan.inner.nodes;
+        let nodes = plan.nodes();
         let group = (0..nodes.deps.len()).find(|&v| nodes.members(v).len() > 1).expect("the plan groups tasks");
         // The group's last task, so the abort comes after its first ones ran.
         let t = *nodes.members(group).last().unwrap();
@@ -642,7 +715,7 @@ mod tests {
                 false => mapping.schedule,
             };
             let plan = Plan::from_parts(None, mapping.graph, Some(sched));
-            let nodes = &plan.inner.nodes;
+            let nodes = plan.nodes();
             let groups = (0..nodes.deps.len()).any(|v| nodes.members(v).len() > 1);
             assert!(groups || i > 0, "the plan groups tasks");
             let (sym, n) = (plan.symbol(), ap.n());
@@ -706,6 +779,43 @@ mod tests {
                 let mut x = b.clone();
                 crate::seq::solve_block_in_place(sym, &storage, &mut x, k);
                 assert!(bits(x) == first, "{nx}² at one proc: the sweep differs");
+            }
+        }
+    }
+
+    /// `Plan::analyze` hands over what the first factorization and the
+    /// first solve would build, bit for bit, with and without its second
+    /// thread, on the six suite matrices: the analyzed matrix's pattern,
+    /// the solves' split and, when the backend factorizes on the executor,
+    /// its grouping. Both builds count once, during analyze: the first
+    /// factorization and solve build nothing.
+    #[test]
+    fn analyze_hands_over_the_pattern_split_and_grouping() {
+        use pastix_graph::{build_problem, ProblemId};
+        let ids = [ProblemId::Quer, ProblemId::Bmwcra1, ProblemId::Shipsec5, ProblemId::Ship001, ProblemId::Oilpan, ProblemId::X104];
+        for id in ids {
+            let a = build_problem::<f64>(id, 0.01);
+            for parallelism in [Parallelism::Sequential, Parallelism::Threads(2)] {
+                let sim = Backend::Sim(pastix_runtime::sim::FaultPlan::interleave_only(3));
+                for backend in [Backend::Threads, sim] {
+                    let case = format!("{} {parallelism:?} {backend:?}", id.name());
+                    let opts = AnalyzeOptions { parallelism, ..AnalyzeOptions::with_procs(2) };
+                    let cfg = SolverConfig::new().with_analyze(opts).with_backend(backend);
+                    let plan = Plan::analyze(&a, &cfg);
+                    let (sym, inner) = (plan.symbol(), &plan.inner);
+                    let pattern = ScatterPattern::build(&a, plan.permutation(), sym).expect("the analyzed pattern");
+                    assert_eq!(inner.pattern.get(), Some(&pattern), "{case}: pattern");
+                    let split = SolveSplit::build(sym, inner.schedule.n_procs);
+                    assert_eq!(inner.solve_split.get(), Some(&split), "{case}: split");
+                    let nodes = matches!(backend, Backend::Threads).then(|| dynamic::coarsen(&inner.graph, &inner.schedule));
+                    assert_eq!(inner.nodes.get(), nodes.as_ref(), "{case}: grouping");
+                    let builds = || ["solver.permute_builds", "solver.solve_plan_builds"].map(|c| cfg.metrics.counter(c));
+                    assert_eq!(builds(), [1, 1], "{case}: one build each during analyze");
+                    let run = plan.factorize(&a, &cfg).unwrap();
+                    let b = vec![1.0; a.n()];
+                    assert!(a.residual_norm(&run.solve(&b), &b) < 1e-10, "{case}");
+                    assert_eq!(builds(), [1, 1], "{case}: 0 builds during the first factorization and solve");
+                }
             }
         }
     }

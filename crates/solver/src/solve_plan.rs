@@ -4,8 +4,9 @@
 //! factorization: whole subtrees dealt over the schedule's `n_procs`
 //! processors, one *bin* each, and a small *top* of ancestors above them
 //! ([`SolveSplit`]). A bin sweeps its subtrees on its own; only the top
-//! waits for every bin. The split is decided on the first solve of a plan
-//! and replayed by every later one on every backend. Nothing here depends
+//! waits for every bin. The split is decided once per plan — by
+//! [`Plan::analyze`](crate::Plan::analyze), or by the first solve of a plan
+//! assembled from parts — and replayed by every solve on every backend. Nothing here depends
 //! on numeric values, on the right-hand sides or on their count, and none
 //! of it is part of the factor (`factor_bytes` does not count it).
 //!
@@ -21,7 +22,7 @@ use std::ops::Range;
 /// top closed under parent, and the `2·n_procs + 1`-node DAG a solve runs
 /// on it: bin `i`'s forward sweep is node `i`, the top's two sweeps node
 /// `n_procs`, bin `i`'s backward sweep node `n_procs + 1 + i`.
-#[derive(Debug)]
+#[derive(Debug, PartialEq, Eq)]
 pub(crate) struct SolveSplit {
     /// Per bin, its subtrees as `(first, root)` column blocks, ascending;
     /// a subtree's blocks are contiguous (postorder).

@@ -11,8 +11,8 @@ use pastix_runtime::sim::FaultPlan;
 use pastix_sched::{DistStrategy, MappingOptions, SchedOptions};
 use pastix_solver::storage::try_blok_of;
 use pastix_solver::{
-    factorize_sequential, AnalyzeOptions, Backend, DynamicOptions, FactorStorage, MetricsRegistry, Plan,
-    ScatterPattern, SolveError, SolveRequest, SolverConfig, TaskOrder,
+    factorize_sequential, screen_rhs, AnalyzeOptions, Backend, DynamicOptions, FactorStorage, MetricsRegistry,
+    Plan, ScatterPattern, SolveError, SolveRequest, SolverConfig, TaskOrder,
 };
 use pastix_symbolic::SymbolMatrix;
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -71,8 +71,9 @@ fn factorizations_of_one_plan_build_the_pattern_once() {
     let a = grid(1);
     let plan = Plan::analyze(&a, &cfg);
     let builds = || cfg.metrics.counter("solver.permute_builds");
+    assert_eq!(builds(), 1, "analyze builds the analyzed pattern");
     plan.factorize(&a, &cfg).unwrap();
-    assert_eq!(builds(), 1);
+    assert_eq!(builds(), 1, "0 builds during the first factorization of an analyzed plan");
     // Same pattern, other values, every backend: the cached pattern.
     let revalued = grid(2);
     plan.factorize(&revalued, &cfg).unwrap();
@@ -80,6 +81,11 @@ fn factorizations_of_one_plan_build_the_pattern_once() {
         plan.factorize(&revalued, &cfg.clone().with_backend(backend)).unwrap();
     }
     assert_eq!(builds(), 1, "one build per plan");
+    // The solves' split comes with the plan too: solving builds nothing.
+    let run = plan.factorize(&a, &cfg).unwrap();
+    assert_eq!(cfg.metrics.counter("solver.solve_plan_builds"), 1, "built during analyze");
+    run.solve(&vec![1.0; a.n()]);
+    assert_eq!(cfg.metrics.counter("solver.solve_plan_builds"), 1, "0 builds during the first solve of an analyzed plan");
 }
 
 #[test]
@@ -100,10 +106,11 @@ fn a_subset_pattern_goes_through_without_touching_the_cache() {
     let sub = SymCsc::from_triplets(a.n(), &kept);
     assert!(sub.nnz_stored() < a.nnz_stored());
     let builds = || cfg.metrics.counter("solver.permute_builds");
-    // The subset first: its build is one-off, the analyzed pattern still
-    // gets the cache.
+    assert_eq!(builds(), 1, "analyze builds the analyzed pattern");
+    // The subset first: its build is one-off, the analyzed pattern keeps
+    // the cache.
     let run = plan.factorize(&sub, &cfg).unwrap();
-    assert_eq!(builds(), 1);
+    assert_eq!(builds(), 2, "a one-off build for the subset");
     plan.factorize(&a, &cfg).unwrap();
     plan.factorize(&a, &cfg).unwrap();
     assert_eq!(builds(), 2, "the cached pattern is the analyzed one's");
@@ -149,6 +156,11 @@ fn mismatch_is_a_typed_error(backend: Backend) {
     );
     // The failed builds were not kept: the plan still factorizes `a`.
     plan.factorize(&a, &cfg).unwrap();
+    // A plan assembled from the same parts holds no pattern: its first
+    // factorization builds one, and a wider matrix still fails the check.
+    let parts = Plan::from_parts(plan.permutation().cloned(), plan.graph().clone(), plan.schedule().cloned());
+    assert_eq!(parts.factorize(&wider, &cfg).unwrap_err(), FactorError::PatternMismatch { row, col });
+    parts.factorize(&a, &cfg).unwrap();
 }
 
 #[test]
@@ -164,6 +176,33 @@ fn pattern_mismatch_is_a_typed_error_sim() {
 #[test]
 fn pattern_mismatch_is_a_typed_error_dynamic() {
     mismatch_is_a_typed_error(dynamic());
+}
+
+/// A request built from a screen's proof skips only a scan that proves
+/// something about it: one screened for another order, or whose panel was
+/// swapped after the screen, is screened again and refused.
+#[test]
+fn a_screened_request_for_another_order_is_still_refused() {
+    let cfg = config(Backend::Threads);
+    let a = grid(3);
+    let n = a.n();
+    let run = Plan::analyze(&a, &cfg).factorize(&a, &cfg).unwrap();
+    let short = vec![1.0f64; n - 1];
+    let proof = screen_rhs(&short, n - 1, 1).expect("a clean panel of order n - 1");
+    let refused = run.solve_request(SolveRequest::screened(proof)).err();
+    assert_eq!(refused, Some(SolveError::WrongLength { expected: n, got: n - 1 }));
+    let long = vec![1.0f64; 2 * n];
+    let proof = screen_rhs(&long, 2 * n, 1).expect("a clean panel of order 2n");
+    let refused = run.solve_request(SolveRequest::screened(proof)).err();
+    assert_eq!(refused, Some(SolveError::WrongLength { expected: n, got: 2 * n }));
+    let good = vec![1.0f64; n];
+    let mut nan = good.clone();
+    nan[3] = f64::NAN;
+    let mut swapped = SolveRequest::screened(screen_rhs(&good, n, 1).expect("a clean panel"));
+    swapped.rhs = &nan;
+    assert_eq!(run.solve_request(swapped).err(), Some(SolveError::NonFinite { index: 3 }));
+    let x = run.solve_request(SolveRequest::screened(screen_rhs(&good, n, 1).unwrap())).expect("a proven panel solves").x;
+    assert!(a.residual_norm(&x, &good) < 1e-12);
 }
 
 /// A failed factorization still closes its flight mark, so a black box

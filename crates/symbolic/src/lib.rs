@@ -9,7 +9,9 @@
 //! [`analyze`] runs the whole phase for a given graph and fill-reducing
 //! permutation and returns the final (postordered) permutation together
 //! with the symbol matrix and the scalar statistics the paper's Table 1
-//! reports.
+//! reports. Its first step, [`postordered`], fixes that permutation on its
+//! own, so a caller can start work numbered by it before the rest,
+//! [`analyze_postordered`], finishes.
 
 #![warn(missing_docs)]
 
@@ -57,6 +59,7 @@ pub struct Analysis {
 
 /// Runs the symbolic phase: postorders the elimination tree, detects and
 /// amalgamates supernodes, and computes the block symbolic factorization.
+/// It is [`postordered`] followed by [`analyze_postordered`].
 ///
 /// ```
 /// use pastix_graph::{CsrGraph, Permutation};
@@ -68,26 +71,48 @@ pub struct Analysis {
 /// assert_eq!(a.scalar_nnz_offdiag, 4);
 /// ```
 pub fn analyze(g: &CsrGraph, ordering: &Permutation, opts: &AnalysisOptions) -> Analysis {
+    analyze_postordered(g, &postordered(g, ordering), opts)
+}
+
+/// The elimination tree of a graph under an ordering, postordered: the
+/// first step of [`analyze`], which fixes the final permutation.
+#[derive(Debug, Clone)]
+pub struct Postordered {
+    /// The ordering composed with the tree's postorder: [`Analysis::perm`].
+    pub perm: Permutation,
+    /// Elimination-tree parent of every column, in `perm`'s numbering
+    /// ([`NO_PARENT`] for roots).
+    pub parent: Vec<u32>,
+}
+
+/// Computes the elimination tree of `g` under `ordering` and postorders
+/// it, so supernodes are contiguous column ranges. The tree of the
+/// postordered pattern is the first one relabelled (identity is its
+/// postorder), so no second tree is computed.
+pub fn postordered(g: &CsrGraph, ordering: &Permutation) -> Postordered {
     assert_eq!(g.n(), ordering.len());
-    // Compute the etree under the input ordering and postorder it, so
-    // supernodes are contiguous column ranges; the tree of the postordered
-    // pattern is the first one relabelled, and identity is its postorder.
-    // Counts and bloks need only the strictly lower half of the permuted
-    // pattern, in any row order: one unsorted pass builds it.
     let parent0 = etree::etree_permuted(g, ordering);
     let post = postorder(&parent0);
-    let perm = ordering.then(&post);
-    let parent = etree::relabel_tree(&parent0, &post);
-    let (ptr, idx) = lower_rows(g, &perm);
+    Postordered { perm: ordering.then(&post), parent: etree::relabel_tree(&parent0, &post) }
+}
+
+/// The rest of [`analyze`] after [`postordered`]: column counts,
+/// supernodes, amalgamation and the block symbol, all numbered by
+/// `post.perm`.
+pub fn analyze_postordered(g: &CsrGraph, post: &Postordered, opts: &AnalysisOptions) -> Analysis {
+    let Postordered { perm, parent } = post;
+    // Counts and bloks need only the strictly lower half of the permuted
+    // pattern, in any row order: one unsorted pass builds it.
+    let (ptr, idx) = lower_rows(g, perm);
     let rows = |j: usize| idx[ptr[j]..ptr[j + 1]].iter().map(|&i| i as usize);
-    let counts = etree::counts_of_rows(&parent, |k| k, rows);
+    let counts = etree::counts_of_rows(parent, |k| k, rows);
     let (_, scalar_nnz_offdiag) = nnz_l(&counts);
     let scalar_opc = opc(&counts);
-    let fund = fundamental_supernodes(&parent, &counts);
+    let fund = fundamental_supernodes(parent, &counts);
     let partition = amalgamate(&fund, &opts.amalgamation);
     let symbol = symbol::symbol_of_rows(g.n(), &partition, rows);
     Analysis {
-        perm,
+        perm: perm.clone(),
         partition,
         symbol,
         scalar_nnz_offdiag,
