@@ -217,7 +217,7 @@ impl Plan {
         inner.analyze_trace = analyze_trace;
         inner.solve_split = OnceLock::from(split);
         // `a`'s own pattern lies inside the symbol analyzed from it.
-        inner.pattern = pattern.map_or_else(|_| OnceLock::new(), OnceLock::from);
+        inner.pattern = pattern.ok().map_or_else(OnceLock::new, OnceLock::from);
         inner.nodes = nodes.map_or_else(OnceLock::new, OnceLock::from);
         plan
     }
