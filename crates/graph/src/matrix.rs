@@ -52,7 +52,7 @@ impl<T: Scalar> SymCsc<T> {
     /// to `(j, i)`) and duplicates are summed in input order. `O(nnz + n)`:
     /// a [`LowerPattern`] counting build, then a gather.
     pub fn from_triplets(n: usize, triplets: &[(u32, u32, T)]) -> Self {
-        LowerPattern::counting(n, triplets).gather(|e| triplets[e].2)
+        LowerPattern::counting(n, triplets, Default::default()).gather(|e| triplets[e].2)
     }
 
     /// Matrix order.

@@ -25,24 +25,75 @@ pub struct LowerPattern {
     duplicates: bool,
 }
 
+/// The arrays of one counting build, allocated ahead of it. A caller that
+/// runs the build on another thread allocates them on its own, so the
+/// build allocates nothing and the pattern's memory, scratch included,
+/// comes from the caller's allocator arena, as if it had built it there.
+#[derive(Debug, Default)]
+pub struct PatternArrays {
+    rowptr: Vec<usize>,
+    colptr: Vec<usize>,
+    next: Vec<usize>,
+    by_row: Vec<(u32, u32)>,
+    rowind: Vec<u32>,
+    src: Vec<u32>,
+}
+
+impl PatternArrays {
+    /// Room for a pattern of order `n` over `m` entries.
+    pub fn with_capacity(n: usize, m: usize) -> Self {
+        Self {
+            rowptr: Vec::with_capacity(n + 1),
+            colptr: Vec::with_capacity(n + 1),
+            next: Vec::with_capacity(n + 1),
+            by_row: Vec::with_capacity(m),
+            rowind: Vec::with_capacity(m),
+            src: Vec::with_capacity(m),
+        }
+    }
+}
+
+/// `v` as `len` copies of `x`, in `v`'s own room when it has enough.
+fn filled<T: Clone>(mut v: Vec<T>, len: usize, x: T) -> Vec<T> {
+    if v.capacity() < len {
+        return vec![x; len];
+    }
+    v.clear();
+    v.resize(len, x);
+    v
+}
+
 impl LowerPattern {
     /// The pattern of `P·A·Pᵀ` for the lower CSC pattern `(colptr, rowind)`
     /// of order `n` (`p: None` is the identity). `src` indexes the stored
     /// entries of `A`, so position `k` holds `A.values()[src[k]]`. A stored
     /// entry above the diagonal is mirrored onto the lower triangle.
     pub fn permuted(n: usize, colptr: &[usize], rowind: &[u32], p: Option<&Permutation>) -> Self {
+        Self::permuted_in(n, colptr, rowind, p, PatternArrays::default())
+    }
+
+    /// [`permuted`](Self::permuted) into `arrays`: no allocation when they
+    /// hold room for `n` and `rowind.len()` entries.
+    pub fn permuted_in(
+        n: usize,
+        colptr: &[usize],
+        rowind: &[u32],
+        p: Option<&Permutation>,
+        arrays: PatternArrays,
+    ) -> Self {
         assert_eq!(colptr.len(), n + 1, "colptr must have n + 1 entries");
         if let Some(p) = p {
             assert_eq!(p.len(), n, "permutation order != matrix order");
         }
-        Self::counting(n, &Permuted { colptr, rowind, invp: p.map(|p| p.invp()) })
+        Self::counting(n, &Permuted { colptr, rowind, invp: p.map(|p| p.invp()) }, arrays)
     }
 
     /// The two counting passes over `entries`, after one that counts them
-    /// by row and by column.
-    pub(crate) fn counting(n: usize, entries: &(impl Positions + ?Sized)) -> Self {
-        let mut rowptr = vec![0usize; n + 1];
-        let mut colptr = vec![0usize; n + 1];
+    /// by row and by column, in `arrays`.
+    pub(crate) fn counting(n: usize, entries: &(impl Positions + ?Sized), arrays: PatternArrays) -> Self {
+        let PatternArrays { rowptr, colptr, next, by_row, rowind, src } = arrays;
+        let mut rowptr = filled(rowptr, n + 1, 0);
+        let mut colptr = filled(colptr, n + 1, 0);
         entries.each(|i, j| {
             assert!((i as usize) < n, "row {i} out of range");
             rowptr[i as usize + 1] += 1;
@@ -55,8 +106,9 @@ impl LowerPattern {
         let m = colptr[n];
         assert!(m <= u32::MAX as usize, "{m} entries: more than a pattern indexes");
         // First pass: bucket by row, in input order: (column, entry).
-        let mut next = rowptr.clone();
-        let mut by_row = vec![(0u32, 0u32); m];
+        let mut next = filled(next, n + 1, 0);
+        next.copy_from_slice(&rowptr);
+        let mut by_row = filled(by_row, m, (0u32, 0u32));
         let mut e = 0u32;
         entries.each(|i, j| {
             let slot = &mut next[i as usize];
@@ -66,7 +118,7 @@ impl LowerPattern {
         });
         // Second pass: the rows in ascending order into their columns.
         next.copy_from_slice(&colptr);
-        let (mut rowind, mut src) = (vec![0u32; m], vec![0u32; m]);
+        let (mut rowind, mut src) = (filled(rowind, m, 0u32), filled(src, m, 0u32));
         for i in 0..n {
             for &(j, e) in &by_row[rowptr[i]..rowptr[i + 1]] {
                 let pos = &mut next[j as usize];
@@ -181,7 +233,7 @@ mod tests {
 
     fn of_positions(n: usize, entries: &[(u32, u32)]) -> LowerPattern {
         let trips: Vec<(u32, u32, ())> = entries.iter().map(|&(r, c)| (r, c, ())).collect();
-        LowerPattern::counting(n, trips.as_slice())
+        LowerPattern::counting(n, trips.as_slice(), PatternArrays::default())
     }
 
     #[test]
@@ -225,5 +277,18 @@ mod tests {
                 assert_eq!((rowind[e] as usize, col), (oi.max(oj), oi.min(oj)), "({i}, {j})");
             }
         }
+    }
+
+    /// A build into reserved arrays writes the pattern into them and is
+    /// the default build, bit for bit.
+    #[test]
+    fn a_build_into_reserved_arrays_fills_them() {
+        let (colptr, rowind) = (vec![0, 3, 5, 6, 7], vec![0u32, 1, 3, 1, 2, 2, 3]);
+        let p = Permutation::from_perm(vec![3, 0, 2, 1]);
+        let arrays = PatternArrays::with_capacity(4, rowind.len());
+        let room = (arrays.colptr.as_ptr(), arrays.rowind.as_ptr(), arrays.src.as_ptr());
+        let pat = LowerPattern::permuted_in(4, &colptr, &rowind, Some(&p), arrays);
+        assert_eq!((pat.colptr.as_ptr(), pat.rowind.as_ptr(), pat.src.as_ptr()), room);
+        assert_eq!(pat, LowerPattern::permuted(4, &colptr, &rowind, Some(&p)));
     }
 }

@@ -12,7 +12,7 @@
 //! through it, so no permuted copy of `A` is made on any backend.
 
 use crate::storage::BlokCursor;
-use pastix_graph::pattern::LowerPattern;
+use pastix_graph::pattern::{LowerPattern, PatternArrays};
 use pastix_graph::{Permutation, SymCsc};
 use pastix_kernels::factor::FactorError;
 use pastix_kernels::Scalar;
@@ -33,15 +33,20 @@ impl ScatterPattern {
     /// structure. The first entry outside it — or a matrix of another
     /// order — is a [`FactorError::PatternMismatch`] in `A`'s numbering.
     pub fn build<T: Scalar>(a: &SymCsc<T>, perm: Option<&Permutation>, sym: &SymbolMatrix) -> Result<Self, FactorError> {
-        let built = Self::permuted(a, perm, sym.n)?;
+        let built = Self::permuted(a, perm, sym.n, PatternRoom::default())?;
         built.check(sym)?;
         Ok(built)
     }
 
     /// The first half of [`build`](Self::build): `P·A·Pᵀ`'s pattern for a
-    /// matrix of order `n`, not yet checked against a symbol. A matrix of
-    /// another order is the error.
-    pub(crate) fn permuted<T: Scalar>(a: &SymCsc<T>, perm: Option<&Permutation>, n: usize) -> Result<Self, FactorError> {
+    /// matrix of order `n`, not yet checked against a symbol, in `room`. A
+    /// matrix of another order is the error.
+    pub(crate) fn permuted<T: Scalar>(
+        a: &SymCsc<T>,
+        perm: Option<&Permutation>,
+        n: usize,
+        room: PatternRoom,
+    ) -> Result<Self, FactorError> {
         if a.n() != n {
             let first_missing = a.n().min(n);
             return Err(FactorError::PatternMismatch { row: first_missing, col: first_missing });
@@ -50,8 +55,11 @@ impl ScatterPattern {
         if let Some(e) = rowind.iter().position(|&i| i as usize >= n) {
             return Err(mismatch_at(colptr, rowind, e));
         }
-        let lower = LowerPattern::permuted(n, colptr, rowind, perm);
-        Ok(Self { source_colptr: colptr.to_vec(), source_rowind: rowind.to_vec(), lower })
+        let PatternRoom { lower, colptr: mut source_colptr, rowind: mut source_rowind } = room;
+        let lower = LowerPattern::permuted_in(n, colptr, rowind, perm, lower);
+        source_colptr.extend_from_slice(colptr);
+        source_rowind.extend_from_slice(rowind);
+        Ok(Self { source_colptr, source_rowind, lower })
     }
 
     /// The second half of [`build`](Self::build): the first entry outside
@@ -76,6 +84,27 @@ impl ScatterPattern {
     pub(crate) fn entries<'a, T: Scalar>(&'a self, a: &'a SymCsc<T>) -> Entries<'a, T> {
         debug_assert!(self.matches(a), "pattern built for another matrix");
         Entries { colptr: self.lower.colptr(), rowind: self.lower.rowind(), src: Some(self.lower.src()), values: a.values() }
+    }
+}
+
+/// The arrays of one [`ScatterPattern`] build, allocated ahead of it by a
+/// caller that runs the build on another thread ([`PatternArrays`]).
+#[derive(Debug, Default)]
+pub(crate) struct PatternRoom {
+    lower: PatternArrays,
+    colptr: Vec<usize>,
+    rowind: Vec<u32>,
+}
+
+impl PatternRoom {
+    /// Room for `a`'s pattern: the build allocates nothing.
+    pub(crate) fn of<T: Scalar>(a: &SymCsc<T>) -> Self {
+        let (colptr, rowind) = (a.colptr(), a.rowind());
+        Self {
+            lower: PatternArrays::with_capacity(a.n(), rowind.len()),
+            colptr: Vec::with_capacity(colptr.len()),
+            rowind: Vec::with_capacity(rowind.len()),
+        }
     }
 }
 
@@ -163,7 +192,7 @@ mod tests {
         t.push((row as u32, col as u32, -0.5));
         let wider = SymCsc::from_triplets(n, &t);
         for (m, want) in [(&a, Ok(())), (&wider, Err(FactorError::PatternMismatch { row, col }))] {
-            let built = ScatterPattern::permuted(m, Some(perm), n).expect("order n");
+            let built = ScatterPattern::permuted(m, Some(perm), n, PatternRoom::default()).expect("order n");
             assert_eq!(built.check(sym), want, "unsplit");
             for width in [1, 2, 3, 5, n] {
                 assert_eq!(built.check(&split_symbol(sym, width).symbol), want, "split at width {width}");

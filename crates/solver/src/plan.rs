@@ -26,7 +26,7 @@
 use crate::compress::finalize_compression;
 use crate::config::{FactorRun, SolverConfig};
 use crate::dynamic;
-use crate::pattern::ScatterPattern;
+use crate::pattern::{PatternRoom, ScatterPattern};
 use crate::solve_plan::SolveSplit;
 use crate::storage::FactorStorage;
 use pastix_graph::{Parallelism, Permutation, SymCsc};
@@ -172,10 +172,15 @@ impl Plan {
         let (analysis, pattern) = {
             let _sp = pastix_trace::task_span(0, pastix_trace::TaskClass::Symbolic);
             let post = pastix_symbolic::postordered(&g, &ordering);
+            // The pattern's arrays, scratch included, are allocated here,
+            // as when a factorization builds it: the side thread allocates
+            // nothing, so it leaves no freed memory in an allocator arena
+            // of its own for later threads to pick up.
+            let room = PatternRoom::of(a);
             beside(
                 overlap,
                 || pastix_symbolic::analyze_postordered(&g, &post, &aopts),
-                || ScatterPattern::permuted(a, Some(&post.perm), a.n()),
+                || ScatterPattern::permuted(a, Some(&post.perm), a.n(), room),
             )
         };
         let machine = opts
